@@ -1,0 +1,86 @@
+package algo
+
+import (
+	"context"
+	"testing"
+
+	"github.com/paper-repo-growth/doryp20/clique"
+	"github.com/paper-repo-growth/doryp20/internal/core"
+	"github.com/paper-repo-growth/doryp20/internal/engine"
+	"github.com/paper-repo-growth/doryp20/internal/graph"
+	"github.com/paper-repo-growth/doryp20/internal/matmul"
+)
+
+// TestClosureMovesFewerWordsThanAPSP measures the model-level claim of
+// the packed wire format on one seeded graph: the same squarings on the
+// boolean semiring ship 1-bit fields and must cost strictly fewer words
+// than on (min,+). (With one entry per word the two were equal.)
+func TestClosureMovesFewerWordsThanAPSP(t *testing.T) {
+	g := graph.RandomGNPWeighted(64, 0.1, 30, 17)
+	apsp, err := runGraphKernel(g, NewAPSPKernel(), engine.Options{})
+	if err != nil {
+		t.Fatalf("apsp: %v", err)
+	}
+	closure, err := runGraphKernel(g, NewTransitiveClosureKernel(), engine.Options{})
+	if err != nil {
+		t.Fatalf("closure: %v", err)
+	}
+	if closure.TotalMsgs >= apsp.TotalMsgs {
+		t.Fatalf("closure moved %d words, apsp %d: boolean entries must pack tighter than distances",
+			closure.TotalMsgs, apsp.TotalMsgs)
+	}
+	if closure.Rounds > apsp.Rounds {
+		t.Fatalf("closure took %d rounds, apsp %d: fewer words per row cannot take more rounds",
+			closure.Rounds, apsp.Rounds)
+	}
+}
+
+// TestBooleanSquaringRoundBound squares a full n x n boolean operand
+// and reads the cost off the engine's own accounting: a row of n 1-bit
+// fields is ceil(n / columnsPerWord) words, streamed at LinkMsgCap
+// words per link per round, plus the request round, the first-response
+// round, the final delivery round and the quiescence round.
+func TestBooleanSquaringRoundBound(t *testing.T) {
+	const n = 160
+	a, err := matmul.FromGraph(graph.Clique(n), core.BoolOrAnd(), true)
+	if err != nil {
+		t.Fatalf("FromGraph: %v", err)
+	}
+	if a.NNZ() != n*n {
+		t.Fatalf("operand has %d entries, want a full %d x %d", a.NNZ(), n, n)
+	}
+	s, err := clique.NewSize(n)
+	if err != nil {
+		t.Fatalf("NewSize: %v", err)
+	}
+	defer s.Close()
+	k := matmul.NewMulKernel(a, a)
+	if err := s.Run(context.Background(), k); err != nil {
+		t.Fatalf("squaring: %v", err) // includes any *engine.BandwidthError
+	}
+	if got := k.Product().NNZ(); got != n*n {
+		t.Fatalf("product has %d entries, want %d", got, n*n)
+	}
+
+	linkCap := core.DefaultBudget(n).MsgsPerLink()
+	columnsPerWord := 63 - core.Log2Ceil(n) // one flag bit, then the start column
+	rowWords := (n + columnsPerWord - 1) / columnsPerWord
+	run := s.LastRun()
+	if bound := (rowWords+linkCap-1)/linkCap + 4; run.Rounds > bound {
+		t.Fatalf("full boolean squaring took %d rounds, want <= ceil(%d/%d)+4 = %d",
+			run.Rounds, n, columnsPerWord, bound)
+	}
+	// The router rejects any link over its cap with a BandwidthError,
+	// which Run would have returned; the per-round totals must agree.
+	links := uint64(n * (n - 1))
+	for _, rs := range run.PerRound {
+		if rs.Msgs > links*uint64(linkCap) {
+			t.Fatalf("round %d carried %d words over %d links of capacity %d", rs.Round, rs.Msgs, links, linkCap)
+		}
+	}
+	// Every node requests n-1 rows and receives each as rowWords words.
+	if want := links * uint64(1+rowWords); run.TotalMsgs != want {
+		t.Fatalf("squaring moved %d words, want %d requests + %d x %d row words = %d",
+			run.TotalMsgs, links, links, rowWords, want)
+	}
+}

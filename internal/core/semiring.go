@@ -14,10 +14,10 @@ const InfWeight int64 = math.MaxInt64 / 4
 
 // InfWidth is the +infinity sentinel for bottleneck widths: the
 // multiplicative identity of the (max,min) semiring (the width of the
-// empty path is unbounded). Unlike InfWeight it must fit in the wire
-// value field of a packed (column, value) word — idxBits is at most 23
-// for any graph this package targets, leaving 41 value bits — so it is
-// 2^40 rather than MaxInt64/4. Edge widths must lie in [1, InfWidth).
+// empty path is unbounded). It is never transmitted as a value — the
+// matmul wire format reserves a field code for the semiring's One — so
+// its magnitude only has to leave headroom above every legal edge
+// width, which must lie in [1, InfWidth).
 const InfWidth int64 = 1 << 40
 
 // Semiring is a commutative semiring over int64 entries, the algebraic

@@ -206,14 +206,43 @@ func TestDimensionAndSemiringMismatch(t *testing.T) {
 	}
 }
 
+// decodeRow replays packed words through the production decoder
+// (mulNode.accumulate) onto a Zero row with A[v][k] = One, which by the
+// semiring identities Mul(One, x) = x and Add(Zero, x) = x reproduces
+// the packed B-row exactly.
+func decodeRow(wf *wireFormat, sr core.Semiring, cols int, words []uint64) []int64 {
+	nd := &mulNode{sr: sr, wf: wf, acc: NewDense(1, cols, sr).Vals}
+	for _, w := range words {
+		nd.accumulate(sr.One, w)
+	}
+	return nd.acc
+}
+
 func TestWireFormatRoundTrip(t *testing.T) {
+	sr := core.MinPlus()
+	const lo, hi = 3, 1<<40 + 3
 	for _, cols := range []int{1, 2, 7, 64, 1000} {
-		wf := newWireFormat(cols)
+		wf, err := newWireFormat(cols, []int64{lo, hi}, sr, "matrix")
+		if err != nil {
+			t.Fatalf("cols=%d: %v", cols, err)
+		}
 		for _, j := range []int{0, 1, cols - 1} {
-			for _, val := range []int64{0, 1, wf.maxVal} {
-				gj, gv := wf.unpack(wf.pack(j, val))
-				if gj != j || gv != val {
-					t.Fatalf("cols=%d: pack/unpack(%d,%d) = (%d,%d)", cols, j, val, gj, gv)
+			if j >= cols {
+				continue
+			}
+			for _, val := range []int64{sr.One, lo, hi} {
+				words := wf.packRow(nil, []core.NodeID{core.NodeID(j)}, []int64{val})
+				if len(words) != 1 {
+					t.Fatalf("cols=%d: one entry packed into %d words", cols, len(words))
+				}
+				for gj, gv := range decodeRow(wf, sr, cols, words) {
+					want := sr.Zero
+					if gj == j {
+						want = val
+					}
+					if gv != want {
+						t.Fatalf("cols=%d: pack/decode(%d,%d): column %d = %d, want %d", cols, j, val, gj, gv, want)
+					}
 				}
 			}
 		}
@@ -221,18 +250,28 @@ func TestWireFormatRoundTrip(t *testing.T) {
 }
 
 func TestCheckPackableRejectsOversized(t *testing.T) {
-	wf := newWireFormat(256) // 8 index bits, 56 value bits
-	if err := wf.checkPackable([]int64{0, 5, wf.maxVal}, core.InfWeight, "matrix"); err != nil {
+	sr := core.MinPlus()
+	const widest = int64(1)<<55 - 3 // 256 columns: 8 index bits leave a 55-bit field
+	// The field is offset-coded, so what must fit is the range, not the
+	// magnitude: One (0) has its own code and sits outside the range.
+	wf, err := newWireFormat(256, []int64{0, 5, 5 + widest}, sr, "matrix")
+	if err != nil {
 		t.Fatalf("in-range values rejected: %v", err)
 	}
-	if err := wf.checkPackable([]int64{wf.maxVal + 1}, core.InfWeight, "matrix"); err == nil {
-		t.Fatal("oversized value accepted")
+	if wf.idxBits+wf.width != 63 {
+		t.Fatalf("widest legal range uses %d+%d bits, want all 63", wf.idxBits, wf.width)
 	}
-	if err := wf.checkPackable([]int64{-3}, core.InfWeight, "matrix"); err == nil {
+	if _, err := newWireFormat(256, []int64{1 << 60}, sr, "matrix"); err != nil {
+		t.Fatalf("lone large value rejected: %v", err)
+	}
+	if _, err := newWireFormat(256, []int64{5, 5 + widest + 1}, sr, "matrix"); err == nil {
+		t.Fatal("oversized value range accepted")
+	}
+	if _, err := newWireFormat(256, []int64{-3}, sr, "matrix"); err == nil {
 		t.Fatal("negative value accepted")
 	}
 	// Semiring Zero is exempt: it is never transmitted.
-	if err := wf.checkPackable([]int64{core.InfWeight}, core.InfWeight, "matrix"); err != nil {
+	if _, err := newWireFormat(256, []int64{1, core.InfWeight}, sr, "matrix"); err != nil {
 		t.Fatalf("Zero sentinel rejected: %v", err)
 	}
 }

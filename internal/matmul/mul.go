@@ -2,6 +2,7 @@ package matmul
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"github.com/paper-repo-growth/doryp20/clique"
@@ -25,50 +26,165 @@ type Options struct {
 	Unpaced bool
 }
 
-// The wire format packs one matrix entry (column index, value) into a
-// single Theta(log n)-bit message word: the column in the top
-// Log2Ceil(cols) bits, the value in the remaining low bits. wireFormat
-// captures the split for one product.
+// The wire format packs several matrix entries into each Theta(log n)-bit
+// message word. An entry's value travels as an offset-coded field:
+//
+//	0            empty slot (nothing to accumulate)
+//	1            the semiring's One
+//	v - min + 2  any other non-Zero value v
+//
+// where min (and max, which fixes the field width) range over the
+// non-Zero, non-One values of the B operand; Zero is never sent.
+// Reserving a code for One keeps an extreme identity (MaxMin's
+// One = 2^40 on every reflexive diagonal) from widening the field, and
+// makes the boolean semiring the 1-bit-field case instead of a special
+// path. Bit 63 of a word selects one of two row encodings, so receivers
+// decode each word statelessly (low bits first):
+//
+//	sparse     0 | ... | col_1 field_1 | col_0 field_0
+//	positional 1 | ... field_1 field_0 | start
+//
+// A sparse word carries 63/(idxBits+width) (col, field) entries; a
+// positional word carries (63-idxBits)/width fields for the consecutive
+// columns start, start+1, ... Unused high slots are 0. wireFormat
+// holds the split for one product; it is derived from the B operand
+// alone, so every rank and every crash-resume rebuilds identical words.
 type wireFormat struct {
-	valBits uint
-	valMask uint64
-	maxVal  int64
+	idxBits, width uint
+	idxMask, fMask uint64
+	base           int64 // min - 2: a field f >= 2 decodes to base + f
+	one            int64
+	sparsePer      int // entries per sparse word
+	posPer         int // columns per positional word
 }
 
-func newWireFormat(cols int) wireFormat {
-	idxBits := uint(core.Log2Ceil(cols))
-	if idxBits == 0 {
-		idxBits = 1 // keep valBits < 64 so shifts stay defined
-	}
-	valBits := 64 - idxBits
-	wf := wireFormat{valBits: valBits, valMask: 1<<valBits - 1}
-	wf.maxVal = int64(wf.valMask)
-	return wf
-}
+// posFlag marks a positionally encoded word.
+const posFlag = uint64(1) << 63
 
-func (wf wireFormat) pack(j int, val int64) uint64 {
-	return uint64(j)<<wf.valBits | uint64(val)
-}
-
-func (wf wireFormat) unpack(w uint64) (j int, val int64) {
-	return int(w >> wf.valBits), int64(w & wf.valMask)
-}
-
-// checkPackable verifies that every value in vals fits the wire
-// format's value field (semiring Zero values are exempt because they
-// are never transmitted).
-func (wf wireFormat) checkPackable(vals []int64, zero int64, what string) error {
+// newWireFormat derives the format for a B operand with the given
+// column count from its values (Zero entries are exempt: they are never
+// transmitted). It rejects negative values and value ranges whose field
+// does not fit beside the column index, before any round runs.
+func newWireFormat(cols int, vals []int64, sr core.Semiring, what string) (*wireFormat, error) {
+	lo, hi, ranged := int64(0), int64(0), false
 	for _, v := range vals {
-		if v == zero {
+		if v == sr.Zero || v == sr.One {
 			continue
 		}
-		if v < 0 || v > wf.maxVal {
-			return fmt.Errorf(
-				"matmul: %s value %d does not fit the %d-bit wire value field [0, %d]",
-				what, v, wf.valBits, wf.maxVal)
+		if v < 0 {
+			return nil, fmt.Errorf("matmul: %s value %d is negative; the wire format carries only non-negative values", what, v)
+		}
+		if !ranged || v < lo {
+			lo = v
+		}
+		if !ranged || v > hi {
+			hi = v
+		}
+		ranged = true
+	}
+	idxBits := uint(core.Log2Ceil(cols))
+	width := uint(1) // code 1 (One) alone
+	if ranged {
+		width = uint(bits.Len64(uint64(hi-lo) + 2))
+	}
+	if idxBits+width > 63 {
+		return nil, fmt.Errorf(
+			"matmul: %s values span [%d, %d], which needs a %d-bit field; a wire word has %d bits beside its %d column-index bits",
+			what, lo, hi, width, 63-idxBits, idxBits)
+	}
+	return &wireFormat{
+		idxBits:   idxBits,
+		width:     width,
+		idxMask:   1<<idxBits - 1,
+		fMask:     1<<width - 1,
+		base:      lo - 2,
+		one:       sr.One,
+		sparsePer: int(63 / (idxBits + width)),
+		posPer:    int((63 - idxBits) / width),
+	}, nil
+}
+
+// packRow appends one B-row — its non-Zero entries as parallel,
+// column-sorted slices — to dst in whichever encoding needs fewer
+// words (sparse on a tie).
+func (wf *wireFormat) packRow(dst []uint64, cols []core.NodeID, vals []int64) []uint64 {
+	sparseWords := (len(cols) + wf.sparsePer - 1) / wf.sparsePer
+	posWords := 0
+	for i := 0; i < len(cols) && posWords < sparseWords; posWords++ {
+		end := int(cols[i]) + wf.posPer
+		for i < len(cols) && int(cols[i]) < end {
+			i++
 		}
 	}
-	return nil
+	if posWords < sparseWords {
+		return wf.packPositional(dst, cols, vals)
+	}
+	return wf.packSparse(dst, cols, vals)
+}
+
+// packSparse appends the row as (col, field) entries, sparsePer to a
+// word.
+func (wf *wireFormat) packSparse(dst []uint64, cols []core.NodeID, vals []int64) []uint64 {
+	entBits := wf.idxBits + wf.width
+	for i := 0; i < len(cols); {
+		var w uint64
+		for s := uint(0); s < uint(wf.sparsePer) && i < len(cols); s, i = s+1, i+1 {
+			w |= (uint64(cols[i])<<wf.width | wf.field(vals[i])) << (s * entBits)
+		}
+		dst = append(dst, w)
+	}
+	return dst
+}
+
+// packPositional appends the row as words that each start at the next
+// unsent entry's column and cover the posPer columns from there, so
+// runs of Zero columns wider than a word cost nothing.
+func (wf *wireFormat) packPositional(dst []uint64, cols []core.NodeID, vals []int64) []uint64 {
+	for i := 0; i < len(cols); {
+		start := int(cols[i])
+		w := posFlag | uint64(start)
+		for ; i < len(cols) && int(cols[i]) < start+wf.posPer; i++ {
+			w |= wf.field(vals[i]) << (wf.idxBits + uint(int(cols[i])-start)*wf.width)
+		}
+		dst = append(dst, w)
+	}
+	return dst
+}
+
+// packRows packs rows 0..n-1, each supplied by row as for packRow, into
+// one shared slab and returns the per-row word slices.
+func (wf *wireFormat) packRows(n int, row func(core.NodeID) ([]core.NodeID, []int64)) [][]uint64 {
+	var slab []uint64
+	ends := make([]int, n)
+	for v := range ends {
+		cols, vals := row(core.NodeID(v))
+		slab = wf.packRow(slab, cols, vals)
+		ends[v] = len(slab)
+	}
+	packed := make([][]uint64, n)
+	lo := 0
+	for v, hi := range ends {
+		packed[v] = slab[lo:hi:hi]
+		lo = hi
+	}
+	return packed
+}
+
+// field offset-codes one non-Zero value.
+func (wf *wireFormat) field(v int64) uint64 {
+	if v == wf.one {
+		return 1
+	}
+	return uint64(v - wf.base)
+}
+
+// term returns Mul(aik, v) for the value v that the non-empty field f
+// carries. The code for One needs no Mul: Mul(a, One) = a.
+func (wf *wireFormat) term(sr core.Semiring, aik int64, f uint64) int64 {
+	if f == 1 {
+		return aik
+	}
+	return sr.Mul(aik, wf.base+int64(f))
 }
 
 // mulNode executes one node's share of a distributed product C = A ⊗ B.
@@ -88,7 +204,7 @@ func (wf wireFormat) checkPackable(vals []int64, zero int64, what string) error 
 // sends anything.
 type mulNode struct {
 	sr     core.Semiring
-	wf     wireFormat
+	wf     *wireFormat
 	aCols  []core.NodeID
 	aVals  []int64
 	packed []uint64 // this node's row of B, in wire format
@@ -107,10 +223,28 @@ func (nd *mulNode) lookupA(k core.NodeID) (int64, bool) {
 	return nd.sr.Zero, false
 }
 
-func (nd *mulNode) accumulate(aik int64, words []uint64) {
-	for _, w := range words {
-		j, val := nd.wf.unpack(w)
-		nd.acc[j] = nd.sr.Add(nd.acc[j], nd.sr.Mul(aik, val))
+// accumulate folds one packed word of B[k] into this node's row of C:
+// C[v][j] = Add(C[v][j], Mul(aik, B[k][j])) for every entry the word
+// carries. A column decoded outside the accumulator panics on the
+// slice bound (surfacing as *engine.HandlerPanicError) rather than
+// writing out of row.
+func (nd *mulNode) accumulate(aik int64, w uint64) {
+	wf, sr, acc := nd.wf, nd.sr, nd.acc
+	if w&posFlag != 0 {
+		w &^= posFlag
+		j := int(w & wf.idxMask)
+		for w >>= wf.idxBits; w != 0; w, j = w>>wf.width, j+1 {
+			if f := w & wf.fMask; f != 0 {
+				acc[j] = sr.Add(acc[j], wf.term(sr, aik, f))
+			}
+		}
+		return
+	}
+	for ; w != 0; w >>= wf.idxBits + wf.width {
+		if f := w & wf.fMask; f != 0 {
+			j := int(w >> wf.width & wf.idxMask)
+			acc[j] = sr.Add(acc[j], wf.term(sr, aik, f))
+		}
 	}
 }
 
@@ -118,7 +252,9 @@ func (nd *mulNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message) 
 	switch r {
 	case 0:
 		if avv, ok := nd.lookupA(ctx.ID()); ok {
-			nd.accumulate(avv, nd.packed)
+			for _, w := range nd.packed {
+				nd.accumulate(avv, w)
+			}
 		}
 		for _, k := range nd.aCols {
 			if k == ctx.ID() {
@@ -163,8 +299,7 @@ func (nd *mulNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message) 
 				}
 				lastSrc = m.Src
 			}
-			j, val := nd.wf.unpack(m.Payload)
-			nd.acc[j] = nd.sr.Add(nd.acc[j], nd.sr.Mul(aik, val))
+			nd.accumulate(aik, m.Payload)
 		}
 		if nd.ob != nil {
 			return nd.ob.Flush(ctx)
@@ -226,11 +361,11 @@ func NewPass(a, b *Matrix, unpaced bool) (*Pass, error) {
 	if err := checkPair(a.N, b.N, a.Sr, b.Sr); err != nil {
 		return nil, err
 	}
-	wf := newWireFormat(a.N)
-	if err := wf.checkPackable(b.Vals, b.Sr.Zero, "matrix"); err != nil {
+	wf, err := newWireFormat(a.N, b.Vals, b.Sr, "matrix")
+	if err != nil {
 		return nil, err
 	}
-	return newPass(a, packRows(b, wf), a.N, wf, unpaced), nil
+	return newPass(a, wf.packRows(b.N, b.Row), a.N, wf, unpaced), nil
 }
 
 // NewDensePass validates and packs the sparse-dense product A ⊗ B with
@@ -239,28 +374,28 @@ func NewDensePass(a *Matrix, b *Dense, unpaced bool) (*Pass, error) {
 	if err := checkPair(a.N, b.N, a.Sr, b.Sr); err != nil {
 		return nil, err
 	}
-	wf := newWireFormat(b.K)
-	if err := wf.checkPackable(b.Vals, b.Sr.Zero, "dense"); err != nil {
+	wf, err := newWireFormat(b.K, b.Vals, b.Sr, "dense")
+	if err != nil {
 		return nil, err
 	}
-	packed := make([][]uint64, b.N)
-	for v := 0; v < b.N; v++ {
-		row := b.Row(core.NodeID(v))
-		words := make([]uint64, 0, len(row))
-		for j, val := range row {
-			if val == b.Sr.Zero {
-				continue
+	cols := make([]core.NodeID, 0, b.K)
+	vals := make([]int64, 0, b.K)
+	packed := wf.packRows(b.N, func(v core.NodeID) ([]core.NodeID, []int64) {
+		cols, vals = cols[:0], vals[:0]
+		for j, val := range b.Row(v) {
+			if val != b.Sr.Zero {
+				cols = append(cols, core.NodeID(j))
+				vals = append(vals, val)
 			}
-			words = append(words, wf.pack(j, val))
 		}
-		packed[v] = words
-	}
+		return cols, vals
+	})
 	return newPass(a, packed, b.K, wf, unpaced), nil
 }
 
 // newPass wires n mulNodes (node v holding packed B-row packed[v] and a
 // cols-wide accumulator) over a flat n*cols result slab.
-func newPass(a *Matrix, packed [][]uint64, cols int, wf wireFormat, unpaced bool) *Pass {
+func newPass(a *Matrix, packed [][]uint64, cols int, wf *wireFormat, unpaced bool) *Pass {
 	n := a.N
 	p := &Pass{
 		n:    n,
@@ -328,20 +463,6 @@ func (p *Pass) Dense() *Dense {
 	return &Dense{N: p.n, K: p.cols, Sr: p.sr, Vals: p.flat}
 }
 
-// packRows converts each sparse row of b into wire words.
-func packRows(b *Matrix, wf wireFormat) [][]uint64 {
-	packed := make([][]uint64, b.N)
-	for v := 0; v < b.N; v++ {
-		cols, vals := b.Row(core.NodeID(v))
-		row := make([]uint64, len(cols))
-		for i, j := range cols {
-			row[i] = wf.pack(int(j), vals[i])
-		}
-		packed[v] = row
-	}
-	return packed
-}
-
 // runKernel executes one matmul kernel on a throwaway graph-free
 // session sized n — the bridge that keeps the free-function entry
 // points as thin wrappers over the session API (see clique.OneShot for
@@ -358,8 +479,9 @@ func runKernel(n int, k clique.Kernel, eopts engine.Options) (*engine.Stats, err
 // clique nodes, node v holding row v of each operand, communicating
 // only bounded words through the sharded router under the per-link
 // budget. The returned stats are the engine's own accounting of the
-// product — rounds executed and words routed. Values of B must fit the
-// wire format's value field (64 - ceil(log2 n) bits); the product fails
+// product — rounds executed and words routed. Values of B must be
+// non-negative and max - min + 2 over its non-Zero, non-One values must
+// fit a 63 - ceil(log2 n) bit field (see wireFormat); the product fails
 // fast with a descriptive error otherwise. Mul is a thin wrapper over
 // running a MulKernel on a single-use clique session.
 func Mul(a, b *Matrix, opts Options) (*Matrix, *engine.Stats, error) {
@@ -374,9 +496,9 @@ func Mul(a, b *Matrix, opts Options) (*Matrix, *engine.Stats, error) {
 // MulDense computes the sparse-dense product C = A ⊗ B on the round
 // engine, with B and C n x k dense (k is typically a small set of
 // sources whose distance columns are being relaxed). Zero entries of B
-// are not transmitted; values must fit 64 - ceil(log2 k) bits. MulDense
-// is a thin wrapper over running a MulDenseKernel on a single-use
-// clique session.
+// are not transmitted; the others are offset-coded into a field of at
+// most 63 - ceil(log2 k) bits, as for Mul. MulDense is a thin wrapper over running
+// a MulDenseKernel on a single-use clique session.
 func MulDense(a *Matrix, b *Dense, opts Options) (*Dense, *engine.Stats, error) {
 	k := &MulDenseKernel{a: a, b: b, unpaced: opts.Unpaced}
 	stats, err := runKernel(a.N, k, opts.Engine)

@@ -28,7 +28,7 @@ func matricesEqual(t *testing.T, got, want *Matrix, label string) {
 // TestMulMatchesRef runs the distributed product against the sequential
 // reference across generator families, semirings, and worker counts.
 func TestMulMatchesRef(t *testing.T) {
-	for _, sr := range []core.Semiring{core.MinPlus(), core.BoolOrAnd()} {
+	for _, sr := range core.AllSemirings() {
 		for gi, g := range testGraphs(t) {
 			gg := g
 			if sr.Name == "booland" {
@@ -126,9 +126,10 @@ func TestMulN256RoutesMessages(t *testing.T) {
 // through the error chain instead of panicking or silently dropping.
 func TestUnpacedProductReturnsBandwidthError(t *testing.T) {
 	sr := core.MinPlus()
-	// K_8 rows have 8 entries + diagonal; the default budget is one
-	// word per link per round, so an unpaced stream must overflow.
-	g := graph.Clique(8).WithUniformRandomWeights(10, 5)
+	// K_64 rows have 64 entries of 6 index + 5 value bits: six words
+	// even in the positional encoding. The default budget is one word
+	// per link per round, so an unpaced stream must overflow.
+	g := graph.Clique(64).WithUniformRandomWeights(10, 30)
 	a, err := FromGraph(g, sr, true)
 	if err != nil {
 		t.Fatalf("FromGraph: %v", err)
@@ -144,49 +145,70 @@ func TestUnpacedProductReturnsBandwidthError(t *testing.T) {
 	}
 }
 
-// TestMulRejectsUnpackableValues checks the pre-flight value screen.
+// TestMulRejectsUnpackableValues checks the pre-flight value screen:
+// what must fit beside the column index is the operand's value range.
 func TestMulRejectsUnpackableValues(t *testing.T) {
 	sr := core.MinPlus()
-	a := Identity(300, sr) // 9 index bits -> 55 value bits
-	big := &Matrix{N: 300, Sr: sr, Rows: make([]int32, 301), Cols: []core.NodeID{1}, Vals: []int64{1 << 60}}
-	for v := 1; v <= 300; v++ {
-		big.Rows[v] = 1
+	a := Identity(300, sr) // 9 index bits -> 54 field bits
+	single := func(cols []core.NodeID, vals []int64) *Matrix {
+		m := &Matrix{N: 300, Sr: sr, Rows: make([]int32, 301), Cols: cols, Vals: vals}
+		for v := 1; v <= 300; v++ {
+			m.Rows[v] = int32(len(cols))
+		}
+		return m
 	}
-	if _, _, err := Mul(a, big, Options{}); err == nil {
-		t.Fatal("Mul accepted a value wider than the wire format")
+	wide := single([]core.NodeID{1, 2}, []int64{1, 1 << 60})
+	if _, _, err := Mul(a, wide, Options{}); err == nil {
+		t.Fatal("Mul accepted a value range wider than the wire format")
 	}
+	// A lone large value has range zero and packs into a 2-bit field.
+	big := single([]core.NodeID{1}, []int64{1 << 60})
+	got, _, err := Mul(a, big, Options{})
+	if err != nil {
+		t.Fatalf("Mul rejected a lone large value: %v", err)
+	}
+	want, err := MulRef(a, big)
+	if err != nil {
+		t.Fatalf("MulRef: %v", err)
+	}
+	matricesEqual(t, got, want, "lone 1<<60")
 }
 
 func TestMulDenseMatchesRef(t *testing.T) {
-	sr := core.MinPlus()
-	g := graph.RandomGNP(24, 0.3, 21).WithUniformRandomWeights(11, 6)
-	a, err := FromGraph(g, sr, true)
-	if err != nil {
-		t.Fatalf("FromGraph: %v", err)
-	}
-	// B's columns are distance vectors of k sources: column j starts as
-	// the indicator of source j (0 at the source, Inf elsewhere).
-	const k = 3
-	b := NewDense(a.N, k, sr)
-	for j := 0; j < k; j++ {
-		b.Row(core.NodeID(j * 7))[j] = sr.One
-	}
-	want, err := MulDenseRef(a, b)
-	if err != nil {
-		t.Fatalf("MulDenseRef: %v", err)
-	}
-	got, stats, err := MulDense(a, b, Options{})
-	if err != nil {
-		t.Fatalf("MulDense: %v", err)
-	}
-	if stats.TotalMsgs == 0 {
-		t.Fatal("MulDense routed no messages")
-	}
-	for v := 0; v < a.N; v++ {
+	for _, sr := range core.AllSemirings() {
+		g := graph.RandomGNP(24, 0.3, 21).WithUniformRandomWeights(11, 6)
+		a, err := FromGraph(g, sr, true)
+		if err != nil {
+			t.Fatalf("FromGraph(%s): %v", sr.Name, err)
+		}
+		// B's columns are the vectors of k sources: column j starts as
+		// the indicator of source j (One at the source, Zero elsewhere)
+		// and is relaxed twice so the second product ships real values.
+		const k = 3
+		b := NewDense(a.N, k, sr)
 		for j := 0; j < k; j++ {
-			if got.At(core.NodeID(v), j) != want.At(core.NodeID(v), j) {
-				t.Fatalf("C[%d][%d] = %d, want %d", v, j, got.At(core.NodeID(v), j), want.At(core.NodeID(v), j))
+			b.Row(core.NodeID(j * 7))[j] = sr.One
+		}
+		for step := 0; step < 2; step++ {
+			want, err := MulDenseRef(a, b)
+			if err != nil {
+				t.Fatalf("MulDenseRef(%s): %v", sr.Name, err)
 			}
+			got, stats, err := MulDense(a, b, Options{})
+			if err != nil {
+				t.Fatalf("MulDense(%s): %v", sr.Name, err)
+			}
+			if stats.TotalMsgs == 0 {
+				t.Fatalf("MulDense(%s) routed no messages", sr.Name)
+			}
+			for v := 0; v < a.N; v++ {
+				for j := 0; j < k; j++ {
+					if got.At(core.NodeID(v), j) != want.At(core.NodeID(v), j) {
+						t.Fatalf("%s step %d: C[%d][%d] = %d, want %d", sr.Name, step, v, j, got.At(core.NodeID(v), j), want.At(core.NodeID(v), j))
+					}
+				}
+			}
+			b = got
 		}
 	}
 }

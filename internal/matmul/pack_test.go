@@ -1,0 +1,189 @@
+package matmul
+
+import (
+	"bytes"
+	"math/bits"
+	"testing"
+
+	"github.com/paper-repo-growth/doryp20/internal/core"
+)
+
+// fuzzRow builds one B-row from fuzz input. Column j takes its value
+// from data[j] (columns past len(data) are Zero): the low two bits
+// choose Zero / One / min / a point of [min, min+span], the high six
+// place that point, 63 landing on the maximum. Values are clamped into
+// the semiring's domain; the boolean semiring has no value but One.
+func fuzzRow(sr core.Semiring, cols int, lo, span uint64, data []byte) (row []int64, cs []core.NodeID, vs []int64) {
+	limit := uint64(core.InfWeight) // (min,+): finite weights in [0, InfWeight)
+	if sr.Name == "maxmin" {
+		limit = uint64(core.InfWidth) // widths in [1, InfWidth)
+	}
+	lo = 1 + lo%(limit-1)
+	span %= limit - lo
+	row = NewDense(1, cols, sr).Vals
+	for j := 0; j < cols && j < len(data); j++ {
+		b := data[j]
+		switch {
+		case b&3 == 0:
+			continue
+		case b&3 == 1 || sr.Name == "booland":
+			row[j] = sr.One
+		case b&3 == 2:
+			row[j] = int64(lo)
+		default:
+			hi, rem := bits.Mul64(span, uint64(b>>2))
+			q, _ := bits.Div64(hi, rem, 63)
+			row[j] = int64(lo + q)
+		}
+		cs = append(cs, core.NodeID(j))
+		vs = append(vs, row[j])
+	}
+	return row, cs, vs
+}
+
+// usedSlots counts the non-empty fields of one word straight from the
+// documented layout, independently of the production decoder.
+func usedSlots(wf *wireFormat, w uint64) int {
+	step := wf.idxBits + wf.width
+	if w&posFlag != 0 {
+		w = (w &^ posFlag) >> wf.idxBits
+		step = wf.width
+	}
+	n := 0
+	for ; w != 0; w >>= step {
+		if w&wf.fMask != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// FuzzPackRow: for any row, both encodings decode back to exactly the
+// row's non-Zero entries, the sparse encoding is full-word tight, and
+// packRow picks the shorter of the two. The format is accepted exactly
+// when the value range fits beside the column index.
+func FuzzPackRow(f *testing.F) {
+	// Data bytes (0 is an absent column): O the semiring One, L the
+	// minimum, H the maximum, M a value in between.
+	const O, L, M, H = 1, 2, 0x83, 0xff
+	const minplus, booland, maxmin = 0, 1, 2 // core.AllSemirings order
+	rep := func(n int, pattern ...byte) []byte { return bytes.Repeat(pattern, n)[:n] }
+	at := func(n int, b byte, js ...int) []byte {
+		d := make([]byte, n)
+		for _, j := range js {
+			d[j] = b
+		}
+		return d
+	}
+	f.Add(uint16(159), uint8(booland), uint64(0), uint64(0), rep(160, O))     // full boolean row: 3 positional words
+	f.Add(uint16(0), uint8(minplus), uint64(0), uint64(0), []byte{O})         // n=1 / K=1: zero index bits
+	f.Add(uint16(0), uint8(minplus), uint64(7), uint64(1)<<60, []byte{H})     // K=1, one large value
+	f.Add(uint16(999), uint8(minplus), uint64(5), uint64(77), rep(1000, L))   // all-equal values
+	f.Add(uint16(63), uint8(maxmin), uint64(3), uint64(90), at(64, H, 0))     // column 0 only
+	f.Add(uint16(63), uint8(maxmin), uint64(3), uint64(90), at(64, L, 63))    // last column only
+	f.Add(uint16(255), uint8(minplus), uint64(1), uint64(4093), rep(9, L, H)) // 12-bit fields: 9 entries = 3 full sparse words
+	f.Add(uint16(255), uint8(minplus), uint64(1), uint64(4093), rep(10, L, H, M))
+	f.Add(uint16(255), uint8(minplus), uint64(1), uint64(4093), rep(256, L, H, M, O)[:220]) // 4 columns per positional word
+	f.Add(uint16(255), uint8(booland), uint64(0), uint64(0), at(256, O, 0, 100, 255))       // positional chunks with one set slot
+	f.Add(uint16(511), uint8(minplus), uint64(1), uint64(1)<<53, rep(2, L, H))              // range fills the 54-bit field exactly
+	f.Add(uint16(511), uint8(minplus), uint64(1), uint64(1)<<55, rep(2, L, H))              // range too wide: rejected
+	f.Add(uint16(299), uint8(maxmin), uint64(1), uint64(0), rep(150, O))                    // InfWidth diagonal-style Ones
+	f.Add(uint16(39), uint8(minplus), uint64(0), uint64(12), []byte{})                      // empty row
+
+	f.Fuzz(func(t *testing.T, ncols uint16, srSel uint8, lo, span uint64, data []byte) {
+		srs := core.AllSemirings()
+		sr := srs[int(srSel)%len(srs)]
+		cols := 1 + int(ncols)%2048
+		row, cs, vs := fuzzRow(sr, cols, lo, span, data)
+
+		var mn, mx int64
+		ranged := false
+		for _, v := range vs {
+			if v == sr.One {
+				continue
+			}
+			if !ranged || v < mn {
+				mn = v
+			}
+			if !ranged || v > mx {
+				mx = v
+			}
+			ranged = true
+		}
+		width := 1
+		if ranged {
+			width = bits.Len64(uint64(mx-mn) + 2)
+		}
+		wf, err := newWireFormat(cols, row, sr, "row")
+		if fits := core.Log2Ceil(cols)+width <= 63; (err == nil) != fits {
+			t.Fatalf("cols=%d values [%d,%d]: err=%v, want accepted=%v", cols, mn, mx, err, fits)
+		}
+		if err != nil {
+			return
+		}
+
+		sparse := wf.packSparse(nil, cs, vs)
+		pos := wf.packPositional(nil, cs, vs)
+		if want := (len(cs) + wf.sparsePer - 1) / wf.sparsePer; len(sparse) != want {
+			t.Fatalf("sparse: %d words for %d entries at %d per word, want %d", len(sparse), len(cs), wf.sparsePer, want)
+		}
+		for name, words := range map[string][]uint64{"sparse": sparse, "positional": pos} {
+			slots := 0
+			for _, w := range words {
+				if (w&posFlag != 0) != (name == "positional") {
+					t.Fatalf("%s word %#x carries the wrong encoding flag", name, w)
+				}
+				slots += usedSlots(wf, w)
+			}
+			if slots != len(cs) {
+				t.Fatalf("%s: %d occupied slots for %d entries", name, slots, len(cs))
+			}
+			for j, got := range decodeRow(wf, sr, cols, words) {
+				if got != row[j] {
+					t.Fatalf("%s (%s, cols=%d, %d entries): column %d decodes to %d, want %d",
+						name, sr.Name, cols, len(cs), j, got, row[j])
+				}
+			}
+		}
+		want := sparse
+		if len(pos) < len(sparse) {
+			want = pos
+		}
+		got := wf.packRow(nil, cs, vs)
+		if len(got) != len(want) {
+			t.Fatalf("packRow used %d words; sparse needs %d, positional %d", len(got), len(sparse), len(pos))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("packRow word %d = %#x, want %#x", i, got[i], want[i])
+			}
+		}
+	})
+}
+
+// TestDecodeRejectsOutOfRowColumn: a word naming a column the index
+// bits can express but the accumulator does not have must panic on the
+// slice bound (the engine reports it as a HandlerPanicError), in both
+// encodings; empty slots past the last column are legal padding.
+func TestDecodeRejectsOutOfRowColumn(t *testing.T) {
+	sr := core.BoolOrAnd()
+	const cols = 5 // 3 index bits: columns 5..7 are expressible but absent
+	wf, err := newWireFormat(cols, []int64{1}, sr, "row")
+	if err != nil {
+		t.Fatal(err)
+	}
+	panics := func(w uint64) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		decodeRow(wf, sr, cols, []uint64{w})
+		return false
+	}
+	if w := uint64(7)<<wf.width | 1; !panics(w) {
+		t.Errorf("sparse word %#x with column 7 of %d decoded without panicking", w, cols)
+	}
+	if w := posFlag | 4 | 1<<(wf.idxBits+wf.width); !panics(w) {
+		t.Errorf("positional word %#x reaching column 5 of %d decoded without panicking", w, cols)
+	}
+	if w := posFlag | 4 | 1<<wf.idxBits; panics(w) {
+		t.Errorf("positional word %#x ending at the last column panicked", w)
+	}
+}
