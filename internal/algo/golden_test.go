@@ -1,0 +1,79 @@
+package algo
+
+import (
+	"context"
+	"encoding/json"
+	"hash/fnv"
+	"testing"
+
+	"github.com/paper-repo-growth/doryp20/clique"
+	"github.com/paper-repo-growth/doryp20/internal/graph"
+)
+
+// TestGoldenTraffic pins every registered kernel's model-level cost and
+// answer on one seeded graph: engine passes, rounds, routed words, and
+// the FNV-1a of the result's JSON encoding (the result_fnv ccnode
+// reports). A refactor of the kernel layer must leave this table
+// untouched; a change that moves a number is a behaviour change and
+// has to say so.
+func TestGoldenTraffic(t *testing.T) {
+	g := graph.RandomGNPWeighted(48, 0.15, 30, 7)
+	golden := map[string]struct {
+		passes, rounds int
+		words, fnv     uint64
+	}{
+		"approx-ksource":      {16, 80, 50408, 0xd9acb2241245fa71},
+		"approx-sssp":         {16, 80, 50361, 0x18dadd80a30f4d8e},
+		"apsp":                {6, 45, 75626, 0xb4b540697123d577},
+		"bellman-ford":        {1, 9, 726, 0x18dadd80a30f4d8e},
+		"bfs":                 {1, 5, 350, 0xc95f8d32d9e48726},
+		"closure":             {6, 18, 22080, 0x2911f12efe58c0bd},
+		"diameter-est":        {11, 50, 60083, 0x2325ebf49e6860b0},
+		"diameter-est-approx": {16, 80, 50502, 0x2325ebf49e6860b0},
+		"hop-limited":         {4, 29, 30567, 0x099d1aa787d42be3},
+		"hopset":              {8, 56, 16474, 0xd7d4d901012be658},
+		"ksource":             {11, 50, 59989, 0xd9acb2241245fa71},
+		"matmul-square":       {1, 5, 1137, 0x61d99dded2f6aae0},
+		"mst":                 {4, 11, 1544, 0x4fa8f549950642fd},
+		"widest":              {6, 40, 65071, 0x45110c0d9583fbe9},
+		"widest-ksource":      {11, 47, 55887, 0xf6838dbd4b2a7382},
+	}
+	names := clique.Kernels()
+	if len(names) != len(golden) {
+		t.Fatalf("registry lists %d kernels %v, golden table has %d", len(names), names, len(golden))
+	}
+	for _, name := range names {
+		want, ok := golden[name]
+		if !ok {
+			t.Errorf("kernel %q has no golden row", name)
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			k, err := clique.NewKernel(name, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := clique.New(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.Run(context.Background(), k); err != nil {
+				t.Fatal(err)
+			}
+			enc, err := json.Marshal(k.Result())
+			if err != nil {
+				t.Fatalf("encoding result: %v", err)
+			}
+			h := fnv.New64a()
+			h.Write(enc)
+			st := s.Stats()
+			if st.Runs != want.passes || st.Engine.Rounds != want.rounds ||
+				st.Engine.TotalMsgs != want.words || h.Sum64() != want.fnv {
+				t.Errorf("passes/rounds/words/fnv = %d/%d/%d/%#016x, golden %d/%d/%d/%#016x",
+					st.Runs, st.Engine.Rounds, st.Engine.TotalMsgs, h.Sum64(),
+					want.passes, want.rounds, want.words, want.fnv)
+			}
+		})
+	}
+}
