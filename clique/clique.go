@@ -7,17 +7,17 @@
 // plumbed into the engine's round barrier.
 //
 // Kernels are composable: a pipeline kernel (for example
-// algo.KSourceDistances — hop-limited matrix powering followed by
+// algo.KSourceKernel — hop-limited matrix powering followed by
 // per-source relaxation, the skeleton the hopset construction drops
 // into) simply requests one engine pass after another from the same
 // warm session, and the session's cumulative Stats bill every stage
 // under one account. The package also hosts a registry (Register /
 // Kernels / NewKernel) that cmd/ccbench and the test suite iterate
-// uniformly; internal/algo and internal/matmul register their kernels
-// at init.
+// uniformly; internal/algo, internal/hopset, and internal/matmul
+// register their kernels at init.
 //
-// Old free-function entry points (algo.BFS, algo.APSP, matmul.Mul, ...)
-// remain as thin wrappers over this API.
+// The one-shot conveniences that remain (matmul.Mul, matmul.MulDense,
+// hopset.Construct) are thin wrappers over this API; see OneShot.
 package clique
 
 import (
@@ -357,11 +357,11 @@ func (s *Session) safeNodes(k Kernel) (nodes []engine.Node, err error) {
 
 // OneShot runs kernel k to completion on s with a background context,
 // closes the session, and returns the session's cumulative engine
-// stats — the shared spine of the historical free-function wrappers in
-// internal/algo and internal/matmul. The stats are nil only when no
+// stats — the shared spine of the one-shot wrappers matmul.Mul,
+// matmul.MulDense, and hopset.Construct. The stats are nil only when no
 // engine pass executed before a failure (e.g. kernel input validation),
-// matching those functions' historical contract; a successful zero-pass
-// run returns non-nil zero stats.
+// matching those functions' contract; a successful zero-pass run
+// returns non-nil zero stats.
 func OneShot(s *Session, k Kernel) (*engine.Stats, error) {
 	defer s.Close()
 	err := s.Run(context.Background(), k)

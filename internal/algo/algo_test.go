@@ -4,8 +4,8 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/paper-repo-growth/doryp20/clique"
 	"github.com/paper-repo-growth/doryp20/internal/core"
-	"github.com/paper-repo-growth/doryp20/internal/engine"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
 )
 
@@ -27,11 +27,12 @@ func testGraphs() map[string]*graph.CSR {
 func TestBFSMatchesReference(t *testing.T) {
 	for name, g := range testGraphs() {
 		for _, src := range []core.NodeID{0, core.NodeID(g.N / 2), core.NodeID(g.N - 1)} {
-			got, stats, err := BFS(g, src, engine.Options{})
+			k := NewBFSKernel(src)
+			stats, err := runOn(g, k)
 			if err != nil {
 				t.Fatalf("%s src=%d: %v", name, src, err)
 			}
-			want := BFSRef(g, src)
+			got, want := k.Dist(), BFSRef(g, src)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s src=%d: BFS mismatch\n got %v\nwant %v", name, src, got, want)
 			}
@@ -48,11 +49,11 @@ func TestBFSDifferentWorkerCounts(t *testing.T) {
 	g := graph.RandomGNP(70, 0.08, 12)
 	want := BFSRef(g, 3)
 	for _, workers := range []int{1, 2, 4, 16} {
-		got, _, err := BFS(g, 3, engine.Options{Workers: workers})
-		if err != nil {
+		k := NewBFSKernel(3)
+		if _, err := runOn(g, k, clique.WithWorkers(workers)); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if !reflect.DeepEqual(got, want) {
+		if !reflect.DeepEqual(k.Dist(), want) {
 			t.Errorf("workers=%d: BFS mismatch", workers)
 		}
 	}
@@ -65,11 +66,11 @@ func TestBellmanFordMatchesReference(t *testing.T) {
 			g.WithUniformRandomWeights(202, 1000),
 		} {
 			for _, src := range []core.NodeID{0, core.NodeID(g.N - 1)} {
-				got, _, err := BellmanFord(wg, src, engine.Options{})
-				if err != nil {
+				k := NewBellmanFordKernel(src)
+				if _, err := runOn(wg, k); err != nil {
 					t.Fatalf("%s w%d src=%d: %v", name, wi, src, err)
 				}
-				want := BellmanFordRef(wg, src)
+				got, want := k.Dist(), BellmanFordRef(wg, src)
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s w%d src=%d: BellmanFord mismatch\n got %v\nwant %v",
 						name, wi, src, got, want)
@@ -82,34 +83,29 @@ func TestBellmanFordMatchesReference(t *testing.T) {
 func TestBellmanFordUnitWeightsEqualBFS(t *testing.T) {
 	g := graph.RandomGNP(60, 0.07, 33)
 	unit := g.WithUniformRandomWeights(1, 1) // maxW=1 => all weights 1
-	bf, _, err := BellmanFord(unit, 0, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bfs, _, err := BFS(g, 0, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(bf, bfs) {
+	bf, bfs := NewBellmanFordKernel(0), NewBFSKernel(0)
+	runKernel(t, unit, bf)
+	runKernel(t, g, bfs)
+	if !reflect.DeepEqual(bf.Dist(), bfs.Dist()) {
 		t.Error("unit-weight Bellman-Ford disagrees with BFS")
 	}
 }
 
 func TestAlgoInputValidation(t *testing.T) {
 	g := graph.Path(4)
-	if _, _, err := BFS(g, 99, engine.Options{}); err == nil {
+	if _, err := runOn(g, NewBFSKernel(99)); err == nil {
 		t.Error("BFS accepted out-of-range source")
 	}
-	if _, _, err := BellmanFord(g, 0, engine.Options{}); err == nil {
-		t.Error("BellmanFord accepted unweighted graph")
-	}
 	wg := g.WithUniformRandomWeights(1, 5)
-	if _, _, err := BellmanFord(wg, -1, engine.Options{}); err == nil {
+	if _, err := runOn(wg, NewBellmanFordKernel(-1)); err == nil {
 		t.Error("BellmanFord accepted negative source")
 	}
 	bad := &graph.CSR{N: wg.N, Offsets: wg.Offsets, Targets: wg.Targets,
 		Weights: []int64{-1, 1, 1, 1, 1, 1}}
-	if _, _, err := BellmanFord(bad, 0, engine.Options{}); err == nil {
+	if _, err := runOn(bad, NewBellmanFordKernel(0)); err == nil {
 		t.Error("BellmanFord accepted negative weight")
+	}
+	if _, err := runOn(bad, NewAPSPKernel()); err == nil {
+		t.Error("APSP accepted negative weight")
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"github.com/paper-repo-growth/doryp20/clique"
 	"github.com/paper-repo-growth/doryp20/internal/core"
-	"github.com/paper-repo-growth/doryp20/internal/engine"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
 	"github.com/paper-repo-growth/doryp20/internal/hopset"
 )
@@ -52,7 +51,8 @@ func TestApproxSSSPWithinEpsProperty(t *testing.T) {
 			seed := rng.Int63()
 			g := graph.RandomGNPWeighted(n, p, maxW, seed)
 			src := core.NodeID(rng.Intn(n))
-			dist, stats, err := ApproxSSSP(g, src, hopset.Params{Eps: eps, HubRate: 1, Seed: seed + 1}, engine.Options{})
+			k := NewApproxSSSPKernel(src, hopset.Params{Eps: eps, HubRate: 1, Seed: seed + 1})
+			stats, err := runOn(g, k)
 			if err != nil {
 				t.Fatalf("eps=%v trial %d (n=%d p=%.2f seed=%d): %v", eps, trial, n, p, seed, err)
 			}
@@ -60,7 +60,7 @@ func TestApproxSSSPWithinEpsProperty(t *testing.T) {
 				t.Fatalf("eps=%v trial %d: approx SSSP routed no messages", eps, trial)
 			}
 			want := BellmanFordRef(g, src)
-			checkApproxVector(t, "approx-sssp", dist, want, eps)
+			checkApproxVector(t, "approx-sssp", k.Dist(), want, eps)
 		}
 	}
 }
@@ -70,11 +70,9 @@ func TestApproxSSSPWithinEpsProperty(t *testing.T) {
 // Bellman-Ford.
 func TestApproxExactModeMatchesBellmanFord(t *testing.T) {
 	g := graph.RandomGNPWeighted(18, 0.25, 40, 99)
-	dist, _, err := ApproxSSSP(g, 3, hopset.Params{HubRate: 1}, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := BellmanFordRef(g, 3)
+	k := NewApproxSSSPKernel(3, hopset.Params{HubRate: 1})
+	runKernel(t, g, k)
+	dist, want := k.Dist(), BellmanFordRef(g, 3)
 	for v := range want {
 		if dist[v] != want[v] {
 			t.Fatalf("eps=0 dist[%d] = %d, want exact %d", v, dist[v], want[v])
@@ -89,12 +87,10 @@ func TestApproxKSourceWithinEps(t *testing.T) {
 	const eps = 0.1
 	g := graph.RandomGNPWeighted(24, 0.2, 25, 7)
 	sources := []core.NodeID{0, 5, 23}
-	dist, _, err := ApproxKSourceDistances(g, sources, hopset.Params{Eps: eps, HubRate: 1, Seed: 2}, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	k := NewApproxKSourceKernel(sources, hopset.Params{Eps: eps, HubRate: 1, Seed: 2})
+	runKernel(t, g, k)
 	for j, src := range sources {
-		checkApproxVector(t, "approx-ksource", dist[j], BellmanFordRef(g, src), eps)
+		checkApproxVector(t, "approx-ksource", k.Dist()[j], BellmanFordRef(g, src), eps)
 	}
 }
 
@@ -128,35 +124,25 @@ func TestApproxSSSPSampledHubs(t *testing.T) {
 // rounds than exact APSP on the same graph.
 func TestApproxSSSPUsesFewerRoundsThanAPSP(t *testing.T) {
 	g := graph.RandomGNPWeighted(96, 0.06, 20, 11)
-	_, exact, err := APSP(g, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, approx, err := ApproxSSSP(g, 0, hopset.Params{Eps: 0.5, HubRate: 0.25, Seed: 3}, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := runKernel(t, g, NewAPSPKernel())
+	approx := runKernel(t, g, NewApproxSSSPKernel(0, hopset.Params{Eps: 0.5, HubRate: 0.25, Seed: 3}))
 	if approx.Rounds >= exact.Rounds {
 		t.Fatalf("approx SSSP took %d rounds, exact APSP %d — hopset bought nothing",
 			approx.Rounds, exact.Rounds)
 	}
 }
 
-// TestApproxRejectsBadInput mirrors the other free functions'
-// validation: unweighted graphs, out-of-range sources, and invalid
-// hopset parameters must fail fast.
+// TestApproxRejectsBadInput mirrors the other kernels' validation:
+// out-of-range sources and invalid hopset parameters must fail fast.
 func TestApproxRejectsBadInput(t *testing.T) {
-	if _, _, err := ApproxSSSP(graph.Path(4), 0, hopset.Params{}, engine.Options{}); err == nil {
-		t.Error("unweighted graph accepted")
-	}
 	wg := graph.Path(4).WithUniformRandomWeights(1, 5)
-	if _, _, err := ApproxSSSP(wg, 9, hopset.Params{}, engine.Options{}); err == nil {
+	if _, err := runOn(wg, NewApproxSSSPKernel(9, hopset.Params{})); err == nil {
 		t.Error("out-of-range source accepted")
 	}
-	if _, _, err := ApproxSSSP(wg, 0, hopset.Params{Eps: -1}, engine.Options{}); err == nil {
+	if _, err := runOn(wg, NewApproxSSSPKernel(0, hopset.Params{Eps: -1})); err == nil {
 		t.Error("negative eps accepted")
 	}
-	if _, _, err := ApproxKSourceDistances(wg, []core.NodeID{0, -1}, hopset.Params{}, engine.Options{}); err == nil {
+	if _, err := runOn(wg, NewApproxKSourceKernel([]core.NodeID{0, -1}, hopset.Params{})); err == nil {
 		t.Error("negative source accepted")
 	}
 }

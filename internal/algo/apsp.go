@@ -4,14 +4,26 @@ import (
 	"fmt"
 
 	"github.com/paper-repo-growth/doryp20/internal/core"
-	"github.com/paper-repo-growth/doryp20/internal/engine"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
 	"github.com/paper-repo-growth/doryp20/internal/matmul"
 )
 
-// distMatrix converts a (min,+) matrix of distances into dense rows
-// with the package's Unreached sentinel for absent (infinite) entries.
-func distMatrix(m *matmul.Matrix) [][]int64 {
+// minplusAdjacency validates g and builds its reflexive (min,+)
+// adjacency matrix, the shared starting point of every distance-product
+// pipeline here. Unweighted graphs are treated as unit-weighted;
+// negative weights are rejected.
+func minplusAdjacency(g *graph.CSR) (*matmul.Matrix, error) {
+	g = g.WithUnitWeights()
+	if err := checkNonNegative("distance products", g); err != nil {
+		return nil, err
+	}
+	return matmul.FromGraph(g, core.MinPlus(), true)
+}
+
+// distMatrix projects a (min,+) matrix of distances to dense rows
+// ([][]int64) with the package's Unreached sentinel for absent
+// (infinite) entries.
+func distMatrix(m *matmul.Matrix) any {
 	out := make([][]int64, m.N)
 	for v := 0; v < m.N; v++ {
 		row := make([]int64, m.N)
@@ -29,74 +41,56 @@ func distMatrix(m *matmul.Matrix) [][]int64 {
 	return out
 }
 
-// APSP computes exact all-pairs shortest-path distances on a weighted g
-// (non-negative integer weights) by distance-product repeated squaring
-// over the round engine: D_1 = A (the reflexive (min,+) adjacency
-// matrix), D_2h = D_h ⊗ D_h, stopping once the hop horizon reaches n-1.
-// Overshooting the horizon is harmless — the reflexive power has
-// stabilized — so exactly ceil(log2(n-1)) engine products run, the
-// algebraic skeleton of the Dory-Parter pipeline, where sparsified
-// products and hopsets shrink each product's cost further. Distances
-// are returned as dense rows with Unreached for disconnected pairs, and
-// the stats aggregate every product's rounds and routed words. APSP is
-// a thin wrapper over running an APSPKernel on a single-use clique
-// session.
-func APSP(g *graph.CSR, opts engine.Options) ([][]int64, *engine.Stats, error) {
-	if err := checkDistanceInput(g); err != nil {
-		return nil, nil, err
-	}
-	k := NewAPSPKernel()
-	stats, err := runGraphKernel(g, k, opts)
-	if err != nil {
-		return nil, stats, err
-	}
-	return k.Dist(), stats, nil
+// APSPKernel computes exact all-pairs shortest-path distances by
+// distance-product repeated squaring: D_1 = A (the reflexive (min,+)
+// adjacency matrix), D_2h = D_h ⊗ D_h, one engine pass per squaring on
+// the same warm session, stopping once the hop horizon reaches n-1 —
+// exactly ceil(log2(n-1)) engine products, the algebraic skeleton of
+// the Dory-Parter pipeline, where sparsified products and hopsets
+// shrink each product's cost further. Result is the distance matrix
+// ([][]int64, Unreached for disconnected pairs). Unweighted session
+// graphs are treated as unit-weighted.
+type APSPKernel struct{ powerKernel }
+
+// NewAPSPKernel returns an all-pairs shortest-path kernel.
+func NewAPSPKernel() *APSPKernel {
+	return &APSPKernel{powerKernel{spec: powerSpec{
+		name:      "apsp",
+		adjacency: minplusAdjacency,
+		exponent:  squaringExponent,
+		project:   distMatrix,
+	}}}
 }
 
-// HopLimitedDistances computes the truncated distance matrix d^h:
+// Dist returns the typed distance matrix, nil before completion.
+func (k *APSPKernel) Dist() [][]int64 { return resultAs[[][]int64](k.result) }
+
+// HopLimitedKernel computes the truncated distance matrix d^h —
 // d^h(u,v) is the minimum weight of a u-v path with at most h edges,
-// or Unreached if no such path exists. This is the paper's h-hop
-// distance operator — the object hopsets exist to shrink h for — and it
-// equals the h-th (min,+) power of the reflexive adjacency matrix,
-// computed here by square-and-multiply in O(log h) engine products.
-// HopLimitedDistances is a thin wrapper over running a HopLimitedKernel
-// on a single-use clique session.
-func HopLimitedDistances(g *graph.CSR, h int, opts engine.Options) ([][]int64, *engine.Stats, error) {
-	if h < 0 {
-		return nil, nil, fmt.Errorf("algo: negative hop bound %d", h)
-	}
-	if err := checkDistanceInput(g); err != nil {
-		return nil, nil, err
-	}
-	k := NewHopLimitedKernel(h)
-	stats, err := runGraphKernel(g, k, opts)
-	if err != nil {
-		return nil, stats, err
-	}
-	return k.Dist(), stats, nil
+// Unreached if there is none: the paper's h-hop distance operator, the
+// object hopsets exist to shrink h for. It equals the h-th (min,+)
+// power of the reflexive adjacency matrix, computed by
+// square-and-multiply in O(log h) engine products, with h clamped to
+// n-1. Result is the truncated distance matrix ([][]int64). Unweighted
+// session graphs are treated as unit-weighted.
+type HopLimitedKernel struct{ powerKernel }
+
+// NewHopLimitedKernel returns a kernel computing h-hop-limited
+// distances; h must be non-negative.
+func NewHopLimitedKernel(h int) *HopLimitedKernel {
+	return &HopLimitedKernel{powerKernel{spec: powerSpec{
+		name:      "hop-limited",
+		adjacency: minplusAdjacency,
+		exponent: func(n int) (int, error) {
+			if h < 0 {
+				return 0, fmt.Errorf("algo: negative hop bound %d", h)
+			}
+			return clampHops(h, n), nil
+		},
+		project: distMatrix,
+	}}}
 }
 
-// checkDistanceInput enforces the historical strictness of the
-// distance-product free functions: the graph must be explicitly
-// weighted (registry-constructed kernels instead fall back to unit
-// weights). Weight non-negativity is validated once inside the kernel
-// (minplusAdjacency), not re-scanned here.
-func checkDistanceInput(g *graph.CSR) error {
-	if !g.Weighted() {
-		return fmt.Errorf("algo: distance products require a weighted graph")
-	}
-	return nil
-}
-
-// minplusAdjacency validates g and builds its reflexive (min,+)
-// adjacency matrix, the shared starting point of every distance-product
-// pipeline here.
-func minplusAdjacency(g *graph.CSR) (*matmul.Matrix, error) {
-	if !g.Weighted() {
-		return nil, fmt.Errorf("algo: distance products require a weighted graph")
-	}
-	if err := checkNonNegative("distance products", g); err != nil {
-		return nil, err
-	}
-	return matmul.FromGraph(g, core.MinPlus(), true)
-}
+// Dist returns the typed truncated distance matrix, nil before
+// completion.
+func (k *HopLimitedKernel) Dist() [][]int64 { return resultAs[[][]int64](k.result) }

@@ -5,13 +5,12 @@ import (
 	"testing"
 
 	"github.com/paper-repo-growth/doryp20/internal/core"
-	"github.com/paper-repo-growth/doryp20/internal/engine"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
 )
 
 // hopLimitedRef computes h-hop-limited distances by h rounds of Jacobi
 // relaxation from each source: after pass p, dist[v] is the cheapest
-// walk of at most p edges. A sequential oracle for HopLimitedDistances.
+// walk of at most p edges. A sequential oracle for HopLimitedKernel.
 func hopLimitedRef(g *graph.CSR, h int) [][]int64 {
 	out := make([][]int64, g.N)
 	for src := 0; src < g.N; src++ {
@@ -60,10 +59,12 @@ func TestAPSPPropertyVsBellmanFord(t *testing.T) {
 		p := []float64{0.08, 0.2, 0.45, 0.9}[trial%4]
 		seed := rng.Int63()
 		g := graph.RandomGNP(n, p, seed).WithUniformRandomWeights(seed+1, 1+int64(rng.Intn(20)))
-		dist, stats, err := APSP(g, engine.Options{})
+		k := NewAPSPKernel()
+		stats, err := runOn(g, k)
 		if err != nil {
 			t.Fatalf("trial %d (n=%d p=%.2f seed=%d): APSP: %v", trial, n, p, seed, err)
 		}
+		dist := k.Dist()
 		if g.NumEdges() > 0 && stats.TotalMsgs == 0 {
 			t.Fatalf("trial %d: APSP routed no messages on a non-empty graph", trial)
 		}
@@ -79,14 +80,14 @@ func TestAPSPPropertyVsBellmanFord(t *testing.T) {
 		// One source also against the engine Bellman-Ford, so the two
 		// distributed pipelines are checked against each other.
 		src := core.NodeID(rng.Intn(n))
-		bf, _, err := BellmanFord(g, src, engine.Options{})
-		if err != nil {
+		bf := NewBellmanFordKernel(src)
+		if _, err := runOn(g, bf); err != nil {
 			t.Fatalf("trial %d: BellmanFord: %v", trial, err)
 		}
 		for v := 0; v < n; v++ {
-			if dist[src][v] != bf[v] {
+			if dist[src][v] != bf.Dist()[v] {
 				t.Fatalf("trial %d: dist[%d][%d] = %d, engine BellmanFord = %d",
-					trial, src, v, dist[src][v], bf[v])
+					trial, src, v, dist[src][v], bf.Dist()[v])
 			}
 		}
 	}
@@ -95,11 +96,11 @@ func TestAPSPPropertyVsBellmanFord(t *testing.T) {
 func TestHopLimitedDistancesMatchesRef(t *testing.T) {
 	g := graph.RandomGNP(18, 0.18, 77).WithUniformRandomWeights(78, 9)
 	for _, h := range []int{0, 1, 2, 3, 5, 17} {
-		got, _, err := HopLimitedDistances(g, h, engine.Options{})
-		if err != nil {
+		k := NewHopLimitedKernel(h)
+		if _, err := runOn(g, k); err != nil {
 			t.Fatalf("h=%d: %v", h, err)
 		}
-		want := hopLimitedRef(g, h)
+		got, want := k.Dist(), hopLimitedRef(g, h)
 		for u := 0; u < g.N; u++ {
 			for v := 0; v < g.N; v++ {
 				if got[u][v] != want[u][v] {
@@ -114,14 +115,14 @@ func TestHopLimitedDistancesMatchesRef(t *testing.T) {
 // vacuous and hop-limited distances are exact.
 func TestHopLimitedConvergesToAPSP(t *testing.T) {
 	g := graph.Path(9).WithUniformRandomWeights(5, 7)
-	exact, _, err := APSP(g, engine.Options{})
-	if err != nil {
-		t.Fatalf("APSP: %v", err)
+	hopLimited := func(h int) [][]int64 {
+		k := NewHopLimitedKernel(h)
+		runKernel(t, g, k)
+		return k.Dist()
 	}
-	hl, _, err := HopLimitedDistances(g, g.N-1, engine.Options{})
-	if err != nil {
-		t.Fatalf("HopLimitedDistances: %v", err)
-	}
+	apsp := NewAPSPKernel()
+	runKernel(t, g, apsp)
+	exact, hl := apsp.Dist(), hopLimited(g.N-1)
 	for u := 0; u < g.N; u++ {
 		for v := 0; v < g.N; v++ {
 			if hl[u][v] != exact[u][v] {
@@ -131,10 +132,7 @@ func TestHopLimitedConvergesToAPSP(t *testing.T) {
 	}
 	// On a path, the hop horizon genuinely binds below n-1: vertex 0
 	// cannot see vertex 8 within 3 hops.
-	short, _, err := HopLimitedDistances(g, 3, engine.Options{})
-	if err != nil {
-		t.Fatalf("HopLimitedDistances(3): %v", err)
-	}
+	short := hopLimited(3)
 	if short[0][8] != Unreached {
 		t.Fatalf("3-hop d[0][8] = %d, want Unreached", short[0][8])
 	}
@@ -148,14 +146,9 @@ func TestHopLimitedConvergesToAPSP(t *testing.T) {
 // results nor spend extra engine products.
 func TestHopLimitedClampsOversizedBound(t *testing.T) {
 	g := graph.RandomGNP(14, 0.25, 31).WithUniformRandomWeights(32, 6)
-	exact, exactStats, err := HopLimitedDistances(g, g.N-1, engine.Options{})
-	if err != nil {
-		t.Fatalf("h=n-1: %v", err)
-	}
-	huge, hugeStats, err := HopLimitedDistances(g, 1<<30, engine.Options{})
-	if err != nil {
-		t.Fatalf("h=1<<30: %v", err)
-	}
+	exactK, hugeK := NewHopLimitedKernel(g.N-1), NewHopLimitedKernel(1<<30)
+	exactStats, hugeStats := runKernel(t, g, exactK), runKernel(t, g, hugeK)
+	exact, huge := exactK.Dist(), hugeK.Dist()
 	for u := 0; u < g.N; u++ {
 		for v := 0; v < g.N; v++ {
 			if huge[u][v] != exact[u][v] {
@@ -170,10 +163,7 @@ func TestHopLimitedClampsOversizedBound(t *testing.T) {
 }
 
 func TestAPSPRejectsBadInput(t *testing.T) {
-	if _, _, err := APSP(graph.Path(4), engine.Options{}); err == nil {
-		t.Fatal("APSP accepted an unweighted graph")
-	}
-	if _, _, err := HopLimitedDistances(graph.Path(4).WithUniformRandomWeights(1, 3), -1, engine.Options{}); err == nil {
-		t.Fatal("HopLimitedDistances accepted a negative hop bound")
+	if _, err := runOn(graph.Path(4).WithUniformRandomWeights(1, 3), NewHopLimitedKernel(-1)); err == nil {
+		t.Fatal("HopLimitedKernel accepted a negative hop bound")
 	}
 }

@@ -1,8 +1,6 @@
 package algo
 
 import (
-	"fmt"
-
 	"github.com/paper-repo-growth/doryp20/internal/core"
 	"github.com/paper-repo-growth/doryp20/internal/engine"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
@@ -46,25 +44,6 @@ func (nd *bfordNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message
 		}
 	}
 	return nil
-}
-
-// BellmanFord computes single-source shortest-path distances on a
-// weighted g (non-negative integer weights) by iterated parallel edge
-// relaxation over the engine. It returns the distance vector
-// (Unreached for unreachable vertices) and the run's engine stats.
-// BellmanFord is a thin wrapper over running a BellmanFordKernel on a
-// single-use clique session; unlike the registry-constructed kernel it
-// keeps the historical strictness of rejecting unweighted graphs.
-func BellmanFord(g *graph.CSR, src core.NodeID, opts engine.Options) ([]int64, *engine.Stats, error) {
-	if !g.Weighted() {
-		return nil, nil, fmt.Errorf("algo: BellmanFord requires a weighted graph")
-	}
-	k := NewBellmanFordKernel(src)
-	stats, err := runGraphKernel(g, k, opts)
-	if err != nil {
-		return nil, stats, err
-	}
-	return k.Dist(), stats, nil
 }
 
 // BellmanFordRef is the sequential reference: classic |V|-1 passes of

@@ -1,20 +1,23 @@
 // Package algo implements distributed graph algorithms on top of the
 // Congested Clique round engine — the growing Dory-Parter shortest-path
-// pipeline. BFS and BellmanFord embed the input graph G into the clique
-// (nodes only use clique links that correspond to G-edges) and relax
-// distances round by round; APSP and HopLimitedDistances instead
-// compose (min,+) matrix products from internal/matmul, the algebraic
-// route the paper takes to its exponential speedup. Every algorithm is
-// verified against a sequential reference implementation, and the two
-// distributed pipelines are cross-checked against each other.
+// pipeline. BFSKernel and BellmanFordKernel embed the input graph G
+// into the clique (nodes only use clique links that correspond to
+// G-edges) and relax distances round by round; every other distance
+// kernel composes semiring matrix products from internal/matmul, the
+// algebraic route the paper takes to its exponential speedup. Every
+// algorithm is verified against a sequential reference implementation,
+// and the distributed pipelines are cross-checked against each other.
 //
-// Each algorithm is packaged as a clique.Kernel (kernels.go) and
-// registered with the clique session registry, so callers compose them
-// on one warm clique.Session — KSourceDistances (ksource.go) is the
-// in-repo demonstration, chaining hop-limited matrix powering with
-// per-source relaxation, the exact skeleton the hopset construction
-// will drop into. The free functions in this package remain as thin
-// single-use-session wrappers.
+// The paper's reduction is one idea — shortest-path-like problems are
+// semiring matrix products composed in stages — and the package spells
+// it once: powerKernel (power.go) computes a semiring power A^e by
+// square-and-multiply, and pipelineKernel (pipeline.go) chains a
+// stage 1 that builds a relaxation matrix (a power, or a hopset) with
+// per-source relaxation products. The named kernels (APSPKernel,
+// KSourceKernel, ApproxSSSPKernel, ...) are specs for those two — an
+// adjacency, an exponent or stage 1, a projection — and all register
+// with the clique session registry (kernels.go), so callers compose
+// them on one warm clique.Session.
 package algo
 
 import (
@@ -57,20 +60,6 @@ func (nd *bfsNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message) 
 		}
 	}
 	return nil
-}
-
-// BFS computes single-source hop distances on g by running a parallel
-// breadth-first flood over the engine. It returns the distance vector
-// (Unreached for unreachable vertices) and the run's engine stats. BFS
-// is a thin wrapper over running a BFSKernel on a single-use clique
-// session; compose with other stages via clique.Session directly.
-func BFS(g *graph.CSR, src core.NodeID, opts engine.Options) ([]int64, *engine.Stats, error) {
-	k := NewBFSKernel(src)
-	stats, err := runGraphKernel(g, k, opts)
-	if err != nil {
-		return nil, stats, err
-	}
-	return k.Dist(), stats, nil
 }
 
 // BFSRef is the sequential reference: a textbook queue-based BFS.

@@ -1,11 +1,7 @@
 package algo
 
 import (
-	"fmt"
-
-	"github.com/paper-repo-growth/doryp20/clique"
 	"github.com/paper-repo-growth/doryp20/internal/core"
-	"github.com/paper-repo-growth/doryp20/internal/engine"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
 	"github.com/paper-repo-growth/doryp20/internal/matmul"
 )
@@ -17,8 +13,9 @@ func boolAdjacency(g *graph.CSR) (*matmul.Matrix, error) {
 	return matmul.FromGraph(g, core.BoolOrAnd(), true)
 }
 
-// reachMatrix converts a boolean matrix into dense rows of bools.
-func reachMatrix(m *matmul.Matrix) [][]bool {
+// reachMatrix projects a boolean matrix to dense rows of bools
+// ([][]bool).
+func reachMatrix(m *matmul.Matrix) any {
 	out := make([][]bool, m.N)
 	for v := 0; v < m.N; v++ {
 		row := make([]bool, m.N)
@@ -35,98 +32,23 @@ func reachMatrix(m *matmul.Matrix) [][]bool {
 // repeated squaring: R_1 = A (the reflexive or/and adjacency matrix),
 // R_2h = R_h ⊗ R_h, one engine pass per squaring, stopping once the hop
 // horizon reaches n-1 — the unweighted shadow of APSPKernel's distance
-// product. The result is the reflexive transitive closure of g (every
-// vertex reaches itself).
-type TransitiveClosureKernel struct {
-	n       int
-	span    int
-	d       *matmul.Matrix
-	pass    *matmul.Pass
-	reach   [][]bool
-	started bool
-	done    bool
-	gather  engine.Gatherer
-}
-
-// SetGatherer injects the session transport's all-gather so every
-// squaring's harvest assembles the full product on every rank (clique
-// TransportAware hook).
-func (k *TransitiveClosureKernel) SetGatherer(g engine.Gatherer) { k.gather = g }
+// product. Result is the reflexive transitive closure of g ([][]bool,
+// reach[u][v] true iff v is reachable from u; every vertex reaches
+// itself).
+type TransitiveClosureKernel struct{ powerKernel }
 
 // NewTransitiveClosureKernel returns a transitive-closure kernel.
-func NewTransitiveClosureKernel() *TransitiveClosureKernel { return &TransitiveClosureKernel{} }
-
-// Name identifies the kernel.
-func (k *TransitiveClosureKernel) Name() string { return "closure" }
-
-// Nodes returns one squaring pass per call until the hop horizon covers
-// n-1, then harvests the reachability matrix.
-func (k *TransitiveClosureKernel) Nodes(g *graph.CSR) ([]engine.Node, error) {
-	if k.done {
-		return nil, nil
-	}
-	if !k.started {
-		if g == nil {
-			return nil, fmt.Errorf("algo: %s kernel requires a graph-bound session (clique.New, not NewSize)", k.Name())
-		}
-		a, err := boolAdjacency(g)
-		if err != nil {
-			return nil, err
-		}
-		k.d, k.n, k.span, k.started = a, g.N, 1, true
-	}
-	if err := k.harvest(); err != nil {
-		return nil, err
-	}
-	if k.span >= k.n-1 {
-		k.reach = reachMatrix(k.d)
-		k.done = true
-		return nil, nil
-	}
-	pass, err := matmul.NewPass(k.d, k.d, false)
-	if err != nil {
-		return nil, err
-	}
-	pass.SetGatherer(k.gather)
-	k.pass = pass
-	return pass.Nodes(), nil
-}
-
-// harvest folds the completed squaring pass (if any) into the
-// reachability matrix and doubles the covered hop horizon. Idempotent,
-// so checkpointing can force it at a pass boundary.
-func (k *TransitiveClosureKernel) harvest() error {
-	if k.pass == nil {
-		return nil
-	}
-	if err := k.pass.Gather(); err != nil {
-		return err
-	}
-	k.d = k.pass.Sparse()
-	k.pass = nil
-	k.span *= 2
-	return nil
-}
-
-// MaxRoundsHint forwards the in-flight squaring's round-bound hint.
-func (k *TransitiveClosureKernel) MaxRoundsHint() int {
-	if k.pass == nil {
-		return 0
-	}
-	return k.pass.MaxRoundsHint()
-}
-
-// Result returns the reachability matrix ([][]bool, reach[u][v] true
-// iff v is reachable from u, reflexively), nil before completion.
-func (k *TransitiveClosureKernel) Result() any {
-	if !k.done {
-		return nil
-	}
-	return k.reach
+func NewTransitiveClosureKernel() *TransitiveClosureKernel {
+	return &TransitiveClosureKernel{powerKernel{spec: powerSpec{
+		name:      "closure",
+		adjacency: boolAdjacency,
+		exponent:  squaringExponent,
+		project:   reachMatrix,
+	}}}
 }
 
 // Reach returns the typed reachability matrix, nil before completion.
-func (k *TransitiveClosureKernel) Reach() [][]bool { return k.reach }
+func (k *TransitiveClosureKernel) Reach() [][]bool { return resultAs[[][]bool](k.result) }
 
 // ClosureRef is the sequential reachability reference: a queue BFS from
 // src, returning the reflexive reachable set as a bool vector. Any
@@ -149,11 +71,4 @@ func ClosureRef(g *graph.CSR, src core.NodeID) []bool {
 		}
 	}
 	return reach
-}
-
-// init registers the closure kernel.
-func init() {
-	clique.Register("closure", func(*graph.CSR) (clique.Kernel, error) {
-		return NewTransitiveClosureKernel(), nil
-	})
 }

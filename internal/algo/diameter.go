@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/paper-repo-growth/doryp20/clique"
 	"github.com/paper-repo-growth/doryp20/internal/core"
-	"github.com/paper-repo-growth/doryp20/internal/engine"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
 	"github.com/paper-repo-growth/doryp20/internal/hopset"
 )
@@ -30,49 +28,25 @@ type DiameterEstimate struct {
 
 // DiameterEstimateKernel estimates the weighted diameter from sampled-
 // source eccentricities over the k-source pipeline: it deterministically
-// samples k sources (seeded partial Fisher-Yates), runs the exact
-// KSourceKernel — or, for the approximate variant, the hopset-backed
-// ApproxKSourceKernel — from them on the same warm session, and reports
-// max_j ecc(s_j). For the exact variant the estimate always satisfies
-// the bracketing ecc_true(s_j) <= estimate <= diameter; sampling every
-// vertex makes it the exact diameter. The approximate variant inflates
-// each eccentricity by at most the hopset's (1+ε) factor, so
-// ecc_true(s_j) <= estimate <= (1+ε)·diameter. Unweighted session
-// graphs are treated as unit-weighted.
-type DiameterEstimateKernel struct {
-	name   string
-	approx bool
-	sample int
-	seed   int64
-	params hopset.Params
-
-	sources []core.NodeID
-	innerK  *KSourceKernel
-	innerA  *ApproxKSourceKernel
-	n       int
-	started bool
-	done    bool
-	est     DiameterEstimate
-	gather  engine.Gatherer
-}
-
-// SetGatherer forwards the transport's all-gather to the embedded
-// k-source pipeline (clique TransportAware hook).
-func (k *DiameterEstimateKernel) SetGatherer(g engine.Gatherer) {
-	k.gather = g
-	if k.innerK != nil {
-		k.innerK.SetGatherer(g)
-	}
-	if k.innerA != nil {
-		k.innerA.SetGatherer(g)
-	}
-}
+// samples k sources (seeded partial Fisher-Yates), runs KSourceKernel's
+// exact pipeline — or, for the approximate variant, ApproxKSourceKernel's
+// hopset-backed one — from them, and reports max_j ecc(s_j). For the
+// exact variant the estimate always satisfies the bracketing
+// ecc_true(s_j) <= estimate <= diameter; sampling every vertex makes it
+// the exact diameter. The approximate variant inflates each
+// eccentricity by at most the hopset's (1+ε) factor, so
+// ecc_true(s_j) <= estimate <= (1+ε)·diameter. Result is the
+// DiameterEstimate. Unweighted session graphs are treated as
+// unit-weighted.
+type DiameterEstimateKernel struct{ pipelineKernel }
 
 // NewDiameterEstimateKernel returns an exact sampled-source diameter
 // estimator over `sample` sources (clamped to n) drawn deterministically
 // from seed.
 func NewDiameterEstimateKernel(sample int, seed int64) *DiameterEstimateKernel {
-	return &DiameterEstimateKernel{name: "diameter-est", sample: sample, seed: seed}
+	const name = "diameter-est"
+	return &DiameterEstimateKernel{pipelineKernel{spec: powerPipeline(name, minplusAdjacency,
+		sampledSources(name, sample, seed), logHops, eccentricities)}}
 }
 
 // NewApproxDiameterEstimateKernel returns a hopset-backed sampled-source
@@ -80,11 +54,16 @@ func NewDiameterEstimateKernel(sample int, seed int64) *DiameterEstimateKernel {
 // k-source pipeline with the given hopset parameters (zero-value fields
 // select the defaults; see hopset.Params).
 func NewApproxDiameterEstimateKernel(sample int, seed int64, p hopset.Params) *DiameterEstimateKernel {
-	return &DiameterEstimateKernel{name: "diameter-est-approx", approx: true, sample: sample, seed: seed, params: p}
+	const name = "diameter-est-approx"
+	return &DiameterEstimateKernel{pipelineKernel{spec: hopsetPipeline(name,
+		sampledSources(name, sample, seed), p, eccentricities)}}
 }
 
-// Name identifies the kernel.
-func (k *DiameterEstimateKernel) Name() string { return k.name }
+// Estimate returns the typed result; the zero DiameterEstimate before
+// completion.
+func (k *DiameterEstimateKernel) Estimate() DiameterEstimate {
+	return resultAs[DiameterEstimate](k.result)
+}
 
 // splitmix64 advances the sampling PRNG state and returns the next
 // word — the standard SplitMix64 step, deterministic across platforms.
@@ -117,86 +96,27 @@ func sampleSources(n, sample int, seed int64) []core.NodeID {
 	return sources
 }
 
-// Nodes samples the sources and builds the embedded pipeline on the
-// first call, then delegates pass by pass until the per-source
-// distances are in and the eccentricities can be folded.
-func (k *DiameterEstimateKernel) Nodes(g *graph.CSR) ([]engine.Node, error) {
-	if k.done {
-		return nil, nil
-	}
-	if !k.started {
-		if err := k.start(g); err != nil {
-			return nil, err
+// sampledSources is the source picker of the diameter estimators: a
+// seeded sample of the session graph's vertices.
+func sampledSources(name string, sample int, seed int64) func(*graph.CSR) ([]core.NodeID, error) {
+	return func(g *graph.CSR) ([]core.NodeID, error) {
+		if sample < 1 {
+			return nil, fmt.Errorf("algo: %s sample size %d must be >= 1", name, sample)
 		}
-	}
-	nodes, err := k.inner().Nodes(g)
-	if err != nil {
-		return nil, err
-	}
-	if nodes != nil {
-		return nodes, nil
-	}
-	k.finish()
-	return nil, nil
-}
-
-// start validates the input, samples the sources, and builds the
-// embedded exact or approximate k-source kernel.
-func (k *DiameterEstimateKernel) start(g *graph.CSR) error {
-	if g == nil {
-		return fmt.Errorf("algo: %s kernel requires a graph-bound session (clique.New, not NewSize)", k.Name())
-	}
-	if k.sample < 1 {
-		return fmt.Errorf("algo: %s sample size %d must be >= 1", k.Name(), k.sample)
-	}
-	if g.N == 0 {
-		return fmt.Errorf("algo: %s requires a non-empty graph", k.Name())
-	}
-	k.n = g.N
-	k.sources = sampleSources(g.N, k.sample, k.seed)
-	if k.approx {
-		k.innerA = NewApproxKSourceKernel(k.sources, k.params)
-		k.innerA.SetGatherer(k.gather)
-	} else {
-		k.innerK = NewKSourceKernel(k.sources, core.Log2Ceil(g.N)+1)
-		k.innerK.SetGatherer(k.gather)
-	}
-	k.started = true
-	return nil
-}
-
-// inner returns the embedded pipeline as a clique.Kernel.
-func (k *DiameterEstimateKernel) inner() clique.Kernel {
-	if k.approx {
-		return k.innerA
-	}
-	return k.innerK
-}
-
-// innerDist returns the embedded pipeline's distance rows.
-func (k *DiameterEstimateKernel) innerDist() [][]int64 {
-	if k.approx {
-		return k.innerA.Dist()
-	}
-	return k.innerK.Dist()
-}
-
-// finish folds the per-source distance rows into eccentricities and
-// the diameter estimate.
-func (k *DiameterEstimateKernel) finish() {
-	dist := k.innerDist()
-	est := DiameterEstimate{Sources: k.sources, Ecc: make([]int64, len(k.sources))}
-	for j, row := range dist {
-		ecc := int64(0)
-		for _, d := range row {
-			if d == Unreached {
-				ecc = Unreached
-				break
-			}
-			if d > ecc {
-				ecc = d
-			}
+		if g.N == 0 {
+			return nil, fmt.Errorf("algo: %s requires a non-empty graph", name)
 		}
+		return sampleSources(g.N, sample, seed), nil
+	}
+}
+
+// eccentricities is the pipeline projection of the diameter estimators:
+// it folds the per-source distance rows into eccentricities and the
+// diameter estimate.
+func eccentricities(sources []core.NodeID, rows [][]int64) any {
+	est := DiameterEstimate{Sources: sources, Ecc: make([]int64, len(sources))}
+	for j, row := range distRows(rows) {
+		ecc := eccentricity(row)
 		est.Ecc[j] = ecc
 		if ecc == Unreached {
 			est.Estimate = Unreached
@@ -205,43 +125,12 @@ func (k *DiameterEstimateKernel) finish() {
 			est.Estimate = ecc
 		}
 	}
-	k.est = est
-	k.done = true
+	return est
 }
 
-// MaxRoundsHint forwards the embedded pipeline's round-bound hint.
-func (k *DiameterEstimateKernel) MaxRoundsHint() int {
-	if k.innerA != nil {
-		return k.innerA.MaxRoundsHint()
-	}
-	if k.innerK != nil {
-		return k.innerK.MaxRoundsHint()
-	}
-	return 0
-}
-
-// Result returns the DiameterEstimate, nil before completion.
-func (k *DiameterEstimateKernel) Result() any {
-	if !k.done {
-		return nil
-	}
-	return k.est
-}
-
-// Estimate returns the typed result; the zero DiameterEstimate before
-// completion.
-func (k *DiameterEstimateKernel) Estimate() DiameterEstimate {
-	if !k.done {
-		return DiameterEstimate{}
-	}
-	return k.est
-}
-
-// EccentricityRef is the sequential eccentricity reference: the maximum
-// Bellman-Ford distance from src (unit weights when g is unweighted),
-// Unreached if any vertex is unreachable.
-func EccentricityRef(g *graph.CSR, src core.NodeID) int64 {
-	dist := BellmanFordRef(g.WithUnitWeights(), src)
+// eccentricity is the maximum of a distance row, Unreached if any
+// vertex is unreachable.
+func eccentricity(dist []int64) int64 {
 	ecc := int64(0)
 	for _, d := range dist {
 		if d == Unreached {
@@ -254,14 +143,9 @@ func EccentricityRef(g *graph.CSR, src core.NodeID) int64 {
 	return ecc
 }
 
-// init registers the diameter estimators with demonstration parameters:
-// four sampled sources (clamped to n), a fixed seed, default hopset
-// parameters for the approximate variant.
-func init() {
-	clique.Register("diameter-est", func(*graph.CSR) (clique.Kernel, error) {
-		return NewDiameterEstimateKernel(4, 1), nil
-	})
-	clique.Register("diameter-est-approx", func(*graph.CSR) (clique.Kernel, error) {
-		return NewApproxDiameterEstimateKernel(4, 1, hopset.Params{}), nil
-	})
+// EccentricityRef is the sequential eccentricity reference: the maximum
+// Bellman-Ford distance from src (unit weights when g is unweighted),
+// Unreached if any vertex is unreachable.
+func EccentricityRef(g *graph.CSR, src core.NodeID) int64 {
+	return eccentricity(BellmanFordRef(g.WithUnitWeights(), src))
 }

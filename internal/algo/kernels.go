@@ -7,35 +7,37 @@ import (
 	"github.com/paper-repo-growth/doryp20/internal/core"
 	"github.com/paper-repo-growth/doryp20/internal/engine"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
-	"github.com/paper-repo-growth/doryp20/internal/matmul"
+	"github.com/paper-repo-growth/doryp20/internal/hopset"
 )
 
-// This file is the kernel layer of the algorithm package: every
-// algorithm is expressed as a clique.Kernel so that callers compose
-// them on one warm Session, and the historical free functions (BFS,
-// BellmanFord, APSP, ...) are thin wrappers that run a kernel on a
-// single-use session. Kernels constructed by the registry adapt to any
-// input graph (unweighted graphs are treated as unit-weighted); the
-// free functions keep their stricter historical validation.
+// This file holds the single-pass message-passing kernels (BFS,
+// Bellman-Ford) and the registry table. Every algorithm in the package
+// is a clique.Kernel, so callers compose them on one warm Session; the
+// multi-pass ones are thin shells over powerKernel (power.go) and
+// pipelineKernel (pipeline.go). All kernels adapt to any input graph:
+// unweighted graphs are treated as unit-weighted.
 
-// runGraphKernel runs kernel k on a single-use session over g and
-// returns the session's cumulative engine stats (see clique.OneShot
-// for the stats contract).
-func runGraphKernel(g *graph.CSR, k clique.Kernel, eopts engine.Options) (*engine.Stats, error) {
-	s, err := clique.New(g, clique.WithEngineOptions(eopts))
-	if err != nil {
-		return nil, err
-	}
-	return clique.OneShot(s, k)
+// errNoGraph is the error every graph-consuming kernel returns on a
+// clique.NewSize session.
+func errNoGraph(name string) error {
+	return fmt.Errorf("algo: %s kernel requires a graph-bound session (clique.New, not NewSize)", name)
 }
 
-// checkSource validates a source vertex against the session graph.
-func checkSource(name string, src core.NodeID, g *graph.CSR) error {
+// checkSources validates source vertices against the session graph,
+// before any engine pass is paid for.
+func checkSources(name string, g *graph.CSR, sources ...core.NodeID) error {
 	if g == nil {
-		return fmt.Errorf("algo: %s kernel requires a graph-bound session (clique.New, not NewSize)", name)
+		return errNoGraph(name)
 	}
-	if src < 0 || int(src) >= g.N {
-		return fmt.Errorf("algo: %s source %d out of range [0,%d)", name, src, g.N)
+	return checkSourceRange(name, g.N, sources)
+}
+
+// checkSourceRange rejects source vertices outside [0, n).
+func checkSourceRange(name string, n int, sources []core.NodeID) error {
+	for _, src := range sources {
+		if src < 0 || int(src) >= n {
+			return fmt.Errorf("algo: %s source %d out of range [0,%d)", name, src, n)
+		}
 	}
 	return nil
 }
@@ -93,7 +95,7 @@ func (k *BFSKernel) Nodes(g *graph.CSR) ([]engine.Node, error) {
 		k.done = true
 		return nil, nil
 	}
-	if err := checkSource(k.Name(), k.src, g); err != nil {
+	if err := checkSources(k.Name(), g, k.src); err != nil {
 		return nil, err
 	}
 	nodes := make([]engine.Node, g.N)
@@ -160,7 +162,7 @@ func (k *BellmanFordKernel) Nodes(g *graph.CSR) ([]engine.Node, error) {
 		k.done = true
 		return nil, nil
 	}
-	if err := checkSource(k.Name(), k.src, g); err != nil {
+	if err := checkSources(k.Name(), g, k.src); err != nil {
 		return nil, err
 	}
 	gw := g.WithUnitWeights()
@@ -187,341 +189,44 @@ func (k *BellmanFordKernel) Result() any {
 // Dist returns the typed distance vector, nil before completion.
 func (k *BellmanFordKernel) Dist() []int64 { return k.dist }
 
-// powerState iterates the reflexive (min,+) power A^h by
-// square-and-multiply, one engine product per step — the
-// square-and-multiply loop of the original implementation unrolled
-// into an explicit pass iterator so that session kernels can interleave
-// it with other stages. result stays nil until the first set exponent
-// bit so an Identity ⊗ A product is never paid.
-type powerState struct {
-	n            int
-	e            int
-	base, result *matmul.Matrix
-	pass         *matmul.Pass
-	passIsSquare bool
-	// phase 0: the current exponent bit's multiply step is pending;
-	// phase 1: it is done and the squaring step is pending.
-	phase int
-	// gather is injected into every pass so harvests assemble the full
-	// product across transport ranks.
-	gather engine.Gatherer
+// logHops is the per-product hop horizon the registry's demonstration
+// kernels and the diameter estimators use: around log n, the regime
+// hopsets target. Any value >= 1 is correct.
+func logHops(n int) int { return core.Log2Ceil(n) + 1 }
+
+// demoSources picks the registry's demonstration source set: vertex 0,
+// plus the middle vertex once the graph has more than two.
+func demoSources(g *graph.CSR) []core.NodeID {
+	sources := []core.NodeID{}
+	if g.N > 0 {
+		sources = append(sources, 0)
+	}
+	if g.N > 2 {
+		sources = append(sources, core.NodeID(g.N/2))
+	}
+	return sources
 }
-
-// newPowerState prepares the power A^h over graph g, clamping h to n-1:
-// the reflexive power stabilizes there (every simple shortest path has
-// at most n-1 edges), so larger exponents would only spend engine
-// products on bit-identical results.
-func newPowerState(g *graph.CSR, h int) (*powerState, error) {
-	a, err := minplusAdjacency(g)
-	if err != nil {
-		return nil, err
-	}
-	return newPowerStateOf(a, h), nil
-}
-
-// newPowerStateOf prepares the power a^h of an arbitrary reflexive
-// semiring matrix, clamping h to a.N-1 as newPowerState does. This is
-// the semiring-generic entry point: the widest-path pipeline powers a
-// (max,min) adjacency through it, closure a boolean one.
-func newPowerStateOf(a *matmul.Matrix, h int) *powerState {
-	if limit := a.N - 1; h > limit {
-		if limit < 0 {
-			limit = 0
-		}
-		h = limit
-	}
-	return &powerState{n: a.N, e: h, base: a}
-}
-
-// harvest folds the completed in-flight pass (if any) back into the
-// square-and-multiply state, gathering the product across transport
-// ranks first. Idempotent — harvesting twice is a no-op — so
-// checkpointing can force it at a pass boundary before the next Nodes
-// call would.
-func (ps *powerState) harvest() error {
-	if ps.pass == nil {
-		return nil
-	}
-	if err := ps.pass.Gather(); err != nil {
-		return err
-	}
-	m := ps.pass.Sparse()
-	if ps.passIsSquare {
-		ps.base = m
-	} else {
-		ps.result = m
-	}
-	ps.pass = nil
-	return nil
-}
-
-// next harvests the pass returned by the previous call (if any) and
-// returns the next product pass, or nil once A^h is fully computed.
-func (ps *powerState) next() (*matmul.Pass, error) {
-	if err := ps.harvest(); err != nil {
-		return nil, err
-	}
-	for ps.e > 0 {
-		if ps.phase == 0 {
-			ps.phase = 1
-			if ps.e&1 == 1 {
-				if ps.result == nil {
-					ps.result = ps.base
-				} else {
-					p, err := matmul.NewPass(ps.result, ps.base, false)
-					if err != nil {
-						return nil, err
-					}
-					p.SetGatherer(ps.gather)
-					ps.pass, ps.passIsSquare = p, false
-					return p, nil
-				}
-			}
-		}
-		if ps.e > 1 {
-			ps.phase = 0
-			ps.e >>= 1
-			p, err := matmul.NewPass(ps.base, ps.base, false)
-			if err != nil {
-				return nil, err
-			}
-			p.SetGatherer(ps.gather)
-			ps.pass, ps.passIsSquare = p, true
-			return p, nil
-		}
-		ps.e = 0
-	}
-	return nil, nil
-}
-
-// matrix returns A^h after next has returned nil. h = 0 yields the
-// identity in the base matrix's semiring (every vertex related only to
-// itself, with value One).
-func (ps *powerState) matrix() *matmul.Matrix {
-	if ps.result == nil {
-		sr := core.MinPlus()
-		if ps.base != nil {
-			sr = ps.base.Sr
-		}
-		return matmul.Identity(ps.n, sr)
-	}
-	return ps.result
-}
-
-// hint forwards the in-flight pass's round-bound hint.
-func (ps *powerState) hint() int {
-	if ps.pass == nil {
-		return 0
-	}
-	return ps.pass.MaxRoundsHint()
-}
-
-// APSPKernel computes exact all-pairs shortest-path distances by
-// distance-product repeated squaring: D_1 = A (the reflexive (min,+)
-// adjacency matrix), D_2h = D_h ⊗ D_h, one engine pass per squaring on
-// the same warm session, stopping once the hop horizon reaches n-1.
-// Unweighted session graphs are treated as unit-weighted.
-type APSPKernel struct {
-	n       int
-	span    int
-	d       *matmul.Matrix
-	pass    *matmul.Pass
-	dist    [][]int64
-	started bool
-	done    bool
-	gather  engine.Gatherer
-}
-
-// SetGatherer injects the session transport's all-gather so every
-// squaring's harvest assembles the full product on every rank (clique
-// TransportAware hook).
-func (k *APSPKernel) SetGatherer(g engine.Gatherer) { k.gather = g }
-
-// NewAPSPKernel returns an all-pairs shortest-path kernel.
-func NewAPSPKernel() *APSPKernel { return &APSPKernel{} }
-
-// Name identifies the kernel.
-func (k *APSPKernel) Name() string { return "apsp" }
-
-// Nodes returns one squaring pass per call until the hop horizon covers
-// n-1, then harvests the distance matrix.
-func (k *APSPKernel) Nodes(g *graph.CSR) ([]engine.Node, error) {
-	if k.done {
-		return nil, nil
-	}
-	if !k.started {
-		if g == nil {
-			return nil, fmt.Errorf("algo: %s kernel requires a graph-bound session (clique.New, not NewSize)", k.Name())
-		}
-		a, err := minplusAdjacency(g.WithUnitWeights())
-		if err != nil {
-			return nil, err
-		}
-		k.d, k.n, k.span, k.started = a, g.N, 1, true
-	}
-	if err := k.harvest(); err != nil {
-		return nil, err
-	}
-	if k.span >= k.n-1 {
-		k.dist = distMatrix(k.d)
-		k.done = true
-		return nil, nil
-	}
-	pass, err := matmul.NewPass(k.d, k.d, false)
-	if err != nil {
-		return nil, err
-	}
-	pass.SetGatherer(k.gather)
-	k.pass = pass
-	return pass.Nodes(), nil
-}
-
-// harvest folds the completed squaring pass (if any) into the distance
-// matrix and doubles the covered hop horizon, gathering the product
-// across transport ranks first. Idempotent, so checkpointing can force
-// it at a pass boundary.
-func (k *APSPKernel) harvest() error {
-	if k.pass == nil {
-		return nil
-	}
-	if err := k.pass.Gather(); err != nil {
-		return err
-	}
-	k.d = k.pass.Sparse()
-	k.pass = nil
-	k.span *= 2
-	return nil
-}
-
-// MaxRoundsHint forwards the in-flight squaring's round-bound hint.
-func (k *APSPKernel) MaxRoundsHint() int {
-	if k.pass == nil {
-		return 0
-	}
-	return k.pass.MaxRoundsHint()
-}
-
-// Result returns the distance matrix ([][]int64, Unreached for
-// disconnected pairs), nil before completion.
-func (k *APSPKernel) Result() any {
-	if !k.done {
-		return nil
-	}
-	return k.dist
-}
-
-// Dist returns the typed distance matrix, nil before completion.
-func (k *APSPKernel) Dist() [][]int64 { return k.dist }
-
-// HopLimitedKernel computes the truncated distance matrix d^h — the
-// minimum weight of a u-v path with at most h edges — as the h-th
-// (min,+) power of the reflexive adjacency matrix, one engine product
-// per square-and-multiply step. Unweighted session graphs are treated
-// as unit-weighted.
-type HopLimitedKernel struct {
-	h      int
-	ps     *powerState
-	dist   [][]int64
-	done   bool
-	gather engine.Gatherer
-}
-
-// SetGatherer injects the session transport's all-gather so every
-// power step's harvest assembles the full product on every rank
-// (clique TransportAware hook).
-func (k *HopLimitedKernel) SetGatherer(g engine.Gatherer) {
-	k.gather = g
-	if k.ps != nil {
-		k.ps.gather = g
-	}
-}
-
-// NewHopLimitedKernel returns a kernel computing h-hop-limited
-// distances; h must be non-negative.
-func NewHopLimitedKernel(h int) *HopLimitedKernel { return &HopLimitedKernel{h: h} }
-
-// Name identifies the kernel.
-func (k *HopLimitedKernel) Name() string { return "hop-limited" }
-
-// Nodes returns one power-iteration pass per call, then harvests the
-// truncated distance matrix.
-func (k *HopLimitedKernel) Nodes(g *graph.CSR) ([]engine.Node, error) {
-	if k.done {
-		return nil, nil
-	}
-	if k.ps == nil {
-		if k.h < 0 {
-			return nil, fmt.Errorf("algo: negative hop bound %d", k.h)
-		}
-		if g == nil {
-			return nil, fmt.Errorf("algo: %s kernel requires a graph-bound session (clique.New, not NewSize)", k.Name())
-		}
-		ps, err := newPowerState(g.WithUnitWeights(), k.h)
-		if err != nil {
-			return nil, err
-		}
-		ps.gather = k.gather
-		k.ps = ps
-	}
-	pass, err := k.ps.next()
-	if err != nil {
-		return nil, err
-	}
-	if pass == nil {
-		k.dist = distMatrix(k.ps.matrix())
-		k.done = true
-		return nil, nil
-	}
-	return pass.Nodes(), nil
-}
-
-// MaxRoundsHint forwards the in-flight product's round-bound hint.
-func (k *HopLimitedKernel) MaxRoundsHint() int {
-	if k.ps == nil {
-		return 0
-	}
-	return k.ps.hint()
-}
-
-// Result returns the truncated distance matrix ([][]int64), nil before
-// completion.
-func (k *HopLimitedKernel) Result() any {
-	if !k.done {
-		return nil
-	}
-	return k.dist
-}
-
-// Dist returns the typed truncated distance matrix, nil before
-// completion.
-func (k *HopLimitedKernel) Dist() [][]int64 { return k.dist }
 
 // init registers the algorithm kernels with demonstration parameters
 // chosen from the graph, so ccbench -kernel and the registry test
-// sweep can run every algorithm on any input.
+// sweeps can run every algorithm on any input.
 func init() {
-	clique.Register("bfs", func(*graph.CSR) (clique.Kernel, error) {
-		return NewBFSKernel(0), nil
-	})
-	clique.Register("bellman-ford", func(*graph.CSR) (clique.Kernel, error) {
-		return NewBellmanFordKernel(0), nil
-	})
-	clique.Register("apsp", func(*graph.CSR) (clique.Kernel, error) {
-		return NewAPSPKernel(), nil
-	})
-	clique.Register("hop-limited", func(g *graph.CSR) (clique.Kernel, error) {
-		// A hop bound around log n is the regime hopsets target; any
-		// value is correct, this is just a representative demo choice.
-		return NewHopLimitedKernel(core.Log2Ceil(g.N) + 1), nil
-	})
-	clique.Register("ksource", func(g *graph.CSR) (clique.Kernel, error) {
-		sources := []core.NodeID{}
-		if g.N > 0 {
-			sources = append(sources, 0)
-		}
-		if g.N > 2 {
-			sources = append(sources, core.NodeID(g.N/2))
-		}
-		return NewKSourceKernel(sources, core.Log2Ceil(g.N)+1), nil
-	})
+	for name, build := range map[string]func(g *graph.CSR) clique.Kernel{
+		"bfs":            func(*graph.CSR) clique.Kernel { return NewBFSKernel(0) },
+		"bellman-ford":   func(*graph.CSR) clique.Kernel { return NewBellmanFordKernel(0) },
+		"mst":            func(*graph.CSR) clique.Kernel { return NewMSTKernel() },
+		"apsp":           func(*graph.CSR) clique.Kernel { return NewAPSPKernel() },
+		"widest":         func(*graph.CSR) clique.Kernel { return NewWidestPathKernel() },
+		"closure":        func(*graph.CSR) clique.Kernel { return NewTransitiveClosureKernel() },
+		"hop-limited":    func(g *graph.CSR) clique.Kernel { return NewHopLimitedKernel(logHops(g.N)) },
+		"ksource":        func(g *graph.CSR) clique.Kernel { return NewKSourceKernel(demoSources(g), logHops(g.N)) },
+		"widest-ksource": func(g *graph.CSR) clique.Kernel { return NewWidestKSourceKernel(demoSources(g), logHops(g.N)) },
+		"approx-sssp":    func(*graph.CSR) clique.Kernel { return NewApproxSSSPKernel(0, hopset.Params{}) },
+		"approx-ksource": func(g *graph.CSR) clique.Kernel { return NewApproxKSourceKernel(demoSources(g), hopset.Params{}) },
+		// Four sampled sources (clamped to n) and a fixed seed.
+		"diameter-est":        func(*graph.CSR) clique.Kernel { return NewDiameterEstimateKernel(4, 1) },
+		"diameter-est-approx": func(*graph.CSR) clique.Kernel { return NewApproxDiameterEstimateKernel(4, 1, hopset.Params{}) },
+	} {
+		clique.Register(name, func(g *graph.CSR) (clique.Kernel, error) { return build(g), nil })
+	}
 }

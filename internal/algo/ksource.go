@@ -4,181 +4,136 @@ import (
 	"fmt"
 
 	"github.com/paper-repo-growth/doryp20/internal/core"
-	"github.com/paper-repo-growth/doryp20/internal/engine"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
+	"github.com/paper-repo-growth/doryp20/internal/matmul"
 )
 
+// fixedSources is the source picker of kernels constructed with an
+// explicit source list.
+func fixedSources(sources []core.NodeID) func(*graph.CSR) ([]core.NodeID, error) {
+	return func(*graph.CSR) ([]core.NodeID, error) { return sources, nil }
+}
+
+// distRows rewrites relaxed (min,+) rows in place with the package's
+// Unreached sentinel for infinite entries.
+func distRows(rows [][]int64) [][]int64 {
+	for _, row := range rows {
+		for v, d := range row {
+			if d >= core.InfWeight {
+				row[v] = Unreached
+			}
+		}
+	}
+	return rows
+}
+
+// distProjection is the pipeline projection of the k-source distance
+// kernels: the distance rows themselves.
+func distProjection(_ []core.NodeID, rows [][]int64) any { return distRows(rows) }
+
+// powerPipeline is the spec of an exact two-stage pipeline: stage 1
+// powers the given adjacency to S = A^h for h = hops(n) >= 1 clamped to
+// n-1, and stage 2 runs the ceil((n-1)/h) products that reach
+// exactness. Larger h shifts work from stage 2 (fewer dense products)
+// to stage 1 (a denser power matrix) — with h = 1 stage 1 is free and
+// stage 2 degenerates to n-1 Bellman-Ford-style relaxation products.
+func powerPipeline(name string, adjacency func(*graph.CSR) (*matmul.Matrix, error),
+	sources func(*graph.CSR) ([]core.NodeID, error), hops func(n int) int,
+	project func([]core.NodeID, [][]int64) any) pipelineSpec {
+	return pipelineSpec{
+		name:    name,
+		sources: sources,
+		stage1: func() stageKernel {
+			return &powerKernel{spec: powerSpec{
+				name:      name,
+				adjacency: adjacency,
+				exponent: func(n int) (int, error) {
+					h := hops(n)
+					if h < 1 {
+						return 0, fmt.Errorf("algo: %s hop horizon %d must be >= 1", name, h)
+					}
+					return clampHops(h, n), nil
+				},
+				project: func(m *matmul.Matrix) any { return m },
+			}}
+		},
+		relaxOver: func(stage1 any) (*matmul.Matrix, int, error) {
+			s := stage1.(*matmul.Matrix)
+			h := clampHops(hops(s.N), s.N)
+			if h < 1 {
+				// n <= 1: nothing to relax, S is irrelevant.
+				return s, 0, nil
+			}
+			return s, (s.N - 1 + h - 1) / h, nil
+		},
+		project: project,
+	}
+}
+
 // KSourceKernel computes exact shortest-path distances from k source
-// vertices as a two-stage pipeline on one warm clique session — the
-// composition skeleton the Dory-Parter hopset construction drops into:
-//
-//	stage 1 (hop-limited matrix powering): compute S = A^h, the h-hop
-//	  distance matrix, by square-and-multiply — one sparse engine
-//	  product per step. With a hopset, S would instead be the
-//	  hopset-augmented adjacency matrix with a small h.
-//	stage 2 (per-source relaxation): starting from the k source
-//	  indicator columns B_0 (0 at the source, Inf elsewhere), iterate
-//	  the dense product B_{t+1} = S ⊗ B_t — each product advances the
-//	  hop horizon by h at once, so ceil((n-1)/h) products reach
-//	  exactness.
-//
-// Both stages bill their engine passes to the same session Stats, which
-// is exactly the cross-stage round accounting the paper's pipeline
-// analysis performs. Unweighted session graphs are treated as
+// vertices as the (min,+) two-stage pipeline (see pipelineKernel): stage
+// 1 computes S = A^h, the h-hop distance matrix, by square-and-multiply;
+// stage 2 runs ceil((n-1)/h) relaxation products from the source
+// indicator columns — the composition skeleton the Dory-Parter hopset
+// construction drops into. Result is the distance rows ([][]int64,
+// dist[j][v] = distance from sources[j] to v, Unreached when
+// disconnected). Unweighted session graphs are treated as
 // unit-weighted.
-type KSourceKernel struct {
-	sources []core.NodeID
-	h       int
-
-	stage     int // 0: unstarted, 1: powering, 2: relaxing, 3: done
-	ps        *powerState
-	rx        *relaxState
-	remaining int
-	n         int
-	dist      [][]int64
-	gather    engine.Gatherer
-}
-
-// SetGatherer injects the session transport's all-gather into both
-// pipeline stages so every harvest assembles the full product on every
-// rank (clique TransportAware hook).
-func (k *KSourceKernel) SetGatherer(g engine.Gatherer) {
-	k.gather = g
-	if k.ps != nil {
-		k.ps.gather = g
-	}
-	if k.rx != nil {
-		k.rx.gather = g
-	}
-}
+type KSourceKernel struct{ pipelineKernel }
 
 // NewKSourceKernel returns a k-source distance kernel for the given
-// source vertices and per-product hop horizon h >= 1. Larger h shifts
-// work from stage 2 (fewer dense products) to stage 1 (a denser power
-// matrix) — with h = 1 stage 1 is free and stage 2 degenerates to n-1
-// Bellman-Ford-style relaxation products.
+// source vertices and per-product hop horizon h >= 1.
 func NewKSourceKernel(sources []core.NodeID, h int) *KSourceKernel {
-	return &KSourceKernel{sources: sources, h: h}
-}
-
-// Name identifies the kernel.
-func (k *KSourceKernel) Name() string { return "ksource" }
-
-// Nodes advances the pipeline: it harvests the pass that just ran,
-// moves between stages as they complete, and returns the next engine
-// pass until the distances are exact.
-func (k *KSourceKernel) Nodes(g *graph.CSR) ([]engine.Node, error) {
-	if k.stage == 0 {
-		if err := k.start(g); err != nil {
-			return nil, err
-		}
-	}
-	if k.stage == 1 {
-		pass, err := k.ps.next()
-		if err != nil {
-			return nil, err
-		}
-		if pass != nil {
-			return pass.Nodes(), nil
-		}
-		// Powering finished: S = A^h. Hand off to the shared relaxation
-		// stage and fall through.
-		k.rx = newRelaxState(k.ps.matrix(), k.sources, k.remaining)
-		k.rx.gather = k.gather
-		k.ps = nil
-		k.stage = 2
-	}
-	if k.stage == 2 {
-		pass, err := k.rx.next()
-		if err != nil {
-			return nil, err
-		}
-		if pass != nil {
-			return pass.Nodes(), nil
-		}
-		k.dist = k.rx.distRows()
-		k.stage = 3
-	}
-	return nil, nil
-}
-
-// start validates the inputs and prepares stage 1.
-func (k *KSourceKernel) start(g *graph.CSR) error {
-	if g == nil {
-		return fmt.Errorf("algo: %s kernel requires a graph-bound session (clique.New, not NewSize)", k.Name())
-	}
-	if k.h < 1 {
-		return fmt.Errorf("algo: %s hop horizon %d must be >= 1", k.Name(), k.h)
-	}
-	for _, src := range k.sources {
-		if err := checkSource(k.Name(), src, g); err != nil {
-			return err
-		}
-	}
-	k.n = g.N
-	// The power clamps to n-1 (newPowerState); size the relaxation
-	// count from the same effective horizon so t*h >= n-1 exactly.
-	effH := k.h
-	if limit := k.n - 1; effH > limit {
-		effH = limit
-	}
-	if effH < 1 {
-		// n <= 1: no relaxation needed, S is irrelevant.
-		k.remaining = 0
-	} else {
-		k.remaining = (k.n - 1 + effH - 1) / effH
-	}
-	// newPowerState also validates weight non-negativity via
-	// minplusAdjacency — no separate scan needed.
-	ps, err := newPowerState(g.WithUnitWeights(), k.h)
-	if err != nil {
-		return err
-	}
-	ps.gather = k.gather
-	k.ps = ps
-	k.stage = 1
-	return nil
-}
-
-// MaxRoundsHint forwards the in-flight product's round-bound hint.
-func (k *KSourceKernel) MaxRoundsHint() int {
-	if k.ps != nil {
-		return k.ps.hint()
-	}
-	if k.rx != nil {
-		return k.rx.hint()
-	}
-	return 0
-}
-
-// Result returns the distance rows ([][]int64, dist[j][v] = distance
-// from sources[j] to v, Unreached when disconnected), nil before
-// completion.
-func (k *KSourceKernel) Result() any {
-	if k.stage != 3 {
-		return nil
-	}
-	return k.dist
+	return &KSourceKernel{pipelineKernel{spec: powerPipeline("ksource", minplusAdjacency,
+		fixedSources(sources), func(int) int { return h }, distProjection)}}
 }
 
 // Dist returns the typed distance rows, nil before completion.
-func (k *KSourceKernel) Dist() [][]int64 { return k.dist }
+func (k *KSourceKernel) Dist() [][]int64 { return resultAs[[][]int64](k.result) }
 
-// KSourceDistances computes exact shortest-path distances from each of
-// the given source vertices on a weighted g (non-negative integer
-// weights): dist[j][v] is the distance from sources[j] to v, Unreached
-// when disconnected. It runs the two-stage KSourceKernel pipeline
-// (hop-limited matrix powering, then per-source relaxation) on a
-// single-use clique session; callers composing further stages should
-// run the kernel on their own session instead.
-func KSourceDistances(g *graph.CSR, sources []core.NodeID, h int, opts engine.Options) ([][]int64, *engine.Stats, error) {
-	if err := checkDistanceInput(g); err != nil {
-		return nil, nil, err
-	}
-	k := NewKSourceKernel(sources, h)
-	stats, err := runGraphKernel(g, k, opts)
-	if err != nil {
-		return nil, stats, err
-	}
-	return k.Dist(), stats, nil
+// RelaxKernel runs only the per-source relaxation stage of the
+// k-source pipeline over a caller-supplied (min,+) matrix S: starting
+// from the source indicator columns, it iterates `products` dense
+// engine products B_{t+1} = S ⊗ B_t and reports the resulting
+// distance rows. It is exactly stage 2 of ApproxKSourceKernel (and of
+// KSourceKernel) with stage 1 skipped — the steady-state fast path of
+// ccserve's hopset-augmented adjacency cache: construct the hopset
+// once, cache S = Augment(base, hopset) with products = min(β, n-1),
+// and every later (1+ε)-approximate query pays zero stage-1 rounds
+// while returning bit-identical distances to a full pipeline run.
+// Result is the distance rows ([][]int64, Unreached when the product
+// horizon never reached v).
+//
+// The kernel runs on any session of size S.N (graph-bound or
+// clique.NewSize); the session graph is ignored.
+type RelaxKernel struct{ pipelineKernel }
+
+// NewRelaxKernel returns a relaxation-only kernel over matrix s from
+// the given sources, running `products` dense products. For
+// bit-identity with ApproxKSourceKernel at hopset bound β, pass
+// products = RelaxProducts(β, s.N).
+func NewRelaxKernel(s *matmul.Matrix, sources []core.NodeID, products int) *RelaxKernel {
+	return &RelaxKernel{pipelineKernel{spec: pipelineSpec{
+		name:    "relax",
+		sources: fixedSources(sources),
+		relaxOver: func(any) (*matmul.Matrix, int, error) {
+			if s == nil {
+				return nil, 0, fmt.Errorf("algo: relax kernel requires a matrix")
+			}
+			if products < 0 {
+				return nil, 0, fmt.Errorf("algo: relax product count %d must be >= 0", products)
+			}
+			return s, products, nil
+		},
+		project: distProjection,
+	}}}
 }
+
+// Dist returns the typed distance rows, nil before completion.
+func (k *RelaxKernel) Dist() [][]int64 { return resultAs[[][]int64](k.result) }
+
+// RelaxProducts returns the product count that makes a RelaxKernel
+// over a hopset-augmented matrix bit-identical to the approximate
+// pipeline's stage 2: the hop bound β clamped to n-1 (no shortest
+// path has more hops than that even without shortcuts).
+func RelaxProducts(beta, n int) int { return clampHops(beta, n) }

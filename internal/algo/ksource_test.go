@@ -8,7 +8,6 @@ import (
 
 	"github.com/paper-repo-growth/doryp20/clique"
 	"github.com/paper-repo-growth/doryp20/internal/core"
-	"github.com/paper-repo-growth/doryp20/internal/engine"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
 )
 
@@ -29,10 +28,12 @@ func TestKSourceDistancesPropertyVsRef(t *testing.T) {
 			sources[j] = core.NodeID(rng.Intn(n))
 		}
 		h := 1 + rng.Intn(n+2) // deliberately spans 1 .. beyond n-1
-		dist, stats, err := KSourceDistances(g, sources, h, engine.Options{})
+		ks := NewKSourceKernel(sources, h)
+		stats, err := runOn(g, ks)
 		if err != nil {
 			t.Fatalf("trial %d (n=%d p=%.2f h=%d seed=%d): %v", trial, n, p, h, seed, err)
 		}
+		dist := ks.Dist()
 		if g.NumEdges() > 0 && stats.TotalMsgs == 0 && n > 1 {
 			t.Fatalf("trial %d: pipeline routed no messages on a non-empty graph", trial)
 		}
@@ -105,38 +106,31 @@ func TestKSourcePipelineRunsTwoStagesOnOneWarmSession(t *testing.T) {
 	}
 }
 
-// TestKSourceValidation: bad hop horizons, out-of-range sources, and
-// unweighted graphs (for the strict free function) must be rejected.
+// TestKSourceValidation: bad hop horizons and out-of-range sources must
+// be rejected.
 func TestKSourceValidation(t *testing.T) {
 	g := graph.Path(6).WithUniformRandomWeights(3, 5)
-	if _, _, err := KSourceDistances(g, []core.NodeID{0}, 0, engine.Options{}); err == nil {
+	if _, err := runOn(g, NewKSourceKernel([]core.NodeID{0}, 0)); err == nil {
 		t.Error("h=0 accepted")
 	}
-	if _, _, err := KSourceDistances(g, []core.NodeID{9}, 2, engine.Options{}); err == nil {
+	if _, err := runOn(g, NewKSourceKernel([]core.NodeID{9}, 2)); err == nil {
 		t.Error("out-of-range source accepted")
-	}
-	if _, _, err := KSourceDistances(graph.Path(6), []core.NodeID{0}, 2, engine.Options{}); err == nil {
-		t.Error("unweighted graph accepted by the strict free function")
 	}
 }
 
 // TestKSourceDegenerate: the pipeline on n=1 and on edgeless graphs.
 func TestKSourceDegenerate(t *testing.T) {
 	one := graph.Path(1).WithUniformRandomWeights(1, 1)
-	dist, _, err := KSourceDistances(one, []core.NodeID{0}, 3, engine.Options{})
-	if err != nil {
-		t.Fatalf("n=1: %v", err)
-	}
-	if !reflect.DeepEqual(dist, [][]int64{{0}}) {
+	k := NewKSourceKernel([]core.NodeID{0}, 3)
+	runKernel(t, one, k)
+	if dist := k.Dist(); !reflect.DeepEqual(dist, [][]int64{{0}}) {
 		t.Fatalf("n=1 dist = %v, want [[0]]", dist)
 	}
 	empty := graph.RandomGNP(5, 0, 1).WithUnitWeights()
-	dist, _, err = KSourceDistances(empty, []core.NodeID{2}, 2, engine.Options{})
-	if err != nil {
-		t.Fatalf("edgeless: %v", err)
-	}
+	k = NewKSourceKernel([]core.NodeID{2}, 2)
+	runKernel(t, empty, k)
 	want := []int64{Unreached, Unreached, 0, Unreached, Unreached}
-	if !reflect.DeepEqual(dist[0], want) {
+	if dist := k.Dist(); !reflect.DeepEqual(dist[0], want) {
 		t.Fatalf("edgeless dist = %v, want %v", dist[0], want)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/paper-repo-growth/doryp20/clique"
 	"github.com/paper-repo-growth/doryp20/internal/core"
 	"github.com/paper-repo-growth/doryp20/internal/engine"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
@@ -157,7 +156,7 @@ func (k *MSTKernel) start(g *graph.CSR) error {
 // rebind.
 func (k *MSTKernel) bind(g *graph.CSR) error {
 	if g == nil {
-		return fmt.Errorf("algo: %s kernel requires a graph-bound session (clique.New, not NewSize)", k.Name())
+		return errNoGraph(k.Name())
 	}
 	if k.started && g.N != k.n {
 		return fmt.Errorf("algo: %s state is for n = %d, session graph has n = %d", k.Name(), k.n, g.N)
@@ -408,11 +407,4 @@ func MSTRef(g *graph.CSR) MSTResult {
 		return res.Edges[i].V < res.Edges[j].V
 	})
 	return res
-}
-
-// init registers the minimum-spanning-forest kernel.
-func init() {
-	clique.Register("mst", func(*graph.CSR) (clique.Kernel, error) {
-		return NewMSTKernel(), nil
-	})
 }

@@ -1,0 +1,264 @@
+package algo
+
+import (
+	"github.com/paper-repo-growth/doryp20/clique"
+	"github.com/paper-repo-growth/doryp20/internal/core"
+	"github.com/paper-repo-growth/doryp20/internal/engine"
+	"github.com/paper-repo-growth/doryp20/internal/graph"
+	"github.com/paper-repo-growth/doryp20/internal/hopset"
+	"github.com/paper-repo-growth/doryp20/internal/matmul"
+)
+
+// relaxState iterates the per-source relaxation stage of every
+// two-stage pipeline: starting from the source indicator columns, run
+// `remaining` dense products B_{t+1} = S ⊗ B_t over a fixed matrix S,
+// one engine pass per product.
+type relaxState struct {
+	s         *matmul.Matrix
+	cur       *matmul.Dense
+	pass      *matmul.Pass
+	remaining int
+	// gather is injected into every pass so harvests assemble the full
+	// product across transport ranks.
+	gather engine.Gatherer
+}
+
+// newRelaxState prepares `remaining` relaxation products of s against
+// the indicator columns of the given sources in s's semiring: One at
+// the source (0 over (min,+), InfWidth over (max,min)), Zero
+// elsewhere.
+func newRelaxState(s *matmul.Matrix, sources []core.NodeID, remaining int) *relaxState {
+	b := matmul.NewDense(s.N, len(sources), s.Sr)
+	for j, src := range sources {
+		b.Row(src)[j] = s.Sr.One
+	}
+	return &relaxState{s: s, cur: b, remaining: remaining}
+}
+
+// harvest folds the completed in-flight product (if any) into the
+// current columns, gathering it across transport ranks first.
+// Idempotent, so checkpointing can force it at a pass boundary before
+// the next call would.
+func (rs *relaxState) harvest() error {
+	if rs.pass == nil {
+		return nil
+	}
+	if err := rs.pass.Gather(); err != nil {
+		return err
+	}
+	rs.cur = rs.pass.Dense()
+	rs.pass = nil
+	rs.remaining--
+	return nil
+}
+
+// next harvests the pass returned by the previous call (if any) and
+// returns the next relaxation pass, or nil once all products have run.
+func (rs *relaxState) next() (*matmul.Pass, error) {
+	if err := rs.harvest(); err != nil {
+		return nil, err
+	}
+	if rs.remaining <= 0 {
+		return nil, nil
+	}
+	pass, err := matmul.NewDensePass(rs.s, rs.cur, false)
+	if err != nil {
+		return nil, err
+	}
+	pass.SetGatherer(rs.gather)
+	rs.pass = pass
+	return pass, nil
+}
+
+// hint forwards the in-flight product's round-bound hint.
+func (rs *relaxState) hint() int {
+	if rs.pass == nil {
+		return 0
+	}
+	return rs.pass.MaxRoundsHint()
+}
+
+// rows transposes the final n x k columns into per-source rows of raw
+// semiring values; the spec's projection translates sentinels.
+func (rs *relaxState) rows() [][]int64 {
+	rows := make([][]int64, rs.cur.K)
+	for j := range rows {
+		rows[j] = make([]int64, rs.cur.N)
+	}
+	for v := 0; v < rs.cur.N; v++ {
+		for j, x := range rs.cur.Row(core.NodeID(v)) {
+			rows[j][v] = x
+		}
+	}
+	return rows
+}
+
+// stageKernel is what pipelineKernel asks of its stage 1: a
+// checkpointable multi-pass kernel whose Result yields the relaxation
+// matrix. powerKernel and hopset.ConstructKernel both qualify.
+type stageKernel interface {
+	clique.Checkpointable
+	clique.MaxRoundsHinter
+	clique.TransportAware
+}
+
+// pipelineSpec is what distinguishes one two-stage kernel from another:
+// where the sources come from, which stage 1 produces the relaxation
+// matrix S, how many products stage 2 runs over it, and how the final
+// per-source rows become the kernel's result.
+type pipelineSpec struct {
+	name string
+	// sources picks the source vertices: a fixed list, or a seeded
+	// sample of the session graph. g is nil on a NewSize session, which
+	// only a spec without a stage 1 ever sees.
+	sources func(g *graph.CSR) ([]core.NodeID, error)
+	// stage1 returns a fresh, unstarted stage-1 kernel. It is nil for a
+	// caller-supplied matrix, which costs zero stage-1 passes and needs
+	// no session graph.
+	stage1 func() stageKernel
+	// relaxOver validates and converts stage 1's Result (nil without a
+	// stage 1) into S and the number of stage-2 products to run over it:
+	// ceil((n-1)/h) for S = A^h, RelaxProducts(β, n) for a
+	// hopset-augmented adjacency.
+	relaxOver func(stage1 any) (s *matmul.Matrix, products int, err error)
+	// project converts the relaxed per-source rows of raw semiring
+	// values (which it may overwrite) into the value Result reports.
+	project func(sources []core.NodeID, rows [][]int64) any
+}
+
+// pipelineKernel is the paper's composition skeleton on one warm
+// session — the single implementation behind every two-stage kernel in
+// this package:
+//
+//	stage 1 builds the relaxation matrix S: the hop-limited power A^h
+//	  (a powerKernel, one sparse product per square-and-multiply step),
+//	  or the hopset-augmented adjacency (hopset.ConstructKernel's β
+//	  limited-hop products, then hopset.Augment — the swap the paper's
+//	  pipeline is built around: where the power pays for the full
+//	  matrix, the hopset only moves hub columns), or nothing at all for
+//	  a caller-supplied S.
+//	stage 2 relaxes per source: starting from the k source indicator
+//	  columns B_0 (One at the source, Zero elsewhere), iterate the
+//	  dense product B_{t+1} = S ⊗ B_t. Each product advances the hop
+//	  horizon by h, so ceil((n-1)/h) products reach exactness over A^h;
+//	  the hopset guarantee makes min(β, n-1) products (1+ε)-accurate.
+//
+// Both stages bill their engine passes to the same session Stats, which
+// is exactly the cross-stage round accounting the paper's pipeline
+// analysis performs. The named kernel types embed it and add only a
+// constructor and a typed accessor.
+type pipelineKernel struct {
+	spec pipelineSpec
+
+	stage   int // 0: unstarted, 1: stage 1, 2: relaxing, 3: done
+	sources []core.NodeID
+	s1      stageKernel
+	hs      *hopset.Hopset
+	rx      *relaxState
+	result  any
+	gather  engine.Gatherer
+}
+
+// Name identifies the kernel.
+func (k *pipelineKernel) Name() string { return k.spec.name }
+
+// SetGatherer injects the session transport's all-gather into both
+// pipeline stages so every harvest assembles the full product on every
+// rank (clique TransportAware hook).
+func (k *pipelineKernel) SetGatherer(g engine.Gatherer) {
+	k.gather = g
+	if k.s1 != nil {
+		k.s1.SetGatherer(g)
+	}
+	if k.rx != nil {
+		k.rx.gather = g
+	}
+}
+
+// Nodes advances the pipeline: it drives stage 1 pass by pass, hands
+// its matrix to the relaxation stage, and returns one relaxation
+// product per call until the spec's product count has run.
+func (k *pipelineKernel) Nodes(g *graph.CSR) ([]engine.Node, error) {
+	if k.stage == 0 {
+		if err := k.start(g); err != nil {
+			return nil, err
+		}
+	}
+	if k.stage == 1 {
+		nodes, err := k.s1.Nodes(g)
+		if err != nil || nodes != nil {
+			return nodes, err
+		}
+		if err := k.relax(k.s1.Result()); err != nil {
+			return nil, err
+		}
+	}
+	if k.stage == 2 {
+		pass, err := k.rx.next()
+		if err != nil {
+			return nil, err
+		}
+		if pass != nil {
+			return pass.Nodes(), nil
+		}
+		k.result = k.spec.project(k.sources, k.rx.rows())
+		k.stage = 3
+	}
+	return nil, nil
+}
+
+// start picks and validates the sources and prepares stage 1 — or,
+// without one, goes straight to the relaxation stage.
+func (k *pipelineKernel) start(g *graph.CSR) error {
+	if k.spec.stage1 != nil && g == nil {
+		return errNoGraph(k.Name())
+	}
+	sources, err := k.spec.sources(g)
+	if err != nil {
+		return err
+	}
+	k.sources = sources
+	if k.spec.stage1 == nil {
+		return k.relax(nil)
+	}
+	if err := checkSourceRange(k.Name(), g.N, k.sources); err != nil {
+		return err
+	}
+	k.s1 = k.spec.stage1()
+	k.s1.SetGatherer(k.gather)
+	k.stage = 1
+	return nil
+}
+
+// relax ends stage 1: it converts the stage's result into the matrix S
+// and hands the source indicator columns to the relaxation stage.
+func (k *pipelineKernel) relax(stage1 any) error {
+	s, products, err := k.spec.relaxOver(stage1)
+	if err != nil {
+		return err
+	}
+	if err := checkSourceRange(k.Name(), s.N, k.sources); err != nil {
+		return err
+	}
+	k.hs, _ = stage1.(*hopset.Hopset)
+	k.rx = newRelaxState(s, k.sources, products)
+	k.rx.gather = k.gather
+	k.s1 = nil
+	k.stage = 2
+	return nil
+}
+
+// MaxRoundsHint forwards the in-flight stage's round-bound hint.
+func (k *pipelineKernel) MaxRoundsHint() int {
+	if k.s1 != nil {
+		return k.s1.MaxRoundsHint()
+	}
+	if k.rx != nil {
+		return k.rx.hint()
+	}
+	return 0
+}
+
+// Result returns the projected per-source rows (the spec's result
+// type), nil before completion.
+func (k *pipelineKernel) Result() any { return k.result }

@@ -1,16 +1,18 @@
-// Checkpoint serialization for the multi-pass algorithm kernels. Every
-// kernel here implements clique.Checkpointable with the same shape:
-// SnapshotState harvests the pass that just completed (harvest is
-// idempotent, so the live run is undisturbed) and serializes the
-// remaining inter-pass state — matrices plus a pass cursor — in the
-// internal/ckptio format with a version word and integrity trailer;
-// RestoreState refuses kernels that have already started
-// (clique.ErrKernelStarted), verifies the trailer before applying
-// anything, and recomputes derived results (distance rows) from the
-// restored matrices rather than trusting serialized copies.
+// Checkpoint serialization for the multi-pass algorithm kernels. The
+// three implementations of clique.Checkpointable here — powerKernel,
+// pipelineKernel, MSTKernel — share one shape: SnapshotState harvests
+// the pass that just completed (harvest is idempotent, so the live run
+// is undisturbed) and serializes the remaining inter-pass state —
+// matrices plus a pass cursor — in the internal/ckptio format with a
+// version word and integrity trailer; RestoreState refuses kernels that
+// have already started (clique.ErrKernelStarted), verifies the trailer
+// before applying anything, and recomputes derived results (distance
+// rows) from the restored matrices rather than trusting serialized
+// copies.
 package algo
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 
@@ -21,13 +23,28 @@ import (
 	"github.com/paper-repo-growth/doryp20/internal/matmul"
 )
 
-// kernelStateVersion stamps every algo kernel state blob.
-const kernelStateVersion uint64 = 1
+// kernelStateVersion stamps every algo kernel state blob. Version 2
+// unified the per-kernel layouts into the powerKernel and
+// pipelineKernel ones.
+const kernelStateVersion uint64 = 2
 
 // checkStateVersion reads and checks the leading version word.
 func checkStateVersion(cr *ckptio.Reader) error {
 	if v := cr.U64(); cr.Err() == nil && v != kernelStateVersion {
 		return fmt.Errorf("algo: kernel state version %d, this build reads version %d", v, kernelStateVersion)
+	}
+	return nil
+}
+
+// readStateHeader checks the version word and then the kernel name a
+// spec-driven kernel's blob leads with, so state never lands in a
+// kernel built from a different spec.
+func readStateHeader(cr *ckptio.Reader, name string) error {
+	if err := checkStateVersion(cr); err != nil {
+		return err
+	}
+	if got := cr.String(); cr.Err() == nil && got != name {
+		return fmt.Errorf("algo: state is for kernel %q, not %q", got, name)
 	}
 	return nil
 }
@@ -40,7 +57,6 @@ func writePowerState(w *ckptio.Writer, ps *powerState) {
 		return
 	}
 	w.Bool(true)
-	w.I64(int64(ps.n))
 	w.I64(int64(ps.e))
 	w.I64(int64(ps.phase))
 	matmul.WriteMatrix(w, ps.base)
@@ -53,7 +69,6 @@ func readPowerState(r *ckptio.Reader) (*powerState, error) {
 		return nil, r.Err()
 	}
 	ps := &powerState{}
-	ps.n = int(r.I64())
 	ps.e = int(r.I64())
 	ps.phase = int(r.I64())
 	var err error
@@ -62,6 +77,9 @@ func readPowerState(r *ckptio.Reader) (*powerState, error) {
 	}
 	if ps.result, err = matmul.ReadMatrix(r); err != nil {
 		return nil, err
+	}
+	if r.Err() == nil && ps.base == nil {
+		return nil, fmt.Errorf("algo: power state has no base matrix")
 	}
 	return ps, r.Err()
 }
@@ -96,55 +114,9 @@ func readRelaxState(r *ckptio.Reader) (*relaxState, error) {
 	return rs, r.Err()
 }
 
-// SnapshotState serializes the repeated-squaring state: the current
-// distance matrix and the covered hop horizon.
-func (k *APSPKernel) SnapshotState(w io.Writer) error {
-	if err := k.harvest(); err != nil {
-		return err
-	}
-	cw := ckptio.NewWriter(w)
-	cw.U64(kernelStateVersion)
-	cw.Bool(k.started)
-	cw.Bool(k.done)
-	cw.I64(int64(k.n))
-	cw.I64(int64(k.span))
-	matmul.WriteMatrix(cw, k.d)
-	cw.SumTrailer()
-	return cw.Err()
-}
-
-// RestoreState loads state written by SnapshotState into a fresh
-// kernel (clique.ErrKernelStarted otherwise), recomputing the distance
-// rows when the blob captured a completed run.
-func (k *APSPKernel) RestoreState(r io.Reader) error {
-	if k.started || k.done {
-		return clique.ErrKernelStarted
-	}
-	cr := ckptio.NewReader(r)
-	if err := checkStateVersion(cr); err != nil {
-		return err
-	}
-	started := cr.Bool()
-	done := cr.Bool()
-	n := int(cr.I64())
-	span := int(cr.I64())
-	d, err := matmul.ReadMatrix(cr)
-	if err != nil {
-		return err
-	}
-	cr.VerifySumTrailer()
-	if err := cr.Err(); err != nil {
-		return err
-	}
-	k.started, k.done, k.n, k.span, k.d = started, done, n, span, d
-	if done && d != nil {
-		k.dist = distMatrix(d)
-	}
-	return nil
-}
-
-// SnapshotState serializes the hop-limited power iteration state.
-func (k *HopLimitedKernel) SnapshotState(w io.Writer) error {
+// SnapshotState serializes the power iteration: the square-and-multiply
+// cursor and whether the result has been projected.
+func (k *powerKernel) SnapshotState(w io.Writer) error {
 	if k.ps != nil {
 		if err := k.ps.harvest(); err != nil {
 			return err
@@ -152,7 +124,7 @@ func (k *HopLimitedKernel) SnapshotState(w io.Writer) error {
 	}
 	cw := ckptio.NewWriter(w)
 	cw.U64(kernelStateVersion)
-	cw.I64(int64(k.h))
+	cw.String(k.Name())
 	cw.Bool(k.done)
 	writePowerState(cw, k.ps)
 	cw.SumTrailer()
@@ -160,16 +132,16 @@ func (k *HopLimitedKernel) SnapshotState(w io.Writer) error {
 }
 
 // RestoreState loads state written by SnapshotState into a fresh
-// kernel (clique.ErrKernelStarted otherwise).
-func (k *HopLimitedKernel) RestoreState(r io.Reader) error {
+// kernel (clique.ErrKernelStarted otherwise), re-projecting the result
+// when the blob captured a completed run.
+func (k *powerKernel) RestoreState(r io.Reader) error {
 	if k.ps != nil || k.done {
 		return clique.ErrKernelStarted
 	}
 	cr := ckptio.NewReader(r)
-	if err := checkStateVersion(cr); err != nil {
+	if err := readStateHeader(cr, k.Name()); err != nil {
 		return err
 	}
-	h := int(cr.I64())
 	done := cr.Bool()
 	ps, err := readPowerState(cr)
 	if err != nil {
@@ -179,22 +151,24 @@ func (k *HopLimitedKernel) RestoreState(r io.Reader) error {
 	if err := cr.Err(); err != nil {
 		return err
 	}
-	k.h, k.done, k.ps = h, done, ps
-	if k.ps != nil {
-		k.ps.gather = k.gather
+	if ps == nil {
+		return fmt.Errorf("algo: %s state has no power cursor", k.Name())
 	}
-	if done && ps != nil {
-		k.dist = distMatrix(ps.matrix())
+	ps.gather = k.gather
+	k.ps, k.done = ps, done
+	if done {
+		k.result = k.spec.project(ps.matrix())
 	}
 	return nil
 }
 
-// SnapshotState serializes the two-stage pipeline state: the stage
-// cursor plus whichever of the powering and relaxation cursors is
-// live.
-func (k *KSourceKernel) SnapshotState(w io.Writer) error {
-	if k.ps != nil {
-		if err := k.ps.harvest(); err != nil {
+// SnapshotState serializes the two-stage pipeline: the stage cursor and
+// sources, then stage 1's own checkpoint blob while it is running, or
+// the hopset it built (if any) plus the relaxation cursor afterwards.
+func (k *pipelineKernel) SnapshotState(w io.Writer) error {
+	var stage1 bytes.Buffer
+	if k.s1 != nil {
+		if err := k.s1.SnapshotState(&stage1); err != nil {
 			return err
 		}
 	}
@@ -205,86 +179,10 @@ func (k *KSourceKernel) SnapshotState(w io.Writer) error {
 	}
 	cw := ckptio.NewWriter(w)
 	cw.U64(kernelStateVersion)
+	cw.String(k.Name())
 	cw.I64(int64(k.stage))
-	cw.I64(int64(k.h))
-	cw.I64(int64(k.n))
-	cw.I64(int64(k.remaining))
 	cw.NodeIDs(k.sources)
-	writePowerState(cw, k.ps)
-	writeRelaxState(cw, k.rx)
-	cw.SumTrailer()
-	return cw.Err()
-}
-
-// RestoreState loads state written by SnapshotState into a fresh
-// kernel (clique.ErrKernelStarted otherwise), recomputing the distance
-// rows for a completed-run blob.
-func (k *KSourceKernel) RestoreState(r io.Reader) error {
-	if k.stage != 0 {
-		return clique.ErrKernelStarted
-	}
-	cr := ckptio.NewReader(r)
-	if err := checkStateVersion(cr); err != nil {
-		return err
-	}
-	stage := int(cr.I64())
-	h := int(cr.I64())
-	n := int(cr.I64())
-	remaining := int(cr.I64())
-	sources := cr.NodeIDs()
-	ps, err := readPowerState(cr)
-	if err != nil {
-		return err
-	}
-	rx, err := readRelaxState(cr)
-	if err != nil {
-		return err
-	}
-	cr.VerifySumTrailer()
-	if err := cr.Err(); err != nil {
-		return err
-	}
-	if stage < 1 || stage > 3 {
-		return fmt.Errorf("algo: %s state has implausible stage %d", k.Name(), stage)
-	}
-	k.stage, k.h, k.n, k.remaining, k.sources, k.ps, k.rx = stage, h, n, remaining, sources, ps, rx
-	if k.ps != nil {
-		k.ps.gather = k.gather
-	}
-	if k.rx != nil {
-		k.rx.gather = k.gather
-	}
-	if stage == 3 && rx != nil {
-		k.dist = rx.distRows()
-	}
-	return nil
-}
-
-// SnapshotState serializes the approximate pipeline state: the stage
-// cursor, the embedded hopset construction (stage 1) or the
-// constructed hopset plus relaxation cursor (stages 2-3).
-func (k *ApproxKSourceKernel) SnapshotState(w io.Writer) error {
-	if k.rx != nil {
-		if err := k.rx.harvest(); err != nil {
-			return err
-		}
-	}
-	cw := ckptio.NewWriter(w)
-	cw.U64(kernelStateVersion)
-	cw.String(k.name)
-	cw.I64(int64(k.stage))
-	cw.I64(int64(k.n))
-	cw.NodeIDs(k.sources)
-	hopset.WriteParams(cw, k.params)
-	if k.ck != nil {
-		var inner writerBuffer
-		if err := k.ck.SnapshotState(&inner); err != nil {
-			return err
-		}
-		cw.Blob(inner.buf)
-	} else {
-		cw.Blob(nil)
-	}
+	cw.Blob(stage1.Bytes())
 	hopset.WriteHopset(cw, k.hs)
 	writeRelaxState(cw, k.rx)
 	cw.SumTrailer()
@@ -292,23 +190,20 @@ func (k *ApproxKSourceKernel) SnapshotState(w io.Writer) error {
 }
 
 // RestoreState loads state written by SnapshotState into a fresh
-// kernel (clique.ErrKernelStarted otherwise). The embedded hopset
-// construction is restored through its own Checkpointable
-// implementation; completed-run blobs recompute the distance rows.
-func (k *ApproxKSourceKernel) RestoreState(r io.Reader) error {
+// kernel (clique.ErrKernelStarted otherwise). A running stage 1 is
+// restored through its own Checkpointable implementation; a
+// completed-run blob re-projects the result.
+func (k *pipelineKernel) RestoreState(r io.Reader) error {
 	if k.stage != 0 {
 		return clique.ErrKernelStarted
 	}
 	cr := ckptio.NewReader(r)
-	if err := checkStateVersion(cr); err != nil {
+	if err := readStateHeader(cr, k.Name()); err != nil {
 		return err
 	}
-	name := cr.String()
 	stage := int(cr.I64())
-	n := int(cr.I64())
 	sources := cr.NodeIDs()
-	params := hopset.ReadParams(cr)
-	ckBlob := cr.Blob()
+	stage1 := cr.Blob()
 	hs, err := hopset.ReadHopset(cr)
 	if err != nil {
 		return err
@@ -321,192 +216,22 @@ func (k *ApproxKSourceKernel) RestoreState(r io.Reader) error {
 	if err := cr.Err(); err != nil {
 		return err
 	}
-	if name != k.name {
-		return fmt.Errorf("algo: state is for kernel %q, not %q", name, k.name)
-	}
-	if stage < 1 || stage > 3 {
+	var s1 stageKernel
+	switch {
+	case stage == 1 && k.spec.stage1 != nil && rx == nil:
+		s1 = k.spec.stage1()
+		s1.SetGatherer(k.gather)
+		if err := s1.RestoreState(bytes.NewReader(stage1)); err != nil {
+			return err
+		}
+	case (stage == 2 || stage == 3) && rx != nil:
+		rx.gather = k.gather
+	default:
 		return fmt.Errorf("algo: %s state has implausible stage %d", k.Name(), stage)
 	}
-	var ck *hopset.ConstructKernel
-	if len(ckBlob) > 0 {
-		ck = hopset.NewConstructKernel(params)
-		if err := ck.RestoreState(byteReader(ckBlob)); err != nil {
-			return err
-		}
-	}
-	k.stage, k.n, k.sources, k.params, k.ck, k.hs, k.rx = stage, n, sources, params, ck, hs, rx
-	if k.ck != nil {
-		k.ck.SetGatherer(k.gather)
-	}
-	if k.rx != nil {
-		k.rx.gather = k.gather
-	}
-	if stage == 3 && rx != nil {
-		k.dist = rx.distRows()
-	}
-	return nil
-}
-
-// SnapshotState serializes the (max,min) repeated-squaring state,
-// mirroring APSPKernel's shape.
-func (k *WidestPathKernel) SnapshotState(w io.Writer) error {
-	if err := k.harvest(); err != nil {
-		return err
-	}
-	cw := ckptio.NewWriter(w)
-	cw.U64(kernelStateVersion)
-	cw.Bool(k.started)
-	cw.Bool(k.done)
-	cw.I64(int64(k.n))
-	cw.I64(int64(k.span))
-	matmul.WriteMatrix(cw, k.d)
-	cw.SumTrailer()
-	return cw.Err()
-}
-
-// RestoreState loads state written by SnapshotState into a fresh
-// kernel (clique.ErrKernelStarted otherwise), recomputing the width
-// rows when the blob captured a completed run.
-func (k *WidestPathKernel) RestoreState(r io.Reader) error {
-	if k.started || k.done {
-		return clique.ErrKernelStarted
-	}
-	cr := ckptio.NewReader(r)
-	if err := checkStateVersion(cr); err != nil {
-		return err
-	}
-	started := cr.Bool()
-	done := cr.Bool()
-	n := int(cr.I64())
-	span := int(cr.I64())
-	d, err := matmul.ReadMatrix(cr)
-	if err != nil {
-		return err
-	}
-	cr.VerifySumTrailer()
-	if err := cr.Err(); err != nil {
-		return err
-	}
-	k.started, k.done, k.n, k.span, k.d = started, done, n, span, d
-	if done && d != nil {
-		k.width = widthMatrix(d)
-	}
-	return nil
-}
-
-// SnapshotState serializes the boolean repeated-squaring state,
-// mirroring APSPKernel's shape.
-func (k *TransitiveClosureKernel) SnapshotState(w io.Writer) error {
-	if err := k.harvest(); err != nil {
-		return err
-	}
-	cw := ckptio.NewWriter(w)
-	cw.U64(kernelStateVersion)
-	cw.Bool(k.started)
-	cw.Bool(k.done)
-	cw.I64(int64(k.n))
-	cw.I64(int64(k.span))
-	matmul.WriteMatrix(cw, k.d)
-	cw.SumTrailer()
-	return cw.Err()
-}
-
-// RestoreState loads state written by SnapshotState into a fresh
-// kernel (clique.ErrKernelStarted otherwise), recomputing the
-// reachability rows when the blob captured a completed run.
-func (k *TransitiveClosureKernel) RestoreState(r io.Reader) error {
-	if k.started || k.done {
-		return clique.ErrKernelStarted
-	}
-	cr := ckptio.NewReader(r)
-	if err := checkStateVersion(cr); err != nil {
-		return err
-	}
-	started := cr.Bool()
-	done := cr.Bool()
-	n := int(cr.I64())
-	span := int(cr.I64())
-	d, err := matmul.ReadMatrix(cr)
-	if err != nil {
-		return err
-	}
-	cr.VerifySumTrailer()
-	if err := cr.Err(); err != nil {
-		return err
-	}
-	k.started, k.done, k.n, k.span, k.d = started, done, n, span, d
-	if done && d != nil {
-		k.reach = reachMatrix(d)
-	}
-	return nil
-}
-
-// SnapshotState serializes the widest-path two-stage pipeline state,
-// mirroring KSourceKernel's shape.
-func (k *WidestKSourceKernel) SnapshotState(w io.Writer) error {
-	if k.ps != nil {
-		if err := k.ps.harvest(); err != nil {
-			return err
-		}
-	}
-	if k.rx != nil {
-		if err := k.rx.harvest(); err != nil {
-			return err
-		}
-	}
-	cw := ckptio.NewWriter(w)
-	cw.U64(kernelStateVersion)
-	cw.I64(int64(k.stage))
-	cw.I64(int64(k.h))
-	cw.I64(int64(k.n))
-	cw.I64(int64(k.remaining))
-	cw.NodeIDs(k.sources)
-	writePowerState(cw, k.ps)
-	writeRelaxState(cw, k.rx)
-	cw.SumTrailer()
-	return cw.Err()
-}
-
-// RestoreState loads state written by SnapshotState into a fresh
-// kernel (clique.ErrKernelStarted otherwise), recomputing the width
-// rows for a completed-run blob.
-func (k *WidestKSourceKernel) RestoreState(r io.Reader) error {
-	if k.stage != 0 {
-		return clique.ErrKernelStarted
-	}
-	cr := ckptio.NewReader(r)
-	if err := checkStateVersion(cr); err != nil {
-		return err
-	}
-	stage := int(cr.I64())
-	h := int(cr.I64())
-	n := int(cr.I64())
-	remaining := int(cr.I64())
-	sources := cr.NodeIDs()
-	ps, err := readPowerState(cr)
-	if err != nil {
-		return err
-	}
-	rx, err := readRelaxState(cr)
-	if err != nil {
-		return err
-	}
-	cr.VerifySumTrailer()
-	if err := cr.Err(); err != nil {
-		return err
-	}
-	if stage < 1 || stage > 3 {
-		return fmt.Errorf("algo: %s state has implausible stage %d", k.Name(), stage)
-	}
-	k.stage, k.h, k.n, k.remaining, k.sources, k.ps, k.rx = stage, h, n, remaining, sources, ps, rx
-	if k.ps != nil {
-		k.ps.gather = k.gather
-	}
-	if k.rx != nil {
-		k.rx.gather = k.gather
-	}
-	if stage == 3 && rx != nil {
-		k.width = rx.valueRows()
+	k.stage, k.sources, k.s1, k.hs, k.rx = stage, sources, s1, hs, rx
+	if stage == 3 {
+		k.result = k.spec.project(sources, rx.rows())
 	}
 	return nil
 }
@@ -570,117 +295,4 @@ func (k *MSTKernel) RestoreState(r io.Reader) error {
 	}
 	k.started, k.done, k.n, k.weight, k.comp, k.edges = started, done, n, weight, comp, edges
 	return nil
-}
-
-// SnapshotState serializes the sampling header plus the embedded
-// k-source pipeline's own checkpoint blob (the ApproxKSourceKernel
-// nesting idiom).
-func (k *DiameterEstimateKernel) SnapshotState(w io.Writer) error {
-	cw := ckptio.NewWriter(w)
-	cw.U64(kernelStateVersion)
-	cw.String(k.name)
-	cw.Bool(k.started)
-	cw.Bool(k.done)
-	cw.I64(int64(k.sample))
-	cw.I64(k.seed)
-	cw.I64(int64(k.n))
-	cw.NodeIDs(k.sources)
-	hopset.WriteParams(cw, k.params)
-	if k.started && !k.done {
-		var inner writerBuffer
-		if err := k.inner().(clique.Checkpointable).SnapshotState(&inner); err != nil {
-			return err
-		}
-		cw.Blob(inner.buf)
-	} else {
-		cw.Blob(nil)
-	}
-	if k.done {
-		cw.I64(k.est.Estimate)
-		cw.I64s(k.est.Ecc)
-	}
-	cw.SumTrailer()
-	return cw.Err()
-}
-
-// RestoreState loads state written by SnapshotState into a fresh
-// kernel (clique.ErrKernelStarted otherwise), rebuilding and restoring
-// the embedded pipeline from its nested blob.
-func (k *DiameterEstimateKernel) RestoreState(r io.Reader) error {
-	if k.started || k.done {
-		return clique.ErrKernelStarted
-	}
-	cr := ckptio.NewReader(r)
-	if err := checkStateVersion(cr); err != nil {
-		return err
-	}
-	name := cr.String()
-	started := cr.Bool()
-	done := cr.Bool()
-	sample := int(cr.I64())
-	seed := cr.I64()
-	n := int(cr.I64())
-	sources := cr.NodeIDs()
-	params := hopset.ReadParams(cr)
-	innerBlob := cr.Blob()
-	var est DiameterEstimate
-	if done {
-		est = DiameterEstimate{Estimate: cr.I64(), Sources: sources, Ecc: cr.I64s()}
-	}
-	cr.VerifySumTrailer()
-	if err := cr.Err(); err != nil {
-		return err
-	}
-	if name != k.name {
-		return fmt.Errorf("algo: state is for kernel %q, not %q", name, k.name)
-	}
-	k.started, k.done, k.sample, k.seed, k.n, k.sources, k.params, k.est = started, done, sample, seed, n, sources, params, est
-	if len(innerBlob) > 0 {
-		if k.approx {
-			k.innerA = NewApproxKSourceKernel(sources, params)
-			k.innerA.SetGatherer(k.gather)
-			if err := k.innerA.RestoreState(byteReader(innerBlob)); err != nil {
-				return err
-			}
-		} else {
-			k.innerK = NewKSourceKernel(sources, core.Log2Ceil(n)+1)
-			k.innerK.SetGatherer(k.gather)
-			if err := k.innerK.RestoreState(byteReader(innerBlob)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// SnapshotState forwards to the embedded k-source pipeline.
-func (k *ApproxSSSPKernel) SnapshotState(w io.Writer) error { return k.inner.SnapshotState(w) }
-
-// RestoreState forwards to the embedded k-source pipeline.
-func (k *ApproxSSSPKernel) RestoreState(r io.Reader) error { return k.inner.RestoreState(r) }
-
-// writerBuffer is a minimal in-memory io.Writer (avoiding a bytes
-// import for one use).
-type writerBuffer struct{ buf []byte }
-
-// Write appends p to the buffer.
-func (w *writerBuffer) Write(p []byte) (int, error) {
-	w.buf = append(w.buf, p...)
-	return len(p), nil
-}
-
-// byteReader adapts a byte slice to io.Reader.
-func byteReader(p []byte) io.Reader { return &sliceReader{p: p} }
-
-// sliceReader is the io.Reader behind byteReader.
-type sliceReader struct{ p []byte }
-
-// Read copies from the remaining bytes.
-func (r *sliceReader) Read(p []byte) (int, error) {
-	if len(r.p) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, r.p)
-	r.p = r.p[n:]
-	return n, nil
 }

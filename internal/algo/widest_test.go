@@ -4,19 +4,9 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/paper-repo-growth/doryp20/clique"
 	"github.com/paper-repo-growth/doryp20/internal/core"
-	"github.com/paper-repo-growth/doryp20/internal/engine"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
 )
-
-// runKernel runs k to completion on a fresh single-use session over g.
-func runKernel(t *testing.T, g *graph.CSR, k clique.Kernel) {
-	t.Helper()
-	if _, err := runGraphKernel(g, k, engine.Options{}); err != nil {
-		t.Fatalf("running %s: %v", k.Name(), err)
-	}
-}
 
 // widestTestGraphs is the seeded instance sweep the widest-path and
 // closure property tests share: connected and disconnected, dense and
@@ -107,8 +97,11 @@ func TestWidestSelfAndUnreachableConventions(t *testing.T) {
 func TestWidestRejectsNonPositiveWeights(t *testing.T) {
 	g := graph.Path(3).WithUnitWeights()
 	g.Weights[0] = 0
-	k := NewWidestPathKernel()
-	if _, err := runGraphKernel(g, k, engine.Options{}); err == nil {
+	if _, err := runOn(g, NewWidestPathKernel()); err == nil {
 		t.Fatal("zero-width edge accepted")
+	}
+	g.Weights[0] = core.InfWidth
+	if _, err := runOn(g, NewWidestKSourceKernel([]core.NodeID{0}, 2)); err == nil {
+		t.Fatal("InfWidth edge accepted")
 	}
 }

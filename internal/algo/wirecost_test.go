@@ -6,7 +6,6 @@ import (
 
 	"github.com/paper-repo-growth/doryp20/clique"
 	"github.com/paper-repo-growth/doryp20/internal/core"
-	"github.com/paper-repo-growth/doryp20/internal/engine"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
 	"github.com/paper-repo-growth/doryp20/internal/matmul"
 )
@@ -17,14 +16,8 @@ import (
 // than on (min,+). (With one entry per word the two were equal.)
 func TestClosureMovesFewerWordsThanAPSP(t *testing.T) {
 	g := graph.RandomGNPWeighted(64, 0.1, 30, 17)
-	apsp, err := runGraphKernel(g, NewAPSPKernel(), engine.Options{})
-	if err != nil {
-		t.Fatalf("apsp: %v", err)
-	}
-	closure, err := runGraphKernel(g, NewTransitiveClosureKernel(), engine.Options{})
-	if err != nil {
-		t.Fatalf("closure: %v", err)
-	}
+	apsp := runKernel(t, g, NewAPSPKernel())
+	closure := runKernel(t, g, NewTransitiveClosureKernel())
 	if closure.TotalMsgs >= apsp.TotalMsgs {
 		t.Fatalf("closure moved %d words, apsp %d: boolean entries must pack tighter than distances",
 			closure.TotalMsgs, apsp.TotalMsgs)
