@@ -43,7 +43,29 @@ type Semiring struct {
 	mul func(a, b int64) int64
 	// edgeValue maps one graph arc to its matrix entry; see EdgeValue.
 	edgeValue func(w int64, weighted bool) int64
+	kind      SemiringKind
 }
+
+// SemiringKind names the operation pair of a semiring this package
+// defines, so a hot loop can ask once which pair it is running and
+// write Add and Mul inline instead of calling them per entry.
+type SemiringKind uint8
+
+// The kinds, one per constructor. KindGeneric, the zero value, makes no
+// promise about the operations: callers must go through Add and Mul.
+const (
+	KindGeneric   SemiringKind = iota
+	KindMinPlus                // Add = min, Mul = + saturating at InfWeight
+	KindMaxMin                 // Add = max, Mul = min
+	KindBoolOrAnd              // Add = |, Mul = &
+)
+
+// Kind reports which operation pair the semiring is — the same
+// "semantics live with the semiring" contract as EdgeValue: code that
+// specialises on the operations (matmul's decode loops) switches on
+// Kind, not on Name, and treats any kind it does not know as
+// KindGeneric.
+func (s Semiring) Kind() SemiringKind { return s.kind }
 
 // EdgeValue returns the matrix entry that represents one graph arc in
 // this semiring: over (min,+) the arc weight, or 1 per hop when the
@@ -75,6 +97,7 @@ func MinPlus() Semiring {
 		Name: "minplus",
 		Zero: InfWeight,
 		One:  0,
+		kind: KindMinPlus,
 		add: func(a, b int64) int64 {
 			if a < b {
 				return a
@@ -137,6 +160,7 @@ func MaxMin() Semiring {
 		Name: "maxmin",
 		Zero: 0,
 		One:  InfWidth,
+		kind: KindMaxMin,
 		add: func(a, b int64) int64 {
 			if a > b {
 				return a
@@ -170,5 +194,6 @@ func BoolOrAnd() Semiring {
 		add:       func(a, b int64) int64 { return a | b },
 		mul:       func(a, b int64) int64 { return a & b },
 		edgeValue: func(int64, bool) int64 { return 1 },
+		kind:      KindBoolOrAnd,
 	}
 }

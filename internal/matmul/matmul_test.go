@@ -209,11 +209,20 @@ func TestDimensionAndSemiringMismatch(t *testing.T) {
 // decodeRow replays packed words through the production decoder
 // (mulNode.accumulate) onto a Zero row with A[v][k] = One, which by the
 // semiring identities Mul(One, x) = x and Add(Zero, x) = x reproduces
-// the packed B-row exactly.
-func decodeRow(wf *wireFormat, sr core.Semiring, cols int, words []uint64) []int64 {
+// the packed B-row exactly. It replays them through the generic loop as
+// well and fails the test if the pass's chosen loop disagrees.
+func decodeRow(t testing.TB, wf *wireFormat, sr core.Semiring, cols int, words []uint64) []int64 {
+	t.Helper()
 	nd := &mulNode{sr: sr, wf: wf, acc: NewDense(1, cols, sr).Vals}
+	ref := &mulNode{sr: sr, wf: wf, acc: NewDense(1, cols, sr).Vals}
 	for _, w := range words {
 		nd.accumulate(sr.One, w)
+		ref.accumulateGeneric(sr.One, w)
+	}
+	for j := range ref.acc {
+		if nd.acc[j] != ref.acc[j] {
+			t.Fatalf("%s loop %d decodes column %d to %d, the generic loop to %d", sr.Name, wf.loop, j, nd.acc[j], ref.acc[j])
+		}
 	}
 	return nd.acc
 }
@@ -235,7 +244,7 @@ func TestWireFormatRoundTrip(t *testing.T) {
 				if len(words) != 1 {
 					t.Fatalf("cols=%d: one entry packed into %d words", cols, len(words))
 				}
-				for gj, gv := range decodeRow(wf, sr, cols, words) {
+				for gj, gv := range decodeRow(t, wf, sr, cols, words) {
 					want := sr.Zero
 					if gj == j {
 						want = val

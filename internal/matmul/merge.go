@@ -2,7 +2,6 @@ package matmul
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/paper-repo-growth/doryp20/internal/core"
 )
@@ -73,6 +72,22 @@ type Entry struct {
 	Val int64
 }
 
+// countingSort writes src into dst ordered by key, which must lie in
+// [0, n); entries with equal keys keep their order.
+func countingSort(dst, src []Entry, n int, key func(Entry) core.NodeID) {
+	next := make([]int, n+1)
+	for _, e := range src {
+		next[key(e)+1]++
+	}
+	for k := 0; k < n; k++ {
+		next[k+1] += next[k]
+	}
+	for _, e := range src {
+		dst[next[key(e)]] = e
+		next[key(e)]++
+	}
+}
+
 // FromEntries assembles an n x n sparse matrix from an arbitrary
 // multiset of coordinate entries: duplicates at the same (row, column)
 // are folded with the semiring Add (the cheaper edge wins over
@@ -90,12 +105,13 @@ func FromEntries(n int, sr core.Semiring, entries []Entry) (*Matrix, error) {
 		}
 		es = append(es, e)
 	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].Row != es[j].Row {
-			return es[i].Row < es[j].Row
-		}
-		return es[i].Col < es[j].Col
-	})
+	// Order by (row, column) with two stable counting passes, least
+	// significant key first: both keys are bounded by n, so this is
+	// O(len + n), and a hopset hands over ~10^5 shortcut entries per
+	// construction.
+	tmp := make([]Entry, len(es))
+	countingSort(tmp, es, n, func(e Entry) core.NodeID { return e.Col })
+	countingSort(es, tmp, n, func(e Entry) core.NodeID { return e.Row })
 	m := &Matrix{
 		N:    n,
 		Sr:   sr,

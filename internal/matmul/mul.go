@@ -3,7 +3,7 @@ package matmul
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"github.com/paper-repo-growth/doryp20/clique"
 	"github.com/paper-repo-growth/doryp20/internal/core"
@@ -16,10 +16,10 @@ type Options struct {
 	// MaxRounds). The zero value selects the engine defaults, including
 	// the canonical one-word-per-link budget.
 	Engine engine.Options
-	// Unpaced disables the Outbox pacing of response streams: each
-	// responder pushes its entire row to every requester within a
-	// single round. Any row larger than the per-link message cap then
-	// exceeds the bandwidth budget and the product fails with a
+	// Unpaced disables the pacing of response streams: each responder
+	// pushes its entire row to every requester within a single round.
+	// Any row larger than the per-link message cap then exceeds the
+	// bandwidth budget and the product fails with a
 	// *engine.BandwidthError. This mode exists to demonstrate (and
 	// regression-test) why the balanced multi-round schedule is
 	// necessary; real callers leave it off.
@@ -56,6 +56,9 @@ type wireFormat struct {
 	one            int64
 	sparsePer      int // entries per sparse word
 	posPer         int // columns per positional word
+	// loop is the decode loop accumulate runs for this product: the
+	// semiring's kind, or KindGeneric where no specialised loop applies.
+	loop core.SemiringKind
 }
 
 // posFlag marks a positionally encoded word.
@@ -92,7 +95,7 @@ func newWireFormat(cols int, vals []int64, sr core.Semiring, what string) (*wire
 			"matmul: %s values span [%d, %d], which needs a %d-bit field; a wire word has %d bits beside its %d column-index bits",
 			what, lo, hi, width, 63-idxBits, idxBits)
 	}
-	return &wireFormat{
+	wf := &wireFormat{
 		idxBits:   idxBits,
 		width:     width,
 		idxMask:   1<<idxBits - 1,
@@ -101,7 +104,13 @@ func newWireFormat(cols int, vals []int64, sr core.Semiring, what string) (*wire
 		one:       sr.One,
 		sparsePer: int(63 / (idxBits + width)),
 		posPer:    int((63 - idxBits) / width),
-	}, nil
+		loop:      sr.Kind(),
+	}
+	if wf.loop == core.KindBoolOrAnd && ranged {
+		// The boolean loop is the 1-bit-field case, every field One.
+		wf.loop = core.KindGeneric
+	}
+	return wf, nil
 }
 
 // packRow appends one B-row — its non-Zero entries as parallel,
@@ -193,31 +202,48 @@ func (wf *wireFormat) term(sr core.Semiring, aik int64, f uint64) int64 {
 //
 //	round 0:    v sends one request word to every k in supp(A[v]),
 //	            k != v, and folds in the local k = v contribution.
-//	round 1:    inboxes hold only requests; v enqueues its packed B-row
-//	            for each requester on its Outbox and starts flushing.
+//	round 1:    inboxes hold only requests; v records its requesters
+//	            and sends each the first LinkMsgCap() words of its
+//	            packed B-row.
 //	rounds >=2: inboxes hold only data words; v accumulates
 //	            C[v][j] = Add(C[v][j], Mul(A[v][k], B[k][j])) for each
-//	            word received from k, and keeps flushing its Outbox.
+//	            word received from k, and sends every requester the
+//	            next LinkMsgCap() words.
 //
-// The engine's quiescence detection ends the run once every Outbox has
-// drained: the round after the last data word is delivered, no node
+// Every requester asks in round 0 and is served the same words at the
+// same pace, so a responder's whole stream state is one offset into its
+// packed row. The engine's quiescence detection ends the run once every
+// row is out: the round after the last data word is delivered, no node
 // sends anything.
 type mulNode struct {
 	sr     core.Semiring
 	wf     *wireFormat
 	aCols  []core.NodeID
 	aVals  []int64
-	packed []uint64 // this node's row of B, in wire format
-	acc    []int64  // this node's row of C, dense
-	ob     *engine.Outbox
+	packed []uint64      // this node's row of B, in wire format
+	acc    []int64       // this node's row of C, dense
+	reqs   []core.NodeID // who asked for this row, in request order
+	off    int           // words of packed already sent to each of reqs
+	cur    int           // index into aCols of the last source looked up
 	unpace bool
 }
 
-// lookupA returns A[v][k] for this node's row, which exists whenever a
-// data word from k arrives (we only requested rows we can use).
-func (nd *mulNode) lookupA(k core.NodeID) (int64, bool) {
-	i := sort.Search(len(nd.aCols), func(i int) bool { return nd.aCols[i] >= k })
-	if i < len(nd.aCols) && nd.aCols[i] == k {
+// lookupA returns A[v][src] for a data word from src, which exists
+// whenever the word was solicited (we only requested rows we can use).
+// Inboxes and aCols are both src-ascending, so the search resumes from
+// the previous hit and walks forward; a src behind the cursor (the
+// first word of the next round, or any other delivery order) falls
+// back to the binary search.
+func (nd *mulNode) lookupA(src core.NodeID) (int64, bool) {
+	i := nd.cur
+	if i == len(nd.aCols) || nd.aCols[i] > src {
+		i, _ = slices.BinarySearch(nd.aCols, src)
+	}
+	for i < len(nd.aCols) && nd.aCols[i] < src {
+		i++
+	}
+	nd.cur = i
+	if i < len(nd.aCols) && nd.aCols[i] == src {
 		return nd.aVals[i], true
 	}
 	return nd.sr.Zero, false
@@ -225,10 +251,31 @@ func (nd *mulNode) lookupA(k core.NodeID) (int64, bool) {
 
 // accumulate folds one packed word of B[k] into this node's row of C:
 // C[v][j] = Add(C[v][j], Mul(aik, B[k][j])) for every entry the word
-// carries. A column decoded outside the accumulator panics on the
-// slice bound (surfacing as *engine.HandlerPanicError) rather than
-// writing out of row.
+// carries, in the loop the wire format chose for the pass. A column
+// decoded outside the accumulator panics on the slice bound (surfacing
+// as *engine.HandlerPanicError) rather than writing out of row, in
+// every loop.
 func (nd *mulNode) accumulate(aik int64, w uint64) {
+	switch nd.wf.loop {
+	case core.KindMinPlus:
+		if aik < core.InfWeight { // the inline sum assumes it cannot overflow
+			nd.accumulateMinPlus(aik, w)
+			return
+		}
+	case core.KindMaxMin:
+		nd.accumulateMaxMin(aik, w)
+		return
+	case core.KindBoolOrAnd:
+		nd.accumulateBool(aik, w)
+		return
+	}
+	nd.accumulateGeneric(aik, w)
+}
+
+// accumulateGeneric is the decode loop for any semiring, through its
+// Add and Mul, and the reference the specialised loops are tested
+// against.
+func (nd *mulNode) accumulateGeneric(aik int64, w uint64) {
 	wf, sr, acc := nd.wf, nd.sr, nd.acc
 	if w&posFlag != 0 {
 		w &^= posFlag
@@ -248,12 +295,122 @@ func (nd *mulNode) accumulate(aik int64, w uint64) {
 	}
 }
 
+// accumulateMinPlus is accumulate over (min,+) for aik < InfWeight:
+// min and the saturating sum written inline, with aik + base hoisted
+// out of the loop. A field f carries v = base + f, and the product
+// saturates when v or aik + v reaches InfWeight. (In the specialised
+// loops the shift counts are masked with 63 — a no-op, idxBits + width
+// <= 63 — so the compiler drops its out-of-range-shift test per field.)
+func (nd *mulNode) accumulateMinPlus(aik int64, w uint64) {
+	wf, acc := nd.wf, nd.acc
+	width, fMask := wf.width&63, wf.fMask
+	ab, fInf := aik+wf.base, core.InfWeight-wf.base
+	term := func(f uint64) int64 {
+		if f == 1 {
+			return aik
+		}
+		if s := ab + int64(f); int64(f) < fInf && s < core.InfWeight {
+			return s
+		}
+		return core.InfWeight
+	}
+	if w&posFlag != 0 {
+		w &^= posFlag
+		j := int(w & wf.idxMask)
+		for w >>= wf.idxBits & 63; w != 0; w, j = w>>width, j+1 {
+			if f := w & fMask; f != 0 {
+				acc[j] = min(acc[j], term(f))
+			}
+		}
+		return
+	}
+	entBits := (wf.idxBits + wf.width) & 63
+	for ; w != 0; w >>= entBits {
+		if f := w & fMask; f != 0 {
+			j := int(w >> width & wf.idxMask)
+			acc[j] = min(acc[j], term(f))
+		}
+	}
+}
+
+// accumulateMaxMin is accumulate over (max,min), written inline.
+func (nd *mulNode) accumulateMaxMin(aik int64, w uint64) {
+	wf, acc := nd.wf, nd.acc
+	width, fMask := wf.width&63, wf.fMask
+	term := func(f uint64) int64 {
+		if f == 1 {
+			return aik
+		}
+		return min(aik, wf.base+int64(f))
+	}
+	if w&posFlag != 0 {
+		w &^= posFlag
+		j := int(w & wf.idxMask)
+		for w >>= wf.idxBits & 63; w != 0; w, j = w>>width, j+1 {
+			if f := w & fMask; f != 0 {
+				acc[j] = max(acc[j], term(f))
+			}
+		}
+		return
+	}
+	entBits := (wf.idxBits + wf.width) & 63
+	for ; w != 0; w >>= entBits {
+		if f := w & fMask; f != 0 {
+			j := int(w >> width & wf.idxMask)
+			acc[j] = max(acc[j], term(f))
+		}
+	}
+}
+
+// accumulateBool is accumulate over (or,and) in the 1-bit-field format,
+// where every non-empty field is One: a positional word is a bitmap of
+// the columns to set.
+func (nd *mulNode) accumulateBool(aik int64, w uint64) {
+	wf, acc := nd.wf, nd.acc
+	if w&posFlag != 0 {
+		w &^= posFlag
+		j := int(w & wf.idxMask)
+		for w >>= wf.idxBits & 63; w != 0; w &= w - 1 {
+			acc[j+bits.TrailingZeros64(w)] |= aik
+		}
+		return
+	}
+	entBits, idxMask := (wf.idxBits+1)&63, wf.idxMask
+	for ; w != 0; w >>= entBits {
+		if w&1 != 0 {
+			acc[w>>1&idxMask] |= aik
+		}
+	}
+}
+
+// stream sends every requester the next LinkMsgCap() words of this
+// node's packed row (all of it when unpaced) and advances the shared
+// offset. The router's per-link accounting stays the enforcement.
+func (nd *mulNode) stream(ctx *engine.Ctx) error {
+	end := len(nd.packed)
+	if !nd.unpace {
+		end = min(end, nd.off+ctx.LinkMsgCap())
+	}
+	if nd.off == end {
+		return nil
+	}
+	for _, dst := range nd.reqs {
+		for _, w := range nd.packed[nd.off:end] {
+			if err := ctx.Send(dst, w); err != nil {
+				return err
+			}
+		}
+	}
+	nd.off = end
+	return nil
+}
+
 func (nd *mulNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message) error {
 	switch r {
 	case 0:
-		if avv, ok := nd.lookupA(ctx.ID()); ok {
+		if i, ok := slices.BinarySearch(nd.aCols, ctx.ID()); ok {
 			for _, w := range nd.packed {
-				nd.accumulate(avv, w)
+				nd.accumulate(nd.aVals[i], w)
 			}
 		}
 		for _, k := range nd.aCols {
@@ -266,46 +423,20 @@ func (nd *mulNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message) 
 		}
 		return nil
 	case 1:
-		for _, m := range inbox {
-			if nd.unpace {
-				for _, w := range nd.packed {
-					if err := ctx.Send(m.Src, w); err != nil {
-						return err
-					}
-				}
-			} else {
-				// By reference: every requester streams from the same
-				// packed row, O(1) bookkeeping per requester instead
-				// of one copy each.
-				nd.ob.PushShared(m.Src, nd.packed)
-			}
+		nd.reqs = make([]core.NodeID, len(inbox))
+		for i, m := range inbox {
+			nd.reqs[i] = m.Src
 		}
-		if nd.ob != nil {
-			return nd.ob.Flush(ctx)
-		}
-		return nil
 	default:
-		// Deterministic inbox order delivers each sender's words in
-		// contiguous runs, so caching the last (src, A[v][src]) pair
-		// removes the per-word binary search from the dominant loop.
-		lastSrc := core.NodeID(-1)
-		var aik int64
 		for _, m := range inbox {
-			if m.Src != lastSrc {
-				var ok bool
-				aik, ok = nd.lookupA(m.Src)
-				if !ok {
-					return fmt.Errorf("matmul: node %d got unsolicited data from %d", ctx.ID(), m.Src)
-				}
-				lastSrc = m.Src
+			aik, ok := nd.lookupA(m.Src)
+			if !ok {
+				return fmt.Errorf("matmul: node %d got unsolicited data from %d", ctx.ID(), m.Src)
 			}
 			nd.accumulate(aik, m.Payload)
 		}
-		if nd.ob != nil {
-			return nd.ob.Flush(ctx)
-		}
-		return nil
 	}
+	return nd.stream(ctx)
 }
 
 // Pass is one validated, packed distributed product C = A ⊗ B prepared
@@ -427,9 +558,6 @@ func newPass(a *Matrix, packed [][]uint64, cols int, wf *wireFormat, unpaced boo
 			packed: packed[v],
 			acc:    p.accs[v],
 			unpace: unpaced,
-		}
-		if !unpaced {
-			state[v].ob = engine.NewOutbox(n)
 		}
 		p.nodes[v] = &state[v]
 	}

@@ -138,7 +138,7 @@ func FuzzPackRow(f *testing.F) {
 			if slots != len(cs) {
 				t.Fatalf("%s: %d occupied slots for %d entries", name, slots, len(cs))
 			}
-			for j, got := range decodeRow(wf, sr, cols, words) {
+			for j, got := range decodeRow(t, wf, sr, cols, words) {
 				if got != row[j] {
 					t.Fatalf("%s (%s, cols=%d, %d entries): column %d decodes to %d, want %d",
 						name, sr.Name, cols, len(cs), j, got, row[j])
@@ -164,26 +164,37 @@ func FuzzPackRow(f *testing.F) {
 // TestDecodeRejectsOutOfRowColumn: a word naming a column the index
 // bits can express but the accumulator does not have must panic on the
 // slice bound (the engine reports it as a HandlerPanicError), in both
-// encodings; empty slots past the last column are legal padding.
+// encodings and in every decode loop; empty slots past the last column
+// are legal padding.
 func TestDecodeRejectsOutOfRowColumn(t *testing.T) {
-	sr := core.BoolOrAnd()
 	const cols = 5 // 3 index bits: columns 5..7 are expressible but absent
-	wf, err := newWireFormat(cols, []int64{1}, sr, "row")
-	if err != nil {
-		t.Fatal(err)
-	}
-	panics := func(w uint64) (panicked bool) {
-		defer func() { panicked = recover() != nil }()
-		decodeRow(wf, sr, cols, []uint64{w})
-		return false
-	}
-	if w := uint64(7)<<wf.width | 1; !panics(w) {
-		t.Errorf("sparse word %#x with column 7 of %d decoded without panicking", w, cols)
-	}
-	if w := posFlag | 4 | 1<<(wf.idxBits+wf.width); !panics(w) {
-		t.Errorf("positional word %#x reaching column 5 of %d decoded without panicking", w, cols)
-	}
-	if w := posFlag | 4 | 1<<wf.idxBits; panics(w) {
-		t.Errorf("positional word %#x ending at the last column panicked", w)
+	for _, sr := range core.AllSemirings() {
+		wf, err := newWireFormat(cols, []int64{sr.One}, sr, "row")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wf.loop != sr.Kind() {
+			t.Fatalf("%s: format chose loop %d, want the semiring's own %d", sr.Name, wf.loop, sr.Kind())
+		}
+		nd := &mulNode{sr: sr, wf: wf, acc: NewDense(1, cols, sr).Vals}
+		for name, decode := range map[string]func(int64, uint64){
+			"chosen":  nd.accumulate,
+			"generic": nd.accumulateGeneric,
+		} {
+			panics := func(w uint64) (panicked bool) {
+				defer func() { panicked = recover() != nil }()
+				decode(sr.One, w)
+				return false
+			}
+			if w := uint64(7)<<wf.width | 1; !panics(w) {
+				t.Errorf("%s/%s: sparse word %#x with column 7 of %d decoded without panicking", sr.Name, name, w, cols)
+			}
+			if w := posFlag | 4 | 1<<(wf.idxBits+wf.width); !panics(w) {
+				t.Errorf("%s/%s: positional word %#x reaching column 5 of %d decoded without panicking", sr.Name, name, w, cols)
+			}
+			if w := posFlag | 4 | 1<<wf.idxBits; panics(w) {
+				t.Errorf("%s/%s: positional word %#x ending at the last column panicked", sr.Name, name, w)
+			}
+		}
 	}
 }
