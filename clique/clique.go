@@ -97,7 +97,7 @@ func WithTrace(r *trace.Recorder) Option {
 
 // WithTransport routes the engine's per-round scatter/exchange through
 // tr — engine.NewMemTransport (the default when nil) for the
-// in-process slab router, or a multi-process transport such as
+// in-process box router, or a multi-process transport such as
 // engine.SocketTransport for one rank of a clique sharded across
 // processes. The session (via its engine) takes ownership of tr and
 // closes it on Close. See engine.Options.Transport.
@@ -131,7 +131,7 @@ type Stats struct {
 }
 
 // Session is a reusable handle on one simulated clique: the engine's
-// worker pool, router slabs, and bandwidth counters are built once and
+// worker pool, router boxes, and bandwidth counters are built once and
 // stay warm across every Run. Sessions are not safe for concurrent use
 // and must be released with Close.
 type Session struct {
@@ -230,8 +230,8 @@ func (s *Session) Stats() Stats { return s.stats }
 // most recent engine pass, or nil if none has executed yet.
 func (s *Session) LastRun() *engine.Stats { return s.last }
 
-// Close releases the engine's worker goroutines and router slabs. The
-// session must not be used afterwards; Close is idempotent.
+// Close releases the engine's worker goroutines. The session must not
+// be used afterwards; Close is idempotent.
 func (s *Session) Close() {
 	if s.closed {
 		return

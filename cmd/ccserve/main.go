@@ -38,6 +38,16 @@ import (
 	"github.com/paper-repo-growth/doryp20/server"
 )
 
+// Connection timeouts: a client that dribbles or never finishes its
+// request headers, or parks a keep-alive connection, cannot hold a
+// goroutine and a file descriptor forever. Request bodies and responses
+// are not bounded here — uploads are capped by -max-upload and queries
+// by the kernels' round bounds. readHeaderTimeout is a variable so its
+// test can shorten it.
+const idleTimeout = 2 * time.Minute
+
+var readHeaderTimeout = 10 * time.Second
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -77,7 +87,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "ccserve listening on %s\n", ln.Addr())
 
-	hs := &http.Server{Handler: srv}
+	hs := &http.Server{Handler: srv, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

@@ -3,7 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
+	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -101,6 +104,44 @@ func TestRunServesAndDrains(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("run did not return after context cancellation")
+	}
+}
+
+// TestUnfinishedHeadersDisconnected: a client that opens a connection,
+// sends part of a request head and then stalls is dropped once
+// ReadHeaderTimeout passes, instead of holding the connection open.
+func TestUnfinishedHeadersDisconnected(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 100 * time.Millisecond
+
+	ctx, cancel := context.WithCancel(context.Background())
+	out := newLineWaiter()
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, []string{"-addr", "127.0.0.1:0"}, out) }()
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("run returned %v after drain, want nil", err)
+		}
+	}()
+	addr := strings.TrimPrefix(out.wait(t, "ccserve listening on "), "ccserve listening on ")
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /metrics HTTP/1.1\r\nHost: ccserve\r\nX-Stall: "); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(10 * time.Second)) //nolint:errcheck // a TCP conn accepts deadlines
+	_, err = io.Copy(io.Discard, conn)                // returns nil on EOF: the server hung up
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("connection with unfinished headers still open after %v (ReadHeaderTimeout %v)", time.Since(start), readHeaderTimeout)
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout/2 {
+		t.Errorf("server hung up after %v, before ReadHeaderTimeout %v: not the timeout path", waited, readHeaderTimeout)
 	}
 }
 

@@ -7,10 +7,10 @@ import (
 )
 
 // BenchmarkRouter measures the router hot path in isolation: send with
-// bandwidth accounting + sharded scatter + round flip. One op is a full
-// round in which every node sends to `fanout` destinations. Steady
-// state must be zero allocations per op (and therefore per message):
-// slabs and inbox rows retain capacity across rounds.
+// bandwidth accounting + shard scatter + round flip. One op is a full
+// round in which every node sends to `fanout` destinations (see
+// routerRound). Steady state must be zero allocations per op (and
+// therefore per message): boxes retain capacity across rounds.
 func BenchmarkRouter(b *testing.B) {
 	const (
 		n      = 256
@@ -18,32 +18,17 @@ func BenchmarkRouter(b *testing.B) {
 		fanout = 16
 	)
 	rt := newRouter(n, 1, shards, core.DefaultBudget(n))
-	round := func() {
-		for src := 0; src < n; src++ {
-			for k := 1; k <= fanout; k++ {
-				dst := core.NodeID((src + k) % n)
-				if err := rt.send(0, core.NodeID(src), dst, uint64(src)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		for s := 0; s < rt.shards; s++ {
-			rt.scatterShard(s)
-		}
-		rt.finishRound()
-	}
-	// Warm up so every slab and inbox row reaches steady-state capacity.
+	// Warm up so every box of both banks reaches steady-state capacity.
 	for i := 0; i < 3; i++ {
-		round()
+		routerRound(b, rt, n, fanout)
 	}
 	b.ReportAllocs()
-	b.SetBytes(int64(n * fanout * 16)) // outMsg is 16 bytes
+	b.SetBytes(int64(n * fanout * 16)) // a Message is 16 bytes, written once
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		round()
+		routerRound(b, rt, n, fanout)
 	}
 	b.StopTimer()
-	rt.release()
 	msgs := float64(n * fanout)
 	b.ReportMetric(msgs*float64(b.N)/b.Elapsed().Seconds(), "msgs/s")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(msgs*float64(b.N)), "ns/msg")

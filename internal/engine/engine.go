@@ -2,17 +2,18 @@
 // simulator engineered for throughput. Nodes implement the Node
 // interface; the engine runs all round handlers in parallel across a
 // fixed pool of persistent worker goroutines with a barrier between
-// rounds, routes messages through a sharded, double-buffered,
-// zero-allocation router (see router.go), enforces the model's
-// O(log n)-bit per-link bandwidth budget, and collects per-round stats.
+// rounds, routes messages through a double-buffered, zero-allocation
+// router that writes each word once (see router.go), enforces the
+// model's O(log n)-bit per-link bandwidth budget, and collects per-round
+// stats.
 //
 // An Engine is reusable: New sizes it for a clique of n nodes, each
 // Run(ctx, nodes) executes one node set to quiescence, and the worker
-// pool, router slabs, and bandwidth counters stay warm across runs.
+// pool, router boxes, and bandwidth counters stay warm across runs.
 // The clique package (the public session API) layers kernel dispatch
 // and cumulative accounting on top of exactly this reuse. Close
-// releases the workers and slabs; RunOnce bundles New/Run/Close for
-// single-shot callers.
+// releases the workers; RunOnce bundles New/Run/Close for single-shot
+// callers.
 //
 // The Outbox helper (outbox.go) layers balanced, budget-paced
 // all-to-all exchange on top of Ctx.Send: queue any multiset of
@@ -86,7 +87,7 @@ type Options struct {
 	Trace *trace.Recorder
 	// Transport selects the fabric that completes each round's
 	// all-to-all exchange (see transport.go). Nil selects the
-	// in-process MemTransport — the zero-allocation slab scatter. A
+	// in-process MemTransport — the zero-allocation box scatter. A
 	// multi-rank transport (SocketTransport) makes this engine one
 	// rank of a larger logical clique: it executes only the
 	// transport's Partition of the node set and exchanges round frames
@@ -157,7 +158,7 @@ type RoundStats struct {
 	// worker pool, up to the phase barrier.
 	Compute time.Duration
 	// Exchange is phase B: the transport completing the round — the
-	// in-process slab scatter, or a socket transport's frame exchange.
+	// in-process box scatter, or a socket transport's frame exchange.
 	Exchange time.Duration
 	// Scatter is the in-process parallel-scatter portion of Exchange
 	// (equal to nearly all of it on MemTransport, the local share on a
@@ -183,41 +184,6 @@ type Stats struct {
 	PerRound   []RoundStats
 }
 
-// Ctx is a node's handle to the communication substrate. One Ctx exists
-// per worker; the engine rebinds it to each node before invoking its
-// handler, so handlers must not retain it across rounds.
-type Ctx struct {
-	rt   *router
-	w    int
-	src  core.NodeID
-	sent uint64
-	n    int
-}
-
-// ID returns the node the context is currently bound to.
-func (c *Ctx) ID() core.NodeID { return c.src }
-
-// NumNodes returns the clique size n.
-func (c *Ctx) NumNodes() int { return c.n }
-
-// LinkMsgCap returns the enforced whole-message capacity of one
-// directed link in one round — Options.Budget.MsgsPerLink() after the
-// router's internal clamping. Pacing layers (Outbox) size their
-// per-round bursts with it.
-func (c *Ctx) LinkMsgCap() int { return c.rt.linkCap }
-
-// Send queues one payload word to dst for delivery next round. It
-// returns a *BandwidthError if the per-link budget for this round is
-// exhausted, or an error for an invalid destination (out of range or
-// self). The message is not queued when an error is returned.
-func (c *Ctx) Send(dst core.NodeID, payload uint64) error {
-	if err := c.rt.send(c.w, c.src, dst, payload); err != nil {
-		return err
-	}
-	c.sent++
-	return nil
-}
-
 // workerCmd sequences the two parallel phases of a round.
 type workerCmd uint8
 
@@ -229,14 +195,13 @@ const (
 // Engine runs node sets under the Congested Clique round model. It is
 // sized for a fixed clique of n nodes at New and may execute any number
 // of sequential Run calls (each with its own node set) before Close;
-// the worker goroutines, router slabs, and inbox banks are reused
+// the worker goroutines, router boxes, and inbox banks are reused
 // across runs. An Engine is not safe for concurrent use.
 type Engine struct {
 	n       int
 	opts    Options
 	workers int
 	rt      *router
-	ctxs    []*Ctx
 	lo, hi  []int // node ranges per worker
 	errs    []error
 	nodes   []Node
@@ -318,7 +283,6 @@ func New(n int, opts Options) (*Engine, error) {
 		opts:      opts,
 		workers:   w,
 		rt:        newRouter(n, w, w, opts.Budget),
-		ctxs:      make([]*Ctx, w),
 		lo:        make([]int, w),
 		hi:        make([]int, w),
 		errs:      make([]error, w),
@@ -336,11 +300,9 @@ func New(n int, opts Options) (*Engine, error) {
 		local := partHi - partLo
 		e.lo[i] = partLo + (i*local+w-1)/w
 		e.hi[i] = partLo + ((i+1)*local+w-1)/w
-		e.ctxs[i] = &Ctx{rt: e.rt, w: i, n: n}
 	}
 	e.binding = &Binding{e: e}
 	if err := tr.Bind(e.binding); err != nil {
-		e.rt.release()
 		return nil, fmt.Errorf("engine: binding transport %s: %w", tr.Name(), err)
 	}
 	return e, nil
@@ -389,9 +351,8 @@ func (e *Engine) start() {
 	e.started = true
 }
 
-// Close shuts down the worker pool, returns the router's slabs to the
-// shared pool, and closes the bound transport. The engine must not be
-// used afterwards; Close is idempotent.
+// Close shuts down the worker pool and closes the bound transport. The
+// engine must not be used afterwards; Close is idempotent.
 func (e *Engine) Close() {
 	if e.closed {
 		return
@@ -402,7 +363,6 @@ func (e *Engine) Close() {
 			close(ch)
 		}
 	}
-	e.rt.release()
 	if e.transport != nil {
 		e.transport.Close() //nolint:errcheck // teardown is best-effort
 	}
@@ -426,7 +386,7 @@ func (e *Engine) parallelScatter() {
 // *HandlerPanicError run error, so a panicking kernel can never wedge
 // the pool mid-barrier.
 func (e *Engine) runNodes(w int) {
-	ctx := e.ctxs[w]
+	ctx := e.rt.ctxs[w]
 	r := e.round
 	defer func() {
 		if p := recover(); p != nil {
@@ -435,7 +395,7 @@ func (e *Engine) runNodes(w int) {
 	}()
 	hooks := testHooks
 	for id := e.lo[w]; id < e.hi[w]; id++ {
-		ctx.src = core.NodeID(id)
+		ctx.bind(core.NodeID(id))
 		if hooks != nil && hooks.NodeError != nil {
 			if err := hooks.NodeError(core.NodeID(id), r); err != nil {
 				e.errs[w] = fmt.Errorf("node %d round %d: %w", id, r, err)
@@ -539,13 +499,13 @@ func (e *Engine) RunBounded(ctx context.Context, nodes []Node, maxRounds int) (*
 		e.restoredStats = Stats{}
 	} else {
 		// Rewind to a pristine round 0: clear any state a previous run
-		// left behind (stale inbox banks or out-buffers from an error
+		// left behind (stale inbox banks or queued words from an error
 		// or a cancelled run), reset the per-worker send counters, and
-		// restart the digest chain. Slab and inbox capacity is
+		// restart the digest chain. Box and inbox capacity is
 		// retained, so reuse stays allocation-free in steady state.
 		e.round = 0
 		e.rt.reset()
-		for _, c := range e.ctxs {
+		for _, c := range e.rt.ctxs {
 			c.sent = 0
 		}
 		e.digests = e.digests[:0]
@@ -569,7 +529,7 @@ func (e *Engine) RunBounded(ctx context.Context, nodes []Node, maxRounds int) (*
 	runStart := time.Now()
 	baseWall := stats.Wall
 	var prevSent uint64
-	for _, c := range e.ctxs {
+	for _, c := range e.rt.ctxs {
 		prevSent += c.sent
 	}
 	for int(e.round) < maxRounds {
@@ -601,13 +561,13 @@ func (e *Engine) RunBounded(ctx context.Context, nodes []Node, maxRounds int) (*
 		}
 
 		// Phase B: the transport completes the round — the in-process
-		// transport scatters the slabs in parallel (shard s by worker
+		// transport scatters the boxes in parallel (shard s by worker
 		// s); a multi-rank transport exchanges round frames with its
 		// peers. Either way the inbox banks are swapped and the global
 		// message count comes back, so quiescence is a cluster-wide
 		// event every rank observes on the same round.
 		var sentTotal uint64
-		for _, c := range e.ctxs {
+		for _, c := range e.rt.ctxs {
 			sentTotal += c.sent
 		}
 		localMsgs := sentTotal - prevSent

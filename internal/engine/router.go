@@ -1,27 +1,28 @@
-// The sharded message router is the performance core of the simulator.
+// The message router is the performance core of the simulator.
 //
-// Layout: the n destination mailboxes are partitioned into S contiguous
-// shards. During a round, each of the W scheduler workers appends the
-// messages its nodes send into W x S private out-buffers (no locks, no
-// per-message allocation: the buffers are sync.Pool-backed slabs whose
-// capacity is retained across rounds). At the round barrier each shard
-// goroutine scatters the S-th column of that matrix into per-destination
-// inboxes it exclusively owns, again lock-free. Inboxes are
-// double-buffered: nodes read round r's inboxes while the scatter phase
-// fills round r+1's, and the two banks are swapped at finishRound.
+// Layout: every scheduler worker owns one row of n boxes, and a send
+// appends its Message straight into the sending worker's box for the
+// destination — no lock, no per-message allocation (boxes keep their
+// capacity across rounds), one write per word. Worker 0's row is the
+// fill bank that becomes next round's inboxes: nodes read round r's
+// bank while round r+1's fills, and finishRound swaps the two. At the
+// round barrier the n destinations are partitioned into S contiguous
+// shards and each shard goroutine, for the destinations it exclusively
+// owns, empties the bank just read and appends the boxes of workers
+// 1..W-1 behind worker 0's — with one worker there is nothing to copy.
 //
 // Bandwidth accounting: the Congested Clique allows B = O(log n) bits
 // per directed link per round. The router charges Budget.MsgBits per
 // message and rejects a send that would exceed the link capacity with a
-// *BandwidthError instead of silently dropping. The per-link counters
-// are epoch-stamped (one uint32 epoch + uint16 count per ordered pair)
-// so that resetting them between rounds is a single epoch increment,
-// not an O(n^2) clear.
+// *BandwidthError instead of silently dropping. A node's sends all
+// happen on one worker inside one Round call, so each worker counts
+// the links of the node it is bound to in n words of its own, stamped
+// with the binding: rebinding the worker or flipping the round is one
+// stamp increment, not an O(n) clear.
 package engine
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/paper-repo-growth/doryp20/internal/core"
 )
@@ -32,26 +33,6 @@ import (
 type Message struct {
 	Src     core.NodeID
 	Payload uint64
-}
-
-// outMsg is the in-flight representation inside the router's
-// out-buffers, which still needs the explicit destination.
-type outMsg struct {
-	dst     core.NodeID
-	src     core.NodeID
-	payload uint64
-}
-
-// slabCap is the initial capacity of a pooled out-buffer slab. 1024
-// messages x 16 bytes = 16 KiB, large enough that steady-state growth
-// is rare and small enough that idle shards are cheap.
-const slabCap = 1024
-
-var slabPool = sync.Pool{
-	New: func() any {
-		s := make([]outMsg, 0, slabCap)
-		return &s
-	},
 }
 
 // BandwidthError reports a send that exceeded the per-link, per-round
@@ -68,35 +49,92 @@ func (e *BandwidthError) Error() string {
 		e.Src, e.Dst, e.Round, e.Cap)
 }
 
+// countBits is the width of the per-link message count in a Ctx.used
+// word; the bits above it hold the binding stamp.
+const countBits = 16
+
+// Ctx is a node's handle to the communication substrate. One Ctx exists
+// per worker; the engine rebinds it to each node before invoking its
+// handler, so handlers must not retain it across rounds.
+type Ctx struct {
+	rt *router
+	// box[dst] collects what this worker's nodes send dst this round,
+	// in node-ID then send order.
+	box [][]Message
+	// used[dst] is stamp | the messages src has sent dst this round; a
+	// value below stamp was left by an earlier binding and reads as 0.
+	// stamp only grows (2^48 bindings outlast any run), and the count
+	// cannot carry into it because linkCap < 2^countBits.
+	used    []uint64
+	stamp   uint64
+	linkCap uint64
+	src     core.NodeID
+	sent    uint64
+	_       [40]byte // pad to 128 bytes: workers' Ctxs never share a cache line
+}
+
+// ID returns the node the context is currently bound to.
+func (c *Ctx) ID() core.NodeID { return c.src }
+
+// NumNodes returns the clique size n.
+func (c *Ctx) NumNodes() int { return c.rt.n }
+
+// LinkMsgCap returns the enforced whole-message capacity of one
+// directed link in one round — Options.Budget.MsgsPerLink() after the
+// router's internal clamping. Pacing layers (Outbox) size their
+// per-round bursts with it.
+func (c *Ctx) LinkMsgCap() int { return c.rt.linkCap }
+
+// bind points the context at src and zeroes its link counts.
+func (c *Ctx) bind(src core.NodeID) {
+	c.src = src
+	c.stamp += 1 << countBits
+}
+
+// Send queues one payload word to dst for delivery next round. It
+// returns a *BandwidthError if the per-link budget for this round is
+// exhausted, or an error for an invalid destination (out of range or
+// self). The message is not queued when an error is returned.
+//
+// This is the one place the link budget is enforced. All sends of a
+// node must happen on the goroutine running its handler (the engine
+// runs each node on exactly one worker), which is what makes the
+// per-worker counts and boxes data-race free without atomics.
+func (c *Ctx) Send(dst core.NodeID, payload uint64) error {
+	if uint64(dst) >= uint64(len(c.used)) || dst == c.src {
+		return fmt.Errorf("engine: invalid destination %d for sender %d (n=%d)", dst, c.src, c.rt.n)
+	}
+	u := max(c.used[dst], c.stamp)
+	if u-c.stamp >= c.linkCap {
+		return &BandwidthError{Src: c.src, Dst: dst, Round: c.rt.round, Cap: c.rt.linkCap}
+	}
+	c.used[dst] = u + 1
+	c.box[dst] = append(c.box[dst], Message{Src: c.src, Payload: payload})
+	c.sent++
+	return nil
+}
+
 // router owns all message storage for one engine instance. It is a
-// passive data structure: all parallelism (which worker appends where,
-// which goroutine scatters which shard) is orchestrated by the engine,
-// so every method here is allocation-free on the steady-state hot path.
+// passive data structure: all parallelism (which worker sends through
+// which Ctx, which goroutine scatters which shard) is orchestrated by
+// the engine, so every method here is allocation-free on the
+// steady-state hot path.
 type router struct {
 	n       int
 	shards  int
-	budget  core.Budget
 	linkCap int
 
 	// bounds[s] is the first destination owned by shard s;
 	// shard s owns dsts in [bounds[s], bounds[s+1]).
 	bounds []int32
 
-	// out[w][s] holds messages appended by worker w for shard s.
-	out [][][]outMsg
+	// ctxs[w] is worker w's sending side. ctxs[0].box is also the fill
+	// bank (see fill).
+	ctxs []*Ctx
 
-	// inbox is the bank nodes read this round; spare is the bank the
-	// scatter phase fills for next round. Swapped by finishRound.
+	// inbox is the bank nodes read this round. Swapped with the fill
+	// bank by finishRound.
 	inbox [][]Message
-	spare [][]Message
-
-	// Per-ordered-pair bandwidth accounting, epoch-stamped so a round
-	// change is an O(1) reset. Index is src*n + dst. Epochs wrap after
-	// 2^32 rounds; a false positive then would require a pair to be
-	// untouched for exactly 2^32 rounds, which we accept.
-	curEpoch uint32
-	epoch    []uint32
-	count    []uint16
 
 	round core.Round
 }
@@ -109,128 +147,87 @@ func newRouter(n, workers, shards int, budget core.Budget) *router {
 		shards = n
 	}
 	linkCap := budget.MsgsPerLink()
-	if linkCap > 65535 {
-		linkCap = 65535 // count is uint16; 64K msgs/link/round is far beyond any O(log n) budget
+	if linkCap >= 1<<countBits {
+		linkCap = 1<<countBits - 1 // 64K msgs/link/round is far beyond any O(log n) budget
 	}
 	rt := &router{
 		n:       n,
 		shards:  shards,
-		budget:  budget,
 		linkCap: linkCap,
 		bounds:  make([]int32, shards+1),
-		out:     make([][][]outMsg, workers),
+		ctxs:    make([]*Ctx, workers),
 		inbox:   make([][]Message, n),
-		spare:   make([][]Message, n),
-		epoch:   make([]uint32, n*n),
-		count:   make([]uint16, n*n),
 	}
 	for s := 0; s <= shards; s++ {
 		rt.bounds[s] = int32((s*n + shards - 1) / shards)
 	}
-	for w := range rt.out {
-		rt.out[w] = make([][]outMsg, shards)
+	for w := range rt.ctxs {
+		rt.ctxs[w] = &Ctx{
+			rt:      rt,
+			box:     make([][]Message, n),
+			used:    make([]uint64, n),
+			stamp:   1 << countBits,
+			linkCap: uint64(linkCap),
+		}
 	}
-	rt.curEpoch = 1
 	return rt
 }
 
-// shardOf maps a destination to its owning shard, consistent with
-// bounds: for dst in [bounds[s], bounds[s+1]), shardOf(dst) == s.
-func (rt *router) shardOf(dst core.NodeID) int {
-	return int(dst) * rt.shards / rt.n
-}
+// fill is the bank being filled for next round: worker 0's boxes.
+// Worker 0's nodes have the lowest IDs, so what the other workers and
+// Binding.Deliver append behind them keeps every inbox in
+// source-ascending order.
+func (rt *router) fill() [][]Message { return rt.ctxs[0].box }
 
-// send appends one message to worker w's buffer for the destination's
-// shard, enforcing the link budget. Callers must ensure that all sends
-// with a given src happen on a single goroutine (the engine runs each
-// node's handler on exactly one worker), which makes the per-src rows
-// of the accounting arrays data-race free without atomics.
-func (rt *router) send(w int, src, dst core.NodeID, payload uint64) error {
-	if dst < 0 || int(dst) >= rt.n || dst == src {
-		return fmt.Errorf("engine: invalid destination %d for sender %d (n=%d)", dst, src, rt.n)
-	}
-	idx := int(src)*rt.n + int(dst)
-	if rt.epoch[idx] != rt.curEpoch {
-		rt.epoch[idx] = rt.curEpoch
-		rt.count[idx] = 0
-	}
-	if int(rt.count[idx]) >= rt.linkCap {
-		return &BandwidthError{Src: src, Dst: dst, Round: rt.round, Cap: rt.linkCap}
-	}
-	rt.count[idx]++
-	s := rt.shardOf(dst)
-	buf := rt.out[w][s]
-	if buf == nil {
-		buf = *slabPool.Get().(*[]outMsg)
-	}
-	rt.out[w][s] = append(buf, outMsg{dst: dst, src: src, payload: payload})
-	return nil
-}
-
-// scatterShard drains every worker's buffer for shard s into the spare
-// inbox bank. Only one goroutine may run scatterShard(s) for a given s
-// per round; distinct shards touch disjoint destination ranges, so all
-// shards scatter in parallel without locks. Iterating workers in index
-// order (and each worker having appended its nodes in ID order) makes
-// inbox ordering fully deterministic regardless of scheduling.
+// scatterShard completes the fill bank for the destinations of shard s:
+// it empties the bank just read (finishRound makes it the next fill
+// bank) and moves the boxes of workers 1..W-1 behind worker 0's. Only
+// one goroutine may run scatterShard(s) for a given s per round;
+// distinct shards touch disjoint destination ranges, so all shards
+// scatter in parallel without locks. Iterating workers in index order
+// (and each worker having run its nodes in ID order) makes inbox
+// ordering fully deterministic regardless of scheduling.
 func (rt *router) scatterShard(s int) {
-	lo, hi := rt.bounds[s], rt.bounds[s+1]
-	for d := lo; d < hi; d++ {
-		rt.spare[d] = rt.spare[d][:0]
-	}
-	for w := range rt.out {
-		buf := rt.out[w][s]
-		for i := range buf {
-			m := &buf[i]
-			rt.spare[m.dst] = append(rt.spare[m.dst], Message{Src: m.src, Payload: m.payload})
-		}
-		if buf != nil {
-			rt.out[w][s] = buf[:0]
-		}
-	}
-}
-
-// reset rewinds the router to a pristine round 0 for engine reuse:
-// both inbox banks and all out-buffers are truncated (capacity kept,
-// so reuse allocates nothing), the bandwidth epoch advances so every
-// per-link counter reads as zero, and the round counter restarts. A
-// run that ended in quiescence leaves nothing to clear, but a run cut
-// short by a handler error or context cancellation can leave queued
-// out-buffer messages and a filled spare bank behind.
-func (rt *router) reset() {
-	for d := 0; d < rt.n; d++ {
+	fill, rest := rt.fill(), rt.ctxs[1:]
+	for d := rt.bounds[s]; d < rt.bounds[s+1]; d++ {
 		rt.inbox[d] = rt.inbox[d][:0]
-		rt.spare[d] = rt.spare[d][:0]
-	}
-	for w := range rt.out {
-		for s := range rt.out[w] {
-			if buf := rt.out[w][s]; buf != nil {
-				rt.out[w][s] = buf[:0]
+		for _, c := range rest {
+			if box := c.box[d]; len(box) > 0 {
+				fill[d] = append(fill[d], box...)
+				c.box[d] = box[:0]
 			}
 		}
 	}
-	rt.curEpoch++
+}
+
+// reset rewinds the router to a pristine round 0 for engine reuse: the
+// inbox bank and every worker's boxes are truncated (capacity kept, so
+// reuse allocates nothing), every stamp advances so all link counts
+// read as zero, and the round counter restarts. A run that ended in
+// quiescence leaves nothing to clear, but a run cut short by a handler
+// error or context cancellation can leave queued messages and
+// part-used links behind.
+func (rt *router) reset() {
+	for d := range rt.inbox {
+		rt.inbox[d] = rt.inbox[d][:0]
+	}
+	for _, c := range rt.ctxs {
+		for d := range c.box {
+			c.box[d] = c.box[d][:0]
+		}
+		c.stamp += 1 << countBits
+	}
 	rt.round = 0
 }
 
-// finishRound swaps the inbox banks and advances the bandwidth epoch.
-// Must be called after every shard's scatterShard has completed.
+// finishRound swaps the inbox and fill banks and advances every
+// worker's stamp, so a Ctx that stays bound to one node across the flip
+// still starts the round with unused links. Must be called after every
+// shard's scatterShard has completed.
 func (rt *router) finishRound() {
-	rt.inbox, rt.spare = rt.spare, rt.inbox
-	rt.curEpoch++
-	rt.round++
-}
-
-// release returns all out-buffer slabs to the pool. The router must not
-// be used afterwards.
-func (rt *router) release() {
-	for w := range rt.out {
-		for s := range rt.out[w] {
-			if buf := rt.out[w][s]; buf != nil {
-				buf = buf[:0]
-				slabPool.Put(&buf)
-				rt.out[w][s] = nil
-			}
-		}
+	rt.inbox, rt.ctxs[0].box = rt.ctxs[0].box, rt.inbox
+	for _, c := range rt.ctxs {
+		c.stamp += 1 << countBits
 	}
+	rt.round++
 }

@@ -85,12 +85,12 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 		N:       e.n,
 		Budget:  e.opts.Budget,
 		Round:   e.round,
-		Sent:    make([]uint64, len(e.ctxs)),
+		Sent:    make([]uint64, len(e.rt.ctxs)),
 		Inbox:   make([][]Message, e.n),
 		Digests: append([]uint64(nil), e.digests...),
 		Stats:   e.curStats,
 	}
-	for i, c := range e.ctxs {
+	for i, c := range e.rt.ctxs {
 		s.Sent[i] = c.sent
 	}
 	for d := 0; d < e.n; d++ {
@@ -127,21 +127,21 @@ func (e *Engine) RestoreSnapshot(s *Snapshot) error {
 	}
 	e.round = s.Round
 	e.rt.round = s.Round
-	for _, c := range e.ctxs {
+	for _, c := range e.rt.ctxs {
 		c.sent = 0
 	}
-	if len(s.Sent) == len(e.ctxs) {
-		for i, c := range e.ctxs {
+	if len(s.Sent) == len(e.rt.ctxs) {
+		for i, c := range e.rt.ctxs {
 			c.sent = s.Sent[i]
 		}
-	} else if len(e.ctxs) > 0 {
+	} else if len(e.rt.ctxs) > 0 {
 		// Worker counts differ (e.g. restored on another machine): only
 		// the sum feeds quiescence detection, so fold it into worker 0.
 		var total uint64
 		for _, v := range s.Sent {
 			total += v
 		}
-		e.ctxs[0].sent = total
+		e.rt.ctxs[0].sent = total
 	}
 	e.digests = append(e.digests[:0], s.Digests...)
 	e.lastDigest = digestSeed

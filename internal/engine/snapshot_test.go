@@ -203,7 +203,7 @@ func TestRestoreMismatchRejected(t *testing.T) {
 }
 
 // TestSnapshotClosedEngine: Snapshot and RestoreSnapshot on a closed
-// engine fail with ErrClosed instead of touching released slabs.
+// engine fail with ErrClosed instead of touching a released engine.
 func TestSnapshotClosedEngine(t *testing.T) {
 	e, err := New(3, Options{})
 	if err != nil {

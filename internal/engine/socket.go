@@ -3,7 +3,7 @@
 // mesh of TCP or Unix-domain stream sockets carrying length-prefixed
 // ckptio frames (frame.go).
 //
-// Round protocol: every rank drains its local out-slabs into one round
+// Round protocol: every rank drains its workers' boxes into one round
 // frame — the rank's complete message stream in the router's
 // deterministic order — and broadcasts it to every peer, then rebuilds
 // the complete inbox bank by replaying all k streams in rank order.
@@ -400,7 +400,7 @@ func (t *SocketTransport) fail(err error) error {
 	return t.broken
 }
 
-// Exchange completes round r: drain the local slabs into one round
+// Exchange completes round r: drain the local boxes into one round
 // frame, broadcast it to every peer (writers and readers run
 // concurrently per peer, so full buffers cannot deadlock the mesh),
 // then rebuild the complete inbox bank by replaying all k streams in

@@ -1,7 +1,7 @@
 // The Transport interface is the seam between the engine's round loop
 // and the fabric that completes a round's all-to-all exchange. The
 // Dory–Parter round structure only assumes a synchronous all-to-all of
-// B = O(log n)-bit words; everything below that — in-process slabs,
+// B = O(log n)-bit words; everything below that — in-process boxes,
 // sockets between processes — is a Transport implementation detail.
 //
 // Contract (enforced by the conformance suite in
@@ -89,7 +89,7 @@ type Transport interface {
 
 // Binding is the engine-side surface a Transport drives. It exposes
 // exactly the router operations a transport needs — scatter locally,
-// drain the out-slabs, refill and swap the inbox banks — without
+// drain the workers' boxes, refill and swap the inbox banks — without
 // exporting router internals.
 type Binding struct {
 	e *Engine
@@ -102,56 +102,54 @@ func (b *Binding) N() int { return b.e.n }
 // cross-rank handshake validation).
 func (b *Binding) Budget() core.Budget { return b.e.opts.Budget }
 
-// ParallelScatter scatters this round's out-slabs into the spare inbox
-// bank using the engine's worker pool (shard s by worker s) — the
-// in-process fast path. Must be followed by FinishRound.
+// ParallelScatter completes the fill bank from this round's boxes
+// using the engine's worker pool (shard s by worker s) — the in-process
+// fast path. Must be followed by FinishRound.
 func (b *Binding) ParallelScatter() { b.e.parallelScatter() }
 
-// FinishRound swaps the inbox banks and advances the router's
-// bandwidth epoch; call it exactly once per Exchange after the spare
-// bank holds the round's complete traffic.
+// FinishRound swaps the inbox banks and advances the router's link
+// counters to the next round; call it exactly once per Exchange after
+// the fill bank holds the round's complete traffic.
 func (b *Binding) FinishRound() { b.e.rt.finishRound() }
 
-// DrainOut streams every message queued in the local out-slabs this
-// round — worker-major, shard-major, append order within a slab, which
-// per destination is exactly the router's deterministic delivery order
-// — and truncates the slabs. Used by transports that serialize the
-// round instead of scattering in place.
+// DrainOut streams every message queued locally this round — worker-
+// major, destination-major, send order within a box, which per
+// destination is exactly the router's deterministic delivery order —
+// and truncates the boxes, worker 0's fill bank included. Used by
+// transports that serialize the round instead of scattering in place.
 func (b *Binding) DrainOut(emit func(dst, src core.NodeID, payload uint64)) {
-	rt := b.e.rt
-	for w := range rt.out {
-		for s := range rt.out[w] {
-			buf := rt.out[w][s]
-			for i := range buf {
-				m := &buf[i]
-				emit(m.dst, m.src, m.payload)
+	for _, c := range b.e.rt.ctxs {
+		for d, box := range c.box {
+			for i := range box {
+				emit(core.NodeID(d), box[i].Src, box[i].Payload)
 			}
-			if buf != nil {
-				rt.out[w][s] = buf[:0]
-			}
+			c.box[d] = box[:0]
 		}
 	}
 }
 
-// ClearSpare truncates every destination's spare inbox ahead of
-// Deliver refill (capacity retained).
+// ClearSpare truncates both banks ahead of Deliver refill (capacity
+// retained): the fill bank Deliver appends to, and the bank just read,
+// which FinishRound turns into next round's fill bank.
 func (b *Binding) ClearSpare() {
 	rt := b.e.rt
-	for d := range rt.spare {
-		rt.spare[d] = rt.spare[d][:0]
+	fill := rt.fill()
+	for d := range fill {
+		fill[d] = fill[d][:0]
+		rt.inbox[d] = rt.inbox[d][:0]
 	}
 }
 
-// Deliver appends one message to dst's spare inbox. Callers are
-// responsible for global delivery order: streams must be replayed in
-// rank order so per-destination order matches MemTransport.
+// Deliver appends one message to dst's box in the fill bank. Callers
+// are responsible for global delivery order: streams must be replayed
+// in rank order so per-destination order matches MemTransport.
 func (b *Binding) Deliver(dst, src core.NodeID, payload uint64) {
-	rt := b.e.rt
-	rt.spare[dst] = append(rt.spare[dst], Message{Src: src, Payload: payload})
+	fill := b.e.rt.fill()
+	fill[dst] = append(fill[dst], Message{Src: src, Payload: payload})
 }
 
-// MemTransport is the in-process transport: the engine's sharded slab
-// router already implements the exchange, so Exchange is exactly the
+// MemTransport is the in-process transport: the engine's box router
+// already implements the exchange, so Exchange is exactly the
 // parallel scatter plus the bank swap the pre-Transport engine did
 // inline — same code path, same 0 allocs/op. It is the default when
 // Options.Transport is nil.
@@ -174,7 +172,7 @@ func (t *MemTransport) Bind(b *Binding) error {
 	return nil
 }
 
-// Exchange scatters the round's slabs in parallel and swaps the inbox
+// Exchange scatters the round's boxes in parallel and swaps the inbox
 // banks. All traffic is local, so the global count is localMsgs.
 func (t *MemTransport) Exchange(r core.Round, localMsgs uint64) (uint64, error) {
 	t.b.ParallelScatter()
