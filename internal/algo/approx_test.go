@@ -118,17 +118,23 @@ func TestApproxSSSPSampledHubs(t *testing.T) {
 	checkApproxVector(t, "sampled", k.Dist(), BellmanFordRef(g, 0), eps)
 }
 
-// TestApproxSSSPUsesFewerProductsThanExactKSource: the hopset swap is
-// a round-count optimization; on a long weighted path (worst case for
-// relaxation) the approximate pipeline must finish in fewer engine
-// rounds than exact APSP on the same graph.
+// TestApproxSSSPUsesFewerRoundsThanAPSP: the hopset swap is a
+// round-count optimization, and with a sampled hub set it pays from a
+// couple of hundred vertices on. Asserted on G(256, 0.05) with weights
+// 1..20 and hub rate 0.1 — the benchmark's graph shape — where both
+// sides stop their loops early: about 105 rounds against exact APSP's
+// 127, on a fifteenth of the words. Below that the squarings win on
+// rounds now that they too stop at their fixpoint (G(96, 0.06), which
+// this test used to run: 91 against 64), and on a weighted path, where
+// nothing stops early and every product pays its vote, the crossover
+// sits near n = 512.
 func TestApproxSSSPUsesFewerRoundsThanAPSP(t *testing.T) {
-	g := graph.RandomGNPWeighted(96, 0.06, 20, 11)
+	g := graph.RandomGNPWeighted(256, 0.05, 20, 11)
 	exact := runKernel(t, g, NewAPSPKernel())
-	approx := runKernel(t, g, NewApproxSSSPKernel(0, hopset.Params{Eps: 0.5, HubRate: 0.25, Seed: 3}))
-	if approx.Rounds >= exact.Rounds {
-		t.Fatalf("approx SSSP took %d rounds, exact APSP %d — hopset bought nothing",
-			approx.Rounds, exact.Rounds)
+	approx := runKernel(t, g, NewApproxSSSPKernel(0, hopset.Params{Eps: 0.5, HubRate: 0.1, Seed: 3}))
+	if approx.Rounds >= exact.Rounds || approx.TotalMsgs >= exact.TotalMsgs {
+		t.Fatalf("approx SSSP took %d rounds and %d words, exact APSP %d and %d — hopset bought nothing",
+			approx.Rounds, approx.TotalMsgs, exact.Rounds, exact.TotalMsgs)
 	}
 }
 

@@ -11,21 +11,30 @@ import (
 
 // relaxState iterates the per-source relaxation stage of every
 // two-stage pipeline: starting from the source indicator columns, run
-// `remaining` dense products B_{t+1} = S ⊗ B_t over a fixed matrix S,
-// one engine pass per product.
+// dense products B_{t+1} = S ⊗ B_t over a fixed matrix S, one engine
+// pass per product, until `remaining` have run or one changes nothing —
+// B_{t+1} = B_t is a fixpoint, so every later product would return the
+// same columns. Each product but the last allowed takes that verdict
+// in-engine (matmul.Pass.Vote: at most 2 rounds and 2(n-1) words, none
+// when it confirms the fixpoint). How many products that saves depends
+// on the input: the columns settle after about as many products as the
+// farthest source-to-vertex shortest path has hops over S, which is the
+// full count on graph.Path and two or three on a dense random graph.
 type relaxState struct {
-	s         *matmul.Matrix
-	cur       *matmul.Dense
-	pass      *matmul.Pass
+	s    *matmul.Matrix
+	cur  *matmul.Dense
+	pass *matmul.Pass
+	// remaining bounds the products still to run; a product that changes
+	// nothing zeroes it.
 	remaining int
 	// gather is injected into every pass so harvests assemble the full
 	// product across transport ranks.
 	gather engine.Gatherer
 }
 
-// newRelaxState prepares `remaining` relaxation products of s against
-// the indicator columns of the given sources in s's semiring: One at
-// the source (0 over (min,+), InfWidth over (max,min)), Zero
+// newRelaxState prepares at most `remaining` relaxation products of s
+// against the indicator columns of the given sources in s's semiring:
+// One at the source (0 over (min,+), InfWidth over (max,min)), Zero
 // elsewhere.
 func newRelaxState(s *matmul.Matrix, sources []core.NodeID, remaining int) *relaxState {
 	b := matmul.NewDense(s.N, len(sources), s.Sr)
@@ -47,13 +56,16 @@ func (rs *relaxState) harvest() error {
 		return err
 	}
 	rs.cur = rs.pass.Dense()
-	rs.pass = nil
 	rs.remaining--
+	if !rs.pass.Changed() {
+		rs.remaining = 0
+	}
+	rs.pass = nil
 	return nil
 }
 
 // next harvests the pass returned by the previous call (if any) and
-// returns the next relaxation pass, or nil once all products have run.
+// returns the next relaxation pass, or nil once the columns are final.
 func (rs *relaxState) next() (*matmul.Pass, error) {
 	if err := rs.harvest(); err != nil {
 		return nil, err
@@ -66,6 +78,9 @@ func (rs *relaxState) next() (*matmul.Pass, error) {
 		return nil, err
 	}
 	pass.SetGatherer(rs.gather)
+	if rs.remaining > 1 {
+		pass.Vote()
+	}
 	rs.pass = pass
 	return pass, nil
 }
@@ -117,7 +132,7 @@ type pipelineSpec struct {
 	// no session graph.
 	stage1 func() stageKernel
 	// relaxOver validates and converts stage 1's Result (nil without a
-	// stage 1) into S and the number of stage-2 products to run over it:
+	// stage 1) into S and the most stage-2 products to run over it:
 	// ceil((n-1)/h) for S = A^h, RelaxProducts(β, n) for a
 	// hopset-augmented adjacency.
 	relaxOver func(stage1 any) (s *matmul.Matrix, products int, err error)
@@ -132,16 +147,18 @@ type pipelineSpec struct {
 //
 //	stage 1 builds the relaxation matrix S: the hop-limited power A^h
 //	  (a powerKernel, one sparse product per square-and-multiply step),
-//	  or the hopset-augmented adjacency (hopset.ConstructKernel's β
-//	  limited-hop products, then hopset.Augment — the swap the paper's
-//	  pipeline is built around: where the power pays for the full
-//	  matrix, the hopset only moves hub columns), or nothing at all for
-//	  a caller-supplied S.
+//	  or the hopset-augmented adjacency (hopset.ConstructKernel's at
+//	  most β limited-hop products, then hopset.Augment — the swap the
+//	  paper's pipeline is built around: where the power pays for the
+//	  full matrix, the hopset only moves hub columns), or nothing at
+//	  all for a caller-supplied S.
 //	stage 2 relaxes per source: starting from the k source indicator
 //	  columns B_0 (One at the source, Zero elsewhere), iterate the
 //	  dense product B_{t+1} = S ⊗ B_t. Each product advances the hop
 //	  horizon by h, so ceil((n-1)/h) products reach exactness over A^h;
 //	  the hopset guarantee makes min(β, n-1) products (1+ε)-accurate.
+//	  Those counts are upper bounds: every loop stops at the first
+//	  product that changes nothing (see relaxState).
 //
 // Both stages bill their engine passes to the same session Stats, which
 // is exactly the cross-stage round accounting the paper's pipeline
@@ -177,7 +194,7 @@ func (k *pipelineKernel) SetGatherer(g engine.Gatherer) {
 
 // Nodes advances the pipeline: it drives stage 1 pass by pass, hands
 // its matrix to the relaxation stage, and returns one relaxation
-// product per call until the spec's product count has run.
+// product per call until the columns are final.
 func (k *pipelineKernel) Nodes(g *graph.CSR) ([]engine.Node, error) {
 	if k.stage == 0 {
 		if err := k.start(g); err != nil {

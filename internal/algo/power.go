@@ -10,8 +10,20 @@ import (
 // square-and-multiply, one engine product per step, as an explicit pass
 // iterator so that session kernels can interleave it with other stages.
 // result stays nil until the first set exponent bit so an Identity ⊗ A
-// product is never paid; a power-of-two exponent therefore costs
-// exactly log2(e) squarings and no multiply step.
+// product is never paid; a power-of-two exponent therefore costs at
+// most log2(e) squarings and no multiply step.
+//
+// A squaring that changes nothing ends the squarings: once
+// base ⊗ base = base every higher power of base is base, and
+// result ⊗ P ⊗ P = result ⊗ P, so whatever exponent is left collapses to
+// a single multiply step (or to base itself while result is nil). Each
+// squaring with another one still to follow takes that verdict in-engine
+// (matmul.Pass.Vote: at most 2 rounds and 2(n-1) words, none when it
+// confirms the fixpoint); multiply steps and the last squaring end the
+// loop anyway and run bare. How many squarings that saves depends on
+// the input: the reflexive power is stable once its hop horizon covers
+// the hop-diameter, so graph.Path saves none and a dense random graph
+// most of them.
 type powerState struct {
 	e            int
 	base, result *matmul.Matrix
@@ -40,6 +52,9 @@ func (ps *powerState) harvest() error {
 	m := ps.pass.Sparse()
 	if ps.passIsSquare {
 		ps.base = m
+		if !ps.pass.Changed() {
+			ps.e = 1
+		}
 	} else {
 		ps.result = m
 	}
@@ -75,7 +90,8 @@ func (ps *powerState) next() (*matmul.Pass, error) {
 }
 
 // product starts the engine pass left ⊗ base: the squaring step when
-// left is base itself, the multiply step into result otherwise.
+// left is base itself (ps.e already holds the exponent left after it),
+// the multiply step into result otherwise.
 func (ps *powerState) product(left *matmul.Matrix, square bool) (*matmul.Pass, error) {
 	p, err := matmul.NewPass(left, ps.base, false)
 	if err != nil {
@@ -83,6 +99,9 @@ func (ps *powerState) product(left *matmul.Matrix, square bool) (*matmul.Pass, e
 	}
 	p.SetGatherer(ps.gather)
 	ps.pass, ps.passIsSquare = p, square
+	if square && ps.e > 1 {
+		p.Vote()
+	}
 	return p, nil
 }
 
@@ -110,9 +129,10 @@ func (ps *powerState) hint() int {
 func clampHops(h, n int) int { return max(0, min(h, n-1)) }
 
 // squaringExponent is the exponent of the square-until-stable kernels:
-// the smallest power of two >= n-1 (at least 1), so the power runs
-// ceil(log2(n-1)) squarings and never a multiply step. Overshooting
-// n-1 is harmless — the reflexive power has stabilized.
+// the smallest power of two >= n-1 (at least 1), so the power runs at
+// most ceil(log2(n-1)) squarings — fewer when one changes nothing, see
+// powerState — and never a multiply step. Overshooting n-1 is harmless
+// — the reflexive power has stabilized.
 func squaringExponent(n int) (int, error) {
 	e := 1
 	for e < n-1 {

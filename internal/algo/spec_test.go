@@ -32,8 +32,8 @@ func runPasses(t *testing.T, g *graph.CSR, k clique.Kernel) int {
 }
 
 // TestPowerSpecPassCounts pins the pass count of every powerKernel spec
-// on paths — the baseline ROADMAP item 3's pass-count cut has to move:
-// the squaring specs run exactly ceil(log2(n-1)) products and never a
+// on paths, where no squaring is a fixpoint and so none is skipped: the
+// squaring specs run exactly ceil(log2(n-1)) products and never a
 // multiply step, and hop-limited runs square-and-multiply's
 // floor(log2 h) + popcount(h) - 1 for the clamped bound. Every result
 // is checked against its sequential oracle in the same loop.

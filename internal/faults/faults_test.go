@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"reflect"
@@ -90,79 +91,121 @@ func TestCheckpointableCoverage(t *testing.T) {
 	}
 }
 
+// referenceRun is an uninterrupted, digest-recording run of a registered
+// kernel: what every crashed-and-resumed run is held to.
+type referenceRun struct {
+	result  any
+	stats   clique.Stats
+	digests []uint64
+}
+
+func runReference(t *testing.T, g *graph.CSR, name string) referenceRun {
+	t.Helper()
+	ref, err := clique.New(g, clique.WithDigests())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	k, err := clique.NewKernel(name, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Run(context.Background(), k); err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	return referenceRun{result: k.Result(), stats: ref.Stats(), digests: ref.Digests()}
+}
+
+// crashAndResume runs the named kernel with a checkpoint at every pass
+// boundary, kills pass crashPass with an injected handler fault in its
+// round 0 — so the newest checkpoint is the boundary right before it —
+// resumes a fresh kernel from that checkpoint on the surviving session,
+// and requires results, digest chain, and traffic accounting
+// bit-identical to the uninterrupted run.
+func crashAndResume(t *testing.T, g *graph.CSR, name string, crashPass int, ref referenceRun) {
+	t.Helper()
+	ctx := context.Background()
+	dir := t.TempDir()
+	sess, err := clique.New(g, clique.WithDigests(), clique.WithCheckpoint(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	kCrash, err := clique.NewKernel(name, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &faults.Plan{FailEnabled: true, FailNode: 0, FailPass: crashPass, FailRound: 0}
+	faults.Install(plan)
+	err = sess.Run(ctx, kCrash)
+	faults.Uninstall()
+	if !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("crash run error = %v, want injected fault", err)
+	}
+
+	kResume, err := clique.NewKernel(name, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := clique.CheckpointPath(dir, name)
+	if err := sess.Resume(ctx, kResume.(clique.Checkpointable), path); err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	if !resultsEqual(kResume.Result(), ref.result) {
+		t.Errorf("resumed result differs from uninterrupted run:\n resumed: %v\n reference: %v", kResume.Result(), ref.result)
+	}
+	if got := sess.Digests(); !reflect.DeepEqual(got, ref.digests) {
+		t.Errorf("resumed digest chain differs: got %d digests %v, want %d %v", len(got), got, len(ref.digests), ref.digests)
+	}
+	st := sess.Stats()
+	if st.Runs != ref.stats.Runs || st.Engine.Rounds != ref.stats.Engine.Rounds ||
+		st.Engine.TotalMsgs != ref.stats.Engine.TotalMsgs || st.Engine.TotalBytes != ref.stats.Engine.TotalBytes {
+		t.Errorf("resumed accounting differs: got %+v, want %+v", st, ref.stats)
+	}
+}
+
 // TestCrashResumeEquivalence is the headline robustness property: for
 // every registered Checkpointable kernel, a run killed by an injected
-// handler fault and resumed from its last checkpoint must produce
-// results and per-round replay digest chains bit-identical to an
-// uninterrupted run.
+// handler fault in its final pass and resumed from its last checkpoint
+// must produce results and per-round replay digest chains bit-identical
+// to an uninterrupted run.
 func TestCrashResumeEquivalence(t *testing.T) {
 	g := testGraph()
-	ctx := context.Background()
 	for _, name := range checkpointableKernels(t, g) {
 		t.Run(name, func(t *testing.T) {
-			// Uninterrupted reference run.
-			ref, err := clique.New(g, clique.WithDigests())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ref.Close()
-			kRef, err := clique.NewKernel(name, g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ref.Run(ctx, kRef); err != nil {
-				t.Fatalf("reference run: %v", err)
-			}
-			refDigests := ref.Digests()
-			refStats := ref.Stats()
-			passes := refStats.Runs
+			ref := runReference(t, g, name)
+			passes := ref.stats.Runs
 			if passes < 2 {
 				t.Fatalf("kernel %q completed in %d pass(es); crash/resume needs >= 2 — grow the fixture graph", name, passes)
 			}
-
-			// Interrupted run: checkpoint at every pass boundary, then
-			// kill the final pass with an injected handler fault.
-			dir := t.TempDir()
-			sess, err := clique.New(g, clique.WithDigests(), clique.WithCheckpoint(dir, 1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sess.Close()
-			kCrash, err := clique.NewKernel(name, g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plan := &faults.Plan{FailEnabled: true, FailNode: 0, FailPass: passes - 1, FailRound: 0}
-			faults.Install(plan)
-			err = sess.Run(ctx, kCrash)
-			faults.Uninstall()
-			if !errors.Is(err, faults.ErrInjected) {
-				t.Fatalf("crash run error = %v, want injected fault", err)
-			}
-
-			// Resume a fresh kernel from the checkpoint on the surviving
-			// session and require bit-identical results, digests, and
-			// traffic accounting.
-			kResume, err := clique.NewKernel(name, g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			path := clique.CheckpointPath(dir, name)
-			if err := sess.Resume(ctx, kResume.(clique.Checkpointable), path); err != nil {
-				t.Fatalf("Resume: %v", err)
-			}
-			if !resultsEqual(kResume.Result(), kRef.Result()) {
-				t.Errorf("resumed result differs from uninterrupted run:\n resumed: %v\n reference: %v", kResume.Result(), kRef.Result())
-			}
-			if got := sess.Digests(); !reflect.DeepEqual(got, refDigests) {
-				t.Errorf("resumed digest chain differs: got %d digests %v, want %d %v", len(got), got, len(refDigests), refDigests)
-			}
-			st := sess.Stats()
-			if st.Runs != refStats.Runs || st.Engine.Rounds != refStats.Engine.Rounds ||
-				st.Engine.TotalMsgs != refStats.Engine.TotalMsgs || st.Engine.TotalBytes != refStats.Engine.TotalBytes {
-				t.Errorf("resumed accounting differs: got %+v, want %+v", st, refStats)
-			}
+			crashAndResume(t, g, name, passes-1, ref)
 		})
+	}
+}
+
+// TestCrashAtEveryPassBoundary crashes the two kernels built on the
+// product loops after every pass boundary in turn. The loops leave at
+// the first product that changes nothing, and that verdict lives in the
+// pass that just ran, not in the checkpoint: the kernel has to fold it
+// into its state blob (a zeroed product budget, a collapsed exponent)
+// at the very boundary it is reached, or the resumed run would run on.
+// The fixture stops early in all three loops — hop products, relaxation
+// and squaring — so each of those boundaries is among the ones swept.
+func TestCrashAtEveryPassBoundary(t *testing.T) {
+	g := graph.RandomGNPWeighted(24, 0.4, 4, 42)
+	beta := hopset.DefaultBeta(g.N)
+	hopPasses := runReference(t, g, "hopset").stats.Runs
+	for name, allPasses := range map[string]int{"approx-ksource": 2 * beta, "apsp": 5} {
+		ref := runReference(t, g, name)
+		passes := ref.stats.Runs
+		if passes >= allPasses || hopPasses >= beta || (name == "approx-ksource" && passes-hopPasses >= beta) {
+			t.Fatalf("%s ran %d passes (%d hop products, β = %d); the fixture must stop every loop early", name, passes, hopPasses, beta)
+		}
+		for crashPass := 1; crashPass < passes; crashPass++ {
+			t.Run(fmt.Sprintf("%s/pass%d", name, crashPass), func(t *testing.T) {
+				crashAndResume(t, g, name, crashPass, ref)
+			})
+		}
 	}
 }
 

@@ -1,10 +1,12 @@
 package hopset
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"github.com/paper-repo-growth/doryp20/clique"
 	"github.com/paper-repo-growth/doryp20/internal/core"
 	"github.com/paper-repo-growth/doryp20/internal/engine"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
@@ -122,6 +124,55 @@ func TestConstructMatchesRef(t *testing.T) {
 		}
 		if g.NumEdges() > 0 && len(want.Hubs) > 0 && stats.TotalMsgs == 0 {
 			t.Fatalf("trial %d: distributed construction routed no messages", trial)
+		}
+	}
+}
+
+// TestConstructStopsAtTheFixpoint: the kernel leaves its hop-product
+// loop at the first product that changes no hub column, and the hopset
+// is still ConstructRef's — which always runs all β products — bit for
+// bit. How much that skips is the input's doing: on dense, lightly
+// weighted random graphs some of β, on a clique everything after the
+// first product and the one confirming it, on a path (unit or weighted)
+// nothing, because every one of the β products still pushes some hub's
+// column one hop further.
+func TestConstructStopsAtTheFixpoint(t *testing.T) {
+	const n = 26
+	beta := DefaultBeta(n)
+	for name, tc := range map[string]struct {
+		g          *graph.CSR
+		p          Params
+		minP, maxP int
+	}{
+		"gnp-all-hubs":  {graph.RandomGNPWeighted(n, 0.4, 4, 1), Params{HubRate: 1}, 2, beta - 1},
+		"gnp-sampled":   {graph.RandomGNPWeighted(n, 0.4, 4, 2), Params{Eps: 0.5, HubRate: 0.4, Seed: 9}, 2, beta - 1},
+		"gnp-default":   {graph.RandomGNPWeighted(n, 0.4, 4, 3), Params{Eps: 0.1}, 2, beta - 1},
+		"unit-path":     {graph.Path(n), Params{}, beta, beta},
+		"weighted-path": {graph.Path(n).WithUniformRandomWeights(5, 12), Params{Eps: 0.25}, beta, beta},
+		"clique":        {graph.Clique(n), Params{}, 2, 3},
+	} {
+		want, err := ConstructRef(tc.g, tc.p)
+		if err != nil {
+			t.Fatalf("%s: ConstructRef: %v", name, err)
+		}
+		s, err := clique.New(tc.g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := NewConstructKernel(tc.p)
+		err = s.Run(context.Background(), k)
+		passes := s.Stats().Runs
+		s.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := k.Hopset()
+		if got.Beta != beta || !reflect.DeepEqual(got.Hubs, want.Hubs) ||
+			!matEqual(got.Shortcuts, want.Shortcuts) || !matEqual(got.Base, want.Base) {
+			t.Errorf("%s: hopset differs from ConstructRef's %d products", name, beta)
+		}
+		if passes < tc.minP || passes > tc.maxP {
+			t.Errorf("%s: construction ran %d products, want %d..%d of β = %d", name, passes, tc.minP, tc.maxP, beta)
 		}
 	}
 }

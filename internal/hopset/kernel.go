@@ -12,10 +12,19 @@ import (
 
 // ConstructKernel computes a (β, ε)-hopset distributedly as a clique
 // session pipeline stage: after rounding the weights and sampling the
-// hub set locally (both deterministic given Params), it runs β
+// hub set locally (both deterministic given Params), it runs at most β
 // sparse-dense (min,+) products on the session engine — one engine
 // pass per hop, each product advancing every hub's distance column by
-// one hop — and harvests the shortcut star from the final columns.
+// one hop — and harvests the shortcut star from the final columns. A
+// product that changes no column ends the loop early: the columns are
+// then the unlimited-hop distances, which every later product would
+// return again, so the hopset is bit-identical to ConstructRef's (which
+// always runs all β). Each product but the β-th takes that verdict
+// in-engine (matmul.Pass.Vote: at most 2 rounds and 2(n-1) words, none
+// when it confirms the fixpoint). The saving is distance-sensitive by
+// design: the columns settle after about as many products as the
+// farthest hub-to-vertex shortest path has hops — nothing is skipped on
+// graph.Path, most of β on a dense random graph.
 // It is the stage the approximate shortest-path kernels in
 // internal/algo embed as their stage 1; run standalone (registry name
 // "hopset") its Result is the *Hopset.
@@ -27,7 +36,7 @@ type ConstructKernel struct {
 	hubs      []core.NodeID
 	cur       *matmul.Dense
 	pass      *matmul.Pass
-	remaining int
+	remaining int // products still allowed; zeroed by one that changes nothing
 	hs        *Hopset
 	gather    engine.Gatherer
 }
@@ -49,8 +58,8 @@ func NewConstructKernel(p Params) *ConstructKernel {
 func (k *ConstructKernel) Name() string { return "hopset" }
 
 // Nodes starts the construction on the first call, then returns one
-// limited-hop product pass per call until β products have run, and
-// finally harvests the shortcut matrix.
+// limited-hop product pass per call until β products have run or one
+// changed nothing, and finally harvests the shortcut matrix.
 func (k *ConstructKernel) Nodes(g *graph.CSR) ([]engine.Node, error) {
 	if k.stage == 0 {
 		if err := k.start(g); err != nil {
@@ -67,6 +76,9 @@ func (k *ConstructKernel) Nodes(g *graph.CSR) ([]engine.Node, error) {
 				return nil, err
 			}
 			pass.SetGatherer(k.gather)
+			if k.remaining > 1 {
+				pass.Vote()
+			}
 			k.pass = pass
 			return pass.Nodes(), nil
 		}
@@ -91,8 +103,11 @@ func (k *ConstructKernel) harvest() error {
 		return err
 	}
 	k.cur = k.pass.Dense()
-	k.pass = nil
 	k.remaining--
+	if !k.pass.Changed() {
+		k.remaining = 0
+	}
+	k.pass = nil
 	return nil
 }
 
@@ -146,7 +161,7 @@ func (k *ConstructKernel) Hopset() *Hopset { return k.hs }
 // running a ConstructKernel on a single-use clique session; callers
 // composing further stages (the point of hopsets) should run the
 // kernel on their own session instead. The returned stats are the
-// engine's accounting of the β limited-hop products.
+// engine's accounting of the limited-hop products.
 func Construct(g *graph.CSR, p Params, opts engine.Options) (*Hopset, *engine.Stats, error) {
 	s, err := clique.New(g, clique.WithEngineOptions(opts))
 	if err != nil {

@@ -226,6 +226,7 @@ type mulNode struct {
 	off    int           // words of packed already sent to each of reqs
 	cur    int           // index into aCols of the last source looked up
 	unpace bool
+	vote   *voter // non-nil on a pass asked to vote (Pass.Vote)
 }
 
 // lookupA returns A[v][src] for a data word from src, which exists
@@ -405,7 +406,17 @@ func (nd *mulNode) stream(ctx *engine.Ctx) error {
 	return nil
 }
 
+// Round runs the node's share of the product, and of the vote on a pass
+// asked for one.
 func (nd *mulNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message) error {
+	if nd.vote != nil {
+		return nd.vote.round(nd, ctx, r, inbox)
+	}
+	return nd.product(ctx, r, inbox)
+}
+
+// product is one round of the request/stream/accumulate protocol.
+func (nd *mulNode) product(ctx *engine.Ctx, r core.Round, inbox []engine.Message) error {
 	switch r {
 	case 0:
 		if i, ok := slices.BinarySearch(nd.aCols, ctx.ID()); ok {
@@ -439,6 +450,108 @@ func (nd *mulNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message) 
 	return nd.stream(ctx)
 }
 
+// voter is one node's part in the vote a pass takes on whether its
+// product equals its B operand — the question every product loop
+// x <- S ⊗ x asks to know it has reached its fixpoint (see Pass.Vote).
+// The vote is paid for in rounds and words like the product itself:
+//
+//	round F:   the round the bare pass falls silent in, so every row of
+//	           C is final. A node whose row of C differs from its row of
+//	           B sends one word to node 0; node 0, if its own row
+//	           differs, sends one word to every other node instead.
+//	round F+1: node 0, if it heard a ballot and has not spoken yet,
+//	           sends one word to every other node.
+//	by F+2:    every node that heard node 0 knows the product changed.
+//
+// Silence is the other verdict: when no row differs nobody sends, the
+// pass ends in round F exactly as the bare pass does, and no node's
+// changed is set. A voting pass therefore costs at most 2 rounds and
+// 2(n-1) words over the bare pass, and one that confirms a fixpoint
+// costs nothing.
+//
+// F follows from the widest packed row any node asked for: its owner
+// streams LinkMsgCap() words a round from round 1 on, and the last of
+// them is folded in one round after it is sent. Like the wire format's
+// value range, that width is a global of the operands every node is
+// taken to know before round 0 (docs/paper-map.md lists these).
+type voter struct {
+	widest  int        // words in the widest requested row; -1 if no node requests any
+	final   core.Round // F, fixed in round 0 from widest and the link cap
+	dense   bool       // B's row is bRow; bCols/bVals otherwise
+	bRow    []int64
+	bCols   []core.NodeID
+	bVals   []int64
+	ran     bool // this process executes the node
+	changed bool // this node knows the product differs from B
+}
+
+// round runs round r of the product and, from round F on, of the vote.
+func (vt *voter) round(nd *mulNode, ctx *engine.Ctx, r core.Round, inbox []engine.Message) error {
+	if r == 0 {
+		vt.ran = true
+		if vt.widest >= 0 {
+			per := ctx.LinkMsgCap()
+			if nd.unpace {
+				per = max(per, vt.widest)
+			}
+			vt.final = core.Round(1 + (vt.widest+per-1)/per)
+		}
+	}
+	if r <= vt.final {
+		if err := nd.product(ctx, r, inbox); err != nil {
+			return err
+		}
+		if r < vt.final || !vt.differs(nd.acc, nd.sr.Zero) {
+			return nil
+		}
+		vt.changed = true
+		if ctx.ID() != 0 {
+			return ctx.Send(0, 1)
+		}
+		return announce(ctx)
+	}
+	// Past F only the vote's own words flow: ballots into node 0, then
+	// its verdict out.
+	if len(inbox) == 0 || vt.changed {
+		return nil
+	}
+	vt.changed = true
+	if ctx.ID() != 0 {
+		return nil
+	}
+	return announce(ctx)
+}
+
+// announce is node 0 telling every other node the product changed.
+func announce(ctx *engine.Ctx) error {
+	for v := 1; v < ctx.NumNodes(); v++ {
+		if err := ctx.Send(core.NodeID(v), 1); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// differs reports whether the finished row acc of C is not this node's
+// row of B; entries a sparse row omits are zero.
+func (vt *voter) differs(acc []int64, zero int64) bool {
+	if vt.dense {
+		return !slices.Equal(acc, vt.bRow)
+	}
+	i := 0
+	for j, c := range acc {
+		want := zero
+		if i < len(vt.bCols) && int(vt.bCols[i]) == j {
+			want = vt.bVals[i]
+			i++
+		}
+		if c != want {
+			return true
+		}
+	}
+	return false
+}
+
 // Pass is one validated, packed distributed product C = A ⊗ B prepared
 // as a single engine pass: n mulNodes, node v holding row v of both
 // operands and accumulating row v of C. Kernels hand a Pass's Nodes to
@@ -451,8 +564,14 @@ type Pass struct {
 	sr      core.Semiring
 	maxRow  int
 	nodes   []engine.Node
+	state   []mulNode
 	accs    [][]int64
 	flat    []int64
+
+	// The B operand (one of the two is set), kept for Vote.
+	bSparse *Matrix
+	bDense  *Dense
+	voters  []voter
 
 	// gather synchronizes the accumulator slab across transport ranks
 	// at harvest time (nil for purely local runs); gathered makes
@@ -496,7 +615,9 @@ func NewPass(a, b *Matrix, unpaced bool) (*Pass, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newPass(a, wf.packRows(b.N, b.Row), a.N, wf, unpaced), nil
+	p := newPass(a, wf.packRows(b.N, b.Row), a.N, wf, unpaced)
+	p.bSparse = b
+	return p, nil
 }
 
 // NewDensePass validates and packs the sparse-dense product A ⊗ B with
@@ -521,7 +642,9 @@ func NewDensePass(a *Matrix, b *Dense, unpaced bool) (*Pass, error) {
 		}
 		return cols, vals
 	})
-	return newPass(a, packed, b.K, wf, unpaced), nil
+	p := newPass(a, packed, b.K, wf, unpaced)
+	p.bDense = b
+	return p, nil
 }
 
 // newPass wires n mulNodes (node v holding packed B-row packed[v] and a
@@ -546,11 +669,11 @@ func newPass(a *Matrix, packed [][]uint64, cols int, wf *wireFormat, unpaced boo
 		}
 	}
 	p.nodes = make([]engine.Node, n)
-	state := make([]mulNode, n)
+	p.state = make([]mulNode, n)
 	for v := 0; v < n; v++ {
 		aCols, aVals := a.Row(core.NodeID(v))
 		p.accs[v] = p.flat[v*cols : (v+1)*cols]
-		state[v] = mulNode{
+		p.state[v] = mulNode{
 			sr:     a.Sr,
 			wf:     wf,
 			aCols:  aCols,
@@ -559,7 +682,7 @@ func newPass(a *Matrix, packed [][]uint64, cols int, wf *wireFormat, unpaced boo
 			acc:    p.accs[v],
 			unpace: unpaced,
 		}
-		p.nodes[v] = &state[v]
+		p.nodes[v] = &p.state[v]
 	}
 	return p
 }
@@ -567,11 +690,75 @@ func newPass(a *Matrix, packed [][]uint64, cols int, wf *wireFormat, unpaced boo
 // Nodes returns the pass's node set for one engine run.
 func (p *Pass) Nodes() []engine.Node { return p.nodes }
 
+// Vote asks the pass to also decide, in-engine, whether its product
+// equals its B operand (see voter for the protocol and its cost); Changed
+// reports the verdict once the pass has quiesced. Call it before the
+// pass runs. The product loops of internal/algo and internal/hopset ask
+// for a vote on every product but one that ends the loop anyway; a pass
+// never asked runs exactly the bare product.
+func (p *Pass) Vote() {
+	widest := -1
+	asked := make([]bool, p.n)
+	for v := range p.state {
+		for _, k := range p.state[v].aCols {
+			asked[k] = asked[k] || int(k) != v
+		}
+	}
+	for k, ok := range asked {
+		if ok {
+			widest = max(widest, len(p.state[k].packed))
+		}
+	}
+	p.voters = make([]voter, p.n)
+	for v := range p.voters {
+		vt := &p.voters[v]
+		vt.widest = widest
+		if p.bDense != nil {
+			vt.dense, vt.bRow = true, p.bDense.Row(core.NodeID(v))
+		} else {
+			vt.bCols, vt.bVals = p.bSparse.Row(core.NodeID(v))
+		}
+		p.state[v].vote = vt
+	}
+}
+
+// Changed reports whether the product differs from its B operand, as
+// the nodes this process executed heard it in the pass's vote: every
+// node but node 0 hears node 0's verdict and node 0 knows its own, so
+// every rank of a multi-process clique reads the same answer off its
+// own nodes. A pass not asked to vote reports true. Call it only after
+// the pass has quiesced and Gather has run.
+func (p *Pass) Changed() bool {
+	if p.voters == nil {
+		return true
+	}
+	ran := false
+	for i := range p.voters {
+		if p.voters[i].changed {
+			return true
+		}
+		ran = ran || p.voters[i].ran
+	}
+	if ran {
+		return false
+	}
+	// A rank of a clique with more ranks than nodes executes no node: it
+	// is no party to the vote, and learns the outcome where it learns the
+	// product, from the gathered rows.
+	for v := range p.voters {
+		if p.voters[v].differs(p.accs[v], p.sr.Zero) {
+			return true
+		}
+	}
+	return false
+}
+
 // MaxRoundsHint sizes the round bound from the widest packed row: the
 // paced drain of that row takes ~len rounds at one word per link per
 // round, which for dense operands (K columns) can exceed the engine's
 // n-scaled 4n+64 default. Sizing from the actual data means legal
-// products never hit engine.ErrMaxRounds.
+// products never hit engine.ErrMaxRounds; the 4n+64 also covers a vote's
+// two rounds.
 func (p *Pass) MaxRoundsHint() int { return 4*p.n + 64 + p.maxRow }
 
 // Sparse assembles the accumulated result as a sparse Matrix. Call it

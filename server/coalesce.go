@@ -42,7 +42,7 @@ type queryOutcome struct {
 // single-source approximate queries into ceil(k/maxBatch) batched
 // kernel runs — k sources for the price of one pipeline, the
 // ApproxKSourceKernel's headline amortization. One coalescer exists
-// per (graph version, ε).
+// per (graph version, core.SigBitsFor(ε)).
 //
 // Protocol: every query appends itself to pending; the first query to
 // find no active leader becomes one. The leader sleeps the admission

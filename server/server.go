@@ -8,15 +8,15 @@
 //     clique.Session per loaded graph, serialized by a per-version
 //     lease because Sessions are not concurrency-safe, with engine
 //     workers and router slabs amortized across queries;
-//   - an admission coalescer per (graph, ε) (coalesce.go): concurrent
-//     single-source approximate queries ride one batched
-//     ApproxKSourceKernel run — k sources for the price of one
-//     pipeline;
-//   - a hopset-augmented adjacency cache per (graph, ε) (store.go):
+//   - an admission coalescer per (graph, core.SigBitsFor(ε))
+//     (coalesce.go): concurrent single-source approximate queries ride
+//     one batched ApproxKSourceKernel run — k sources for the price of
+//     one pipeline;
+//   - a hopset-augmented adjacency cache under the same key (store.go):
 //     after the first approximate query constructs the hopset, every
-//     later query runs a RelaxKernel over the cached augmented matrix
-//     and pays zero stage-1 rounds, bit-identical to the full
-//     pipeline.
+//     later query whose ε rounds weights to the same significant bits
+//     runs a RelaxKernel over the cached augmented matrix and pays zero
+//     stage-1 rounds, bit-identical to the full pipeline.
 //
 // Observability streams through clique.WithRoundHook into a
 // Prometheus-text /metrics endpoint (metrics.go), and /stats exposes
@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"time"
 
 	"github.com/paper-repo-growth/doryp20/clique"
@@ -379,12 +378,6 @@ func (s *Server) queryFailed(w http.ResponseWriter, err error) {
 	writeErr(w, status, "%v", err)
 }
 
-// epsKeyOf formats ε as the cache/coalescer key. Queries agreeing on
-// the formatted value share a hopset and an admission queue.
-func epsKeyOf(eps float64) string {
-	return strconv.FormatFloat(eps, 'g', -1, 64)
-}
-
 func (s *Server) handleApproxSSSP(w http.ResponseWriter, r *http.Request) {
 	e := s.store.get(r.PathValue("id"))
 	if e == nil {
@@ -413,7 +406,11 @@ func (s *Server) handleApproxSSSP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { s.metrics.observeQuery(kindApprox, time.Since(start)) }()
 
-	key := epsKeyOf(eps)
+	// The significant-bit count is all the construction reads of ε
+	// (hopset's weight rounding), so it is the cache and coalescer key:
+	// every ε that rounds alike shares one hopset and one admission
+	// queue. The response still echoes the caller's own ε.
+	key := core.SigBitsFor(eps)
 	c := e.coalescerFor(key, func() *coalescer {
 		return newCoalescer(s.opts.MaxBatch, s.opts.CoalesceWait, func(sources []core.NodeID) (*batchResult, error) {
 			return s.runApproxBatch(e, eps, key, sources)
@@ -501,7 +498,7 @@ func (s *Server) handleReachable(w http.ResponseWriter, r *http.Request) {
 // to per-source standalone Session runs, because the hopset is a
 // deterministic function of (graph, Params) and stage 2's dense
 // (min,+) products are column-independent.
-func (s *Server) runApproxBatch(e *graphEntry, eps float64, key string, sources []core.NodeID) (*batchResult, error) {
+func (s *Server) runApproxBatch(e *graphEntry, eps float64, key int, sources []core.NodeID) (*batchResult, error) {
 	l, err := s.pool.acquire(e.info.Version, e.g)
 	if err != nil {
 		return nil, err

@@ -11,8 +11,11 @@ import (
 	"testing"
 	"time"
 
+	"github.com/paper-repo-growth/doryp20/clique"
 	"github.com/paper-repo-growth/doryp20/internal/algo"
+	"github.com/paper-repo-growth/doryp20/internal/core"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
+	"github.com/paper-repo-growth/doryp20/internal/hopset"
 	"github.com/paper-repo-growth/doryp20/pkg/client"
 )
 
@@ -199,11 +202,33 @@ func TestHopsetCacheSteadyState(t *testing.T) {
 		t.Errorf("beta changed across cache: %d vs %d", second.Beta, first.Beta)
 	}
 
-	// Zero stage-1 work: the cached run spends exactly the stage-2
-	// relaxation products and nothing else.
-	wantPasses := algo.RelaxProducts(first.Beta, g.N)
-	if second.Passes != wantPasses {
-		t.Errorf("cached passes = %d, want exactly the %d stage-2 products", second.Passes, wantPasses)
+	// Zero stage-1 work: the cached run spends at most the stage-2
+	// relaxation products, and exactly what a standalone RelaxKernel
+	// spends on the same augmented matrix and source.
+	hs, err := hopset.ConstructRef(g, hopset.Params{Eps: eps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aug, err := hopset.Augment(hs.Base, hs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxPasses := algo.RelaxProducts(first.Beta, g.N)
+	relax := algo.NewRelaxKernel(aug, []core.NodeID{4}, maxPasses)
+	sess, err := clique.NewSize(g.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if err := sess.Run(ctx, relax); err != nil {
+		t.Fatal(err)
+	}
+	if st := sess.Stats(); second.Passes != st.Runs || second.Rounds != st.Engine.Rounds || second.Passes > maxPasses {
+		t.Errorf("cached passes/rounds = %d/%d, want the standalone relaxation's %d/%d (at most %d passes)",
+			second.Passes, second.Rounds, st.Runs, st.Engine.Rounds, maxPasses)
+	}
+	if !reflect.DeepEqual(second.Dist, relax.Dist()[0]) {
+		t.Error("cached fast path differs from a standalone relaxation over ConstructRef's hopset")
 	}
 	if second.Passes >= first.Passes {
 		t.Errorf("cached passes %d not cheaper than full pipeline %d", second.Passes, first.Passes)
@@ -231,6 +256,66 @@ func TestHopsetCacheSteadyState(t *testing.T) {
 	}
 	if other.CacheHit {
 		t.Error("different eps must not hit the eps=0.25 cache line")
+	}
+}
+
+// TestHopsetCacheSharedAcrossEps sweeps 1 000 distinct ε that all round
+// weights to the same significant bits (SigBitsFor = 3 on [0.26, 0.49]):
+// the sweep builds one hopset, shares one admission queue, echoes each
+// caller's own ε, and every answer is bit-identical to a fresh
+// standalone ε = 0.3 pipeline run.
+func TestHopsetCacheSharedAcrossEps(t *testing.T) {
+	srv, c := newTestDaemon(t, Options{})
+	ctx := context.Background()
+	g := graph.RandomGNPWeighted(32, 0.2, 40, 5)
+	id := upload(t, c, "sweep", g)
+
+	fresh := algo.NewApproxSSSPKernel(4, hopset.Params{Eps: 0.3})
+	sess, err := clique.New(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if err := sess.Run(ctx, fresh); err != nil {
+		t.Fatal(err)
+	}
+
+	const sweep = 1000
+	for i := 0; i < sweep; i++ {
+		eps := 0.26 + 0.23*float64(i)/(sweep-1)
+		if core.SigBitsFor(eps) != core.SigBitsFor(0.3) {
+			t.Fatalf("eps %v does not round like 0.3", eps)
+		}
+		resp, err := c.ApproxSSSP(ctx, id, 4, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Eps != eps {
+			t.Fatalf("response echoes eps %v, caller sent %v", resp.Eps, eps)
+		}
+		if resp.CacheHit != (i > 0) {
+			t.Fatalf("query %d (eps %v): cache hit = %v", i, eps, resp.CacheHit)
+		}
+		if !reflect.DeepEqual(resp.Dist, fresh.Dist()) {
+			t.Fatalf("query %d (eps %v) differs from a fresh eps = 0.3 run", i, eps)
+		}
+	}
+
+	e := srv.store.get(id)
+	l, err := srv.pool.acquire(e.info.Version, e.g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := len(e.hopsets)
+	l.release()
+	e.coalsMu.Lock()
+	queues := len(e.coals)
+	e.coalsMu.Unlock()
+	if entries != 1 || queues != 1 {
+		t.Errorf("sweep left %d hopset cache entries and %d coalescers, want 1 and 1", entries, queues)
+	}
+	if snap := srv.Metrics().Snapshot(); snap.CacheMisses != 1 || snap.CacheHits != sweep-1 {
+		t.Errorf("cache counters (hits=%d, misses=%d), want (%d, 1)", snap.CacheHits, snap.CacheMisses, sweep-1)
 	}
 }
 

@@ -18,12 +18,13 @@ type graphEntry struct {
 	info api.GraphInfo
 	g    *graph.CSR
 
-	// hopsets caches, per ε key, the hopset-augmented adjacency and
-	// the relaxation product count that make a RelaxKernel
-	// bit-identical to the full approximate pipeline. Guarded by the
-	// session pool's per-version serialization: it is only touched
-	// while holding the graph's lease.
-	hopsets map[string]*hopsetCache
+	// hopsets caches, per core.SigBitsFor(ε) — all the construction
+	// reads of ε — the hopset-augmented adjacency and the relaxation
+	// product bound that make a RelaxKernel bit-identical to the full
+	// approximate pipeline. Guarded by the session pool's per-version
+	// serialization: it is only touched while holding the graph's
+	// lease.
+	hopsets map[int]*hopsetCache
 
 	// closure caches the graph's full transitive closure after the
 	// first reachability query — reachability has no ε, so one line per
@@ -31,13 +32,14 @@ type graphEntry struct {
 	// the graph's session lease.
 	closure [][]bool
 
-	// coalsMu guards coals, the per-ε admission coalescers.
+	// coalsMu guards coals, the admission coalescers under the same key.
 	coalsMu sync.Mutex
-	coals   map[string]*coalescer
+	coals   map[int]*coalescer
 }
 
-// hopsetCache is the steady-state fast path for one (graph, ε): the
-// augmented (min,+) matrix and the product count of stage 2.
+// hopsetCache is the steady-state fast path for one (graph,
+// SigBitsFor(ε)): the augmented (min,+) matrix and the most products
+// stage 2 may run over it.
 type hopsetCache struct {
 	aug      *matmul.Matrix
 	beta     int
@@ -86,8 +88,8 @@ func (st *store) add(id string, g *graph.CSR) (*graphEntry, error) {
 			Edges: g.NumEdges(), Weighted: g.Weighted(),
 		},
 		g:       g,
-		hopsets: map[string]*hopsetCache{},
-		coals:   map[string]*coalescer{},
+		hopsets: map[int]*hopsetCache{},
+		coals:   map[int]*coalescer{},
 	}
 	st.byID[id] = e
 	return e, nil
@@ -123,15 +125,15 @@ func (st *store) list() []*graphEntry {
 	return es
 }
 
-// coalescerFor returns the admission coalescer of (e, epsKey),
+// coalescerFor returns the admission coalescer of (e, sigBits),
 // creating it with the given construction on first use.
-func (e *graphEntry) coalescerFor(epsKey string, make func() *coalescer) *coalescer {
+func (e *graphEntry) coalescerFor(sigBits int, make func() *coalescer) *coalescer {
 	e.coalsMu.Lock()
 	defer e.coalsMu.Unlock()
-	c, ok := e.coals[epsKey]
+	c, ok := e.coals[sigBits]
 	if !ok {
 		c = make()
-		e.coals[epsKey] = c
+		e.coals[sigBits] = c
 	}
 	return c
 }
