@@ -3,11 +3,16 @@ package algo
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"hash/fnv"
+	"math"
 	"testing"
 
 	"github.com/paper-repo-growth/doryp20/clique"
+	"github.com/paper-repo-growth/doryp20/internal/core"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
+	"github.com/paper-repo-growth/doryp20/internal/hopset"
+	"github.com/paper-repo-growth/doryp20/internal/matmul"
 )
 
 // TestGoldenTraffic pins every registered kernel's model-level cost and
@@ -85,4 +90,118 @@ func TestGoldenTraffic(t *testing.T) {
 			}
 		})
 	}
+
+	// The rows below were the committed BENCH_kernels/hopset/matmul.json
+	// baselines, which CI once re-measured and diffed at a 10% tolerance;
+	// here they are exact.
+	//
+	// Kernels on the instance ccbench -kernel runs: passes/rounds/words.
+	for _, row := range []struct {
+		name           string
+		n              int
+		passes, rounds int
+		words          uint64
+	}{
+		{"widest", 64, 6, 48, 121865},
+		{"widest-ksource", 64, 8, 47, 81677},
+		{"closure", 64, 3, 14, 23415},
+		{"mst", 64, 4, 11, 2592},
+		{"diameter-est", 64, 6, 42, 74352},
+		{"diameter-est-approx", 64, 11, 83, 46625},
+		{"widest", 256, 5, 97, 4870877},
+		{"widest-ksource", 256, 6, 85, 3131734},
+		{"closure", 256, 3, 24, 838408},
+		{"mst", 256, 4, 11, 39248},
+		{"diameter-est", 256, 6, 100, 3832204},
+		{"diameter-est-approx", 256, 12, 138, 1387271},
+	} {
+		t.Run(fmt.Sprintf("%s-%d", row.name, row.n), func(t *testing.T) {
+			g := graph.RandomGNP(row.n, 0.15, 1).WithUniformRandomWeights(2, 16)
+			k, err := clique.NewKernel(row.name, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := goldenStats(t, g, k)
+			if st.Runs != row.passes || st.Engine.Rounds != row.rounds || st.Engine.TotalMsgs != row.words {
+				t.Errorf("passes/rounds/words = %d/%d/%d, golden %d/%d/%d",
+					st.Runs, st.Engine.Rounds, st.Engine.TotalMsgs, row.passes, row.rounds, row.words)
+			}
+		})
+	}
+
+	// Exact APSP against hopset-based approximate SSSP on a sparse
+	// weighted G(n, 0.05), with β = 2⌈√n⌉ and ~1.5√n hubs: rounds/words.
+	for _, row := range []struct {
+		n                        int
+		apspRounds, approxRounds int
+		apspWords, approxWords   uint64
+	}{
+		{32, 34, 55, 6100, 1684},
+		{64, 47, 92, 102031, 25517},
+	} {
+		t.Run(fmt.Sprintf("apsp-vs-approx-sssp-%d", row.n), func(t *testing.T) {
+			g := graph.RandomGNPWeighted(row.n, 0.05, 32, 1)
+			rootN := math.Sqrt(float64(row.n))
+			params := hopset.Params{
+				Beta:    2 * int(math.Ceil(rootN)),
+				Eps:     0.5,
+				HubRate: math.Min(1, 1.5*rootN/float64(row.n)),
+				Seed:    7,
+			}
+			apsp := goldenStats(t, g, NewAPSPKernel()).Engine
+			approx := goldenStats(t, g, NewApproxSSSPKernel(0, params)).Engine
+			if apsp.Rounds != row.apspRounds || apsp.TotalMsgs != row.apspWords ||
+				approx.Rounds != row.approxRounds || approx.TotalMsgs != row.approxWords {
+				t.Errorf("apsp %d/%d, approx-sssp %d/%d rounds/words; golden %d/%d, %d/%d",
+					apsp.Rounds, apsp.TotalMsgs, approx.Rounds, approx.TotalMsgs,
+					row.apspRounds, row.apspWords, row.approxRounds, row.approxWords)
+			}
+		})
+	}
+
+	// One (min,+) squaring of a weighted G(n, 0.1): rounds/words/nnz_out.
+	for _, row := range []struct {
+		n, rounds int
+		words     uint64
+		nnzOut    int
+	}{
+		{32, 4, 291, 462},
+		{64, 5, 1342, 2398},
+	} {
+		t.Run(fmt.Sprintf("matmul-square-%d", row.n), func(t *testing.T) {
+			a, err := matmul.FromGraph(graph.RandomGNP(row.n, 0.1, 1).WithUniformRandomWeights(2, 32), core.MinPlus(), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := clique.NewSize(row.n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			k := matmul.NewMulKernel(a, a)
+			if err := s.Run(context.Background(), k); err != nil {
+				t.Fatal(err)
+			}
+			st := s.Stats().Engine
+			if st.Rounds != row.rounds || st.TotalMsgs != row.words || k.Product().NNZ() != row.nnzOut {
+				t.Errorf("rounds/words/nnz_out = %d/%d/%d, golden %d/%d/%d",
+					st.Rounds, st.TotalMsgs, k.Product().NNZ(), row.rounds, row.words, row.nnzOut)
+			}
+		})
+	}
+}
+
+// goldenStats runs k to completion on a fresh session over g and returns
+// the session's cumulative stats.
+func goldenStats(t *testing.T, g *graph.CSR, k clique.Kernel) clique.Stats {
+	t.Helper()
+	s, err := clique.New(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Run(context.Background(), k); err != nil {
+		t.Fatal(err)
+	}
+	return s.Stats()
 }
