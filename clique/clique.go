@@ -15,9 +15,6 @@
 // Kernels / NewKernel) that cmd/ccbench and the test suite iterate
 // uniformly; internal/algo, internal/hopset, and internal/matmul
 // register their kernels at init.
-//
-// The one-shot conveniences that remain (matmul.Mul, matmul.MulDense,
-// hopset.Construct) are thin wrappers over this API; see OneShot.
 package clique
 
 import (
@@ -46,7 +43,7 @@ type settings struct {
 }
 
 // Option configures a Session at New; see WithWorkers, WithBudget,
-// WithMaxRounds, WithRoundHook, and WithEngineOptions.
+// WithMaxRounds, WithRoundHook, WithTrace, and WithTransport.
 type Option func(*settings)
 
 // WithWorkers sets the engine's scheduler worker (and router shard)
@@ -103,16 +100,6 @@ func WithTrace(r *trace.Recorder) Option {
 // closes it on Close. See engine.Options.Transport.
 func WithTransport(tr engine.Transport) Option {
 	return func(s *settings) { s.eng.Transport = tr }
-}
-
-// WithEngineOptions replaces the session's engine options wholesale —
-// the bridge for legacy callers holding an engine.Options value.
-// Field-level options applied after it still win.
-func WithEngineOptions(o engine.Options) Option {
-	return func(s *settings) {
-		s.eng = o
-		s.explicitMaxRounds = o.MaxRounds != 0
-	}
 }
 
 // Stats is a session's cumulative accounting across every engine pass
@@ -353,23 +340,6 @@ func (s *Session) safeNodes(k Kernel) (nodes []engine.Node, err error) {
 		return nil, fmt.Errorf("clique: kernel %q: %w", k.Name(), err)
 	}
 	return nodes, nil
-}
-
-// OneShot runs kernel k to completion on s with a background context,
-// closes the session, and returns the session's cumulative engine
-// stats — the shared spine of the one-shot wrappers matmul.Mul,
-// matmul.MulDense, and hopset.Construct. The stats are nil only when no
-// engine pass executed before a failure (e.g. kernel input validation),
-// matching those functions' contract; a successful zero-pass run
-// returns non-nil zero stats.
-func OneShot(s *Session, k Kernel) (*engine.Stats, error) {
-	defer s.Close()
-	err := s.Run(context.Background(), k)
-	if err != nil && s.stats.Runs == 0 {
-		return nil, err
-	}
-	st := s.stats.Engine
-	return &st, err
 }
 
 // track folds one engine pass into the cumulative account.

@@ -1,36 +1,25 @@
-// ccbench runs the Congested Clique benchmark suite — the engine flood
-// workload, the matmul distance-product workload, the hopset workload
-// (exact APSP versus hopset-based approximate SSSP), and the
-// registered-kernels workload (the semiring-generalization kernels:
-// widest paths, transitive closure, MST, diameter estimation) — and
-// writes the machine-readable perf baselines tracked across PRs
-// (BENCH_engine.json, BENCH_matmul.json, BENCH_hopset.json,
-// BENCH_kernels.json; the kernels workload is opt-in via
-// -kernels-sizes). It also
-// fronts the clique kernel registry: -list prints every registered
-// kernel and -kernel runs one by name on a deterministic G(n,p)
-// instance through the session API.
+// ccbench fronts the clique kernel registry: -list prints every
+// registered kernel and -kernel runs one by name on a deterministic
+// weighted G(n, 0.15) instance through the session API, printing its
+// passes, rounds, words and wall time. The repository's benchmark is
+// benchmark/ (bash benchmark/run.sh); ccbench is the tool for running,
+// checkpointing, tracing and profiling one kernel.
 //
 // Usage:
 //
-//	ccbench [-o BENCH_engine.json] [-sizes 64,256,1024] [-rounds 32] [-fanout 64]
-//	        [-matmul-o BENCH_matmul.json] [-matmul-sizes 64,256] [-matmul-p 0.1]
-//	        [-hopset-o BENCH_hopset.json] [-hopset-sizes 64,256,1024] [-hopset-p 0.05]
-//	        [-kernels-o BENCH_kernels.json] [-kernels-sizes 64,256]
-//	        [-short]
 //	ccbench -list
 //	ccbench -kernel <name> [-kernel-n 64] [-kernel-o report.json]
 //	        [-checkpoint dir] [-ckpt-every k] [-resume file.ckpt]
 //	        [-transport mem|socket-tcp|socket-unix] [-ranks k]
 //	        [-progress] [-trace trace.json]
-//	ccbench [-cpuprofile cpu.pprof] [-memprofile mem.pprof] ...
+//	        [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
-// -trace writes a Chrome trace-event JSON timeline of the -kernel run
+// -trace writes a Chrome trace-event JSON timeline of the run
 // (per-round and per-phase spans plus kernel-pass spans; one process
 // lane per rank for a loopback cluster) for Perfetto or the tracestat
-// summarizer. -cpuprofile/-memprofile capture pprof profiles of any
-// invocation. -progress paints a live round/words/rate line on a
-// terminal stderr during -kernel runs and the -hopset-sizes workload.
+// summarizer. -cpuprofile/-memprofile capture pprof profiles of the
+// run. -progress paints a live round/words/rate line on a terminal
+// stderr.
 //
 // With a non-mem -transport, the -kernel run executes as a k-rank
 // loopback cluster of the selected socket transport — every rank its
@@ -44,9 +33,10 @@
 // partial -kernel-o report, and exits 0; a second SIGINT cancels hard.
 // -resume continues a run from a checkpoint file written that way.
 //
-// Unknown flags, stray positional arguments, and unknown kernel names
-// are an error: ccbench exits with status 2 and a diagnostic rather
-// than silently running defaults.
+// Unknown flags, stray positional arguments, unknown kernel names, and
+// an invocation with neither -list nor -kernel are an error: ccbench
+// exits with status 2 and a diagnostic rather than silently running
+// defaults.
 package main
 
 import (
@@ -58,7 +48,6 @@ import (
 	"os"
 	"os/signal"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -68,29 +57,11 @@ import (
 	"github.com/paper-repo-growth/doryp20/internal/graph"
 	"github.com/paper-repo-growth/doryp20/internal/trace"
 
-	// Register the algorithm kernels with the clique registry (the
-	// matmul kernels arrive through the bench import chain).
+	// Register the algorithm kernels with the clique registry; algo's
+	// own imports register matmul-square (internal/matmul) and hopset
+	// (internal/hopset).
 	_ "github.com/paper-repo-growth/doryp20/internal/algo"
 )
-
-// parseSizes parses a comma-separated clique size list. An empty (or
-// all-whitespace) list is valid and returns nil: it means "skip this
-// workload".
-func parseSizes(s string) ([]int, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	sizes := make([]int, 0, len(parts))
-	for _, p := range parts {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || n < 2 {
-			return nil, fmt.Errorf("invalid clique size %q", p)
-		}
-		sizes = append(sizes, n)
-	}
-	return sizes, nil
-}
 
 // kernelOpts carries the checkpoint/resume configuration of a -kernel
 // invocation.
@@ -350,24 +321,11 @@ func runKernelCluster(name string, n int, opt kernelOpts, stdout, stderr io.Writ
 	return 0
 }
 
-// run is the testable body of main: it parses args, runs both
-// workloads, and writes both reports, returning the process exit code.
+// run is the testable body of main: it parses args, runs the requested
+// mode, and returns the process exit code.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ccbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	out := fs.String("o", "BENCH_engine.json", "engine report output path")
-	sizesFlag := fs.String("sizes", "64,256,1024", "comma-separated clique sizes for the flood workload (empty skips it)")
-	rounds := fs.Int("rounds", 32, "send-rounds per flood configuration")
-	fanout := fs.Int("fanout", 64, "messages per node per round (clamped to n-1)")
-	matmulOut := fs.String("matmul-o", "BENCH_matmul.json", "matmul report output path")
-	matmulSizes := fs.String("matmul-sizes", "64,256", "comma-separated clique sizes for the distance-product workload (empty skips it)")
-	matmulP := fs.Float64("matmul-p", 0.1, "G(n,p) edge probability for the distance-product workload")
-	hopsetOut := fs.String("hopset-o", "BENCH_hopset.json", "hopset report output path")
-	hopsetSizes := fs.String("hopset-sizes", "64,256,1024", "comma-separated clique sizes for the hopset workload (empty skips it)")
-	hopsetP := fs.Float64("hopset-p", 0.05, "G(n,p) edge probability for the hopset workload")
-	kernelsOut := fs.String("kernels-o", "BENCH_kernels.json", "kernels report output path")
-	kernelsSizes := fs.String("kernels-sizes", "", "comma-separated clique sizes for the registered-kernels workload (empty skips it)")
-	short := fs.Bool("short", false, "smoke mode: tiny workloads for CI")
 	list := fs.Bool("list", false, "print the registered clique kernels and exit")
 	kernel := fs.String("kernel", "", "run one registered kernel by name through the session API and exit")
 	kernelN := fs.Int("kernel-n", 64, "clique size for -kernel")
@@ -377,9 +335,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	resume := fs.String("resume", "", "resume the -kernel run from this checkpoint file")
 	transport := fs.String("transport", "mem", "transport for the -kernel run: mem, socket-tcp, or socket-unix (loopback cluster)")
 	ranks := fs.Int("ranks", 2, "rank count for a non-mem -transport")
-	progress := fs.Bool("progress", false, "live rounds/words/rate line on stderr during -kernel and -hopset-sizes runs (TTY only)")
+	progress := fs.Bool("progress", false, "live rounds/words/rate line on stderr during the -kernel run (TTY only)")
 	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON timeline of the -kernel run (load in Perfetto or summarize with tracestat)")
-	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the whole invocation")
+	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the -kernel run")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile at exit")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -400,8 +358,39 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	// Profiling covers every mode — the -kernel session path and the
-	// workload benches alike (ROADMAP: profile the (min,+) inner loops).
+	if *kernel == "" {
+		switch {
+		case *ckptDir != "" || *resume != "" || *kernelOut != "" || *traceOut != "" || *progress:
+			fmt.Fprintln(stderr, "ccbench: -checkpoint/-resume/-kernel-o/-progress/-trace require -kernel")
+		case *transport != "mem":
+			fmt.Fprintln(stderr, "ccbench: -transport requires -kernel")
+		default:
+			fmt.Fprintln(stderr, "ccbench: nothing to run: pass -list or -kernel <name>")
+			fs.Usage()
+		}
+		return 2
+	}
+	if *kernelN < 1 {
+		fmt.Fprintf(stderr, "ccbench: -kernel-n %d must be >= 1\n", *kernelN)
+		return 2
+	}
+	if *ckptEvery < 1 {
+		fmt.Fprintf(stderr, "ccbench: -ckpt-every %d must be >= 1\n", *ckptEvery)
+		return 2
+	}
+	if *transport != "mem" {
+		// Checkpoints are written at engine round barriers of the
+		// local process; resuming a sharded cluster is ccnode-level
+		// snapshot territory, not the bench CLI's.
+		if *ckptDir != "" || *resume != "" {
+			fmt.Fprintln(stderr, "ccbench: -checkpoint/-resume require -transport mem")
+			return 2
+		}
+		if *ranks < 2 {
+			fmt.Fprintf(stderr, "ccbench: -ranks %d must be >= 2 for -transport %s\n", *ranks, *transport)
+			return 2
+		}
+	}
 	if *cpuprofile != "" {
 		stop, err := startCPUProfile(*cpuprofile)
 		if err != nil {
@@ -417,189 +406,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}()
 	}
-	if *kernel != "" {
-		if *kernelN < 1 {
-			fmt.Fprintf(stderr, "ccbench: -kernel-n %d must be >= 1\n", *kernelN)
-			return 2
-		}
-		if *ckptEvery < 1 {
-			fmt.Fprintf(stderr, "ccbench: -ckpt-every %d must be >= 1\n", *ckptEvery)
-			return 2
-		}
-		if *transport != "mem" {
-			// Checkpoints are written at engine round barriers of the
-			// local process; resuming a sharded cluster is ccnode-level
-			// snapshot territory, not the bench CLI's.
-			if *ckptDir != "" || *resume != "" {
-				fmt.Fprintln(stderr, "ccbench: -checkpoint/-resume require -transport mem")
-				return 2
-			}
-			if *ranks < 2 {
-				fmt.Fprintf(stderr, "ccbench: -ranks %d must be >= 2 for -transport %s\n", *ranks, *transport)
-				return 2
-			}
-		}
-		opt := kernelOpts{
-			ckptDir: *ckptDir, ckptEvery: *ckptEvery,
-			resume: *resume, out: *kernelOut, signals: true,
-			transport: *transport, ranks: *ranks, progress: *progress,
-			trace: *traceOut,
-		}
-		return runKernel(*kernel, *kernelN, opt, stdout, stderr)
+	opt := kernelOpts{
+		ckptDir: *ckptDir, ckptEvery: *ckptEvery,
+		resume: *resume, out: *kernelOut, signals: true,
+		transport: *transport, ranks: *ranks, progress: *progress,
+		trace: *traceOut,
 	}
-	if *ckptDir != "" || *resume != "" || *kernelOut != "" || *traceOut != "" {
-		fmt.Fprintln(stderr, "ccbench: -checkpoint/-resume/-kernel-o/-trace require -kernel")
-		return 2
-	}
-	if *transport != "mem" {
-		fmt.Fprintln(stderr, "ccbench: -transport requires -kernel")
-		return 2
-	}
-
-	if *short {
-		// Shrink only the knobs the user did not set explicitly.
-		set := map[string]bool{}
-		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		if !set["rounds"] {
-			*rounds = 4
-		}
-		if !set["fanout"] {
-			*fanout = 8
-		}
-		if !set["matmul-sizes"] {
-			*matmulSizes = "32,64"
-		}
-		if !set["hopset-sizes"] {
-			*hopsetSizes = "32,64"
-		}
-	}
-	sizes, err := parseSizes(*sizesFlag)
-	if err != nil {
-		fmt.Fprintln(stderr, "ccbench:", err)
-		return 2
-	}
-	msizes, err := parseSizes(*matmulSizes)
-	if err != nil {
-		fmt.Fprintln(stderr, "ccbench:", err)
-		return 2
-	}
-	if !(*matmulP > 0 && *matmulP <= 1) { // negated form also rejects NaN
-		fmt.Fprintf(stderr, "ccbench: -matmul-p %v outside (0, 1]\n", *matmulP)
-		return 2
-	}
-	hsizes, err := parseSizes(*hopsetSizes)
-	if err != nil {
-		fmt.Fprintln(stderr, "ccbench:", err)
-		return 2
-	}
-	if !(*hopsetP > 0 && *hopsetP <= 1) { // negated form also rejects NaN
-		fmt.Fprintf(stderr, "ccbench: -hopset-p %v outside (0, 1]\n", *hopsetP)
-		return 2
-	}
-	ksizes, err := parseSizes(*kernelsSizes)
-	if err != nil {
-		fmt.Fprintln(stderr, "ccbench:", err)
-		return 2
-	}
-	if *progress && len(hsizes) == 0 {
-		fmt.Fprintln(stderr, "ccbench: -progress requires -kernel or a -hopset-sizes workload")
-		return 2
-	}
-
-	if len(sizes) > 0 {
-		rep, err := bench.Run(sizes, *rounds, *fanout)
-		if err != nil {
-			fmt.Fprintln(stderr, "ccbench:", err)
-			return 1
-		}
-		if err := bench.WriteJSON(*out, rep); err != nil {
-			fmt.Fprintln(stderr, "ccbench:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "%-8s %-8s %-8s %-14s %-14s %-10s\n",
-			"n", "fanout", "rounds", "rounds/s", "msgs/s", "ns/msg")
-		for _, r := range rep.Results {
-			fmt.Fprintf(stdout, "%-8d %-8d %-8d %-14.0f %-14.0f %-10.2f\n",
-				r.N, r.Fanout, r.Rounds, r.RoundsPerSec, r.MsgsPerSec, r.NsPerMsg)
-		}
-		fmt.Fprintln(stdout, "wrote", *out)
-	}
-
-	if len(msizes) > 0 {
-		mrep, err := bench.RunMatmul(msizes, *matmulP, 1)
-		if err != nil {
-			fmt.Fprintln(stderr, "ccbench:", err)
-			return 1
-		}
-		if err := bench.WriteJSON(*matmulOut, mrep); err != nil {
-			fmt.Fprintln(stderr, "ccbench:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "%-8s %-8s %-10s %-10s %-8s %-12s %-10s\n",
-			"n", "p", "nnz_in", "nnz_out", "rounds", "msgs", "ns/msg")
-		for _, r := range mrep.Results {
-			fmt.Fprintf(stdout, "%-8d %-8.2f %-10d %-10d %-8d %-12d %-10.2f\n",
-				r.N, r.P, r.NNZIn, r.NNZOut, r.Rounds, r.Messages, r.NsPerMsg)
-		}
-		fmt.Fprintln(stdout, "wrote", *matmulOut)
-	}
-
-	if len(hsizes) > 0 {
-		// The hopset bench is the 13-minute one: -progress rides the
-		// per-round observer with a label naming the current stage.
-		var obs bench.HopsetObserver
-		var meter *progressMeter
-		if *progress {
-			if isTerminal(stderr) {
-				meter = newProgressMeter(stderr, 0)
-				obs = func(stage string, n int, rs engine.RoundStats) {
-					meter.setLabel(fmt.Sprintf("hopset n=%d %s", n, stage))
-					meter.hook(rs)
-				}
-			} else {
-				fmt.Fprintln(stderr, "ccbench: -progress disabled (stderr is not a terminal)")
-			}
-		}
-		hrep, err := bench.RunHopsetObserved(hsizes, *hopsetP, 1, obs)
-		if meter != nil {
-			meter.finish()
-		}
-		if err != nil {
-			fmt.Fprintln(stderr, "ccbench:", err)
-			return 1
-		}
-		if err := bench.WriteJSON(*hopsetOut, hrep); err != nil {
-			fmt.Fprintln(stderr, "ccbench:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "%-8s %-6s %-6s %-8s %-14s %-14s %-8s\n",
-			"n", "beta", "hubs", "eps", "exact_rounds", "approx_rounds", "ratio")
-		for _, r := range hrep.Results {
-			fmt.Fprintf(stdout, "%-8d %-6d %-6d %-8.2f %-14d %-14d %-8.3f\n",
-				r.N, r.Beta, r.Hubs, r.Eps, r.ExactRounds, r.ApproxRounds, r.RoundsRatio)
-		}
-		fmt.Fprintln(stdout, "wrote", *hopsetOut)
-	}
-
-	if len(ksizes) > 0 {
-		krep, err := bench.RunKernels(ksizes)
-		if err != nil {
-			fmt.Fprintln(stderr, "ccbench:", err)
-			return 1
-		}
-		if err := bench.WriteJSON(*kernelsOut, krep); err != nil {
-			fmt.Fprintln(stderr, "ccbench:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "%-22s %-8s %-8s %-8s %-10s %-10s\n",
-			"kernel", "n", "passes", "rounds", "msgs", "ns/msg")
-		for _, r := range krep.Results {
-			fmt.Fprintf(stdout, "%-22s %-8d %-8d %-8d %-10d %-10.2f\n",
-				r.Name, r.N, r.Passes, r.Rounds, r.Messages, r.NsPerMsg)
-		}
-		fmt.Fprintln(stdout, "wrote", *kernelsOut)
-	}
-	return 0
+	return runKernel(*kernel, *kernelN, opt, stdout, stderr)
 }
 
 func main() {

@@ -57,164 +57,50 @@ func TestStrayArgumentsExitNonZero(t *testing.T) {
 	}
 }
 
-func TestBadSizeExitsNonZero(t *testing.T) {
-	for _, args := range [][]string{
-		{"-sizes", "64,potato"},
-		{"-sizes", "1"},
-		{"-matmul-sizes", "0"},
-		{"-matmul-p", "1.5"},
-		{"-matmul-p", "NaN"},
-		{"-hopset-sizes", "1"},
-		{"-hopset-p", "0"},
-		{"-hopset-p", "NaN"},
-		{"-kernels-sizes", "1"},
-		{"-kernels-sizes", "64,potato"},
-	} {
-		code, _, stderr := runCC(t, args...)
-		if code != 2 {
-			t.Fatalf("args %v: exit code = %d, want 2 (stderr: %s)", args, code, stderr)
-		}
-	}
-}
-
-// TestShortRunWritesAllReports runs the full smoke path end to end and
-// checks all three artifacts land where pointed.
-func TestShortRunWritesAllReports(t *testing.T) {
+// TestBareRunExitsTwo: with neither -list nor -kernel there is nothing
+// to run, so ccbench prints usage and exits 2 without writing anything
+// into the working directory.
+func TestBareRunExitsTwo(t *testing.T) {
 	dir := t.TempDir()
-	engPath := filepath.Join(dir, "eng.json")
-	mmPath := filepath.Join(dir, "mm.json")
-	hsPath := filepath.Join(dir, "hs.json")
-	code, stdout, stderr := runCC(t,
-		"-short", "-sizes", "16,32", "-o", engPath, "-matmul-o", mmPath, "-hopset-o", hsPath)
-	if code != 0 {
-		t.Fatalf("exit code = %d, stderr:\n%s", code, stderr)
-	}
-	for _, p := range []string{engPath, mmPath, hsPath} {
-		if !strings.Contains(stdout, "wrote "+p) {
-			t.Errorf("stdout does not report writing %s:\n%s", p, stdout)
-		}
-	}
-}
-
-// TestHopsetReportBeatsExactRounds: what the hopset workload's report
-// must show at every measured size — approximate SSSP moves strictly
-// fewer words than exact APSP, and its share of exact APSP's rounds
-// falls as n grows. The ratio itself is above 1 at these sizes: with
-// several entries per wire word a squaring costs few rounds, while the
-// pipeline's ~2β passes each pay their fixed rounds (docs/paper-map.md
-// records the crossover), so "fewer rounds" is asserted as a trend, not
-// as a win at n=48.
-func TestHopsetReportBeatsExactRounds(t *testing.T) {
-	dir := t.TempDir()
-	hsPath := filepath.Join(dir, "hs.json")
-	code, _, stderr := runCC(t,
-		"-sizes", "", "-matmul-sizes", "", "-hopset-sizes", "48,96", "-hopset-o", hsPath)
-	if code != 0 {
-		t.Fatalf("exit code = %d, stderr:\n%s", code, stderr)
-	}
-	data, err := os.ReadFile(hsPath)
+	wd, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep struct {
-		Results []struct {
-			N            int     `json:"n"`
-			ExactRounds  int     `json:"exact_rounds"`
-			ExactMsgs    uint64  `json:"exact_msgs"`
-			ApproxRounds int     `json:"approx_rounds"`
-			ApproxMsgs   uint64  `json:"approx_msgs"`
-			RoundsRatio  float64 `json:"rounds_ratio"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
+	if err := os.Chdir(dir); err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Results) != 2 {
-		t.Fatalf("results = %+v, want 2 entries", rep.Results)
-	}
-	for i, r := range rep.Results {
-		if r.ApproxMsgs >= r.ExactMsgs {
-			t.Errorf("n=%d: approx %d words >= exact %d — hopset must win",
-				r.N, r.ApproxMsgs, r.ExactMsgs)
+	t.Cleanup(func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Errorf("restoring the working directory: %v", err)
 		}
-		if want := float64(r.ApproxRounds) / float64(r.ExactRounds); r.RoundsRatio <= 0 || r.RoundsRatio != want {
-			t.Errorf("n=%d: rounds_ratio = %v, want approx/exact = %d/%d", r.N, r.RoundsRatio, r.ApproxRounds, r.ExactRounds)
-		}
-		if i > 0 && r.RoundsRatio >= rep.Results[i-1].RoundsRatio {
-			t.Errorf("rounds_ratio %v at n=%d is not below %v at n=%d — the pipeline's round share must fall with n",
-				r.RoundsRatio, r.N, rep.Results[i-1].RoundsRatio, rep.Results[i-1].N)
-		}
+	})
+	code, stdout, stderr := runCC(t)
+	if code != 2 {
+		t.Fatalf("exit code = %d, want 2 (stdout: %s)", code, stdout)
 	}
-}
-
-// TestShortRespectsExplicitFlags: -short shrinks only the knobs the
-// user left at their defaults; an explicit -matmul-sizes wins.
-func TestShortRespectsExplicitFlags(t *testing.T) {
-	dir := t.TempDir()
-	mmPath := filepath.Join(dir, "mm.json")
-	code, _, stderr := runCC(t,
-		"-short", "-sizes", "16", "-matmul-sizes", "24", "-hopset-sizes", "",
-		"-o", filepath.Join(dir, "eng.json"), "-matmul-o", mmPath)
-	if code != 0 {
-		t.Fatalf("exit code = %d, stderr:\n%s", code, stderr)
+	if !strings.Contains(stderr, "Usage") || !strings.Contains(stderr, "-kernel") {
+		t.Fatalf("stderr lacks usage:\n%s", stderr)
 	}
-	data, err := os.ReadFile(mmPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Results []struct {
-			N int `json:"n"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Results) != 1 || rep.Results[0].N != 24 {
-		t.Fatalf("explicit -matmul-sizes 24 ignored under -short: %+v", rep.Results)
-	}
-}
-
-// TestEmptySizesSkipsWorkload: an empty size list means "skip that
-// workload" — here the flood runs alone and no matmul report is
-// written (so a tracked baseline cannot be clobbered by accident).
-func TestEmptySizesSkipsWorkload(t *testing.T) {
-	dir := t.TempDir()
-	engPath := filepath.Join(dir, "eng.json")
-	mmPath := filepath.Join(dir, "mm.json")
-	hsPath := filepath.Join(dir, "hs.json")
-	code, stdout, stderr := runCC(t,
-		"-short", "-sizes", "16", "-matmul-sizes", "", "-hopset-sizes", "",
-		"-o", engPath, "-matmul-o", mmPath, "-hopset-o", hsPath)
-	if code != 0 {
-		t.Fatalf("exit code = %d, stderr:\n%s", code, stderr)
-	}
-	if !strings.Contains(stdout, "wrote "+engPath) {
-		t.Fatalf("flood report not written:\n%s", stdout)
-	}
-	if _, err := os.Stat(mmPath); !os.IsNotExist(err) {
-		t.Fatalf("matmul report written despite empty -matmul-sizes (err=%v)", err)
-	}
-	if _, err := os.Stat(hsPath); !os.IsNotExist(err) {
-		t.Fatalf("hopset report written despite empty -hopset-sizes (err=%v)", err)
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("bare run left %v in the working directory (err=%v)", entries, err)
 	}
 }
 
 // TestListPrintsRegisteredKernels: -list must print every registered
-// kernel (one per line, sorted) and exit 0 without running benchmarks.
+// kernel (one per line, sorted) and exit 0 without running one.
 func TestListPrintsRegisteredKernels(t *testing.T) {
 	code, stdout, stderr := runCC(t, "-list")
 	if code != 0 {
 		t.Fatalf("exit code = %d, stderr:\n%s", code, stderr)
 	}
 	for _, want := range []string{"bfs", "bellman-ford", "apsp", "hop-limited", "ksource", "matmul-square",
-		"widest", "widest-ksource", "closure", "mst", "diameter-est", "diameter-est-approx"} {
+		"hopset", "widest", "widest-ksource", "closure", "mst", "diameter-est", "diameter-est-approx"} {
 		if !strings.Contains(stdout, want+"\n") {
 			t.Errorf("-list output lacks %q:\n%s", want, stdout)
 		}
 	}
 	if strings.Contains(stdout, "wrote") {
-		t.Errorf("-list ran a benchmark workload:\n%s", stdout)
+		t.Errorf("-list wrote a report:\n%s", stdout)
 	}
 }
 
@@ -242,53 +128,6 @@ func TestKernelRunsByName(t *testing.T) {
 	}
 }
 
-// TestKernelsReportWritten drives the opt-in registered-kernels
-// workload: one report entry per measured kernel per size, under the
-// kernels schema, with sane accounting.
-func TestKernelsReportWritten(t *testing.T) {
-	dir := t.TempDir()
-	kPath := filepath.Join(dir, "kernels.json")
-	code, stdout, stderr := runCC(t,
-		"-sizes", "", "-matmul-sizes", "", "-hopset-sizes", "",
-		"-kernels-sizes", "16", "-kernels-o", kPath)
-	if code != 0 {
-		t.Fatalf("exit code = %d, stderr:\n%s", code, stderr)
-	}
-	if !strings.Contains(stdout, "wrote "+kPath) {
-		t.Fatalf("stdout does not report writing %s:\n%s", kPath, stdout)
-	}
-	data, err := os.ReadFile(kPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Schema  string `json:"schema"`
-		Results []struct {
-			Name   string `json:"name"`
-			N      int    `json:"n"`
-			Rounds int    `json:"rounds"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Schema != "doryp20/bench-kernels/v1" {
-		t.Errorf("schema = %q", rep.Schema)
-	}
-	seen := map[string]bool{}
-	for _, r := range rep.Results {
-		if r.N != 16 || r.Rounds == 0 {
-			t.Errorf("implausible entry %+v", r)
-		}
-		seen[r.Name] = true
-	}
-	for _, want := range []string{"widest", "widest-ksource", "closure", "mst", "diameter-est", "diameter-est-approx"} {
-		if !seen[want] {
-			t.Errorf("report lacks kernel %q (got %v)", want, seen)
-		}
-	}
-}
-
 // TestUnknownKernelExitsTwo: an unregistered kernel name is a usage
 // error, exit 2, like other flag errors.
 func TestUnknownKernelExitsTwo(t *testing.T) {
@@ -305,8 +144,8 @@ func TestUnknownKernelExitsTwo(t *testing.T) {
 }
 
 func TestUnwritableOutputExitsOne(t *testing.T) {
-	code, _, stderr := runCC(t, "-short", "-sizes", "16",
-		"-o", filepath.Join(t.TempDir(), "no", "such", "dir.json"))
+	code, _, stderr := runCC(t, "-kernel", "bfs", "-kernel-n", "16",
+		"-kernel-o", filepath.Join(t.TempDir(), "no", "such", "dir.json"))
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1 (stderr: %s)", code, stderr)
 	}
@@ -349,7 +188,7 @@ func TestKernelCheckpointAndResume(t *testing.T) {
 // TestCheckpointFlagValidation pins the flag-combination errors around
 // -checkpoint / -resume.
 func TestCheckpointFlagValidation(t *testing.T) {
-	if code, _, _ := runCC(t, "-checkpoint", t.TempDir(), "-sizes", ""); code != 2 {
+	if code, _, _ := runCC(t, "-checkpoint", t.TempDir()); code != 2 {
 		t.Fatalf("-checkpoint without -kernel: code=%d, want 2", code)
 	}
 	if code, _, _ := runCC(t, "-kernel", "apsp", "-kernel-n", "8", "-ckpt-every", "0"); code != 2 {

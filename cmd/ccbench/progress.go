@@ -24,20 +24,9 @@ type progressMeter struct {
 	every time.Duration
 
 	mu     sync.Mutex
-	label  string
 	rounds int
 	words  uint64
 	last   time.Time
-}
-
-// setLabel prefixes subsequent repaints with a stage label — the
-// hopset workload names its current configuration and stage here
-// ("hopset n=256 approx-sssp") so the 13-minute bench shows where it
-// is, not just that it is moving.
-func (p *progressMeter) setLabel(label string) {
-	p.mu.Lock()
-	p.label = label
-	p.mu.Unlock()
 }
 
 // newProgressMeter returns a meter repainting to w at most every
@@ -78,12 +67,8 @@ func (p *progressMeter) paint(now time.Time, end string) {
 	if elapsed > 0 {
 		rate = float64(p.rounds) / elapsed
 	}
-	prefix := ""
-	if p.label != "" {
-		prefix = p.label + "  "
-	}
-	fmt.Fprintf(p.w, "\r\x1b[K%sround %-8d %12d words  %10.0f rounds/s%s",
-		prefix, p.rounds, p.words, rate, end)
+	fmt.Fprintf(p.w, "\r\x1b[Kround %-8d %12d words  %10.0f rounds/s%s",
+		p.rounds, p.words, rate, end)
 }
 
 // isTerminal reports whether w is a character device — the -progress

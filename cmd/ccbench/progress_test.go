@@ -68,46 +68,14 @@ func TestProgressAutoDisablesOffTTY(t *testing.T) {
 	}
 }
 
-// TestProgressRequiresWorkload checks the flag is rejected when
-// neither -kernel nor a -hopset-sizes workload would consume it.
-func TestProgressRequiresWorkload(t *testing.T) {
+// TestProgressRequiresKernel checks the flag is rejected without a
+// -kernel run to consume it.
+func TestProgressRequiresKernel(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	args := []string{"-progress", "-sizes", "", "-matmul-sizes", "", "-hopset-sizes", ""}
-	if code := run(args, &stdout, &stderr); code != 2 {
+	if code := run([]string{"-progress"}, &stdout, &stderr); code != 2 {
 		t.Fatalf("run exited %d, want 2", code)
 	}
-	if !strings.Contains(stderr.String(), "-progress requires") {
+	if !strings.Contains(stderr.String(), "-progress/-trace require -kernel") {
 		t.Errorf("missing diagnostic: %q", stderr.String())
-	}
-}
-
-// TestProgressHopsetAutoDisablesOffTTY: -progress is accepted for the
-// hopset workload (the long bench) and auto-disables off a terminal.
-func TestProgressHopsetAutoDisablesOffTTY(t *testing.T) {
-	dir := t.TempDir()
-	var stdout, stderr bytes.Buffer
-	args := []string{"-progress", "-sizes", "", "-matmul-sizes", "",
-		"-hopset-sizes", "16", "-hopset-o", dir + "/h.json"}
-	if code := run(args, &stdout, &stderr); code != 0 {
-		t.Fatalf("run exited %d: %s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "-progress disabled") {
-		t.Errorf("missing auto-disable note on non-TTY stderr: %q", stderr.String())
-	}
-	if strings.ContainsAny(stderr.String(), "\r\x1b") {
-		t.Errorf("control characters leaked to non-TTY stderr: %q", stderr.String())
-	}
-}
-
-// TestProgressMeterLabel: a stage label set via setLabel prefixes the
-// repainted line — the hopset workload names its current stage there.
-func TestProgressMeterLabel(t *testing.T) {
-	var buf bytes.Buffer
-	m := newProgressMeter(&buf, time.Nanosecond)
-	m.setLabel("hopset n=64 approx-sssp")
-	m.hook(engine.RoundStats{Msgs: 3})
-	m.finish()
-	if !strings.Contains(buf.String(), "hopset n=64 approx-sssp  round") {
-		t.Errorf("label missing from repaint: %q", buf.String())
 	}
 }

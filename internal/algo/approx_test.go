@@ -2,6 +2,7 @@ package algo
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -128,6 +129,12 @@ func TestApproxSSSPSampledHubs(t *testing.T) {
 // this test used to run: 91 against 64), and on a weighted path, where
 // nothing stops early and every product pays its vote, the crossover
 // sits near n = 512.
+//
+// Below the crossover the trend is asserted instead, in the sparse-hub
+// regime (β = 2⌈√n⌉, about 1.5√n hubs) on G(n, 0.12) with weights
+// 1..32: at n = 48 and 96 the approximate pipeline moves strictly fewer
+// words than exact APSP, and its rounds as a share of exact APSP's fall
+// as n doubles.
 func TestApproxSSSPUsesFewerRoundsThanAPSP(t *testing.T) {
 	g := graph.RandomGNPWeighted(256, 0.05, 20, 11)
 	exact := runKernel(t, g, NewAPSPKernel())
@@ -135,6 +142,30 @@ func TestApproxSSSPUsesFewerRoundsThanAPSP(t *testing.T) {
 	if approx.Rounds >= exact.Rounds || approx.TotalMsgs >= exact.TotalMsgs {
 		t.Fatalf("approx SSSP took %d rounds and %d words, exact APSP %d and %d — hopset bought nothing",
 			approx.Rounds, approx.TotalMsgs, exact.Rounds, exact.TotalMsgs)
+	}
+
+	prev := 0.0
+	for _, n := range []int{48, 96} {
+		g := graph.RandomGNPWeighted(n, 0.12, 32, 5)
+		rootN := math.Sqrt(float64(n))
+		params := hopset.Params{
+			Beta:    2 * int(math.Ceil(rootN)),
+			Eps:     0.5,
+			HubRate: math.Min(1, 1.5*rootN/float64(n)),
+			Seed:    7,
+		}
+		exact := runKernel(t, g, NewAPSPKernel())
+		approx := runKernel(t, g, NewApproxSSSPKernel(0, params))
+		if approx.TotalMsgs >= exact.TotalMsgs {
+			t.Errorf("n=%d: approx SSSP moved %d words, exact APSP %d — the hopset must win on words",
+				n, approx.TotalMsgs, exact.TotalMsgs)
+		}
+		ratio := float64(approx.Rounds) / float64(exact.Rounds)
+		if prev != 0 && ratio >= prev {
+			t.Errorf("n=%d: approx/exact rounds %d/%d = %.3f, not below %.3f at the smaller size",
+				n, approx.Rounds, exact.Rounds, ratio, prev)
+		}
+		prev = ratio
 	}
 }
 

@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"context"
 	"testing"
 
 	"github.com/paper-repo-growth/doryp20/clique"
@@ -9,18 +10,19 @@ import (
 )
 
 // runOn runs k to completion on a single-use session over g and returns
-// the session's cumulative engine stats (nil when the kernel failed
-// before any engine pass ran; see clique.OneShot).
-func runOn(g *graph.CSR, k clique.Kernel, opts ...clique.Option) (*engine.Stats, error) {
+// the session's cumulative engine stats.
+func runOn(g *graph.CSR, k clique.Kernel, opts ...clique.Option) (engine.Stats, error) {
 	s, err := clique.New(g, opts...)
 	if err != nil {
-		return nil, err
+		return engine.Stats{}, err
 	}
-	return clique.OneShot(s, k)
+	defer s.Close()
+	err = s.Run(context.Background(), k)
+	return s.Stats().Engine, err
 }
 
 // runKernel is runOn for runs that must succeed.
-func runKernel(t *testing.T, g *graph.CSR, k clique.Kernel) *engine.Stats {
+func runKernel(t *testing.T, g *graph.CSR, k clique.Kernel) engine.Stats {
 	t.Helper()
 	stats, err := runOn(g, k)
 	if err != nil {

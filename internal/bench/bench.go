@@ -1,7 +1,7 @@
-// Package bench drives reproducible throughput measurements of the
-// round engine and the matmul subsystem and emits machine-readable
-// results (BENCH_engine.json, BENCH_matmul.json), so every future PR
-// can compare against these baselines.
+// Package bench holds the two helpers every machine-readable report in
+// the repository shares: the host metadata a measurement is recorded
+// with (benchmark/) and the indented-JSON file writer (benchmark/,
+// cmd/ccbench -kernel-o, cmd/ccnode -o).
 package bench
 
 import (
@@ -9,10 +9,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"time"
-
-	"github.com/paper-repo-growth/doryp20/internal/core"
-	"github.com/paper-repo-growth/doryp20/internal/engine"
 )
 
 // Host records the machine a report was measured on. It is embedded in
@@ -37,9 +33,8 @@ func CurrentHost() Host {
 }
 
 // WriteJSON marshals v with indentation, appends a trailing newline,
-// and writes it to path — the one serialization used for every
-// BENCH_*.json artifact, factored out of cmd/ccbench so it is
-// unit-testable.
+// and writes it to path — the one serialization used for every report
+// file the commands write.
 func WriteJSON(path string, v any) error {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
@@ -50,133 +45,4 @@ func WriteJSON(path string, v any) error {
 		return fmt.Errorf("bench: %w", err)
 	}
 	return nil
-}
-
-// Result is one measured configuration.
-type Result struct {
-	Name string `json:"name"`
-	N    int    `json:"n"`
-	// Procs is the GOMAXPROCS the entry was measured at; 0 means the
-	// process default (the per-proc scaling entries pin it explicitly).
-	Procs        int     `json:"procs,omitempty"`
-	Fanout       int     `json:"fanout"`
-	Rounds       int     `json:"rounds"`
-	Messages     uint64  `json:"messages"`
-	Bytes        uint64  `json:"bytes"`
-	WallNs       int64   `json:"wall_ns"`
-	RoundsPerSec float64 `json:"rounds_per_sec"`
-	MsgsPerSec   float64 `json:"msgs_per_sec"`
-	NsPerMsg     float64 `json:"ns_per_msg"`
-}
-
-// Report is the serialized shape of BENCH_engine.json.
-type Report struct {
-	Schema string `json:"schema"`
-	Host
-	Results []Result `json:"results"`
-}
-
-// floodNode sends one word to each of its fanout ring successors every
-// round for a fixed number of rounds — a pure communication workload
-// that saturates the router without algorithmic noise.
-type floodNode struct {
-	n, fanout, rounds int
-}
-
-func (fn *floodNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message) error {
-	if int(r) >= fn.rounds {
-		return nil
-	}
-	id := int(ctx.ID())
-	for k := 1; k <= fn.fanout; k++ {
-		if err := ctx.Send(core.NodeID((id+k)%fn.n), uint64(id)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Flood runs the flood workload on an n-node clique for the given
-// number of send-rounds with the given per-node fanout.
-func Flood(n, rounds, fanout int) (Result, error) {
-	if fanout >= n {
-		fanout = n - 1
-	}
-	nodes := make([]engine.Node, n)
-	for i := range nodes {
-		nodes[i] = &floodNode{n: n, fanout: fanout, rounds: rounds}
-	}
-	stats, err := engine.RunOnce(nodes, engine.Options{MaxRounds: rounds + 2})
-	if err != nil {
-		return Result{}, fmt.Errorf("bench: flood n=%d: %w", n, err)
-	}
-	secs := stats.Wall.Seconds()
-	if secs <= 0 {
-		secs = float64(time.Nanosecond) / float64(time.Second)
-	}
-	res := Result{
-		Name:         "engine_flood",
-		N:            n,
-		Fanout:       fanout,
-		Rounds:       stats.Rounds,
-		Messages:     stats.TotalMsgs,
-		Bytes:        stats.TotalBytes,
-		WallNs:       stats.Wall.Nanoseconds(),
-		RoundsPerSec: float64(stats.Rounds) / secs,
-		MsgsPerSec:   float64(stats.TotalMsgs) / secs,
-	}
-	if stats.TotalMsgs > 0 {
-		res.NsPerMsg = float64(stats.Wall.Nanoseconds()) / float64(stats.TotalMsgs)
-	}
-	return res, nil
-}
-
-// FloodAtProcs runs the flood workload with GOMAXPROCS pinned to procs
-// for the duration of the run (restored afterwards), labeling the
-// result with the proc count — the per-proc scaling entries the CI
-// perf gate tracks so a parallelism regression in the engine or router
-// cannot hide behind the default-procs aggregate.
-func FloodAtProcs(n, rounds, fanout, procs int) (Result, error) {
-	prev := runtime.GOMAXPROCS(procs)
-	defer runtime.GOMAXPROCS(prev)
-	res, err := Flood(n, rounds, fanout)
-	if err != nil {
-		return Result{}, fmt.Errorf("bench: flood procs=%d: %w", procs, err)
-	}
-	res.Name = "engine_flood_procs"
-	res.Procs = procs
-	return res, nil
-}
-
-// ScalingProcs is the GOMAXPROCS ladder the per-proc flood entries
-// measure; the ladder is fixed (not clamped to the host CPU count) so
-// entries always line up with committed baselines.
-var ScalingProcs = []int{1, 2, 4}
-
-// Run measures the flood workload across the given clique sizes —
-// plus the per-proc scaling ladder at the largest size — and
-// assembles the report.
-func Run(sizes []int, rounds, fanout int) (*Report, error) {
-	rep := &Report{
-		Schema: "doryp20/bench/v1",
-		Host:   CurrentHost(),
-	}
-	for _, n := range sizes {
-		res, err := Flood(n, rounds, fanout)
-		if err != nil {
-			return nil, err
-		}
-		rep.Results = append(rep.Results, res)
-	}
-	if len(sizes) > 0 {
-		n := sizes[len(sizes)-1]
-		for _, procs := range ScalingProcs {
-			res, err := FloodAtProcs(n, rounds, fanout, procs)
-			if err != nil {
-				return nil, err
-			}
-			rep.Results = append(rep.Results, res)
-		}
-	}
-	return rep, nil
 }

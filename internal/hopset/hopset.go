@@ -20,8 +20,8 @@
 // β >= ceil((n-1)/β) — the default β = ceil(sqrt(n-1)) + 1 regime —
 // and with high probability over the sampling seed otherwise.
 //
-// Construct runs the products distributedly as a clique session kernel
-// (ConstructKernel, one engine pass per hop); ConstructRef is the
+// ConstructKernel runs the products distributedly as a clique session
+// kernel (one engine pass per hop); ConstructRef is the
 // sequential oracle. Augment merges the shortcuts into an adjacency
 // matrix via the entrywise (min,+) sum, yielding the matrix the
 // approximate shortest-path kernels in internal/algo relax over.
@@ -213,8 +213,8 @@ func assemble(p Params, hubs []core.NodeID, base *matmul.Matrix, d *matmul.Dense
 // ConstructRef is the sequential oracle for the hopset construction:
 // identical sampling and rounding, with the β limited-hop (min,+)
 // products computed by the sequential matmul references instead of
-// engine passes. Construct (the distributed kernel) must agree with it
-// bit for bit.
+// engine passes. ConstructKernel (the distributed construction) must
+// agree with it bit for bit.
 func ConstructRef(g *graph.CSR, p Params) (*Hopset, error) {
 	if g == nil {
 		return nil, fmt.Errorf("hopset: ConstructRef requires a graph")

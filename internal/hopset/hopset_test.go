@@ -82,6 +82,21 @@ func matEqual(a, b *matmul.Matrix) bool {
 		reflect.DeepEqual(a.Vals, b.Vals)
 }
 
+// construct runs a ConstructKernel with parameters p on a fresh session
+// over g and returns the hopset and the session's engine stats.
+func construct(g *graph.CSR, p Params) (*Hopset, engine.Stats, error) {
+	s, err := clique.New(g)
+	if err != nil {
+		return nil, engine.Stats{}, err
+	}
+	defer s.Close()
+	k := NewConstructKernel(p)
+	if err := s.Run(context.Background(), k); err != nil {
+		return nil, engine.Stats{}, err
+	}
+	return k.Hopset(), s.Stats().Engine, nil
+}
+
 // TestConstructMatchesRef: the distributed construction must agree bit
 // for bit with the sequential oracle — same hubs, same shortcut
 // matrix, same rounded base — across densities, epsilons, and hub
@@ -102,9 +117,9 @@ func TestConstructMatchesRef(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: ConstructRef: %v", trial, err)
 		}
-		got, stats, err := Construct(g, params, engine.Options{})
+		got, stats, err := construct(g, params)
 		if err != nil {
-			t.Fatalf("trial %d: Construct: %v", trial, err)
+			t.Fatalf("trial %d: ConstructKernel: %v", trial, err)
 		}
 		if got.Beta != want.Beta || got.Eps != want.Eps {
 			t.Fatalf("trial %d: params diverged: got (%d,%v), want (%d,%v)",
@@ -262,7 +277,7 @@ func TestConstructDegenerateInputs(t *testing.T) {
 		"edgeless": graph.RandomGNP(5, 0, 1).WithUnitWeights(),
 		"pair":     graph.Path(2).WithUniformRandomWeights(2, 9),
 	} {
-		hs, _, err := Construct(g, Params{}, engine.Options{})
+		hs, _, err := construct(g, Params{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -280,7 +295,7 @@ func TestConstructDegenerateInputs(t *testing.T) {
 // engine products.
 func TestNoHubsYieldsEmptyHopset(t *testing.T) {
 	g := graph.RandomGNPWeighted(12, 0.4, 9, 5)
-	hs, stats, err := Construct(g, Params{HubRate: 1e-12, Seed: 1}, engine.Options{})
+	hs, stats, err := construct(g, Params{HubRate: 1e-12, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

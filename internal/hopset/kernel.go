@@ -157,24 +157,6 @@ func (k *ConstructKernel) Result() any {
 // Hopset returns the typed result, nil before completion.
 func (k *ConstructKernel) Hopset() *Hopset { return k.hs }
 
-// Construct computes a (β, ε)-hopset of g on the round engine by
-// running a ConstructKernel on a single-use clique session; callers
-// composing further stages (the point of hopsets) should run the
-// kernel on their own session instead. The returned stats are the
-// engine's accounting of the limited-hop products.
-func Construct(g *graph.CSR, p Params, opts engine.Options) (*Hopset, *engine.Stats, error) {
-	s, err := clique.New(g, clique.WithEngineOptions(opts))
-	if err != nil {
-		return nil, nil, err
-	}
-	k := NewConstructKernel(p)
-	stats, err := clique.OneShot(s, k)
-	if err != nil {
-		return nil, stats, err
-	}
-	return k.Hopset(), stats, nil
-}
-
 // init registers the construction kernel so ccbench -kernel, the
 // degenerate-graph sweep, and the cancellation tests pick it up.
 func init() {

@@ -79,13 +79,12 @@ func (k *MulKernel) Product() *Matrix { return k.out }
 // n x k dense) as a clique session kernel; like MulKernel it carries
 // its operands and ignores the session graph.
 type MulDenseKernel struct {
-	a       *Matrix
-	b       *Dense
-	unpaced bool
-	pass    *Pass
-	out     *Dense
-	done    bool
-	gather  engine.Gatherer
+	a      *Matrix
+	b      *Dense
+	pass   *Pass
+	out    *Dense
+	done   bool
+	gather engine.Gatherer
 }
 
 // SetGatherer injects the session transport's all-gather so the
@@ -108,7 +107,7 @@ func (k *MulDenseKernel) Nodes(*graph.CSR) ([]engine.Node, error) {
 		return nil, nil
 	}
 	if k.pass == nil {
-		p, err := NewDensePass(k.a, k.b, k.unpaced)
+		p, err := NewDensePass(k.a, k.b, false)
 		if err != nil {
 			return nil, err
 		}

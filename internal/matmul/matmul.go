@@ -11,12 +11,13 @@
 //
 //   - MulRef / MulDenseRef: sequential references, used for
 //     verification.
-//   - Mul / MulDense: distributed execution on the round engine. Node v
-//     owns row v of both operands; the product is decomposed into a
-//     request round followed by budget-paced streaming rounds through
-//     the engine's sharded router (see mul.go), and the returned
-//     engine.Stats expose exactly how many rounds and messages the
-//     model charged.
+//   - Pass (NewPass / NewDensePass): distributed execution on the round
+//     engine. Node v owns row v of both operands; the product is
+//     decomposed into a request round followed by budget-paced
+//     streaming rounds through the engine's sharded router (see
+//     mul.go), and the engine's stats expose exactly how many rounds
+//     and messages the model charged. MulKernel / MulDenseKernel run
+//     one such pass as a clique session kernel.
 //
 // On top of it, internal/algo builds APSP by repeated squaring and
 // hop-limited distances — the substrate for the paper's hopset

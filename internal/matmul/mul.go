@@ -5,26 +5,9 @@ import (
 	"math/bits"
 	"slices"
 
-	"github.com/paper-repo-growth/doryp20/clique"
 	"github.com/paper-repo-growth/doryp20/internal/core"
 	"github.com/paper-repo-growth/doryp20/internal/engine"
 )
-
-// Options configures a distributed product.
-type Options struct {
-	// Engine configures the underlying round engine (workers, budget,
-	// MaxRounds). The zero value selects the engine defaults, including
-	// the canonical one-word-per-link budget.
-	Engine engine.Options
-	// Unpaced disables the pacing of response streams: each responder
-	// pushes its entire row to every requester within a single round.
-	// Any row larger than the per-link message cap then exceeds the
-	// bandwidth budget and the product fails with a
-	// *engine.BandwidthError. This mode exists to demonstrate (and
-	// regression-test) why the balanced multi-round schedule is
-	// necessary; real callers leave it off.
-	Unpaced bool
-}
 
 // The wire format packs several matrix entries into each Theta(log n)-bit
 // message word. An entry's value travels as an offset-coded field:
@@ -605,8 +588,12 @@ func (p *Pass) Gather() error {
 }
 
 // NewPass validates and packs the sparse product A ⊗ B. unpaced selects
-// the budget-violating single-round response mode used only to
-// regression-test the pacing (see Options.Unpaced).
+// a budget-violating mode in which each responder pushes its entire row
+// to every requester within a single round, so any row wider than the
+// per-link cap fails the pass with a *engine.BandwidthError. It exists
+// to show why the paced schedule is necessary
+// (TestUnpacedProductReturnsBandwidthError); every other caller passes
+// false.
 func NewPass(a, b *Matrix, unpaced bool) (*Pass, error) {
 	if err := checkPair(a.N, b.N, a.Sr, b.Sr); err != nil {
 		return nil, err
@@ -776,49 +763,4 @@ func (p *Pass) Sparse() *Matrix {
 // copy-free. Call it only after the pass's engine run has quiesced.
 func (p *Pass) Dense() *Dense {
 	return &Dense{N: p.n, K: p.cols, Sr: p.sr, Vals: p.flat}
-}
-
-// runKernel executes one matmul kernel on a throwaway graph-free
-// session sized n — the bridge that keeps the free-function entry
-// points as thin wrappers over the session API (see clique.OneShot for
-// the stats contract).
-func runKernel(n int, k clique.Kernel, eopts engine.Options) (*engine.Stats, error) {
-	s, err := clique.NewSize(n, clique.WithEngineOptions(eopts))
-	if err != nil {
-		return nil, err
-	}
-	return clique.OneShot(s, k)
-}
-
-// Mul computes the sparse product C = A ⊗ B on the round engine: n
-// clique nodes, node v holding row v of each operand, communicating
-// only bounded words through the sharded router under the per-link
-// budget. The returned stats are the engine's own accounting of the
-// product — rounds executed and words routed. Values of B must be
-// non-negative and max - min + 2 over its non-Zero, non-One values must
-// fit a 63 - ceil(log2 n) bit field (see wireFormat); the product fails
-// fast with a descriptive error otherwise. Mul is a thin wrapper over
-// running a MulKernel on a single-use clique session.
-func Mul(a, b *Matrix, opts Options) (*Matrix, *engine.Stats, error) {
-	k := &MulKernel{a: a, b: b, unpaced: opts.Unpaced}
-	stats, err := runKernel(a.N, k, opts.Engine)
-	if err != nil {
-		return nil, stats, err
-	}
-	return k.Product(), stats, nil
-}
-
-// MulDense computes the sparse-dense product C = A ⊗ B on the round
-// engine, with B and C n x k dense (k is typically a small set of
-// sources whose distance columns are being relaxed). Zero entries of B
-// are not transmitted; the others are offset-coded into a field of at
-// most 63 - ceil(log2 k) bits, as for Mul. MulDense is a thin wrapper over running
-// a MulDenseKernel on a single-use clique session.
-func MulDense(a *Matrix, b *Dense, opts Options) (*Dense, *engine.Stats, error) {
-	k := &MulDenseKernel{a: a, b: b, unpaced: opts.Unpaced}
-	stats, err := runKernel(a.N, k, opts.Engine)
-	if err != nil {
-		return nil, stats, err
-	}
-	return k.Product(), stats, nil
 }

@@ -1,13 +1,27 @@
 package matmul
 
 import (
+	"context"
 	"errors"
 	"testing"
 
+	"github.com/paper-repo-growth/doryp20/clique"
 	"github.com/paper-repo-growth/doryp20/internal/core"
 	"github.com/paper-repo-growth/doryp20/internal/engine"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
 )
+
+// runProduct runs one product kernel on a graph-free session of n nodes
+// and returns the session's engine stats.
+func runProduct(n int, k clique.Kernel, opts ...clique.Option) (engine.Stats, error) {
+	s, err := clique.NewSize(n, opts...)
+	if err != nil {
+		return engine.Stats{}, err
+	}
+	defer s.Close()
+	err = s.Run(context.Background(), k)
+	return s.Stats().Engine, err
+}
 
 func matricesEqual(t *testing.T, got, want *Matrix, label string) {
 	t.Helper()
@@ -43,14 +57,15 @@ func TestMulMatchesRef(t *testing.T) {
 				t.Fatalf("MulRef: %v", err)
 			}
 			for _, workers := range []int{1, 3, 8} {
-				got, stats, err := Mul(a, a, Options{Engine: engine.Options{Workers: workers}})
+				k := NewMulKernel(a, a)
+				stats, err := runProduct(a.N, k, clique.WithWorkers(workers))
 				if err != nil {
-					t.Fatalf("Mul(%s, g%d, w=%d): %v", sr.Name, gi, workers, err)
+					t.Fatalf("A*A (%s, g%d, w=%d): %v", sr.Name, gi, workers, err)
 				}
 				if stats.TotalMsgs == 0 && g.NumEdges() > 0 {
-					t.Fatalf("Mul(%s, g%d, w=%d): no messages routed for a non-empty graph", sr.Name, gi, workers)
+					t.Fatalf("A*A (%s, g%d, w=%d): no messages routed for a non-empty graph", sr.Name, gi, workers)
 				}
-				matricesEqual(t, got, want, sr.Name)
+				matricesEqual(t, k.Product(), want, sr.Name)
 			}
 		}
 	}
@@ -65,13 +80,13 @@ func TestMulSquaredMatchesRef(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FromGraph: %v", err)
 	}
-	a2, _, err := Mul(a, a, Options{})
-	if err != nil {
-		t.Fatalf("Mul(A, A): %v", err)
+	k2 := NewMulKernel(a, a)
+	if _, err := runProduct(a.N, k2); err != nil {
+		t.Fatalf("A*A: %v", err)
 	}
-	a4, _, err := Mul(a2, a2, Options{})
-	if err != nil {
-		t.Fatalf("Mul(A2, A2): %v", err)
+	k4 := NewMulKernel(k2.Product(), k2.Product())
+	if _, err := runProduct(a.N, k4); err != nil {
+		t.Fatalf("A2*A2: %v", err)
 	}
 	ref2, err := MulRef(a, a)
 	if err != nil {
@@ -81,7 +96,7 @@ func TestMulSquaredMatchesRef(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MulRef: %v", err)
 	}
-	matricesEqual(t, a4, ref4, "A^4")
+	matricesEqual(t, k4.Product(), ref4, "A^4")
 }
 
 // TestMulN256RoutesMessages is the acceptance check that a product at
@@ -98,9 +113,10 @@ func TestMulN256RoutesMessages(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FromGraph: %v", err)
 	}
-	c, stats, err := Mul(a, a, Options{})
+	k := NewMulKernel(a, a)
+	stats, err := runProduct(a.N, k)
 	if err != nil {
-		t.Fatalf("Mul: %v", err)
+		t.Fatalf("A*A: %v", err)
 	}
 	if stats.TotalMsgs == 0 {
 		t.Fatal("engine stats report zero routed messages for an n=256 product")
@@ -118,7 +134,7 @@ func TestMulN256RoutesMessages(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MulRef: %v", err)
 	}
-	matricesEqual(t, c, want, "n=256")
+	matricesEqual(t, k.Product(), want, "n=256")
 }
 
 // TestUnpacedProductReturnsBandwidthError is the regression test that a
@@ -134,14 +150,14 @@ func TestUnpacedProductReturnsBandwidthError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FromGraph: %v", err)
 	}
-	_, _, err = Mul(a, a, Options{Unpaced: true})
+	_, err = runProduct(a.N, &MulKernel{a: a, b: a, unpaced: true})
 	var bwe *engine.BandwidthError
 	if !errors.As(err, &bwe) {
-		t.Fatalf("unpaced Mul error = %v, want *engine.BandwidthError", err)
+		t.Fatalf("unpaced product error = %v, want *engine.BandwidthError", err)
 	}
 	// The paced path on the identical input must succeed.
-	if _, _, err := Mul(a, a, Options{}); err != nil {
-		t.Fatalf("paced Mul on same input: %v", err)
+	if _, err := runProduct(a.N, NewMulKernel(a, a)); err != nil {
+		t.Fatalf("paced product on same input: %v", err)
 	}
 }
 
@@ -158,20 +174,20 @@ func TestMulRejectsUnpackableValues(t *testing.T) {
 		return m
 	}
 	wide := single([]core.NodeID{1, 2}, []int64{1, 1 << 60})
-	if _, _, err := Mul(a, wide, Options{}); err == nil {
-		t.Fatal("Mul accepted a value range wider than the wire format")
+	if _, err := runProduct(a.N, NewMulKernel(a, wide)); err == nil {
+		t.Fatal("product accepted a value range wider than the wire format")
 	}
 	// A lone large value has range zero and packs into a 2-bit field.
 	big := single([]core.NodeID{1}, []int64{1 << 60})
-	got, _, err := Mul(a, big, Options{})
-	if err != nil {
-		t.Fatalf("Mul rejected a lone large value: %v", err)
+	k := NewMulKernel(a, big)
+	if _, err := runProduct(a.N, k); err != nil {
+		t.Fatalf("product rejected a lone large value: %v", err)
 	}
 	want, err := MulRef(a, big)
 	if err != nil {
 		t.Fatalf("MulRef: %v", err)
 	}
-	matricesEqual(t, got, want, "lone 1<<60")
+	matricesEqual(t, k.Product(), want, "lone 1<<60")
 }
 
 func TestMulDenseMatchesRef(t *testing.T) {
@@ -194,13 +210,15 @@ func TestMulDenseMatchesRef(t *testing.T) {
 			if err != nil {
 				t.Fatalf("MulDenseRef(%s): %v", sr.Name, err)
 			}
-			got, stats, err := MulDense(a, b, Options{})
+			dk := NewMulDenseKernel(a, b)
+			stats, err := runProduct(a.N, dk)
 			if err != nil {
-				t.Fatalf("MulDense(%s): %v", sr.Name, err)
+				t.Fatalf("A*B (%s): %v", sr.Name, err)
 			}
 			if stats.TotalMsgs == 0 {
-				t.Fatalf("MulDense(%s) routed no messages", sr.Name)
+				t.Fatalf("A*B (%s) routed no messages", sr.Name)
 			}
+			got := dk.Product()
 			for v := 0; v < a.N; v++ {
 				for j := 0; j < k; j++ {
 					if got.At(core.NodeID(v), j) != want.At(core.NodeID(v), j) {
@@ -232,10 +250,11 @@ func TestMulDenseWideOperand(t *testing.T) {
 	for j := 0; j < k; j++ {
 		b.Row(0)[j] = int64(1 + j%5)
 	}
-	got, _, err := MulDense(a, b, Options{})
-	if err != nil {
-		t.Fatalf("MulDense with wide dense operand: %v", err)
+	dk := NewMulDenseKernel(a, b)
+	if _, err := runProduct(a.N, dk); err != nil {
+		t.Fatalf("A*B with wide dense operand: %v", err)
 	}
+	got := dk.Product()
 	want, err := MulDenseRef(a, b)
 	if err != nil {
 		t.Fatalf("MulDenseRef: %v", err)
@@ -260,10 +279,11 @@ func TestMulDeterministic(t *testing.T) {
 	}
 	var first *Matrix
 	for _, workers := range []int{1, 2, 5, 16} {
-		c, _, err := Mul(a, a, Options{Engine: engine.Options{Workers: workers}})
-		if err != nil {
-			t.Fatalf("Mul(w=%d): %v", workers, err)
+		k := NewMulKernel(a, a)
+		if _, err := runProduct(a.N, k, clique.WithWorkers(workers)); err != nil {
+			t.Fatalf("A*A (w=%d): %v", workers, err)
 		}
+		c := k.Product()
 		if first == nil {
 			first = c
 			continue
@@ -280,23 +300,20 @@ func TestMulDeterministic(t *testing.T) {
 }
 
 // TestMulZeroDim is the regression test for the kernel completion
-// protocol on zero-node sessions: a 0 x 0 product must return a
-// non-nil empty matrix and non-nil stats, not (nil, nil, nil).
+// protocol on zero-node sessions: a 0 x 0 product must complete with a
+// non-nil empty product, not a nil one.
 func TestMulZeroDim(t *testing.T) {
 	sr := core.MinPlus()
 	a := Identity(0, sr)
-	c, stats, err := Mul(a, a, Options{})
-	if err != nil {
-		t.Fatalf("Mul(0x0): %v", err)
+	k := NewMulKernel(a, a)
+	if _, err := runProduct(0, k); err != nil {
+		t.Fatalf("0x0 A*A: %v", err)
 	}
-	if c == nil || c.N != 0 {
-		t.Fatalf("Mul(0x0) product = %v, want empty non-nil matrix", c)
+	if c := k.Product(); c == nil || c.N != 0 {
+		t.Fatalf("0x0 A*A product = %v, want empty non-nil matrix", c)
 	}
-	if stats == nil {
-		t.Fatal("Mul(0x0) returned nil stats")
-	}
-	d, stats, err := MulDense(a, NewDense(0, 0, sr), Options{})
-	if err != nil || d == nil || stats == nil {
-		t.Fatalf("MulDense(0x0) = (%v, %v, %v), want non-nil product and stats", d, stats, err)
+	dk := NewMulDenseKernel(a, NewDense(0, 0, sr))
+	if _, err := runProduct(0, dk); err != nil || dk.Product() == nil {
+		t.Fatalf("0x0 A*B = (%v, %v), want a non-nil product", dk.Product(), err)
 	}
 }
