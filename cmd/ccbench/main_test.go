@@ -57,6 +57,34 @@ func TestStrayArgumentsExitNonZero(t *testing.T) {
 	}
 }
 
+// TestBadSizeExitsNonZero: every numeric flag that survives the
+// workload flags' removal rejects an out-of-range or malformed value
+// with exit 2 instead of running.
+func TestBadSizeExitsNonZero(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"kernel-n_zero", []string{"-kernel", "bfs", "-kernel-n", "0"}},
+		{"kernel-n_negative", []string{"-kernel", "bfs", "-kernel-n", "-4"}},
+		{"kernel-n_malformed", []string{"-kernel", "bfs", "-kernel-n", "64,potato"}},
+		{"ckpt-every_zero", []string{"-kernel", "apsp", "-kernel-n", "8", "-ckpt-every", "0"}},
+		{"ckpt-every_malformed", []string{"-kernel", "apsp", "-kernel-n", "8", "-ckpt-every", "potato"}},
+		{"ranks_one", []string{"-kernel", "bfs", "-kernel-n", "8", "-transport", "socket-unix", "-ranks", "1"}},
+		{"ranks_malformed", []string{"-kernel", "bfs", "-kernel-n", "8", "-transport", "socket-unix", "-ranks", "two"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, stdout, stderr := runCC(t, tc.args...)
+			if code != 2 {
+				t.Fatalf("args %v: exit code = %d, want 2 (stderr: %s)", tc.args, code, stderr)
+			}
+			if strings.Contains(stdout, "rounds") {
+				t.Fatalf("args %v: ran a kernel despite the bad value:\n%s", tc.args, stdout)
+			}
+		})
+	}
+}
+
 // TestBareRunExitsTwo: with neither -list nor -kernel there is nothing
 // to run, so ccbench prints usage and exits 2 without writing anything
 // into the working directory.
@@ -125,6 +153,37 @@ func TestKernelRunsByName(t *testing.T) {
 		if code != 0 || !strings.Contains(stdout, name) {
 			t.Fatalf("-kernel %s: code=%d stdout:\n%s\nstderr:\n%s", name, code, stdout, stderr)
 		}
+	}
+}
+
+// TestKernelsReportWritten: each kernel the retired kernels, matmul
+// and hopset workloads measured still runs by name and writes a
+// -kernel-o report describing the run.
+func TestKernelsReportWritten(t *testing.T) {
+	for _, name := range []string{"widest", "widest-ksource", "closure", "mst",
+		"diameter-est", "diameter-est-approx", "matmul-square", "hopset"} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "kernel.json")
+			code, stdout, stderr := runCC(t, "-kernel", name, "-kernel-n", "16", "-kernel-o", path)
+			if code != 0 {
+				t.Fatalf("exit code = %d, stderr:\n%s", code, stderr)
+			}
+			if !strings.Contains(stdout, "wrote "+path) {
+				t.Fatalf("stdout does not report writing %s:\n%s", path, stdout)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var r kernelReport
+			if err := json.Unmarshal(data, &r); err != nil {
+				t.Fatalf("report does not parse: %v", err)
+			}
+			if r.Kernel != name || r.N != 16 || r.Stopped || r.Stats.Runs < 1 ||
+				r.Stats.Engine.Rounds == 0 || r.Stats.Engine.TotalMsgs == 0 {
+				t.Fatalf("implausible report: %+v", r)
+			}
+		})
 	}
 }
 

@@ -68,6 +68,41 @@ func TestProgressAutoDisablesOffTTY(t *testing.T) {
 	}
 }
 
+// TestProgressHopsetAutoDisablesOffTTY: -progress is accepted for the
+// hopset kernel (the longest pipeline) and auto-disables off a terminal.
+func TestProgressHopsetAutoDisablesOffTTY(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-kernel", "hopset", "-kernel-n", "16", "-progress"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("run exited %d: %s", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "-progress disabled") {
+		t.Errorf("missing auto-disable note on non-TTY stderr: %q", stderr.String())
+	}
+	if strings.ContainsAny(stderr.String(), "\r\x1b") {
+		t.Errorf("control characters leaked to non-TTY stderr: %q", stderr.String())
+	}
+}
+
+// TestProgressDisabledOnCluster: a loopback cluster run never paints
+// the meter (its ranks would interleave), whatever stderr is, and
+// still completes.
+func TestProgressDisabledOnCluster(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := []string{"-kernel", "bfs", "-kernel-n", "12", "-transport", "socket-unix", "-ranks", "2", "-progress"}
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("run exited %d: %s", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "ranks would interleave") {
+		t.Errorf("missing cluster auto-disable note: %q", stderr.String())
+	}
+	if strings.ContainsAny(stderr.String(), "\r\x1b") {
+		t.Errorf("control characters leaked to stderr: %q", stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "ranks agree") {
+		t.Errorf("cluster run output lacks the digest-agreement line:\n%s", stdout.String())
+	}
+}
+
 // TestProgressRequiresKernel checks the flag is rejected without a
 // -kernel run to consume it.
 func TestProgressRequiresKernel(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -41,5 +42,35 @@ func TestWriteJSON(t *testing.T) {
 	}
 	if err := WriteJSON(filepath.Join(path, "impossible", "x.json"), rep); err == nil {
 		t.Error("WriteJSON to an impossible path must fail")
+	}
+}
+
+// TestWriteJSONMarshalErrorWritesNothing: a value JSON cannot encode is
+// an error, and no partial file is left at the path.
+func TestWriteJSONMarshalErrorWritesNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.json")
+	if err := WriteJSON(path, map[string]any{"c": make(chan int)}); err == nil {
+		t.Fatal("WriteJSON of an unencodable value must fail")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("failed WriteJSON left a file behind (stat err=%v)", err)
+	}
+}
+
+// TestCurrentHost: the host metadata is the running process's own.
+func TestCurrentHost(t *testing.T) {
+	h := CurrentHost()
+	want := Host{
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		CPUs:       runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+	}
+	if h != want {
+		t.Errorf("CurrentHost() = %+v, want %+v", h, want)
+	}
+	if h.CPUs <= 0 || h.GOMAXPROCS <= 0 || h.GoVersion == "" {
+		t.Errorf("implausible host metadata: %+v", h)
 	}
 }
