@@ -28,7 +28,6 @@ import (
 
 	"github.com/paper-repo-growth/doryp20/internal/ckptio"
 	"github.com/paper-repo-growth/doryp20/internal/core"
-	"github.com/paper-repo-growth/doryp20/internal/engine"
 )
 
 // Checkpointable is a Kernel whose inter-pass state can be serialized
@@ -142,9 +141,11 @@ var checkpointWriteHook func(io.Writer) io.Writer
 func SetCheckpointWriteHook(h func(io.Writer) io.Writer) { checkpointWriteHook = h }
 
 // ckptMagic and ckptVersion stamp the session checkpoint file format.
+// Version 1 also carried an engine round-barrier snapshot that no
+// resume ever read; version 2 holds only what Resume applies.
 const (
 	ckptMagic   uint64 = 0x43434b50_30303146 // "CCKP001F"
-	ckptVersion uint64 = 1
+	ckptVersion uint64 = 2
 )
 
 // writeCheckpoint atomically persists the session + kernel state for
@@ -181,17 +182,9 @@ func (s *Session) writeCheckpoint(ck Checkpointable) error {
 
 // encodeCheckpoint writes the versioned checkpoint stream: header
 // (shape, kernel identity, pass cursor), session digests and stats,
-// the engine's round-barrier snapshot, the kernel's state blob, and
-// the integrity trailer.
+// the kernel's state blob, and the integrity trailer. A pass boundary
+// has no engine state worth keeping — the next pass starts at round 0.
 func (s *Session) encodeCheckpoint(w io.Writer, ck Checkpointable) error {
-	snap, err := s.eng.Snapshot()
-	if err != nil {
-		return err
-	}
-	var engBuf bytes.Buffer
-	if _, err := snap.WriteTo(&engBuf); err != nil {
-		return err
-	}
 	var kernBuf bytes.Buffer
 	if err := ck.SnapshotState(&kernBuf); err != nil {
 		return fmt.Errorf("kernel %q snapshot: %w", ck.Name(), err)
@@ -213,7 +206,6 @@ func (s *Session) encodeCheckpoint(w io.Writer, ck Checkpointable) error {
 	cw.U64(s.stats.Engine.TotalMsgs)
 	cw.U64(s.stats.Engine.TotalBytes)
 	cw.I64(int64(s.stats.Engine.Wall))
-	cw.Blob(engBuf.Bytes())
 	cw.Blob(kernBuf.Bytes())
 	cw.SumTrailer()
 	return cw.Err()
@@ -228,7 +220,6 @@ type decodedCheckpoint struct {
 	kernelPasses int
 	digests      []uint64
 	stats        Stats
-	engSnap      *engine.Snapshot
 	kernelState  []byte
 }
 
@@ -256,17 +247,11 @@ func decodeCheckpoint(r io.Reader) (*decodedCheckpoint, error) {
 	d.stats.Engine.TotalMsgs = cr.U64()
 	d.stats.Engine.TotalBytes = cr.U64()
 	d.stats.Engine.Wall = time.Duration(cr.I64())
-	engBlob := cr.Blob()
 	d.kernelState = cr.Blob()
 	cr.VerifySumTrailer()
 	if err := cr.Err(); err != nil {
 		return nil, fmt.Errorf("clique: reading checkpoint: %w", err)
 	}
-	snap, err := engine.ReadSnapshot(bytes.NewReader(engBlob))
-	if err != nil {
-		return nil, fmt.Errorf("clique: checkpoint engine snapshot: %w", err)
-	}
-	d.engSnap = snap
 	return d, nil
 }
 

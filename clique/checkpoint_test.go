@@ -178,6 +178,79 @@ func TestResumeRejectsCorruptFiles(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsVersion1Checkpoint pins the format bump: a
+// well-formed version-1 file — the layout that also carried an engine
+// snapshot blob ahead of the kernel state — fails Resume with an error
+// naming its version, leaves the session's Stats and Digests as they
+// were, and does not mark the kernel started.
+func TestResumeRejectsVersion1Checkpoint(t *testing.T) {
+	g := ckptGraph()
+	ctx := context.Background()
+	s, err := clique.New(g, clique.WithDigests())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ran, err := clique.NewKernel("apsp", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(ctx, ran); err != nil {
+		t.Fatal(err)
+	}
+	wantStats, wantDigests := s.Stats(), s.Digests()
+
+	var kernBuf bytes.Buffer
+	if err := ran.(clique.Checkpointable).SnapshotState(&kernBuf); err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	w := ckptio.NewWriter(&file)
+	w.U64(0x43434b50_30303146) // "CCKP001F"
+	w.U64(1)
+	b := core.DefaultBudget(g.N)
+	w.I64(int64(g.N))
+	w.I64(int64(b.BitsPerLink))
+	w.I64(int64(b.MsgBits))
+	w.String("apsp")
+	w.I64(1)
+	w.U64s(wantDigests)
+	w.I64(int64(wantStats.Runs))
+	w.I64(int64(wantStats.Kernels))
+	w.I64(int64(wantStats.Engine.Rounds))
+	w.U64(wantStats.Engine.TotalMsgs)
+	w.U64(wantStats.Engine.TotalBytes)
+	w.I64(int64(wantStats.Engine.Wall))
+	w.Blob(nil) // version 1's engine snapshot slot
+	w.Blob(kernBuf.Bytes())
+	w.SumTrailer()
+	if err := w.Err(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "apsp.ckpt")
+	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	k, err := clique.NewKernel("apsp", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = s.Resume(ctx, k.(clique.Checkpointable), path)
+	if err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("Resume of a version-1 checkpoint = %v, want an error naming version 1", err)
+	}
+	if got := s.Stats(); !reflect.DeepEqual(got, wantStats) {
+		t.Errorf("rejected resume moved Stats: %+v, want %+v", got, wantStats)
+	}
+	if got := s.Digests(); !reflect.DeepEqual(got, wantDigests) {
+		t.Errorf("rejected resume moved Digests: %v, want %v", got, wantDigests)
+	}
+	if err := s.Run(ctx, k); err != nil {
+		t.Fatalf("run after rejected resume: %v", err)
+	}
+}
+
 // TestCheckpointIgnoredForPlainKernels pins that WithCheckpoint leaves
 // kernels that do not implement Checkpointable entirely alone: the run
 // succeeds and no checkpoint file appears.

@@ -111,9 +111,7 @@ type Stats struct {
 	// Kernels counts kernels run to completion.
 	Kernels int
 	// Engine accumulates rounds, routed words, bytes, and wall time
-	// over all passes. PerRound is not aggregated — round numbers
-	// restart at zero each pass, so concatenating them would mislead;
-	// use LastRun or WithRoundHook for per-round detail.
+	// over all passes; use WithRoundHook for per-round detail.
 	Engine engine.Stats
 }
 
@@ -126,7 +124,6 @@ type Session struct {
 	eng               *engine.Engine
 	explicitMaxRounds bool
 	stats             Stats
-	last              *engine.Stats
 	tracer            *trace.Recorder
 	closed            bool
 
@@ -212,10 +209,6 @@ func (s *Session) Partition() (lo, hi int) { return s.eng.Partition() }
 // keeps growing semantics simple: it reflects everything executed so
 // far and is not invalidated by later runs.
 func (s *Session) Stats() Stats { return s.stats }
-
-// LastRun returns the full stats (including PerRound detail) of the
-// most recent engine pass, or nil if none has executed yet.
-func (s *Session) LastRun() *engine.Stats { return s.last }
 
 // Close releases the engine's worker goroutines. The session must not
 // be used afterwards; Close is idempotent.
@@ -347,7 +340,6 @@ func (s *Session) track(st *engine.Stats) {
 	if st == nil {
 		return
 	}
-	s.last = st
 	s.stats.Runs++
 	s.stats.Engine.Rounds += st.Rounds
 	s.stats.Engine.TotalMsgs += st.TotalMsgs

@@ -159,9 +159,6 @@ func TestRoundHookStreamsAcrossKernels(t *testing.T) {
 	if st := s.Stats(); hookRounds != st.Engine.Rounds {
 		t.Errorf("hook saw %d rounds, cumulative stats say %d", hookRounds, st.Engine.Rounds)
 	}
-	if s.LastRun() == nil || s.LastRun().Rounds == 0 {
-		t.Error("LastRun missing after kernels ran")
-	}
 }
 
 // TestSessionRejectsNilKernel and mismatched sessions.

@@ -379,9 +379,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if *transport != "mem" {
-		// Checkpoints are written at engine round barriers of the
-		// local process; resuming a sharded cluster is ccnode-level
-		// snapshot territory, not the bench CLI's.
+		// Checkpoints are written at pass boundaries by one local
+		// session; resuming a sharded cluster would need every rank's
+		// file restored in lockstep, which is not the bench CLI's job.
 		if *ckptDir != "" || *resume != "" {
 			fmt.Fprintln(stderr, "ccbench: -checkpoint/-resume require -transport mem")
 			return 2

@@ -81,6 +81,22 @@ func TestApproxExactModeMatchesBellmanFord(t *testing.T) {
 	}
 }
 
+// TestApproxTinyEpsIsExact: an eps whose reciprocal overflows float64
+// asks for near-exact rounding, so at the all-hubs rate the pipeline
+// must return Bellman-Ford exactly — not the 1-significant-bit grid an
+// overflowed SigBitsFor would have rounded every weight to.
+func TestApproxTinyEpsIsExact(t *testing.T) {
+	g := graph.RandomGNPWeighted(48, 0.15, 30, 7)
+	k := NewApproxSSSPKernel(0, hopset.Params{Eps: 5e-309, HubRate: 1})
+	runKernel(t, g, k)
+	dist, want := k.Dist(), BellmanFordRef(g, 0)
+	for v := range want {
+		if dist[v] != want[v] {
+			t.Errorf("eps=5e-309 dist[%d] = %d, want exact %d", v, dist[v], want[v])
+		}
+	}
+}
+
 // TestApproxKSourceWithinEps: the multi-source kernel must satisfy the
 // same sandwich per source row, on one warm session shared with the
 // construction stage.

@@ -6,6 +6,7 @@ import (
 
 	"github.com/paper-repo-growth/doryp20/clique"
 	"github.com/paper-repo-growth/doryp20/internal/core"
+	"github.com/paper-repo-growth/doryp20/internal/engine"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
 	"github.com/paper-repo-growth/doryp20/internal/matmul"
 )
@@ -42,7 +43,8 @@ func TestBooleanSquaringRoundBound(t *testing.T) {
 	if a.NNZ() != n*n {
 		t.Fatalf("operand has %d entries, want a full %d x %d", a.NNZ(), n, n)
 	}
-	s, err := clique.NewSize(n)
+	var perRound []engine.RoundStats
+	s, err := clique.NewSize(n, clique.WithRoundHook(func(rs engine.RoundStats) { perRound = append(perRound, rs) }))
 	if err != nil {
 		t.Fatalf("NewSize: %v", err)
 	}
@@ -54,11 +56,15 @@ func TestBooleanSquaringRoundBound(t *testing.T) {
 	if got := k.Product().NNZ(); got != n*n {
 		t.Fatalf("product has %d entries, want %d", got, n*n)
 	}
+	st := s.Stats()
+	if st.Runs != 1 {
+		t.Fatalf("squaring took %d engine passes, want 1", st.Runs)
+	}
 
 	linkCap := core.DefaultBudget(n).MsgsPerLink()
 	columnsPerWord := 63 - core.Log2Ceil(n) // one flag bit, then the start column
 	rowWords := (n + columnsPerWord - 1) / columnsPerWord
-	run := s.LastRun()
+	run := st.Engine
 	if bound := (rowWords+linkCap-1)/linkCap + 4; run.Rounds > bound {
 		t.Fatalf("full boolean squaring took %d rounds, want <= ceil(%d/%d)+4 = %d",
 			run.Rounds, n, columnsPerWord, bound)
@@ -66,7 +72,7 @@ func TestBooleanSquaringRoundBound(t *testing.T) {
 	// The router rejects any link over its cap with a BandwidthError,
 	// which Run would have returned; the per-round totals must agree.
 	links := uint64(n * (n - 1))
-	for _, rs := range run.PerRound {
+	for _, rs := range perRound {
 		if rs.Msgs > links*uint64(linkCap) {
 			t.Fatalf("round %d carried %d words over %d links of capacity %d", rs.Round, rs.Msgs, links, linkCap)
 		}

@@ -1,9 +1,9 @@
 // Package ckptio provides the primitive binary encoding layer shared by
-// every checkpoint and snapshot format in the repository: the engine's
-// round-barrier snapshots (internal/engine), the matrix state blobs of
-// the multi-pass kernels (internal/matmul, internal/algo,
-// internal/hopset), and the composite checkpoint files the clique
-// session writes (clique.WithCheckpoint).
+// every checkpoint and wire format in the repository: the matrix state
+// blobs of the multi-pass kernels (internal/matmul, internal/algo,
+// internal/hopset), the pass-boundary checkpoint files the clique
+// session writes (clique.WithCheckpoint), and the socket transport's
+// frames (internal/engine).
 //
 // The encoding is deliberately boring: fixed-width little-endian words,
 // length-prefixed slices and strings, one presence byte for optional
@@ -159,9 +159,8 @@ func (w *Writer) NodeIDs(vs []core.NodeID) {
 }
 
 // Blob writes a length-prefixed opaque byte blob — the container for
-// nested self-delimiting formats (an engine snapshot or kernel state
-// embedded inside a session checkpoint), keeping the outer digest over
-// every nested byte.
+// a nested self-delimiting format (a kernel's state embedded inside a
+// session checkpoint), keeping the outer digest over every nested byte.
 func (w *Writer) Blob(p []byte) {
 	w.U64(uint64(len(p)))
 	w.write(p, false)

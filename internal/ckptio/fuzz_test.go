@@ -10,8 +10,8 @@ import (
 // sticky Err (or a trailer mismatch), never as a panic, and the
 // length-prefixed decoders must never allocate proportionally to a
 // corrupt length claim — only to bytes actually present (the chunked
-// allocation discipline). The engine snapshot, kernel state blob, and
-// socket frame formats are all compositions of exactly these
+// allocation discipline). The session checkpoint, kernel state blob,
+// and socket frame formats are all compositions of exactly these
 // primitives, so this fuzzer is the torn-input backstop for all of
 // them.
 func FuzzDecode(f *testing.F) {

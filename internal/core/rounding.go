@@ -21,10 +21,16 @@ import (
 // each weight, and hence each path weight, by at most a (1+eps)
 // factor: s = 1 + ceil(log2(1/eps)), clamped to at least 1. eps = 0.5
 // gives 2 bits, eps = 0.1 gives 5. eps <= 0 returns 0, the "no
-// rounding, exact" sentinel accepted by RoundUpSig.
+// rounding, exact" sentinel accepted by RoundUpSig. eps below 2^-62
+// returns 64, at which RoundUpSig leaves every int64 weight unchanged;
+// the check comes before 1/eps, which overflows to +Inf for the
+// smallest positive eps.
 func SigBitsFor(eps float64) int {
 	if eps <= 0 || math.IsNaN(eps) {
 		return 0
+	}
+	if eps < 0x1p-62 {
+		return 64
 	}
 	s := 1 + int(math.Ceil(math.Log2(1/eps)))
 	if s < 1 {

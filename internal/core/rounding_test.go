@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -20,6 +21,26 @@ func TestSigBitsFor(t *testing.T) {
 		if got := SigBitsFor(c.eps); got != c.want {
 			t.Errorf("SigBitsFor(%v) = %d, want %d", c.eps, got, c.want)
 		}
+	}
+}
+
+// TestSigBitsForTinyEps: an eps so small that 1/eps overflows (or close
+// to it) asks for near-exact rounding, so it must map to at least 63
+// significant bits — enough that RoundUpSig leaves every weight as is —
+// never to the 1-bit coarsest grid an overflowed log would clamp to.
+func TestSigBitsForTinyEps(t *testing.T) {
+	for _, eps := range []float64{5e-324, 1e-310, 5e-309, 0x1p-63, 1e-300} {
+		t.Run(fmt.Sprint(eps), func(t *testing.T) {
+			s := SigBitsFor(eps)
+			if s < 63 {
+				t.Fatalf("SigBitsFor(%v) = %d, want >= 63", eps, s)
+			}
+			for _, w := range []int64{1, 3, 1 << 40, InfWeight - 1} {
+				if got := RoundUpSig(w, s); got != w {
+					t.Errorf("RoundUpSig(%d, SigBitsFor(%v) = %d) = %d, want it unchanged", w, eps, s, got)
+				}
+			}
+		})
 	}
 }
 

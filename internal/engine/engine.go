@@ -4,8 +4,8 @@
 // fixed pool of persistent worker goroutines with a barrier between
 // rounds, routes messages through a double-buffered, zero-allocation
 // router that writes each word once (see router.go), enforces the
-// model's O(log n)-bit per-link bandwidth budget, and collects per-round
-// stats.
+// model's O(log n)-bit per-link bandwidth budget, and streams per-round
+// stats to an optional hook.
 //
 // An Engine is reusable: New sizes it for a clique of n nodes, each
 // Run(ctx, nodes) executes one node set to quiescence, and the worker
@@ -30,6 +30,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/paper-repo-growth/doryp20/internal/ckptio"
 	"github.com/paper-repo-growth/doryp20/internal/core"
 	"github.com/paper-repo-growth/doryp20/internal/trace"
 )
@@ -64,16 +65,15 @@ type Options struct {
 	// loop after every executed round (including the final quiet one)
 	// with that round's stats — the streaming-observability tap the
 	// clique session API exposes via WithRoundHook. It must not call
-	// back into the engine, with one sanctioned exception: Snapshot,
-	// which is exactly a round-barrier operation (the hook runs at the
-	// barrier). A panicking hook does not wedge the run: the panic is
-	// recovered and surfaced as the run's error (ErrRoundHookPanic).
+	// back into the engine. A panicking hook does not wedge the run: the
+	// panic is recovered and surfaced as the run's error
+	// (ErrRoundHookPanic).
 	RoundHook func(RoundStats)
 	// RecordDigests enables deterministic-replay verification: after
 	// every round the engine folds the freshly scattered inbox bank —
 	// every (destination, source, payload) triple in the router's
 	// deterministic delivery order — into a chained per-round FNV-1a
-	// digest, exposed via RoundStats.Digest and carried by Snapshot.
+	// digest, exposed via RoundStats.Digest and Engine.Digests.
 	// Two runs are bit-identical exactly when their digest sequences
 	// match. Off by default: the round loop then pays a single branch
 	// and never touches the delivered messages.
@@ -181,7 +181,6 @@ type Stats struct {
 	TotalMsgs  uint64
 	TotalBytes uint64
 	Wall       time.Duration
-	PerRound   []RoundStats
 }
 
 // workerCmd sequences the two parallel phases of a round.
@@ -232,15 +231,6 @@ type Engine struct {
 	// digests[r] summarizes rounds 0..r, lastDigest is the chain head.
 	digests    []uint64
 	lastDigest uint64
-	// Restore state armed by RestoreSnapshot and consumed by the next
-	// RunBounded, which then continues from e.round instead of
-	// rewinding to round 0.
-	resumed       bool
-	restoredStats Stats
-	// curStats mirrors the current run's cumulative totals (PerRound
-	// excluded) at the last completed round barrier, so Snapshot can
-	// carry them without reaching into RunBounded's locals.
-	curStats Stats
 }
 
 // New builds an engine for a clique of n nodes after validating opts.
@@ -319,6 +309,16 @@ func (e *Engine) Partition() (lo, hi int) { return e.partLo, e.partHi }
 
 // NumNodes returns the clique size the engine was built for.
 func (e *Engine) NumNodes() int { return e.n }
+
+// Digests returns a copy of the chained per-round replay digests of the
+// current (or most recent) run; empty unless Options.RecordDigests.
+func (e *Engine) Digests() []uint64 { return append([]uint64(nil), e.digests...) }
+
+// Budget returns the per-link bandwidth budget the engine enforces
+// (after defaulting) — checkpoint headers record it so a resume onto a
+// differently-budgeted session is rejected instead of silently
+// replaying a different schedule.
+func (e *Engine) Budget() core.Budget { return e.opts.Budget }
 
 // start spawns the persistent workers: one buffered command channel
 // each, a shared WaitGroup as the phase barrier. No goroutine spawns
@@ -421,6 +421,20 @@ func (e *Engine) callRoundHook(rs RoundStats) (err error) {
 	return nil
 }
 
+// digestSeed is the initial value of the per-run replay digest chain.
+const digestSeed = ckptio.FNVOffset
+
+// fnv1aWord folds one 64-bit word into a running FNV-1a hash,
+// little-endian byte order, without allocating.
+func fnv1aWord(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= v & 0xff
+		h *= 1099511628211
+		v >>= 8
+	}
+	return h
+}
+
 // foldInboxDigest chains the freshly scattered inbox bank into the
 // replay digest: for every destination in ID order, the destination,
 // its message count, and each (source, payload) pair in the router's
@@ -461,13 +475,6 @@ func (e *Engine) Run(ctx context.Context, nodes []Node) (*Stats, error) {
 // Options.MaxRounds for this run only (kernels with wide streaming
 // phases raise it via the clique session's MaxRoundsHint protocol);
 // maxRounds <= 0 keeps the configured value.
-//
-// When the engine was primed by RestoreSnapshot, the next RunBounded
-// continues the restored run instead of starting fresh: rounds resume
-// from the snapshot's round number against the snapshot's inbox bank,
-// the bound is interpreted as an absolute round number (so a resumed
-// run gets exactly the rounds the uninterrupted one had left), and the
-// returned Stats carry the snapshot's cumulative totals forward.
 func (e *Engine) RunBounded(ctx context.Context, nodes []Node, maxRounds int) (*Stats, error) {
 	stats := &Stats{}
 	if e.closed {
@@ -483,40 +490,18 @@ func (e *Engine) RunBounded(ctx context.Context, nodes []Node, maxRounds int) (*
 		return stats, nil
 	}
 
-	resumed := e.resumed
-	e.resumed = false
-	if resumed {
-		// RestoreSnapshot already loaded the inbox bank, round counter,
-		// send counters, and digest chain; only the node set and error
-		// slots need (re)binding, and the carried-over cumulative stats
-		// seed this run's totals so accounting spans the whole logical
-		// run. MaxRounds stays an absolute round bound, so a resumed
-		// run gets exactly the rounds the uninterrupted one had left.
-		stats.Rounds = e.restoredStats.Rounds
-		stats.TotalMsgs = e.restoredStats.TotalMsgs
-		stats.TotalBytes = e.restoredStats.TotalBytes
-		stats.Wall = e.restoredStats.Wall
-		e.restoredStats = Stats{}
-	} else {
-		// Rewind to a pristine round 0: clear any state a previous run
-		// left behind (stale inbox banks or queued words from an error
-		// or a cancelled run), reset the per-worker send counters, and
-		// restart the digest chain. Box and inbox capacity is
-		// retained, so reuse stays allocation-free in steady state.
-		e.round = 0
-		e.rt.reset()
-		for _, c := range e.rt.ctxs {
-			c.sent = 0
-		}
-		e.digests = e.digests[:0]
-		e.lastDigest = digestSeed
+	// Rewind to a pristine round 0: clear any state a previous run left
+	// behind (stale inbox banks or queued words from an error or a
+	// cancelled run), reset the per-worker send counters, and restart
+	// the digest chain. Box and inbox capacity is retained, so reuse
+	// stays allocation-free in steady state.
+	e.round = 0
+	e.rt.reset()
+	for _, c := range e.rt.ctxs {
+		c.sent = 0
 	}
-	e.curStats = Stats{
-		Rounds:     stats.Rounds,
-		TotalMsgs:  stats.TotalMsgs,
-		TotalBytes: stats.TotalBytes,
-		Wall:       stats.Wall,
-	}
+	e.digests = e.digests[:0]
+	e.lastDigest = digestSeed
 	e.nodes = nodes
 	for i := range e.errs {
 		e.errs[i] = nil
@@ -527,11 +512,7 @@ func (e *Engine) RunBounded(ctx context.Context, nodes []Node, maxRounds int) (*
 	defer func() { e.nodes = nil }()
 
 	runStart := time.Now()
-	baseWall := stats.Wall
 	var prevSent uint64
-	for _, c := range e.rt.ctxs {
-		prevSent += c.sent
-	}
 	for int(e.round) < maxRounds {
 		if h := testHooks; h != nil && h.BarrierEnter != nil {
 			h.BarrierEnter(e.round)
@@ -540,7 +521,7 @@ func (e *Engine) RunBounded(ctx context.Context, nodes []Node, maxRounds int) (*
 			// A cancelled rank must not leave peers blocked in their
 			// exchange: tear the round down loudly before returning.
 			e.transport.Abort(err)
-			stats.Wall = baseWall + time.Since(runStart)
+			stats.Wall = time.Since(runStart)
 			return stats, err
 		}
 		t0 := time.Now()
@@ -555,7 +536,7 @@ func (e *Engine) RunBounded(ctx context.Context, nodes []Node, maxRounds int) (*
 		for _, err := range e.errs {
 			if err != nil {
 				e.transport.Abort(err)
-				stats.Wall = baseWall + time.Since(runStart)
+				stats.Wall = time.Since(runStart)
 				return stats, err
 			}
 		}
@@ -577,7 +558,7 @@ func (e *Engine) RunBounded(ctx context.Context, nodes []Node, maxRounds int) (*
 		roundMsgs, xerr := e.transport.Exchange(e.round, localMsgs)
 		if xerr != nil {
 			e.transport.Abort(xerr)
-			stats.Wall = baseWall + time.Since(runStart)
+			stats.Wall = time.Since(runStart)
 			return stats, xerr
 		}
 
@@ -620,30 +601,23 @@ func (e *Engine) RunBounded(ctx context.Context, nodes []Node, maxRounds int) (*
 			rs.Digest = e.lastDigest
 		}
 		e.round++
-		stats.PerRound = append(stats.PerRound, rs)
 		stats.Rounds++
 		stats.TotalMsgs += rs.Msgs
 		stats.TotalBytes += rs.Bytes
-		e.curStats = Stats{
-			Rounds:     stats.Rounds,
-			TotalMsgs:  stats.TotalMsgs,
-			TotalBytes: stats.TotalBytes,
-			Wall:       baseWall + time.Since(runStart),
-		}
 		if e.opts.RoundHook != nil {
 			if err := e.callRoundHook(rs); err != nil {
 				e.transport.Abort(err)
-				stats.Wall = baseWall + time.Since(runStart)
+				stats.Wall = time.Since(runStart)
 				return stats, err
 			}
 		}
 
 		if roundMsgs == 0 {
-			stats.Wall = baseWall + time.Since(runStart)
+			stats.Wall = time.Since(runStart)
 			return stats, nil
 		}
 	}
-	stats.Wall = baseWall + time.Since(runStart)
+	stats.Wall = time.Since(runStart)
 	return stats, ErrMaxRounds
 }
 

@@ -40,7 +40,8 @@ func TestRingToken(t *testing.T) {
 	for i := range nodes {
 		nodes[i] = &ringNode{n: n, hops: hops}
 	}
-	stats, err := RunOnce(nodes, Options{MaxRounds: hops + 8})
+	hooked := 0
+	stats, err := RunOnce(nodes, Options{MaxRounds: hops + 8, RoundHook: func(RoundStats) { hooked++ }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,8 +55,8 @@ func TestRingToken(t *testing.T) {
 	if stats.TotalBytes != hops*core.WordBits/8 {
 		t.Errorf("TotalBytes = %d, want %d", stats.TotalBytes, hops*core.WordBits/8)
 	}
-	if len(stats.PerRound) != stats.Rounds {
-		t.Errorf("len(PerRound) = %d, want %d", len(stats.PerRound), stats.Rounds)
+	if hooked != stats.Rounds {
+		t.Errorf("RoundHook ran %d times, want %d", hooked, stats.Rounds)
 	}
 }
 
@@ -231,7 +232,8 @@ func TestEngineReuseMatchesFresh(t *testing.T) {
 }
 
 // TestRoundHookStreams: the hook must observe every executed round, in
-// order, with stats matching the run's PerRound record.
+// order — one token hop per round, then the quiet round — and its
+// per-round counts must add up to the run's totals.
 func TestRoundHookStreams(t *testing.T) {
 	const n, hops = 8, 12
 	var seen []RoundStats
@@ -250,10 +252,126 @@ func TestRoundHookStreams(t *testing.T) {
 	if len(seen) != stats.Rounds {
 		t.Fatalf("hook saw %d rounds, want %d", len(seen), stats.Rounds)
 	}
+	var msgs, bytes uint64
 	for i, rs := range seen {
-		if rs.Round != core.Round(i) || rs.Msgs != stats.PerRound[i].Msgs {
-			t.Fatalf("hook round %d = %+v, PerRound = %+v", i, rs, stats.PerRound[i])
+		want := uint64(1)
+		if i == hops {
+			want = 0
 		}
+		if rs.Round != core.Round(i) || rs.Msgs != want {
+			t.Fatalf("hook round %d = %+v, want round %d with %d msgs", i, rs, i, want)
+		}
+		msgs += rs.Msgs
+		bytes += rs.Bytes
+	}
+	if msgs != stats.TotalMsgs || bytes != stats.TotalBytes {
+		t.Fatalf("hook sums msgs=%d bytes=%d, run totals msgs=%d bytes=%d", msgs, bytes, stats.TotalMsgs, stats.TotalBytes)
+	}
+}
+
+// tokenRingNode is a deterministic handler whose behavior is a pure
+// function of (round, inbox). Round 0 seeds one token per node; every
+// later round forwards each token to the next node with a mixed
+// payload, until round limit quiesces the system.
+type tokenRingNode struct {
+	id    core.NodeID
+	limit core.Round
+}
+
+func (n *tokenRingNode) Round(ctx *Ctx, r core.Round, inbox []Message) error {
+	if r >= n.limit {
+		return nil
+	}
+	if r == 0 {
+		return ctx.Send(core.NodeID((int(n.id)+1)%ctx.NumNodes()), uint64(n.id)+1)
+	}
+	for _, m := range inbox {
+		next := core.NodeID((int(n.id) + 1) % ctx.NumNodes())
+		if err := ctx.Send(next, m.Payload*31+uint64(m.Src)+1); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func tokenRingNodes(n int, limit core.Round) []Node {
+	nodes := make([]Node, n)
+	for i := range nodes {
+		nodes[i] = &tokenRingNode{id: core.NodeID(i), limit: limit}
+	}
+	return nodes
+}
+
+// TestRoundHookPanicSurfaced: a panicking RoundHook fails the run with
+// ErrRoundHookPanic and leaves the engine usable — the regression test
+// for hook panics wedging the barrier.
+func TestRoundHookPanicSurfaced(t *testing.T) {
+	const n = 4
+	calls := 0
+	e, err := New(n, Options{
+		RoundHook: func(RoundStats) {
+			calls++
+			if calls == 2 {
+				panic("hook boom")
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	_, err = e.Run(context.Background(), tokenRingNodes(n, 6))
+	if !errors.Is(err, ErrRoundHookPanic) {
+		t.Fatalf("err = %v, want ErrRoundHookPanic", err)
+	}
+
+	// The engine must survive: a fresh run on the same engine completes.
+	calls = -1 << 30
+	if _, err := e.Run(context.Background(), tokenRingNodes(n, 3)); err != nil {
+		t.Fatalf("run after hook panic: %v", err)
+	}
+}
+
+// panicNode panics in a chosen round.
+type panicNode struct {
+	id core.NodeID
+	at core.Round
+}
+
+func (p *panicNode) Round(ctx *Ctx, r core.Round, inbox []Message) error {
+	if r == p.at && p.id == 1 {
+		panic("node boom")
+	}
+	if r < p.at+2 {
+		return ctx.Send(core.NodeID((int(p.id)+1)%ctx.NumNodes()), 7)
+	}
+	return nil
+}
+
+// TestHandlerPanicSurfaced: a panicking node handler is recovered on
+// the worker, surfaced as *HandlerPanicError with the node and round,
+// and the warm engine survives to run the next node set.
+func TestHandlerPanicSurfaced(t *testing.T) {
+	const n = 6
+	e, err := New(n, Options{Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	nodes := make([]Node, n)
+	for i := range nodes {
+		nodes[i] = &panicNode{id: core.NodeID(i), at: 2}
+	}
+	_, err = e.Run(context.Background(), nodes)
+	var hp *HandlerPanicError
+	if !errors.As(err, &hp) {
+		t.Fatalf("err = %v, want *HandlerPanicError", err)
+	}
+	if hp.Node != 1 || hp.Round != 2 {
+		t.Errorf("panic located at node %d round %d, want node 1 round 2", hp.Node, hp.Round)
+	}
+	if _, err := e.Run(context.Background(), tokenRingNodes(n, 3)); err != nil {
+		t.Fatalf("run after handler panic: %v", err)
 	}
 }
 

@@ -209,14 +209,14 @@ func TestOutboxReuse(t *testing.T) {
 	}
 }
 
-// TestOutboxFlushesExactlyLinkCapPerRound is the off-by-one boundary
+// TestOutboxFlushesExactlyLinkCapEachRound is the off-by-one boundary
 // test at the bandwidth cap: with a budget of exactly 3 message words
 // per link per round, a Flush-driven drain must send exactly
 // LinkMsgCap() words on every full round — never cap-1 (a pacing
 // undershoot) and never cap+1 (a budget violation) — with the
 // remainder, and only the remainder, in the final send round. Both the
 // exact-multiple and the one-extra-word queue lengths are covered.
-func TestOutboxFlushesExactlyLinkCapPerRound(t *testing.T) {
+func TestOutboxFlushesExactlyLinkCapEachRound(t *testing.T) {
 	const capWords = 3
 	budget := core.Budget{BitsPerLink: capWords * core.WordBits, MsgBits: core.WordBits}
 	for _, tc := range []struct {
@@ -239,7 +239,8 @@ func TestOutboxFlushesExactlyLinkCapPerRound(t *testing.T) {
 		for i := range state {
 			nodes[i] = &state[i]
 		}
-		stats, err := RunOnce(nodes, Options{Budget: budget})
+		var perRound []uint64
+		stats, err := RunOnce(nodes, Options{Budget: budget, RoundHook: func(rs RoundStats) { perRound = append(perRound, rs.Msgs) }})
 		if err != nil {
 			t.Fatalf("queued=%d: %v", tc.queued, err)
 		}
@@ -250,7 +251,7 @@ func TestOutboxFlushesExactlyLinkCapPerRound(t *testing.T) {
 			t.Fatalf("queued=%d: %d rounds, want %d", tc.queued, stats.Rounds, len(tc.wantMsgs))
 		}
 		for r, want := range tc.wantMsgs {
-			if got := stats.PerRound[r].Msgs; got != want {
+			if got := perRound[r]; got != want {
 				t.Fatalf("queued=%d: round %d sent %d words, want exactly %d",
 					tc.queued, r, got, want)
 			}

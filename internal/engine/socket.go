@@ -10,11 +10,10 @@
 // Messages to a destination d therefore arrive source-ascending with
 // per-source send order preserved (ranks own ascending node ranges),
 // which is byte-for-byte the order MemTransport's scatter produces: the
-// replay digest chain, engine snapshots, and quiescence detection all
-// work unchanged on every rank. Execution is still sharded — each rank
-// runs handlers only for its own nodes — so the CPU and handler state
-// scale out even though round traffic is fully replicated; at the
-// model's B = O(log n) bits/link/round budgets, round frames are small.
+// replay digest chain and quiescence detection work unchanged on every
+// rank. Execution is still sharded — each rank runs handlers only for
+// its own nodes — so the CPU and handler state scale out even though
+// round traffic is fully replicated.
 //
 // Failure discipline: every read and write carries a deadline, every
 // frame an integrity trailer, and every decoded message a source-range

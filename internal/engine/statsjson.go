@@ -5,11 +5,9 @@ import (
 	"time"
 )
 
-// statsJSON is the stable wire shape of Stats: the cumulative scalars
-// only, with the wall clock in integer nanoseconds. PerRound detail is
-// deliberately not serialized — round-by-round streams belong to
-// RoundHook taps, not to summary documents — so the encoding stays
-// stable as per-round instrumentation grows.
+// statsJSON is the stable wire shape of Stats: the cumulative scalars,
+// with the wall clock in integer nanoseconds. Round-by-round streams
+// belong to RoundHook taps, not to summary documents.
 type statsJSON struct {
 	Rounds int    `json:"rounds"`
 	Msgs   uint64 `json:"msgs"`
@@ -30,7 +28,6 @@ func (s Stats) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes the stable shape written by MarshalJSON.
-// PerRound is left nil: the wire format carries summaries only.
 func (s *Stats) UnmarshalJSON(data []byte) error {
 	var sj statsJSON
 	if err := json.Unmarshal(data, &sj); err != nil {

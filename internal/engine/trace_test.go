@@ -16,11 +16,11 @@ func TestPhaseTimingsAlwaysOn(t *testing.T) {
 	for i := range nodes {
 		nodes[i] = &ringNode{n: n, hops: hops}
 	}
-	stats, err := RunOnce(nodes, Options{MaxRounds: hops + 8})
-	if err != nil {
+	var perRound []RoundStats
+	if _, err := RunOnce(nodes, Options{MaxRounds: hops + 8, RoundHook: func(rs RoundStats) { perRound = append(perRound, rs) }}); err != nil {
 		t.Fatal(err)
 	}
-	for _, rs := range stats.PerRound {
+	for _, rs := range perRound {
 		if rs.Compute <= 0 {
 			t.Fatalf("round %d: Compute = %v, want > 0", rs.Round, rs.Compute)
 		}
@@ -40,17 +40,18 @@ func TestPhaseTimingsAlwaysOn(t *testing.T) {
 	}
 }
 
-// TestTraceSpansPerRound runs a traced ring and checks the recorder
+// TestTraceSpansEveryRound runs a traced ring and checks the recorder
 // holds the round envelope plus the phase breakdown for every round,
 // with the arg-word encoding the exporter documents.
-func TestTraceSpansPerRound(t *testing.T) {
+func TestTraceSpansEveryRound(t *testing.T) {
 	const n, hops = 8, 12
 	nodes := make([]Node, n)
 	for i := range nodes {
 		nodes[i] = &ringNode{n: n, hops: hops}
 	}
 	rec := trace.NewRecorder(1024)
-	stats, err := RunOnce(nodes, Options{MaxRounds: hops + 8, Trace: rec})
+	var perRound []RoundStats
+	stats, err := RunOnce(nodes, Options{MaxRounds: hops + 8, Trace: rec, RoundHook: func(rs RoundStats) { perRound = append(perRound, rs) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestTraceSpansPerRound(t *testing.T) {
 	// BarrierWait sampling is on under Trace: the compute spans' arg
 	// words carry it, and the stats mirror them.
 	sawWait := false
-	for _, rs := range stats.PerRound {
+	for _, rs := range perRound {
 		if rs.BarrierWait > 0 {
 			sawWait = true
 		}

@@ -3,14 +3,13 @@
 // driven through the same table of properties — exactly-once delivery
 // in the router's deterministic per-destination order, global
 // quiescence and stats, loud *BandwidthError surfacing at cap+1 and
-// silence at the cap, snapshot/restore round-trips, and bit-identical
-// replay digest chains — with the single-rank MemTransport as ground
-// truth. A transport that passes this suite is interchangeable with
+// silence at the cap, a lockstep exit at the round bound, and
+// bit-identical replay digest chains — with the single-rank
+// MemTransport as ground truth. A transport that passes this suite is interchangeable with
 // the in-process router for every kernel in the repository.
 package engine
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -73,8 +72,8 @@ func runCluster(t *testing.T, c confCase, body func(rank int, tr Transport) erro
 // confTraffic is the deterministic conformance workload: in each round
 // r < rounds, node v sends one word to (v + r%(n-1) + 1) % n and — when
 // it is a distinct destination — one to (v + (2*r+3)%(n-1) + 1) % n,
-// payloads a pure function of (v, r). Handler state is empty, so the
-// traffic resumes exactly after a snapshot restore.
+// payloads a pure function of (v, r). Handler state is empty, so a
+// fresh node set replays the traffic exactly.
 type confTraffic struct {
 	n, rounds int
 }
@@ -309,15 +308,16 @@ func TestTransportConformanceBandwidth(t *testing.T) {
 	}
 }
 
-// TestTransportConformanceSnapshotRestore checks the pause/resume
-// contract on every transport: bound the run so every rank stops with
-// ErrMaxRounds at the same barrier (a deterministic global event — no
-// abort), snapshot each rank through the serialized WriteTo/
-// ReadSnapshot form, restore into a freshly built cluster, run to
-// quiescence, and require the full digest chain — restored prefix plus
-// continuation — to be bit-identical to an uninterrupted MemTransport
-// run on every rank.
-func TestTransportConformanceSnapshotRestore(t *testing.T) {
+// TestTransportConformanceBoundedRun checks the round bound on every
+// transport: a run bounded at round pause stops with ErrMaxRounds on
+// every rank at the same barrier — a deterministic global event, so
+// every rank reports identical Stats and none aborts — and the same
+// engines then run a fresh node set from round 0 to quiescence with a
+// digest chain bit-identical to an uninterrupted MemTransport run. An
+// abort would have broken the aborting rank's transport and failed the
+// peers' next exchange, so the second run passing on every rank is the
+// no-abort check.
+func TestTransportConformanceBoundedRun(t *testing.T) {
 	const n, rounds, pause = 17, 8, 3
 	_, wantDigests, _ := memGroundTruth(t, n, rounds)
 	mkNodes := func() []Node {
@@ -329,7 +329,8 @@ func TestTransportConformanceSnapshotRestore(t *testing.T) {
 	}
 	for _, c := range conformanceCases() {
 		t.Run(fmt.Sprintf("%s-r%d", c.transport, c.ranks), func(t *testing.T) {
-			snaps := make([][]byte, c.ranks)
+			bounded := make([]*Stats, c.ranks)
+			gotDigests := make([][]uint64, c.ranks)
 			errs := runCluster(t, c, func(rank int, tr Transport) error {
 				e, err := New(n, confOpts(tr))
 				if err != nil {
@@ -337,54 +338,30 @@ func TestTransportConformanceSnapshotRestore(t *testing.T) {
 					return err
 				}
 				defer e.Close()
-				if _, err := e.RunBounded(context.Background(), mkNodes(), pause); !errors.Is(err, ErrMaxRounds) {
+				st, err := e.RunBounded(context.Background(), mkNodes(), pause)
+				if !errors.Is(err, ErrMaxRounds) {
 					return fmt.Errorf("bounded run: err = %v, want ErrMaxRounds", err)
 				}
-				snap, err := e.Snapshot()
-				if err != nil {
-					return err
-				}
-				var buf bytes.Buffer
-				if _, err := snap.WriteTo(&buf); err != nil {
-					return err
-				}
-				snaps[rank] = buf.Bytes()
-				return nil
-			})
-			for rank, err := range errs {
-				if err != nil {
-					t.Fatalf("pause phase, rank %d: %v", rank, err)
-				}
-			}
-			gotDigests := make([][]uint64, c.ranks)
-			errs = runCluster(t, c, func(rank int, tr Transport) error {
-				e, err := New(n, confOpts(tr))
-				if err != nil {
-					tr.Close()
-					return err
-				}
-				defer e.Close()
-				snap, err := ReadSnapshot(bytes.NewReader(snaps[rank]))
-				if err != nil {
-					return err
-				}
-				if err := e.RestoreSnapshot(snap); err != nil {
-					return err
-				}
+				bounded[rank] = st
 				if _, err := e.RunBounded(context.Background(), mkNodes(), 0); err != nil {
-					return err
+					return fmt.Errorf("fresh run after the bounded one: %w", err)
 				}
 				gotDigests[rank] = e.Digests()
 				return nil
 			})
 			for rank, err := range errs {
 				if err != nil {
-					t.Fatalf("resume phase, rank %d: %v", rank, err)
+					t.Fatalf("rank %d: %v", rank, err)
 				}
 			}
 			for rank := 0; rank < c.ranks; rank++ {
+				got, want := bounded[rank], bounded[0]
+				if got.Rounds != pause || got.TotalMsgs != want.TotalMsgs || got.TotalBytes != want.TotalBytes {
+					t.Errorf("rank %d bounded stats (rounds %d, msgs %d, bytes %d), want (%d, %d, %d)",
+						rank, got.Rounds, got.TotalMsgs, got.TotalBytes, pause, want.TotalMsgs, want.TotalBytes)
+				}
 				if !reflect.DeepEqual(gotDigests[rank], wantDigests) {
-					t.Errorf("rank %d resumed digest chain diverges from the uninterrupted mem run:\n got %v\nwant %v",
+					t.Errorf("rank %d digest chain after the bounded run diverges from the mem ground truth:\n got %v\nwant %v",
 						rank, gotDigests[rank], wantDigests)
 				}
 			}

@@ -1,10 +1,7 @@
 package faults
 
 import (
-	"bytes"
 	"context"
-	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -130,152 +127,5 @@ func TestTransportFrameFaults(t *testing.T) {
 				t.Error("the transport fault never fired")
 			}
 		})
-	}
-}
-
-// TestTransportCrashResumeEquivalence is the distributed crash/resume
-// headline property: a 2-rank socket run snapshots at a round barrier,
-// crashes on an injected connection kill, is restored on a fresh
-// cluster from the written snapshots, and must finish with every
-// rank's replay digest chain bit-identical to an uninterrupted
-// single-process run.
-func TestTransportCrashResumeEquivalence(t *testing.T) {
-	const (
-		n      = 16
-		rounds = 8
-		pause  = 4
-	)
-	newNodes := func() []engine.Node {
-		nodes := make([]engine.Node, n)
-		for j := range nodes {
-			nodes[j] = &ringNode{n: n, rounds: rounds}
-		}
-		return nodes
-	}
-
-	// Uninterrupted in-process reference digests.
-	ref, err := engine.New(n, faultOpts(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ref.Run(context.Background(), newNodes()); err != nil {
-		t.Fatal(err)
-	}
-	wantDigests := append([]uint64(nil), ref.Digests()...)
-	ref.Close()
-	if len(wantDigests) == 0 {
-		t.Fatal("reference run recorded no digests")
-	}
-
-	// Phase 1: run to the pause barrier, snapshot, then continue into
-	// the armed kill fault at round 6 and crash on every rank.
-	p := &Plan{
-		TransportSrc:  0,
-		TransportDst:  1,
-		TransportKind: engine.FrameKindRound,
-		TransportSeq:  6,
-		TransportMode: KillConn,
-	}
-	Install(p)
-	defer Uninstall()
-
-	trs, err := engine.LoopbackCluster(2, "unix", 3*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snaps := make([][]byte, len(trs))
-	crashErrs := make([]error, len(trs))
-	var wg sync.WaitGroup
-	for i := range trs {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			crashErrs[rank] = func() error {
-				e, err := engine.New(n, faultOpts(trs[rank]))
-				if err != nil {
-					trs[rank].Close()
-					return err
-				}
-				defer e.Close()
-				if _, err := e.RunBounded(context.Background(), newNodes(), pause); !errors.Is(err, engine.ErrMaxRounds) {
-					return fmt.Errorf("pause run: got %v, want ErrMaxRounds", err)
-				}
-				snap, err := e.Snapshot()
-				if err != nil {
-					return fmt.Errorf("snapshot: %w", err)
-				}
-				var buf bytes.Buffer
-				if _, err := snap.WriteTo(&buf); err != nil {
-					return fmt.Errorf("snapshot write: %w", err)
-				}
-				snaps[rank] = buf.Bytes()
-				// Continue into the kill fault: this leg must die.
-				if _, err := e.RunBounded(context.Background(), newNodes(), 0); err == nil {
-					return errors.New("crash leg completed cleanly under a kill fault")
-				}
-				return nil
-			}()
-		}(i)
-	}
-	wg.Wait()
-	for rank, err := range crashErrs {
-		if err != nil {
-			t.Fatalf("rank %d crash phase: %v", rank, err)
-		}
-	}
-	if !p.tfired.Load() {
-		t.Fatal("the kill fault never fired")
-	}
-	Uninstall()
-
-	// Phase 2: restore the snapshots on a fresh fault-free cluster and
-	// finish the run.
-	trs2, err := engine.LoopbackCluster(2, "unix", 3*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	digests := make([][]uint64, len(trs2))
-	resumeErrs := make([]error, len(trs2))
-	for i := range trs2 {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			resumeErrs[rank] = func() error {
-				e, err := engine.New(n, faultOpts(trs2[rank]))
-				if err != nil {
-					trs2[rank].Close()
-					return err
-				}
-				defer e.Close()
-				snap, err := engine.ReadSnapshot(bytes.NewReader(snaps[rank]))
-				if err != nil {
-					return fmt.Errorf("read snapshot: %w", err)
-				}
-				if err := e.RestoreSnapshot(snap); err != nil {
-					return fmt.Errorf("restore: %w", err)
-				}
-				if _, err := e.RunBounded(context.Background(), newNodes(), 0); err != nil {
-					return fmt.Errorf("resumed run: %w", err)
-				}
-				digests[rank] = append([]uint64(nil), e.Digests()...)
-				return nil
-			}()
-		}(i)
-	}
-	wg.Wait()
-	for rank, err := range resumeErrs {
-		if err != nil {
-			t.Fatalf("rank %d resume phase: %v", rank, err)
-		}
-	}
-	for rank, got := range digests {
-		if len(got) != len(wantDigests) {
-			t.Fatalf("rank %d resumed digest chain has %d rounds, want %d", rank, len(got), len(wantDigests))
-		}
-		for r := range got {
-			if got[r] != wantDigests[r] {
-				t.Fatalf("rank %d digest diverges at round %d: %#x vs %#x", rank, r, got[r], wantDigests[r])
-			}
-		}
 	}
 }

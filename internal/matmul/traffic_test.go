@@ -98,7 +98,8 @@ func TestPassTrafficPinned(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				digest := st.PerRound[len(st.PerRound)-1].Digest
+				digests := e.Digests()
+				digest := digests[len(digests)-1]
 				if st.Rounds != want.rounds || st.TotalMsgs != want.words || digest != want.digest {
 					t.Errorf("rounds/words/digest = %d/%d/%#016x, golden %d/%d/%#016x",
 						st.Rounds, st.TotalMsgs, digest, want.rounds, want.words, want.digest)

@@ -12,10 +12,16 @@ import (
 	"github.com/paper-repo-growth/doryp20/internal/graph"
 )
 
+// votePassRun is one pass run's totals and its per-round replay digests.
+type votePassRun struct {
+	*engine.Stats
+	digests []uint64
+}
+
 // runVotePass runs p on a fresh engine at the given link cap and worker
 // count, bounded by the pass's own MaxRoundsHint and with every link
 // checked against the cap.
-func runVotePass(t *testing.T, p *Pass, cap, workers int) *engine.Stats {
+func runVotePass(t *testing.T, p *Pass, cap, workers int) votePassRun {
 	t.Helper()
 	nodes := make([]engine.Node, p.n)
 	for v, nd := range p.Nodes() {
@@ -34,7 +40,7 @@ func runVotePass(t *testing.T, p *Pass, cap, workers int) *engine.Stats {
 	if err != nil {
 		t.Fatalf("pass did not finish inside its MaxRoundsHint %d: %v", p.MaxRoundsHint(), err)
 	}
-	return st
+	return votePassRun{st, e.Digests()}
 }
 
 // fixpointDense iterates b <- a ⊗ b with the sequential reference until
@@ -155,11 +161,11 @@ func TestVoteAccounting(t *testing.T) {
 					// Up to the round the bare pass falls silent in, the
 					// voting pass delivers the same words.
 					for r := 0; r < bs.Rounds-1; r++ {
-						if vs.PerRound[r].Digest != bs.PerRound[r].Digest {
+						if vs.digests[r] != bs.digests[r] {
 							t.Fatalf("round %d digest differs from the bare pass before the vote began", r)
 						}
 					}
-					if !tc.changed && vs.PerRound[vs.Rounds-1].Digest != bs.PerRound[bs.Rounds-1].Digest {
+					if !tc.changed && vs.digests[vs.Rounds-1] != bs.digests[bs.Rounds-1] {
 						t.Error("confirming pass's digest chain differs from the bare pass's")
 					}
 				})

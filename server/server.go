@@ -350,12 +350,18 @@ func (s *Server) runExact(e *graphEntry, k clique.Kernel) (runTelemetry, error) 
 		return runTelemetry{}, err
 	}
 	defer l.release()
+	return s.runOn(l.session(), k)
+}
+
+// runOn is the daemon's one kernel-run path: it counts the run, runs k
+// on a leased session, takes the session stats delta, and feeds the
+// kernel-wall histogram when the run succeeds.
+func (s *Server) runOn(sess *clique.Session, k clique.Kernel) (runTelemetry, error) {
 	s.metrics.kernelRuns.Add(1)
-	sess := l.session()
 	before := sess.Stats()
 	// Queries run to completion even during shutdown: the HTTP layer's
 	// drain is the cancellation boundary.
-	err = sess.Run(context.Background(), k)
+	err := sess.Run(context.Background(), k)
 	after := sess.Stats()
 	tel := runTelemetry{
 		passes: after.Runs - before.Runs,
@@ -464,22 +470,11 @@ func (s *Server) handleReachable(w http.ResponseWriter, r *http.Request) {
 	cacheHit := e.closure != nil
 	if !cacheHit {
 		k := algo.NewTransitiveClosureKernel()
-		s.metrics.kernelRuns.Add(1)
-		sess := l.session()
-		before := sess.Stats()
-		err := sess.Run(context.Background(), k)
-		after := sess.Stats()
-		if err != nil {
+		if tel, err = s.runOn(l.session(), k); err != nil {
 			l.release()
 			s.queryFailed(w, err)
 			return
 		}
-		tel = runTelemetry{
-			passes: after.Runs - before.Runs,
-			rounds: after.Engine.Rounds - before.Engine.Rounds,
-			wall:   after.Engine.Wall - before.Engine.Wall,
-		}
-		s.metrics.kernelWall.observe(tel.wall)
 		e.closure = k.Reach()
 	}
 	row := e.closure[req.Source]
@@ -504,20 +499,18 @@ func (s *Server) runApproxBatch(e *graphEntry, eps float64, key int, sources []c
 		return nil, err
 	}
 	defer l.release()
-	sess := l.session()
-	before := sess.Stats()
-	s.metrics.kernelRuns.Add(1)
 
 	res := &batchResult{}
+	var tel runTelemetry
 	if hc := e.hopsets[key]; hc != nil {
 		k := algo.NewRelaxKernel(hc.aug, sources, hc.products)
-		if err := sess.Run(context.Background(), k); err != nil {
+		if tel, err = s.runOn(l.session(), k); err != nil {
 			return nil, err
 		}
 		res.rows, res.beta, res.cacheHit = k.Dist(), hc.beta, true
 	} else {
 		k := algo.NewApproxKSourceKernel(sources, hopset.Params{Eps: eps})
-		if err := sess.Run(context.Background(), k); err != nil {
+		if tel, err = s.runOn(l.session(), k); err != nil {
 			return nil, err
 		}
 		hs := k.Hopset()
@@ -531,11 +524,7 @@ func (s *Server) runApproxBatch(e *graphEntry, eps float64, key int, sources []c
 		}
 		res.rows, res.beta = k.Dist(), hs.Beta
 	}
-	after := sess.Stats()
-	res.passes = after.Runs - before.Runs
-	res.rounds = after.Engine.Rounds - before.Engine.Rounds
-	res.wall = after.Engine.Wall - before.Engine.Wall
-	s.metrics.kernelWall.observe(res.wall)
+	res.passes, res.rounds, res.wall = tel.passes, tel.rounds, tel.wall
 	s.metrics.observeBatch(len(sources), res.cacheHit)
 	return res, nil
 }
