@@ -79,7 +79,7 @@ type kernelOpts struct {
 	// signals enables the SIGINT protocol (stop at the next pass
 	// boundary, cancel hard on the second signal); off in tests.
 	signals bool
-	// transport and ranks select a registered transport for the run;
+	// transport and ranks are engine.NewTransportCluster's arguments;
 	// a non-mem transport runs ranks in-process loopback legs of one
 	// logical clique (see cmd/ccnode for true multi-process meshes).
 	transport string

@@ -31,8 +31,8 @@ func trueDiameter(g *graph.CSR) int64 {
 // [max sampled ecc, diameter].
 func TestDiameterExactBracketing(t *testing.T) {
 	graphs := map[string]*graph.CSR{
-		"gnp":  graph.RandomGNPWeighted(18, 0.25, 9, 13),
-		"path": graph.Path(12).WithUniformRandomWeights(4, 9),
+		"gnp":   graph.RandomGNPWeighted(18, 0.25, 9, 13),
+		"path":  graph.Path(12).WithUniformRandomWeights(4, 9),
 		"dense": graph.RandomGNPWeighted(9, 0.6, 5, 2),
 	}
 	for name, g := range graphs {

@@ -216,11 +216,11 @@ func TestVotesAreBilledToTheSession(t *testing.T) {
 	}
 	squarings := bits.Len(uint(n - 2))
 	for i := 0; i < squarings; i++ {
-		k := matmul.NewMulKernel(a, a)
+		k := matmul.NewPower(a, 2)
 		if err := bare.Run(context.Background(), k); err != nil {
 			t.Fatal(err)
 		}
-		a = k.Product()
+		a = k.Result().(*matmul.Matrix)
 	}
 	fixed := bare.Stats()
 	votes := squarings - 1

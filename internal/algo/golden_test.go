@@ -23,7 +23,7 @@ import (
 // has to say so.
 //
 // The product loops stop at the first product that changes nothing and
-// pay for that verdict in-engine (matmul.Pass.Vote), so the pass counts
+// pay for that verdict in-engine (see matmul.Power), so the pass counts
 // here are what this graph needs, not what n allows: apsp, widest and
 // closure run 5, 5 and 3 of their 6 squarings, the exact k-source
 // pipelines 6-7 of 11 products, the approximate ones 10 of 16 (all 8
@@ -178,14 +178,14 @@ func TestGoldenTraffic(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			k := matmul.NewMulKernel(a, a)
+			k := matmul.NewPower(a, 2)
 			if err := s.Run(context.Background(), k); err != nil {
 				t.Fatal(err)
 			}
-			st := s.Stats().Engine
-			if st.Rounds != row.rounds || st.TotalMsgs != row.words || k.Product().NNZ() != row.nnzOut {
+			st, nnz := s.Stats().Engine, k.Result().(*matmul.Matrix).NNZ()
+			if st.Rounds != row.rounds || st.TotalMsgs != row.words || nnz != row.nnzOut {
 				t.Errorf("rounds/words/nnz_out = %d/%d/%d, golden %d/%d/%d",
-					st.Rounds, st.TotalMsgs, k.Product().NNZ(), row.rounds, row.words, row.nnzOut)
+					st.Rounds, st.TotalMsgs, nnz, row.rounds, row.words, row.nnzOut)
 			}
 		})
 	}

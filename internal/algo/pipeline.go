@@ -9,99 +9,15 @@ import (
 	"github.com/paper-repo-growth/doryp20/internal/matmul"
 )
 
-// relaxState iterates the per-source relaxation stage of every
-// two-stage pipeline: starting from the source indicator columns, run
-// dense products B_{t+1} = S ⊗ B_t over a fixed matrix S, one engine
-// pass per product, until `remaining` have run or one changes nothing —
-// B_{t+1} = B_t is a fixpoint, so every later product would return the
-// same columns. Each product but the last allowed takes that verdict
-// in-engine (matmul.Pass.Vote: at most 2 rounds and 2(n-1) words, none
-// when it confirms the fixpoint). How many products that saves depends
-// on the input: the columns settle after about as many products as the
-// farthest source-to-vertex shortest path has hops over S, which is the
-// full count on graph.Path and two or three on a dense random graph.
-type relaxState struct {
-	s    *matmul.Matrix
-	cur  *matmul.Dense
-	pass *matmul.Pass
-	// remaining bounds the products still to run; a product that changes
-	// nothing zeroes it.
-	remaining int
-	// gather is injected into every pass so harvests assemble the full
-	// product across transport ranks.
-	gather engine.Gatherer
-}
-
-// newRelaxState prepares at most `remaining` relaxation products of s
-// against the indicator columns of the given sources in s's semiring:
-// One at the source (0 over (min,+), InfWidth over (max,min)), Zero
-// elsewhere.
-func newRelaxState(s *matmul.Matrix, sources []core.NodeID, remaining int) *relaxState {
-	b := matmul.NewDense(s.N, len(sources), s.Sr)
-	for j, src := range sources {
-		b.Row(src)[j] = s.Sr.One
-	}
-	return &relaxState{s: s, cur: b, remaining: remaining}
-}
-
-// harvest folds the completed in-flight product (if any) into the
-// current columns, gathering it across transport ranks first.
-// Idempotent, so checkpointing can force it at a pass boundary before
-// the next call would.
-func (rs *relaxState) harvest() error {
-	if rs.pass == nil {
-		return nil
-	}
-	if err := rs.pass.Gather(); err != nil {
-		return err
-	}
-	rs.cur = rs.pass.Dense()
-	rs.remaining--
-	if !rs.pass.Changed() {
-		rs.remaining = 0
-	}
-	rs.pass = nil
-	return nil
-}
-
-// next harvests the pass returned by the previous call (if any) and
-// returns the next relaxation pass, or nil once the columns are final.
-func (rs *relaxState) next() (*matmul.Pass, error) {
-	if err := rs.harvest(); err != nil {
-		return nil, err
-	}
-	if rs.remaining <= 0 {
-		return nil, nil
-	}
-	pass, err := matmul.NewDensePass(rs.s, rs.cur, false)
-	if err != nil {
-		return nil, err
-	}
-	pass.SetGatherer(rs.gather)
-	if rs.remaining > 1 {
-		pass.Vote()
-	}
-	rs.pass = pass
-	return pass, nil
-}
-
-// hint forwards the in-flight product's round-bound hint.
-func (rs *relaxState) hint() int {
-	if rs.pass == nil {
-		return 0
-	}
-	return rs.pass.MaxRoundsHint()
-}
-
-// rows transposes the final n x k columns into per-source rows of raw
+// transpose turns the final n x k columns into per-source rows of raw
 // semiring values; the spec's projection translates sentinels.
-func (rs *relaxState) rows() [][]int64 {
-	rows := make([][]int64, rs.cur.K)
+func transpose(d *matmul.Dense) [][]int64 {
+	rows := make([][]int64, d.K)
 	for j := range rows {
-		rows[j] = make([]int64, rs.cur.N)
+		rows[j] = make([]int64, d.N)
 	}
-	for v := 0; v < rs.cur.N; v++ {
-		for j, x := range rs.cur.Row(core.NodeID(v)) {
+	for v := 0; v < d.N; v++ {
+		for j, x := range d.Row(core.NodeID(v)) {
 			rows[j][v] = x
 		}
 	}
@@ -157,8 +73,8 @@ type pipelineSpec struct {
 //	  dense product B_{t+1} = S ⊗ B_t. Each product advances the hop
 //	  horizon by h, so ceil((n-1)/h) products reach exactness over A^h;
 //	  the hopset guarantee makes min(β, n-1) products (1+ε)-accurate.
-//	  Those counts are upper bounds: every loop stops at the first
-//	  product that changes nothing (see relaxState).
+//	  Those counts are upper bounds: a matmul.Relaxation stops at the
+//	  first product that changes nothing.
 //
 // Both stages bill their engine passes to the same session Stats, which
 // is exactly the cross-stage round accounting the paper's pipeline
@@ -171,7 +87,7 @@ type pipelineKernel struct {
 	sources []core.NodeID
 	s1      stageKernel
 	hs      *hopset.Hopset
-	rx      *relaxState
+	rx      *matmul.Relaxation
 	result  any
 	gather  engine.Gatherer
 }
@@ -188,7 +104,7 @@ func (k *pipelineKernel) SetGatherer(g engine.Gatherer) {
 		k.s1.SetGatherer(g)
 	}
 	if k.rx != nil {
-		k.rx.gather = g
+		k.rx.SetGatherer(g)
 	}
 }
 
@@ -211,15 +127,11 @@ func (k *pipelineKernel) Nodes(g *graph.CSR) ([]engine.Node, error) {
 		}
 	}
 	if k.stage == 2 {
-		pass, err := k.rx.next()
-		if err != nil {
-			return nil, err
+		nodes, err := k.rx.Nodes(g)
+		if err != nil || nodes != nil {
+			return nodes, err
 		}
-		if pass != nil {
-			return pass.Nodes(), nil
-		}
-		k.result = k.spec.project(k.sources, k.rx.rows())
-		k.stage = 3
+		k.finish()
 	}
 	return nil, nil
 }
@@ -258,11 +170,17 @@ func (k *pipelineKernel) relax(stage1 any) error {
 		return err
 	}
 	k.hs, _ = stage1.(*hopset.Hopset)
-	k.rx = newRelaxState(s, k.sources, products)
-	k.rx.gather = k.gather
+	k.rx = matmul.NewRelaxation(s, matmul.Indicator(s.N, k.sources, s.Sr), products)
+	k.rx.SetGatherer(k.gather)
 	k.s1 = nil
 	k.stage = 2
 	return nil
+}
+
+// finish projects the final columns into the kernel's result.
+func (k *pipelineKernel) finish() {
+	k.result = k.spec.project(k.sources, transpose(k.rx.Result().(*matmul.Dense)))
+	k.stage = 3
 }
 
 // MaxRoundsHint forwards the in-flight stage's round-bound hint.
@@ -271,7 +189,7 @@ func (k *pipelineKernel) MaxRoundsHint() int {
 		return k.s1.MaxRoundsHint()
 	}
 	if k.rx != nil {
-		return k.rx.hint()
+		return k.rx.MaxRoundsHint()
 	}
 	return 0
 }

@@ -2,7 +2,8 @@
 // three implementations of clique.Checkpointable here — powerKernel,
 // pipelineKernel, MSTKernel — share one shape: SnapshotState harvests
 // the pass that just completed (harvest is idempotent, so the live run
-// is undisturbed) and serializes the remaining inter-pass state —
+// is undisturbed; matmul.WritePower and WriteRelaxation do it for the
+// product loops) and serializes the remaining inter-pass state —
 // matrices plus a pass cursor — in the internal/ckptio format with a
 // version word and integrity trailer; RestoreState refuses kernels that
 // have already started (clique.ErrKernelStarted), verifies the trailer
@@ -49,84 +50,19 @@ func readStateHeader(cr *ckptio.Reader, name string) error {
 	return nil
 }
 
-// writePowerState encodes a (possibly nil) square-and-multiply cursor.
-// The caller must have harvested any in-flight pass.
-func writePowerState(w *ckptio.Writer, ps *powerState) {
-	if ps == nil {
-		w.Bool(false)
-		return
-	}
-	w.Bool(true)
-	w.I64(int64(ps.e))
-	w.I64(int64(ps.phase))
-	matmul.WriteMatrix(w, ps.base)
-	matmul.WriteMatrix(w, ps.result)
-}
-
-// readPowerState decodes a cursor written by writePowerState.
-func readPowerState(r *ckptio.Reader) (*powerState, error) {
-	if !r.Bool() {
-		return nil, r.Err()
-	}
-	ps := &powerState{}
-	ps.e = int(r.I64())
-	ps.phase = int(r.I64())
-	var err error
-	if ps.base, err = matmul.ReadMatrix(r); err != nil {
-		return nil, err
-	}
-	if ps.result, err = matmul.ReadMatrix(r); err != nil {
-		return nil, err
-	}
-	if r.Err() == nil && ps.base == nil {
-		return nil, fmt.Errorf("algo: power state has no base matrix")
-	}
-	return ps, r.Err()
-}
-
-// writeRelaxState encodes a (possibly nil) relaxation cursor. The
-// caller must have harvested any in-flight pass.
-func writeRelaxState(w *ckptio.Writer, rs *relaxState) {
-	if rs == nil {
-		w.Bool(false)
-		return
-	}
-	w.Bool(true)
-	matmul.WriteMatrix(w, rs.s)
-	matmul.WriteDense(w, rs.cur)
-	w.I64(int64(rs.remaining))
-}
-
-// readRelaxState decodes a cursor written by writeRelaxState.
-func readRelaxState(r *ckptio.Reader) (*relaxState, error) {
-	if !r.Bool() {
-		return nil, r.Err()
-	}
-	rs := &relaxState{}
-	var err error
-	if rs.s, err = matmul.ReadMatrix(r); err != nil {
-		return nil, err
-	}
-	if rs.cur, err = matmul.ReadDense(r); err != nil {
-		return nil, err
-	}
-	rs.remaining = int(r.I64())
-	return rs, r.Err()
-}
-
-// SnapshotState serializes the power iteration: the square-and-multiply
-// cursor and whether the result has been projected.
+// SnapshotState serializes the power iteration: whether the result has
+// been projected, then the (possibly absent) square-and-multiply cursor.
 func (k *powerKernel) SnapshotState(w io.Writer) error {
-	if k.ps != nil {
-		if err := k.ps.harvest(); err != nil {
-			return err
-		}
-	}
 	cw := ckptio.NewWriter(w)
 	cw.U64(kernelStateVersion)
 	cw.String(k.Name())
 	cw.Bool(k.done)
-	writePowerState(cw, k.ps)
+	cw.Bool(k.pw != nil)
+	if k.pw != nil {
+		if err := matmul.WritePower(cw, k.pw); err != nil {
+			return err
+		}
+	}
 	cw.SumTrailer()
 	return cw.Err()
 }
@@ -135,7 +71,7 @@ func (k *powerKernel) SnapshotState(w io.Writer) error {
 // kernel (clique.ErrKernelStarted otherwise), re-projecting the result
 // when the blob captured a completed run.
 func (k *powerKernel) RestoreState(r io.Reader) error {
-	if k.ps != nil || k.done {
+	if k.pw != nil || k.done {
 		return clique.ErrKernelStarted
 	}
 	cr := ckptio.NewReader(r)
@@ -143,21 +79,24 @@ func (k *powerKernel) RestoreState(r io.Reader) error {
 		return err
 	}
 	done := cr.Bool()
-	ps, err := readPowerState(cr)
-	if err != nil {
-		return err
+	var pw *matmul.Power
+	if cr.Bool() {
+		var err error
+		if pw, err = matmul.ReadPower(cr); err != nil {
+			return err
+		}
 	}
 	cr.VerifySumTrailer()
 	if err := cr.Err(); err != nil {
 		return err
 	}
-	if ps == nil {
+	if pw == nil || done && pw.Result() == nil {
 		return fmt.Errorf("algo: %s state has no power cursor", k.Name())
 	}
-	ps.gather = k.gather
-	k.ps, k.done = ps, done
+	pw.SetGatherer(k.gather)
+	k.pw, k.done = pw, done
 	if done {
-		k.result = k.spec.project(ps.matrix())
+		k.result = k.spec.project(pw.Result().(*matmul.Matrix))
 	}
 	return nil
 }
@@ -172,11 +111,6 @@ func (k *pipelineKernel) SnapshotState(w io.Writer) error {
 			return err
 		}
 	}
-	if k.rx != nil {
-		if err := k.rx.harvest(); err != nil {
-			return err
-		}
-	}
 	cw := ckptio.NewWriter(w)
 	cw.U64(kernelStateVersion)
 	cw.String(k.Name())
@@ -184,7 +118,12 @@ func (k *pipelineKernel) SnapshotState(w io.Writer) error {
 	cw.NodeIDs(k.sources)
 	cw.Blob(stage1.Bytes())
 	hopset.WriteHopset(cw, k.hs)
-	writeRelaxState(cw, k.rx)
+	cw.Bool(k.rx != nil)
+	if k.rx != nil {
+		if err := matmul.WriteRelaxation(cw, k.rx); err != nil {
+			return err
+		}
+	}
 	cw.SumTrailer()
 	return cw.Err()
 }
@@ -208,9 +147,11 @@ func (k *pipelineKernel) RestoreState(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	rx, err := readRelaxState(cr)
-	if err != nil {
-		return err
+	var rx *matmul.Relaxation
+	if cr.Bool() {
+		if rx, err = matmul.ReadRelaxation(cr); err != nil {
+			return err
+		}
 	}
 	cr.VerifySumTrailer()
 	if err := cr.Err(); err != nil {
@@ -224,14 +165,14 @@ func (k *pipelineKernel) RestoreState(r io.Reader) error {
 		if err := s1.RestoreState(bytes.NewReader(stage1)); err != nil {
 			return err
 		}
-	case (stage == 2 || stage == 3) && rx != nil:
-		rx.gather = k.gather
+	case stage == 2 && rx != nil, stage == 3 && rx != nil && rx.Result() != nil:
+		rx.SetGatherer(k.gather)
 	default:
 		return fmt.Errorf("algo: %s state has implausible stage %d", k.Name(), stage)
 	}
 	k.stage, k.sources, k.s1, k.hs, k.rx = stage, sources, s1, hs, rx
 	if stage == 3 {
-		k.result = k.spec.project(sources, rx.rows())
+		k.finish()
 	}
 	return nil
 }

@@ -49,11 +49,11 @@ func TestBooleanSquaringRoundBound(t *testing.T) {
 		t.Fatalf("NewSize: %v", err)
 	}
 	defer s.Close()
-	k := matmul.NewMulKernel(a, a)
+	k := matmul.NewPower(a, 2)
 	if err := s.Run(context.Background(), k); err != nil {
 		t.Fatalf("squaring: %v", err) // includes any *engine.BandwidthError
 	}
-	if got := k.Product().NNZ(); got != n*n {
+	if got := k.Result().(*matmul.Matrix).NNZ(); got != n*n {
 		t.Fatalf("product has %d entries, want %d", got, n*n)
 	}
 	st := s.Stats()

@@ -36,7 +36,6 @@ package engine
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"github.com/paper-repo-growth/doryp20/internal/core"
 )
@@ -199,66 +198,37 @@ func RankBounds(n, rank, ranks int) (lo, hi int) {
 	return lo, hi
 }
 
-// ClusterFactory builds the ranks linked transports of one logical
-// clique, index i being rank i's. Used by the transport registry so
-// conformance tests and ccbench can instantiate any registered
-// transport uniformly.
-type ClusterFactory func(ranks int) ([]Transport, error)
+// transportNetworks maps every transport NewTransportCluster builds to
+// the socket network of its loopback cluster; "mem" has none.
+var transportNetworks = map[string]string{"mem": "", "socket-tcp": "tcp", "socket-unix": "unix"}
 
-var (
-	transportMu  sync.Mutex
-	transportReg = map[string]ClusterFactory{}
-)
-
-// RegisterTransport registers a transport cluster factory under name.
-// Duplicate names panic (registration is an init-time event).
-func RegisterTransport(name string, f ClusterFactory) {
-	transportMu.Lock()
-	defer transportMu.Unlock()
-	if _, dup := transportReg[name]; dup {
-		panic(fmt.Sprintf("engine: duplicate transport %q", name))
-	}
-	transportReg[name] = f
-}
-
-// NewTransportCluster builds the ranks linked transports of the named
-// registered transport.
-func NewTransportCluster(name string, ranks int) ([]Transport, error) {
-	transportMu.Lock()
-	f, ok := transportReg[name]
-	transportMu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("engine: unknown transport %q (have %v)", name, TransportNames())
-	}
-	if ranks < 1 {
-		return nil, fmt.Errorf("engine: transport cluster needs >= 1 rank, got %d", ranks)
-	}
-	return f(ranks)
-}
-
-// TransportNames lists the registered transports, sorted.
-func TransportNames() []string {
-	transportMu.Lock()
-	defer transportMu.Unlock()
-	names := make([]string, 0, len(transportReg))
-	for name := range transportReg {
+// transportNames lists the keys of transportNetworks, sorted.
+func transportNames() []string {
+	names := make([]string, 0, len(transportNetworks))
+	for name := range transportNetworks {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names
 }
 
-func init() {
-	RegisterTransport("mem", func(ranks int) ([]Transport, error) {
-		if ranks != 1 {
-			return nil, fmt.Errorf("engine: mem transport is single-rank, got %d ranks", ranks)
-		}
-		return []Transport{NewMemTransport()}, nil
-	})
-	RegisterTransport("socket-tcp", func(ranks int) ([]Transport, error) {
-		return LoopbackCluster(ranks, "tcp", 0)
-	})
-	RegisterTransport("socket-unix", func(ranks int) ([]Transport, error) {
-		return LoopbackCluster(ranks, "unix", 0)
-	})
+// NewTransportCluster builds the ranks linked transports of one logical
+// clique, index i being rank i's, over the named transport: "mem"
+// (single-rank, in-process), "socket-tcp" or "socket-unix" (loopback
+// socket clusters).
+func NewTransportCluster(name string, ranks int) ([]Transport, error) {
+	network, ok := transportNetworks[name]
+	if !ok {
+		return nil, fmt.Errorf("engine: unknown transport %q (have %v)", name, transportNames())
+	}
+	if ranks < 1 {
+		return nil, fmt.Errorf("engine: transport cluster needs >= 1 rank, got %d", ranks)
+	}
+	if network != "" {
+		return LoopbackCluster(ranks, network, 0)
+	}
+	if ranks != 1 {
+		return nil, fmt.Errorf("engine: mem transport is single-rank, got %d ranks", ranks)
+	}
+	return []Transport{NewMemTransport()}, nil
 }

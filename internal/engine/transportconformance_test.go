@@ -1,6 +1,6 @@
 // Cross-transport conformance suite: the executable form of the
-// Transport contract (see transport.go). Every registered transport is
-// driven through the same table of properties — exactly-once delivery
+// Transport contract (see transport.go). Every transport
+// NewTransportCluster builds is driven through the same table of properties — exactly-once delivery
 // in the router's deterministic per-destination order, global
 // quiescence and stats, loud *BandwidthError surfacing at cap+1 and
 // silence at the cap, a lockstep exit at the round bound, and
@@ -20,7 +20,7 @@ import (
 	"github.com/paper-repo-growth/doryp20/internal/core"
 )
 
-// confCase names one registered transport and the rank count the suite
+// confCase names one transport and the rank count the suite
 // exercises it at. Rank counts are chosen to force uneven partitions
 // (n not divisible by ranks) and cross-rank traffic.
 type confCase struct {
@@ -28,11 +28,11 @@ type confCase struct {
 	ranks     int
 }
 
-// conformanceCases enumerates every registered transport, so a new
-// registration is automatically under contract.
+// conformanceCases enumerates every transport NewTransportCluster
+// builds, so a new one is automatically under contract.
 func conformanceCases() []confCase {
 	var cases []confCase
-	for _, name := range TransportNames() {
+	for _, name := range transportNames() {
 		ranks := 2
 		switch name {
 		case "mem":

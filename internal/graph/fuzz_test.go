@@ -24,21 +24,21 @@ func FuzzLoadEdgeList(f *testing.F) {
 		"c comment\n# comment\n\n  \t \n0 1\n",
 		"p 2 1\n1 0 0\n",
 		// One seed per rejection diagnostic.
-		"p 2\np 2\n0 1\n",        // duplicate header
-		"0 1\np 4\n",             // header after edges
-		"0 1 2 3\n",              // wrong field count
-		"x 1\n",                  // invalid vertex token
-		"0 -1\n",                 // negative vertex
-		"1 1\n",                  // self-loop
-		"0 1\n1 0\n",             // duplicate edge (flipped orientation)
-		"0 1\n1 2 5\n",           // mixed weighted and unweighted
-		"0 1 x\n",                // invalid weight token
-		"0 1 -3\n",               // negative weight
-		"p 4 9\n0 1\n",           // header edge count mismatch
-		"",                       // empty input, no header
-		"p x\n",                  // invalid header vertex count
-		"p 4 x\n",                // invalid header edge count
-		"p 2\n0 5\n",             // endpoint out of declared range
+		"p 2\np 2\n0 1\n",          // duplicate header
+		"0 1\np 4\n",               // header after edges
+		"0 1 2 3\n",                // wrong field count
+		"x 1\n",                    // invalid vertex token
+		"0 -1\n",                   // negative vertex
+		"1 1\n",                    // self-loop
+		"0 1\n1 0\n",               // duplicate edge (flipped orientation)
+		"0 1\n1 2 5\n",             // mixed weighted and unweighted
+		"0 1 x\n",                  // invalid weight token
+		"0 1 -3\n",                 // negative weight
+		"p 4 9\n0 1\n",             // header edge count mismatch
+		"",                         // empty input, no header
+		"p x\n",                    // invalid header vertex count
+		"p 4 x\n",                  // invalid header edge count
+		"p 2\n0 5\n",               // endpoint out of declared range
 		"0 99999999999999999999\n", // endpoint overflows int32
 	}
 	for _, s := range seeds {

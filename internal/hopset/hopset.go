@@ -169,17 +169,6 @@ func sampleHubs(n int, rate float64, seed int64) []core.NodeID {
 	return hubs
 }
 
-// hubIndicator builds the n x K dense seed matrix of the limited-hop
-// products: column j is hub j's indicator (0 at the hub, Inf
-// elsewhere).
-func hubIndicator(n int, hubs []core.NodeID) *matmul.Dense {
-	b := matmul.NewDense(n, len(hubs), core.MinPlus())
-	for j, s := range hubs {
-		b.Row(s)[j] = 0
-	}
-	return b
-}
-
 // shortcutEntries converts the final hub-distance columns (d[v][j] =
 // β-hop rounded distance between v and hub j) into the symmetric
 // shortcut star: both arcs (v, hub_j) and (hub_j, v) for every finite
@@ -228,7 +217,7 @@ func ConstructRef(g *graph.CSR, p Params) (*Hopset, error) {
 		return nil, err
 	}
 	hubs := sampleHubs(g.N, p.HubRate, p.Seed)
-	d := hubIndicator(g.N, hubs)
+	d := matmul.Indicator(g.N, hubs, core.MinPlus())
 	if len(hubs) > 0 {
 		for i := 0; i < p.Beta; i++ {
 			if d, err = matmul.MulDenseRef(base, d); err != nil {

@@ -12,39 +12,40 @@ import (
 
 // ConstructKernel computes a (β, ε)-hopset distributedly as a clique
 // session pipeline stage: after rounding the weights and sampling the
-// hub set locally (both deterministic given Params), it runs at most β
-// sparse-dense (min,+) products on the session engine — one engine
-// pass per hop, each product advancing every hub's distance column by
-// one hop — and harvests the shortcut star from the final columns. A
-// product that changes no column ends the loop early: the columns are
-// then the unlimited-hop distances, which every later product would
-// return again, so the hopset is bit-identical to ConstructRef's (which
-// always runs all β). Each product but the β-th takes that verdict
-// in-engine (matmul.Pass.Vote: at most 2 rounds and 2(n-1) words, none
-// when it confirms the fixpoint). The saving is distance-sensitive by
-// design: the columns settle after about as many products as the
-// farthest hub-to-vertex shortest path has hops — nothing is skipped on
-// graph.Path, most of β on a dense random graph.
+// hub set locally (both deterministic given Params), it drives a
+// matmul.Relaxation of the hub indicator columns over the rounded
+// adjacency — at most β sparse-dense (min,+) products, one engine pass
+// per hop, each advancing every hub's distance column by one hop — and
+// harvests the shortcut star from the final columns. A product that
+// changes no column ends the loop early: the columns are then the
+// unlimited-hop distances, which every later product would return
+// again, so the hopset is bit-identical to ConstructRef's (which always
+// runs all β). The saving is distance-sensitive by design: the columns
+// settle after about as many products as the farthest hub-to-vertex
+// shortest path has hops — nothing is skipped on graph.Path, most of β
+// on a dense random graph.
 // It is the stage the approximate shortest-path kernels in
 // internal/algo embed as their stage 1; run standalone (registry name
 // "hopset") its Result is the *Hopset.
 type ConstructKernel struct {
 	params Params
 
-	stage     int // 0: unstarted, 1: products, 2: done
-	base      *matmul.Matrix
-	hubs      []core.NodeID
-	cur       *matmul.Dense
-	pass      *matmul.Pass
-	remaining int // products still allowed; zeroed by one that changes nothing
-	hs        *Hopset
-	gather    engine.Gatherer
+	stage  int // 0: unstarted, 1: products, 2: done
+	hubs   []core.NodeID
+	rx     *matmul.Relaxation
+	hs     *Hopset
+	gather engine.Gatherer
 }
 
 // SetGatherer injects the session transport's all-gather so every
 // product harvest assembles the full hub distance columns on every
 // rank (clique TransportAware hook).
-func (k *ConstructKernel) SetGatherer(g engine.Gatherer) { k.gather = g }
+func (k *ConstructKernel) SetGatherer(g engine.Gatherer) {
+	k.gather = g
+	if k.rx != nil {
+		k.rx.SetGatherer(g)
+	}
+}
 
 // NewConstructKernel returns a hopset construction kernel with the
 // given parameters (zero-value fields select the defaults; see
@@ -67,47 +68,25 @@ func (k *ConstructKernel) Nodes(g *graph.CSR) ([]engine.Node, error) {
 		}
 	}
 	if k.stage == 1 {
-		if err := k.harvest(); err != nil {
+		nodes, err := k.rx.Nodes(g)
+		if err != nil || nodes != nil {
+			return nodes, err
+		}
+		if err := k.finish(); err != nil {
 			return nil, err
 		}
-		if k.remaining > 0 {
-			pass, err := matmul.NewDensePass(k.base, k.cur, false)
-			if err != nil {
-				return nil, err
-			}
-			pass.SetGatherer(k.gather)
-			if k.remaining > 1 {
-				pass.Vote()
-			}
-			k.pass = pass
-			return pass.Nodes(), nil
-		}
-		hs, err := assemble(k.params, k.hubs, k.base, k.cur)
-		if err != nil {
-			return nil, err
-		}
-		k.hs = hs
-		k.stage = 2
 	}
 	return nil, nil
 }
 
-// harvest folds the completed in-flight product (if any) into the hub
-// distance columns, gathering it across transport ranks first.
-// Idempotent, so checkpointing can force it at a pass boundary.
-func (k *ConstructKernel) harvest() error {
-	if k.pass == nil {
-		return nil
-	}
-	if err := k.pass.Gather(); err != nil {
+// finish assembles the hopset from the final hub distance columns.
+func (k *ConstructKernel) finish() error {
+	hs, err := assemble(k.params, k.hubs, k.rx.Over(), k.rx.Result().(*matmul.Dense))
+	if err != nil {
 		return err
 	}
-	k.cur = k.pass.Dense()
-	k.remaining--
-	if !k.pass.Changed() {
-		k.remaining = 0
-	}
-	k.pass = nil
+	k.hs = hs
+	k.stage = 2
 	return nil
 }
 
@@ -121,16 +100,18 @@ func (k *ConstructKernel) start(g *graph.CSR) error {
 		return err
 	}
 	k.params = p
-	if k.base, err = roundedBase(g, p.Eps); err != nil {
+	base, err := roundedBase(g, p.Eps)
+	if err != nil {
 		return err
 	}
 	k.hubs = sampleHubs(g.N, p.HubRate, p.Seed)
-	k.cur = hubIndicator(g.N, k.hubs)
-	k.remaining = p.Beta
+	products := p.Beta
 	if len(k.hubs) == 0 {
 		// No hubs, no products: the hopset is (validly) empty.
-		k.remaining = 0
+		products = 0
 	}
+	k.rx = matmul.NewRelaxation(base, matmul.Indicator(g.N, k.hubs, core.MinPlus()), products)
+	k.rx.SetGatherer(k.gather)
 	k.stage = 1
 	return nil
 }
@@ -139,10 +120,10 @@ func (k *ConstructKernel) start(g *graph.CSR) error {
 // essential here, because a hub-distance column matrix with K hubs
 // packs up to K words per row.
 func (k *ConstructKernel) MaxRoundsHint() int {
-	if k.pass == nil {
+	if k.rx == nil {
 		return 0
 	}
-	return k.pass.MaxRoundsHint()
+	return k.rx.MaxRoundsHint()
 }
 
 // Result returns the constructed hopset (*Hopset), nil before

@@ -1,9 +1,10 @@
 // Checkpoint serialization for the hopset construction kernel and its
 // products. ConstructKernel implements clique.Checkpointable: its
-// inter-pass state is the resolved Params, the sampled hub list, the
-// rounded base adjacency, the current hub distance columns, and the
-// remaining product count — all plain data once the in-flight pass has
-// been harvested at a pass boundary. The finished *Hopset itself is
+// inter-pass state is the resolved Params, the sampled hub list, and
+// the cursor of its matmul.Relaxation (the rounded base adjacency, the
+// current hub distance columns, and the remaining product count) — all
+// plain data once the in-flight pass has been harvested at a pass
+// boundary. The finished *Hopset itself is
 // never serialized by the kernel: the done state re-runs assemble on
 // restore, which is deterministic given the serialized fields.
 package hopset
@@ -20,18 +21,16 @@ import (
 // kernelStateVersion stamps the ConstructKernel state blob.
 const kernelStateVersion uint64 = 1
 
-// WriteParams encodes p to the ckptio writer — shared with the
-// approximate shortest-path kernels in internal/algo, whose state
-// embeds hopset parameters.
-func WriteParams(w *ckptio.Writer, p Params) {
+// writeParams encodes p to the ckptio writer.
+func writeParams(w *ckptio.Writer, p Params) {
 	w.I64(int64(p.Beta))
 	w.F64(p.Eps)
 	w.F64(p.HubRate)
 	w.I64(p.Seed)
 }
 
-// ReadParams decodes parameters written by WriteParams.
-func ReadParams(r *ckptio.Reader) Params {
+// readParams decodes parameters written by writeParams.
+func readParams(r *ckptio.Reader) Params {
 	return Params{
 		Beta:    int(r.I64()),
 		Eps:     r.F64(),
@@ -75,20 +74,17 @@ func ReadHopset(r *ckptio.Reader) (*Hopset, error) {
 }
 
 // SnapshotState serializes the construction's inter-pass state. Called
-// at pass boundaries only (clique.Checkpointable); the in-flight
-// product, if any, is harvested first.
+// at pass boundaries only (clique.Checkpointable); the relaxation
+// harvests its in-flight product, if any, first.
 func (k *ConstructKernel) SnapshotState(w io.Writer) error {
-	if err := k.harvest(); err != nil {
-		return err
-	}
 	cw := ckptio.NewWriter(w)
 	cw.U64(kernelStateVersion)
 	cw.I64(int64(k.stage))
-	WriteParams(cw, k.params)
+	writeParams(cw, k.params)
 	cw.NodeIDs(k.hubs)
-	matmul.WriteMatrix(cw, k.base)
-	matmul.WriteDense(cw, k.cur)
-	cw.I64(int64(k.remaining))
+	if err := matmul.WriteRelaxation(cw, k.rx); err != nil {
+		return err
+	}
 	cw.SumTrailer()
 	return cw.Err()
 }
@@ -106,31 +102,23 @@ func (k *ConstructKernel) RestoreState(r io.Reader) error {
 		return fmt.Errorf("hopset: kernel state version %d, this build reads version %d", v, kernelStateVersion)
 	}
 	stage := int(cr.I64())
-	params := ReadParams(cr)
+	params := readParams(cr)
 	hubs := cr.NodeIDs()
-	base, err := matmul.ReadMatrix(cr)
+	rx, err := matmul.ReadRelaxation(cr)
 	if err != nil {
 		return err
 	}
-	cur, err := matmul.ReadDense(cr)
-	if err != nil {
-		return err
-	}
-	remaining := int(cr.I64())
 	cr.VerifySumTrailer()
 	if err := cr.Err(); err != nil {
 		return err
 	}
-	if stage < 1 || stage > 2 {
+	if stage != 1 && (stage != 2 || rx.Result() == nil) {
 		return fmt.Errorf("hopset: kernel state has implausible stage %d", stage)
 	}
-	k.stage, k.params, k.hubs, k.base, k.cur, k.remaining = stage, params, hubs, base, cur, remaining
+	rx.SetGatherer(k.gather)
+	k.stage, k.params, k.hubs, k.rx = stage, params, hubs, rx
 	if stage == 2 {
-		hs, err := assemble(params, hubs, base, cur)
-		if err != nil {
-			return err
-		}
-		k.hs = hs
+		return k.finish()
 	}
 	return nil
 }

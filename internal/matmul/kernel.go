@@ -7,142 +7,244 @@ import (
 	"github.com/paper-repo-growth/doryp20/internal/graph"
 )
 
-// MulKernel runs one sparse product C = A ⊗ B as a clique session
-// kernel: a single engine pass followed by a harvest. The operands are
-// carried by the kernel itself, so it runs on graph-free sessions
-// (clique.NewSize); the session graph is ignored.
-type MulKernel struct {
-	a, b    *Matrix
-	unpaced bool
-	pass    *Pass
-	out     *Matrix
-	done    bool
-	gather  engine.Gatherer
-}
+// The two product loops every multiplying kernel drives. Each is a
+// clique session kernel that carries its operands (so it runs on
+// graph-free sessions, clique.NewSize, and ignores the session graph),
+// runs one engine pass per product, and stops at the first product that
+// changes nothing: each product that another one may still follow takes
+// that verdict in-engine (Pass.vote: at most 2 rounds and 2(n-1) words,
+// none when it confirms the fixpoint); a product that ends the loop
+// anyway runs bare. How many products that saves depends on the input:
+// the answer is stable once its hop horizon covers the hop-diameter, so
+// graph.Path saves none and a dense random graph most of them.
 
-// SetGatherer injects the session transport's all-gather so the
-// harvest assembles the full product on every rank (clique
-// TransportAware hook).
-func (k *MulKernel) SetGatherer(g engine.Gatherer) { k.gather = g }
-
-// NewMulKernel prepares the sparse product A ⊗ B as a session kernel.
-// Operand validation (dimensions, semirings, wire-format fit) happens
-// at the first Nodes call, surfacing through Session.Run.
-func NewMulKernel(a, b *Matrix) *MulKernel { return &MulKernel{a: a, b: b} }
-
-// Name identifies the kernel.
-func (k *MulKernel) Name() string { return "matmul-mul" }
-
-// Nodes returns the single product pass, then harvests it.
-func (k *MulKernel) Nodes(*graph.CSR) ([]engine.Node, error) {
-	if k.done {
-		return nil, nil
-	}
-	if k.pass == nil {
-		p, err := NewPass(k.a, k.b, k.unpaced)
-		if err != nil {
-			return nil, err
-		}
-		p.SetGatherer(k.gather)
-		k.pass = p
-		return p.Nodes(), nil
-	}
-	if err := k.pass.Gather(); err != nil {
-		return nil, err
-	}
-	k.out = k.pass.Sparse()
-	k.done = true
-	return nil, nil
-}
-
-// MaxRoundsHint sizes the in-flight pass's round bound from its widest
-// packed row.
-func (k *MulKernel) MaxRoundsHint() int {
-	if k.pass == nil {
-		return 0
-	}
-	return k.pass.MaxRoundsHint()
-}
-
-// Result returns the product matrix (*Matrix), nil before completion.
-func (k *MulKernel) Result() any {
-	if k.out == nil {
-		return nil
-	}
-	return k.out
-}
-
-// Product returns the typed product matrix, nil before completion.
-func (k *MulKernel) Product() *Matrix { return k.out }
-
-// MulDenseKernel runs one sparse-dense product C = A ⊗ B (B and C
-// n x k dense) as a clique session kernel; like MulKernel it carries
-// its operands and ignores the session graph.
-type MulDenseKernel struct {
-	a      *Matrix
-	b      *Dense
-	pass   *Pass
-	out    *Dense
-	done   bool
+// Power computes the reflexive semiring power A^e by square-and-multiply,
+// one engine product per step. result stays nil until the first set
+// exponent bit so an Identity ⊗ A product is never paid; a power-of-two
+// exponent therefore costs at most log2(e) squarings and no multiply
+// step.
+//
+// A squaring that changes nothing ends the squarings: once
+// base ⊗ base = base every higher power of base is base, and
+// result ⊗ P ⊗ P = result ⊗ P, so whatever exponent is left collapses to
+// a single multiply step (or to base itself while result is nil). Each
+// squaring with another one still to follow votes; multiply steps and
+// the last squaring end the loop anyway and run bare.
+type Power struct {
+	e            int
+	base, result *Matrix
+	pass         *Pass
+	passIsSquare bool
+	// phase 0: the current exponent bit's multiply step is pending;
+	// phase 1: it is done and the squaring step is pending.
+	phase  int
 	gather engine.Gatherer
 }
 
-// SetGatherer injects the session transport's all-gather so the
-// harvest assembles the full product on every rank (clique
-// TransportAware hook).
-func (k *MulDenseKernel) SetGatherer(g engine.Gatherer) { k.gather = g }
-
-// NewMulDenseKernel prepares the sparse-dense product A ⊗ B as a
-// session kernel; validation happens at the first Nodes call.
-func NewMulDenseKernel(a *Matrix, b *Dense) *MulDenseKernel {
-	return &MulDenseKernel{a: a, b: b}
-}
+// NewPower prepares A^e as a session kernel. Operand validation happens
+// at the first product, surfacing through Session.Run.
+func NewPower(a *Matrix, e int) *Power { return &Power{e: e, base: a} }
 
 // Name identifies the kernel.
-func (k *MulDenseKernel) Name() string { return "matmul-dense" }
+func (p *Power) Name() string { return "matmul-power" }
 
-// Nodes returns the single product pass, then harvests it.
-func (k *MulDenseKernel) Nodes(*graph.CSR) ([]engine.Node, error) {
-	if k.done {
-		return nil, nil
+// SetGatherer injects the session transport's all-gather so every
+// product's harvest assembles the full matrix on every rank (clique
+// TransportAware hook).
+func (p *Power) SetGatherer(g engine.Gatherer) { p.gather = g }
+
+// harvest folds the completed in-flight pass (if any) back into the
+// square-and-multiply state, gathering the product across transport
+// ranks first. Idempotent, so checkpointing can force it at a pass
+// boundary before the next Nodes call would.
+func (p *Power) harvest() error {
+	if p.pass == nil {
+		return nil
 	}
-	if k.pass == nil {
-		p, err := NewDensePass(k.a, k.b, false)
-		if err != nil {
-			return nil, err
+	if err := p.pass.Gather(); err != nil {
+		return err
+	}
+	m := p.pass.Sparse()
+	if p.passIsSquare {
+		p.base = m
+		if !p.pass.changed() {
+			p.e = 1
 		}
-		p.SetGatherer(k.gather)
-		k.pass = p
-		return p.Nodes(), nil
+	} else {
+		p.result = m
 	}
-	if err := k.pass.Gather(); err != nil {
+	p.pass = nil
+	return nil
+}
+
+// Nodes harvests the pass returned by the previous call (if any) and
+// returns the next product pass, or nil once A^e is fully computed.
+func (p *Power) Nodes(*graph.CSR) ([]engine.Node, error) {
+	if err := p.harvest(); err != nil {
 		return nil, err
 	}
-	k.out = k.pass.Dense()
-	k.done = true
+	for p.e > 0 {
+		if p.phase == 0 {
+			p.phase = 1
+			if p.e&1 == 1 {
+				if p.result == nil {
+					p.result = p.base
+				} else {
+					return p.product(p.result, false)
+				}
+			}
+		}
+		if p.e > 1 {
+			p.phase = 0
+			p.e >>= 1
+			return p.product(p.base, true)
+		}
+		p.e = 0
+	}
 	return nil, nil
 }
 
-// MaxRoundsHint sizes the in-flight pass's round bound from its widest
-// packed row — essential for dense operands wider than the engine's
-// n-scaled default.
-func (k *MulDenseKernel) MaxRoundsHint() int {
-	if k.pass == nil {
+// product starts the engine pass left ⊗ base: the squaring step when
+// left is base itself (p.e already holds the exponent left after it),
+// the multiply step into result otherwise.
+func (p *Power) product(left *Matrix, square bool) ([]engine.Node, error) {
+	pass, err := NewPass(left, p.base, false)
+	if err != nil {
+		return nil, err
+	}
+	pass.gather = p.gather
+	p.pass, p.passIsSquare = pass, square
+	if square && p.e > 1 {
+		pass.vote()
+	}
+	return pass.Nodes(), nil
+}
+
+// MaxRoundsHint forwards the in-flight product's round-bound hint.
+func (p *Power) MaxRoundsHint() int {
+	if p.pass == nil {
 		return 0
 	}
-	return k.pass.MaxRoundsHint()
+	return p.pass.MaxRoundsHint()
 }
 
-// Result returns the product (*Dense), nil before completion.
-func (k *MulDenseKernel) Result() any {
-	if k.out == nil {
+// Result returns A^e (*Matrix), nil before completion. e = 0 yields the
+// identity in the base matrix's semiring (every vertex related only to
+// itself, with value One).
+func (p *Power) Result() any {
+	if p.e > 0 {
 		return nil
 	}
-	return k.out
+	if p.result == nil {
+		return Identity(p.base.N, p.base.Sr)
+	}
+	return p.result
 }
 
-// Product returns the typed dense product, nil before completion.
-func (k *MulDenseKernel) Product() *Dense { return k.out }
+// Relaxation iterates B ← S ⊗ B over a fixed matrix S (B n x k dense),
+// one dense engine pass per product, until `products` have run or one
+// changes nothing — B = S ⊗ B is a fixpoint, so every later product
+// would return the same columns. Each product but the last allowed
+// votes. It is the loop behind the hopset construction (hub columns
+// relaxed β times over the rounded adjacency) and behind stage 2 of
+// every two-stage pipeline in internal/algo (source columns relaxed
+// over S).
+type Relaxation struct {
+	s    *Matrix
+	b    *Dense
+	pass *Pass
+	// remaining bounds the products still to run; a product that changes
+	// nothing zeroes it.
+	remaining int
+	gather    engine.Gatherer
+}
+
+// NewRelaxation prepares at most `products` relaxation products of s
+// against b as a session kernel. Operand validation happens at the
+// first product, surfacing through Session.Run.
+func NewRelaxation(s *Matrix, b *Dense, products int) *Relaxation {
+	return &Relaxation{s: s, b: b, remaining: products}
+}
+
+// Indicator returns the n x k columns a relaxation starts from, one per
+// source: One at the source (0 over (min,+), InfWidth over (max,min)),
+// Zero elsewhere.
+func Indicator(n int, sources []core.NodeID, sr core.Semiring) *Dense {
+	b := NewDense(n, len(sources), sr)
+	for j, src := range sources {
+		b.Row(src)[j] = sr.One
+	}
+	return b
+}
+
+// Name identifies the kernel.
+func (r *Relaxation) Name() string { return "matmul-relax" }
+
+// SetGatherer injects the session transport's all-gather so every
+// product's harvest assembles the full columns on every rank (clique
+// TransportAware hook).
+func (r *Relaxation) SetGatherer(g engine.Gatherer) { r.gather = g }
+
+// harvest folds the completed in-flight product (if any) into the
+// columns, gathering it across transport ranks first. Idempotent, so
+// checkpointing can force it at a pass boundary before the next Nodes
+// call would.
+func (r *Relaxation) harvest() error {
+	if r.pass == nil {
+		return nil
+	}
+	if err := r.pass.Gather(); err != nil {
+		return err
+	}
+	r.b = r.pass.Dense()
+	r.remaining--
+	if !r.pass.changed() {
+		r.remaining = 0
+	}
+	r.pass = nil
+	return nil
+}
+
+// Nodes harvests the pass returned by the previous call (if any) and
+// returns the next relaxation pass, or nil once the columns are final.
+func (r *Relaxation) Nodes(*graph.CSR) ([]engine.Node, error) {
+	if err := r.harvest(); err != nil {
+		return nil, err
+	}
+	if r.remaining <= 0 {
+		return nil, nil
+	}
+	pass, err := NewDensePass(r.s, r.b, false)
+	if err != nil {
+		return nil, err
+	}
+	pass.gather = r.gather
+	if r.remaining > 1 {
+		pass.vote()
+	}
+	r.pass = pass
+	return pass.Nodes(), nil
+}
+
+// MaxRoundsHint forwards the in-flight product's round-bound hint —
+// essential for columns wider than the engine's n-scaled default.
+func (r *Relaxation) MaxRoundsHint() int {
+	if r.pass == nil {
+		return 0
+	}
+	return r.pass.MaxRoundsHint()
+}
+
+// Result returns the final columns (*Dense), nil before completion.
+func (r *Relaxation) Result() any {
+	if r.remaining > 0 {
+		return nil
+	}
+	return r.b
+}
+
+// Over returns S, the matrix the columns are relaxed over.
+func (r *Relaxation) Over() *Matrix { return r.s }
 
 // init registers the demonstration matmul kernel: squaring the
 // reflexive (min,+) adjacency matrix of the session graph — one
@@ -154,6 +256,6 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return NewMulKernel(a, a), nil
+		return NewPower(a, 2), nil
 	})
 }

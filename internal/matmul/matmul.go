@@ -16,12 +16,15 @@
 //     decomposed into a request round followed by budget-paced
 //     streaming rounds through the engine's sharded router (see
 //     mul.go), and the engine's stats expose exactly how many rounds
-//     and messages the model charged. MulKernel / MulDenseKernel run
-//     one such pass as a clique session kernel.
+//     and messages the model charged.
 //
-// On top of it, internal/algo builds APSP by repeated squaring and
-// hop-limited distances — the substrate for the paper's hopset
-// construction.
+// Every multiplying kernel drives one of two product loops, both clique
+// session kernels (kernel.go): Power computes A^e by square-and-multiply,
+// and Relaxation iterates B ← S ⊗ B from Indicator columns. Each stops
+// at the first product that changes nothing, and only they decide which
+// products vote on that. On top of them, internal/algo builds APSP by
+// repeated squaring, hop-limited distances and stage 2 of its
+// pipelines, and internal/hopset the paper's hopset construction.
 package matmul
 
 import (

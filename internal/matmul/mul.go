@@ -209,7 +209,7 @@ type mulNode struct {
 	off    int           // words of packed already sent to each of reqs
 	cur    int           // index into aCols of the last source looked up
 	unpace bool
-	vote   *voter // non-nil on a pass asked to vote (Pass.Vote)
+	vote   *voter // non-nil on a pass asked to vote (Pass.vote)
 }
 
 // lookupA returns A[v][src] for a data word from src, which exists
@@ -435,7 +435,7 @@ func (nd *mulNode) product(ctx *engine.Ctx, r core.Round, inbox []engine.Message
 
 // voter is one node's part in the vote a pass takes on whether its
 // product equals its B operand — the question every product loop
-// x <- S ⊗ x asks to know it has reached its fixpoint (see Pass.Vote).
+// x <- S ⊗ x asks to know it has reached its fixpoint (see Pass.vote).
 // The vote is paid for in rounds and words like the product itself:
 //
 //	round F:   the round the bare pass falls silent in, so every row of
@@ -537,11 +537,10 @@ func (vt *voter) differs(acc []int64, zero int64) bool {
 
 // Pass is one validated, packed distributed product C = A ⊗ B prepared
 // as a single engine pass: n mulNodes, node v holding row v of both
-// operands and accumulating row v of C. Kernels hand a Pass's Nodes to
-// a clique session and harvest the result with Sparse or Dense after
-// the pass quiesces — the unit that pipeline kernels (repeated
-// squaring, hopset powering, k-source relaxation) chain on one warm
-// session.
+// operands and accumulating row v of C. Power and Relaxation hand a
+// Pass's Nodes to a clique session and harvest the result with Sparse or
+// Dense after the pass quiesces, chaining one Pass per product on one
+// warm session.
 type Pass struct {
 	n, cols int
 	sr      core.Semiring
@@ -551,24 +550,20 @@ type Pass struct {
 	accs    [][]int64
 	flat    []int64
 
-	// The B operand (one of the two is set), kept for Vote.
+	// The B operand (one of the two is set), kept for vote.
 	bSparse *Matrix
 	bDense  *Dense
 	voters  []voter
 
 	// gather synchronizes the accumulator slab across transport ranks
-	// at harvest time (nil for purely local runs); gathered makes
-	// Gather idempotent across the repeated harvest calls the pipeline
-	// kernels make.
+	// at harvest time: the product loop (Power, Relaxation) passes on
+	// the transport the clique session injected through its
+	// TransportAware hook; nil for purely local runs. gathered makes
+	// Gather idempotent across the repeated harvest calls the loops
+	// make.
 	gather   engine.Gatherer
 	gathered bool
 }
-
-// SetGatherer wires the transport's all-gather into the pass's
-// harvest. The clique session injects its transport here (via the
-// kernels' TransportAware hooks) before the pass runs; single-rank
-// transports make Gather a no-op.
-func (p *Pass) SetGatherer(g engine.Gatherer) { p.gather = g }
 
 // Gather synchronizes the accumulated result slab across all ranks of
 // the session's transport — each rank contributes the rows of the
@@ -677,13 +672,13 @@ func newPass(a *Matrix, packed [][]uint64, cols int, wf *wireFormat, unpaced boo
 // Nodes returns the pass's node set for one engine run.
 func (p *Pass) Nodes() []engine.Node { return p.nodes }
 
-// Vote asks the pass to also decide, in-engine, whether its product
-// equals its B operand (see voter for the protocol and its cost); Changed
+// vote asks the pass to also decide, in-engine, whether its product
+// equals its B operand (see voter for the protocol and its cost); changed
 // reports the verdict once the pass has quiesced. Call it before the
-// pass runs. The product loops of internal/algo and internal/hopset ask
-// for a vote on every product but one that ends the loop anyway; a pass
-// never asked runs exactly the bare product.
-func (p *Pass) Vote() {
+// pass runs. Power and Relaxation ask for a vote on every product but
+// one that ends the loop anyway; a pass never asked runs exactly the
+// bare product.
+func (p *Pass) vote() {
 	widest := -1
 	asked := make([]bool, p.n)
 	for v := range p.state {
@@ -709,13 +704,13 @@ func (p *Pass) Vote() {
 	}
 }
 
-// Changed reports whether the product differs from its B operand, as
+// changed reports whether the product differs from its B operand, as
 // the nodes this process executed heard it in the pass's vote: every
 // node but node 0 hears node 0's verdict and node 0 knows its own, so
 // every rank of a multi-process clique reads the same answer off its
 // own nodes. A pass not asked to vote reports true. Call it only after
 // the pass has quiesced and Gather has run.
-func (p *Pass) Changed() bool {
+func (p *Pass) changed() bool {
 	if p.voters == nil {
 		return true
 	}

@@ -23,6 +23,18 @@ func runProduct(n int, k clique.Kernel, opts ...clique.Option) (engine.Stats, er
 	return s.Stats().Engine, err
 }
 
+// runPass runs one bare pass on a fresh engine of its size, bounded by
+// the pass's own MaxRoundsHint.
+func runPass(p *Pass) error {
+	e, err := engine.New(p.n, engine.Options{})
+	if err != nil {
+		return err
+	}
+	defer e.Close()
+	_, err = e.RunBounded(context.Background(), p.Nodes(), p.MaxRoundsHint())
+	return err
+}
+
 func matricesEqual(t *testing.T, got, want *Matrix, label string) {
 	t.Helper()
 	if err := got.Validate(); err != nil {
@@ -57,7 +69,7 @@ func TestMulMatchesRef(t *testing.T) {
 				t.Fatalf("MulRef: %v", err)
 			}
 			for _, workers := range []int{1, 3, 8} {
-				k := NewMulKernel(a, a)
+				k := NewPower(a, 2)
 				stats, err := runProduct(a.N, k, clique.WithWorkers(workers))
 				if err != nil {
 					t.Fatalf("A*A (%s, g%d, w=%d): %v", sr.Name, gi, workers, err)
@@ -65,7 +77,7 @@ func TestMulMatchesRef(t *testing.T) {
 				if stats.TotalMsgs == 0 && g.NumEdges() > 0 {
 					t.Fatalf("A*A (%s, g%d, w=%d): no messages routed for a non-empty graph", sr.Name, gi, workers)
 				}
-				matricesEqual(t, k.Product(), want, sr.Name)
+				matricesEqual(t, k.Result().(*Matrix), want, sr.Name)
 			}
 		}
 	}
@@ -80,11 +92,11 @@ func TestMulSquaredMatchesRef(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FromGraph: %v", err)
 	}
-	k2 := NewMulKernel(a, a)
+	k2 := NewPower(a, 2)
 	if _, err := runProduct(a.N, k2); err != nil {
 		t.Fatalf("A*A: %v", err)
 	}
-	k4 := NewMulKernel(k2.Product(), k2.Product())
+	k4 := NewPower(k2.Result().(*Matrix), 2)
 	if _, err := runProduct(a.N, k4); err != nil {
 		t.Fatalf("A2*A2: %v", err)
 	}
@@ -96,7 +108,7 @@ func TestMulSquaredMatchesRef(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MulRef: %v", err)
 	}
-	matricesEqual(t, k4.Product(), ref4, "A^4")
+	matricesEqual(t, k4.Result().(*Matrix), ref4, "A^4")
 }
 
 // TestMulN256RoutesMessages is the acceptance check that a product at
@@ -113,7 +125,7 @@ func TestMulN256RoutesMessages(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FromGraph: %v", err)
 	}
-	k := NewMulKernel(a, a)
+	k := NewPower(a, 2)
 	stats, err := runProduct(a.N, k)
 	if err != nil {
 		t.Fatalf("A*A: %v", err)
@@ -134,7 +146,7 @@ func TestMulN256RoutesMessages(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MulRef: %v", err)
 	}
-	matricesEqual(t, k.Product(), want, "n=256")
+	matricesEqual(t, k.Result().(*Matrix), want, "n=256")
 }
 
 // TestUnpacedProductReturnsBandwidthError is the regression test that a
@@ -150,13 +162,16 @@ func TestUnpacedProductReturnsBandwidthError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FromGraph: %v", err)
 	}
-	_, err = runProduct(a.N, &MulKernel{a: a, b: a, unpaced: true})
+	unpaced, err := NewPass(a, a, true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var bwe *engine.BandwidthError
-	if !errors.As(err, &bwe) {
+	if err := runPass(unpaced); !errors.As(err, &bwe) {
 		t.Fatalf("unpaced product error = %v, want *engine.BandwidthError", err)
 	}
 	// The paced path on the identical input must succeed.
-	if _, err := runProduct(a.N, NewMulKernel(a, a)); err != nil {
+	if _, err := runProduct(a.N, NewPower(a, 2)); err != nil {
 		t.Fatalf("paced product on same input: %v", err)
 	}
 }
@@ -174,20 +189,23 @@ func TestMulRejectsUnpackableValues(t *testing.T) {
 		return m
 	}
 	wide := single([]core.NodeID{1, 2}, []int64{1, 1 << 60})
-	if _, err := runProduct(a.N, NewMulKernel(a, wide)); err == nil {
+	if _, err := NewPass(a, wide, false); err == nil {
 		t.Fatal("product accepted a value range wider than the wire format")
 	}
 	// A lone large value has range zero and packs into a 2-bit field.
 	big := single([]core.NodeID{1}, []int64{1 << 60})
-	k := NewMulKernel(a, big)
-	if _, err := runProduct(a.N, k); err != nil {
+	p, err := NewPass(a, big, false)
+	if err == nil {
+		err = runPass(p)
+	}
+	if err != nil {
 		t.Fatalf("product rejected a lone large value: %v", err)
 	}
 	want, err := MulRef(a, big)
 	if err != nil {
 		t.Fatalf("MulRef: %v", err)
 	}
-	matricesEqual(t, k.Product(), want, "lone 1<<60")
+	matricesEqual(t, p.Sparse(), want, "lone 1<<60")
 }
 
 func TestMulDenseMatchesRef(t *testing.T) {
@@ -210,7 +228,7 @@ func TestMulDenseMatchesRef(t *testing.T) {
 			if err != nil {
 				t.Fatalf("MulDenseRef(%s): %v", sr.Name, err)
 			}
-			dk := NewMulDenseKernel(a, b)
+			dk := NewRelaxation(a, b, 1)
 			stats, err := runProduct(a.N, dk)
 			if err != nil {
 				t.Fatalf("A*B (%s): %v", sr.Name, err)
@@ -218,7 +236,7 @@ func TestMulDenseMatchesRef(t *testing.T) {
 			if stats.TotalMsgs == 0 {
 				t.Fatalf("A*B (%s) routed no messages", sr.Name)
 			}
-			got := dk.Product()
+			got := dk.Result().(*Dense)
 			for v := 0; v < a.N; v++ {
 				for j := 0; j < k; j++ {
 					if got.At(core.NodeID(v), j) != want.At(core.NodeID(v), j) {
@@ -250,11 +268,11 @@ func TestMulDenseWideOperand(t *testing.T) {
 	for j := 0; j < k; j++ {
 		b.Row(0)[j] = int64(1 + j%5)
 	}
-	dk := NewMulDenseKernel(a, b)
+	dk := NewRelaxation(a, b, 1)
 	if _, err := runProduct(a.N, dk); err != nil {
 		t.Fatalf("A*B with wide dense operand: %v", err)
 	}
-	got := dk.Product()
+	got := dk.Result().(*Dense)
 	want, err := MulDenseRef(a, b)
 	if err != nil {
 		t.Fatalf("MulDenseRef: %v", err)
@@ -279,11 +297,11 @@ func TestMulDeterministic(t *testing.T) {
 	}
 	var first *Matrix
 	for _, workers := range []int{1, 2, 5, 16} {
-		k := NewMulKernel(a, a)
+		k := NewPower(a, 2)
 		if _, err := runProduct(a.N, k, clique.WithWorkers(workers)); err != nil {
 			t.Fatalf("A*A (w=%d): %v", workers, err)
 		}
-		c := k.Product()
+		c := k.Result().(*Matrix)
 		if first == nil {
 			first = c
 			continue
@@ -305,15 +323,16 @@ func TestMulDeterministic(t *testing.T) {
 func TestMulZeroDim(t *testing.T) {
 	sr := core.MinPlus()
 	a := Identity(0, sr)
-	k := NewMulKernel(a, a)
+	k := NewPower(a, 2)
 	if _, err := runProduct(0, k); err != nil {
 		t.Fatalf("0x0 A*A: %v", err)
 	}
-	if c := k.Product(); c == nil || c.N != 0 {
+	if c, _ := k.Result().(*Matrix); c == nil || c.N != 0 {
 		t.Fatalf("0x0 A*A product = %v, want empty non-nil matrix", c)
 	}
-	dk := NewMulDenseKernel(a, NewDense(0, 0, sr))
-	if _, err := runProduct(0, dk); err != nil || dk.Product() == nil {
-		t.Fatalf("0x0 A*B = (%v, %v), want a non-nil product", dk.Product(), err)
+	dk := NewRelaxation(a, NewDense(0, 0, sr), 1)
+	_, err := runProduct(0, dk)
+	if d, _ := dk.Result().(*Dense); err != nil || d == nil {
+		t.Fatalf("0x0 A*B = (%v, %v), want a non-nil product", d, err)
 	}
 }

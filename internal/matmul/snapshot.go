@@ -1,8 +1,9 @@
-// Matrix (de)serialization for kernel checkpoints. Multi-pass kernels
-// (internal/algo, internal/hopset) carry their inter-pass state as
-// sparse or dense matrices; these helpers encode them in the
+// Matrix and product-loop (de)serialization for kernel checkpoints.
+// Multi-pass kernels (internal/algo, internal/hopset) carry their
+// inter-pass state as sparse or dense matrices and the cursor of the
+// Power or Relaxation they drive; these helpers encode them in the
 // internal/ckptio wire format so kernel SnapshotState/RestoreState
-// implementations stay one-liners per matrix. Semirings travel by Name
+// implementations stay one-liners per field. Semirings travel by Name
 // (the function fields cannot be serialized) and are rebuilt via
 // core.SemiringByName on read; every read ends with Matrix.Validate so
 // a corrupt blob surfaces as a structural error, never as a plausible
@@ -107,4 +108,66 @@ func ReadDense(r *ckptio.Reader) (*Dense, error) {
 		d.Vals = []int64{}
 	}
 	return d, nil
+}
+
+// WritePower harvests p's in-flight product, if any, and encodes its
+// square-and-multiply cursor: e, phase, base, result.
+func WritePower(w *ckptio.Writer, p *Power) error {
+	if err := p.harvest(); err != nil {
+		return err
+	}
+	w.I64(int64(p.e))
+	w.I64(int64(p.phase))
+	WriteMatrix(w, p.base)
+	WriteMatrix(w, p.result)
+	return nil
+}
+
+// ReadPower decodes a cursor written by WritePower into a Power that
+// continues from it.
+func ReadPower(r *ckptio.Reader) (*Power, error) {
+	p := &Power{}
+	p.e = int(r.I64())
+	p.phase = int(r.I64())
+	var err error
+	if p.base, err = ReadMatrix(r); err != nil {
+		return nil, err
+	}
+	if p.result, err = ReadMatrix(r); err != nil {
+		return nil, err
+	}
+	if r.Err() == nil && p.base == nil {
+		return nil, fmt.Errorf("matmul: power state has no base matrix")
+	}
+	return p, r.Err()
+}
+
+// WriteRelaxation harvests x's in-flight product, if any, and encodes
+// its cursor: S, B, remaining.
+func WriteRelaxation(w *ckptio.Writer, x *Relaxation) error {
+	if err := x.harvest(); err != nil {
+		return err
+	}
+	WriteMatrix(w, x.s)
+	WriteDense(w, x.b)
+	w.I64(int64(x.remaining))
+	return nil
+}
+
+// ReadRelaxation decodes a cursor written by WriteRelaxation into a
+// Relaxation that continues from it.
+func ReadRelaxation(r *ckptio.Reader) (*Relaxation, error) {
+	x := &Relaxation{}
+	var err error
+	if x.s, err = ReadMatrix(r); err != nil {
+		return nil, err
+	}
+	if x.b, err = ReadDense(r); err != nil {
+		return nil, err
+	}
+	x.remaining = int(r.I64())
+	if r.Err() == nil && (x.s == nil || x.b == nil) {
+		return nil, fmt.Errorf("matmul: relaxation state has no operand")
+	}
+	return x, r.Err()
 }

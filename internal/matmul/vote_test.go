@@ -72,7 +72,7 @@ type voteCase struct {
 	extraRounds, extraWords int
 }
 
-// TestVoteAccounting is the billing contract of Pass.Vote: a voting
+// TestVoteAccounting is the billing contract of Pass.vote: a voting
 // product returns the same product as the bare pass, its verdict is
 // right, it costs at most 2 rounds and 2(n-1) words more — nothing at
 // all when it confirms a fixpoint, whose digest chain is then the bare
@@ -132,14 +132,14 @@ func TestVoteAccounting(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					voting.Vote()
+					voting.vote()
 					bs := runVotePass(t, bare, cap, workers)
 					vs := runVotePass(t, voting, cap, workers)
-					if !bare.Changed() {
-						t.Error("a pass never asked to vote must report Changed")
+					if !bare.changed() {
+						t.Error("a pass never asked to vote must report changed")
 					}
-					if voting.Changed() != tc.changed {
-						t.Errorf("Changed() = %v, want %v", voting.Changed(), tc.changed)
+					if voting.changed() != tc.changed {
+						t.Errorf("changed() = %v, want %v", voting.changed(), tc.changed)
 					}
 					if !slices.Equal(voting.Dense().Vals, bare.Dense().Vals) {
 						t.Error("voting pass computed a different product")
@@ -206,12 +206,12 @@ func TestVoteWhenTheWidestRowIsNeverAskedFor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	voting.Vote()
+	voting.vote()
 	if len(voting.state[9].packed) < 3 {
 		t.Fatalf("row 9 packs into %d words; the fixture needs it several rounds wide", len(voting.state[9].packed))
 	}
 	bs, vs := runVotePass(t, bare, 1, 1), runVotePass(t, voting, 1, 1)
-	if !voting.Changed() {
+	if !voting.changed() {
 		t.Error("vertex 1 learned its distance to vertex 0, yet the vote reports no change")
 	}
 	if !slices.Equal(voting.Dense().Vals, want.Vals) {
@@ -256,10 +256,10 @@ func TestVoteWithoutAnyRequest(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p.Vote()
+			p.vote()
 			st := runVotePass(t, p, 1, 1)
-			if p.Changed() != tc.changed || st.Rounds != tc.rounds {
-				t.Errorf("Changed() = %v in %d rounds, want %v in %d", p.Changed(), st.Rounds, tc.changed, tc.rounds)
+			if p.changed() != tc.changed || st.Rounds != tc.rounds {
+				t.Errorf("changed() = %v in %d rounds, want %v in %d", p.changed(), st.Rounds, tc.changed, tc.rounds)
 			}
 			want, err := MulDenseRef(a, b)
 			if err != nil {

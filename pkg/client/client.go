@@ -64,15 +64,16 @@ func New(base string, opts ...Option) *Client {
 	return c
 }
 
-// do issues one request and decodes a JSON body into out (skipped when
-// out is nil). Non-2xx responses become *APIError.
-func (c *Client) do(ctx context.Context, method, path string, body io.Reader, out any) error {
+// do issues one request, with body sent as contentType when non-nil,
+// and decodes a JSON response body into out (skipped when out is nil).
+// Non-2xx responses become *APIError.
+func (c *Client) do(ctx context.Context, method, path, contentType string, body io.Reader, out any) error {
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
 		return fmt.Errorf("ccserve: building %s %s: %w", method, path, err)
 	}
-	if body != nil && method != http.MethodPost {
-		req.Header.Set("Content-Type", "application/json")
+	if body != nil {
+		req.Header.Set("Content-Type", contentType)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -102,7 +103,7 @@ func (c *Client) postJSON(ctx context.Context, path string, reqBody, out any) er
 	if err != nil {
 		return fmt.Errorf("ccserve: encoding request for %s: %w", path, err)
 	}
-	return c.do(ctx, http.MethodPost, path, bytes.NewReader(buf), out)
+	return c.do(ctx, http.MethodPost, path, "application/json", bytes.NewReader(buf), out)
 }
 
 // LoadGraph uploads an edge-list graph (the internal/graph format:
@@ -115,27 +116,27 @@ func (c *Client) LoadGraph(ctx context.Context, name string, r io.Reader) (api.G
 		path += "?name=" + url.QueryEscape(name)
 	}
 	var info api.GraphInfo
-	err := c.do(ctx, http.MethodPost, path, r, &info)
+	err := c.do(ctx, http.MethodPost, path, "text/plain", r, &info)
 	return info, err
 }
 
 // ListGraphs returns every loaded graph, sorted by ID.
 func (c *Client) ListGraphs(ctx context.Context) (api.GraphList, error) {
 	var list api.GraphList
-	err := c.do(ctx, http.MethodGet, "/graphs", nil, &list)
+	err := c.do(ctx, http.MethodGet, "/graphs", "", nil, &list)
 	return list, err
 }
 
 // GetGraph returns one loaded graph's info.
 func (c *Client) GetGraph(ctx context.Context, id string) (api.GraphInfo, error) {
 	var info api.GraphInfo
-	err := c.do(ctx, http.MethodGet, "/graphs/"+url.PathEscape(id), nil, &info)
+	err := c.do(ctx, http.MethodGet, "/graphs/"+url.PathEscape(id), "", nil, &info)
 	return info, err
 }
 
 // DeleteGraph unloads a graph and closes its warm serving session.
 func (c *Client) DeleteGraph(ctx context.Context, id string) error {
-	return c.do(ctx, http.MethodDelete, "/graphs/"+url.PathEscape(id), nil, nil)
+	return c.do(ctx, http.MethodDelete, "/graphs/"+url.PathEscape(id), "", nil, nil)
 }
 
 // SSSP runs an exact single-source shortest-path query.
@@ -177,7 +178,7 @@ func (c *Client) Reachable(ctx context.Context, id string, source int64) (api.Re
 // Stats returns per-graph session accounting and daemon query totals.
 func (c *Client) Stats(ctx context.Context) (api.StatsResponse, error) {
 	var resp api.StatsResponse
-	err := c.do(ctx, http.MethodGet, "/stats", nil, &resp)
+	err := c.do(ctx, http.MethodGet, "/stats", "", nil, &resp)
 	return resp, err
 }
 

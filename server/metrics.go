@@ -190,8 +190,8 @@ func (m *Metrics) Snapshot() Snapshot {
 		SSSPQueries: m.ssspQueries.Load(), KSourceQueries: m.ksourceQueries.Load(),
 		ApproxQueries: m.approxQueries.Load(), ReachableQueries: m.reachableQueries.Load(),
 		QueryErrors: m.queryErrors.Load(),
-		KernelRuns: m.kernelRuns.Load(),
-		Batches:    m.batches.Load(), BatchedQueries: m.batchedQueries.Load(),
+		KernelRuns:  m.kernelRuns.Load(),
+		Batches:     m.batches.Load(), BatchedQueries: m.batchedQueries.Load(),
 		BatchMax:  m.batchMax.Load(),
 		CacheHits: m.cacheHits.Load(), CacheMisses: m.cacheMisses.Load(),
 		SessionsActive: m.sessionsActive.Load(), GraphsLoaded: m.graphsLoaded.Load(),
