@@ -63,6 +63,16 @@ func (k *ApproxKSourceKernel) Dist() [][]int64 { return resultAs[[][]int64](k.re
 // completes — observability for tests and benchmarks.
 func (k *ApproxKSourceKernel) Hopset() *hopset.Hopset { return k.hs }
 
+// Augmented returns the hopset-augmented matrix stage 2 relaxes over,
+// nil before stage 2 starts — what a caller that relaxes more sources
+// over the same hopset later (NewRelaxKernel) keeps.
+func (k *ApproxKSourceKernel) Augmented() *matmul.Matrix {
+	if k.rx == nil {
+		return nil
+	}
+	return k.rx.Over()
+}
+
 // ApproxSSSPKernel computes (1+ε)-approximate single-source
 // shortest-path distances — the paper's headline workload — as the
 // one-source specialization of ApproxKSourceKernel: hopset

@@ -26,28 +26,32 @@ import (
 
 // kernelStateVersion stamps every algo kernel state blob. Version 2
 // unified the per-kernel layouts into the powerKernel and
-// pipelineKernel ones.
-const kernelStateVersion uint64 = 2
+// pipelineKernel ones; version 3 added the relaxation's previous
+// columns to the pipelineKernel one. Version 2 blobs still restore.
+const kernelStateVersion uint64 = 3
 
-// checkStateVersion reads and checks the leading version word.
-func checkStateVersion(cr *ckptio.Reader) error {
-	if v := cr.U64(); cr.Err() == nil && v != kernelStateVersion {
-		return fmt.Errorf("algo: kernel state version %d, this build reads version %d", v, kernelStateVersion)
+// readStateVersion reads the leading version word and checks that this
+// build reads it: the current version or the one before.
+func readStateVersion(cr *ckptio.Reader) (uint64, error) {
+	v := cr.U64()
+	if cr.Err() == nil && v != kernelStateVersion && v != kernelStateVersion-1 {
+		return v, fmt.Errorf("algo: kernel state version %d, this build reads versions %d and %d", v, kernelStateVersion-1, kernelStateVersion)
 	}
-	return nil
+	return v, nil
 }
 
-// readStateHeader checks the version word and then the kernel name a
-// spec-driven kernel's blob leads with, so state never lands in a
-// kernel built from a different spec.
-func readStateHeader(cr *ckptio.Reader, name string) error {
-	if err := checkStateVersion(cr); err != nil {
-		return err
+// readStateHeader reads the version word and then checks the kernel
+// name a spec-driven kernel's blob leads with, so state never lands in
+// a kernel built from a different spec.
+func readStateHeader(cr *ckptio.Reader, name string) (uint64, error) {
+	v, err := readStateVersion(cr)
+	if err != nil {
+		return v, err
 	}
 	if got := cr.String(); cr.Err() == nil && got != name {
-		return fmt.Errorf("algo: state is for kernel %q, not %q", got, name)
+		return v, fmt.Errorf("algo: state is for kernel %q, not %q", got, name)
 	}
-	return nil
+	return v, nil
 }
 
 // SnapshotState serializes the power iteration: whether the result has
@@ -75,7 +79,7 @@ func (k *powerKernel) RestoreState(r io.Reader) error {
 		return clique.ErrKernelStarted
 	}
 	cr := ckptio.NewReader(r)
-	if err := readStateHeader(cr, k.Name()); err != nil {
+	if _, err := readStateHeader(cr, k.Name()); err != nil {
 		return err
 	}
 	done := cr.Bool()
@@ -137,7 +141,8 @@ func (k *pipelineKernel) RestoreState(r io.Reader) error {
 		return clique.ErrKernelStarted
 	}
 	cr := ckptio.NewReader(r)
-	if err := readStateHeader(cr, k.Name()); err != nil {
+	version, err := readStateHeader(cr, k.Name())
+	if err != nil {
 		return err
 	}
 	stage := int(cr.I64())
@@ -149,7 +154,7 @@ func (k *pipelineKernel) RestoreState(r io.Reader) error {
 	}
 	var rx *matmul.Relaxation
 	if cr.Bool() {
-		if rx, err = matmul.ReadRelaxation(cr); err != nil {
+		if rx, err = matmul.ReadRelaxation(cr, version == kernelStateVersion); err != nil {
 			return err
 		}
 	}
@@ -211,7 +216,7 @@ func (k *MSTKernel) RestoreState(r io.Reader) error {
 		return clique.ErrKernelStarted
 	}
 	cr := ckptio.NewReader(r)
-	if err := checkStateVersion(cr); err != nil {
+	if _, err := readStateVersion(cr); err != nil {
 		return err
 	}
 	started := cr.Bool()

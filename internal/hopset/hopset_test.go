@@ -192,6 +192,51 @@ func TestConstructStopsAtTheFixpoint(t *testing.T) {
 	}
 }
 
+// TestHopProductsStreamOnlyWhatChanged: with every vertex of a unit
+// path a hub, hop product t changes exactly the hub columns at distance
+// t from each node — at most two entries per row, one wire word — so
+// every product streams exactly one data word per (requester,
+// responder) pair, the first as much as the β-th. Re-sending whole
+// rows would stream rows of 2t+1 entries, growing with t.
+func TestHopProductsStreamOnlyWhatChanged(t *testing.T) {
+	const n, beta = 64, 16 // beta < n/2: every row still changes at every product
+	g := graph.Path(n)
+	var passes [][]uint64 // words per round, one slice per pass
+	s, err := clique.New(g, clique.WithRoundHook(func(rs engine.RoundStats) {
+		if rs.Round == 0 {
+			passes = append(passes, nil)
+		}
+		passes[len(passes)-1] = append(passes[len(passes)-1], rs.Msgs)
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	k := NewConstructKernel(Params{Beta: beta, HubRate: 1})
+	if err := s.Run(context.Background(), k); err != nil {
+		t.Fatal(err)
+	}
+	if len(passes) != beta {
+		t.Fatalf("construction ran %d products, want β = %d", len(passes), beta)
+	}
+	pairs := uint64(2 * (n - 1)) // one per arc of the path: requester, responder
+	for i, rounds := range passes {
+		var words uint64
+		for _, w := range rounds {
+			words += w
+		}
+		// Every row changes, so a voting product (all but the last) also
+		// carries a ballot from nodes 1..n-1 and node 0's announcement.
+		vote := uint64(2 * (n - 1))
+		if i == beta-1 {
+			vote = 0
+		}
+		if data := words - pairs - vote; rounds[0] != pairs || data != pairs {
+			t.Errorf("product %d: %d requests and %d data words, want one of each per pair (%d)", i+1, rounds[0], data, pairs)
+		}
+	}
+}
+
 // TestHopsetProperty verifies the defining (β, ε) guarantee end to
 // end: β-hop-limited distances over the augmented matrix bracket the
 // true distances, d* <= d^(β)_{G∪H} <= (1+ε)·d*, on random weighted

@@ -23,7 +23,11 @@ import (
 // runs all β). The saving is distance-sensitive by design: the columns
 // settle after about as many products as the farthest hub-to-vertex
 // shortest path has hops — nothing is skipped on graph.Path, most of β
-// on a dense random graph.
+// on a dense random graph. Each product's cost is distance-sensitive
+// too: the rounded adjacency is reflexive, so every product after the
+// first streams only the column entries the product before changed
+// (see matmul.Relaxation) — the hubs a node just came one hop closer
+// to, not every hub it has reached.
 // It is the stage the approximate shortest-path kernels in
 // internal/algo embed as their stage 1; run standalone (registry name
 // "hopset") its Result is the *Hopset.

@@ -2,7 +2,8 @@
 // products. ConstructKernel implements clique.Checkpointable: its
 // inter-pass state is the resolved Params, the sampled hub list, and
 // the cursor of its matmul.Relaxation (the rounded base adjacency, the
-// current hub distance columns, and the remaining product count) — all
+// current hub distance columns, the remaining product count, and the
+// columns before the last product) — all
 // plain data once the in-flight pass has been harvested at a pass
 // boundary. The finished *Hopset itself is
 // never serialized by the kernel: the done state re-runs assemble on
@@ -18,8 +19,10 @@ import (
 	"github.com/paper-repo-growth/doryp20/internal/matmul"
 )
 
-// kernelStateVersion stamps the ConstructKernel state blob.
-const kernelStateVersion uint64 = 1
+// kernelStateVersion stamps the ConstructKernel state blob. Version 2
+// added the relaxation's previous columns; a version 1 blob still
+// restores, without them.
+const kernelStateVersion uint64 = 2
 
 // writeParams encodes p to the ckptio writer.
 func writeParams(w *ckptio.Writer, p Params) {
@@ -98,13 +101,14 @@ func (k *ConstructKernel) RestoreState(r io.Reader) error {
 		return clique.ErrKernelStarted
 	}
 	cr := ckptio.NewReader(r)
-	if v := cr.U64(); cr.Err() == nil && v != kernelStateVersion {
-		return fmt.Errorf("hopset: kernel state version %d, this build reads version %d", v, kernelStateVersion)
+	v := cr.U64()
+	if cr.Err() == nil && v != kernelStateVersion && v != kernelStateVersion-1 {
+		return fmt.Errorf("hopset: kernel state version %d, this build reads versions %d and %d", v, kernelStateVersion-1, kernelStateVersion)
 	}
 	stage := int(cr.I64())
 	params := readParams(cr)
 	hubs := cr.NodeIDs()
-	rx, err := matmul.ReadRelaxation(cr)
+	rx, err := matmul.ReadRelaxation(cr, v == kernelStateVersion)
 	if err != nil {
 		return err
 	}

@@ -149,10 +149,22 @@ func (p *Power) Result() any {
 // relaxed β times over the rounded adjacency) and behind stage 2 of
 // every two-stage pipeline in internal/algo (source columns relaxed
 // over S).
+//
+// When every row of S carries One on its diagonal — the rounded
+// adjacency, an augmented S and A^h of a reflexive adjacency all do —
+// each product after the first streams only the entries of B that the
+// product before changed, and each node's accumulator starts from its
+// own row of B (newDensePass says why that is exact). The traffic then
+// follows what is still unsettled rather than the width of the columns.
+// Any other S streams whole rows every product.
 type Relaxation struct {
 	s    *Matrix
 	b    *Dense
 	pass *Pass
+	// prev is the B the last product started from, kept only when S is
+	// reflexive; nil before the first product.
+	prev      *Dense
+	reflexive bool
 	// remaining bounds the products still to run; a product that changes
 	// nothing zeroes it.
 	remaining int
@@ -163,7 +175,18 @@ type Relaxation struct {
 // against b as a session kernel. Operand validation happens at the
 // first product, surfacing through Session.Run.
 func NewRelaxation(s *Matrix, b *Dense, products int) *Relaxation {
-	return &Relaxation{s: s, b: b, remaining: products}
+	return &Relaxation{s: s, b: b, remaining: products, reflexive: oneDiagonal(s)}
+}
+
+// oneDiagonal reports whether every row of s carries One on its
+// diagonal.
+func oneDiagonal(s *Matrix) bool {
+	for v := 0; v < s.N; v++ {
+		if s.At(core.NodeID(v), core.NodeID(v)) != s.Sr.One {
+			return false
+		}
+	}
+	return true
 }
 
 // Indicator returns the n x k columns a relaxation starts from, one per
@@ -196,6 +219,9 @@ func (r *Relaxation) harvest() error {
 	if err := r.pass.Gather(); err != nil {
 		return err
 	}
+	if r.reflexive {
+		r.prev = r.b
+	}
 	r.b = r.pass.Dense()
 	r.remaining--
 	if !r.pass.changed() {
@@ -214,7 +240,7 @@ func (r *Relaxation) Nodes(*graph.CSR) ([]engine.Node, error) {
 	if r.remaining <= 0 {
 		return nil, nil
 	}
-	pass, err := NewDensePass(r.s, r.b, false)
+	pass, err := newDensePass(r.s, r.b, r.prev, false)
 	if err != nil {
 		return nil, err
 	}

@@ -47,49 +47,64 @@ type wireFormat struct {
 // posFlag marks a positionally encoded word.
 const posFlag = uint64(1) << 63
 
+// valueRange is the span of the values a B operand sends that need a
+// field code of their own: every non-Zero value but One.
+type valueRange struct {
+	lo, hi int64
+	ranged bool
+}
+
+// add widens the range to cover v.
+func (rg *valueRange) add(v int64) {
+	if !rg.ranged {
+		rg.lo, rg.hi, rg.ranged = v, v, true
+		return
+	}
+	rg.lo, rg.hi = min(rg.lo, v), max(rg.hi, v)
+}
+
 // newWireFormat derives the format for a B operand with the given
 // column count from its values (Zero entries are exempt: they are never
-// transmitted). It rejects negative values and value ranges whose field
-// does not fit beside the column index, before any round runs.
+// transmitted).
 func newWireFormat(cols int, vals []int64, sr core.Semiring, what string) (*wireFormat, error) {
-	lo, hi, ranged := int64(0), int64(0), false
+	var rg valueRange
 	for _, v := range vals {
-		if v == sr.Zero || v == sr.One {
-			continue
+		if v != sr.Zero && v != sr.One {
+			rg.add(v)
 		}
-		if v < 0 {
-			return nil, fmt.Errorf("matmul: %s value %d is negative; the wire format carries only non-negative values", what, v)
-		}
-		if !ranged || v < lo {
-			lo = v
-		}
-		if !ranged || v > hi {
-			hi = v
-		}
-		ranged = true
+	}
+	return rg.format(cols, sr, what)
+}
+
+// format derives the wire format for the values in rg. It rejects
+// negative values and value ranges whose field does not fit beside the
+// column index, before any round runs.
+func (rg valueRange) format(cols int, sr core.Semiring, what string) (*wireFormat, error) {
+	if rg.lo < 0 {
+		return nil, fmt.Errorf("matmul: %s value %d is negative; the wire format carries only non-negative values", what, rg.lo)
 	}
 	idxBits := uint(core.Log2Ceil(cols))
 	width := uint(1) // code 1 (One) alone
-	if ranged {
-		width = uint(bits.Len64(uint64(hi-lo) + 2))
+	if rg.ranged {
+		width = uint(bits.Len64(uint64(rg.hi-rg.lo) + 2))
 	}
 	if idxBits+width > 63 {
 		return nil, fmt.Errorf(
 			"matmul: %s values span [%d, %d], which needs a %d-bit field; a wire word has %d bits beside its %d column-index bits",
-			what, lo, hi, width, 63-idxBits, idxBits)
+			what, rg.lo, rg.hi, width, 63-idxBits, idxBits)
 	}
 	wf := &wireFormat{
 		idxBits:   idxBits,
 		width:     width,
 		idxMask:   1<<idxBits - 1,
 		fMask:     1<<width - 1,
-		base:      lo - 2,
+		base:      rg.lo - 2,
 		one:       sr.One,
 		sparsePer: int(63 / (idxBits + width)),
 		posPer:    int((63 - idxBits) / width),
 		loop:      sr.Kind(),
 	}
-	if wf.loop == core.KindBoolOrAnd && ranged {
+	if wf.loop == core.KindBoolOrAnd && rg.ranged {
 		// The boolean loop is the 1-bit-field case, every field One.
 		wf.loop = core.KindGeneric
 	}
@@ -597,7 +612,7 @@ func NewPass(a, b *Matrix, unpaced bool) (*Pass, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := newPass(a, wf.packRows(b.N, b.Row), a.N, wf, unpaced)
+	p := newPass(a, wf.packRows(b.N, b.Row), a.N, wf, unpaced, nil)
 	p.bSparse = b
 	return p, nil
 }
@@ -605,50 +620,80 @@ func NewPass(a, b *Matrix, unpaced bool) (*Pass, error) {
 // NewDensePass validates and packs the sparse-dense product A ⊗ B with
 // B (and C) n x k dense. Zero entries of B are not transmitted.
 func NewDensePass(a *Matrix, b *Dense, unpaced bool) (*Pass, error) {
+	return newDensePass(a, b, nil, unpaced)
+}
+
+// newDensePass is NewDensePass for the next product of a relaxation
+// over a reflexive A when prev, the B of the product before, is set.
+// Then only the entries of B that differ from prev are packed, and each
+// node's accumulator starts from its own row of B instead of Zero: B
+// is prev ⊕ Δ for the changed entries Δ, because A's One diagonal and
+// an idempotent Add make B = A ⊗ prev ⊇ prev, so
+// A ⊗ B = A ⊗ prev ⊕ A ⊗ Δ = B ⊕ A ⊗ Δ. The wire format is derived from
+// the values actually sent.
+func newDensePass(a *Matrix, b, prev *Dense, unpaced bool) (*Pass, error) {
 	if err := checkPair(a.N, b.N, a.Sr, b.Sr); err != nil {
 		return nil, err
 	}
-	wf, err := newWireFormat(b.K, b.Vals, b.Sr, "dense")
+	// One sweep finds the entries to send, as indices into b.Vals, and
+	// the range of their values.
+	zero, one := b.Sr.Zero, b.Sr.One
+	var rg valueRange
+	var sent []int
+	for i, v := range b.Vals {
+		if v == zero || prev != nil && v == prev.Vals[i] {
+			continue
+		}
+		sent = append(sent, i)
+		if v != one {
+			rg.add(v)
+		}
+	}
+	wf, err := rg.format(b.K, b.Sr, "dense")
 	if err != nil {
 		return nil, err
 	}
 	cols := make([]core.NodeID, 0, b.K)
 	vals := make([]int64, 0, b.K)
+	next := 0
 	packed := wf.packRows(b.N, func(v core.NodeID) ([]core.NodeID, []int64) {
 		cols, vals = cols[:0], vals[:0]
-		for j, val := range b.Row(v) {
-			if val != b.Sr.Zero {
-				cols = append(cols, core.NodeID(j))
-				vals = append(vals, val)
-			}
+		rowStart := int(v) * b.K
+		for ; next < len(sent) && sent[next] < rowStart+b.K; next++ {
+			cols = append(cols, core.NodeID(sent[next]-rowStart))
+			vals = append(vals, b.Vals[sent[next]])
 		}
 		return cols, vals
 	})
-	p := newPass(a, packed, b.K, wf, unpaced)
+	var start []int64
+	if prev != nil {
+		start = b.Vals
+	}
+	p := newPass(a, packed, b.K, wf, unpaced, start)
 	p.bDense = b
 	return p, nil
 }
 
 // newPass wires n mulNodes (node v holding packed B-row packed[v] and a
-// cols-wide accumulator) over a flat n*cols result slab.
-func newPass(a *Matrix, packed [][]uint64, cols int, wf *wireFormat, unpaced bool) *Pass {
+// cols-wide accumulator) over a flat n*cols result slab that starts as
+// a copy of start, or all Zero when start is nil.
+func newPass(a *Matrix, packed [][]uint64, cols int, wf *wireFormat, unpaced bool, start []int64) *Pass {
 	n := a.N
 	p := &Pass{
 		n:    n,
 		cols: cols,
 		sr:   a.Sr,
 		accs: make([][]int64, n),
-		flat: make([]int64, n*cols),
 	}
 	for _, row := range packed {
 		if len(row) > p.maxRow {
 			p.maxRow = len(row)
 		}
 	}
-	if a.Sr.Zero != 0 {
-		for i := range p.flat {
-			p.flat[i] = a.Sr.Zero
-		}
+	if start != nil {
+		p.flat = slices.Clone(start)
+	} else {
+		p.flat = NewDense(n, cols, a.Sr).Vals
 	}
 	p.nodes = make([]engine.Node, n)
 	p.state = make([]mulNode, n)

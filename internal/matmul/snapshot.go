@@ -143,7 +143,8 @@ func ReadPower(r *ckptio.Reader) (*Power, error) {
 }
 
 // WriteRelaxation harvests x's in-flight product, if any, and encodes
-// its cursor: S, B, remaining.
+// its cursor: S, B, remaining, and the B before the last product (nil
+// allowed).
 func WriteRelaxation(w *ckptio.Writer, x *Relaxation) error {
 	if err := x.harvest(); err != nil {
 		return err
@@ -151,12 +152,16 @@ func WriteRelaxation(w *ckptio.Writer, x *Relaxation) error {
 	WriteMatrix(w, x.s)
 	WriteDense(w, x.b)
 	w.I64(int64(x.remaining))
+	WriteDense(w, x.prev)
 	return nil
 }
 
 // ReadRelaxation decodes a cursor written by WriteRelaxation into a
-// Relaxation that continues from it.
-func ReadRelaxation(r *ckptio.Reader) (*Relaxation, error) {
+// Relaxation that continues from it. withPrev says whether the cursor
+// carries the B before the last product; one written before it did
+// restores without it, so the next product streams whole rows and
+// returns the same columns.
+func ReadRelaxation(r *ckptio.Reader, withPrev bool) (*Relaxation, error) {
 	x := &Relaxation{}
 	var err error
 	if x.s, err = ReadMatrix(r); err != nil {
@@ -166,8 +171,20 @@ func ReadRelaxation(r *ckptio.Reader) (*Relaxation, error) {
 		return nil, err
 	}
 	x.remaining = int(r.I64())
-	if r.Err() == nil && (x.s == nil || x.b == nil) {
+	if withPrev {
+		if x.prev, err = ReadDense(r); err != nil {
+			return nil, err
+		}
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if x.s == nil || x.b == nil {
 		return nil, fmt.Errorf("matmul: relaxation state has no operand")
 	}
-	return x, r.Err()
+	x.reflexive = oneDiagonal(x.s)
+	if x.prev != nil && (!x.reflexive || x.prev.N != x.b.N || x.prev.K != x.b.K || x.prev.Sr.Name != x.b.Sr.Name) {
+		return nil, fmt.Errorf("matmul: relaxation state carries a previous operand it cannot have")
+	}
+	return x, nil
 }

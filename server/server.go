@@ -514,12 +514,8 @@ func (s *Server) runApproxBatch(e *graphEntry, eps float64, key int, sources []c
 			return nil, err
 		}
 		hs := k.Hopset()
-		aug, err := hopset.Augment(hs.Base, hs)
-		if err != nil {
-			return nil, err
-		}
 		e.hopsets[key] = &hopsetCache{
-			aug: aug, beta: hs.Beta,
+			aug: k.Augmented(), beta: hs.Beta,
 			products: algo.RelaxProducts(hs.Beta, e.info.N),
 		}
 		res.rows, res.beta = k.Dist(), hs.Beta

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -212,6 +213,19 @@ func TestHopsetCacheSteadyState(t *testing.T) {
 	aug, err := hopset.Augment(hs.Base, hs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The cache holds the matrix the pipeline's stage 2 relaxed over,
+	// which is exactly the augmented adjacency.
+	e := srv.store.get(id)
+	l, err := srv.pool.acquire(e.info.Version, e.g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached := e.hopsets[core.SigBitsFor(eps)].aug
+	l.release()
+	if cached.N != aug.N || cached.Sr.Name != aug.Sr.Name || !slices.Equal(cached.Rows, aug.Rows) ||
+		!slices.Equal(cached.Cols, aug.Cols) || !slices.Equal(cached.Vals, aug.Vals) {
+		t.Error("cached matrix differs from hopset.Augment(hs.Base, hs)")
 	}
 	maxPasses := algo.RelaxProducts(first.Beta, g.N)
 	relax := algo.NewRelaxKernel(aug, []core.NodeID{4}, maxPasses)
