@@ -190,13 +190,60 @@ func shortcutEntries(hubs []core.NodeID, d *matmul.Dense) []matmul.Entry {
 	return es
 }
 
-// assemble packs the pieces into a Hopset.
-func assemble(p Params, hubs []core.NodeID, base *matmul.Matrix, d *matmul.Dense) (*Hopset, error) {
-	sc, err := matmul.FromEntries(base.N, base.Sr, shortcutEntries(hubs, d))
-	if err != nil {
-		return nil, err
+// assemble packs the pieces into a Hopset, writing the symmetric
+// shortcut star straight into CSR from the final hub-distance columns
+// (d[v][j] = β-hop rounded distance between v and hub j). A non-hub row
+// v holds (v, hubs[j]) for every finite d[v][j], already in column
+// order because hubs is sorted. The row of hub v = hubs[j_v] is one scan
+// over u != v keeping min(d[u][j_v], d[v][j_u]) where finite, the
+// second term only when u is hub j_u: the arc (v, u) is the star edge
+// from v's own column or from u's, whichever is cheaper.
+func assemble(p Params, hubs []core.NodeID, base *matmul.Matrix, d *matmul.Dense) *Hopset {
+	n := base.N
+	hubIdx := make([]int, n) // j with hubs[j] = v, or -1
+	for v := range hubIdx {
+		hubIdx[v] = -1
 	}
-	return &Hopset{Beta: p.Beta, Eps: p.Eps, Hubs: hubs, Shortcuts: sc, Base: base}, nil
+	for j, s := range hubs {
+		hubIdx[s] = j
+	}
+	finite := 0
+	for _, w := range d.Vals {
+		if w < core.InfWeight {
+			finite++
+		}
+	}
+	sc := &matmul.Matrix{
+		N:    n,
+		Sr:   base.Sr,
+		Rows: make([]int32, 1, n+1),
+		Cols: make([]core.NodeID, 0, 2*finite),
+		Vals: make([]int64, 0, 2*finite),
+	}
+	for v := 0; v < n; v++ {
+		row := d.Row(core.NodeID(v))
+		if jv := hubIdx[v]; jv < 0 {
+			for j, w := range row {
+				if w < core.InfWeight {
+					sc.Cols = append(sc.Cols, hubs[j])
+					sc.Vals = append(sc.Vals, w)
+				}
+			}
+		} else {
+			for u := 0; u < n; u++ {
+				w := d.Vals[u*d.K+jv]
+				if ju := hubIdx[u]; ju >= 0 {
+					w = min(w, row[ju])
+				}
+				if w < core.InfWeight && u != v {
+					sc.Cols = append(sc.Cols, core.NodeID(u))
+					sc.Vals = append(sc.Vals, w)
+				}
+			}
+		}
+		sc.Rows = append(sc.Rows, int32(len(sc.Cols)))
+	}
+	return &Hopset{Beta: p.Beta, Eps: p.Eps, Hubs: hubs, Shortcuts: sc, Base: base}
 }
 
 // ConstructRef is the sequential oracle for the hopset construction:
@@ -225,5 +272,5 @@ func ConstructRef(g *graph.CSR, p Params) (*Hopset, error) {
 			}
 		}
 	}
-	return assemble(p, hubs, base, d)
+	return assemble(p, hubs, base, d), nil
 }

@@ -143,6 +143,38 @@ func TestConstructMatchesRef(t *testing.T) {
 	}
 }
 
+// TestShortcutStarMatchesEntries: assemble's row-by-row star is the one
+// the coordinate path built — both arcs per finite off-diagonal hub
+// distance, folded by FromEntries — bit for bit, at the auto, a sampled
+// and the all-hubs rate.
+func TestShortcutStarMatchesEntries(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		g := graph.RandomGNPWeighted(90, 0.06, 30, seed)
+		for _, rate := range []float64{0, 0.3, 1} {
+			hs, err := ConstructRef(g, Params{HubRate: rate, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := matmul.Indicator(g.N, hs.Hubs, core.MinPlus())
+			for i := 0; i < hs.Beta && len(hs.Hubs) > 0; i++ {
+				if d, err = matmul.MulDenseRef(hs.Base, d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := matmul.FromEntries(g.N, core.MinPlus(), shortcutEntries(hs.Hubs, d))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := hs.Shortcuts.Validate(); err != nil {
+				t.Fatalf("seed %d rate %v: %v", seed, rate, err)
+			}
+			if !matEqual(hs.Shortcuts, want) {
+				t.Errorf("seed %d rate %v: star differs from FromEntries(shortcutEntries)", seed, rate)
+			}
+		}
+	}
+}
+
 // TestConstructStopsAtTheFixpoint: the kernel leaves its hop-product
 // loop at the first product that changes no hub column, and the hopset
 // is still ConstructRef's — which always runs all β products — bit for

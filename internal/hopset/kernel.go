@@ -76,22 +76,15 @@ func (k *ConstructKernel) Nodes(g *graph.CSR) ([]engine.Node, error) {
 		if err != nil || nodes != nil {
 			return nodes, err
 		}
-		if err := k.finish(); err != nil {
-			return nil, err
-		}
+		k.finish()
 	}
 	return nil, nil
 }
 
 // finish assembles the hopset from the final hub distance columns.
-func (k *ConstructKernel) finish() error {
-	hs, err := assemble(k.params, k.hubs, k.rx.Over(), k.rx.Result().(*matmul.Dense))
-	if err != nil {
-		return err
-	}
-	k.hs = hs
+func (k *ConstructKernel) finish() {
+	k.hs = assemble(k.params, k.hubs, k.rx.Over(), k.rx.Result().(*matmul.Dense))
 	k.stage = 2
-	return nil
 }
 
 // start validates the inputs and prepares the product loop.
