@@ -169,27 +169,6 @@ func sampleHubs(n int, rate float64, seed int64) []core.NodeID {
 	return hubs
 }
 
-// shortcutEntries converts the final hub-distance columns (d[v][j] =
-// β-hop rounded distance between v and hub j) into the symmetric
-// shortcut star: both arcs (v, hub_j) and (hub_j, v) for every finite
-// off-diagonal entry.
-func shortcutEntries(hubs []core.NodeID, d *matmul.Dense) []matmul.Entry {
-	var es []matmul.Entry
-	for v := 0; v < d.N; v++ {
-		row := d.Row(core.NodeID(v))
-		for j, w := range row {
-			s := hubs[j]
-			if w >= core.InfWeight || s == core.NodeID(v) {
-				continue
-			}
-			es = append(es,
-				matmul.Entry{Row: core.NodeID(v), Col: s, Val: w},
-				matmul.Entry{Row: s, Col: core.NodeID(v), Val: w})
-		}
-	}
-	return es
-}
-
 // assemble packs the pieces into a Hopset, writing the symmetric
 // shortcut star straight into CSR from the final hub-distance columns
 // (d[v][j] = β-hop rounded distance between v and hub j). A non-hub row

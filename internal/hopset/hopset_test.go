@@ -143,11 +143,41 @@ func TestConstructMatchesRef(t *testing.T) {
 	}
 }
 
-// TestShortcutStarMatchesEntries: assemble's row-by-row star is the one
-// the coordinate path built — both arcs per finite off-diagonal hub
-// distance, folded by FromEntries — bit for bit, at the auto, a sampled
-// and the all-hubs rate.
-func TestShortcutStarMatchesEntries(t *testing.T) {
+// starRef is the shortcut star by its definition, independent of
+// assemble: a dense n x n min-fold of both arcs (v, hubs[j]) and
+// (hubs[j], v) for every finite off-diagonal d[v][j], read back as CSR.
+func starRef(n int, hubs []core.NodeID, d *matmul.Dense) *matmul.Matrix {
+	fold := make([]int64, n*n)
+	for i := range fold {
+		fold[i] = core.InfWeight
+	}
+	for v := 0; v < n; v++ {
+		for j, s := range hubs {
+			w := d.At(core.NodeID(v), j)
+			if w >= core.InfWeight || int(s) == v {
+				continue
+			}
+			fold[v*n+int(s)] = min(fold[v*n+int(s)], w)
+			fold[int(s)*n+v] = min(fold[int(s)*n+v], w)
+		}
+	}
+	m := &matmul.Matrix{N: n, Sr: core.MinPlus(), Rows: make([]int32, 1, n+1)}
+	for v := 0; v < n; v++ {
+		for u, w := range fold[v*n : (v+1)*n] {
+			if w < core.InfWeight {
+				m.Cols = append(m.Cols, core.NodeID(u))
+				m.Vals = append(m.Vals, w)
+			}
+		}
+		m.Rows = append(m.Rows, int32(len(m.Cols)))
+	}
+	return m
+}
+
+// TestShortcutStarMatchesDenseFold: assemble's row-by-row star is the
+// dense min-fold of both arcs per finite off-diagonal hub distance, bit
+// for bit, at the auto, a sampled and the all-hubs rate.
+func TestShortcutStarMatchesDenseFold(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		g := graph.RandomGNPWeighted(90, 0.06, 30, seed)
 		for _, rate := range []float64{0, 0.3, 1} {
@@ -161,15 +191,11 @@ func TestShortcutStarMatchesEntries(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			want, err := matmul.FromEntries(g.N, core.MinPlus(), shortcutEntries(hs.Hubs, d))
-			if err != nil {
-				t.Fatal(err)
-			}
 			if err := hs.Shortcuts.Validate(); err != nil {
 				t.Fatalf("seed %d rate %v: %v", seed, rate, err)
 			}
-			if !matEqual(hs.Shortcuts, want) {
-				t.Errorf("seed %d rate %v: star differs from FromEntries(shortcutEntries)", seed, rate)
+			if !matEqual(hs.Shortcuts, starRef(g.N, hs.Hubs, d)) {
+				t.Errorf("seed %d rate %v: star differs from the dense min-fold", seed, rate)
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package matmul
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"github.com/paper-repo-growth/doryp20/internal/core"
@@ -54,45 +53,5 @@ func TestAddRejectsMismatch(t *testing.T) {
 	}
 	if _, err := Add(a, Identity(3, core.BoolOrAnd())); err == nil {
 		t.Error("semiring mismatch accepted")
-	}
-}
-
-// TestFromEntries: duplicates fold with the semiring Add, Zero entries
-// are dropped, rows come out sorted, and out-of-range coordinates are
-// rejected.
-func TestFromEntries(t *testing.T) {
-	sr := core.MinPlus()
-	m, err := FromEntries(3, sr, []Entry{
-		{Row: 1, Col: 2, Val: 9},
-		{Row: 1, Col: 0, Val: 4},
-		{Row: 1, Col: 2, Val: 5}, // duplicate: min wins
-		{Row: 0, Col: 1, Val: sr.Zero},
-		{Row: 2, Col: 2, Val: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.At(1, 2); got != 5 {
-		t.Errorf("duplicate fold: At(1,2) = %d, want 5", got)
-	}
-	if got := m.At(0, 1); got != sr.Zero {
-		t.Errorf("Zero entry stored: At(0,1) = %d", got)
-	}
-	cols, vals := m.Row(1)
-	if !reflect.DeepEqual(cols, []core.NodeID{0, 2}) || !reflect.DeepEqual(vals, []int64{4, 5}) {
-		t.Errorf("row 1 = %v %v, want [0 2] [4 5]", cols, vals)
-	}
-	if _, err := FromEntries(3, sr, []Entry{{Row: 3, Col: 0, Val: 1}}); err == nil {
-		t.Error("out-of-range row accepted")
-	}
-	if _, err := FromEntries(3, sr, []Entry{{Row: 0, Col: -1, Val: 1}}); err == nil {
-		t.Error("out-of-range column accepted")
-	}
-	empty, err := FromEntries(2, sr, nil)
-	if err != nil || empty.NNZ() != 0 || empty.Validate() != nil {
-		t.Errorf("empty FromEntries: %v nnz=%d", err, empty.NNZ())
 	}
 }

@@ -240,13 +240,9 @@ func TestVoteWithoutAnyRequest(t *testing.T) {
 		{"single-node-shift", 1, 3, true, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var es []Entry
-			for v := 0; v < tc.n; v++ {
-				es = append(es, Entry{Row: core.NodeID(v), Col: core.NodeID(v), Val: tc.diag})
-			}
-			a, err := FromEntries(tc.n, sr, es)
-			if err != nil {
-				t.Fatal(err)
+			a := Identity(tc.n, sr)
+			for i := range a.Vals {
+				a.Vals[i] = tc.diag
 			}
 			b := NewDense(tc.n, 2, sr)
 			for v := 0; v < tc.n; v++ {
