@@ -255,7 +255,8 @@ func TestConstructStopsAtTheFixpoint(t *testing.T) {
 // t from each node — at most two entries per row, one wire word — so
 // every product streams exactly one data word per (requester,
 // responder) pair, the first as much as the β-th. Re-sending whole
-// rows would stream rows of 2t+1 entries, growing with t.
+// rows would stream rows of 2t+1 entries, growing with t. Only the first
+// product asks, with one request per pair; products 2..β ask nothing.
 func TestHopProductsStreamOnlyWhatChanged(t *testing.T) {
 	const n, beta = 64, 16 // beta < n/2: every row still changes at every product
 	g := graph.Path(n)
@@ -289,8 +290,15 @@ func TestHopProductsStreamOnlyWhatChanged(t *testing.T) {
 		if i == beta-1 {
 			vote = 0
 		}
-		if data := words - pairs - vote; rounds[0] != pairs || data != pairs {
-			t.Errorf("product %d: %d requests and %d data words, want one of each per pair (%d)", i+1, rounds[0], data, pairs)
+		var requests uint64
+		if i == 0 {
+			requests = pairs
+		}
+		// Round 0 carries the requests in the first product and every
+		// responder's one data word in the others.
+		if data := words - requests - vote; rounds[0] != pairs || data != pairs {
+			t.Errorf("product %d: %d words in round 0 and %d data words besides %d requests, want %d and %d",
+				i+1, rounds[0], data, requests, pairs, pairs)
 		}
 	}
 }

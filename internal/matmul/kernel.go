@@ -115,7 +115,7 @@ func (p *Power) product(left *Matrix, square bool) ([]engine.Node, error) {
 	pass.gather = p.gather
 	p.pass, p.passIsSquare = pass, square
 	if square && p.e > 1 {
-		pass.vote()
+		pass.vote(askedRows(left))
 	}
 	return pass.Nodes(), nil
 }
@@ -157,6 +157,11 @@ func (p *Power) Result() any {
 // own row of B (newDensePass says why that is exact). The traffic then
 // follows what is still unsettled rather than the width of the columns.
 // Any other S streams whole rows every product.
+//
+// Whatever S, only the first product asks: S fixes who asks each node
+// for its row, so each responder keeps the requesters it recorded then,
+// and every later product streams from round 0 with no request words
+// (see mulNode). That saves nnz(S) - n words and one round per product.
 type Relaxation struct {
 	s    *Matrix
 	b    *Dense
@@ -165,6 +170,12 @@ type Relaxation struct {
 	// reflexive; nil before the first product.
 	prev      *Dense
 	reflexive bool
+	// reqs[k] is who asks node k for its row, as node k recorded it in the
+	// first product (nil for the nodes this rank does not execute); nil
+	// before the first product has run.
+	reqs [][]core.NodeID
+	// asked is askedRows(s), the rows every product's vote sizes F from.
+	asked []bool
 	// remaining bounds the products still to run; a product that changes
 	// nothing zeroes it.
 	remaining int
@@ -222,6 +233,12 @@ func (r *Relaxation) harvest() error {
 	if r.reflexive {
 		r.prev = r.b
 	}
+	if r.reqs == nil {
+		r.reqs = make([][]core.NodeID, len(r.pass.state))
+		for v := range r.reqs {
+			r.reqs[v] = r.pass.state[v].reqs
+		}
+	}
 	r.b = r.pass.Dense()
 	r.remaining--
 	if !r.pass.changed() {
@@ -245,8 +262,16 @@ func (r *Relaxation) Nodes(*graph.CSR) ([]engine.Node, error) {
 		return nil, err
 	}
 	pass.gather = r.gather
+	if r.reqs != nil {
+		for v := range pass.state {
+			pass.state[v].reqs, pass.state[v].heard = r.reqs[v], true
+		}
+	}
 	if r.remaining > 1 {
-		pass.vote()
+		if r.asked == nil {
+			r.asked = askedRows(r.s)
+		}
+		pass.vote(r.asked)
 	}
 	r.pass = pass
 	return pass.Nodes(), nil

@@ -213,6 +213,15 @@ func (wf *wireFormat) term(sr core.Semiring, aik int64, f uint64) int64 {
 // packed row. The engine's quiescence detection ends the run once every
 // row is out: the round after the last data word is delivered, no node
 // sends anything.
+//
+// A later product of a Relaxation asks nothing: S, and so who asks whom,
+// is fixed for the whole loop, and every node kept the requesters it
+// recorded in the first product (heard). Round 0 is then the local fold
+// plus the first LinkMsgCap() words of the packed row to each recorded
+// requester, and data arrives from round 1:
+//
+//	round 0:    fold in k = v; send each requester the first words.
+//	rounds >=1: accumulate as above; send every requester the next words.
 type mulNode struct {
 	sr     core.Semiring
 	wf     *wireFormat
@@ -221,6 +230,7 @@ type mulNode struct {
 	packed []uint64      // this node's row of B, in wire format
 	acc    []int64       // this node's row of C, dense
 	reqs   []core.NodeID // who asked for this row, in request order
+	heard  bool          // reqs came from an earlier product: no request round
 	off    int           // words of packed already sent to each of reqs
 	cur    int           // index into aCols of the last source looked up
 	unpace bool
@@ -413,14 +423,18 @@ func (nd *mulNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message) 
 	return nd.product(ctx, r, inbox)
 }
 
-// product is one round of the request/stream/accumulate protocol.
+// product is one round of the request/stream/accumulate protocol, or of
+// its request-free form once the node has heard its requesters.
 func (nd *mulNode) product(ctx *engine.Ctx, r core.Round, inbox []engine.Message) error {
-	switch r {
-	case 0:
+	switch {
+	case r == 0:
 		if i, ok := slices.BinarySearch(nd.aCols, ctx.ID()); ok {
 			for _, w := range nd.packed {
 				nd.accumulate(nd.aVals[i], w)
 			}
+		}
+		if nd.heard {
+			break
 		}
 		for _, k := range nd.aCols {
 			if k == ctx.ID() {
@@ -431,7 +445,7 @@ func (nd *mulNode) product(ctx *engine.Ctx, r core.Round, inbox []engine.Message
 			}
 		}
 		return nil
-	case 1:
+	case r == 1 && !nd.heard:
 		nd.reqs = make([]core.NodeID, len(inbox))
 		for i, m := range inbox {
 			nd.reqs[i] = m.Src
@@ -467,11 +481,13 @@ func (nd *mulNode) product(ctx *engine.Ctx, r core.Round, inbox []engine.Message
 // 2(n-1) words over the bare pass, and one that confirms a fixpoint
 // costs nothing.
 //
-// F follows from the widest packed row any node asked for: its owner
-// streams LinkMsgCap() words a round from round 1 on, and the last of
-// them is folded in one round after it is sent. Like the wire format's
-// value range, that width is a global of the operands every node is
-// taken to know before round 0 (docs/paper-map.md lists these).
+// F follows from the widest packed row any node asks for: its owner
+// streams LinkMsgCap() words a round from round 1 on (from round 0 when
+// the node heard its requesters in an earlier product), and the last of
+// them is folded in one round after it is sent, so F = ceil(w / cap),
+// plus one for the request round. Like the wire format's value range,
+// that width is a global of the operands every node is taken to know
+// before round 0 (docs/paper-map.md lists these).
 type voter struct {
 	widest  int        // words in the widest requested row; -1 if no node requests any
 	final   core.Round // F, fixed in round 0 from widest and the link cap
@@ -492,7 +508,10 @@ func (vt *voter) round(nd *mulNode, ctx *engine.Ctx, r core.Round, inbox []engin
 			if nd.unpace {
 				per = max(per, vt.widest)
 			}
-			vt.final = core.Round(1 + (vt.widest+per-1)/per)
+			vt.final = core.Round((vt.widest + per - 1) / per)
+			if !nd.heard {
+				vt.final++
+			}
 		}
 	}
 	if r <= vt.final {
@@ -719,18 +738,12 @@ func (p *Pass) Nodes() []engine.Node { return p.nodes }
 
 // vote asks the pass to also decide, in-engine, whether its product
 // equals its B operand (see voter for the protocol and its cost); changed
-// reports the verdict once the pass has quiesced. Call it before the
-// pass runs. Power and Relaxation ask for a vote on every product but
-// one that ends the loop anyway; a pass never asked runs exactly the
-// bare product.
-func (p *Pass) vote() {
+// reports the verdict once the pass has quiesced. asked is askedRows of
+// the pass's A. Call it before the pass runs. Power and Relaxation ask
+// for a vote on every product but one that ends the loop anyway; a pass
+// never asked runs exactly the bare product.
+func (p *Pass) vote(asked []bool) {
 	widest := -1
-	asked := make([]bool, p.n)
-	for v := range p.state {
-		for _, k := range p.state[v].aCols {
-			asked[k] = asked[k] || int(k) != v
-		}
-	}
 	for k, ok := range asked {
 		if ok {
 			widest = max(widest, len(p.state[k].packed))
@@ -747,6 +760,36 @@ func (p *Pass) vote() {
 		}
 		p.state[v].vote = vt
 	}
+}
+
+// askedRows reports, for every row k of B, whether a product over a asks
+// for it: whether some node v != k has a[v][k] != Zero.
+func askedRows(a *Matrix) []bool {
+	asked := make([]bool, a.N)
+	for v := 0; v < a.N; v++ {
+		cols, _ := a.Row(core.NodeID(v))
+		for _, k := range cols {
+			asked[k] = asked[k] || int(k) != v
+		}
+	}
+	return asked
+}
+
+// requesters returns, for every row k of B, the nodes that ask for it in
+// a product over a — every v != k with a[v][k] != Zero, ascending, the
+// order their requests arrive in — which is exactly the list node k
+// records in that product's round 1.
+func requesters(a *Matrix) [][]core.NodeID {
+	reqs := make([][]core.NodeID, a.N)
+	for v := 0; v < a.N; v++ {
+		cols, _ := a.Row(core.NodeID(v))
+		for _, k := range cols {
+			if int(k) != v {
+				reqs[k] = append(reqs[k], core.NodeID(v))
+			}
+		}
+	}
+	return reqs
 }
 
 // changed reports whether the product differs from its B operand, as

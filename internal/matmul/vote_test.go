@@ -61,6 +61,18 @@ func fixpointDense(t *testing.T, a *Matrix, b *Dense) *Dense {
 	return nil
 }
 
+// askedOf is askedRows of the A operand p was built from, read off its
+// nodes' rows of A.
+func askedOf(p *Pass) []bool {
+	asked := make([]bool, p.n)
+	for v := range p.state {
+		for _, k := range p.state[v].aCols {
+			asked[k] = asked[k] || int(k) != v
+		}
+	}
+	return asked
+}
+
 // voteCase is one product, bare and voting, with what the vote must
 // decide and what it may cost over the bare pass.
 type voteCase struct {
@@ -132,7 +144,7 @@ func TestVoteAccounting(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					voting.vote()
+					voting.vote(askedOf(voting))
 					bs := runVotePass(t, bare, cap, workers)
 					vs := runVotePass(t, voting, cap, workers)
 					if !bare.changed() {
@@ -206,7 +218,7 @@ func TestVoteWhenTheWidestRowIsNeverAskedFor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	voting.vote()
+	voting.vote(askedRows(a))
 	if len(voting.state[9].packed) < 3 {
 		t.Fatalf("row 9 packs into %d words; the fixture needs it several rounds wide", len(voting.state[9].packed))
 	}
@@ -252,7 +264,7 @@ func TestVoteWithoutAnyRequest(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p.vote()
+			p.vote(askedRows(a))
 			st := runVotePass(t, p, 1, 1)
 			if p.changed() != tc.changed || st.Rounds != tc.rounds {
 				t.Errorf("changed() = %v in %d rounds, want %v in %d", p.changed(), st.Rounds, tc.changed, tc.rounds)
