@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -17,7 +18,7 @@ var ErrGraphGone = errors.New("server: graph version no longer served")
 // sessionPool keeps one warm clique.Session per loaded graph version
 // and serializes access to it. Sessions are not safe for concurrent
 // use, so every query path goes acquire -> run kernels -> release; the
-// per-version mutex is the admission gate, and the engine's workers,
+// per-version lease is the admission gate, and the engine's workers,
 // router slabs, and cumulative stats stay warm between queries — the
 // amortization that turns the batch pipeline into a serving layer.
 type sessionPool struct {
@@ -28,13 +29,16 @@ type sessionPool struct {
 	entries map[uint64]*poolEntry
 }
 
-// poolEntry is one graph version's warm session. mu serializes session
-// use; statsMu guards the release-time stats snapshot that lets
-// /stats read accounting without queueing behind a running kernel.
+// poolEntry is one graph version's warm session. lease is a 1-slot
+// channel that serializes session use: a send takes the lease, a receive
+// gives it back, and a waiter can give up on its context instead. gone
+// is closed when the version is dropped; statsMu guards the
+// release-time stats snapshot that lets /stats read accounting without
+// queueing behind a running kernel.
 type poolEntry struct {
-	mu     sync.Mutex
-	sess   *clique.Session
-	closed bool
+	lease chan struct{}
+	gone  chan struct{}
+	sess  *clique.Session
 
 	statsMu sync.Mutex
 	stats   clique.Stats
@@ -46,9 +50,10 @@ func newSessionPool(metrics *Metrics, workers int) *sessionPool {
 
 // acquire returns an exclusive lease on version's warm session,
 // creating the session (engine workers and all) on first use. It
-// blocks while another query holds the lease; if the version is
-// dropped while waiting, it fails with ErrGraphGone.
-func (p *sessionPool) acquire(version uint64, g *graph.CSR) (*lease, error) {
+// blocks while another query holds the lease. If the version is dropped
+// while waiting, it fails with ErrGraphGone; if ctx ends first, it
+// returns ctx.Err() without the lease.
+func (p *sessionPool) acquire(ctx context.Context, version uint64, g *graph.CSR) (*lease, error) {
 	p.mu.Lock()
 	e, ok := p.entries[version]
 	if !ok {
@@ -59,23 +64,38 @@ func (p *sessionPool) acquire(version uint64, g *graph.CSR) (*lease, error) {
 			p.mu.Unlock()
 			return nil, fmt.Errorf("server: building session for graph version %d: %w", version, err)
 		}
-		e = &poolEntry{sess: sess}
+		e = &poolEntry{lease: make(chan struct{}, 1), gone: make(chan struct{}), sess: sess}
 		p.entries[version] = e
 		p.metrics.sessionsActive.Add(1)
 	}
 	p.mu.Unlock()
 
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
+	select {
+	case e.lease <- struct{}{}:
+	case <-e.gone:
 		return nil, ErrGraphGone
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	// select picks at random among ready cases, so the lease may have
+	// won against a drop or a cancellation that came first.
+	err := ctx.Err()
+	select {
+	case <-e.gone:
+		err = ErrGraphGone
+	default:
+	}
+	if err != nil {
+		<-e.lease
+		return nil, err
 	}
 	return &lease{e: e}, nil
 }
 
-// drop removes version from the pool and closes its session, after
-// the current leaseholder (if any) releases. Safe to call for
-// versions that never built a session.
+// drop removes version from the pool, sends every waiter away with
+// ErrGraphGone, and closes the session once the current leaseholder (if
+// any) releases. It keeps the lease, so the session is never handed out
+// again. Safe to call for versions that never built a session.
 func (p *sessionPool) drop(version uint64) {
 	p.mu.Lock()
 	e, ok := p.entries[version]
@@ -84,10 +104,9 @@ func (p *sessionPool) drop(version uint64) {
 	if !ok {
 		return
 	}
-	e.mu.Lock()
-	e.closed = true
+	close(e.gone)
+	e.lease <- struct{}{}
 	e.sess.Close()
-	e.mu.Unlock()
 	p.metrics.sessionsActive.Add(-1)
 }
 
@@ -135,5 +154,5 @@ func (l *lease) release() {
 	l.e.statsMu.Lock()
 	l.e.stats = st
 	l.e.statsMu.Unlock()
-	l.e.mu.Unlock()
+	<-l.e.lease
 }

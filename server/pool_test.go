@@ -3,8 +3,10 @@ package server
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/paper-repo-growth/doryp20/internal/algo"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
@@ -18,7 +20,7 @@ func TestPoolWarmReuse(t *testing.T) {
 	defer p.closeAll()
 	g := graph.Path(8)
 
-	l1, err := p.acquire(1, g)
+	l1, err := p.acquire(context.Background(), 1, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +30,7 @@ func TestPoolWarmReuse(t *testing.T) {
 	}
 	l1.release()
 
-	l2, err := p.acquire(1, g)
+	l2, err := p.acquire(context.Background(), 1, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +74,7 @@ func TestPoolSerializes(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			l, err := p.acquire(1, g)
+			l, err := p.acquire(context.Background(), 1, g)
 			if err != nil {
 				t.Errorf("acquire: %v", err)
 				return
@@ -105,7 +107,7 @@ func TestPoolDrop(t *testing.T) {
 	p := newSessionPool(m, 0)
 	g := graph.Path(4)
 
-	l, err := p.acquire(3, g)
+	l, err := p.acquire(context.Background(), 3, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,16 +132,16 @@ func TestPoolAcquireAfterClose(t *testing.T) {
 	p := newSessionPool(&Metrics{}, 0)
 	defer p.closeAll()
 	g := graph.Path(4)
-	l, err := p.acquire(5, g)
+	l, err := p.acquire(context.Background(), 5, g)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	got := make(chan error, 1)
 	go func() {
-		// Races drop for the entry mutex; either it loses and sees
-		// closed, or wins and releases before drop proceeds.
-		l2, err := p.acquire(5, g)
+		// Races drop for the lease; either it loses and sees the version
+		// gone, or wins and releases before drop proceeds.
+		l2, err := p.acquire(context.Background(), 5, g)
 		if err == nil {
 			l2.release()
 		}
@@ -152,4 +154,103 @@ func TestPoolAcquireAfterClose(t *testing.T) {
 	if err := <-got; err != nil && !errors.Is(err, ErrGraphGone) {
 		t.Fatalf("late acquire error = %v, want ErrGraphGone or success", err)
 	}
+}
+
+// within waits up to a second for cond, polling.
+func within(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: still not so after 1s", what)
+		}
+	}
+}
+
+// TestAcquireGivesUpOnItsContext: a waiter behind a held lease whose
+// context ends returns ctx.Err() within 100 ms and never holds the
+// lease, which still passes to the next acquirer; a drop during a wait
+// still answers ErrGraphGone; and no goroutine outlives the pool.
+func TestAcquireGivesUpOnItsContext(t *testing.T) {
+	base := runtime.NumGoroutine()
+	p := newSessionPool(&Metrics{}, 0)
+	g := graph.Path(6)
+	bg := context.Background()
+	held, err := p.acquire(bg, 1, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := held.session().Run(bg, algo.NewBellmanFordKernel(0)); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(bg)
+	got := make(chan error, 1)
+	go func() {
+		l, err := p.acquire(ctx, 1, g)
+		if err == nil {
+			l.release()
+		}
+		got <- err
+	}()
+	cancel()
+	start := time.Now()
+	select {
+	case err := <-got:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled waiter: %v, want context.Canceled", err)
+		}
+		if d := time.Since(start); d > 100*time.Millisecond {
+			t.Errorf("cancelled waiter returned after %v, want within 100ms", d)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("cancelled waiter still blocked behind the lease")
+	}
+
+	// The lease is still the holder's alone, and passes on at release.
+	go func() {
+		l, err := p.acquire(bg, 1, g)
+		if err == nil {
+			l.release()
+		}
+		got <- err
+	}()
+	held.release()
+	select {
+	case err := <-got:
+		if err != nil {
+			t.Fatalf("next acquirer: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the lease never passed to the next acquirer")
+	}
+
+	// A drop while a waiter is queued sends it away with ErrGraphGone
+	// before the holder releases.
+	if held, err = p.acquire(bg, 1, g); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		l, err := p.acquire(bg, 1, g)
+		if err == nil {
+			l.release()
+		}
+		got <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let the waiter find the entry and queue
+	dropped := make(chan struct{})
+	go func() {
+		p.drop(1)
+		close(dropped)
+	}()
+	select {
+	case err := <-got:
+		if !errors.Is(err, ErrGraphGone) {
+			t.Fatalf("waiter during drop: %v, want ErrGraphGone", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("waiter during drop still blocked")
+	}
+	held.release()
+	<-dropped
+	within(t, "goroutines back to baseline", func() bool { return runtime.NumGoroutine() <= base })
 }

@@ -278,7 +278,7 @@ func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.metrics.observeQuery(kindSSSP, time.Since(start)) }()
 
 	k := algo.NewBellmanFordKernel(core.NodeID(req.Source))
-	tel, err := s.runExact(e, k)
+	tel, err := s.runExact(r.Context(), e, k)
 	if err != nil {
 		s.queryFailed(w, err)
 		return
@@ -322,7 +322,7 @@ func (s *Server) handleKSource(w http.ResponseWriter, r *http.Request) {
 		sources[i] = core.NodeID(src)
 	}
 	k := algo.NewKSourceKernel(sources, h)
-	tel, err := s.runExact(e, k)
+	tel, err := s.runExact(r.Context(), e, k)
 	if err != nil {
 		s.queryFailed(w, err)
 		return
@@ -343,9 +343,10 @@ type runTelemetry struct {
 }
 
 // runExact runs one exact kernel under the graph's session lease and
-// reports its cost.
-func (s *Server) runExact(e *graphEntry, k clique.Kernel) (runTelemetry, error) {
-	l, err := s.pool.acquire(e.info.Version, e.g)
+// reports its cost. A query whose context ends while it waits for the
+// lease gives up without running anything.
+func (s *Server) runExact(ctx context.Context, e *graphEntry, k clique.Kernel) (runTelemetry, error) {
+	l, err := s.pool.acquire(ctx, e.info.Version, e.g)
 	if err != nil {
 		return runTelemetry{}, err
 	}
@@ -461,7 +462,7 @@ func (s *Server) handleReachable(w http.ResponseWriter, r *http.Request) {
 
 	// The closure cache, like the hopset cache, is guarded by the
 	// graph's session lease — acquire it even on the hit path.
-	l, err := s.pool.acquire(e.info.Version, e.g)
+	l, err := s.pool.acquire(r.Context(), e.info.Version, e.g)
 	if err != nil {
 		s.queryFailed(w, err)
 		return
@@ -494,7 +495,9 @@ func (s *Server) handleReachable(w http.ResponseWriter, r *http.Request) {
 // deterministic function of (graph, Params) and stage 2's dense
 // (min,+) products are column-independent.
 func (s *Server) runApproxBatch(e *graphEntry, eps float64, key int, sources []core.NodeID) (*batchResult, error) {
-	l, err := s.pool.acquire(e.info.Version, e.g)
+	// A batch serves every waiter coalesced into it, so no one caller's
+	// context may end its wait for the lease.
+	l, err := s.pool.acquire(context.Background(), e.info.Version, e.g)
 	if err != nil {
 		return nil, err
 	}

@@ -217,7 +217,7 @@ func TestHopsetCacheSteadyState(t *testing.T) {
 	// The cache holds the matrix the pipeline's stage 2 relaxed over,
 	// which is exactly the augmented adjacency.
 	e := srv.store.get(id)
-	l, err := srv.pool.acquire(e.info.Version, e.g)
+	l, err := srv.pool.acquire(context.Background(), e.info.Version, e.g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestHopsetCacheSharedAcrossEps(t *testing.T) {
 	}
 
 	e := srv.store.get(id)
-	l, err := srv.pool.acquire(e.info.Version, e.g)
+	l, err := srv.pool.acquire(context.Background(), e.info.Version, e.g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,5 +502,43 @@ func TestDeleteWhileQuerying(t *testing.T) {
 	}
 	if _, err := c.SSSP(ctx, id, 0); !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {
 		t.Fatalf("query after delete: %v, want 404", err)
+	}
+}
+
+// TestCancelledQueryBehindLeaseRunsNothing: an /sssp query queued behind
+// a held session lease whose client gives up leaves without running a
+// kernel, and the session serves the next query.
+func TestCancelledQueryBehindLeaseRunsNothing(t *testing.T) {
+	srv, c := newTestDaemon(t, Options{})
+	g := graph.RandomGNPWeighted(16, 0.3, 9, 1)
+	id := upload(t, c, "held", g)
+	e := srv.store.get(id)
+	l, err := srv.pool.acquire(context.Background(), e.info.Version, e.g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := srv.Metrics().Snapshot().KernelRuns
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.SSSP(ctx, id, 0)
+		done <- err
+	}()
+	within(t, "query waiting on the lease", func() bool { return srv.Metrics().Snapshot().Inflight == 1 })
+	cancel()
+	if err := <-done; err == nil {
+		t.Fatal("cancelled query succeeded")
+	}
+	within(t, "handler gone", func() bool { return srv.Metrics().Snapshot().Inflight == 0 })
+	l.release()
+	if got := srv.Metrics().Snapshot().KernelRuns; got != runs {
+		t.Errorf("kernel runs %d -> %d: a cancelled waiter ran a kernel", runs, got)
+	}
+	resp, err := c.SSSP(context.Background(), id, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := algo.BellmanFordRef(g, 0); !reflect.DeepEqual(resp.Dist, want) {
+		t.Errorf("next query after the cancellation: %v, want %v", resp.Dist, want)
 	}
 }
