@@ -161,7 +161,8 @@ func (p *Power) Result() any {
 // Whatever S, only the first product asks: S fixes who asks each node
 // for its row, so each responder keeps the requesters it recorded then,
 // and every later product streams from round 0 with no request words
-// (see mulNode). That saves nnz(S) - n words and one round per product.
+// (see mulNode). That saves one round and one word per off-diagonal
+// nonzero of S — nnz(S) - n over a reflexive S — per later product.
 type Relaxation struct {
 	s    *Matrix
 	b    *Dense

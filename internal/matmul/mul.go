@@ -230,10 +230,10 @@ type mulNode struct {
 	packed []uint64      // this node's row of B, in wire format
 	acc    []int64       // this node's row of C, dense
 	reqs   []core.NodeID // who asked for this row, in request order
-	heard  bool          // reqs came from an earlier product: no request round
 	off    int           // words of packed already sent to each of reqs
 	cur    int           // index into aCols of the last source looked up
 	unpace bool
+	heard  bool   // reqs came from an earlier product: no request round
 	vote   *voter // non-nil on a pass asked to vote (Pass.vote)
 }
 

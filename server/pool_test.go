@@ -166,6 +166,20 @@ func within(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// doneProbe is a context that closes asked the first time anyone asks
+// for its Done channel, which acquire does only once it has found the
+// pool entry and is about to wait for the lease.
+type doneProbe struct {
+	context.Context
+	asked chan struct{}
+	once  sync.Once
+}
+
+func (d *doneProbe) Done() <-chan struct{} {
+	d.once.Do(func() { close(d.asked) })
+	return d.Context.Done()
+}
+
 // TestAcquireGivesUpOnItsContext: a waiter behind a held lease whose
 // context ends returns ctx.Err() within 100 ms and never holds the
 // lease, which still passes to the next acquirer; a drop during a wait
@@ -229,14 +243,15 @@ func TestAcquireGivesUpOnItsContext(t *testing.T) {
 	if held, err = p.acquire(bg, 1, g); err != nil {
 		t.Fatal(err)
 	}
+	queued := &doneProbe{Context: bg, asked: make(chan struct{})}
 	go func() {
-		l, err := p.acquire(bg, 1, g)
+		l, err := p.acquire(queued, 1, g)
 		if err == nil {
 			l.release()
 		}
 		got <- err
 	}()
-	time.Sleep(20 * time.Millisecond) // let the waiter find the entry and queue
+	<-queued.asked // the waiter found the entry and is at the lease
 	dropped := make(chan struct{})
 	go func() {
 		p.drop(1)
