@@ -1,6 +1,7 @@
 package hopset
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"reflect"
@@ -197,6 +198,50 @@ func TestShortcutStarMatchesDenseFold(t *testing.T) {
 			if !matEqual(hs.Shortcuts, starRef(g.N, hs.Hubs, d)) {
 				t.Errorf("seed %d rate %v: star differs from the dense min-fold", seed, rate)
 			}
+		}
+	}
+}
+
+// TestRestoreRejectsBadHubList: assemble indexes the star by hub, so a
+// restored state whose hub list is not strictly ascending in [0, n), one
+// hub per distance column, is refused instead of assembling a wrong star
+// or panicking, while the same state with its own hubs restores to the
+// finished hopset.
+func TestRestoreRejectsBadHubList(t *testing.T) {
+	g := graph.RandomGNPWeighted(12, 0.4, 9, 3)
+	k := NewConstructKernel(Params{HubRate: 1})
+	s, err := clique.New(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Run(context.Background(), k); err != nil {
+		t.Fatal(err)
+	}
+	good := k.hubs
+	for name, hubs := range map[string][]core.NodeID{
+		"own":        good,
+		"descending": {3, 1},
+		"repeated":   {1, 1},
+		"outside":    {0, 12},
+		"negative":   {-1, 4},
+		"too few":    {1, 4},
+	} {
+		k.hubs = hubs
+		var blob bytes.Buffer
+		if err := k.SnapshotState(&blob); err != nil {
+			t.Fatal(err)
+		}
+		fresh := NewConstructKernel(Params{HubRate: 1})
+		err := fresh.RestoreState(&blob)
+		if name == "own" {
+			if err != nil || !matEqual(fresh.Hopset().Shortcuts, k.Hopset().Shortcuts) {
+				t.Errorf("own hub list: %v", err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s hub list %v restored", name, hubs)
 		}
 	}
 }

@@ -76,15 +76,29 @@ func (k *ConstructKernel) Nodes(g *graph.CSR) ([]engine.Node, error) {
 		if err != nil || nodes != nil {
 			return nodes, err
 		}
-		k.finish()
+		if err := k.finish(); err != nil {
+			return nil, err
+		}
 	}
 	return nil, nil
 }
 
-// finish assembles the hopset from the final hub distance columns.
-func (k *ConstructKernel) finish() {
-	k.hs = assemble(k.params, k.hubs, k.rx.Over(), k.rx.Result().(*matmul.Dense))
+// finish assembles the hopset from the final hub distance columns. The
+// hub list indexes the star, so one restored from a checkpoint must be
+// what sampleHubs returns: strictly ascending vertices, one per column.
+func (k *ConstructKernel) finish() error {
+	base, d := k.rx.Over(), k.rx.Result().(*matmul.Dense)
+	for j, s := range k.hubs {
+		if s < 0 || int(s) >= base.N || j > 0 && k.hubs[j-1] >= s {
+			return fmt.Errorf("hopset: hub list is not strictly ascending in [0, %d)", base.N)
+		}
+	}
+	if d.K != len(k.hubs) {
+		return fmt.Errorf("hopset: %d hub distance columns for %d hubs", d.K, len(k.hubs))
+	}
+	k.hs = assemble(k.params, k.hubs, base, d)
 	k.stage = 2
+	return nil
 }
 
 // start validates the inputs and prepares the product loop.

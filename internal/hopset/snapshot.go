@@ -119,17 +119,10 @@ func (k *ConstructKernel) RestoreState(r io.Reader) error {
 	if stage != 1 && (stage != 2 || rx.Result() == nil) {
 		return fmt.Errorf("hopset: kernel state has implausible stage %d", stage)
 	}
-	// assemble indexes rows by hub, so the hub list must be what
-	// sampleHubs returns: strictly ascending vertices.
-	for j, s := range hubs {
-		if s < 0 || int(s) >= rx.Over().N || j > 0 && hubs[j-1] >= s {
-			return fmt.Errorf("hopset: kernel state's hub list is not strictly ascending in [0, %d)", rx.Over().N)
-		}
-	}
 	rx.SetGatherer(k.gather)
 	k.stage, k.params, k.hubs, k.rx = stage, params, hubs, rx
 	if stage == 2 {
-		k.finish()
+		return k.finish()
 	}
 	return nil
 }
