@@ -5,10 +5,14 @@
 // (graph, ε), and exposes Prometheus-text metrics. The HTTP API is
 // documented in pkg/api; pkg/client is the Go client.
 //
+// Approximate queries are batched by occupancy, not by a timer: a
+// query on an idle (graph, ε) runs at once, and the queries that arrive
+// while a batch runs ride the next one, up to -max-batch.
+//
 // Usage:
 //
 //	ccserve [-addr 127.0.0.1:7470] [-workers 0] [-max-batch 16]
-//	        [-coalesce-wait 2ms] [-max-upload 67108864]
+//	        [-max-upload 67108864] [-drain-timeout 30s]
 //
 // A quickstart against a running daemon:
 //
@@ -18,8 +22,9 @@
 //	curl -s localhost:7470/metrics
 //
 // On SIGINT/SIGTERM the daemon stops accepting connections, drains
-// in-flight queries (bounded by -drain-timeout), closes every pooled
-// session, and exits 0.
+// in-flight queries, closes every pooled session, and exits 0. Queries
+// still running at -drain-timeout are cancelled, and so is a hopset
+// construction, each within a round; the daemon then exits 1.
 package main
 
 import (
@@ -66,7 +71,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	addr := fs.String("addr", "127.0.0.1:7470", "listen address")
 	workers := fs.Int("workers", 0, "engine workers per session (0 = GOMAXPROCS)")
 	maxBatch := fs.Int("max-batch", 16, "max coalesced queries per batched kernel run")
-	wait := fs.Duration("coalesce-wait", 2*time.Millisecond, "admission window for query coalescing")
 	maxUpload := fs.Int64("max-upload", 64<<20, "graph upload size cap in bytes")
 	drain := fs.Duration("drain-timeout", 30*time.Second, "shutdown grace for in-flight queries")
 	if err := fs.Parse(args); err != nil {
@@ -76,7 +80,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	srv := server.New(server.Options{
 		Workers:        *workers,
 		MaxBatch:       *maxBatch,
-		CoalesceWait:   *wait,
 		MaxUploadBytes: *maxUpload,
 	})
 	defer srv.Close()
@@ -98,11 +101,14 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 
 	// Drain: stop accepting, wait out in-flight queries, then release
-	// the pooled sessions (the deferred Close).
+	// the pooled sessions (the deferred Close, which also stops a
+	// hopset construction). Past the deadline, closing the connections
+	// ends the queries' request contexts, so their kernels stop too.
 	fmt.Fprintln(out, "ccserve draining")
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := hs.Shutdown(drainCtx); err != nil {
+		hs.Close()
 		return fmt.Errorf("drain: %w", err)
 	}
 	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {

@@ -68,7 +68,7 @@ func TestRunServesAndDrains(t *testing.T) {
 	out := newLineWaiter()
 	done := make(chan error, 1)
 	go func() {
-		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-coalesce-wait", "1ms"}, out)
+		done <- run(ctx, []string{"-addr", "127.0.0.1:0"}, out)
 	}()
 
 	line := out.wait(t, "ccserve listening on ")
@@ -150,5 +150,60 @@ func TestRunBadFlags(t *testing.T) {
 	err := run(context.Background(), []string{"-addr"}, io.Discard)
 	if err == nil {
 		t.Fatal("run accepted a flag missing its value")
+	}
+}
+
+// TestDrainDeadlineCancelsRunningQueries: a query whose kernel is still
+// running when -drain-timeout passes is cancelled — its connection is
+// closed and its kernel stopped — instead of being run to completion
+// by the final session close; run reports the missed deadline.
+func TestDrainDeadlineCancelsRunningQueries(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	out := newLineWaiter()
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-workers", "1", "-drain-timeout", "20ms"}, out)
+	}()
+	addr := strings.TrimPrefix(out.wait(t, "ccserve listening on "), "ccserve listening on ")
+	c := client.New("http://" + addr)
+
+	// Bellman-Ford on a long path runs one round per hop.
+	var buf bytes.Buffer
+	if err := graph.WriteEdgeList(&buf, graph.Path(8192)); err != nil {
+		t.Fatal(err)
+	}
+	info, err := c.LoadGraph(context.Background(), "long", &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queried := make(chan error, 1)
+	go func() {
+		_, err := c.SSSP(context.Background(), info.ID, 0)
+		queried <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		body, err := c.Metrics(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(body, "ccserve_engine_rounds_total 0\n") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the query's kernel never started")
+		}
+	}
+
+	cancel()
+	if err := <-queried; err == nil {
+		t.Error("the query ran to completion past the drain deadline")
+	}
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "drain") {
+			t.Errorf("run returned %v, want the missed drain deadline", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run did not return after the drain deadline")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/paper-repo-growth/doryp20/clique"
 	"github.com/paper-repo-growth/doryp20/internal/algo"
@@ -17,11 +16,12 @@ import (
 )
 
 // TestConcurrentClientsBitIdentical is the coalescing acceptance test:
-// N concurrent clients fire approx-sssp queries at one (graph, eps);
-// every answer must be bit-identical to a standalone clique.Session
-// running the single-source ApproxKSourceKernel directly, and the
-// admission layer must have coalesced — strictly fewer kernel runs
-// than queries.
+// N concurrent clients fire approx-sssp queries at one (graph, eps)
+// while the graph's lease is held, so the first query's batch waits at
+// the lease and the other N − 1 queue behind it. Every answer must be
+// bit-identical to a standalone clique.Session running the
+// single-source ApproxKSourceKernel directly, and the queued queries
+// must ride exactly ceil((N − 1)/MaxBatch) full batches.
 func TestConcurrentClientsBitIdentical(t *testing.T) {
 	const (
 		n       = 40
@@ -50,21 +50,35 @@ func TestConcurrentClientsBitIdentical(t *testing.T) {
 		sess.Close()
 	}
 
-	// A generous admission window so all queries land in few batches.
-	srv, c := newTestDaemon(t, Options{MaxBatch: 4, CoalesceWait: 250 * time.Millisecond})
+	const maxBatch = 4
+	srv, c := newTestDaemon(t, Options{MaxBatch: maxBatch})
 	id := upload(t, c, "swarm", g)
+	e := srv.store.get(id)
+	release := holdLease(t, srv, e)
 
 	var wg sync.WaitGroup
 	resps := make([]api.ApproxSSSPResponse, queries)
 	errs := make([]error, queries)
-	for q := 0; q < queries; q++ {
+	ask := func(q int) {
 		wg.Add(1)
-		go func(q int) {
+		go func() {
 			defer wg.Done()
 			src := int64((q * 7) % n)
 			resps[q], errs[q] = c.ApproxSSSP(context.Background(), id, src, eps)
-		}(q)
+		}()
 	}
+	// The first query forms a batch of one at once, which then waits at
+	// the held lease; the rest queue behind it until the lease frees.
+	ask(0)
+	within(t, "first batch formed", func() bool { return batchesFormed(e, eps) == 1 })
+	for q := 1; q < queries; q++ {
+		ask(q)
+	}
+	e.coalsMu.Lock()
+	co := e.coals[core.SigBitsFor(eps)]
+	e.coalsMu.Unlock()
+	admitted(t, co, queries)
+	release()
 	wg.Wait()
 
 	for q := 0; q < queries; q++ {
@@ -81,14 +95,13 @@ func TestConcurrentClientsBitIdentical(t *testing.T) {
 	if snap.BatchedQueries != queries {
 		t.Errorf("batched queries = %d, want %d", snap.BatchedQueries, queries)
 	}
-	if snap.Batches >= queries {
-		t.Errorf("batches = %d, want strictly fewer than %d queries (coalescing)", snap.Batches, queries)
+	runs := uint64(1 + (queries-1+maxBatch-1)/maxBatch)
+	if snap.Batches != runs || snap.KernelRuns != runs {
+		t.Errorf("batches = %d, kernel runs = %d, want 1 + ceil(%d/%d) = %d each",
+			snap.Batches, snap.KernelRuns, queries-1, maxBatch, runs)
 	}
-	if snap.BatchMax < 2 {
-		t.Errorf("largest batch = %d, want >= 2", snap.BatchMax)
-	}
-	if snap.KernelRuns >= queries {
-		t.Errorf("kernel runs = %d, want fewer than %d queries", snap.KernelRuns, queries)
+	if snap.BatchMax != maxBatch {
+		t.Errorf("largest batch = %d, want %d", snap.BatchMax, maxBatch)
 	}
 	t.Logf("coalesced %d queries into %d batches (max batch %d, %d cache hits)",
 		queries, snap.Batches, snap.BatchMax, snap.CacheHits)
@@ -100,7 +113,7 @@ func TestConcurrentClientsBitIdentical(t *testing.T) {
 // oracle.
 func TestConcurrentMixedQueryKinds(t *testing.T) {
 	g := graph.RandomGNPWeighted(24, 0.25, 9, 13)
-	_, c := newTestDaemon(t, Options{CoalesceWait: 10 * time.Millisecond})
+	_, c := newTestDaemon(t, Options{})
 	id := upload(t, c, "mixed", g)
 
 	refs := make([][]int64, g.N)

@@ -111,6 +111,9 @@ type Metrics struct {
 	approxQueries    atomic.Uint64
 	reachableQueries atomic.Uint64
 	queryErrors      atomic.Uint64
+	// Queries whose own request context ended before they were
+	// answered: a client that left is not a failure.
+	queriesCancelled atomic.Uint64
 
 	// Kernel executions: every session run the daemon performs. Under
 	// coalescing, kernelRuns grows slower than approxQueries.
@@ -131,10 +134,14 @@ type Metrics struct {
 	inflight       atomic.Int64
 
 	// Latency distributions: end-to-end service time per admitted
-	// query, by kind, and per-kernel-run engine wall time (the
-	// accumulated RoundStats.Wall of one run's passes).
-	queryDur   [numKinds]histogram
-	kernelWall histogram
+	// query, by kind; per-kernel-run engine wall time (the accumulated
+	// RoundStats.Wall of one run's passes); per approx-sssp query, the
+	// wait from admission to its batch being formed; and per lease
+	// granted, the wait for a graph's session lease.
+	queryDur     [numKinds]histogram
+	kernelWall   histogram
+	coalesceWait histogram
+	leaseWait    histogram
 }
 
 // ObserveRound folds one engine round's stats into the traffic
@@ -175,7 +182,7 @@ type Snapshot struct {
 	Rounds, Msgs, Words, Bytes, WallNanos      uint64
 	SSSPQueries, KSourceQueries, ApproxQueries uint64
 	ReachableQueries                           uint64
-	QueryErrors, KernelRuns                    uint64
+	QueryErrors, QueriesCancelled, KernelRuns  uint64
 	Batches, BatchedQueries, BatchMax          uint64
 	CacheHits, CacheMisses                     uint64
 	SessionsActive, GraphsLoaded, Inflight     int64
@@ -189,9 +196,9 @@ func (m *Metrics) Snapshot() Snapshot {
 		Bytes: m.bytes.Load(), WallNanos: m.wallNanos.Load(),
 		SSSPQueries: m.ssspQueries.Load(), KSourceQueries: m.ksourceQueries.Load(),
 		ApproxQueries: m.approxQueries.Load(), ReachableQueries: m.reachableQueries.Load(),
-		QueryErrors: m.queryErrors.Load(),
-		KernelRuns:  m.kernelRuns.Load(),
-		Batches:     m.batches.Load(), BatchedQueries: m.batchedQueries.Load(),
+		QueryErrors: m.queryErrors.Load(), QueriesCancelled: m.queriesCancelled.Load(),
+		KernelRuns: m.kernelRuns.Load(),
+		Batches:    m.batches.Load(), BatchedQueries: m.batchedQueries.Load(),
 		BatchMax:  m.batchMax.Load(),
 		CacheHits: m.cacheHits.Load(), CacheMisses: m.cacheMisses.Load(),
 		SessionsActive: m.sessionsActive.Load(), GraphsLoaded: m.graphsLoaded.Load(),
@@ -219,6 +226,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 		{"ccserve_queries_total{kind=\"approx-sssp\"}", "", "", s.ApproxQueries},
 		{"ccserve_queries_total{kind=\"reachable\"}", "", "", s.ReachableQueries},
 		{"ccserve_query_errors_total", "Queries that failed after admission.", "counter", s.QueryErrors},
+		{"ccserve_queries_cancelled_total", "Queries abandoned by their client before they were answered.", "counter", s.QueriesCancelled},
 		{"ccserve_kernel_runs_total", "Kernel executions on pooled sessions (coalescing makes this trail approx-sssp queries).", "counter", s.KernelRuns},
 		{"ccserve_coalesced_batches_total", "Batched approx-sssp kernel runs.", "counter", s.Batches},
 		{"ccserve_coalesced_queries_total", "Approx-sssp queries served through batches.", "counter", s.BatchedQueries},
@@ -243,9 +251,9 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 		}
 	}
 
-	// Histogram families: the per-kind query latency distribution and
-	// the per-kernel-run engine wall time. HELP/TYPE once per family,
-	// then every label series in fixed order.
+	// Histogram families: the per-kind query latency distribution, the
+	// per-kernel-run engine wall time, and the coalesce and lease waits.
+	// HELP/TYPE once per family, then every label series in fixed order.
 	if _, err := fmt.Fprintf(w, "# HELP ccserve_query_duration_seconds End-to-end service time of admitted queries, by kind.\n# TYPE ccserve_query_duration_seconds histogram\n"); err != nil {
 		return err
 	}
@@ -255,8 +263,20 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintf(w, "# HELP ccserve_kernel_wall_seconds Engine wall time of one kernel run (accumulated RoundStats.Wall of its passes).\n# TYPE ccserve_kernel_wall_seconds histogram\n"); err != nil {
-		return err
+	for _, h := range []struct {
+		family, help string
+		h            *histogram
+	}{
+		{"ccserve_kernel_wall_seconds", "Engine wall time of one kernel run (accumulated RoundStats.Wall of its passes).", &m.kernelWall},
+		{"ccserve_coalesce_wait_seconds", "Wait of one approx-sssp query from admission to its batch being formed.", &m.coalesceWait},
+		{"ccserve_lease_wait_seconds", "Wait for a graph's session lease, per lease granted.", &m.leaseWait},
+	} {
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", h.family, h.help, h.family); err != nil {
+			return err
+		}
+		if err := h.h.writePromSeries(w, h.family, ""); err != nil {
+			return err
+		}
 	}
-	return m.kernelWall.writePromSeries(w, "ccserve_kernel_wall_seconds", "")
+	return nil
 }

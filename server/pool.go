@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"github.com/paper-repo-growth/doryp20/clique"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
@@ -50,9 +51,10 @@ func newSessionPool(metrics *Metrics, workers int) *sessionPool {
 
 // acquire returns an exclusive lease on version's warm session,
 // creating the session (engine workers and all) on first use. It
-// blocks while another query holds the lease. If the version is dropped
-// while waiting, it fails with ErrGraphGone; if ctx ends first, it
-// returns ctx.Err() without the lease.
+// blocks while another query holds the lease, and records that wait in
+// the lease-wait histogram once it holds the lease. If the version is
+// dropped while waiting, it fails with ErrGraphGone; if ctx ends first,
+// it returns ctx.Err() without the lease.
 func (p *sessionPool) acquire(ctx context.Context, version uint64, g *graph.CSR) (*lease, error) {
 	p.mu.Lock()
 	e, ok := p.entries[version]
@@ -70,6 +72,7 @@ func (p *sessionPool) acquire(ctx context.Context, version uint64, g *graph.CSR)
 	}
 	p.mu.Unlock()
 
+	start := time.Now()
 	select {
 	case e.lease <- struct{}{}:
 	case <-e.gone:
@@ -89,6 +92,7 @@ func (p *sessionPool) acquire(ctx context.Context, version uint64, g *graph.CSR)
 		<-e.lease
 		return nil, err
 	}
+	p.metrics.leaseWait.observe(time.Since(start))
 	return &lease{e: e}, nil
 }
 

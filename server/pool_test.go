@@ -156,6 +156,20 @@ func TestPoolAcquireAfterClose(t *testing.T) {
 	}
 }
 
+// holdLease takes e's session lease for the test and returns its
+// release. The test's cleanup releases it too, so a test that fails
+// while holding it does not wedge the server's shutdown.
+func holdLease(t *testing.T, srv *Server, e *graphEntry) (release func()) {
+	t.Helper()
+	l, err := srv.pool.acquire(context.Background(), e.info.Version, e.g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release = sync.OnceFunc(l.release)
+	t.Cleanup(release)
+	return release
+}
+
 // within waits up to a second for cond, polling.
 func within(t *testing.T, what string, cond func() bool) {
 	t.Helper()

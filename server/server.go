@@ -47,16 +47,18 @@ import (
 const DefaultEps = 0.25
 
 // Options configures a Server. The zero value serves with 16-query
-// batches, a 2ms admission window, GOMAXPROCS session workers, and a
-// 64 MiB upload cap.
+// batches, GOMAXPROCS session workers, and a 64 MiB upload cap.
+// Approximate queries are batched by occupancy, with no admission
+// window: a query that finds its (graph, ε) idle runs at once, and the
+// queries that arrive while a batch runs ride the next one.
 type Options struct {
 	// MaxBatch bounds how many coalesced single-source queries one
 	// batched kernel run carries. <= 0 selects 16.
 	MaxBatch int
-	// CoalesceWait is the admission window a batch leader holds open
-	// before launching: 0 favors single-query latency, a few
-	// milliseconds favors batching under concurrent load. < 0 selects
-	// the 2ms default; 0 is honored.
+	// CoalesceWait is ignored.
+	//
+	// Deprecated: batches form from the queries queued when the
+	// coalescer can run, with no admission window.
 	CoalesceWait time.Duration
 	// Workers is the per-session engine worker count; 0 selects the
 	// GOMAXPROCS default.
@@ -75,15 +77,18 @@ type Server struct {
 	store   *store
 	pool    *sessionPool
 	mux     *http.ServeMux
+
+	// life is the server's lifetime context, cancelled by Close. Work
+	// that belongs to a graph rather than to one caller — a hopset
+	// construction — runs under it.
+	life context.Context
+	stop context.CancelFunc
 }
 
 // New builds a Server with its own metrics, store, and session pool.
 func New(opts Options) *Server {
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = 16
-	}
-	if opts.CoalesceWait < 0 {
-		opts.CoalesceWait = 2 * time.Millisecond
 	}
 	if opts.MaxUploadBytes <= 0 {
 		opts.MaxUploadBytes = 64 << 20
@@ -93,6 +98,7 @@ func New(opts Options) *Server {
 		metrics: &Metrics{},
 		store:   newStore(),
 	}
+	s.life, s.stop = context.WithCancel(context.Background())
 	s.pool = newSessionPool(s.metrics, opts.Workers)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -128,10 +134,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // pooled session's RoundHook).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// Close releases every pooled session. Call it only after the HTTP
-// layer has drained in-flight requests (http.Server.Shutdown): a query
-// that still holds a lease is waited out, but new queries fail.
+// Close cancels the server's lifetime context, which stops a hopset
+// construction within a round, and releases every pooled session. Call
+// it after the HTTP layer has drained in-flight requests
+// (http.Server.Shutdown) or given up on them: a query that still holds
+// a lease is waited out, but new queries fail.
 func (s *Server) Close() {
+	s.stop()
 	s.pool.closeAll()
 }
 
@@ -280,7 +289,7 @@ func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 	k := algo.NewBellmanFordKernel(core.NodeID(req.Source))
 	tel, err := s.runExact(r.Context(), e, k)
 	if err != nil {
-		s.queryFailed(w, err)
+		s.queryFailed(w, r, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, api.SSSPResponse{
@@ -324,7 +333,7 @@ func (s *Server) handleKSource(w http.ResponseWriter, r *http.Request) {
 	k := algo.NewKSourceKernel(sources, h)
 	tel, err := s.runExact(r.Context(), e, k)
 	if err != nil {
-		s.queryFailed(w, err)
+		s.queryFailed(w, r, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, api.KSourceResponse{
@@ -344,25 +353,27 @@ type runTelemetry struct {
 
 // runExact runs one exact kernel under the graph's session lease and
 // reports its cost. A query whose context ends while it waits for the
-// lease gives up without running anything.
+// lease gives up without running anything; one whose context ends
+// while it runs stops within a round.
 func (s *Server) runExact(ctx context.Context, e *graphEntry, k clique.Kernel) (runTelemetry, error) {
 	l, err := s.pool.acquire(ctx, e.info.Version, e.g)
 	if err != nil {
 		return runTelemetry{}, err
 	}
 	defer l.release()
-	return s.runOn(l.session(), k)
+	return s.runOn(ctx, l.session(), k)
 }
 
 // runOn is the daemon's one kernel-run path: it counts the run, runs k
-// on a leased session, takes the session stats delta, and feeds the
-// kernel-wall histogram when the run succeeds.
-func (s *Server) runOn(sess *clique.Session, k clique.Kernel) (runTelemetry, error) {
+// on a leased session under ctx, takes the session stats delta, and
+// feeds the kernel-wall histogram when the run succeeds.
+func (s *Server) runOn(ctx context.Context, sess *clique.Session, k clique.Kernel) (runTelemetry, error) {
 	s.metrics.kernelRuns.Add(1)
 	before := sess.Stats()
-	// Queries run to completion even during shutdown: the HTTP layer's
-	// drain is the cancellation boundary.
-	err := sess.Run(context.Background(), k)
+	// The engine checks ctx at every round barrier, so a cancelled run
+	// frees the lease within a round; a cancelled run's partial passes
+	// stay billed to the session.
+	err := sess.Run(ctx, k)
 	after := sess.Stats()
 	tel := runTelemetry{
 		passes: after.Runs - before.Runs,
@@ -375,8 +386,15 @@ func (s *Server) runOn(sess *clique.Session, k clique.Kernel) (runTelemetry, err
 	return tel, err
 }
 
-// queryFailed maps a query execution error onto a response.
-func (s *Server) queryFailed(w http.ResponseWriter, err error) {
+// queryFailed maps a query execution error onto a response. A query
+// that failed because its own request context ended is not an error:
+// it is counted as cancelled, and nothing is written to the client
+// that left.
+func (s *Server) queryFailed(w http.ResponseWriter, r *http.Request, err error) {
+	if cerr := r.Context().Err(); cerr != nil && errors.Is(err, cerr) {
+		s.metrics.queriesCancelled.Add(1)
+		return
+	}
 	s.metrics.queryErrors.Add(1)
 	status := http.StatusInternalServerError
 	if errors.Is(err, ErrGraphGone) {
@@ -419,13 +437,14 @@ func (s *Server) handleApproxSSSP(w http.ResponseWriter, r *http.Request) {
 	// queue. The response still echoes the caller's own ε.
 	key := core.SigBitsFor(eps)
 	c := e.coalescerFor(key, func() *coalescer {
-		return newCoalescer(s.opts.MaxBatch, s.opts.CoalesceWait, func(sources []core.NodeID) (*batchResult, error) {
-			return s.runApproxBatch(e, eps, key, sources)
-		})
+		return newCoalescer(s.life, s.opts.MaxBatch, &s.metrics.coalesceWait,
+			func(ctx context.Context, sources []core.NodeID) (*batchResult, error) {
+				return s.runApproxBatch(ctx, e, eps, key, sources)
+			})
 	})
 	out := c.do(r.Context(), core.NodeID(req.Source))
 	if out.err != nil {
-		s.queryFailed(w, out.err)
+		s.queryFailed(w, r, out.err)
 		return
 	}
 	writeJSON(w, http.StatusOK, api.ApproxSSSPResponse{
@@ -464,16 +483,16 @@ func (s *Server) handleReachable(w http.ResponseWriter, r *http.Request) {
 	// graph's session lease — acquire it even on the hit path.
 	l, err := s.pool.acquire(r.Context(), e.info.Version, e.g)
 	if err != nil {
-		s.queryFailed(w, err)
+		s.queryFailed(w, r, err)
 		return
 	}
 	var tel runTelemetry
 	cacheHit := e.closure != nil
 	if !cacheHit {
 		k := algo.NewTransitiveClosureKernel()
-		if tel, err = s.runOn(l.session(), k); err != nil {
+		if tel, err = s.runOn(r.Context(), l.session(), k); err != nil {
 			l.release()
-			s.queryFailed(w, err)
+			s.queryFailed(w, r, err)
 			return
 		}
 		e.closure = k.Reach()
@@ -494,10 +513,13 @@ func (s *Server) handleReachable(w http.ResponseWriter, r *http.Request) {
 // to per-source standalone Session runs, because the hopset is a
 // deterministic function of (graph, Params) and stage 2's dense
 // (min,+) products are column-independent.
-func (s *Server) runApproxBatch(e *graphEntry, eps float64, key int, sources []core.NodeID) (*batchResult, error) {
-	// A batch serves every waiter coalesced into it, so no one caller's
-	// context may end its wait for the lease.
-	l, err := s.pool.acquire(context.Background(), e.info.Version, e.g)
+//
+// ctx is the batch's context, which ends once every waiter in the
+// batch has left: it bounds the lease wait and a cache-hit run. A
+// cache miss runs under the server's lifetime context instead, because
+// the hopset it builds belongs to the graph, not to the waiters.
+func (s *Server) runApproxBatch(ctx context.Context, e *graphEntry, eps float64, key int, sources []core.NodeID) (*batchResult, error) {
+	l, err := s.pool.acquire(ctx, e.info.Version, e.g)
 	if err != nil {
 		return nil, err
 	}
@@ -507,13 +529,13 @@ func (s *Server) runApproxBatch(e *graphEntry, eps float64, key int, sources []c
 	var tel runTelemetry
 	if hc := e.hopsets[key]; hc != nil {
 		k := algo.NewRelaxKernel(hc.aug, sources, hc.products)
-		if tel, err = s.runOn(l.session(), k); err != nil {
+		if tel, err = s.runOn(ctx, l.session(), k); err != nil {
 			return nil, err
 		}
 		res.rows, res.beta, res.cacheHit = k.Dist(), hc.beta, true
 	} else {
 		k := algo.NewApproxKSourceKernel(sources, hopset.Params{Eps: eps})
-		if tel, err = s.runOn(l.session(), k); err != nil {
+		if tel, err = s.runOn(s.life, l.session(), k); err != nil {
 			return nil, err
 		}
 		hs := k.Hopset()

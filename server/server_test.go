@@ -10,7 +10,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/paper-repo-growth/doryp20/clique"
 	"github.com/paper-repo-growth/doryp20/internal/algo"
@@ -50,6 +49,18 @@ func upload(t *testing.T, c *client.Client, name string, g *graph.CSR) string {
 			info, g.N, g.NumEdges(), g.Weighted())
 	}
 	return info.ID
+}
+
+// batchesFormed is how many batches e's coalescer for eps has formed.
+func batchesFormed(e *graphEntry, eps float64) uint64 {
+	e.coalsMu.Lock()
+	c := e.coals[core.SigBitsFor(eps)]
+	e.coalsMu.Unlock()
+	if c == nil {
+		return 0
+	}
+	runs, _ := c.counts()
+	return runs
 }
 
 // TestGraphLifecycle round-trips load/list/get/delete through
@@ -476,47 +487,49 @@ func TestLoadGraphRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestDeleteWhileQuerying checks DELETE waits out the in-flight query
-// and later queries fail cleanly.
+// TestDeleteWhileQuerying checks a DELETE sends an approx-sssp batch
+// waiting at the graph's lease away with 410 Gone at once, waits out
+// the leaseholder, and that later queries fail cleanly.
 func TestDeleteWhileQuerying(t *testing.T) {
-	_, c := newTestDaemon(t, Options{CoalesceWait: 30 * time.Millisecond})
+	srv, c := newTestDaemon(t, Options{})
 	ctx := context.Background()
 	g := graph.RandomGNPWeighted(24, 0.3, 9, 11)
 	id := upload(t, c, "doomed", g)
+	release := holdLease(t, srv, srv.store.get(id))
 
 	done := make(chan error, 1)
 	go func() {
 		_, err := c.ApproxSSSP(ctx, id, 0, 0.25)
 		done <- err
 	}()
-	time.Sleep(5 * time.Millisecond) // let the query enter its window
-	if err := c.DeleteGraph(ctx, id); err != nil {
-		t.Fatalf("delete: %v", err)
-	}
-	// The in-flight query either completed before the drop or lost the
-	// race and reports the graph gone — never a hang, never a panic.
-	err := <-done
+	within(t, "batch waiting on the lease", func() bool { return batchesFormed(srv.store.get(id), 0.25) == 1 })
+	deleted := make(chan error, 1)
+	go func() { deleted <- c.DeleteGraph(ctx, id) }()
 	var apiErr *client.APIError
-	if err != nil && !errors.As(err, &apiErr) {
-		t.Fatalf("in-flight query after delete: %v", err)
+	if err := <-done; !errors.As(err, &apiErr) || apiErr.Status != http.StatusGone {
+		t.Fatalf("in-flight query after delete: %v, want 410", err)
+	}
+	release()
+	if err := <-deleted; err != nil {
+		t.Fatalf("delete: %v", err)
 	}
 	if _, err := c.SSSP(ctx, id, 0); !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {
 		t.Fatalf("query after delete: %v, want 404", err)
+	}
+	if runs := srv.Metrics().Snapshot().KernelRuns; runs != 0 {
+		t.Errorf("kernel runs = %d, want 0: the batch never held the lease", runs)
 	}
 }
 
 // TestCancelledQueryBehindLeaseRunsNothing: an /sssp query queued behind
 // a held session lease whose client gives up leaves without running a
-// kernel, and the session serves the next query.
+// kernel, is counted as cancelled rather than failed, and the session
+// serves the next query.
 func TestCancelledQueryBehindLeaseRunsNothing(t *testing.T) {
 	srv, c := newTestDaemon(t, Options{})
 	g := graph.RandomGNPWeighted(16, 0.3, 9, 1)
 	id := upload(t, c, "held", g)
-	e := srv.store.get(id)
-	l, err := srv.pool.acquire(context.Background(), e.info.Version, e.g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	release := holdLease(t, srv, srv.store.get(id))
 	runs := srv.Metrics().Snapshot().KernelRuns
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -530,9 +543,14 @@ func TestCancelledQueryBehindLeaseRunsNothing(t *testing.T) {
 		t.Fatal("cancelled query succeeded")
 	}
 	within(t, "handler gone", func() bool { return srv.Metrics().Snapshot().Inflight == 0 })
-	l.release()
-	if got := srv.Metrics().Snapshot().KernelRuns; got != runs {
-		t.Errorf("kernel runs %d -> %d: a cancelled waiter ran a kernel", runs, got)
+	release()
+	snap := srv.Metrics().Snapshot()
+	if snap.KernelRuns != runs {
+		t.Errorf("kernel runs %d -> %d: a cancelled waiter ran a kernel", runs, snap.KernelRuns)
+	}
+	if snap.QueriesCancelled != 1 || snap.QueryErrors != 0 {
+		t.Errorf("(cancelled, errors) = (%d, %d), want (1, 0): a client that left is not an error",
+			snap.QueriesCancelled, snap.QueryErrors)
 	}
 	resp, err := c.SSSP(context.Background(), id, 0)
 	if err != nil {

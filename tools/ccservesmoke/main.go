@@ -51,7 +51,7 @@ func main() {
 
 // smoke runs the whole scenario against one daemon process.
 func smoke(ctx context.Context, bin string, n int, p float64, seed int64, eps float64) error {
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-coalesce-wait", "1ms")
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0")
 	cmd.Stderr = os.Stderr
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
