@@ -9,8 +9,8 @@ import (
 // statsJSON is the stable wire shape of a session's cumulative Stats:
 // the pass and kernel counters plus the engine summary in
 // engine.Stats's own stable encoding. This is the repository's one
-// marshal path for session accounting — ccbench -kernel-o reports,
-// ccnode rank reports, and ccserve's /stats endpoint all embed it —
+// marshal path for session accounting — ccbench -kernel-o reports
+// (every rank's) and ccserve's /stats endpoint both embed it —
 // so the shape is golden-file tested and must only grow
 // backward-compatibly.
 type statsJSON struct {

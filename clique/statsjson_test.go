@@ -14,7 +14,7 @@ import (
 
 // goldenStats is the fixed value whose encoding is pinned by
 // testdata/stats_golden.json — the one marshal path shared by ccbench
-// reports, ccnode reports, and ccserve /stats responses.
+// reports and ccserve /stats responses.
 var goldenStats = Stats{
 	Runs:    7,
 	Kernels: 2,

@@ -1,9 +1,10 @@
-// ccbench fronts the clique kernel registry: -list prints every
+// ccbench is the repository's one kernel runner: -list prints every
 // registered kernel and -kernel runs one by name on a deterministic
 // weighted G(n, 0.15) instance through the session API, printing its
 // passes, rounds, words and wall time. The repository's benchmark is
 // benchmark/ (bash benchmark/run.sh); ccbench is the tool for running,
-// checkpointing, tracing and profiling one kernel.
+// checkpointing, tracing and profiling one kernel, in one process or
+// as one rank of a multi-process clique.
 //
 // Usage:
 //
@@ -13,37 +14,54 @@
 //	        [-transport mem|socket-tcp|socket-unix] [-ranks k]
 //	        [-progress] [-trace trace.json]
 //	        [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	ccbench -kernel <name> -transport socket-tcp|socket-unix
+//	        -addrs host0:9000,host1:9000,... -rank r
+//	        [-kernel-n 64] [-kernel-o report.json] [-trace trace.json]
+//
+// A run is a list of local transport legs, each its own session of one
+// logical clique: -transport mem is one leg, a socket -transport with
+// -ranks k is k loopback legs in this process, and a socket -transport
+// with -addrs is this process's one leg, rank -rank, of a
+// multi-process mesh. Every process of a mesh gets the same -addrs
+// list (it defines the cluster) and workload flags, and its own -rank.
+// The run fails unless all local legs agree on the replay digest chain
+// and the result fingerprint.
+//
+// -kernel-o writes a JSON report: the session stats, the replay digest
+// chain and result fingerprint as 16-hex-digit strings (JSON numbers
+// would round 64-bit values through float64), and the distance vector
+// when the result is one. A mesh rank's report therefore compares to
+// the mem run's by plain string equality; see the multiprocess job in
+// .github/workflows/ci.yml.
 //
 // -trace writes a Chrome trace-event JSON timeline of the run
 // (per-round and per-phase spans plus kernel-pass spans; one process
-// lane per rank for a loopback cluster) for Perfetto or the tracestat
-// summarizer. -cpuprofile/-memprofile capture pprof profiles of the
-// run. -progress paints a live round/words/rate line on a terminal
-// stderr.
+// lane per rank) for Perfetto or the tracestat summarizer; give each
+// mesh rank its own path and tracestat merges them.
+// -cpuprofile/-memprofile capture pprof profiles of the run. -progress
+// paints a live round/words/rate line on a terminal stderr.
 //
-// With a non-mem -transport, the -kernel run executes as a k-rank
-// loopback cluster of the selected socket transport — every rank its
-// own session sharing one logical clique — and fails unless all ranks
-// produce bit-identical replay digest chains. -checkpoint/-resume
-// require the mem transport.
+// -checkpoint, -resume, -progress and the SIGINT protocol belong to
+// the one-leg mem run. With -checkpoint, a checkpointable kernel run
+// persists its state under dir at pass boundaries, and the first
+// SIGINT stops the run cleanly at the next boundary (after a final
+// checkpoint), writes the partial -kernel-o report, and exits 0; a
+// second SIGINT cancels hard. -resume continues a run from a
+// checkpoint file written that way.
 //
-// With -checkpoint, a checkpointable kernel run persists its state
-// under dir at pass boundaries, and the first SIGINT stops the run
-// cleanly at the next boundary (after a final checkpoint), writes the
-// partial -kernel-o report, and exits 0; a second SIGINT cancels hard.
-// -resume continues a run from a checkpoint file written that way.
-//
-// Unknown flags, stray positional arguments, unknown kernel names, and
-// an invocation with neither -list nor -kernel are an error: ccbench
-// exits with status 2 and a diagnostic rather than silently running
-// defaults.
+// Unknown flags, stray positional arguments, unknown kernel names,
+// conflicting flags, and an invocation with neither -list nor -kernel
+// are an error: ccbench exits with status 2 and a diagnostic rather
+// than silently running defaults.
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"os"
 	"os/signal"
@@ -63,8 +81,7 @@ import (
 	_ "github.com/paper-repo-growth/doryp20/internal/algo"
 )
 
-// kernelOpts carries the checkpoint/resume configuration of a -kernel
-// invocation.
+// kernelOpts carries the configuration of a -kernel invocation.
 type kernelOpts struct {
 	// ckptDir and ckptEvery configure clique.WithCheckpoint; empty
 	// ckptDir disables checkpointing.
@@ -76,120 +93,213 @@ type kernelOpts struct {
 	// out, when non-empty, is the machine-readable report path —
 	// written for completed and SIGINT-stopped runs alike.
 	out string
-	// signals enables the SIGINT protocol (stop at the next pass
-	// boundary, cancel hard on the second signal); off in tests.
-	signals bool
-	// transport and ranks are engine.NewTransportCluster's arguments;
-	// a non-mem transport runs ranks in-process loopback legs of one
-	// logical clique (see cmd/ccnode for true multi-process meshes).
+	// transport names the legs' transport; ranks is the loopback leg
+	// count of a socket transport run without addrs.
 	transport string
 	ranks     int
+	// addrs, when non-empty, makes the run this process's one leg,
+	// rank, of the multi-process mesh addrs lists. rank is the first
+	// local leg's rank: 0 unless addrs is set.
+	addrs []string
+	rank  int
 	// progress enables the live round/words/rate line on stderr,
 	// auto-disabled when stderr is not a terminal.
 	progress bool
 	// trace, when non-empty, writes a Chrome trace-event JSON timeline
-	// of the run there — for a loopback cluster, all ranks merged into
-	// one file with one process lane per rank.
+	// of the run there, one process lane per local leg.
 	trace string
 }
 
 // kernelReport is the -kernel-o JSON document. Stats uses the
 // repository's one stable session-accounting encoding (see
-// clique.Stats.MarshalJSON), shared with ccnode reports and ccserve's
-// /stats responses.
+// clique.Stats.MarshalJSON), shared with ccserve's /stats responses.
+// Wall time is per process; every other field of a completed run is
+// identical across the ranks of one clique and to the mem run.
 type kernelReport struct {
 	Kernel     string       `json:"kernel"`
 	N          int          `json:"n"`
-	Transport  string       `json:"transport,omitempty"`
-	Ranks      int          `json:"ranks,omitempty"`
+	Transport  string       `json:"transport"`
+	Ranks      int          `json:"ranks"`
 	Stats      clique.Stats `json:"stats"`
 	Stopped    bool         `json:"stopped"`
 	Checkpoint string       `json:"checkpoint,omitempty"`
+	// Digests is the replay digest chain, one 16-hex-digit string per
+	// round.
+	Digests []string `json:"digests"`
+	// ResultFNV fingerprints the kernel result (FNV-1a over its JSON
+	// encoding) so arbitrary result types compare as one string; empty
+	// for a stopped run.
+	ResultFNV string `json:"result_fnv,omitempty"`
+	// Dist is the result verbatim when it is a distance vector.
+	Dist []int64 `json:"dist,omitempty"`
+}
+
+// legRun is what one leg's finished session leaves behind.
+type legRun struct {
+	stats   clique.Stats
+	digests []uint64
+	lo, hi  int
+	stopped bool
+	fnv     string
+	dist    []int64
+}
+
+// newLegs builds the run's local transport legs: one mem leg, ranks
+// loopback legs of a socket transport, or this process's one leg of
+// the multi-process mesh opt.addrs lists.
+func newLegs(opt kernelOpts) ([]engine.Transport, error) {
+	if len(opt.addrs) > 0 {
+		tr, err := engine.NewSocketTransport(engine.SocketConfig{
+			Network: strings.TrimPrefix(opt.transport, "socket-"),
+			Addrs:   opt.addrs,
+			Rank:    opt.rank,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return []engine.Transport{tr}, nil
+	}
+	ranks := opt.ranks
+	if opt.transport == "mem" {
+		ranks = 1
+	}
+	return engine.NewTransportCluster(opt.transport, ranks)
 }
 
 // runKernel executes one registered kernel on a deterministic weighted
-// G(n, p=0.15) instance through the session API and prints its
-// cumulative stats. Unknown kernel names exit 2 like other flag
-// errors. A run stopped by SIGINT at a pass boundary (see kernelOpts)
-// is a success: the final checkpoint and the partial report are on
-// disk for a later -resume.
+// G(n, p=0.15) instance on every local leg, each leg its own session
+// in its own goroutine, requires the legs to agree on the digest chain
+// and the result fingerprint, and prints and writes one report.
+// Unknown kernel names exit 2 like other flag errors. A run stopped by
+// SIGINT at a pass boundary is a success: the final checkpoint and the
+// partial report are on disk for a later -resume.
 func runKernel(name string, n int, opt kernelOpts, stdout, stderr io.Writer) int {
-	if opt.transport != "" && opt.transport != "mem" {
-		return runKernelCluster(name, n, opt, stdout, stderr)
-	}
 	g := graph.RandomGNP(n, 0.15, 1).WithUniformRandomWeights(2, 16)
 	k, err := clique.NewKernel(name, g)
 	if err != nil {
 		fmt.Fprintln(stderr, "ccbench:", err)
 		return 2
 	}
-	sessOpts := []clique.Option{clique.WithDigests()}
-	if opt.ckptDir != "" {
-		sessOpts = append(sessOpts, clique.WithCheckpoint(opt.ckptDir, opt.ckptEvery))
+	if _, ok := k.(clique.Checkpointable); opt.resume != "" && !ok {
+		fmt.Fprintf(stderr, "ccbench: kernel %q does not support -resume\n", name)
+		return 2
 	}
-	var rec *trace.Recorder
-	if opt.trace != "" {
-		rec = trace.NewRecorder(0)
-		sessOpts = append(sessOpts, clique.WithTrace(rec))
-	}
-	var meter *progressMeter
-	if opt.progress {
-		if isTerminal(stderr) {
-			meter = newProgressMeter(stderr, 0)
-			sessOpts = append(sessOpts, clique.WithRoundHook(meter.hook))
-		} else {
-			fmt.Fprintln(stderr, "ccbench: -progress disabled (stderr is not a terminal)")
-		}
-	}
-	s, err := clique.New(g, sessOpts...)
+	legs, err := newLegs(opt)
 	if err != nil {
 		fmt.Fprintln(stderr, "ccbench:", err)
-		return 1
+		return 2
 	}
-	defer s.Close()
+	mem := opt.transport == "mem"
+	ranks := len(legs)
+	if len(opt.addrs) > 0 {
+		ranks = len(opt.addrs)
+	}
+
+	common := []clique.Option{clique.WithDigests()}
+	if opt.ckptDir != "" {
+		common = append(common, clique.WithCheckpoint(opt.ckptDir, opt.ckptEvery))
+	}
+	var meter *progressMeter
+	switch {
+	case !opt.progress:
+	case !mem:
+		fmt.Fprintln(stderr, "ccbench: -progress disabled (loopback cluster ranks would interleave)")
+	case isTerminal(stderr):
+		meter = newProgressMeter(stderr, 0)
+		common = append(common, clique.WithRoundHook(meter.hook))
+	default:
+		fmt.Fprintln(stderr, "ccbench: -progress disabled (stderr is not a terminal)")
+	}
+	// One recorder per leg, created together so the legs share a
+	// timeline epoch; the export merges them, one process lane per rank.
+	var recs []*trace.Recorder
+	if opt.trace != "" {
+		recs = make([]*trace.Recorder, len(legs))
+		for i := range recs {
+			recs[i] = trace.NewRecorder(0)
+			recs[i].SetRank(opt.rank + i)
+		}
+	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if opt.signals {
-		sigc := make(chan os.Signal, 2)
-		signal.Notify(sigc, os.Interrupt)
-		defer signal.Stop(sigc)
+	runs := make([]legRun, len(legs))
+	errs := make([]error, len(legs))
+	var wg sync.WaitGroup
+	for i, tr := range legs {
+		wg.Add(1)
 		go func() {
-			<-sigc
-			fmt.Fprintln(stderr, "ccbench: interrupt — stopping at the next pass boundary (^C again to abort)")
-			s.RequestStop()
-			<-sigc
-			cancel()
+			defer wg.Done()
+			kk := k
+			if i > 0 {
+				if kk, errs[i] = clique.NewKernel(name, g); errs[i] != nil {
+					tr.Close()
+					return
+				}
+			}
+			sessOpts := append(slices.Clip(common), clique.WithTransport(tr))
+			if recs != nil {
+				sessOpts = append(sessOpts, clique.WithTrace(recs[i]))
+			}
+			s, err := clique.New(g, sessOpts...)
+			if err != nil {
+				tr.Close()
+				errs[i] = err
+				return
+			}
+			defer s.Close()
+			if mem {
+				defer stopOnInterrupt(s, cancel, stderr)()
+			}
+			runs[i], errs[i] = runLeg(ctx, s, kk, opt.resume)
 		}()
 	}
-
-	if opt.resume != "" {
-		ck, ok := k.(clique.Checkpointable)
-		if !ok {
-			fmt.Fprintf(stderr, "ccbench: kernel %q does not support -resume\n", name)
-			return 2
-		}
-		err = s.Resume(ctx, ck, opt.resume)
-	} else {
-		err = s.Run(ctx, k)
-	}
+	wg.Wait()
 	if meter != nil {
 		meter.finish()
 	}
-	stopped := errors.Is(err, clique.ErrStopped)
-	if err != nil && !stopped {
-		fmt.Fprintln(stderr, "ccbench:", err)
-		return 1
+	for i, err := range errs {
+		if err != nil {
+			fmt.Fprintf(stderr, "ccbench: rank %d: %v\n", opt.rank+i, err)
+			return 1
+		}
+	}
+	for i := 1; i < len(runs); i++ {
+		if !slices.Equal(runs[i].digests, runs[0].digests) {
+			fmt.Fprintf(stderr, "ccbench: rank %d digest chain diverges from rank 0\n", i)
+			return 1
+		}
+		if runs[i].fnv != runs[0].fnv {
+			fmt.Fprintf(stderr, "ccbench: rank %d result diverges from rank 0\n", i)
+			return 1
+		}
 	}
 
-	st := s.Stats()
-	fmt.Fprintf(stdout, "%-16s %-8s %-8s %-8s %-10s %-12s %-12s\n",
-		"kernel", "n", "passes", "rounds", "msgs", "bytes", "wall")
-	fmt.Fprintf(stdout, "%-16s %-8d %-8d %-8d %-10d %-12d %-12s\n",
-		name, n, st.Runs, st.Engine.Rounds, st.Engine.TotalMsgs,
+	r := runs[0]
+	st := r.stats
+	label := opt.transport
+	if ranks > 1 {
+		label = fmt.Sprintf("%s/%d", opt.transport, ranks)
+	}
+	fmt.Fprintf(stdout, "%-16s %-8s %-14s %-8s %-8s %-10s %-12s %-12s\n",
+		"kernel", "n", "transport", "passes", "rounds", "msgs", "bytes", "wall")
+	fmt.Fprintf(stdout, "%-16s %-8d %-14s %-8d %-8d %-10d %-12d %-12s\n",
+		name, n, label, st.Runs, st.Engine.Rounds, st.Engine.TotalMsgs,
 		st.Engine.TotalBytes, st.Engine.Wall)
-	rep := kernelReport{Kernel: name, N: n, Stats: st, Stopped: stopped}
-	if stopped {
+	if len(opt.addrs) > 0 {
+		fmt.Fprintf(stdout, "rank %d/%d nodes [%d, %d)\n", opt.rank, ranks, r.lo, r.hi)
+	}
+	if len(runs) > 1 {
+		fmt.Fprintf(stdout, "all %d ranks agree on %d replay digests\n", len(runs), len(r.digests))
+	}
+	rep := kernelReport{
+		Kernel: name, N: n, Transport: opt.transport, Ranks: ranks,
+		Stats: st, Stopped: r.stopped, ResultFNV: r.fnv, Dist: r.dist,
+	}
+	for _, d := range r.digests {
+		rep.Digests = append(rep.Digests, fmt.Sprintf("%016x", d))
+	}
+	if r.stopped {
 		if _, ok := k.(clique.Checkpointable); ok && opt.ckptDir != "" {
 			rep.Checkpoint = clique.CheckpointPath(opt.ckptDir, name)
 			fmt.Fprintln(stdout, "stopped; checkpoint at", rep.Checkpoint)
@@ -198,113 +308,6 @@ func runKernel(name string, n int, opt kernelOpts, stdout, stderr io.Writer) int
 		}
 	}
 	if opt.out != "" {
-		if err := bench.WriteJSON(opt.out, rep); err != nil {
-			fmt.Fprintln(stderr, "ccbench:", err)
-			return 1
-		}
-		fmt.Fprintln(stdout, "wrote", opt.out)
-	}
-	if rec != nil {
-		if err := writeTraceFile(opt.trace, rec); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		fmt.Fprintln(stdout, "wrote", opt.trace)
-	}
-	return 0
-}
-
-// runKernelCluster executes one registered kernel on every rank of an
-// in-process loopback cluster of the named transport — each rank its
-// own session over its own transport leg, all ranks one logical clique
-// — requires the ranks' replay digest chains to agree bit for bit, and
-// reports the (cluster-global) stats. True multi-process meshes are
-// cmd/ccnode's job; this path proves transport interchangeability from
-// the bench CLI.
-func runKernelCluster(name string, n int, opt kernelOpts, stdout, stderr io.Writer) int {
-	if !clique.Registered(name) {
-		fmt.Fprintf(stderr, "ccbench: unknown kernel %q\n", name)
-		return 2
-	}
-	if opt.progress {
-		fmt.Fprintln(stderr, "ccbench: -progress disabled (loopback cluster ranks would interleave)")
-	}
-	trs, err := engine.NewTransportCluster(opt.transport, opt.ranks)
-	if err != nil {
-		fmt.Fprintln(stderr, "ccbench:", err)
-		return 2
-	}
-	g := graph.RandomGNP(n, 0.15, 1).WithUniformRandomWeights(2, 16)
-	stats := make([]clique.Stats, len(trs))
-	digests := make([][]uint64, len(trs))
-	errs := make([]error, len(trs))
-	// One recorder per rank, created together so the ranks share a
-	// timeline epoch; the export merges them into one file with a
-	// process lane per rank.
-	var recs []*trace.Recorder
-	if opt.trace != "" {
-		recs = make([]*trace.Recorder, len(trs))
-		for i := range recs {
-			recs[i] = trace.NewRecorder(0)
-			recs[i].SetRank(i)
-		}
-	}
-	var wg sync.WaitGroup
-	for i := range trs {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			errs[rank] = func() error {
-				k, err := clique.NewKernel(name, g)
-				if err != nil {
-					trs[rank].Close()
-					return err
-				}
-				sessOpts := []clique.Option{clique.WithDigests(), clique.WithTransport(trs[rank])}
-				if recs != nil {
-					sessOpts = append(sessOpts, clique.WithTrace(recs[rank]))
-				}
-				s, err := clique.New(g, sessOpts...)
-				if err != nil {
-					trs[rank].Close()
-					return err
-				}
-				defer s.Close()
-				if err := s.Run(context.Background(), k); err != nil {
-					return err
-				}
-				stats[rank] = s.Stats()
-				digests[rank] = s.Digests()
-				return nil
-			}()
-		}(i)
-	}
-	wg.Wait()
-	for rank, err := range errs {
-		if err != nil {
-			fmt.Fprintf(stderr, "ccbench: rank %d: %v\n", rank, err)
-			return 1
-		}
-	}
-	for rank := 1; rank < len(digests); rank++ {
-		if !slices.Equal(digests[rank], digests[0]) {
-			fmt.Fprintf(stderr, "ccbench: rank %d digest chain diverges from rank 0\n", rank)
-			return 1
-		}
-	}
-
-	st := stats[0]
-	fmt.Fprintf(stdout, "%-16s %-8s %-12s %-8s %-8s %-10s %-12s %-12s\n",
-		"kernel", "n", "transport", "passes", "rounds", "msgs", "bytes", "wall")
-	fmt.Fprintf(stdout, "%-16s %-8d %-12s %-8d %-8d %-10d %-12d %-12s\n",
-		name, n, fmt.Sprintf("%s/%d", opt.transport, opt.ranks), st.Runs,
-		st.Engine.Rounds, st.Engine.TotalMsgs, st.Engine.TotalBytes, st.Engine.Wall)
-	fmt.Fprintf(stdout, "all %d ranks agree on %d replay digests\n", len(trs), len(digests[0]))
-	if opt.out != "" {
-		rep := kernelReport{
-			Kernel: name, N: n, Transport: opt.transport, Ranks: opt.ranks,
-			Stats: st,
-		}
 		if err := bench.WriteJSON(opt.out, rep); err != nil {
 			fmt.Fprintln(stderr, "ccbench:", err)
 			return 1
@@ -321,6 +324,55 @@ func runKernelCluster(name string, n int, opt kernelOpts, stdout, stderr io.Writ
 	return 0
 }
 
+// runLeg runs (or, with resume, resumes) k on one leg's session and
+// fingerprints a completed run's result.
+func runLeg(ctx context.Context, s *clique.Session, k clique.Kernel, resume string) (legRun, error) {
+	var err error
+	if resume != "" {
+		err = s.Resume(ctx, k.(clique.Checkpointable), resume)
+	} else {
+		err = s.Run(ctx, k)
+	}
+	r := legRun{stopped: errors.Is(err, clique.ErrStopped)}
+	if err != nil && !r.stopped {
+		return r, err
+	}
+	r.stats, r.digests = s.Stats(), s.Digests()
+	r.lo, r.hi = s.Partition()
+	if r.stopped {
+		return r, nil
+	}
+	res := k.Result()
+	if res == nil {
+		return r, errors.New("kernel completed without a result")
+	}
+	enc, err := json.Marshal(res)
+	if err != nil {
+		return r, fmt.Errorf("encoding kernel result: %w", err)
+	}
+	h := fnv.New64a()
+	h.Write(enc)
+	r.fnv = fmt.Sprintf("%016x", h.Sum64())
+	r.dist, _ = res.([]int64)
+	return r, nil
+}
+
+// stopOnInterrupt installs the SIGINT protocol on s: the first signal
+// stops the run at the next pass boundary, the second cancels it hard.
+// It returns the function that uninstalls the handler.
+func stopOnInterrupt(s *clique.Session, cancel context.CancelFunc, stderr io.Writer) func() {
+	sigc := make(chan os.Signal, 2)
+	signal.Notify(sigc, os.Interrupt)
+	go func() {
+		<-sigc
+		fmt.Fprintln(stderr, "ccbench: interrupt — stopping at the next pass boundary (^C again to abort)")
+		s.RequestStop()
+		<-sigc
+		cancel()
+	}()
+	return func() { signal.Stop(sigc) }
+}
+
 // run is the testable body of main: it parses args, runs the requested
 // mode, and returns the process exit code.
 func run(args []string, stdout, stderr io.Writer) int {
@@ -333,8 +385,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ckptDir := fs.String("checkpoint", "", "checkpoint directory for -kernel runs (empty disables checkpointing)")
 	ckptEvery := fs.Int("ckpt-every", 1, "minimum engine rounds between -checkpoint writes")
 	resume := fs.String("resume", "", "resume the -kernel run from this checkpoint file")
-	transport := fs.String("transport", "mem", "transport for the -kernel run: mem, socket-tcp, or socket-unix (loopback cluster)")
-	ranks := fs.Int("ranks", 2, "rank count for a non-mem -transport")
+	transport := fs.String("transport", "mem", "transport for the -kernel run: mem, socket-tcp, or socket-unix")
+	ranks := fs.Int("ranks", 2, "loopback rank count for a socket -transport without -addrs")
+	addrsFlag := fs.String("addrs", "", "comma-separated listen address per rank of a multi-process mesh; this process runs rank -rank")
+	rank := fs.Int("rank", 0, "this process's index into -addrs")
 	progress := fs.Bool("progress", false, "live rounds/words/rate line on stderr during the -kernel run (TTY only)")
 	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON timeline of the -kernel run (load in Perfetto or summarize with tracestat)")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the -kernel run")
@@ -351,6 +405,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	if *list {
 		for _, name := range clique.Kernels() {
@@ -362,8 +418,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		switch {
 		case *ckptDir != "" || *resume != "" || *kernelOut != "" || *traceOut != "" || *progress:
 			fmt.Fprintln(stderr, "ccbench: -checkpoint/-resume/-kernel-o/-progress/-trace require -kernel")
-		case *transport != "mem":
-			fmt.Fprintln(stderr, "ccbench: -transport requires -kernel")
+		case *transport != "mem" || set["addrs"] || set["rank"]:
+			fmt.Fprintln(stderr, "ccbench: -transport/-addrs/-rank require -kernel")
 		default:
 			fmt.Fprintln(stderr, "ccbench: nothing to run: pass -list or -kernel <name>")
 			fs.Usage()
@@ -378,6 +434,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "ccbench: -ckpt-every %d must be >= 1\n", *ckptEvery)
 		return 2
 	}
+	var addrs []string
+	if set["addrs"] {
+		addrs = strings.Split(*addrsFlag, ",")
+		for i := range addrs {
+			addrs[i] = strings.TrimSpace(addrs[i])
+		}
+		switch {
+		case len(addrs) < 2:
+			fmt.Fprintln(stderr, "ccbench: -addrs needs one address per rank, at least 2")
+			return 2
+		case *transport == "mem":
+			fmt.Fprintln(stderr, "ccbench: -addrs requires a socket -transport")
+			return 2
+		case set["ranks"]:
+			fmt.Fprintln(stderr, "ccbench: -addrs and -ranks are exclusive (the -addrs list sets the rank count)")
+			return 2
+		case *progress:
+			fmt.Fprintln(stderr, "ccbench: -progress requires the mem transport")
+			return 2
+		case *rank < 0 || *rank >= len(addrs):
+			fmt.Fprintf(stderr, "ccbench: -rank %d outside [0, %d)\n", *rank, len(addrs))
+			return 2
+		}
+	} else if set["rank"] {
+		fmt.Fprintln(stderr, "ccbench: -rank requires -addrs")
+		return 2
+	}
 	if *transport != "mem" {
 		// Checkpoints are written at pass boundaries by one local
 		// session; resuming a sharded cluster would need every rank's
@@ -386,7 +469,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "ccbench: -checkpoint/-resume require -transport mem")
 			return 2
 		}
-		if *ranks < 2 {
+		if addrs == nil && *ranks < 2 {
 			fmt.Fprintf(stderr, "ccbench: -ranks %d must be >= 2 for -transport %s\n", *ranks, *transport)
 			return 2
 		}
@@ -408,9 +491,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	opt := kernelOpts{
 		ckptDir: *ckptDir, ckptEvery: *ckptEvery,
-		resume: *resume, out: *kernelOut, signals: true,
-		transport: *transport, ranks: *ranks, progress: *progress,
-		trace: *traceOut,
+		resume: *resume, out: *kernelOut,
+		transport: *transport, ranks: *ranks,
+		addrs: addrs, rank: *rank,
+		progress: *progress, trace: *traceOut,
 	}
 	return runKernel(*kernel, *kernelN, opt, stdout, stderr)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -315,10 +316,12 @@ func TestKernelSigintStopsAtBoundary(t *testing.T) {
 
 // TestKernelTransportCluster: a non-mem -transport runs the kernel as
 // an in-process loopback cluster of sessions sharing one logical
-// clique, verifies cross-rank digest agreement, and records the
-// transport in the report; invalid flag combinations exit 2.
+// clique, verifies cross-rank digest and result agreement, records the
+// transport in the report, and answers what the mem run answers;
+// invalid flag combinations, the -addrs ones included, exit 2.
 func TestKernelTransportCluster(t *testing.T) {
-	rep := filepath.Join(t.TempDir(), "rep.json")
+	dir := t.TempDir()
+	rep, memRep := filepath.Join(dir, "rep.json"), filepath.Join(dir, "mem.json")
 	code, stdout, stderr := runCC(t, "-kernel", "bfs", "-kernel-n", "24",
 		"-transport", "socket-unix", "-ranks", "2", "-kernel-o", rep)
 	if code != 0 {
@@ -327,28 +330,49 @@ func TestKernelTransportCluster(t *testing.T) {
 	if !strings.Contains(stdout, "ranks agree") {
 		t.Fatalf("cluster run output lacks the digest-agreement line:\n%s", stdout)
 	}
-	data, err := os.ReadFile(rep)
-	if err != nil {
-		t.Fatalf("no report after cluster run: %v", err)
-	}
-	var r kernelReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		t.Fatalf("report does not parse: %v", err)
-	}
+	r := readReport(t, rep)
 	if r.Transport != "socket-unix" || r.Ranks != 2 || r.Stats.Engine.Rounds == 0 {
 		t.Fatalf("report misdescribes the cluster run: %+v", r)
 	}
+	if code, _, stderr := runCC(t, "-kernel", "bfs", "-kernel-n", "24", "-kernel-o", memRep); code != 0 {
+		t.Fatalf("mem run: code=%d stderr:\n%s", code, stderr)
+	}
+	m := readReport(t, memRep)
+	if r.ResultFNV == "" || r.ResultFNV != m.ResultFNV || !slices.Equal(r.Dist, m.Dist) {
+		t.Errorf("cluster result (fnv %s, dist %v) differs from the mem run's (fnv %s, dist %v)",
+			r.ResultFNV, r.Dist, m.ResultFNV, m.Dist)
+	}
 
-	for _, tc := range [][]string{
-		{"-kernel", "bfs", "-transport", "socket-unix", "-checkpoint", t.TempDir()},
-		{"-kernel", "bfs", "-transport", "socket-unix", "-resume", "x.ckpt"},
-		{"-kernel", "bfs", "-transport", "socket-unix", "-ranks", "1"},
-		{"-kernel", "bfs", "-transport", "bogus"},
-		{"-kernel", "definitely-not-registered", "-transport", "socket-unix"},
-		{"-transport", "socket-unix"},
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"checkpoint", []string{"-kernel", "bfs", "-transport", "socket-unix", "-checkpoint", t.TempDir()}},
+		{"resume", []string{"-kernel", "bfs", "-transport", "socket-unix", "-resume", "x.ckpt"}},
+		{"ranks_one", []string{"-kernel", "bfs", "-transport", "socket-unix", "-ranks", "1"}},
+		{"bogus_transport", []string{"-kernel", "bfs", "-transport", "bogus"}},
+		{"unknown_kernel", []string{"-kernel", "definitely-not-registered", "-transport", "socket-unix"}},
+		{"no_kernel", []string{"-transport", "socket-unix"}},
+		// A mesh rank's usage errors: none of these may listen.
+		{"addrs_no_kernel", []string{"-addrs", "a,b", "-rank", "0"}},
+		{"rank_no_addrs", []string{"-kernel", "bfs", "-transport", "socket-unix", "-rank", "0"}},
+		{"addrs_one", []string{"-kernel", "bfs", "-transport", "socket-unix", "-addrs", "a"}},
+		{"rank_out_of_range", []string{"-kernel", "bfs", "-transport", "socket-unix", "-addrs", "a,b", "-rank", "2"}},
+		{"rank_negative", []string{"-kernel", "bfs", "-transport", "socket-unix", "-addrs", "a,b", "-rank", "-1"}},
+		{"addrs_bad_kernel", []string{"-kernel", "nope", "-transport", "socket-unix", "-addrs", "a,b"}},
+		{"addrs_bad_n", []string{"-kernel", "bfs", "-kernel-n", "0", "-transport", "socket-unix", "-addrs", "a,b"}},
+		{"addrs_bad_network", []string{"-kernel", "bfs", "-transport", "carrier-pigeon", "-addrs", "a,b"}},
+		{"addrs_stray_args", []string{"-kernel", "bfs", "-transport", "socket-unix", "-addrs", "a,b", "stray"}},
+		{"addrs_mem", []string{"-kernel", "bfs", "-addrs", "a,b"}},
+		{"addrs_ranks", []string{"-kernel", "bfs", "-transport", "socket-unix", "-addrs", "a,b", "-ranks", "2"}},
+		{"addrs_checkpoint", []string{"-kernel", "bfs", "-transport", "socket-unix", "-addrs", "a,b", "-checkpoint", t.TempDir()}},
+		{"addrs_resume", []string{"-kernel", "apsp", "-transport", "socket-unix", "-addrs", "a,b", "-resume", "x.ckpt"}},
+		{"addrs_progress", []string{"-kernel", "bfs", "-transport", "socket-unix", "-addrs", "a,b", "-progress"}},
 	} {
-		if code, _, stderr := runCC(t, tc...); code != 2 {
-			t.Errorf("%v: code=%d, want 2 (stderr: %s)", tc, code, stderr)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			if code, _, stderr := runCC(t, tc.args...); code != 2 {
+				t.Errorf("%v: code=%d, want 2 (stderr: %s)", tc.args, code, stderr)
+			}
+		})
 	}
 }

@@ -17,7 +17,7 @@ import (
 
 // TestGoldenTraffic pins every registered kernel's model-level cost and
 // answer on one seeded graph: engine passes, rounds, routed words, and
-// the FNV-1a of the result's JSON encoding (the result_fnv ccnode
+// the FNV-1a of the result's JSON encoding (the result_fnv ccbench
 // reports). A refactor of the kernel layer must leave this table
 // untouched; a change that moves a number is a behaviour change and
 // has to say so.

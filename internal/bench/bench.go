@@ -1,7 +1,7 @@
 // Package bench holds the two helpers every machine-readable report in
 // the repository shares: the host metadata a measurement is recorded
 // with (benchmark/) and the indented-JSON file writer (benchmark/,
-// cmd/ccbench -kernel-o, cmd/ccnode -o).
+// cmd/ccbench -kernel-o).
 package bench
 
 import (

@@ -17,7 +17,7 @@ type statsJSON struct {
 
 // MarshalJSON encodes the stats in the repository's one stable JSON
 // shape — {"rounds","msgs","bytes","wall_ns"} — shared by ccbench
-// kernel reports, ccnode rank reports, and ccserve's /stats responses.
+// kernel reports and ccserve's /stats responses.
 func (s Stats) MarshalJSON() ([]byte, error) {
 	return json.Marshal(statsJSON{
 		Rounds: s.Rounds,

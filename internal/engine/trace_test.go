@@ -130,7 +130,7 @@ func TestTraceMultiRankLoopback(t *testing.T) {
 	}
 
 	// Bind blocks until all peers connect, so every rank's New must run
-	// concurrently — the same shape the ccnode binary has.
+	// concurrently — the same shape ccbench's loopback legs have.
 	errs := make(chan error, ranks)
 	for i := 0; i < ranks; i++ {
 		go func(i int) {

@@ -95,7 +95,7 @@ func WriteChrome(w io.Writer, recs ...*Recorder) error {
 }
 
 // WriteChromeFile is WriteChrome to a freshly created file — the shared
-// export path of the ccbench and ccnode -trace flags.
+// export path of the ccbench -trace flag.
 func WriteChromeFile(path string, recs ...*Recorder) error {
 	f, err := os.Create(path)
 	if err != nil {

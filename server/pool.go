@@ -11,9 +11,10 @@ import (
 	"github.com/paper-repo-growth/doryp20/internal/graph"
 )
 
-// ErrGraphGone is returned by acquire when the graph version was
-// dropped (graph deleted or daemon shutting down) while the caller
-// waited for its turn on the session.
+// ErrGraphGone is returned by acquire when the graph version is not
+// served: it was dropped (graph deleted or daemon shutting down)
+// before or while the caller waited for its turn on the session, or
+// it was never registered.
 var ErrGraphGone = errors.New("server: graph version no longer served")
 
 // sessionPool keeps one warm clique.Session per loaded graph version
@@ -32,8 +33,9 @@ type sessionPool struct {
 
 // poolEntry is one graph version's warm session. lease is a 1-slot
 // channel that serializes session use: a send takes the lease, a receive
-// gives it back, and a waiter can give up on its context instead. gone
-// is closed when the version is dropped; statsMu guards the
+// gives it back, and a waiter can give up on its context instead. sess
+// is built by the first leaseholder and only touched under the lease.
+// gone is closed when the version is dropped; statsMu guards the
 // release-time stats snapshot that lets /stats read accounting without
 // queueing behind a running kernel.
 type poolEntry struct {
@@ -49,28 +51,29 @@ func newSessionPool(metrics *Metrics, workers int) *sessionPool {
 	return &sessionPool{metrics: metrics, workers: workers, entries: map[uint64]*poolEntry{}}
 }
 
+// register makes version servable. The store registers every version
+// before it publishes the graph, so only a version that was dropped —
+// or never stored — is unknown to acquire.
+func (p *sessionPool) register(version uint64) {
+	p.mu.Lock()
+	p.entries[version] = &poolEntry{lease: make(chan struct{}, 1), gone: make(chan struct{})}
+	p.mu.Unlock()
+}
+
 // acquire returns an exclusive lease on version's warm session,
-// creating the session (engine workers and all) on first use. It
+// building the session (engine workers and all) for g on first use. It
 // blocks while another query holds the lease, and records that wait in
 // the lease-wait histogram once it holds the lease. If the version is
-// dropped while waiting, it fails with ErrGraphGone; if ctx ends first,
-// it returns ctx.Err() without the lease.
+// not registered or is dropped while waiting, it fails with
+// ErrGraphGone; if ctx ends first, it returns ctx.Err() without the
+// lease.
 func (p *sessionPool) acquire(ctx context.Context, version uint64, g *graph.CSR) (*lease, error) {
 	p.mu.Lock()
 	e, ok := p.entries[version]
-	if !ok {
-		sess, err := clique.New(g,
-			clique.WithWorkers(p.workers),
-			clique.WithRoundHook(p.metrics.ObserveRound))
-		if err != nil {
-			p.mu.Unlock()
-			return nil, fmt.Errorf("server: building session for graph version %d: %w", version, err)
-		}
-		e = &poolEntry{lease: make(chan struct{}, 1), gone: make(chan struct{}), sess: sess}
-		p.entries[version] = e
-		p.metrics.sessionsActive.Add(1)
-	}
 	p.mu.Unlock()
+	if !ok {
+		return nil, ErrGraphGone
+	}
 
 	start := time.Now()
 	select {
@@ -93,6 +96,17 @@ func (p *sessionPool) acquire(ctx context.Context, version uint64, g *graph.CSR)
 		return nil, err
 	}
 	p.metrics.leaseWait.observe(time.Since(start))
+	if e.sess == nil {
+		sess, err := clique.New(g,
+			clique.WithWorkers(p.workers),
+			clique.WithRoundHook(p.metrics.ObserveRound))
+		if err != nil {
+			<-e.lease
+			return nil, fmt.Errorf("server: building session for graph version %d: %w", version, err)
+		}
+		e.sess = sess
+		p.metrics.sessionsActive.Add(1)
+	}
 	return &lease{e: e}, nil
 }
 
@@ -110,8 +124,10 @@ func (p *sessionPool) drop(version uint64) {
 	}
 	close(e.gone)
 	e.lease <- struct{}{}
-	e.sess.Close()
-	p.metrics.sessionsActive.Add(-1)
+	if e.sess != nil {
+		e.sess.Close()
+		p.metrics.sessionsActive.Add(-1)
+	}
 }
 
 // closeAll drops every pooled session; used at daemon shutdown after

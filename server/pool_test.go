@@ -1,8 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -10,6 +14,7 @@ import (
 
 	"github.com/paper-repo-growth/doryp20/internal/algo"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
+	"github.com/paper-repo-growth/doryp20/pkg/api"
 )
 
 // TestPoolWarmReuse checks the pool hands back the same warm session
@@ -18,6 +23,7 @@ func TestPoolWarmReuse(t *testing.T) {
 	m := &Metrics{}
 	p := newSessionPool(m, 0)
 	defer p.closeAll()
+	p.register(1)
 	g := graph.Path(8)
 
 	l1, err := p.acquire(context.Background(), 1, g)
@@ -65,6 +71,7 @@ func TestPoolSerializes(t *testing.T) {
 	m := &Metrics{}
 	p := newSessionPool(m, 0)
 	defer p.closeAll()
+	p.register(1)
 	g := graph.Path(6)
 
 	const n = 8
@@ -98,13 +105,13 @@ func TestPoolSerializes(t *testing.T) {
 	}
 }
 
-// TestPoolDrop checks drop closes the session and later acquires fail
-// with ErrGraphGone for waiters caught mid-drop (fresh acquires of a
-// dropped version would rebuild, which the store prevents by removing
-// the entry first — here we assert the closed-entry path).
+// TestPoolDrop checks drop closes the session once its holder
+// releases, and that a fresh acquire of the dropped version fails with
+// ErrGraphGone instead of building a new session.
 func TestPoolDrop(t *testing.T) {
 	m := &Metrics{}
 	p := newSessionPool(m, 0)
+	p.register(3)
 	g := graph.Path(4)
 
 	l, err := p.acquire(context.Background(), 3, g)
@@ -122,6 +129,9 @@ func TestPoolDrop(t *testing.T) {
 	if got := m.Snapshot().SessionsActive; got != 0 {
 		t.Errorf("sessionsActive after drop = %d, want 0", got)
 	}
+	if _, err := p.acquire(context.Background(), 3, g); !errors.Is(err, ErrGraphGone) {
+		t.Errorf("acquire after drop: %v, want ErrGraphGone", err)
+	}
 	// Dropping an unknown version is a no-op.
 	p.drop(99)
 }
@@ -131,6 +141,7 @@ func TestPoolDrop(t *testing.T) {
 func TestPoolAcquireAfterClose(t *testing.T) {
 	p := newSessionPool(&Metrics{}, 0)
 	defer p.closeAll()
+	p.register(5)
 	g := graph.Path(4)
 	l, err := p.acquire(context.Background(), 5, g)
 	if err != nil {
@@ -201,6 +212,7 @@ func (d *doneProbe) Done() <-chan struct{} {
 func TestAcquireGivesUpOnItsContext(t *testing.T) {
 	base := runtime.NumGoroutine()
 	p := newSessionPool(&Metrics{}, 0)
+	p.register(1)
 	g := graph.Path(6)
 	bg := context.Background()
 	held, err := p.acquire(bg, 1, g)
@@ -282,4 +294,77 @@ func TestAcquireGivesUpOnItsContext(t *testing.T) {
 	held.release()
 	<-dropped
 	within(t, "goroutines back to baseline", func() bool { return runtime.NumGoroutine() <= base })
+}
+
+// TestDeletedVersionBuildsNoSession: a query that read a graph's entry
+// before its DELETE and reaches the pool after it gets ErrGraphGone; it
+// neither builds a session for the dropped version nor leaves engine
+// workers behind.
+func TestDeletedVersionBuildsNoSession(t *testing.T) {
+	base := runtime.NumGoroutine()
+	srv := New(Options{Workers: 2})
+	t.Cleanup(srv.Close)
+	g := graph.Path(16)
+	var buf bytes.Buffer
+	if err := graph.WriteEdgeList(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/graphs?name=g", &buf))
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("upload: status %d: %s", rec.Code, rec.Body)
+	}
+	e := srv.store.get("g")
+	rec = httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/graphs/g", nil))
+	if rec.Code != http.StatusNoContent {
+		t.Fatalf("delete: status %d: %s", rec.Code, rec.Body)
+	}
+
+	if l, err := srv.pool.acquire(context.Background(), e.info.Version, e.g); !errors.Is(err, ErrGraphGone) {
+		if err == nil {
+			l.release()
+		}
+		t.Fatalf("acquire of the deleted version: %v, want ErrGraphGone", err)
+	}
+	if got := srv.Metrics().Snapshot().SessionsActive; got != 0 {
+		t.Errorf("sessionsActive = %d, want 0", got)
+	}
+	within(t, "goroutines back to baseline", func() bool { return runtime.NumGoroutine() <= base })
+}
+
+// TestWarmClosureAnswersWithoutTheLease: once a graph's closure is
+// cached, /reachable answers from it while another holder has the
+// graph's session lease — a cache hit with zero rounds.
+func TestWarmClosureAnswersWithoutTheLease(t *testing.T) {
+	srv := New(Options{Workers: 1})
+	t.Cleanup(srv.Close)
+	g := graph.Path(8)
+	e, err := srv.store.add("g", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp api.ReachableResponse
+	decodeOK(t, serveQuery(context.Background(), srv, "/graphs/g/reachable", api.ReachableRequest{Source: 0}), &resp)
+	if resp.CacheHit {
+		t.Fatal("first reachable query reported a cache hit")
+	}
+
+	holdLease(t, srv, e)
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		done <- serveQuery(context.Background(), srv, "/graphs/g/reachable", api.ReachableRequest{Source: 5})
+	}()
+	select {
+	case rec := <-done:
+		decodeOK(t, rec, &resp)
+	case <-time.After(time.Second):
+		t.Fatal("warm /reachable still waiting behind the held lease")
+	}
+	if !resp.CacheHit || resp.Rounds != 0 {
+		t.Errorf("warm query: cacheHit=%v rounds=%d, want a zero-round cache hit", resp.CacheHit, resp.Rounds)
+	}
+	if !reflect.DeepEqual(resp.Reachable, algo.ClosureRef(g, 5)) {
+		t.Errorf("warm answer differs from ClosureRef")
+	}
 }

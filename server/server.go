@@ -93,13 +93,10 @@ func New(opts Options) *Server {
 	if opts.MaxUploadBytes <= 0 {
 		opts.MaxUploadBytes = 64 << 20
 	}
-	s := &Server{
-		opts:    opts,
-		metrics: &Metrics{},
-		store:   newStore(),
-	}
+	s := &Server{opts: opts, metrics: &Metrics{}}
 	s.life, s.stop = context.WithCancel(context.Background())
 	s.pool = newSessionPool(s.metrics, opts.Workers)
+	s.store = newStore(s.pool)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -479,30 +476,41 @@ func (s *Server) handleReachable(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { s.metrics.observeQuery(kindReachable, time.Since(start)) }()
 
-	// The closure cache, like the hopset cache, is guarded by the
-	// graph's session lease — acquire it even on the hit path.
-	l, err := s.pool.acquire(r.Context(), e.info.Version, e.g)
+	closure, hit, tel, err := s.closureOf(r.Context(), e)
 	if err != nil {
 		s.queryFailed(w, r, err)
 		return
 	}
-	var tel runTelemetry
-	cacheHit := e.closure != nil
-	if !cacheHit {
-		k := algo.NewTransitiveClosureKernel()
-		if tel, err = s.runOn(r.Context(), l.session(), k); err != nil {
-			l.release()
-			s.queryFailed(w, r, err)
-			return
-		}
-		e.closure = k.Reach()
-	}
-	row := e.closure[req.Source]
-	l.release()
 	writeJSON(w, http.StatusOK, api.ReachableResponse{
-		Source: req.Source, Reachable: row,
-		Rounds: tel.rounds, WallNanos: int64(tel.wall), CacheHit: cacheHit,
+		Source: req.Source, Reachable: closure[req.Source],
+		Rounds: tel.rounds, WallNanos: int64(tel.wall), CacheHit: hit,
 	})
+}
+
+// closureOf returns e's transitive closure, whether it was already
+// cached, and the cost of building it when it was not. A cached
+// closure is read without the session lease; a miss takes the lease,
+// checks again, and builds and stores the closure once.
+func (s *Server) closureOf(ctx context.Context, e *graphEntry) ([][]bool, bool, runTelemetry, error) {
+	if c := e.closure.Load(); c != nil {
+		return *c, true, runTelemetry{}, nil
+	}
+	l, err := s.pool.acquire(ctx, e.info.Version, e.g)
+	if err != nil {
+		return nil, false, runTelemetry{}, err
+	}
+	defer l.release()
+	if c := e.closure.Load(); c != nil {
+		return *c, true, runTelemetry{}, nil
+	}
+	k := algo.NewTransitiveClosureKernel()
+	tel, err := s.runOn(ctx, l.session(), k)
+	if err != nil {
+		return nil, false, tel, err
+	}
+	c := k.Reach()
+	e.closure.Store(&c)
+	return c, false, tel, nil
 }
 
 // runApproxBatch executes one coalesced batch: under the graph's

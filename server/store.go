@@ -6,6 +6,7 @@ import (
 	"regexp"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/paper-repo-growth/doryp20/internal/graph"
 	"github.com/paper-repo-growth/doryp20/internal/matmul"
@@ -28,9 +29,9 @@ type graphEntry struct {
 
 	// closure caches the graph's full transitive closure after the
 	// first reachability query — reachability has no ε, so one line per
-	// graph suffices. Like hopsets, it is only touched while holding
-	// the graph's session lease.
-	closure [][]bool
+	// graph suffices. It is stored under the graph's session lease and
+	// read without it.
+	closure atomic.Pointer[[][]bool]
 
 	// coalsMu guards coals, the admission coalescers under the same key.
 	coalsMu sync.Mutex
@@ -56,18 +57,20 @@ var errDuplicateID = errors.New("graph id already loaded")
 // store is the daemon's graph registry: name -> entry, with a
 // monotonic version counter feeding the session pool's key space.
 type store struct {
+	pool *sessionPool
+
 	mu          sync.RWMutex
 	byID        map[string]*graphEntry
 	nextVersion uint64
 }
 
-func newStore() *store {
-	return &store{byID: map[string]*graphEntry{}}
+func newStore(pool *sessionPool) *store {
+	return &store{pool: pool, byID: map[string]*graphEntry{}}
 }
 
-// add registers g under id (empty selects "g<version>") and returns
-// the new entry. Duplicate IDs are rejected — delete first, versions
-// are not silently replaced.
+// add registers g under id (empty selects "g<version>") and its new
+// version with the pool, and returns the new entry. Duplicate IDs are
+// rejected — delete first, versions are not silently replaced.
 func (st *store) add(id string, g *graph.CSR) (*graphEntry, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -91,6 +94,7 @@ func (st *store) add(id string, g *graph.CSR) (*graphEntry, error) {
 		hopsets: map[int]*hopsetCache{},
 		coals:   map[int]*coalescer{},
 	}
+	st.pool.register(version)
 	st.byID[id] = e
 	return e, nil
 }

@@ -1,5 +1,5 @@
 // tracestat summarizes the Chrome trace-event timelines written by
-// ccbench -trace and ccnode -trace: where did the wall clock go —
+// ccbench -trace: where did the wall clock go —
 // compute, barrier wait, or transport exchange — and which rounds and
 // kernel passes were the slowest. It is the terminal-side companion to
 // loading the same file in Perfetto, and the CI assertion that a trace
@@ -10,7 +10,7 @@
 //	tracestat [-top 5] trace.json [more-traces.json ...]
 //
 // Multiple files merge into one summary: pass the per-rank files of a
-// ccnode cluster to see the whole clique's timeline at once (ranks are
+// multi-process ccbench cluster to see the whole clique's timeline at once (ranks are
 // distinguished by the pid each recorder was tagged with, so same-rank
 // spans from different files stay attributed).
 //
