@@ -2,7 +2,6 @@ package algo
 
 import (
 	"bytes"
-	"context"
 	"math/bits"
 	"os"
 	"path/filepath"
@@ -182,56 +181,6 @@ func TestPathSkipsNothingCliqueStopsAtOnce(t *testing.T) {
 	}
 }
 
-// TestVotesAreBilledToTheSession: what a kernel's votes cost shows in
-// clique.Stats and in the replay digests, inside the bound. On a path
-// nothing is skipped, so the run is the fixed-count run plus its votes:
-// every squaring but the last votes, and the totals exceed the same
-// products run bare by at least one round and n-1 words and at most two
-// rounds and 2(n-1) words per voting product.
-func TestVotesAreBilledToTheSession(t *testing.T) {
-	const n = 33
-	g := graph.Path(n).WithUniformRandomWeights(7, 9)
-	s, err := clique.New(g, clique.WithDigests())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.Run(context.Background(), NewAPSPKernel()); err != nil {
-		t.Fatal(err)
-	}
-	voted := s.Stats()
-	if len(s.Digests()) != voted.Engine.Rounds {
-		t.Fatalf("%d digests for %d rounds", len(s.Digests()), voted.Engine.Rounds)
-	}
-
-	// The same squarings as bare passes, on a session of their own.
-	bare, err := clique.New(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bare.Close()
-	a, err := minplusAdjacency(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	squarings := bits.Len(uint(n - 2))
-	for i := 0; i < squarings; i++ {
-		k := matmul.NewPower(a, 2)
-		if err := bare.Run(context.Background(), k); err != nil {
-			t.Fatal(err)
-		}
-		a = k.Result().(*matmul.Matrix)
-	}
-	fixed := bare.Stats()
-	votes := squarings - 1
-	dr := voted.Engine.Rounds - fixed.Engine.Rounds
-	dw := int(voted.Engine.TotalMsgs) - int(fixed.Engine.TotalMsgs)
-	if voted.Runs != fixed.Runs || dr < votes || dr > 2*votes || dw < votes*(n-1) || dw > 2*votes*(n-1) {
-		t.Errorf("%d voting squarings (%d passes, bare %d) cost %d rounds and %d words over the bare run, want %d..%d rounds and %d..%d words",
-			votes, voted.Runs, fixed.Runs, dr, dw, votes, 2*votes, votes*(n-1), 2*votes*(n-1))
-	}
-}
-
 // TestStateFromBeforeTheStopRuleRestores: the stop rule changed no
 // snapshot field — `remaining` and the exponent merely became upper
 // bounds — so version-2 state written by the fixed-count loops must
@@ -265,6 +214,39 @@ func TestStateFromBeforeTheStopRuleRestores(t *testing.T) {
 			t.Errorf("%s: restored run took %d passes, the fixed-count run had %d left", blob, passes, tc.leftOver)
 		}
 		ref := tc.fresh()
+		runKernel(t, g, ref)
+		if !reflect.DeepEqual(k.Result(), ref.Result()) {
+			t.Errorf("%s: restored run's result differs from a fresh run's", blob)
+		}
+	}
+}
+
+// TestStateFromBeforeSemiNaiveSquaringRestores: version-3 state, written
+// before the power cursor carried the last squaring's operand, must
+// still restore: the next squaring then streams whole rows and the run
+// ends with the same answer as a fresh one. The blobs under testdata
+// were written by the commit before semi-naive squaring, on G(16, 0.4)
+// with weights 1..4 and seed 42: apsp after its first squaring, and
+// ksource (sources 0 and 8, h = 5) after its first squaring and again
+// one product into its relaxation.
+func TestStateFromBeforeSemiNaiveSquaringRestores(t *testing.T) {
+	g := graph.RandomGNPWeighted(16, 0.4, 4, 42)
+	ksource := func() clique.Checkpointable { return NewKSourceKernel([]core.NodeID{0, 8}, 5) }
+	for blob, fresh := range map[string]func() clique.Checkpointable{
+		"apsp-after-1":    func() clique.Checkpointable { return NewAPSPKernel() },
+		"ksource-after-1": ksource,
+		"ksource-after-4": ksource,
+	} {
+		state, err := os.ReadFile(filepath.Join("testdata", blob+".v3state"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := fresh()
+		if err := k.RestoreState(bytes.NewReader(state)); err != nil {
+			t.Fatalf("%s: RestoreState: %v", blob, err)
+		}
+		runKernel(t, g, k)
+		ref := fresh()
 		runKernel(t, g, ref)
 		if !reflect.DeepEqual(k.Result(), ref.Result()) {
 			t.Errorf("%s: restored run's result differs from a fresh run's", blob)

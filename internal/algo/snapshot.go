@@ -27,15 +27,20 @@ import (
 // kernelStateVersion stamps every algo kernel state blob. Version 2
 // unified the per-kernel layouts into the powerKernel and
 // pipelineKernel ones; version 3 added the relaxation's previous
-// columns to the pipelineKernel one. Version 2 blobs still restore.
-const kernelStateVersion uint64 = 3
+// columns to the pipelineKernel one; version 4 added the last
+// squaring's operand to the power cursor. Blobs from oldestStateVersion
+// on still restore.
+const (
+	kernelStateVersion uint64 = 4
+	oldestStateVersion uint64 = 2
+)
 
 // readStateVersion reads the leading version word and checks that this
-// build reads it: the current version or the one before.
+// build reads it.
 func readStateVersion(cr *ckptio.Reader) (uint64, error) {
 	v := cr.U64()
-	if cr.Err() == nil && v != kernelStateVersion && v != kernelStateVersion-1 {
-		return v, fmt.Errorf("algo: kernel state version %d, this build reads versions %d and %d", v, kernelStateVersion-1, kernelStateVersion)
+	if cr.Err() == nil && (v < oldestStateVersion || v > kernelStateVersion) {
+		return v, fmt.Errorf("algo: kernel state version %d, this build reads versions %d to %d", v, oldestStateVersion, kernelStateVersion)
 	}
 	return v, nil
 }
@@ -79,14 +84,14 @@ func (k *powerKernel) RestoreState(r io.Reader) error {
 		return clique.ErrKernelStarted
 	}
 	cr := ckptio.NewReader(r)
-	if _, err := readStateHeader(cr, k.Name()); err != nil {
+	version, err := readStateHeader(cr, k.Name())
+	if err != nil {
 		return err
 	}
 	done := cr.Bool()
 	var pw *matmul.Power
 	if cr.Bool() {
-		var err error
-		if pw, err = matmul.ReadPower(cr); err != nil {
+		if pw, err = matmul.ReadPower(cr, version >= 4); err != nil {
 			return err
 		}
 	}
@@ -154,7 +159,7 @@ func (k *pipelineKernel) RestoreState(r io.Reader) error {
 	}
 	var rx *matmul.Relaxation
 	if cr.Bool() {
-		if rx, err = matmul.ReadRelaxation(cr, version == kernelStateVersion); err != nil {
+		if rx, err = matmul.ReadRelaxation(cr, version >= 3); err != nil {
 			return err
 		}
 	}

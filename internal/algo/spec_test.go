@@ -111,8 +111,8 @@ func TestGraphKernelsRejectSizeOnlySession(t *testing.T) {
 
 // TestRestoreStateRejectsOtherVersions covers the three
 // clique.Checkpointable implementations: a state blob stamped with a
-// format version older than the one before the current (1) or a future
-// one (4) is refused with the version error and leaves the kernel unstarted, so the same kernel
+// format version older than the oldest this build reads (1) or a future
+// one (5) is refused with the version error and leaves the kernel unstarted, so the same kernel
 // value still completes a fresh run; the unmodified blob restores.
 func TestRestoreStateRejectsOtherVersions(t *testing.T) {
 	g := graph.RandomGNPWeighted(12, 0.3, 9, 5)
@@ -137,7 +137,7 @@ func TestRestoreStateRejectsOtherVersions(t *testing.T) {
 		if !reflect.DeepEqual(restored.Result(), ref.Result()) {
 			t.Errorf("%s: restored result differs from the run that wrote the blob", name)
 		}
-		for _, version := range []uint64{kernelStateVersion - 2, kernelStateVersion + 1} {
+		for _, version := range []uint64{oldestStateVersion - 1, kernelStateVersion + 1} {
 			stale := bytes.Clone(blob.Bytes())
 			binary.LittleEndian.PutUint64(stale, version)
 			k := fresh()

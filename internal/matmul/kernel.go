@@ -30,9 +30,33 @@ import (
 // a single multiply step (or to base itself while result is nil). Each
 // squaring with another one still to follow votes; multiply steps and
 // the last squaring end the loop anyway and run bare.
+//
+// Every squaring after the first is semi-naive when the squaring before
+// it squared a matrix with One on its diagonal — every reflexive
+// adjacency, and so every power of one. Let P be that operand,
+// X = P ⊗ P the base now, and Δ the entries where X ≠ P. P's One
+// diagonal gives X ⊇ P, and ⊕ is idempotent, so X = P ⊕ Δ and
+//
+//	X ⊗ X = X ⊕ P ⊗ Δ ⊕ Δ ⊗ X.
+//
+// Each node v starts from X[v] and, for every k with X[v][k] set, asks
+// for the whole of X[k] where Δ[v][k] is set and for Δ[k] alone where
+// X[v][k] = P[v][k]; either way it multiplies by its own X[v][k]. Where
+// v asks for all of X[k], that term covers P[v][k] ⊗ Δ[k] too, since
+// X[v][k] ⊕ P[v][k] = X[v][k] and Δ[k] ⊆ X[k]. So a squaring pays for
+// what changed in the one before rather than for the width of X, and
+// the squaring that confirms the fixpoint costs little more than its
+// requests. Rounds fall less than words, if at all: whoever holds a
+// changed entry in column k still pulls all of X[k]. Multiply steps,
+// the first squaring and a base without One on its diagonal stream
+// whole rows.
 type Power struct {
 	e            int
 	base, result *Matrix
+	// prev is the operand of the last squaring, so base = prev ⊗ prev,
+	// kept only when it has One on its diagonal; nil before the first
+	// squaring.
+	prev         *Matrix
 	pass         *Pass
 	passIsSquare bool
 	// phase 0: the current exponent bit's multiply step is pending;
@@ -66,6 +90,10 @@ func (p *Power) harvest() error {
 	}
 	m := p.pass.Sparse()
 	if p.passIsSquare {
+		p.prev = nil
+		if oneDiagonal(p.base) {
+			p.prev = p.base
+		}
 		p.base = m
 		if !p.pass.changed() {
 			p.e = 1
@@ -106,9 +134,16 @@ func (p *Power) Nodes(*graph.CSR) ([]engine.Node, error) {
 
 // product starts the engine pass left ⊗ base: the squaring step when
 // left is base itself (p.e already holds the exponent left after it),
-// the multiply step into result otherwise.
+// semi-naive once prev is known, the multiply step into result
+// otherwise.
 func (p *Power) product(left *Matrix, square bool) ([]engine.Node, error) {
-	pass, err := NewPass(left, p.base, false)
+	var pass *Pass
+	var err error
+	if square && p.prev != nil {
+		pass, err = newSquarePass(p.base, p.prev)
+	} else {
+		pass, err = NewPass(left, p.base, false)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,8 @@
 //
 // Every multiplying kernel drives one of two product loops, both clique
 // session kernels (kernel.go): Power computes A^e by square-and-multiply,
-// and Relaxation iterates B ← S ⊗ B from Indicator columns, asking for
+// every squaring after the first sending each requester only the part
+// of a row it lacks, and Relaxation iterates B ← S ⊗ B from Indicator columns, asking for
 // rows only in its first product. Each stops at the first product that
 // changes nothing, and only they decide which products vote on that. On top of them, internal/algo builds APSP by
 // repeated squaring, hop-limited distances and stage 2 of its

@@ -111,7 +111,8 @@ func ReadDense(r *ckptio.Reader) (*Dense, error) {
 }
 
 // WritePower harvests p's in-flight product, if any, and encodes its
-// square-and-multiply cursor: e, phase, base, result.
+// square-and-multiply cursor: e, phase, base, result, and the operand of
+// the last squaring (nil allowed).
 func WritePower(w *ckptio.Writer, p *Power) error {
 	if err := p.harvest(); err != nil {
 		return err
@@ -120,12 +121,19 @@ func WritePower(w *ckptio.Writer, p *Power) error {
 	w.I64(int64(p.phase))
 	WriteMatrix(w, p.base)
 	WriteMatrix(w, p.result)
+	WriteMatrix(w, p.prev)
 	return nil
 }
 
 // ReadPower decodes a cursor written by WritePower into a Power that
-// continues from it.
-func ReadPower(r *ckptio.Reader) (*Power, error) {
+// continues from it. withPrev says whether the cursor carries the
+// operand of the last squaring; one written before it did restores
+// without it, so the next squaring streams whole rows and returns the
+// same matrix. A cursor no Power can reach — a negative exponent, a
+// phase other than 0 or 1, a result or previous operand of another
+// dimension or semiring than the base, a previous operand without One
+// on its diagonal — is refused.
+func ReadPower(r *ckptio.Reader, withPrev bool) (*Power, error) {
 	p := &Power{}
 	p.e = int(r.I64())
 	p.phase = int(r.I64())
@@ -136,10 +144,30 @@ func ReadPower(r *ckptio.Reader) (*Power, error) {
 	if p.result, err = ReadMatrix(r); err != nil {
 		return nil, err
 	}
-	if r.Err() == nil && p.base == nil {
+	if withPrev {
+		if p.prev, err = ReadMatrix(r); err != nil {
+			return nil, err
+		}
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if p.base == nil {
 		return nil, fmt.Errorf("matmul: power state has no base matrix")
 	}
-	return p, r.Err()
+	if p.e < 0 || p.phase != 0 && p.phase != 1 {
+		return nil, fmt.Errorf("matmul: power state has exponent %d and phase %d", p.e, p.phase)
+	}
+	for _, m := range []*Matrix{p.result, p.prev} {
+		if m != nil && checkPair(p.base.N, m.N, p.base.Sr, m.Sr) != nil {
+			return nil, fmt.Errorf("matmul: power state carries a %d x %d %s matrix beside a %d x %d %s base",
+				m.N, m.N, m.Sr.Name, p.base.N, p.base.N, p.base.Sr.Name)
+		}
+	}
+	if p.prev != nil && !oneDiagonal(p.prev) {
+		return nil, fmt.Errorf("matmul: power state carries a previous operand without One on its diagonal")
+	}
+	return p, nil
 }
 
 // WriteRelaxation harvests x's in-flight product, if any, and encodes

@@ -3,6 +3,7 @@ package matmul
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/paper-repo-growth/doryp20/internal/ckptio"
@@ -118,5 +119,76 @@ func TestUnknownSemiringRejected(t *testing.T) {
 	WriteMatrix(w, m)
 	if _, err := ReadMatrix(ckptio.NewReader(bytes.NewReader(buf.Bytes()))); err == nil {
 		t.Fatal("unknown semiring accepted")
+	}
+}
+
+// powerCursor encodes a Power cursor field by field, as WritePower lays
+// it out.
+func powerCursor(e, phase int64, base, result, prev *Matrix) []byte {
+	var buf bytes.Buffer
+	w := ckptio.NewWriter(&buf)
+	w.I64(e)
+	w.I64(phase)
+	WriteMatrix(w, base)
+	WriteMatrix(w, result)
+	WriteMatrix(w, prev)
+	return buf.Bytes()
+}
+
+// TestPowerCursorRoundTrip: a cursor with a previous operand restores
+// it, and one written before cursors carried it restores without it.
+func TestPowerCursorRoundTrip(t *testing.T) {
+	base := testMatrix(t)
+	x, err := MulRef(base, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w := ckptio.NewWriter(&buf)
+	if err := WritePower(w, &Power{e: 4, phase: 1, base: x, result: base, prev: base}); err != nil {
+		t.Fatal(err)
+	}
+	p, err := ReadPower(ckptio.NewReader(bytes.NewReader(buf.Bytes())), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.e != 4 || p.phase != 1 || !sameBits(p.base, x) || !sameBits(p.result, base) || p.prev == nil || !sameBits(p.prev, base) {
+		t.Fatalf("cursor did not round-trip: %+v", p)
+	}
+	buf.Reset()
+	w = ckptio.NewWriter(&buf) // a cursor from before the previous operand: it ends after result
+	w.I64(4)
+	w.I64(0)
+	WriteMatrix(w, x)
+	WriteMatrix(w, nil)
+	if p, err = ReadPower(ckptio.NewReader(bytes.NewReader(buf.Bytes())), false); err != nil || p.prev != nil {
+		t.Fatalf("cursor without a previous operand: %v, prev %v", err, p.prev)
+	}
+}
+
+// TestReadPowerRejectsImpossibleCursors: a Power cursor that no run can
+// have written is refused instead of running on.
+func TestReadPowerRejectsImpossibleCursors(t *testing.T) {
+	base := testMatrix(t)
+	bigger := Identity(base.N+1, core.MinPlus())
+	boolean := Identity(base.N, core.BoolOrAnd())
+	noDiag, err := FromGraph(graph.Path(base.N).WithUniformRandomWeights(7, 50), core.MinPlus(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, blob := range map[string][]byte{
+		"negative exponent":                    powerCursor(-1, 0, base, nil, nil),
+		"phase 2":                              powerCursor(4, 2, base, nil, nil),
+		"phase -1":                             powerCursor(4, -1, base, nil, nil),
+		"result of another dimension":          powerCursor(4, 0, base, bigger, nil),
+		"result over another semiring":         powerCursor(4, 0, base, boolean, nil),
+		"previous of another dimension":        powerCursor(4, 0, base, nil, bigger),
+		"previous over another semiring":       powerCursor(4, 0, base, nil, boolean),
+		"previous without One on its diagonal": powerCursor(4, 0, base, nil, noDiag),
+		"no base":                              powerCursor(4, 0, nil, nil, nil),
+	} {
+		if _, err := ReadPower(ckptio.NewReader(bytes.NewReader(blob)), true); err == nil || !strings.Contains(err.Error(), "power state") {
+			t.Errorf("%s: err = %v, want the power state error", name, err)
+		}
 	}
 }

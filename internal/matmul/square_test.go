@@ -1,0 +1,145 @@
+package matmul
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"github.com/paper-repo-growth/doryp20/internal/core"
+	"github.com/paper-repo-growth/doryp20/internal/graph"
+)
+
+// sameBits reports whether two matrices are identical down to their
+// storage: offsets, columns and values.
+func sameBits(a, b *Matrix) bool {
+	return a.N == b.N && a.Sr.Name == b.Sr.Name &&
+		slices.Equal(a.Rows, b.Rows) && slices.Equal(a.Cols, b.Cols) && slices.Equal(a.Vals, b.Vals)
+}
+
+// TestSemiNaiveSquaringMatchesRef: over every semiring, on random
+// reflexive X = P ⊗ P of several densities and hop horizons, the
+// semi-naive squaring returns MulRef(X, X) bit for bit, and votes right
+// on whether it changed X, at link caps 1 and 4 and 1 and 2 workers
+// with no link over its cap.
+func TestSemiNaiveSquaringMatchesRef(t *testing.T) {
+	for _, sr := range core.AllSemirings() {
+		for _, density := range []float64{0.05, 0.15} {
+			for seed := int64(1); seed <= 2; seed++ {
+				a, err := FromGraph(graph.RandomGNP(40, density, seed).WithUniformRandomWeights(2, 20), sr, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				prev := a
+				for hops := 1; hops <= 4; hops *= 2 {
+					x, err := MulRef(prev, prev)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := MulRef(x, x)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, cap := range []int{1, 4} {
+						for _, workers := range []int{1, 2} {
+							name := fmt.Sprintf("%s/p%.2f/seed%d/P=A^%d/cap%d/w%d", sr.Name, density, seed, hops, cap, workers)
+							p, err := newSquarePass(x, prev)
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							p.vote(askedRows(x))
+							runVotePass(t, p, cap, workers)
+							if got := p.Sparse(); !sameBits(got, want) {
+								t.Fatalf("%s: semi-naive squaring differs from MulRef(X, X)", name)
+							}
+							if p.changed() != !sameBits(want, x) {
+								t.Errorf("%s: changed() = %v", name, p.changed())
+							}
+						}
+					}
+					prev = x
+				}
+			}
+		}
+	}
+}
+
+// TestPowerWithoutOneDiagonalStreamsWholeRows: a base without One on
+// its diagonal is not monotone under squaring. Over a graph with an
+// isolated vertex no power of it gains One at that vertex's diagonal
+// entry, so a Power over it never squares semi-naively, and still
+// returns the reference power.
+func TestPowerWithoutOneDiagonalStreamsWholeRows(t *testing.T) {
+	g := graph.RandomGNP(30, 0.1, 5).WithUniformRandomWeights(2, 20)
+	isolated := false
+	for v := 0; v < g.N; v++ {
+		cols, _ := g.Row(core.NodeID(v))
+		isolated = isolated || len(cols) == 0
+	}
+	if !isolated {
+		t.Fatal("the fixture needs an isolated vertex")
+	}
+	for _, sr := range core.AllSemirings() {
+		a, err := FromGraph(g, sr, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range []int{8, 7} {
+			m := &modelled{Power: NewPower(a, e), t: t, cap: 1}
+			if _, err := runProduct(a.N, m); err != nil {
+				t.Fatalf("%s A^%d: %v", sr.Name, e, err)
+			}
+			if m.semi != 0 || m.prev != nil {
+				t.Errorf("%s A^%d: %d semi-naive squarings over a base without One on its diagonal", sr.Name, e, m.semi)
+			}
+			want := a
+			for i := 1; i < e; i++ {
+				if want, err = MulRef(want, a); err != nil {
+					t.Fatal(err)
+				}
+			}
+			matricesEqual(t, m.Result().(*Matrix), want, fmt.Sprintf("%s A^%d", sr.Name, e))
+		}
+	}
+}
+
+// TestSemiNaiveSquaringEdges: a single-node clique squares and powers
+// without error, and a squaring whose Δ is empty — X = P — costs only
+// its requests, nnz(X) - n words in two rounds, and returns X.
+func TestSemiNaiveSquaringEdges(t *testing.T) {
+	sr := core.MinPlus()
+	one := Identity(1, sr)
+	p, err := newSquarePass(one, one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := runVotePass(t, p, 1, 1); st.Rounds != 1 || st.TotalMsgs != 0 || !sameBits(p.Sparse(), one) {
+		t.Errorf("n = 1: %d rounds, %d words, result %v", st.Rounds, st.TotalMsgs, p.Sparse())
+	}
+	pw := NewPower(one, 16)
+	if _, err := runProduct(1, pw); err != nil || !sameBits(pw.Result().(*Matrix), one) {
+		t.Errorf("n = 1 power: %v, result %v", err, pw.Result())
+	}
+
+	a, err := FromGraph(graph.RandomGNP(30, 0.1, 2).WithUniformRandomWeights(2, 9), sr, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := a
+	for i := 0; i < 5; i++ {
+		if x, err = MulRef(x, x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err = newSquarePass(x, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.vote(askedRows(x))
+	st := runVotePass(t, p, 1, 1)
+	if want := uint64(x.NNZ() - x.N); st.Rounds != 2 || st.TotalMsgs != want {
+		t.Errorf("empty Δ: %d rounds and %d words, want 2 and the %d requests", st.Rounds, st.TotalMsgs, want)
+	}
+	if !sameBits(p.Sparse(), x) || p.changed() {
+		t.Errorf("empty Δ: the squaring of a fixpoint changed it (changed() = %v)", p.changed())
+	}
+}

@@ -3,10 +3,12 @@ package matmul
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 	"testing"
 
+	"github.com/paper-repo-growth/doryp20/clique"
 	"github.com/paper-repo-growth/doryp20/internal/core"
 	"github.com/paper-repo-growth/doryp20/internal/engine"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
@@ -277,5 +279,64 @@ func TestVoteWithoutAnyRequest(t *testing.T) {
 				t.Error("voting pass computed a different product")
 			}
 		})
+	}
+}
+
+// unvoted drives a Power with every vote withdrawn before its pass runs:
+// the same products, bare.
+type unvoted struct{ *Power }
+
+func (u unvoted) Nodes(g *graph.CSR) ([]engine.Node, error) {
+	nodes, err := u.Power.Nodes(g)
+	if u.pass != nil {
+		u.pass.voters = nil
+		for v := range u.pass.state {
+			u.pass.state[v].vote = nil
+		}
+	}
+	return nodes, err
+}
+
+// TestVotesAreBilledToTheSession: what a power's votes cost shows in
+// clique.Stats and in the replay digests, inside the bound. On a path
+// nothing is skipped, so the run is the fixed-count run plus its votes:
+// every squaring but the last votes, and the totals exceed the same
+// products run bare — the same semi-naive squarings with their votes
+// withdrawn — by at least one round and n-1 words and at most two
+// rounds and 2(n-1) words per voting product.
+func TestVotesAreBilledToTheSession(t *testing.T) {
+	const n = 33
+	a, err := FromGraph(graph.Path(n).WithUniformRandomWeights(7, 9), core.MinPlus(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	squarings := bits.Len(uint(n - 2))
+	run := func(k clique.Kernel) (clique.Stats, []uint64) {
+		t.Helper()
+		s, err := clique.NewSize(n, clique.WithDigests())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if err := s.Run(context.Background(), k); err != nil {
+			t.Fatal(err)
+		}
+		return s.Stats(), s.Digests()
+	}
+	votedPower, barePower := NewPower(a, 1<<squarings), NewPower(a, 1<<squarings)
+	voted, digests := run(votedPower)
+	if len(digests) != voted.Engine.Rounds {
+		t.Fatalf("%d digests for %d rounds", len(digests), voted.Engine.Rounds)
+	}
+	fixed, _ := run(unvoted{barePower})
+	if !slices.Equal(votedPower.Result().(*Matrix).Vals, barePower.Result().(*Matrix).Vals) {
+		t.Fatal("the voting and the bare power computed different matrices")
+	}
+	votes := squarings - 1
+	dr := voted.Engine.Rounds - fixed.Engine.Rounds
+	dw := int(voted.Engine.TotalMsgs) - int(fixed.Engine.TotalMsgs)
+	if voted.Runs != fixed.Runs || dr < votes || dr > 2*votes || dw < votes*(n-1) || dw > 2*votes*(n-1) {
+		t.Errorf("%d voting squarings (%d passes, bare %d) cost %d rounds and %d words over the bare run, want %d..%d rounds and %d..%d words",
+			votes, voted.Runs, fixed.Runs, dr, dw, votes, 2*votes, votes*(n-1), 2*votes*(n-1))
 	}
 }
