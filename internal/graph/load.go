@@ -11,8 +11,8 @@ import (
 
 // LoadEdgeList parses an undirected graph from the repository's
 // edge-list / DIMACS-lite text format — the wire format of ccserve's
-// POST /graphs endpoint and the loader for real datasets (ROADMAP
-// item 3). The format, line by line:
+// POST /graphs endpoint and the loader for real datasets. The format,
+// line by line:
 //
 //   - Blank lines are ignored. Lines whose first field is "c" or whose
 //     first non-space byte is '#' are comments.

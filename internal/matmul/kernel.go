@@ -35,21 +35,19 @@ import (
 // it squared a matrix with One on its diagonal — every reflexive
 // adjacency, and so every power of one. Let P be that operand,
 // X = P ⊗ P the base now, and Δ the entries where X ≠ P. P's One
-// diagonal gives X ⊇ P, and ⊕ is idempotent, so X = P ⊕ Δ and
+// diagonal gives X ⊇ P, and ⊕ is idempotent, so X = P ⊕ Δ. Then
+// X ⊗ P = P ⊗ X = X ⊕ P ⊗ Δ by associativity, and P ⊗ Δ is absorbed by
+// X ⊗ Δ because X ⊇ P, so
 //
-//	X ⊗ X = X ⊕ P ⊗ Δ ⊕ Δ ⊗ X.
+//	X ⊗ X = X ⊕ X ⊗ Δ.
 //
-// Each node v starts from X[v] and, for every k with X[v][k] set, asks
-// for the whole of X[k] where Δ[v][k] is set and for Δ[k] alone where
-// X[v][k] = P[v][k]; either way it multiplies by its own X[v][k]. Where
-// v asks for all of X[k], that term covers P[v][k] ⊗ Δ[k] too, since
-// X[v][k] ⊕ P[v][k] = X[v][k] and Δ[k] ⊆ X[k]. So a squaring pays for
+// Each node v starts from X[v] and asks every k with X[v][k] set for
+// Δ[k] alone, multiplying it by its own X[v][k]; no node ever needs
+// another's whole row. So a squaring pays, in words and in rounds, for
 // what changed in the one before rather than for the width of X, and
 // the squaring that confirms the fixpoint costs little more than its
-// requests. Rounds fall less than words, if at all: whoever holds a
-// changed entry in column k still pulls all of X[k]. Multiply steps,
-// the first squaring and a base without One on its diagonal stream
-// whole rows.
+// requests. Multiply steps, the first squaring and a base without One
+// on its diagonal stream whole rows.
 type Power struct {
 	e            int
 	base, result *Matrix

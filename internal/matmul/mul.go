@@ -201,22 +201,18 @@ func (wf *wireFormat) term(sr core.Semiring, aik int64, f uint64) int64 {
 //	round 0:    v sends one request word to every k in supp(A[v]),
 //	            k != v, and folds in the local k = v contribution.
 //	round 1:    inboxes hold only requests; v records its requesters
-//	            and sends each the first LinkMsgCap() words of the row
-//	            it asked for.
+//	            and sends each the first LinkMsgCap() words of its
+//	            packed B-row.
 //	rounds >=2: inboxes hold only data words; v accumulates
 //	            C[v][j] = Add(C[v][j], Mul(A[v][k], B[k][j])) for each
 //	            word received from k, and sends every requester the
 //	            next LinkMsgCap() words.
 //
-// A request's payload names the row it asks for: askRow (0) the whole
-// packed row, askDelta (1) only the part of it a semi-naive squaring
-// streams (see Power). A responder therefore keeps two requester
-// lists, one per row (the second in its deltaRow), and streams both
-// from one shared offset, because every requester asks in round 0 and
-// is served at the same pace. Every other pass has no deltaRow and
-// asks for whole rows only. The engine's quiescence
-// detection ends the run once every row is out: the round after the
-// last data word is delivered, no node sends anything.
+// Every requester asks in round 0 and is served the same words at the
+// same pace, so a responder's whole stream state is one offset into its
+// packed row. The engine's quiescence detection ends the run once every
+// row is out: the round after the last data word is delivered, no node
+// sends anything.
 //
 // A later product of a Relaxation asks nothing: S, and so who asks whom,
 // is fixed for the whole loop, and every node kept the requesters it
@@ -233,27 +229,12 @@ type mulNode struct {
 	aVals  []int64
 	packed []uint64      // this node's row of B, in wire format
 	acc    []int64       // this node's row of C, dense
-	reqs   []core.NodeID // who asked for packed, in request order
-	off    int           // words of each row already sent to its requesters
+	reqs   []core.NodeID // who asked for this row, in request order
+	off    int           // words of packed already sent to each of reqs
 	cur    int           // index into aCols of the last source looked up
 	unpace bool
-	heard  bool      // reqs came from an earlier product: no request round
-	vote   *voter    // non-nil on a pass asked to vote (Pass.vote)
-	delta  *deltaRow // non-nil on a semi-naive squaring (newSquarePass)
-}
-
-// deltaRow is what a node of a semi-naive squaring holds beside its
-// whole row (see Power): the part of it that changed, who asked for
-// that part alone, and which rows the node itself asks for whole.
-type deltaRow struct {
-	packed []uint64      // Δ[v], in wire format
-	reqs   []core.NodeID // who asked for packed, in request order
-	// full lists the k in aCols whose whole row the node asks for; it
-	// asks every other k in aCols for its Δ[k].
-	full []core.NodeID
-	// wholeAsked reports whether some other node asks this one for its
-	// whole row; the vote sizes F from packed where none does.
-	wholeAsked bool
+	heard  bool   // reqs came from an earlier product: no request round
+	vote   *voter // non-nil on a pass asked to vote (Pass.vote)
 }
 
 // lookupA returns A[v][src] for a data word from src, which exists
@@ -411,50 +392,25 @@ func (nd *mulNode) accumulateBool(aik int64, w uint64) {
 	}
 }
 
-// Request payloads: the row a request asks its responder for.
-const (
-	askRow   uint64 = 0 // the whole packed row
-	askDelta uint64 = 1 // only its delta (a semi-naive squaring)
-)
-
-// stream sends the next LinkMsgCap() words (all of them when unpaced)
-// of the packed row to its requesters and of the delta to its own, and
-// advances the offset the two share. The router's per-link accounting
-// stays the enforcement.
+// stream sends every requester the next LinkMsgCap() words of this
+// node's packed row (all of it when unpaced) and advances the shared
+// offset. The router's per-link accounting stays the enforcement.
 func (nd *mulNode) stream(ctx *engine.Ctx) error {
-	if nd.off >= len(nd.packed) && (nd.delta == nil || nd.off >= len(nd.delta.packed)) {
+	end := len(nd.packed)
+	if !nd.unpace {
+		end = min(end, nd.off+ctx.LinkMsgCap())
+	}
+	if nd.off == end {
 		return nil
 	}
-	end := nd.off + ctx.LinkMsgCap()
-	if nd.unpace {
-		end = len(nd.packed)
-	}
-	if err := nd.send(ctx, nd.packed, nd.reqs, end); err != nil {
-		return err
-	}
-	if nd.delta != nil {
-		if err := nd.send(ctx, nd.delta.packed, nd.delta.reqs, end); err != nil {
-			return err
-		}
-	}
-	nd.off = end
-	return nil
-}
-
-// send sends words [off, end) of row, as far as it reaches, to every
-// node in to.
-func (nd *mulNode) send(ctx *engine.Ctx, row []uint64, to []core.NodeID, end int) error {
-	end = min(end, len(row))
-	if nd.off >= end {
-		return nil
-	}
-	for _, dst := range to {
-		for _, w := range row[nd.off:end] {
+	for _, dst := range nd.reqs {
+		for _, w := range nd.packed[nd.off:end] {
 			if err := ctx.Send(dst, w); err != nil {
 				return err
 			}
 		}
 	}
+	nd.off = end
 	return nil
 }
 
@@ -472,14 +428,7 @@ func (nd *mulNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message) 
 func (nd *mulNode) product(ctx *engine.Ctx, r core.Round, inbox []engine.Message) error {
 	switch {
 	case r == 0:
-		id := ctx.ID()
-		// A semi-naive squaring's accumulator already holds what the
-		// node's own delta would add; only a changed diagonal folds.
-		fold := true
-		if nd.delta != nil {
-			_, fold = slices.BinarySearch(nd.delta.full, id)
-		}
-		if i, ok := slices.BinarySearch(nd.aCols, id); ok && fold {
+		if i, ok := slices.BinarySearch(nd.aCols, ctx.ID()); ok {
 			for _, w := range nd.packed {
 				nd.accumulate(nd.aVals[i], w)
 			}
@@ -487,39 +436,19 @@ func (nd *mulNode) product(ctx *engine.Ctx, r core.Round, inbox []engine.Message
 		if nd.heard {
 			break
 		}
-		var full []core.NodeID // walked in step with aCols
-		if nd.delta != nil {
-			full = nd.delta.full
-		}
 		for _, k := range nd.aCols {
-			if k == id {
+			if k == ctx.ID() {
 				continue
 			}
-			ask := askRow
-			if nd.delta != nil {
-				for len(full) > 0 && full[0] < k {
-					full = full[1:]
-				}
-				if len(full) == 0 || full[0] != k {
-					ask = askDelta
-				}
-			}
-			if err := ctx.Send(k, ask); err != nil {
+			if err := ctx.Send(k, 0); err != nil {
 				return err
 			}
 		}
 		return nil
 	case r == 1 && !nd.heard:
-		nd.reqs = make([]core.NodeID, 0, len(inbox))
-		if nd.delta != nil {
-			nd.delta.reqs = make([]core.NodeID, 0, len(inbox))
-		}
-		for _, m := range inbox {
-			if m.Payload == askDelta {
-				nd.delta.reqs = append(nd.delta.reqs, m.Src)
-			} else {
-				nd.reqs = append(nd.reqs, m.Src)
-			}
+		nd.reqs = make([]core.NodeID, len(inbox))
+		for i, m := range inbox {
+			nd.reqs[i] = m.Src
 		}
 	default:
 		for _, m := range inbox {
@@ -552,17 +481,15 @@ func (nd *mulNode) product(ctx *engine.Ctx, r core.Round, inbox []engine.Message
 // 2(n-1) words over the bare pass, and one that confirms a fixpoint
 // costs nothing.
 //
-// F follows from the widest row any node is streamed — a whole packed
-// row where some node asks for it whole, its delta where every asker
-// wants only that: its owner streams LinkMsgCap() words a round from
-// round 1 on (from round 0 when the node heard its requesters in an
-// earlier product), and the last of them is folded in one round after
-// it is sent, so F = ceil(w / cap), plus one for the request round.
-// Like the wire format's value range, that width is a global of the
-// operands every node is taken to know before round 0
-// (docs/paper-map.md lists these).
+// F follows from the widest packed row any node asks for: its owner
+// streams LinkMsgCap() words a round from round 1 on (from round 0 when
+// the node heard its requesters in an earlier product), and the last of
+// them is folded in one round after it is sent, so F = ceil(w / cap),
+// plus one for the request round. Like the wire format's value range,
+// that width is a global of the operands every node is taken to know
+// before round 0 (docs/paper-map.md lists these).
 type voter struct {
-	widest  int        // words in the widest streamed row; -1 if no node requests any
+	widest  int        // words in the widest requested row; -1 if no node requests any
 	final   core.Round // F, fixed in round 0 from widest and the link cap
 	dense   bool       // B's row is bRow; bCols/bVals otherwise
 	bRow    []int64
@@ -709,13 +636,13 @@ func NewPass(a, b *Matrix, unpaced bool) (*Pass, error) {
 	return p, nil
 }
 
-// newSquarePass is the semi-naive squaring X ⊗ X, where X = prev ⊗ prev
-// and prev carries One on its diagonal (Power says why it is exact). Δ,
-// the entries of X that differ from prev, takes one merge per row. Node
-// v starts its accumulator from X[v], asks each k in supp(X[v]) for the
-// whole of X[k] where Δ[v][k] is set and for Δ[k] alone elsewhere, and
-// multiplies either by its own X[v][k]. The wire format is X's: Δ's
-// values are a subset of X's.
+// newSquarePass is the semi-naive squaring X ⊗ X = X ⊕ X ⊗ Δ, where
+// X = prev ⊗ prev, prev carries One on its diagonal (Power says why it
+// is exact), and Δ, the entries of X that differ from prev, takes one
+// merge per row. It is the product X ⊗ Δ with each node's accumulator
+// started from X[v]: node v asks each k in supp(X[v]) for Δ[k] and
+// multiplies it by its own X[v][k]. The wire format is X's: Δ's values
+// are a subset of X's.
 func newSquarePass(x, prev *Matrix) (*Pass, error) {
 	if err := checkPair(x.N, prev.N, x.Sr, prev.Sr); err != nil {
 		return nil, err
@@ -724,22 +651,12 @@ func newSquarePass(x, prev *Matrix) (*Pass, error) {
 	if err != nil {
 		return nil, err
 	}
-	delta := changedEntries(x, prev)
-	packed := wf.packRows(x.N, delta.Row)
-	p := newPass(x, wf.packRows(x.N, x.Row), x.N, wf, false, nil)
+	p := newPass(x, wf.packRows(x.N, changedEntries(x, prev).Row), x.N, wf, false, nil)
 	p.bSparse = x
-	rows := make([]deltaRow, x.N)
-	for v := range p.state {
-		nd, d := &p.state[v], &rows[v]
-		nd.delta = d
-		d.packed = packed[v]
-		d.full, _ = delta.Row(core.NodeID(v))
-		for _, k := range d.full {
-			rows[k].wholeAsked = rows[k].wholeAsked || int(k) != v
-		}
+	for v, acc := range p.accs {
 		cols, vals := x.Row(core.NodeID(v))
 		for i, j := range cols {
-			nd.acc[j] = vals[i]
+			acc[j] = vals[i]
 		}
 	}
 	return p, nil
@@ -884,14 +801,9 @@ func (p *Pass) Nodes() []engine.Node { return p.nodes }
 func (p *Pass) vote(asked []bool) {
 	widest := -1
 	for k, ok := range asked {
-		if !ok {
-			continue
+		if ok {
+			widest = max(widest, len(p.state[k].packed))
 		}
-		row := p.state[k].packed
-		if d := p.state[k].delta; d != nil && !d.wholeAsked {
-			row = d.packed
-		}
-		widest = max(widest, len(row))
 	}
 	p.voters = make([]voter, p.n)
 	for v := range p.voters {

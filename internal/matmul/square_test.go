@@ -3,6 +3,7 @@ package matmul
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/paper-repo-growth/doryp20/internal/core"
@@ -141,5 +142,72 @@ func TestSemiNaiveSquaringEdges(t *testing.T) {
 	}
 	if !sameBits(p.Sparse(), x) || p.changed() {
 		t.Errorf("empty Δ: the squaring of a fixpoint changed it (changed() = %v)", p.changed())
+	}
+}
+
+// TestSemiNaiveSquaringDeltaShapes: two Δ shapes the random fixtures
+// may miss, each run as a semi-naive squaring X ⊗ X over every semiring
+// at link caps 1 and 4, and each required to match MulRef(X, X) bit for
+// bit and to vote right on whether it changed X.
+//
+//   - value-only: on a weighted clique P's support is already full, so
+//     X = P ⊗ P lowers (min,+) and raises (max,min) entries without
+//     adding any; Δ holds values only (and is empty over booleans).
+//   - empty-but-asked: an edge {0, 1} apart from a path. Rows 0 and 1
+//     do not change in X, so Δ[0] is empty, yet node 1 still asks node 0
+//     for it while the path's rows grow.
+func TestSemiNaiveSquaringDeltaShapes(t *testing.T) {
+	apart, err := graph.LoadEdgeList(strings.NewReader("p 8\n0 1 5\n2 3 4\n3 4 7\n4 5 2\n5 6 3\n6 7 9\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.CSR
+	}{
+		{"value-only", graph.Clique(12).WithUniformRandomWeights(3, 40)},
+		{"empty-but-asked", apart},
+	} {
+		for _, sr := range core.AllSemirings() {
+			p, err := FromGraph(tc.g, sr, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x, err := MulRef(p, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			delta := changedEntries(x, p)
+			switch tc.name {
+			case "value-only":
+				grew := !slices.Equal(x.Rows, p.Rows) || !slices.Equal(x.Cols, p.Cols)
+				if grew || (delta.NNZ() == 0) != (sr.Kind() == core.KindBoolOrAnd) {
+					t.Fatalf("%s %s: support grew = %v, |Δ| = %d", tc.name, sr.Name, grew, delta.NNZ())
+				}
+			case "empty-but-asked":
+				if cols, _ := delta.Row(0); len(cols) != 0 || x.At(1, 0) == sr.Zero || delta.NNZ() == 0 {
+					t.Fatalf("%s %s: Δ[0] = %v, X[1][0] = %d, |Δ| = %d", tc.name, sr.Name, cols, x.At(1, 0), delta.NNZ())
+				}
+			}
+			want, err := MulRef(x, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cap := range []int{1, 4} {
+				name := fmt.Sprintf("%s/%s/cap%d", tc.name, sr.Name, cap)
+				sq, err := newSquarePass(x, p)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				sq.vote(askedRows(x))
+				runVotePass(t, sq, cap, 1)
+				if got := sq.Sparse(); !sameBits(got, want) {
+					t.Fatalf("%s: semi-naive squaring differs from MulRef(X, X)", name)
+				}
+				if sq.changed() != !sameBits(want, x) {
+					t.Errorf("%s: changed() = %v", name, sq.changed())
+				}
+			}
+		}
 	}
 }

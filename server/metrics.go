@@ -92,7 +92,7 @@ func (h *histogram) writePromSeries(w io.Writer, family, labels string) error {
 // (the GET /metrics handler). Engine traffic streams in through
 // ObserveRound, the clique.WithRoundHook tap every pooled session is
 // created with, so rounds/messages/words accumulate live while a
-// kernel runs — the observability half of ROADMAP item 5.
+// kernel runs.
 type Metrics struct {
 	// Engine traffic, streamed per round from every pooled session.
 	// words is a real folded counter (not an alias of msgs at render

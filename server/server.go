@@ -1,8 +1,7 @@
 // Package server is ccserve's HTTP serving layer over the clique
 // session API — the subsystem that turns the Dory-Parter batch
-// pipeline into a long-running query daemon (ROADMAP item 2). It
-// layers, podman-style, a thin handler surface over three serving
-// components:
+// pipeline into a long-running query daemon. It layers, podman-style,
+// a thin handler surface over three serving components:
 //
 //   - a session pool keyed by graph version (pool.go): one warm
 //     clique.Session per loaded graph, serialized by a per-version
@@ -454,8 +453,8 @@ func (s *Server) handleApproxSSSP(w http.ResponseWriter, r *http.Request) {
 // handleReachable answers reachability queries from the graph's cached
 // transitive closure, constructing it with one TransitiveClosureKernel
 // run on first use. The closure is ε-free and source-independent, so a
-// single cached [][]bool serves every later query on the graph with
-// zero engine rounds.
+// single cached bitset serves every later query on the graph with zero
+// engine rounds; each response expands the one row it returns.
 func (s *Server) handleReachable(w http.ResponseWriter, r *http.Request) {
 	e := s.store.get(r.PathValue("id"))
 	if e == nil {
@@ -476,13 +475,13 @@ func (s *Server) handleReachable(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { s.metrics.observeQuery(kindReachable, time.Since(start)) }()
 
-	closure, hit, tel, err := s.closureOf(r.Context(), e)
+	c, hit, tel, err := s.closureOf(r.Context(), e)
 	if err != nil {
 		s.queryFailed(w, r, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, api.ReachableResponse{
-		Source: req.Source, Reachable: closure[req.Source],
+		Source: req.Source, Reachable: c.row(int(req.Source)),
 		Rounds: tel.rounds, WallNanos: int64(tel.wall), CacheHit: hit,
 	})
 }
@@ -491,9 +490,9 @@ func (s *Server) handleReachable(w http.ResponseWriter, r *http.Request) {
 // cached, and the cost of building it when it was not. A cached
 // closure is read without the session lease; a miss takes the lease,
 // checks again, and builds and stores the closure once.
-func (s *Server) closureOf(ctx context.Context, e *graphEntry) ([][]bool, bool, runTelemetry, error) {
+func (s *Server) closureOf(ctx context.Context, e *graphEntry) (*closure, bool, runTelemetry, error) {
 	if c := e.closure.Load(); c != nil {
-		return *c, true, runTelemetry{}, nil
+		return c, true, runTelemetry{}, nil
 	}
 	l, err := s.pool.acquire(ctx, e.info.Version, e.g)
 	if err != nil {
@@ -501,16 +500,49 @@ func (s *Server) closureOf(ctx context.Context, e *graphEntry) ([][]bool, bool, 
 	}
 	defer l.release()
 	if c := e.closure.Load(); c != nil {
-		return *c, true, runTelemetry{}, nil
+		return c, true, runTelemetry{}, nil
 	}
 	k := algo.NewTransitiveClosureKernel()
 	tel, err := s.runOn(ctx, l.session(), k)
 	if err != nil {
 		return nil, false, tel, err
 	}
-	c := k.Reach()
-	e.closure.Store(&c)
+	c := newClosure(k.Reach())
+	e.closure.Store(c)
 	return c, false, tel, nil
+}
+
+// closure is a graph's transitive closure, one bit per (source,
+// target) pair packed row-major: n²/8 bytes, where the [][]bool the
+// kernel returns takes n² bytes plus a slice header per row.
+type closure struct {
+	n    int
+	bits []uint64
+}
+
+// newClosure packs reach, one row per source.
+func newClosure(reach [][]bool) *closure {
+	n := len(reach)
+	c := &closure{n: n, bits: make([]uint64, (n*n+63)/64)}
+	for v, row := range reach {
+		for j, ok := range row {
+			if ok {
+				i := v*n + j
+				c.bits[i/64] |= 1 << (i % 64)
+			}
+		}
+	}
+	return c
+}
+
+// row expands source v's row into one bool per vertex.
+func (c *closure) row(v int) []bool {
+	out := make([]bool, c.n)
+	for j := range out {
+		i := v*c.n + j
+		out[j] = c.bits[i/64]>>(i%64)&1 != 0
+	}
+	return out
 }
 
 // runApproxBatch executes one coalesced batch: under the graph's

@@ -16,6 +16,7 @@ import (
 	"github.com/paper-repo-growth/doryp20/internal/core"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
 	"github.com/paper-repo-growth/doryp20/internal/hopset"
+	"github.com/paper-repo-growth/doryp20/pkg/api"
 	"github.com/paper-repo-growth/doryp20/pkg/client"
 )
 
@@ -341,6 +342,36 @@ func TestHopsetCacheSharedAcrossEps(t *testing.T) {
 	}
 	if snap := srv.Metrics().Snapshot(); snap.CacheMisses != 1 || snap.CacheHits != sweep-1 {
 		t.Errorf("cache counters (hits=%d, misses=%d), want (%d, 1)", snap.CacheHits, snap.CacheMisses, sweep-1)
+	}
+}
+
+// TestClosureBitsetRows: at n = 100, not a multiple of 64, so rows
+// straddle word boundaries, the cached closure holds ceil(n²/64) words
+// and /reachable returns, for every source, exactly ClosureRef's row.
+func TestClosureBitsetRows(t *testing.T) {
+	srv := New(Options{Workers: 1})
+	t.Cleanup(srv.Close)
+	const n = 100
+	g := graph.RandomGNP(n, 0.015, 4) // several components: real unreachable pairs
+	e, err := srv.store.add("g", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unreachable := false
+	for v := 0; v < n; v++ {
+		var resp api.ReachableResponse
+		decodeOK(t, serveQuery(context.Background(), srv, "/graphs/g/reachable", api.ReachableRequest{Source: int64(v)}), &resp)
+		want := algo.ClosureRef(g, core.NodeID(v))
+		if !reflect.DeepEqual(resp.Reachable, want) {
+			t.Fatalf("source %d: /reachable row differs from ClosureRef", v)
+		}
+		unreachable = unreachable || slices.Contains(want, false)
+	}
+	if !unreachable {
+		t.Fatal("every vertex reaches every other; the fixture needs unreachable pairs")
+	}
+	if c := e.closure.Load(); c == nil || len(c.bits) != (n*n+63)/64 {
+		t.Errorf("cached closure is not an n²-bit set: %+v", c)
 	}
 }
 

@@ -31,7 +31,7 @@ type graphEntry struct {
 	// first reachability query — reachability has no ε, so one line per
 	// graph suffices. It is stored under the graph's session lease and
 	// read without it.
-	closure atomic.Pointer[[][]bool]
+	closure atomic.Pointer[closure]
 
 	// coalsMu guards coals, the admission coalescers under the same key.
 	coalsMu sync.Mutex
