@@ -62,15 +62,15 @@ var ErrKernelStarted = errors.New("clique: cannot restore state into a kernel th
 
 // KernelPanicError reports a kernel that panicked while the session
 // was driving it — in a node Round handler (recovered by the engine on
-// the worker) or in the kernel's own Nodes pass-factory. The session
+// the worker) or in the kernel's own Next pass-factory. The session
 // and its warm engine survive; only the panicking kernel's run fails.
 type KernelPanicError struct {
 	// Kernel is the panicking kernel's Name.
 	Kernel string
 	// Node is the clique node whose handler panicked, or -1 when the
-	// panic came from the kernel's Nodes call.
+	// panic came from the kernel's Next call.
 	Node core.NodeID
-	// Round is the round the handler panicked in (0 for Nodes panics).
+	// Round is the round the handler panicked in (0 for Next panics).
 	Round core.Round
 	// Value is the recovered panic value.
 	Value any
@@ -79,7 +79,7 @@ type KernelPanicError struct {
 // Error formats the kernel, location, and panic value.
 func (e *KernelPanicError) Error() string {
 	if e.Node < 0 {
-		return fmt.Sprintf("clique: kernel %q panicked in Nodes: %v", e.Kernel, e.Value)
+		return fmt.Sprintf("clique: kernel %q panicked in Next: %v", e.Kernel, e.Value)
 	}
 	return fmt.Sprintf("clique: kernel %q panicked at node %d in round %d: %v", e.Kernel, e.Node, e.Round, e.Value)
 }
@@ -287,9 +287,6 @@ func (s *Session) Resume(ctx context.Context, k Checkpointable, path string) err
 	}
 	if d.kernelName != k.Name() {
 		return fmt.Errorf("clique: checkpoint is for kernel %q, not %q", d.kernelName, k.Name())
-	}
-	if ta, ok := Kernel(k).(TransportAware); ok {
-		ta.SetGatherer(s.eng.Transport())
 	}
 	if err := k.RestoreState(bytes.NewReader(d.kernelState)); err != nil {
 		return fmt.Errorf("clique: restoring kernel %q: %w", k.Name(), err)

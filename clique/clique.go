@@ -34,7 +34,7 @@ import (
 type settings struct {
 	eng engine.Options
 	// explicitMaxRounds records that the caller pinned MaxRounds, so
-	// kernel MaxRoundsHints must not override it.
+	// a kernel's Pass.MaxRounds must not override it.
 	explicitMaxRounds bool
 	// ckptDir/ckptEvery configure pass-boundary checkpointing; see
 	// WithCheckpoint in checkpoint.go.
@@ -61,10 +61,10 @@ func WithBudget(b core.Budget) Option {
 }
 
 // WithMaxRounds pins the per-pass round bound. An explicit bound is
-// authoritative: kernels cannot raise it via MaxRoundsHint, and a pass
+// authoritative: kernels cannot raise it via Pass.MaxRounds, and a pass
 // that fails to quiesce within it fails with engine.ErrMaxRounds. Zero
-// restores the adaptive default (4n+64, raised per pass by kernel
-// hints); negative values are rejected by New.
+// restores the adaptive default (4n+64, raised per pass by the kernel's
+// Pass.MaxRounds); negative values are rejected by New.
 func WithMaxRounds(m int) Option {
 	return func(s *settings) {
 		s.eng.MaxRounds = m
@@ -103,16 +103,21 @@ func WithTransport(tr engine.Transport) Option {
 }
 
 // Stats is a session's cumulative accounting across every engine pass
-// it has executed, for every kernel run on it.
+// it has executed, for every kernel run on it. Its JSON tags give the
+// repository's one stable encoding of session accounting,
+// {"runs","kernels","engine":{"rounds","msgs","bytes","wall_ns"}}:
+// ccbench -kernel-o reports (every rank's) and ccserve's /stats
+// endpoint both embed it, so the shape is golden-file tested and must
+// only grow backward-compatibly.
 type Stats struct {
 	// Runs counts engine passes (a pipeline kernel contributes one per
 	// stage product).
-	Runs int
+	Runs int `json:"runs"`
 	// Kernels counts kernels run to completion.
-	Kernels int
+	Kernels int `json:"kernels"`
 	// Engine accumulates rounds, routed words, bytes, and wall time
 	// over all passes; use WithRoundHook for per-round detail.
-	Engine engine.Stats
+	Engine engine.Stats `json:"engine"`
 }
 
 // Session is a reusable handle on one simulated clique: the engine's
@@ -221,7 +226,7 @@ func (s *Session) Close() {
 }
 
 // Run executes kernel k to completion on the warm session: it asks the
-// kernel for one engine pass after another (Kernel.Nodes) until the
+// kernel for one engine pass after another (Kernel.Next) until the
 // kernel reports completion with a nil node set, threading ctx's
 // cancellation and deadline into every round barrier. A non-nil empty
 // node set is a vacuous pass, not completion — that distinction keeps
@@ -230,7 +235,7 @@ func (s *Session) Close() {
 // remains usable for further kernels; partial passes are still billed
 // to Stats.
 //
-// A kernel that panics — in a node's Round handler or in Nodes itself —
+// A kernel that panics — in a node's Round handler or in Next itself —
 // does not take the session down: the panic is recovered and returned
 // as a *KernelPanicError, and the warm engine remains usable for the
 // next kernel. When the session is configured WithCheckpoint and k is
@@ -244,9 +249,6 @@ func (s *Session) Run(ctx context.Context, k Kernel) error {
 	if k == nil {
 		return errors.New("clique: Run with a nil Kernel")
 	}
-	if ta, ok := k.(TransportAware); ok {
-		ta.SetGatherer(s.eng.Transport())
-	}
 	// A fresh kernel run: restart the per-run digest chain, pass
 	// counter, checkpoint cadence, and any stale stop request.
 	s.digests = s.digests[:0]
@@ -258,7 +260,9 @@ func (s *Session) Run(ctx context.Context, k Kernel) error {
 
 // runLoop is the shared pass-driving loop of Run and Resume. It
 // assumes the per-run session state (digests, kernelPasses, stop) has
-// been initialized by its caller.
+// been initialized by its caller. After every successful pass it
+// all-gathers the pass's Rows — the one place the multi-rank gather
+// lives — before the kernel harvests them and before any checkpoint.
 func (s *Session) runLoop(ctx context.Context, k Kernel) error {
 	ck, checkpointing := k.(Checkpointable)
 	checkpointing = checkpointing && s.ckptDir != ""
@@ -266,25 +270,23 @@ func (s *Session) runLoop(ctx context.Context, k Kernel) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		nodes, err := s.safeNodes(k)
+		pass, err := s.safeNext(k)
 		if err != nil {
 			return err
 		}
-		if nodes == nil {
+		if pass.Nodes == nil {
 			s.stats.Kernels++
 			return nil
 		}
-		bound := 0
-		if !s.explicitMaxRounds {
-			if h, ok := k.(MaxRoundsHinter); ok {
-				bound = h.MaxRoundsHint()
-			}
+		bound := pass.MaxRounds
+		if s.explicitMaxRounds {
+			bound = 0
 		}
 		var passStart time.Time
 		if s.tracer != nil {
 			passStart = time.Now()
 		}
-		st, err := s.eng.RunBounded(ctx, nodes, bound)
+		st, err := s.eng.RunBounded(ctx, pass.Nodes, bound)
 		s.track(st)
 		if s.tracer != nil && st != nil {
 			// One pass span per engine pass, on the rank's pass lane —
@@ -304,6 +306,11 @@ func (s *Session) runLoop(ctx context.Context, k Kernel) error {
 			}
 			return err
 		}
+		if len(pass.Rows) > 0 {
+			if err := s.eng.Transport().AllGatherRows(pass.Rows, pass.RowLen); err != nil {
+				return fmt.Errorf("clique: kernel %q: gathering rows: %w", k.Name(), err)
+			}
+		}
 		s.kernelPasses++
 		stopping := s.stop.Load()
 		if checkpointing && (s.roundsSinceCkpt >= s.ckptEvery || stopping) {
@@ -319,20 +326,20 @@ func (s *Session) runLoop(ctx context.Context, k Kernel) error {
 	}
 }
 
-// safeNodes calls k.Nodes with panic containment, wrapping errors with
+// safeNext calls k.Next with panic containment, wrapping errors with
 // the kernel name and panics as *KernelPanicError.
-func (s *Session) safeNodes(k Kernel) (nodes []engine.Node, err error) {
+func (s *Session) safeNext(k Kernel) (pass Pass, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			nodes = nil
+			pass = Pass{}
 			err = &KernelPanicError{Kernel: k.Name(), Node: -1, Value: p}
 		}
 	}()
-	nodes, err = k.Nodes(s.g)
+	pass, err = k.Next(s.g)
 	if err != nil {
-		return nil, fmt.Errorf("clique: kernel %q: %w", k.Name(), err)
+		return Pass{}, fmt.Errorf("clique: kernel %q: %w", k.Name(), err)
 	}
-	return nodes, nil
+	return pass, nil
 }
 
 // track folds one engine pass into the cumulative account.

@@ -30,16 +30,16 @@ type chatterKernel struct{ built bool }
 
 func (k *chatterKernel) Name() string { return "test-chatter" }
 
-func (k *chatterKernel) Nodes(g *graph.CSR) ([]engine.Node, error) {
+func (k *chatterKernel) Next(g *graph.CSR) (clique.Pass, error) {
 	if k.built {
-		return nil, nil
+		return clique.Pass{}, nil
 	}
 	k.built = true
 	nodes := make([]engine.Node, g.N)
 	for i := range nodes {
 		nodes[i] = &chatterNode{n: g.N}
 	}
-	return nodes, nil
+	return clique.Pass{Nodes: nodes}, nil
 }
 
 func (k *chatterKernel) Result() any { return nil }
@@ -195,5 +195,45 @@ func TestExplicitMaxRoundsBeatsKernelHint(t *testing.T) {
 	}
 	if err := s.Run(context.Background(), k); !errors.Is(err, engine.ErrMaxRounds) {
 		t.Fatalf("Run = %v, want ErrMaxRounds under an explicit 1-round bound", err)
+	}
+}
+
+// gatherCounter is the in-process transport with its AllGatherRows
+// calls counted and their slab shapes checked.
+type gatherCounter struct {
+	engine.Transport
+	n, calls int
+	badShape bool
+}
+
+func (g *gatherCounter) AllGatherRows(flat []int64, rowLen int) error {
+	g.calls++
+	g.badShape = g.badShape || rowLen < 1 || len(flat) != g.n*rowLen
+	return g.Transport.AllGatherRows(flat, rowLen)
+}
+
+// TestSessionGathersEveryPass: every registered kernel hands the
+// session its result rows with every pass, and the session all-gathers
+// them once per pass — one well-shaped AllGatherRows call per engine
+// pass, and none from the kernels themselves.
+func TestSessionGathersEveryPass(t *testing.T) {
+	g := graph.RandomGNPWeighted(24, 0.2, 9, 1)
+	for _, name := range clique.Kernels() {
+		tr := &gatherCounter{Transport: engine.NewMemTransport(), n: g.N}
+		s, err := clique.New(g, clique.WithTransport(tr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := clique.NewKernel(name, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Run(context.Background(), k); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if runs := s.Stats().Runs; tr.calls != runs || tr.badShape {
+			t.Errorf("%s: %d gathers (bad shape %v) over %d passes, want one well-shaped gather per pass", name, tr.calls, tr.badShape, runs)
+		}
+		s.Close()
 	}
 }

@@ -8,20 +8,21 @@ import (
 )
 
 // Kernel is one distributed computation runnable on a Session — the
-// composable unit of the Dory-Parter pipeline. A kernel is a node-set
-// factory plus result sink driven by Session.Run in passes:
+// composable unit of the Dory-Parter pipeline. A kernel is a pass
+// factory plus result sink driven by Session.Run:
 //
-//  1. Run calls Nodes(g) with the session graph. A non-nil node set is
-//     executed as one engine pass (all nodes from round 0 to
+//  1. Run calls Next(g) with the session graph. A Pass with non-nil
+//     Nodes is executed as one engine pass (all nodes from round 0 to
 //     quiescence; an empty non-nil set is a vacuous pass on a
-//     zero-node session, not completion).
-//  2. Run calls Nodes again; the kernel harvests its per-node state
-//     from the completed pass and either returns the next pass's nodes
+//     zero-node session, not completion), after which the session
+//     all-gathers the pass's Rows across the transport's ranks.
+//  2. Run calls Next again; the kernel harvests its result from the
+//     completed pass's Rows and either returns the next pass
 //     (pipeline stages, repeated matrix squarings, ...) or reports
-//     completion by returning nil.
+//     completion with nil Nodes.
 //  3. After completion, Result returns the kernel's output.
 //
-// Single-pass algorithms return nodes once and then harvest; pipeline
+// Single-pass algorithms return one pass and then harvest; pipeline
 // kernels interleave as many passes as they need — all on the same
 // warm engine, under one cumulative Stats account. Kernels are
 // single-use: run a fresh value for a fresh computation. Implementations
@@ -30,37 +31,36 @@ import (
 type Kernel interface {
 	// Name identifies the kernel in errors, the registry, and reports.
 	Name() string
-	// Nodes returns the node set for the next engine pass, or nil when
+	// Next returns the next engine pass, or a Pass with nil Nodes when
 	// the kernel has completed (slices from make are non-nil even at
 	// length zero, so built passes and completion never collide). g is
 	// the session graph (nil for NewSize sessions; kernels that need
 	// it must return a descriptive error).
-	Nodes(g *graph.CSR) ([]engine.Node, error)
+	Next(g *graph.CSR) (Pass, error)
 	// Result returns the kernel's output after completion, nil before.
 	Result() any
 }
 
-// MaxRoundsHinter is optionally implemented by kernels whose next pass
-// may legitimately need more rounds than the engine's 4n+64 default —
-// for example streaming one very wide matrix row under a one-word link
-// cap. Session.Run consults the hint after each Nodes call and raises
-// that pass's bound to it, unless the caller pinned WithMaxRounds. A
-// hint <= 0 means "no opinion".
-type MaxRoundsHinter interface {
-	MaxRoundsHint() int
-}
-
-// TransportAware is optionally implemented by kernels that harvest
-// results outside the engine's per-round message flow — for example by
-// reading accumulator matrices directly. On a multi-process transport
-// each rank only executes its own node shard, so such harvests must
-// all-gather the remote shards first; Session.Run and Session.Resume
-// inject the session transport (which is the engine.Gatherer for the
-// clique) before the first Nodes call. Kernels whose results flow
-// entirely through messages need not implement it: the in-memory
-// transport's gather is a no-op either way.
-type TransportAware interface {
-	SetGatherer(engine.Gatherer)
+// Pass is one engine pass a kernel hands the session: what to run, how
+// long it may take, and where its result lands.
+type Pass struct {
+	// Nodes is the pass's node set, one per clique node; nil reports
+	// that the kernel has completed.
+	Nodes []engine.Node
+	// MaxRounds bounds the pass when its legitimate length may exceed
+	// the engine's 4n+64 default — for example streaming one very wide
+	// matrix row under a one-word link cap. 0 keeps the default, and a
+	// session built WithMaxRounds ignores it.
+	MaxRounds int
+	// Rows is the row-major n x RowLen slab the pass's nodes write
+	// their results into, row v by node v. On a multi-process transport
+	// each rank executes only its own node shard, so after the pass the
+	// session all-gathers Rows and every rank holds every row before
+	// the next Next call. Nil for a pass whose results travel in
+	// messages alone.
+	Rows []int64
+	// RowLen is the width of each row of Rows.
+	RowLen int
 }
 
 // ResultAs returns k's Result as a T, with a descriptive error when the

@@ -111,8 +111,8 @@ type kernelOpts struct {
 }
 
 // kernelReport is the -kernel-o JSON document. Stats uses the
-// repository's one stable session-accounting encoding (see
-// clique.Stats.MarshalJSON), shared with ccserve's /stats responses.
+// repository's one stable session-accounting encoding (the JSON tags
+// of clique.Stats), shared with ccserve's /stats responses.
 // Wall time is per process; every other field of a completed run is
 // identical across the ranks of one clique and to the mem run.
 type kernelReport struct {

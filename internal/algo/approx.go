@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"github.com/paper-repo-growth/doryp20/clique"
 	"github.com/paper-repo-growth/doryp20/internal/core"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
 	"github.com/paper-repo-growth/doryp20/internal/hopset"
@@ -19,7 +20,7 @@ func hopsetPipeline(name string, sources func(*graph.CSR) ([]core.NodeID, error)
 	return pipelineSpec{
 		name:    name,
 		sources: sources,
-		stage1:  func() stageKernel { return hopset.NewConstructKernel(p) },
+		stage1:  func() clique.Checkpointable { return hopset.NewConstructKernel(p) },
 		relaxOver: func(stage1 any) (*matmul.Matrix, int, error) {
 			hs := stage1.(*hopset.Hopset)
 			s, err := hopset.Augment(hs.Base, hs)

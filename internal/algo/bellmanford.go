@@ -14,22 +14,29 @@ import (
 // which takes at most n-1 rounds (the maximum hop count of a shortest
 // weighted path — note this can far exceed the hop-diameter on graphs
 // with heavy edges). Weights must be non-negative (payloads are
-// unsigned words).
+// unsigned words). One bfordNode serves every node of the pass; node
+// v's distance lives in dist[v].
 type bfordNode struct {
 	g    *graph.CSR
 	src  core.NodeID
-	dist int64
+	dist []int64
+}
+
+// newBFordNode is the Bellman-Ford handler of a distKernel pass.
+func newBFordNode(g *graph.CSR, src core.NodeID, dist []int64) engine.Node {
+	return &bfordNode{g: g, src: src, dist: dist}
 }
 
 func (nd *bfordNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message) error {
+	dist := &nd.dist[ctx.ID()]
 	improved := false
 	if r == 0 && ctx.ID() == nd.src {
-		nd.dist = 0
+		*dist = 0
 		improved = true
 	}
 	for _, m := range inbox {
-		if d := int64(m.Payload); nd.dist == Unreached || d < nd.dist {
-			nd.dist = d
+		if d := int64(m.Payload); *dist == Unreached || d < *dist {
+			*dist = d
 			improved = true
 		}
 	}
@@ -39,7 +46,7 @@ func (nd *bfordNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message
 	nbrs := nd.g.Neighbors(ctx.ID())
 	ws := nd.g.NeighborWeights(ctx.ID())
 	for i, v := range nbrs {
-		if err := ctx.Send(v, uint64(nd.dist+ws[i])); err != nil {
+		if err := ctx.Send(v, uint64(*dist+ws[i])); err != nil {
 			return err
 		}
 	}

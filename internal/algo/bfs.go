@@ -32,22 +32,29 @@ const Unreached = int64(-1)
 // bfsNode floods hop distances: when a node first learns (or improves)
 // its distance it broadcasts the new value to all G-neighbors in the
 // same round, using exactly one word per incident link — within the
-// default one-message-per-link budget.
+// default one-message-per-link budget. One bfsNode serves every node
+// of the pass; node v's distance lives in dist[v].
 type bfsNode struct {
 	g    *graph.CSR
 	src  core.NodeID
-	dist int64
+	dist []int64
+}
+
+// newBFSNode is the BFS handler of a distKernel pass.
+func newBFSNode(g *graph.CSR, src core.NodeID, dist []int64) engine.Node {
+	return &bfsNode{g: g, src: src, dist: dist}
 }
 
 func (nd *bfsNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message) error {
+	dist := &nd.dist[ctx.ID()]
 	improved := false
 	if r == 0 && ctx.ID() == nd.src {
-		nd.dist = 0
+		*dist = 0
 		improved = true
 	}
 	for _, m := range inbox {
-		if d := int64(m.Payload) + 1; nd.dist == Unreached || d < nd.dist {
-			nd.dist = d
+		if d := int64(m.Payload) + 1; *dist == Unreached || d < *dist {
+			*dist = d
 			improved = true
 		}
 	}
@@ -55,7 +62,7 @@ func (nd *bfsNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message) 
 		return nil
 	}
 	for _, v := range nd.g.Neighbors(ctx.ID()) {
-		if err := ctx.Send(v, uint64(nd.dist)); err != nil {
+		if err := ctx.Send(v, uint64(*dist)); err != nil {
 			return err
 		}
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // This file holds the single-pass message-passing kernels (BFS,
-// Bellman-Ford) and the registry table. Every algorithm in the package
+// Bellman-Ford, one distKernel shell) and the registry table. Every algorithm in the package
 // is a clique.Kernel, so callers compose them on one warm Session; the
 // multi-pass ones are thin shells over powerKernel (power.go) and
 // pipelineKernel (pipeline.go). All kernels adapt to any input graph:
@@ -54,61 +54,56 @@ func checkNonNegative(name string, g *graph.CSR) error {
 	return nil
 }
 
-// BFSKernel computes single-source hop distances by a parallel
-// breadth-first flood — one engine pass. Result/Dist hold the distance
-// vector (Unreached for unreachable vertices) after completion.
-type BFSKernel struct {
-	src    core.NodeID
-	state  []bfsNode
-	dist   []int64
-	done   bool
-	gather engine.Gatherer
+// distKernel is the single-pass shell behind BFSKernel and
+// BellmanFordKernel: one engine pass whose nodes keep their tentative
+// distances in the pass's rows, which become the result.
+type distKernel struct {
+	name string
+	src  core.NodeID
+	// weighted treats an unweighted session graph as unit-weighted and
+	// rejects negative weights, which the unsigned message words cannot
+	// carry.
+	weighted bool
+	// node returns the handler every node of the pass runs over g from
+	// src, node v keeping its distance in dist[v].
+	node func(g *graph.CSR, src core.NodeID, dist []int64) engine.Node
+	dist []int64
+	done bool
 }
 
-// SetGatherer injects the session transport's all-gather so the
-// harvest assembles the full distance vector on every rank (clique
-// TransportAware hook).
-func (k *BFSKernel) SetGatherer(g engine.Gatherer) { k.gather = g }
-
-// NewBFSKernel returns a BFS kernel flooding from src.
-func NewBFSKernel(src core.NodeID) *BFSKernel { return &BFSKernel{src: src} }
-
 // Name identifies the kernel.
-func (k *BFSKernel) Name() string { return "bfs" }
+func (k *distKernel) Name() string { return k.name }
 
-// Nodes builds the flood node set on the first call and harvests the
-// distance vector on the second.
-func (k *BFSKernel) Nodes(g *graph.CSR) ([]engine.Node, error) {
-	if k.done {
-		return nil, nil
-	}
-	if k.state != nil {
-		k.dist = make([]int64, len(k.state))
-		for i := range k.state {
-			k.dist[i] = k.state[i].dist
-		}
-		if k.gather != nil && len(k.dist) > 0 {
-			if err := k.gather.AllGatherRows(k.dist, 1); err != nil {
-				return nil, err
-			}
-		}
+// Next builds the pass on the first call and harvests the distance
+// vector on the second.
+func (k *distKernel) Next(g *graph.CSR) (clique.Pass, error) {
+	if k.dist != nil {
 		k.done = true
-		return nil, nil
+		return clique.Pass{}, nil
 	}
-	if err := checkSources(k.Name(), g, k.src); err != nil {
-		return nil, err
+	if err := checkSources(k.name, g, k.src); err != nil {
+		return clique.Pass{}, err
 	}
+	if k.weighted {
+		g = g.WithUnitWeights()
+		if err := checkNonNegative(k.name, g); err != nil {
+			return clique.Pass{}, err
+		}
+	}
+	k.dist = make([]int64, g.N)
+	for v := range k.dist {
+		k.dist[v] = Unreached
+	}
+	nd := k.node(g, k.src, k.dist)
 	nodes := make([]engine.Node, g.N)
-	k.state = make([]bfsNode, g.N)
-	for i := range k.state {
-		k.state[i] = bfsNode{g: g, src: k.src, dist: Unreached}
-		nodes[i] = &k.state[i]
+	for v := range nodes {
+		nodes[v] = nd
 	}
-	return nodes, nil
+	return clique.Pass{Nodes: nodes, Rows: k.dist, RowLen: 1}, nil
 }
 
 // Result returns the distance vector ([]int64), nil before completion.
-func (k *BFSKernel) Result() any {
+func (k *distKernel) Result() any {
 	if !k.done {
 		return nil
 	}
@@ -116,78 +111,33 @@ func (k *BFSKernel) Result() any {
 }
 
 // Dist returns the typed distance vector, nil before completion.
-func (k *BFSKernel) Dist() []int64 { return k.dist }
+func (k *distKernel) Dist() []int64 {
+	if !k.done {
+		return nil
+	}
+	return k.dist
+}
+
+// BFSKernel computes single-source hop distances by a parallel
+// breadth-first flood — one engine pass. Result/Dist hold the distance
+// vector (Unreached for unreachable vertices) after completion.
+type BFSKernel struct{ distKernel }
+
+// NewBFSKernel returns a BFS kernel flooding from src.
+func NewBFSKernel(src core.NodeID) *BFSKernel {
+	return &BFSKernel{distKernel{name: "bfs", src: src, node: newBFSNode}}
+}
 
 // BellmanFordKernel computes single-source shortest-path distances by
 // iterated parallel relaxation — one engine pass. Unweighted session
 // graphs are treated as unit-weighted, so the kernel runs on any input;
 // negative weights are rejected.
-type BellmanFordKernel struct {
-	src    core.NodeID
-	state  []bfordNode
-	dist   []int64
-	done   bool
-	gather engine.Gatherer
-}
-
-// SetGatherer injects the session transport's all-gather so the
-// harvest assembles the full distance vector on every rank (clique
-// TransportAware hook).
-func (k *BellmanFordKernel) SetGatherer(g engine.Gatherer) { k.gather = g }
+type BellmanFordKernel struct{ distKernel }
 
 // NewBellmanFordKernel returns a Bellman-Ford kernel relaxing from src.
 func NewBellmanFordKernel(src core.NodeID) *BellmanFordKernel {
-	return &BellmanFordKernel{src: src}
+	return &BellmanFordKernel{distKernel{name: "bellman-ford", src: src, weighted: true, node: newBFordNode}}
 }
-
-// Name identifies the kernel.
-func (k *BellmanFordKernel) Name() string { return "bellman-ford" }
-
-// Nodes builds the relaxation node set on the first call and harvests
-// the distance vector on the second.
-func (k *BellmanFordKernel) Nodes(g *graph.CSR) ([]engine.Node, error) {
-	if k.done {
-		return nil, nil
-	}
-	if k.state != nil {
-		k.dist = make([]int64, len(k.state))
-		for i := range k.state {
-			k.dist[i] = k.state[i].dist
-		}
-		if k.gather != nil && len(k.dist) > 0 {
-			if err := k.gather.AllGatherRows(k.dist, 1); err != nil {
-				return nil, err
-			}
-		}
-		k.done = true
-		return nil, nil
-	}
-	if err := checkSources(k.Name(), g, k.src); err != nil {
-		return nil, err
-	}
-	gw := g.WithUnitWeights()
-	if err := checkNonNegative(k.Name(), gw); err != nil {
-		return nil, err
-	}
-	nodes := make([]engine.Node, gw.N)
-	k.state = make([]bfordNode, gw.N)
-	for i := range k.state {
-		k.state[i] = bfordNode{g: gw, src: k.src, dist: Unreached}
-		nodes[i] = &k.state[i]
-	}
-	return nodes, nil
-}
-
-// Result returns the distance vector ([]int64), nil before completion.
-func (k *BellmanFordKernel) Result() any {
-	if !k.done {
-		return nil
-	}
-	return k.dist
-}
-
-// Dist returns the typed distance vector, nil before completion.
-func (k *BellmanFordKernel) Dist() []int64 { return k.dist }
 
 // logHops is the per-product hop horizon the registry's demonstration
 // kernels and the diameter estimators use: around log n, the regime

@@ -3,6 +3,7 @@ package algo
 import (
 	"fmt"
 
+	"github.com/paper-repo-growth/doryp20/clique"
 	"github.com/paper-repo-growth/doryp20/internal/core"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
 	"github.com/paper-repo-growth/doryp20/internal/matmul"
@@ -43,7 +44,7 @@ func powerPipeline(name string, adjacency func(*graph.CSR) (*matmul.Matrix, erro
 	return pipelineSpec{
 		name:    name,
 		sources: sources,
-		stage1: func() stageKernel {
+		stage1: func() clique.Checkpointable {
 			return &powerKernel{spec: powerSpec{
 				name:      name,
 				adjacency: adjacency,

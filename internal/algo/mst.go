@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/paper-repo-growth/doryp20/clique"
 	"github.com/paper-repo-growth/doryp20/internal/core"
 	"github.com/paper-repo-growth/doryp20/internal/engine"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
@@ -24,8 +25,8 @@ import (
 //	round 2: leaders fold the minimum over submitted candidates; the
 //	  round is silent, ending the pass.
 //
-// The harvest all-gathers the per-leader choices, then merges
-// components by pointer jumping over the leader-choice digraph: each
+// Leaders write their choices into the pass's rows, which the session
+// all-gathers; the harvest then merges components by pointer jumping over the leader-choice digraph: each
 // choosing leader points at the other endpoint's leader, the 2-cycles
 // that mutual choices form are broken toward the smaller ID (the strict
 // (w, lo, hi) edge order admits no longer cycles), and ptr = ptr[ptr]
@@ -43,13 +44,14 @@ type MSTKernel struct {
 	comp   []core.NodeID
 	weight int64
 	edges  []MSTEdge
-	state  []mstNode
+	// chosen is the in-flight phase's rows: leader v's folded choice
+	// at chosen[v], 0 for none; nil between phases.
+	chosen []int64
 
 	idBits, wBits uint
 
 	started bool
 	done    bool
-	gather  engine.Gatherer
 }
 
 // MSTEdge is one forest edge with canonical endpoint order U < V.
@@ -69,11 +71,6 @@ type MSTResult struct {
 	// Edges lists the forest edges in canonical order.
 	Edges []MSTEdge
 }
-
-// SetGatherer injects the session transport's all-gather so every
-// phase's harvest assembles the leader choices on every rank (clique
-// TransportAware hook).
-func (k *MSTKernel) SetGatherer(g engine.Gatherer) { k.gather = g }
 
 // NewMSTKernel returns a minimum-spanning-forest kernel.
 func NewMSTKernel() *MSTKernel { return &MSTKernel{} }
@@ -101,39 +98,36 @@ func (k *MSTKernel) unpackEdge(word uint64) (w int64, lo, hi core.NodeID) {
 	return w, lo, hi
 }
 
-// Nodes harvests the phase that just ran (merging components and
+// Next harvests the phase that just ran (merging components and
 // collecting chosen edges), then dispatches the next Borůvka phase, or
 // completes once a phase chooses nothing.
-func (k *MSTKernel) Nodes(g *graph.CSR) ([]engine.Node, error) {
+func (k *MSTKernel) Next(g *graph.CSR) (clique.Pass, error) {
 	if k.done {
-		return nil, nil
+		return clique.Pass{}, nil
 	}
 	if !k.started {
 		if err := k.start(g); err != nil {
-			return nil, err
+			return clique.Pass{}, err
 		}
 	} else if k.g == nil {
 		// Restored from a checkpoint: the blob carries components and
 		// forest, the graph-derived fields rebind to the session graph.
 		if err := k.bind(g); err != nil {
-			return nil, err
+			return clique.Pass{}, err
 		}
 	}
-	if k.state != nil {
-		if err := k.harvest(); err != nil {
-			return nil, err
-		}
-		if k.done {
-			return nil, nil
-		}
+	k.harvest()
+	if k.done {
+		return clique.Pass{}, nil
 	}
 	nodes := make([]engine.Node, k.n)
-	k.state = make([]mstNode, k.n)
-	for i := range k.state {
-		k.state[i] = mstNode{k: k}
-		nodes[i] = &k.state[i]
+	state := make([]mstNode, k.n)
+	for i := range state {
+		state[i] = mstNode{k: k}
+		nodes[i] = &state[i]
 	}
-	return nodes, nil
+	k.chosen = make([]int64, k.n)
+	return clique.Pass{Nodes: nodes, Rows: k.chosen, RowLen: 1}, nil
 }
 
 // start validates the input and initializes the singleton components.
@@ -182,24 +176,16 @@ func (k *MSTKernel) bind(g *graph.CSR) error {
 	return nil
 }
 
-// harvest all-gathers the leaders' chosen edges, merges components by
-// pointer jumping, and accumulates the forest; a choice-free phase
-// completes the kernel. Idempotent once the pass state is consumed, so
-// checkpointing can force it at a pass boundary.
-func (k *MSTKernel) harvest() error {
-	if k.state == nil {
-		return nil
+// harvest reads the leaders' chosen edges off the gathered rows, merges
+// components by pointer jumping, and accumulates the forest; a
+// choice-free phase completes the kernel. Idempotent once the rows are
+// consumed, so checkpointing can force it at a pass boundary.
+func (k *MSTKernel) harvest() {
+	if k.chosen == nil {
+		return
 	}
-	slab := make([]int64, k.n)
-	for v := range k.state {
-		slab[v] = int64(k.state[v].chosen)
-	}
-	k.state = nil
-	if k.gather != nil && k.n > 0 {
-		if err := k.gather.AllGatherRows(slab, 1); err != nil {
-			return err
-		}
-	}
+	slab := k.chosen
+	k.chosen = nil
 
 	// ptr is the leader-choice digraph: each choosing leader points at
 	// the leader on the other side of its chosen edge.
@@ -234,7 +220,7 @@ func (k *MSTKernel) harvest() error {
 			return k.edges[i].V < k.edges[j].V
 		})
 		k.done = true
-		return nil
+		return
 	}
 	// Break the mutual-choice 2-cycles toward the smaller ID, then
 	// pointer-jump to the roots.
@@ -259,7 +245,6 @@ func (k *MSTKernel) harvest() error {
 	for v := range k.comp {
 		k.comp[v] = ptr[k.comp[v]]
 	}
-	return nil
 }
 
 // Result returns the MSTResult (forest weight plus canonical edge
@@ -283,15 +268,12 @@ func (k *MSTKernel) Forest() MSTResult {
 // mstNode is one vertex's per-phase state: it learns its neighbors'
 // component labels in round 1, submits its minimum outgoing edge, and —
 // if it is a component leader — folds the component's choice in round
-// 2.
+// 2 into its row of the kernel's chosen rows.
 type mstNode struct {
 	k *MSTKernel
 	// best is the least candidate seen so far: the node's own in round
 	// 1, the component fold for leaders in round 2. 0 means none.
 	best uint64
-	// chosen is the folded component choice, set on leaders in round 2
-	// and harvested by the kernel.
-	chosen uint64
 }
 
 // Round implements the three-round phase script documented on
@@ -346,7 +328,7 @@ func (nd *mstNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message) 
 				nd.best = m.Payload
 			}
 		}
-		nd.chosen = nd.best
+		k.chosen[me] = int64(nd.best)
 	}
 	return nil
 }

@@ -127,16 +127,16 @@ func TestMSTRunsMultiplePasses(t *testing.T) {
 	k := NewMSTKernel()
 	passes := 0
 	for {
-		nodes, err := k.Nodes(g)
+		pass, err := k.Next(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if nodes == nil {
+		if pass.Nodes == nil {
 			break
 		}
 		passes++
 		// Drive the pass on a throwaway engine.
-		if _, err := engine.RunOnce(nodes, engine.Options{}); err != nil {
+		if _, err := engine.RunOnce(pass.Nodes, engine.Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,7 +3,6 @@ package algo
 import (
 	"github.com/paper-repo-growth/doryp20/clique"
 	"github.com/paper-repo-growth/doryp20/internal/core"
-	"github.com/paper-repo-growth/doryp20/internal/engine"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
 	"github.com/paper-repo-growth/doryp20/internal/hopset"
 	"github.com/paper-repo-growth/doryp20/internal/matmul"
@@ -24,15 +23,6 @@ func transpose(d *matmul.Dense) [][]int64 {
 	return rows
 }
 
-// stageKernel is what pipelineKernel asks of its stage 1: a
-// checkpointable multi-pass kernel whose Result yields the relaxation
-// matrix. powerKernel and hopset.ConstructKernel both qualify.
-type stageKernel interface {
-	clique.Checkpointable
-	clique.MaxRoundsHinter
-	clique.TransportAware
-}
-
 // pipelineSpec is what distinguishes one two-stage kernel from another:
 // where the sources come from, which stage 1 produces the relaxation
 // matrix S, how many products stage 2 runs over it, and how the final
@@ -46,7 +36,7 @@ type pipelineSpec struct {
 	// stage1 returns a fresh, unstarted stage-1 kernel. It is nil for a
 	// caller-supplied matrix, which costs zero stage-1 passes and needs
 	// no session graph.
-	stage1 func() stageKernel
+	stage1 func() clique.Checkpointable
 	// relaxOver validates and converts stage 1's Result (nil without a
 	// stage 1) into S and the most stage-2 products to run over it:
 	// ceil((n-1)/h) for S = A^h, RelaxProducts(β, n) for a
@@ -85,55 +75,41 @@ type pipelineKernel struct {
 
 	stage   int // 0: unstarted, 1: stage 1, 2: relaxing, 3: done
 	sources []core.NodeID
-	s1      stageKernel
+	s1      clique.Checkpointable
 	hs      *hopset.Hopset
 	rx      *matmul.Relaxation
 	result  any
-	gather  engine.Gatherer
 }
 
 // Name identifies the kernel.
 func (k *pipelineKernel) Name() string { return k.spec.name }
 
-// SetGatherer injects the session transport's all-gather into both
-// pipeline stages so every harvest assembles the full product on every
-// rank (clique TransportAware hook).
-func (k *pipelineKernel) SetGatherer(g engine.Gatherer) {
-	k.gather = g
-	if k.s1 != nil {
-		k.s1.SetGatherer(g)
-	}
-	if k.rx != nil {
-		k.rx.SetGatherer(g)
-	}
-}
-
-// Nodes advances the pipeline: it drives stage 1 pass by pass, hands
+// Next advances the pipeline: it drives stage 1 pass by pass, hands
 // its matrix to the relaxation stage, and returns one relaxation
 // product per call until the columns are final.
-func (k *pipelineKernel) Nodes(g *graph.CSR) ([]engine.Node, error) {
+func (k *pipelineKernel) Next(g *graph.CSR) (clique.Pass, error) {
 	if k.stage == 0 {
 		if err := k.start(g); err != nil {
-			return nil, err
+			return clique.Pass{}, err
 		}
 	}
 	if k.stage == 1 {
-		nodes, err := k.s1.Nodes(g)
-		if err != nil || nodes != nil {
-			return nodes, err
+		pass, err := k.s1.Next(g)
+		if err != nil || pass.Nodes != nil {
+			return pass, err
 		}
 		if err := k.relax(k.s1.Result()); err != nil {
-			return nil, err
+			return clique.Pass{}, err
 		}
 	}
 	if k.stage == 2 {
-		nodes, err := k.rx.Nodes(g)
-		if err != nil || nodes != nil {
-			return nodes, err
+		pass, err := k.rx.Next(g)
+		if err != nil || pass.Nodes != nil {
+			return pass, err
 		}
 		k.finish()
 	}
-	return nil, nil
+	return clique.Pass{}, nil
 }
 
 // start picks and validates the sources and prepares stage 1 — or,
@@ -154,7 +130,6 @@ func (k *pipelineKernel) start(g *graph.CSR) error {
 		return err
 	}
 	k.s1 = k.spec.stage1()
-	k.s1.SetGatherer(k.gather)
 	k.stage = 1
 	return nil
 }
@@ -171,7 +146,6 @@ func (k *pipelineKernel) relax(stage1 any) error {
 	}
 	k.hs, _ = stage1.(*hopset.Hopset)
 	k.rx = matmul.NewRelaxation(s, matmul.Indicator(s.N, k.sources, s.Sr), products)
-	k.rx.SetGatherer(k.gather)
 	k.s1 = nil
 	k.stage = 2
 	return nil
@@ -181,17 +155,6 @@ func (k *pipelineKernel) relax(stage1 any) error {
 func (k *pipelineKernel) finish() {
 	k.result = k.spec.project(k.sources, transpose(k.rx.Result().(*matmul.Dense)))
 	k.stage = 3
-}
-
-// MaxRoundsHint forwards the in-flight stage's round-bound hint.
-func (k *pipelineKernel) MaxRoundsHint() int {
-	if k.s1 != nil {
-		return k.s1.MaxRoundsHint()
-	}
-	if k.rx != nil {
-		return k.rx.MaxRoundsHint()
-	}
-	return 0
 }
 
 // Result returns the projected per-source rows (the spec's result

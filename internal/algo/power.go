@@ -1,7 +1,7 @@
 package algo
 
 import (
-	"github.com/paper-repo-growth/doryp20/internal/engine"
+	"github.com/paper-repo-growth/doryp20/clique"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
 	"github.com/paper-repo-growth/doryp20/internal/matmul"
 )
@@ -49,40 +49,29 @@ type powerKernel struct {
 	pw     *matmul.Power
 	done   bool
 	result any
-	gather engine.Gatherer
 }
 
 // Name identifies the kernel.
 func (k *powerKernel) Name() string { return k.spec.name }
 
-// SetGatherer injects the session transport's all-gather so every
-// product's harvest assembles the full matrix on every rank (clique
-// TransportAware hook).
-func (k *powerKernel) SetGatherer(g engine.Gatherer) {
-	k.gather = g
-	if k.pw != nil {
-		k.pw.SetGatherer(g)
-	}
-}
-
-// Nodes validates the input on the first call, then returns one product
+// Next validates the input on the first call, then returns one product
 // pass per call until A^e is computed and projects the result.
-func (k *powerKernel) Nodes(g *graph.CSR) ([]engine.Node, error) {
+func (k *powerKernel) Next(g *graph.CSR) (clique.Pass, error) {
 	if k.done {
-		return nil, nil
+		return clique.Pass{}, nil
 	}
 	if k.pw == nil {
 		if err := k.start(g); err != nil {
-			return nil, err
+			return clique.Pass{}, err
 		}
 	}
-	nodes, err := k.pw.Nodes(g)
-	if err != nil || nodes != nil {
-		return nodes, err
+	pass, err := k.pw.Next(g)
+	if err != nil || pass.Nodes != nil {
+		return pass, err
 	}
 	k.result = k.spec.project(k.pw.Result().(*matmul.Matrix))
 	k.done = true
-	return nil, nil
+	return clique.Pass{}, nil
 }
 
 // start validates the session graph and the spec's parameters and
@@ -100,16 +89,7 @@ func (k *powerKernel) start(g *graph.CSR) error {
 		return err
 	}
 	k.pw = matmul.NewPower(a, e)
-	k.pw.SetGatherer(k.gather)
 	return nil
-}
-
-// MaxRoundsHint forwards the in-flight product's round-bound hint.
-func (k *powerKernel) MaxRoundsHint() int {
-	if k.pw == nil {
-		return 0
-	}
-	return k.pw.MaxRoundsHint()
 }
 
 // Result returns the projected power (the spec's result type), nil

@@ -68,9 +68,7 @@ func (k *powerKernel) SnapshotState(w io.Writer) error {
 	cw.Bool(k.done)
 	cw.Bool(k.pw != nil)
 	if k.pw != nil {
-		if err := matmul.WritePower(cw, k.pw); err != nil {
-			return err
-		}
+		matmul.WritePower(cw, k.pw)
 	}
 	cw.SumTrailer()
 	return cw.Err()
@@ -102,7 +100,6 @@ func (k *powerKernel) RestoreState(r io.Reader) error {
 	if pw == nil || done && pw.Result() == nil {
 		return fmt.Errorf("algo: %s state has no power cursor", k.Name())
 	}
-	pw.SetGatherer(k.gather)
 	k.pw, k.done = pw, done
 	if done {
 		k.result = k.spec.project(pw.Result().(*matmul.Matrix))
@@ -129,9 +126,7 @@ func (k *pipelineKernel) SnapshotState(w io.Writer) error {
 	hopset.WriteHopset(cw, k.hs)
 	cw.Bool(k.rx != nil)
 	if k.rx != nil {
-		if err := matmul.WriteRelaxation(cw, k.rx); err != nil {
-			return err
-		}
+		matmul.WriteRelaxation(cw, k.rx)
 	}
 	cw.SumTrailer()
 	return cw.Err()
@@ -167,16 +162,15 @@ func (k *pipelineKernel) RestoreState(r io.Reader) error {
 	if err := cr.Err(); err != nil {
 		return err
 	}
-	var s1 stageKernel
+	var s1 clique.Checkpointable
 	switch {
 	case stage == 1 && k.spec.stage1 != nil && rx == nil:
 		s1 = k.spec.stage1()
-		s1.SetGatherer(k.gather)
 		if err := s1.RestoreState(bytes.NewReader(stage1)); err != nil {
 			return err
 		}
 	case stage == 2 && rx != nil, stage == 3 && rx != nil && rx.Result() != nil:
-		rx.SetGatherer(k.gather)
+		// The relaxation cursor carries all that stages 2 and 3 need.
 	default:
 		return fmt.Errorf("algo: %s state has implausible stage %d", k.Name(), stage)
 	}
@@ -189,12 +183,10 @@ func (k *pipelineKernel) RestoreState(r io.Reader) error {
 
 // SnapshotState serializes the Borůvka state at a phase boundary: the
 // component labels and the forest accumulated so far. The harvest —
-// gathering leader choices and merging components — runs first, so the
-// blob never carries raw per-node pass state.
+// reading the leader choices off the gathered rows and merging
+// components — runs first, so the blob never carries raw pass state.
 func (k *MSTKernel) SnapshotState(w io.Writer) error {
-	if err := k.harvest(); err != nil {
-		return err
-	}
+	k.harvest()
 	cw := ckptio.NewWriter(w)
 	cw.U64(kernelStateVersion)
 	cw.Bool(k.started)
@@ -213,7 +205,7 @@ func (k *MSTKernel) SnapshotState(w io.Writer) error {
 
 // RestoreState loads state written by SnapshotState into a fresh
 // kernel (clique.ErrKernelStarted otherwise). The graph-derived fields
-// (adjacency, packing widths) are rebuilt by the first Nodes call on
+// (adjacency, packing widths) are rebuilt by the first Next call on
 // the restored session, which re-runs start's validation against the
 // session graph.
 func (k *MSTKernel) RestoreState(r io.Reader) error {

@@ -1,7 +1,9 @@
 package algo
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/bits"
 	"reflect"
@@ -74,8 +76,8 @@ func runCluster(t *testing.T, g *graph.CSR, newKernel func() clique.Kernel, tran
 // TestApproxSSSPAcrossTransports runs the paper's headline kernel on a
 // clique sharded across socket-transport ranks and requires the result
 // to be indistinguishable from the in-process run: every rank must
-// hold the complete distance vector (the TransportAware gather at each
-// harvest) bit-identical to the MemTransport reference, and every
+// hold the complete distance vector (the session gathers every pass's
+// rows) bit-identical to the MemTransport reference, and every
 // rank's replay digest chain must match it round for round.
 func TestApproxSSSPAcrossTransports(t *testing.T) {
 	const n = 64
@@ -178,4 +180,65 @@ func TestEarlyStopWithMoreRanksThanNodes(t *testing.T) {
 			t.Errorf("rank %d ran %d passes (in process %d) or diverged in digests or result", rank, got.stats.Runs, want.stats.Runs)
 		}
 	}
+}
+
+// TestEveryKernelAcrossRanks runs every registered kernel on a socket
+// clique — two ranks over 48 vertices, and eight ranks over six, so
+// some ranks execute no node at all — and requires every rank's result,
+// digest chain, passes, rounds and words to equal the in-process run's:
+// each kernel's rows reach every rank at every pass boundary.
+func TestEveryKernelAcrossRanks(t *testing.T) {
+	for _, tc := range []struct {
+		g     *graph.CSR
+		ranks int
+	}{
+		{graph.RandomGNPWeighted(48, 0.15, 16, 9), 2},
+		{graph.RandomGNPWeighted(6, 0.7, 4, 3), 8},
+	} {
+		for _, name := range clique.Kernels() {
+			t.Run(fmt.Sprintf("%s-n%d-r%d", name, tc.g.N, tc.ranks), func(t *testing.T) {
+				newKernel := func() clique.Kernel {
+					k, err := clique.NewKernel(name, tc.g)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return k
+				}
+				want, err := runRank(tc.g, newKernel, nil)
+				if err != nil {
+					t.Fatalf("mem reference: %v", err)
+				}
+				for rank, got := range runCluster(t, tc.g, newKernel, "socket-unix", tc.ranks) {
+					got.stats.Engine.Wall, want.stats.Engine.Wall = 0, 0
+					if got.stats != want.stats {
+						t.Errorf("rank %d ran %d passes, %d rounds, %d words; in process %d, %d, %d", rank,
+							got.stats.Runs, got.stats.Engine.Rounds, got.stats.Engine.TotalMsgs,
+							want.stats.Runs, want.stats.Engine.Rounds, want.stats.Engine.TotalMsgs)
+					}
+					if !reflect.DeepEqual(got.digests, want.digests) {
+						t.Errorf("rank %d digest chain diverges from the in-process run", rank)
+					}
+					if !sameJSON(t, got.result, want.result) {
+						t.Errorf("rank %d result diverges from the in-process run", rank)
+					}
+				}
+			})
+		}
+	}
+}
+
+// sameJSON compares two results by their JSON encodings, as ccbench's
+// result_fnv does: matrix results carry semiring operations, which
+// reflect.DeepEqual never finds equal.
+func sameJSON(t *testing.T, a, b any) bool {
+	t.Helper()
+	ea, err := json.Marshal(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eb, err := json.Marshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Equal(ea, eb)
 }

@@ -175,12 +175,15 @@ type RoundStats struct {
 	Digest uint64
 }
 
-// Stats aggregates an entire run.
+// Stats aggregates an entire run. Its JSON tags are the repository's
+// one stable shape — {"rounds","msgs","bytes","wall_ns"}, the wall clock
+// in integer nanoseconds — shared by ccbench kernel reports and
+// ccserve's /stats responses.
 type Stats struct {
-	Rounds     int
-	TotalMsgs  uint64
-	TotalBytes uint64
-	Wall       time.Duration
+	Rounds     int           `json:"rounds"`
+	TotalMsgs  uint64        `json:"msgs"`
+	TotalBytes uint64        `json:"bytes"`
+	Wall       time.Duration `json:"wall_ns"`
 }
 
 // workerCmd sequences the two parallel phases of a round.
@@ -298,8 +301,9 @@ func New(n int, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// Transport returns the engine's bound transport — the Gatherer
-// kernels use to synchronize harvested results across ranks.
+// Transport returns the engine's bound transport, whose AllGatherRows
+// the clique session uses to synchronize a pass's result rows across
+// ranks.
 func (e *Engine) Transport() Transport { return e.transport }
 
 // Partition returns the contiguous local node range [lo, hi) this
@@ -473,7 +477,7 @@ func (e *Engine) Run(ctx context.Context, nodes []Node) (*Stats, error) {
 
 // RunBounded is Run with a per-run round bound: maxRounds > 0 overrides
 // Options.MaxRounds for this run only (kernels with wide streaming
-// phases raise it via the clique session's MaxRoundsHint protocol);
+// phases raise it through the clique session's Pass.MaxRounds);
 // maxRounds <= 0 keeps the configured value.
 func (e *Engine) RunBounded(ctx context.Context, nodes []Node, maxRounds int) (*Stats, error) {
 	stats := &Stats{}

@@ -40,28 +40,14 @@ import (
 	"github.com/paper-repo-growth/doryp20/internal/core"
 )
 
-// Gatherer is the result-synchronization face of a Transport: kernels
-// that harvest row-major per-node state call AllGatherRows at pass
-// boundaries so every rank holds the complete result. The clique
-// session injects the session's transport into kernels implementing
-// clique.TransportAware.
-type Gatherer interface {
-	// AllGatherRows synchronizes flat, a row-major slab of n rows of
-	// rowLen int64 words each (len(flat) == n*rowLen): each rank
-	// contributes rows [lo, hi) of its Partition and receives every
-	// other rank's rows in place. Deterministic and synchronous: every
-	// rank must call it the same number of times with the same shape.
-	AllGatherRows(flat []int64, rowLen int) error
-}
-
 // Transport moves one round's messages between the node shards of one
 // logical clique. Implementations must be driven by exactly one engine
-// (Bind pairs them); all methods are called from the engine's run loop,
-// never concurrently. See the package comment of this file for the
+// (Bind pairs them); its methods are never called concurrently: the
+// engine's run loop drives Exchange and Abort, and the clique session
+// calls AllGatherRows between runs. See the package comment of this file for the
 // full contract and transportconformance_test.go for its executable
 // form.
 type Transport interface {
-	Gatherer
 	// Name identifies the transport ("mem", "socket-tcp", ...).
 	Name() string
 	// Partition returns the local node range [lo, hi) for a clique of
@@ -76,6 +62,12 @@ type Transport interface {
 	// transports). On error the round is broken and the engine run
 	// fails; the engine then calls Abort.
 	Exchange(r core.Round, localMsgs uint64) (uint64, error)
+	// AllGatherRows synchronizes flat, a row-major slab of n rows of
+	// rowLen int64 words each (len(flat) == n*rowLen): each rank
+	// contributes rows [lo, hi) of its Partition and receives every
+	// other rank's rows in place. Deterministic and synchronous: every
+	// rank must call it the same number of times with the same shape.
+	AllGatherRows(flat []int64, rowLen int) error
 	// Abort tears down the current exchange after a local engine error
 	// (handler error, context cancellation, hook panic) so peers fail
 	// loudly instead of deadlocking. Idempotent; a no-op for

@@ -359,14 +359,14 @@ func (n *panicRoundNode) Round(ctx *engine.Ctx, r core.Round, inbox []Message) e
 type Message = engine.Message
 
 // panicKernel is an unregistered kernel whose node handlers panic
-// (mode "handler") or whose Nodes call panics (mode "nodes").
+// (mode "handler") or whose Next call panics (mode "nodes").
 type panicKernel struct{ mode string }
 
 // Name identifies the kernel in the error.
 func (k *panicKernel) Name() string { return "panicky" }
 
-// Nodes panics in mode "nodes", otherwise returns panicking handlers.
-func (k *panicKernel) Nodes(g *graph.CSR) ([]engine.Node, error) {
+// Next panics in mode "nodes", otherwise returns panicking handlers.
+func (k *panicKernel) Next(g *graph.CSR) (clique.Pass, error) {
 	if k.mode == "nodes" {
 		panic("factory bug")
 	}
@@ -374,7 +374,7 @@ func (k *panicKernel) Nodes(g *graph.CSR) ([]engine.Node, error) {
 	for i := range nodes {
 		nodes[i] = &panicRoundNode{id: core.NodeID(i), n: core.NodeID(g.N), at: 2}
 	}
-	return nodes, nil
+	return clique.Pass{Nodes: nodes}, nil
 }
 
 // Result is never reached.

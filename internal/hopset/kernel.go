@@ -5,7 +5,6 @@ import (
 
 	"github.com/paper-repo-growth/doryp20/clique"
 	"github.com/paper-repo-growth/doryp20/internal/core"
-	"github.com/paper-repo-growth/doryp20/internal/engine"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
 	"github.com/paper-repo-growth/doryp20/internal/matmul"
 )
@@ -34,26 +33,15 @@ import (
 type ConstructKernel struct {
 	params Params
 
-	stage  int // 0: unstarted, 1: products, 2: done
-	hubs   []core.NodeID
-	rx     *matmul.Relaxation
-	hs     *Hopset
-	gather engine.Gatherer
-}
-
-// SetGatherer injects the session transport's all-gather so every
-// product harvest assembles the full hub distance columns on every
-// rank (clique TransportAware hook).
-func (k *ConstructKernel) SetGatherer(g engine.Gatherer) {
-	k.gather = g
-	if k.rx != nil {
-		k.rx.SetGatherer(g)
-	}
+	stage int // 0: unstarted, 1: products, 2: done
+	hubs  []core.NodeID
+	rx    *matmul.Relaxation
+	hs    *Hopset
 }
 
 // NewConstructKernel returns a hopset construction kernel with the
 // given parameters (zero-value fields select the defaults; see
-// Params). Validation happens at the first Nodes call, surfacing
+// Params). Validation happens at the first Next call, surfacing
 // through Session.Run.
 func NewConstructKernel(p Params) *ConstructKernel {
 	return &ConstructKernel{params: p}
@@ -62,25 +50,25 @@ func NewConstructKernel(p Params) *ConstructKernel {
 // Name identifies the kernel.
 func (k *ConstructKernel) Name() string { return "hopset" }
 
-// Nodes starts the construction on the first call, then returns one
+// Next starts the construction on the first call, then returns one
 // limited-hop product pass per call until β products have run or one
 // changed nothing, and finally harvests the shortcut matrix.
-func (k *ConstructKernel) Nodes(g *graph.CSR) ([]engine.Node, error) {
+func (k *ConstructKernel) Next(g *graph.CSR) (clique.Pass, error) {
 	if k.stage == 0 {
 		if err := k.start(g); err != nil {
-			return nil, err
+			return clique.Pass{}, err
 		}
 	}
 	if k.stage == 1 {
-		nodes, err := k.rx.Nodes(g)
-		if err != nil || nodes != nil {
-			return nodes, err
+		pass, err := k.rx.Next(g)
+		if err != nil || pass.Nodes != nil {
+			return pass, err
 		}
 		if err := k.finish(); err != nil {
-			return nil, err
+			return clique.Pass{}, err
 		}
 	}
-	return nil, nil
+	return clique.Pass{}, nil
 }
 
 // finish assembles the hopset from the final hub distance columns. The
@@ -122,19 +110,8 @@ func (k *ConstructKernel) start(g *graph.CSR) error {
 		products = 0
 	}
 	k.rx = matmul.NewRelaxation(base, matmul.Indicator(g.N, k.hubs, core.MinPlus()), products)
-	k.rx.SetGatherer(k.gather)
 	k.stage = 1
 	return nil
-}
-
-// MaxRoundsHint forwards the in-flight product's round-bound hint —
-// essential here, because a hub-distance column matrix with K hubs
-// packs up to K words per row.
-func (k *ConstructKernel) MaxRoundsHint() int {
-	if k.rx == nil {
-		return 0
-	}
-	return k.rx.MaxRoundsHint()
 }
 
 // Result returns the constructed hopset (*Hopset), nil before

@@ -3,7 +3,6 @@ package matmul
 import (
 	"github.com/paper-repo-growth/doryp20/clique"
 	"github.com/paper-repo-growth/doryp20/internal/core"
-	"github.com/paper-repo-growth/doryp20/internal/engine"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
 )
 
@@ -59,8 +58,7 @@ type Power struct {
 	passIsSquare bool
 	// phase 0: the current exponent bit's multiply step is pending;
 	// phase 1: it is done and the squaring step is pending.
-	phase  int
-	gather engine.Gatherer
+	phase int
 }
 
 // NewPower prepares A^e as a session kernel. Operand validation happens
@@ -70,21 +68,13 @@ func NewPower(a *Matrix, e int) *Power { return &Power{e: e, base: a} }
 // Name identifies the kernel.
 func (p *Power) Name() string { return "matmul-power" }
 
-// SetGatherer injects the session transport's all-gather so every
-// product's harvest assembles the full matrix on every rank (clique
-// TransportAware hook).
-func (p *Power) SetGatherer(g engine.Gatherer) { p.gather = g }
-
-// harvest folds the completed in-flight pass (if any) back into the
-// square-and-multiply state, gathering the product across transport
-// ranks first. Idempotent, so checkpointing can force it at a pass
-// boundary before the next Nodes call would.
-func (p *Power) harvest() error {
+// harvest folds the completed in-flight pass (if any), its rows
+// gathered by the session, back into the square-and-multiply state.
+// Idempotent, so checkpointing can force it at a pass boundary before
+// the next Next call would.
+func (p *Power) harvest() {
 	if p.pass == nil {
-		return nil
-	}
-	if err := p.pass.Gather(); err != nil {
-		return err
+		return
 	}
 	m := p.pass.Sparse()
 	if p.passIsSquare {
@@ -100,15 +90,12 @@ func (p *Power) harvest() error {
 		p.result = m
 	}
 	p.pass = nil
-	return nil
 }
 
-// Nodes harvests the pass returned by the previous call (if any) and
-// returns the next product pass, or nil once A^e is fully computed.
-func (p *Power) Nodes(*graph.CSR) ([]engine.Node, error) {
-	if err := p.harvest(); err != nil {
-		return nil, err
-	}
+// Next harvests the pass returned by the previous call (if any) and
+// returns the next product pass, or none once A^e is fully computed.
+func (p *Power) Next(*graph.CSR) (clique.Pass, error) {
+	p.harvest()
 	for p.e > 0 {
 		if p.phase == 0 {
 			p.phase = 1
@@ -127,14 +114,14 @@ func (p *Power) Nodes(*graph.CSR) ([]engine.Node, error) {
 		}
 		p.e = 0
 	}
-	return nil, nil
+	return clique.Pass{}, nil
 }
 
 // product starts the engine pass left ⊗ base: the squaring step when
 // left is base itself (p.e already holds the exponent left after it),
 // semi-naive once prev is known, the multiply step into result
 // otherwise.
-func (p *Power) product(left *Matrix, square bool) ([]engine.Node, error) {
+func (p *Power) product(left *Matrix, square bool) (clique.Pass, error) {
 	var pass *Pass
 	var err error
 	if square && p.prev != nil {
@@ -143,22 +130,19 @@ func (p *Power) product(left *Matrix, square bool) ([]engine.Node, error) {
 		pass, err = NewPass(left, p.base, false)
 	}
 	if err != nil {
-		return nil, err
+		return clique.Pass{}, err
 	}
-	pass.gather = p.gather
 	p.pass, p.passIsSquare = pass, square
 	if square && p.e > 1 {
 		pass.vote(askedRows(left))
 	}
-	return pass.Nodes(), nil
+	return pass.session(), nil
 }
 
-// MaxRoundsHint forwards the in-flight product's round-bound hint.
-func (p *Power) MaxRoundsHint() int {
-	if p.pass == nil {
-		return 0
-	}
-	return p.pass.MaxRoundsHint()
+// session is the pass as a clique session runs it: its nodes, its
+// round bound, and its accumulator slab as the rows to all-gather.
+func (p *Pass) session() clique.Pass {
+	return clique.Pass{Nodes: p.nodes, MaxRounds: p.MaxRoundsHint(), Rows: p.flat, RowLen: p.cols}
 }
 
 // Result returns A^e (*Matrix), nil before completion. e = 0 yields the
@@ -213,7 +197,6 @@ type Relaxation struct {
 	// remaining bounds the products still to run; a product that changes
 	// nothing zeroes it.
 	remaining int
-	gather    engine.Gatherer
 }
 
 // NewRelaxation prepares at most `products` relaxation products of s
@@ -248,21 +231,13 @@ func Indicator(n int, sources []core.NodeID, sr core.Semiring) *Dense {
 // Name identifies the kernel.
 func (r *Relaxation) Name() string { return "matmul-relax" }
 
-// SetGatherer injects the session transport's all-gather so every
-// product's harvest assembles the full columns on every rank (clique
-// TransportAware hook).
-func (r *Relaxation) SetGatherer(g engine.Gatherer) { r.gather = g }
-
-// harvest folds the completed in-flight product (if any) into the
-// columns, gathering it across transport ranks first. Idempotent, so
-// checkpointing can force it at a pass boundary before the next Nodes
+// harvest folds the completed in-flight product (if any), its rows
+// gathered by the session, into the columns. Idempotent, so
+// checkpointing can force it at a pass boundary before the next Next
 // call would.
-func (r *Relaxation) harvest() error {
+func (r *Relaxation) harvest() {
 	if r.pass == nil {
-		return nil
-	}
-	if err := r.pass.Gather(); err != nil {
-		return err
+		return
 	}
 	if r.reflexive {
 		r.prev = r.b
@@ -279,23 +254,19 @@ func (r *Relaxation) harvest() error {
 		r.remaining = 0
 	}
 	r.pass = nil
-	return nil
 }
 
-// Nodes harvests the pass returned by the previous call (if any) and
-// returns the next relaxation pass, or nil once the columns are final.
-func (r *Relaxation) Nodes(*graph.CSR) ([]engine.Node, error) {
-	if err := r.harvest(); err != nil {
-		return nil, err
-	}
+// Next harvests the pass returned by the previous call (if any) and
+// returns the next relaxation pass, or none once the columns are final.
+func (r *Relaxation) Next(*graph.CSR) (clique.Pass, error) {
+	r.harvest()
 	if r.remaining <= 0 {
-		return nil, nil
+		return clique.Pass{}, nil
 	}
 	pass, err := newDensePass(r.s, r.b, r.prev, false)
 	if err != nil {
-		return nil, err
+		return clique.Pass{}, err
 	}
-	pass.gather = r.gather
 	if r.reqs != nil {
 		for v := range pass.state {
 			pass.state[v].reqs, pass.state[v].heard = r.reqs[v], true
@@ -308,16 +279,7 @@ func (r *Relaxation) Nodes(*graph.CSR) ([]engine.Node, error) {
 		pass.vote(r.asked)
 	}
 	r.pass = pass
-	return pass.Nodes(), nil
-}
-
-// MaxRoundsHint forwards the in-flight product's round-bound hint —
-// essential for columns wider than the engine's n-scaled default.
-func (r *Relaxation) MaxRoundsHint() int {
-	if r.pass == nil {
-		return 0
-	}
-	return r.pass.MaxRoundsHint()
+	return pass.session(), nil
 }
 
 // Result returns the final columns (*Dense), nil before completion.

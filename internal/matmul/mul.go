@@ -571,10 +571,11 @@ func (vt *voter) differs(acc []int64, zero int64) bool {
 
 // Pass is one validated, packed distributed product C = A ⊗ B prepared
 // as a single engine pass: n mulNodes, node v holding row v of both
-// operands and accumulating row v of C. Power and Relaxation hand a
-// Pass's Nodes to a clique session and harvest the result with Sparse or
-// Dense after the pass quiesces, chaining one Pass per product on one
-// warm session.
+// operands and accumulating row v of C into its accumulator slab.
+// Power and Relaxation hand a Pass to a clique session — its nodes, its
+// MaxRoundsHint and the slab as the rows to gather — and harvest the
+// result with Sparse or Dense after the pass quiesces, chaining one Pass
+// per product on one warm session.
 type Pass struct {
 	n, cols int
 	sr      core.Semiring
@@ -588,33 +589,13 @@ type Pass struct {
 	bSparse *Matrix
 	bDense  *Dense
 	voters  []voter
-
-	// gather synchronizes the accumulator slab across transport ranks
-	// at harvest time: the product loop (Power, Relaxation) passes on
-	// the transport the clique session injected through its
-	// TransportAware hook; nil for purely local runs. gathered makes
-	// Gather idempotent across the repeated harvest calls the loops
-	// make.
-	gather   engine.Gatherer
-	gathered bool
 }
 
-// Gather synchronizes the accumulated result slab across all ranks of
-// the session's transport — each rank contributes the rows of the
-// nodes it executed. It must run after the pass's engine run quiesced
-// and before Sparse or Dense; calling it again is a no-op.
-func (p *Pass) Gather() error {
-	if p.gathered {
-		return nil
-	}
-	if p.gather != nil && len(p.flat) > 0 {
-		if err := p.gather.AllGatherRows(p.flat, p.cols); err != nil {
-			return err
-		}
-	}
-	p.gathered = true
-	return nil
-}
+// Gather does nothing and returns nil. A pass run on a bare engine
+// holds every row already; a pass run by a clique session (through
+// Power or Relaxation) has its accumulator slab all-gathered by the
+// session, which receives it as the clique.Pass Rows.
+func (p *Pass) Gather() error { return nil }
 
 // NewPass validates and packs the sparse product A ⊗ B. unpaced selects
 // a budget-violating mode in which each responder pushes its entire row
@@ -853,7 +834,7 @@ func requesters(a *Matrix) [][]core.NodeID {
 // node but node 0 hears node 0's verdict and node 0 knows its own, so
 // every rank of a multi-process clique reads the same answer off its
 // own nodes. A pass not asked to vote reports true. Call it only after
-// the pass has quiesced and Gather has run.
+// the pass has quiesced and its rows have been gathered.
 func (p *Pass) changed() bool {
 	if p.voters == nil {
 		return true

@@ -67,18 +67,19 @@ type requestCounter struct {
 	requests []*atomic.Int64
 }
 
-func (c *requestCounter) Nodes(g *graph.CSR) ([]engine.Node, error) {
-	nodes, err := c.Relaxation.Nodes(g)
-	if err != nil || nodes == nil {
-		return nodes, err
+func (c *requestCounter) Next(g *graph.CSR) (clique.Pass, error) {
+	pass, err := c.Relaxation.Next(g)
+	if err != nil || pass.Nodes == nil {
+		return pass, err
 	}
 	count := new(atomic.Int64)
 	c.requests = append(c.requests, count)
-	wrapped := make([]engine.Node, len(nodes))
-	for v, nd := range nodes {
+	wrapped := make([]engine.Node, len(pass.Nodes))
+	for v, nd := range pass.Nodes {
 		wrapped[v] = &zeroCounter{Node: nd, count: count}
 	}
-	return wrapped, nil
+	pass.Nodes = wrapped
+	return pass, nil
 }
 
 // zeroCounter adds the zero-payload words of every inbox to count.

@@ -12,6 +12,7 @@ package matmul
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/paper-repo-growth/doryp20/internal/ckptio"
 	"github.com/paper-repo-growth/doryp20/internal/core"
@@ -101,7 +102,7 @@ func ReadDense(r *ckptio.Reader) (*Dense, error) {
 		return nil, err
 	}
 	d.Sr = sr
-	if d.N < 0 || d.K < 0 || len(d.Vals) != d.N*d.K {
+	if d.N < 0 || d.K < 0 || d.K > 0 && d.N > math.MaxInt/d.K || len(d.Vals) != d.N*d.K {
 		return nil, fmt.Errorf("matmul: corrupt serialized dense matrix: %d values for shape %d x %d", len(d.Vals), d.N, d.K)
 	}
 	if d.Vals == nil {
@@ -113,16 +114,13 @@ func ReadDense(r *ckptio.Reader) (*Dense, error) {
 // WritePower harvests p's in-flight product, if any, and encodes its
 // square-and-multiply cursor: e, phase, base, result, and the operand of
 // the last squaring (nil allowed).
-func WritePower(w *ckptio.Writer, p *Power) error {
-	if err := p.harvest(); err != nil {
-		return err
-	}
+func WritePower(w *ckptio.Writer, p *Power) {
+	p.harvest()
 	w.I64(int64(p.e))
 	w.I64(int64(p.phase))
 	WriteMatrix(w, p.base)
 	WriteMatrix(w, p.result)
 	WriteMatrix(w, p.prev)
-	return nil
 }
 
 // ReadPower decodes a cursor written by WritePower into a Power that
@@ -173,15 +171,12 @@ func ReadPower(r *ckptio.Reader, withPrev bool) (*Power, error) {
 // WriteRelaxation harvests x's in-flight product, if any, and encodes
 // its cursor: S, B, remaining, and the B before the last product (nil
 // allowed).
-func WriteRelaxation(w *ckptio.Writer, x *Relaxation) error {
-	if err := x.harvest(); err != nil {
-		return err
-	}
+func WriteRelaxation(w *ckptio.Writer, x *Relaxation) {
+	x.harvest()
 	WriteMatrix(w, x.s)
 	WriteDense(w, x.b)
 	w.I64(int64(x.remaining))
 	WriteDense(w, x.prev)
-	return nil
 }
 
 // ReadRelaxation decodes a cursor written by WriteRelaxation into a

@@ -109,6 +109,33 @@ func TestCorruptMatrixRejected(t *testing.T) {
 	}
 }
 
+// TestCorruptDenseRejected: a dense blob whose declared N x K shape
+// overflows int — so the product wraps to the length of its value slab
+// — fails on read rather than producing a matrix whose next product
+// cannot allocate.
+func TestCorruptDenseRejected(t *testing.T) {
+	encode := func(n, k int64) []byte {
+		var buf bytes.Buffer
+		w := ckptio.NewWriter(&buf)
+		w.Bool(true)
+		w.I64(n)
+		w.I64(k)
+		w.String("minplus")
+		w.I64s(nil)
+		return buf.Bytes()
+	}
+	for name, data := range map[string][]byte{
+		"4 x 2^62":    encode(4, 1<<62),
+		"2^62 x 4":    encode(1<<62, 4),
+		"2^32 x 2^32": encode(1<<32, 1<<32),
+		"negative K":  encode(2, -1),
+	} {
+		if _, err := ReadDense(ckptio.NewReader(bytes.NewReader(data))); err == nil {
+			t.Errorf("%s decoded without error", name)
+		}
+	}
+}
+
 // TestUnknownSemiringRejected: a checkpoint naming a semiring this
 // build does not know fails with a descriptive error.
 func TestUnknownSemiringRejected(t *testing.T) {
@@ -145,9 +172,7 @@ func TestPowerCursorRoundTrip(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	w := ckptio.NewWriter(&buf)
-	if err := WritePower(w, &Power{e: 4, phase: 1, base: x, result: base, prev: base}); err != nil {
-		t.Fatal(err)
-	}
+	WritePower(w, &Power{e: 4, phase: 1, base: x, result: base, prev: base})
 	p, err := ReadPower(ckptio.NewReader(bytes.NewReader(buf.Bytes())), true)
 	if err != nil {
 		t.Fatal(err)

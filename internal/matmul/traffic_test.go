@@ -294,10 +294,10 @@ type modelled struct {
 	semi int // semi-naive squarings among the passes
 }
 
-func (m *modelled) Nodes(g *graph.CSR) ([]engine.Node, error) {
-	nodes, err := m.Power.Nodes(g)
+func (m *modelled) Next(g *graph.CSR) (clique.Pass, error) {
+	pass, err := m.Power.Next(g)
 	if m.pass == nil {
-		return nodes, err
+		return pass, err
 	}
 	if m.passIsSquare && m.prev != nil {
 		m.semi++
@@ -306,7 +306,7 @@ func (m *modelled) Nodes(g *graph.CSR) ([]engine.Node, error) {
 		}
 	}
 	m.want = append(m.want, predictPower(m.t, m.Power, m.cap))
-	return nodes, err
+	return pass, err
 }
 
 // trafficHook returns a round hook that adds up each pass's rounds and
@@ -373,19 +373,13 @@ func TestPowerTrafficModel(t *testing.T) {
 	}
 }
 
-// hintedKernel is a registered kernel that sizes its own round bound.
-type hintedKernel interface {
-	clique.Kernel
-	clique.MaxRoundsHinter
-}
-
 // loopModel drives a registered kernel whose passes are all Power and
 // Relaxation products and, as each pass starts, records what the model
 // says it will cost. The model tracks each Relaxation itself: every
 // product after its first is heard, and over a reflexive S streams only
 // what changed since the B it saw last.
 type loopModel struct {
-	hintedKernel
+	clique.Kernel
 	t     *testing.T
 	cap   int
 	want  []passTraffic
@@ -393,12 +387,15 @@ type loopModel struct {
 	later int                    // Relaxation products after the first
 }
 
-func (m *loopModel) Nodes(g *graph.CSR) ([]engine.Node, error) {
-	nodes, err := m.hintedKernel.Nodes(g)
-	if err != nil || nodes == nil {
-		return nodes, err
+func (m *loopModel) Next(g *graph.CSR) (clique.Pass, error) {
+	pass, err := m.Kernel.Next(g)
+	if err != nil || pass.Nodes == nil {
+		return pass, err
 	}
-	switch loop := inFlight(reflect.ValueOf(m.hintedKernel), map[uintptr]bool{}).(type) {
+	if pass.MaxRounds == 0 {
+		return pass, fmt.Errorf("pass %d sizes no round bound", len(m.want))
+	}
+	switch loop := inFlight(reflect.ValueOf(m.Kernel), map[uintptr]bool{}).(type) {
 	case *Power:
 		m.want = append(m.want, predictPower(m.t, loop, m.cap))
 	case *Relaxation:
@@ -412,9 +409,9 @@ func (m *loopModel) Nodes(g *graph.CSR) ([]engine.Node, error) {
 		m.lastB[loop] = loop.b
 		m.want = append(m.want, relaxTraffic(m.t, loop.s, loop.b, prev, heard, m.cap, loop.pass.voters != nil))
 	default:
-		return nil, fmt.Errorf("pass %d is neither a Power nor a Relaxation product", len(m.want))
+		return pass, fmt.Errorf("pass %d is neither a Power nor a Relaxation product", len(m.want))
 	}
-	return nodes, nil
+	return pass, nil
 }
 
 // inFlight returns the Power or Relaxation reachable from v whose
@@ -470,12 +467,8 @@ func TestKernelTrafficModel(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				hk, ok := k.(hintedKernel)
-				if !ok {
-					t.Fatalf("%s sizes no round bound", name)
-				}
 				var got []passTraffic
-				m := &loopModel{hintedKernel: hk, t: t, cap: cap, lastB: map[*Relaxation]*Dense{}}
+				m := &loopModel{Kernel: k, t: t, cap: cap, lastB: map[*Relaxation]*Dense{}}
 				s, err := clique.New(g, capBudget(cap), trafficHook(&got))
 				if err != nil {
 					t.Fatal(err)

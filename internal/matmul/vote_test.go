@@ -286,15 +286,15 @@ func TestVoteWithoutAnyRequest(t *testing.T) {
 // the same products, bare.
 type unvoted struct{ *Power }
 
-func (u unvoted) Nodes(g *graph.CSR) ([]engine.Node, error) {
-	nodes, err := u.Power.Nodes(g)
+func (u unvoted) Next(g *graph.CSR) (clique.Pass, error) {
+	pass, err := u.Power.Next(g)
 	if u.pass != nil {
 		u.pass.voters = nil
 		for v := range u.pass.state {
 			u.pass.state[v].vote = nil
 		}
 	}
-	return nodes, err
+	return pass, err
 }
 
 // TestVotesAreBilledToTheSession: what a power's votes cost shows in

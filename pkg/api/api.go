@@ -125,7 +125,7 @@ type ReachableResponse struct {
 
 // GraphStats pairs a loaded graph with its serving session's
 // cumulative accounting, in the repository's one stable Stats
-// encoding (clique.Stats.MarshalJSON).
+// encoding (the JSON tags of clique.Stats).
 type GraphStats struct {
 	GraphInfo
 	Stats clique.Stats `json:"stats"`
