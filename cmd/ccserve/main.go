@@ -76,6 +76,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *workers < 0 {
+		return fmt.Errorf("-workers %d is negative", *workers)
+	}
 
 	srv := server.New(server.Options{
 		Workers:        *workers,

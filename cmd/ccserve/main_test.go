@@ -147,9 +147,21 @@ func TestUnfinishedHeadersDisconnected(t *testing.T) {
 
 // TestRunBadFlags checks flag errors surface instead of serving.
 func TestRunBadFlags(t *testing.T) {
-	err := run(context.Background(), []string{"-addr"}, io.Discard)
-	if err == nil {
-		t.Fatal("run accepted a flag missing its value")
+	// Under a cancelled context a run that wrongly accepts its flags
+	// binds, drains at once and returns nil rather than serving on.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, args := range [][]string{
+		{"-addr"},
+		{"-addr", "127.0.0.1:0", "-workers", "-1"},
+	} {
+		var out bytes.Buffer
+		if err := run(ctx, args, &out); err == nil {
+			t.Errorf("run %q accepted bad flags", args)
+		}
+		if strings.Contains(out.String(), "listening") {
+			t.Errorf("run %q bound a listener before rejecting its flags: %q", args, out.String())
+		}
 	}
 }
 

@@ -64,7 +64,7 @@ func TestSpecialisedAccumulateMatchesGeneric(t *testing.T) {
 					vs = append(vs, row[j])
 				}
 			}
-			wf, err := newWireFormat(cols, row, sr, "row")
+			wf, err := newWireFormat(cols, row, sr)
 			if err != nil {
 				t.Fatalf("%s idxBits=%d width=%d lo=%d: %v", sr.Name, idxBits, width, lo, err)
 			}
@@ -138,7 +138,7 @@ func BenchmarkAccumulate(b *testing.B) {
 				m.Vals[i] = 1 + rng.Int63n(1000)
 			}
 		}
-		wf, err := newWireFormat(cols, m.Vals, sr, "row")
+		wf, err := newWireFormat(cols, m.Vals, sr)
 		if err != nil {
 			b.Fatal(err)
 		}

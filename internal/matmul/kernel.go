@@ -40,8 +40,10 @@ import (
 //
 //	X ⊗ X = X ⊕ X ⊗ Δ.
 //
-// Each node v starts from X[v] and asks every k with X[v][k] set for
-// Δ[k] alone, multiplying it by its own X[v][k]; no node ever needs
+// That is the shape of a Relaxation's later product with S = B = X and
+// the B before it P, and the same constructor builds it (newPass): each
+// node v starts from X[v] and asks every k with X[v][k] set for Δ[k]
+// alone, multiplying it by its own X[v][k]; no node ever needs
 // another's whole row. So a squaring pays, in words and in rounds, for
 // what changed in the one before rather than for the width of X, and
 // the squaring that confirms the fixpoint costs little more than its
@@ -122,13 +124,11 @@ func (p *Power) Next(*graph.CSR) (clique.Pass, error) {
 // semi-naive once prev is known, the multiply step into result
 // otherwise.
 func (p *Power) product(left *Matrix, square bool) (clique.Pass, error) {
-	var pass *Pass
-	var err error
+	var prev *Dense
 	if square && p.prev != nil {
-		pass, err = newSquarePass(p.base, p.prev)
-	} else {
-		pass, err = NewPass(left, p.base, false)
+		prev = dense(p.prev)
 	}
+	pass, err := newPass(left, dense(p.base), prev, false)
 	if err != nil {
 		return clique.Pass{}, err
 	}
@@ -171,7 +171,7 @@ func (p *Power) Result() any {
 // adjacency, an augmented S and A^h of a reflexive adjacency all do —
 // each product after the first streams only the entries of B that the
 // product before changed, and each node's accumulator starts from its
-// own row of B (newDensePass says why that is exact). The traffic then
+// own row of B (newPass says why that is exact). The traffic then
 // follows what is still unsettled rather than the width of the columns.
 // Any other S streams whole rows every product.
 //
@@ -263,7 +263,7 @@ func (r *Relaxation) Next(*graph.CSR) (clique.Pass, error) {
 	if r.remaining <= 0 {
 		return clique.Pass{}, nil
 	}
-	pass, err := newDensePass(r.s, r.b, r.prev, false)
+	pass, err := newPass(r.s, r.b, r.prev, false)
 	if err != nil {
 		return clique.Pass{}, err
 	}

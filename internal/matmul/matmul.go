@@ -20,10 +20,13 @@
 //
 // Every multiplying kernel drives one of two product loops, both clique
 // session kernels (kernel.go): Power computes A^e by square-and-multiply,
-// every squaring after the first sending each requester only the part
-// of a row it lacks, and Relaxation iterates B ← S ⊗ B from Indicator columns, asking for
-// rows only in its first product. Each stops at the first product that
-// changes nothing, and only they decide which products vote on that. On top of them, internal/algo builds APSP by
+// and Relaxation iterates B ← S ⊗ B from Indicator columns, asking for
+// rows only in its first product. One constructor builds every product
+// of both: a later Relaxation product and every squaring after the
+// first stream only Δ, the entries the product before changed, onto
+// accumulators that start from the node's own row. Each loop stops at
+// the first product that changes nothing, and only the loops decide
+// which products vote on that. On top of them, internal/algo builds APSP by
 // repeated squaring, hop-limited distances and stage 2 of its
 // pipelines, and internal/hopset the paper's hopset construction.
 package matmul
@@ -226,6 +229,19 @@ func NewDense(n, k int, sr core.Semiring) *Dense {
 	if sr.Zero != 0 {
 		for i := range d.Vals {
 			d.Vals[i] = sr.Zero
+		}
+	}
+	return d
+}
+
+// dense returns m as an n x n Dense, Zero where m stores no entry.
+func dense(m *Matrix) *Dense {
+	d := NewDense(m.N, m.N, m.Sr)
+	for v := 0; v < m.N; v++ {
+		cols, vals := m.Row(core.NodeID(v))
+		row := d.Row(core.NodeID(v))
+		for i, j := range cols {
+			row[j] = vals[i]
 		}
 	}
 	return d

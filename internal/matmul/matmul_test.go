@@ -231,7 +231,7 @@ func TestWireFormatRoundTrip(t *testing.T) {
 	sr := core.MinPlus()
 	const lo, hi = 3, 1<<40 + 3
 	for _, cols := range []int{1, 2, 7, 64, 1000} {
-		wf, err := newWireFormat(cols, []int64{lo, hi}, sr, "matrix")
+		wf, err := newWireFormat(cols, []int64{lo, hi}, sr)
 		if err != nil {
 			t.Fatalf("cols=%d: %v", cols, err)
 		}
@@ -263,24 +263,24 @@ func TestCheckPackableRejectsOversized(t *testing.T) {
 	const widest = int64(1)<<55 - 3 // 256 columns: 8 index bits leave a 55-bit field
 	// The field is offset-coded, so what must fit is the range, not the
 	// magnitude: One (0) has its own code and sits outside the range.
-	wf, err := newWireFormat(256, []int64{0, 5, 5 + widest}, sr, "matrix")
+	wf, err := newWireFormat(256, []int64{0, 5, 5 + widest}, sr)
 	if err != nil {
 		t.Fatalf("in-range values rejected: %v", err)
 	}
 	if wf.idxBits+wf.width != 63 {
 		t.Fatalf("widest legal range uses %d+%d bits, want all 63", wf.idxBits, wf.width)
 	}
-	if _, err := newWireFormat(256, []int64{1 << 60}, sr, "matrix"); err != nil {
+	if _, err := newWireFormat(256, []int64{1 << 60}, sr); err != nil {
 		t.Fatalf("lone large value rejected: %v", err)
 	}
-	if _, err := newWireFormat(256, []int64{5, 5 + widest + 1}, sr, "matrix"); err == nil {
+	if _, err := newWireFormat(256, []int64{5, 5 + widest + 1}, sr); err == nil {
 		t.Fatal("oversized value range accepted")
 	}
-	if _, err := newWireFormat(256, []int64{-3}, sr, "matrix"); err == nil {
+	if _, err := newWireFormat(256, []int64{-3}, sr); err == nil {
 		t.Fatal("negative value accepted")
 	}
 	// Semiring Zero is exempt: it is never transmitted.
-	if _, err := newWireFormat(256, []int64{1, core.InfWeight}, sr, "matrix"); err != nil {
+	if _, err := newWireFormat(256, []int64{1, core.InfWeight}, sr); err != nil {
 		t.Fatalf("Zero sentinel rejected: %v", err)
 	}
 }

@@ -17,7 +17,7 @@ import (
 //	v - min + 2  any other non-Zero value v
 //
 // where min (and max, which fixes the field width) range over the
-// non-Zero, non-One values of the B operand; Zero is never sent.
+// non-One values the product sends of its B operand; Zero is never sent.
 // Reserving a code for One keeps an extreme identity (MaxMin's
 // One = 2^40 on every reflexive diagonal) from widening the field, and
 // makes the boolean semiring the 1-bit-field case instead of a special
@@ -30,8 +30,9 @@ import (
 // A sparse word carries 63/(idxBits+width) (col, field) entries; a
 // positional word carries (63-idxBits)/width fields for the consecutive
 // columns start, start+1, ... Unused high slots are 0. wireFormat
-// holds the split for one product; it is derived from the B operand
-// alone, so every rank and every crash-resume rebuilds identical words.
+// holds the split for one product; it is derived from the values the
+// product sends alone, so every rank and every crash-resume rebuilds
+// identical words.
 type wireFormat struct {
 	idxBits, width uint
 	idxMask, fMask uint64
@@ -47,8 +48,8 @@ type wireFormat struct {
 // posFlag marks a positionally encoded word.
 const posFlag = uint64(1) << 63
 
-// valueRange is the span of the values a B operand sends that need a
-// field code of their own: every non-Zero value but One.
+// valueRange is the span of the values a product sends that need a
+// field code of their own: every sent value but One.
 type valueRange struct {
 	lo, hi int64
 	ranged bool
@@ -63,25 +64,12 @@ func (rg *valueRange) add(v int64) {
 	rg.lo, rg.hi = min(rg.lo, v), max(rg.hi, v)
 }
 
-// newWireFormat derives the format for a B operand with the given
-// column count from its values (Zero entries are exempt: they are never
-// transmitted).
-func newWireFormat(cols int, vals []int64, sr core.Semiring, what string) (*wireFormat, error) {
-	var rg valueRange
-	for _, v := range vals {
-		if v != sr.Zero && v != sr.One {
-			rg.add(v)
-		}
-	}
-	return rg.format(cols, sr, what)
-}
-
 // format derives the wire format for the values in rg. It rejects
 // negative values and value ranges whose field does not fit beside the
 // column index, before any round runs.
-func (rg valueRange) format(cols int, sr core.Semiring, what string) (*wireFormat, error) {
+func (rg valueRange) format(cols int, sr core.Semiring) (*wireFormat, error) {
 	if rg.lo < 0 {
-		return nil, fmt.Errorf("matmul: %s value %d is negative; the wire format carries only non-negative values", what, rg.lo)
+		return nil, fmt.Errorf("matmul: B value %d is negative; the wire format carries only non-negative values", rg.lo)
 	}
 	idxBits := uint(core.Log2Ceil(cols))
 	width := uint(1) // code 1 (One) alone
@@ -90,8 +78,8 @@ func (rg valueRange) format(cols int, sr core.Semiring, what string) (*wireForma
 	}
 	if idxBits+width > 63 {
 		return nil, fmt.Errorf(
-			"matmul: %s values span [%d, %d], which needs a %d-bit field; a wire word has %d bits beside its %d column-index bits",
-			what, rg.lo, rg.hi, width, 63-idxBits, idxBits)
+			"matmul: B values span [%d, %d], which needs a %d-bit field; a wire word has %d bits beside its %d column-index bits",
+			rg.lo, rg.hi, width, 63-idxBits, idxBits)
 	}
 	wf := &wireFormat{
 		idxBits:   idxBits,
@@ -156,25 +144,6 @@ func (wf *wireFormat) packPositional(dst []uint64, cols []core.NodeID, vals []in
 		dst = append(dst, w)
 	}
 	return dst
-}
-
-// packRows packs rows 0..n-1, each supplied by row as for packRow, into
-// one shared slab and returns the per-row word slices.
-func (wf *wireFormat) packRows(n int, row func(core.NodeID) ([]core.NodeID, []int64)) [][]uint64 {
-	var slab []uint64
-	ends := make([]int, n)
-	for v := range ends {
-		cols, vals := row(core.NodeID(v))
-		slab = wf.packRow(slab, cols, vals)
-		ends[v] = len(slab)
-	}
-	packed := make([][]uint64, n)
-	lo := 0
-	for v, hi := range ends {
-		packed[v] = slab[lo:hi:hi]
-		lo = hi
-	}
-	return packed
 }
 
 // field offset-codes one non-Zero value.
@@ -491,12 +460,9 @@ func (nd *mulNode) product(ctx *engine.Ctx, r core.Round, inbox []engine.Message
 type voter struct {
 	widest  int        // words in the widest requested row; -1 if no node requests any
 	final   core.Round // F, fixed in round 0 from widest and the link cap
-	dense   bool       // B's row is bRow; bCols/bVals otherwise
-	bRow    []int64
-	bCols   []core.NodeID
-	bVals   []int64
-	ran     bool // this process executes the node
-	changed bool // this node knows the product differs from B
+	bRow    []int64    // this node's row of B
+	ran     bool       // this process executes the node
+	changed bool       // this node knows the product differs from B
 }
 
 // round runs round r of the product and, from round F on, of the vote.
@@ -518,7 +484,7 @@ func (vt *voter) round(nd *mulNode, ctx *engine.Ctx, r core.Round, inbox []engin
 		if err := nd.product(ctx, r, inbox); err != nil {
 			return err
 		}
-		if r < vt.final || !vt.differs(nd.acc, nd.sr.Zero) {
+		if r < vt.final || slices.Equal(nd.acc, vt.bRow) {
 			return nil
 		}
 		vt.changed = true
@@ -549,26 +515,6 @@ func announce(ctx *engine.Ctx) error {
 	return nil
 }
 
-// differs reports whether the finished row acc of C is not this node's
-// row of B; entries a sparse row omits are zero.
-func (vt *voter) differs(acc []int64, zero int64) bool {
-	if vt.dense {
-		return !slices.Equal(acc, vt.bRow)
-	}
-	i := 0
-	for j, c := range acc {
-		want := zero
-		if i < len(vt.bCols) && int(vt.bCols[i]) == j {
-			want = vt.bVals[i]
-			i++
-		}
-		if c != want {
-			return true
-		}
-	}
-	return false
-}
-
 // Pass is one validated, packed distributed product C = A ⊗ B prepared
 // as a single engine pass: n mulNodes, node v holding row v of both
 // operands and accumulating row v of C into its accumulator slab.
@@ -584,10 +530,7 @@ type Pass struct {
 	state   []mulNode
 	accs    [][]int64
 	flat    []int64
-
-	// The B operand (one of the two is set), kept for vote.
-	bSparse *Matrix
-	bDense  *Dense
+	b       *Dense // the B operand, kept for vote
 	voters  []voter
 }
 
@@ -605,89 +548,32 @@ func (p *Pass) Gather() error { return nil }
 // (TestUnpacedProductReturnsBandwidthError); every other caller passes
 // false.
 func NewPass(a, b *Matrix, unpaced bool) (*Pass, error) {
-	if err := checkPair(a.N, b.N, a.Sr, b.Sr); err != nil {
-		return nil, err
-	}
-	wf, err := newWireFormat(a.N, b.Vals, b.Sr, "matrix")
-	if err != nil {
-		return nil, err
-	}
-	p := newPass(a, wf.packRows(b.N, b.Row), a.N, wf, unpaced, nil)
-	p.bSparse = b
-	return p, nil
-}
-
-// newSquarePass is the semi-naive squaring X ⊗ X = X ⊕ X ⊗ Δ, where
-// X = prev ⊗ prev, prev carries One on its diagonal (Power says why it
-// is exact), and Δ, the entries of X that differ from prev, takes one
-// merge per row. It is the product X ⊗ Δ with each node's accumulator
-// started from X[v]: node v asks each k in supp(X[v]) for Δ[k] and
-// multiplies it by its own X[v][k]. The wire format is X's: Δ's values
-// are a subset of X's.
-func newSquarePass(x, prev *Matrix) (*Pass, error) {
-	if err := checkPair(x.N, prev.N, x.Sr, prev.Sr); err != nil {
-		return nil, err
-	}
-	wf, err := newWireFormat(x.N, x.Vals, x.Sr, "matrix")
-	if err != nil {
-		return nil, err
-	}
-	p := newPass(x, wf.packRows(x.N, changedEntries(x, prev).Row), x.N, wf, false, nil)
-	p.bSparse = x
-	for v, acc := range p.accs {
-		cols, vals := x.Row(core.NodeID(v))
-		for i, j := range cols {
-			acc[j] = vals[i]
-		}
-	}
-	return p, nil
-}
-
-// changedEntries returns the entries of x that prev does not hold with
-// the same value, row by row in one merge. There are at least
-// nnz(x) - nnz(prev) of them, since x ⊇ prev.
-func changedEntries(x, prev *Matrix) *Matrix {
-	atLeast := max(0, x.NNZ()-prev.NNZ())
-	d := &Matrix{
-		N:    x.N,
-		Sr:   x.Sr,
-		Rows: make([]int32, 1, x.N+1),
-		Cols: make([]core.NodeID, 0, atLeast),
-		Vals: make([]int64, 0, atLeast),
-	}
-	for v := 0; v < x.N; v++ {
-		xc, xv := x.Row(core.NodeID(v))
-		pc, pv := prev.Row(core.NodeID(v))
-		i := 0
-		for t, j := range xc {
-			for i < len(pc) && pc[i] < j {
-				i++
-			}
-			if i == len(pc) || pc[i] != j || pv[i] != xv[t] {
-				d.Cols = append(d.Cols, j)
-				d.Vals = append(d.Vals, xv[t])
-			}
-		}
-		d.Rows = append(d.Rows, int32(len(d.Cols)))
-	}
-	return d
+	return newPass(a, dense(b), nil, unpaced)
 }
 
 // NewDensePass validates and packs the sparse-dense product A ⊗ B with
 // B (and C) n x k dense. Zero entries of B are not transmitted.
 func NewDensePass(a *Matrix, b *Dense, unpaced bool) (*Pass, error) {
-	return newDensePass(a, b, nil, unpaced)
+	return newPass(a, b, nil, unpaced)
 }
 
-// newDensePass is NewDensePass for the next product of a relaxation
-// over a reflexive A when prev, the B of the product before, is set.
-// Then only the entries of B that differ from prev are packed, and each
-// node's accumulator starts from its own row of B instead of Zero: B
-// is prev ⊕ Δ for the changed entries Δ, because A's One diagonal and
-// an idempotent Add make B = A ⊗ prev ⊇ prev, so
-// A ⊗ B = A ⊗ prev ⊕ A ⊗ Δ = B ⊕ A ⊗ Δ. The wire format is derived from
-// the values actually sent.
-func newDensePass(a *Matrix, b, prev *Dense, unpaced bool) (*Pass, error) {
+// newPass builds every distributed product A ⊗ B: n mulNodes, node v
+// holding row v of A, its packed row of B and a K-wide accumulator
+// over one flat result slab. It packs B's non-Zero entries, in the wire
+// format of exactly the values it packs.
+//
+// With prev set, it packs only Δ, the entries of B that differ from
+// prev, and starts each node's accumulator from its own row of B
+// instead of Zero: the pass computes B ⊕ A ⊗ Δ. That is A ⊗ B in both
+// loops that set prev:
+//
+//   - a Relaxation's later product over a reflexive A, prev the B the
+//     product before started from. A's One diagonal and an idempotent
+//     Add make B = A ⊗ prev ⊇ prev, so B = prev ⊕ Δ and
+//     A ⊗ B = A ⊗ prev ⊕ A ⊗ Δ = B ⊕ A ⊗ Δ;
+//   - a semi-naive squaring, A = B = X = P ⊗ P and prev = P (Power says
+//     why).
+func newPass(a *Matrix, b, prev *Dense, unpaced bool) (*Pass, error) {
 	if err := checkPair(a.N, b.N, a.Sr, b.Sr); err != nil {
 		return nil, err
 	}
@@ -705,69 +591,53 @@ func newDensePass(a *Matrix, b, prev *Dense, unpaced bool) (*Pass, error) {
 			rg.add(v)
 		}
 	}
-	wf, err := rg.format(b.K, b.Sr, "dense")
+	wf, err := rg.format(b.K, b.Sr)
 	if err != nil {
 		return nil, err
 	}
-	cols := make([]core.NodeID, 0, b.K)
-	vals := make([]int64, 0, b.K)
+	// Pack each row's sent entries into one shared slab; ends[v] is where
+	// row v's words end.
+	n, k := a.N, b.K
+	var slab []uint64
+	ends := make([]int, n)
+	cols := make([]core.NodeID, 0, k)
+	vals := make([]int64, 0, k)
 	next := 0
-	packed := wf.packRows(b.N, func(v core.NodeID) ([]core.NodeID, []int64) {
+	for v := range ends {
 		cols, vals = cols[:0], vals[:0]
-		rowStart := int(v) * b.K
-		for ; next < len(sent) && sent[next] < rowStart+b.K; next++ {
-			cols = append(cols, core.NodeID(sent[next]-rowStart))
+		for ; next < len(sent) && sent[next] < (v+1)*k; next++ {
+			cols = append(cols, core.NodeID(sent[next]-v*k))
 			vals = append(vals, b.Vals[sent[next]])
 		}
-		return cols, vals
-	})
-	var start []int64
+		slab = wf.packRow(slab, cols, vals)
+		ends[v] = len(slab)
+	}
+	p := &Pass{n: n, cols: k, sr: a.Sr, b: b, accs: make([][]int64, n)}
 	if prev != nil {
-		start = b.Vals
-	}
-	p := newPass(a, packed, b.K, wf, unpaced, start)
-	p.bDense = b
-	return p, nil
-}
-
-// newPass wires n mulNodes (node v holding packed B-row packed[v] and a
-// cols-wide accumulator) over a flat n*cols result slab that starts as
-// a copy of start, or all Zero when start is nil.
-func newPass(a *Matrix, packed [][]uint64, cols int, wf *wireFormat, unpaced bool, start []int64) *Pass {
-	n := a.N
-	p := &Pass{
-		n:    n,
-		cols: cols,
-		sr:   a.Sr,
-		accs: make([][]int64, n),
-	}
-	for _, row := range packed {
-		if len(row) > p.maxRow {
-			p.maxRow = len(row)
-		}
-	}
-	if start != nil {
-		p.flat = slices.Clone(start)
+		p.flat = slices.Clone(b.Vals)
 	} else {
-		p.flat = NewDense(n, cols, a.Sr).Vals
+		p.flat = NewDense(n, k, a.Sr).Vals
 	}
 	p.nodes = make([]engine.Node, n)
 	p.state = make([]mulNode, n)
-	for v := 0; v < n; v++ {
+	lo := 0
+	for v, hi := range ends {
 		aCols, aVals := a.Row(core.NodeID(v))
-		p.accs[v] = p.flat[v*cols : (v+1)*cols]
+		p.maxRow = max(p.maxRow, hi-lo)
+		p.accs[v] = p.flat[v*k : (v+1)*k]
 		p.state[v] = mulNode{
 			sr:     a.Sr,
 			wf:     wf,
 			aCols:  aCols,
 			aVals:  aVals,
-			packed: packed[v],
+			packed: slab[lo:hi:hi],
 			acc:    p.accs[v],
 			unpace: unpaced,
 		}
 		p.nodes[v] = &p.state[v]
+		lo = hi
 	}
-	return p
+	return p, nil
 }
 
 // Nodes returns the pass's node set for one engine run.
@@ -788,14 +658,8 @@ func (p *Pass) vote(asked []bool) {
 	}
 	p.voters = make([]voter, p.n)
 	for v := range p.voters {
-		vt := &p.voters[v]
-		vt.widest = widest
-		if p.bDense != nil {
-			vt.dense, vt.bRow = true, p.bDense.Row(core.NodeID(v))
-		} else {
-			vt.bCols, vt.bVals = p.bSparse.Row(core.NodeID(v))
-		}
-		p.state[v].vote = vt
+		p.voters[v] = voter{widest: widest, bRow: p.b.Row(core.NodeID(v))}
+		p.state[v].vote = &p.voters[v]
 	}
 }
 
@@ -853,7 +717,7 @@ func (p *Pass) changed() bool {
 	// is no party to the vote, and learns the outcome where it learns the
 	// product, from the gathered rows.
 	for v := range p.voters {
-		if p.voters[v].differs(p.accs[v], p.sr.Zero) {
+		if !slices.Equal(p.accs[v], p.voters[v].bRow) {
 			return true
 		}
 	}

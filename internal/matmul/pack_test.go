@@ -8,6 +8,19 @@ import (
 	"github.com/paper-repo-growth/doryp20/internal/core"
 )
 
+// newWireFormat is the wire format a pass would derive for a B operand
+// with the given column count that sends every one of vals (Zero entries
+// are exempt: they are never transmitted).
+func newWireFormat(cols int, vals []int64, sr core.Semiring) (*wireFormat, error) {
+	var rg valueRange
+	for _, v := range vals {
+		if v != sr.Zero && v != sr.One {
+			rg.add(v)
+		}
+	}
+	return rg.format(cols, sr)
+}
+
 // fuzzRow builds one B-row from fuzz input. Column j takes its value
 // from data[j] (columns past len(data) are Zero): the low two bits
 // choose Zero / One / min / a point of [min, min+span], the high six
@@ -114,7 +127,7 @@ func FuzzPackRow(f *testing.F) {
 		if ranged {
 			width = bits.Len64(uint64(mx-mn) + 2)
 		}
-		wf, err := newWireFormat(cols, row, sr, "row")
+		wf, err := newWireFormat(cols, row, sr)
 		if fits := core.Log2Ceil(cols)+width <= 63; (err == nil) != fits {
 			t.Fatalf("cols=%d values [%d,%d]: err=%v, want accepted=%v", cols, mn, mx, err, fits)
 		}
@@ -169,7 +182,7 @@ func FuzzPackRow(f *testing.F) {
 func TestDecodeRejectsOutOfRowColumn(t *testing.T) {
 	const cols = 5 // 3 index bits: columns 5..7 are expressible but absent
 	for _, sr := range core.AllSemirings() {
-		wf, err := newWireFormat(cols, []int64{sr.One}, sr, "row")
+		wf, err := newWireFormat(cols, []int64{sr.One}, sr)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -118,124 +118,26 @@ type passTraffic struct {
 	words  uint64
 }
 
-// predictTraffic is the traffic model of one product pass at link cap
-// c, derived from its operands alone. a is the pass's left operand:
-// each off-diagonal nonzero a[v][k] makes v a requester of row k.
-// widths[k] is the packed width of what row k streams. heard marks a
-// later product of a Relaxation, whose responders kept the requesters
-// they recorded in its first product. changed says, node by node,
-// whether the product's row differs from B's; it is nil on a pass that
-// does not vote.
+// predictTraffic is the traffic model of one product pass A ⊗ B at link
+// cap c, derived from its operands alone, for every pass newPass builds.
+// Each off-diagonal nonzero a[v][k] makes v a requester of row k. Row k
+// streams the non-Zero entries of b[k] that differ from prev[k] (all of
+// them when prev is nil), packed in the wire format of exactly the
+// values the pass sends. heard marks a later product of a Relaxation,
+// whose responders kept the requesters they recorded in its first
+// product. vote says whether the pass votes on whether A ⊗ B = B.
 //
 //   - Requests: one word per off-diagonal nonzero of a, nnz(a) - n over
 //     a reflexive a; none when heard.
-//   - Data: responder k sends #requesters(k) × widths[k] words.
+//   - Data: responder k sends #requesters(k) × width(k) words, where
+//     width(k) is the packed width of what row k sends.
 //   - Rounds: F = ceil(widest requested row / c), plus one for the
 //     request round unless heard, or F = 0 when nobody requests
 //     anything; the bare pass runs rounds 0..F.
 //   - A vote that finds the product equal to B costs nothing. Otherwise
 //     every changed row but node 0's sends a ballot and node 0 tells the
 //     other n-1 nodes, one round later when its own row did not change.
-func predictTraffic(a *Matrix, widths []int, heard bool, c int, changed []bool) passTraffic {
-	reqs := make([]int, a.N)
-	for v := 0; v < a.N; v++ {
-		cols, _ := a.Row(core.NodeID(v))
-		for _, k := range cols {
-			if int(k) != v {
-				reqs[k]++
-			}
-		}
-	}
-	var pt passTraffic
-	widest := -1
-	for k, r := range reqs {
-		if !heard {
-			pt.words += uint64(r)
-		}
-		pt.words += uint64(r * widths[k])
-		if r > 0 {
-			widest = max(widest, widths[k])
-		}
-	}
-	final := 0
-	if widest >= 0 {
-		final = (widest + c - 1) / c
-		if !heard {
-			final++
-		}
-	}
-	pt.rounds = final + 1
-	if changed == nil {
-		return pt
-	}
-	ballots := 0
-	for v, ch := range changed {
-		if ch && v != 0 {
-			ballots++
-		}
-	}
-	switch {
-	case changed[0]:
-		pt.rounds++
-	case ballots > 0:
-		pt.rounds += 2
-	default:
-		return pt
-	}
-	pt.words += uint64(ballots + len(changed) - 1)
-	return pt
-}
-
-// powerTraffic models one Power product a ⊗ b, a squaring when a is b.
-// A semi-naive squaring (prev set) streams Δ[k], the entries of b[k]
-// that prev[k] does not hold with the same value, to every requester:
-// nnz(X) - n request words, #requesters(k) × width(Δ[k]) data words and
-// 1 + ceil(widest Δ / c) rounds before its vote. Any other product
-// streams whole rows.
-func powerTraffic(t *testing.T, a, b, prev *Matrix, c int, vote bool) passTraffic {
-	t.Helper()
-	wf, err := newWireFormat(b.N, b.Vals, b.Sr, "matrix")
-	if err != nil {
-		t.Fatal(err)
-	}
-	widths := make([]int, b.N)
-	for k := range widths {
-		cols, vals := b.Row(core.NodeID(k))
-		if prev != nil {
-			var dCols []core.NodeID
-			var dVals []int64
-			for i, j := range cols {
-				if prev.At(core.NodeID(k), j) != vals[i] {
-					dCols, dVals = append(dCols, j), append(dVals, vals[i])
-				}
-			}
-			cols, vals = dCols, dVals
-		}
-		widths[k] = len(wf.packRow(nil, cols, vals))
-	}
-	var changed []bool
-	if vote {
-		prod, err := MulRef(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		changed = make([]bool, b.N)
-		for v := range changed {
-			pc, pv := prod.Row(core.NodeID(v))
-			bc, bv := b.Row(core.NodeID(v))
-			changed[v] = !slices.Equal(pc, bc) || !slices.Equal(pv, bv)
-		}
-	}
-	return predictTraffic(a, widths, false, c, changed)
-}
-
-// relaxTraffic models one Relaxation product s ⊗ b. A later product
-// (heard) runs no request round: its requesters are the ones recorded
-// in the first product, the same nodes over a fixed S. Where prev is
-// set — the B of the product before, over a reflexive S — only the
-// entries of b that differ from it stream. The wire format is derived
-// from the values sent.
-func relaxTraffic(t *testing.T, s *Matrix, b, prev *Dense, heard bool, c int, vote bool) passTraffic {
+func predictTraffic(t *testing.T, a *Matrix, b, prev *Dense, heard bool, c int, vote bool) passTraffic {
 	t.Helper()
 	sent := func(i int) bool {
 		return b.Vals[i] != b.Sr.Zero && (prev == nil || b.Vals[i] != prev.Vals[i])
@@ -246,12 +148,14 @@ func relaxTraffic(t *testing.T, s *Matrix, b, prev *Dense, heard bool, c int, vo
 			rg.add(v)
 		}
 	}
-	wf, err := rg.format(b.K, b.Sr, "dense")
+	wf, err := rg.format(b.K, b.Sr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	widths := make([]int, b.N)
-	for k := range widths {
+	reqs := requesters(a)
+	var pt passTraffic
+	widest := -1
+	for k, rk := range reqs {
 		var cols []core.NodeID
 		var vals []int64
 		for j := 0; j < b.K; j++ {
@@ -259,54 +163,51 @@ func relaxTraffic(t *testing.T, s *Matrix, b, prev *Dense, heard bool, c int, vo
 				cols, vals = append(cols, core.NodeID(j)), append(vals, b.Vals[i])
 			}
 		}
-		widths[k] = len(wf.packRow(nil, cols, vals))
-	}
-	var changed []bool
-	if vote {
-		prod, err := MulDenseRef(s, b)
-		if err != nil {
-			t.Fatal(err)
+		width := len(wf.packRow(nil, cols, vals))
+		if !heard {
+			pt.words += uint64(len(rk))
 		}
-		changed = make([]bool, b.N)
-		for v := range changed {
-			changed[v] = !slices.Equal(prod.Row(core.NodeID(v)), b.Row(core.NodeID(v)))
+		pt.words += uint64(len(rk) * width)
+		if len(rk) > 0 {
+			widest = max(widest, width)
 		}
 	}
-	return predictTraffic(s, widths, heard, c, changed)
-}
-
-// predictPower is powerTraffic for the product p has in flight.
-func predictPower(t *testing.T, p *Power, c int) passTraffic {
-	left, prev := p.result, (*Matrix)(nil)
-	if p.passIsSquare {
-		left, prev = p.base, p.prev
-	}
-	return powerTraffic(t, left, p.base, prev, c, p.pass.voters != nil)
-}
-
-// modelled drives a Power and, as each pass starts, records what
-// predictTraffic says it will cost.
-type modelled struct {
-	*Power
-	t    *testing.T
-	cap  int
-	want []passTraffic
-	semi int // semi-naive squarings among the passes
-}
-
-func (m *modelled) Next(g *graph.CSR) (clique.Pass, error) {
-	pass, err := m.Power.Next(g)
-	if m.pass == nil {
-		return pass, err
-	}
-	if m.passIsSquare && m.prev != nil {
-		m.semi++
-		if !oneDiagonal(m.prev) {
-			m.t.Errorf("a semi-naive squaring over a previous operand without One on its diagonal")
+	final := 0
+	if widest >= 0 {
+		final = (widest + c - 1) / c
+		if !heard {
+			final++
 		}
 	}
-	m.want = append(m.want, predictPower(m.t, m.Power, m.cap))
-	return pass, err
+	pt.rounds = final + 1
+	if !vote {
+		return pt
+	}
+	prod, err := MulDenseRef(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ballots, changed0 := 0, false
+	for v := 0; v < b.N; v++ {
+		if slices.Equal(prod.Row(core.NodeID(v)), b.Row(core.NodeID(v))) {
+			continue
+		}
+		if v == 0 {
+			changed0 = true
+		} else {
+			ballots++
+		}
+	}
+	switch {
+	case changed0:
+		pt.rounds++
+	case ballots > 0:
+		pt.rounds += 2
+	default:
+		return pt
+	}
+	pt.words += uint64(ballots + b.N - 1)
+	return pt
 }
 
 // trafficHook returns a round hook that adds up each pass's rounds and
@@ -326,65 +227,27 @@ func capBudget(c int) clique.Option {
 	return clique.WithBudget(core.Budget{BitsPerLink: c * core.WordBits, MsgBits: core.WordBits})
 }
 
-// TestPowerTrafficModel: every pass of the golden graph's power kernels
-// — apsp, closure and widest square until stable, hop-limited squares
-// and multiplies to 7 hops — bills, as a round hook counts it, exactly
-// the rounds and words predictTraffic gives, at link caps 1 and 4. Each
-// kernel runs semi-naive squarings, so the model covers Δ-only streams,
-// and its result is the reference power's.
-func TestPowerTrafficModel(t *testing.T) {
-	g := graph.RandomGNPWeighted(48, 0.15, 30, 7)
-	for _, tc := range []struct {
-		name string
-		sr   core.Semiring
-		e    int
-	}{
-		{"apsp", core.MinPlus(), 64},
-		{"closure", core.BoolOrAnd(), 64},
-		{"widest", core.MaxMin(), 64},
-		{"hop-limited", core.MinPlus(), 7},
-	} {
-		for _, cap := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/cap%d", tc.name, cap), func(t *testing.T) {
-				a, err := FromGraph(g, tc.sr, true)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var got []passTraffic
-				m := &modelled{Power: NewPower(a, tc.e), t: t, cap: cap}
-				if _, err := runProduct(a.N, m, capBudget(cap), trafficHook(&got)); err != nil {
-					t.Fatal(err)
-				}
-				if !slices.Equal(got, m.want) {
-					t.Errorf("per-pass rounds/words %v, model %v", got, m.want)
-				}
-				if m.semi == 0 {
-					t.Error("no squaring ran semi-naive; the fixture must exercise the Δ-only streams")
-				}
-				want := a
-				for i := 1; i < tc.e; i++ {
-					if want, err = MulRef(want, a); err != nil {
-						t.Fatal(err)
-					}
-				}
-				matricesEqual(t, m.Result().(*Matrix), want, tc.name)
-			})
-		}
-	}
-}
-
-// loopModel drives a registered kernel whose passes are all Power and
-// Relaxation products and, as each pass starts, records what the model
-// says it will cost. The model tracks each Relaxation itself: every
+// loopModel drives a kernel whose passes are all Power and Relaxation
+// products and, as each pass starts, records what predictTraffic says
+// it will cost, from the operands of the loop whose product is in
+// flight. A Power squaring with prev set is semi-naive: B = X streamed
+// as it differs from P. The model tracks each Relaxation itself: every
 // product after its first is heard, and over a reflexive S streams only
 // what changed since the B it saw last.
 type loopModel struct {
 	clique.Kernel
-	t     *testing.T
-	cap   int
-	want  []passTraffic
-	lastB map[*Relaxation]*Dense // the B of each Relaxation's last product
-	later int                    // Relaxation products after the first
+	t       *testing.T
+	cap     int
+	want    []passTraffic
+	lastB   map[*Relaxation]*Dense // the B of each Relaxation's last product
+	squares map[*Power]int         // squarings each Power has started
+	resq    bool                   // some Power squared more than once
+	semi    int                    // semi-naive squarings
+	later   int                    // Relaxation products after the first
+}
+
+func newLoopModel(t *testing.T, k clique.Kernel, cap int) *loopModel {
+	return &loopModel{Kernel: k, t: t, cap: cap, lastB: map[*Relaxation]*Dense{}, squares: map[*Power]int{}}
 }
 
 func (m *loopModel) Next(g *graph.CSR) (clique.Pass, error) {
@@ -397,7 +260,20 @@ func (m *loopModel) Next(g *graph.CSR) (clique.Pass, error) {
 	}
 	switch loop := inFlight(reflect.ValueOf(m.Kernel), map[uintptr]bool{}).(type) {
 	case *Power:
-		m.want = append(m.want, predictPower(m.t, loop, m.cap))
+		left, prev := loop.result, (*Dense)(nil)
+		if loop.passIsSquare {
+			left = loop.base
+			m.squares[loop]++
+			m.resq = m.resq || m.squares[loop] > 1
+			if loop.prev != nil {
+				m.semi++
+				if !oneDiagonal(loop.prev) {
+					m.t.Errorf("pass %d: a semi-naive squaring over a previous operand without One on its diagonal", len(m.want))
+				}
+				prev = dense(loop.prev)
+			}
+		}
+		m.want = append(m.want, predictTraffic(m.t, left, dense(loop.base), prev, false, m.cap, loop.pass.voters != nil))
 	case *Relaxation:
 		prev, heard := m.lastB[loop]
 		if heard {
@@ -407,7 +283,7 @@ func (m *loopModel) Next(g *graph.CSR) (clique.Pass, error) {
 			prev = nil
 		}
 		m.lastB[loop] = loop.b
-		m.want = append(m.want, relaxTraffic(m.t, loop.s, loop.b, prev, heard, m.cap, loop.pass.voters != nil))
+		m.want = append(m.want, predictTraffic(m.t, loop.s, loop.b, prev, heard, m.cap, loop.pass.voters != nil))
 	default:
 		return pass, fmt.Errorf("pass %d is neither a Power nor a Relaxation product", len(m.want))
 	}
@@ -452,15 +328,26 @@ func inFlight(v reflect.Value, seen map[uintptr]bool) any {
 	return nil
 }
 
-// TestKernelTrafficModel: every pass of the golden graph's approx-sssp
-// (hopset construction, then the stage-2 relaxation) and ksource (the
-// stage-1 power, then the stage-2 relaxation) bills, as a round hook
-// counts it, exactly what the model gives, at link caps 1 and 4. Both
-// run Relaxation products after the first, so the request-free later
-// products and their votes are covered.
+// TestKernelTrafficModel: every pass of every registered kernel built
+// on the product loops bills, as a round hook counts it, exactly what
+// the model gives, at link caps 1 and 4, on the golden graph (n = 48).
+// apsp, closure and widest square until stable, hop-limited squares and
+// multiplies to 7 hops, ksource and the other pipelines run a Power or
+// a hopset construction and then a Relaxation. So the model covers
+// whole-row products, Δ-only semi-naive squarings, request-free later
+// Relaxation products and votes. Every kernel whose Power squares more
+// than once must square semi-naively, and every kernel that relaxes
+// must run a product after the first. bfs, bellman-ford and mst run
+// passes of their own and have no model yet.
 func TestKernelTrafficModel(t *testing.T) {
 	g := graph.RandomGNPWeighted(48, 0.15, 30, 7)
-	for _, name := range []string{"approx-sssp", "ksource"} {
+	covered := 0
+	for _, name := range clique.Kernels() {
+		switch name {
+		case "bfs", "bellman-ford", "mst":
+			continue
+		}
+		covered++
 		for _, cap := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/cap%d", name, cap), func(t *testing.T) {
 				k, err := clique.NewKernel(name, g)
@@ -468,7 +355,7 @@ func TestKernelTrafficModel(t *testing.T) {
 					t.Fatal(err)
 				}
 				var got []passTraffic
-				m := &loopModel{Kernel: k, t: t, cap: cap, lastB: map[*Relaxation]*Dense{}}
+				m := newLoopModel(t, k, cap)
 				s, err := clique.New(g, capBudget(cap), trafficHook(&got))
 				if err != nil {
 					t.Fatal(err)
@@ -480,10 +367,16 @@ func TestKernelTrafficModel(t *testing.T) {
 				if !slices.Equal(got, m.want) {
 					t.Errorf("per-pass rounds/words %v, model %v", got, m.want)
 				}
-				if m.later == 0 {
+				if m.resq && m.semi == 0 {
+					t.Error("a Power squared more than once and never semi-naively; the fixture must exercise the Δ-only streams")
+				}
+				if len(m.lastB) > 0 && m.later == 0 {
 					t.Error("no Relaxation ran a second product; the fixture must exercise heard products")
 				}
 			})
 		}
+	}
+	if covered < 12 {
+		t.Errorf("the model covers %d registered kernels, want the 12 built on Power and Relaxation", covered)
 	}
 }
