@@ -14,6 +14,9 @@
 //	ccserve [-addr 127.0.0.1:7470] [-workers 0] [-max-batch 16]
 //	        [-max-upload 67108864] [-drain-timeout 30s]
 //
+// A negative -workers, -max-upload or -drain-timeout, or a -max-batch
+// below 1, is rejected before the listener binds.
+//
 // A quickstart against a running daemon:
 //
 //	curl -s --data-binary @graph.el 'localhost:7470/graphs?name=g'
@@ -76,8 +79,17 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *workers < 0 {
+	// server.New would rewrite a non-positive batch or upload cap to its
+	// default; a size given on the command line is taken as meant.
+	switch {
+	case *workers < 0:
 		return fmt.Errorf("-workers %d is negative", *workers)
+	case *maxBatch < 1:
+		return fmt.Errorf("-max-batch %d is below 1", *maxBatch)
+	case *maxUpload < 0:
+		return fmt.Errorf("-max-upload %d is negative", *maxUpload)
+	case *drain < 0:
+		return fmt.Errorf("-drain-timeout %v is negative", *drain)
 	}
 
 	srv := server.New(server.Options{

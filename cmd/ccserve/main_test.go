@@ -154,6 +154,10 @@ func TestRunBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-addr"},
 		{"-addr", "127.0.0.1:0", "-workers", "-1"},
+		{"-addr", "127.0.0.1:0", "-max-batch", "0"},
+		{"-addr", "127.0.0.1:0", "-max-batch", "-3"},
+		{"-addr", "127.0.0.1:0", "-max-upload", "-1"},
+		{"-addr", "127.0.0.1:0", "-drain-timeout", "-1s"},
 	} {
 		var out bytes.Buffer
 		if err := run(ctx, args, &out); err == nil {

@@ -137,14 +137,15 @@ func TestApproxSSSPSampledHubs(t *testing.T) {
 
 // TestApproxSSSPUsesFewerRoundsThanAPSP: the hopset swap is a
 // round-count optimization, and with a sampled hub set it pays from a
-// couple of hundred vertices on. Asserted on G(256, 0.05) with weights
-// 1..20 and hub rate 0.1 — the benchmark's graph shape — where both
-// sides stop their loops early: about 105 rounds against exact APSP's
-// 127, on a fifteenth of the words. Below that the squarings win on
-// rounds now that they too stop at their fixpoint (G(96, 0.06), which
-// this test used to run: 91 against 64), and on a weighted path, where
+// few hundred vertices on. Asserted on G(384, 0.05) with weights 1..20
+// and hub rate 0.1 — the benchmark's graph shape — where both sides
+// stop their loops early: 91 rounds against exact APSP's 93, on a fifth
+// of the words. Below that the squarings win on rounds now that they
+// stop at their fixpoint and multiply by the cube partition (at n = 256,
+// 74 against 80; this test ran there until the cube pass, and at
+// G(96, 0.06) before the fixpoint stop). On a weighted path, where
 // nothing stops early and every product pays its vote, the crossover
-// sits near n = 512.
+// sat near n = 512 before the cube pass.
 //
 // Below the crossover the trend is asserted instead, in the sparse-hub
 // regime (β = 2⌈√n⌉, about 1.5√n hubs) on G(n, 0.12) with weights
@@ -152,7 +153,7 @@ func TestApproxSSSPSampledHubs(t *testing.T) {
 // words than exact APSP, and its rounds as a share of exact APSP's fall
 // as n doubles.
 func TestApproxSSSPUsesFewerRoundsThanAPSP(t *testing.T) {
-	g := graph.RandomGNPWeighted(256, 0.05, 20, 11)
+	g := graph.RandomGNPWeighted(384, 0.05, 20, 11)
 	exact := runKernel(t, g, NewAPSPKernel())
 	approx := runKernel(t, g, NewApproxSSSPKernel(0, hopset.Params{Eps: 0.5, HubRate: 0.1, Seed: 3}))
 	if approx.Rounds >= exact.Rounds || approx.TotalMsgs >= exact.TotalMsgs {

@@ -43,17 +43,18 @@ import (
 // asking once.
 //
 // Every matmul.Power squaring after the first is semi-naive: with X the
-// base and Δ what the squaring before changed, X ⊗ X = X ⊕ X ⊗ Δ, so
-// every node asks for Δ[k] alone. So the rows driven by Power (apsp,
-// closure, widest, hop-limited, diameter-est and stage 1 of ksource and
-// widest-ksource) bill fewer words, and often fewer rounds, than
-// streaming whole rows would, in the same passes: apsp on this graph
-// 37,222 words in 36 rounds rather than 60,167 in 42, closure at
-// n = 256 541,588 words rather than 838,408. A semi-naive squaring is
-// built like any other product, so its wire format covers only the Δ
-// values it sends; where Δ spans a narrower range than X, as on the
-// widest rows and the apsp side of apsp-vs-approx-sssp, its words carry
-// more entries each.
+// base and Δ what the squaring before changed, X ⊗ X = X ⊕ X ⊗ Δ, and
+// it runs as a 3D cube-partition pass (q = ⌊n^{1/3}⌋; at n = 48, q = 3):
+// each node sends blocks of its rows of X and Δ to the q² cube nodes
+// that multiply them and gets back the partial rows of C. So the rows
+// driven by Power (apsp, closure, widest, hop-limited, diameter-est and
+// stage 1 of ksource and widest-ksource) move a fraction of the words
+// that pulling Δ[k] for every k in a row's support did, in the same
+// passes with the same results: apsp on this graph 9,376 words in 35
+// rounds rather than 37,222 in 36, closure at n = 256 102,270 words
+// rather than 541,588. Rounds move either way by a few: a cube pass
+// pays its phases in full however little changed, and its vote goes
+// out when the partial rows arrive rather than at a fixed round.
 func TestGoldenTraffic(t *testing.T) {
 	g := graph.RandomGNPWeighted(48, 0.15, 30, 7)
 	golden := map[string]struct {
@@ -62,19 +63,19 @@ func TestGoldenTraffic(t *testing.T) {
 	}{
 		"approx-ksource":      {10, 51, 13072, 0xd9acb2241245fa71},
 		"approx-sssp":         {10, 52, 12978, 0x18dadd80a30f4d8e},
-		"apsp":                {5, 36, 37222, 0xb4b540697123d577},
+		"apsp":                {5, 35, 9376, 0xb4b540697123d577},
 		"bellman-ford":        {1, 9, 726, 0x18dadd80a30f4d8e},
 		"bfs":                 {1, 5, 350, 0xc95f8d32d9e48726},
-		"closure":             {3, 11, 8684, 0x2911f12efe58c0bd},
-		"diameter-est":        {7, 40, 34742, 0x2325ebf49e6860b0},
+		"closure":             {3, 13, 3267, 0x2911f12efe58c0bd},
+		"diameter-est":        {7, 39, 26650, 0x2325ebf49e6860b0},
 		"diameter-est-approx": {10, 51, 13166, 0x2325ebf49e6860b0},
-		"hop-limited":         {4, 30, 29853, 0x099d1aa787d42be3},
+		"hop-limited":         {4, 29, 21761, 0x099d1aa787d42be3},
 		"hopset":              {8, 45, 8372, 0xd7d4d901012be658},
-		"ksource":             {6, 36, 34553, 0xd9acb2241245fa71},
+		"ksource":             {6, 35, 26461, 0xd9acb2241245fa71},
 		"matmul-square":       {1, 5, 1137, 0x61d99dded2f6aae0},
 		"mst":                 {4, 11, 1544, 0x4fa8f549950642fd},
-		"widest":              {5, 34, 37857, 0x45110c0d9583fbe9},
-		"widest-ksource":      {7, 37, 31004, 0xf6838dbd4b2a7382},
+		"widest":              {5, 36, 10008, 0x45110c0d9583fbe9},
+		"widest-ksource":      {7, 37, 23971, 0xf6838dbd4b2a7382},
 	}
 	names := clique.Kernels()
 	if len(names) != len(golden) {
@@ -126,17 +127,17 @@ func TestGoldenTraffic(t *testing.T) {
 		passes, rounds int
 		words          uint64
 	}{
-		{"widest", 64, 6, 42, 85851},
-		{"widest-ksource", 64, 8, 44, 63555},
-		{"closure", 64, 3, 14, 21210},
+		{"widest", 64, 6, 45, 26440},
+		{"widest-ksource", 64, 8, 43, 47040},
+		{"closure", 64, 3, 14, 7388},
 		{"mst", 64, 4, 11, 2592},
-		{"diameter-est", 64, 6, 41, 69244},
+		{"diameter-est", 64, 6, 38, 49625},
 		{"diameter-est-approx", 64, 11, 58, 23806},
-		{"widest", 256, 5, 92, 3983266},
-		{"widest-ksource", 256, 6, 84, 3043548},
-		{"closure", 256, 3, 20, 541588},
+		{"widest", 256, 5, 63, 441620},
+		{"widest-ksource", 256, 6, 64, 584424},
+		{"closure", 256, 3, 17, 102270},
 		{"mst", 256, 4, 11, 39248},
-		{"diameter-est", 256, 6, 99, 3722870},
+		{"diameter-est", 256, 6, 77, 701214},
 		{"diameter-est-approx", 256, 12, 98, 641321},
 	} {
 		t.Run(fmt.Sprintf("%s-%d", row.name, row.n), func(t *testing.T) {
@@ -160,8 +161,8 @@ func TestGoldenTraffic(t *testing.T) {
 		apspRounds, approxRounds int
 		apspWords, approxWords   uint64
 	}{
-		{32, 28, 45, 3210, 780},
-		{64, 39, 71, 61286, 5725},
+		{32, 30, 45, 2886, 780},
+		{64, 41, 71, 20834, 5725},
 	} {
 		t.Run(fmt.Sprintf("apsp-vs-approx-sssp-%d", row.n), func(t *testing.T) {
 			g := graph.RandomGNPWeighted(row.n, 0.05, 32, 1)

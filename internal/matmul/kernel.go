@@ -40,22 +40,27 @@ import (
 //
 //	X ⊗ X = X ⊕ X ⊗ Δ.
 //
-// That is the shape of a Relaxation's later product with S = B = X and
-// the B before it P, and the same constructor builds it (newPass): each
-// node v starts from X[v] and asks every k with X[v][k] set for Δ[k]
-// alone, multiplying it by its own X[v][k]; no node ever needs
-// another's whole row. So a squaring pays, in words and in rounds, for
-// what changed in the one before rather than for the width of X, and
-// the squaring that confirms the fixpoint costs little more than its
-// requests. Multiply steps, the first squaring and a base without One
-// on its diagonal stream whole rows.
+// The same constructor builds it (newPass) as every other product, and
+// each node's accumulator starts from X[v], but the product X ⊗ Δ runs
+// by the 3D cube partition (cubeNode) rather than row-pull: with
+// q = ⌊n^{1/3}⌋ blocks, each node sends blocks of its rows of X and of
+// Δ to the cube nodes that multiply them, and each cube node returns
+// its partial rows to their owners. A dense row-pull squaring moves
+// about n³ entries; the cube moves about q·n² each way, so apsp-160's
+// squarings move a sixth of the words pulling Δ did. Multiply steps,
+// the first squaring and a base without One on its diagonal stream
+// whole rows by row-pull.
 type Power struct {
 	e            int
 	base, result *Matrix
 	// prev is the operand of the last squaring, so base = prev ⊗ prev,
 	// kept only when it has One on its diagonal; nil before the first
 	// squaring.
-	prev         *Matrix
+	prev *Matrix
+	// baseD and prevD are base and prev as Dense, taken from the pass
+	// that produced them so the next squaring need not rebuild them; nil
+	// until then, and prevD only until that squaring is built.
+	baseD, prevD *Dense
 	pass         *Pass
 	passIsSquare bool
 	// phase 0: the current exponent bit's multiply step is pending;
@@ -80,11 +85,11 @@ func (p *Power) harvest() {
 	}
 	m := p.pass.Sparse()
 	if p.passIsSquare {
-		p.prev = nil
+		p.prev, p.prevD = nil, nil
 		if oneDiagonal(p.base) {
-			p.prev = p.base
+			p.prev, p.prevD = p.base, p.pass.b
 		}
-		p.base = m
+		p.base, p.baseD = m, p.pass.Dense()
 		if !p.pass.changed() {
 			p.e = 1
 		}
@@ -124,11 +129,19 @@ func (p *Power) Next(*graph.CSR) (clique.Pass, error) {
 // semi-naive once prev is known, the multiply step into result
 // otherwise.
 func (p *Power) product(left *Matrix, square bool) (clique.Pass, error) {
-	var prev *Dense
-	if square && p.prev != nil {
-		prev = dense(p.prev)
+	if p.baseD == nil {
+		p.baseD = dense(p.base)
 	}
-	pass, err := newPass(left, dense(p.base), prev, false)
+	var prev *Dense
+	sched := paced
+	if square && p.prev != nil {
+		if p.prevD == nil {
+			p.prevD = dense(p.prev)
+		}
+		prev, sched = p.prevD, cubed
+	}
+	pass, err := newPass(left, p.baseD, prev, sched)
+	p.prevD = nil
 	if err != nil {
 		return clique.Pass{}, err
 	}
@@ -263,7 +276,7 @@ func (r *Relaxation) Next(*graph.CSR) (clique.Pass, error) {
 	if r.remaining <= 0 {
 		return clique.Pass{}, nil
 	}
-	pass, err := newPass(r.s, r.b, r.prev, false)
+	pass, err := newPass(r.s, r.b, r.prev, paced)
 	if err != nil {
 		return clique.Pass{}, err
 	}

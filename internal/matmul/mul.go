@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"github.com/paper-repo-growth/doryp20/internal/core"
 	"github.com/paper-repo-growth/doryp20/internal/engine"
@@ -29,10 +30,15 @@ import (
 //
 // A sparse word carries 63/(idxBits+width) (col, field) entries; a
 // positional word carries (63-idxBits)/width fields for the consecutive
-// columns start, start+1, ... Unused high slots are 0. wireFormat
-// holds the split for one product; it is derived from the values the
-// product sends alone, so every rank and every crash-resume rebuilds
-// identical words.
+// columns start, start+1, ... Unused high slots are 0, and no packed
+// word is 0, which leaves payload 0 free for a cube pass's vote.
+// Columns are global, so a segment of a row packs exactly like a row.
+// wireFormat holds the split for one product; it is derived from the
+// values the product sends alone, so every rank and every crash-resume
+// rebuilds identical words. A cube pass (cubeNode) has two: its
+// segments of X and Δ travel in the format of X's values, and its
+// partial rows of C in one whose range covers every product of two of
+// them (valueRange.products).
 type wireFormat struct {
 	idxBits, width uint
 	idxMask, fMask uint64
@@ -99,6 +105,30 @@ func (rg valueRange) format(cols int, sr core.Semiring) (*wireFormat, error) {
 	return wf, nil
 }
 
+// products returns the range of the values Mul(x, y) takes for x and y
+// in rg or One, leaving One out as format does — the values a cube
+// pass's partial rows carry, since every semiring here is monotone in
+// each argument. ok is false when a product of two values saturates to
+// Zero, so no range short of Zero bounds them.
+func (rg valueRange) products(sr core.Semiring) (out valueRange, ok bool) {
+	out = rg
+	if !rg.ranged {
+		return out, true
+	}
+	for _, x := range []int64{rg.lo, rg.hi} {
+		for _, y := range []int64{rg.lo, rg.hi} {
+			switch m := sr.Mul(x, y); m {
+			case sr.Zero:
+				return out, false
+			case sr.One:
+			default:
+				out.add(m)
+			}
+		}
+	}
+	return out, true
+}
+
 // packRow appends one B-row — its non-Zero entries as parallel,
 // column-sorted slices — to dst in whichever encoding needs fewer
 // words (sparse on a tie).
@@ -135,11 +165,14 @@ func (wf *wireFormat) packSparse(dst []uint64, cols []core.NodeID, vals []int64)
 // unsent entry's column and cover the posPer columns from there, so
 // runs of Zero columns wider than a word cost nothing.
 func (wf *wireFormat) packPositional(dst []uint64, cols []core.NodeID, vals []int64) []uint64 {
+	// The shift is masked with 63, a no-op (a field ends by bit 62), so
+	// the compiler drops its out-of-range-shift test per field.
+	idxBits, width := wf.idxBits, wf.width
 	for i := 0; i < len(cols); {
 		start := int(cols[i])
 		w := posFlag | uint64(start)
 		for ; i < len(cols) && int(cols[i]) < start+wf.posPer; i++ {
-			w |= wf.field(vals[i]) << (wf.idxBits + uint(int(cols[i])-start)*wf.width)
+			w |= wf.field(vals[i]) << ((idxBits + uint(int(cols[i])-start)*width) & 63)
 		}
 		dst = append(dst, w)
 	}
@@ -163,9 +196,75 @@ func (wf *wireFormat) term(sr core.Semiring, aik int64, f uint64) int64 {
 	return sr.Mul(aik, wf.base+int64(f))
 }
 
-// mulNode executes one node's share of a distributed product C = A ⊗ B.
-// Node v owns row v of A, row v of B (pre-packed into wire words), and
-// accumulates row v of C. The protocol is globally phased:
+// firstCol returns the column of the first entry a packed word carries.
+func (wf *wireFormat) firstCol(w uint64) int {
+	if w&posFlag != 0 {
+		return int(w & wf.idxMask)
+	}
+	return int(w >> wf.width & wf.idxMask)
+}
+
+// decode writes the entries one packed word carries into the dense
+// segment row whose first column is off — entry (j, v) lands at
+// row[j-off] — and returns how many it wrote. A column outside the
+// segment panics on the slice bound.
+func (wf *wireFormat) decode(w uint64, row []int64, off int) (entries int) {
+	one, base, fMask := wf.one, wf.base, wf.fMask
+	value := func(f uint64) int64 {
+		if f == 1 {
+			return one
+		}
+		return base + int64(f)
+	}
+	// Shift counts masked with 63, as in the accumulate loops.
+	width, idxBits := wf.width&63, wf.idxBits&63
+	if w&posFlag != 0 {
+		w &^= posFlag
+		j := int(w&wf.idxMask) - off
+		for w >>= idxBits; w != 0; w, j = w>>width, j+1 {
+			if f := w & fMask; f != 0 {
+				row[j] = value(f)
+				entries++
+			}
+		}
+		return entries
+	}
+	for entBits := (idxBits + width) & 63; w != 0; w >>= entBits {
+		if f := w & fMask; f != 0 {
+			row[int(w>>width&wf.idxMask)-off] = value(f)
+			entries++
+		}
+	}
+	return entries
+}
+
+// decodeBits sets the bits of the columns one packed word of the 1-bit
+// format carries in the bitset row, whose first column is off. A
+// positional word's fields are a bitmap already, so it lands as one
+// shifted word or two.
+func (wf *wireFormat) decodeBits(w uint64, row []uint64, off int) {
+	idxBits := wf.idxBits & 63
+	if w&posFlag != 0 {
+		w &^= posFlag
+		j := int(w&wf.idxMask) - off
+		m := w >> idxBits
+		row[j/64] |= m << (j % 64)
+		if spill := m >> (63 - j%64) >> 1; spill != 0 {
+			row[j/64+1] |= spill
+		}
+		return
+	}
+	for entBits := (idxBits + 1) & 63; w != 0; w >>= entBits {
+		if w&1 != 0 {
+			j := int(w>>1&wf.idxMask) - off
+			row[j/64] |= 1 << (j % 64)
+		}
+	}
+}
+
+// mulNode executes one node's share of a distributed product C = A ⊗ B
+// by row-pull. Node v owns row v of A, row v of B (pre-packed into wire
+// words), and accumulates row v of C. The protocol is globally phased:
 //
 //	round 0:    v sends one request word to every k in supp(A[v]),
 //	            k != v, and folds in the local k = v contribution.
@@ -191,6 +290,10 @@ func (wf *wireFormat) term(sr core.Semiring, aik int64, f uint64) int64 {
 //
 //	round 0:    fold in k = v; send each requester the first words.
 //	rounds >=1: accumulate as above; send every requester the next words.
+//
+// A semi-naive Power squaring runs cubeNode's program instead, whose
+// owner half is a mulNode too: its acc, its vote, and a wf that decodes
+// the partial rows it folds.
 type mulNode struct {
 	sr     core.Semiring
 	wf     *wireFormat
@@ -457,6 +560,9 @@ func (nd *mulNode) product(ctx *engine.Ctx, r core.Round, inbox []engine.Message
 // plus one for the request round. Like the wire format's value range,
 // that width is a global of the operands every node is taken to know
 // before round 0 (docs/paper-map.md lists these).
+//
+// A cube pass has no F; its nodes keep bRow, ran and changed here and
+// time their ballots themselves (cubeNode).
 type voter struct {
 	widest  int        // words in the widest requested row; -1 if no node requests any
 	final   core.Round // F, fixed in round 0 from widest and the link cap
@@ -516,8 +622,9 @@ func announce(ctx *engine.Ctx) error {
 }
 
 // Pass is one validated, packed distributed product C = A ⊗ B prepared
-// as a single engine pass: n mulNodes, node v holding row v of both
-// operands and accumulating row v of C into its accumulator slab.
+// as a single engine pass: n nodes (mulNodes, or cubeNodes on a
+// semi-naive squaring), node v holding row v of both operands and
+// accumulating row v of C into its accumulator slab.
 // Power and Relaxation hand a Pass to a clique session — its nodes, its
 // MaxRoundsHint and the slab as the rows to gather — and harvest the
 // result with Sparse or Dense after the pass quiesces, chaining one Pass
@@ -548,18 +655,35 @@ func (p *Pass) Gather() error { return nil }
 // (TestUnpacedProductReturnsBandwidthError); every other caller passes
 // false.
 func NewPass(a, b *Matrix, unpaced bool) (*Pass, error) {
-	return newPass(a, dense(b), nil, unpaced)
+	return newPass(a, dense(b), nil, pullSchedule(unpaced))
 }
 
 // NewDensePass validates and packs the sparse-dense product A ⊗ B with
 // B (and C) n x k dense. Zero entries of B are not transmitted.
 func NewDensePass(a *Matrix, b *Dense, unpaced bool) (*Pass, error) {
-	return newPass(a, b, nil, unpaced)
+	return newPass(a, b, nil, pullSchedule(unpaced))
 }
 
-// newPass builds every distributed product A ⊗ B: n mulNodes, node v
-// holding row v of A, its packed row of B and a K-wide accumulator
-// over one flat result slab. It packs B's non-Zero entries, in the wire
+// schedule is the node program a pass runs.
+type schedule uint8
+
+const (
+	paced   schedule = iota // row-pull (mulNode), LinkMsgCap() words a link a round
+	unpaced                 // row-pull with every row pushed in one round
+	cubed                   // the cube partition (cubeNode) of a semi-naive squaring
+)
+
+// pullSchedule is the row-pull schedule NewPass and NewDensePass run.
+func pullSchedule(unpace bool) schedule {
+	if unpace {
+		return unpaced
+	}
+	return paced
+}
+
+// newPass builds every distributed product A ⊗ B: n nodes over one flat
+// result slab, node v holding row v of A and accumulating row v of C in
+// a K-wide accumulator. It packs B's non-Zero entries, in the wire
 // format of exactly the values it packs.
 //
 // With prev set, it packs only Δ, the entries of B that differ from
@@ -573,7 +697,14 @@ func NewDensePass(a *Matrix, b *Dense, unpaced bool) (*Pass, error) {
 //     A ⊗ B = A ⊗ prev ⊕ A ⊗ Δ = B ⊕ A ⊗ Δ;
 //   - a semi-naive squaring, A = B = X = P ⊗ P and prev = P (Power says
 //     why).
-func newPass(a *Matrix, b, prev *Dense, unpaced bool) (*Pass, error) {
+//
+// The semi-naive squaring alone runs the cube schedule (cubeNode), which
+// also sends segments of X and so packs all of B, in the format of X's
+// values. Its partial rows need a second format covering the products
+// of those values; where no wire word fits one (a (min,+) operand whose
+// largest value doubled nears InfWeight), the squaring runs row-pull
+// instead.
+func newPass(a *Matrix, b, prev *Dense, sched schedule) (*Pass, error) {
 	if err := checkPair(a.N, b.N, a.Sr, b.Sr); err != nil {
 		return nil, err
 	}
@@ -583,21 +714,51 @@ func newPass(a *Matrix, b, prev *Dense, unpaced bool) (*Pass, error) {
 	var rg valueRange
 	var sent []int
 	for i, v := range b.Vals {
-		if v == zero || prev != nil && v == prev.Vals[i] {
+		if v == zero || sched != cubed && prev != nil && v == prev.Vals[i] {
 			continue
 		}
-		sent = append(sent, i)
+		if sched != cubed {
+			sent = append(sent, i)
+		}
 		if v != one {
 			rg.add(v)
 		}
 	}
 	wf, err := rg.format(b.K, b.Sr)
+	var pwf *wireFormat
+	if sched == cubed {
+		if prg, ok := rg.products(b.Sr); ok && err == nil {
+			pwf, _ = prg.format(b.K, b.Sr)
+		}
+		if pwf == nil {
+			// Row-pull from here: pack only Δ, in the format of its values.
+			return newPass(a, b, prev, paced)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
+	n, k := a.N, b.K
+	p := &Pass{n: n, cols: k, sr: a.Sr, b: b, accs: make([][]int64, n)}
+	if prev != nil {
+		p.flat = slices.Clone(b.Vals)
+	} else {
+		p.flat = NewDense(n, k, a.Sr).Vals
+	}
+	p.nodes = make([]engine.Node, n)
+	p.state = make([]mulNode, n)
+	for v := range p.state {
+		aCols, aVals := a.Row(core.NodeID(v))
+		p.accs[v] = p.flat[v*k : (v+1)*k]
+		p.state[v] = mulNode{sr: a.Sr, wf: wf, aCols: aCols, aVals: aVals, acc: p.accs[v], unpace: sched == unpaced}
+		p.nodes[v] = &p.state[v]
+	}
+	if sched == cubed {
+		p.asCube(newCube(b, prev, wf), pwf)
+		return p, nil
+	}
 	// Pack each row's sent entries into one shared slab; ends[v] is where
 	// row v's words end.
-	n, k := a.N, b.K
 	var slab []uint64
 	ends := make([]int, n)
 	cols := make([]core.NodeID, 0, k)
@@ -612,29 +773,10 @@ func newPass(a *Matrix, b, prev *Dense, unpaced bool) (*Pass, error) {
 		slab = wf.packRow(slab, cols, vals)
 		ends[v] = len(slab)
 	}
-	p := &Pass{n: n, cols: k, sr: a.Sr, b: b, accs: make([][]int64, n)}
-	if prev != nil {
-		p.flat = slices.Clone(b.Vals)
-	} else {
-		p.flat = NewDense(n, k, a.Sr).Vals
-	}
-	p.nodes = make([]engine.Node, n)
-	p.state = make([]mulNode, n)
 	lo := 0
 	for v, hi := range ends {
-		aCols, aVals := a.Row(core.NodeID(v))
 		p.maxRow = max(p.maxRow, hi-lo)
-		p.accs[v] = p.flat[v*k : (v+1)*k]
-		p.state[v] = mulNode{
-			sr:     a.Sr,
-			wf:     wf,
-			aCols:  aCols,
-			aVals:  aVals,
-			packed: slab[lo:hi:hi],
-			acc:    p.accs[v],
-			unpace: unpaced,
-		}
-		p.nodes[v] = &p.state[v]
+		p.state[v].packed = slab[lo:hi:hi]
 		lo = hi
 	}
 	return p, nil
@@ -755,4 +897,645 @@ func (p *Pass) Sparse() *Matrix {
 // copy-free. Call it only after the pass's engine run has quiesced.
 func (p *Pass) Dense() *Dense {
 	return &Dense{N: p.n, K: p.cols, Sr: p.sr, Vals: p.flat}
+}
+
+// cubeNode executes one node's share of a semi-naive squaring
+// X ⊗ X = X ⊕ X ⊗ Δ (Power says why it is exact) by the 3D cube
+// partition of Censor-Hillel, Kaski, Korhonen, Lenzen, Paz & Suomela
+// (PODC 2015), instead of row-pull. Let q = ⌊n^{1/3}⌋ and split [0, n)
+// into the blocks B_i = [i·n/q, (i+1)·n/q). Node t = (a·q + b)·q + c < q³
+// is cube node (a, b, c); every node still owns its row of X, Δ and C.
+// The protocol:
+//
+//	rounds 0..F1-1: owner v in B_a streams X[v, B_c] to (a, b, c) for
+//	                every b and c, and Δ[v, B_b] to (a', b, a) for every
+//	                a' and b, LinkMsgCap() words a link a round.
+//	round F1:       every segment has arrived. Cube node (a, b, c)
+//	                decodes X[B_a, B_c] and Δ[B_c, B_b] into scratch
+//	                dense blocks, folds the partial product
+//	                ⊕_{k∈B_c} X[u, k] ⊗ Δ[k, B_b] for every u in B_a,
+//	                and starts streaming each non-empty partial row
+//	                segment to its owner u.
+//	rounds > F1:    owners fold the partial rows into acc, which starts
+//	                at X[u]; senders stream the next words.
+//
+// Segments are packed rows (packRow) with global columns, so a receiver
+// tells an X segment (columns in B_c, from a node of B_a) from a Δ
+// segment (columns in B_b, from a node of B_c) by the column of its
+// first entry. The one link that could carry both for the same block
+// is into a diagonal node (a, a, a); there the X segment already sent
+// stands in for Δ[v, B_a] ⊆ X[v, B_a], which is exact because
+// X ⊕ X ⊗ Δ' = X ⊗ X for any Δ ⊆ Δ' ⊆ X, so no second segment is sent.
+// A segment whose sender is its receiver, and a partial row for the
+// cube node's own row, never touch a link.
+//
+// F1 is the widest phase-1 link in words over the link cap: like the
+// row-pull's widest row, a global of the operands every node is taken
+// to know before round 0 (docs/paper-map.md lists these). The engine's
+// quiescence ends the pass once the partial rows are out.
+//
+// The vote is self-timed, since how wide the partial rows are depends
+// on the product. acc starts at the owner's row of X, so a row has
+// changed from the fold that moves it on. Its owner then sends node 0 a
+// ballot, unless it already knows the product changed; node 0, at its
+// own row's move or at the first ballot, tells every other node. Both
+// are the word 0, which no packed word is, queued behind the data on
+// the same link. A squaring that confirms the fixpoint sends no vote
+// word at all.
+type cubeNode struct {
+	*mulNode // the owner's half: acc, vote, and wf, the partial rows' format
+	cb       *cube
+	final    core.Round // F1
+	drained  core.Round // the round this node's phase-1 links are all sent by
+	// got holds the phase-1 words received, still packed, from[i] the
+	// sender of got[i] (two slices: a Message would pad to 16 bytes).
+	got  []uint64
+	from []core.NodeID
+	out  []stream // what this node still has to send
+}
+
+// stream is a partial row queued for its owner, and the vote word 0
+// behind it when vote is set.
+type stream struct {
+	dst   core.NodeID
+	words []uint64
+	vote  bool
+}
+
+// cube is what every node of a cube pass shares.
+type cube struct {
+	n, q int
+	sr   core.Semiring
+	wf   *wireFormat // the format of the X and Δ segments
+	// segs holds every owner's segments packed, X[v, B_c] at xSeg(v, c)
+	// and Δ[v, B_b] at dSeg(v, b).
+	segs [][]uint64
+	// links[v·span:(v+1)·span] is what owner v sends in phase 1
+	// (cube.link), span = q(2q-1) links each.
+	links   []link
+	wide    int   // the widest phase-1 link, in words
+	in      []int // in[t] is the phase-1 words cube node t holds at F1
+	scratch sync.Pool
+}
+
+// link is one phase-1 link of an owner: to cube node t, the segments
+// segs[x] then segs[d], an index of -1 naming none.
+type link struct{ t, x, d int32 }
+
+// cubeScratch is the dense blocks one local product decodes into and
+// folds, reused across the cube nodes one worker runs.
+type cubeScratch struct {
+	x, d, c []int64
+	db      deltaBlock
+	slab    []uint64 // the packed partial rows
+	ends    []int    // (owner, end) pairs of the partial rows in slab
+	cols    []core.NodeID
+	vals    []int64
+	bits    []uint64 // multiplyBool's blocks, as bitsets
+}
+
+// cubeRoot returns ⌊n^{1/3}⌋.
+func cubeRoot(n int) int {
+	q := 1
+	for (q+1)*(q+1)*(q+1) <= n {
+		q++
+	}
+	return q
+}
+
+// lo returns the first row of block i (lo(q) = n).
+func (cb *cube) lo(i int) int { return i * cb.n / cb.q }
+
+// block returns the block v lies in.
+func (cb *cube) block(v int) int { return ((v+1)*cb.q - 1) / cb.n }
+
+// xSeg and dSeg index X[v, B_c] and Δ[v, B_b] in segs.
+func (cb *cube) xSeg(v, c int) int { return 2*v*cb.q + c }
+func (cb *cube) dSeg(v, b int) int { return (2*v+1)*cb.q + b }
+
+// newCube packs every owner's segments of X = b and of Δ, the entries
+// where b differs from prev, in the format wf, and finds the widest
+// phase-1 link.
+func newCube(b, prev *Dense, wf *wireFormat) *cube {
+	n := b.N
+	cb := &cube{n: n, q: cubeRoot(n), sr: b.Sr, wf: wf}
+	q, zero := cb.q, b.Sr.Zero
+	ends := make([]int, 2*n*q)
+	var slab []uint64
+	var cols []core.NodeID
+	var vals []int64
+	for v := 0; v < n; v++ {
+		row, old := b.Row(core.NodeID(v)), prev.Row(core.NodeID(v))
+		for s := 0; s < 2*q; s++ {
+			cols, vals = cols[:0], vals[:0]
+			for j, hi := cb.lo(s%q), cb.lo(s%q+1); j < hi; j++ {
+				if x := row[j]; x != zero && (s < q || x != old[j]) {
+					cols, vals = append(cols, core.NodeID(j)), append(vals, x)
+				}
+			}
+			slab = wf.packRow(slab, cols, vals)
+			ends[cb.xSeg(v, s)] = len(slab) // dSeg(v, s-q) from s = q on
+		}
+	}
+	cb.segs = make([][]uint64, len(ends))
+	lo := 0
+	for i, hi := range ends {
+		cb.segs[i], lo = slab[lo:hi:hi], hi
+	}
+	cb.in = make([]int, q*q*q)
+	cb.links = make([]link, 0, q*(2*q-1)*n)
+	for v := 0; v < n; v++ {
+		a := cb.block(v)
+		for b := 0; b < q; b++ {
+			for c := 0; c < q; c++ {
+				d := -1
+				if c == a && b != a {
+					d = cb.dSeg(v, b)
+				}
+				cb.link(v, (a*q+b)*q+c, cb.xSeg(v, c), d)
+			}
+			for a2 := 0; a2 < q; a2++ {
+				if a2 != a {
+					cb.link(v, (a2*q+b)*q+a, -1, cb.dSeg(v, b))
+				}
+			}
+		}
+	}
+	return cb
+}
+
+// link records that owner v sends cube node t the segments x then d in
+// phase 1: X[v, B_c] to (a, b, c), followed by Δ[v, B_b] when c = a and
+// the node is not diagonal, and Δ[v, B_b] alone to (a', b, a) for
+// a' ≠ a.
+func (cb *cube) link(v, t, x, d int) {
+	cb.links = append(cb.links, link{int32(t), int32(x), int32(d)})
+	words := len(cb.seg(int32(x))) + len(cb.seg(int32(d)))
+	cb.in[t] += words
+	if t != v {
+		cb.wide = max(cb.wide, words)
+	}
+}
+
+// seg returns segs[i], or nothing for i = -1.
+func (cb *cube) seg(i int32) []uint64 {
+	if i < 0 {
+		return nil
+	}
+	return cb.segs[i]
+}
+
+// asCube makes p a cube pass: its nodes run cubeNode over cb, and fold
+// partial rows in the format pwf.
+func (p *Pass) asCube(cb *cube, pwf *wireFormat) {
+	cubes := make([]cubeNode, p.n)
+	for v := range cubes {
+		p.state[v].wf = pwf
+		cubes[v] = cubeNode{mulNode: &p.state[v], cb: cb}
+		p.nodes[v] = &cubes[v]
+	}
+	// Phase 2 adds at most one word per entry of a block, and the vote
+	// one word a link; 4n+64 covers the rest.
+	p.maxRow = cb.wide + cb.lo(1) + 1
+}
+
+// Round runs one round of the cube protocol and its vote.
+func (nd *cubeNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message) error {
+	id, cb := int(ctx.ID()), nd.cb
+	cubeNodes := cb.q * cb.q * cb.q
+	if r == 0 {
+		if nd.vote != nil {
+			nd.vote.ran = true
+		}
+		per := ctx.LinkMsgCap()
+		nd.final = core.Round((cb.wide + per - 1) / per)
+		if id < cubeNodes {
+			nd.got, nd.from = make([]uint64, 0, cb.in[id]), make([]core.NodeID, 0, cb.in[id])
+		}
+	}
+	folded := false
+	if r <= nd.final {
+		if r == 0 || r < nd.drained {
+			if err := nd.segments(ctx, r); err != nil {
+				return err
+			}
+		}
+		for _, m := range inbox {
+			nd.got, nd.from = append(nd.got, m.Payload), append(nd.from, m.Src)
+		}
+		if r == nd.final {
+			if id < cubeNodes {
+				folded = nd.multiply(id)
+			}
+			nd.got, nd.from = nil, nil
+		}
+	} else {
+		for _, m := range inbox {
+			switch {
+			case m.Payload != 0:
+				nd.accumulate(nd.sr.One, m.Payload)
+				folded = true
+			case !nd.vote.changed:
+				// A ballot into node 0, or node 0's verdict: only a voting
+				// pass sends the word 0.
+				nd.vote.changed = true
+				if id == 0 {
+					nd.announce(ctx.NumNodes())
+				}
+			}
+		}
+	}
+	if vt := nd.vote; folded && vt != nil && !vt.changed && !slices.Equal(nd.acc, vt.bRow) {
+		vt.changed = true
+		if id == 0 {
+			nd.announce(ctx.NumNodes())
+		} else {
+			nd.queueVote(0)
+		}
+	}
+	return nd.flush(ctx)
+}
+
+// segments sends round r's share of phase 1, words [r·cap, (r+1)·cap)
+// of every link's segments, so phase 1 needs no state beyond the round;
+// in round 0 it also keeps the segments the node sends itself and finds
+// the round its links are drained by.
+func (nd *cubeNode) segments(ctx *engine.Ctx, r core.Round) error {
+	id, per, cb := ctx.ID(), ctx.LinkMsgCap(), nd.cb
+	from, span := int(r)*per, cb.q*(2*cb.q-1)
+	for _, l := range cb.links[int(id)*span : (int(id)+1)*span] {
+		x, d := cb.seg(l.x), cb.seg(l.d)
+		if l.t == int32(id) {
+			if r > 0 {
+				continue
+			}
+			for _, seg := range [2][]uint64{x, d} {
+				for _, w := range seg {
+					nd.got, nd.from = append(nd.got, w), append(nd.from, id)
+				}
+			}
+			continue
+		}
+		if r == 0 {
+			nd.drained = max(nd.drained, core.Round((len(x)+len(d)+per-1)/per))
+		}
+		for i := from; i < min(from+per, len(x)+len(d)); i++ {
+			var w uint64
+			if i < len(x) {
+				w = x[i]
+			} else {
+				w = d[i-len(x)]
+			}
+			if err := ctx.Send(core.NodeID(l.t), w); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// multiply is cube node t's local product in round F1: it decodes the
+// segments it holds, folds the partial rows of C, and queues each
+// non-empty one for its owner — folding its own row in place. It
+// reports whether it folded into its own row.
+func (nd *cubeNode) multiply(t int) bool {
+	cb := nd.cb
+	q, zero := cb.q, cb.sr.Zero
+	a, b, c := t/(q*q), t/q%q, t%q
+	la, lb, lc := cb.lo(a), cb.lo(b), cb.lo(c)
+	ra, rb, rc := cb.lo(a+1)-la, cb.lo(b+1)-lb, cb.lo(c+1)-lc
+	diag := a == b && b == c
+	s, _ := cb.scratch.Get().(*cubeScratch)
+	if s == nil {
+		s = &cubeScratch{}
+	}
+	defer cb.scratch.Put(s)
+	if cb.wf.loop == core.KindBoolOrAnd {
+		return nd.multiplyBool(s, t, la, lb, lc, ra, rb, rc, diag)
+	}
+	x := fill(&s.x, ra*rc, zero)
+	d := x
+	if !diag {
+		d = fill(&s.d, rc*rb, zero)
+	}
+	db := &s.db
+	db.vals, db.rb = d, rb
+	cnt := slices.Grow(db.cnt[:0], rc)[:rc]
+	clear(cnt)
+	for i, w := range nd.got {
+		src := int(nd.from[i])
+		if j := cb.wf.firstCol(w); src >= la && src < la+ra && j >= lc && j < lc+rc {
+			if e := cb.wf.decode(w, x[(src-la)*rc:][:rc], lc); diag {
+				cnt[src-lc] += e
+			}
+		} else {
+			cnt[src-lc] += cb.wf.decode(w, d[(src-lc)*rb:][:rb], lb)
+		}
+	}
+	db.cnt = cnt
+	db.index(zero)
+	prod := fill(&s.c, ra*rb, zero)
+	blockProduct(cb.sr, prod, x, db, ra, rc)
+	return nd.emit(s, t, la, ra, func(i int, cols []core.NodeID, vals []int64) ([]core.NodeID, []int64) {
+		for j, v := range prod[i*rb : (i+1)*rb] {
+			if v != zero {
+				cols, vals = append(cols, core.NodeID(lb+j)), append(vals, v)
+			}
+		}
+		return cols, vals
+	})
+}
+
+// emit hands each non-empty partial row i of cube node t's product, as
+// row(i) appends its entries, to its owner la + i: folded in place when
+// that is t itself, queued as a packed stream otherwise. It reports
+// whether it folded into t's own row.
+func (nd *cubeNode) emit(s *cubeScratch, t, la, ra int, row func(i int, cols []core.NodeID, vals []int64) ([]core.NodeID, []int64)) bool {
+	// Locals, not the scratch's fields: appending through a heap pointer
+	// pays the GC's write barrier on every entry.
+	own := false
+	cols, vals, slab, ends := s.cols, s.vals, s.slab[:0], s.ends[:0]
+	for i := 0; i < ra; i++ {
+		cols, vals = row(i, cols[:0], vals[:0])
+		switch {
+		case len(cols) == 0:
+		case la+i == t:
+			for k, j := range cols {
+				nd.acc[j] = nd.sr.Add(nd.acc[j], vals[k])
+			}
+			own = true
+		default:
+			slab = nd.wf.packRow(slab, cols, vals)
+			ends = append(ends, la+i, len(slab))
+		}
+	}
+	// The partial rows stream out over the rounds to come, so they leave
+	// the scratch for a slab of their own, sized to fit.
+	kept := slices.Clone(slab)
+	nd.out = slices.Grow(nd.out, len(ends)/2+1) // and a vote word
+	for i, lo := 0, 0; i < len(ends); i += 2 {
+		hi := ends[i+1]
+		nd.out = append(nd.out, stream{dst: core.NodeID(ends[i]), words: kept[lo:hi:hi]})
+		lo = hi
+	}
+	s.ends, s.cols, s.vals, s.slab = ends, cols, vals, slab
+	return own
+}
+
+// multiplyBool is multiply over (or,and) in the 1-bit-field format, where
+// every value is One and a row is a set of columns: the blocks are
+// bitsets, a positional word decodes as one shifted bitmap, and each
+// x[i][k] = One ORs Δ's row k into row i a machine word at a time.
+func (nd *cubeNode) multiplyBool(s *cubeScratch, t, la, lb, lc, ra, rb, rc int, diag bool) bool {
+	wf := nd.cb.wf
+	xw, dw := (rc+63)/64, (rb+63)/64
+	s.bits = slices.Grow(s.bits[:0], ra*xw+rc*dw+dw)[:ra*xw+rc*dw+dw]
+	clear(s.bits)
+	x, d, acc := s.bits[:ra*xw], s.bits[ra*xw:ra*xw+rc*dw], s.bits[ra*xw+rc*dw:]
+	if diag {
+		d = x
+	}
+	for i, w := range nd.got {
+		src := int(nd.from[i])
+		if j := wf.firstCol(w); src >= la && src < la+ra && j >= lc && j < lc+rc {
+			wf.decodeBits(w, x[(src-la)*xw:][:xw], lc)
+		} else {
+			wf.decodeBits(w, d[(src-lc)*dw:][:dw], lb)
+		}
+	}
+	return nd.emit(s, t, la, ra, func(i int, cols []core.NodeID, vals []int64) ([]core.NodeID, []int64) {
+		clear(acc)
+		for kw, m := range x[i*xw : (i+1)*xw] {
+			for ; m != 0; m &= m - 1 {
+				k := kw*64 + bits.TrailingZeros64(m)
+				for w, b := range d[k*dw : (k+1)*dw] {
+					acc[w] |= b
+				}
+			}
+		}
+		for w, m := range acc {
+			for ; m != 0; m &= m - 1 {
+				cols, vals = append(cols, core.NodeID(lb+w*64+bits.TrailingZeros64(m))), append(vals, nd.sr.One)
+			}
+		}
+		return cols, vals
+	})
+}
+
+// fill returns (*buf)[:size] filled with v, growing *buf as needed.
+func fill(buf *[]int64, size int, v int64) []int64 {
+	*buf = slices.Grow((*buf)[:0], size)[:size]
+	for i := range *buf {
+		(*buf)[i] = v
+	}
+	return *buf
+}
+
+// deltaBlock is the Δ block of one local product, rc x rb and row-major,
+// with its rows sorted by how they are best walked: full rows (more
+// than a quarter non-Zero) densely, four at a time; part rows through
+// the list of their non-Zero columns, nz[ends[i]:ends[i+1]] for
+// part[i]; rows all Zero not at all. cnt[k] is how many entries row k
+// holds, as decode counted them.
+type deltaBlock struct {
+	vals       []int64
+	rb         int
+	cnt        []int
+	full, part []int
+	live       []int // blockProduct's scratch: the full rows one row of x meets
+	nz         []int32
+	ends       []int
+}
+
+// index sorts the block's rows, reusing the slices it already holds.
+func (db *deltaBlock) index(zero int64) {
+	// Locals, not db's fields: appending through a heap pointer pays the
+	// GC's write barrier on every entry.
+	full, part, nz, ends := db.full[:0], db.part[:0], db.nz[:0], append(db.ends[:0], 0)
+	for k, cnt := range db.cnt {
+		switch {
+		case 4*cnt > db.rb:
+			full = append(full, k)
+		case cnt > 0:
+			for j, v := range db.row(k) {
+				if v != zero {
+					nz = append(nz, int32(j))
+				}
+			}
+			part, ends = append(part, k), append(ends, len(nz))
+		}
+	}
+	db.full, db.part, db.nz, db.ends = full, part, nz, ends
+}
+
+// row returns row k of the block.
+func (db *deltaBlock) row(k int) []int64 { return db.vals[k*db.rb : (k+1)*db.rb] }
+
+// blockProduct folds prod[i][j] = Add(prod[i][j], Mul(x[i][k], Δ[k][j]))
+// for the row-major blocks x (ra x rc) and prod (ra x rb), in loops
+// specialised per semiring kind as accumulate's are.
+func blockProduct(sr core.Semiring, prod, x []int64, db *deltaBlock, ra, rc int) {
+	zero, kind, rb := sr.Zero, sr.Kind(), db.rb
+	live := db.live
+	for i := 0; i < ra; i++ {
+		out, xr := prod[i*rb:(i+1)*rb], x[i*rc:(i+1)*rc]
+		// The full rows this row of x has a term for.
+		live = live[:0]
+		for _, k := range db.full {
+			if xr[k] != zero {
+				live = append(live, k)
+			}
+		}
+		full := live
+		if kind == core.KindMinPlus || kind == core.KindMaxMin {
+			for ; len(full) >= 4; full = full[4:] {
+				k := full[:4]
+				rows := [4][]int64{db.row(k[0]), db.row(k[1]), db.row(k[2]), db.row(k[3])}
+				xs := [4]int64{xr[k[0]], xr[k[1]], xr[k[2]], xr[k[3]]}
+				switch kind {
+				case core.KindMinPlus:
+					minPlus4(out, &rows, &xs)
+				case core.KindMaxMin:
+					maxMin4(out, &rows, &xs)
+				}
+			}
+		}
+		for _, k := range full {
+			foldRow(sr, out, db.row(k), xr[k])
+		}
+		foldPart(sr, out, xr, db)
+	}
+	db.live = live
+}
+
+// minPlus4 folds four (min,+) terms into each entry of out, one per row
+// of rows: one load and one store of out per four terms. No sum can
+// overflow (every value is at most InfWeight), and a sum at or past
+// InfWeight never lowers out below it.
+func minPlus4(out []int64, rows *[4][]int64, xs *[4]int64) {
+	r0, r1, r2, r3 := rows[0], rows[1][:len(rows[0])], rows[2][:len(rows[0])], rows[3][:len(rows[0])]
+	out = out[:len(r0)]
+	for j, d := range r0 {
+		out[j] = min(out[j], xs[0]+d, xs[1]+r1[j], xs[2]+r2[j], xs[3]+r3[j])
+	}
+}
+
+// maxMin4 is minPlus4 over (max,min).
+func maxMin4(out []int64, rows *[4][]int64, xs *[4]int64) {
+	r0, r1, r2, r3 := rows[0], rows[1][:len(rows[0])], rows[2][:len(rows[0])], rows[3][:len(rows[0])]
+	out = out[:len(r0)]
+	for j, d := range r0 {
+		out[j] = max(out[j], min(xs[0], d), min(xs[1], r1[j]), min(xs[2], r2[j]), min(xs[3], r3[j]))
+	}
+}
+
+// foldRow folds the terms Mul(xv, row[j]) into out, for an xv that is
+// not Zero.
+func foldRow(sr core.Semiring, out, row []int64, xv int64) {
+	out = out[:len(row)]
+	switch sr.Kind() {
+	case core.KindMinPlus:
+		if xv >= core.InfWeight { // Mul saturates: no term
+			return
+		}
+		for j, d := range row {
+			out[j] = min(out[j], xv+d)
+		}
+	case core.KindMaxMin:
+		for j, d := range row {
+			out[j] = max(out[j], min(xv, d))
+		}
+	default:
+		for j, d := range row {
+			out[j] = sr.Add(out[j], sr.Mul(xv, d))
+		}
+	}
+}
+
+// foldPart folds the terms of the part rows of db into out, the row of
+// the product whose row of x is xr, walking each row's list of non-Zero
+// columns.
+func foldPart(sr core.Semiring, out, xr []int64, db *deltaBlock) {
+	zero := sr.Zero
+	for p, k := range db.part {
+		xv, row, cols := xr[k], db.row(k), db.nz[db.ends[p]:db.ends[p+1]]
+		if xv == zero {
+			continue
+		}
+		switch sr.Kind() {
+		case core.KindMinPlus:
+			if xv >= core.InfWeight { // Mul saturates: no term
+				continue
+			}
+			for _, j := range cols {
+				out[j] = min(out[j], xv+row[j])
+			}
+		case core.KindMaxMin:
+			for _, j := range cols {
+				out[j] = max(out[j], min(xv, row[j]))
+			}
+		default:
+			for _, j := range cols {
+				out[j] = sr.Add(out[j], sr.Mul(xv, row[j]))
+			}
+		}
+	}
+}
+
+// queueVote queues the vote word 0 to dst behind whatever data this
+// node still has for it.
+func (nd *cubeNode) queueVote(dst core.NodeID) {
+	for i := range nd.out {
+		if nd.out[i].dst == dst {
+			nd.out[i].vote = true
+			return
+		}
+	}
+	nd.out = append(nd.out, stream{dst: dst, vote: true})
+}
+
+// announce is node 0 telling every other node the product changed.
+func (nd *cubeNode) announce(n int) {
+	queued := make([]bool, n)
+	for i := range nd.out {
+		nd.out[i].vote, queued[nd.out[i].dst] = true, true
+	}
+	for v := 1; v < n; v++ {
+		if !queued[v] {
+			nd.out = append(nd.out, stream{dst: core.NodeID(v), vote: true})
+		}
+	}
+}
+
+// flush sends every destination the next LinkMsgCap() words queued for
+// it and drops the streams it empties.
+func (nd *cubeNode) flush(ctx *engine.Ctx) error {
+	per := ctx.LinkMsgCap()
+	kept := 0
+	for i := range nd.out {
+		s := &nd.out[i]
+		n := min(per, len(s.words))
+		for _, w := range s.words[:n] {
+			if err := ctx.Send(s.dst, w); err != nil {
+				return err
+			}
+		}
+		s.words = s.words[n:]
+		if s.vote && n < per {
+			if err := ctx.Send(s.dst, 0); err != nil {
+				return err
+			}
+			s.vote = false
+		}
+		if len(s.words) == 0 && !s.vote {
+			continue
+		}
+		if kept != i {
+			nd.out[kept] = *s
+		}
+		kept++
+	}
+	clear(nd.out[kept:])
+	nd.out = nd.out[:kept]
+	return nil
 }

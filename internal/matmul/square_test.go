@@ -19,7 +19,7 @@ func sameBits(a, b *Matrix) bool {
 
 // squarePass is the semi-naive squaring X ⊗ X = X ⊕ X ⊗ Δ of an X =
 // prev ⊗ prev, as Power builds it.
-func squarePass(x, prev *Matrix) (*Pass, error) { return newPass(x, dense(x), dense(prev), false) }
+func squarePass(x, prev *Matrix) (*Pass, error) { return newPass(x, dense(x), dense(prev), cubed) }
 
 // TestSemiNaiveSquaringMatchesRef: over every semiring, on random
 // reflexive X = P ⊗ P of several densities and hop horizons, the
@@ -114,8 +114,10 @@ func TestPowerWithoutOneDiagonalStreamsWholeRows(t *testing.T) {
 }
 
 // TestSemiNaiveSquaringEdges: a single-node clique squares and powers
-// without error, and a squaring whose Δ is empty — X = P — costs only
-// its requests, nnz(X) - n words in two rounds, and returns X.
+// without error, and a squaring whose Δ is empty — X = P — returns X,
+// votes that nothing changed at no cost in vote words, and bills what
+// the cube model predicts: X's segments out, the diagonal nodes'
+// partial rows back.
 func TestSemiNaiveSquaringEdges(t *testing.T) {
 	sr := core.MinPlus()
 	one := Identity(1, sr)
@@ -147,8 +149,8 @@ func TestSemiNaiveSquaringEdges(t *testing.T) {
 	}
 	p.vote(askedRows(x))
 	st := runVotePass(t, p, 1, 1)
-	if want := uint64(x.NNZ() - x.N); st.Rounds != 2 || st.TotalMsgs != want {
-		t.Errorf("empty Δ: %d rounds and %d words, want 2 and the %d requests", st.Rounds, st.TotalMsgs, want)
+	if want := predictCube(t, x, dense(x), 1, true); st.Rounds != want.rounds || st.TotalMsgs != want.words {
+		t.Errorf("empty Δ: %d rounds and %d words, model %d and %d", st.Rounds, st.TotalMsgs, want.rounds, want.words)
 	}
 	if !sameBits(p.Sparse(), x) || p.changed() {
 		t.Errorf("empty Δ: the squaring of a fixpoint changed it (changed() = %v)", p.changed())
@@ -230,5 +232,118 @@ func TestSemiNaiveSquaringDeltaShapes(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCubeProductMatchesRef: the cube pass of a semi-naive squaring
+// returns X ⊗ X bit for bit, over every semiring, on sizes that cover
+// q = 1, n = q³, n just past q³ and ragged last blocks, for three
+// shapes of Δ:
+//
+//   - empty: X is its own closure and P = X, the fixpoint a squaring
+//     loop ends on;
+//   - all of X: P is all Zero, so every entry of X is in Δ;
+//   - diagonal blocks: P has edges only inside the blocks B_i, so X = P ⊗ P
+//     and Δ lie in the diagonal blocks, where the diagonal cube nodes
+//     use X in Δ's place.
+//
+// Its vote must agree with the host's slices.Equal of the product and X,
+// and its rounds and words with predictCube, at link caps 1 and 4 with
+// no link over its cap.
+func TestCubeProductMatchesRef(t *testing.T) {
+	for _, sr := range core.AllSemirings() {
+		for _, n := range []int{1, 2, 7, 8, 9, 27, 28, 63, 64, 65} {
+			a, err := FromGraph(graph.RandomGNP(n, 0.1, int64(n)).WithUniformRandomWeights(2, 20), sr, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// blockLocal is a's edges inside the blocks B_i alone.
+			cb := &cube{n: n, q: cubeRoot(n)}
+			bld := newBuilder(n, sr)
+			for v := 0; v < n; v++ {
+				row := slices.Clone(dense(a).Row(core.NodeID(v)))
+				for j := range row {
+					if cb.block(j) != cb.block(v) {
+						row[j] = sr.Zero
+					}
+				}
+				bld.appendRow(row)
+			}
+			blockLocal := bld.m
+			closure := a
+			for {
+				next, err := MulRef(closure, closure)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sameBits(next, closure) {
+					break
+				}
+				closure = next
+			}
+			square := func(m *Matrix) *Matrix {
+				x, err := MulRef(m, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return x
+			}
+			for _, tc := range []struct {
+				name string
+				x    *Matrix
+				prev *Dense
+			}{
+				{"empty", closure, dense(closure)},
+				{"all", square(a), NewDense(n, n, sr)},
+				{"diagonal-blocks", square(blockLocal), dense(blockLocal)},
+			} {
+				want := square(tc.x)
+				for _, cap := range []int{1, 4} {
+					name := fmt.Sprintf("%s/n%d/%s/cap%d", sr.Name, n, tc.name, cap)
+					p, err := newPass(tc.x, dense(tc.x), tc.prev, cubed)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					p.vote(nil)
+					st := runVotePass(t, p, cap, 1)
+					if got := p.Sparse(); !sameBits(got, want) {
+						t.Fatalf("%s: the cube pass differs from MulRef(X, X)", name)
+					}
+					if same := slices.Equal(p.Dense().Vals, dense(tc.x).Vals); p.changed() == same {
+						t.Errorf("%s: changed() = %v, but the product equals X: %v", name, p.changed(), same)
+					}
+					if model := predictCube(t, tc.x, tc.prev, cap, true); st.Rounds != model.rounds || st.TotalMsgs != model.words {
+						t.Errorf("%s: %d rounds and %d words, model %d and %d", name, st.Rounds, st.TotalMsgs, model.rounds, model.words)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCubeFallsBackToRowPull: a (min,+) squaring whose largest value
+// doubled saturates has no wire format for its partial rows, so it
+// runs row-pull instead — and still returns X ⊗ X.
+func TestCubeFallsBackToRowPull(t *testing.T) {
+	sr := core.MinPlus()
+	huge := core.InfWeight/2 + 1
+	bld := newBuilder(2, sr)
+	bld.appendRow([]int64{sr.One, huge})
+	bld.appendRow([]int64{huge, sr.One})
+	x := bld.m
+	p, err := newPass(x, dense(x), dense(x), cubed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := p.Nodes()[0].(*mulNode); !ok {
+		t.Fatalf("node 0 runs %T, want the row-pull *mulNode", p.Nodes()[0])
+	}
+	runVotePass(t, p, 1, 1)
+	want, err := MulRef(x, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(p.Sparse(), want) {
+		t.Error("the row-pull fallback differs from MulRef(X, X)")
 	}
 }

@@ -118,8 +118,9 @@ type passTraffic struct {
 	words  uint64
 }
 
-// predictTraffic is the traffic model of one product pass A ⊗ B at link
-// cap c, derived from its operands alone, for every pass newPass builds.
+// predictTraffic is the traffic model of one row-pull product pass
+// A ⊗ B at link cap c, derived from its operands alone, for every pass
+// newPass builds but a cube pass (predictCube).
 // Each off-diagonal nonzero a[v][k] makes v a requester of row k. Row k
 // streams the non-Zero entries of b[k] that differ from prev[k] (all of
 // them when prev is nil), packed in the wire format of exactly the
@@ -210,6 +211,203 @@ func predictTraffic(t *testing.T, a *Matrix, b, prev *Dense, heard bool, c int, 
 	return pt
 }
 
+// predictCube is the traffic model of the cube pass of a semi-naive
+// squaring X ⊗ X = X ⊕ X ⊗ Δ at link cap c, derived from X and the P
+// with X = P ⊗ P alone, written from the protocol cubeNode documents
+// rather than from its code. Let q = ⌊n^{1/3}⌋, B_i = [i·n/q, (i+1)·n/q)
+// and cube node (a, b, c) = (a·q + b)·q + c.
+//
+//   - Phase 1: owner v in B_a sends X[v, B_c] to (a, b, c) for every b
+//     and c, and Δ[v, B_b] to (a', b, a) for every a' and b but a' = b = a,
+//     each segment packed in the wire format of X's values; a link's
+//     words are the segments it carries, and a link into the sender
+//     itself costs nothing. F1 = ceil(widest link / c).
+//   - Phase 2: cube node t = (a, b, c) sends owner u in B_a, u ≠ t, the
+//     non-Zero entries of ⊕_{k∈B_c} X[u, k] ⊗ D[k, B_b], D = X on a
+//     diagonal node and Δ elsewhere, packed in the format of the values'
+//     products; word i of a link goes out in round F1 + i/c.
+//   - The vote: owner u's row moves in the first round a partial word
+//     that lowers (⊕-raises) an entry of X[u] reaches it — round F1 for
+//     its own partial. A moved row but node 0's sends node 0 the word 0,
+//     unless node 0's verdict has reached it by then; node 0 tells every
+//     other node at its own row's move or on the first ballot's arrival.
+//     A vote word queued on a link that still carries data goes out
+//     behind it. No row moves: no vote word.
+//   - Rounds: two past the last round anything is sent, one when nothing
+//     is.
+//
+// Where no wire word fits the partial rows' format, the squaring is a
+// row-pull product and predictTraffic's.
+func predictCube(t *testing.T, x *Matrix, prev *Dense, c int, vote bool) passTraffic {
+	t.Helper()
+	n, sr := x.N, x.Sr
+	dx := dense(x)
+	var rg valueRange
+	for _, v := range dx.Vals {
+		if v != sr.Zero && v != sr.One {
+			rg.add(v)
+		}
+	}
+	wf, err := rg.format(n, sr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prg, ok := rg.products(sr)
+	pwf, err := prg.format(n, sr)
+	if !ok || err != nil {
+		return predictTraffic(t, x, dx, prev, false, c, vote)
+	}
+	q := 1
+	for (q+1)*(q+1)*(q+1) <= n {
+		q++
+	}
+	lo := func(i int) int { return i * n / q }
+	blockOf := func(v int) int {
+		i := 0
+		for lo(i+1) <= v {
+			i++
+		}
+		return i
+	}
+	// seg packs row v's entries over the columns of block i that keep
+	// reports true, in format f.
+	seg := func(f *wireFormat, row []int64, i int, keep func(j int) bool) []uint64 {
+		var cols []core.NodeID
+		var vals []int64
+		for j := lo(i); j < lo(i+1); j++ {
+			if row[j] != sr.Zero && keep(j) {
+				cols, vals = append(cols, core.NodeID(j)), append(vals, row[j])
+			}
+		}
+		return f.packRow(nil, cols, vals)
+	}
+	var pt passTraffic
+	last := -1 // the last round anything is sent in
+	widest := 0
+	for v := 0; v < n; v++ {
+		a, row, old := blockOf(v), dx.Row(core.NodeID(v)), prev.Row(core.NodeID(v))
+		link := map[int]int{}
+		for b := 0; b < q; b++ {
+			for cc := 0; cc < q; cc++ {
+				link[(a*q+b)*q+cc] += len(seg(wf, row, cc, func(int) bool { return true }))
+			}
+			for a2 := 0; a2 < q; a2++ {
+				if a2 != a || b != a {
+					link[(a2*q+b)*q+a] += len(seg(wf, row, b, func(j int) bool { return row[j] != old[j] }))
+				}
+			}
+		}
+		for dst, w := range link {
+			if dst != v {
+				pt.words += uint64(w)
+				widest = max(widest, w)
+			}
+		}
+	}
+	f1 := (widest + c - 1) / c
+	if widest > 0 {
+		last = f1 - 1
+	}
+	// Phase 2, with the round each owner's row first moves.
+	moved := make([]int, n) // -1: never
+	for u := range moved {
+		moved[u] = -1
+	}
+	move := func(u, r int) {
+		if moved[u] < 0 || r < moved[u] {
+			moved[u] = r
+		}
+	}
+	toZero := make([]int, n) // words cube node t streams owner 0
+	from0 := make([]int, n)  // words cube node 0 streams owner u
+	for tt := 0; tt < q*q*q; tt++ {
+		a, b, cc := tt/(q*q), tt/q%q, tt%q
+		for u := lo(a); u < lo(a+1); u++ {
+			part := make([]int64, n)
+			for j := range part {
+				part[j] = sr.Zero
+			}
+			for k := lo(cc); k < lo(cc+1); k++ {
+				xuk := dx.At(core.NodeID(u), k)
+				if xuk == sr.Zero {
+					continue
+				}
+				for j := lo(b); j < lo(b+1); j++ {
+					d := dx.At(core.NodeID(k), j)
+					if !(a == b && b == cc) && d == prev.At(core.NodeID(k), j) {
+						continue
+					}
+					if d != sr.Zero {
+						part[j] = sr.Add(part[j], sr.Mul(xuk, d))
+					}
+				}
+			}
+			xu := dx.Row(core.NodeID(u))
+			lowers := func(j int) bool { return sr.Add(xu[j], part[j]) != xu[j] }
+			if u == tt {
+				for j := lo(b); j < lo(b+1); j++ {
+					if part[j] != sr.Zero && lowers(j) {
+						move(u, f1)
+					}
+				}
+				continue
+			}
+			words := seg(pwf, part, b, func(int) bool { return true })
+			pt.words += uint64(len(words))
+			if len(words) > 0 {
+				last = max(last, f1+(len(words)-1)/c)
+			}
+			if u == 0 {
+				toZero[tt] = len(words)
+			}
+			if tt == 0 {
+				from0[u] = len(words)
+			}
+			for i, w := range words {
+				got := make([]int64, lo(b+1)-lo(b))
+				for j := range got {
+					got[j] = sr.Zero
+				}
+				pwf.decode(w, got, lo(b))
+				for j, p := range got {
+					if p != sr.Zero && lowers(lo(b)+j) {
+						move(u, f1+1+i/c)
+					}
+				}
+			}
+		}
+	}
+	if vote && slices.ContainsFunc(moved, func(r int) bool { return r >= 0 }) {
+		// behind is the round a vote word queued in round r goes out on a
+		// link whose data, L words, started in round F1.
+		behind := func(r, l int) int {
+			if l > (r-f1)*c {
+				return f1 + l/c
+			}
+			return r
+		}
+		announce := moved[0]
+		for u := 1; u < n; u++ {
+			if moved[u] >= 0 {
+				if r := behind(moved[u], toZero[u]) + 1; announce < 0 || r < announce {
+					announce = r
+				}
+			}
+		}
+		for v := 1; v < n; v++ {
+			sent := behind(announce, from0[v])
+			last = max(last, sent)
+			if moved[v] >= 0 && moved[v] < sent+1 {
+				pt.words++ // v's ballot
+				last = max(last, behind(moved[v], toZero[v]))
+			}
+		}
+		pt.words += uint64(n - 1)
+	}
+	pt.rounds = last + 2
+	return pt
+}
+
 // trafficHook returns a round hook that adds up each pass's rounds and
 // words into *got, one entry per pass.
 func trafficHook(got *[]passTraffic) clique.Option {
@@ -230,8 +428,8 @@ func capBudget(c int) clique.Option {
 // loopModel drives a kernel whose passes are all Power and Relaxation
 // products and, as each pass starts, records what predictTraffic says
 // it will cost, from the operands of the loop whose product is in
-// flight. A Power squaring with prev set is semi-naive: B = X streamed
-// as it differs from P. The model tracks each Relaxation itself: every
+// flight. A Power squaring with prev set is semi-naive, a cube pass
+// over X and P. The model tracks each Relaxation itself: every
 // product after its first is heard, and over a reflexive S streams only
 // what changed since the B it saw last.
 type loopModel struct {
@@ -270,7 +468,8 @@ func (m *loopModel) Next(g *graph.CSR) (clique.Pass, error) {
 				if !oneDiagonal(loop.prev) {
 					m.t.Errorf("pass %d: a semi-naive squaring over a previous operand without One on its diagonal", len(m.want))
 				}
-				prev = dense(loop.prev)
+				m.want = append(m.want, predictCube(m.t, left, dense(loop.prev), m.cap, loop.pass.voters != nil))
+				return pass, nil
 			}
 		}
 		m.want = append(m.want, predictTraffic(m.t, left, dense(loop.base), prev, false, m.cap, loop.pass.voters != nil))
@@ -334,8 +533,8 @@ func inFlight(v reflect.Value, seen map[uintptr]bool) any {
 // apsp, closure and widest square until stable, hop-limited squares and
 // multiplies to 7 hops, ksource and the other pipelines run a Power or
 // a hopset construction and then a Relaxation. So the model covers
-// whole-row products, Δ-only semi-naive squarings, request-free later
-// Relaxation products and votes. Every kernel whose Power squares more
+// whole-row products, semi-naive squarings as cube passes with their
+// self-timed votes, request-free later Relaxation products and votes. Every kernel whose Power squares more
 // than once must square semi-naively, and every kernel that relaxes
 // must run a product after the first. bfs, bellman-ford and mst run
 // passes of their own and have no model yet.
@@ -368,7 +567,7 @@ func TestKernelTrafficModel(t *testing.T) {
 					t.Errorf("per-pass rounds/words %v, model %v", got, m.want)
 				}
 				if m.resq && m.semi == 0 {
-					t.Error("a Power squared more than once and never semi-naively; the fixture must exercise the Δ-only streams")
+					t.Error("a Power squared more than once and never semi-naively; the fixture must exercise the cube passes")
 				}
 				if len(m.lastB) > 0 && m.later == 0 {
 					t.Error("no Relaxation ran a second product; the fixture must exercise heard products")
