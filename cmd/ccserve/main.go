@@ -14,7 +14,7 @@
 //	ccserve [-addr 127.0.0.1:7470] [-workers 0] [-max-batch 16]
 //	        [-max-upload 67108864] [-drain-timeout 30s]
 //
-// A negative -workers, -max-upload or -drain-timeout, or a -max-batch
+// A negative -workers or -drain-timeout, or a -max-batch or -max-upload
 // below 1, is rejected before the listener binds.
 //
 // A quickstart against a running daemon:
@@ -86,8 +86,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return fmt.Errorf("-workers %d is negative", *workers)
 	case *maxBatch < 1:
 		return fmt.Errorf("-max-batch %d is below 1", *maxBatch)
-	case *maxUpload < 0:
-		return fmt.Errorf("-max-upload %d is negative", *maxUpload)
+	case *maxUpload < 1:
+		return fmt.Errorf("-max-upload %d is below 1", *maxUpload)
 	case *drain < 0:
 		return fmt.Errorf("-drain-timeout %v is negative", *drain)
 	}

@@ -156,6 +156,7 @@ func TestRunBadFlags(t *testing.T) {
 		{"-addr", "127.0.0.1:0", "-workers", "-1"},
 		{"-addr", "127.0.0.1:0", "-max-batch", "0"},
 		{"-addr", "127.0.0.1:0", "-max-batch", "-3"},
+		{"-addr", "127.0.0.1:0", "-max-upload", "0"},
 		{"-addr", "127.0.0.1:0", "-max-upload", "-1"},
 		{"-addr", "127.0.0.1:0", "-drain-timeout", "-1s"},
 	} {

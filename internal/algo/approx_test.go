@@ -137,15 +137,14 @@ func TestApproxSSSPSampledHubs(t *testing.T) {
 
 // TestApproxSSSPUsesFewerRoundsThanAPSP: the hopset swap is a
 // round-count optimization, and with a sampled hub set it pays from a
-// few hundred vertices on. Asserted on G(384, 0.05) with weights 1..20
+// few hundred vertices on. Asserted on G(512, 0.05) with weights 1..20
 // and hub rate 0.1 — the benchmark's graph shape — where both sides
-// stop their loops early: 91 rounds against exact APSP's 93, on a fifth
-// of the words. Below that the squarings win on rounds now that they
-// stop at their fixpoint and multiply by the cube partition (at n = 256,
-// 74 against 80; this test ran there until the cube pass, and at
-// G(96, 0.06) before the fixpoint stop). On a weighted path, where
-// nothing stops early and every product pays its vote, the crossover
-// sat near n = 512 before the cube pass.
+// stop their loops early: 96 rounds against exact APSP's 107, on a fifth
+// of the words. Since the squarings run by the cube partition, exact
+// APSP wins on rounds at n = 256 (74 against 80 on this graph seed) and
+// the two sit on the crossover at n = 384 (graph seeds 1..12: approx
+// ahead by -10..10 rounds); at n = 512 approx is ahead by 8..21 rounds
+// on every one of those seeds.
 //
 // Below the crossover the trend is asserted instead, in the sparse-hub
 // regime (β = 2⌈√n⌉, about 1.5√n hubs) on G(n, 0.12) with weights
@@ -153,7 +152,7 @@ func TestApproxSSSPSampledHubs(t *testing.T) {
 // words than exact APSP, and its rounds as a share of exact APSP's fall
 // as n doubles.
 func TestApproxSSSPUsesFewerRoundsThanAPSP(t *testing.T) {
-	g := graph.RandomGNPWeighted(384, 0.05, 20, 11)
+	g := graph.RandomGNPWeighted(512, 0.05, 20, 11)
 	exact := runKernel(t, g, NewAPSPKernel())
 	approx := runKernel(t, g, NewApproxSSSPKernel(0, hopset.Params{Eps: 0.5, HubRate: 0.1, Seed: 3}))
 	if approx.Rounds >= exact.Rounds || approx.TotalMsgs >= exact.TotalMsgs {

@@ -56,11 +56,7 @@ type Power struct {
 	// prev is the operand of the last squaring, so base = prev ⊗ prev,
 	// kept only when it has One on its diagonal; nil before the first
 	// squaring.
-	prev *Matrix
-	// baseD and prevD are base and prev as Dense, taken from the pass
-	// that produced them so the next squaring need not rebuild them; nil
-	// until then, and prevD only until that squaring is built.
-	baseD, prevD *Dense
+	prev         *Matrix
 	pass         *Pass
 	passIsSquare bool
 	// phase 0: the current exponent bit's multiply step is pending;
@@ -85,11 +81,11 @@ func (p *Power) harvest() {
 	}
 	m := p.pass.Sparse()
 	if p.passIsSquare {
-		p.prev, p.prevD = nil, nil
+		p.prev = nil
 		if oneDiagonal(p.base) {
-			p.prev, p.prevD = p.base, p.pass.b
+			p.prev = p.base
 		}
-		p.base, p.baseD = m, p.pass.Dense()
+		p.base = m
 		if !p.pass.changed() {
 			p.e = 1
 		}
@@ -129,19 +125,12 @@ func (p *Power) Next(*graph.CSR) (clique.Pass, error) {
 // semi-naive once prev is known, the multiply step into result
 // otherwise.
 func (p *Power) product(left *Matrix, square bool) (clique.Pass, error) {
-	if p.baseD == nil {
-		p.baseD = dense(p.base)
-	}
 	var prev *Dense
 	sched := paced
 	if square && p.prev != nil {
-		if p.prevD == nil {
-			p.prevD = dense(p.prev)
-		}
-		prev, sched = p.prevD, cubed
+		prev, sched = dense(p.prev), cubed
 	}
-	pass, err := newPass(left, p.baseD, prev, sched)
-	p.prevD = nil
+	pass, err := newPass(left, dense(p.base), prev, sched)
 	if err != nil {
 		return clique.Pass{}, err
 	}

@@ -1333,8 +1333,8 @@ func fill(buf *[]int64, size int, v int64) []int64 {
 
 // deltaBlock is the Δ block of one local product, rc x rb and row-major,
 // with its rows sorted by how they are best walked: full rows (more
-// than a quarter non-Zero) densely, four at a time; part rows through
-// the list of their non-Zero columns, nz[ends[i]:ends[i+1]] for
+// than 1/fullShare of them non-Zero) densely, four at a time; part rows
+// through the list of their non-Zero columns, nz[ends[i]:ends[i+1]] for
 // part[i]; rows all Zero not at all. cnt[k] is how many entries row k
 // holds, as decode counted them.
 type deltaBlock struct {
@@ -1347,6 +1347,12 @@ type deltaBlock struct {
 	ends       []int
 }
 
+// fullShare sets which Δ rows blockProduct walks densely: those with
+// more than 1/fullShare of their entries non-Zero. A dense walk reads
+// every column of the row; a part walk reads only the non-Zero ones,
+// each through a column index.
+const fullShare = 4
+
 // index sorts the block's rows, reusing the slices it already holds.
 func (db *deltaBlock) index(zero int64) {
 	// Locals, not db's fields: appending through a heap pointer pays the
@@ -1354,7 +1360,7 @@ func (db *deltaBlock) index(zero int64) {
 	full, part, nz, ends := db.full[:0], db.part[:0], db.nz[:0], append(db.ends[:0], 0)
 	for k, cnt := range db.cnt {
 		switch {
-		case 4*cnt > db.rb:
+		case fullShare*cnt > db.rb:
 			full = append(full, k)
 		case cnt > 0:
 			for j, v := range db.row(k) {
