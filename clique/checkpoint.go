@@ -10,8 +10,8 @@
 // chains; internal/faults holds the property tests).
 //
 // Files are written atomically (temp file, fsync, rename), carry a
-// magic/version header, record the clique shape (n and bandwidth
-// budget) so a mismatched resume is rejected, and end in a ckptio
+// magic/version header, record the clique size so a mismatched resume
+// is rejected, and end in a ckptio
 // integrity trailer so a torn or corrupted file is detected before any
 // state is applied.
 package clique
@@ -85,19 +85,11 @@ func (e *KernelPanicError) Error() string {
 }
 
 // WithCheckpoint configures the session to persist checkpoints of
-// Checkpointable kernels under dir: whenever at least everyKRounds
-// engine rounds have executed since the last checkpoint, the next pass
-// boundary writes (atomically) dir/<kernel-name>.ckpt. Kernels that do
-// not implement Checkpointable run unchanged. everyKRounds < 1 is
-// treated as 1 — a checkpoint at every pass boundary.
-func WithCheckpoint(dir string, everyKRounds int) Option {
-	if everyKRounds < 1 {
-		everyKRounds = 1
-	}
-	return func(s *settings) {
-		s.ckptDir = dir
-		s.ckptEvery = everyKRounds
-	}
+// Checkpointable kernels under dir: every pass boundary writes
+// (atomically) dir/<kernel-name>.ckpt. Kernels that do not implement
+// Checkpointable run unchanged.
+func WithCheckpoint(dir string) Option {
+	return func(s *settings) { s.ckptDir = dir }
 }
 
 // WithDigests enables deterministic-replay verification for the
@@ -111,7 +103,7 @@ func WithDigests() Option {
 }
 
 // CheckpointPath returns the file a session configured with
-// WithCheckpoint(dir, k) writes for a kernel of the given name.
+// WithCheckpoint(dir) writes for a kernel of the given name.
 func CheckpointPath(dir, kernelName string) string {
 	return filepath.Join(dir, kernelName+".ckpt")
 }
@@ -142,10 +134,11 @@ func SetCheckpointWriteHook(h func(io.Writer) io.Writer) { checkpointWriteHook =
 
 // ckptMagic and ckptVersion stamp the session checkpoint file format.
 // Version 1 also carried an engine round-barrier snapshot that no
-// resume ever read; version 2 holds only what Resume applies.
+// resume ever read; version 2 also carried the link budget, which is
+// now fixed at one word; version 3 holds only what Resume applies.
 const (
 	ckptMagic   uint64 = 0x43434b50_30303146 // "CCKP001F"
-	ckptVersion uint64 = 2
+	ckptVersion uint64 = 3
 )
 
 // writeCheckpoint atomically persists the session + kernel state for
@@ -193,10 +186,7 @@ func (s *Session) encodeCheckpoint(w io.Writer, ck Checkpointable) error {
 	cw := ckptio.NewWriter(w)
 	cw.U64(ckptMagic)
 	cw.U64(ckptVersion)
-	b := s.eng.Budget()
 	cw.I64(int64(s.N()))
-	cw.I64(int64(b.BitsPerLink))
-	cw.I64(int64(b.MsgBits))
 	cw.String(ck.Name())
 	cw.I64(int64(s.kernelPasses))
 	cw.U64s(s.digests)
@@ -215,7 +205,6 @@ func (s *Session) encodeCheckpoint(w io.Writer, ck Checkpointable) error {
 // not yet applied to any session or kernel.
 type decodedCheckpoint struct {
 	n            int
-	budget       core.Budget
 	kernelName   string
 	kernelPasses int
 	digests      []uint64
@@ -236,8 +225,6 @@ func decodeCheckpoint(r io.Reader) (*decodedCheckpoint, error) {
 	}
 	d := &decodedCheckpoint{}
 	d.n = int(cr.I64())
-	d.budget.BitsPerLink = int(cr.I64())
-	d.budget.MsgBits = int(cr.I64())
 	d.kernelName = cr.String()
 	d.kernelPasses = int(cr.I64())
 	d.digests = cr.U64s()
@@ -256,8 +243,8 @@ func decodeCheckpoint(r io.Reader) (*decodedCheckpoint, error) {
 }
 
 // Resume continues a checkpointed kernel run: it loads the checkpoint
-// at path, validates that it matches this session's shape (clique size
-// and bandwidth budget) and the given kernel's name, restores the
+// at path, validates that it matches this session's clique size and
+// the given kernel's name, restores the
 // kernel's inter-pass state into k (which must be fresh —
 // ErrKernelStarted otherwise), rewinds the session's cumulative Stats
 // and replay digests to the checkpoint, and runs the remaining passes
@@ -282,9 +269,6 @@ func (s *Session) Resume(ctx context.Context, k Checkpointable, path string) err
 	if d.n != s.N() {
 		return fmt.Errorf("clique: checkpoint is for a clique sized %d, session is sized %d", d.n, s.N())
 	}
-	if b := s.eng.Budget(); d.budget != b {
-		return fmt.Errorf("clique: checkpoint budget %+v does not match session budget %+v", d.budget, b)
-	}
 	if d.kernelName != k.Name() {
 		return fmt.Errorf("clique: checkpoint is for kernel %q, not %q", d.kernelName, k.Name())
 	}
@@ -294,7 +278,6 @@ func (s *Session) Resume(ctx context.Context, k Checkpointable, path string) err
 	s.stats = d.stats
 	s.digests = append(s.digests[:0], d.digests...)
 	s.kernelPasses = d.kernelPasses
-	s.roundsSinceCkpt = 0
 	s.stop.Store(false)
 	return s.runLoop(ctx, k)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -28,7 +29,7 @@ func ckptGraph() *graph.CSR {
 // kernel, the session, and the checkpoint path.
 func runWithCheckpoints(t *testing.T, g *graph.CSR, name, dir string) (clique.Kernel, *clique.Session, string) {
 	t.Helper()
-	s, err := clique.New(g, clique.WithCheckpoint(dir, 1))
+	s, err := clique.New(g, clique.WithCheckpoint(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +89,8 @@ func TestResumeIntoStartedKernel(t *testing.T) {
 }
 
 // TestResumeRejectsMismatchedSessions pins checkpoint validation: a
-// checkpoint resumes only into a session of the same clique size and
-// bandwidth budget, and only into the kernel it was written for.
+// checkpoint resumes only into a session of the same clique size, and
+// only into the kernel it was written for.
 func TestResumeRejectsMismatchedSessions(t *testing.T) {
 	g := ckptGraph()
 	ctx := context.Background()
@@ -106,19 +107,6 @@ func TestResumeRejectsMismatchedSessions(t *testing.T) {
 	}
 	if err := wrongSize.Resume(ctx, k.(clique.Checkpointable), path); err == nil || !strings.Contains(err.Error(), "sized") {
 		t.Errorf("Resume into wrong-sized session = %v, want size mismatch", err)
-	}
-
-	wrongBudget, err := clique.New(g, clique.WithBudget(core.Budget{BitsPerLink: 256, MsgBits: 128}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wrongBudget.Close()
-	k2, err := clique.NewKernel("apsp", g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wrongBudget.Resume(ctx, k2.(clique.Checkpointable), path); err == nil || !strings.Contains(err.Error(), "budget") {
-		t.Errorf("Resume into wrong-budget session = %v, want budget mismatch", err)
 	}
 
 	rightSession, err := clique.New(g)
@@ -178,11 +166,12 @@ func TestResumeRejectsCorruptFiles(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsVersion1Checkpoint pins the format bump: a
+// TestResumeRejectsVersion1Checkpoint pins the format bumps: a
 // well-formed version-1 file — the layout that also carried an engine
-// snapshot blob ahead of the kernel state — fails Resume with an error
-// naming its version, leaves the session's Stats and Digests as they
-// were, and does not mark the kernel started.
+// snapshot blob ahead of the kernel state — and a well-formed version-2
+// file — which also carried the link budget pair — each fail Resume
+// with an error naming their version, leave the session's Stats and
+// Digests as they were, and do not mark the kernel started.
 func TestResumeRejectsVersion1Checkpoint(t *testing.T) {
 	g := ckptGraph()
 	ctx := context.Background()
@@ -198,56 +187,61 @@ func TestResumeRejectsVersion1Checkpoint(t *testing.T) {
 	if err := s.Run(ctx, ran); err != nil {
 		t.Fatal(err)
 	}
-	wantStats, wantDigests := s.Stats(), s.Digests()
-
 	var kernBuf bytes.Buffer
 	if err := ran.(clique.Checkpointable).SnapshotState(&kernBuf); err != nil {
 		t.Fatal(err)
 	}
-	var file bytes.Buffer
-	w := ckptio.NewWriter(&file)
-	w.U64(0x43434b50_30303146) // "CCKP001F"
-	w.U64(1)
-	b := core.DefaultBudget(g.N)
-	w.I64(int64(g.N))
-	w.I64(int64(b.BitsPerLink))
-	w.I64(int64(b.MsgBits))
-	w.String("apsp")
-	w.I64(1)
-	w.U64s(wantDigests)
-	w.I64(int64(wantStats.Runs))
-	w.I64(int64(wantStats.Kernels))
-	w.I64(int64(wantStats.Engine.Rounds))
-	w.U64(wantStats.Engine.TotalMsgs)
-	w.U64(wantStats.Engine.TotalBytes)
-	w.I64(int64(wantStats.Engine.Wall))
-	w.Blob(nil) // version 1's engine snapshot slot
-	w.Blob(kernBuf.Bytes())
-	w.SumTrailer()
-	if err := w.Err(); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "apsp.ckpt")
-	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
 
-	k, err := clique.NewKernel("apsp", g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = s.Resume(ctx, k.(clique.Checkpointable), path)
-	if err == nil || !strings.Contains(err.Error(), "version 1") {
-		t.Fatalf("Resume of a version-1 checkpoint = %v, want an error naming version 1", err)
-	}
-	if got := s.Stats(); !reflect.DeepEqual(got, wantStats) {
-		t.Errorf("rejected resume moved Stats: %+v, want %+v", got, wantStats)
-	}
-	if got := s.Digests(); !reflect.DeepEqual(got, wantDigests) {
-		t.Errorf("rejected resume moved Digests: %v, want %v", got, wantDigests)
-	}
-	if err := s.Run(ctx, k); err != nil {
-		t.Fatalf("run after rejected resume: %v", err)
+	for _, version := range []uint64{1, 2} {
+		t.Run(fmt.Sprintf("version-%d", version), func(t *testing.T) {
+			wantStats, wantDigests := s.Stats(), s.Digests()
+			var file bytes.Buffer
+			w := ckptio.NewWriter(&file)
+			w.U64(0x43434b50_30303146) // "CCKP001F"
+			w.U64(version)
+			w.I64(int64(g.N))
+			w.I64(core.WordBits) // the link budget pair: bits per link,
+			w.I64(core.WordBits) // then bits per message
+			w.String("apsp")
+			w.I64(1)
+			w.U64s(wantDigests)
+			w.I64(int64(wantStats.Runs))
+			w.I64(int64(wantStats.Kernels))
+			w.I64(int64(wantStats.Engine.Rounds))
+			w.U64(wantStats.Engine.TotalMsgs)
+			w.U64(wantStats.Engine.TotalBytes)
+			w.I64(int64(wantStats.Engine.Wall))
+			if version == 1 {
+				w.Blob(nil) // version 1's engine snapshot slot
+			}
+			w.Blob(kernBuf.Bytes())
+			w.SumTrailer()
+			if err := w.Err(); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "apsp.ckpt")
+			if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			k, err := clique.NewKernel("apsp", g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = s.Resume(ctx, k.(clique.Checkpointable), path)
+			if want := fmt.Sprintf("version %d", version); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Resume of a version-%d checkpoint = %v, want an error naming %s", version, err, want)
+			}
+			if got := s.Stats(); !reflect.DeepEqual(got, wantStats) {
+				t.Errorf("rejected resume moved Stats: %+v, want %+v", got, wantStats)
+			}
+			if got := s.Digests(); !reflect.DeepEqual(got, wantDigests) {
+				t.Errorf("rejected resume moved Digests: %v, want %v", got, wantDigests)
+			}
+			if err := s.Run(ctx, k); err != nil {
+				t.Fatalf("run after rejected resume: %v", err)
+			}
+		})
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/paper-repo-growth/doryp20/internal/core"
 	"github.com/paper-repo-growth/doryp20/internal/engine"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
 	"github.com/paper-repo-growth/doryp20/internal/trace"
@@ -36,14 +35,13 @@ type settings struct {
 	// explicitMaxRounds records that the caller pinned MaxRounds, so
 	// a kernel's Pass.MaxRounds must not override it.
 	explicitMaxRounds bool
-	// ckptDir/ckptEvery configure pass-boundary checkpointing; see
+	// ckptDir configures pass-boundary checkpointing; see
 	// WithCheckpoint in checkpoint.go.
-	ckptDir   string
-	ckptEvery int
+	ckptDir string
 }
 
-// Option configures a Session at New; see WithWorkers, WithBudget,
-// WithMaxRounds, WithRoundHook, WithTrace, and WithTransport.
+// Option configures a Session at New; see WithWorkers, WithMaxRounds,
+// WithRoundHook, WithTrace, and WithTransport.
 type Option func(*settings)
 
 // WithWorkers sets the engine's scheduler worker (and router shard)
@@ -51,13 +49,6 @@ type Option func(*settings)
 // rejected by New.
 func WithWorkers(w int) Option {
 	return func(s *settings) { s.eng.Workers = w }
-}
-
-// WithBudget sets the per-link, per-round bandwidth allowance. The zero
-// budget selects core.DefaultBudget(n); a non-zero budget unable to
-// carry one whole message is rejected by New.
-func WithBudget(b core.Budget) Option {
-	return func(s *settings) { s.eng.Budget = b }
 }
 
 // WithMaxRounds pins the per-pass round bound. An explicit bound is
@@ -135,20 +126,17 @@ type Session struct {
 	// Checkpoint/replay state (see checkpoint.go). digests accumulates
 	// the engine's per-round replay digests across all passes of the
 	// current kernel run; kernelPasses counts its completed passes;
-	// roundsSinceCkpt drives the WithCheckpoint cadence; stop is the
-	// RequestStop flag, observed at pass boundaries.
-	ckptDir         string
-	ckptEvery       int
-	roundsSinceCkpt int
-	digests         []uint64
-	recordDigests   bool
-	kernelPasses    int
-	stop            atomic.Bool
+	// stop is the RequestStop flag, observed at pass boundaries.
+	ckptDir       string
+	digests       []uint64
+	recordDigests bool
+	kernelPasses  int
+	stop          atomic.Bool
 }
 
 // New builds a session over graph g (the clique size is g.N). Invalid
-// options — negative worker or round counts, a bandwidth budget below
-// one message word — are rejected here with a descriptive error.
+// options — negative worker or round counts — are rejected here with a
+// descriptive error.
 func New(g *graph.CSR, opts ...Option) (*Session, error) {
 	if g == nil {
 		return nil, errors.New("clique: New requires a graph (use NewSize for graph-free sessions)")
@@ -173,19 +161,17 @@ func newSession(g *graph.CSR, n int, opts []Option) (*Session, error) {
 		g:                 g,
 		explicitMaxRounds: s.explicitMaxRounds,
 		ckptDir:           s.ckptDir,
-		ckptEvery:         s.ckptEvery,
 		recordDigests:     s.eng.RecordDigests,
 		tracer:            s.eng.Trace,
 	}
 	// The session interposes on the engine's RoundHook to accumulate
-	// replay digests across passes and drive the checkpoint cadence; the
-	// caller's hook (if any) still sees every round.
+	// replay digests across passes; the caller's hook (if any) still
+	// sees every round.
 	userHook := s.eng.RoundHook
 	s.eng.RoundHook = func(rs engine.RoundStats) {
 		if sess.recordDigests {
 			sess.digests = append(sess.digests, rs.Digest)
 		}
-		sess.roundsSinceCkpt++
 		if userHook != nil {
 			userHook(rs)
 		}
@@ -239,9 +225,9 @@ func (s *Session) Close() {
 // does not take the session down: the panic is recovered and returned
 // as a *KernelPanicError, and the warm engine remains usable for the
 // next kernel. When the session is configured WithCheckpoint and k is
-// Checkpointable, checkpoints are written at pass boundaries on the
-// configured cadence (see checkpoint.go); RequestStop ends the run
-// with ErrStopped at the next pass boundary after a final checkpoint.
+// Checkpointable, a checkpoint is written at every pass boundary (see
+// checkpoint.go); RequestStop ends the run with ErrStopped at the next
+// pass boundary, after that boundary's checkpoint.
 func (s *Session) Run(ctx context.Context, k Kernel) error {
 	if s.closed {
 		return ErrClosed
@@ -250,10 +236,9 @@ func (s *Session) Run(ctx context.Context, k Kernel) error {
 		return errors.New("clique: Run with a nil Kernel")
 	}
 	// A fresh kernel run: restart the per-run digest chain, pass
-	// counter, checkpoint cadence, and any stale stop request.
+	// counter, and any stale stop request.
 	s.digests = s.digests[:0]
 	s.kernelPasses = 0
-	s.roundsSinceCkpt = 0
 	s.stop.Store(false)
 	return s.runLoop(ctx, k)
 }
@@ -313,11 +298,10 @@ func (s *Session) runLoop(ctx context.Context, k Kernel) error {
 		}
 		s.kernelPasses++
 		stopping := s.stop.Load()
-		if checkpointing && (s.roundsSinceCkpt >= s.ckptEvery || stopping) {
+		if checkpointing {
 			if err := s.writeCheckpoint(ck); err != nil {
 				return err
 			}
-			s.roundsSinceCkpt = 0
 		}
 		if stopping {
 			s.stop.Store(false)

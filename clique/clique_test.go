@@ -122,7 +122,6 @@ func TestInvalidOptionsRejectedAtNew(t *testing.T) {
 	}{
 		{"negative workers", clique.WithWorkers(-2)},
 		{"negative max rounds", clique.WithMaxRounds(-7)},
-		{"sub-word budget", clique.WithBudget(core.Budget{BitsPerLink: 8, MsgBits: 64})},
 	}
 	for _, tc := range cases {
 		if _, err := clique.New(g, tc.opt); err == nil {

@@ -10,7 +10,7 @@
 //
 //	ccbench -list
 //	ccbench -kernel <name> [-kernel-n 64] [-kernel-o report.json]
-//	        [-checkpoint dir] [-ckpt-every k] [-resume file.ckpt]
+//	        [-checkpoint dir] [-resume file.ckpt]
 //	        [-transport mem|socket-tcp|socket-unix] [-ranks k]
 //	        [-progress] [-trace trace.json]
 //	        [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
@@ -83,10 +83,9 @@ import (
 
 // kernelOpts carries the configuration of a -kernel invocation.
 type kernelOpts struct {
-	// ckptDir and ckptEvery configure clique.WithCheckpoint; empty
-	// ckptDir disables checkpointing.
-	ckptDir   string
-	ckptEvery int
+	// ckptDir configures clique.WithCheckpoint; empty disables
+	// checkpointing.
+	ckptDir string
 	// resume, when non-empty, continues the run from that checkpoint
 	// file instead of starting fresh.
 	resume string
@@ -197,7 +196,7 @@ func runKernel(name string, n int, opt kernelOpts, stdout, stderr io.Writer) int
 
 	common := []clique.Option{clique.WithDigests()}
 	if opt.ckptDir != "" {
-		common = append(common, clique.WithCheckpoint(opt.ckptDir, opt.ckptEvery))
+		common = append(common, clique.WithCheckpoint(opt.ckptDir))
 	}
 	var meter *progressMeter
 	switch {
@@ -383,7 +382,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	kernelN := fs.Int("kernel-n", 64, "clique size for -kernel")
 	kernelOut := fs.String("kernel-o", "", "machine-readable report path for -kernel (empty skips it)")
 	ckptDir := fs.String("checkpoint", "", "checkpoint directory for -kernel runs (empty disables checkpointing)")
-	ckptEvery := fs.Int("ckpt-every", 1, "minimum engine rounds between -checkpoint writes")
 	resume := fs.String("resume", "", "resume the -kernel run from this checkpoint file")
 	transport := fs.String("transport", "mem", "transport for the -kernel run: mem, socket-tcp, or socket-unix")
 	ranks := fs.Int("ranks", 2, "loopback rank count for a socket -transport without -addrs")
@@ -430,10 +428,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "ccbench: -kernel-n %d must be >= 1\n", *kernelN)
 		return 2
 	}
-	if *ckptEvery < 1 {
-		fmt.Fprintf(stderr, "ccbench: -ckpt-every %d must be >= 1\n", *ckptEvery)
-		return 2
-	}
 	var addrs []string
 	if set["addrs"] {
 		addrs = strings.Split(*addrsFlag, ",")
@@ -459,6 +453,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	} else if set["rank"] {
 		fmt.Fprintln(stderr, "ccbench: -rank requires -addrs")
+		return 2
+	}
+	if *transport == "mem" && set["ranks"] {
+		fmt.Fprintln(stderr, "ccbench: -ranks requires a socket -transport")
 		return 2
 	}
 	if *transport != "mem" {
@@ -490,8 +488,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 	opt := kernelOpts{
-		ckptDir: *ckptDir, ckptEvery: *ckptEvery,
-		resume: *resume, out: *kernelOut,
+		ckptDir: *ckptDir, resume: *resume, out: *kernelOut,
 		transport: *transport, ranks: *ranks,
 		addrs: addrs, rank: *rank,
 		progress: *progress, trace: *traceOut,

@@ -32,7 +32,7 @@ const Unreached = int64(-1)
 // bfsNode floods hop distances: when a node first learns (or improves)
 // its distance it broadcasts the new value to all G-neighbors in the
 // same round, using exactly one word per incident link — within the
-// default one-message-per-link budget. One bfsNode serves every node
+// model's one-message-per-link budget. One bfsNode serves every node
 // of the pass; node v's distance lives in dist[v].
 type bfsNode struct {
 	g    *graph.CSR

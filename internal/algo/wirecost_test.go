@@ -31,8 +31,8 @@ func TestClosureMovesFewerWordsThanAPSP(t *testing.T) {
 
 // TestBooleanSquaringRoundBound squares a full n x n boolean operand
 // and reads the cost off the engine's own accounting: a row of n 1-bit
-// fields is ceil(n / columnsPerWord) words, streamed at LinkMsgCap
-// words per link per round, plus the request round, the first-response
+// fields is ceil(n / columnsPerWord) words, streamed at one word per
+// link per round, plus the request round, the first-response
 // round, the final delivery round and the quiescence round.
 func TestBooleanSquaringRoundBound(t *testing.T) {
 	const n = 160
@@ -61,20 +61,20 @@ func TestBooleanSquaringRoundBound(t *testing.T) {
 		t.Fatalf("squaring took %d engine passes, want 1", st.Runs)
 	}
 
-	linkCap := core.DefaultBudget(n).MsgsPerLink()
 	columnsPerWord := 63 - core.Log2Ceil(n) // one flag bit, then the start column
 	rowWords := (n + columnsPerWord - 1) / columnsPerWord
 	run := st.Engine
-	if bound := (rowWords+linkCap-1)/linkCap + 4; run.Rounds > bound {
+	if bound := rowWords + 4; run.Rounds > bound {
 		t.Fatalf("full boolean squaring took %d rounds, want <= ceil(%d/%d)+4 = %d",
 			run.Rounds, n, columnsPerWord, bound)
 	}
-	// The router rejects any link over its cap with a BandwidthError,
-	// which Run would have returned; the per-round totals must agree.
+	// The router rejects a second word on a link with a
+	// BandwidthError, which Run would have returned; the per-round
+	// totals must agree.
 	links := uint64(n * (n - 1))
 	for _, rs := range perRound {
-		if rs.Msgs > links*uint64(linkCap) {
-			t.Fatalf("round %d carried %d words over %d links of capacity %d", rs.Round, rs.Msgs, links, linkCap)
+		if rs.Msgs > links {
+			t.Fatalf("round %d carried %d words over %d links of one word each", rs.Round, rs.Msgs, links)
 		}
 	}
 	// Every node requests n-1 rows and receives each as rowWords words.

@@ -1,8 +1,8 @@
 // Package core defines the shared model vocabulary for the Congested
 // Clique simulator that reproduces Dory & Parter (PODC 2020): node
-// identifiers, round counters, and the per-link bandwidth budget
-// B = O(log n) bits that the model imposes on every directed link in
-// every synchronous round.
+// identifiers, round counters, and the message width WordBits that
+// fixes the per-link bandwidth budget B = O(log n) bits the model
+// imposes on every directed link in every synchronous round.
 //
 // The Congested Clique is a fully connected synchronous message-passing
 // network of n nodes. In each round every ordered pair of nodes may
@@ -28,43 +28,10 @@ type Round int32
 // WordBits is the payload width of a single simulator message. A 64-bit
 // machine word is Theta(log n) bits for every feasible n (n <= 2^64),
 // so "one word per link per round" is the standard concrete reading of
-// the O(log n)-bits-per-link Congested Clique budget.
+// the O(log n)-bits-per-link Congested Clique budget. The simulator
+// fixes every directed link at exactly that capacity: one message per
+// round.
 const WordBits = 64
-
-// Budget describes the per-link, per-round bandwidth allowance of the
-// model. BitsPerLink is B; MsgBits is the number of bits charged for a
-// single message (payload word plus addressing is folded into the same
-// Theta(log n) word in this accounting).
-type Budget struct {
-	// BitsPerLink is the total number of bits a single directed link
-	// may carry in one round (the model's B).
-	BitsPerLink int
-	// MsgBits is the number of bits charged per message.
-	MsgBits int
-}
-
-// DefaultBudget returns the canonical Congested Clique budget for an
-// n-node instance: one Theta(log n)-bit word per directed link per
-// round, i.e. a link capacity of exactly one message.
-func DefaultBudget(n int) Budget {
-	_ = n // the 64-bit word dominates ceil(log2 n) for all feasible n
-	return Budget{BitsPerLink: WordBits, MsgBits: WordBits}
-}
-
-// MsgsPerLink converts the bit budget into a whole-message link
-// capacity. It is always at least 1: a budget too small to carry one
-// message would make the model vacuous, so we round up rather than
-// silently forbidding all communication.
-func (b Budget) MsgsPerLink() int {
-	if b.MsgBits <= 0 || b.BitsPerLink <= 0 {
-		return 1
-	}
-	m := b.BitsPerLink / b.MsgBits
-	if m < 1 {
-		m = 1
-	}
-	return m
-}
 
 // Log2Ceil returns ceil(log2(n)) for n >= 1, and 0 for n <= 1. It is
 // the bit length of n-1, which is the number of bits needed to address

@@ -13,28 +13,3 @@ func TestLog2Ceil(t *testing.T) {
 		}
 	}
 }
-
-func TestDefaultBudget(t *testing.T) {
-	for _, n := range []int{2, 64, 256, 1024} {
-		b := DefaultBudget(n)
-		if b.MsgsPerLink() != 1 {
-			t.Errorf("DefaultBudget(%d).MsgsPerLink() = %d, want 1", n, b.MsgsPerLink())
-		}
-		if b.BitsPerLink != WordBits {
-			t.Errorf("DefaultBudget(%d).BitsPerLink = %d, want %d", n, b.BitsPerLink, WordBits)
-		}
-	}
-}
-
-func TestBudgetMsgsPerLink(t *testing.T) {
-	if got := (Budget{BitsPerLink: 256, MsgBits: 64}).MsgsPerLink(); got != 4 {
-		t.Errorf("256/64 budget: got %d msgs per link, want 4", got)
-	}
-	// A degenerate budget still admits one message rather than zero.
-	if got := (Budget{BitsPerLink: 8, MsgBits: 64}).MsgsPerLink(); got != 1 {
-		t.Errorf("sub-message budget: got %d, want 1", got)
-	}
-	if got := (Budget{}).MsgsPerLink(); got != 1 {
-		t.Errorf("zero budget: got %d, want 1", got)
-	}
-}

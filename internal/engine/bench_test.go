@@ -17,7 +17,7 @@ func BenchmarkRouter(b *testing.B) {
 		shards = 8
 		fanout = 16
 	)
-	rt := newRouter(n, 1, shards, core.DefaultBudget(n))
+	rt := newRouter(n, 1, shards)
 	// Warm up so every box of both banks reaches steady-state capacity.
 	for i := 0; i < 3; i++ {
 		routerRound(b, rt, n, fanout)

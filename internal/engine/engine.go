@@ -45,8 +45,8 @@ type Node interface {
 }
 
 // Options configures an Engine. The zero value selects sensible
-// defaults: GOMAXPROCS workers, the canonical one-word-per-link budget,
-// and a MaxRounds of 4n+64.
+// defaults: GOMAXPROCS workers and a MaxRounds of 4n+64. Every link
+// carries one message per round; that capacity is not an option.
 type Options struct {
 	// Workers is the number of scheduler workers (and router shards).
 	// Defaults to runtime.GOMAXPROCS(0), clamped to n. Negative values
@@ -56,11 +56,6 @@ type Options struct {
 	// system has not quiesced by then. Defaults to 4n+64. Negative
 	// values are rejected by Validate/New.
 	MaxRounds int
-	// Budget is the per-link bandwidth allowance. The zero value means
-	// core.DefaultBudget(n); any other value must be able to carry at
-	// least one whole message (BitsPerLink >= MsgBits >= 1) or
-	// Validate/New rejects it.
-	Budget core.Budget
 	// RoundHook, when non-nil, is invoked synchronously from the run
 	// loop after every executed round (including the final quiet one)
 	// with that round's stats — the streaming-observability tap the
@@ -97,22 +92,13 @@ type Options struct {
 }
 
 // Validate rejects option values that would otherwise slip through to
-// confusing runtime behavior: negative worker or round counts, and
-// non-default budgets too small to carry a single message word.
+// confusing runtime behavior: negative worker or round counts.
 func (o Options) Validate() error {
 	if o.Workers < 0 {
 		return fmt.Errorf("engine: Options.Workers %d is negative (0 selects the GOMAXPROCS default)", o.Workers)
 	}
 	if o.MaxRounds < 0 {
 		return fmt.Errorf("engine: Options.MaxRounds %d is negative (0 selects the 4n+64 default)", o.MaxRounds)
-	}
-	if o.Budget != (core.Budget{}) {
-		if o.Budget.MsgBits < 1 {
-			return fmt.Errorf("engine: Options.Budget.MsgBits %d cannot frame a message (want >= 1, or the zero Budget for the default)", o.Budget.MsgBits)
-		}
-		if o.Budget.BitsPerLink < o.Budget.MsgBits {
-			return fmt.Errorf("engine: Options.Budget allows %d bits per link, below one %d-bit message word", o.Budget.BitsPerLink, o.Budget.MsgBits)
-		}
 	}
 	return nil
 }
@@ -259,9 +245,6 @@ func New(n int, opts Options) (*Engine, error) {
 	if opts.MaxRounds == 0 {
 		opts.MaxRounds = 4*n + 64
 	}
-	if opts.Budget == (core.Budget{}) {
-		opts.Budget = core.DefaultBudget(n)
-	}
 	tr := opts.Transport
 	if tr == nil {
 		tr = NewMemTransport()
@@ -275,7 +258,7 @@ func New(n int, opts Options) (*Engine, error) {
 		n:         n,
 		opts:      opts,
 		workers:   w,
-		rt:        newRouter(n, w, w, opts.Budget),
+		rt:        newRouter(n, w, w),
 		lo:        make([]int, w),
 		hi:        make([]int, w),
 		errs:      make([]error, w),
@@ -317,12 +300,6 @@ func (e *Engine) NumNodes() int { return e.n }
 // Digests returns a copy of the chained per-round replay digests of the
 // current (or most recent) run; empty unless Options.RecordDigests.
 func (e *Engine) Digests() []uint64 { return append([]uint64(nil), e.digests...) }
-
-// Budget returns the per-link bandwidth budget the engine enforces
-// (after defaulting) — checkpoint headers record it so a resume onto a
-// differently-budgeted session is rejected instead of silently
-// replaying a different schedule.
-func (e *Engine) Budget() core.Budget { return e.opts.Budget }
 
 // start spawns the persistent workers: one buffered command channel
 // each, a shared WaitGroup as the phase barrier. No goroutine spawns
@@ -570,7 +547,7 @@ func (e *Engine) RunBounded(ctx context.Context, nodes []Node, maxRounds int) (*
 		rs := RoundStats{
 			Round:    e.round,
 			Msgs:     roundMsgs,
-			Bytes:    roundMsgs * uint64(e.opts.Budget.MsgBits) / 8,
+			Bytes:    roundMsgs * core.WordBits / 8,
 			Wall:     tEnd.Sub(t0),
 			Compute:  tA.Sub(t0),
 			Exchange: tEnd.Sub(tX),

@@ -101,8 +101,7 @@ func TestEmptyEngine(t *testing.T) {
 	}
 }
 
-// TestOptionsValidate: negative worker/round counts and sub-word
-// budgets must be rejected at New with a descriptive error instead of
+// TestOptionsValidate: negative worker/round counts must be rejected at New with a descriptive error instead of
 // slipping through to weird runtime behavior.
 func TestOptionsValidate(t *testing.T) {
 	cases := []struct {
@@ -112,9 +111,6 @@ func TestOptionsValidate(t *testing.T) {
 	}{
 		{"negative workers", Options{Workers: -3}, "Workers"},
 		{"negative max rounds", Options{MaxRounds: -1}, "MaxRounds"},
-		{"budget below one word", Options{Budget: core.Budget{BitsPerLink: 32, MsgBits: 64}}, "Budget"},
-		{"budget with zero msg bits", Options{Budget: core.Budget{BitsPerLink: 64}}, "Budget"},
-		{"budget with negative msg bits", Options{Budget: core.Budget{BitsPerLink: 64, MsgBits: -8}}, "Budget"},
 	}
 	for _, tc := range cases {
 		if err := tc.opts.Validate(); err == nil {
@@ -127,7 +123,7 @@ func TestOptionsValidate(t *testing.T) {
 		}
 	}
 	// The zero value and explicit sane values must still pass.
-	for _, ok := range []Options{{}, {Workers: 2, MaxRounds: 10}, {Budget: core.DefaultBudget(4)}} {
+	for _, ok := range []Options{{}, {Workers: 2, MaxRounds: 10}} {
 		if err := ok.Validate(); err != nil {
 			t.Errorf("Validate rejected valid options %+v: %v", ok, err)
 		}

@@ -25,11 +25,11 @@ const (
 
 	// frameVersion is bumped on any wire-incompatible change and
 	// checked in the hello handshake.
-	frameVersion uint64 = 1
+	frameVersion uint64 = 2
 
 	// maxFrameLen bounds the length prefix a receiver accepts. A round
-	// frame carries at most n * linkCap messages at 24 bytes each;
-	// 1 GiB is far beyond any feasible round at O(log n)-bit budgets.
+	// frame carries 24 bytes per message, at most one message per link;
+	// 1 GiB is far beyond any round the kernels here send.
 	maxFrameLen = 1 << 30
 
 	// minFrameLen is magic + kind + rank + seq + trailer.
@@ -75,13 +75,11 @@ type wireMsg struct {
 // exchange before any round traffic: every field must agree with the
 // receiver's own view of the clique or the mesh refuses to form.
 type helloBody struct {
-	version     uint64
-	n           uint64
-	ranks       uint64
-	rank        uint64
-	lo, hi      uint64
-	bitsPerLink uint64
-	msgBits     uint64
+	version uint64
+	n       uint64
+	ranks   uint64
+	rank    uint64
+	lo, hi  uint64
 }
 
 // encodeFrame serializes one frame: length prefix, header words, the
@@ -113,8 +111,6 @@ func encodeHello(h helloBody) []byte {
 		cw.U64(h.rank)
 		cw.U64(h.lo)
 		cw.U64(h.hi)
-		cw.U64(h.bitsPerLink)
-		cw.U64(h.msgBits)
 	})
 }
 
@@ -214,8 +210,6 @@ func decodeHelloBody(cr *ckptio.Reader) (helloBody, error) {
 		lo:      cr.U64(),
 		hi:      cr.U64(),
 	}
-	h.bitsPerLink = cr.U64()
-	h.msgBits = cr.U64()
 	if err := finishFrame(cr); err != nil {
 		return helloBody{}, err
 	}

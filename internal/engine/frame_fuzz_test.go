@@ -17,7 +17,7 @@ import (
 // bytes actually arrive). Valid frames in the seed corpus must still
 // decode, so the fuzzer also guards the codec round trip.
 func FuzzFrame(f *testing.F) {
-	f.Add(encodeHello(helloBody{version: frameVersion, n: 64, ranks: 2, rank: 1, lo: 32, hi: 64, bitsPerLink: 64, msgBits: 64}))
+	f.Add(encodeHello(helloBody{version: frameVersion, n: 64, ranks: 2, rank: 1, lo: 32, hi: 64}))
 	f.Add(encodeRound(0, 3, []wireMsg{{dst: 1, src: 0, payload: 42}, {dst: 2, src: 0, payload: 7}}))
 	f.Add(encodeGather(1, 2, 2, 2, 4, []int64{1, -1, 2, -2}))
 	f.Add(encodeAbort(1, errors.New("handler failed")))
@@ -46,7 +46,7 @@ func FuzzFrame(f *testing.F) {
 // TestFrameRoundTrip pins the codec on well-formed frames: every kind
 // encodes and decodes to identical values with a verified trailer.
 func TestFrameRoundTrip(t *testing.T) {
-	hello := helloBody{version: frameVersion, n: 17, ranks: 3, rank: 2, lo: 12, hi: 17, bitsPerLink: 256, msgBits: 64}
+	hello := helloBody{version: frameVersion, n: 17, ranks: 3, rank: 2, lo: 12, hi: 17}
 	h, cr, err := readFrame(bytes.NewReader(encodeHello(hello)[8:]))
 	_ = h
 	if err == nil {

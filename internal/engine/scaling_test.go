@@ -50,7 +50,7 @@ func TestRouterZeroAllocsAcrossProcs(t *testing.T) {
 		t.Run(fmt.Sprintf("procs-%d", procs), func(t *testing.T) {
 			prev := runtime.GOMAXPROCS(procs)
 			defer runtime.GOMAXPROCS(prev)
-			rt := newRouter(n, 1, shards, core.DefaultBudget(n))
+			rt := newRouter(n, 1, shards)
 			for i := 0; i < 3; i++ {
 				routerRound(t, rt, n, fanout) // reach steady-state capacity
 			}

@@ -170,16 +170,13 @@ func (t *SocketTransport) Bind(b *Binding) error {
 	if k == 1 {
 		return nil
 	}
-	bud := b.Budget()
 	hello := helloBody{
-		version:     frameVersion,
-		n:           uint64(t.n),
-		ranks:       uint64(k),
-		rank:        uint64(t.cfg.Rank),
-		lo:          uint64(t.lo),
-		hi:          uint64(t.hi),
-		bitsPerLink: uint64(bud.BitsPerLink),
-		msgBits:     uint64(bud.MsgBits),
+		version: frameVersion,
+		n:       uint64(t.n),
+		ranks:   uint64(k),
+		rank:    uint64(t.cfg.Rank),
+		lo:      uint64(t.lo),
+		hi:      uint64(t.hi),
 	}
 	deadline := time.Now().Add(t.timeout())
 	errc := make(chan error, 2)
@@ -315,28 +312,26 @@ func (t *SocketTransport) handshake(conn net.Conn, hello helloBody, deadline tim
 	return p, nil
 }
 
-// validateHello rejects a peer whose view of the cluster (size, rank
-// count, node partition, bandwidth budget, wire version) disagrees
-// with ours — misconfigured meshes fail at handshake, not mid-round.
+// validateHello rejects a peer whose view of the cluster (wire
+// version, size, rank count, node partition) disagrees with ours —
+// misconfigured meshes fail at handshake, not mid-round.
 func (t *SocketTransport) validateHello(h helloBody) error {
 	k := len(t.cfg.Addrs)
-	if h.version != frameVersion {
+	switch {
+	case h.version != frameVersion:
 		return fmt.Errorf("engine: peer speaks frame version %d, this build speaks %d", h.version, frameVersion)
-	}
-	if h.n != uint64(t.n) || h.ranks != uint64(k) {
-		return fmt.Errorf("engine: peer clique (n=%d, ranks=%d) does not match local (n=%d, ranks=%d)", h.n, h.ranks, t.n, k)
-	}
-	if h.rank >= uint64(k) || h.rank == uint64(t.cfg.Rank) {
-		return fmt.Errorf("engine: peer claims invalid rank %d (local rank %d of %d)", h.rank, t.cfg.Rank, k)
+	case h.n != uint64(t.n):
+		return fmt.Errorf("engine: peer clique has n=%d, local n=%d", h.n, t.n)
+	case h.ranks != uint64(k):
+		return fmt.Errorf("engine: peer mesh has %d ranks, local mesh %d", h.ranks, k)
+	case h.rank == uint64(t.cfg.Rank):
+		return fmt.Errorf("engine: peer claims our own rank %d", h.rank)
+	case h.rank >= uint64(k):
+		return fmt.Errorf("engine: peer claims rank %d outside [0, %d)", h.rank, k)
 	}
 	lo, hi := RankBounds(t.n, int(h.rank), k)
 	if h.lo != uint64(lo) || h.hi != uint64(hi) {
 		return fmt.Errorf("engine: peer rank %d claims nodes [%d, %d), partition says [%d, %d)", h.rank, h.lo, h.hi, lo, hi)
-	}
-	bud := t.b.Budget()
-	if h.bitsPerLink != uint64(bud.BitsPerLink) || h.msgBits != uint64(bud.MsgBits) {
-		return fmt.Errorf("engine: peer budget (%d bits/link, %d bits/msg) does not match local (%d, %d)",
-			h.bitsPerLink, h.msgBits, bud.BitsPerLink, bud.MsgBits)
 	}
 	return nil
 }

@@ -89,10 +89,6 @@ type Binding struct {
 // N returns the clique size of the bound engine.
 func (b *Binding) N() int { return b.e.n }
 
-// Budget returns the bound engine's per-link bandwidth budget (for
-// cross-rank handshake validation).
-func (b *Binding) Budget() core.Budget { return b.e.opts.Budget }
-
 // ParallelScatter completes the fill bank from this round's boxes
 // using the engine's worker pool (shard s by worker s) — the in-process
 // fast path. Must be followed by FinishRound.

@@ -126,7 +126,7 @@ func crashAndResume(t *testing.T, g *graph.CSR, name string, crashPass int, ref 
 	t.Helper()
 	ctx := context.Background()
 	dir := t.TempDir()
-	sess, err := clique.New(g, clique.WithDigests(), clique.WithCheckpoint(dir, 1))
+	sess, err := clique.New(g, clique.WithDigests(), clique.WithCheckpoint(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestCheckpointWriteFailure(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			s, err := clique.New(g, clique.WithCheckpoint(dir, 1))
+			s, err := clique.New(g, clique.WithCheckpoint(dir))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -447,7 +447,7 @@ func TestStopResumeRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	var s *clique.Session
 	stopArmed := true
-	s, err = clique.New(g, clique.WithDigests(), clique.WithCheckpoint(dir, 1_000_000),
+	s, err = clique.New(g, clique.WithDigests(), clique.WithCheckpoint(dir),
 		clique.WithRoundHook(func(engine.RoundStats) {
 			if stopArmed {
 				s.RequestStop()

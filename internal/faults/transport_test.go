@@ -29,14 +29,9 @@ func (rn *ringNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message)
 }
 
 // faultOpts is the engine configuration the transport fault tests run
-// under: digests on, a roomy link budget, quick deadlines via the
-// transport.
+// under: digests on, quick deadlines via the transport.
 func faultOpts(tr engine.Transport) engine.Options {
-	return engine.Options{
-		Transport:     tr,
-		RecordDigests: true,
-		Budget:        core.Budget{BitsPerLink: 4 * core.WordBits, MsgBits: core.WordBits},
-	}
+	return engine.Options{Transport: tr, RecordDigests: true}
 }
 
 // runSocketPair drives a 2-rank unix-socket clique of n ringNodes with

@@ -269,12 +269,11 @@ func (wf *wireFormat) decodeBits(w uint64, row []uint64, off int) {
 //	round 0:    v sends one request word to every k in supp(A[v]),
 //	            k != v, and folds in the local k = v contribution.
 //	round 1:    inboxes hold only requests; v records its requesters
-//	            and sends each the first LinkMsgCap() words of its
-//	            packed B-row.
+//	            and sends each the first word of its packed B-row.
 //	rounds >=2: inboxes hold only data words; v accumulates
 //	            C[v][j] = Add(C[v][j], Mul(A[v][k], B[k][j])) for each
 //	            word received from k, and sends every requester the
-//	            next LinkMsgCap() words.
+//	            next word.
 //
 // Every requester asks in round 0 and is served the same words at the
 // same pace, so a responder's whole stream state is one offset into its
@@ -285,11 +284,11 @@ func (wf *wireFormat) decodeBits(w uint64, row []uint64, off int) {
 // A later product of a Relaxation asks nothing: S, and so who asks whom,
 // is fixed for the whole loop, and every node kept the requesters it
 // recorded in the first product (heard). Round 0 is then the local fold
-// plus the first LinkMsgCap() words of the packed row to each recorded
-// requester, and data arrives from round 1:
+// plus the first word of the packed row to each recorded requester, and
+// data arrives from round 1:
 //
-//	round 0:    fold in k = v; send each requester the first words.
-//	rounds >=1: accumulate as above; send every requester the next words.
+//	round 0:    fold in k = v; send each requester the first word.
+//	rounds >=1: accumulate as above; send every requester the next word.
 //
 // A semi-naive Power squaring runs cubeNode's program instead, whose
 // owner half is a mulNode too: its acc, its vote, and a wf that decodes
@@ -464,13 +463,13 @@ func (nd *mulNode) accumulateBool(aik int64, w uint64) {
 	}
 }
 
-// stream sends every requester the next LinkMsgCap() words of this
-// node's packed row (all of it when unpaced) and advances the shared
-// offset. The router's per-link accounting stays the enforcement.
+// stream sends every requester the next word of this node's packed
+// row (all of it when unpaced) and advances the shared offset. The
+// router's per-link accounting stays the enforcement.
 func (nd *mulNode) stream(ctx *engine.Ctx) error {
 	end := len(nd.packed)
 	if !nd.unpace {
-		end = min(end, nd.off+ctx.LinkMsgCap())
+		end = min(end, nd.off+1)
 	}
 	if nd.off == end {
 		return nil
@@ -554,18 +553,19 @@ func (nd *mulNode) product(ctx *engine.Ctx, r core.Round, inbox []engine.Message
 // costs nothing.
 //
 // F follows from the widest packed row any node asks for: its owner
-// streams LinkMsgCap() words a round from round 1 on (from round 0 when
-// the node heard its requesters in an earlier product), and the last of
-// them is folded in one round after it is sent, so F = ceil(w / cap),
-// plus one for the request round. Like the wire format's value range,
-// that width is a global of the operands every node is taken to know
-// before round 0 (docs/paper-map.md lists these).
+// streams one word a round from round 1 on (from round 0 when the node
+// heard its requesters in an earlier product), and the last of them is
+// folded in one round after it is sent, so F = w (1 when unpaced, which
+// sends the whole row at once), plus one for the request round. Like
+// the wire format's value range, that width is a global of the operands
+// every node is taken to know before round 0 (docs/paper-map.md lists
+// these).
 //
 // A cube pass has no F; its nodes keep bRow, ran and changed here and
 // time their ballots themselves (cubeNode).
 type voter struct {
 	widest  int        // words in the widest requested row; -1 if no node requests any
-	final   core.Round // F, fixed in round 0 from widest and the link cap
+	final   core.Round // F, fixed in round 0 from widest
 	bRow    []int64    // this node's row of B
 	ran     bool       // this process executes the node
 	changed bool       // this node knows the product differs from B
@@ -576,11 +576,10 @@ func (vt *voter) round(nd *mulNode, ctx *engine.Ctx, r core.Round, inbox []engin
 	if r == 0 {
 		vt.ran = true
 		if vt.widest >= 0 {
-			per := ctx.LinkMsgCap()
+			vt.final = core.Round(vt.widest)
 			if nd.unpace {
-				per = max(per, vt.widest)
+				vt.final = min(vt.final, 1)
 			}
-			vt.final = core.Round((vt.widest + per - 1) / per)
 			if !nd.heard {
 				vt.final++
 			}
@@ -649,8 +648,8 @@ func (p *Pass) Gather() error { return nil }
 
 // NewPass validates and packs the sparse product A ⊗ B. unpaced selects
 // a budget-violating mode in which each responder pushes its entire row
-// to every requester within a single round, so any row wider than the
-// per-link cap fails the pass with a *engine.BandwidthError. It exists
+// to every requester within a single round, so any row wider than one
+// word fails the pass with a *engine.BandwidthError. It exists
 // to show why the paced schedule is necessary
 // (TestUnpacedProductReturnsBandwidthError); every other caller passes
 // false.
@@ -668,7 +667,7 @@ func NewDensePass(a *Matrix, b *Dense, unpaced bool) (*Pass, error) {
 type schedule uint8
 
 const (
-	paced   schedule = iota // row-pull (mulNode), LinkMsgCap() words a link a round
+	paced   schedule = iota // row-pull (mulNode), one word a link a round
 	unpaced                 // row-pull with every row pushed in one round
 	cubed                   // the cube partition (cubeNode) of a semi-naive squaring
 )
@@ -909,7 +908,7 @@ func (p *Pass) Dense() *Dense {
 //
 //	rounds 0..F1-1: owner v in B_a streams X[v, B_c] to (a, b, c) for
 //	                every b and c, and Δ[v, B_b] to (a', b, a) for every
-//	                a' and b, LinkMsgCap() words a link a round.
+//	                a' and b, one word a link a round.
 //	round F1:       every segment has arrived. Cube node (a, b, c)
 //	                decodes X[B_a, B_c] and Δ[B_c, B_b] into scratch
 //	                dense blocks, folds the partial product
@@ -929,10 +928,10 @@ func (p *Pass) Dense() *Dense {
 // A segment whose sender is its receiver, and a partial row for the
 // cube node's own row, never touch a link.
 //
-// F1 is the widest phase-1 link in words over the link cap: like the
-// row-pull's widest row, a global of the operands every node is taken
-// to know before round 0 (docs/paper-map.md lists these). The engine's
-// quiescence ends the pass once the partial rows are out.
+// F1 is the widest phase-1 link in words: like the row-pull's widest
+// row, a global of the operands every node is taken to know before
+// round 0 (docs/paper-map.md lists these). The engine's quiescence ends
+// the pass once the partial rows are out.
 //
 // The vote is self-timed, since how wide the partial rows are depends
 // on the product. acc starts at the owner's row of X, so a row has
@@ -1107,8 +1106,7 @@ func (nd *cubeNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message)
 		if nd.vote != nil {
 			nd.vote.ran = true
 		}
-		per := ctx.LinkMsgCap()
-		nd.final = core.Round((cb.wide + per - 1) / per)
+		nd.final = core.Round(cb.wide)
 		if id < cubeNodes {
 			nd.got, nd.from = make([]uint64, 0, cb.in[id]), make([]core.NodeID, 0, cb.in[id])
 		}
@@ -1156,13 +1154,13 @@ func (nd *cubeNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message)
 	return nd.flush(ctx)
 }
 
-// segments sends round r's share of phase 1, words [r·cap, (r+1)·cap)
-// of every link's segments, so phase 1 needs no state beyond the round;
-// in round 0 it also keeps the segments the node sends itself and finds
-// the round its links are drained by.
+// segments sends round r's share of phase 1, word r of every link's
+// segments, so phase 1 needs no state beyond the round; in round 0 it
+// also keeps the segments the node sends itself and finds the round its
+// links are drained by.
 func (nd *cubeNode) segments(ctx *engine.Ctx, r core.Round) error {
-	id, per, cb := ctx.ID(), ctx.LinkMsgCap(), nd.cb
-	from, span := int(r)*per, cb.q*(2*cb.q-1)
+	id, cb := ctx.ID(), nd.cb
+	i, span := int(r), cb.q*(2*cb.q-1)
 	for _, l := range cb.links[int(id)*span : (int(id)+1)*span] {
 		x, d := cb.seg(l.x), cb.seg(l.d)
 		if l.t == int32(id) {
@@ -1177,18 +1175,19 @@ func (nd *cubeNode) segments(ctx *engine.Ctx, r core.Round) error {
 			continue
 		}
 		if r == 0 {
-			nd.drained = max(nd.drained, core.Round((len(x)+len(d)+per-1)/per))
+			nd.drained = max(nd.drained, core.Round(len(x)+len(d)))
 		}
-		for i := from; i < min(from+per, len(x)+len(d)); i++ {
-			var w uint64
-			if i < len(x) {
-				w = x[i]
-			} else {
-				w = d[i-len(x)]
-			}
-			if err := ctx.Send(core.NodeID(l.t), w); err != nil {
-				return err
-			}
+		var w uint64
+		switch {
+		case i < len(x):
+			w = x[i]
+		case i < len(x)+len(d):
+			w = d[i-len(x)]
+		default:
+			continue
+		}
+		if err := ctx.Send(core.NodeID(l.t), w); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -1513,21 +1512,20 @@ func (nd *cubeNode) announce(n int) {
 	}
 }
 
-// flush sends every destination the next LinkMsgCap() words queued for
-// it and drops the streams it empties.
+// flush sends every destination the next word queued for it — its
+// ballot or verdict once its partial rows are out — and drops the
+// streams it empties.
 func (nd *cubeNode) flush(ctx *engine.Ctx) error {
-	per := ctx.LinkMsgCap()
 	kept := 0
 	for i := range nd.out {
 		s := &nd.out[i]
-		n := min(per, len(s.words))
-		for _, w := range s.words[:n] {
-			if err := ctx.Send(s.dst, w); err != nil {
+		switch {
+		case len(s.words) > 0:
+			if err := ctx.Send(s.dst, s.words[0]); err != nil {
 				return err
 			}
-		}
-		s.words = s.words[n:]
-		if s.vote && n < per {
+			s.words = s.words[1:]
+		case s.vote:
 			if err := ctx.Send(s.dst, 0); err != nil {
 				return err
 			}

@@ -24,8 +24,8 @@ func squarePass(x, prev *Matrix) (*Pass, error) { return newPass(x, dense(x), de
 // TestSemiNaiveSquaringMatchesRef: over every semiring, on random
 // reflexive X = P ⊗ P of several densities and hop horizons, the
 // semi-naive squaring returns MulRef(X, X) bit for bit, and votes right
-// on whether it changed X, at link caps 1 and 4 and 1 and 2 workers
-// with no link over its cap.
+// on whether it changed X, at 1 and 2 workers with no link carrying
+// more than one word a round.
 func TestSemiNaiveSquaringMatchesRef(t *testing.T) {
 	for _, sr := range core.AllSemirings() {
 		for _, density := range []float64{0.05, 0.15} {
@@ -44,21 +44,19 @@ func TestSemiNaiveSquaringMatchesRef(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, cap := range []int{1, 4} {
-						for _, workers := range []int{1, 2} {
-							name := fmt.Sprintf("%s/p%.2f/seed%d/P=A^%d/cap%d/w%d", sr.Name, density, seed, hops, cap, workers)
-							p, err := squarePass(x, prev)
-							if err != nil {
-								t.Fatalf("%s: %v", name, err)
-							}
-							p.vote(askedRows(x))
-							runVotePass(t, p, cap, workers)
-							if got := p.Sparse(); !sameBits(got, want) {
-								t.Fatalf("%s: semi-naive squaring differs from MulRef(X, X)", name)
-							}
-							if p.changed() != !sameBits(want, x) {
-								t.Errorf("%s: changed() = %v", name, p.changed())
-							}
+					for _, workers := range []int{1, 2} {
+						name := fmt.Sprintf("%s/p%.2f/seed%d/P=A^%d/w%d", sr.Name, density, seed, hops, workers)
+						p, err := squarePass(x, prev)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						p.vote(askedRows(x))
+						runVotePass(t, p, workers)
+						if got := p.Sparse(); !sameBits(got, want) {
+							t.Fatalf("%s: semi-naive squaring differs from MulRef(X, X)", name)
+						}
+						if p.changed() != !sameBits(want, x) {
+							t.Errorf("%s: changed() = %v", name, p.changed())
 						}
 					}
 					prev = x
@@ -92,7 +90,7 @@ func TestPowerWithoutOneDiagonalStreamsWholeRows(t *testing.T) {
 		for _, e := range []int{8, 7} {
 			pw := NewPower(a, e)
 			var got []passTraffic
-			m := newLoopModel(t, pw, 1)
+			m := newLoopModel(t, pw)
 			if _, err := runProduct(a.N, m, trafficHook(&got)); err != nil {
 				t.Fatalf("%s A^%d: %v", sr.Name, e, err)
 			}
@@ -125,7 +123,7 @@ func TestSemiNaiveSquaringEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := runVotePass(t, p, 1, 1); st.Rounds != 1 || st.TotalMsgs != 0 || !sameBits(p.Sparse(), one) {
+	if st := runVotePass(t, p, 1); st.Rounds != 1 || st.TotalMsgs != 0 || !sameBits(p.Sparse(), one) {
 		t.Errorf("n = 1: %d rounds, %d words, result %v", st.Rounds, st.TotalMsgs, p.Sparse())
 	}
 	pw := NewPower(one, 16)
@@ -148,8 +146,8 @@ func TestSemiNaiveSquaringEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.vote(askedRows(x))
-	st := runVotePass(t, p, 1, 1)
-	if want := predictCube(t, x, dense(x), 1, true); st.Rounds != want.rounds || st.TotalMsgs != want.words {
+	st := runVotePass(t, p, 1)
+	if want := predictCube(t, x, dense(x), true); st.Rounds != want.rounds || st.TotalMsgs != want.words {
 		t.Errorf("empty Δ: %d rounds and %d words, model %d and %d", st.Rounds, st.TotalMsgs, want.rounds, want.words)
 	}
 	if !sameBits(p.Sparse(), x) || p.changed() {
@@ -216,20 +214,18 @@ func TestSemiNaiveSquaringDeltaShapes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, cap := range []int{1, 4} {
-				name := fmt.Sprintf("%s/%s/cap%d", tc.name, sr.Name, cap)
-				sq, err := squarePass(x, p)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				sq.vote(askedRows(x))
-				runVotePass(t, sq, cap, 1)
-				if got := sq.Sparse(); !sameBits(got, want) {
-					t.Fatalf("%s: semi-naive squaring differs from MulRef(X, X)", name)
-				}
-				if sq.changed() != !sameBits(want, x) {
-					t.Errorf("%s: changed() = %v", name, sq.changed())
-				}
+			name := fmt.Sprintf("%s/%s", tc.name, sr.Name)
+			sq, err := squarePass(x, p)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			sq.vote(askedRows(x))
+			runVotePass(t, sq, 1)
+			if got := sq.Sparse(); !sameBits(got, want) {
+				t.Fatalf("%s: semi-naive squaring differs from MulRef(X, X)", name)
+			}
+			if sq.changed() != !sameBits(want, x) {
+				t.Errorf("%s: changed() = %v", name, sq.changed())
 			}
 		}
 	}
@@ -248,8 +244,8 @@ func TestSemiNaiveSquaringDeltaShapes(t *testing.T) {
 //     use X in Δ's place.
 //
 // Its vote must agree with the host's slices.Equal of the product and X,
-// and its rounds and words with predictCube, at link caps 1 and 4 with
-// no link over its cap.
+// and its rounds and words with predictCube, with no link carrying more
+// than one word a round.
 func TestCubeProductMatchesRef(t *testing.T) {
 	for _, sr := range core.AllSemirings() {
 		for _, n := range []int{1, 2, 7, 8, 9, 27, 28, 63, 64, 65} {
@@ -298,23 +294,21 @@ func TestCubeProductMatchesRef(t *testing.T) {
 				{"diagonal-blocks", square(blockLocal), dense(blockLocal)},
 			} {
 				want := square(tc.x)
-				for _, cap := range []int{1, 4} {
-					name := fmt.Sprintf("%s/n%d/%s/cap%d", sr.Name, n, tc.name, cap)
-					p, err := newPass(tc.x, dense(tc.x), tc.prev, cubed)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					p.vote(nil)
-					st := runVotePass(t, p, cap, 1)
-					if got := p.Sparse(); !sameBits(got, want) {
-						t.Fatalf("%s: the cube pass differs from MulRef(X, X)", name)
-					}
-					if same := slices.Equal(p.Dense().Vals, dense(tc.x).Vals); p.changed() == same {
-						t.Errorf("%s: changed() = %v, but the product equals X: %v", name, p.changed(), same)
-					}
-					if model := predictCube(t, tc.x, tc.prev, cap, true); st.Rounds != model.rounds || st.TotalMsgs != model.words {
-						t.Errorf("%s: %d rounds and %d words, model %d and %d", name, st.Rounds, st.TotalMsgs, model.rounds, model.words)
-					}
+				name := fmt.Sprintf("%s/n%d/%s", sr.Name, n, tc.name)
+				p, err := newPass(tc.x, dense(tc.x), tc.prev, cubed)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				p.vote(nil)
+				st := runVotePass(t, p, 1)
+				if got := p.Sparse(); !sameBits(got, want) {
+					t.Fatalf("%s: the cube pass differs from MulRef(X, X)", name)
+				}
+				if same := slices.Equal(p.Dense().Vals, dense(tc.x).Vals); p.changed() == same {
+					t.Errorf("%s: changed() = %v, but the product equals X: %v", name, p.changed(), same)
+				}
+				if model := predictCube(t, tc.x, tc.prev, true); st.Rounds != model.rounds || st.TotalMsgs != model.words {
+					t.Errorf("%s: %d rounds and %d words, model %d and %d", name, st.Rounds, st.TotalMsgs, model.rounds, model.words)
 				}
 			}
 		}
@@ -338,7 +332,7 @@ func TestCubeFallsBackToRowPull(t *testing.T) {
 	if _, ok := p.Nodes()[0].(*mulNode); !ok {
 		t.Fatalf("node 0 runs %T, want the row-pull *mulNode", p.Nodes()[0])
 	}
-	runVotePass(t, p, 1, 1)
+	runVotePass(t, p, 1)
 	want, err := MulRef(x, x)
 	if err != nil {
 		t.Fatal(err)

@@ -14,10 +14,9 @@ import (
 )
 
 // linkCheck wraps one pass node and fails the run when any single link
-// delivered more than cap words to it in one round.
+// delivered more than one word to it in one round.
 type linkCheck struct {
 	engine.Node
-	cap    int
 	perSrc []int
 }
 
@@ -26,8 +25,8 @@ func (c *linkCheck) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message)
 		c.perSrc[m.Src]++
 	}
 	for _, m := range inbox {
-		if got := c.perSrc[m.Src]; got > c.cap {
-			return fmt.Errorf("round %d: link %d->%d carried %d words, cap %d", r, m.Src, ctx.ID(), got, c.cap)
+		if got := c.perSrc[m.Src]; got > 1 {
+			return fmt.Errorf("round %d: link %d->%d carried %d words", r, m.Src, ctx.ID(), got)
 		}
 		c.perSrc[m.Src] = 0
 	}
@@ -37,11 +36,10 @@ func (c *linkCheck) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message)
 // TestPassTrafficPinned pins the exact message schedule of one sparse
 // and one sparse-dense pass — rounds, routed words, and the final link
 // of the engine's replay-digest chain, which folds every delivered
-// (destination, source, payload) triple of every round — at link
-// capacities of 1 and 4 words, and requires it to be the same at 1 and
-// 2 workers. A change to how responders pace their rows must leave
-// this table untouched; on the way it checks that no link ever carries
-// more than its cap in a round.
+// (destination, source, payload) triple of every round — and requires
+// it to be the same at 1, 2 and 4 workers. A change to how responders pace
+// their rows must leave this table untouched; on the way it checks that
+// no link ever carries more than one word in a round.
 func TestPassTrafficPinned(t *testing.T) {
 	sr := core.MinPlus()
 	g := graph.RandomGNPWeighted(48, 0.15, 30, 7)
@@ -50,7 +48,7 @@ func TestPassTrafficPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	// B = A^2: rows of ~40 entries, several wire words each, so pacing
-	// spans rounds at either cap.
+	// spans rounds.
 	a2, err := MulRef(a, a)
 	if err != nil {
 		t.Fatal(err)
@@ -67,32 +65,25 @@ func TestPassTrafficPinned(t *testing.T) {
 	}
 	golden := []struct {
 		pass   string
-		cap    int
 		rounds int
 		words  uint64
 		digest uint64
 	}{
-		{"sparse", 1, 8, 2387, 0xae48a403cdba7d7d},
-		{"sparse", 4, 4, 2387, 0xa5411a25f0c10d1b},
-		{"dense", 1, 7, 2065, 0x1093c1ab64f31dcf},
-		{"dense", 4, 4, 2065, 0x7f5443ed770b662f},
+		{"sparse", 8, 2387, 0xae48a403cdba7d7d},
+		{"dense", 7, 2065, 0x1093c1ab64f31dcf},
 	}
 	for _, want := range golden {
-		for _, workers := range []int{1, 2} {
-			t.Run(fmt.Sprintf("%s/cap%d/w%d", want.pass, want.cap, workers), func(t *testing.T) {
+		for _, workers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/w%d", want.pass, workers), func(t *testing.T) {
 				p, err := passes[want.pass]()
 				if err != nil {
 					t.Fatal(err)
 				}
 				nodes := make([]engine.Node, a.N)
 				for v, nd := range p.Nodes() {
-					nodes[v] = &linkCheck{Node: nd, cap: want.cap, perSrc: make([]int, a.N)}
+					nodes[v] = &linkCheck{Node: nd, perSrc: make([]int, a.N)}
 				}
-				e, err := engine.New(a.N, engine.Options{
-					Workers:       workers,
-					Budget:        core.Budget{BitsPerLink: want.cap * core.WordBits, MsgBits: core.WordBits},
-					RecordDigests: true,
-				})
+				e, err := engine.New(a.N, engine.Options{Workers: workers, RecordDigests: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -119,7 +110,7 @@ type passTraffic struct {
 }
 
 // predictTraffic is the traffic model of one row-pull product pass
-// A ⊗ B at link cap c, derived from its operands alone, for every pass
+// A ⊗ B, derived from its operands alone, for every pass
 // newPass builds but a cube pass (predictCube).
 // Each off-diagonal nonzero a[v][k] makes v a requester of row k. Row k
 // streams the non-Zero entries of b[k] that differ from prev[k] (all of
@@ -132,13 +123,13 @@ type passTraffic struct {
 //     a reflexive a; none when heard.
 //   - Data: responder k sends #requesters(k) × width(k) words, where
 //     width(k) is the packed width of what row k sends.
-//   - Rounds: F = ceil(widest requested row / c), plus one for the
+//   - Rounds: F = the widest requested row in words, plus one for the
 //     request round unless heard, or F = 0 when nobody requests
 //     anything; the bare pass runs rounds 0..F.
 //   - A vote that finds the product equal to B costs nothing. Otherwise
 //     every changed row but node 0's sends a ballot and node 0 tells the
 //     other n-1 nodes, one round later when its own row did not change.
-func predictTraffic(t *testing.T, a *Matrix, b, prev *Dense, heard bool, c int, vote bool) passTraffic {
+func predictTraffic(t *testing.T, a *Matrix, b, prev *Dense, heard bool, vote bool) passTraffic {
 	t.Helper()
 	sent := func(i int) bool {
 		return b.Vals[i] != b.Sr.Zero && (prev == nil || b.Vals[i] != prev.Vals[i])
@@ -175,7 +166,7 @@ func predictTraffic(t *testing.T, a *Matrix, b, prev *Dense, heard bool, c int, 
 	}
 	final := 0
 	if widest >= 0 {
-		final = (widest + c - 1) / c
+		final = widest
 		if !heard {
 			final++
 		}
@@ -212,7 +203,7 @@ func predictTraffic(t *testing.T, a *Matrix, b, prev *Dense, heard bool, c int, 
 }
 
 // predictCube is the traffic model of the cube pass of a semi-naive
-// squaring X ⊗ X = X ⊕ X ⊗ Δ at link cap c, derived from X and the P
+// squaring X ⊗ X = X ⊕ X ⊗ Δ, derived from X and the P
 // with X = P ⊗ P alone, written from the protocol cubeNode documents
 // rather than from its code. Let q = ⌊n^{1/3}⌋, B_i = [i·n/q, (i+1)·n/q)
 // and cube node (a, b, c) = (a·q + b)·q + c.
@@ -221,11 +212,11 @@ func predictTraffic(t *testing.T, a *Matrix, b, prev *Dense, heard bool, c int, 
 //     and c, and Δ[v, B_b] to (a', b, a) for every a' and b but a' = b = a,
 //     each segment packed in the wire format of X's values; a link's
 //     words are the segments it carries, and a link into the sender
-//     itself costs nothing. F1 = ceil(widest link / c).
+//     itself costs nothing. F1 = the widest link in words.
 //   - Phase 2: cube node t = (a, b, c) sends owner u in B_a, u ≠ t, the
 //     non-Zero entries of ⊕_{k∈B_c} X[u, k] ⊗ D[k, B_b], D = X on a
 //     diagonal node and Δ elsewhere, packed in the format of the values'
-//     products; word i of a link goes out in round F1 + i/c.
+//     products; word i of a link goes out in round F1 + i.
 //   - The vote: owner u's row moves in the first round a partial word
 //     that lowers (⊕-raises) an entry of X[u] reaches it — round F1 for
 //     its own partial. A moved row but node 0's sends node 0 the word 0,
@@ -238,7 +229,7 @@ func predictTraffic(t *testing.T, a *Matrix, b, prev *Dense, heard bool, c int, 
 //
 // Where no wire word fits the partial rows' format, the squaring is a
 // row-pull product and predictTraffic's.
-func predictCube(t *testing.T, x *Matrix, prev *Dense, c int, vote bool) passTraffic {
+func predictCube(t *testing.T, x *Matrix, prev *Dense, vote bool) passTraffic {
 	t.Helper()
 	n, sr := x.N, x.Sr
 	dx := dense(x)
@@ -255,7 +246,7 @@ func predictCube(t *testing.T, x *Matrix, prev *Dense, c int, vote bool) passTra
 	prg, ok := rg.products(sr)
 	pwf, err := prg.format(n, sr)
 	if !ok || err != nil {
-		return predictTraffic(t, x, dx, prev, false, c, vote)
+		return predictTraffic(t, x, dx, prev, false, vote)
 	}
 	q := 1
 	for (q+1)*(q+1)*(q+1) <= n {
@@ -304,7 +295,7 @@ func predictCube(t *testing.T, x *Matrix, prev *Dense, c int, vote bool) passTra
 			}
 		}
 	}
-	f1 := (widest + c - 1) / c
+	f1 := widest
 	if widest > 0 {
 		last = f1 - 1
 	}
@@ -355,7 +346,7 @@ func predictCube(t *testing.T, x *Matrix, prev *Dense, c int, vote bool) passTra
 			words := seg(pwf, part, b, func(int) bool { return true })
 			pt.words += uint64(len(words))
 			if len(words) > 0 {
-				last = max(last, f1+(len(words)-1)/c)
+				last = max(last, f1+len(words)-1)
 			}
 			if u == 0 {
 				toZero[tt] = len(words)
@@ -371,7 +362,7 @@ func predictCube(t *testing.T, x *Matrix, prev *Dense, c int, vote bool) passTra
 				pwf.decode(w, got, lo(b))
 				for j, p := range got {
 					if p != sr.Zero && lowers(lo(b)+j) {
-						move(u, f1+1+i/c)
+						move(u, f1+1+i)
 					}
 				}
 			}
@@ -381,8 +372,8 @@ func predictCube(t *testing.T, x *Matrix, prev *Dense, c int, vote bool) passTra
 		// behind is the round a vote word queued in round r goes out on a
 		// link whose data, L words, started in round F1.
 		behind := func(r, l int) int {
-			if l > (r-f1)*c {
-				return f1 + l/c
+			if l > r-f1 {
+				return f1 + l
 			}
 			return r
 		}
@@ -420,11 +411,6 @@ func trafficHook(got *[]passTraffic) clique.Option {
 	})
 }
 
-// capBudget is a budget of c words per link per round.
-func capBudget(c int) clique.Option {
-	return clique.WithBudget(core.Budget{BitsPerLink: c * core.WordBits, MsgBits: core.WordBits})
-}
-
 // loopModel drives a kernel whose passes are all Power and Relaxation
 // products and, as each pass starts, records what predictTraffic says
 // it will cost, from the operands of the loop whose product is in
@@ -435,7 +421,6 @@ func capBudget(c int) clique.Option {
 type loopModel struct {
 	clique.Kernel
 	t       *testing.T
-	cap     int
 	want    []passTraffic
 	lastB   map[*Relaxation]*Dense // the B of each Relaxation's last product
 	squares map[*Power]int         // squarings each Power has started
@@ -444,8 +429,8 @@ type loopModel struct {
 	later   int                    // Relaxation products after the first
 }
 
-func newLoopModel(t *testing.T, k clique.Kernel, cap int) *loopModel {
-	return &loopModel{Kernel: k, t: t, cap: cap, lastB: map[*Relaxation]*Dense{}, squares: map[*Power]int{}}
+func newLoopModel(t *testing.T, k clique.Kernel) *loopModel {
+	return &loopModel{Kernel: k, t: t, lastB: map[*Relaxation]*Dense{}, squares: map[*Power]int{}}
 }
 
 func (m *loopModel) Next(g *graph.CSR) (clique.Pass, error) {
@@ -468,11 +453,11 @@ func (m *loopModel) Next(g *graph.CSR) (clique.Pass, error) {
 				if !oneDiagonal(loop.prev) {
 					m.t.Errorf("pass %d: a semi-naive squaring over a previous operand without One on its diagonal", len(m.want))
 				}
-				m.want = append(m.want, predictCube(m.t, left, dense(loop.prev), m.cap, loop.pass.voters != nil))
+				m.want = append(m.want, predictCube(m.t, left, dense(loop.prev), loop.pass.voters != nil))
 				return pass, nil
 			}
 		}
-		m.want = append(m.want, predictTraffic(m.t, left, dense(loop.base), prev, false, m.cap, loop.pass.voters != nil))
+		m.want = append(m.want, predictTraffic(m.t, left, dense(loop.base), prev, false, loop.pass.voters != nil))
 	case *Relaxation:
 		prev, heard := m.lastB[loop]
 		if heard {
@@ -482,7 +467,7 @@ func (m *loopModel) Next(g *graph.CSR) (clique.Pass, error) {
 			prev = nil
 		}
 		m.lastB[loop] = loop.b
-		m.want = append(m.want, predictTraffic(m.t, loop.s, loop.b, prev, heard, m.cap, loop.pass.voters != nil))
+		m.want = append(m.want, predictTraffic(m.t, loop.s, loop.b, prev, heard, loop.pass.voters != nil))
 	default:
 		return pass, fmt.Errorf("pass %d is neither a Power nor a Relaxation product", len(m.want))
 	}
@@ -529,7 +514,9 @@ func inFlight(v reflect.Value, seen map[uintptr]bool) any {
 
 // TestKernelTrafficModel: every pass of every registered kernel built
 // on the product loops bills, as a round hook counts it, exactly what
-// the model gives, at link caps 1 and 4, on the golden graph (n = 48).
+// the model gives, on the golden graph (n = 48: a 3×3×3 cube over 27
+// of the nodes, the rest owners only) and on G(64, 0.15) (a 4×4×4 cube
+// over every node).
 // apsp, closure and widest square until stable, hop-limited squares and
 // multiplies to 7 hops, ksource and the other pipelines run a Power or
 // a hopset construction and then a Relaxation. So the model covers
@@ -539,7 +526,10 @@ func inFlight(v reflect.Value, seen map[uintptr]bool) any {
 // must run a product after the first. bfs, bellman-ford and mst run
 // passes of their own and have no model yet.
 func TestKernelTrafficModel(t *testing.T) {
-	g := graph.RandomGNPWeighted(48, 0.15, 30, 7)
+	graphs := []*graph.CSR{
+		graph.RandomGNPWeighted(48, 0.15, 30, 7),
+		graph.RandomGNPWeighted(64, 0.15, 30, 3),
+	}
 	covered := 0
 	for _, name := range clique.Kernels() {
 		switch name {
@@ -547,15 +537,15 @@ func TestKernelTrafficModel(t *testing.T) {
 			continue
 		}
 		covered++
-		for _, cap := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/cap%d", name, cap), func(t *testing.T) {
+		for _, g := range graphs {
+			t.Run(fmt.Sprintf("n%d/%s", g.N, name), func(t *testing.T) {
 				k, err := clique.NewKernel(name, g)
 				if err != nil {
 					t.Fatal(err)
 				}
 				var got []passTraffic
-				m := newLoopModel(t, k, cap)
-				s, err := clique.New(g, capBudget(cap), trafficHook(&got))
+				m := newLoopModel(t, k)
+				s, err := clique.New(g, trafficHook(&got))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -20,20 +20,16 @@ type votePassRun struct {
 	digests []uint64
 }
 
-// runVotePass runs p on a fresh engine at the given link cap and worker
-// count, bounded by the pass's own MaxRoundsHint and with every link
-// checked against the cap.
-func runVotePass(t *testing.T, p *Pass, cap, workers int) votePassRun {
+// runVotePass runs p on a fresh engine at the given worker count,
+// bounded by the pass's own MaxRoundsHint and with every link checked
+// to carry at most one word a round.
+func runVotePass(t *testing.T, p *Pass, workers int) votePassRun {
 	t.Helper()
 	nodes := make([]engine.Node, p.n)
 	for v, nd := range p.Nodes() {
-		nodes[v] = &linkCheck{Node: nd, cap: cap, perSrc: make([]int, p.n)}
+		nodes[v] = &linkCheck{Node: nd, perSrc: make([]int, p.n)}
 	}
-	e, err := engine.New(p.n, engine.Options{
-		Workers:       workers,
-		Budget:        core.Budget{BitsPerLink: cap * core.WordBits, MsgBits: core.WordBits},
-		RecordDigests: true,
-	})
+	e, err := engine.New(p.n, engine.Options{Workers: workers, RecordDigests: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,19 +86,91 @@ type voteCase struct {
 // product returns the same product as the bare pass, its verdict is
 // right, it costs at most 2 rounds and 2(n-1) words more — nothing at
 // all when it confirms a fixpoint, whose digest chain is then the bare
-// pass's — no link ever exceeds its cap, and MaxRoundsHint covers it,
-// at link caps 1 and 4 and 1 and 2 workers, over every semiring.
+// pass's — no link ever carries more than one word a round, and
+// MaxRoundsHint covers it, at 1 and 2 workers, over every semiring, on
+// a sparse G(40, 0.12) and on a smaller, denser G(24, 0.4), whose rows
+// of A pack into up to 3 words against 2, so its vote follows a longer
+// stream among fewer voters.
 func TestVoteAccounting(t *testing.T) {
+	fixtures := []struct {
+		name    string // prefix after the semiring; "" for the first graph
+		g       *graph.CSR
+		sources []int
+	}{
+		{"", graph.RandomGNPWeighted(40, 0.12, 30, 5), []int{0, 7, 19, 20, 39}},
+		{"wide/", graph.RandomGNPWeighted(24, 0.4, 30, 11), []int{0, 5, 11, 12, 23}},
+	}
+	var cases []voteCase
+	for _, fx := range fixtures {
+		cases = append(cases, voteCases(t, fx.g, fx.sources, fx.name)...)
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/w%d", tc.name, workers), func(t *testing.T) {
+				bare, err := tc.build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				voting, err := tc.build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				voting.vote(askedOf(voting))
+				bs := runVotePass(t, bare, workers)
+				vs := runVotePass(t, voting, workers)
+				if !bare.changed() {
+					t.Error("a pass never asked to vote must report changed")
+				}
+				if voting.changed() != tc.changed {
+					t.Errorf("changed() = %v, want %v", voting.changed(), tc.changed)
+				}
+				if !slices.Equal(voting.Dense().Vals, bare.Dense().Vals) {
+					t.Error("voting pass computed a different product")
+				}
+				n := bare.n
+				dr, dw := vs.Rounds-bs.Rounds, int(vs.TotalMsgs)-int(bs.TotalMsgs)
+				if dr < 0 || dr > 2 || dw < 0 || dw > 2*(n-1) {
+					t.Errorf("vote cost %d rounds and %d words, bound 2 and %d", dr, dw, 2*(n-1))
+				}
+				if tc.extraRounds >= 0 && (dr != tc.extraRounds || dw != tc.extraWords) {
+					t.Errorf("vote cost %d rounds and %d words, want exactly %d and %d", dr, dw, tc.extraRounds, tc.extraWords)
+				}
+				if tc.changed && dr == 0 {
+					t.Error("a changed verdict cannot be free: node 0 has to be heard")
+				}
+				if vs.Rounds > voting.MaxRoundsHint() {
+					t.Errorf("%d rounds exceed MaxRoundsHint %d", vs.Rounds, voting.MaxRoundsHint())
+				}
+				// Up to the round the bare pass falls silent in, the
+				// voting pass delivers the same words.
+				for r := 0; r < bs.Rounds-1; r++ {
+					if vs.digests[r] != bs.digests[r] {
+						t.Fatalf("round %d digest differs from the bare pass before the vote began", r)
+					}
+				}
+				if !tc.changed && vs.digests[vs.Rounds-1] != bs.digests[bs.Rounds-1] {
+					t.Error("confirming pass's digest chain differs from the bare pass's")
+				}
+			})
+		}
+	}
+}
+
+// voteCases builds the TestVoteAccounting cases on g for every
+// semiring: dense and sparse products that change or confirm a
+// fixpoint, and lone voters at node 0 and node n-1. sources are the
+// seed columns of the dense cases; name prefixes the case names.
+func voteCases(t *testing.T, g *graph.CSR, sources []int, name string) []voteCase {
+	t.Helper()
 	var cases []voteCase
 	for _, sr := range core.AllSemirings() {
-		g := graph.RandomGNPWeighted(40, 0.12, 30, 5)
 		a, err := FromGraph(g, sr, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		n := a.N
-		seed := NewDense(n, 5, sr)
-		for j, src := range []int{0, 7, 19, 20, 39} {
+		seed := NewDense(n, len(sources), sr)
+		for j, src := range sources {
 			seed.Row(core.NodeID(src))[j] = sr.One
 		}
 		settled := fixpointDense(t, a, seed)
@@ -124,68 +192,17 @@ func TestVoteAccounting(t *testing.T) {
 		}
 		first, last := forget(0), forget(n-1)
 		cases = append(cases,
-			voteCase{sr.Name + "/dense/changes", func() (*Pass, error) { return NewDensePass(a, seed, false) }, true, -1, -1},
-			voteCase{sr.Name + "/dense/fixpoint", func() (*Pass, error) { return NewDensePass(a, settled, false) }, false, 0, 0},
-			voteCase{sr.Name + "/sparse/changes", func() (*Pass, error) { return NewPass(a, a, false) }, true, -1, -1},
-			voteCase{sr.Name + "/sparse/fixpoint", func() (*Pass, error) { return NewPass(closure, closure, false) }, false, 0, 0},
+			voteCase{sr.Name + "/" + name + "dense/changes", func() (*Pass, error) { return NewDensePass(a, seed, false) }, true, -1, -1},
+			voteCase{sr.Name + "/" + name + "dense/fixpoint", func() (*Pass, error) { return NewDensePass(a, settled, false) }, false, 0, 0},
+			voteCase{sr.Name + "/" + name + "sparse/changes", func() (*Pass, error) { return NewPass(a, a, false) }, true, -1, -1},
+			voteCase{sr.Name + "/" + name + "sparse/fixpoint", func() (*Pass, error) { return NewPass(closure, closure, false) }, false, 0, 0},
 			// Node 0 speaks in round F itself: one round, n-1 words.
-			voteCase{sr.Name + "/dense/only-node-0", func() (*Pass, error) { return NewDensePass(a, first, false) }, true, 1, n - 1},
+			voteCase{sr.Name + "/" + name + "dense/only-node-0", func() (*Pass, error) { return NewDensePass(a, first, false) }, true, 1, n - 1},
 			// Any other lone voter: a ballot, then node 0's n-1 words.
-			voteCase{sr.Name + "/dense/only-last-node", func() (*Pass, error) { return NewDensePass(a, last, false) }, true, 2, n},
+			voteCase{sr.Name + "/" + name + "dense/only-last-node", func() (*Pass, error) { return NewDensePass(a, last, false) }, true, 2, n},
 		)
 	}
-	for _, tc := range cases {
-		for _, cap := range []int{1, 4} {
-			for _, workers := range []int{1, 2} {
-				t.Run(fmt.Sprintf("%s/cap%d/w%d", tc.name, cap, workers), func(t *testing.T) {
-					bare, err := tc.build()
-					if err != nil {
-						t.Fatal(err)
-					}
-					voting, err := tc.build()
-					if err != nil {
-						t.Fatal(err)
-					}
-					voting.vote(askedOf(voting))
-					bs := runVotePass(t, bare, cap, workers)
-					vs := runVotePass(t, voting, cap, workers)
-					if !bare.changed() {
-						t.Error("a pass never asked to vote must report changed")
-					}
-					if voting.changed() != tc.changed {
-						t.Errorf("changed() = %v, want %v", voting.changed(), tc.changed)
-					}
-					if !slices.Equal(voting.Dense().Vals, bare.Dense().Vals) {
-						t.Error("voting pass computed a different product")
-					}
-					n := bare.n
-					dr, dw := vs.Rounds-bs.Rounds, int(vs.TotalMsgs)-int(bs.TotalMsgs)
-					if dr < 0 || dr > 2 || dw < 0 || dw > 2*(n-1) {
-						t.Errorf("vote cost %d rounds and %d words, bound 2 and %d", dr, dw, 2*(n-1))
-					}
-					if tc.extraRounds >= 0 && (dr != tc.extraRounds || dw != tc.extraWords) {
-						t.Errorf("vote cost %d rounds and %d words, want exactly %d and %d", dr, dw, tc.extraRounds, tc.extraWords)
-					}
-					if tc.changed && dr == 0 {
-						t.Error("a changed verdict cannot be free: node 0 has to be heard")
-					}
-					if vs.Rounds > voting.MaxRoundsHint() {
-						t.Errorf("%d rounds exceed MaxRoundsHint %d", vs.Rounds, voting.MaxRoundsHint())
-					}
-					// Up to the round the bare pass falls silent in, the
-					// voting pass delivers the same words.
-					for r := 0; r < bs.Rounds-1; r++ {
-						if vs.digests[r] != bs.digests[r] {
-							t.Fatalf("round %d digest differs from the bare pass before the vote began", r)
-						}
-					}
-					if !tc.changed && vs.digests[vs.Rounds-1] != bs.digests[bs.Rounds-1] {
-						t.Error("confirming pass's digest chain differs from the bare pass's")
-					}
-				})
-			}
-		}
-	}
+	return cases
 }
 
 // TestVoteWhenTheWidestRowIsNeverAskedFor: the round every row is final
@@ -224,7 +241,7 @@ func TestVoteWhenTheWidestRowIsNeverAskedFor(t *testing.T) {
 	if len(voting.state[9].packed) < 3 {
 		t.Fatalf("row 9 packs into %d words; the fixture needs it several rounds wide", len(voting.state[9].packed))
 	}
-	bs, vs := runVotePass(t, bare, 1, 1), runVotePass(t, voting, 1, 1)
+	bs, vs := runVotePass(t, bare, 1), runVotePass(t, voting, 1)
 	if !voting.changed() {
 		t.Error("vertex 1 learned its distance to vertex 0, yet the vote reports no change")
 	}
@@ -267,7 +284,7 @@ func TestVoteWithoutAnyRequest(t *testing.T) {
 				t.Fatal(err)
 			}
 			p.vote(askedRows(a))
-			st := runVotePass(t, p, 1, 1)
+			st := runVotePass(t, p, 1)
 			if p.changed() != tc.changed || st.Rounds != tc.rounds {
 				t.Errorf("changed() = %v in %d rounds, want %v in %d", p.changed(), st.Rounds, tc.changed, tc.rounds)
 			}
