@@ -183,8 +183,10 @@ func TestCrashResumeEquivalence(t *testing.T) {
 	}
 }
 
-// TestCrashAtEveryPassBoundary crashes the two kernels built on the
-// product loops after every pass boundary in turn. The loops leave at
+// TestCrashAtEveryPassBoundary crashes three kernels built on the
+// product loops after every pass boundary in turn; closure's boolean
+// squarings, like apsp's (min,+) ones, checkpoint a base that Power
+// holds only as the slab its last squaring left. The loops leave at
 // the first product that changes nothing, and that verdict lives in the
 // pass that just ran, not in the checkpoint: the kernel has to fold it
 // into its state blob (a zeroed product budget, a collapsed exponent)
@@ -195,7 +197,7 @@ func TestCrashAtEveryPassBoundary(t *testing.T) {
 	g := graph.RandomGNPWeighted(24, 0.4, 4, 42)
 	beta := hopset.DefaultBeta(g.N)
 	hopPasses := runReference(t, g, "hopset").stats.Runs
-	for name, allPasses := range map[string]int{"approx-ksource": 2 * beta, "apsp": 5} {
+	for name, allPasses := range map[string]int{"approx-ksource": 2 * beta, "apsp": 5, "closure": 5} {
 		ref := runReference(t, g, name)
 		passes := ref.stats.Runs
 		if passes >= allPasses || hopPasses >= beta || (name == "approx-ksource" && passes-hopPasses >= beta) {

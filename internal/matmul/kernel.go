@@ -50,13 +50,31 @@ import (
 // squarings move a sixth of the words pulling Δ did. Multiply steps,
 // the first squaring and a base without One on its diagonal stream
 // whole rows by row-pull.
+//
+// Between products Power holds base and prev as dense slabs: the
+// accumulator slabs the squarings that made them left behind (dense(A)
+// before the first). A cube squaring reads both and writes into a
+// third, the slab of the operand from two squarings back, so a chain of
+// squarings allocates no n x n matrix after its first two. The CSR of
+// base is built only where something reads its rows: a row-pull
+// squaring, result taking base's value, Result and WritePower. result,
+// the left operand of every multiply step, stays a CSR.
 type Power struct {
-	e            int
-	base, result *Matrix
+	e int
+	// base is what the next squaring squares; nil before the first
+	// product, while rows holds A.
+	base *Dense
+	// rows is base as a CSR, once something has built it; nil from each
+	// squaring until something needs it again.
+	rows   *Matrix
+	result *Matrix
 	// prev is the operand of the last squaring, so base = prev ⊗ prev,
 	// kept only when it has One on its diagonal; nil before the first
 	// squaring.
-	prev         *Matrix
+	prev *Dense
+	// spare is a slab no operand holds any more, which the next product
+	// takes as its accumulator; nil when there is none.
+	spare        []int64
 	pass         *Pass
 	passIsSquare bool
 	// phase 0: the current exponent bit's multiply step is pending;
@@ -66,10 +84,27 @@ type Power struct {
 
 // NewPower prepares A^e as a session kernel. Operand validation happens
 // at the first product, surfacing through Session.Run.
-func NewPower(a *Matrix, e int) *Power { return &Power{e: e, base: a} }
+func NewPower(a *Matrix, e int) *Power { return &Power{e: e, rows: a} }
 
 // Name identifies the kernel.
 func (p *Power) Name() string { return "matmul-power" }
+
+// baseRows returns base as a CSR, building it if nothing has yet.
+func (p *Power) baseRows() *Matrix {
+	if p.rows == nil {
+		p.rows = sparse(p.base)
+	}
+	return p.rows
+}
+
+// baseDense returns base as a dense slab, building it from the CSR
+// before the first product.
+func (p *Power) baseDense() *Dense {
+	if p.base == nil {
+		p.base = dense(p.rows)
+	}
+	return p.base
+}
 
 // harvest folds the completed in-flight pass (if any), its rows
 // gathered by the session, back into the square-and-multiply state.
@@ -79,18 +114,26 @@ func (p *Power) harvest() {
 	if p.pass == nil {
 		return
 	}
-	m := p.pass.Sparse()
 	if p.passIsSquare {
+		// The operand squared becomes prev or, like the prev it replaces,
+		// a spare slab.
+		freed := p.prev
 		p.prev = nil
-		if oneDiagonal(p.base) {
+		if denseOneDiagonal(p.base) {
 			p.prev = p.base
+		} else {
+			freed = p.base
 		}
-		p.base = m
+		if freed != nil {
+			p.spare = freed.Vals
+		}
+		p.base, p.rows = p.pass.Dense(), nil
 		if !p.pass.changed() {
 			p.e = 1
 		}
 	} else {
-		p.result = m
+		p.result = p.pass.Sparse()
+		p.spare = p.pass.flat
 	}
 	p.pass = nil
 }
@@ -104,39 +147,42 @@ func (p *Power) Next(*graph.CSR) (clique.Pass, error) {
 			p.phase = 1
 			if p.e&1 == 1 {
 				if p.result == nil {
-					p.result = p.base
+					p.result = p.baseRows()
 				} else {
-					return p.product(p.result, false)
+					return p.product(false)
 				}
 			}
 		}
 		if p.e > 1 {
 			p.phase = 0
 			p.e >>= 1
-			return p.product(p.base, true)
+			return p.product(true)
 		}
 		p.e = 0
 	}
 	return clique.Pass{}, nil
 }
 
-// product starts the engine pass left ⊗ base: the squaring step when
-// left is base itself (p.e already holds the exponent left after it),
-// semi-naive once prev is known, the multiply step into result
-// otherwise.
-func (p *Power) product(left *Matrix, square bool) (clique.Pass, error) {
-	var prev *Dense
-	sched := paced
-	if square && p.prev != nil {
-		prev, sched = dense(p.prev), cubed
+// product starts the engine pass left ⊗ base: the squaring step, left
+// being base itself (p.e already holds the exponent left after it),
+// semi-naive by the cube once prev is known, or the multiply step,
+// left being result. A cube squaring reads no CSR of base; it votes
+// with nothing asked, since it times its own ballots.
+func (p *Power) product(square bool) (clique.Pass, error) {
+	left, prev, sched := p.result, (*Dense)(nil), paced
+	switch {
+	case square && p.prev != nil:
+		left, prev, sched = nil, p.prev, cubed
+	case square:
+		left = p.baseRows()
 	}
-	pass, err := newPass(left, dense(p.base), prev, sched)
+	pass, err := newPass(left, p.baseDense(), prev, sched, p.spare)
 	if err != nil {
 		return clique.Pass{}, err
 	}
-	p.pass, p.passIsSquare = pass, square
+	p.pass, p.passIsSquare, p.spare = pass, square, nil
 	if square && p.e > 1 {
-		pass.vote(askedRows(left))
+		pass.vote(pass.asked())
 	}
 	return pass.session(), nil
 }
@@ -155,7 +201,8 @@ func (p *Power) Result() any {
 		return nil
 	}
 	if p.result == nil {
-		return Identity(p.base.N, p.base.Sr)
+		a := p.baseRows()
+		return Identity(a.N, a.Sr)
 	}
 	return p.result
 }
@@ -177,6 +224,12 @@ func (p *Power) Result() any {
 // follows what is still unsettled rather than the width of the columns.
 // Any other S streams whole rows every product.
 //
+// Between products Relaxation holds B, and prev over a reflexive S, as
+// the accumulator slabs of the products that made them, and hands the
+// next product the slab of the B from two products back (from the last
+// product, over any other S) as its accumulator — never the caller's
+// initial B, which stays as the caller made it.
+//
 // Whatever S, only the first product asks: S fixes who asks each node
 // for its row, so each responder keeps the requesters it recorded then,
 // and every later product streams from round 0 with no request words
@@ -190,11 +243,17 @@ type Relaxation struct {
 	// reflexive; nil before the first product.
 	prev      *Dense
 	reflexive bool
+	// initial is the caller's B, which no product takes as its
+	// accumulator; spare is a slab no operand holds any more, which the
+	// next product does take; nil when there is none.
+	initial *Dense
+	spare   []int64
 	// reqs[k] is who asks node k for its row, as node k recorded it in the
 	// first product (nil for the nodes this rank does not execute); nil
 	// before the first product has run.
 	reqs [][]core.NodeID
-	// asked is askedRows(s), the rows every product's vote sizes F from.
+	// asked is what the first product's nodes ask for, the rows every
+	// product's vote sizes F from.
 	asked []bool
 	// remaining bounds the products still to run; a product that changes
 	// nothing zeroes it.
@@ -205,7 +264,7 @@ type Relaxation struct {
 // against b as a session kernel. Operand validation happens at the
 // first product, surfacing through Session.Run.
 func NewRelaxation(s *Matrix, b *Dense, products int) *Relaxation {
-	return &Relaxation{s: s, b: b, remaining: products, reflexive: oneDiagonal(s)}
+	return &Relaxation{s: s, b: b, initial: b, remaining: products, reflexive: oneDiagonal(s)}
 }
 
 // oneDiagonal reports whether every row of s carries One on its
@@ -213,6 +272,16 @@ func NewRelaxation(s *Matrix, b *Dense, products int) *Relaxation {
 func oneDiagonal(s *Matrix) bool {
 	for v := 0; v < s.N; v++ {
 		if s.At(core.NodeID(v), core.NodeID(v)) != s.Sr.One {
+			return false
+		}
+	}
+	return true
+}
+
+// denseOneDiagonal is oneDiagonal for an n x n Dense.
+func denseOneDiagonal(d *Dense) bool {
+	for v := 0; v < d.N; v++ {
+		if d.At(core.NodeID(v), v) != d.Sr.One {
 			return false
 		}
 	}
@@ -241,8 +310,12 @@ func (r *Relaxation) harvest() {
 	if r.pass == nil {
 		return
 	}
+	freed := r.b
 	if r.reflexive {
-		r.prev = r.b
+		freed, r.prev = r.prev, r.b
+	}
+	if freed != nil && freed != r.initial {
+		r.spare = freed.Vals
 	}
 	if r.reqs == nil {
 		r.reqs = make([][]core.NodeID, len(r.pass.state))
@@ -265,10 +338,11 @@ func (r *Relaxation) Next(*graph.CSR) (clique.Pass, error) {
 	if r.remaining <= 0 {
 		return clique.Pass{}, nil
 	}
-	pass, err := newPass(r.s, r.b, r.prev, paced)
+	pass, err := newPass(r.s, r.b, r.prev, paced, r.spare)
 	if err != nil {
 		return clique.Pass{}, err
 	}
+	r.spare = nil
 	if r.reqs != nil {
 		for v := range pass.state {
 			pass.state[v].reqs, pass.state[v].heard = r.reqs[v], true
@@ -276,7 +350,7 @@ func (r *Relaxation) Next(*graph.CSR) (clique.Pass, error) {
 	}
 	if r.remaining > 1 {
 		if r.asked == nil {
-			r.asked = askedRows(r.s)
+			r.asked = pass.asked()
 		}
 		pass.vote(r.asked)
 	}

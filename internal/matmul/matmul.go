@@ -247,6 +247,24 @@ func dense(m *Matrix) *Dense {
 	return d
 }
 
+// sparse returns the n x n Dense d as a Matrix, storing only its
+// non-Zero entries.
+func sparse(d *Dense) *Matrix {
+	nnz := 0
+	for _, v := range d.Vals {
+		if v != d.Sr.Zero {
+			nnz++
+		}
+	}
+	bld := newBuilder(d.N, d.Sr)
+	bld.m.Cols = make([]core.NodeID, 0, nnz)
+	bld.m.Vals = make([]int64, 0, nnz)
+	for v := 0; v < d.N; v++ {
+		bld.appendRow(d.Row(core.NodeID(v)))
+	}
+	return bld.m
+}
+
 // Row returns row v of the dense matrix. It aliases internal storage.
 func (d *Dense) Row(v core.NodeID) []int64 { return d.Vals[int(v)*d.K : (int(v)+1)*d.K] }
 

@@ -179,6 +179,89 @@ func (wf *wireFormat) packPositional(dst []uint64, cols []core.NodeID, vals []in
 	return dst
 }
 
+// packBits appends bits lo..hi-1 of the bitset set as the columns
+// off+j of a row whose every entry is One, in the 1-bit-field format:
+// word for word what packRow appends for those columns, the choice of
+// encoding included, without staging a (col, val) pair per entry. A
+// positional word's fields are a bitmap, so each is one shifted slice
+// of the bitset.
+func (wf *wireFormat) packBits(dst []uint64, set []uint64, lo, hi, off int) []uint64 {
+	cnt := countBits(set, lo, hi)
+	if cnt == 0 {
+		return dst
+	}
+	sparseWords := (cnt + wf.sparsePer - 1) / wf.sparsePer
+	posWords := 0
+	for j := nextBit(set, lo, hi); j < hi && posWords < sparseWords; posWords++ {
+		j = nextBit(set, j+wf.posPer, hi)
+	}
+	if posWords < sparseWords {
+		for j := nextBit(set, lo, hi); j < hi; j = nextBit(set, j+wf.posPer, hi) {
+			m := bitsAt(set, j, min(wf.posPer, hi-j))
+			dst = append(dst, posFlag|uint64(off+j)|m<<(wf.idxBits&63))
+		}
+		return dst
+	}
+	entBits := (wf.idxBits + 1) & 63
+	var w uint64
+	s := 0
+	for j := nextBit(set, lo, hi); j < hi; j = nextBit(set, j+1, hi) {
+		w |= (uint64(off+j)<<1 | 1) << (uint(s) * entBits & 63)
+		if s++; s == wf.sparsePer {
+			dst, w, s = append(dst, w), 0, 0
+		}
+	}
+	if s > 0 {
+		dst = append(dst, w)
+	}
+	return dst
+}
+
+// countBits returns how many of bits lo..hi-1 of set are set.
+func countBits(set []uint64, lo, hi int) int {
+	if lo >= hi {
+		return 0
+	}
+	first, last := lo/64, (hi-1)/64
+	head, tail := ^uint64(0)<<(lo%64), ^uint64(0)>>(63-(hi-1)%64)
+	if first == last {
+		return bits.OnesCount64(set[first] & head & tail)
+	}
+	cnt := bits.OnesCount64(set[first]&head) + bits.OnesCount64(set[last]&tail)
+	for _, m := range set[first+1 : last] {
+		cnt += bits.OnesCount64(m)
+	}
+	return cnt
+}
+
+// nextBit returns the first set bit of set at or after j and before hi,
+// or hi when there is none.
+func nextBit(set []uint64, j, hi int) int {
+	if j >= hi {
+		return hi
+	}
+	w := j / 64
+	m := set[w] >> (j % 64) << (j % 64)
+	for m == 0 {
+		if w++; w*64 >= hi {
+			return hi
+		}
+		m = set[w]
+	}
+	return min(w*64+bits.TrailingZeros64(m), hi)
+}
+
+// bitsAt returns bits j..j+k-1 of set as the low k bits of a word, for
+// 0 < k < 64.
+func bitsAt(set []uint64, j, k int) uint64 {
+	w, sh := j/64, uint(j%64)
+	m := set[w] >> sh
+	if sh != 0 && w+1 < len(set) {
+		m |= set[w+1] << (64 - sh)
+	}
+	return m & (1<<uint(k) - 1)
+}
+
 // field offset-codes one non-Zero value.
 func (wf *wireFormat) field(v int64) uint64 {
 	if v == wf.one {
@@ -654,13 +737,13 @@ func (p *Pass) Gather() error { return nil }
 // (TestUnpacedProductReturnsBandwidthError); every other caller passes
 // false.
 func NewPass(a, b *Matrix, unpaced bool) (*Pass, error) {
-	return newPass(a, dense(b), nil, pullSchedule(unpaced))
+	return newPass(a, dense(b), nil, pullSchedule(unpaced), nil)
 }
 
 // NewDensePass validates and packs the sparse-dense product A ⊗ B with
 // B (and C) n x k dense. Zero entries of B are not transmitted.
 func NewDensePass(a *Matrix, b *Dense, unpaced bool) (*Pass, error) {
-	return newPass(a, b, nil, pullSchedule(unpaced))
+	return newPass(a, b, nil, pullSchedule(unpaced), nil)
 }
 
 // schedule is the node program a pass runs.
@@ -683,7 +766,9 @@ func pullSchedule(unpace bool) schedule {
 // newPass builds every distributed product A ⊗ B: n nodes over one flat
 // result slab, node v holding row v of A and accumulating row v of C in
 // a K-wide accumulator. It packs B's non-Zero entries, in the wire
-// format of exactly the values it packs.
+// format of exactly the values it packs. The slab is acc when that is
+// large enough — a slab the caller no longer needs, whose contents are
+// overwritten — and a new one otherwise.
 //
 // With prev set, it packs only Δ, the entries of B that differ from
 // prev, and starts each node's accumulator from its own row of B
@@ -699,27 +784,23 @@ func pullSchedule(unpace bool) schedule {
 //
 // The semi-naive squaring alone runs the cube schedule (cubeNode), which
 // also sends segments of X and so packs all of B, in the format of X's
-// values. Its partial rows need a second format covering the products
-// of those values; where no wire word fits one (a (min,+) operand whose
-// largest value doubled nears InfWeight), the squaring runs row-pull
-// instead.
-func newPass(a *Matrix, b, prev *Dense, sched schedule) (*Pass, error) {
-	if err := checkPair(a.N, b.N, a.Sr, b.Sr); err != nil {
-		return nil, err
+// values; its nodes hold no row of A, so a may be nil. Its partial rows
+// need a second format covering the products of those values; where no
+// wire word fits one (a (min,+) operand whose largest value doubled
+// nears InfWeight), the squaring runs row-pull instead, over a = B.
+func newPass(a *Matrix, b, prev *Dense, sched schedule, acc []int64) (*Pass, error) {
+	if a != nil {
+		if err := checkPair(a.N, b.N, a.Sr, b.Sr); err != nil {
+			return nil, err
+		}
 	}
-	// One sweep finds the entries to send, as indices into b.Vals, and
-	// the range of their values.
+	// One sweep finds the range of the values to send. Past a loop's
+	// first products most entries equal prev's, so that test comes first.
 	zero, one := b.Sr.Zero, b.Sr.One
+	delta := sched != cubed && prev != nil
 	var rg valueRange
-	var sent []int
 	for i, v := range b.Vals {
-		if v == zero || sched != cubed && prev != nil && v == prev.Vals[i] {
-			continue
-		}
-		if sched != cubed {
-			sent = append(sent, i)
-		}
-		if v != one {
+		if (!delta || v != prev.Vals[i]) && v != zero && v != one {
 			rg.add(v)
 		}
 	}
@@ -731,43 +812,55 @@ func newPass(a *Matrix, b, prev *Dense, sched schedule) (*Pass, error) {
 		}
 		if pwf == nil {
 			// Row-pull from here: pack only Δ, in the format of its values.
-			return newPass(a, b, prev, paced)
+			if a == nil {
+				a = sparse(b)
+			}
+			return newPass(a, b, prev, paced, acc)
 		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	n, k := a.N, b.K
-	p := &Pass{n: n, cols: k, sr: a.Sr, b: b, accs: make([][]int64, n)}
+	n, k := b.N, b.K
+	p := &Pass{n: n, cols: k, sr: b.Sr, b: b, accs: make([][]int64, n)}
 	if prev != nil {
-		p.flat = slices.Clone(b.Vals)
+		p.flat = append(acc[:0], b.Vals...)
 	} else {
-		p.flat = NewDense(n, k, a.Sr).Vals
+		p.flat = fill(&acc, n*k, zero)
 	}
 	p.nodes = make([]engine.Node, n)
 	p.state = make([]mulNode, n)
 	for v := range p.state {
-		aCols, aVals := a.Row(core.NodeID(v))
+		var aCols []core.NodeID
+		var aVals []int64
+		if a != nil {
+			aCols, aVals = a.Row(core.NodeID(v))
+		}
 		p.accs[v] = p.flat[v*k : (v+1)*k]
-		p.state[v] = mulNode{sr: a.Sr, wf: wf, aCols: aCols, aVals: aVals, acc: p.accs[v], unpace: sched == unpaced}
+		p.state[v] = mulNode{sr: b.Sr, wf: wf, aCols: aCols, aVals: aVals, acc: p.accs[v], unpace: sched == unpaced}
 		p.nodes[v] = &p.state[v]
 	}
 	if sched == cubed {
 		p.asCube(newCube(b, prev, wf), pwf)
 		return p, nil
 	}
-	// Pack each row's sent entries into one shared slab; ends[v] is where
-	// row v's words end.
+	// Pack each row's sent entries, swept against prev's row, into one
+	// shared slab; ends[v] is where row v's words end.
 	var slab []uint64
 	ends := make([]int, n)
 	cols := make([]core.NodeID, 0, k)
 	vals := make([]int64, 0, k)
-	next := 0
 	for v := range ends {
+		row := b.Row(core.NodeID(v))
+		var old []int64
+		if delta {
+			old = prev.Row(core.NodeID(v))
+		}
 		cols, vals = cols[:0], vals[:0]
-		for ; next < len(sent) && sent[next] < (v+1)*k; next++ {
-			cols = append(cols, core.NodeID(sent[next]-v*k))
-			vals = append(vals, b.Vals[sent[next]])
+		for j, x := range row {
+			if (!delta || x != old[j]) && x != zero {
+				cols, vals = append(cols, core.NodeID(j)), append(vals, x)
+			}
 		}
 		slab = wf.packRow(slab, cols, vals)
 		ends[v] = len(slab)
@@ -786,10 +879,12 @@ func (p *Pass) Nodes() []engine.Node { return p.nodes }
 
 // vote asks the pass to also decide, in-engine, whether its product
 // equals its B operand (see voter for the protocol and its cost); changed
-// reports the verdict once the pass has quiesced. asked is askedRows of
-// the pass's A. Call it before the pass runs. Power and Relaxation ask
-// for a vote on every product but one that ends the loop anyway; a pass
-// never asked runs exactly the bare product.
+// reports the verdict once the pass has quiesced. asked is the pass's
+// own asked (a Relaxation reuses its first product's), the rows F is
+// sized from; a cube pass times its own ballots and may take nil. Call
+// it before the pass runs. Power and Relaxation ask for a vote on every
+// product but one that ends the loop anyway; a pass never asked runs
+// exactly the bare product.
 func (p *Pass) vote(asked []bool) {
 	widest := -1
 	for k, ok := range asked {
@@ -804,13 +899,13 @@ func (p *Pass) vote(asked []bool) {
 	}
 }
 
-// askedRows reports, for every row k of B, whether a product over a asks
-// for it: whether some node v != k has a[v][k] != Zero.
-func askedRows(a *Matrix) []bool {
-	asked := make([]bool, a.N)
-	for v := 0; v < a.N; v++ {
-		cols, _ := a.Row(core.NodeID(v))
-		for _, k := range cols {
+// asked reports, for every row k of B, whether a node of the pass asks
+// for it: whether some node v != k holds A[v][k] != Zero. A cube pass's
+// nodes hold no row of A, so nothing of it is asked.
+func (p *Pass) asked() []bool {
+	asked := make([]bool, p.n)
+	for v := range p.state {
+		for _, k := range p.state[v].aCols {
 			asked[k] = asked[k] || int(k) != v
 		}
 	}
@@ -875,21 +970,7 @@ func (p *Pass) MaxRoundsHint() int { return 4*p.n + 64 + p.maxRow }
 
 // Sparse assembles the accumulated result as a sparse Matrix. Call it
 // only after the pass's engine run has quiesced.
-func (p *Pass) Sparse() *Matrix {
-	nnz := 0
-	for _, v := range p.flat {
-		if v != p.sr.Zero {
-			nnz++
-		}
-	}
-	bld := newBuilder(p.n, p.sr)
-	bld.m.Cols = make([]core.NodeID, 0, nnz)
-	bld.m.Vals = make([]int64, 0, nnz)
-	for _, acc := range p.accs {
-		bld.appendRow(acc)
-	}
-	return bld.m
-}
+func (p *Pass) Sparse() *Matrix { return sparse(p.Dense()) }
 
 // Dense returns the accumulated result as an n x cols Dense — the
 // accumulator slab already is the row-major result, so this is
@@ -1014,7 +1095,9 @@ func (cb *cube) dSeg(v, b int) int { return (2*v+1)*cb.q + b }
 
 // newCube packs every owner's segments of X = b and of Δ, the entries
 // where b differs from prev, in the format wf, and finds the widest
-// phase-1 link.
+// phase-1 link. In the 1-bit-field format a row is a set of columns: it
+// builds each owner's rows of X and Δ as bitsets once, and packs every
+// segment straight from them (packBits).
 func newCube(b, prev *Dense, wf *wireFormat) *cube {
 	n := b.N
 	cb := &cube{n: n, q: cubeRoot(n), sr: b.Sr, wf: wf}
@@ -1023,8 +1106,35 @@ func newCube(b, prev *Dense, wf *wireFormat) *cube {
 	var slab []uint64
 	var cols []core.NodeID
 	var vals []int64
+	var xSet, dSet []uint64
+	if wf.loop == core.KindBoolOrAnd {
+		xSet, dSet = make([]uint64, (n+63)/64), make([]uint64, (n+63)/64)
+	}
 	for v := 0; v < n; v++ {
 		row, old := b.Row(core.NodeID(v)), prev.Row(core.NodeID(v))
+		if xSet != nil {
+			for w := range xSet {
+				xs := row[w*64 : min(w*64+64, n)]
+				ps := old[w*64 : w*64+len(xs)]
+				var xm, dm uint64
+				for i, x := range xs {
+					// Branch-free: bit i of xm is x != Zero, of dm also x != P's.
+					nz, ch := uint64(x^zero), uint64(x^ps[i])
+					nz, ch = (nz|-nz)>>63, (ch|-ch)>>63
+					xm, dm = xm|nz<<i, dm|nz&ch<<i
+				}
+				xSet[w], dSet[w] = xm, dm
+			}
+			for s := 0; s < 2*q; s++ {
+				set := xSet
+				if s >= q {
+					set = dSet
+				}
+				slab = wf.packBits(slab, set, cb.lo(s%q), cb.lo(s%q+1), 0)
+				ends[cb.xSeg(v, s)] = len(slab) // dSeg(v, s-q) from s = q on
+			}
+			continue
+		}
 		for s := 0; s < 2*q; s++ {
 			cols, vals = cols[:0], vals[:0]
 			for j, hi := cb.lo(s%q), cb.lo(s%q+1); j < hi; j++ {
@@ -1235,36 +1345,40 @@ func (nd *cubeNode) multiply(t int) bool {
 	db.index(zero)
 	prod := fill(&s.c, ra*rb, zero)
 	blockProduct(cb.sr, prod, x, db, ra, rc)
-	return nd.emit(s, t, la, ra, func(i int, cols []core.NodeID, vals []int64) ([]core.NodeID, []int64) {
+	// Locals, not the scratch's fields: appending through a heap pointer
+	// pays the GC's write barrier on every entry.
+	cols, vals := s.cols[:0], s.vals[:0]
+	own := nd.emit(s, t, la, ra, func(i int, dst []uint64) []uint64 {
+		cols, vals = cols[:0], vals[:0]
 		for j, v := range prod[i*rb : (i+1)*rb] {
 			if v != zero {
 				cols, vals = append(cols, core.NodeID(lb+j)), append(vals, v)
 			}
 		}
-		return cols, vals
+		return nd.wf.packRow(dst, cols, vals)
 	})
+	s.cols, s.vals = cols, vals
+	return own
 }
 
 // emit hands each non-empty partial row i of cube node t's product, as
-// row(i) appends its entries, to its owner la + i: folded in place when
-// that is t itself, queued as a packed stream otherwise. It reports
-// whether it folded into t's own row.
-func (nd *cubeNode) emit(s *cubeScratch, t, la, ra int, row func(i int, cols []core.NodeID, vals []int64) ([]core.NodeID, []int64)) bool {
-	// Locals, not the scratch's fields: appending through a heap pointer
-	// pays the GC's write barrier on every entry.
+// pack(i, dst) appends it packed in the partial rows' format, to its
+// owner la + i: folded in place when that is t itself, queued as a
+// stream otherwise. It reports whether it folded into t's own row.
+func (nd *cubeNode) emit(s *cubeScratch, t, la, ra int, pack func(i int, dst []uint64) []uint64) bool {
 	own := false
-	cols, vals, slab, ends := s.cols, s.vals, s.slab[:0], s.ends[:0]
+	slab, ends := s.slab[:0], s.ends[:0]
 	for i := 0; i < ra; i++ {
-		cols, vals = row(i, cols[:0], vals[:0])
+		lo := len(slab)
+		slab = pack(i, slab)
 		switch {
-		case len(cols) == 0:
+		case len(slab) == lo:
 		case la+i == t:
-			for k, j := range cols {
-				nd.acc[j] = nd.sr.Add(nd.acc[j], vals[k])
+			for _, w := range slab[lo:] {
+				nd.accumulate(nd.sr.One, w)
 			}
-			own = true
+			slab, own = slab[:lo], true
 		default:
-			slab = nd.wf.packRow(slab, cols, vals)
 			ends = append(ends, la+i, len(slab))
 		}
 	}
@@ -1277,14 +1391,15 @@ func (nd *cubeNode) emit(s *cubeScratch, t, la, ra int, row func(i int, cols []c
 		nd.out = append(nd.out, stream{dst: core.NodeID(ends[i]), words: kept[lo:hi:hi]})
 		lo = hi
 	}
-	s.ends, s.cols, s.vals, s.slab = ends, cols, vals, slab
+	s.ends, s.slab = ends, slab
 	return own
 }
 
 // multiplyBool is multiply over (or,and) in the 1-bit-field format, where
 // every value is One and a row is a set of columns: the blocks are
-// bitsets, a positional word decodes as one shifted bitmap, and each
-// x[i][k] = One ORs Δ's row k into row i a machine word at a time.
+// bitsets, a positional word decodes as one shifted bitmap, each
+// x[i][k] = One ORs Δ's row k into row i a machine word at a time, and
+// each partial row is packed straight from its bitset (packBits).
 func (nd *cubeNode) multiplyBool(s *cubeScratch, t, la, lb, lc, ra, rb, rc int, diag bool) bool {
 	wf := nd.cb.wf
 	xw, dw := (rc+63)/64, (rb+63)/64
@@ -1302,7 +1417,7 @@ func (nd *cubeNode) multiplyBool(s *cubeScratch, t, la, lb, lc, ra, rb, rc int, 
 			wf.decodeBits(w, d[(src-lc)*dw:][:dw], lb)
 		}
 	}
-	return nd.emit(s, t, la, ra, func(i int, cols []core.NodeID, vals []int64) ([]core.NodeID, []int64) {
+	return nd.emit(s, t, la, ra, func(i int, dst []uint64) []uint64 {
 		clear(acc)
 		for kw, m := range x[i*xw : (i+1)*xw] {
 			for ; m != 0; m &= m - 1 {
@@ -1312,12 +1427,7 @@ func (nd *cubeNode) multiplyBool(s *cubeScratch, t, la, lb, lc, ra, rb, rc int, 
 				}
 			}
 		}
-		for w, m := range acc {
-			for ; m != 0; m &= m - 1 {
-				cols, vals = append(cols, core.NodeID(lb+w*64+bits.TrailingZeros64(m))), append(vals, nd.sr.One)
-			}
-		}
-		return cols, vals
+		return nd.wf.packBits(dst, acc, 0, rb, lb)
 	})
 }
 

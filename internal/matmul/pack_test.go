@@ -3,6 +3,8 @@ package matmul
 import (
 	"bytes"
 	"math/bits"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/paper-repo-growth/doryp20/internal/core"
@@ -103,6 +105,10 @@ func FuzzPackRow(f *testing.F) {
 	f.Add(uint16(299), uint8(maxmin), uint64(1), uint64(0), rep(150, O))                    // InfWidth diagonal-style Ones
 	f.Add(uint16(39), uint8(minplus), uint64(0), uint64(12), []byte{})                      // empty row
 
+	// Boolean rows for the bitset packer's sub-ranges (checkPackBits).
+	f.Add(uint16(159), uint8(booland), uint64(0), uint64(0), at(160, O, 3, 62, 63, 64, 65, 127, 128)) // ≤ sparsePer set: the sparse tie, across 64-bit boundaries
+	f.Add(uint16(199), uint8(booland), uint64(0), uint64(0), rep(200, O, 0, 0, O, 0))                 // runs of positional words straddling each boundary
+
 	f.Fuzz(func(t *testing.T, ncols uint16, srSel uint8, lo, span uint64, data []byte) {
 		srs := core.AllSemirings()
 		sr := srs[int(srSel)%len(srs)]
@@ -171,7 +177,108 @@ func FuzzPackRow(f *testing.F) {
 				t.Fatalf("packRow word %d = %#x, want %#x", i, got[i], want[i])
 			}
 		}
+		if wf.loop == core.KindBoolOrAnd {
+			checkPackBits(t, wf, cs, cols)
+		}
 	})
+}
+
+// checkPackBits: for the boolean row whose set columns are cs, packBits
+// over every sub-range lo..hi — from the row's bitset as it stands, and
+// from the bitset of the range alone placed at column lo, as a cube
+// node's partial row is — returns exactly packRow's words for the same
+// columns. Rows of up to 130 columns try every range; wider ones every
+// range whose ends lie within one column of a 64-bit boundary, or at
+// either end of the row.
+func checkPackBits(t *testing.T, wf *wireFormat, cs []core.NodeID, cols int) {
+	set := make([]uint64, (cols+63)/64)
+	for _, j := range cs {
+		set[j/64] |= 1 << (j % 64)
+	}
+	var ends []int
+	for j := 0; j <= cols; j++ {
+		if cols <= 130 || j == cols || (j+1)%64 <= 2 {
+			ends = append(ends, j)
+		}
+	}
+	var want, got []uint64
+	for _, lo := range ends {
+		for _, hi := range ends {
+			if hi < lo {
+				continue
+			}
+			i := 0
+			for i < len(cs) && int(cs[i]) < lo {
+				i++
+			}
+			k := i
+			for k < len(cs) && int(cs[k]) < hi {
+				k++
+			}
+			ones := make([]int64, k-i)
+			for e := range ones {
+				ones[e] = 1
+			}
+			want = wf.packRow(want[:0], cs[i:k], ones)
+			shifted := make([]uint64, (hi-lo+63)/64)
+			for _, j := range cs[i:k] {
+				shifted[(int(j)-lo)/64] |= 1 << ((int(j) - lo) % 64)
+			}
+			for name, pack := range map[string]func([]uint64) []uint64{
+				"in place": func(dst []uint64) []uint64 { return wf.packBits(dst, set, lo, hi, 0) },
+				"shifted":  func(dst []uint64) []uint64 { return wf.packBits(dst, shifted, 0, hi-lo, lo) },
+			} {
+				if got = pack(got[:0]); !slices.Equal(got, want) {
+					t.Fatalf("packBits %s over columns [%d, %d) of %d (%d set): %#x, packRow %#x", name, lo, hi, cols, k-i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkPackBits times the bitset packer alone — 64 random boolean
+// rows of 256 columns, each packed as four 63-column segments, most of
+// them across a word boundary, as a cube owner packs its segments —
+// into a slab allocated once, at two densities: a sixteenth of the
+// columns set, which packs as sparse words, and three quarters, which
+// packs positionally. It reports ns per packed column and must not
+// allocate (CI fails on a non-zero allocs/op).
+func BenchmarkPackBits(b *testing.B) {
+	const rows, cols, segs = 64, 256, 4
+	sr := core.BoolOrAnd()
+	wf, err := newWireFormat(cols, []int64{sr.One}, sr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, enc := range []struct {
+		name      string
+		sixteenth int // the share of columns set, in sixteenths
+	}{{"sparse", 1}, {"positional", 12}} {
+		rng := rand.New(rand.NewSource(1))
+		sets := make([]uint64, rows*cols/64)
+		for i := range sets {
+			for j := 0; j < 64; j++ {
+				if rng.Intn(16) < enc.sixteenth {
+					sets[i] |= 1 << j
+				}
+			}
+		}
+		b.Run(enc.name, func(b *testing.B) {
+			slab := make([]uint64, 0, rows*cols)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				slab = slab[:0]
+				for v := 0; v < rows; v++ {
+					set := sets[v*cols/64 : (v+1)*cols/64]
+					for s := 0; s < segs; s++ {
+						slab = wf.packBits(slab, set, 2+s*(cols/segs-1), 2+(s+1)*(cols/segs-1), 0)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows*segs*(cols/segs-1)), "ns/column")
+		})
+	}
 }
 
 // TestDecodeRejectsOutOfRowColumn: a word naming a column the index

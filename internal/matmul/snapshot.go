@@ -113,14 +113,18 @@ func ReadDense(r *ckptio.Reader) (*Dense, error) {
 
 // WritePower harvests p's in-flight product, if any, and encodes its
 // square-and-multiply cursor: e, phase, base, result, and the operand of
-// the last squaring (nil allowed).
+// the last squaring (nil allowed), each as a Matrix.
 func WritePower(w *ckptio.Writer, p *Power) {
 	p.harvest()
 	w.I64(int64(p.e))
 	w.I64(int64(p.phase))
-	WriteMatrix(w, p.base)
+	WriteMatrix(w, p.baseRows())
 	WriteMatrix(w, p.result)
-	WriteMatrix(w, p.prev)
+	var prev *Matrix
+	if p.prev != nil {
+		prev = sparse(p.prev)
+	}
+	WriteMatrix(w, prev)
 }
 
 // ReadPower decodes a cursor written by WritePower into a Power that
@@ -135,35 +139,39 @@ func ReadPower(r *ckptio.Reader, withPrev bool) (*Power, error) {
 	p := &Power{}
 	p.e = int(r.I64())
 	p.phase = int(r.I64())
+	var prev *Matrix
 	var err error
-	if p.base, err = ReadMatrix(r); err != nil {
+	if p.rows, err = ReadMatrix(r); err != nil {
 		return nil, err
 	}
 	if p.result, err = ReadMatrix(r); err != nil {
 		return nil, err
 	}
 	if withPrev {
-		if p.prev, err = ReadMatrix(r); err != nil {
+		if prev, err = ReadMatrix(r); err != nil {
 			return nil, err
 		}
 	}
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if p.base == nil {
+	if p.rows == nil {
 		return nil, fmt.Errorf("matmul: power state has no base matrix")
 	}
 	if p.e < 0 || p.phase != 0 && p.phase != 1 {
 		return nil, fmt.Errorf("matmul: power state has exponent %d and phase %d", p.e, p.phase)
 	}
-	for _, m := range []*Matrix{p.result, p.prev} {
-		if m != nil && checkPair(p.base.N, m.N, p.base.Sr, m.Sr) != nil {
+	for _, m := range []*Matrix{p.result, prev} {
+		if m != nil && checkPair(p.rows.N, m.N, p.rows.Sr, m.Sr) != nil {
 			return nil, fmt.Errorf("matmul: power state carries a %d x %d %s matrix beside a %d x %d %s base",
-				m.N, m.N, m.Sr.Name, p.base.N, p.base.N, p.base.Sr.Name)
+				m.N, m.N, m.Sr.Name, p.rows.N, p.rows.N, p.rows.Sr.Name)
 		}
 	}
-	if p.prev != nil && !oneDiagonal(p.prev) {
-		return nil, fmt.Errorf("matmul: power state carries a previous operand without One on its diagonal")
+	if prev != nil {
+		if !oneDiagonal(prev) {
+			return nil, fmt.Errorf("matmul: power state carries a previous operand without One on its diagonal")
+		}
+		p.prev = dense(prev)
 	}
 	return p, nil
 }

@@ -2,10 +2,13 @@ package matmul
 
 import (
 	"bytes"
+	"context"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"github.com/paper-repo-growth/doryp20/clique"
 	"github.com/paper-repo-growth/doryp20/internal/ckptio"
 	"github.com/paper-repo-growth/doryp20/internal/core"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
@@ -172,12 +175,12 @@ func TestPowerCursorRoundTrip(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	w := ckptio.NewWriter(&buf)
-	WritePower(w, &Power{e: 4, phase: 1, base: x, result: base, prev: base})
+	WritePower(w, &Power{e: 4, phase: 1, base: dense(x), result: base, prev: dense(base)})
 	p, err := ReadPower(ckptio.NewReader(bytes.NewReader(buf.Bytes())), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.e != 4 || p.phase != 1 || !sameBits(p.base, x) || !sameBits(p.result, base) || p.prev == nil || !sameBits(p.prev, base) {
+	if p.e != 4 || p.phase != 1 || !sameBits(p.baseRows(), x) || !sameBits(p.result, base) || p.prev == nil || !sameBits(sparse(p.prev), base) {
 		t.Fatalf("cursor did not round-trip: %+v", p)
 	}
 	buf.Reset()
@@ -214,6 +217,81 @@ func TestReadPowerRejectsImpossibleCursors(t *testing.T) {
 	} {
 		if _, err := ReadPower(ckptio.NewReader(bytes.NewReader(blob)), true); err == nil || !strings.Contains(err.Error(), "power state") {
 			t.Errorf("%s: err = %v, want the power state error", name, err)
+		}
+	}
+}
+
+// stopAfter runs its kernel's first passes passes and then reports
+// completion, leaving the last of them unharvested, as a stop at a pass
+// boundary does.
+type stopAfter struct {
+	clique.Kernel
+	passes int
+}
+
+func (k *stopAfter) Next(g *graph.CSR) (clique.Pass, error) {
+	if k.passes == 0 {
+		return clique.Pass{}, nil
+	}
+	k.passes--
+	return k.Kernel.Next(g)
+}
+
+// TestPowerCursorFromPassSlabs: a Power cursor written after three
+// squarings, while base and prev exist only as the slabs the last two
+// left behind, resumes to the uninterrupted result and digest chain,
+// billing the same passes, rounds and words, over every semiring.
+func TestPowerCursorFromPassSlabs(t *testing.T) {
+	ctx := context.Background()
+	for _, sr := range core.AllSemirings() {
+		a, err := FromGraph(graph.Path(40).WithUniformRandomWeights(2, 9), sr, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const e = 64 // six squarings; the path's hop diameter needs every one
+		ref, err := clique.NewSize(a.N, clique.WithDigests())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ref.Close()
+		full := NewPower(a, e)
+		if err := ref.Run(ctx, full); err != nil {
+			t.Fatal(err)
+		}
+
+		s, err := clique.NewSize(a.N, clique.WithDigests())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		p := NewPower(a, e)
+		if err := s.Run(ctx, &stopAfter{Kernel: p, passes: 3}); err != nil {
+			t.Fatal(err)
+		}
+		digests := s.Digests()
+		p.harvest()
+		if p.rows != nil || p.base == nil || p.prev == nil {
+			t.Fatalf("%s: after three squarings base is held as rows %v and slab %v, prev %v; want both as slabs alone", sr.Name, p.rows != nil, p.base != nil, p.prev != nil)
+		}
+		var buf bytes.Buffer
+		WritePower(ckptio.NewWriter(&buf), p)
+		q, err := ReadPower(ckptio.NewReader(bytes.NewReader(buf.Bytes())), true)
+		if err != nil {
+			t.Fatalf("%s: %v", sr.Name, err)
+		}
+		if err := s.Run(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(q.Result().(*Matrix), full.Result().(*Matrix)) {
+			t.Errorf("%s: the resumed power differs from the uninterrupted one", sr.Name)
+		}
+		if got, want := append(digests, s.Digests()...), ref.Digests(); !slices.Equal(got, want) {
+			t.Errorf("%s: resumed digest chain %v, uninterrupted %v", sr.Name, got, want)
+		}
+		got, want := s.Stats(), ref.Stats()
+		if got.Runs != want.Runs || got.Engine.Rounds != want.Engine.Rounds || got.Engine.TotalMsgs != want.Engine.TotalMsgs {
+			t.Errorf("%s: resumed runs bill %d passes, %d rounds, %d words; uninterrupted %d, %d, %d", sr.Name,
+				got.Runs, got.Engine.Rounds, got.Engine.TotalMsgs, want.Runs, want.Engine.Rounds, want.Engine.TotalMsgs)
 		}
 	}
 }

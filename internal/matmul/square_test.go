@@ -19,7 +19,9 @@ func sameBits(a, b *Matrix) bool {
 
 // squarePass is the semi-naive squaring X ⊗ X = X ⊕ X ⊗ Δ of an X =
 // prev ⊗ prev, as Power builds it.
-func squarePass(x, prev *Matrix) (*Pass, error) { return newPass(x, dense(x), dense(prev), cubed) }
+func squarePass(x, prev *Matrix) (*Pass, error) {
+	return newPass(nil, dense(x), dense(prev), cubed, nil)
+}
 
 // TestSemiNaiveSquaringMatchesRef: over every semiring, on random
 // reflexive X = P ⊗ P of several densities and hop horizons, the
@@ -50,7 +52,7 @@ func TestSemiNaiveSquaringMatchesRef(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
-						p.vote(askedRows(x))
+						p.vote(p.asked())
 						runVotePass(t, p, workers)
 						if got := p.Sparse(); !sameBits(got, want) {
 							t.Fatalf("%s: semi-naive squaring differs from MulRef(X, X)", name)
@@ -145,7 +147,7 @@ func TestSemiNaiveSquaringEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.vote(askedRows(x))
+	p.vote(p.asked())
 	st := runVotePass(t, p, 1)
 	if want := predictCube(t, x, dense(x), true); st.Rounds != want.rounds || st.TotalMsgs != want.words {
 		t.Errorf("empty Δ: %d rounds and %d words, model %d and %d", st.Rounds, st.TotalMsgs, want.rounds, want.words)
@@ -219,7 +221,7 @@ func TestSemiNaiveSquaringDeltaShapes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			sq.vote(askedRows(x))
+			sq.vote(sq.asked())
 			runVotePass(t, sq, 1)
 			if got := sq.Sparse(); !sameBits(got, want) {
 				t.Fatalf("%s: semi-naive squaring differs from MulRef(X, X)", name)
@@ -295,7 +297,7 @@ func TestCubeProductMatchesRef(t *testing.T) {
 			} {
 				want := square(tc.x)
 				name := fmt.Sprintf("%s/n%d/%s", sr.Name, n, tc.name)
-				p, err := newPass(tc.x, dense(tc.x), tc.prev, cubed)
+				p, err := newPass(nil, dense(tc.x), tc.prev, cubed, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -325,7 +327,7 @@ func TestCubeFallsBackToRowPull(t *testing.T) {
 	bld.appendRow([]int64{sr.One, huge})
 	bld.appendRow([]int64{huge, sr.One})
 	x := bld.m
-	p, err := newPass(x, dense(x), dense(x), cubed)
+	p, err := newPass(nil, dense(x), dense(x), cubed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -445,19 +445,19 @@ func (m *loopModel) Next(g *graph.CSR) (clique.Pass, error) {
 	case *Power:
 		left, prev := loop.result, (*Dense)(nil)
 		if loop.passIsSquare {
-			left = loop.base
+			left = sparse(loop.base)
 			m.squares[loop]++
 			m.resq = m.resq || m.squares[loop] > 1
 			if loop.prev != nil {
 				m.semi++
-				if !oneDiagonal(loop.prev) {
+				if !denseOneDiagonal(loop.prev) {
 					m.t.Errorf("pass %d: a semi-naive squaring over a previous operand without One on its diagonal", len(m.want))
 				}
-				m.want = append(m.want, predictCube(m.t, left, dense(loop.prev), loop.pass.voters != nil))
+				m.want = append(m.want, predictCube(m.t, left, loop.prev, loop.pass.voters != nil))
 				return pass, nil
 			}
 		}
-		m.want = append(m.want, predictTraffic(m.t, left, dense(loop.base), prev, false, loop.pass.voters != nil))
+		m.want = append(m.want, predictTraffic(m.t, left, loop.base, prev, false, loop.pass.voters != nil))
 	case *Relaxation:
 		prev, heard := m.lastB[loop]
 		if heard {

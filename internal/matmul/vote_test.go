@@ -59,18 +59,6 @@ func fixpointDense(t *testing.T, a *Matrix, b *Dense) *Dense {
 	return nil
 }
 
-// askedOf is askedRows of the A operand p was built from, read off its
-// nodes' rows of A.
-func askedOf(p *Pass) []bool {
-	asked := make([]bool, p.n)
-	for v := range p.state {
-		for _, k := range p.state[v].aCols {
-			asked[k] = asked[k] || int(k) != v
-		}
-	}
-	return asked
-}
-
 // voteCase is one product, bare and voting, with what the vote must
 // decide and what it may cost over the bare pass.
 type voteCase struct {
@@ -115,7 +103,7 @@ func TestVoteAccounting(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				voting.vote(askedOf(voting))
+				voting.vote(voting.asked())
 				bs := runVotePass(t, bare, workers)
 				vs := runVotePass(t, voting, workers)
 				if !bare.changed() {
@@ -237,7 +225,7 @@ func TestVoteWhenTheWidestRowIsNeverAskedFor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	voting.vote(askedRows(a))
+	voting.vote(voting.asked())
 	if len(voting.state[9].packed) < 3 {
 		t.Fatalf("row 9 packs into %d words; the fixture needs it several rounds wide", len(voting.state[9].packed))
 	}
@@ -283,7 +271,7 @@ func TestVoteWithoutAnyRequest(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p.vote(askedRows(a))
+			p.vote(p.asked())
 			st := runVotePass(t, p, 1)
 			if p.changed() != tc.changed || st.Rounds != tc.rounds {
 				t.Errorf("changed() = %v in %d rounds, want %v in %d", p.changed(), st.Rounds, tc.changed, tc.rounds)
