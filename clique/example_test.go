@@ -41,5 +41,5 @@ func Example() {
 	// bfs from 0: [0 1 2 3 4]
 	// dist from 4: [4 3 2 1 0]
 	// kernels run: 2
-	// engine passes: 4
+	// engine passes: 3
 }

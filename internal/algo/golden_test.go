@@ -31,16 +31,19 @@ import (
 // nothing on this graph; hop-limited carries the votes' cost, one round
 // and at most 2(n-1) = 94 words per voting product.
 //
-// Every matmul.Relaxation product after the first streams only the
-// entries the product before changed, and asks nothing: each responder
-// kept the requesters it recorded in the first product. So the
-// Relaxation rows (approx-*, diameter-est*, hopset, ksource,
-// widest-ksource*, and the approx side of apsp-vs-approx-sssp) pay for
-// what is still unsettled, not for the width of the columns, and each
-// later product costs nnz(S) - n words and one round less than it would
-// asking again: hopset's 8 products take 63 rounds re-sending whole rows
-// with every product asking, 52 sending only changed entries, and 45
-// asking once.
+// No product asks for a row: every operand is a function of the
+// undirected input, so its pattern is symmetric and node k streams its
+// row of B from round 0 to the columns of its own row of A. And a
+// matmul.Relaxation's first product is local — S ⊗ (indicator columns)
+// is the sources' columns of S, which every node reads off its own row
+// — so it runs no pass, and each product after it streams only the
+// entries the product before changed. So the Relaxation rows (approx-*,
+// diameter-est*, hopset, ksource, widest-ksource*, and the approx side
+// of apsp-vs-approx-sssp) run one pass fewer than they have products,
+// and pay for what is still unsettled, not for the width of the columns
+// or for asking: hopset's 8 products take 63 rounds re-sending whole
+// rows with every product asking, 52 sending only changed entries, 45
+// asking once, and 41 in 7 passes asking never.
 //
 // Every matmul.Power squaring after the first is semi-naive: with X the
 // base and Δ what the squaring before changed, X ⊗ X = X ⊕ X ⊗ Δ, and
@@ -52,7 +55,8 @@ import (
 // that pulling Δ[k] for every k in a row's support did, in the same
 // passes with the same results: apsp on this graph 9,376 words in 35
 // rounds rather than 37,222 in 36, closure at n = 256 102,270 words
-// rather than 541,588. Rounds move either way by a few: a cube pass
+// rather than 541,588 (both before the first squaring stopped asking:
+// now 9,026 in 34 and 92,650). Rounds move either way by a few: a cube pass
 // pays its phases in full however little changed, and its vote goes
 // out when the partial rows arrive rather than at a fixed round.
 func TestGoldenTraffic(t *testing.T) {
@@ -61,21 +65,21 @@ func TestGoldenTraffic(t *testing.T) {
 		passes, rounds int
 		words, fnv     uint64
 	}{
-		"approx-ksource":      {10, 51, 13072, 0xd9acb2241245fa71},
-		"approx-sssp":         {10, 52, 12978, 0x18dadd80a30f4d8e},
-		"apsp":                {5, 35, 9376, 0xb4b540697123d577},
+		"approx-ksource":      {8, 43, 9834, 0xd9acb2241245fa71},
+		"approx-sssp":         {8, 43, 9787, 0x18dadd80a30f4d8e},
+		"apsp":                {5, 34, 9026, 0xb4b540697123d577},
 		"bellman-ford":        {1, 9, 726, 0x18dadd80a30f4d8e},
 		"bfs":                 {1, 5, 350, 0xc95f8d32d9e48726},
-		"closure":             {3, 13, 3267, 0x2911f12efe58c0bd},
-		"diameter-est":        {7, 39, 26650, 0x2325ebf49e6860b0},
-		"diameter-est-approx": {10, 51, 13166, 0x2325ebf49e6860b0},
-		"hop-limited":         {4, 29, 21761, 0x099d1aa787d42be3},
-		"hopset":              {8, 45, 8372, 0xd7d4d901012be658},
-		"ksource":             {6, 35, 26461, 0xd9acb2241245fa71},
-		"matmul-square":       {1, 5, 1137, 0x61d99dded2f6aae0},
+		"closure":             {3, 12, 2917, 0x2911f12efe58c0bd},
+		"diameter-est":        {6, 32, 21166, 0x2325ebf49e6860b0},
+		"diameter-est-approx": {8, 43, 9834, 0x2325ebf49e6860b0},
+		"hop-limited":         {4, 26, 18815, 0x099d1aa787d42be3},
+		"hopset":              {7, 41, 7578, 0xd7d4d901012be658},
+		"ksource":             {5, 28, 21071, 0xd9acb2241245fa71},
+		"matmul-square":       {1, 4, 787, 0x61d99dded2f6aae0},
 		"mst":                 {4, 11, 1544, 0x4fa8f549950642fd},
-		"widest":              {5, 36, 10008, 0x45110c0d9583fbe9},
-		"widest-ksource":      {7, 37, 23971, 0xf6838dbd4b2a7382},
+		"widest":              {5, 35, 9658, 0x45110c0d9583fbe9},
+		"widest-ksource":      {6, 30, 18581, 0xf6838dbd4b2a7382},
 	}
 	names := clique.Kernels()
 	if len(names) != len(golden) {
@@ -127,18 +131,18 @@ func TestGoldenTraffic(t *testing.T) {
 		passes, rounds int
 		words          uint64
 	}{
-		{"widest", 64, 6, 45, 26440},
-		{"widest-ksource", 64, 8, 43, 47040},
-		{"closure", 64, 3, 14, 7388},
+		{"widest", 64, 6, 44, 25840},
+		{"widest-ksource", 64, 7, 36, 37526},
+		{"closure", 64, 3, 13, 6788},
 		{"mst", 64, 4, 11, 2592},
-		{"diameter-est", 64, 6, 38, 49625},
-		{"diameter-est-approx", 64, 11, 58, 23806},
-		{"widest", 256, 5, 63, 441620},
-		{"widest-ksource", 256, 6, 64, 584424},
-		{"closure", 256, 3, 17, 102270},
+		{"diameter-est", 64, 5, 31, 39985},
+		{"diameter-est-approx", 64, 9, 50, 18102},
+		{"widest", 256, 5, 62, 432000},
+		{"widest-ksource", 256, 5, 58, 498884},
+		{"closure", 256, 3, 16, 92650},
 		{"mst", 256, 4, 11, 39248},
-		{"diameter-est", 256, 6, 77, 701214},
-		{"diameter-est-approx", 256, 12, 98, 641321},
+		{"diameter-est", 256, 5, 71, 615164},
+		{"diameter-est-approx", 256, 10, 90, 565449},
 	} {
 		t.Run(fmt.Sprintf("%s-%d", row.name, row.n), func(t *testing.T) {
 			g := graph.RandomGNP(row.n, 0.15, 1).WithUniformRandomWeights(2, 16)
@@ -161,8 +165,8 @@ func TestGoldenTraffic(t *testing.T) {
 		apspRounds, approxRounds int
 		apspWords, approxWords   uint64
 	}{
-		{32, 30, 45, 2886, 780},
-		{64, 41, 71, 20834, 5725},
+		{32, 29, 39, 2830, 505},
+		{64, 40, 61, 20636, 4044},
 	} {
 		t.Run(fmt.Sprintf("apsp-vs-approx-sssp-%d", row.n), func(t *testing.T) {
 			g := graph.RandomGNPWeighted(row.n, 0.05, 32, 1)
@@ -190,8 +194,8 @@ func TestGoldenTraffic(t *testing.T) {
 		words     uint64
 		nnzOut    int
 	}{
-		{32, 4, 291, 462},
-		{64, 5, 1342, 2398},
+		{32, 3, 171, 462},
+		{64, 4, 906, 2398},
 	} {
 		t.Run(fmt.Sprintf("matmul-square-%d", row.n), func(t *testing.T) {
 			a, err := matmul.FromGraph(graph.RandomGNP(row.n, 0.1, 1).WithUniformRandomWeights(2, 32), core.MinPlus(), true)

@@ -60,7 +60,9 @@ type pipelineSpec struct {
 //	  all for a caller-supplied S.
 //	stage 2 relaxes per source: starting from the k source indicator
 //	  columns B_0 (One at the source, Zero elsewhere), iterate the
-//	  dense product B_{t+1} = S ⊗ B_t. Each product advances the hop
+//	  dense product B_{t+1} = S ⊗ B_t, the first read off each node's
+//	  own row of S (no pass), the rest one engine pass each. Each
+//	  product advances the hop
 //	  horizon by h, so ceil((n-1)/h) products reach exactness over A^h;
 //	  the hopset guarantee makes min(β, n-1) products (1+ε)-accurate.
 //	  Those counts are upper bounds: a matmul.Relaxation stops at the
@@ -135,7 +137,8 @@ func (k *pipelineKernel) start(g *graph.CSR) error {
 }
 
 // relax ends stage 1: it converts the stage's result into the matrix S
-// and hands the source indicator columns to the relaxation stage.
+// and hands the sources to the relaxation stage, whose first product
+// is local.
 func (k *pipelineKernel) relax(stage1 any) error {
 	s, products, err := k.spec.relaxOver(stage1)
 	if err != nil {
@@ -145,7 +148,7 @@ func (k *pipelineKernel) relax(stage1 any) error {
 		return err
 	}
 	k.hs, _ = stage1.(*hopset.Hopset)
-	k.rx = matmul.NewRelaxation(s, matmul.Indicator(s.N, k.sources, s.Sr), products)
+	k.rx = matmul.NewRelaxation(s, k.sources, products)
 	k.s1 = nil
 	k.stage = 2
 	return nil

@@ -32,8 +32,8 @@ func TestClosureMovesFewerWordsThanAPSP(t *testing.T) {
 // TestBooleanSquaringRoundBound squares a full n x n boolean operand
 // and reads the cost off the engine's own accounting: a row of n 1-bit
 // fields is ceil(n / columnsPerWord) words, streamed at one word per
-// link per round, plus the request round, the first-response
-// round, the final delivery round and the quiescence round.
+// link per round from round 0 to every other node, plus the round the
+// last words arrive in, in which nothing is sent; nobody asks for a row.
 func TestBooleanSquaringRoundBound(t *testing.T) {
 	const n = 160
 	a, err := matmul.FromGraph(graph.Clique(n), core.BoolOrAnd(), true)
@@ -64,8 +64,8 @@ func TestBooleanSquaringRoundBound(t *testing.T) {
 	columnsPerWord := 63 - core.Log2Ceil(n) // one flag bit, then the start column
 	rowWords := (n + columnsPerWord - 1) / columnsPerWord
 	run := st.Engine
-	if bound := rowWords + 4; run.Rounds > bound {
-		t.Fatalf("full boolean squaring took %d rounds, want <= ceil(%d/%d)+4 = %d",
+	if bound := rowWords + 1; run.Rounds > bound {
+		t.Fatalf("full boolean squaring took %d rounds, want <= ceil(%d/%d)+1 = %d",
 			run.Rounds, n, columnsPerWord, bound)
 	}
 	// The router rejects a second word on a link with a
@@ -77,9 +77,9 @@ func TestBooleanSquaringRoundBound(t *testing.T) {
 			t.Fatalf("round %d carried %d words over %d links of one word each", rs.Round, rs.Msgs, links)
 		}
 	}
-	// Every node requests n-1 rows and receives each as rowWords words.
-	if want := links * uint64(1+rowWords); run.TotalMsgs != want {
-		t.Fatalf("squaring moved %d words, want %d requests + %d x %d row words = %d",
-			run.TotalMsgs, links, links, rowWords, want)
+	// Every node receives n-1 rows, each as rowWords words.
+	if want := links * uint64(rowWords); run.TotalMsgs != want {
+		t.Fatalf("squaring moved %d words, want %d x %d row words = %d",
+			run.TotalMsgs, links, rowWords, want)
 	}
 }

@@ -21,7 +21,8 @@
 // and with high probability over the sampling seed otherwise.
 //
 // ConstructKernel runs the products distributedly as a clique session
-// kernel (one engine pass per hop); ConstructRef is the
+// kernel (one engine pass per hop after the first, which every node
+// reads off its own row); ConstructRef is the
 // sequential oracle. Augment merges the shortcuts into an adjacency
 // matrix via the entrywise (min,+) sum, yielding the matrix the
 // approximate shortest-path kernels in internal/algo relax over.

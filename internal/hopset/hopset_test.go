@@ -253,7 +253,8 @@ func TestRestoreRejectsBadHubList(t *testing.T) {
 // weighted random graphs some of β, on a clique everything after the
 // first product and the one confirming it, on a path (unit or weighted)
 // nothing, because every one of the β products still pushes some hub's
-// column one hop further.
+// column one hop further. The first product is local and runs no pass,
+// so the products are the passes plus one.
 func TestConstructStopsAtTheFixpoint(t *testing.T) {
 	const n = 26
 	beta := DefaultBeta(n)
@@ -279,7 +280,7 @@ func TestConstructStopsAtTheFixpoint(t *testing.T) {
 		}
 		k := NewConstructKernel(tc.p)
 		err = s.Run(context.Background(), k)
-		passes := s.Stats().Runs
+		products := s.Stats().Runs + 1
 		s.Close()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -289,8 +290,8 @@ func TestConstructStopsAtTheFixpoint(t *testing.T) {
 			!matEqual(got.Shortcuts, want.Shortcuts) || !matEqual(got.Base, want.Base) {
 			t.Errorf("%s: hopset differs from ConstructRef's %d products", name, beta)
 		}
-		if passes < tc.minP || passes > tc.maxP {
-			t.Errorf("%s: construction ran %d products, want %d..%d of β = %d", name, passes, tc.minP, tc.maxP, beta)
+		if products < tc.minP || products > tc.maxP {
+			t.Errorf("%s: construction ran %d products, want %d..%d of β = %d", name, products, tc.minP, tc.maxP, beta)
 		}
 	}
 }
@@ -298,10 +299,11 @@ func TestConstructStopsAtTheFixpoint(t *testing.T) {
 // TestHopProductsStreamOnlyWhatChanged: with every vertex of a unit
 // path a hub, hop product t changes exactly the hub columns at distance
 // t from each node — at most two entries per row, one wire word — so
-// every product streams exactly one data word per (requester,
-// responder) pair, the first as much as the β-th. Re-sending whole
-// rows would stream rows of 2t+1 entries, growing with t. Only the first
-// product asks, with one request per pair; products 2..β ask nothing.
+// every engine product streams exactly one data word per (receiver,
+// sender) pair, all of them in round 0, the first as much as the last.
+// Re-sending whole rows would stream rows of 2t+1 entries, growing with
+// t. The first product is local and runs no pass, and no product asks
+// for a row: every word is a data word or the vote's.
 func TestHopProductsStreamOnlyWhatChanged(t *testing.T) {
 	const n, beta = 64, 16 // beta < n/2: every row still changes at every product
 	g := graph.Path(n)
@@ -320,10 +322,10 @@ func TestHopProductsStreamOnlyWhatChanged(t *testing.T) {
 	if err := s.Run(context.Background(), k); err != nil {
 		t.Fatal(err)
 	}
-	if len(passes) != beta {
-		t.Fatalf("construction ran %d products, want β = %d", len(passes), beta)
+	if products := len(passes) + 1; products != beta {
+		t.Fatalf("construction ran %d products, want β = %d", products, beta)
 	}
-	pairs := uint64(2 * (n - 1)) // one per arc of the path: requester, responder
+	pairs := uint64(2 * (n - 1)) // one per arc of the path: receiver, sender
 	for i, rounds := range passes {
 		var words uint64
 		for _, w := range rounds {
@@ -332,18 +334,12 @@ func TestHopProductsStreamOnlyWhatChanged(t *testing.T) {
 		// Every row changes, so a voting product (all but the last) also
 		// carries a ballot from nodes 1..n-1 and node 0's announcement.
 		vote := uint64(2 * (n - 1))
-		if i == beta-1 {
+		if i == len(passes)-1 {
 			vote = 0
 		}
-		var requests uint64
-		if i == 0 {
-			requests = pairs
-		}
-		// Round 0 carries the requests in the first product and every
-		// responder's one data word in the others.
-		if data := words - requests - vote; rounds[0] != pairs || data != pairs {
-			t.Errorf("product %d: %d words in round 0 and %d data words besides %d requests, want %d and %d",
-				i+1, rounds[0], data, requests, pairs, pairs)
+		if data := words - vote; rounds[0] != pairs || data != pairs {
+			t.Errorf("product %d: %d words in round 0 and %d data words, want %d and %d",
+				i+2, rounds[0], data, pairs, pairs)
 		}
 	}
 }

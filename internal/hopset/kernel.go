@@ -13,8 +13,10 @@ import (
 // session pipeline stage: after rounding the weights and sampling the
 // hub set locally (both deterministic given Params), it drives a
 // matmul.Relaxation of the hub indicator columns over the rounded
-// adjacency — at most β sparse-dense (min,+) products, one engine pass
-// per hop, each advancing every hub's distance column by one hop — and
+// adjacency — at most β sparse-dense (min,+) products, each advancing
+// every hub's distance column by one hop: the first local (each node
+// reads the hubs' entries of its own row), one engine pass per hop
+// after it — and
 // harvests the shortcut star from the final columns. A product that
 // changes no column ends the loop early: the columns are then the
 // unlimited-hop distances, which every later product would return
@@ -50,9 +52,10 @@ func NewConstructKernel(p Params) *ConstructKernel {
 // Name identifies the kernel.
 func (k *ConstructKernel) Name() string { return "hopset" }
 
-// Next starts the construction on the first call, then returns one
-// limited-hop product pass per call until β products have run or one
-// changed nothing, and finally harvests the shortcut matrix.
+// Next starts the construction on the first call, which also runs the
+// local first product, then returns one limited-hop product pass per
+// call until β products have run or one changed nothing, and finally
+// harvests the shortcut matrix.
 func (k *ConstructKernel) Next(g *graph.CSR) (clique.Pass, error) {
 	if k.stage == 0 {
 		if err := k.start(g); err != nil {
@@ -109,7 +112,7 @@ func (k *ConstructKernel) start(g *graph.CSR) error {
 		// No hubs, no products: the hopset is (validly) empty.
 		products = 0
 	}
-	k.rx = matmul.NewRelaxation(base, matmul.Indicator(g.N, k.hubs, core.MinPlus()), products)
+	k.rx = matmul.NewRelaxation(base, k.hubs, products)
 	k.stage = 1
 	return nil
 }

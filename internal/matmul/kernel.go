@@ -1,6 +1,8 @@
 package matmul
 
 import (
+	"slices"
+
 	"github.com/paper-repo-growth/doryp20/clique"
 	"github.com/paper-repo-growth/doryp20/internal/core"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
@@ -166,8 +168,8 @@ func (p *Power) Next(*graph.CSR) (clique.Pass, error) {
 // product starts the engine pass left ⊗ base: the squaring step, left
 // being base itself (p.e already holds the exponent left after it),
 // semi-naive by the cube once prev is known, or the multiply step,
-// left being result. A cube squaring reads no CSR of base; it votes
-// with nothing asked, since it times its own ballots.
+// left being result. A cube squaring reads no CSR of base; it times its
+// own ballots.
 func (p *Power) product(square bool) (clique.Pass, error) {
 	left, prev, sched := p.result, (*Dense)(nil), paced
 	switch {
@@ -182,7 +184,7 @@ func (p *Power) product(square bool) (clique.Pass, error) {
 	}
 	p.pass, p.passIsSquare, p.spare = pass, square, nil
 	if square && p.e > 1 {
-		pass.vote(pass.asked())
+		pass.vote()
 	}
 	return pass.session(), nil
 }
@@ -208,63 +210,76 @@ func (p *Power) Result() any {
 }
 
 // Relaxation iterates B ← S ⊗ B over a fixed matrix S (B n x k dense),
-// one dense engine pass per product, until `products` have run or one
-// changes nothing — B = S ⊗ B is a fixpoint, so every later product
-// would return the same columns. Each product but the last allowed
-// votes. It is the loop behind the hopset construction (hub columns
-// relaxed β times over the rounded adjacency) and behind stage 2 of
-// every two-stage pipeline in internal/algo (source columns relaxed
-// over S).
+// from the indicator columns of k sources, until `products` have run or
+// one changes nothing — B = S ⊗ B is a fixpoint, so every later product
+// would return the same columns. It is the loop behind the hopset
+// construction (hub columns relaxed β times over the rounded adjacency)
+// and behind stage 2 of every two-stage pipeline in internal/algo
+// (source columns relaxed over S).
+//
+// The first product is local: S ⊗ (indicator columns) is
+// B[v][j] = S[v][sources[j]] — Mul(x, One) = x in every semiring — which
+// node v reads off its own row of S. It costs no round, no word and no
+// engine pass; NewRelaxation runs it. Every later product is one dense
+// engine pass, and each but the last allowed votes. A local product
+// that changes nothing (every source isolated) is confirmed by the
+// next, which then streams nothing.
 //
 // When every row of S carries One on its diagonal — the rounded
 // adjacency, an augmented S and A^h of a reflexive adjacency all do —
-// each product after the first streams only the entries of B that the
-// product before changed, and each node's accumulator starts from its
-// own row of B (newPass says why that is exact). The traffic then
+// each engine product streams only the entries of B that the product
+// before changed, and each node's accumulator starts from its own row
+// of B (newPass says why that is exact); the first one streams only
+// what the local product added to the indicator. The traffic then
 // follows what is still unsettled rather than the width of the columns.
 // Any other S streams whole rows every product.
 //
 // Between products Relaxation holds B, and prev over a reflexive S, as
 // the accumulator slabs of the products that made them, and hands the
 // next product the slab of the B from two products back (from the last
-// product, over any other S) as its accumulator — never the caller's
-// initial B, which stays as the caller made it.
-//
-// Whatever S, only the first product asks: S fixes who asks each node
-// for its row, so each responder keeps the requesters it recorded then,
-// and every later product streams from round 0 with no request words
-// (see mulNode). That saves one round and one word per off-diagonal
-// nonzero of S — nnz(S) - n over a reflexive S — per later product.
+// product, over any other S) as its accumulator.
 type Relaxation struct {
 	s    *Matrix
 	b    *Dense
 	pass *Pass
 	// prev is the B the last product started from, kept only when S is
-	// reflexive; nil before the first product.
+	// reflexive; nil while no product has run.
 	prev      *Dense
 	reflexive bool
-	// initial is the caller's B, which no product takes as its
-	// accumulator; spare is a slab no operand holds any more, which the
-	// next product does take; nil when there is none.
-	initial *Dense
-	spare   []int64
-	// reqs[k] is who asks node k for its row, as node k recorded it in the
-	// first product (nil for the nodes this rank does not execute); nil
-	// before the first product has run.
-	reqs [][]core.NodeID
-	// asked is what the first product's nodes ask for, the rows every
-	// product's vote sizes F from.
-	asked []bool
+	// spare is a slab no operand holds any more, which the next product
+	// takes as its accumulator; nil when there is none.
+	spare []int64
 	// remaining bounds the products still to run; a product that changes
 	// nothing zeroes it.
 	remaining int
 }
 
 // NewRelaxation prepares at most `products` relaxation products of s
-// against b as a session kernel. Operand validation happens at the
-// first product, surfacing through Session.Run.
-func NewRelaxation(s *Matrix, b *Dense, products int) *Relaxation {
-	return &Relaxation{s: s, b: b, initial: b, remaining: products, reflexive: oneDiagonal(s)}
+// from the indicator columns of sources, each in [0, n), as a session
+// kernel, and runs the first, local one. Validation of S happens at the
+// first engine product, surfacing through Session.Run.
+func NewRelaxation(s *Matrix, sources []core.NodeID, products int) *Relaxation {
+	r := &Relaxation{s: s, remaining: products, reflexive: oneDiagonal(s)}
+	r.b = Indicator(s.N, sources, s.Sr)
+	if r.remaining <= 0 {
+		return r
+	}
+	b := NewDense(s.N, len(sources), s.Sr)
+	for v := 0; v < s.N; v++ {
+		cols, vals := s.Row(core.NodeID(v))
+		row := b.Row(core.NodeID(v))
+		for j, src := range sources {
+			if i, ok := slices.BinarySearch(cols, src); ok {
+				row[j] = vals[i]
+			}
+		}
+	}
+	if r.reflexive {
+		r.prev = r.b
+	}
+	r.b = b
+	r.remaining--
+	return r
 }
 
 // oneDiagonal reports whether every row of s carries One on its
@@ -314,14 +329,8 @@ func (r *Relaxation) harvest() {
 	if r.reflexive {
 		freed, r.prev = r.prev, r.b
 	}
-	if freed != nil && freed != r.initial {
+	if freed != nil {
 		r.spare = freed.Vals
-	}
-	if r.reqs == nil {
-		r.reqs = make([][]core.NodeID, len(r.pass.state))
-		for v := range r.reqs {
-			r.reqs[v] = r.pass.state[v].reqs
-		}
 	}
 	r.b = r.pass.Dense()
 	r.remaining--
@@ -343,16 +352,8 @@ func (r *Relaxation) Next(*graph.CSR) (clique.Pass, error) {
 		return clique.Pass{}, err
 	}
 	r.spare = nil
-	if r.reqs != nil {
-		for v := range pass.state {
-			pass.state[v].reqs, pass.state[v].heard = r.reqs[v], true
-		}
-	}
 	if r.remaining > 1 {
-		if r.asked == nil {
-			r.asked = pass.asked()
-		}
-		pass.vote(r.asked)
+		pass.vote()
 	}
 	r.pass = pass
 	return pass.session(), nil

@@ -12,18 +12,20 @@
 //   - MulRef / MulDenseRef: sequential references, used for
 //     verification.
 //   - Pass (NewPass / NewDensePass): distributed execution on the round
-//     engine. Node v owns row v of both operands; the product is
-//     decomposed into a request round followed by budget-paced
-//     streaming rounds through the engine's sharded router (see
-//     mul.go), and the engine's stats expose exactly how many rounds
-//     and messages the model charged.
+//     engine. Node v owns row v of both operands; A's pattern is
+//     symmetric — every operand here is a function of an undirected
+//     graph — so node k streams its row of B, in budget-paced rounds
+//     through the engine's sharded router, to the columns of its own
+//     row of A, and nobody asks (see mul.go). The engine's stats expose
+//     exactly how many rounds and messages the model charged.
 //
 // Every multiplying kernel drives one of two product loops, both clique
 // session kernels (kernel.go): Power computes A^e by square-and-multiply,
-// and Relaxation iterates B ← S ⊗ B from Indicator columns, asking for
-// rows only in its first product. One constructor builds every product
-// of both: a later Relaxation product and every squaring after the
-// first stream only Δ, the entries the product before changed, onto
+// and Relaxation iterates B ← S ⊗ B from the sources' indicator
+// columns, its first product read off each node's own row of S. One
+// constructor builds every engine product of both: every Relaxation
+// product after the first and every squaring after the first stream
+// only Δ, the entries the product before changed, onto
 // accumulators that start from the node's own row. Each loop stops at
 // the first product that changes nothing, and only the loops decide
 // which products vote on that. On top of them, internal/algo builds APSP by
@@ -33,6 +35,7 @@ package matmul
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/paper-repo-growth/doryp20/internal/core"
@@ -55,6 +58,11 @@ type Matrix struct {
 	Cols []core.NodeID
 	// Vals parallels Cols.
 	Vals []int64
+	// symmetric records that the pattern is symmetric — A[i][j] is stored
+	// exactly when A[j][i] is — as decided where the CSR was built
+	// (decide), so no product over the matrix scans for it again. False
+	// when undecided, as in a struct literal, which newPass checks.
+	symmetric bool
 }
 
 // NNZ returns the number of stored (non-Zero) entries.
@@ -111,6 +119,66 @@ func (m *Matrix) Validate() error {
 	return nil
 }
 
+// asymmetry returns an entry (i, j) that m stores while it does not
+// store (j, i), or ok false when m's pattern is symmetric. It walks the
+// rows in order with one cursor per row: row v's entry (v, u) must be
+// the next entry of row u not yet matched, since the rows before v have
+// matched theirs, so the walk is O(nnz + n). Each entry it accepts
+// matches a distinct entry, so once all are accepted none is left over.
+func (m *Matrix) asymmetry() (i, j core.NodeID, ok bool) {
+	n, rows, cols := m.N, m.Rows, m.Cols
+	next := slices.Clone(rows[:n]) // next[u]: row u's first unmatched entry
+	for v := 0; v < n; v++ {
+		for _, u := range cols[rows[v]:rows[v+1]] {
+			if uint(u) >= uint(n) {
+				return core.NodeID(v), u, true
+			}
+			p := next[u]
+			if p == rows[u+1] || cols[p] != core.NodeID(v) {
+				if p < rows[u+1] && int(cols[p]) < v {
+					// Row cols[p], already walked, lacks u.
+					return u, cols[p], true
+				}
+				return core.NodeID(v), u, true
+			}
+			next[u] = p + 1
+		}
+	}
+	return 0, 0, false
+}
+
+// decide records whether m's pattern is symmetric. Every constructor
+// that builds a CSR from another CSR calls it once (sparse decides off
+// its dense operand), so a product over the matrix reads the answer
+// instead of scanning.
+func (m *Matrix) decide() *Matrix {
+	_, _, asym := m.asymmetry()
+	m.symmetric = !asym
+	return m
+}
+
+// checkSymmetric returns an error naming an entry without its mirror
+// when a's pattern is not symmetric, scanning only a matrix no
+// constructor decided.
+func checkSymmetric(a *Matrix) error {
+	if a.symmetric {
+		return nil
+	}
+	if i, j, asym := a.asymmetry(); asym {
+		return fmt.Errorf("matmul: A stores (%d, %d) but not (%d, %d); a row-pull product needs a pattern-symmetric A, whose row k names the nodes that multiply by row k of B", i, j, j, i)
+	}
+	return nil
+}
+
+// validated returns m with its pattern decided, or m and the error
+// Validate finds.
+func validated(m *Matrix) (*Matrix, error) {
+	if err := m.Validate(); err != nil {
+		return m, err
+	}
+	return m.decide(), nil
+}
+
 // rowBuilder assembles a Matrix row by row in index order.
 type rowBuilder struct {
 	m *Matrix
@@ -148,6 +216,7 @@ func Identity(n int, sr core.Semiring) *Matrix {
 		m.Cols[v] = core.NodeID(v)
 		m.Vals[v] = sr.One
 	}
+	m.symmetric = true
 	return m
 }
 
@@ -175,8 +244,7 @@ func FromGraph(g *graph.CSR, sr core.Semiring, reflexive bool) (*Matrix, error) 
 		for i := range vals {
 			vals[i] = arcVal(g.Weights, i)
 		}
-		m := &Matrix{N: g.N, Sr: sr, Rows: g.Offsets, Cols: g.Targets, Vals: vals}
-		return m, m.Validate()
+		return validated(&Matrix{N: g.N, Sr: sr, Rows: g.Offsets, Cols: g.Targets, Vals: vals})
 	}
 	n := g.N
 	m := &Matrix{
@@ -211,7 +279,7 @@ func FromGraph(g *graph.CSR, sr core.Semiring, reflexive bool) (*Matrix, error) 
 		}
 		m.Rows[v+1] = int32(len(m.Cols))
 	}
-	return m, m.Validate()
+	return validated(m)
 }
 
 // Dense is an n x k dense matrix over a semiring, row-major: entry
@@ -248,20 +316,29 @@ func dense(m *Matrix) *Dense {
 }
 
 // sparse returns the n x n Dense d as a Matrix, storing only its
-// non-Zero entries.
+// non-Zero entries. It decides the pattern off d as it goes, one pair
+// of mirrored entries at a time: a strided read of d is cheaper than
+// the CSR walk decide makes.
 func sparse(d *Dense) *Matrix {
+	zero := d.Sr.Zero
 	nnz := 0
 	for _, v := range d.Vals {
-		if v != d.Sr.Zero {
+		if v != zero {
 			nnz++
 		}
 	}
 	bld := newBuilder(d.N, d.Sr)
 	bld.m.Cols = make([]core.NodeID, 0, nnz)
 	bld.m.Vals = make([]int64, 0, nnz)
+	symmetric := true
 	for v := 0; v < d.N; v++ {
-		bld.appendRow(d.Row(core.NodeID(v)))
+		row := d.Row(core.NodeID(v))
+		bld.appendRow(row)
+		for j := 0; symmetric && j < v; j++ {
+			symmetric = (row[j] != zero) == (d.Vals[j*d.K+v] != zero)
+		}
 	}
+	bld.m.symmetric = symmetric
 	return bld.m
 }
 

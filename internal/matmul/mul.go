@@ -347,31 +347,23 @@ func (wf *wireFormat) decodeBits(w uint64, row []uint64, off int) {
 
 // mulNode executes one node's share of a distributed product C = A ⊗ B
 // by row-pull. Node v owns row v of A, row v of B (pre-packed into wire
-// words), and accumulates row v of C. The protocol is globally phased:
+// words), and accumulates row v of C. A's pattern is symmetric (newPass
+// refuses any other A), so the nodes that multiply by row k of B — every
+// v != k with A[v][k] != Zero — are exactly the off-diagonal columns of
+// node k's own row of A, and nobody has to ask for a row:
 //
-//	round 0:    v sends one request word to every k in supp(A[v]),
-//	            k != v, and folds in the local k = v contribution.
-//	round 1:    inboxes hold only requests; v records its requesters
-//	            and sends each the first word of its packed B-row.
-//	rounds >=2: inboxes hold only data words; v accumulates
+//	round 0:    v folds in the local k = v contribution and sends the
+//	            first word of its packed B-row to every k != v in
+//	            supp(A[v]).
+//	rounds >=1: inboxes hold only data words; v accumulates
 //	            C[v][j] = Add(C[v][j], Mul(A[v][k], B[k][j])) for each
-//	            word received from k, and sends every requester the
-//	            next word.
+//	            word received from k, and sends the next word of its row
+//	            to the same nodes.
 //
-// Every requester asks in round 0 and is served the same words at the
-// same pace, so a responder's whole stream state is one offset into its
-// packed row. The engine's quiescence detection ends the run once every
-// row is out: the round after the last data word is delivered, no node
-// sends anything.
-//
-// A later product of a Relaxation asks nothing: S, and so who asks whom,
-// is fixed for the whole loop, and every node kept the requesters it
-// recorded in the first product (heard). Round 0 is then the local fold
-// plus the first word of the packed row to each recorded requester, and
-// data arrives from round 1:
-//
-//	round 0:    fold in k = v; send each requester the first word.
-//	rounds >=1: accumulate as above; send every requester the next word.
+// Every receiver is served the same words at the same pace, so a
+// sender's whole stream state is one offset into its packed row. The
+// engine's quiescence detection ends the run once every row is out: the
+// round after the last data word is delivered, no node sends anything.
 //
 // A semi-naive Power squaring runs cubeNode's program instead, whose
 // owner half is a mulNode too: its acc, its vote, and a wf that decodes
@@ -379,20 +371,24 @@ func (wf *wireFormat) decodeBits(w uint64, row []uint64, off int) {
 type mulNode struct {
 	sr     core.Semiring
 	wf     *wireFormat
-	aCols  []core.NodeID
+	aCols  []core.NodeID // also who this node streams its row of B to, itself aside
 	aVals  []int64
-	packed []uint64      // this node's row of B, in wire format
-	acc    []int64       // this node's row of C, dense
-	reqs   []core.NodeID // who asked for this row, in request order
-	off    int           // words of packed already sent to each of reqs
-	cur    int           // index into aCols of the last source looked up
+	packed []uint64 // this node's row of B, in wire format
+	acc    []int64  // this node's row of C, dense
+	off    int      // words of packed already sent to each receiver
+	cur    int      // index into aCols of the last source looked up
 	unpace bool
-	heard  bool   // reqs came from an earlier product: no request round
 	vote   *voter // non-nil on a pass asked to vote (Pass.vote)
 }
 
+// streams reports whether node k sends its row of B to anyone: whether
+// its row of A has an off-diagonal entry.
+func (nd *mulNode) streams(k core.NodeID) bool {
+	return len(nd.aCols) > 1 || len(nd.aCols) == 1 && nd.aCols[0] != k
+}
+
 // lookupA returns A[v][src] for a data word from src, which exists
-// whenever the word was solicited (we only requested rows we can use).
+// whenever A is symmetric: src streams to the columns of its own row.
 // Inboxes and aCols are both src-ascending, so the search resumes from
 // the previous hit and walks forward; a src behind the cursor (the
 // first word of the next round, or any other delivery order) falls
@@ -546,9 +542,10 @@ func (nd *mulNode) accumulateBool(aik int64, w uint64) {
 	}
 }
 
-// stream sends every requester the next word of this node's packed
-// row (all of it when unpaced) and advances the shared offset. The
-// router's per-link accounting stays the enforcement.
+// stream sends every off-diagonal column of this node's row of A the
+// next word of its packed row of B (all of it when unpaced) and
+// advances the shared offset. The router's per-link accounting stays
+// the enforcement.
 func (nd *mulNode) stream(ctx *engine.Ctx) error {
 	end := len(nd.packed)
 	if !nd.unpace {
@@ -557,7 +554,10 @@ func (nd *mulNode) stream(ctx *engine.Ctx) error {
 	if nd.off == end {
 		return nil
 	}
-	for _, dst := range nd.reqs {
+	for _, dst := range nd.aCols {
+		if dst == ctx.ID() {
+			continue
+		}
 		for _, w := range nd.packed[nd.off:end] {
 			if err := ctx.Send(dst, w); err != nil {
 				return err
@@ -577,41 +577,21 @@ func (nd *mulNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message) 
 	return nd.product(ctx, r, inbox)
 }
 
-// product is one round of the request/stream/accumulate protocol, or of
-// its request-free form once the node has heard its requesters.
+// product is one round of the stream/accumulate protocol.
 func (nd *mulNode) product(ctx *engine.Ctx, r core.Round, inbox []engine.Message) error {
-	switch {
-	case r == 0:
+	if r == 0 {
 		if i, ok := slices.BinarySearch(nd.aCols, ctx.ID()); ok {
 			for _, w := range nd.packed {
 				nd.accumulate(nd.aVals[i], w)
 			}
 		}
-		if nd.heard {
-			break
+	}
+	for _, m := range inbox {
+		aik, ok := nd.lookupA(m.Src)
+		if !ok {
+			return fmt.Errorf("matmul: node %d got unsolicited data from %d", ctx.ID(), m.Src)
 		}
-		for _, k := range nd.aCols {
-			if k == ctx.ID() {
-				continue
-			}
-			if err := ctx.Send(k, 0); err != nil {
-				return err
-			}
-		}
-		return nil
-	case r == 1 && !nd.heard:
-		nd.reqs = make([]core.NodeID, len(inbox))
-		for i, m := range inbox {
-			nd.reqs[i] = m.Src
-		}
-	default:
-		for _, m := range inbox {
-			aik, ok := nd.lookupA(m.Src)
-			if !ok {
-				return fmt.Errorf("matmul: node %d got unsolicited data from %d", ctx.ID(), m.Src)
-			}
-			nd.accumulate(aik, m.Payload)
-		}
+		nd.accumulate(aik, m.Payload)
 	}
 	return nd.stream(ctx)
 }
@@ -635,19 +615,17 @@ func (nd *mulNode) product(ctx *engine.Ctx, r core.Round, inbox []engine.Message
 // 2(n-1) words over the bare pass, and one that confirms a fixpoint
 // costs nothing.
 //
-// F follows from the widest packed row any node asks for: its owner
-// streams one word a round from round 1 on (from round 0 when the node
-// heard its requesters in an earlier product), and the last of them is
+// F follows from the widest packed row any node streams: its owner
+// sends one word a round from round 0 on, and the last of them is
 // folded in one round after it is sent, so F = w (1 when unpaced, which
-// sends the whole row at once), plus one for the request round. Like
-// the wire format's value range, that width is a global of the operands
-// every node is taken to know before round 0 (docs/paper-map.md lists
-// these).
+// sends the whole row at once). Like the wire format's value range,
+// that width is a global of the operands every node is taken to know
+// before round 0 (docs/paper-map.md lists these).
 //
 // A cube pass has no F; its nodes keep bRow, ran and changed here and
 // time their ballots themselves (cubeNode).
 type voter struct {
-	widest  int        // words in the widest requested row; -1 if no node requests any
+	widest  int        // words in the widest streamed row; -1 if no node streams any
 	final   core.Round // F, fixed in round 0 from widest
 	bRow    []int64    // this node's row of B
 	ran     bool       // this process executes the node
@@ -662,9 +640,6 @@ func (vt *voter) round(nd *mulNode, ctx *engine.Ctx, r core.Round, inbox []engin
 			vt.final = core.Round(vt.widest)
 			if nd.unpace {
 				vt.final = min(vt.final, 1)
-			}
-			if !nd.heard {
-				vt.final++
 			}
 		}
 	}
@@ -729,11 +704,12 @@ type Pass struct {
 // session, which receives it as the clique.Pass Rows.
 func (p *Pass) Gather() error { return nil }
 
-// NewPass validates and packs the sparse product A ⊗ B. unpaced selects
-// a budget-violating mode in which each responder pushes its entire row
-// to every requester within a single round, so any row wider than one
-// word fails the pass with a *engine.BandwidthError. It exists
-// to show why the paced schedule is necessary
+// NewPass validates and packs the sparse product A ⊗ B; A's pattern
+// must be symmetric (see mulNode). unpaced selects a budget-violating
+// mode in which each node pushes its entire row to every receiver
+// within a single round, so any row wider than one word fails the pass
+// with a *engine.BandwidthError. It exists to show why the paced
+// schedule is necessary
 // (TestUnpacedProductReturnsBandwidthError); every other caller passes
 // false.
 func NewPass(a, b *Matrix, unpaced bool) (*Pass, error) {
@@ -741,7 +717,8 @@ func NewPass(a, b *Matrix, unpaced bool) (*Pass, error) {
 }
 
 // NewDensePass validates and packs the sparse-dense product A ⊗ B with
-// B (and C) n x k dense. Zero entries of B are not transmitted.
+// B (and C) n x k dense and A's pattern symmetric. Zero entries of B
+// are not transmitted.
 func NewDensePass(a *Matrix, b *Dense, unpaced bool) (*Pass, error) {
 	return newPass(a, b, nil, pullSchedule(unpaced), nil)
 }
@@ -765,7 +742,9 @@ func pullSchedule(unpace bool) schedule {
 
 // newPass builds every distributed product A ⊗ B: n nodes over one flat
 // result slab, node v holding row v of A and accumulating row v of C in
-// a K-wide accumulator. It packs B's non-Zero entries, in the wire
+// a K-wide accumulator. It refuses an A whose pattern is not symmetric
+// before any round runs, scanning only an A no constructor decided
+// (Matrix.symmetric). It packs B's non-Zero entries, in the wire
 // format of exactly the values it packs. The slab is acc when that is
 // large enough — a slab the caller no longer needs, whose contents are
 // overwritten — and a new one otherwise.
@@ -775,9 +754,11 @@ func pullSchedule(unpace bool) schedule {
 // instead of Zero: the pass computes B ⊕ A ⊗ Δ. That is A ⊗ B in both
 // loops that set prev:
 //
-//   - a Relaxation's later product over a reflexive A, prev the B the
-//     product before started from. A's One diagonal and an idempotent
-//     Add make B = A ⊗ prev ⊇ prev, so B = prev ⊕ Δ and
+//   - a Relaxation's engine product over a reflexive A, prev the B the
+//     product before started from (the indicator columns, before the
+//     first engine product, which follows the local one). A's One
+//     diagonal and an idempotent Add make B = A ⊗ prev ⊇ prev, so
+//     B = prev ⊕ Δ and
 //     A ⊗ B = A ⊗ prev ⊕ A ⊗ Δ = B ⊕ A ⊗ Δ;
 //   - a semi-naive squaring, A = B = X = P ⊗ P and prev = P (Power says
 //     why).
@@ -791,6 +772,9 @@ func pullSchedule(unpace bool) schedule {
 func newPass(a *Matrix, b, prev *Dense, sched schedule, acc []int64) (*Pass, error) {
 	if a != nil {
 		if err := checkPair(a.N, b.N, a.Sr, b.Sr); err != nil {
+			return nil, err
+		}
+		if err := checkSymmetric(a); err != nil {
 			return nil, err
 		}
 	}
@@ -879,16 +863,16 @@ func (p *Pass) Nodes() []engine.Node { return p.nodes }
 
 // vote asks the pass to also decide, in-engine, whether its product
 // equals its B operand (see voter for the protocol and its cost); changed
-// reports the verdict once the pass has quiesced. asked is the pass's
-// own asked (a Relaxation reuses its first product's), the rows F is
-// sized from; a cube pass times its own ballots and may take nil. Call
-// it before the pass runs. Power and Relaxation ask for a vote on every
+// reports the verdict once the pass has quiesced. F is sized from the
+// rows that stream, which every node reads off its own row of A; a cube
+// pass's nodes hold no row of A and time their own ballots. Call it
+// before the pass runs. Power and Relaxation ask for a vote on every
 // product but one that ends the loop anyway; a pass never asked runs
 // exactly the bare product.
-func (p *Pass) vote(asked []bool) {
+func (p *Pass) vote() {
 	widest := -1
-	for k, ok := range asked {
-		if ok {
+	for k := range p.state {
+		if p.state[k].streams(core.NodeID(k)) {
 			widest = max(widest, len(p.state[k].packed))
 		}
 	}
@@ -897,36 +881,6 @@ func (p *Pass) vote(asked []bool) {
 		p.voters[v] = voter{widest: widest, bRow: p.b.Row(core.NodeID(v))}
 		p.state[v].vote = &p.voters[v]
 	}
-}
-
-// asked reports, for every row k of B, whether a node of the pass asks
-// for it: whether some node v != k holds A[v][k] != Zero. A cube pass's
-// nodes hold no row of A, so nothing of it is asked.
-func (p *Pass) asked() []bool {
-	asked := make([]bool, p.n)
-	for v := range p.state {
-		for _, k := range p.state[v].aCols {
-			asked[k] = asked[k] || int(k) != v
-		}
-	}
-	return asked
-}
-
-// requesters returns, for every row k of B, the nodes that ask for it in
-// a product over a — every v != k with a[v][k] != Zero, ascending, the
-// order their requests arrive in — which is exactly the list node k
-// records in that product's round 1.
-func requesters(a *Matrix) [][]core.NodeID {
-	reqs := make([][]core.NodeID, a.N)
-	for v := 0; v < a.N; v++ {
-		cols, _ := a.Row(core.NodeID(v))
-		for _, k := range cols {
-			if int(k) != v {
-				reqs[k] = append(reqs[k], core.NodeID(v))
-			}
-		}
-	}
-	return reqs
 }
 
 // changed reports whether the product differs from its B operand, as

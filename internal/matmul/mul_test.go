@@ -24,15 +24,14 @@ func runProduct(n int, k clique.Kernel, opts ...clique.Option) (engine.Stats, er
 }
 
 // runPass runs one bare pass on a fresh engine of its size, bounded by
-// the pass's own MaxRoundsHint.
-func runPass(p *Pass) error {
+// the pass's own MaxRoundsHint, and returns the engine's stats.
+func runPass(p *Pass) (*engine.Stats, error) {
 	e, err := engine.New(p.n, engine.Options{})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer e.Close()
-	_, err = e.RunBounded(context.Background(), p.Nodes(), p.MaxRoundsHint())
-	return err
+	return e.RunBounded(context.Background(), p.Nodes(), p.MaxRoundsHint())
 }
 
 func matricesEqual(t *testing.T, got, want *Matrix, label string) {
@@ -133,11 +132,11 @@ func TestMulN256RoutesMessages(t *testing.T) {
 	if stats.TotalMsgs == 0 {
 		t.Fatal("engine stats report zero routed messages for an n=256 product")
 	}
-	// Every off-diagonal A-entry triggers one request, and every
-	// requested B-row streams back entry by entry.
+	// Every off-diagonal A-entry (v, k) has node k stream its non-empty
+	// row of B to v, at least one word.
 	minMsgs := uint64(a.NNZ() - a.N)
 	if stats.TotalMsgs < minMsgs {
-		t.Fatalf("TotalMsgs = %d, want >= %d (requests alone)", stats.TotalMsgs, minMsgs)
+		t.Fatalf("TotalMsgs = %d, want >= %d (a word per off-diagonal entry)", stats.TotalMsgs, minMsgs)
 	}
 	if stats.Rounds <= 2 {
 		t.Fatalf("Rounds = %d, want > 2 (budget-paced streaming)", stats.Rounds)
@@ -167,7 +166,7 @@ func TestUnpacedProductReturnsBandwidthError(t *testing.T) {
 		t.Fatal(err)
 	}
 	var bwe *engine.BandwidthError
-	if err := runPass(unpaced); !errors.As(err, &bwe) {
+	if _, err := runPass(unpaced); !errors.As(err, &bwe) {
 		t.Fatalf("unpaced product error = %v, want *engine.BandwidthError", err)
 	}
 	// The paced path on the identical input must succeed.
@@ -196,7 +195,7 @@ func TestMulRejectsUnpackableValues(t *testing.T) {
 	big := single([]core.NodeID{1}, []int64{1 << 60})
 	p, err := NewPass(a, big, false)
 	if err == nil {
-		err = runPass(p)
+		_, err = runPass(p)
 	}
 	if err != nil {
 		t.Fatalf("product rejected a lone large value: %v", err)
@@ -228,15 +227,18 @@ func TestMulDenseMatchesRef(t *testing.T) {
 			if err != nil {
 				t.Fatalf("MulDenseRef(%s): %v", sr.Name, err)
 			}
-			dk := NewRelaxation(a, b, 1)
-			stats, err := runProduct(a.N, dk)
+			p, err := NewDensePass(a, b, false)
+			if err != nil {
+				t.Fatalf("A*B (%s): %v", sr.Name, err)
+			}
+			stats, err := runPass(p)
 			if err != nil {
 				t.Fatalf("A*B (%s): %v", sr.Name, err)
 			}
 			if stats.TotalMsgs == 0 {
 				t.Fatalf("A*B (%s) routed no messages", sr.Name)
 			}
-			got := dk.Result().(*Dense)
+			got := p.Dense()
 			for v := 0; v < a.N; v++ {
 				for j := 0; j < k; j++ {
 					if got.At(core.NodeID(v), j) != want.At(core.NodeID(v), j) {
@@ -268,11 +270,14 @@ func TestMulDenseWideOperand(t *testing.T) {
 	for j := 0; j < k; j++ {
 		b.Row(0)[j] = int64(1 + j%5)
 	}
-	dk := NewRelaxation(a, b, 1)
-	if _, err := runProduct(a.N, dk); err != nil {
+	p, err := NewDensePass(a, b, false)
+	if err != nil {
+		t.Fatalf("NewDensePass: %v", err)
+	}
+	if _, err := runPass(p); err != nil {
 		t.Fatalf("A*B with wide dense operand: %v", err)
 	}
-	got := dk.Result().(*Dense)
+	got := p.Dense()
 	want, err := MulDenseRef(a, b)
 	if err != nil {
 		t.Fatalf("MulDenseRef: %v", err)
@@ -330,7 +335,7 @@ func TestMulZeroDim(t *testing.T) {
 	if c, _ := k.Result().(*Matrix); c == nil || c.N != 0 {
 		t.Fatalf("0x0 A*A product = %v, want empty non-nil matrix", c)
 	}
-	dk := NewRelaxation(a, NewDense(0, 0, sr), 1)
+	dk := NewRelaxation(a, nil, 2)
 	_, err := runProduct(0, dk)
 	if d, _ := dk.Result().(*Dense); err != nil || d == nil {
 		t.Fatalf("0x0 A*B = (%v, %v), want a non-nil product", d, err)

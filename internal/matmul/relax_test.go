@@ -2,7 +2,9 @@ package matmul
 
 import (
 	"context"
+	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -26,14 +28,16 @@ func relaxRef(t *testing.T, s *Matrix, b *Dense, products int) *Dense {
 }
 
 // TestRelaxationMatchesIteratedRef: a Relaxation of every product count
-// 1..β returns exactly the columns β products of MulDenseRef do, over
-// every semiring. A reflexive S streams only the entries the product
-// before changed from its second product on; a non-reflexive S, where
-// that would be wrong (B ← S ⊗ B is not monotone without the One
-// diagonal), keeps streaming whole rows.
+// 0..β returns exactly the columns β products of MulDenseRef do from the
+// sources' indicator columns, over every semiring, with distinct and
+// with repeated sources. The first product is local, so a Relaxation
+// runs at most β-1 engine passes and none for β <= 1. A reflexive S
+// streams only the entries the product before changed from its first
+// engine product on; a non-reflexive S, where that would be wrong
+// (B ← S ⊗ B is not monotone without the One diagonal), keeps
+// streaming whole rows.
 func TestRelaxationMatchesIteratedRef(t *testing.T) {
 	const n, beta = 40, 8
-	sources := []core.NodeID{0, 7, 19, 33}
 	for _, sr := range core.AllSemirings() {
 		g := graph.RandomGNP(n, 0.08, 3).WithUniformRandomWeights(2, 20)
 		for _, reflexive := range []bool{true, false} {
@@ -41,19 +45,70 @@ func TestRelaxationMatchesIteratedRef(t *testing.T) {
 			if err != nil {
 				t.Fatalf("FromGraph(%s): %v", sr.Name, err)
 			}
-			for products := 1; products <= beta; products++ {
-				b := Indicator(n, sources, sr)
-				rx := NewRelaxation(s, b, products)
-				if _, err := runProduct(n, rx); err != nil {
-					t.Fatalf("%s reflexive=%v products=%d: %v", sr.Name, reflexive, products, err)
+			for _, sources := range [][]core.NodeID{{0, 7, 19, 33}, {19, 7, 19, 0, 7}} {
+				for products := 0; products <= beta; products++ {
+					name := fmt.Sprintf("%s reflexive=%v sources=%v products=%d", sr.Name, reflexive, sources, products)
+					rx := NewRelaxation(s, sources, products)
+					st, err := clique.NewSize(n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					err = st.Run(context.Background(), rx)
+					stats := st.Stats()
+					st.Close()
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					got, want := rx.Result().(*Dense), relaxRef(t, s, Indicator(n, sources, sr), products)
+					if !slices.Equal(got.Vals, want.Vals) {
+						t.Fatalf("%s: columns differ from iterated MulDenseRef", name)
+					}
+					if stats.Runs > max(products-1, 0) {
+						t.Errorf("%s: %d engine passes; the first product is local", name, stats.Runs)
+					}
+					if tookDelta := rx.prev != nil; tookDelta != (reflexive && products > 0) {
+						t.Errorf("%s: kept the previous columns = %v", name, tookDelta)
+					}
 				}
-				got, want := rx.Result().(*Dense), relaxRef(t, s, b, products)
-				if !slices.Equal(got.Vals, want.Vals) {
-					t.Fatalf("%s reflexive=%v products=%d: columns differ from iterated MulDenseRef", sr.Name, reflexive, products)
-				}
-				if tookDelta := rx.prev != nil; tookDelta != reflexive {
-					t.Errorf("%s reflexive=%v products=%d: kept the previous columns = %v", sr.Name, reflexive, products, tookDelta)
-				}
+			}
+		}
+	}
+}
+
+// TestRelaxationFromIsolatedSources: when every source is isolated the
+// local first product changes nothing, and the next product, one engine
+// pass, confirms the fixpoint without a word, over every semiring and
+// reflexive or not.
+func TestRelaxationFromIsolatedSources(t *testing.T) {
+	g, err := graph.LoadEdgeList(strings.NewReader("p 8\n0 1 4\n1 2 3\n2 3 5\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources := []core.NodeID{5, 7, 5}
+	for _, sr := range core.AllSemirings() {
+		for _, reflexive := range []bool{true, false} {
+			s, err := FromGraph(g, sr, reflexive)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rx := NewRelaxation(s, sources, 6)
+			sess, err := clique.NewSize(g.N)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = sess.Run(context.Background(), rx)
+			st := sess.Stats()
+			sess.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := relaxRef(t, s, Indicator(g.N, sources, sr), 6)
+			if got := rx.Result().(*Dense); !slices.Equal(got.Vals, want.Vals) {
+				t.Errorf("%s reflexive=%v: columns differ from iterated MulDenseRef", sr.Name, reflexive)
+			}
+			if st.Runs != 1 || st.Engine.TotalMsgs != 0 {
+				t.Errorf("%s reflexive=%v: %d passes and %d words, want the one silent pass that confirms the fixpoint",
+					sr.Name, reflexive, st.Runs, st.Engine.TotalMsgs)
 			}
 		}
 	}
@@ -97,12 +152,11 @@ func (z *zeroCounter) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Messag
 	return z.Node.Round(ctx, r, inbox)
 }
 
-// TestRelaxationAsksOnce: a Relaxation's first product carries one
-// request per off-diagonal nonzero of S — nnz(S) - n over a reflexive
-// S — and every later product none, over every semiring, with the
-// columns still those of iterated MulDenseRef. Each node's recorded
-// requesters are the ones a restore rebuilds from S.
-func TestRelaxationAsksOnce(t *testing.T) {
+// TestRelaxationNeverAsks: no product of a Relaxation carries a request
+// word — every node streams its row to the columns of its own row of S
+// — over every semiring and over reflexive and non-reflexive S, with
+// the columns still those of iterated MulDenseRef.
+func TestRelaxationNeverAsks(t *testing.T) {
 	const n, products = 40, 6
 	sources := []core.NodeID{0, 7, 19, 33}
 	for _, sr := range core.AllSemirings() {
@@ -112,12 +166,7 @@ func TestRelaxationAsksOnce(t *testing.T) {
 			if err != nil {
 				t.Fatalf("FromGraph(%s): %v", sr.Name, err)
 			}
-			offDiag := s.NNZ()
-			if reflexive {
-				offDiag -= n
-			}
-			b := Indicator(n, sources, sr)
-			rc := &requestCounter{Relaxation: NewRelaxation(s, b, products)}
+			rc := &requestCounter{Relaxation: NewRelaxation(s, sources, products)}
 			if _, err := runProduct(n, rc); err != nil {
 				t.Fatalf("%s reflexive=%v: %v", sr.Name, reflexive, err)
 			}
@@ -125,24 +174,13 @@ func TestRelaxationAsksOnce(t *testing.T) {
 				t.Fatalf("%s reflexive=%v: %d products ran; the fixture needs a few", sr.Name, reflexive, len(rc.requests))
 			}
 			for i, c := range rc.requests {
-				want := int64(0)
-				if i == 0 {
-					want = int64(offDiag)
-				}
-				if got := c.Load(); got != want {
-					t.Errorf("%s reflexive=%v product %d: %d requests, want %d", sr.Name, reflexive, i+1, got, want)
+				if got := c.Load(); got != 0 {
+					t.Errorf("%s reflexive=%v engine product %d: %d request words, want none", sr.Name, reflexive, i+1, got)
 				}
 			}
-			got, want := rc.Result().(*Dense), relaxRef(t, s, b, products)
+			got, want := rc.Result().(*Dense), relaxRef(t, s, Indicator(n, sources, sr), products)
 			if !slices.Equal(got.Vals, want.Vals) {
 				t.Errorf("%s reflexive=%v: columns differ from iterated MulDenseRef", sr.Name, reflexive)
-			}
-			rebuilt := requesters(s)
-			for v := range rebuilt {
-				if !slices.Equal(rc.reqs[v], rebuilt[v]) {
-					t.Fatalf("%s reflexive=%v: node %d recorded requesters %v, S's column support is %v",
-						sr.Name, reflexive, v, rc.reqs[v], rebuilt[v])
-				}
 			}
 		}
 	}
@@ -152,9 +190,8 @@ func TestRelaxationAsksOnce(t *testing.T) {
 // multi-rank socket-unix cliques: each rank starts its accumulators
 // from B, but only its own nodes' rows are accumulated there, so the
 // gather must overwrite the other ranks' B-initialised rows for every
-// rank to hold the iterated reference. Each rank keeps the requester
-// lists of the nodes it executes and no others; with more ranks than
-// nodes, an idle rank records none at all.
+// rank to hold the iterated reference; with more ranks than nodes, an
+// idle rank still ends with the columns.
 func TestRelaxationAcrossRanks(t *testing.T) {
 	sr := core.MinPlus()
 	for _, tc := range []struct {
@@ -172,8 +209,7 @@ func TestRelaxationAcrossRanks(t *testing.T) {
 			if err != nil {
 				t.Fatalf("FromGraph: %v", err)
 			}
-			b := Indicator(n, tc.sources, sr)
-			want := relaxRef(t, s, b, tc.products)
+			want := relaxRef(t, s, Indicator(n, tc.sources, sr), tc.products)
 			trs, err := engine.NewTransportCluster("socket-unix", tc.ranks)
 			if err != nil {
 				t.Fatalf("NewTransportCluster: %v", err)
@@ -193,13 +229,12 @@ func TestRelaxationAcrossRanks(t *testing.T) {
 						return
 					}
 					defer sess.Close()
-					rxs[rank] = NewRelaxation(s, b, tc.products)
+					rxs[rank] = NewRelaxation(s, tc.sources, tc.products)
 					parts[rank][0], parts[rank][1] = sess.Partition()
 					errs[rank] = sess.Run(context.Background(), rxs[rank])
 				}(i, tr)
 			}
 			wg.Wait()
-			rebuilt := requesters(s)
 			idle := 0
 			for rank, rx := range rxs {
 				if errs[rank] != nil {
@@ -208,14 +243,8 @@ func TestRelaxationAcrossRanks(t *testing.T) {
 				if got, _ := rx.Result().(*Dense); got == nil || !slices.Equal(got.Vals, want.Vals) {
 					t.Errorf("rank %d: columns differ from iterated MulDenseRef", rank)
 				}
-				lo, hi := parts[rank][0], parts[rank][1]
-				if lo == hi {
+				if parts[rank][0] == parts[rank][1] {
 					idle++
-				}
-				for v, reqs := range rx.reqs {
-					if mine := lo <= v && v < hi; mine && !slices.Equal(reqs, rebuilt[v]) || !mine && reqs != nil {
-						t.Errorf("rank %d (nodes [%d, %d)): node %d's requester list is %v", rank, lo, hi, v, reqs)
-					}
 				}
 			}
 			if tc.ranks > n && idle == 0 {

@@ -64,7 +64,7 @@ func ReadMatrix(r *ckptio.Reader) (*Matrix, error) {
 		// its one-element offset slice.
 		m.Rows = make([]int32, m.N+1)
 	}
-	if err := m.Validate(); err != nil {
+	if _, err := validated(m); err != nil {
 		return nil, fmt.Errorf("matmul: corrupt serialized matrix: %w", err)
 	}
 	return m, nil
@@ -191,10 +191,9 @@ func WriteRelaxation(w *ckptio.Writer, x *Relaxation) {
 // Relaxation that continues from it. withPrev says whether the cursor
 // carries the B before the last product; one written before it did
 // restores without it, so the next product streams whole rows and
-// returns the same columns. A cursor with that B has run a product, so
-// its nodes' requester lists are rebuilt from S — host work, like
-// restoring their rows — and the next product asks nothing, billing
-// what an uninterrupted run bills.
+// returns the same columns. Every cursor has run the local first
+// product (NewRelaxation runs it), so the next product is an engine one
+// and bills what an uninterrupted run bills.
 func ReadRelaxation(r *ckptio.Reader, withPrev bool) (*Relaxation, error) {
 	x := &Relaxation{}
 	var err error
@@ -219,9 +218,6 @@ func ReadRelaxation(r *ckptio.Reader, withPrev bool) (*Relaxation, error) {
 	x.reflexive = oneDiagonal(x.s)
 	if x.prev != nil && (!x.reflexive || x.prev.N != x.b.N || x.prev.K != x.b.K || x.prev.Sr.Name != x.b.Sr.Name) {
 		return nil, fmt.Errorf("matmul: relaxation state carries a previous operand it cannot have")
-	}
-	if x.prev != nil {
-		x.reqs = requesters(x.s)
 	}
 	return x, nil
 }

@@ -3,6 +3,7 @@ package matmul
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -292,6 +293,73 @@ func TestPowerCursorFromPassSlabs(t *testing.T) {
 		if got.Runs != want.Runs || got.Engine.Rounds != want.Engine.Rounds || got.Engine.TotalMsgs != want.Engine.TotalMsgs {
 			t.Errorf("%s: resumed runs bill %d passes, %d rounds, %d words; uninterrupted %d, %d, %d", sr.Name,
 				got.Runs, got.Engine.Rounds, got.Engine.TotalMsgs, want.Runs, want.Engine.Rounds, want.Engine.TotalMsgs)
+		}
+	}
+}
+
+// relaxCursor encodes a Relaxation cursor field by field, as
+// WriteRelaxation lays it out: S, B, remaining, and prev when withPrev.
+func relaxCursor(s *Matrix, b *Dense, remaining int64, prev *Dense, withPrev bool) []byte {
+	var buf bytes.Buffer
+	w := ckptio.NewWriter(&buf)
+	WriteMatrix(w, s)
+	WriteDense(w, b)
+	w.I64(remaining)
+	if withPrev {
+		WriteDense(w, prev)
+	}
+	return buf.Bytes()
+}
+
+// TestRelaxationCursorFromEngineFirstProduct: a cursor in the layout a
+// build whose first product was an engine pass wrote — after t engine
+// products, B = S^t ⊗ (indicator columns), t fewer products remaining,
+// and prev = the B before — restores, over every semiring, and finishes
+// with the uninterrupted columns. The layout is unchanged and so is
+// what it means: a run whose first product is local holds exactly that
+// cursor after its (t-1)th engine pass, so the restored run bills pass
+// for pass what the rest of an uninterrupted run bills. A cursor from
+// before it carried prev streams whole rows and still returns the
+// same columns.
+func TestRelaxationCursorFromEngineFirstProduct(t *testing.T) {
+	const products = 8
+	sources := []core.NodeID{0, 17}
+	for _, sr := range core.AllSemirings() {
+		s, err := FromGraph(graph.Path(30).WithUniformRandomWeights(3, 9), sr, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := s.N
+		var full []passTraffic
+		uninterrupted := NewRelaxation(s, sources, products)
+		if _, err := runProduct(n, uninterrupted, trafficHook(&full)); err != nil {
+			t.Fatal(err)
+		}
+		want := relaxRef(t, s, Indicator(n, sources, sr), products)
+		if got := uninterrupted.Result().(*Dense); !slices.Equal(got.Vals, want.Vals) {
+			t.Fatalf("%s: the uninterrupted columns differ from iterated MulDenseRef", sr.Name)
+		}
+		for _, done := range []int{1, 2, 5} {
+			prev := relaxRef(t, s, Indicator(n, sources, sr), done-1)
+			b := relaxRef(t, s, prev, 1)
+			for _, withPrev := range []bool{true, false} {
+				name := fmt.Sprintf("%s after %d engine products, prev %v", sr.Name, done, withPrev)
+				blob := relaxCursor(s, b, int64(products-done), prev, withPrev)
+				rx, err := ReadRelaxation(ckptio.NewReader(bytes.NewReader(blob)), withPrev)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				var resumed []passTraffic
+				if _, err := runProduct(n, rx, trafficHook(&resumed)); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got := rx.Result().(*Dense); !slices.Equal(got.Vals, want.Vals) {
+					t.Errorf("%s: the resumed columns differ from the uninterrupted ones", name)
+				}
+				if tail := full[done-1:]; withPrev && !slices.Equal(resumed, tail) {
+					t.Errorf("%s: resumed passes bill %v, the rest of an uninterrupted run %v", name, resumed, tail)
+				}
+			}
 		}
 	}
 }

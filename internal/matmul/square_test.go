@@ -52,7 +52,7 @@ func TestSemiNaiveSquaringMatchesRef(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
-						p.vote(p.asked())
+						p.vote()
 						runVotePass(t, p, workers)
 						if got := p.Sparse(); !sameBits(got, want) {
 							t.Fatalf("%s: semi-naive squaring differs from MulRef(X, X)", name)
@@ -147,7 +147,7 @@ func TestSemiNaiveSquaringEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.vote(p.asked())
+	p.vote()
 	st := runVotePass(t, p, 1)
 	if want := predictCube(t, x, dense(x), true); st.Rounds != want.rounds || st.TotalMsgs != want.words {
 		t.Errorf("empty Δ: %d rounds and %d words, model %d and %d", st.Rounds, st.TotalMsgs, want.rounds, want.words)
@@ -165,9 +165,9 @@ func TestSemiNaiveSquaringEdges(t *testing.T) {
 //   - value-only: on a weighted clique P's support is already full, so
 //     X = P ⊗ P lowers (min,+) and raises (max,min) entries without
 //     adding any; Δ holds values only (and is empty over booleans).
-//   - empty-but-asked: an edge {0, 1} apart from a path. Rows 0 and 1
-//     do not change in X, so Δ[0] is empty, yet node 1 still asks node 0
-//     for it while the path's rows grow.
+//   - empty-but-needed: an edge {0, 1} apart from a path. Rows 0 and 1
+//     do not change in X, so Δ[0] is empty, yet node 1 still multiplies
+//     by it while the path's rows grow.
 func TestSemiNaiveSquaringDeltaShapes(t *testing.T) {
 	apart, err := graph.LoadEdgeList(strings.NewReader("p 8\n0 1 5\n2 3 4\n3 4 7\n4 5 2\n5 6 3\n6 7 9\n"))
 	if err != nil {
@@ -178,7 +178,7 @@ func TestSemiNaiveSquaringDeltaShapes(t *testing.T) {
 		g    *graph.CSR
 	}{
 		{"value-only", graph.Clique(12).WithUniformRandomWeights(3, 40)},
-		{"empty-but-asked", apart},
+		{"empty-but-needed", apart},
 	} {
 		for _, sr := range core.AllSemirings() {
 			p, err := FromGraph(tc.g, sr, true)
@@ -207,7 +207,7 @@ func TestSemiNaiveSquaringDeltaShapes(t *testing.T) {
 				if grew || (delta == 0) != (sr.Kind() == core.KindBoolOrAnd) {
 					t.Fatalf("%s %s: support grew = %v, |Δ| = %d", tc.name, sr.Name, grew, delta)
 				}
-			case "empty-but-asked":
+			case "empty-but-needed":
 				if delta0 != 0 || x.At(1, 0) == sr.Zero || delta == 0 {
 					t.Fatalf("%s %s: |Δ[0]| = %d, X[1][0] = %d, |Δ| = %d", tc.name, sr.Name, delta0, x.At(1, 0), delta)
 				}
@@ -221,7 +221,7 @@ func TestSemiNaiveSquaringDeltaShapes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			sq.vote(sq.asked())
+			sq.vote()
 			runVotePass(t, sq, 1)
 			if got := sq.Sparse(); !sameBits(got, want) {
 				t.Fatalf("%s: semi-naive squaring differs from MulRef(X, X)", name)
@@ -301,7 +301,7 @@ func TestCubeProductMatchesRef(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				p.vote(nil)
+				p.vote()
 				st := runVotePass(t, p, 1)
 				if got := p.Sparse(); !sameBits(got, want) {
 					t.Fatalf("%s: the cube pass differs from MulRef(X, X)", name)

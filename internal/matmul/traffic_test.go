@@ -69,8 +69,8 @@ func TestPassTrafficPinned(t *testing.T) {
 		words  uint64
 		digest uint64
 	}{
-		{"sparse", 8, 2387, 0xae48a403cdba7d7d},
-		{"dense", 7, 2065, 0x1093c1ab64f31dcf},
+		{"sparse", 7, 2037, 0x6421b4fae4ae8dd3},
+		{"dense", 6, 1715, 0x19b53aa4b815b0bd},
 	}
 	for _, want := range golden {
 		for _, workers := range []int{1, 2, 4} {
@@ -112,24 +112,21 @@ type passTraffic struct {
 // predictTraffic is the traffic model of one row-pull product pass
 // A ⊗ B, derived from its operands alone, for every pass
 // newPass builds but a cube pass (predictCube).
-// Each off-diagonal nonzero a[v][k] makes v a requester of row k. Row k
-// streams the non-Zero entries of b[k] that differ from prev[k] (all of
-// them when prev is nil), packed in the wire format of exactly the
-// values the pass sends. heard marks a later product of a Relaxation,
-// whose responders kept the requesters they recorded in its first
-// product. vote says whether the pass votes on whether A ⊗ B = B.
+// Row k goes to the off-diagonal columns of row k of a — a's pattern is
+// symmetric, so those are the nodes v with a[v][k] non-Zero — and
+// nobody asks for it. Row k streams the non-Zero entries of b[k] that
+// differ from prev[k] (all of them when prev is nil), packed in the
+// wire format of exactly the values the pass sends. vote says whether
+// the pass votes on whether A ⊗ B = B.
 //
-//   - Requests: one word per off-diagonal nonzero of a, nnz(a) - n over
-//     a reflexive a; none when heard.
-//   - Data: responder k sends #requesters(k) × width(k) words, where
-//     width(k) is the packed width of what row k sends.
-//   - Rounds: F = the widest requested row in words, plus one for the
-//     request round unless heard, or F = 0 when nobody requests
-//     anything; the bare pass runs rounds 0..F.
+//   - Data: node k sends #receivers(k) × width(k) words, where width(k)
+//     is the packed width of what row k sends.
+//   - Rounds: F = the widest streamed row in words, or F = 0 when no
+//     row has a receiver; the bare pass runs rounds 0..F.
 //   - A vote that finds the product equal to B costs nothing. Otherwise
 //     every changed row but node 0's sends a ballot and node 0 tells the
 //     other n-1 nodes, one round later when its own row did not change.
-func predictTraffic(t *testing.T, a *Matrix, b, prev *Dense, heard bool, vote bool) passTraffic {
+func predictTraffic(t *testing.T, a *Matrix, b, prev *Dense, vote bool) passTraffic {
 	t.Helper()
 	sent := func(i int) bool {
 		return b.Vals[i] != b.Sr.Zero && (prev == nil || b.Vals[i] != prev.Vals[i])
@@ -144,10 +141,14 @@ func predictTraffic(t *testing.T, a *Matrix, b, prev *Dense, heard bool, vote bo
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs := requesters(a)
 	var pt passTraffic
 	widest := -1
-	for k, rk := range reqs {
+	for k := 0; k < b.N; k++ {
+		aCols, _ := a.Row(core.NodeID(k))
+		receivers := len(aCols)
+		if _, ok := slices.BinarySearch(aCols, core.NodeID(k)); ok {
+			receivers--
+		}
 		var cols []core.NodeID
 		var vals []int64
 		for j := 0; j < b.K; j++ {
@@ -156,22 +157,12 @@ func predictTraffic(t *testing.T, a *Matrix, b, prev *Dense, heard bool, vote bo
 			}
 		}
 		width := len(wf.packRow(nil, cols, vals))
-		if !heard {
-			pt.words += uint64(len(rk))
-		}
-		pt.words += uint64(len(rk) * width)
-		if len(rk) > 0 {
+		pt.words += uint64(receivers * width)
+		if receivers > 0 {
 			widest = max(widest, width)
 		}
 	}
-	final := 0
-	if widest >= 0 {
-		final = widest
-		if !heard {
-			final++
-		}
-	}
-	pt.rounds = final + 1
+	pt.rounds = max(widest, 0) + 1
 	if !vote {
 		return pt
 	}
@@ -246,7 +237,7 @@ func predictCube(t *testing.T, x *Matrix, prev *Dense, vote bool) passTraffic {
 	prg, ok := rg.products(sr)
 	pwf, err := prg.format(n, sr)
 	if !ok || err != nil {
-		return predictTraffic(t, x, dx, prev, false, vote)
+		return predictTraffic(t, x, dx, prev, vote)
 	}
 	q := 1
 	for (q+1)*(q+1)*(q+1) <= n {
@@ -415,18 +406,19 @@ func trafficHook(got *[]passTraffic) clique.Option {
 // products and, as each pass starts, records what predictTraffic says
 // it will cost, from the operands of the loop whose product is in
 // flight. A Power squaring with prev set is semi-naive, a cube pass
-// over X and P. The model tracks each Relaxation itself: every
-// product after its first is heard, and over a reflexive S streams only
-// what changed since the B it saw last.
+// over X and P. The model tracks each Relaxation itself: its first
+// product is local and no pass, so the first engine product multiplies
+// S ⊗ (indicator columns), and over a reflexive S every engine product
+// streams only what changed since the B the product before multiplied
+// — the indicator columns, before the first.
 type loopModel struct {
 	clique.Kernel
 	t       *testing.T
 	want    []passTraffic
-	lastB   map[*Relaxation]*Dense // the B of each Relaxation's last product
+	lastB   map[*Relaxation]*Dense // the B of each Relaxation's last engine product
 	squares map[*Power]int         // squarings each Power has started
 	resq    bool                   // some Power squared more than once
 	semi    int                    // semi-naive squarings
-	later   int                    // Relaxation products after the first
 }
 
 func newLoopModel(t *testing.T, k clique.Kernel) *loopModel {
@@ -457,21 +449,59 @@ func (m *loopModel) Next(g *graph.CSR) (clique.Pass, error) {
 				return pass, nil
 			}
 		}
-		m.want = append(m.want, predictTraffic(m.t, left, loop.base, prev, false, loop.pass.voters != nil))
+		m.want = append(m.want, predictTraffic(m.t, left, loop.base, prev, loop.pass.voters != nil))
 	case *Relaxation:
-		prev, heard := m.lastB[loop]
-		if heard {
-			m.later++
+		reflexive := oneDiagonal(loop.s)
+		prev, seen := m.lastB[loop]
+		if !seen && reflexive {
+			// The local product started from the indicator columns, which a
+			// reflexive S's Relaxation holds as prev: check that they are
+			// one One a column and that B is S over them.
+			prev = loop.prev
+			if err := checkLocalProduct(loop.s, prev, loop.b); err != nil {
+				m.t.Errorf("pass %d: %v", len(m.want), err)
+			}
 		}
-		if !oneDiagonal(loop.s) {
+		if !reflexive {
 			prev = nil
 		}
 		m.lastB[loop] = loop.b
-		m.want = append(m.want, predictTraffic(m.t, loop.s, loop.b, prev, heard, loop.pass.voters != nil))
+		m.want = append(m.want, predictTraffic(m.t, loop.s, loop.b, prev, loop.pass.voters != nil))
 	default:
 		return pass, fmt.Errorf("pass %d is neither a Power nor a Relaxation product", len(m.want))
 	}
 	return pass, nil
+}
+
+// checkLocalProduct returns an error unless ind holds indicator
+// columns — one One a column, Zero elsewhere — and b = s ⊗ ind.
+func checkLocalProduct(s *Matrix, ind, b *Dense) error {
+	if ind == nil {
+		return fmt.Errorf("a Relaxation over a reflexive S kept no indicator columns")
+	}
+	for j := 0; j < ind.K; j++ {
+		ones := 0
+		for v := 0; v < ind.N; v++ {
+			switch ind.At(core.NodeID(v), j) {
+			case ind.Sr.One:
+				ones++
+			case ind.Sr.Zero:
+			default:
+				ones = -1
+			}
+		}
+		if ones != 1 {
+			return fmt.Errorf("column %d the first engine product started from is no indicator", j)
+		}
+	}
+	want, err := MulDenseRef(s, ind)
+	if err != nil {
+		return err
+	}
+	if !slices.Equal(b.Vals, want.Vals) {
+		return fmt.Errorf("the local first product differs from S ⊗ (indicator columns)")
+	}
+	return nil
 }
 
 // inFlight returns the Power or Relaxation reachable from v whose
@@ -521,9 +551,9 @@ func inFlight(v reflect.Value, seen map[uintptr]bool) any {
 // multiplies to 7 hops, ksource and the other pipelines run a Power or
 // a hopset construction and then a Relaxation. So the model covers
 // whole-row products, semi-naive squarings as cube passes with their
-// self-timed votes, request-free later Relaxation products and votes. Every kernel whose Power squares more
-// than once must square semi-naively, and every kernel that relaxes
-// must run a product after the first. bfs, bellman-ford and mst run
+// self-timed votes, Relaxation products after the local first one and
+// votes. Every kernel whose Power squares more than once must square
+// semi-naively. bfs, bellman-ford and mst run
 // passes of their own and have no model yet.
 func TestKernelTrafficModel(t *testing.T) {
 	graphs := []*graph.CSR{
@@ -558,9 +588,6 @@ func TestKernelTrafficModel(t *testing.T) {
 				}
 				if m.resq && m.semi == 0 {
 					t.Error("a Power squared more than once and never semi-naively; the fixture must exercise the cube passes")
-				}
-				if len(m.lastB) > 0 && m.later == 0 {
-					t.Error("no Relaxation ran a second product; the fixture must exercise heard products")
 				}
 			})
 		}

@@ -103,7 +103,7 @@ func TestVoteAccounting(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				voting.vote(voting.asked())
+				voting.vote()
 				bs := runVotePass(t, bare, workers)
 				vs := runVotePass(t, voting, workers)
 				if !bare.changed() {
@@ -195,7 +195,8 @@ func voteCases(t *testing.T, g *graph.CSR, sources []int, name string) []voteCas
 
 // TestVoteWhenTheWidestRowIsNeverAskedFor: the round every row is final
 // follows from the widest row that actually flows. Vertex 9 is isolated
-// and owns the only multi-word row of B, so the pass falls silent long
+// — no node multiplies by its row — and owns the only multi-word row of
+// B, so the pass falls silent long
 // before that row would have drained; the vote must still be taken, in
 // the bare pass's last round.
 func TestVoteWhenTheWidestRowIsNeverAskedFor(t *testing.T) {
@@ -225,7 +226,7 @@ func TestVoteWhenTheWidestRowIsNeverAskedFor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	voting.vote(voting.asked())
+	voting.vote()
 	if len(voting.state[9].packed) < 3 {
 		t.Fatalf("row 9 packs into %d words; the fixture needs it several rounds wide", len(voting.state[9].packed))
 	}
@@ -241,8 +242,8 @@ func TestVoteWhenTheWidestRowIsNeverAskedFor(t *testing.T) {
 	}
 }
 
-// TestVoteWithoutAnyRequest covers products in which no node asks any
-// other for a row — a diagonal A — so the bare pass is its round 0
+// TestVoteWithoutAnyRequest covers products in which no node streams
+// its row to any other — a diagonal A — so the bare pass is its round 0
 // alone, and the single-node clique where nobody is left to tell.
 func TestVoteWithoutAnyRequest(t *testing.T) {
 	sr := core.MinPlus()
@@ -271,7 +272,7 @@ func TestVoteWithoutAnyRequest(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p.vote(p.asked())
+			p.vote()
 			st := runVotePass(t, p, 1)
 			if p.changed() != tc.changed || st.Rounds != tc.rounds {
 				t.Errorf("changed() = %v in %d rounds, want %v in %d", p.changed(), st.Rounds, tc.changed, tc.rounds)

@@ -9,13 +9,16 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/paper-repo-growth/doryp20/clique"
 	"github.com/paper-repo-growth/doryp20/internal/algo"
 	"github.com/paper-repo-growth/doryp20/internal/core"
+	"github.com/paper-repo-growth/doryp20/internal/engine"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
 	"github.com/paper-repo-growth/doryp20/internal/hopset"
+	"github.com/paper-repo-growth/doryp20/internal/matmul"
 	"github.com/paper-repo-growth/doryp20/pkg/api"
 	"github.com/paper-repo-growth/doryp20/pkg/client"
 )
@@ -282,6 +285,117 @@ func TestHopsetCacheSteadyState(t *testing.T) {
 	}
 	if other.CacheHit {
 		t.Error("different eps must not hit the eps=0.25 cache line")
+	}
+}
+
+// zeroWords wraps every node of every pass its kernel runs to count the
+// words it receives whose payload is 0: a request, were any sent (no
+// packed data word and no ballot is 0).
+type zeroWords struct {
+	clique.Kernel
+	count atomic.Int64
+}
+
+func (z *zeroWords) Next(g *graph.CSR) (clique.Pass, error) {
+	pass, err := z.Kernel.Next(g)
+	if err != nil || pass.Nodes == nil {
+		return pass, err
+	}
+	wrapped := make([]engine.Node, len(pass.Nodes))
+	for v, nd := range pass.Nodes {
+		wrapped[v] = &zeroCounter{Node: nd, count: &z.count}
+	}
+	pass.Nodes = wrapped
+	return pass, nil
+}
+
+// zeroCounter adds the zero-payload words of every inbox to count.
+type zeroCounter struct {
+	engine.Node
+	count *atomic.Int64
+}
+
+func (z *zeroCounter) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message) error {
+	for _, m := range inbox {
+		if m.Payload == 0 {
+			z.count.Add(1)
+		}
+	}
+	return z.Node.Round(ctx, r, inbox)
+}
+
+// TestCacheHitQueryBills pins what one cache-hit approx-sssp query — the
+// daemon's steady state — bills on a fixed graph: 2 passes, 6 rounds,
+// 2,646 words. The relaxation's first product is local (the source's
+// column of the cached augmented matrix, read off each node's own row),
+// so the query runs one pass fewer than it has products, as the
+// reference iteration counts them; no product asks for a row, so no
+// word is a request; and a standalone relaxation over the same matrix
+// bills the same passes, rounds and words. Before the first product
+// became local and the request round went, this query billed 3 passes,
+// 11 rounds and 5,361 words.
+func TestCacheHitQueryBills(t *testing.T) {
+	srv, c := newTestDaemon(t, Options{})
+	ctx := context.Background()
+	g := graph.RandomGNPWeighted(64, 0.04, 30, 2)
+	id := upload(t, c, "steady", g)
+	const eps, src = 0.25, 3
+	if _, err := c.ApproxSSSP(ctx, id, src, eps); err != nil {
+		t.Fatal(err)
+	}
+	before := srv.Metrics().Snapshot().Words
+	hit, err := c.ApproxSSSP(ctx, id, src, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := srv.Metrics().Snapshot().Words - before
+	if !hit.CacheHit {
+		t.Fatal("the second query at the same (graph, eps) must hit the hopset cache")
+	}
+	if hit.Passes != 2 || hit.Rounds != 6 || words != 2646 {
+		t.Errorf("cache hit billed %d passes, %d rounds, %d words; pinned 2, 6, 2646", hit.Passes, hit.Rounds, words)
+	}
+
+	e := srv.store.get(id)
+	l, err := srv.pool.acquire(ctx, e.info.Version, e.g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hc := e.hopsets[core.SigBitsFor(eps)]
+	l.release()
+	// The products the reference iteration runs: until one changes
+	// nothing (that one included) or the bound is reached.
+	products := 0
+	for b := matmul.Indicator(g.N, []core.NodeID{src}, core.MinPlus()); products < hc.products; {
+		next, err := matmul.MulDenseRef(hc.aug, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		products++
+		if slices.Equal(next.Vals, b.Vals) {
+			break
+		}
+		b = next
+	}
+	if hit.Passes != products-1 {
+		t.Errorf("cache hit ran %d passes for %d products; the first is local", hit.Passes, products)
+	}
+	sess, err := clique.NewSize(g.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	relax := &zeroWords{Kernel: algo.NewRelaxKernel(hc.aug, []core.NodeID{src}, hc.products)}
+	if err := sess.Run(ctx, relax); err != nil {
+		t.Fatal(err)
+	}
+	st := sess.Stats()
+	if st.Runs != hit.Passes || st.Engine.Rounds != hit.Rounds || st.Engine.TotalMsgs != words {
+		t.Errorf("standalone relaxation billed %d/%d/%d passes/rounds/words, the cache hit %d/%d/%d",
+			st.Runs, st.Engine.Rounds, st.Engine.TotalMsgs, hit.Passes, hit.Rounds, words)
+	}
+	if n := relax.count.Load(); n != 0 {
+		t.Errorf("the relaxation carried %d request words, want none", n)
 	}
 }
 
