@@ -34,6 +34,33 @@ func BenchmarkRouter(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(msgs*float64(b.N)), "ns/msg")
 }
 
+// BenchmarkRouterMulticast is BenchmarkRouter's round with one
+// Multicast per node to the same fanout destinations (see
+// multicastRound) instead of one Send each. Steady state must be zero
+// allocations per op.
+func BenchmarkRouterMulticast(b *testing.B) {
+	const (
+		n      = 256
+		shards = 8
+		fanout = 16
+	)
+	rt := newRouter(n, 1, shards)
+	dsts := successors(n, fanout)
+	for i := 0; i < 3; i++ {
+		multicastRound(b, rt, dsts)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(n * fanout * 16))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		multicastRound(b, rt, dsts)
+	}
+	b.StopTimer()
+	msgs := float64(n * fanout)
+	b.ReportMetric(msgs*float64(b.N)/b.Elapsed().Seconds(), "msgs/s")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(msgs*float64(b.N)), "ns/msg")
+}
+
 // floodBenchNode sends to a fixed fanout of ring successors each round.
 type floodBenchNode struct {
 	n, fanout, rounds int

@@ -18,7 +18,9 @@
 // node's sends all happen on one worker inside one Round call, so each
 // worker marks the links of the node it is bound to in n words of its
 // own, stamped with the binding: rebinding the worker or flipping the
-// round is one stamp increment, not an O(n) clear.
+// round is one stamp increment, not an O(n) clear. Send queues one word
+// on one link; Multicast queues one word on many, checking each link
+// against the same marks.
 package engine
 
 import (
@@ -83,13 +85,14 @@ func (c *Ctx) bind(src core.NodeID) {
 // round, or an error for an invalid destination (out of range or
 // self). The message is not queued when an error is returned.
 //
-// This is the one place the link budget is enforced. All sends of a
-// node must happen on the goroutine running its handler (the engine
-// runs each node on exactly one worker), which is what makes the
-// per-worker counts and boxes data-race free without atomics.
+// Send and Multicast are the two places the link budget is enforced,
+// over one stamp table. All sends of a node must happen on the
+// goroutine running its handler (the engine runs each node on exactly
+// one worker), which is what makes the per-worker counts and boxes
+// data-race free without atomics.
 func (c *Ctx) Send(dst core.NodeID, payload uint64) error {
 	if uint64(dst) >= uint64(len(c.used)) || dst == c.src {
-		return fmt.Errorf("engine: invalid destination %d for sender %d (n=%d)", dst, c.src, c.rt.n)
+		return c.invalid(dst)
 	}
 	if c.used[dst] == c.stamp {
 		return &BandwidthError{Src: c.src, Dst: dst, Round: c.rt.round}
@@ -98,6 +101,45 @@ func (c *Ctx) Send(dst core.NodeID, payload uint64) error {
 	c.box[dst] = append(c.box[dst], Message{Src: c.src, Payload: payload})
 	c.sent++
 	return nil
+}
+
+// Multicast queues one payload word to every destination in dsts for
+// delivery next round: exactly what one Send per destination would
+// queue, in dsts order, except that the sender's own ID is skipped. It
+// stops at the first destination Send would refuse — a link already
+// used this round, by Send or Multicast, or an out-of-range ID — and
+// returns the error Send would, with the destinations before it
+// queued.
+func (c *Ctx) Multicast(dsts []core.NodeID, payload uint64) error {
+	used, stamp, src := c.used, c.stamp, c.src
+	box := c.box[:len(used)]
+	msg := Message{Src: src, Payload: payload}
+	var err error
+	queued := uint64(0)
+	for _, dst := range dsts {
+		if dst == src {
+			continue
+		}
+		if uint64(dst) >= uint64(len(used)) {
+			err = c.invalid(dst)
+			break
+		}
+		if used[dst] == stamp {
+			err = &BandwidthError{Src: src, Dst: dst, Round: c.rt.round}
+			break
+		}
+		used[dst] = stamp
+		box[dst] = append(box[dst], msg)
+		queued++
+	}
+	c.sent += queued
+	return err
+}
+
+// invalid is the error for a send to dst that is out of range or the
+// sender itself.
+func (c *Ctx) invalid(dst core.NodeID) error {
+	return fmt.Errorf("engine: invalid destination %d for sender %d (n=%d)", dst, c.src, c.rt.n)
 }
 
 // router owns all message storage for one engine instance. It is a

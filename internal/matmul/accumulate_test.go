@@ -1,10 +1,14 @@
 package matmul
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/paper-repo-growth/doryp20/internal/core"
+	"github.com/paper-repo-growth/doryp20/internal/engine"
 )
 
 // TestSpecialisedAccumulateMatchesGeneric: on random wire formats
@@ -14,7 +18,8 @@ import (
 // one case where only the v < InfWeight test saturates) and (max,min)'s
 // One = 2^40, the loop a pass chooses leaves
 // exactly the accumulator the generic loop does, in both encodings and
-// from a non-trivial starting row.
+// from a non-trivial starting row — one with entries below and above
+// InfWeight, under positional words of mostly empty fields too.
 func TestSpecialisedAccumulateMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for _, sr := range core.AllSemirings() {
@@ -54,11 +59,18 @@ func TestSpecialisedAccumulateMatchesGeneric(t *testing.T) {
 			start := NewDense(1, cols, sr).Vals
 			var cs []core.NodeID
 			var vs []int64
+			// Every fourth trial's rows are sparse, so its positional words
+			// are mostly empty fields, which must leave the accumulator
+			// exactly as it is — also where it starts above InfWeight.
+			sparseRow := trial%4 == 3
 			for j := range row {
-				if rng.Intn(3) == 0 {
+				switch rng.Intn(4) {
+				case 0:
 					start[j] = pick()
+				case 1:
+					start[j] = core.InfWeight + 1 + rng.Int63n(1<<20)
 				}
-				if rng.Intn(3) != 0 {
+				if sparseRow && rng.Intn(8) == 0 || !sparseRow && rng.Intn(3) != 0 {
 					row[j] = pick()
 					cs = append(cs, core.NodeID(j))
 					vs = append(vs, row[j])
@@ -94,26 +106,118 @@ func TestSpecialisedAccumulateMatchesGeneric(t *testing.T) {
 	}
 }
 
-// TestLookupACursor: whatever order sources arrive in — ascending as
-// the router delivers them, repeated (several words per link),
-// descending, or not in the row at all — the cursor returns what a
-// fresh search would, and reports an absent source as unsolicited.
-func TestLookupACursor(t *testing.T) {
+// roundFunc is a node whose handler is a function.
+type roundFunc func(ctx *engine.Ctx, r core.Round, inbox []engine.Message) error
+
+func (f roundFunc) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message) error {
+	return f(ctx, r, inbox)
+}
+
+// TestProductWalk: whatever order an inbox's sources arrive in —
+// ascending as the router delivers them, repeated (several words per
+// link), descending, or shuffled — product's walk against A's row folds
+// each word with its sender's entry of A, leaving exactly the row an
+// ascending inbox leaves; a source not in the row, wherever it falls,
+// fails the round as unsolicited data.
+func TestProductWalk(t *testing.T) {
+	const cols = 64
 	sr := core.MinPlus()
-	nd := &mulNode{sr: sr, aCols: []core.NodeID{2, 3, 7, 11, 12, 40}, aVals: []int64{20, 30, 70, 110, 120, 400}}
-	for _, srcs := range [][]core.NodeID{
-		{2, 3, 7, 11, 12, 40},
-		{3, 3, 3, 12, 12, 40, 40},
-		{40, 12, 11, 7, 3, 2},
-		{7, 2, 40, 3},
-		{0, 2, 5, 7, 41, 12, 1},
-		{41, 41, 0},
-	} {
-		for _, src := range srcs {
-			want, wantOK := int64(10*src), src != 0 && src != 1 && src != 5 && src != 41
-			if got, ok := nd.lookupA(src); ok != wantOK || (ok && got != want) {
-				t.Fatalf("after %v: lookupA(%d) = %d, %v; want %d, %v", srcs, src, got, ok, want, wantOK)
+	aCols := []core.NodeID{2, 3, 7, 11, 12, 40}
+	aVals := []int64{20, 30, 70, 110, 120, 400}
+	rng := rand.New(rand.NewSource(43))
+	b := NewDense(42, cols, sr)
+	for i := range b.Vals {
+		if rng.Intn(3) == 0 {
+			b.Vals[i] = 1 + rng.Int63n(500)
+		}
+	}
+	wf, err := newWireFormat(cols, b.Vals, sr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// words[k] is source k's row of B, packed: every source's row spans
+	// several words, so a source repeats in one inbox as in an unpaced
+	// pass.
+	words := make([][]uint64, b.N)
+	for k := range words {
+		var cs []core.NodeID
+		var vs []int64
+		for j, v := range b.Row(core.NodeID(k)) {
+			if v != sr.Zero {
+				cs, vs = append(cs, core.NodeID(j)), append(vs, v)
 			}
+		}
+		words[k] = wf.packSparse(nil, cs, vs)
+	}
+	start := NewDense(1, cols, sr).Vals
+	for j := range start {
+		start[j] = 300 + rng.Int63n(500)
+	}
+	// fold runs one round of the product of a node holding aCols over the
+	// inbox carrying the rows of srcs in that order, and returns its row
+	// of C and the round's error.
+	fold := func(srcs []core.NodeID) ([]int64, error) {
+		var inbox []engine.Message
+		for _, k := range srcs {
+			for _, w := range words[k] {
+				inbox = append(inbox, engine.Message{Src: k, Payload: w})
+			}
+		}
+		nd := &mulNode{sr: sr, wf: wf, aCols: aCols, aVals: aVals, acc: append([]int64(nil), start...)}
+		var err error
+		node := roundFunc(func(ctx *engine.Ctx, r core.Round, _ []engine.Message) error {
+			if r == 0 {
+				err = nd.product(ctx, 1, inbox)
+			}
+			return nil
+		})
+		if _, rerr := engine.RunOnce([]engine.Node{node}, engine.Options{}); rerr != nil {
+			t.Fatal(rerr)
+		}
+		return nd.acc, err
+	}
+	want, err := fold(aCols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := append([]int64(nil), start...)
+	for i, k := range aCols {
+		nd := &mulNode{sr: sr, wf: wf, acc: ref}
+		for _, w := range words[k] {
+			nd.accumulateGeneric(aVals[i], w)
+		}
+	}
+	if !slices.Equal(want, ref) {
+		t.Fatalf("ascending inbox folds %v, the generic loop %v", want, ref)
+	}
+	for _, srcs := range [][]core.NodeID{
+		{2, 3, 3, 3, 7, 11, 12, 12, 40, 40},
+		{40, 12, 11, 7, 3, 2},
+		{7, 2, 40, 3, 11, 12},
+		{2, 2, 40, 40, 3, 7, 7, 11, 12, 12},
+	} {
+		got, err := fold(srcs)
+		if err != nil {
+			t.Fatalf("inbox from %v: %v", srcs, err)
+		}
+		// min is idempotent, so a row folded twice changes nothing.
+		if !slices.Equal(got, want) {
+			t.Errorf("inbox from %v folds %v, an ascending one %v", srcs, got, want)
+		}
+	}
+	for _, tc := range []struct {
+		srcs   []core.NodeID
+		absent core.NodeID
+	}{
+		{[]core.NodeID{0, 2, 5}, 0},
+		{[]core.NodeID{2, 5, 7}, 5},
+		{[]core.NodeID{2, 3, 7, 11, 12, 40, 41}, 41},
+		{[]core.NodeID{40, 12, 1}, 1},
+		{[]core.NodeID{41, 41, 0}, 41},
+	} {
+		_, err := fold(tc.srcs)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unsolicited data from %d", tc.absent)) {
+			t.Errorf("inbox from %v: err = %v, want unsolicited data from %d", tc.srcs, err, tc.absent)
 		}
 	}
 }

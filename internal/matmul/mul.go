@@ -361,9 +361,12 @@ func (wf *wireFormat) decodeBits(w uint64, row []uint64, off int) {
 //	            to the same nodes.
 //
 // Every receiver is served the same words at the same pace, so a
-// sender's whole stream state is one offset into its packed row. The
-// engine's quiescence detection ends the run once every row is out: the
-// round after the last data word is delivered, no node sends anything.
+// sender's whole stream state is one offset into its packed row, and
+// each word leaves in one engine.Ctx.Multicast to aCols. A receiver
+// finds A[v][k] by walking its source-ascending inbox against aCols
+// (product). The engine's quiescence detection ends the run once every
+// row is out: the round after the last data word is delivered, no node
+// sends anything.
 //
 // A semi-naive Power squaring runs cubeNode's program instead, whose
 // owner half is a mulNode too: its acc, its vote, and a wf that decodes
@@ -376,7 +379,6 @@ type mulNode struct {
 	packed []uint64 // this node's row of B, in wire format
 	acc    []int64  // this node's row of C, dense
 	off    int      // words of packed already sent to each receiver
-	cur    int      // index into aCols of the last source looked up
 	unpace bool
 	vote   *voter // non-nil on a pass asked to vote (Pass.vote)
 }
@@ -385,27 +387,6 @@ type mulNode struct {
 // its row of A has an off-diagonal entry.
 func (nd *mulNode) streams(k core.NodeID) bool {
 	return len(nd.aCols) > 1 || len(nd.aCols) == 1 && nd.aCols[0] != k
-}
-
-// lookupA returns A[v][src] for a data word from src, which exists
-// whenever A is symmetric: src streams to the columns of its own row.
-// Inboxes and aCols are both src-ascending, so the search resumes from
-// the previous hit and walks forward; a src behind the cursor (the
-// first word of the next round, or any other delivery order) falls
-// back to the binary search.
-func (nd *mulNode) lookupA(src core.NodeID) (int64, bool) {
-	i := nd.cur
-	if i == len(nd.aCols) || nd.aCols[i] > src {
-		i, _ = slices.BinarySearch(nd.aCols, src)
-	}
-	for i < len(nd.aCols) && nd.aCols[i] < src {
-		i++
-	}
-	nd.cur = i
-	if i < len(nd.aCols) && nd.aCols[i] == src {
-		return nd.aVals[i], true
-	}
-	return nd.sr.Zero, false
 }
 
 // accumulate folds one packed word of B[k] into this node's row of C:
@@ -460,10 +441,38 @@ func (nd *mulNode) accumulateGeneric(aik int64, w uint64) {
 // saturates when v or aik + v reaches InfWeight. (In the specialised
 // loops the shift counts are masked with 63 — a no-op, idxBits + width
 // <= 63 — so the compiler drops its out-of-range-shift test per field.)
+//
+// A positional word's fields are decoded without a branch: each field's
+// term is picked by conditional moves — the saturated sum, aik for One,
+// and the accumulator's own value for an empty field, so that the one
+// min leaves it exactly as it was — and the loop stores every column
+// up to the word's last entry.
 func (nd *mulNode) accumulateMinPlus(aik int64, w uint64) {
 	wf, acc := nd.wf, nd.acc
 	width, fMask := wf.width&63, wf.fMask
 	ab, fInf := aik+wf.base, core.InfWeight-wf.base
+	if w&posFlag != 0 {
+		w &^= posFlag
+		j := int(w & wf.idxMask)
+		for w >>= wf.idxBits & 63; w != 0; w, j = w>>width, j+1 {
+			f, a := int64(w&fMask), acc[j]
+			t := ab + f
+			if t >= core.InfWeight {
+				t = core.InfWeight
+			}
+			if f >= fInf {
+				t = core.InfWeight
+			}
+			if f == 1 {
+				t = aik
+			}
+			if f == 0 {
+				t = a
+			}
+			acc[j] = min(a, t)
+		}
+		return
+	}
 	term := func(f uint64) int64 {
 		if f == 1 {
 			return aik
@@ -472,16 +481,6 @@ func (nd *mulNode) accumulateMinPlus(aik int64, w uint64) {
 			return s
 		}
 		return core.InfWeight
-	}
-	if w&posFlag != 0 {
-		w &^= posFlag
-		j := int(w & wf.idxMask)
-		for w >>= wf.idxBits & 63; w != 0; w, j = w>>width, j+1 {
-			if f := w & fMask; f != 0 {
-				acc[j] = min(acc[j], term(f))
-			}
-		}
-		return
 	}
 	entBits := (wf.idxBits + wf.width) & 63
 	for ; w != 0; w >>= entBits {
@@ -496,21 +495,28 @@ func (nd *mulNode) accumulateMinPlus(aik int64, w uint64) {
 func (nd *mulNode) accumulateMaxMin(aik int64, w uint64) {
 	wf, acc := nd.wf, nd.acc
 	width, fMask := wf.width&63, wf.fMask
+	if w&posFlag != 0 {
+		// Branch-free, as in accumulateMinPlus.
+		w &^= posFlag
+		j := int(w & wf.idxMask)
+		for w >>= wf.idxBits & 63; w != 0; w, j = w>>width, j+1 {
+			f, a := int64(w&fMask), acc[j]
+			t := min(aik, wf.base+f)
+			if f == 1 {
+				t = aik
+			}
+			if f == 0 {
+				t = a
+			}
+			acc[j] = max(a, t)
+		}
+		return
+	}
 	term := func(f uint64) int64 {
 		if f == 1 {
 			return aik
 		}
 		return min(aik, wf.base+int64(f))
-	}
-	if w&posFlag != 0 {
-		w &^= posFlag
-		j := int(w & wf.idxMask)
-		for w >>= wf.idxBits & 63; w != 0; w, j = w>>width, j+1 {
-			if f := w & fMask; f != 0 {
-				acc[j] = max(acc[j], term(f))
-			}
-		}
-		return
 	}
 	entBits := (wf.idxBits + wf.width) & 63
 	for ; w != 0; w >>= entBits {
@@ -543,25 +549,17 @@ func (nd *mulNode) accumulateBool(aik int64, w uint64) {
 }
 
 // stream sends every off-diagonal column of this node's row of A the
-// next word of its packed row of B (all of it when unpaced) and
-// advances the shared offset. The router's per-link accounting stays
-// the enforcement.
+// next word of its packed row of B (all of it when unpaced), each word
+// to all of them in one Multicast, and advances the shared offset. The
+// router's per-link accounting stays the enforcement.
 func (nd *mulNode) stream(ctx *engine.Ctx) error {
 	end := len(nd.packed)
 	if !nd.unpace {
 		end = min(end, nd.off+1)
 	}
-	if nd.off == end {
-		return nil
-	}
-	for _, dst := range nd.aCols {
-		if dst == ctx.ID() {
-			continue
-		}
-		for _, w := range nd.packed[nd.off:end] {
-			if err := ctx.Send(dst, w); err != nil {
-				return err
-			}
+	for _, w := range nd.packed[nd.off:end] {
+		if err := ctx.Multicast(nd.aCols, w); err != nil {
+			return err
 		}
 	}
 	nd.off = end
@@ -577,21 +575,33 @@ func (nd *mulNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message) 
 	return nd.product(ctx, r, inbox)
 }
 
-// product is one round of the stream/accumulate protocol.
+// product is one round of the stream/accumulate protocol. A data word
+// from src is folded with A[v][src], which exists whenever A is
+// symmetric: src streams to the columns of its own row. The inbox is
+// source-ascending, as aCols is, so one index walks both; a source
+// behind the index (any other delivery order) finds its column by a
+// binary search instead.
 func (nd *mulNode) product(ctx *engine.Ctx, r core.Round, inbox []engine.Message) error {
+	cols := nd.aCols
 	if r == 0 {
-		if i, ok := slices.BinarySearch(nd.aCols, ctx.ID()); ok {
+		if i, ok := slices.BinarySearch(cols, ctx.ID()); ok {
 			for _, w := range nd.packed {
 				nd.accumulate(nd.aVals[i], w)
 			}
 		}
 	}
+	i := 0
 	for _, m := range inbox {
-		aik, ok := nd.lookupA(m.Src)
-		if !ok {
+		if i == len(cols) || cols[i] > m.Src {
+			i, _ = slices.BinarySearch(cols, m.Src)
+		}
+		for i < len(cols) && cols[i] < m.Src {
+			i++
+		}
+		if i == len(cols) || cols[i] != m.Src {
 			return fmt.Errorf("matmul: node %d got unsolicited data from %d", ctx.ID(), m.Src)
 		}
-		nd.accumulate(aik, m.Payload)
+		nd.accumulate(nd.aVals[i], m.Payload)
 	}
 	return nd.stream(ctx)
 }
