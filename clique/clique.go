@@ -281,7 +281,7 @@ func (s *Session) runLoop(ctx context.Context, k Kernel) error {
 			s.tracer.Record(trace.Span{
 				Name: k.Name(), Cat: trace.CatPass, Lane: trace.LanePasses,
 				Start: s.tracer.Since(passStart), Dur: int64(time.Since(passStart)),
-				Round: int64(s.kernelPasses), Arg: uint64(st.Rounds),
+				Round: int64(s.kernelPasses), Arg: uint64(st.Rounds), Arg2: st.TotalMsgs,
 			})
 		}
 		if err != nil {

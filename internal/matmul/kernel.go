@@ -61,6 +61,11 @@ import (
 // base is built only where something reads its rows: a row-pull
 // squaring, result taking base's value, Result and WritePower. result,
 // the left operand of every multiply step, stays a CSR.
+//
+// The chain's cube nodes keep their blocks of the operand they squared
+// (held), so every cube squaring after the first in a row ships and
+// decodes Δ where it would ship X. A row-pull squaring makes them
+// stale, and the chain releases them when it is done.
 type Power struct {
 	e int
 	// base is what the next squaring squares; nil before the first
@@ -74,6 +79,9 @@ type Power struct {
 	// kept only when it has One on its diagonal; nil before the first
 	// squaring.
 	prev *Dense
+	// held says the cube nodes hold their blocks of prev: the last
+	// squaring ran by the cube, and the chain is not done.
+	held bool
 	// spare is a slab no operand holds any more, which the next product
 	// takes as its accumulator; nil when there is none.
 	spare        []int64
@@ -133,6 +141,7 @@ func (p *Power) harvest() {
 		if !p.pass.changed() {
 			p.e = 1
 		}
+		p.held = p.pass.cb != nil
 	} else {
 		p.result = p.pass.Sparse()
 		p.spare = p.pass.flat
@@ -162,6 +171,7 @@ func (p *Power) Next(*graph.CSR) (clique.Pass, error) {
 		}
 		p.e = 0
 	}
+	p.held = false // the chain is done
 	return clique.Pass{}, nil
 }
 
@@ -178,7 +188,7 @@ func (p *Power) product(square bool) (clique.Pass, error) {
 	case square:
 		left = p.baseRows()
 	}
-	pass, err := newPass(left, p.baseDense(), prev, sched, p.spare)
+	pass, err := newPass(left, p.baseDense(), prev, sched, p.spare, p.held)
 	if err != nil {
 		return clique.Pass{}, err
 	}
@@ -347,7 +357,7 @@ func (r *Relaxation) Next(*graph.CSR) (clique.Pass, error) {
 	if r.remaining <= 0 {
 		return clique.Pass{}, nil
 	}
-	pass, err := newPass(r.s, r.b, r.prev, paced, r.spare)
+	pass, err := newPass(r.s, r.b, r.prev, paced, r.spare, false)
 	if err != nil {
 		return clique.Pass{}, err
 	}

@@ -2,6 +2,7 @@ package matmul
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -129,63 +130,15 @@ func (rg valueRange) products(sr core.Semiring) (out valueRange, ok bool) {
 	return out, true
 }
 
-// packRow appends one B-row — its non-Zero entries as parallel,
-// column-sorted slices — to dst in whichever encoding needs fewer
-// words (sparse on a tie).
-func (wf *wireFormat) packRow(dst []uint64, cols []core.NodeID, vals []int64) []uint64 {
-	sparseWords := (len(cols) + wf.sparsePer - 1) / wf.sparsePer
-	posWords := 0
-	for i := 0; i < len(cols) && posWords < sparseWords; posWords++ {
-		end := int(cols[i]) + wf.posPer
-		for i < len(cols) && int(cols[i]) < end {
-			i++
-		}
-	}
-	if posWords < sparseWords {
-		return wf.packPositional(dst, cols, vals)
-	}
-	return wf.packSparse(dst, cols, vals)
-}
-
-// packSparse appends the row as (col, field) entries, sparsePer to a
-// word.
-func (wf *wireFormat) packSparse(dst []uint64, cols []core.NodeID, vals []int64) []uint64 {
-	entBits := wf.idxBits + wf.width
-	for i := 0; i < len(cols); {
-		var w uint64
-		for s := uint(0); s < uint(wf.sparsePer) && i < len(cols); s, i = s+1, i+1 {
-			w |= (uint64(cols[i])<<wf.width | wf.field(vals[i])) << (s * entBits)
-		}
-		dst = append(dst, w)
-	}
-	return dst
-}
-
-// packPositional appends the row as words that each start at the next
-// unsent entry's column and cover the posPer columns from there, so
-// runs of Zero columns wider than a word cost nothing.
-func (wf *wireFormat) packPositional(dst []uint64, cols []core.NodeID, vals []int64) []uint64 {
-	// The shift is masked with 63, a no-op (a field ends by bit 62), so
-	// the compiler drops its out-of-range-shift test per field.
-	idxBits, width := wf.idxBits, wf.width
-	for i := 0; i < len(cols); {
-		start := int(cols[i])
-		w := posFlag | uint64(start)
-		for ; i < len(cols) && int(cols[i]) < start+wf.posPer; i++ {
-			w |= wf.field(vals[i]) << ((idxBits + uint(int(cols[i])-start)*width) & 63)
-		}
-		dst = append(dst, w)
-	}
-	return dst
-}
-
-// packBits appends bits lo..hi-1 of the bitset set as the columns
-// off+j of a row whose every entry is One, in the 1-bit-field format:
-// word for word what packRow appends for those columns, the choice of
-// encoding included, without staging a (col, val) pair per entry. A
-// positional word's fields are a bitmap, so each is one shifted slice
-// of the bitset.
-func (wf *wireFormat) packBits(dst []uint64, set []uint64, lo, hi, off int) []uint64 {
+// packSet appends one row, whose entries are bits lo..hi-1 of the
+// bitset set — bit j is column off+j, with the value vals[j] — in
+// whichever encoding needs fewer words (sparse on a tie). In the 1-bit
+// format every field is One, vals is not read and may be nil, and a
+// positional word's fields are one shifted slice of the bitset. It is
+// the one packer: every row, segment and partial row a pass sends is
+// selected by a bitset (sweep, nonZeroSet) and packed here, without
+// staging a (col, val) pair per entry.
+func (wf *wireFormat) packSet(dst []uint64, set []uint64, vals []int64, lo, hi, off int) []uint64 {
 	cnt := countBits(set, lo, hi)
 	if cnt == 0 {
 		return dst
@@ -195,26 +148,132 @@ func (wf *wireFormat) packBits(dst []uint64, set []uint64, lo, hi, off int) []ui
 	for j := nextBit(set, lo, hi); j < hi && posWords < sparseWords; posWords++ {
 		j = nextBit(set, j+wf.posPer, hi)
 	}
+	// Shift counts masked with 63, a no-op (a field ends by bit 62), so
+	// the compiler drops its out-of-range-shift test per field.
+	idxBits, width, ones := wf.idxBits&63, wf.width&63, wf.width == 1
 	if posWords < sparseWords {
 		for j := nextBit(set, lo, hi); j < hi; j = nextBit(set, j+wf.posPer, hi) {
 			m := bitsAt(set, j, min(wf.posPer, hi-j))
-			dst = append(dst, posFlag|uint64(off+j)|m<<(wf.idxBits&63))
+			w := posFlag | uint64(off+j)
+			if ones {
+				w |= m << idxBits
+			}
+			for ; !ones && m != 0; m &= m - 1 {
+				i := bits.TrailingZeros64(m)
+				w |= wf.field(vals[j+i]) << ((idxBits + uint(i)*width) & 63)
+			}
+			dst = append(dst, w)
 		}
 		return dst
 	}
-	entBits := (wf.idxBits + 1) & 63
+	entBits := (idxBits + width) & 63
 	var w uint64
-	s := 0
-	for j := nextBit(set, lo, hi); j < hi; j = nextBit(set, j+1, hi) {
-		w |= (uint64(off+j)<<1 | 1) << (uint(s) * entBits & 63)
-		if s++; s == wf.sparsePer {
-			dst, w, s = append(dst, w), 0, 0
+	s := uint(0)
+	first, last := lo/64, (hi-1)/64
+	for k := first; k <= last; k++ {
+		m := set[k]
+		if k == first {
+			m &= ^uint64(0) << (lo % 64)
+		}
+		if k == last {
+			m &= ^uint64(0) >> (63 - (hi-1)%64)
+		}
+		for ; m != 0; m &= m - 1 {
+			j := k*64 + bits.TrailingZeros64(m)
+			f := uint64(1)
+			if !ones {
+				f = wf.field(vals[j])
+			}
+			w |= (uint64(off+j)<<width | f) << (s * entBits & 63)
+			if s++; s == uint(wf.sparsePer) {
+				dst, w, s = append(dst, w), 0, 0
+			}
 		}
 	}
 	if s > 0 {
 		dst = append(dst, w)
 	}
 	return dst
+}
+
+// sweep is the one pass over an operand b that decides what a product
+// sends. It writes each row's selection bitset into sel, ⌈K/64⌉ words a
+// row: bit j of row v is set when b[v][j] is non-Zero and, with prev
+// set, differs from prev[v][j]. With d non-nil (a cube pass, which also
+// sends segments of the whole operand) sel selects every non-Zero entry
+// and d those that also differ from prev. It returns the range of the
+// non-One values sel selects. The selection has no data-dependent
+// branch (selectChunk); the range then walks the selected non-One
+// entries alone, a min and a max each.
+func sweep(b, prev *Dense, sel, d []uint64) valueRange {
+	zero, one, rw := b.Sr.Zero, b.Sr.One, (b.K+63)/64
+	var whole, split uint64 // 1 when there is no prev; 1 when d is set
+	if prev == nil {
+		whole = 1
+	}
+	if d != nil {
+		split = 1
+	}
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for v := 0; v < b.N; v++ {
+		row, old := b.Row(core.NodeID(v)), b.Row(core.NodeID(v))
+		if prev != nil {
+			old = prev.Row(core.NodeID(v))
+		}
+		for w := 0; w < rw; w++ {
+			xs := row[w*64 : min(w*64+64, b.K)]
+			ps := old[w*64:][:len(xs)]
+			sm, dm, om := selectChunk(xs, ps, zero, one, whole, split)
+			for ; om != 0; om &= om - 1 {
+				x := xs[bits.TrailingZeros64(om)]
+				lo, hi = min(lo, x), max(hi, x)
+			}
+			sel[v*rw+w] = sm
+			if d != nil {
+				d[v*rw+w] = dm
+			}
+		}
+	}
+	if lo > hi {
+		return valueRange{}
+	}
+	return valueRange{lo: lo, hi: hi, ranged: true}
+}
+
+// selectChunk is sweep's test of up to 64 entries xs of a row against
+// their entries ps of prev: bit i of sm is set when xs[i] is non-Zero
+// and, unless split, differs from ps[i] (or whole is 1); of dm when it
+// is non-Zero and differs (or whole); of om when it is set in sm and
+// xs[i] is not One.
+func selectChunk(xs, ps []int64, zero, one int64, whole, split uint64) (sm, dm, om uint64) {
+	ps = ps[:len(xs)]
+	for i, x := range xs {
+		nz, ch, no := flag(x != zero), flag(x != ps[i])|whole, flag(x != one)
+		s, sh := nz&(ch|split), uint(i)&63
+		sm, dm, om = sm|s<<sh, dm|nz&ch<<sh, om|s&no<<sh
+	}
+	return sm, dm, om
+}
+
+// flag is 1 for true and 0 for false, without a branch.
+func flag(b bool) uint64 {
+	var f uint64
+	if b {
+		f = 1
+	}
+	return f
+}
+
+// nonZeroSet writes into set the bitset of row's non-Zero entries,
+// branch-free as sweep is.
+func nonZeroSet(set []uint64, row []int64, zero int64) {
+	for w := range set {
+		var m uint64
+		for i, x := range row[w*64 : min(w*64+64, len(row))] {
+			m |= flag(x != zero) << (uint(i) & 63)
+		}
+		set[w] = m
+	}
 }
 
 // countBits returns how many of bits lo..hi-1 of set are set.
@@ -252,7 +311,7 @@ func nextBit(set []uint64, j, hi int) int {
 }
 
 // bitsAt returns bits j..j+k-1 of set as the low k bits of a word, for
-// 0 < k < 64.
+// 0 < k ≤ 64.
 func bitsAt(set []uint64, j, k int) uint64 {
 	w, sh := j/64, uint(j%64)
 	m := set[w] >> sh
@@ -706,6 +765,7 @@ type Pass struct {
 	flat    []int64
 	b       *Dense // the B operand, kept for vote
 	voters  []voter
+	cb      *cube // a cube pass's shared state; nil on a row-pull pass
 }
 
 // Gather does nothing and returns nil. A pass run on a bare engine
@@ -723,14 +783,14 @@ func (p *Pass) Gather() error { return nil }
 // (TestUnpacedProductReturnsBandwidthError); every other caller passes
 // false.
 func NewPass(a, b *Matrix, unpaced bool) (*Pass, error) {
-	return newPass(a, dense(b), nil, pullSchedule(unpaced), nil)
+	return newPass(a, dense(b), nil, pullSchedule(unpaced), nil, false)
 }
 
 // NewDensePass validates and packs the sparse-dense product A ⊗ B with
 // B (and C) n x k dense and A's pattern symmetric. Zero entries of B
 // are not transmitted.
 func NewDensePass(a *Matrix, b *Dense, unpaced bool) (*Pass, error) {
-	return newPass(a, b, nil, pullSchedule(unpaced), nil)
+	return newPass(a, b, nil, pullSchedule(unpaced), nil, false)
 }
 
 // schedule is the node program a pass runs.
@@ -754,10 +814,12 @@ func pullSchedule(unpace bool) schedule {
 // result slab, node v holding row v of A and accumulating row v of C in
 // a K-wide accumulator. It refuses an A whose pattern is not symmetric
 // before any round runs, scanning only an A no constructor decided
-// (Matrix.symmetric). It packs B's non-Zero entries, in the wire
-// format of exactly the values it packs. The slab is acc when that is
-// large enough — a slab the caller no longer needs, whose contents are
-// overwritten — and a new one otherwise.
+// (Matrix.symmetric). One sweep of B selects what each row sends and
+// finds the range of those values; every row is packed from its
+// selection bitset (packSet), in the wire format of exactly the values
+// it packs. The slab is acc when that is large enough — a slab the
+// caller no longer needs, whose contents are overwritten — and a new one
+// otherwise.
 //
 // With prev set, it packs only Δ, the entries of B that differ from
 // prev, and starts each node's accumulator from its own row of B
@@ -773,13 +835,15 @@ func pullSchedule(unpace bool) schedule {
 //   - a semi-naive squaring, A = B = X = P ⊗ P and prev = P (Power says
 //     why).
 //
-// The semi-naive squaring alone runs the cube schedule (cubeNode), which
-// also sends segments of X and so packs all of B, in the format of X's
-// values; its nodes hold no row of A, so a may be nil. Its partial rows
-// need a second format covering the products of those values; where no
-// wire word fits one (a (min,+) operand whose largest value doubled
-// nears InfWeight), the squaring runs row-pull instead, over a = B.
-func newPass(a *Matrix, b, prev *Dense, sched schedule, acc []int64) (*Pass, error) {
+// The semi-naive squaring alone runs the cube schedule (cubeNode), whose
+// owners send segments of X as well as of Δ, so its values are X's; its
+// nodes hold no row of A, so a may be nil, and held says its cube nodes
+// hold their blocks of prev, which the chain's last squaring squared. Its
+// partial rows need a second format covering the products of those
+// values; where no wire word fits one (a (min,+) operand whose largest
+// value doubled nears InfWeight), the squaring runs row-pull instead,
+// over a = B.
+func newPass(a *Matrix, b, prev *Dense, sched schedule, acc []int64, held bool) (*Pass, error) {
 	if a != nil {
 		if err := checkPair(a.N, b.N, a.Sr, b.Sr); err != nil {
 			return nil, err
@@ -788,39 +852,35 @@ func newPass(a *Matrix, b, prev *Dense, sched schedule, acc []int64) (*Pass, err
 			return nil, err
 		}
 	}
-	// One sweep finds the range of the values to send. Past a loop's
-	// first products most entries equal prev's, so that test comes first.
-	zero, one := b.Sr.Zero, b.Sr.One
-	delta := sched != cubed && prev != nil
-	var rg valueRange
-	for i, v := range b.Vals {
-		if (!delta || v != prev.Vals[i]) && v != zero && v != one {
-			rg.add(v)
-		}
+	n, k, rw := b.N, b.K, (b.K+63)/64
+	sel := make([]uint64, n*rw)
+	var dsel []uint64
+	if sched == cubed {
+		dsel = make([]uint64, n*rw)
 	}
-	wf, err := rg.format(b.K, b.Sr)
+	rg := sweep(b, prev, sel, dsel)
+	wf, err := rg.format(k, b.Sr)
 	var pwf *wireFormat
 	if sched == cubed {
 		if prg, ok := rg.products(b.Sr); ok && err == nil {
-			pwf, _ = prg.format(b.K, b.Sr)
+			pwf, _ = prg.format(k, b.Sr)
 		}
 		if pwf == nil {
 			// Row-pull from here: pack only Δ, in the format of its values.
 			if a == nil {
 				a = sparse(b)
 			}
-			return newPass(a, b, prev, paced, acc)
+			return newPass(a, b, prev, paced, acc, false)
 		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	n, k := b.N, b.K
 	p := &Pass{n: n, cols: k, sr: b.Sr, b: b, accs: make([][]int64, n)}
 	if prev != nil {
 		p.flat = append(acc[:0], b.Vals...)
 	} else {
-		p.flat = fill(&acc, n*k, zero)
+		p.flat = fill(&acc, n*k, b.Sr.Zero)
 	}
 	p.nodes = make([]engine.Node, n)
 	p.state = make([]mulNode, n)
@@ -835,28 +895,15 @@ func newPass(a *Matrix, b, prev *Dense, sched schedule, acc []int64) (*Pass, err
 		p.nodes[v] = &p.state[v]
 	}
 	if sched == cubed {
-		p.asCube(newCube(b, prev, wf), pwf)
+		p.asCube(newCube(b, prev, wf, sel, dsel, held), pwf)
 		return p, nil
 	}
-	// Pack each row's sent entries, swept against prev's row, into one
-	// shared slab; ends[v] is where row v's words end.
+	// Pack each row's selected entries into one shared slab; ends[v] is
+	// where row v's words end.
 	var slab []uint64
 	ends := make([]int, n)
-	cols := make([]core.NodeID, 0, k)
-	vals := make([]int64, 0, k)
 	for v := range ends {
-		row := b.Row(core.NodeID(v))
-		var old []int64
-		if delta {
-			old = prev.Row(core.NodeID(v))
-		}
-		cols, vals = cols[:0], vals[:0]
-		for j, x := range row {
-			if (!delta || x != old[j]) && x != zero {
-				cols, vals = append(cols, core.NodeID(j)), append(vals, x)
-			}
-		}
-		slab = wf.packRow(slab, cols, vals)
+		slab = wf.packSet(slab, sel[v*rw:(v+1)*rw], b.Row(core.NodeID(v)), 0, k, 0)
 		ends[v] = len(slab)
 	}
 	lo := 0
@@ -949,29 +996,49 @@ func (p *Pass) Dense() *Dense {
 // (PODC 2015), instead of row-pull. Let q = ⌊n^{1/3}⌋ and split [0, n)
 // into the blocks B_i = [i·n/q, (i+1)·n/q). Node t = (a·q + b)·q + c < q³
 // is cube node (a, b, c); every node still owns its row of X, Δ and C.
-// The protocol:
+// Cube node t keeps K_t = X[B_a, B_c] of the last operand it squared
+// from one squaring of a Power chain to the next; let K be what the cube
+// nodes hold. The protocol:
 //
-//	rounds 0..F1-1: owner v in B_a streams X[v, B_c] to (a, b, c) for
-//	                every b and c, and Δ[v, B_b] to (a', b, a) for every
-//	                a' and b, one word a link a round.
+//	rounds 0..F1-1: owner v in B_a streams X[v, B_c] − K[v, B_c], the
+//	                entries of its row the cube node does not hold
+//	                already, to (a, b, c) for every b and c, and
+//	                Δ[v, B_b] to (a', b, a) for every a' and b, one word a
+//	                link a round.
 //	round F1:       every segment has arrived. Cube node (a, b, c)
-//	                decodes X[B_a, B_c] and Δ[B_c, B_b] into scratch
-//	                dense blocks, folds the partial product
+//	                decodes its X-updates into K_t, so that K_t =
+//	                X[B_a, B_c], and Δ[B_c, B_b] into a scratch dense
+//	                block, folds the partial product
 //	                ⊕_{k∈B_c} X[u, k] ⊗ Δ[k, B_b] for every u in B_a,
 //	                and starts streaming each non-empty partial row
-//	                segment to its owner u.
+//	                segment to its owner u. A node whose Δ block is empty
+//	                has no partial row and skips its product.
 //	rounds > F1:    owners fold the partial rows into acc, which starts
 //	                at X[u]; senders stream the next words.
 //
-// Segments are packed rows (packRow) with global columns, so a receiver
-// tells an X segment (columns in B_c, from a node of B_a) from a Δ
+// On a chain's first cube squaring (or the first after a row-pull one)
+// K is empty and the X-updates are all of X[v, B_c]. After it K holds
+// the blocks of prev, the operand of that squaring, so X − K is exactly
+// Δ: each owner packs its q segments of Δ and sends them in both roles.
+// Decoding is exact either way: an update overwrites an entry (ORs a
+// bit over (or,and)), X ⊇ prev under an idempotent ⊕, and every Δ entry
+// carries X's value.
+//
+// K_t is exactly prev[B_a, B_c], what node t decoded in the squaring
+// before, so the simulation keeps no copy of it: node t reads its block
+// off prev, which Power holds anyway, when it multiplies. The same read
+// rebuilds K on a chain restored from a checkpoint.
+//
+// Segments are packed rows (packSet) with global columns, so a receiver
+// tells an X-update (columns in B_c, from a node of B_a) from a Δ
 // segment (columns in B_b, from a node of B_c) by the column of its
 // first entry. The one link that could carry both for the same block
-// is into a diagonal node (a, a, a); there the X segment already sent
-// stands in for Δ[v, B_a] ⊆ X[v, B_a], which is exact because
-// X ⊕ X ⊗ Δ' = X ⊗ X for any Δ ⊆ Δ' ⊆ X, so no second segment is sent.
-// A segment whose sender is its receiver, and a partial row for the
-// cube node's own row, never touch a link.
+// is into a diagonal node (a, a, a); there the X-update already sent
+// doubles as the Δ segment, decoded into both blocks, so no second
+// segment is sent. On a first squaring it is X[v, B_a] ⊇ Δ[v, B_a],
+// which is exact because X ⊕ X ⊗ Δ' = X ⊗ X for any Δ ⊆ Δ' ⊆ X; later
+// it is Δ[v, B_a] itself. A segment whose sender is its receiver, and a
+// partial row for the cube node's own row, never touch a link.
 //
 // F1 is the widest phase-1 link in words: like the row-pull's widest
 // row, a global of the operands every node is taken to know before
@@ -1010,9 +1077,17 @@ type stream struct {
 type cube struct {
 	n, q int
 	sr   core.Semiring
-	wf   *wireFormat // the format of the X and Δ segments
-	// segs holds every owner's segments packed, X[v, B_c] at xSeg(v, c)
-	// and Δ[v, B_b] at dSeg(v, b).
+	wf   *wireFormat // the format of the X-updates and Δ segments
+	prev *Dense      // P, the operand of the squaring before
+	// xs and ds are the selection bitsets of X and Δ (sweep), from which
+	// heldBits reads P's blocks over (or,and).
+	xs, ds []uint64
+	// held says the cube nodes hold the blocks of prev, so the X-updates
+	// are Δ. Each node knows it: it took part in the squaring before.
+	held bool
+	// segs holds every owner's segments packed, X[v, B_c] − K at
+	// xSeg(v, c) and Δ[v, B_b] at dSeg(v, b); while held the two are one
+	// segment.
 	segs [][]uint64
 	// links[v·span:(v+1)·span] is what owner v sends in phase 1
 	// (cube.link), span = q(2q-1) links each.
@@ -1026,16 +1101,15 @@ type cube struct {
 // segs[x] then segs[d], an index of -1 naming none.
 type link struct{ t, x, d int32 }
 
-// cubeScratch is the dense blocks one local product decodes into and
-// folds, reused across the cube nodes one worker runs.
+// cubeScratch is the blocks one local product decodes into and folds,
+// reused across the cube nodes one worker runs.
 type cubeScratch struct {
-	x, d, c []int64
+	x, d, c []int64 // K_t, the Δ block, the product
 	db      deltaBlock
 	slab    []uint64 // the packed partial rows
 	ends    []int    // (owner, end) pairs of the partial rows in slab
-	cols    []core.NodeID
-	vals    []int64
-	bits    []uint64 // multiplyBool's blocks, as bitsets
+	set     []uint64 // one partial row's selection bitset
+	bits    []uint64 // multiplyBool's K_t, Δ block and partial row, as bitsets
 }
 
 // cubeRoot returns ⌊n^{1/3}⌋.
@@ -1053,60 +1127,31 @@ func (cb *cube) lo(i int) int { return i * cb.n / cb.q }
 // block returns the block v lies in.
 func (cb *cube) block(v int) int { return ((v+1)*cb.q - 1) / cb.n }
 
-// xSeg and dSeg index X[v, B_c] and Δ[v, B_b] in segs.
+// xSeg and dSeg index X[v, B_c] − K and Δ[v, B_b] in segs.
 func (cb *cube) xSeg(v, c int) int { return 2*v*cb.q + c }
 func (cb *cube) dSeg(v, b int) int { return (2*v+1)*cb.q + b }
 
-// newCube packs every owner's segments of X = b and of Δ, the entries
-// where b differs from prev, in the format wf, and finds the widest
-// phase-1 link. In the 1-bit-field format a row is a set of columns: it
-// builds each owner's rows of X and Δ as bitsets once, and packs every
-// segment straight from them (packBits).
-func newCube(b, prev *Dense, wf *wireFormat) *cube {
+// newCube packs every owner's segments, from the selection bitsets xs
+// (X = b's non-Zero entries) and ds (Δ, those that differ from prev),
+// in the format wf, and finds the widest phase-1 link. While held, the
+// cube nodes hold prev's blocks, so the X-updates are the Δ segments
+// and each owner packs q segments, not 2q.
+func newCube(b, prev *Dense, wf *wireFormat, xs, ds []uint64, held bool) *cube {
 	n := b.N
-	cb := &cube{n: n, q: cubeRoot(n), sr: b.Sr, wf: wf}
-	q, zero := cb.q, b.Sr.Zero
+	cb := &cube{n: n, q: cubeRoot(n), sr: b.Sr, wf: wf, prev: prev, xs: xs, ds: ds, held: held}
+	q, rw := cb.q, (n+63)/64
 	ends := make([]int, 2*n*q)
 	var slab []uint64
-	var cols []core.NodeID
-	var vals []int64
-	var xSet, dSet []uint64
-	if wf.loop == core.KindBoolOrAnd {
-		xSet, dSet = make([]uint64, (n+63)/64), make([]uint64, (n+63)/64)
-	}
 	for v := 0; v < n; v++ {
-		row, old := b.Row(core.NodeID(v)), prev.Row(core.NodeID(v))
-		if xSet != nil {
-			for w := range xSet {
-				xs := row[w*64 : min(w*64+64, n)]
-				ps := old[w*64 : w*64+len(xs)]
-				var xm, dm uint64
-				for i, x := range xs {
-					// Branch-free: bit i of xm is x != Zero, of dm also x != P's.
-					nz, ch := uint64(x^zero), uint64(x^ps[i])
-					nz, ch = (nz|-nz)>>63, (ch|-ch)>>63
-					xm, dm = xm|nz<<i, dm|nz&ch<<i
-				}
-				xSet[w], dSet[w] = xm, dm
-			}
-			for s := 0; s < 2*q; s++ {
-				set := xSet
-				if s >= q {
-					set = dSet
-				}
-				slab = wf.packBits(slab, set, cb.lo(s%q), cb.lo(s%q+1), 0)
-				ends[cb.xSeg(v, s)] = len(slab) // dSeg(v, s-q) from s = q on
-			}
-			continue
-		}
+		row, x, d := b.Row(core.NodeID(v)), xs[v*rw:(v+1)*rw], ds[v*rw:(v+1)*rw]
 		for s := 0; s < 2*q; s++ {
-			cols, vals = cols[:0], vals[:0]
-			for j, hi := cb.lo(s%q), cb.lo(s%q+1); j < hi; j++ {
-				if x := row[j]; x != zero && (s < q || x != old[j]) {
-					cols, vals = append(cols, core.NodeID(j)), append(vals, x)
-				}
+			set := x
+			if s >= q {
+				set = d
 			}
-			slab = wf.packRow(slab, cols, vals)
+			if s >= q || !held {
+				slab = wf.packSet(slab, set, row, cb.lo(s%q), cb.lo(s%q+1), 0)
+			}
 			ends[cb.xSeg(v, s)] = len(slab) // dSeg(v, s-q) from s = q on
 		}
 	}
@@ -1114,6 +1159,11 @@ func newCube(b, prev *Dense, wf *wireFormat) *cube {
 	lo := 0
 	for i, hi := range ends {
 		cb.segs[i], lo = slab[lo:hi:hi], hi
+	}
+	for v := 0; held && v < n; v++ {
+		for c := 0; c < q; c++ {
+			cb.segs[cb.xSeg(v, c)] = cb.segs[cb.dSeg(v, c)]
+		}
 	}
 	cb.in = make([]int, q*q*q)
 	cb.links = make([]link, 0, q*(2*q-1)*n)
@@ -1135,6 +1185,48 @@ func newCube(b, prev *Dense, wf *wireFormat) *cube {
 		}
 	}
 	return cb
+}
+
+// heldVals returns the K_t, ra x rc, of the cube node whose block of X
+// starts at row la and column lc, in buf, ready for its X-updates: Zero
+// when they are whole segments of X, prev's block when they are Δ.
+func (cb *cube) heldVals(buf *[]int64, la, lc, ra, rc int) []int64 {
+	if !cb.held {
+		return fill(buf, ra*rc, cb.sr.Zero)
+	}
+	x := slices.Grow((*buf)[:0], ra*rc)[:ra*rc]
+	for i := range ra {
+		copy(x[i*rc:(i+1)*rc], cb.prev.Row(core.NodeID(la + i))[lc:lc+rc])
+	}
+	*buf = x
+	return x
+}
+
+// heldBits is heldVals over (or,and), K_t as bitset rows of xw words in
+// x. There prev's non-Zero entries are X's less Δ's (X ⊇ prev), so it
+// reads them off the selection bitsets, a word at a time.
+func (cb *cube) heldBits(x []uint64, la, lc, rc, xw int) {
+	if !cb.held {
+		clear(x)
+		return
+	}
+	rw := (cb.n + 63) / 64
+	for i := range len(x) / xw {
+		xs, ds := cb.xs[(la+i)*rw:][:rw], cb.ds[(la+i)*rw:][:rw]
+		for w := range xw {
+			j, k := lc+64*w, min(64, rc-64*w)
+			x[i*xw+w] = bitsAt(xs, j, k) &^ bitsAt(ds, j, k)
+		}
+	}
+}
+
+// isUpdate reports whether the phase-1 word w from src, received by a
+// cube node whose block of X is rows la..la+ra-1 and columns
+// lc..lc+rc-1, is one of its X-updates: its sender lies in B_a and its
+// first column in B_c. Any other word is a Δ segment.
+func (cb *cube) isUpdate(w uint64, src, la, ra, lc, rc int) bool {
+	j := cb.wf.firstCol(w)
+	return src >= la && src < la+ra && j >= lc && j < lc+rc
 }
 
 // link records that owner v sends cube node t the segments x then d in
@@ -1161,6 +1253,7 @@ func (cb *cube) seg(i int32) []uint64 {
 // asCube makes p a cube pass: its nodes run cubeNode over cb, and fold
 // partial rows in the format pwf.
 func (p *Pass) asCube(cb *cube, pwf *wireFormat) {
+	p.cb = cb
 	cubes := make([]cubeNode, p.n)
 	for v := range cubes {
 		p.state[v].wf = pwf
@@ -1268,9 +1361,13 @@ func (nd *cubeNode) segments(ctx *engine.Ctx, r core.Round) error {
 }
 
 // multiply is cube node t's local product in round F1: it decodes the
-// segments it holds, folds the partial rows of C, and queues each
-// non-empty one for its owner — folding its own row in place. It
-// reports whether it folded into its own row.
+// Δ segments it holds into a scratch block and its X-updates into K_t,
+// folds the partial rows of C, and queues each non-empty one for its
+// owner — folding its own row in place. A node that received no Δ has
+// no partial row and stops there, without building K_t: what its
+// X-updates would make of it is the block of the next squaring's prev,
+// which that squaring reads. It reports whether it folded into its own
+// row.
 func (nd *cubeNode) multiply(t int) bool {
 	cb := nd.cb
 	q, zero := cb.q, cb.sr.Zero
@@ -1286,43 +1383,41 @@ func (nd *cubeNode) multiply(t int) bool {
 	if cb.wf.loop == core.KindBoolOrAnd {
 		return nd.multiplyBool(s, t, la, lb, lc, ra, rb, rc, diag)
 	}
-	x := fill(&s.x, ra*rc, zero)
-	d := x
-	if !diag {
-		d = fill(&s.d, rc*rb, zero)
-	}
+	var d []int64
 	db := &s.db
-	db.vals, db.rb = d, rb
 	cnt := slices.Grow(db.cnt[:0], rc)[:rc]
 	clear(cnt)
 	for i, w := range nd.got {
 		src := int(nd.from[i])
-		if j := cb.wf.firstCol(w); src >= la && src < la+ra && j >= lc && j < lc+rc {
-			if e := cb.wf.decode(w, x[(src-la)*rc:][:rc], lc); diag {
-				cnt[src-lc] += e
-			}
-		} else {
-			cnt[src-lc] += cb.wf.decode(w, d[(src-lc)*rb:][:rb], lb)
+		if cb.isUpdate(w, src, la, ra, lc, rc) && !diag {
+			continue
 		}
+		if d == nil {
+			d = fill(&s.d, rc*rb, zero)
+		}
+		cnt[src-lc] += cb.wf.decode(w, d[(src-lc)*rb:][:rb], lb)
 	}
 	db.cnt = cnt
+	if d == nil {
+		return false
+	}
+	x := cb.heldVals(&s.x, la, lc, ra, rc)
+	for i, w := range nd.got {
+		if src := int(nd.from[i]); cb.isUpdate(w, src, la, ra, lc, rc) {
+			cb.wf.decode(w, x[(src-la)*rc:][:rc], lc)
+		}
+	}
+	db.vals, db.rb = d, rb
 	db.index(zero)
 	prod := fill(&s.c, ra*rb, zero)
 	blockProduct(cb.sr, prod, x, db, ra, rc)
-	// Locals, not the scratch's fields: appending through a heap pointer
-	// pays the GC's write barrier on every entry.
-	cols, vals := s.cols[:0], s.vals[:0]
-	own := nd.emit(s, t, la, ra, func(i int, dst []uint64) []uint64 {
-		cols, vals = cols[:0], vals[:0]
-		for j, v := range prod[i*rb : (i+1)*rb] {
-			if v != zero {
-				cols, vals = append(cols, core.NodeID(lb+j)), append(vals, v)
-			}
-		}
-		return nd.wf.packRow(dst, cols, vals)
+	set := slices.Grow(s.set[:0], (rb+63)/64)[:(rb+63)/64]
+	s.set = set
+	return nd.emit(s, t, la, ra, func(i int, dst []uint64) []uint64 {
+		row := prod[i*rb : (i+1)*rb]
+		nonZeroSet(set, row, zero)
+		return nd.wf.packSet(dst, set, row, 0, rb, lb)
 	})
-	s.cols, s.vals = cols, vals
-	return own
 }
 
 // emit hands each non-empty partial row i of cube node t's product, as
@@ -1360,38 +1455,53 @@ func (nd *cubeNode) emit(s *cubeScratch, t, la, ra int, pack func(i int, dst []u
 }
 
 // multiplyBool is multiply over (or,and) in the 1-bit-field format, where
-// every value is One and a row is a set of columns: the blocks are
-// bitsets, a positional word decodes as one shifted bitmap, each
+// every value is One and a row is a set of columns: K_t and the Δ block
+// are bitsets, a positional word decodes as one shifted bitmap, each
 // x[i][k] = One ORs Δ's row k into row i a machine word at a time, and
-// each partial row is packed straight from its bitset (packBits).
+// each partial row is packed straight from its bitset.
 func (nd *cubeNode) multiplyBool(s *cubeScratch, t, la, lb, lc, ra, rb, rc int, diag bool) bool {
-	wf := nd.cb.wf
+	cb, wf := nd.cb, nd.cb.wf
 	xw, dw := (rc+63)/64, (rb+63)/64
-	s.bits = slices.Grow(s.bits[:0], ra*xw+rc*dw+dw)[:ra*xw+rc*dw+dw]
-	clear(s.bits)
-	x, d, acc := s.bits[:ra*xw], s.bits[ra*xw:ra*xw+rc*dw], s.bits[ra*xw+rc*dw:]
-	if diag {
-		d = x
-	}
+	// d is the Δ block, x K_t, acc one partial row, and bit k of live
+	// says Δ's row k is not empty, so a row of x meets only those.
+	var d, x, acc, live []uint64
 	for i, w := range nd.got {
 		src := int(nd.from[i])
-		if j := wf.firstCol(w); src >= la && src < la+ra && j >= lc && j < lc+rc {
+		if cb.isUpdate(w, src, la, ra, lc, rc) && !diag {
+			continue
+		}
+		if d == nil {
+			size := rc*dw + ra*xw + dw + xw
+			s.bits = slices.Grow(s.bits[:0], size)[:size]
+			d, x = s.bits[:rc*dw], s.bits[rc*dw:rc*dw+ra*xw]
+			acc, live = s.bits[rc*dw+ra*xw:size-xw], s.bits[size-xw:]
+			clear(d)
+			clear(live)
+		}
+		k := src - lc
+		wf.decodeBits(w, d[k*dw:][:dw], lb)
+		live[k/64] |= 1 << (k % 64)
+	}
+	if d == nil {
+		return false
+	}
+	cb.heldBits(x, la, lc, rc, xw)
+	for i, w := range nd.got {
+		if src := int(nd.from[i]); cb.isUpdate(w, src, la, ra, lc, rc) {
 			wf.decodeBits(w, x[(src-la)*xw:][:xw], lc)
-		} else {
-			wf.decodeBits(w, d[(src-lc)*dw:][:dw], lb)
 		}
 	}
 	return nd.emit(s, t, la, ra, func(i int, dst []uint64) []uint64 {
 		clear(acc)
 		for kw, m := range x[i*xw : (i+1)*xw] {
-			for ; m != 0; m &= m - 1 {
+			for m &= live[kw]; m != 0; m &= m - 1 {
 				k := kw*64 + bits.TrailingZeros64(m)
 				for w, b := range d[k*dw : (k+1)*dw] {
 					acc[w] |= b
 				}
 			}
 		}
-		return nd.wf.packBits(dst, acc, 0, rb, lb)
+		return nd.wf.packSet(dst, acc, nil, 0, rb, lb)
 	})
 }
 

@@ -10,6 +10,58 @@ import (
 	"github.com/paper-repo-growth/doryp20/internal/core"
 )
 
+// packRow appends one B-row — its non-Zero entries as parallel,
+// column-sorted slices — to dst in whichever encoding needs fewer
+// words (sparse on a tie). It is the staging packer packSet replaced,
+// kept as the oracle packSet is checked against (checkPackSet) and the
+// traffic models pack with.
+func (wf *wireFormat) packRow(dst []uint64, cols []core.NodeID, vals []int64) []uint64 {
+	sparseWords := (len(cols) + wf.sparsePer - 1) / wf.sparsePer
+	posWords := 0
+	for i := 0; i < len(cols) && posWords < sparseWords; posWords++ {
+		end := int(cols[i]) + wf.posPer
+		for i < len(cols) && int(cols[i]) < end {
+			i++
+		}
+	}
+	if posWords < sparseWords {
+		return wf.packPositional(dst, cols, vals)
+	}
+	return wf.packSparse(dst, cols, vals)
+}
+
+// packSparse appends the row as (col, field) entries, sparsePer to a
+// word.
+func (wf *wireFormat) packSparse(dst []uint64, cols []core.NodeID, vals []int64) []uint64 {
+	entBits := wf.idxBits + wf.width
+	for i := 0; i < len(cols); {
+		var w uint64
+		for s := uint(0); s < uint(wf.sparsePer) && i < len(cols); s, i = s+1, i+1 {
+			w |= (uint64(cols[i])<<wf.width | wf.field(vals[i])) << (s * entBits)
+		}
+		dst = append(dst, w)
+	}
+	return dst
+}
+
+// packPositional appends the row as words that each start at the next
+// unsent entry's column and cover the posPer columns from there, so
+// runs of Zero columns wider than a word cost nothing.
+func (wf *wireFormat) packPositional(dst []uint64, cols []core.NodeID, vals []int64) []uint64 {
+	// The shift is masked with 63, a no-op (a field ends by bit 62), so
+	// the compiler drops its out-of-range-shift test per field.
+	idxBits, width := wf.idxBits, wf.width
+	for i := 0; i < len(cols); {
+		start := int(cols[i])
+		w := posFlag | uint64(start)
+		for ; i < len(cols) && int(cols[i]) < start+wf.posPer; i++ {
+			w |= wf.field(vals[i]) << ((idxBits + uint(int(cols[i])-start)*width) & 63)
+		}
+		dst = append(dst, w)
+	}
+	return dst
+}
+
 // newWireFormat is the wire format a pass would derive for a B operand
 // with the given column count that sends every one of vals (Zero entries
 // are exempt: they are never transmitted).
@@ -75,8 +127,9 @@ func usedSlots(wf *wireFormat, w uint64) int {
 
 // FuzzPackRow: for any row, both encodings decode back to exactly the
 // row's non-Zero entries, the sparse encoding is full-word tight, and
-// packRow picks the shorter of the two. The format is accepted exactly
-// when the value range fits beside the column index.
+// packRow picks the shorter of the two; packSet packs every sub-range of
+// it word for word as packRow does. The format is accepted exactly when
+// the value range fits beside the column index.
 func FuzzPackRow(f *testing.F) {
 	// Data bytes (0 is an absent column): O the semiring One, L the
 	// minimum, H the maximum, M a value in between.
@@ -177,20 +230,20 @@ func FuzzPackRow(f *testing.F) {
 				t.Fatalf("packRow word %d = %#x, want %#x", i, got[i], want[i])
 			}
 		}
-		if wf.loop == core.KindBoolOrAnd {
-			checkPackBits(t, wf, cs, cols)
-		}
+		checkPackSet(t, wf, row, cs, vs)
 	})
 }
 
-// checkPackBits: for the boolean row whose set columns are cs, packBits
-// over every sub-range lo..hi — from the row's bitset as it stands, and
-// from the bitset of the range alone placed at column lo, as a cube
-// node's partial row is — returns exactly packRow's words for the same
-// columns. Rows of up to 130 columns try every range; wider ones every
-// range whose ends lie within one column of a 64-bit boundary, or at
-// either end of the row.
-func checkPackBits(t *testing.T, wf *wireFormat, cs []core.NodeID, cols int) {
+// checkPackSet: for the row whose non-Zero columns are cs, packSet over
+// every sub-range lo..hi — from the row's bitset and values as they
+// stand, and from the bitset and values of the range alone placed at
+// column lo, as a cube node's partial row is — returns exactly packRow's
+// words for the same entries. In the 1-bit format it must not read the
+// values, so it also runs with none. Rows of up to 130 columns try every
+// range; wider ones every range whose ends lie within one column of a
+// 64-bit boundary, or at either end of the row.
+func checkPackSet(t *testing.T, wf *wireFormat, row []int64, cs []core.NodeID, vs []int64) {
+	cols := len(row)
 	set := make([]uint64, (cols+63)/64)
 	for _, j := range cs {
 		set[j/64] |= 1 << (j % 64)
@@ -215,28 +268,28 @@ func checkPackBits(t *testing.T, wf *wireFormat, cs []core.NodeID, cols int) {
 			for k < len(cs) && int(cs[k]) < hi {
 				k++
 			}
-			ones := make([]int64, k-i)
-			for e := range ones {
-				ones[e] = 1
-			}
-			want = wf.packRow(want[:0], cs[i:k], ones)
+			want = wf.packRow(want[:0], cs[i:k], vs[i:k])
 			shifted := make([]uint64, (hi-lo+63)/64)
 			for _, j := range cs[i:k] {
 				shifted[(int(j)-lo)/64] |= 1 << ((int(j) - lo) % 64)
 			}
-			for name, pack := range map[string]func([]uint64) []uint64{
-				"in place": func(dst []uint64) []uint64 { return wf.packBits(dst, set, lo, hi, 0) },
-				"shifted":  func(dst []uint64) []uint64 { return wf.packBits(dst, shifted, 0, hi-lo, lo) },
-			} {
+			packs := map[string]func([]uint64) []uint64{
+				"in place": func(dst []uint64) []uint64 { return wf.packSet(dst, set, row, lo, hi, 0) },
+				"shifted":  func(dst []uint64) []uint64 { return wf.packSet(dst, shifted, row[lo:hi], 0, hi-lo, lo) },
+			}
+			if wf.width == 1 {
+				packs["without values"] = func(dst []uint64) []uint64 { return wf.packSet(dst, set, nil, lo, hi, 0) }
+			}
+			for name, pack := range packs {
 				if got = pack(got[:0]); !slices.Equal(got, want) {
-					t.Fatalf("packBits %s over columns [%d, %d) of %d (%d set): %#x, packRow %#x", name, lo, hi, cols, k-i, got, want)
+					t.Fatalf("packSet %s over columns [%d, %d) of %d (%d set): %#x, packRow %#x", name, lo, hi, cols, k-i, got, want)
 				}
 			}
 		}
 	}
 }
 
-// BenchmarkPackBits times the bitset packer alone — 64 random boolean
+// BenchmarkPackBits times packSet alone, in the 1-bit format — 64 random boolean
 // rows of 256 columns, each packed as four 63-column segments, most of
 // them across a word boundary, as a cube owner packs its segments —
 // into a slab allocated once, at two densities: a sixteenth of the
@@ -272,7 +325,7 @@ func BenchmarkPackBits(b *testing.B) {
 				for v := 0; v < rows; v++ {
 					set := sets[v*cols/64 : (v+1)*cols/64]
 					for s := 0; s < segs; s++ {
-						slab = wf.packBits(slab, set, 2+s*(cols/segs-1), 2+(s+1)*(cols/segs-1), 0)
+						slab = wf.packSet(slab, set, nil, 2+s*(cols/segs-1), 2+(s+1)*(cols/segs-1), 0)
 					}
 				}
 			}
@@ -314,6 +367,25 @@ func TestDecodeRejectsOutOfRowColumn(t *testing.T) {
 			}
 			if w := posFlag | 4 | 1<<wf.idxBits; panics(w) {
 				t.Errorf("%s/%s: positional word %#x ending at the last column panicked", sr.Name, name, w)
+			}
+		}
+	}
+}
+
+// TestBitsAt: bitsAt returns bits j..j+k-1 of a bitset for every width
+// 0 < k ≤ 64 and every start, across word boundaries and up to the
+// bitset's end.
+func TestBitsAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	set := []uint64{rng.Uint64(), rng.Uint64(), rng.Uint64()}
+	for j := 0; j < 64*len(set); j++ {
+		for k := 1; k <= 64 && j+k <= 64*len(set); k++ {
+			var want uint64
+			for i := 0; i < k; i++ {
+				want |= set[(j+i)/64] >> ((j + i) % 64) & 1 << i
+			}
+			if got := bitsAt(set, j, k); got != want {
+				t.Fatalf("bitsAt(j=%d, k=%d) = %#x, want %#x", j, k, got, want)
 			}
 		}
 	}

@@ -112,12 +112,19 @@ func ReadDense(r *ckptio.Reader) (*Dense, error) {
 }
 
 // WritePower harvests p's in-flight product, if any, and encodes its
-// square-and-multiply cursor: e, phase, base, result, and the operand of
-// the last squaring (nil allowed), each as a Matrix.
+// square-and-multiply cursor: e; one word that holds the phase in bit 0
+// and, in bit 1, whether the cube nodes hold the blocks of the last
+// squaring's operand (held); base, result, and that operand (nil
+// allowed), each as a Matrix. The blocks themselves are node state a
+// restore rebuilds from the operand, so the cursor carries only the bit.
 func WritePower(w *ckptio.Writer, p *Power) {
 	p.harvest()
 	w.I64(int64(p.e))
-	w.I64(int64(p.phase))
+	step := int64(p.phase)
+	if p.held {
+		step |= 2
+	}
+	w.I64(step)
 	WriteMatrix(w, p.baseRows())
 	WriteMatrix(w, p.result)
 	var prev *Matrix
@@ -131,14 +138,21 @@ func WritePower(w *ckptio.Writer, p *Power) {
 // continues from it. withPrev says whether the cursor carries the
 // operand of the last squaring; one written before it did restores
 // without it, so the next squaring streams whole rows and returns the
-// same matrix. A cursor no Power can reach — a negative exponent, a
-// phase other than 0 or 1, a result or previous operand of another
-// dimension or semiring than the base, a previous operand without One
-// on its diagonal — is refused.
+// same matrix. A cursor whose bit 1 says the cube nodes held that
+// operand's blocks restores with them marked held, and each cube node
+// rebuilds its block from the operand when it next squares, so the
+// restored chain bills what an uninterrupted one does; a cursor written
+// before the bit existed has it clear, and its next cube squaring ships
+// all of X and returns the same matrix. A cursor no Power can reach — a
+// negative exponent, a phase other than 0 or 1, held blocks without a
+// previous operand, a result or previous operand of another dimension
+// or semiring than the base, a previous operand without One on its
+// diagonal — is refused.
 func ReadPower(r *ckptio.Reader, withPrev bool) (*Power, error) {
 	p := &Power{}
 	p.e = int(r.I64())
-	p.phase = int(r.I64())
+	step := r.I64()
+	p.phase = int(step & 1)
 	var prev *Matrix
 	var err error
 	if p.rows, err = ReadMatrix(r); err != nil {
@@ -158,8 +172,14 @@ func ReadPower(r *ckptio.Reader, withPrev bool) (*Power, error) {
 	if p.rows == nil {
 		return nil, fmt.Errorf("matmul: power state has no base matrix")
 	}
-	if p.e < 0 || p.phase != 0 && p.phase != 1 {
-		return nil, fmt.Errorf("matmul: power state has exponent %d and phase %d", p.e, p.phase)
+	if p.e < 0 || step < 0 || step > 3 {
+		return nil, fmt.Errorf("matmul: power state has exponent %d and phase word %d", p.e, step)
+	}
+	if step&2 != 0 {
+		if prev == nil {
+			return nil, fmt.Errorf("matmul: power state says its cube nodes hold blocks of a previous operand it does not carry")
+		}
+		p.held = true
 	}
 	for _, m := range []*Matrix{p.result, prev} {
 		if m != nil && checkPair(p.rows.N, m.N, p.rows.Sr, m.Sr) != nil {

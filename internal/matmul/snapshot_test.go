@@ -209,11 +209,13 @@ func TestReadPowerRejectsImpossibleCursors(t *testing.T) {
 		"negative exponent":                    powerCursor(-1, 0, base, nil, nil),
 		"phase 2":                              powerCursor(4, 2, base, nil, nil),
 		"phase -1":                             powerCursor(4, -1, base, nil, nil),
+		"phase word 4":                         powerCursor(4, 4, base, nil, base),
 		"result of another dimension":          powerCursor(4, 0, base, bigger, nil),
 		"result over another semiring":         powerCursor(4, 0, base, boolean, nil),
 		"previous of another dimension":        powerCursor(4, 0, base, nil, bigger),
 		"previous over another semiring":       powerCursor(4, 0, base, nil, boolean),
 		"previous without One on its diagonal": powerCursor(4, 0, base, nil, noDiag),
+		"held blocks without a previous":       powerCursor(4, 3, base, nil, nil),
 		"no base":                              powerCursor(4, 0, nil, nil, nil),
 	} {
 		if _, err := ReadPower(ckptio.NewReader(bytes.NewReader(blob)), true); err == nil || !strings.Contains(err.Error(), "power state") {

@@ -20,7 +20,7 @@ func sameBits(a, b *Matrix) bool {
 // squarePass is the semi-naive squaring X ⊗ X = X ⊕ X ⊗ Δ of an X =
 // prev ⊗ prev, as Power builds it.
 func squarePass(x, prev *Matrix) (*Pass, error) {
-	return newPass(nil, dense(x), dense(prev), cubed, nil)
+	return newPass(nil, dense(x), dense(prev), cubed, nil, false)
 }
 
 // TestSemiNaiveSquaringMatchesRef: over every semiring, on random
@@ -149,7 +149,7 @@ func TestSemiNaiveSquaringEdges(t *testing.T) {
 	}
 	p.vote()
 	st := runVotePass(t, p, 1)
-	if want := predictCube(t, x, dense(x), true); st.Rounds != want.rounds || st.TotalMsgs != want.words {
+	if want := predictCube(t, x, dense(x), true, false); st.Rounds != want.rounds || st.TotalMsgs != want.words {
 		t.Errorf("empty Δ: %d rounds and %d words, model %d and %d", st.Rounds, st.TotalMsgs, want.rounds, want.words)
 	}
 	if !sameBits(p.Sparse(), x) || p.changed() {
@@ -245,7 +245,9 @@ func TestSemiNaiveSquaringDeltaShapes(t *testing.T) {
 //     and Δ lie in the diagonal blocks, where the diagonal cube nodes
 //     use X in Δ's place.
 //
-// Its vote must agree with the host's slices.Equal of the product and X,
+// Each runs twice: as a chain's first cube squaring, which ships X
+// whole, and as a later one, whose cube nodes hold P's blocks and take
+// Δ for their X-updates. Its vote must agree with the host's slices.Equal of the product and X,
 // and its rounds and words with predictCube, with no link carrying more
 // than one word a round.
 func TestCubeProductMatchesRef(t *testing.T) {
@@ -296,21 +298,23 @@ func TestCubeProductMatchesRef(t *testing.T) {
 				{"diagonal-blocks", square(blockLocal), dense(blockLocal)},
 			} {
 				want := square(tc.x)
-				name := fmt.Sprintf("%s/n%d/%s", sr.Name, n, tc.name)
-				p, err := newPass(nil, dense(tc.x), tc.prev, cubed, nil)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				p.vote()
-				st := runVotePass(t, p, 1)
-				if got := p.Sparse(); !sameBits(got, want) {
-					t.Fatalf("%s: the cube pass differs from MulRef(X, X)", name)
-				}
-				if same := slices.Equal(p.Dense().Vals, dense(tc.x).Vals); p.changed() == same {
-					t.Errorf("%s: changed() = %v, but the product equals X: %v", name, p.changed(), same)
-				}
-				if model := predictCube(t, tc.x, tc.prev, true); st.Rounds != model.rounds || st.TotalMsgs != model.words {
-					t.Errorf("%s: %d rounds and %d words, model %d and %d", name, st.Rounds, st.TotalMsgs, model.rounds, model.words)
+				for _, held := range []bool{false, true} {
+					name := fmt.Sprintf("%s/n%d/%s/held=%v", sr.Name, n, tc.name, held)
+					p, err := newPass(nil, dense(tc.x), tc.prev, cubed, nil, held)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					p.vote()
+					st := runVotePass(t, p, 1)
+					if got := p.Sparse(); !sameBits(got, want) {
+						t.Fatalf("%s: the cube pass differs from MulRef(X, X)", name)
+					}
+					if same := slices.Equal(p.Dense().Vals, dense(tc.x).Vals); p.changed() == same {
+						t.Errorf("%s: changed() = %v, but the product equals X: %v", name, p.changed(), same)
+					}
+					if model := predictCube(t, tc.x, tc.prev, true, held); st.Rounds != model.rounds || st.TotalMsgs != model.words {
+						t.Errorf("%s: %d rounds and %d words, model %d and %d", name, st.Rounds, st.TotalMsgs, model.rounds, model.words)
+					}
 				}
 			}
 		}
@@ -327,7 +331,7 @@ func TestCubeFallsBackToRowPull(t *testing.T) {
 	bld.appendRow([]int64{sr.One, huge})
 	bld.appendRow([]int64{huge, sr.One})
 	x := bld.m
-	p, err := newPass(nil, dense(x), dense(x), cubed, nil)
+	p, err := newPass(nil, dense(x), dense(x), cubed, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -197,17 +197,21 @@ func predictTraffic(t *testing.T, a *Matrix, b, prev *Dense, vote bool) passTraf
 // squaring X ⊗ X = X ⊕ X ⊗ Δ, derived from X and the P
 // with X = P ⊗ P alone, written from the protocol cubeNode documents
 // rather than from its code. Let q = ⌊n^{1/3}⌋, B_i = [i·n/q, (i+1)·n/q)
-// and cube node (a, b, c) = (a·q + b)·q + c.
+// and cube node (a, b, c) = (a·q + b)·q + c. held says the cube nodes
+// hold P's blocks from the squaring before, which ran by the cube: an
+// update pass.
 //
-//   - Phase 1: owner v in B_a sends X[v, B_c] to (a, b, c) for every b
-//     and c, and Δ[v, B_b] to (a', b, a) for every a' and b but a' = b = a,
-//     each segment packed in the wire format of X's values; a link's
-//     words are the segments it carries, and a link into the sender
-//     itself costs nothing. F1 = the widest link in words.
+//   - Phase 1: owner v in B_a sends X[v, B_c] (Δ[v, B_c] in an update
+//     pass) to (a, b, c) for every b and c, and Δ[v, B_b] to (a', b, a)
+//     for every a' and b but a' = b = a, each segment packed in the wire
+//     format of X's values; a link's words are the segments it carries,
+//     and a link into the sender itself costs nothing. F1 = the widest
+//     link in words.
 //   - Phase 2: cube node t = (a, b, c) sends owner u in B_a, u ≠ t, the
 //     non-Zero entries of ⊕_{k∈B_c} X[u, k] ⊗ D[k, B_b], D = X on a
-//     diagonal node and Δ elsewhere, packed in the format of the values'
-//     products; word i of a link goes out in round F1 + i.
+//     diagonal node of a pass that is not an update and Δ elsewhere,
+//     packed in the format of the values' products; word i of a link
+//     goes out in round F1 + i.
 //   - The vote: owner u's row moves in the first round a partial word
 //     that lowers (⊕-raises) an entry of X[u] reaches it — round F1 for
 //     its own partial. A moved row but node 0's sends node 0 the word 0,
@@ -219,8 +223,8 @@ func predictTraffic(t *testing.T, a *Matrix, b, prev *Dense, vote bool) passTraf
 //     is.
 //
 // Where no wire word fits the partial rows' format, the squaring is a
-// row-pull product and predictTraffic's.
-func predictCube(t *testing.T, x *Matrix, prev *Dense, vote bool) passTraffic {
+// row-pull product and predictTraffic's, and cube is false.
+func predictCube(t *testing.T, x *Matrix, prev *Dense, vote, held bool) (m cubeModel) {
 	t.Helper()
 	n, sr := x.N, x.Sr
 	dx := dense(x)
@@ -237,8 +241,11 @@ func predictCube(t *testing.T, x *Matrix, prev *Dense, vote bool) passTraffic {
 	prg, ok := rg.products(sr)
 	pwf, err := prg.format(n, sr)
 	if !ok || err != nil {
-		return predictTraffic(t, x, dx, prev, vote)
+		m.passTraffic = predictTraffic(t, x, dx, prev, vote)
+		return m
 	}
+	m.cube = true
+	pt := &m.passTraffic
 	q := 1
 	for (q+1)*(q+1)*(q+1) <= n {
 		q++
@@ -263,15 +270,15 @@ func predictCube(t *testing.T, x *Matrix, prev *Dense, vote bool) passTraffic {
 		}
 		return f.packRow(nil, cols, vals)
 	}
-	var pt passTraffic
 	last := -1 // the last round anything is sent in
 	widest := 0
 	for v := 0; v < n; v++ {
 		a, row, old := blockOf(v), dx.Row(core.NodeID(v)), prev.Row(core.NodeID(v))
 		link := map[int]int{}
+		update := func(j int) bool { return !held || row[j] != old[j] }
 		for b := 0; b < q; b++ {
 			for cc := 0; cc < q; cc++ {
-				link[(a*q+b)*q+cc] += len(seg(wf, row, cc, func(int) bool { return true }))
+				link[(a*q+b)*q+cc] += len(seg(wf, row, cc, update))
 			}
 			for a2 := 0; a2 < q; a2++ {
 				if a2 != a || b != a {
@@ -281,11 +288,12 @@ func predictCube(t *testing.T, x *Matrix, prev *Dense, vote bool) passTraffic {
 		}
 		for dst, w := range link {
 			if dst != v {
-				pt.words += uint64(w)
+				m.phase1 += uint64(w)
 				widest = max(widest, w)
 			}
 		}
 	}
+	pt.words, m.f1 = m.phase1, widest
 	f1 := widest
 	if widest > 0 {
 		last = f1 - 1
@@ -316,7 +324,7 @@ func predictCube(t *testing.T, x *Matrix, prev *Dense, vote bool) passTraffic {
 				}
 				for j := lo(b); j < lo(b+1); j++ {
 					d := dx.At(core.NodeID(k), j)
-					if !(a == b && b == cc) && d == prev.At(core.NodeID(k), j) {
+					if (held || !(a == b && b == cc)) && d == prev.At(core.NodeID(k), j) {
 						continue
 					}
 					if d != sr.Zero {
@@ -387,7 +395,15 @@ func predictCube(t *testing.T, x *Matrix, prev *Dense, vote bool) passTraffic {
 		pt.words += uint64(n - 1)
 	}
 	pt.rounds = last + 2
-	return pt
+	return m
+}
+
+// cubeModel is predictCube's verdict on one squaring.
+type cubeModel struct {
+	passTraffic
+	cube   bool   // it runs by the cube; false: it is a row-pull product
+	phase1 uint64 // the words the owners send in phase 1
+	f1     int    // F1, the round phase 1 ends in
 }
 
 // trafficHook returns a round hook that adds up each pass's rounds and
@@ -417,12 +433,14 @@ type loopModel struct {
 	want    []passTraffic
 	lastB   map[*Relaxation]*Dense // the B of each Relaxation's last engine product
 	squares map[*Power]int         // squarings each Power has started
+	held    map[*Power]bool        // the Power's last squaring ran by the cube
 	resq    bool                   // some Power squared more than once
 	semi    int                    // semi-naive squarings
+	updates int                    // cube squarings whose cube nodes held P's blocks
 }
 
 func newLoopModel(t *testing.T, k clique.Kernel) *loopModel {
-	return &loopModel{Kernel: k, t: t, lastB: map[*Relaxation]*Dense{}, squares: map[*Power]int{}}
+	return &loopModel{Kernel: k, t: t, lastB: map[*Relaxation]*Dense{}, squares: map[*Power]int{}, held: map[*Power]bool{}}
 }
 
 func (m *loopModel) Next(g *graph.CSR) (clique.Pass, error) {
@@ -445,9 +463,16 @@ func (m *loopModel) Next(g *graph.CSR) (clique.Pass, error) {
 				if !denseOneDiagonal(loop.prev) {
 					m.t.Errorf("pass %d: a semi-naive squaring over a previous operand without One on its diagonal", len(m.want))
 				}
-				m.want = append(m.want, predictCube(m.t, left, loop.prev, loop.pass.voters != nil))
+				held := m.held[loop]
+				want := predictCube(m.t, left, loop.prev, loop.pass.voters != nil, held)
+				m.want = append(m.want, want.passTraffic)
+				m.held[loop] = want.cube
+				if held {
+					m.updates++
+				}
 				return pass, nil
 			}
+			m.held[loop] = false
 		}
 		m.want = append(m.want, predictTraffic(m.t, left, loop.base, prev, loop.pass.voters != nil))
 	case *Relaxation:
@@ -560,7 +585,7 @@ func TestKernelTrafficModel(t *testing.T) {
 		graph.RandomGNPWeighted(48, 0.15, 30, 7),
 		graph.RandomGNPWeighted(64, 0.15, 30, 3),
 	}
-	covered := 0
+	covered, updates := 0, 0
 	for _, name := range clique.Kernels() {
 		switch name {
 		case "bfs", "bellman-ford", "mst":
@@ -589,8 +614,12 @@ func TestKernelTrafficModel(t *testing.T) {
 				if m.resq && m.semi == 0 {
 					t.Error("a Power squared more than once and never semi-naively; the fixture must exercise the cube passes")
 				}
+				updates += m.updates
 			})
 		}
+	}
+	if updates == 0 {
+		t.Error("no cube squaring ran while its cube nodes held their blocks; the fixtures must exercise the Δ-only segments")
 	}
 	if covered < 12 {
 		t.Errorf("the model covers %d registered kernels, want the 12 built on Power and Relaxation", covered)

@@ -35,13 +35,13 @@ func jstr(s string) string {
 
 // writeArgs renders the span's fixed arg words under the keys the
 // span's (Cat, Name) assigns them — the inverse of the encoding
-// documented on Span.Arg.
+// documented on Span.Arg and Span.Arg2.
 func writeArgs(w io.Writer, s Span) {
 	switch {
 	case s.Cat == CatRound:
 		fmt.Fprintf(w, `{"round":%d,"msgs":%d}`, s.Round, s.Arg)
 	case s.Cat == CatPass:
-		fmt.Fprintf(w, `{"pass":%d,"rounds":%d}`, s.Round, s.Arg)
+		fmt.Fprintf(w, `{"pass":%d,"rounds":%d,"words":%d}`, s.Round, s.Arg, s.Arg2)
 	case s.Cat == CatPhase && s.Name == NameCompute:
 		fmt.Fprintf(w, `{"round":%d,"barrier_wait_ns":%d}`, s.Round, s.Arg)
 	default:

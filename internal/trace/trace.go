@@ -66,7 +66,7 @@ const (
 
 // Span is one recorded interval. The fields are fixed-size on purpose:
 // recording must not allocate, so the free-form "args" of the Chrome
-// format are reduced to one Round/pass index and one Arg word whose
+// format are reduced to one Round/pass index and two arg words whose
 // meaning is keyed on (Cat, Name) — see the name constants and
 // chrome.go's args rendering.
 type Span struct {
@@ -88,6 +88,9 @@ type Span struct {
 	// messages for round spans, barrier-wait nanoseconds for compute
 	// spans, rounds for pass spans.
 	Arg uint64
+	// Arg2 is a second counter word: words routed for pass spans, unused
+	// elsewhere.
+	Arg2 uint64
 }
 
 // DefaultCapacity is the ring size NewRecorder selects for capacity

@@ -120,7 +120,7 @@ func TestWriteChromeMergesRanks(t *testing.T) {
 	r1.SetRank(1)
 	r0.Record(Span{Name: NameRound, Cat: CatRound, Lane: LaneRounds, Start: 1000, Dur: 2000, Round: 0, Arg: 7})
 	r0.Record(Span{Name: NameCompute, Cat: CatPhase, Lane: LanePhases, Start: 1000, Dur: 1500, Round: 0, Arg: 300})
-	r1.Record(Span{Name: "bfs", Cat: CatPass, Lane: LanePasses, Start: 500, Dur: 4000, Round: 2, Arg: 9})
+	r1.Record(Span{Name: "bfs", Cat: CatPass, Lane: LanePasses, Start: 500, Dur: 4000, Round: 2, Arg: 9, Arg2: 31})
 
 	var buf bytes.Buffer
 	if err := WriteChrome(&buf, r0, r1); err != nil {
@@ -160,7 +160,7 @@ func TestWriteChromeMergesRanks(t *testing.T) {
 			if ev.Pid != 1 || ev.Name != "bfs" {
 				t.Fatalf("pass span pid=%d name=%q, want rank 1, bfs", ev.Pid, ev.Name)
 			}
-			if ev.Args["pass"] != float64(2) || ev.Args["rounds"] != float64(9) {
+			if ev.Args["pass"] != float64(2) || ev.Args["rounds"] != float64(9) || ev.Args["words"] != float64(31) {
 				t.Fatalf("pass span args = %v", ev.Args)
 			}
 		}

@@ -67,6 +67,7 @@ type slowSpan struct {
 	name  string  // kernel name for passes
 	durUs float64 // microseconds
 	arg   uint64  // msgs for rounds, rounds for passes
+	words uint64  // words routed, for passes
 }
 
 // summary accumulates the merged statistics of all input files.
@@ -114,7 +115,7 @@ func (s *summary) addFile(doc *traceDoc) {
 		case ev.Cat == "pass":
 			s.slowPasses = append(s.slowPasses, slowSpan{
 				rank: ev.Pid, index: int64(ev.num("pass")), name: ev.Name,
-				durUs: ev.Dur, arg: uint64(ev.num("rounds")),
+				durUs: ev.Dur, arg: uint64(ev.num("rounds")), words: uint64(ev.num("words")),
 			})
 		}
 	}
@@ -170,9 +171,9 @@ func (s *summary) report(w io.Writer, k int) {
 	}
 	if len(s.slowPasses) > 0 {
 		fmt.Fprintf(w, "top %d slowest passes:\n", min(k, len(s.slowPasses)))
-		fmt.Fprintf(w, "  %-6s %-6s %-16s %12s %12s\n", "rank", "pass", "kernel", "dur", "rounds")
+		fmt.Fprintf(w, "  %-6s %-6s %-16s %12s %12s %12s\n", "rank", "pass", "kernel", "dur", "rounds", "words")
 		for _, p := range topK(s.slowPasses, k) {
-			fmt.Fprintf(w, "  %-6d %-6d %-16s %10.3fms %12d\n", p.rank, p.index, p.name, ms(p.durUs), p.arg)
+			fmt.Fprintf(w, "  %-6d %-6d %-16s %10.3fms %12d %12d\n", p.rank, p.index, p.name, ms(p.durUs), p.arg, p.words)
 		}
 	}
 }

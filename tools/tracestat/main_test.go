@@ -34,7 +34,7 @@ const oneRoundDoc = `{"otherData":{"dropped":3},"traceEvents":[
 {"ph":"X","pid":0,"tid":0,"name":"round","cat":"round","ts":0,"dur":1000,"args":{"round":1,"msgs":42}},
 {"ph":"X","pid":0,"tid":1,"name":"compute","cat":"phase","ts":0,"dur":600,"args":{"round":1,"barrier_wait_ns":200000}},
 {"ph":"X","pid":0,"tid":1,"name":"exchange","cat":"phase","ts":700,"dur":300,"args":{"round":1}},
-{"ph":"X","pid":0,"tid":2,"name":"bfs","cat":"pass","ts":0,"dur":1000,"args":{"pass":1,"rounds":1}}
+{"ph":"X","pid":0,"tid":2,"name":"bfs","cat":"pass","ts":0,"dur":1000,"args":{"pass":1,"rounds":1,"words":17}}
 ]}`
 
 // TestShareArithmetic pins the decomposition: compute excludes the
@@ -57,6 +57,15 @@ func TestShareArithmetic(t *testing.T) {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("output lacks %q:\n%s", want, stdout)
 		}
+	}
+	// The slowest-passes table carries each pass's words beside its
+	// rounds.
+	passRow := false
+	for _, line := range strings.Split(stdout, "\n") {
+		passRow = passRow || strings.Join(strings.Fields(line), " ") == "0 1 bfs 1.000ms 1 17"
+	}
+	if !strings.Contains(stdout, "rounds        words") || !passRow {
+		t.Errorf("slowest-passes table lacks the words column or the pass's row:\n%s", stdout)
 	}
 }
 
