@@ -2,6 +2,7 @@ package algo
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/paper-repo-growth/doryp20/internal/core"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
@@ -20,23 +21,27 @@ func minplusAdjacency(g *graph.CSR) (*matmul.Matrix, error) {
 	return matmul.FromGraph(g, core.MinPlus(), true)
 }
 
-// distMatrix projects a (min,+) matrix of distances to dense rows
+// distMatrix projects a (min,+) power of distances to dense rows
 // ([][]int64) with the package's Unreached sentinel for absent
 // (infinite) entries.
-func distMatrix(m *matmul.Matrix) any {
-	out := make([][]int64, m.N)
-	for v := 0; v < m.N; v++ {
-		row := make([]int64, m.N)
-		for j := range row {
-			row[j] = Unreached
-		}
-		cols, vals := m.Row(core.NodeID(v))
-		for i, j := range cols {
-			if vals[i] < core.InfWeight {
-				row[j] = vals[i]
+func distMatrix(pw *matmul.Power) any {
+	out := denseRows(pw.Dense())
+	for _, row := range out {
+		for j, d := range row {
+			if d >= core.InfWeight {
+				row[j] = Unreached
 			}
 		}
-		out[v] = row
+	}
+	return out
+}
+
+// denseRows copies the n x n Dense d into rows of one slab.
+func denseRows(d *matmul.Dense) [][]int64 {
+	vals := slices.Clone(d.Vals)
+	out := make([][]int64, d.N)
+	for v := range out {
+		out[v] = vals[v*d.K : (v+1)*d.K : (v+1)*d.K]
 	}
 	return out
 }

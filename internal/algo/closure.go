@@ -13,17 +13,17 @@ func boolAdjacency(g *graph.CSR) (*matmul.Matrix, error) {
 	return matmul.FromGraph(g, core.BoolOrAnd(), true)
 }
 
-// reachMatrix projects a boolean matrix to dense rows of bools
+// reachMatrix projects a boolean power to dense rows of bools
 // ([][]bool).
-func reachMatrix(m *matmul.Matrix) any {
-	out := make([][]bool, m.N)
-	for v := 0; v < m.N; v++ {
-		row := make([]bool, m.N)
-		cols, vals := m.Row(core.NodeID(v))
-		for i, j := range cols {
-			row[j] = vals[i] != 0
-		}
-		out[v] = row
+func reachMatrix(pw *matmul.Power) any {
+	d := pw.Dense()
+	reach := make([]bool, len(d.Vals))
+	for i, x := range d.Vals {
+		reach[i] = x != 0
+	}
+	out := make([][]bool, d.N)
+	for v := range out {
+		out[v] = reach[v*d.K : (v+1)*d.K : (v+1)*d.K]
 	}
 	return out
 }

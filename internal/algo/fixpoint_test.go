@@ -82,7 +82,7 @@ func TestEarlyStopMatchesFullCount(t *testing.T) {
 					name:      "power-under-test",
 					adjacency: semiringAdjacency(sr),
 					exponent:  func(int) (int, error) { return e, nil },
-					project:   func(m *matmul.Matrix) any { return m },
+					project:   func(pw *matmul.Power) any { return pw.Result() },
 				}}
 				passes := runPasses(t, g, k)
 				if got := k.Result().(*matmul.Matrix); !sameMatrix(got, powerRef(t, a, e)) {

@@ -55,7 +55,7 @@ func powerPipeline(name string, adjacency func(*graph.CSR) (*matmul.Matrix, erro
 					}
 					return clampHops(h, n), nil
 				},
-				project: func(m *matmul.Matrix) any { return m },
+				project: func(pw *matmul.Power) any { return pw.Result() },
 			}}
 		},
 		relaxOver: func(stage1 any) (*matmul.Matrix, int, error) {

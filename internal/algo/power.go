@@ -35,8 +35,10 @@ type powerSpec struct {
 	// exponent validates the kernel's parameters and returns e for an
 	// n-vertex graph.
 	exponent func(n int) (int, error)
-	// project converts A^e into the value Result reports.
-	project func(*matmul.Matrix) any
+	// project converts the finished power into the value Result reports:
+	// a projection to rows reads its slab (Power.Dense), stage 1 of the
+	// exact pipelines its CSR (Power.Result).
+	project func(*matmul.Power) any
 }
 
 // powerKernel computes A^e on a warm session by driving a matmul.Power
@@ -69,7 +71,7 @@ func (k *powerKernel) Next(g *graph.CSR) (clique.Pass, error) {
 	if err != nil || pass.Nodes != nil {
 		return pass, err
 	}
-	k.result = k.spec.project(k.pw.Result().(*matmul.Matrix))
+	k.result = k.spec.project(k.pw)
 	k.done = true
 	return clique.Pass{}, nil
 }

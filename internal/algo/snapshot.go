@@ -97,12 +97,12 @@ func (k *powerKernel) RestoreState(r io.Reader) error {
 	if err := cr.Err(); err != nil {
 		return err
 	}
-	if pw == nil || done && pw.Result() == nil {
+	if pw == nil || done && pw.Dense() == nil {
 		return fmt.Errorf("algo: %s state has no power cursor", k.Name())
 	}
 	k.pw, k.done = pw, done
 	if done {
-		k.result = k.spec.project(pw.Result().(*matmul.Matrix))
+		k.result = k.spec.project(pw)
 	}
 	return nil
 }

@@ -36,20 +36,9 @@ func maxminAdjacency(g *graph.CSR) (*matmul.Matrix, error) {
 	return matmul.FromGraph(g, core.MaxMin(), true)
 }
 
-// widthMatrix projects a (max,min) matrix to dense rows ([][]int64) of
-// raw width values: absent entries become 0 (the semiring Zero, "no path").
-func widthMatrix(m *matmul.Matrix) any {
-	out := make([][]int64, m.N)
-	for v := 0; v < m.N; v++ {
-		row := make([]int64, m.N)
-		cols, vals := m.Row(core.NodeID(v))
-		for i, j := range cols {
-			row[j] = vals[i]
-		}
-		out[v] = row
-	}
-	return out
-}
+// widthMatrix projects a (max,min) power to dense rows ([][]int64) of
+// raw width values: absent entries are 0 (the semiring Zero, "no path").
+func widthMatrix(pw *matmul.Power) any { return denseRows(pw.Dense()) }
 
 // WidestPathKernel computes all-pairs widest-path (maximum-bottleneck)
 // values by (max,min) repeated squaring: W_1 = A (the reflexive

@@ -135,8 +135,8 @@ func TestKeptBlocksAcrossChain(t *testing.T) {
 			if updates < 2 || shipped >= whole {
 				t.Errorf("%s: %d squarings shipped Δ for X, %d phase-1 words against %d for X; want at least 2, and fewer", name, updates, shipped, whole)
 			}
-			if w.Result() == nil || w.held {
-				t.Errorf("%s: result %v, and the chain still holds blocks: %v", name, w.Result() != nil, w.held)
+			if w.Result() == nil || w.held() {
+				t.Errorf("%s: result %v, and the chain still holds blocks: %v", name, w.Result() != nil, w.held())
 			}
 		}
 	}
@@ -238,7 +238,7 @@ func TestPowerCursorWithoutHeldBit(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.harvest()
-		if !p.held {
+		if !p.held() {
 			t.Fatalf("%s: after a cube squaring the chain holds no valid blocks", sr.Name)
 		}
 		var tail uint64
@@ -250,13 +250,13 @@ func TestPowerCursorWithoutHeldBit(t *testing.T) {
 			if bit {
 				phase |= 2
 			}
-			blob := powerCursor(int64(p.e), phase, p.baseRows(), p.result, sparse(p.prev))
+			blob := powerCursor(int64(p.e), phase, p.baseRows(), nil, sparse(p.prev))
 			q, err := ReadPower(ckptio.NewReader(bytes.NewReader(blob)), true)
 			if err != nil {
 				t.Fatalf("%s: %v", sr.Name, err)
 			}
-			if q.held != bit {
-				t.Fatalf("%s, bit %v: restored held blocks %v", sr.Name, bit, q.held)
+			if q.held() != bit {
+				t.Fatalf("%s, bit %v: restored held blocks %v", sr.Name, bit, q.held())
 			}
 			st, err := runProduct(a.N, q)
 			if err != nil {

@@ -43,29 +43,30 @@ import (
 //	X ⊗ X = X ⊕ X ⊗ Δ.
 //
 // The same constructor builds it (newPass) as every other product, and
-// each node's accumulator starts from X[v], but the product X ⊗ Δ runs
-// by the 3D cube partition (cubeNode) rather than row-pull: with
-// q = ⌊n^{1/3}⌋ blocks, each node sends blocks of its rows of X and of
-// Δ to the cube nodes that multiply them, and each cube node returns
-// its partial rows to their owners. A dense row-pull squaring moves
-// about n³ entries; the cube moves about q·n² each way, so apsp-160's
-// squarings move a sixth of the words pulling Δ did. Multiply steps,
-// the first squaring and a base without One on its diagonal stream
-// whole rows by row-pull.
+// each node's accumulator starts from X[v]. When A is value-symmetric,
+// as the adjacency of an undirected graph is, so is every power of it,
+// and the product X ⊗ Δ runs by the 3D cube partition (cubeNode) rather
+// than row-pull: with q = ⌊n^{1/3}⌋ blocks, each node sends blocks of
+// its rows of X and of Δ to the cube nodes (a, b, c), a ≤ b, that
+// multiply them, and each returns its partial rows and columns to their
+// owners. A dense row-pull squaring moves about n³ entries; the cube
+// moves about q·n² each way. A chain over any other A squares
+// semi-naively by row-pull; multiply steps, the first squaring and a
+// base without One on its diagonal stream whole rows by row-pull.
 //
-// Between products Power holds base and prev as dense slabs: the
-// accumulator slabs the squarings that made them left behind (dense(A)
-// before the first). A cube squaring reads both and writes into a
-// third, the slab of the operand from two squarings back, so a chain of
-// squarings allocates no n x n matrix after its first two. The CSR of
-// base is built only where something reads its rows: a row-pull
-// squaring, result taking base's value, Result and WritePower. result,
-// the left operand of every multiply step, stays a CSR.
+// Between products Power holds base, prev and result as dense slabs:
+// the accumulator slabs the products that made them left behind
+// (dense(A) before the first). A cube squaring reads base and prev and
+// writes into a third, the slab of the operand from two squarings back,
+// so a chain of squarings allocates no n x n matrix after its first
+// two. A CSR is built only where something reads one: the base of a
+// row-pull squaring, the left operand of a multiply step, Result and
+// WritePower; Dense hands the final slab over as it is.
 //
 // The chain's cube nodes keep their blocks of the operand they squared
-// (held), so every cube squaring after the first in a row ships and
-// decodes Δ where it would ship X. A row-pull squaring makes them
-// stale, and the chain releases them when it is done.
+// (cubePlan.held), so every cube squaring after the first in a row
+// ships and decodes Δ where it would ship X. A row-pull squaring makes
+// them stale, and the chain drops them, with its plan, when it is done.
 type Power struct {
 	e int
 	// base is what the next squaring squares; nil before the first
@@ -73,15 +74,18 @@ type Power struct {
 	base *Dense
 	// rows is base as a CSR, once something has built it; nil from each
 	// squaring until something needs it again.
-	rows   *Matrix
-	result *Matrix
+	rows *Matrix
+	// result is the power of A the exponent bits taken so far make; nil
+	// before the first. It may be base's or prev's very slab, which no
+	// product then takes as its accumulator.
+	result *Dense
 	// prev is the operand of the last squaring, so base = prev ⊗ prev,
 	// kept only when it has One on its diagonal; nil before the first
 	// squaring.
 	prev *Dense
-	// held says the cube nodes hold their blocks of prev: the last
-	// squaring ran by the cube, and the chain is not done.
-	held bool
+	// cube is the plan the chain's cube squarings share; nil when A is
+	// not value-symmetric, and once the chain is done.
+	cube *cubePlan
 	// spare is a slab no operand holds any more, which the next product
 	// takes as its accumulator; nil when there is none.
 	spare        []int64
@@ -108,13 +112,39 @@ func (p *Power) baseRows() *Matrix {
 }
 
 // baseDense returns base as a dense slab, building it from the CSR
-// before the first product.
+// before the first product, when it also decides whether the chain
+// squares by the cube: whether that base (A, or the one a checkpoint
+// restored) is value-symmetric.
 func (p *Power) baseDense() *Dense {
 	if p.base == nil {
 		p.base = dense(p.rows)
+		switch {
+		case !valueSymmetric(p.base):
+			p.cube = nil
+		case p.cube == nil:
+			p.cube = &cubePlan{}
+		}
 	}
 	return p.base
 }
+
+// valueSymmetric reports whether the n x n Dense d equals its
+// transpose.
+func valueSymmetric(d *Dense) bool {
+	for v := 0; v < d.N; v++ {
+		row := d.Row(core.NodeID(v))
+		for j, x := range row[:v] {
+			if x != d.Vals[j*d.K+v] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// held says the cube nodes hold their blocks of prev: the last squaring
+// ran by the cube, and the chain is not done.
+func (p *Power) held() bool { return p.cube != nil && p.cube.held }
 
 // harvest folds the completed in-flight pass (if any), its rows
 // gathered by the session, back into the square-and-multiply state.
@@ -134,17 +164,19 @@ func (p *Power) harvest() {
 		} else {
 			freed = p.base
 		}
-		if freed != nil {
+		if freed != nil && freed != p.result {
 			p.spare = freed.Vals
 		}
 		p.base, p.rows = p.pass.Dense(), nil
 		if !p.pass.changed() {
 			p.e = 1
 		}
-		p.held = p.pass.cb != nil
+		if p.cube != nil {
+			p.cube.held = p.pass.cb != nil
+		}
 	} else {
-		p.result = p.pass.Sparse()
-		p.spare = p.pass.flat
+		// The old result may be base's or prev's slab: it is not spare.
+		p.result = p.pass.Dense()
 	}
 	p.pass = nil
 }
@@ -158,7 +190,7 @@ func (p *Power) Next(*graph.CSR) (clique.Pass, error) {
 			p.phase = 1
 			if p.e&1 == 1 {
 				if p.result == nil {
-					p.result = p.baseRows()
+					p.result = p.baseDense()
 				} else {
 					return p.product(false)
 				}
@@ -171,24 +203,29 @@ func (p *Power) Next(*graph.CSR) (clique.Pass, error) {
 		}
 		p.e = 0
 	}
-	p.held = false // the chain is done
+	p.cube = nil // the chain is done
 	return clique.Pass{}, nil
 }
 
 // product starts the engine pass left ⊗ base: the squaring step, left
 // being base itself (p.e already holds the exponent left after it),
-// semi-naive by the cube once prev is known, or the multiply step,
-// left being result. A cube squaring reads no CSR of base; it times its
-// own ballots.
+// semi-naive once prev is known — by the cube when the chain's A is
+// value-symmetric — or the multiply step, left being result. A cube
+// squaring reads no CSR of base; it times its own ballots.
 func (p *Power) product(square bool) (clique.Pass, error) {
-	left, prev, sched := p.result, (*Dense)(nil), paced
+	b := p.baseDense()
+	var left *Matrix
+	var prev *Dense
+	var cp *cubePlan
 	switch {
-	case square && p.prev != nil:
-		left, prev, sched = nil, p.prev, cubed
-	case square:
-		left = p.baseRows()
+	case !square:
+		left = sparse(p.result)
+	case p.prev != nil && p.cube != nil:
+		prev, cp = p.prev, p.cube
+	default:
+		left, prev = p.baseRows(), p.prev
 	}
-	pass, err := newPass(left, p.baseDense(), prev, sched, p.spare, p.held)
+	pass, err := newPass(left, b, prev, false, p.spare, cp)
 	if err != nil {
 		return clique.Pass{}, err
 	}
@@ -215,6 +252,18 @@ func (p *Power) Result() any {
 	if p.result == nil {
 		a := p.baseRows()
 		return Identity(a.N, a.Sr)
+	}
+	return sparse(p.result)
+}
+
+// Dense returns A^e as an n x n Dense, nil before completion: the slab
+// the chain's last product left, with no CSR built.
+func (p *Power) Dense() *Dense {
+	if p.e > 0 {
+		return nil
+	}
+	if p.result == nil {
+		return dense(p.Result().(*Matrix))
 	}
 	return p.result
 }
@@ -357,7 +406,7 @@ func (r *Relaxation) Next(*graph.CSR) (clique.Pass, error) {
 	if r.remaining <= 0 {
 		return clique.Pass{}, nil
 	}
-	pass, err := newPass(r.s, r.b, r.prev, paced, r.spare, false)
+	pass, err := newPass(r.s, r.b, r.prev, false, r.spare, nil)
 	if err != nil {
 		return clique.Pass{}, err
 	}

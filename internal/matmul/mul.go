@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"github.com/paper-repo-growth/doryp20/internal/core"
 	"github.com/paper-repo-growth/doryp20/internal/engine"
@@ -783,31 +784,14 @@ func (p *Pass) Gather() error { return nil }
 // (TestUnpacedProductReturnsBandwidthError); every other caller passes
 // false.
 func NewPass(a, b *Matrix, unpaced bool) (*Pass, error) {
-	return newPass(a, dense(b), nil, pullSchedule(unpaced), nil, false)
+	return newPass(a, dense(b), nil, unpaced, nil, nil)
 }
 
 // NewDensePass validates and packs the sparse-dense product A ⊗ B with
 // B (and C) n x k dense and A's pattern symmetric. Zero entries of B
 // are not transmitted.
 func NewDensePass(a *Matrix, b *Dense, unpaced bool) (*Pass, error) {
-	return newPass(a, b, nil, pullSchedule(unpaced), nil, false)
-}
-
-// schedule is the node program a pass runs.
-type schedule uint8
-
-const (
-	paced   schedule = iota // row-pull (mulNode), one word a link a round
-	unpaced                 // row-pull with every row pushed in one round
-	cubed                   // the cube partition (cubeNode) of a semi-naive squaring
-)
-
-// pullSchedule is the row-pull schedule NewPass and NewDensePass run.
-func pullSchedule(unpace bool) schedule {
-	if unpace {
-		return unpaced
-	}
-	return paced
+	return newPass(a, b, nil, unpaced, nil, nil)
 }
 
 // newPass builds every distributed product A ⊗ B: n nodes over one flat
@@ -835,15 +819,14 @@ func pullSchedule(unpace bool) schedule {
 //   - a semi-naive squaring, A = B = X = P ⊗ P and prev = P (Power says
 //     why).
 //
-// The semi-naive squaring alone runs the cube schedule (cubeNode), whose
-// owners send segments of X as well as of Δ, so its values are X's; its
-// nodes hold no row of A, so a may be nil, and held says its cube nodes
-// hold their blocks of prev, which the chain's last squaring squared. Its
-// partial rows need a second format covering the products of those
-// values; where no wire word fits one (a (min,+) operand whose largest
-// value doubled nears InfWeight), the squaring runs row-pull instead,
-// over a = B.
-func newPass(a *Matrix, b, prev *Dense, sched schedule, acc []int64, held bool) (*Pass, error) {
+// With cp set (its chain's cubePlan) the pass is the semi-naive squaring
+// of a value-symmetric X, run by the cube (cubeNode), whose owners send
+// segments of X as well as of Δ, so its values are X's; its nodes hold
+// no row of A, so a may be nil. Its partial rows need a second format
+// covering the products of those values; where no wire word fits one (a
+// (min,+) operand whose largest value doubled nears InfWeight), the
+// squaring runs row-pull instead, over a = B. unpace is NewPass's.
+func newPass(a *Matrix, b, prev *Dense, unpace bool, acc []int64, cp *cubePlan) (*Pass, error) {
 	if a != nil {
 		if err := checkPair(a.N, b.N, a.Sr, b.Sr); err != nil {
 			return nil, err
@@ -853,15 +836,17 @@ func newPass(a *Matrix, b, prev *Dense, sched schedule, acc []int64, held bool) 
 		}
 	}
 	n, k, rw := b.N, b.K, (b.K+63)/64
-	sel := make([]uint64, n*rw)
-	var dsel []uint64
-	if sched == cubed {
-		dsel = make([]uint64, n*rw)
+	var sel, dsel []uint64
+	if cp != nil {
+		cp.init(n)
+		sel, dsel = cp.sel, cp.dsel
+	} else {
+		sel = make([]uint64, n*rw)
 	}
 	rg := sweep(b, prev, sel, dsel)
 	wf, err := rg.format(k, b.Sr)
 	var pwf *wireFormat
-	if sched == cubed {
+	if cp != nil {
 		if prg, ok := rg.products(b.Sr); ok && err == nil {
 			pwf, _ = prg.format(k, b.Sr)
 		}
@@ -870,7 +855,7 @@ func newPass(a *Matrix, b, prev *Dense, sched schedule, acc []int64, held bool) 
 			if a == nil {
 				a = sparse(b)
 			}
-			return newPass(a, b, prev, paced, acc, false)
+			return newPass(a, b, prev, false, acc, nil)
 		}
 	}
 	if err != nil {
@@ -891,11 +876,11 @@ func newPass(a *Matrix, b, prev *Dense, sched schedule, acc []int64, held bool) 
 			aCols, aVals = a.Row(core.NodeID(v))
 		}
 		p.accs[v] = p.flat[v*k : (v+1)*k]
-		p.state[v] = mulNode{sr: b.Sr, wf: wf, aCols: aCols, aVals: aVals, acc: p.accs[v], unpace: sched == unpaced}
+		p.state[v] = mulNode{sr: b.Sr, wf: wf, aCols: aCols, aVals: aVals, acc: p.accs[v], unpace: unpace}
 		p.nodes[v] = &p.state[v]
 	}
-	if sched == cubed {
-		p.asCube(newCube(b, prev, wf, sel, dsel, held), pwf)
+	if cp != nil {
+		p.asCube(newCube(b, prev, wf, cp), pwf)
 		return p, nil
 	}
 	// Pack each row's selected entries into one shared slab; ends[v] is
@@ -996,25 +981,40 @@ func (p *Pass) Dense() *Dense {
 // (PODC 2015), instead of row-pull. Let q = ⌊n^{1/3}⌋ and split [0, n)
 // into the blocks B_i = [i·n/q, (i+1)·n/q). Node t = (a·q + b)·q + c < q³
 // is cube node (a, b, c); every node still owns its row of X, Δ and C.
-// Cube node t keeps K_t = X[B_a, B_c] of the last operand it squared
-// from one squaring of a Power chain to the next; let K be what the cube
-// nodes hold. The protocol:
+//
+// X is value-symmetric — Power squares by the cube only when its
+// chain's A is, and then every power of A is — and so are Δ and X ⊗ X.
+// So the product cube node (b, a, c) would compute,
+// X[B_b, B_c] ⊗ Δ[B_c, B_a], is the transpose of what (a, b, c) does
+// compute, and only the nodes with a ≤ b multiply; the others take no
+// part in phase 1. Cube node t keeps K_t = X[B_a, B_c] of the last
+// operand it squared from one squaring of a Power chain to the next; let
+// K be what the cube nodes hold. The protocol:
 //
 //	rounds 0..F1-1: owner v in B_a streams X[v, B_c] − K[v, B_c], the
 //	                entries of its row the cube node does not hold
-//	                already, to (a, b, c) for every b and c, and
-//	                Δ[v, B_b] to (a', b, a) for every a' and b, one word a
-//	                link a round.
+//	                already, to (a, b, c) for every b ≥ a and every c,
+//	                and Δ[v, B_b] to (a', b, a) for every b and every
+//	                a' ≤ b, one word a link a round.
 //	round F1:       every segment has arrived. Cube node (a, b, c)
 //	                decodes its X-updates into K_t, so that K_t =
 //	                X[B_a, B_c], and Δ[B_c, B_b] into a scratch dense
-//	                block, folds the partial product
-//	                ⊕_{k∈B_c} X[u, k] ⊗ Δ[k, B_b] for every u in B_a,
-//	                and starts streaming each non-empty partial row
-//	                segment to its owner u. A node whose Δ block is empty
-//	                has no partial row and skips its product.
+//	                block, and folds the partial product
+//	                X[B_a, B_c] ⊗ Δ[B_c, B_b]. It starts streaming each
+//	                non-empty row u of it to u's owner in B_a and, when
+//	                a < b, each non-empty column w, as a partial row over
+//	                the columns B_a, to w's owner in B_b. A node whose Δ
+//	                block is empty has no partial row and skips its
+//	                product.
 //	rounds > F1:    owners fold the partial rows into acc, which starts
 //	                at X[u]; senders stream the next words.
+//
+// The transposed delivery is exact. Owner w in B_b gets, over every c,
+// column w of (X ⊗ Δ)[B_a, B_b], which is row w of (Δ ⊗ X)[B_b, B_a]
+// since X and Δ are symmetric and ⊗ commutes. Its accumulator starts at
+// X[w] = X[·, w]ᵀ, and X ⊕ Δ ⊗ X is the transpose of X ⊕ X ⊗ Δ = X ⊗ X,
+// which is symmetric: so the row it folds to is row w of X ⊗ X, bit for
+// bit what the rows of (b, a, c) would have given.
 //
 // On a chain's first cube squaring (or the first after a row-pull one)
 // K is empty and the X-updates are all of X[v, B_c]. After it K holds
@@ -1073,28 +1073,54 @@ type stream struct {
 	vote  bool
 }
 
-// cube is what every node of a cube pass shares.
-type cube struct {
+// cubePlan is what the cube squarings of one Power chain share: the
+// phase-1 link table, which depends on n, q and the a ≤ b rule alone;
+// whether the cube nodes hold their blocks of the chain's last operand;
+// and the buffers every squaring refills, so that a squaring allocates
+// nothing per node once the chain's first has sized them.
+type cubePlan struct {
 	n, q int
-	sr   core.Semiring
-	wf   *wireFormat // the format of the X-updates and Δ segments
-	prev *Dense      // P, the operand of the squaring before
-	// xs and ds are the selection bitsets of X and Δ (sweep), from which
-	// heldBits reads P's blocks over (or,and).
-	xs, ds []uint64
 	// held says the cube nodes hold the blocks of prev, so the X-updates
 	// are Δ. Each node knows it: it took part in the squaring before.
 	held bool
-	// segs holds every owner's segments packed, X[v, B_c] − K at
-	// xSeg(v, c) and Δ[v, B_b] at dSeg(v, b); while held the two are one
-	// segment.
+	// links[first[v]:first[v+1]] is what owner v sends in phase 1.
+	links []link
+	first []int
+	// outs[outAt[v]:outAt[v+1]] is node v's room for streams: one a row
+	// and column of its product and one for its ballot (n for node 0).
+	outAt []int
+	outs  []stream
+	// sel and dsel are sweep's selection bitsets of X and Δ, from which
+	// heldBits also reads P's blocks over (or,and).
+	sel, dsel []uint64
+	// segs holds every owner's segments, packed in slab and ending at
+	// ends: X[v, B_c] − K at xSeg(v, c) and Δ[v, B_b] at dSeg(v, b), one
+	// segment while held.
+	slab []uint64
+	ends []int
 	segs [][]uint64
-	// links[v·span:(v+1)·span] is what owner v sends in phase 1
-	// (cube.link), span = q(2q-1) links each.
-	links   []link
-	wide    int   // the widest phase-1 link, in words
-	in      []int // in[t] is the phase-1 words cube node t holds at F1
-	scratch sync.Pool
+	// in[t] is the phase-1 words cube node t holds at F1, kept in
+	// got[at[t]:at[t+1]] and from likewise.
+	in, at []int
+	got    []uint64
+	from   []core.NodeID
+	// parts holds the partial rows; used counts the words a squaring
+	// reserved in it, so the next one's fits them all.
+	parts []uint64
+	used  atomic.Int64
+	// free holds the scratch no worker is using: at most one a worker,
+	// kept for the whole chain.
+	mu   sync.Mutex
+	free []*cubeScratch
+}
+
+// cube is one cube pass: its plan, and what its owners packed.
+type cube struct {
+	*cubePlan
+	sr   core.Semiring
+	wf   *wireFormat // the format of the X-updates and Δ segments
+	prev *Dense      // P, the operand of the squaring before
+	wide int         // the widest phase-1 link, in words
 }
 
 // link is one phase-1 link of an owner: to cube node t, the segments
@@ -1102,14 +1128,24 @@ type cube struct {
 type link struct{ t, x, d int32 }
 
 // cubeScratch is the blocks one local product decodes into and folds,
-// reused across the cube nodes one worker runs.
+// taken from its plan's free list, so reused across a chain's products.
 type cubeScratch struct {
 	x, d, c []int64 // K_t, the Δ block, the product
+	col     []int64 // one column of the product
 	db      deltaBlock
 	slab    []uint64 // the packed partial rows
 	ends    []int    // (owner, end) pairs of the partial rows in slab
 	set     []uint64 // one partial row's selection bitset
-	bits    []uint64 // multiplyBool's K_t, Δ block and partial row, as bitsets
+	bits    []uint64 // multiplyBool's blocks, as bitsets
+}
+
+// share is cube node t = (a, b, c)'s part of a squaring: K_t is rows
+// la..la+ra-1 by columns lc..lc+rc-1 of X, its Δ block rows lc..lc+rc-1
+// by columns lb..lb+rb-1, and its product rows la.. by columns lb..
+type share struct {
+	t, a, b                int
+	la, lb, lc, ra, rb, rc int
+	diag                   bool // a = b = c
 }
 
 // cubeRoot returns ⌊n^{1/3}⌋.
@@ -1122,81 +1158,148 @@ func cubeRoot(n int) int {
 }
 
 // lo returns the first row of block i (lo(q) = n).
-func (cb *cube) lo(i int) int { return i * cb.n / cb.q }
+func (cp *cubePlan) lo(i int) int { return i * cp.n / cp.q }
 
 // block returns the block v lies in.
-func (cb *cube) block(v int) int { return ((v+1)*cb.q - 1) / cb.n }
+func (cp *cubePlan) block(v int) int { return ((v+1)*cp.q - 1) / cp.n }
 
 // xSeg and dSeg index X[v, B_c] − K and Δ[v, B_b] in segs.
-func (cb *cube) xSeg(v, c int) int { return 2*v*cb.q + c }
-func (cb *cube) dSeg(v, b int) int { return (2*v+1)*cb.q + b }
+func (cp *cubePlan) xSeg(v, c int) int { return 2*v*cp.q + c }
+func (cp *cubePlan) dSeg(v, b int) int { return (2*v+1)*cp.q + b }
 
-// newCube packs every owner's segments, from the selection bitsets xs
-// (X = b's non-Zero entries) and ds (Δ, those that differ from prev),
-// in the format wf, and finds the widest phase-1 link. While held, the
-// cube nodes hold prev's blocks, so the X-updates are the Δ segments
-// and each owner packs q segments, not 2q.
-func newCube(b, prev *Dense, wf *wireFormat, xs, ds []uint64, held bool) *cube {
-	n := b.N
-	cb := &cube{n: n, q: cubeRoot(n), sr: b.Sr, wf: wf, prev: prev, xs: xs, ds: ds, held: held}
-	q, rw := cb.q, (n+63)/64
-	ends := make([]int, 2*n*q)
-	var slab []uint64
+// share returns cube node t's share.
+func (cp *cubePlan) share(t int) share {
+	q := cp.q
+	a, b, c := t/(q*q), t/q%q, t%q
+	la, lb, lc := cp.lo(a), cp.lo(b), cp.lo(c)
+	return share{t: t, a: a, b: b, la: la, lb: lb, lc: lc,
+		ra: cp.lo(a+1) - la, rb: cp.lo(b+1) - lb, rc: cp.lo(c+1) - lc, diag: a == b && b == c}
+}
+
+// init sizes the plan for n nodes, once per chain: the link table, every
+// node's room for streams, and the buffers whose size n alone fixes.
+func (cp *cubePlan) init(n int) {
+	if cp.links != nil && cp.n == n {
+		return
+	}
+	q := cubeRoot(n)
+	cp.n, cp.q = n, q
+	cp.links, cp.first = nil, make([]int, n+1)
+	add := func(t, x, d int) { cp.links = append(cp.links, link{int32(t), int32(x), int32(d)}) }
 	for v := 0; v < n; v++ {
-		row, x, d := b.Row(core.NodeID(v)), xs[v*rw:(v+1)*rw], ds[v*rw:(v+1)*rw]
+		a := cp.block(v)
+		for b := a; b < q; b++ {
+			for c := 0; c < q; c++ {
+				d := -1
+				if c == a && b != a {
+					d = cp.dSeg(v, b)
+				}
+				add((a*q+b)*q+c, cp.xSeg(v, c), d)
+			}
+		}
+		for b := 0; b < q; b++ {
+			for a2 := 0; a2 <= b; a2++ {
+				if a2 != a {
+					add((a2*q+b)*q+a, -1, cp.dSeg(v, b))
+				}
+			}
+		}
+		cp.first[v+1] = len(cp.links)
+	}
+	cp.outAt = make([]int, n+1)
+	for v := 0; v < n; v++ {
+		room := 1
+		if sh := cp.share(v); v < q*q*q && sh.a <= sh.b {
+			room += sh.ra + sh.rb
+		}
+		if v == 0 {
+			room = max(room, n)
+		}
+		cp.outAt[v+1] = cp.outAt[v] + room
+	}
+	rw := (n + 63) / 64
+	cp.outs = make([]stream, cp.outAt[n])
+	cp.sel, cp.dsel = make([]uint64, n*rw), make([]uint64, n*rw)
+	cp.ends, cp.segs = make([]int, 2*n*q), make([][]uint64, 2*n*q)
+	cp.in, cp.at = make([]int, q*q*q), make([]int, q*q*q+1)
+}
+
+// newCube packs every owner's segments, from the selection bitsets sel
+// (X = b's non-Zero entries) and dsel (Δ, those that differ from prev)
+// the sweep left in cp, in the format wf, and sizes phase 1 off the
+// plan's links. While held, the cube nodes hold prev's blocks, so the
+// X-updates are the Δ segments and each owner packs q segments, not 2q.
+func newCube(b, prev *Dense, wf *wireFormat, cp *cubePlan) *cube {
+	cb := &cube{cubePlan: cp, sr: b.Sr, wf: wf, prev: prev}
+	n, q, rw := cp.n, cp.q, (cp.n+63)/64
+	slab := cp.slab[:0]
+	for v := 0; v < n; v++ {
+		row, x, d := b.Row(core.NodeID(v)), cp.sel[v*rw:(v+1)*rw], cp.dsel[v*rw:(v+1)*rw]
 		for s := 0; s < 2*q; s++ {
 			set := x
 			if s >= q {
 				set = d
 			}
-			if s >= q || !held {
-				slab = wf.packSet(slab, set, row, cb.lo(s%q), cb.lo(s%q+1), 0)
+			if s >= q || !cp.held {
+				slab = wf.packSet(slab, set, row, cp.lo(s%q), cp.lo(s%q+1), 0)
 			}
-			ends[cb.xSeg(v, s)] = len(slab) // dSeg(v, s-q) from s = q on
+			cp.ends[cp.xSeg(v, s)] = len(slab) // dSeg(v, s-q) from s = q on
 		}
 	}
-	cb.segs = make([][]uint64, len(ends))
+	cp.slab = slab
 	lo := 0
-	for i, hi := range ends {
-		cb.segs[i], lo = slab[lo:hi:hi], hi
+	for i, hi := range cp.ends {
+		cp.segs[i], lo = slab[lo:hi:hi], hi
 	}
-	for v := 0; held && v < n; v++ {
+	for v := 0; cp.held && v < n; v++ {
 		for c := 0; c < q; c++ {
-			cb.segs[cb.xSeg(v, c)] = cb.segs[cb.dSeg(v, c)]
+			cp.segs[cp.xSeg(v, c)] = cp.segs[cp.dSeg(v, c)]
 		}
 	}
-	cb.in = make([]int, q*q*q)
-	cb.links = make([]link, 0, q*(2*q-1)*n)
+	clear(cp.in)
 	for v := 0; v < n; v++ {
-		a := cb.block(v)
-		for b := 0; b < q; b++ {
-			for c := 0; c < q; c++ {
-				d := -1
-				if c == a && b != a {
-					d = cb.dSeg(v, b)
-				}
-				cb.link(v, (a*q+b)*q+c, cb.xSeg(v, c), d)
-			}
-			for a2 := 0; a2 < q; a2++ {
-				if a2 != a {
-					cb.link(v, (a2*q+b)*q+a, -1, cb.dSeg(v, b))
-				}
+		for _, l := range cp.links[cp.first[v]:cp.first[v+1]] {
+			words := len(cb.seg(l.x)) + len(cb.seg(l.d))
+			cp.in[l.t] += words
+			if int(l.t) != v {
+				cb.wide = max(cb.wide, words)
 			}
 		}
 	}
+	for t, words := range cp.in {
+		cp.at[t+1] = cp.at[t] + words
+	}
+	total := cp.at[len(cp.in)]
+	cp.got = slices.Grow(cp.got[:0], total)[:total]
+	cp.from = slices.Grow(cp.from[:0], total)[:total]
+	if need := int(cp.used.Load()); need > len(cp.parts) {
+		cp.parts = make([]uint64, need)
+	}
+	cp.used.Store(0)
 	return cb
 }
 
-// heldVals returns the K_t, ra x rc, of the cube node whose block of X
-// starts at row la and column lc, in buf, ready for its X-updates: Zero
-// when they are whole segments of X, prev's block when they are Δ.
-func (cb *cube) heldVals(buf *[]int64, la, lc, ra, rc int) []int64 {
-	if !cb.held {
-		return fill(buf, ra*rc, cb.sr.Zero)
+// reserve returns room for k words of partial rows in the pass-wide
+// slab, or a slab of their own once it is full; the next squaring's slab
+// fits every word this one reserved.
+func (cp *cubePlan) reserve(k int) []uint64 {
+	end := int(cp.used.Add(int64(k)))
+	if end <= len(cp.parts) {
+		return cp.parts[end-k : end : end]
 	}
-	x := slices.Grow((*buf)[:0], ra*rc)[:ra*rc]
-	for i := range ra {
-		copy(x[i*rc:(i+1)*rc], cb.prev.Row(core.NodeID(la + i))[lc:lc+rc])
+	return make([]uint64, k)
+}
+
+// heldVals returns the K_t of the cube node sh in buf, ready for its
+// X-updates: Zero when they are whole segments of X, prev's block when
+// they are Δ.
+func (cb *cube) heldVals(buf *[]int64, sh share) []int64 {
+	if !cb.held {
+		return fill(buf, sh.ra*sh.rc, cb.sr.Zero)
+	}
+	x := slices.Grow((*buf)[:0], sh.ra*sh.rc)[:sh.ra*sh.rc]
+	for i := range sh.ra {
+		copy(x[i*sh.rc:(i+1)*sh.rc], cb.prev.Row(core.NodeID(sh.la + i))[sh.lc:sh.lc+sh.rc])
 	}
 	*buf = x
 	return x
@@ -1205,41 +1308,27 @@ func (cb *cube) heldVals(buf *[]int64, la, lc, ra, rc int) []int64 {
 // heldBits is heldVals over (or,and), K_t as bitset rows of xw words in
 // x. There prev's non-Zero entries are X's less Δ's (X ⊇ prev), so it
 // reads them off the selection bitsets, a word at a time.
-func (cb *cube) heldBits(x []uint64, la, lc, rc, xw int) {
+func (cb *cube) heldBits(x []uint64, sh share, xw int) {
 	if !cb.held {
 		clear(x)
 		return
 	}
 	rw := (cb.n + 63) / 64
 	for i := range len(x) / xw {
-		xs, ds := cb.xs[(la+i)*rw:][:rw], cb.ds[(la+i)*rw:][:rw]
+		xs, ds := cb.sel[(sh.la+i)*rw:][:rw], cb.dsel[(sh.la+i)*rw:][:rw]
 		for w := range xw {
-			j, k := lc+64*w, min(64, rc-64*w)
+			j, k := sh.lc+64*w, min(64, sh.rc-64*w)
 			x[i*xw+w] = bitsAt(xs, j, k) &^ bitsAt(ds, j, k)
 		}
 	}
 }
 
-// isUpdate reports whether the phase-1 word w from src, received by a
-// cube node whose block of X is rows la..la+ra-1 and columns
-// lc..lc+rc-1, is one of its X-updates: its sender lies in B_a and its
+// isUpdate reports whether the phase-1 word w from src, received by the
+// cube node sh, is one of its X-updates: its sender lies in B_a and its
 // first column in B_c. Any other word is a Δ segment.
-func (cb *cube) isUpdate(w uint64, src, la, ra, lc, rc int) bool {
+func (cb *cube) isUpdate(w uint64, src int, sh *share) bool {
 	j := cb.wf.firstCol(w)
-	return src >= la && src < la+ra && j >= lc && j < lc+rc
-}
-
-// link records that owner v sends cube node t the segments x then d in
-// phase 1: X[v, B_c] to (a, b, c), followed by Δ[v, B_b] when c = a and
-// the node is not diagonal, and Δ[v, B_b] alone to (a', b, a) for
-// a' ≠ a.
-func (cb *cube) link(v, t, x, d int) {
-	cb.links = append(cb.links, link{int32(t), int32(x), int32(d)})
-	words := len(cb.seg(int32(x))) + len(cb.seg(int32(d)))
-	cb.in[t] += words
-	if t != v {
-		cb.wide = max(cb.wide, words)
-	}
+	return src >= sh.la && src < sh.la+sh.ra && j >= sh.lc && j < sh.lc+sh.rc
 }
 
 // seg returns segs[i], or nothing for i = -1.
@@ -1260,8 +1349,8 @@ func (p *Pass) asCube(cb *cube, pwf *wireFormat) {
 		cubes[v] = cubeNode{mulNode: &p.state[v], cb: cb}
 		p.nodes[v] = &cubes[v]
 	}
-	// Phase 2 adds at most one word per entry of a block, and the vote
-	// one word a link; 4n+64 covers the rest.
+	// Phase 2 adds at most one word per entry of a block row or column,
+	// and the vote one word a link; 4n+64 covers the rest.
 	p.maxRow = cb.wide + cb.lo(1) + 1
 }
 
@@ -1274,8 +1363,10 @@ func (nd *cubeNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message)
 			nd.vote.ran = true
 		}
 		nd.final = core.Round(cb.wide)
+		nd.out = cb.outs[cb.outAt[id]:cb.outAt[id]:cb.outAt[id+1]]
 		if id < cubeNodes {
-			nd.got, nd.from = make([]uint64, 0, cb.in[id]), make([]core.NodeID, 0, cb.in[id])
+			lo, hi := cb.at[id], cb.at[id+1]
+			nd.got, nd.from = cb.got[lo:lo:hi], cb.from[lo:lo:hi]
 		}
 	}
 	folded := false
@@ -1290,7 +1381,7 @@ func (nd *cubeNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message)
 		}
 		if r == nd.final {
 			if id < cubeNodes {
-				folded = nd.multiply(id)
+				folded = nd.multiply(cb.share(id))
 			}
 			nd.got, nd.from = nil, nil
 		}
@@ -1327,8 +1418,8 @@ func (nd *cubeNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message)
 // links are drained by.
 func (nd *cubeNode) segments(ctx *engine.Ctx, r core.Round) error {
 	id, cb := ctx.ID(), nd.cb
-	i, span := int(r), cb.q*(2*cb.q-1)
-	for _, l := range cb.links[int(id)*span : (int(id)+1)*span] {
+	i := int(r)
+	for _, l := range cb.links[cb.first[id]:cb.first[id+1]] {
 		x, d := cb.seg(l.x), cb.seg(l.d)
 		if l.t == int32(id) {
 			if r > 0 {
@@ -1360,139 +1451,177 @@ func (nd *cubeNode) segments(ctx *engine.Ctx, r core.Round) error {
 	return nil
 }
 
-// multiply is cube node t's local product in round F1: it decodes the
+// multiply is cube node sh's local product in round F1: it decodes the
 // Δ segments it holds into a scratch block and its X-updates into K_t,
-// folds the partial rows of C, and queues each non-empty one for its
-// owner — folding its own row in place. A node that received no Δ has
-// no partial row and stops there, without building K_t: what its
-// X-updates would make of it is the block of the next squaring's prev,
-// which that squaring reads. It reports whether it folded into its own
-// row.
-func (nd *cubeNode) multiply(t int) bool {
+// folds the product, and queues each non-empty partial row for its
+// owner — its rows and, when a < b, its columns — folding its own row
+// in place. A node that received no Δ (every node with a > b) has no
+// partial row and stops there, without building K_t: what its X-updates
+// would make of it is the block of the next squaring's prev, which that
+// squaring reads. It reports whether it folded into its own row.
+func (nd *cubeNode) multiply(sh share) bool {
 	cb := nd.cb
-	q, zero := cb.q, cb.sr.Zero
-	a, b, c := t/(q*q), t/q%q, t%q
-	la, lb, lc := cb.lo(a), cb.lo(b), cb.lo(c)
-	ra, rb, rc := cb.lo(a+1)-la, cb.lo(b+1)-lb, cb.lo(c+1)-lc
-	diag := a == b && b == c
-	s, _ := cb.scratch.Get().(*cubeScratch)
-	if s == nil {
+	var s *cubeScratch
+	cb.mu.Lock()
+	if k := len(cb.free); k > 0 {
+		s, cb.free = cb.free[k-1], cb.free[:k-1]
+	} else {
 		s = &cubeScratch{}
 	}
-	defer cb.scratch.Put(s)
+	cb.mu.Unlock()
+	defer func() {
+		cb.mu.Lock()
+		cb.free = append(cb.free, s)
+		cb.mu.Unlock()
+	}()
+	s.slab, s.ends = s.slab[:0], s.ends[:0]
+	var own bool
 	if cb.wf.loop == core.KindBoolOrAnd {
-		return nd.multiplyBool(s, t, la, lb, lc, ra, rb, rc, diag)
+		own = nd.multiplyBool(s, sh)
+	} else {
+		own = nd.multiplyVals(s, sh)
 	}
+	// The partial rows stream out over the rounds to come, so they leave
+	// the scratch for the pass-wide slab.
+	kept := cb.reserve(len(s.slab))
+	copy(kept, s.slab)
+	for i, lo := 0, 0; i < len(s.ends); i += 2 {
+		hi := s.ends[i+1]
+		nd.out = append(nd.out, stream{dst: core.NodeID(s.ends[i]), words: kept[lo:hi:hi]})
+		lo = hi
+	}
+	return own
+}
+
+// multiplyVals is multiply over a semiring of values, in dense blocks.
+func (nd *cubeNode) multiplyVals(s *cubeScratch, sh share) bool {
+	cb := nd.cb
+	zero := cb.sr.Zero
+	rb, rc := sh.rb, sh.rc
 	var d []int64
 	db := &s.db
 	cnt := slices.Grow(db.cnt[:0], rc)[:rc]
 	clear(cnt)
 	for i, w := range nd.got {
 		src := int(nd.from[i])
-		if cb.isUpdate(w, src, la, ra, lc, rc) && !diag {
+		if cb.isUpdate(w, src, &sh) && !sh.diag {
 			continue
 		}
 		if d == nil {
 			d = fill(&s.d, rc*rb, zero)
 		}
-		cnt[src-lc] += cb.wf.decode(w, d[(src-lc)*rb:][:rb], lb)
+		cnt[src-sh.lc] += cb.wf.decode(w, d[(src-sh.lc)*rb:][:rb], sh.lb)
 	}
 	db.cnt = cnt
 	if d == nil {
 		return false
 	}
-	x := cb.heldVals(&s.x, la, lc, ra, rc)
+	x := cb.heldVals(&s.x, sh)
 	for i, w := range nd.got {
-		if src := int(nd.from[i]); cb.isUpdate(w, src, la, ra, lc, rc) {
-			cb.wf.decode(w, x[(src-la)*rc:][:rc], lc)
+		if src := int(nd.from[i]); cb.isUpdate(w, src, &sh) {
+			cb.wf.decode(w, x[(src-sh.la)*rc:][:rc], sh.lc)
 		}
 	}
 	db.vals, db.rb = d, rb
 	db.index(zero)
-	prod := fill(&s.c, ra*rb, zero)
-	blockProduct(cb.sr, prod, x, db, ra, rc)
-	set := slices.Grow(s.set[:0], (rb+63)/64)[:(rb+63)/64]
+	prod := fill(&s.c, sh.ra*rb, zero)
+	blockProduct(cb.sr, prod, x, db, sh.ra, rc)
+	words := (max(sh.ra, rb) + 63) / 64
+	set := slices.Grow(s.set[:0], words)[:words]
 	s.set = set
-	return nd.emit(s, t, la, ra, func(i int, dst []uint64) []uint64 {
+	own := nd.emit(s, sh.t, sh.la, sh.ra, func(i int, dst []uint64) []uint64 {
 		row := prod[i*rb : (i+1)*rb]
-		nonZeroSet(set, row, zero)
-		return nd.wf.packSet(dst, set, row, 0, rb, lb)
+		nonZeroSet(set[:(rb+63)/64], row, zero)
+		return nd.wf.packSet(dst, set, row, 0, rb, sh.lb)
 	})
+	if sh.a == sh.b {
+		return own
+	}
+	col := slices.Grow(s.col[:0], sh.ra)[:sh.ra]
+	s.col = col
+	return nd.emit(s, sh.t, sh.lb, rb, func(j int, dst []uint64) []uint64 {
+		for i := range col {
+			col[i] = prod[i*rb+j]
+		}
+		nonZeroSet(set[:(sh.ra+63)/64], col, zero)
+		return nd.wf.packSet(dst, set, col, 0, sh.ra, sh.la)
+	}) || own
 }
 
-// emit hands each non-empty partial row i of cube node t's product, as
-// pack(i, dst) appends it packed in the partial rows' format, to its
-// owner la + i: folded in place when that is t itself, queued as a
-// stream otherwise. It reports whether it folded into t's own row.
-func (nd *cubeNode) emit(s *cubeScratch, t, la, ra int, pack func(i int, dst []uint64) []uint64) bool {
+// emit stages each non-empty partial row i of cube node t's product for
+// the owners lo..lo+cnt-1, as pack(i, dst) appends it packed in the
+// partial rows' format: folded in place when its owner is t itself,
+// appended to s.slab with its (owner, end) in s.ends otherwise. It
+// reports whether it folded into t's own row.
+func (nd *cubeNode) emit(s *cubeScratch, t, lo, cnt int, pack func(i int, dst []uint64) []uint64) bool {
 	own := false
-	slab, ends := s.slab[:0], s.ends[:0]
-	for i := 0; i < ra; i++ {
-		lo := len(slab)
+	// Locals, not s's fields: appending through a heap pointer pays the
+	// GC's write barrier on every word.
+	slab, ends := s.slab, s.ends
+	for i := 0; i < cnt; i++ {
+		at := len(slab)
 		slab = pack(i, slab)
 		switch {
-		case len(slab) == lo:
-		case la+i == t:
-			for _, w := range slab[lo:] {
+		case len(slab) == at:
+		case lo+i == t:
+			for _, w := range slab[at:] {
 				nd.accumulate(nd.sr.One, w)
 			}
-			slab, own = slab[:lo], true
+			slab, own = slab[:at], true
 		default:
-			ends = append(ends, la+i, len(slab))
+			ends = append(ends, lo+i, len(slab))
 		}
 	}
-	// The partial rows stream out over the rounds to come, so they leave
-	// the scratch for a slab of their own, sized to fit.
-	kept := slices.Clone(slab)
-	nd.out = slices.Grow(nd.out, len(ends)/2+1) // and a vote word
-	for i, lo := 0, 0; i < len(ends); i += 2 {
-		hi := ends[i+1]
-		nd.out = append(nd.out, stream{dst: core.NodeID(ends[i]), words: kept[lo:hi:hi]})
-		lo = hi
-	}
-	s.ends, s.slab = ends, slab
+	s.slab, s.ends = slab, ends
 	return own
 }
 
 // multiplyBool is multiply over (or,and) in the 1-bit-field format, where
-// every value is One and a row is a set of columns: K_t and the Δ block
-// are bitsets, a positional word decodes as one shifted bitmap, each
-// x[i][k] = One ORs Δ's row k into row i a machine word at a time, and
-// each partial row is packed straight from its bitset.
-func (nd *cubeNode) multiplyBool(s *cubeScratch, t, la, lb, lc, ra, rb, rc int, diag bool) bool {
+// every value is One and a row is a set of columns: K_t, the Δ block and
+// the product are bitsets, a positional word decodes as one shifted
+// bitmap, each x[i][k] = One ORs Δ's row k into row i a machine word at a
+// time, and each partial row is packed straight from its bitset — a
+// column's from the product's transpose.
+func (nd *cubeNode) multiplyBool(s *cubeScratch, sh share) bool {
 	cb, wf := nd.cb, nd.cb.wf
-	xw, dw := (rc+63)/64, (rb+63)/64
-	// d is the Δ block, x K_t, acc one partial row, and bit k of live
-	// says Δ's row k is not empty, so a row of x meets only those.
-	var d, x, acc, live []uint64
+	ra, rb, rc := sh.ra, sh.rb, sh.rc
+	xw, dw, aw := (rc+63)/64, (rb+63)/64, (ra+63)/64
+	// d is the Δ block, x K_t, prod the product, cols its transpose, and
+	// bit k of live says Δ's row k is not empty, so a row of x meets only
+	// those.
+	var d, x, prod, cols, live []uint64
 	for i, w := range nd.got {
 		src := int(nd.from[i])
-		if cb.isUpdate(w, src, la, ra, lc, rc) && !diag {
+		if cb.isUpdate(w, src, &sh) && !sh.diag {
 			continue
 		}
 		if d == nil {
-			size := rc*dw + ra*xw + dw + xw
+			size := rc*dw + ra*xw + ra*dw + rb*aw + xw
 			s.bits = slices.Grow(s.bits[:0], size)[:size]
-			d, x = s.bits[:rc*dw], s.bits[rc*dw:rc*dw+ra*xw]
-			acc, live = s.bits[rc*dw+ra*xw:size-xw], s.bits[size-xw:]
+			rest := s.bits
+			d, rest = rest[:rc*dw], rest[rc*dw:]
+			x, rest = rest[:ra*xw], rest[ra*xw:]
+			prod, rest = rest[:ra*dw], rest[ra*dw:]
+			cols, live = rest[:rb*aw], rest[rb*aw:]
 			clear(d)
 			clear(live)
 		}
-		k := src - lc
-		wf.decodeBits(w, d[k*dw:][:dw], lb)
+		k := src - sh.lc
+		wf.decodeBits(w, d[k*dw:][:dw], sh.lb)
 		live[k/64] |= 1 << (k % 64)
 	}
 	if d == nil {
 		return false
 	}
-	cb.heldBits(x, la, lc, rc, xw)
+	cb.heldBits(x, sh, xw)
 	for i, w := range nd.got {
-		if src := int(nd.from[i]); cb.isUpdate(w, src, la, ra, lc, rc) {
-			wf.decodeBits(w, x[(src-la)*xw:][:xw], lc)
+		if src := int(nd.from[i]); cb.isUpdate(w, src, &sh) {
+			wf.decodeBits(w, x[(src-sh.la)*xw:][:xw], sh.lc)
 		}
 	}
-	return nd.emit(s, t, la, ra, func(i int, dst []uint64) []uint64 {
-		clear(acc)
+	clear(prod)
+	for i := range ra {
+		acc := prod[i*dw : (i+1)*dw]
 		for kw, m := range x[i*xw : (i+1)*xw] {
 			for m &= live[kw]; m != 0; m &= m - 1 {
 				k := kw*64 + bits.TrailingZeros64(m)
@@ -1501,8 +1630,25 @@ func (nd *cubeNode) multiplyBool(s *cubeScratch, t, la, lb, lc, ra, rb, rc int, 
 				}
 			}
 		}
-		return nd.wf.packSet(dst, acc, nil, 0, rb, lb)
+	}
+	own := nd.emit(s, sh.t, sh.la, ra, func(i int, dst []uint64) []uint64 {
+		return nd.wf.packSet(dst, prod[i*dw:(i+1)*dw], nil, 0, rb, sh.lb)
 	})
+	if sh.a == sh.b {
+		return own
+	}
+	clear(cols)
+	for i := range ra {
+		for jw, m := range prod[i*dw : (i+1)*dw] {
+			for ; m != 0; m &= m - 1 {
+				j := jw*64 + bits.TrailingZeros64(m)
+				cols[j*aw+i/64] |= 1 << (i % 64)
+			}
+		}
+	}
+	return nd.emit(s, sh.t, sh.lb, rb, func(j int, dst []uint64) []uint64 {
+		return nd.wf.packSet(dst, cols[j*aw:(j+1)*aw], nil, 0, ra, sh.la)
+	}) || own
 }
 
 // fill returns (*buf)[:size] filled with v, growing *buf as needed.

@@ -53,17 +53,21 @@ func BenchmarkNewPass(b *testing.B) {
 		name string
 		a    *Matrix
 		b, p *Dense
-		s    schedule
+		cube bool
 	}{
-		{"relax-256x16", relaxS, relaxB, prevB, paced},
-		{"cube-160-minplus", nil, x, p, cubed},
-		{"cube-160-bool", nil, xb, pb, cubed},
+		{"relax-256x16", relaxS, relaxB, prevB, false},
+		{"cube-160-minplus", nil, x, p, true},
+		{"cube-160-bool", nil, xb, pb, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			var acc []int64
+			var cp *cubePlan
+			if bc.cube {
+				cp = &cubePlan{}
+			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				pass, err := newPass(bc.a, bc.b, bc.p, bc.s, acc, false)
+				pass, err := newPass(bc.a, bc.b, bc.p, false, acc, cp)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -121,17 +121,18 @@ func WritePower(w *ckptio.Writer, p *Power) {
 	p.harvest()
 	w.I64(int64(p.e))
 	step := int64(p.phase)
-	if p.held {
+	if p.held() {
 		step |= 2
 	}
 	w.I64(step)
 	WriteMatrix(w, p.baseRows())
-	WriteMatrix(w, p.result)
-	var prev *Matrix
-	if p.prev != nil {
-		prev = sparse(p.prev)
+	for _, d := range []*Dense{p.result, p.prev} {
+		var m *Matrix
+		if d != nil {
+			m = sparse(d)
+		}
+		WriteMatrix(w, m)
 	}
-	WriteMatrix(w, prev)
 }
 
 // ReadPower decodes a cursor written by WritePower into a Power that
@@ -153,12 +154,12 @@ func ReadPower(r *ckptio.Reader, withPrev bool) (*Power, error) {
 	p.e = int(r.I64())
 	step := r.I64()
 	p.phase = int(step & 1)
-	var prev *Matrix
+	var result, prev *Matrix
 	var err error
 	if p.rows, err = ReadMatrix(r); err != nil {
 		return nil, err
 	}
-	if p.result, err = ReadMatrix(r); err != nil {
+	if result, err = ReadMatrix(r); err != nil {
 		return nil, err
 	}
 	if withPrev {
@@ -179,9 +180,9 @@ func ReadPower(r *ckptio.Reader, withPrev bool) (*Power, error) {
 		if prev == nil {
 			return nil, fmt.Errorf("matmul: power state says its cube nodes hold blocks of a previous operand it does not carry")
 		}
-		p.held = true
+		p.cube = &cubePlan{held: true}
 	}
-	for _, m := range []*Matrix{p.result, prev} {
+	for _, m := range []*Matrix{result, prev} {
 		if m != nil && checkPair(p.rows.N, m.N, p.rows.Sr, m.Sr) != nil {
 			return nil, fmt.Errorf("matmul: power state carries a %d x %d %s matrix beside a %d x %d %s base",
 				m.N, m.N, m.Sr.Name, p.rows.N, p.rows.N, p.rows.Sr.Name)
@@ -192,6 +193,9 @@ func ReadPower(r *ckptio.Reader, withPrev bool) (*Power, error) {
 			return nil, fmt.Errorf("matmul: power state carries a previous operand without One on its diagonal")
 		}
 		p.prev = dense(prev)
+	}
+	if result != nil {
+		p.result = dense(result)
 	}
 	return p, nil
 }

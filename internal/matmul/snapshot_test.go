@@ -176,12 +176,12 @@ func TestPowerCursorRoundTrip(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	w := ckptio.NewWriter(&buf)
-	WritePower(w, &Power{e: 4, phase: 1, base: dense(x), result: base, prev: dense(base)})
+	WritePower(w, &Power{e: 4, phase: 1, base: dense(x), result: dense(base), prev: dense(base)})
 	p, err := ReadPower(ckptio.NewReader(bytes.NewReader(buf.Bytes())), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.e != 4 || p.phase != 1 || !sameBits(p.baseRows(), x) || !sameBits(p.result, base) || p.prev == nil || !sameBits(sparse(p.prev), base) {
+	if p.e != 4 || p.phase != 1 || !sameBits(p.baseRows(), x) || !sameBits(sparse(p.result), base) || p.prev == nil || !sameBits(sparse(p.prev), base) {
 		t.Fatalf("cursor did not round-trip: %+v", p)
 	}
 	buf.Reset()

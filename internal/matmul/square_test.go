@@ -20,7 +20,7 @@ func sameBits(a, b *Matrix) bool {
 // squarePass is the semi-naive squaring X ⊗ X = X ⊕ X ⊗ Δ of an X =
 // prev ⊗ prev, as Power builds it.
 func squarePass(x, prev *Matrix) (*Pass, error) {
-	return newPass(nil, dense(x), dense(prev), cubed, nil, false)
+	return newPass(nil, dense(x), dense(prev), false, nil, &cubePlan{})
 }
 
 // TestSemiNaiveSquaringMatchesRef: over every semiring, on random
@@ -235,30 +235,37 @@ func TestSemiNaiveSquaringDeltaShapes(t *testing.T) {
 
 // TestCubeProductMatchesRef: the cube pass of a semi-naive squaring
 // returns X ⊗ X bit for bit, over every semiring, on sizes that cover
-// q = 1, n = q³, n just past q³ and ragged last blocks, for three
-// shapes of Δ:
+// q = 1, n = q³, n just past q³ and ragged last blocks (up to n = 131,
+// q = 5), for four shapes of Δ:
 //
 //   - empty: X is its own closure and P = X, the fixpoint a squaring
 //     loop ends on;
 //   - all of X: P is all Zero, so every entry of X is in Δ;
 //   - diagonal blocks: P has edges only inside the blocks B_i, so X = P ⊗ P
 //     and Δ lie in the diagonal blocks, where the diagonal cube nodes
-//     use X in Δ's place.
+//     use X in Δ's place;
+//   - one pair: X is its own closure and P lacks one pair {0, j} of it,
+//     j as far from 0 as the closure reaches, so Δ is that pair alone:
+//     the shape of a squaring that confirms a fixpoint, whose few Δ
+//     entries meet dense columns of X.
 //
 // Each runs twice: as a chain's first cube squaring, which ships X
 // whole, and as a later one, whose cube nodes hold P's blocks and take
-// Δ for their X-updates. Its vote must agree with the host's slices.Equal of the product and X,
-// and its rounds and words with predictCube, with no link carrying more
-// than one word a round.
+// Δ for their X-updates. Its vote must agree with the host's
+// slices.Equal of the product and X, and its rounds and words with
+// predictCube. The semirings are (min,+), booleans, (max,min) and a
+// generic one, which runs every loop through Add and Mul. Every run
+// passes the a ≤ b audit (cubeAudit), with no link carrying more than
+// one word a round.
 func TestCubeProductMatchesRef(t *testing.T) {
-	for _, sr := range core.AllSemirings() {
-		for _, n := range []int{1, 2, 7, 8, 9, 27, 28, 63, 64, 65} {
+	for _, sr := range append(core.AllSemirings(), generic(core.MinPlus())) {
+		for _, n := range []int{1, 2, 7, 8, 9, 27, 28, 63, 64, 65, 131} {
 			a, err := FromGraph(graph.RandomGNP(n, 0.1, int64(n)).WithUniformRandomWeights(2, 20), sr, true)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// blockLocal is a's edges inside the blocks B_i alone.
-			cb := &cube{n: n, q: cubeRoot(n)}
+			cb := &cubePlan{n: n, q: cubeRoot(n)}
 			bld := newBuilder(n, sr)
 			for v := 0; v < n; v++ {
 				row := slices.Clone(dense(a).Row(core.NodeID(v)))
@@ -288,6 +295,13 @@ func TestCubeProductMatchesRef(t *testing.T) {
 				}
 				return x
 			}
+			onePair := dense(closure)
+			for j := n - 1; j > 0; j-- {
+				if onePair.At(0, j) != sr.Zero {
+					onePair.Vals[j], onePair.Vals[j*n] = sr.Zero, sr.Zero
+					break
+				}
+			}
 			for _, tc := range []struct {
 				name string
 				x    *Matrix
@@ -296,16 +310,17 @@ func TestCubeProductMatchesRef(t *testing.T) {
 				{"empty", closure, dense(closure)},
 				{"all", square(a), NewDense(n, n, sr)},
 				{"diagonal-blocks", square(blockLocal), dense(blockLocal)},
+				{"one-pair", closure, onePair},
 			} {
 				want := square(tc.x)
 				for _, held := range []bool{false, true} {
-					name := fmt.Sprintf("%s/n%d/%s/held=%v", sr.Name, n, tc.name, held)
-					p, err := newPass(nil, dense(tc.x), tc.prev, cubed, nil, held)
+					name := fmt.Sprintf("%s %v/n%d/%s/held=%v", sr.Name, sr.Kind(), n, tc.name, held)
+					p, err := newPass(nil, dense(tc.x), tc.prev, false, nil, &cubePlan{held: held})
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
 					p.vote()
-					st := runVotePass(t, p, 1)
+					st := runAudited(t, p)
 					if got := p.Sparse(); !sameBits(got, want) {
 						t.Fatalf("%s: the cube pass differs from MulRef(X, X)", name)
 					}
@@ -331,7 +346,7 @@ func TestCubeFallsBackToRowPull(t *testing.T) {
 	bld.appendRow([]int64{sr.One, huge})
 	bld.appendRow([]int64{huge, sr.One})
 	x := bld.m
-	p, err := newPass(nil, dense(x), dense(x), cubed, nil, false)
+	p, err := newPass(nil, dense(x), dense(x), false, nil, &cubePlan{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,234 @@
+package matmul
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"reflect"
+	"slices"
+	"testing"
+	"unsafe"
+
+	"github.com/paper-repo-growth/doryp20/internal/ckptio"
+	"github.com/paper-repo-growth/doryp20/internal/core"
+	"github.com/paper-repo-growth/doryp20/internal/engine"
+	"github.com/paper-repo-growth/doryp20/internal/graph"
+)
+
+// generic returns sr with its kind cleared, so every loop that would
+// specialise on it runs through its Add and Mul instead: a semiring the
+// cube knows nothing about.
+func generic(sr core.Semiring) core.Semiring {
+	f := reflect.ValueOf(&sr).Elem().FieldByName("kind")
+	reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem().SetUint(uint64(core.KindGeneric))
+	return sr
+}
+
+// multiplies reports whether node t of a cube pass multiplies: it is a
+// cube node (a, b, c) with a ≤ b.
+func (cp *cubePlan) multiplies(t int) bool {
+	sh := cp.share(t)
+	return t < cp.q*cp.q*cp.q && sh.a <= sh.b
+}
+
+// cubeAudit wraps a node of a cube pass and fails the run when a word
+// reaches it that the a ≤ b node set forbids: a phase-1 word (one
+// delivered by round F1) into a node that does not multiply, or a
+// partial row from one — or from a node whose product has no row or
+// column this node owns. The vote's word 0 may go anywhere.
+type cubeAudit struct {
+	engine.Node
+	cb *cube
+}
+
+func (c *cubeAudit) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message) error {
+	id, cb := int(ctx.ID()), c.cb
+	for _, m := range inbox {
+		src := int(m.Src)
+		switch {
+		case int(r) <= cb.wide:
+			if !cb.multiplies(id) {
+				return fmt.Errorf("node %d, which does not multiply, got a phase-1 word from %d", id, src)
+			}
+		case m.Payload != 0:
+			sh := cb.share(src)
+			row := id >= sh.la && id < sh.la+sh.ra
+			col := sh.a < sh.b && id >= sh.lb && id < sh.lb+sh.rb
+			if !cb.multiplies(src) || !row && !col {
+				return fmt.Errorf("node %d got a partial row from node %d, which owes it none", id, src)
+			}
+		}
+	}
+	return c.Node.Round(ctx, r, inbox)
+}
+
+// runAudited runs the cube pass p on a fresh engine, every node under a
+// cubeAudit and every link checked to carry at most one word a round.
+func runAudited(t *testing.T, p *Pass) *engine.Stats {
+	t.Helper()
+	nodes := make([]engine.Node, p.n)
+	for v, nd := range p.Nodes() {
+		nodes[v] = &cubeAudit{Node: &linkCheck{Node: nd, perSrc: make([]int, p.n)}, cb: p.cb}
+	}
+	e, err := engine.New(p.n, engine.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	st, err := e.RunBounded(context.Background(), nodes, p.MaxRoundsHint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestAsymmetricPowerSquaresByRowPull: a base whose pattern is symmetric
+// but whose values are not has asymmetric powers, whose squarings the
+// cube's transposed delivery would get wrong. A Power over one squares
+// by row-pull alone — semi-naively, streaming Δ, after its first
+// squaring — bills what the traffic model gives, and returns the
+// reference power.
+func TestAsymmetricPowerSquaresByRowPull(t *testing.T) {
+	g := graph.RandomGNP(40, 0.08, 4).WithUniformRandomWeights(2, 20)
+	for _, sr := range []core.Semiring{core.MinPlus(), core.MaxMin(), generic(core.MinPlus())} {
+		sym, err := FromGraph(g, sr, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Raise each entry below the diagonal by 1: the pattern stays.
+		d := dense(sym)
+		for v := 0; v < d.N; v++ {
+			row := d.Row(core.NodeID(v))
+			for j := range row[:v] {
+				if row[j] != sr.Zero {
+					row[j]++
+				}
+			}
+		}
+		a := sparse(d)
+		if transposeEqual(a) || !a.symmetric {
+			t.Fatalf("%s: the fixture is value-symmetric %v, pattern-symmetric %v", sr.Name, transposeEqual(a), a.symmetric)
+		}
+		w := &chainWatch{Power: NewPower(a, 64), t: t}
+		m := newLoopModel(t, w)
+		var got []passTraffic
+		if _, err := runProduct(a.N, m, trafficHook(&got)); err != nil {
+			t.Fatalf("%s: %v", sr.Name, err)
+		}
+		if !slices.Equal(got, m.want) {
+			t.Errorf("%s: per-pass rounds/words %v, model %v", sr.Name, got, m.want)
+		}
+		for i, sq := range w.sqs {
+			if sq.cube {
+				t.Errorf("%s: squaring %d ran by the cube", sr.Name, i+1)
+			}
+		}
+		if m.semi == 0 || len(w.sqs) < 3 {
+			t.Errorf("%s: %d squarings, %d semi-naive; the fixture must square semi-naively", sr.Name, len(w.sqs), m.semi)
+		}
+		want := a
+		for range 6 {
+			if want, err = MulRef(want, want); err != nil {
+				t.Fatal(err)
+			}
+		}
+		matricesEqual(t, w.Result().(*Matrix), want, sr.Name+" A^64")
+	}
+}
+
+// TestHeldChainResumesExactly: a Power chain checkpointed (WritePower,
+// ReadPower) at any pass boundary, its cube nodes holding their blocks,
+// resumes to bill every remaining pass exactly the rounds and words the
+// uninterrupted chain billed, and returns the same matrix.
+func TestHeldChainResumesExactly(t *testing.T) {
+	g := graph.Path(45).WithUniformRandomWeights(2, 9)
+	for _, sr := range core.AllSemirings() {
+		a, err := FromGraph(g, sr, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := NewPower(a, 64)
+		var want []passTraffic
+		if _, err := runProduct(a.N, full, trafficHook(&want)); err != nil {
+			t.Fatal(err)
+		}
+		heldStops := 0
+		for stop := 1; stop < len(want); stop++ {
+			p := NewPower(a, 64)
+			if _, err := runProduct(a.N, &stopAfter{Kernel: p, passes: stop}); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			WritePower(ckptio.NewWriter(&buf), p)
+			if p.held() {
+				heldStops++
+			}
+			q, err := ReadPower(ckptio.NewReader(&buf), true)
+			if err != nil {
+				t.Fatalf("%s, stop %d: %v", sr.Name, stop, err)
+			}
+			if q.held() != p.held() {
+				t.Fatalf("%s, stop %d: restored held %v, written %v", sr.Name, stop, q.held(), p.held())
+			}
+			var got []passTraffic
+			if _, err := runProduct(a.N, q, trafficHook(&got)); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want[stop:]) {
+				t.Errorf("%s, stop %d: resumed passes bill %v, the uninterrupted chain %v", sr.Name, stop, got, want[stop:])
+			}
+			if !sameBits(q.Result().(*Matrix), full.Result().(*Matrix)) {
+				t.Errorf("%s, stop %d: the resumed power differs", sr.Name, stop)
+			}
+		}
+		if heldStops == 0 {
+			t.Errorf("%s: no stop left the cube nodes holding their blocks", sr.Name)
+		}
+	}
+}
+
+// TestCubeSquaringAllocs: a held cube squaring of a chain whose plan is
+// sized — building the pass and running it on a warm engine — allocates
+// a number of objects that does not grow with n: no node allocates its
+// inbox store, its partial rows or its streams, and the link table is
+// the chain's.
+func TestCubeSquaringAllocs(t *testing.T) {
+	const most = 32
+	for _, n := range []int{64, 216} {
+		a, err := FromGraph(graph.RandomGNPWeighted(n, 0.05, 30, 1), core.MinPlus(), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p2, err := MulRef(a, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := MulRef(p2, p2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dx, dp := dense(x), dense(p2)
+		cp := &cubePlan{held: true}
+		e, err := engine.New(n, engine.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var acc []int64
+		allocs := testing.AllocsPerRun(5, func() {
+			p, err := newPass(nil, dx, dp, false, acc, cp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.vote()
+			if _, err := e.RunBounded(context.Background(), p.Nodes(), p.MaxRoundsHint()); err != nil {
+				t.Fatal(err)
+			}
+			acc = p.flat
+		})
+		e.Close()
+		t.Logf("n = %d: %.0f objects", n, allocs)
+		if allocs > most {
+			t.Errorf("n = %d: a held cube squaring allocates %.0f objects, want at most %d at every n", n, allocs, most)
+		}
+	}
+}

@@ -194,24 +194,27 @@ func predictTraffic(t *testing.T, a *Matrix, b, prev *Dense, vote bool) passTraf
 }
 
 // predictCube is the traffic model of the cube pass of a semi-naive
-// squaring X ⊗ X = X ⊕ X ⊗ Δ, derived from X and the P
-// with X = P ⊗ P alone, written from the protocol cubeNode documents
-// rather than from its code. Let q = ⌊n^{1/3}⌋, B_i = [i·n/q, (i+1)·n/q)
-// and cube node (a, b, c) = (a·q + b)·q + c. held says the cube nodes
+// squaring X ⊗ X = X ⊕ X ⊗ Δ of a value-symmetric X, derived from X and
+// the P with X = P ⊗ P alone, written from the protocol cubeNode
+// documents rather than from its code. Let q = ⌊n^{1/3}⌋,
+// B_i = [i·n/q, (i+1)·n/q) and cube node (a, b, c) = (a·q + b)·q + c;
+// only the cube nodes with a ≤ b multiply. held says the cube nodes
 // hold P's blocks from the squaring before, which ran by the cube: an
 // update pass.
 //
 //   - Phase 1: owner v in B_a sends X[v, B_c] (Δ[v, B_c] in an update
-//     pass) to (a, b, c) for every b and c, and Δ[v, B_b] to (a', b, a)
-//     for every a' and b but a' = b = a, each segment packed in the wire
-//     format of X's values; a link's words are the segments it carries,
-//     and a link into the sender itself costs nothing. F1 = the widest
-//     link in words.
-//   - Phase 2: cube node t = (a, b, c) sends owner u in B_a, u ≠ t, the
-//     non-Zero entries of ⊕_{k∈B_c} X[u, k] ⊗ D[k, B_b], D = X on a
-//     diagonal node of a pass that is not an update and Δ elsewhere,
-//     packed in the format of the values' products; word i of a link
-//     goes out in round F1 + i.
+//     pass) to (a, b, c) for every b ≥ a and every c, and Δ[v, B_b] to
+//     (a', b, a) for every b and every a' ≤ b but a' = b = a, each
+//     segment packed in the wire format of X's values; a link's words
+//     are the segments it carries, and a link into the sender itself
+//     costs nothing. F1 = the widest link in words.
+//   - Phase 2: let P_t = X[B_a, B_c] ⊗ D[B_c, B_b] for cube node
+//     t = (a, b, c), a ≤ b, D = X on a diagonal node of a pass that is
+//     not an update and Δ elsewhere. t sends owner u in B_a, u ≠ t, the
+//     non-Zero entries of row u of P_t and, when a < b, owner w in B_b,
+//     w ≠ t, those of column w of P_t as a row over the columns B_a,
+//     each packed in the format of the values' products; word i of a
+//     link goes out in round F1 + i.
 //   - The vote: owner u's row moves in the first round a partial word
 //     that lowers (⊕-raises) an entry of X[u] reaches it — round F1 for
 //     its own partial. A moved row but node 0's sends node 0 the word 0,
@@ -277,10 +280,10 @@ func predictCube(t *testing.T, x *Matrix, prev *Dense, vote, held bool) (m cubeM
 		link := map[int]int{}
 		update := func(j int) bool { return !held || row[j] != old[j] }
 		for b := 0; b < q; b++ {
-			for cc := 0; cc < q; cc++ {
+			for cc := 0; cc < q && b >= a; cc++ {
 				link[(a*q+b)*q+cc] += len(seg(wf, row, cc, update))
 			}
-			for a2 := 0; a2 < q; a2++ {
+			for a2 := 0; a2 <= b; a2++ {
 				if a2 != a || b != a {
 					link[(a2*q+b)*q+a] += len(seg(wf, row, b, func(j int) bool { return row[j] != old[j] }))
 				}
@@ -312,11 +315,16 @@ func predictCube(t *testing.T, x *Matrix, prev *Dense, vote, held bool) (m cubeM
 	from0 := make([]int, n)  // words cube node 0 streams owner u
 	for tt := 0; tt < q*q*q; tt++ {
 		a, b, cc := tt/(q*q), tt/q%q, tt%q
+		if a > b {
+			continue
+		}
+		// prod is P_t, row-major over the rows B_a and the columns B_b.
+		ra, rb := lo(a+1)-lo(a), lo(b+1)-lo(b)
+		prod := make([]int64, ra*rb)
+		for i := range prod {
+			prod[i] = sr.Zero
+		}
 		for u := lo(a); u < lo(a+1); u++ {
-			part := make([]int64, n)
-			for j := range part {
-				part[j] = sr.Zero
-			}
 			for k := lo(cc); k < lo(cc+1); k++ {
 				xuk := dx.At(core.NodeID(u), k)
 				if xuk == sr.Zero {
@@ -328,21 +336,26 @@ func predictCube(t *testing.T, x *Matrix, prev *Dense, vote, held bool) (m cubeM
 						continue
 					}
 					if d != sr.Zero {
-						part[j] = sr.Add(part[j], sr.Mul(xuk, d))
+						i := (u-lo(a))*rb + j - lo(b)
+						prod[i] = sr.Add(prod[i], sr.Mul(xuk, d))
 					}
 				}
 			}
+		}
+		// send delivers owner u the partial row part over the columns of
+		// block i.
+		send := func(u, i int, part []int64) {
 			xu := dx.Row(core.NodeID(u))
 			lowers := func(j int) bool { return sr.Add(xu[j], part[j]) != xu[j] }
 			if u == tt {
-				for j := lo(b); j < lo(b+1); j++ {
+				for j := lo(i); j < lo(i+1); j++ {
 					if part[j] != sr.Zero && lowers(j) {
 						move(u, f1)
 					}
 				}
-				continue
+				return
 			}
-			words := seg(pwf, part, b, func(int) bool { return true })
+			words := seg(pwf, part, i, func(int) bool { return true })
 			pt.words += uint64(len(words))
 			if len(words) > 0 {
 				last = max(last, f1+len(words)-1)
@@ -353,18 +366,35 @@ func predictCube(t *testing.T, x *Matrix, prev *Dense, vote, held bool) (m cubeM
 			if tt == 0 {
 				from0[u] = len(words)
 			}
-			for i, w := range words {
-				got := make([]int64, lo(b+1)-lo(b))
+			for r, w := range words {
+				got := make([]int64, lo(i+1)-lo(i))
 				for j := range got {
 					got[j] = sr.Zero
 				}
-				pwf.decode(w, got, lo(b))
+				pwf.decode(w, got, lo(i))
 				for j, p := range got {
-					if p != sr.Zero && lowers(lo(b)+j) {
-						move(u, f1+1+i)
+					if p != sr.Zero && lowers(lo(i)+j) {
+						move(u, f1+1+r)
 					}
 				}
 			}
+		}
+		part := make([]int64, n)
+		for u := lo(a); u < lo(a+1); u++ {
+			for j := range part {
+				part[j] = sr.Zero
+			}
+			copy(part[lo(b):], prod[(u-lo(a))*rb:][:rb])
+			send(u, b, part)
+		}
+		for w := lo(b); w < lo(b+1) && a < b; w++ {
+			for j := range part {
+				part[j] = sr.Zero
+			}
+			for u := lo(a); u < lo(a+1); u++ {
+				part[u] = prod[(u-lo(a))*rb+w-lo(b)]
+			}
+			send(w, a, part)
 		}
 	}
 	if vote && slices.ContainsFunc(moved, func(r int) bool { return r >= 0 }) {
@@ -398,6 +428,18 @@ func predictCube(t *testing.T, x *Matrix, prev *Dense, vote, held bool) (m cubeM
 	return m
 }
 
+// transposeEqual reports whether x equals its transpose, entry by entry.
+func transposeEqual(x *Matrix) bool {
+	for i := 0; i < x.N; i++ {
+		for j := 0; j < i; j++ {
+			if x.At(core.NodeID(i), core.NodeID(j)) != x.At(core.NodeID(j), core.NodeID(i)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // cubeModel is predictCube's verdict on one squaring.
 type cubeModel struct {
 	passTraffic
@@ -421,8 +463,9 @@ func trafficHook(got *[]passTraffic) clique.Option {
 // loopModel drives a kernel whose passes are all Power and Relaxation
 // products and, as each pass starts, records what predictTraffic says
 // it will cost, from the operands of the loop whose product is in
-// flight. A Power squaring with prev set is semi-naive, a cube pass
-// over X and P. The model tracks each Relaxation itself: its first
+// flight. A Power squaring with prev set is semi-naive: a cube pass
+// over X and P when the Power's A is value-symmetric, a row-pull one
+// streaming Δ otherwise. The model tracks each Relaxation itself: its first
 // product is local and no pass, so the first engine product multiplies
 // S ⊗ (indicator columns), and over a reflexive S every engine product
 // streams only what changed since the B the product before multiplied
@@ -433,6 +476,7 @@ type loopModel struct {
 	want    []passTraffic
 	lastB   map[*Relaxation]*Dense // the B of each Relaxation's last engine product
 	squares map[*Power]int         // squarings each Power has started
+	sym     map[*Power]bool        // the Power's A is value-symmetric: it squares by the cube
 	held    map[*Power]bool        // the Power's last squaring ran by the cube
 	resq    bool                   // some Power squared more than once
 	semi    int                    // semi-naive squarings
@@ -440,7 +484,8 @@ type loopModel struct {
 }
 
 func newLoopModel(t *testing.T, k clique.Kernel) *loopModel {
-	return &loopModel{Kernel: k, t: t, lastB: map[*Relaxation]*Dense{}, squares: map[*Power]int{}, held: map[*Power]bool{}}
+	return &loopModel{Kernel: k, t: t, lastB: map[*Relaxation]*Dense{}, squares: map[*Power]int{},
+		sym: map[*Power]bool{}, held: map[*Power]bool{}}
 }
 
 func (m *loopModel) Next(g *graph.CSR) (clique.Pass, error) {
@@ -453,8 +498,18 @@ func (m *loopModel) Next(g *graph.CSR) (clique.Pass, error) {
 	}
 	switch loop := inFlight(reflect.ValueOf(m.Kernel), map[uintptr]bool{}).(type) {
 	case *Power:
-		left, prev := loop.result, (*Dense)(nil)
-		if loop.passIsSquare {
+		sym, seen := m.sym[loop]
+		if !seen {
+			// The chain's first pass multiplies A (or the base a checkpoint
+			// restored), which decides how every squaring of it runs.
+			sym = transposeEqual(sparse(loop.base))
+			m.sym[loop] = sym
+		}
+		var left *Matrix
+		var prev *Dense
+		if !loop.passIsSquare {
+			left = sparse(loop.result)
+		} else {
 			left = sparse(loop.base)
 			m.squares[loop]++
 			m.resq = m.resq || m.squares[loop] > 1
@@ -463,6 +518,9 @@ func (m *loopModel) Next(g *graph.CSR) (clique.Pass, error) {
 				if !denseOneDiagonal(loop.prev) {
 					m.t.Errorf("pass %d: a semi-naive squaring over a previous operand without One on its diagonal", len(m.want))
 				}
+				prev = loop.prev
+			}
+			if prev != nil && sym {
 				held := m.held[loop]
 				want := predictCube(m.t, left, loop.prev, loop.pass.voters != nil, held)
 				m.want = append(m.want, want.passTraffic)
