@@ -74,6 +74,17 @@ func (k *ApproxKSourceKernel) Augmented() *matmul.Matrix {
 	return k.rx.Over()
 }
 
+// Plan returns stage 2's plan over Augmented, nil before stage 2's
+// first engine product or when the augmented matrix prices as
+// row-pull: what a caller that keeps Augmented hands NewRelaxKernel
+// with it, so its relaxations ship only Δ and partial rows.
+func (k *ApproxKSourceKernel) Plan() *matmul.Plan {
+	if k.rx == nil {
+		return nil
+	}
+	return k.rx.Plan()
+}
+
 // ApproxSSSPKernel computes (1+ε)-approximate single-source
 // shortest-path distances — the paper's headline workload — as the
 // one-source specialization of ApproxKSourceKernel: hopset

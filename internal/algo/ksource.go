@@ -112,11 +112,19 @@ type RelaxKernel struct{ pipelineKernel }
 // NewRelaxKernel returns a relaxation-only kernel over matrix s from
 // the given sources, running `products` dense products. For
 // bit-identity with ApproxKSourceKernel at hopset bound β, pass
-// products = RelaxProducts(β, s.N).
-func NewRelaxKernel(s *matmul.Matrix, sources []core.NodeID, products int) *RelaxKernel {
+// products = RelaxProducts(β, s.N). held, at most one, is the plan an
+// earlier relaxation over s left on the same session
+// (ApproxKSourceKernel.Plan): the kernel starts from it, so where the
+// cube nodes hold s's blocks its products ship only Δ and partial rows.
+func NewRelaxKernel(s *matmul.Matrix, sources []core.NodeID, products int, held ...*matmul.Plan) *RelaxKernel {
+	var plan *matmul.Plan
+	if len(held) > 0 {
+		plan = held[0]
+	}
 	return &RelaxKernel{pipelineKernel{spec: pipelineSpec{
 		name:    "relax",
 		sources: fixedSources(sources),
+		held:    plan,
 		relaxOver: func(any) (*matmul.Matrix, int, error) {
 			if s == nil {
 				return nil, 0, fmt.Errorf("algo: relax kernel requires a matrix")

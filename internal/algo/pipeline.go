@@ -42,6 +42,9 @@ type pipelineSpec struct {
 	// ceil((n-1)/h) for S = A^h, RelaxProducts(β, n) for a
 	// hopset-augmented adjacency.
 	relaxOver func(stage1 any) (s *matmul.Matrix, products int, err error)
+	// held is a plan an earlier relaxation over the same S left, which
+	// stage 2 starts from (matmul.Relaxation.Hold); nil for none.
+	held *matmul.Plan
 	// project converts the relaxed per-source rows of raw semiring
 	// values (which it may overwrite) into the value Result reports.
 	project func(sources []core.NodeID, rows [][]int64) any
@@ -149,6 +152,7 @@ func (k *pipelineKernel) relax(stage1 any) error {
 	}
 	k.hs, _ = stage1.(*hopset.Hopset)
 	k.rx = matmul.NewRelaxation(s, k.sources, products)
+	k.rx.Hold(k.spec.held)
 	k.s1 = nil
 	k.stage = 2
 	return nil

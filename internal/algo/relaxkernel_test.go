@@ -2,6 +2,7 @@ package algo
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -127,5 +128,68 @@ func TestRelaxKernelZeroProducts(t *testing.T) {
 	}
 	if d := k.Dist(); len(d) != 1 || d[0][0] != 0 {
 		t.Fatalf("Dist() = %v, want [[0]]", d)
+	}
+}
+
+// TestRelaxScheduleChoice: on the benchmark's graph shape, a weighted
+// G(n, 0.05) at n = 128 and 256 with √n sources, the hopset
+// construction's relaxation over the sparse rounded base prices as
+// row-pull, and stage 2's over the dense augmented adjacency as the 2D
+// block partition. A RelaxKernel handed that plan on the same session
+// returns the pipeline's distances bit for bit, for fewer words than
+// one that ships S's blocks again on a fresh session.
+func TestRelaxScheduleChoice(t *testing.T) {
+	ctx := context.Background()
+	for _, n := range []int{128, 256} {
+		g := graph.RandomGNPWeighted(n, 0.05, 32, int64(n))
+		var sources []core.NodeID
+		for v := 0; v < n; v += 16 {
+			sources = append(sources, core.NodeID(v))
+		}
+		full := NewApproxKSourceKernel(sources, hopset.Params{Eps: 0.25})
+		sess, err := clique.New(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		if err := sess.Run(ctx, full); err != nil {
+			t.Fatal(err)
+		}
+		if full.Plan() == nil {
+			t.Errorf("n = %d: the augmented adjacency prices as row-pull", n)
+		}
+		hs := full.Hopset()
+		base := matmul.NewRelaxation(hs.Base, sources, 3)
+		if err := sess.Run(ctx, base); err != nil {
+			t.Fatal(err)
+		}
+		if base.Plan() != nil {
+			t.Errorf("n = %d: the rounded base prices as the 2D block partition", n)
+		}
+
+		products := RelaxProducts(hs.Beta, n)
+		before := sess.Stats().Engine.TotalMsgs
+		held := NewRelaxKernel(full.Augmented(), sources, products, full.Plan())
+		if err := sess.Run(ctx, held); err != nil {
+			t.Fatal(err)
+		}
+		heldWords := sess.Stats().Engine.TotalMsgs - before
+		fresh := NewRelaxKernel(full.Augmented(), sources, products)
+		st, err := clique.NewSize(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		if err := st.Run(ctx, fresh); err != nil {
+			t.Fatal(err)
+		}
+		for j := range sources {
+			if !slices.Equal(held.Dist()[j], full.Dist()[j]) || !slices.Equal(fresh.Dist()[j], full.Dist()[j]) {
+				t.Fatalf("n = %d, source %d: a relaxation over the cached matrix differs from the pipeline", n, sources[j])
+			}
+		}
+		if heldWords >= st.Stats().Engine.TotalMsgs {
+			t.Errorf("n = %d: the held relaxation billed %d words, one that ships S's blocks %d", n, heldWords, st.Stats().Engine.TotalMsgs)
+		}
 	}
 }

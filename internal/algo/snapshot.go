@@ -28,10 +28,11 @@ import (
 // unified the per-kernel layouts into the powerKernel and
 // pipelineKernel ones; version 3 added the relaxation's previous
 // columns to the pipelineKernel one; version 4 added the last
-// squaring's operand to the power cursor. Blobs from oldestStateVersion
-// on still restore.
+// squaring's operand to the power cursor; version 5 added the held bit
+// to the relaxation cursor. Blobs from oldestStateVersion on still
+// restore.
 const (
-	kernelStateVersion uint64 = 4
+	kernelStateVersion uint64 = 5
 	oldestStateVersion uint64 = 2
 )
 
@@ -154,7 +155,7 @@ func (k *pipelineKernel) RestoreState(r io.Reader) error {
 	}
 	var rx *matmul.Relaxation
 	if cr.Bool() {
-		if rx, err = matmul.ReadRelaxation(cr, version >= 3); err != nil {
+		if rx, err = matmul.ReadRelaxation(cr, version >= 3, version >= 5); err != nil {
 			return err
 		}
 	}

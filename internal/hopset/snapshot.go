@@ -20,9 +20,9 @@ import (
 )
 
 // kernelStateVersion stamps the ConstructKernel state blob. Version 2
-// added the relaxation's previous columns; a version 1 blob still
-// restores, without them.
-const kernelStateVersion uint64 = 2
+// added the relaxation's previous columns, version 3 its held bit;
+// blobs from version 1 on still restore.
+const kernelStateVersion uint64 = 3
 
 // writeParams encodes p to the ckptio writer.
 func writeParams(w *ckptio.Writer, p Params) {
@@ -100,13 +100,13 @@ func (k *ConstructKernel) RestoreState(r io.Reader) error {
 	}
 	cr := ckptio.NewReader(r)
 	v := cr.U64()
-	if cr.Err() == nil && v != kernelStateVersion && v != kernelStateVersion-1 {
-		return fmt.Errorf("hopset: kernel state version %d, this build reads versions %d and %d", v, kernelStateVersion-1, kernelStateVersion)
+	if cr.Err() == nil && (v < 1 || v > kernelStateVersion) {
+		return fmt.Errorf("hopset: kernel state version %d, this build reads versions 1 to %d", v, kernelStateVersion)
 	}
 	stage := int(cr.I64())
 	params := readParams(cr)
 	hubs := cr.NodeIDs()
-	rx, err := matmul.ReadRelaxation(cr, v == kernelStateVersion)
+	rx, err := matmul.ReadRelaxation(cr, v >= 2, v >= 3)
 	if err != nil {
 		return err
 	}

@@ -271,3 +271,67 @@ func TestPowerCursorWithoutHeldBit(t *testing.T) {
 		}
 	}
 }
+
+// TestHeldRelaxationResumesExactly: a 2D Relaxation checkpointed
+// (WriteRelaxation, ReadRelaxation) at every pass boundary resumes to
+// bill every remaining pass exactly the rounds and words the
+// uninterrupted run billed — a cursor whose held bit is set restores
+// cube nodes that hold S's blocks, so its next product ships only Δ, as
+// the run it continues does — and returns the same columns. A cursor
+// that says its cube nodes hold blocks of an S that prices as row-pull
+// is refused.
+func TestHeldRelaxationResumesExactly(t *testing.T) {
+	const n = 65
+	for _, sr := range []core.Semiring{core.MinPlus(), core.MaxMin(), generic(core.MinPlus())} {
+		s, sources := relaxFixture(t, n, 2, sr)
+		full := NewRelaxation(s, sources, n)
+		var want []passTraffic
+		if _, err := runProduct(n, full, trafficHook(&want)); err != nil {
+			t.Fatal(err)
+		}
+		heldStops := 0
+		for stop := 1; stop < len(want); stop++ {
+			x := NewRelaxation(s, sources, n)
+			if _, err := runProduct(n, &stopAfter{Kernel: x, passes: stop}); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			WriteRelaxation(ckptio.NewWriter(&buf), x)
+			if x.cube != nil && x.cube.held {
+				heldStops++
+			}
+			y, err := ReadRelaxation(ckptio.NewReader(&buf), true, true)
+			if err != nil {
+				t.Fatalf("%s, stop %d: %v", sr.Name, stop, err)
+			}
+			var got []passTraffic
+			if _, err := runProduct(n, y, trafficHook(&got)); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want[stop:]) {
+				t.Errorf("%s, stop %d: resumed passes bill %v, the uninterrupted run %v", sr.Name, stop, got, want[stop:])
+			}
+			if !slices.Equal(y.Result().(*Dense).Vals, full.Result().(*Dense).Vals) {
+				t.Errorf("%s, stop %d: the resumed columns differ", sr.Name, stop)
+			}
+		}
+		if heldStops == 0 {
+			t.Errorf("%s: no stop left the cube nodes holding S's blocks", sr.Name)
+		}
+	}
+	sparseS, err := FromGraph(graph.Path(20), core.MinPlus(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w := ckptio.NewWriter(&buf)
+	ind := Indicator(20, []core.NodeID{0}, core.MinPlus())
+	WriteMatrix(w, sparseS)
+	WriteDense(w, ind)
+	w.I64(3)
+	WriteDense(w, ind)
+	w.Bool(true)
+	if _, err := ReadRelaxation(ckptio.NewReader(&buf), true, true); err == nil || !strings.Contains(err.Error(), "hold blocks") {
+		t.Errorf("a held cursor over an S that prices as row-pull restored (err %v)", err)
+	}
+}

@@ -293,6 +293,13 @@ func (p *Power) Dense() *Dense {
 // follows what is still unsettled rather than the width of the columns.
 // Any other S streams whole rows every product.
 //
+// Over a reflexive S that prices as 2D (relaxPlan, decided once, at the
+// first engine product, from S alone), an engine product B ⊕ S ⊗ Δ runs
+// by a 2D block partition instead of row-pull (cubeNode, cubePlan). Its
+// plan records whether the cube nodes hold S's blocks: the first 2D
+// product ships them, and every later one, in this Relaxation or in one
+// that starts from its plan (Hold), ships only Δ and partial rows.
+//
 // Between products Relaxation holds B, and prev over a reflexive S, as
 // the accumulator slabs of the products that made them, and hands the
 // next product the slab of the B from two products back (from the last
@@ -305,6 +312,10 @@ type Relaxation struct {
 	// reflexive; nil while no product has run.
 	prev      *Dense
 	reflexive bool
+	// cube is the plan of the 2D products, nil when S prices as
+	// row-pull; priced says the choice is made.
+	cube   *cubePlan
+	priced bool
 	// spare is a slab no operand holds any more, which the next product
 	// takes as its accumulator; nil when there is none.
 	spare []int64
@@ -392,6 +403,9 @@ func (r *Relaxation) harvest() {
 		r.spare = freed.Vals
 	}
 	r.b = r.pass.Dense()
+	if r.pass.cb != nil {
+		r.cube.held = true // S never changes: its blocks stay held
+	}
 	r.remaining--
 	if !r.pass.changed() {
 		r.remaining = 0
@@ -406,7 +420,15 @@ func (r *Relaxation) Next(*graph.CSR) (clique.Pass, error) {
 	if r.remaining <= 0 {
 		return clique.Pass{}, nil
 	}
-	pass, err := newPass(r.s, r.b, r.prev, false, r.spare, nil)
+	if !r.priced && r.reflexive {
+		r.cube = relaxPlan(r.s)
+	}
+	r.priced = true
+	var cp *cubePlan
+	if r.prev != nil {
+		cp = r.cube
+	}
+	pass, err := newPass(r.s, r.b, r.prev, false, r.spare, cp)
 	if err != nil {
 		return clique.Pass{}, err
 	}
@@ -428,6 +450,32 @@ func (r *Relaxation) Result() any {
 
 // Over returns S, the matrix the columns are relaxed over.
 func (r *Relaxation) Over() *Matrix { return r.s }
+
+// Plan is a Relaxation's 2D schedule over its S — the choice, the link
+// table, the buffers and whether the cube nodes hold S's blocks — kept
+// for a later Relaxation over the same S. The blocks are the state of
+// one session's nodes: hand it only to Relaxations that run, one at a
+// time, on the session that ran the one it came from.
+type Plan struct{ cp *cubePlan }
+
+// Plan returns the Relaxation's 2D plan, nil when its S prices as
+// row-pull or no engine product has priced it yet.
+func (r *Relaxation) Plan() *Plan {
+	if r.cube == nil {
+		return nil
+	}
+	return &Plan{r.cube}
+}
+
+// Hold makes the Relaxation, before its first engine product, run from
+// p, a plan an earlier Relaxation over the same S left: its products
+// then skip the choice and, once S's blocks are held, ship only Δ and
+// partial rows. A nil p, or one over another S, changes nothing.
+func (r *Relaxation) Hold(p *Plan) {
+	if p != nil && p.cp.s == r.s && r.reflexive && !r.priced {
+		r.cube, r.priced = p.cp, true
+	}
+}
 
 // init registers the demonstration matmul kernel: squaring the
 // reflexive (min,+) adjacency matrix of the session graph — one

@@ -6,7 +6,6 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"github.com/paper-repo-growth/doryp20/internal/core"
 	"github.com/paper-repo-growth/doryp20/internal/engine"
@@ -38,9 +37,9 @@ import (
 // wireFormat holds the split for one product; it is derived from the
 // values the product sends alone, so every rank and every crash-resume
 // rebuilds identical words. A cube pass (cubeNode) has two: its
-// segments of X and Δ travel in the format of X's values, and its
-// partial rows of C in one whose range covers every product of two of
-// them (valueRange.products).
+// segments of X and Δ travel in the format of the values they carry,
+// and its partial rows of C in one whose range covers every product of
+// an X value and a Δ value (cubePlan.formats).
 type wireFormat struct {
 	idxBits, width uint
 	idxMask, fMask uint64
@@ -107,18 +106,27 @@ func (rg valueRange) format(cols int, sr core.Semiring) (*wireFormat, error) {
 	return wf, nil
 }
 
-// products returns the range of the values Mul(x, y) takes for x and y
-// in rg or One, leaving One out as format does — the values a cube
-// pass's partial rows carry, since every semiring here is monotone in
-// each argument. ok is false when a product of two values saturates to
-// Zero, so no range short of Zero bounds them.
-func (rg valueRange) products(sr core.Semiring) (out valueRange, ok bool) {
-	out = rg
-	if !rg.ranged {
+// union returns the range that covers rg and o.
+func (rg valueRange) union(o valueRange) valueRange {
+	if o.ranged {
+		rg.add(o.lo)
+		rg.add(o.hi)
+	}
+	return rg
+}
+
+// times returns the range of the values Mul(x, y) takes for x in rg or
+// One and y in o or One, leaving One out as format does — the values a
+// cube pass's partial rows carry, since every semiring here is monotone
+// in each argument. ok is false when a product of two values saturates
+// to Zero, so no range short of Zero bounds them.
+func (rg valueRange) times(o valueRange, sr core.Semiring) (out valueRange, ok bool) {
+	out = rg.union(o)
+	if !rg.ranged || !o.ranged {
 		return out, true
 	}
 	for _, x := range []int64{rg.lo, rg.hi} {
-		for _, y := range []int64{rg.lo, rg.hi} {
+		for _, y := range []int64{o.lo, o.hi} {
 			switch m := sr.Mul(x, y); m {
 			case sr.Zero:
 				return out, false
@@ -144,10 +152,14 @@ func (wf *wireFormat) packSet(dst []uint64, set []uint64, vals []int64, lo, hi, 
 	if cnt == 0 {
 		return dst
 	}
-	sparseWords := (cnt + wf.sparsePer - 1) / wf.sparsePer
-	posWords := 0
-	for j := nextBit(set, lo, hi); j < hi && posWords < sparseWords; posWords++ {
-		j = nextBit(set, j+wf.posPer, hi)
+	// One sparse word holds the row when its entries fit: no positional
+	// word does better.
+	sparseWords, posWords := 1, 1
+	if cnt > wf.sparsePer {
+		sparseWords, posWords = (cnt+wf.sparsePer-1)/wf.sparsePer, 0
+		for j := nextBit(set, lo, hi); j < hi && posWords < sparseWords; posWords++ {
+			j = nextBit(set, j+wf.posPer, hi)
+		}
 	}
 	// Shift counts masked with 63, a no-op (a field ends by bit 62), so
 	// the compiler drops its out-of-range-shift test per field.
@@ -195,6 +207,25 @@ func (wf *wireFormat) packSet(dst []uint64, set []uint64, vals []int64, lo, hi, 
 		dst = append(dst, w)
 	}
 	return dst
+}
+
+// packShort is packSet for a dense row of at most sparsePer columns,
+// whose entries always fit one sparse word: it appends that word, the
+// non-Zero row[j] at column off+j, or nothing for a row all Zero.
+func (wf *wireFormat) packShort(dst []uint64, row []int64, zero int64, off int) []uint64 {
+	entBits, width := (wf.idxBits+wf.width)&63, wf.width&63
+	var w uint64
+	s := uint(0)
+	for j, v := range row {
+		if v != zero {
+			w |= (uint64(off+j)<<width | wf.field(v)) << (s * entBits & 63)
+			s++
+		}
+	}
+	if s == 0 {
+		return dst
+	}
+	return append(dst, w)
 }
 
 // sweep is the one pass over an operand b that decides what a product
@@ -379,6 +410,31 @@ func (wf *wireFormat) decode(w uint64, row []int64, off int) (entries int) {
 		}
 	}
 	return entries
+}
+
+// decodeAt is decode into a row that keeps only some columns: entry
+// (j, v) lands at row[slot[j-off]], and nowhere when that is negative.
+func (wf *wireFormat) decodeAt(w uint64, row []int64, slot []int32, off int) {
+	put := func(j int, f uint64) {
+		if s := slot[j-off]; f != 0 && s >= 0 {
+			row[s] = wf.base + int64(f)
+			if f == 1 {
+				row[s] = wf.one
+			}
+		}
+	}
+	width, idxBits := wf.width&63, wf.idxBits&63
+	if w&posFlag != 0 {
+		w &^= posFlag
+		j := int(w & wf.idxMask)
+		for w >>= idxBits; w != 0; w, j = w>>width, j+1 {
+			put(j, w&wf.fMask)
+		}
+		return
+	}
+	for entBits := (idxBits + width) & 63; w != 0; w >>= entBits {
+		put(int(w>>width&wf.idxMask), w&wf.fMask)
+	}
 }
 
 // decodeBits sets the bits of the columns one packed word of the 1-bit
@@ -819,13 +875,15 @@ func NewDensePass(a *Matrix, b *Dense, unpaced bool) (*Pass, error) {
 //   - a semi-naive squaring, A = B = X = P ⊗ P and prev = P (Power says
 //     why).
 //
-// With cp set (its chain's cubePlan) the pass is the semi-naive squaring
-// of a value-symmetric X, run by the cube (cubeNode), whose owners send
-// segments of X as well as of Δ, so its values are X's; its nodes hold
-// no row of A, so a may be nil. Its partial rows need a second format
-// covering the products of those values; where no wire word fits one (a
-// (min,+) operand whose largest value doubled nears InfWeight), the
-// squaring runs row-pull instead, over a = B. unpace is NewPass's.
+// With cp set the pass runs by the cube (cubeNode): either the
+// semi-naive squaring of a value-symmetric X, cp being its chain's plan,
+// whose owners send segments of X as well as of Δ and whose nodes hold
+// no row of A, so a may be nil; or a Relaxation's 2D product
+// B ⊕ S ⊗ Δ, cp being the Relaxation's plan and a = S. Its partial rows
+// need a second format (cubePlan.formats); where no wire word fits one
+// (a (min,+) operand whose largest values summed near InfWeight), the
+// product runs row-pull instead, over a = B for a squaring. unpace is
+// NewPass's.
 func newPass(a *Matrix, b, prev *Dense, unpace bool, acc []int64, cp *cubePlan) (*Pass, error) {
 	if a != nil {
 		if err := checkPair(a.N, b.N, a.Sr, b.Sr); err != nil {
@@ -837,20 +895,20 @@ func newPass(a *Matrix, b, prev *Dense, unpace bool, acc []int64, cp *cubePlan) 
 	}
 	n, k, rw := b.N, b.K, (b.K+63)/64
 	var sel, dsel []uint64
-	if cp != nil {
-		cp.init(n)
-		sel, dsel = cp.sel, cp.dsel
-	} else {
+	switch {
+	case cp == nil:
 		sel = make([]uint64, n*rw)
+	case cp.s != nil:
+		cp.init(n, k)
+		sel = cp.dsel // a relaxation sends no segment of B but Δ's
+	default:
+		cp.init(n, k)
+		sel, dsel = cp.sel, cp.dsel
 	}
 	rg := sweep(b, prev, sel, dsel)
-	wf, err := rg.format(k, b.Sr)
-	var pwf *wireFormat
+	var wf, pwf *wireFormat
 	if cp != nil {
-		if prg, ok := rg.products(b.Sr); ok && err == nil {
-			pwf, _ = prg.format(k, b.Sr)
-		}
-		if pwf == nil {
+		if wf, pwf = cp.formats(rg, k, b.Sr); pwf == nil {
 			// Row-pull from here: pack only Δ, in the format of its values.
 			if a == nil {
 				a = sparse(b)
@@ -858,17 +916,24 @@ func newPass(a *Matrix, b, prev *Dense, unpace bool, acc []int64, cp *cubePlan) 
 			return newPass(a, b, prev, false, acc, nil)
 		}
 	}
+	var err error
+	if wf == nil {
+		wf, err = rg.format(k, b.Sr)
+	}
 	if err != nil {
 		return nil, err
 	}
-	p := &Pass{n: n, cols: k, sr: b.Sr, b: b, accs: make([][]int64, n)}
+	p := &Pass{n: n, cols: k, sr: b.Sr, b: b}
 	if prev != nil {
 		p.flat = append(acc[:0], b.Vals...)
 	} else {
 		p.flat = fill(&acc, n*k, b.Sr.Zero)
 	}
-	p.nodes = make([]engine.Node, n)
-	p.state = make([]mulNode, n)
+	if pwf == nil {
+		cp = &cubePlan{} // a row-pull pass's per-node arrays are its own
+	}
+	// A loop's cube passes run one at a time, so they share one set.
+	p.accs, p.nodes, p.state = resize(&cp.accs, n), resize(&cp.nodeSet, n), resize(&cp.state, n)
 	for v := range p.state {
 		var aCols []core.NodeID
 		var aVals []int64
@@ -879,7 +944,7 @@ func newPass(a *Matrix, b, prev *Dense, unpace bool, acc []int64, cp *cubePlan) 
 		p.state[v] = mulNode{sr: b.Sr, wf: wf, aCols: aCols, aVals: aVals, acc: p.accs[v], unpace: unpace}
 		p.nodes[v] = &p.state[v]
 	}
-	if cp != nil {
+	if pwf != nil {
 		p.asCube(newCube(b, prev, wf, cp), pwf)
 		return p, nil
 	}
@@ -981,6 +1046,9 @@ func (p *Pass) Dense() *Dense {
 // (PODC 2015), instead of row-pull. Let q = ⌊n^{1/3}⌋ and split [0, n)
 // into the blocks B_i = [i·n/q, (i+1)·n/q). Node t = (a·q + b)·q + c < q³
 // is cube node (a, b, c); every node still owns its row of X, Δ and C.
+// A Relaxation's 2D product B ⊕ S ⊗ Δ runs the same program at the
+// shape (q, 1, q), with S in X's place, no a ≤ b rule and no column
+// emission (cubePlan).
 //
 // X is value-symmetric — Power squares by the cube only when its
 // chain's A is, and then every power of A is — and so are Δ and X ⊗ X.
@@ -1063,55 +1131,91 @@ type cubeNode struct {
 	got  []uint64
 	from []core.NodeID
 	out  []stream // what this node still has to send
+	buf  []uint64 // the partial rows out's streams send, kept across passes
 }
 
-// stream is a partial row queued for its owner, and the vote word 0
-// behind it when vote is set.
+// stream is a partial row queued for its owner, the words
+// buf[next:end] of its cube node yet to go, and the vote word 0 behind
+// it when vote is set.
 type stream struct {
-	dst   core.NodeID
-	words []uint64
-	vote  bool
+	dst       core.NodeID
+	next, end int
+	vote      bool
 }
 
-// cubePlan is what the cube squarings of one Power chain share: the
-// phase-1 link table, which depends on n, q and the a ≤ b rule alone;
-// whether the cube nodes hold their blocks of the chain's last operand;
-// and the buffers every squaring refills, so that a squaring allocates
-// nothing per node once the chain's first has sized them.
+// cubePlan is what the cube passes of one loop share: the shape; the
+// phase-1 link table, which the shape fixes (and, for a Relaxation, S's
+// pattern); whether the cube nodes hold their blocks of the loop's left
+// operand; and the buffers every pass refills.
+//
+// The shape is (q, qb, q): q blocks of the n rows along a and c, qb of
+// B's cols columns along b. A Power chain squares at (q, q, q),
+// q = ⌊n^{1/3}⌋, on the cube nodes with a ≤ b. A Relaxation relaxes at
+// (q, 1, q), q = ⌊√n⌋ (relaxPlan): cube node (a, 0, c) holds
+// S[B_a, B_c], receives the rows Δ[B_c] its block meets, and streams
+// its partial rows to their owners in B_a.
+//
+// Both ship and bill their left operand's blocks in the loop's first
+// cube pass, and read them off the operand, what each node decoded,
+// afterwards. S never changes, so a Relaxation's blocks stay held, also
+// for a later Relaxation that starts from its plan (Plan).
 type cubePlan struct {
-	n, q int
-	// held says the cube nodes hold the blocks of prev, so the X-updates
-	// are Δ. Each node knows it: it took part in the squaring before.
+	n, cols int // the rows of the left operand, and B's columns
+	q, qb   int // blocks along a and c, and along b
+	// s is a Relaxation's S (nil on a squaring chain), sRange the range
+	// of its non-One values and sAt[u*(q+1)+c] where its row u enters
+	// block c in S.Cols.
+	s      *Matrix
+	sRange valueRange
+	sAt    []int32
+	// held says the cube nodes hold the blocks of the left operand: of
+	// prev on a squaring chain, so the X-updates are Δ; of S on a
+	// Relaxation, so no S ships. Each node knows it: it took part in the
+	// pass that shipped them.
 	held bool
-	// links[first[v]:first[v+1]] is what owner v sends in phase 1.
-	links []link
-	first []int
+	// links[first[v]:first[v+1]] is what owner v sends in phase 1, and
+	// to[toAt[v]:toAt[v+1]] the cube nodes of the links that carry its Δ.
+	links       []link
+	first, toAt []int
+	to          []core.NodeID
 	// outs[outAt[v]:outAt[v+1]] is node v's room for streams: one a row
 	// and column of its product and one for its ballot (n for node 0).
 	outAt []int
 	outs  []stream
 	// sel and dsel are sweep's selection bitsets of X and Δ, from which
-	// heldBits also reads P's blocks over (or,and).
+	// heldBits also reads P's blocks over (or,and); a Relaxation keeps Δ
+	// in dsel alone.
 	sel, dsel []uint64
-	// segs holds every owner's segments, packed in slab and ending at
-	// ends: X[v, B_c] − K at xSeg(v, c) and Δ[v, B_b] at dSeg(v, b), one
-	// segment while held.
-	slab []uint64
-	ends []int
-	segs [][]uint64
+	// slab holds every owner's segments, segment i in
+	// slab[starts[i]:ends[i]]: X[v, B_c] − K at xSeg(v, c) and Δ[v, B_b]
+	// at dSeg(v, b), one segment while a chain's blocks are held.
+	slab         []uint64
+	starts, ends []int
 	// in[t] is the phase-1 words cube node t holds at F1, kept in
 	// got[at[t]:at[t+1]] and from likewise.
 	in, at []int
 	got    []uint64
 	from   []core.NodeID
-	// parts holds the partial rows; used counts the words a squaring
-	// reserved in it, so the next one's fits them all.
-	parts []uint64
-	used  atomic.Int64
 	// free holds the scratch no worker is using: at most one a worker,
-	// kept for the whole chain.
+	// kept for the whole loop.
 	mu   sync.Mutex
 	free []*cubeScratch
+	// The per-node arrays of the pass in flight, which the next reuses,
+	// the cube nodes with their bufs.
+	accs    [][]int64
+	nodeSet []engine.Node
+	state   []mulNode
+	cubes   []cubeNode
+}
+
+// resize returns *s resized to n, in its array when that is large
+// enough, and never nil; the caller overwrites every element it reads.
+func resize[T any](s *[]T, n int) []T {
+	if *s == nil || cap(*s) < n {
+		*s = make([]T, n)
+	}
+	*s = (*s)[:n]
+	return *s
 }
 
 // cube is one cube pass: its plan, and what its owners packed.
@@ -1128,24 +1232,26 @@ type cube struct {
 type link struct{ t, x, d int32 }
 
 // cubeScratch is the blocks one local product decodes into and folds,
-// taken from its plan's free list, so reused across a chain's products.
+// taken from its plan's free list, so reused across a loop's products.
 type cubeScratch struct {
-	x, d, c []int64 // K_t, the Δ block, the product
+	x, d, c []int64 // K_t's live columns, the Δ block's live rows, the product
 	col     []int64 // one column of the product
 	db      deltaBlock
-	slab    []uint64 // the packed partial rows
-	ends    []int    // (owner, end) pairs of the partial rows in slab
 	set     []uint64 // one partial row's selection bitset
 	bits    []uint64 // multiplyBool's blocks, as bitsets
+	slot    []int32  // the live row each row of the Δ block decodes into
+	live    []int    // the rows of the Δ block a Δ word reached
+	hit     []uint64 // the rows of the product that have a term
 }
 
-// share is cube node t = (a, b, c)'s part of a squaring: K_t is rows
-// la..la+ra-1 by columns lc..lc+rc-1 of X, its Δ block rows lc..lc+rc-1
-// by columns lb..lb+rb-1, and its product rows la.. by columns lb..
+// share is cube node t = (a, b, c)'s part of a product: K_t is rows
+// la..la+ra-1 by columns lc..lc+rc-1 of the left operand, its Δ block
+// rows lc..lc+rc-1 by columns lb..lb+rb-1, and its product rows la.. by
+// columns lb..
 type share struct {
 	t, a, b                int
 	la, lb, lc, ra, rb, rc int
-	diag                   bool // a = b = c
+	diag                   bool // a = b = c on a squaring
 }
 
 // cubeRoot returns ⌊n^{1/3}⌋.
@@ -1157,103 +1263,250 @@ func cubeRoot(n int) int {
 	return q
 }
 
-// lo returns the first row of block i (lo(q) = n).
+// lo returns the first row of block i along a or c (lo(q) = n).
 func (cp *cubePlan) lo(i int) int { return i * cp.n / cp.q }
 
-// block returns the block v lies in.
+// loB returns the first column of block i along b (loB(qb) = cols).
+func (cp *cubePlan) loB(i int) int { return i * cp.cols / cp.qb }
+
+// block returns the block along a or c that v lies in.
 func (cp *cubePlan) block(v int) int { return ((v+1)*cp.q - 1) / cp.n }
 
+// nodes returns how many cube nodes the shape has; nodes past them idle.
+func (cp *cubePlan) nodes() int { return cp.q * cp.qb * cp.q }
+
+// multiplies reports whether node t computes a product: it is a cube
+// node, and on a squaring one with a ≤ b.
+func (cp *cubePlan) multiplies(t int) bool {
+	sh := cp.share(t)
+	return t < cp.nodes() && (cp.s != nil || sh.a <= sh.b)
+}
+
 // xSeg and dSeg index X[v, B_c] − K and Δ[v, B_b] in segs.
-func (cp *cubePlan) xSeg(v, c int) int { return 2*v*cp.q + c }
-func (cp *cubePlan) dSeg(v, b int) int { return (2*v+1)*cp.q + b }
+func (cp *cubePlan) xSeg(v, c int) int { return v*(cp.q+cp.qb) + c }
+func (cp *cubePlan) dSeg(v, b int) int { return v*(cp.q+cp.qb) + cp.q + b }
+
+// xOff is the column offset the X-updates travel at: a Relaxation's
+// segments of S are columns cols.. of a space whose first cols columns
+// are Δ's, so no word of S reads as one of Δ.
+func (cp *cubePlan) xOff() int {
+	if cp.s == nil {
+		return 0
+	}
+	return cp.cols
+}
 
 // share returns cube node t's share.
 func (cp *cubePlan) share(t int) share {
-	q := cp.q
-	a, b, c := t/(q*q), t/q%q, t%q
-	la, lb, lc := cp.lo(a), cp.lo(b), cp.lo(c)
+	a, b, c := t/(cp.qb*cp.q), t/cp.q%cp.qb, t%cp.q
+	la, lb, lc := cp.lo(a), cp.loB(b), cp.lo(c)
 	return share{t: t, a: a, b: b, la: la, lb: lb, lc: lc,
-		ra: cp.lo(a+1) - la, rb: cp.lo(b+1) - lb, rc: cp.lo(c+1) - lc, diag: a == b && b == c}
+		ra: cp.lo(a+1) - la, rb: cp.loB(b+1) - lb, rc: cp.lo(c+1) - lc, diag: cp.s == nil && a == b && b == c}
 }
 
-// init sizes the plan for n nodes, once per chain: the link table, every
-// node's room for streams, and the buffers whose size n alone fixes.
-func (cp *cubePlan) init(n int) {
+// relaxPlan decides, once per Relaxation and from S alone, how its
+// engine products run: it prices one full column of Δ under each
+// schedule, in entries moved, and returns a 2D plan when that moves
+// fewer, nil for row-pull. Row-pull sends Δ[k] to every off-diagonal
+// neighbour of k: Σ_k deg(k) − 1 over a reflexive S. The 2D product
+// sends Δ[k] to every cube node (a, 0, block(k)) with S[B_a, k] ≠ Zero,
+// and each cube node (a, 0, c) returns one partial row per row of
+// S[B_a, B_c] with an entry. S's pattern is symmetric (newPass refuses
+// any other), so both 2D terms are Σ_u #{c : S[u, B_c] ≠ Zero}. An S
+// that is not value-symmetric relaxes by row-pull too: a cube node reads
+// the columns of its block off S's rows. Like the One diagonal, the
+// choice is a static property of the operand.
+func relaxPlan(s *Matrix) *cubePlan {
+	q := 1
+	for (q+1)*(q+1) <= s.N {
+		q++
+	}
+	cp := &cubePlan{n: s.N, q: q, qb: 1, s: s, sAt: make([]int32, s.N*(q+1))}
+	blocks := 0
+	for u := 0; u < s.N; u++ {
+		at, e := cp.sAt[u*(q+1):(u+1)*(q+1)], s.Rows[u]
+		for c := range at {
+			for lo := int32(cp.lo(c)); e < s.Rows[u+1] && s.Cols[e] < core.NodeID(lo); e++ {
+			}
+			if at[c] = e; c > 0 && e > at[c-1] {
+				blocks++
+			}
+		}
+	}
+	if 2*blocks >= s.NNZ()-s.N || !transposed(s) {
+		return nil
+	}
+	for _, v := range s.Vals {
+		if v != s.Sr.One {
+			cp.sRange.add(v)
+		}
+	}
+	return cp
+}
+
+// transposed reports whether s equals its transpose, in one pass: row
+// u's entry (u, j) must be the next entry of row j not yet matched.
+func transposed(s *Matrix) bool {
+	next := slices.Clone(s.Rows[:s.N])
+	for u := 0; u < s.N; u++ {
+		cols, vals := s.Row(core.NodeID(u))
+		for e, j := range cols {
+			if i := next[j]; i == s.Rows[j+1] || int(s.Cols[i]) != u || s.Vals[i] != vals[e] {
+				return false
+			}
+			next[j]++
+		}
+	}
+	return true
+}
+
+// sBlock returns S's entries in row u and block c.
+func (cp *cubePlan) sBlock(u, c int) ([]core.NodeID, []int64) {
+	lo, hi := cp.sAt[u*(cp.q+1)+c], cp.sAt[u*(cp.q+1)+c+1]
+	return cp.s.Cols[lo:hi], cp.s.Vals[lo:hi]
+}
+
+// init sizes the plan for n nodes and B's cols columns: once per loop
+// the link table, every node's room for streams and the buffers whose
+// size n alone fixes, and the selection bitsets whenever cols changes.
+func (cp *cubePlan) init(n, cols int) {
+	cp.cols = cols
+	if cp.s == nil {
+		cp.q, cp.qb = cubeRoot(n), cubeRoot(n)
+	}
+	if rw := (cols + 63) / 64; len(cp.sel) != n*rw {
+		cp.sel, cp.dsel = make([]uint64, n*rw), make([]uint64, n*rw)
+	}
 	if cp.links != nil && cp.n == n {
 		return
 	}
-	q := cubeRoot(n)
-	cp.n, cp.q = n, q
-	cp.links, cp.first = nil, make([]int, n+1)
-	add := func(t, x, d int) { cp.links = append(cp.links, link{int32(t), int32(x), int32(d)}) }
+	cp.n = n
+	q, qb := cp.q, cp.qb
+	cp.links, cp.first, cp.toAt = make([]link, 0, 2*n*q*qb), make([]int, n+1), make([]int, n+1)
+	cp.to = make([]core.NodeID, 0, n*q*qb)
+	add := func(t, x, d int) {
+		cp.links = append(cp.links, link{int32(t), int32(x), int32(d)})
+		if d >= 0 {
+			cp.to = append(cp.to, core.NodeID(t))
+		}
+	}
+	// needs reports whether cube node (a2, b, block(v)) multiplies by
+	// Δ[v, B_b]: on a squaring every one with a2 ≤ b does; on a
+	// Relaxation the ones whose S[B_a2, v] holds an entry, which owner v
+	// reads off its own row of S.
+	meets := make([]bool, q)
+	needs := func(a2, b int) bool { return cp.s == nil && a2 <= b || cp.s != nil && meets[a2] }
 	for v := 0; v < n; v++ {
 		a := cp.block(v)
-		for b := a; b < q; b++ {
-			for c := 0; c < q; c++ {
+		for a2 := 0; cp.s != nil && a2 < q; a2++ {
+			meets[a2] = cp.sAt[v*(q+1)+a2+1] > cp.sAt[v*(q+1)+a2]
+		}
+		for b := 0; b < qb; b++ {
+			for c := 0; c < q && (cp.s != nil || b >= a); c++ {
 				d := -1
-				if c == a && b != a {
+				if c == a && needs(a, b) && (cp.s != nil || b != a) {
 					d = cp.dSeg(v, b)
 				}
-				add((a*q+b)*q+c, cp.xSeg(v, c), d)
+				add((a*qb+b)*q+c, cp.xSeg(v, c), d)
 			}
 		}
-		for b := 0; b < q; b++ {
-			for a2 := 0; a2 <= b; a2++ {
-				if a2 != a {
-					add((a2*q+b)*q+a, -1, cp.dSeg(v, b))
+		for b := 0; b < qb; b++ {
+			for a2 := 0; a2 < q; a2++ {
+				if a2 != a && needs(a2, b) {
+					add((a2*qb+b)*q+a, -1, cp.dSeg(v, b))
 				}
 			}
 		}
-		cp.first[v+1] = len(cp.links)
+		cp.first[v+1], cp.toAt[v+1] = len(cp.links), len(cp.to)
 	}
 	cp.outAt = make([]int, n+1)
 	for v := 0; v < n; v++ {
 		room := 1
-		if sh := cp.share(v); v < q*q*q && sh.a <= sh.b {
-			room += sh.ra + sh.rb
+		if sh := cp.share(v); cp.multiplies(v) {
+			room += sh.ra
+			if cp.s == nil {
+				room += sh.rb
+			}
 		}
 		if v == 0 {
 			room = max(room, n)
 		}
 		cp.outAt[v+1] = cp.outAt[v] + room
 	}
-	rw := (n + 63) / 64
 	cp.outs = make([]stream, cp.outAt[n])
-	cp.sel, cp.dsel = make([]uint64, n*rw), make([]uint64, n*rw)
-	cp.ends, cp.segs = make([]int, 2*n*q), make([][]uint64, 2*n*q)
-	cp.in, cp.at = make([]int, q*q*q), make([]int, q*q*q+1)
+	cp.starts, cp.ends = make([]int, n*(q+qb)), make([]int, n*(q+qb))
+	cp.in, cp.at = make([]int, cp.nodes()), make([]int, cp.nodes()+1)
 }
 
-// newCube packs every owner's segments, from the selection bitsets sel
-// (X = b's non-Zero entries) and dsel (Δ, those that differ from prev)
-// the sweep left in cp, in the format wf, and sizes phase 1 off the
-// plan's links. While held, the cube nodes hold prev's blocks, so the
+// formats returns a cube pass's phase-1 format and its partial rows',
+// given the range rg of the values of B it sends: the left operand's
+// values (X's, which rg spans, or S's, which ship at xOff only while
+// not held) and Δ's, and every product of one of each. Both are nil
+// when no wire word fits one, and the product runs by row-pull.
+func (cp *cubePlan) formats(rg valueRange, k int, sr core.Semiring) (wf, pwf *wireFormat) {
+	left, ship, cols := rg, rg, k
+	if cp.s != nil {
+		left = cp.sRange
+		if !cp.held {
+			ship, cols = rg.union(cp.sRange), k+cp.n
+		}
+	}
+	prg, ok := left.times(rg, sr)
+	wf, err := ship.format(cols, sr)
+	if !ok || err != nil {
+		return nil, nil
+	}
+	if pwf, err = prg.format(k, sr); err != nil {
+		return nil, nil
+	}
+	return wf, pwf
+}
+
+// newCube packs every owner's segments in the format wf — X from the
+// sweep's bitset sel, S off S unless held, Δ from dsel — and sizes phase
+// 1 off the plan's links. While a squaring chain's blocks are held the
 // X-updates are the Δ segments and each owner packs q segments, not 2q.
 func newCube(b, prev *Dense, wf *wireFormat, cp *cubePlan) *cube {
 	cb := &cube{cubePlan: cp, sr: b.Sr, wf: wf, prev: prev}
-	n, q, rw := cp.n, cp.q, (cp.n+63)/64
+	n, q, rw := cp.n, cp.q, (b.K+63)/64
+	var srow []int64  // S's row, at its entries, while its blocks ship
+	var sset []uint64 // and its entries
+	if cp.s != nil && !cp.held {
+		srow, sset = make([]int64, n), make([]uint64, (n+63)/64)
+	}
 	slab := cp.slab[:0]
 	for v := 0; v < n; v++ {
-		row, x, d := b.Row(core.NodeID(v)), cp.sel[v*rw:(v+1)*rw], cp.dsel[v*rw:(v+1)*rw]
-		for s := 0; s < 2*q; s++ {
-			set := x
-			if s >= q {
-				set = d
+		row := b.Row(core.NodeID(v))
+		if srow != nil {
+			// packSet reads srow only where sset has a bit.
+			clear(sset)
+			cols, vals := cp.s.Row(core.NodeID(v))
+			for i, j := range cols {
+				srow[j], sset[j/64] = vals[i], sset[j/64]|1<<(j%64)
 			}
-			if s >= q || !cp.held {
-				slab = wf.packSet(slab, set, row, cp.lo(s%q), cp.lo(s%q+1), 0)
+		}
+		for c := 0; c < q; c++ {
+			switch {
+			case cp.held:
+			case srow != nil:
+				slab = wf.packSet(slab, sset, srow, cp.lo(c), cp.lo(c+1), cp.xOff())
+			default:
+				slab = wf.packSet(slab, cp.sel[v*rw:(v+1)*rw], row, cp.lo(c), cp.lo(c+1), 0)
 			}
-			cp.ends[cp.xSeg(v, s)] = len(slab) // dSeg(v, s-q) from s = q on
+			cp.ends[cp.xSeg(v, c)] = len(slab)
+		}
+		for bb := 0; bb < cp.qb; bb++ {
+			slab = wf.packSet(slab, cp.dsel[v*rw:(v+1)*rw], row, cp.loB(bb), cp.loB(bb+1), 0)
+			cp.ends[cp.dSeg(v, bb)] = len(slab)
 		}
 	}
 	cp.slab = slab
-	lo := 0
-	for i, hi := range cp.ends {
-		cp.segs[i], lo = slab[lo:hi:hi], hi
-	}
-	for v := 0; cp.held && v < n; v++ {
+	cp.starts[0] = 0
+	copy(cp.starts[1:], cp.ends)
+	for v := 0; cp.held && cp.s == nil && v < n; v++ {
 		for c := 0; c < q; c++ {
-			cp.segs[cp.xSeg(v, c)] = cp.segs[cp.dSeg(v, c)]
+			x, d := cp.xSeg(v, c), cp.dSeg(v, c)
+			cp.starts[x], cp.ends[x] = cp.starts[d], cp.ends[d]
 		}
 	}
 	clear(cp.in)
@@ -1272,45 +1525,81 @@ func newCube(b, prev *Dense, wf *wireFormat, cp *cubePlan) *cube {
 	total := cp.at[len(cp.in)]
 	cp.got = slices.Grow(cp.got[:0], total)[:total]
 	cp.from = slices.Grow(cp.from[:0], total)[:total]
-	if need := int(cp.used.Load()); need > len(cp.parts) {
-		cp.parts = make([]uint64, need)
-	}
-	cp.used.Store(0)
 	return cb
 }
 
-// reserve returns room for k words of partial rows in the pass-wide
-// slab, or a slab of their own once it is full; the next squaring's slab
-// fits every word this one reserved.
-func (cp *cubePlan) reserve(k int) []uint64 {
-	end := int(cp.used.Add(int64(k)))
-	if end <= len(cp.parts) {
-		return cp.parts[end-k : end : end]
+// heldVals returns, in s.x, the columns of K_t, the cube node sh's
+// block of X, that the live rows of its Δ block meet, ra x len(live)
+// and ready for its X-updates: Zero when they are whole segments of X,
+// prev's block when they are Δ.
+func (nd *cubeNode) heldVals(s *cubeScratch, sh share) []int64 {
+	cb, nl := nd.cb, len(s.live)
+	x := fill(&s.x, sh.ra*nl, cb.sr.Zero)
+	for i := 0; cb.held && i < sh.ra; i++ {
+		row := cb.prev.Row(core.NodeID(sh.la + i))[sh.lc:]
+		for l, k := range s.live {
+			x[i*nl+l] = row[k]
+		}
 	}
-	return make([]uint64, k)
-}
-
-// heldVals returns the K_t of the cube node sh in buf, ready for its
-// X-updates: Zero when they are whole segments of X, prev's block when
-// they are Δ.
-func (cb *cube) heldVals(buf *[]int64, sh share) []int64 {
-	if !cb.held {
-		return fill(buf, sh.ra*sh.rc, cb.sr.Zero)
-	}
-	x := slices.Grow((*buf)[:0], sh.ra*sh.rc)[:sh.ra*sh.rc]
-	for i := range sh.ra {
-		copy(x[i*sh.rc:(i+1)*sh.rc], cb.prev.Row(core.NodeID(sh.la + i))[sh.lc:sh.lc+sh.rc])
-	}
-	*buf = x
 	return x
 }
 
-// heldBits is heldVals over (or,and), K_t as bitset rows of xw words in
-// x. There prev's non-Zero entries are X's less Δ's (X ⊇ prev), so it
+// relaxProduct is the local product of a Relaxation's cube node,
+// S[B_a, B_c] ⊗ Δ[B_c], with its block of S read off S: what it
+// received in the product that shipped the blocks, and has held since.
+// It folds S[u, k] ⊗ Δ[k] into row u of prod for each live row k of its
+// Δ block, reading the column S[B_a, k] off S's row k (S is
+// value-symmetric, relaxPlan), so its work follows the live rows alone.
+func (nd *cubeNode) relaxProduct(s *cubeScratch, sh share, prod []int64, hit []uint64) {
+	cb, rb, la := nd.cb, sh.rb, sh.la
+	zero, kind, a := cb.sr.Zero, cb.sr.Kind(), cb.block(la)
+	for j := range prod {
+		prod[j] = zero
+	}
+	for l, k := range s.live {
+		cols, vals := cb.sBlock(sh.lc+k, a)
+		vals = vals[:len(cols)]
+		for j, d := range s.d[l*rb : (l+1)*rb] {
+			out := prod[j:]
+			switch {
+			case d == zero:
+			case kind == core.KindMinPlus: // a value of S is below InfWeight
+				for e, u := range cols {
+					i := (int(u) - la) * rb
+					out[i] = min(out[i], vals[e]+d)
+				}
+			case kind == core.KindMaxMin:
+				for e, u := range cols {
+					i := (int(u) - la) * rb
+					out[i] = max(out[i], min(vals[e], d))
+				}
+			default:
+				for e, u := range cols {
+					i := (int(u) - la) * rb
+					out[i] = cb.sr.Add(out[i], cb.sr.Mul(vals[e], d))
+				}
+			}
+		}
+	}
+	for i := range sh.ra {
+		hit[i/64] |= 1 << (i % 64) // emit skips the rows left Zero
+	}
+}
+
+// heldBits is heldVals over (or,and), all of K_t as bitset rows of xw
+// words in x; a Relaxation's block, as relaxProduct reads it, off S. On
+// a squaring prev's non-Zero entries are X's less Δ's (X ⊇ prev), so it
 // reads them off the selection bitsets, a word at a time.
 func (cb *cube) heldBits(x []uint64, sh share, xw int) {
-	if !cb.held {
-		clear(x)
+	clear(x)
+	for i := 0; cb.s != nil && i < sh.ra; i++ {
+		cols, _ := cb.sBlock(sh.la+i, cb.block(sh.lc))
+		for _, j := range cols {
+			k := int(j) - sh.lc
+			x[i*xw+k/64] |= 1 << (k % 64)
+		}
+	}
+	if !cb.held || cb.s != nil {
 		return
 	}
 	rw := (cb.n + 63) / 64
@@ -1325,39 +1614,39 @@ func (cb *cube) heldBits(x []uint64, sh share, xw int) {
 
 // isUpdate reports whether the phase-1 word w from src, received by the
 // cube node sh, is one of its X-updates: its sender lies in B_a and its
-// first column in B_c. Any other word is a Δ segment.
+// first column, less xOff, in B_c. Any other word is a Δ segment.
 func (cb *cube) isUpdate(w uint64, src int, sh *share) bool {
-	j := cb.wf.firstCol(w)
+	j := cb.wf.firstCol(w) - cb.xOff()
 	return src >= sh.la && src < sh.la+sh.ra && j >= sh.lc && j < sh.lc+sh.rc
 }
 
-// seg returns segs[i], or nothing for i = -1.
+// seg returns segment i, or nothing for i = -1.
 func (cb *cube) seg(i int32) []uint64 {
 	if i < 0 {
 		return nil
 	}
-	return cb.segs[i]
+	return cb.slab[cb.starts[i]:cb.ends[i]:cb.ends[i]]
 }
 
 // asCube makes p a cube pass: its nodes run cubeNode over cb, and fold
 // partial rows in the format pwf.
 func (p *Pass) asCube(cb *cube, pwf *wireFormat) {
 	p.cb = cb
-	cubes := make([]cubeNode, p.n)
+	cubes := resize(&cb.cubes, p.n)
 	for v := range cubes {
 		p.state[v].wf = pwf
-		cubes[v] = cubeNode{mulNode: &p.state[v], cb: cb}
+		cubes[v] = cubeNode{mulNode: &p.state[v], cb: cb, buf: cubes[v].buf}
 		p.nodes[v] = &cubes[v]
 	}
 	// Phase 2 adds at most one word per entry of a block row or column,
 	// and the vote one word a link; 4n+64 covers the rest.
-	p.maxRow = cb.wide + cb.lo(1) + 1
+	p.maxRow = cb.wide + max(cb.lo(1), cb.loB(1)) + 1
 }
 
 // Round runs one round of the cube protocol and its vote.
 func (nd *cubeNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message) error {
 	id, cb := int(ctx.ID()), nd.cb
-	cubeNodes := cb.q * cb.q * cb.q
+	cubeNodes := cb.nodes()
 	if r == 0 {
 		if nd.vote != nil {
 			nd.vote.ran = true
@@ -1419,6 +1708,23 @@ func (nd *cubeNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message)
 func (nd *cubeNode) segments(ctx *engine.Ctx, r core.Round) error {
 	id, cb := ctx.ID(), nd.cb
 	i := int(r)
+	if cb.s != nil && cb.held {
+		// The owner's Δ segment is all it sends: one word a round to every
+		// cube node that takes it, as row-pull streams a row.
+		d, to := cb.seg(int32(cb.dSeg(int(id), 0))), cb.to[cb.toAt[id]:cb.toAt[id+1]]
+		if r == 0 {
+			nd.drained = core.Round(len(d))
+			if slices.Contains(to, id) {
+				for _, w := range d {
+					nd.got, nd.from = append(nd.got, w), append(nd.from, id)
+				}
+			}
+		}
+		if i < len(d) {
+			return ctx.Multicast(to, d[i])
+		}
+		return nil
+	}
 	for _, l := range cb.links[cb.first[id]:cb.first[id+1]] {
 		x, d := cb.seg(l.x), cb.seg(l.d)
 		if l.t == int32(id) {
@@ -1474,74 +1780,88 @@ func (nd *cubeNode) multiply(sh share) bool {
 		cb.free = append(cb.free, s)
 		cb.mu.Unlock()
 	}()
-	s.slab, s.ends = s.slab[:0], s.ends[:0]
-	var own bool
+	nd.buf = nd.buf[:0]
 	if cb.wf.loop == core.KindBoolOrAnd {
-		own = nd.multiplyBool(s, sh)
-	} else {
-		own = nd.multiplyVals(s, sh)
+		return nd.multiplyBool(s, sh)
 	}
-	// The partial rows stream out over the rounds to come, so they leave
-	// the scratch for the pass-wide slab.
-	kept := cb.reserve(len(s.slab))
-	copy(kept, s.slab)
-	for i, lo := 0, 0; i < len(s.ends); i += 2 {
-		hi := s.ends[i+1]
-		nd.out = append(nd.out, stream{dst: core.NodeID(s.ends[i]), words: kept[lo:hi:hi]})
-		lo = hi
-	}
-	return own
+	return nd.multiplyVals(s, sh)
 }
 
-// multiplyVals is multiply over a semiring of values, in dense blocks.
+// multiplyVals is multiply over a semiring of values, in blocks only as
+// large as the rows of its Δ block that a Δ word reached (live): a node
+// of a product that confirms a fixpoint, sent a few words, does about
+// that much.
 func (nd *cubeNode) multiplyVals(s *cubeScratch, sh share) bool {
 	cb := nd.cb
 	zero := cb.sr.Zero
-	rb, rc := sh.rb, sh.rc
-	var d []int64
-	db := &s.db
-	cnt := slices.Grow(db.cnt[:0], rc)[:rc]
-	clear(cnt)
+	rb := sh.rb
+	held := cb.s != nil && cb.held // no word is an X-update
+	// One pass over the words: each Δ word lands in its row of the
+	// block, which a row's first word appends.
+	slot := slices.Grow(s.slot[:0], sh.rc)[:sh.rc]
+	for k := range slot {
+		slot[k] = -1
+	}
+	live, d, cnt, updates := s.live[:0], s.d[:0], s.db.cnt[:0], false
 	for i, w := range nd.got {
 		src := int(nd.from[i])
-		if cb.isUpdate(w, src, &sh) && !sh.diag {
+		if !held && !sh.diag && cb.isUpdate(w, src, &sh) {
+			updates = true
 			continue
 		}
-		if d == nil {
-			d = fill(&s.d, rc*rb, zero)
+		l := int(slot[src-sh.lc])
+		if l < 0 {
+			l, slot[src-sh.lc], live, cnt = len(live), int32(len(live)), append(live, src-sh.lc), append(cnt, 0)
+			for range rb {
+				d = append(d, zero)
+			}
 		}
-		cnt[src-sh.lc] += cb.wf.decode(w, d[(src-sh.lc)*rb:][:rb], sh.lb)
+		cnt[l] += cb.wf.decode(w, d[l*rb:][:rb], sh.lb)
 	}
-	db.cnt = cnt
-	if d == nil {
+	db := &s.db
+	s.slot, s.live, s.d, db.vals, db.rb, db.cnt = slot, live, d, d, rb, cnt
+	nl := len(live)
+	if nl == 0 {
 		return false
 	}
-	x := cb.heldVals(&s.x, sh)
-	for i, w := range nd.got {
-		if src := int(nd.from[i]); cb.isUpdate(w, src, &sh) {
-			cb.wf.decode(w, x[(src-sh.la)*rc:][:rc], sh.lc)
+	hit := slices.Grow(s.hit[:0], (sh.ra+63)/64)[:(sh.ra+63)/64]
+	clear(hit)
+	prod := slices.Grow(s.c[:0], sh.ra*rb)[:sh.ra*rb]
+	s.hit, s.c = hit, prod
+	if cb.s != nil {
+		nd.relaxProduct(s, sh, prod, hit)
+	} else {
+		x := nd.heldVals(s, sh)
+		for i, w := range nd.got {
+			if src := int(nd.from[i]); (updates || sh.diag) && cb.isUpdate(w, src, &sh) {
+				cb.wf.decodeAt(w, x[(src-sh.la)*nl:][:nl], slot, sh.lc)
+			}
 		}
+		db.index(zero)
+		blockProduct(&cb.sr, prod, x, db, sh.ra, nl, hit)
 	}
-	db.vals, db.rb = d, rb
-	db.index(zero)
-	prod := fill(&s.c, sh.ra*rb, zero)
-	blockProduct(cb.sr, prod, x, db, sh.ra, rc)
 	words := (max(sh.ra, rb) + 63) / 64
 	set := slices.Grow(s.set[:0], words)[:words]
 	s.set = set
-	own := nd.emit(s, sh.t, sh.la, sh.ra, func(i int, dst []uint64) []uint64 {
+	own := nd.emit(sh.t, sh.la, sh.ra, hit, func(i int, dst []uint64) []uint64 {
 		row := prod[i*rb : (i+1)*rb]
+		if rb <= nd.wf.sparsePer {
+			return nd.wf.packShort(dst, row, zero, sh.lb)
+		}
 		nonZeroSet(set[:(rb+63)/64], row, zero)
 		return nd.wf.packSet(dst, set, row, 0, rb, sh.lb)
 	})
-	if sh.a == sh.b {
+	if cb.s != nil || sh.a == sh.b {
 		return own
 	}
 	col := slices.Grow(s.col[:0], sh.ra)[:sh.ra]
 	s.col = col
-	return nd.emit(s, sh.t, sh.lb, rb, func(j int, dst []uint64) []uint64 {
+	return nd.emit(sh.t, sh.lb, rb, nil, func(j int, dst []uint64) []uint64 {
 		for i := range col {
-			col[i] = prod[i*rb+j]
+			col[i] = zero
+			if hit[i/64]>>(i%64)&1 != 0 {
+				col[i] = prod[i*rb+j]
+			}
 		}
 		nonZeroSet(set[:(sh.ra+63)/64], col, zero)
 		return nd.wf.packSet(dst, set, col, 0, sh.ra, sh.la)
@@ -1549,16 +1869,20 @@ func (nd *cubeNode) multiplyVals(s *cubeScratch, sh share) bool {
 }
 
 // emit stages each non-empty partial row i of cube node t's product for
-// the owners lo..lo+cnt-1, as pack(i, dst) appends it packed in the
-// partial rows' format: folded in place when its owner is t itself,
-// appended to s.slab with its (owner, end) in s.ends otherwise. It
-// reports whether it folded into t's own row.
-func (nd *cubeNode) emit(s *cubeScratch, t, lo, cnt int, pack func(i int, dst []uint64) []uint64) bool {
+// the owners lo..lo+cnt-1 — only those whose bit is set in keep, when
+// keep is not nil — as pack(i, dst) appends it packed in the partial
+// rows' format: folded in place when its owner is t itself, appended to
+// the node's buf behind a stream to its owner otherwise. It reports
+// whether it folded into t's own row.
+func (nd *cubeNode) emit(t, lo, cnt int, keep []uint64, pack func(i int, dst []uint64) []uint64) bool {
 	own := false
-	// Locals, not s's fields: appending through a heap pointer pays the
+	// A local, not nd's field: appending through a heap pointer pays the
 	// GC's write barrier on every word.
-	slab, ends := s.slab, s.ends
+	slab := nd.buf
 	for i := 0; i < cnt; i++ {
+		if keep != nil && keep[i/64]>>(i%64)&1 == 0 {
+			continue
+		}
 		at := len(slab)
 		slab = pack(i, slab)
 		switch {
@@ -1569,10 +1893,10 @@ func (nd *cubeNode) emit(s *cubeScratch, t, lo, cnt int, pack func(i int, dst []
 			}
 			slab, own = slab[:at], true
 		default:
-			ends = append(ends, lo+i, len(slab))
+			nd.out = append(nd.out, stream{dst: core.NodeID(lo + i), next: at, end: len(slab)})
 		}
 	}
-	s.slab, s.ends = slab, ends
+	nd.buf = slab
 	return own
 }
 
@@ -1615,7 +1939,7 @@ func (nd *cubeNode) multiplyBool(s *cubeScratch, sh share) bool {
 	}
 	cb.heldBits(x, sh, xw)
 	for i, w := range nd.got {
-		if src := int(nd.from[i]); cb.isUpdate(w, src, &sh) {
+		if src := int(nd.from[i]); cb.s == nil && cb.isUpdate(w, src, &sh) {
 			wf.decodeBits(w, x[(src-sh.la)*xw:][:xw], sh.lc)
 		}
 	}
@@ -1631,10 +1955,10 @@ func (nd *cubeNode) multiplyBool(s *cubeScratch, sh share) bool {
 			}
 		}
 	}
-	own := nd.emit(s, sh.t, sh.la, ra, func(i int, dst []uint64) []uint64 {
+	own := nd.emit(sh.t, sh.la, ra, nil, func(i int, dst []uint64) []uint64 {
 		return nd.wf.packSet(dst, prod[i*dw:(i+1)*dw], nil, 0, rb, sh.lb)
 	})
-	if sh.a == sh.b {
+	if cb.s != nil || sh.a == sh.b {
 		return own
 	}
 	clear(cols)
@@ -1646,7 +1970,7 @@ func (nd *cubeNode) multiplyBool(s *cubeScratch, sh share) bool {
 			}
 		}
 	}
-	return nd.emit(s, sh.t, sh.lb, rb, func(j int, dst []uint64) []uint64 {
+	return nd.emit(sh.t, sh.lb, rb, nil, func(j int, dst []uint64) []uint64 {
 		return nd.wf.packSet(dst, cols[j*aw:(j+1)*aw], nil, 0, ra, sh.la)
 	}) || own
 }
@@ -1660,11 +1984,11 @@ func fill(buf *[]int64, size int, v int64) []int64 {
 	return *buf
 }
 
-// deltaBlock is the Δ block of one local product, rc x rb and row-major,
-// with its rows sorted by how they are best walked: full rows (more
-// than 1/fullShare of them non-Zero) densely, four at a time; part rows
-// through the list of their non-Zero columns, nz[ends[i]:ends[i+1]] for
-// part[i]; rows all Zero not at all. cnt[k] is how many entries row k
+// deltaBlock is the Δ block of one local product, row-major over rb
+// columns, with its rows sorted by how they are best walked: full rows
+// (more than 1/fullShare of them non-Zero) densely, four at a time;
+// part rows through the list of their non-Zero columns,
+// nz[ends[i]:ends[i+1]] for part[i]. cnt[l] is how many entries row l
 // holds, as decode counted them.
 type deltaBlock struct {
 	vals       []int64
@@ -1687,29 +2011,30 @@ func (db *deltaBlock) index(zero int64) {
 	// Locals, not db's fields: appending through a heap pointer pays the
 	// GC's write barrier on every entry.
 	full, part, nz, ends := db.full[:0], db.part[:0], db.nz[:0], append(db.ends[:0], 0)
-	for k, cnt := range db.cnt {
+	for l, cnt := range db.cnt {
 		switch {
 		case fullShare*cnt > db.rb:
-			full = append(full, k)
+			full = append(full, l)
 		case cnt > 0:
-			for j, v := range db.row(k) {
+			for j, v := range db.row(l) {
 				if v != zero {
 					nz = append(nz, int32(j))
 				}
 			}
-			part, ends = append(part, k), append(ends, len(nz))
+			part, ends = append(part, l), append(ends, len(nz))
 		}
 	}
 	db.full, db.part, db.nz, db.ends = full, part, nz, ends
 }
 
-// row returns row k of the block.
-func (db *deltaBlock) row(k int) []int64 { return db.vals[k*db.rb : (k+1)*db.rb] }
+// row returns row l of the block.
+func (db *deltaBlock) row(l int) []int64 { return db.vals[l*db.rb : (l+1)*db.rb] }
 
 // blockProduct folds prod[i][j] = Add(prod[i][j], Mul(x[i][k], Δ[k][j]))
 // for the row-major blocks x (ra x rc) and prod (ra x rb), in loops
-// specialised per semiring kind as accumulate's are.
-func blockProduct(sr core.Semiring, prod, x []int64, db *deltaBlock, ra, rc int) {
+// specialised per semiring kind as accumulate's are. It writes only the
+// rows of prod that have a term, from Zero, and sets their bits in hit.
+func blockProduct(sr *core.Semiring, prod, x []int64, db *deltaBlock, ra, rc int, hit []uint64) {
 	zero, kind, rb := sr.Zero, sr.Kind(), db.rb
 	live := db.live
 	for i := 0; i < ra; i++ {
@@ -1721,98 +2046,86 @@ func blockProduct(sr core.Semiring, prod, x []int64, db *deltaBlock, ra, rc int)
 				live = append(live, k)
 			}
 		}
+		if len(live) == 0 && !slices.ContainsFunc(db.part, func(k int) bool { return xr[k] != zero }) {
+			continue
+		}
+		hit[i/64] |= 1 << (i % 64)
+		for j := range out {
+			out[j] = zero
+		}
 		full := live
 		if kind == core.KindMinPlus || kind == core.KindMaxMin {
 			for ; len(full) >= 4; full = full[4:] {
-				k := full[:4]
-				rows := [4][]int64{db.row(k[0]), db.row(k[1]), db.row(k[2]), db.row(k[3])}
-				xs := [4]int64{xr[k[0]], xr[k[1]], xr[k[2]], xr[k[3]]}
-				switch kind {
-				case core.KindMinPlus:
-					minPlus4(out, &rows, &xs)
-				case core.KindMaxMin:
-					maxMin4(out, &rows, &xs)
+				k0, k1, k2, k3 := full[0], full[1], full[2], full[3]
+				r0, r1, r2, r3 := db.row(k0), db.row(k1), db.row(k2), db.row(k3)
+				if kind == core.KindMinPlus {
+					minPlus4(out, r0, r1, r2, r3, xr[k0], xr[k1], xr[k2], xr[k3])
+				} else {
+					maxMin4(out, r0, r1, r2, r3, xr[k0], xr[k1], xr[k2], xr[k3])
 				}
 			}
 		}
 		for _, k := range full {
-			foldRow(sr, out, db.row(k), xr[k])
+			foldRow(sr, out, db.row(k), nil, xr[k])
 		}
-		foldPart(sr, out, xr, db)
+		for p, k := range db.part {
+			if xr[k] != zero {
+				foldRow(sr, out, db.row(k), db.nz[db.ends[p]:db.ends[p+1]], xr[k])
+			}
+		}
 	}
 	db.live = live
 }
 
 // minPlus4 folds four (min,+) terms into each entry of out, one per row
-// of rows: one load and one store of out per four terms. No sum can
-// overflow (every value is at most InfWeight), and a sum at or past
-// InfWeight never lowers out below it.
-func minPlus4(out []int64, rows *[4][]int64, xs *[4]int64) {
-	r0, r1, r2, r3 := rows[0], rows[1][:len(rows[0])], rows[2][:len(rows[0])], rows[3][:len(rows[0])]
-	out = out[:len(r0)]
+// r0..r3 with the factors x0..x3: one load and one store of out per
+// four terms. No sum can overflow (every value is at most InfWeight),
+// and a sum at or past InfWeight never lowers out below it.
+func minPlus4(out, r0, r1, r2, r3 []int64, x0, x1, x2, x3 int64) {
+	r1, r2, r3, out = r1[:len(r0)], r2[:len(r0)], r3[:len(r0)], out[:len(r0)]
 	for j, d := range r0 {
-		out[j] = min(out[j], xs[0]+d, xs[1]+r1[j], xs[2]+r2[j], xs[3]+r3[j])
+		out[j] = min(out[j], x0+d, x1+r1[j], x2+r2[j], x3+r3[j])
 	}
 }
 
 // maxMin4 is minPlus4 over (max,min).
-func maxMin4(out []int64, rows *[4][]int64, xs *[4]int64) {
-	r0, r1, r2, r3 := rows[0], rows[1][:len(rows[0])], rows[2][:len(rows[0])], rows[3][:len(rows[0])]
-	out = out[:len(r0)]
+func maxMin4(out, r0, r1, r2, r3 []int64, x0, x1, x2, x3 int64) {
+	r1, r2, r3, out = r1[:len(r0)], r2[:len(r0)], r3[:len(r0)], out[:len(r0)]
 	for j, d := range r0 {
-		out[j] = max(out[j], min(xs[0], d), min(xs[1], r1[j]), min(xs[2], r2[j]), min(xs[3], r3[j]))
+		out[j] = max(out[j], min(x0, d), min(x1, r1[j]), min(x2, r2[j]), min(x3, r3[j]))
 	}
 }
 
 // foldRow folds the terms Mul(xv, row[j]) into out, for an xv that is
-// not Zero.
-func foldRow(sr core.Semiring, out, row []int64, xv int64) {
+// not Zero: over every column of row when cols is nil, and over the
+// columns cols, row's non-Zero ones, otherwise.
+func foldRow(sr *core.Semiring, out, row []int64, cols []int32, xv int64) {
 	out = out[:len(row)]
-	switch sr.Kind() {
-	case core.KindMinPlus:
-		if xv >= core.InfWeight { // Mul saturates: no term
-			return
-		}
+	switch k := sr.Kind(); {
+	case k == core.KindMinPlus && xv >= core.InfWeight: // Mul saturates: no term
+	case k == core.KindMinPlus && cols == nil:
 		for j, d := range row {
 			out[j] = min(out[j], xv+d)
 		}
-	case core.KindMaxMin:
+	case k == core.KindMinPlus:
+		for _, j := range cols {
+			out[j] = min(out[j], xv+row[j])
+		}
+	case k == core.KindMaxMin && cols == nil:
 		for j, d := range row {
 			out[j] = max(out[j], min(xv, d))
 		}
-	default:
+	case k == core.KindMaxMin:
+		for _, j := range cols {
+			out[j] = max(out[j], min(xv, row[j]))
+		}
+	case cols == nil:
 		for j, d := range row {
 			out[j] = sr.Add(out[j], sr.Mul(xv, d))
 		}
-	}
-}
-
-// foldPart folds the terms of the part rows of db into out, the row of
-// the product whose row of x is xr, walking each row's list of non-Zero
-// columns.
-func foldPart(sr core.Semiring, out, xr []int64, db *deltaBlock) {
-	zero := sr.Zero
-	for p, k := range db.part {
-		xv, row, cols := xr[k], db.row(k), db.nz[db.ends[p]:db.ends[p+1]]
-		if xv == zero {
-			continue
-		}
-		switch sr.Kind() {
-		case core.KindMinPlus:
-			if xv >= core.InfWeight { // Mul saturates: no term
-				continue
-			}
-			for _, j := range cols {
-				out[j] = min(out[j], xv+row[j])
-			}
-		case core.KindMaxMin:
-			for _, j := range cols {
-				out[j] = max(out[j], min(xv, row[j]))
-			}
-		default:
-			for _, j := range cols {
-				out[j] = sr.Add(out[j], sr.Mul(xv, row[j]))
-			}
+	default:
+		for _, j := range cols {
+			out[j] = sr.Add(out[j], sr.Mul(xv, row[j]))
 		}
 	}
 }
@@ -1843,33 +2156,23 @@ func (nd *cubeNode) announce(n int) {
 }
 
 // flush sends every destination the next word queued for it — its
-// ballot or verdict once its partial rows are out — and drops the
-// streams it empties.
+// ballot or verdict once its partial rows are out. A spent stream stays,
+// so a later vote word to its destination goes out behind nothing.
 func (nd *cubeNode) flush(ctx *engine.Ctx) error {
-	kept := 0
 	for i := range nd.out {
 		s := &nd.out[i]
 		switch {
-		case len(s.words) > 0:
-			if err := ctx.Send(s.dst, s.words[0]); err != nil {
+		case s.next < s.end:
+			if err := ctx.Send(s.dst, nd.buf[s.next]); err != nil {
 				return err
 			}
-			s.words = s.words[1:]
+			s.next++
 		case s.vote:
 			if err := ctx.Send(s.dst, 0); err != nil {
 				return err
 			}
 			s.vote = false
 		}
-		if len(s.words) == 0 && !s.vote {
-			continue
-		}
-		if kept != i {
-			nd.out[kept] = *s
-		}
-		kept++
 	}
-	clear(nd.out[kept:])
-	nd.out = nd.out[:kept]
 	return nil
 }

@@ -230,7 +230,7 @@ func FuzzPackRow(f *testing.F) {
 				t.Fatalf("packRow word %d = %#x, want %#x", i, got[i], want[i])
 			}
 		}
-		checkPackSet(t, wf, row, cs, vs)
+		checkPackSet(t, wf, row, cs, vs, sr.Zero)
 	})
 }
 
@@ -241,8 +241,10 @@ func FuzzPackRow(f *testing.F) {
 // words for the same entries. In the 1-bit format it must not read the
 // values, so it also runs with none. Rows of up to 130 columns try every
 // range; wider ones every range whose ends lie within one column of a
-// 64-bit boundary, or at either end of the row.
-func checkPackSet(t *testing.T, wf *wireFormat, row []int64, cs []core.NodeID, vs []int64) {
+// 64-bit boundary, or at either end of the row. A range of at most
+// sparsePer columns also packs from its dense values alone (packShort),
+// whose non-entries are zero.
+func checkPackSet(t *testing.T, wf *wireFormat, row []int64, cs []core.NodeID, vs []int64, zero int64) {
 	cols := len(row)
 	set := make([]uint64, (cols+63)/64)
 	for _, j := range cs {
@@ -279,6 +281,9 @@ func checkPackSet(t *testing.T, wf *wireFormat, row []int64, cs []core.NodeID, v
 			}
 			if wf.width == 1 {
 				packs["without values"] = func(dst []uint64) []uint64 { return wf.packSet(dst, set, nil, lo, hi, 0) }
+			}
+			if hi-lo <= wf.sparsePer {
+				packs["short"] = func(dst []uint64) []uint64 { return wf.packShort(dst, row[lo:hi], zero, lo) }
 			}
 			for name, pack := range packs {
 				if got = pack(got[:0]); !slices.Equal(got, want) {

@@ -253,3 +253,109 @@ func TestRelaxationAcrossRanks(t *testing.T) {
 		})
 	}
 }
+
+// relaxWatch drives a Relaxation and runs every node of its 2D products
+// under the cube audit (cubeAudit, linkCheck), recording for each pass
+// whether it ran by the cube, whether its cube nodes held S's blocks,
+// and, once harvested, whether it changed the columns.
+type relaxWatch struct {
+	*Relaxation
+	t                     *testing.T
+	cube, held, unchanged []bool
+}
+
+func (w *relaxWatch) Next(g *graph.CSR) (clique.Pass, error) {
+	if w.pass != nil {
+		w.unchanged = append(w.unchanged, !w.pass.changed())
+	}
+	pass, err := w.Relaxation.Next(g)
+	if err != nil || pass.Nodes == nil {
+		return pass, err
+	}
+	cb := w.pass.cb
+	w.cube, w.held = append(w.cube, cb != nil), append(w.held, cb != nil && cb.held)
+	if cb != nil {
+		nodes := make([]engine.Node, len(pass.Nodes))
+		for v, nd := range pass.Nodes {
+			nodes[v] = &cubeAudit{Node: &linkCheck{Node: nd, perSrc: make([]int, len(pass.Nodes))}, cb: cb}
+		}
+		pass.Nodes = nodes
+	}
+	return pass, nil
+}
+
+// relaxFixture returns a reflexive S over sr on a dense G(n, p) with
+// weights 2..60, so that its paths take several hops and it prices as a
+// 2D relaxation (p = 0.6, or 0.9 below n = 16, where blocks are few),
+// and sources spread over [0, n), k of them.
+func relaxFixture(t *testing.T, n, k int, sr core.Semiring) (*Matrix, []core.NodeID) {
+	t.Helper()
+	p := 0.6
+	if n < 16 {
+		p = 0.9
+	}
+	s, err := FromGraph(graph.RandomGNP(n, p, int64(n)).WithUniformRandomWeights(2, 60), sr, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if relaxPlan(s) == nil {
+		t.Fatalf("n = %d: the fixture prices as row-pull", n)
+	}
+	sources := make([]core.NodeID, k)
+	for j := range sources {
+		sources[j] = core.NodeID((j*7 + 3) % n)
+	}
+	return s, sources
+}
+
+// TestRelaxation2DMatchesRef: a Relaxation over an S that prices as 2D
+// runs its engine products by the 2D block partition, at n = 9, 28, 65
+// and 131 (q = 3, 5, 8 and 11 blocks, most of them not dividing n) and
+// k = 1, 2 and 16 columns, over (min,+), (max,min), booleans and a
+// generic semiring, and returns exactly iterated MulDenseRef's columns.
+// Its first product ships S's blocks; a later one ships only Δ; the last
+// confirms the fixpoint. Every pass bills what the traffic model
+// (predictRelax2D) gives and passes the cube audit: no node at or past
+// q² takes a phase-1 word or sends a partial row, no link carries two
+// words a round, and no word of S reaches a product whose cube nodes
+// hold S.
+func TestRelaxation2DMatchesRef(t *testing.T) {
+	shipped, held := 0, 0
+	for _, sr := range append(core.AllSemirings(), generic(core.MinPlus())) {
+		for _, n := range []int{9, 28, 65, 131} {
+			for _, k := range []int{1, 2, 16} {
+				name := fmt.Sprintf("%s %v/n%d/k%d", sr.Name, sr.Kind(), n, k)
+				s, sources := relaxFixture(t, n, k, sr)
+				w := &relaxWatch{Relaxation: NewRelaxation(s, sources, n), t: t}
+				m := newLoopModel(t, w)
+				var got []passTraffic
+				if _, err := runProduct(n, m, trafficHook(&got)); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if want := relaxRef(t, s, Indicator(n, sources, sr), n); !slices.Equal(w.Result().(*Dense).Vals, want.Vals) {
+					t.Fatalf("%s: columns differ from iterated MulDenseRef", name)
+				}
+				if !slices.Equal(got, m.want) {
+					t.Errorf("%s: per-pass rounds/words %v, model %v", name, got, m.want)
+				}
+				if len(w.cube) == 0 || !w.cube[0] || w.held[0] {
+					t.Errorf("%s: the first engine product does not ship S's blocks (cube %v, held %v)", name, w.cube, w.held)
+				}
+				for i := 1; i < len(w.held); i++ {
+					if !w.held[i] {
+						t.Errorf("%s: product %d ships S's blocks again", name, i+1)
+					}
+					held++
+				}
+				if last := len(w.unchanged) - 1; last < 0 || !w.unchanged[last] {
+					t.Errorf("%s: the last product does not confirm the fixpoint", name)
+				}
+				shipped++
+			}
+		}
+	}
+	if held == 0 {
+		t.Error("no product ran while the cube nodes held S's blocks")
+	}
+	t.Logf("%d relaxations, %d held products", shipped, held)
+}

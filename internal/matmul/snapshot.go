@@ -201,24 +201,32 @@ func ReadPower(r *ckptio.Reader, withPrev bool) (*Power, error) {
 }
 
 // WriteRelaxation harvests x's in-flight product, if any, and encodes
-// its cursor: S, B, remaining, and the B before the last product (nil
-// allowed).
+// its cursor: S, B, remaining, the B before the last product (nil
+// allowed), and whether the cube nodes hold S's blocks. The blocks
+// themselves are node state a restore reads off S, so the cursor
+// carries only the bit.
 func WriteRelaxation(w *ckptio.Writer, x *Relaxation) {
 	x.harvest()
 	WriteMatrix(w, x.s)
 	WriteDense(w, x.b)
 	w.I64(int64(x.remaining))
 	WriteDense(w, x.prev)
+	w.Bool(x.cube != nil && x.cube.held)
 }
 
 // ReadRelaxation decodes a cursor written by WriteRelaxation into a
 // Relaxation that continues from it. withPrev says whether the cursor
 // carries the B before the last product; one written before it did
 // restores without it, so the next product streams whole rows and
-// returns the same columns. Every cursor has run the local first
+// returns the same columns. withHeld says whether it carries the held
+// bit; one whose bit is set restores with S's blocks held, so its next
+// product ships only Δ as an uninterrupted run's does, and one without
+// the bit ships them again. Every cursor has run the local first
 // product (NewRelaxation runs it), so the next product is an engine one
-// and bills what an uninterrupted run bills.
-func ReadRelaxation(r *ckptio.Reader, withPrev bool) (*Relaxation, error) {
+// and bills what an uninterrupted run bills. A cursor that holds blocks
+// of an S that prices as row-pull, or without the previous columns, is
+// refused.
+func ReadRelaxation(r *ckptio.Reader, withPrev, withHeld bool) (*Relaxation, error) {
 	x := &Relaxation{}
 	var err error
 	if x.s, err = ReadMatrix(r); err != nil {
@@ -233,6 +241,7 @@ func ReadRelaxation(r *ckptio.Reader, withPrev bool) (*Relaxation, error) {
 			return nil, err
 		}
 	}
+	held := withHeld && r.Bool()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
@@ -242,6 +251,12 @@ func ReadRelaxation(r *ckptio.Reader, withPrev bool) (*Relaxation, error) {
 	x.reflexive = oneDiagonal(x.s)
 	if x.prev != nil && (!x.reflexive || x.prev.N != x.b.N || x.prev.K != x.b.K || x.prev.Sr.Name != x.b.Sr.Name) {
 		return nil, fmt.Errorf("matmul: relaxation state carries a previous operand it cannot have")
+	}
+	if held {
+		if x.cube = relaxPlan(x.s); x.cube == nil || x.prev == nil {
+			return nil, fmt.Errorf("matmul: relaxation state says its cube nodes hold blocks of an S it does not relax by blocks")
+		}
+		x.cube.held, x.priced = true, true
 	}
 	return x, nil
 }

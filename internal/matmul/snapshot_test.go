@@ -347,7 +347,7 @@ func TestRelaxationCursorFromEngineFirstProduct(t *testing.T) {
 			for _, withPrev := range []bool{true, false} {
 				name := fmt.Sprintf("%s after %d engine products, prev %v", sr.Name, done, withPrev)
 				blob := relaxCursor(s, b, int64(products-done), prev, withPrev)
-				rx, err := ReadRelaxation(ckptio.NewReader(bytes.NewReader(blob)), withPrev)
+				rx, err := ReadRelaxation(ckptio.NewReader(bytes.NewReader(blob)), withPrev, false)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}

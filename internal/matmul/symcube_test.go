@@ -24,18 +24,13 @@ func generic(sr core.Semiring) core.Semiring {
 	return sr
 }
 
-// multiplies reports whether node t of a cube pass multiplies: it is a
-// cube node (a, b, c) with a ≤ b.
-func (cp *cubePlan) multiplies(t int) bool {
-	sh := cp.share(t)
-	return t < cp.q*cp.q*cp.q && sh.a <= sh.b
-}
-
 // cubeAudit wraps a node of a cube pass and fails the run when a word
-// reaches it that the a ≤ b node set forbids: a phase-1 word (one
-// delivered by round F1) into a node that does not multiply, or a
-// partial row from one — or from a node whose product has no row or
-// column this node owns. The vote's word 0 may go anywhere.
+// reaches it that the cube's node set forbids: a phase-1 word (one
+// delivered by round F1) into a node that does not multiply — one with
+// a > b on a squaring, one at or past the last cube node on either — or
+// a partial row from one, or from a node whose product has no row or
+// column this node owns; and, on a Relaxation whose cube nodes hold S's
+// blocks, any word of S. The vote's word 0 may go anywhere.
 type cubeAudit struct {
 	engine.Node
 	cb *cube
@@ -50,10 +45,13 @@ func (c *cubeAudit) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message)
 			if !cb.multiplies(id) {
 				return fmt.Errorf("node %d, which does not multiply, got a phase-1 word from %d", id, src)
 			}
+			if sh := cb.share(id); cb.s != nil && cb.held && cb.isUpdate(m.Payload, src, &sh) {
+				return fmt.Errorf("node %d, which holds its block of S, was sent a word of it by %d", id, src)
+			}
 		case m.Payload != 0:
 			sh := cb.share(src)
 			row := id >= sh.la && id < sh.la+sh.ra
-			col := sh.a < sh.b && id >= sh.lb && id < sh.lb+sh.rb
+			col := cb.s == nil && sh.a < sh.b && id >= sh.lb && id < sh.lb+sh.rb
 			if !cb.multiplies(src) || !row && !col {
 				return fmt.Errorf("node %d got a partial row from node %d, which owes it none", id, src)
 			}

@@ -241,7 +241,7 @@ func predictCube(t *testing.T, x *Matrix, prev *Dense, vote, held bool) (m cubeM
 	if err != nil {
 		t.Fatal(err)
 	}
-	prg, ok := rg.products(sr)
+	prg, ok := rg.times(rg, sr)
 	pwf, err := prg.format(n, sr)
 	if !ok || err != nil {
 		m.passTraffic = predictTraffic(t, x, dx, prev, vote)
@@ -302,17 +302,7 @@ func predictCube(t *testing.T, x *Matrix, prev *Dense, vote, held bool) (m cubeM
 		last = f1 - 1
 	}
 	// Phase 2, with the round each owner's row first moves.
-	moved := make([]int, n) // -1: never
-	for u := range moved {
-		moved[u] = -1
-	}
-	move := func(u, r int) {
-		if moved[u] < 0 || r < moved[u] {
-			moved[u] = r
-		}
-	}
-	toZero := make([]int, n) // words cube node t streams owner 0
-	from0 := make([]int, n)  // words cube node 0 streams owner u
+	tl := newCubeTally(pt, sr, pwf, n, f1, last)
 	for tt := 0; tt < q*q*q; tt++ {
 		a, b, cc := tt/(q*q), tt/q%q, tt%q
 		if a > b {
@@ -342,50 +332,13 @@ func predictCube(t *testing.T, x *Matrix, prev *Dense, vote, held bool) (m cubeM
 				}
 			}
 		}
-		// send delivers owner u the partial row part over the columns of
-		// block i.
-		send := func(u, i int, part []int64) {
-			xu := dx.Row(core.NodeID(u))
-			lowers := func(j int) bool { return sr.Add(xu[j], part[j]) != xu[j] }
-			if u == tt {
-				for j := lo(i); j < lo(i+1); j++ {
-					if part[j] != sr.Zero && lowers(j) {
-						move(u, f1)
-					}
-				}
-				return
-			}
-			words := seg(pwf, part, i, func(int) bool { return true })
-			pt.words += uint64(len(words))
-			if len(words) > 0 {
-				last = max(last, f1+len(words)-1)
-			}
-			if u == 0 {
-				toZero[tt] = len(words)
-			}
-			if tt == 0 {
-				from0[u] = len(words)
-			}
-			for r, w := range words {
-				got := make([]int64, lo(i+1)-lo(i))
-				for j := range got {
-					got[j] = sr.Zero
-				}
-				pwf.decode(w, got, lo(i))
-				for j, p := range got {
-					if p != sr.Zero && lowers(lo(i)+j) {
-						move(u, f1+1+r)
-					}
-				}
-			}
-		}
 		part := make([]int64, n)
 		for u := lo(a); u < lo(a+1); u++ {
 			for j := range part {
 				part[j] = sr.Zero
 			}
 			copy(part[lo(b):], prod[(u-lo(a))*rb:][:rb])
-			send(u, b, part)
+			tl.deliver(tt, u, dx.Row(core.NodeID(u)), part, lo(b), lo(b+1))
 		}
 		for w := lo(b); w < lo(b+1) && a < b; w++ {
 			for j := range part {
@@ -394,9 +347,101 @@ func predictCube(t *testing.T, x *Matrix, prev *Dense, vote, held bool) (m cubeM
 			for u := lo(a); u < lo(a+1); u++ {
 				part[u] = prod[(u-lo(a))*rb+w-lo(b)]
 			}
-			send(w, a, part)
+			tl.deliver(tt, w, dx.Row(core.NodeID(w)), part, lo(a), lo(a+1))
 		}
 	}
+	tl.finish(vote)
+	return m
+}
+
+// cubeTally is the model of a cube pass's phase 2 and vote, as the
+// model delivers each partial row: its words, the last round anything
+// is sent in, and the round each owner's row first moves.
+type cubeTally struct {
+	pt       *passTraffic
+	sr       core.Semiring
+	pwf      *wireFormat
+	f1, last int
+	moved    []int // -1: never
+	toZero   []int // words cube node t streams owner 0
+	from0    []int // words cube node 0 streams owner u
+}
+
+func newCubeTally(pt *passTraffic, sr core.Semiring, pwf *wireFormat, n, f1, last int) *cubeTally {
+	tl := &cubeTally{pt: pt, sr: sr, pwf: pwf, f1: f1, last: last,
+		moved: make([]int, n), toZero: make([]int, n), from0: make([]int, n)}
+	for u := range tl.moved {
+		tl.moved[u] = -1
+	}
+	return tl
+}
+
+func (tl *cubeTally) move(u, r int) {
+	if tl.moved[u] < 0 || r < tl.moved[u] {
+		tl.moved[u] = r
+	}
+}
+
+// deliver sends owner u, whose accumulator starts at acc, the partial
+// row part over the columns lo..hi-1 from cube node t: packed in the
+// partial rows' format, word i of it in round F1 + i, or folded in place
+// in round F1 when u is t.
+func (tl *cubeTally) deliver(t, u int, acc, part []int64, lo, hi int) {
+	sr, f1 := tl.sr, tl.f1
+	lowers := func(j int) bool { return sr.Add(acc[j], part[j]) != acc[j] }
+	if u == t {
+		for j := lo; j < hi; j++ {
+			if part[j] != sr.Zero && lowers(j) {
+				tl.move(u, f1)
+			}
+		}
+		return
+	}
+	var cols []core.NodeID
+	var vals []int64
+	for j := lo; j < hi; j++ {
+		if part[j] != sr.Zero {
+			cols, vals = append(cols, core.NodeID(j)), append(vals, part[j])
+		}
+	}
+	words := tl.pwf.packRow(nil, cols, vals)
+	tl.pt.words += uint64(len(words))
+	if len(words) > 0 {
+		tl.last = max(tl.last, f1+len(words)-1)
+	}
+	if u == 0 {
+		tl.toZero[t] = len(words)
+	}
+	if t == 0 {
+		tl.from0[u] = len(words)
+	}
+	for r, w := range words {
+		got := make([]int64, hi-lo)
+		for j := range got {
+			got[j] = sr.Zero
+		}
+		tl.pwf.decode(w, got, lo)
+		for j, p := range got {
+			if p != sr.Zero && lowers(lo+j) {
+				tl.move(u, f1+1+r)
+			}
+		}
+	}
+}
+
+// finish adds the vote, when the pass takes one, and sets the rounds.
+//
+//   - The vote: owner u's row moves in the first round a partial word
+//     that lowers (⊕-raises) an entry of its accumulator reaches it —
+//     round F1 for its own partial. A moved row but node 0's sends node
+//     0 the word 0, unless node 0's verdict has reached it by then; node
+//     0 tells every other node at its own row's move or on the first
+//     ballot's arrival. A vote word queued on a link that still carries
+//     data goes out behind it. No row moves: no vote word.
+//   - Rounds: two past the last round anything is sent, one when nothing
+//     is.
+func (tl *cubeTally) finish(vote bool) {
+	n, f1, moved, last := len(tl.moved), tl.f1, tl.moved, tl.last
 	if vote && slices.ContainsFunc(moved, func(r int) bool { return r >= 0 }) {
 		// behind is the round a vote word queued in round r goes out on a
 		// link whose data, L words, started in round F1.
@@ -409,22 +454,190 @@ func predictCube(t *testing.T, x *Matrix, prev *Dense, vote, held bool) (m cubeM
 		announce := moved[0]
 		for u := 1; u < n; u++ {
 			if moved[u] >= 0 {
-				if r := behind(moved[u], toZero[u]) + 1; announce < 0 || r < announce {
+				if r := behind(moved[u], tl.toZero[u]) + 1; announce < 0 || r < announce {
 					announce = r
 				}
 			}
 		}
 		for v := 1; v < n; v++ {
-			sent := behind(announce, from0[v])
+			sent := behind(announce, tl.from0[v])
 			last = max(last, sent)
 			if moved[v] >= 0 && moved[v] < sent+1 {
-				pt.words++ // v's ballot
-				last = max(last, behind(moved[v], toZero[v]))
+				tl.pt.words++ // v's ballot
+				last = max(last, behind(moved[v], tl.toZero[v]))
 			}
 		}
-		pt.words += uint64(n - 1)
+		tl.pt.words += uint64(n - 1)
 	}
-	pt.rounds = last + 2
+	tl.pt.rounds = last + 2
+}
+
+// prices2D reports whether a Relaxation over the reflexive S runs its
+// engine products by the 2D block partition, from the exact counts of
+// one full column of Δ: row-pull moves Σ_k off-diagonal deg(k) entries;
+// the 2D product Σ_k #{a : S[B_a, k] ≠ Zero} into the cube nodes and
+// Σ_(a,c) #{rows of S[B_a, B_c] with an entry} back, for q = ⌊√n⌋.
+func prices2D(s *Matrix) bool {
+	n, ds := s.N, dense(s)
+	q := 1
+	for (q+1)*(q+1) <= n {
+		q++
+	}
+	lo := func(i int) int { return i * n / q }
+	rowPull, twoD := 0, 0
+	for k := 0; k < n; k++ {
+		for v := 0; v < n; v++ {
+			if v != k && ds.At(core.NodeID(v), k) != s.Sr.Zero {
+				rowPull++
+			}
+		}
+	}
+	for a := 0; a < q; a++ {
+		for c := 0; c < q; c++ {
+			for u := lo(a); u < lo(a+1); u++ {
+				for j := lo(c); j < lo(c+1); j++ {
+					if ds.At(core.NodeID(u), j) != s.Sr.Zero {
+						twoD++ // row u of S[B_a, B_c] has an entry
+						break
+					}
+				}
+			}
+			for k := lo(c); k < lo(c+1); k++ {
+				for u := lo(a); u < lo(a+1); u++ {
+					if ds.At(core.NodeID(u), k) != s.Sr.Zero {
+						twoD++ // S[B_a, k] has an entry
+						break
+					}
+				}
+			}
+		}
+	}
+	return twoD < rowPull
+}
+
+// predictRelax2D is the traffic model of a Relaxation's 2D product
+// B ⊕ S ⊗ Δ over a reflexive S, Δ the entries of b that are non-Zero
+// and differ from prev, written from the protocol the Relaxation
+// documents. Let q = ⌊√n⌋, B_i = [i·n/q, (i+1)·n/q) and cube node
+// (a, 0, c) = a·q + c; nodes from q² on take no part. held says the cube
+// nodes hold S's blocks, shipped by an earlier 2D product over S.
+//
+//   - Formats: phase 1 packs Δ's values over its k columns, and, while
+//     S ships, S's values too, each entry S[v][j] at column k + j; the
+//     partial rows pack every product of an S value and a Δ value over
+//     the k columns. Where no wire word fits one, the product is a
+//     row-pull one and predictTraffic's, and cube is false.
+//   - Phase 1: owner v in B_c sends (a, 0, c) S[v, B_a'] for every
+//     block a' of the cube node (a, 0, a') = (c, 0, a') while S ships,
+//     then Δ[v] to every (a, 0, c) with S[B_a, v] ≠ Zero, one link a
+//     destination; a link into v itself costs nothing. F1 = the widest
+//     link in words.
+//   - Phase 2: cube node (a, 0, c) sends owner u in B_a its row of
+//     S[B_a, B_c] ⊗ Δ[B_c], and the vote is a cube pass's (cubeTally).
+func predictRelax2D(t *testing.T, s *Matrix, b, prev *Dense, vote, held bool) (m cubeModel) {
+	t.Helper()
+	n, k, sr := s.N, b.K, s.Sr
+	ds := dense(s)
+	var rgS, rgD valueRange
+	for _, v := range ds.Vals {
+		if v != sr.Zero && v != sr.One {
+			rgS.add(v)
+		}
+	}
+	delta := func(v, j int) bool {
+		x := b.At(core.NodeID(v), j)
+		return x != sr.Zero && x != prev.At(core.NodeID(v), j)
+	}
+	for v := 0; v < n; v++ {
+		for j := 0; j < k; j++ {
+			if x := b.At(core.NodeID(v), j); delta(v, j) && x != sr.One {
+				rgD.add(x)
+			}
+		}
+	}
+	ship, cols := rgD, k
+	if !held {
+		ship, cols = rgD.union(rgS), k+n
+	}
+	wf, err1 := ship.format(cols, sr)
+	prg, ok := rgS.times(rgD, sr)
+	pwf, err2 := prg.format(k, sr)
+	if err1 != nil || err2 != nil || !ok {
+		m.passTraffic = predictTraffic(t, s, b, prev, vote)
+		return m
+	}
+	m.cube = true
+	q := 1
+	for (q+1)*(q+1) <= n {
+		q++
+	}
+	lo := func(i int) int { return i * n / q }
+	blockOf := func(v int) int {
+		i := 0
+		for lo(i+1) <= v {
+			i++
+		}
+		return i
+	}
+	widest := 0
+	for v := 0; v < n; v++ {
+		c := blockOf(v)
+		link := map[int]int{}
+		var dc []core.NodeID
+		var dv []int64
+		for j := 0; j < k; j++ {
+			if delta(v, j) {
+				dc, dv = append(dc, core.NodeID(j)), append(dv, b.At(core.NodeID(v), j))
+			}
+		}
+		for a := 0; a < q; a++ {
+			var sc []core.NodeID
+			var sv []int64
+			meets := false
+			for j := lo(a); j < lo(a+1); j++ {
+				if x := ds.At(core.NodeID(v), j); x != sr.Zero {
+					sc, sv, meets = append(sc, core.NodeID(k+j)), append(sv, x), true
+				}
+			}
+			if !held {
+				link[c*q+a] += len(wf.packRow(nil, sc, sv))
+			}
+			if meets { // S is pattern-symmetric: S[B_a, v] ≠ Zero
+				link[a*q+c] += len(wf.packRow(nil, dc, dv))
+			}
+		}
+		for dst, w := range link {
+			if dst != v {
+				m.phase1 += uint64(w)
+				widest = max(widest, w)
+			}
+		}
+	}
+	m.words, m.f1 = m.phase1, widest
+	last := -1
+	if widest > 0 {
+		last = widest - 1
+	}
+	tl := newCubeTally(&m.passTraffic, sr, pwf, n, widest, last)
+	part := make([]int64, k)
+	for tt := 0; tt < q*q; tt++ {
+		a, c := tt/q, tt%q
+		for u := lo(a); u < lo(a+1); u++ {
+			for j := range part {
+				part[j] = sr.Zero
+			}
+			for kk := lo(c); kk < lo(c+1); kk++ {
+				suk := ds.At(core.NodeID(u), kk)
+				for j := 0; j < k && suk != sr.Zero; j++ {
+					if delta(kk, j) {
+						part[j] = sr.Add(part[j], sr.Mul(suk, b.At(core.NodeID(kk), j)))
+					}
+				}
+			}
+			tl.deliver(tt, u, b.Row(core.NodeID(u)), part, 0, k)
+		}
+	}
+	tl.finish(vote)
 	return m
 }
 
@@ -475,6 +688,8 @@ type loopModel struct {
 	t       *testing.T
 	want    []passTraffic
 	lastB   map[*Relaxation]*Dense // the B of each Relaxation's last engine product
+	relHeld map[*Relaxation]bool   // the Relaxation's cube nodes hold S's blocks
+	flat    int                    // 2D relaxation products
 	squares map[*Power]int         // squarings each Power has started
 	sym     map[*Power]bool        // the Power's A is value-symmetric: it squares by the cube
 	held    map[*Power]bool        // the Power's last squaring ran by the cube
@@ -484,8 +699,8 @@ type loopModel struct {
 }
 
 func newLoopModel(t *testing.T, k clique.Kernel) *loopModel {
-	return &loopModel{Kernel: k, t: t, lastB: map[*Relaxation]*Dense{}, squares: map[*Power]int{},
-		sym: map[*Power]bool{}, held: map[*Power]bool{}}
+	return &loopModel{Kernel: k, t: t, lastB: map[*Relaxation]*Dense{}, relHeld: map[*Relaxation]bool{},
+		squares: map[*Power]int{}, sym: map[*Power]bool{}, held: map[*Power]bool{}}
 }
 
 func (m *loopModel) Next(g *graph.CSR) (clique.Pass, error) {
@@ -548,7 +763,20 @@ func (m *loopModel) Next(g *graph.CSR) (clique.Pass, error) {
 		if !reflexive {
 			prev = nil
 		}
+		if !seen {
+			// A Relaxation may start from a plan whose cube nodes hold S.
+			m.relHeld[loop] = loop.cube != nil && loop.cube.held
+		}
 		m.lastB[loop] = loop.b
+		if prev != nil && prices2D(loop.s) {
+			want := predictRelax2D(m.t, loop.s, loop.b, prev, loop.pass.voters != nil, m.relHeld[loop])
+			m.want = append(m.want, want.passTraffic)
+			m.relHeld[loop] = m.relHeld[loop] || want.cube
+			if want.cube {
+				m.flat++
+			}
+			return pass, nil
+		}
 		m.want = append(m.want, predictTraffic(m.t, loop.s, loop.b, prev, loop.pass.voters != nil))
 	default:
 		return pass, fmt.Errorf("pass %d is neither a Power nor a Relaxation product", len(m.want))
@@ -635,15 +863,16 @@ func inFlight(v reflect.Value, seen map[uintptr]bool) any {
 // a hopset construction and then a Relaxation. So the model covers
 // whole-row products, semi-naive squarings as cube passes with their
 // self-timed votes, Relaxation products after the local first one and
-// votes. Every kernel whose Power squares more than once must square
-// semi-naively. bfs, bellman-ford and mst run
+// votes, and the 2D Relaxation products over the hopset-augmented S
+// (predictRelax2D). Every kernel whose Power squares more than once must
+// square semi-naively. bfs, bellman-ford and mst run
 // passes of their own and have no model yet.
 func TestKernelTrafficModel(t *testing.T) {
 	graphs := []*graph.CSR{
 		graph.RandomGNPWeighted(48, 0.15, 30, 7),
 		graph.RandomGNPWeighted(64, 0.15, 30, 3),
 	}
-	covered, updates := 0, 0
+	covered, updates, flat := 0, 0, 0
 	for _, name := range clique.Kernels() {
 		switch name {
 		case "bfs", "bellman-ford", "mst":
@@ -673,11 +902,15 @@ func TestKernelTrafficModel(t *testing.T) {
 					t.Error("a Power squared more than once and never semi-naively; the fixture must exercise the cube passes")
 				}
 				updates += m.updates
+				flat += m.flat
 			})
 		}
 	}
 	if updates == 0 {
 		t.Error("no cube squaring ran while its cube nodes held their blocks; the fixtures must exercise the Δ-only segments")
+	}
+	if flat == 0 {
+		t.Error("no Relaxation product ran by the 2D block partition; the fixtures must exercise it")
 	}
 	if covered < 12 {
 		t.Errorf("the model covers %d registered kernels, want the 12 built on Power and Relaxation", covered)

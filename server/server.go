@@ -568,7 +568,7 @@ func (s *Server) runApproxBatch(ctx context.Context, e *graphEntry, eps float64,
 	res := &batchResult{}
 	var tel runTelemetry
 	if hc := e.hopsets[key]; hc != nil {
-		k := algo.NewRelaxKernel(hc.aug, sources, hc.products)
+		k := algo.NewRelaxKernel(hc.aug, sources, hc.products, hc.plan)
 		if tel, err = s.runOn(ctx, l.session(), k); err != nil {
 			return nil, err
 		}
@@ -580,7 +580,7 @@ func (s *Server) runApproxBatch(ctx context.Context, e *graphEntry, eps float64,
 		}
 		hs := k.Hopset()
 		e.hopsets[key] = &hopsetCache{
-			aug: k.Augmented(), beta: hs.Beta,
+			aug: k.Augmented(), plan: k.Plan(), beta: hs.Beta,
 			products: algo.RelaxProducts(hs.Beta, e.info.N),
 		}
 		res.rows, res.beta = k.Dist(), hs.Beta

@@ -252,9 +252,12 @@ func TestHopsetCacheSteadyState(t *testing.T) {
 	if err := sess.Run(ctx, relax); err != nil {
 		t.Fatal(err)
 	}
-	if st := sess.Stats(); second.Passes != st.Runs || second.Rounds != st.Engine.Rounds || second.Passes > maxPasses {
-		t.Errorf("cached passes/rounds = %d/%d, want the standalone relaxation's %d/%d (at most %d passes)",
-			second.Passes, second.Rounds, st.Runs, st.Engine.Rounds, maxPasses)
+	if st := sess.Stats(); second.Passes != st.Runs || second.Passes > maxPasses {
+		t.Errorf("cached passes = %d, want the standalone relaxation's %d (at most %d)", second.Passes, st.Runs, maxPasses)
+	}
+	if held, _ := heldRelaxation(t, g, 4, eps); second.Passes != held.Runs || second.Rounds != held.Engine.Rounds {
+		t.Errorf("cached passes/rounds = %d/%d, want those of a relaxation from the pipeline's plan, %d/%d",
+			second.Passes, second.Rounds, held.Runs, held.Engine.Rounds)
 	}
 	if !reflect.DeepEqual(second.Dist, relax.Dist()[0]) {
 		t.Error("cached fast path differs from a standalone relaxation over ConstructRef's hopset")
@@ -288,9 +291,44 @@ func TestHopsetCacheSteadyState(t *testing.T) {
 	}
 }
 
+// heldRelaxation runs, on a fresh session over g, the approximate
+// pipeline from src and then a RelaxKernel over its augmented matrix
+// from the pipeline's plan, as a cache hit runs it, and returns what
+// the second bills, as Stats with that kernel's passes, rounds and
+// words, and its distances.
+func heldRelaxation(t *testing.T, g *graph.CSR, src core.NodeID, eps float64) (clique.Stats, []int64) {
+	t.Helper()
+	sess, err := clique.New(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	full := algo.NewApproxKSourceKernel([]core.NodeID{src}, hopset.Params{Eps: eps})
+	if err := sess.Run(context.Background(), full); err != nil {
+		t.Fatal(err)
+	}
+	before := sess.Stats()
+	relax := &zeroWords{Kernel: algo.NewRelaxKernel(full.Augmented(), []core.NodeID{src},
+		algo.RelaxProducts(full.Hopset().Beta, g.N), full.Plan())}
+	if err := sess.Run(context.Background(), relax); err != nil {
+		t.Fatal(err)
+	}
+	if full.Plan() == nil {
+		t.Fatal("the augmented matrix prices as row-pull; the fixture must exercise the 2D relaxation")
+	}
+	st := sess.Stats()
+	st.Runs -= before.Runs
+	st.Engine.Rounds -= before.Engine.Rounds
+	st.Engine.TotalMsgs -= before.Engine.TotalMsgs
+	if n, most := relax.count.Load(), uint64(2*(g.N-1)*st.Runs); uint64(n) > most {
+		t.Errorf("the relaxation carried %d words 0, more than its votes' %d", n, most)
+	}
+	return st, relax.Kernel.(*algo.RelaxKernel).Dist()[0]
+}
+
 // zeroWords wraps every node of every pass its kernel runs to count the
-// words it receives whose payload is 0: a request, were any sent (no
-// packed data word and no ballot is 0).
+// words it receives whose payload is 0: a vote's words alone (no packed
+// data word is 0), and no request.
 type zeroWords struct {
 	clique.Kernel
 	count atomic.Int64
@@ -325,22 +363,26 @@ func (z *zeroCounter) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Messag
 }
 
 // TestCacheHitQueryBills pins what one cache-hit approx-sssp query — the
-// daemon's steady state — bills on a fixed graph: 2 passes, 6 rounds,
-// 2,646 words. The relaxation's first product is local (the source's
+// daemon's steady state — bills on a fixed graph: 2 passes, 7 rounds,
+// 877 words. The relaxation's first product is local (the source's
 // column of the cached augmented matrix, read off each node's own row),
 // so the query runs one pass fewer than it has products, as the
-// reference iteration counts them; no product asks for a row, so no
-// word is a request; and a standalone relaxation over the same matrix
-// bills the same passes, rounds and words. Before the first product
-// became local and the request round went, this query billed 3 passes,
-// 11 rounds and 5,361 words.
+// reference iteration counts them. The cache holds stage 2's plan with
+// the augmented matrix, and the session's cube nodes hold its blocks,
+// so each product runs by the 2D block partition and ships only Δ and
+// partial rows: exactly what a relaxation from the pipeline's plan bills
+// on a fresh session, and fewer words than one that ships the blocks,
+// with the pipeline's distances. Before the first product became local
+// and the request round went, this query billed 3 passes, 11 rounds and
+// 5,361 words; by row-pull, 2, 6 and 2,646.
 func TestCacheHitQueryBills(t *testing.T) {
 	srv, c := newTestDaemon(t, Options{})
 	ctx := context.Background()
 	g := graph.RandomGNPWeighted(64, 0.04, 30, 2)
 	id := upload(t, c, "steady", g)
 	const eps, src = 0.25, 3
-	if _, err := c.ApproxSSSP(ctx, id, src, eps); err != nil {
+	cold, err := c.ApproxSSSP(ctx, id, src, eps)
+	if err != nil {
 		t.Fatal(err)
 	}
 	before := srv.Metrics().Snapshot().Words
@@ -352,8 +394,11 @@ func TestCacheHitQueryBills(t *testing.T) {
 	if !hit.CacheHit {
 		t.Fatal("the second query at the same (graph, eps) must hit the hopset cache")
 	}
-	if hit.Passes != 2 || hit.Rounds != 6 || words != 2646 {
-		t.Errorf("cache hit billed %d passes, %d rounds, %d words; pinned 2, 6, 2646", hit.Passes, hit.Rounds, words)
+	if hit.Passes != 2 || hit.Rounds != 7 || words != 877 {
+		t.Errorf("cache hit billed %d passes, %d rounds, %d words; pinned 2, 7, 877", hit.Passes, hit.Rounds, words)
+	}
+	if !reflect.DeepEqual(hit.Dist, cold.Dist) {
+		t.Error("the cache hit's distances differ from the full pipeline's")
 	}
 
 	e := srv.store.get(id)
@@ -363,6 +408,9 @@ func TestCacheHitQueryBills(t *testing.T) {
 	}
 	hc := e.hopsets[core.SigBitsFor(eps)]
 	l.release()
+	if hc.plan == nil {
+		t.Fatal("the cache holds no plan for the augmented matrix")
+	}
 	// The products the reference iteration runs: until one changes
 	// nothing (that one included) or the bound is reached.
 	products := 0
@@ -380,22 +428,24 @@ func TestCacheHitQueryBills(t *testing.T) {
 	if hit.Passes != products-1 {
 		t.Errorf("cache hit ran %d passes for %d products; the first is local", hit.Passes, products)
 	}
+	held, dist := heldRelaxation(t, g, src, eps)
+	if held.Runs != hit.Passes || held.Engine.Rounds != hit.Rounds || held.Engine.TotalMsgs != words {
+		t.Errorf("a relaxation from the pipeline's plan billed %d/%d/%d passes/rounds/words, the cache hit %d/%d/%d",
+			held.Runs, held.Engine.Rounds, held.Engine.TotalMsgs, hit.Passes, hit.Rounds, words)
+	}
+	if !reflect.DeepEqual(dist, hit.Dist) {
+		t.Error("a relaxation from the pipeline's plan returns other distances than the cache hit")
+	}
 	sess, err := clique.NewSize(g.N)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	relax := &zeroWords{Kernel: algo.NewRelaxKernel(hc.aug, []core.NodeID{src}, hc.products)}
-	if err := sess.Run(ctx, relax); err != nil {
+	if err := sess.Run(ctx, algo.NewRelaxKernel(hc.aug, []core.NodeID{src}, hc.products)); err != nil {
 		t.Fatal(err)
 	}
-	st := sess.Stats()
-	if st.Runs != hit.Passes || st.Engine.Rounds != hit.Rounds || st.Engine.TotalMsgs != words {
-		t.Errorf("standalone relaxation billed %d/%d/%d passes/rounds/words, the cache hit %d/%d/%d",
-			st.Runs, st.Engine.Rounds, st.Engine.TotalMsgs, hit.Passes, hit.Rounds, words)
-	}
-	if n := relax.count.Load(); n != 0 {
-		t.Errorf("the relaxation carried %d request words, want none", n)
+	if shipped := sess.Stats().Engine.TotalMsgs; shipped <= words {
+		t.Errorf("a relaxation that ships S's blocks billed %d words, the cache hit %d", shipped, words)
 	}
 }
 

@@ -39,10 +39,15 @@ type graphEntry struct {
 }
 
 // hopsetCache is the steady-state fast path for one (graph,
-// SigBitsFor(ε)): the augmented (min,+) matrix and the most products
-// stage 2 may run over it.
+// SigBitsFor(ε)): the augmented (min,+) matrix, the most products
+// stage 2 may run over it, and stage 2's plan over it (nil when it
+// prices as row-pull). The plan says the cube nodes of the graph's one
+// session hold the augmented matrix's blocks, so every cache hit ships
+// only Δ and partial rows; it is used under the graph's lease alone,
+// like the rest of the entry.
 type hopsetCache struct {
 	aug      *matmul.Matrix
+	plan     *matmul.Plan
 	beta     int
 	products int
 }
