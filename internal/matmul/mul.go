@@ -929,11 +929,12 @@ func newPass(a *Matrix, b, prev *Dense, unpace bool, acc []int64, cp *cubePlan) 
 	} else {
 		p.flat = fill(&acc, n*k, b.Sr.Zero)
 	}
-	if pwf == nil {
-		cp = &cubePlan{} // a row-pull pass's per-node arrays are its own
+	if pwf != nil {
+		// A loop's cube passes run one at a time, so they share one set.
+		p.accs, p.nodes, p.state = resize(&cp.accs, n), resize(&cp.nodeSet, n), resize(&cp.state, n)
+	} else {
+		p.accs, p.nodes, p.state = make([][]int64, n), make([]engine.Node, n), make([]mulNode, n)
 	}
-	// A loop's cube passes run one at a time, so they share one set.
-	p.accs, p.nodes, p.state = resize(&cp.accs, n), resize(&cp.nodeSet, n), resize(&cp.state, n)
 	for v := range p.state {
 		var aCols []core.NodeID
 		var aVals []int64
