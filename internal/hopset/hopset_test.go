@@ -332,7 +332,7 @@ func TestHopProductsStreamOnlyWhatChanged(t *testing.T) {
 			words += w
 		}
 		// Every row changes, so a voting product (all but the last) also
-		// carries a ballot from nodes 1..n-1 and node 0's announcement.
+		// carries a ballot from nodes 1..n-1 and node 0's verdict.
 		vote := uint64(2 * (n - 1))
 		if i == len(passes)-1 {
 			vote = 0

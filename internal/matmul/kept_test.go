@@ -57,7 +57,7 @@ func (w *chainWatch) Next(g *graph.CSR) (clique.Pass, error) {
 		if sq.cube {
 			sq.update = w.pass.cb.held
 			sq.prev = sparse(w.prev)
-			sq.model = predictCube(w.t, sq.x, w.prev, w.pass.voters != nil, sq.update)
+			sq.model = predictCube(w.t, sq.x, w.prev, w.pass.voting, sq.update)
 		}
 		w.sqs = append(w.sqs, sq)
 	}

@@ -13,10 +13,14 @@ import (
 // graph-free sessions, clique.NewSize, and ignores the session graph),
 // runs one engine pass per product, and stops at the first product that
 // changes nothing: each product that another one may still follow takes
-// that verdict in-engine (Pass.vote: at most 2 rounds and 2(n-1) words,
-// none when it confirms the fixpoint); a product that ends the loop
-// anyway runs bare. How many products that saves depends on the input:
-// the answer is stable once its hop horizon covers the hop-diameter, so
+// that verdict in-engine (mulNode.tally: at most 2 rounds and 2(n-1)
+// words, none when it confirms the fixpoint), where its accumulator can
+// start at B — a semi-naive product, or a squaring of a base with One on
+// its diagonal — because the vote is exact only then; a product that
+// ends the loop anyway runs bare, and so does every product of a loop
+// over an operand without One on its diagonal, which then runs to its
+// bound. How many products the vote saves depends on the input: the
+// answer is stable once its hop horizon covers the hop-diameter, so
 // graph.Path saves none and a dense random graph most of them.
 
 // Power computes the reflexive semiring power A^e by square-and-multiply,
@@ -29,8 +33,10 @@ import (
 // base ⊗ base = base every higher power of base is base, and
 // result ⊗ P ⊗ P = result ⊗ P, so whatever exponent is left collapses to
 // a single multiply step (or to base itself while result is nil). Each
-// squaring with another one still to follow votes; multiply steps and
-// the last squaring end the loop anyway and run bare.
+// squaring with another one still to follow votes when base has One on
+// its diagonal, its accumulator starting at base: base ⊆ base ⊗ base
+// then, so the product is unchanged. Multiply steps and the last
+// squaring end the loop anyway and run bare.
 //
 // Every squaring after the first is semi-naive when the squaring before
 // it squared a matrix with One on its diagonal — every reflexive
@@ -225,14 +231,14 @@ func (p *Power) product(square bool) (clique.Pass, error) {
 	default:
 		left, prev = p.baseRows(), p.prev
 	}
-	pass, err := newPass(left, b, prev, false, p.spare, cp)
+	// A squaring with another to follow votes, where its accumulator may
+	// start at base: semi-naive, or over a base with One on its diagonal.
+	vote := square && p.e > 1 && (prev != nil || denseOneDiagonal(b))
+	pass, err := newPass(left, b, prev, vote, p.spare, cp)
 	if err != nil {
 		return clique.Pass{}, err
 	}
 	p.pass, p.passIsSquare, p.spare = pass, square, nil
-	if square && p.e > 1 {
-		pass.vote()
-	}
 	return pass.session(), nil
 }
 
@@ -280,9 +286,10 @@ func (p *Power) Dense() *Dense {
 // B[v][j] = S[v][sources[j]] — Mul(x, One) = x in every semiring — which
 // node v reads off its own row of S. It costs no round, no word and no
 // engine pass; NewRelaxation runs it. Every later product is one dense
-// engine pass, and each but the last allowed votes. A local product
-// that changes nothing (every source isolated) is confirmed by the
-// next, which then streams nothing.
+// engine pass, and over a reflexive S each but the last allowed votes.
+// A local product that changes nothing (every source isolated) is
+// confirmed by the next, which then streams nothing. Over any other S
+// no product votes, and the Relaxation runs all of them.
 //
 // When every row of S carries One on its diagonal — the rounded
 // adjacency, an augmented S and A^h of a reflexive adjacency all do —
@@ -428,14 +435,11 @@ func (r *Relaxation) Next(*graph.CSR) (clique.Pass, error) {
 	if r.prev != nil {
 		cp = r.cube
 	}
-	pass, err := newPass(r.s, r.b, r.prev, false, r.spare, cp)
+	pass, err := newPass(r.s, r.b, r.prev, r.remaining > 1 && r.reflexive, r.spare, cp)
 	if err != nil {
 		return clique.Pass{}, err
 	}
 	r.spare = nil
-	if r.remaining > 1 {
-		pass.vote()
-	}
 	r.pass = pass
 	return pass.session(), nil
 }

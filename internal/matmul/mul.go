@@ -468,25 +468,23 @@ func (wf *wireFormat) decodeBits(w uint64, row []uint64, off int) {
 // v != k with A[v][k] != Zero — are exactly the off-diagonal columns of
 // node k's own row of A, and nobody has to ask for a row:
 //
-//	round 0:    v folds in the local k = v contribution and sends the
-//	            first word of its packed B-row to every k != v in
-//	            supp(A[v]).
-//	rounds >=1: inboxes hold only data words; v accumulates
-//	            C[v][j] = Add(C[v][j], Mul(A[v][k], B[k][j])) for each
-//	            word received from k, and sends the next word of its row
-//	            to the same nodes.
+//	round 0:    v folds in the local k = v contribution, and its sender
+//	            starts the one transfer it holds: its packed B-row,
+//	            multicast to every k != v in supp(A[v]), one word a
+//	            round.
+//	rounds >=1: inboxes hold data words, and on a voting pass the vote's;
+//	            v accumulates C[v][j] = Add(C[v][j], Mul(A[v][k], B[k][j]))
+//	            for each word received from k.
 //
-// Every receiver is served the same words at the same pace, so a
-// sender's whole stream state is one offset into its packed row, and
-// each word leaves in one engine.Ctx.Multicast to aCols. A receiver
-// finds A[v][k] by walking its source-ascending inbox against aCols
-// (product). The engine's quiescence detection ends the run once every
-// row is out: the round after the last data word is delivered, no node
-// sends anything.
+// A receiver finds A[v][k] by walking its source-ascending inbox against
+// aCols (Round). The engine's quiescence detection ends the run once
+// every row is out: the round after the last data word is delivered, no
+// node sends anything.
 //
-// A semi-naive Power squaring runs cubeNode's program instead, whose
-// owner half is a mulNode too: its acc, its vote, and a wf that decodes
-// the partial rows it folds.
+// On a voting pass the accumulator starts at the node's row of B, and
+// the node takes part in the vote (tally). A cube pass runs cubeNode's
+// program instead, whose owner half is a mulNode too: its acc, its vote,
+// its sender, and a wf that decodes the partial rows it folds.
 type mulNode struct {
 	sr     core.Semiring
 	wf     *wireFormat
@@ -494,15 +492,12 @@ type mulNode struct {
 	aVals  []int64
 	packed []uint64 // this node's row of B, in wire format
 	acc    []int64  // this node's row of C, dense
-	off    int      // words of packed already sent to each receiver
-	unpace bool
-	vote   *voter // non-nil on a pass asked to vote (Pass.vote)
-}
-
-// streams reports whether node k sends its row of B to anyone: whether
-// its row of A has an off-diagonal entry.
-func (nd *mulNode) streams(k core.NodeID) bool {
-	return len(nd.aCols) > 1 || len(nd.aCols) == 1 && nd.aCols[0] != k
+	out    sender
+	// bRow is this node's row of B on a voting pass, nil on any other;
+	// ran says this process executes the node, changed that the node
+	// knows the product differs from B.
+	bRow         []int64
+	ran, changed bool
 }
 
 // accumulate folds one packed word of B[k] into this node's row of C:
@@ -664,50 +659,30 @@ func (nd *mulNode) accumulateBool(aik int64, w uint64) {
 	}
 }
 
-// stream sends every off-diagonal column of this node's row of A the
-// next word of its packed row of B (all of it when unpaced), each word
-// to all of them in one Multicast, and advances the shared offset. The
-// router's per-link accounting stays the enforcement.
-func (nd *mulNode) stream(ctx *engine.Ctx) error {
-	end := len(nd.packed)
-	if !nd.unpace {
-		end = min(end, nd.off+1)
-	}
-	for _, w := range nd.packed[nd.off:end] {
-		if err := ctx.Multicast(nd.aCols, w); err != nil {
-			return err
-		}
-	}
-	nd.off = end
-	return nil
-}
-
-// Round runs the node's share of the product, and of the vote on a pass
-// asked for one.
+// Round runs one round of the node's share of the product and, on a
+// voting pass, of the vote. A data word from src is folded with
+// A[v][src], which exists whenever A is symmetric: src streams to the
+// columns of its own row. The inbox is source-ascending, as aCols is, so
+// one index walks both; a source behind the index (any other delivery
+// order) finds its column by a binary search instead.
 func (nd *mulNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message) error {
-	if nd.vote != nil {
-		return nd.vote.round(nd, ctx, r, inbox)
-	}
-	return nd.product(ctx, r, inbox)
-}
-
-// product is one round of the stream/accumulate protocol. A data word
-// from src is folded with A[v][src], which exists whenever A is
-// symmetric: src streams to the columns of its own row. The inbox is
-// source-ascending, as aCols is, so one index walks both; a source
-// behind the index (any other delivery order) finds its column by a
-// binary search instead.
-func (nd *mulNode) product(ctx *engine.Ctx, r core.Round, inbox []engine.Message) error {
 	cols := nd.aCols
+	folded, heard := false, false
 	if r == 0 {
-		if i, ok := slices.BinarySearch(cols, ctx.ID()); ok {
+		nd.ran = true
+		if i, ok := slices.BinarySearch(cols, ctx.ID()); ok && len(nd.packed) > 0 {
 			for _, w := range nd.packed {
 				nd.accumulate(nd.aVals[i], w)
 			}
+			folded = true
 		}
 	}
 	i := 0
 	for _, m := range inbox {
+		if m.Payload == 0 {
+			heard = true // a vote word
+			continue
+		}
 		if i == len(cols) || cols[i] > m.Src {
 			i, _ = slices.BinarySearch(cols, m.Src)
 		}
@@ -718,96 +693,159 @@ func (nd *mulNode) product(ctx *engine.Ctx, r core.Round, inbox []engine.Message
 			return fmt.Errorf("matmul: node %d got unsolicited data from %d", ctx.ID(), m.Src)
 		}
 		nd.accumulate(nd.aVals[i], m.Payload)
+		folded = true
 	}
-	return nd.stream(ctx)
+	nd.tally(ctx, r, heard, folded)
+	return nd.out.send(ctx, r)
 }
 
-// voter is one node's part in the vote a pass takes on whether its
-// product equals its B operand — the question every product loop
-// x <- S ⊗ x asks to know it has reached its fixpoint (see Pass.vote).
-// The vote is paid for in rounds and words like the product itself:
-//
-//	round F:   the round the bare pass falls silent in, so every row of
-//	           C is final. A node whose row of C differs from its row of
-//	           B sends one word to node 0; node 0, if its own row
-//	           differs, sends one word to every other node instead.
-//	round F+1: node 0, if it heard a ballot and has not spoken yet,
-//	           sends one word to every other node.
-//	by F+2:    every node that heard node 0 knows the product changed.
-//
-// Silence is the other verdict: when no row differs nobody sends, the
-// pass ends in round F exactly as the bare pass does, and no node's
-// changed is set. A voting pass therefore costs at most 2 rounds and
-// 2(n-1) words over the bare pass, and one that confirms a fixpoint
-// costs nothing.
-//
-// F follows from the widest packed row any node streams: its owner
-// sends one word a round from round 0 on, and the last of them is
-// folded in one round after it is sent, so F = w (1 when unpaced, which
-// sends the whole row at once). Like the wire format's value range,
-// that width is a global of the operands every node is taken to know
-// before round 0 (docs/paper-map.md lists these).
-//
-// A cube pass has no F; its nodes keep bRow, ran and changed here and
-// time their ballots themselves (cubeNode).
-type voter struct {
-	widest  int        // words in the widest streamed row; -1 if no node streams any
-	final   core.Round // F, fixed in round 0 from widest
-	bRow    []int64    // this node's row of B
-	ran     bool       // this process executes the node
-	changed bool       // this node knows the product differs from B
+// tally is a voting node's part in round r of the vote a pass takes on
+// whether its product equals its B operand — the question every product
+// loop x <- S ⊗ x asks to know it has reached its fixpoint — once the
+// node has folded what reached it: heard says a vote word did, folded
+// that data did. The vote is self-timed. The accumulator starts at B and
+// only ever moves away from it, so the product differs from B exactly
+// when some row moves. The node that first learns so — its row moved, or
+// a vote word reached it — queues its own vote word (sender.vote): node
+// 0 its verdict to every other node; any other node a ballot to node 0,
+// unless node 0's verdict reached it first. Every node but node 0 then
+// hears the verdict, and node 0 knows its own, so every rank of a
+// multi-process clique reads the same answer off its own nodes. A pass
+// whose product equals B sends no vote word, and ends in the round the
+// bare pass does; any other pays at most 2 rounds and 2(n-1) words over
+// it.
+func (nd *mulNode) tally(ctx *engine.Ctx, r core.Round, heard, folded bool) {
+	if nd.bRow != nil && !nd.changed && (heard || folded && !slices.Equal(nd.acc, nd.bRow)) {
+		nd.changed = true
+		if id := ctx.ID(); id == 0 || !heard {
+			nd.out.vote(id, ctx.NumNodes(), r)
+		}
+	}
 }
 
-// round runs round r of the product and, from round F on, of the vote.
-func (vt *voter) round(nd *mulNode, ctx *engine.Ctx, r core.Round, inbox []engine.Message) error {
-	if r == 0 {
-		vt.ran = true
-		if vt.widest >= 0 {
-			vt.final = core.Round(vt.widest)
-			if nd.unpace {
-				vt.final = min(vt.final, 1)
+// sender is what one node sends in a pass, the one place every node
+// program sends from: the transfers it holds, each a run of words to one
+// destination or, one Multicast a word, to the nodes of to, word i in
+// round at+i. The node programs time their transfers so that a link
+// carries at most one word a round (mulNode, cubeNode), and the vote
+// word goes behind every word its link still carries (vote). unpace
+// sends every transfer whole in its first round instead, which breaks
+// the link budget on purpose (NewPass).
+type sender struct {
+	xs     []transfer
+	to     []core.NodeID // the destinations of the one multicast transfer
+	unpace bool
+}
+
+// transfer is words for dst, word i in round at+i; a dst of multicast
+// stands for every node of its sender's to but the sender.
+type transfer struct {
+	words []uint64
+	at    core.Round
+	dst   core.NodeID
+}
+
+// multicast is the dst of a sender's multicast transfer.
+const multicast core.NodeID = -1
+
+// voteWord is the vote's one word: 0, which no packed word is.
+var voteWord = []uint64{0}
+
+// add queues words for dst from round at on; no words queue nothing.
+func (s *sender) add(dst core.NodeID, words []uint64, at core.Round) {
+	if len(words) > 0 {
+		s.xs = append(s.xs, transfer{words: words, at: at, dst: dst})
+	}
+}
+
+// vote queues node id's vote word in round r: any other node's ballot
+// to node 0, node 0's verdict to every other node. Each leaves in round
+// r or, on a link that still carries data, in the round after the
+// data's last word.
+func (s *sender) vote(id core.NodeID, n int, r core.Round) {
+	lo := core.NodeID(0) // the ballot's link
+	if id == 0 {
+		lo = 1 // the verdict's first
+	}
+	data := len(s.xs)
+	for v := range votes(int(id), n) {
+		s.add(lo+core.NodeID(v), voteWord, r)
+	}
+	vs := s.xs[data:] // vs[v-lo] is the word for v
+	for _, x := range s.xs[:data] {
+		dsts := s.to
+		if x.dst != multicast {
+			dsts = []core.NodeID{x.dst}
+		}
+		for _, v := range dsts {
+			if i := int(v - lo); i >= 0 && i < len(vs) {
+				vs[i].at = max(vs[i].at, x.at+core.Round(len(x.words)))
 			}
 		}
 	}
-	if r <= vt.final {
-		if err := nd.product(ctx, r, inbox); err != nil {
-			return err
-		}
-		if r < vt.final || slices.Equal(nd.acc, vt.bRow) {
-			return nil
-		}
-		vt.changed = true
-		if ctx.ID() != 0 {
-			return ctx.Send(0, 1)
-		}
-		return announce(ctx)
-	}
-	// Past F only the vote's own words flow: ballots into node 0, then
-	// its verdict out.
-	if len(inbox) == 0 || vt.changed {
-		return nil
-	}
-	vt.changed = true
-	if ctx.ID() != 0 {
-		return nil
-	}
-	return announce(ctx)
 }
 
-// announce is node 0 telling every other node the product changed.
-func announce(ctx *engine.Ctx) error {
-	for v := 1; v < ctx.NumNodes(); v++ {
-		if err := ctx.Send(core.NodeID(v), 1); err != nil {
-			return err
+// votes is how many vote words node v sends: n-1 from node 0, one from
+// any other.
+func votes(v, n int) int {
+	if v == 0 {
+		return n - 1
+	}
+	return 1
+}
+
+// send sends round r's word of every transfer, and drops the transfers
+// it finishes. The order of the transfers does not matter — no two put
+// a word on one link in one round — so the last takes a dropped one's
+// place.
+func (s *sender) send(ctx *engine.Ctx, r core.Round) error {
+	xs := s.xs
+	for i := 0; i < len(xs); {
+		x := &xs[i]
+		k := int(r - x.at)
+		if k < 0 {
+			i++
+			continue
 		}
+		end := k + 1
+		if s.unpace {
+			end = len(x.words)
+		}
+		for ; k < end; k++ {
+			var err error
+			if x.dst == multicast {
+				err = ctx.Multicast(s.to, x.words[k])
+			} else {
+				err = ctx.Send(x.dst, x.words[k])
+			}
+			if err != nil {
+				return err
+			}
+		}
+		if end < len(x.words) {
+			i++
+			continue
+		}
+		if last := len(xs) - 1; i < last {
+			xs[i] = xs[last]
+		}
+		xs = xs[:len(xs)-1]
+	}
+	if len(xs) < len(s.xs) {
+		s.xs = xs
 	}
 	return nil
 }
 
 // Pass is one validated, packed distributed product C = A ⊗ B prepared
-// as a single engine pass: n nodes (mulNodes, or cubeNodes on a
-// semi-naive squaring), node v holding row v of both operands and
-// accumulating row v of C into its accumulator slab.
+// as a single engine pass: n nodes (mulNodes, or cubeNodes on a cube
+// pass), node v holding row v of both operands and accumulating row v
+// of C into its accumulator slab, each sending through its own sender.
+// A voting pass also decides in-engine whether C equals B (tally), and
+// its accumulators start at B; it is exact only when that cannot change
+// the product, B ⊆ A ⊗ B, which A's One diagonal and an idempotent Add
+// make so: a semi-naive product, or the first squaring of a reflexive
+// base.
 // Power and Relaxation hand a Pass to a clique session — its nodes, its
 // MaxRoundsHint and the slab as the rows to gather — and harvest the
 // result with Sparse or Dense after the pass quiesces, chaining one Pass
@@ -818,10 +856,9 @@ type Pass struct {
 	maxRow  int
 	nodes   []engine.Node
 	state   []mulNode
-	accs    [][]int64
 	flat    []int64
-	b       *Dense // the B operand, kept for vote
-	voters  []voter
+	b       *Dense // the B operand, which the vote compares C with
+	voting  bool
 	cb      *cube // a cube pass's shared state; nil on a row-pull pass
 }
 
@@ -840,14 +877,18 @@ func (p *Pass) Gather() error { return nil }
 // (TestUnpacedProductReturnsBandwidthError); every other caller passes
 // false.
 func NewPass(a, b *Matrix, unpaced bool) (*Pass, error) {
-	return newPass(a, dense(b), nil, unpaced, nil, nil)
+	return NewDensePass(a, dense(b), unpaced)
 }
 
 // NewDensePass validates and packs the sparse-dense product A ⊗ B with
 // B (and C) n x k dense and A's pattern symmetric. Zero entries of B
 // are not transmitted.
 func NewDensePass(a *Matrix, b *Dense, unpaced bool) (*Pass, error) {
-	return newPass(a, b, nil, unpaced, nil, nil)
+	p, err := newPass(a, b, nil, false, nil, nil)
+	for v := 0; err == nil && v < p.n; v++ {
+		p.state[v].out.unpace = unpaced
+	}
+	return p, err
 }
 
 // newPass builds every distributed product A ⊗ B: n nodes over one flat
@@ -875,6 +916,10 @@ func NewDensePass(a *Matrix, b *Dense, unpaced bool) (*Pass, error) {
 //   - a semi-naive squaring, A = B = X = P ⊗ P and prev = P (Power says
 //     why).
 //
+// vote makes the pass a voting one (Pass), whose accumulators start at
+// B also without prev; the caller asks for it only where A has One on
+// its diagonal, so B ⊆ A ⊗ B and the product is unchanged.
+//
 // With cp set the pass runs by the cube (cubeNode): either the
 // semi-naive squaring of a value-symmetric X, cp being its chain's plan,
 // whose owners send segments of X as well as of Δ and whose nodes hold
@@ -882,9 +927,8 @@ func NewDensePass(a *Matrix, b *Dense, unpaced bool) (*Pass, error) {
 // B ⊕ S ⊗ Δ, cp being the Relaxation's plan and a = S. Its partial rows
 // need a second format (cubePlan.formats); where no wire word fits one
 // (a (min,+) operand whose largest values summed near InfWeight), the
-// product runs row-pull instead, over a = B for a squaring. unpace is
-// NewPass's.
-func newPass(a *Matrix, b, prev *Dense, unpace bool, acc []int64, cp *cubePlan) (*Pass, error) {
+// product runs row-pull instead, over a = B for a squaring.
+func newPass(a *Matrix, b, prev *Dense, vote bool, acc []int64, cp *cubePlan) (*Pass, error) {
 	if a != nil {
 		if err := checkPair(a.N, b.N, a.Sr, b.Sr); err != nil {
 			return nil, err
@@ -913,7 +957,7 @@ func newPass(a *Matrix, b, prev *Dense, unpace bool, acc []int64, cp *cubePlan) 
 			if a == nil {
 				a = sparse(b)
 			}
-			return newPass(a, b, prev, false, acc, nil)
+			return newPass(a, b, prev, vote, acc, nil)
 		}
 	}
 	var err error
@@ -923,26 +967,28 @@ func newPass(a *Matrix, b, prev *Dense, unpace bool, acc []int64, cp *cubePlan) 
 	if err != nil {
 		return nil, err
 	}
-	p := &Pass{n: n, cols: k, sr: b.Sr, b: b}
-	if prev != nil {
+	p := &Pass{n: n, cols: k, sr: b.Sr, b: b, voting: vote}
+	if prev != nil || vote {
 		p.flat = append(acc[:0], b.Vals...)
 	} else {
 		p.flat = fill(&acc, n*k, b.Sr.Zero)
 	}
 	if pwf != nil {
 		// A loop's cube passes run one at a time, so they share one set.
-		p.accs, p.nodes, p.state = resize(&cp.accs, n), resize(&cp.nodeSet, n), resize(&cp.state, n)
+		p.nodes, p.state = resize(&cp.nodeSet, n), resize(&cp.state, n)
 	} else {
-		p.accs, p.nodes, p.state = make([][]int64, n), make([]engine.Node, n), make([]mulNode, n)
+		p.nodes, p.state = make([]engine.Node, n), make([]mulNode, n)
 	}
 	for v := range p.state {
 		var aCols []core.NodeID
-		var aVals []int64
+		var aVals, bRow []int64
 		if a != nil {
 			aCols, aVals = a.Row(core.NodeID(v))
 		}
-		p.accs[v] = p.flat[v*k : (v+1)*k]
-		p.state[v] = mulNode{sr: b.Sr, wf: wf, aCols: aCols, aVals: aVals, acc: p.accs[v], unpace: unpace}
+		if vote {
+			bRow = b.Row(core.NodeID(v))
+		}
+		p.state[v] = mulNode{sr: b.Sr, wf: wf, aCols: aCols, aVals: aVals, acc: p.flat[v*k : (v+1)*k], bRow: bRow}
 		p.nodes[v] = &p.state[v]
 	}
 	if pwf != nil {
@@ -957,10 +1003,17 @@ func newPass(a *Matrix, b, prev *Dense, unpace bool, acc []int64, cp *cubePlan) 
 		slab = wf.packSet(slab, sel[v*rw:(v+1)*rw], b.Row(core.NodeID(v)), 0, k, 0)
 		ends[v] = len(slab)
 	}
-	lo := 0
+	// The senders share one array of transfers: room for each node's row
+	// and, on a voting pass, its vote words.
+	xs := make([]transfer, n+int(flag(vote))*max(2*n-2, 0))
+	lo, at := 0, 0
 	for v, hi := range ends {
+		nd := &p.state[v]
+		room := 1 + int(flag(vote))*votes(v, n)
+		nd.out.xs, at = xs[at:at:at+room], at+room
+		nd.packed, nd.out.to = slab[lo:hi:hi], nd.aCols
+		nd.out.add(multicast, nd.packed, 0)
 		p.maxRow = max(p.maxRow, hi-lo)
-		p.state[v].packed = slab[lo:hi:hi]
 		lo = hi
 	}
 	return p, nil
@@ -969,44 +1022,20 @@ func newPass(a *Matrix, b, prev *Dense, unpace bool, acc []int64, cp *cubePlan) 
 // Nodes returns the pass's node set for one engine run.
 func (p *Pass) Nodes() []engine.Node { return p.nodes }
 
-// vote asks the pass to also decide, in-engine, whether its product
-// equals its B operand (see voter for the protocol and its cost); changed
-// reports the verdict once the pass has quiesced. F is sized from the
-// rows that stream, which every node reads off its own row of A; a cube
-// pass's nodes hold no row of A and time their own ballots. Call it
-// before the pass runs. Power and Relaxation ask for a vote on every
-// product but one that ends the loop anyway; a pass never asked runs
-// exactly the bare product.
-func (p *Pass) vote() {
-	widest := -1
-	for k := range p.state {
-		if p.state[k].streams(core.NodeID(k)) {
-			widest = max(widest, len(p.state[k].packed))
-		}
-	}
-	p.voters = make([]voter, p.n)
-	for v := range p.voters {
-		p.voters[v] = voter{widest: widest, bRow: p.b.Row(core.NodeID(v))}
-		p.state[v].vote = &p.voters[v]
-	}
-}
-
 // changed reports whether the product differs from its B operand, as
-// the nodes this process executed heard it in the pass's vote: every
-// node but node 0 hears node 0's verdict and node 0 knows its own, so
-// every rank of a multi-process clique reads the same answer off its
-// own nodes. A pass not asked to vote reports true. Call it only after
-// the pass has quiesced and its rows have been gathered.
+// the nodes this process executed heard it in the pass's vote (tally). A
+// pass that does not vote reports true. Call it only after the pass has
+// quiesced and its rows have been gathered.
 func (p *Pass) changed() bool {
-	if p.voters == nil {
+	if !p.voting {
 		return true
 	}
 	ran := false
-	for i := range p.voters {
-		if p.voters[i].changed {
+	for i := range p.state {
+		if p.state[i].changed {
 			return true
 		}
-		ran = ran || p.voters[i].ran
+		ran = ran || p.state[i].ran
 	}
 	if ran {
 		return false
@@ -1014,12 +1043,7 @@ func (p *Pass) changed() bool {
 	// A rank of a clique with more ranks than nodes executes no node: it
 	// is no party to the vote, and learns the outcome where it learns the
 	// product, from the gathered rows.
-	for v := range p.voters {
-		if !slices.Equal(p.accs[v], p.voters[v].bRow) {
-			return true
-		}
-	}
-	return false
+	return !slices.Equal(p.flat, p.b.Vals)
 }
 
 // MaxRoundsHint sizes the round bound from the widest packed row: the
@@ -1109,39 +1133,25 @@ func (p *Pass) Dense() *Dense {
 // it is Δ[v, B_a] itself. A segment whose sender is its receiver, and a
 // partial row for the cube node's own row, never touch a link.
 //
-// F1 is the widest phase-1 link in words: like the row-pull's widest
-// row, a global of the operands every node is taken to know before
-// round 0 (docs/paper-map.md lists these). The engine's quiescence ends
-// the pass once the partial rows are out.
+// Every word goes through the node's sender: the phase-1 links from
+// round 0, the partial rows from F1, each X-update ahead of the Δ
+// segment its link also carries. F1 is the widest phase-1 link in words,
+// a global of the operands every node is taken to know before round 0
+// (docs/paper-map.md lists these). The engine's quiescence ends the pass
+// once the partial rows are out.
 //
-// The vote is self-timed, since how wide the partial rows are depends
-// on the product. acc starts at the owner's row of X, so a row has
-// changed from the fold that moves it on. Its owner then sends node 0 a
-// ballot, unless it already knows the product changed; node 0, at its
-// own row's move or at the first ballot, tells every other node. Both
-// are the word 0, which no packed word is, queued behind the data on
-// the same link. A squaring that confirms the fixpoint sends no vote
-// word at all.
+// A voting pass takes the same self-timed vote as a row-pull one
+// (tally): acc starts at the owner's row of X, so a row has changed from
+// the fold that moves it on, and a squaring that confirms the fixpoint
+// sends no vote word at all.
 type cubeNode struct {
-	*mulNode // the owner's half: acc, vote, and wf, the partial rows' format
+	*mulNode // the owner's half: acc, vote, sender, and wf, the partial rows' format
 	cb       *cube
-	final    core.Round // F1
-	drained  core.Round // the round this node's phase-1 links are all sent by
 	// got holds the phase-1 words received, still packed, from[i] the
 	// sender of got[i] (two slices: a Message would pad to 16 bytes).
 	got  []uint64
 	from []core.NodeID
-	out  []stream // what this node still has to send
-	buf  []uint64 // the partial rows out's streams send, kept across passes
-}
-
-// stream is a partial row queued for its owner, the words
-// buf[next:end] of its cube node yet to go, and the vote word 0 behind
-// it when vote is set.
-type stream struct {
-	dst       core.NodeID
-	next, end int
-	vote      bool
+	buf  []uint64 // the partial rows the sender sends, kept across passes
 }
 
 // cubePlan is what the cube passes of one loop share: the shape; the
@@ -1179,10 +1189,11 @@ type cubePlan struct {
 	links       []link
 	first, toAt []int
 	to          []core.NodeID
-	// outs[outAt[v]:outAt[v+1]] is node v's room for streams: one a row
-	// and column of its product and one for its ballot (n for node 0).
-	outAt []int
-	outs  []stream
+	// xs[xsAt[v]:xsAt[v+1]] is node v's sender's room: two transfers a
+	// phase-1 link or, from F1, one for each row and column of its
+	// product and its vote words.
+	xsAt []int
+	xs   []transfer
 	// sel and dsel are sweep's selection bitsets of X and Δ, from which
 	// heldBits also reads P's blocks over (or,and); a Relaxation keeps Δ
 	// in dsel alone.
@@ -1202,8 +1213,8 @@ type cubePlan struct {
 	mu   sync.Mutex
 	free []*cubeScratch
 	// The per-node arrays of the pass in flight, which the next reuses,
-	// the cube nodes with their bufs.
-	accs    [][]int64
+	// the nodes with their senders' transfers and the cube nodes with
+	// their bufs.
 	nodeSet []engine.Node
 	state   []mulNode
 	cubes   []cubeNode
@@ -1368,8 +1379,8 @@ func (cp *cubePlan) sBlock(u, c int) ([]core.NodeID, []int64) {
 }
 
 // init sizes the plan for n nodes and B's cols columns: once per loop
-// the link table, every node's room for streams and the buffers whose
-// size n alone fixes, and the selection bitsets whenever cols changes.
+// the link table, every sender's room and the buffers whose size n alone
+// fixes, and the selection bitsets whenever cols changes.
 func (cp *cubePlan) init(n, cols int) {
 	cp.cols = cols
 	if cp.s == nil {
@@ -1420,21 +1431,16 @@ func (cp *cubePlan) init(n, cols int) {
 		}
 		cp.first[v+1], cp.toAt[v+1] = len(cp.links), len(cp.to)
 	}
-	cp.outAt = make([]int, n+1)
+	cp.xsAt = make([]int, n+1)
 	for v := 0; v < n; v++ {
-		room := 1
+		rows := 0
 		if sh := cp.share(v); cp.multiplies(v) {
-			room += sh.ra
-			if cp.s == nil {
-				room += sh.rb
-			}
+			rows = sh.ra + sh.rb
 		}
-		if v == 0 {
-			room = max(room, n)
-		}
-		cp.outAt[v+1] = cp.outAt[v] + room
+		// Phase 1 is out before the partial rows and vote words queue.
+		cp.xsAt[v+1] = cp.xsAt[v] + max(2*(cp.first[v+1]-cp.first[v]), rows+votes(v, n))
 	}
-	cp.outs = make([]stream, cp.outAt[n])
+	cp.xs = make([]transfer, cp.xsAt[n])
 	cp.starts, cp.ends = make([]int, n*(q+qb)), make([]int, n*(q+qb))
 	cp.in, cp.at = make([]int, cp.nodes()), make([]int, cp.nodes()+1)
 }
@@ -1636,6 +1642,7 @@ func (p *Pass) asCube(cb *cube, pwf *wireFormat) {
 	cubes := resize(&cb.cubes, p.n)
 	for v := range cubes {
 		p.state[v].wf = pwf
+		p.state[v].out.xs = cb.xs[cb.xsAt[v]:cb.xsAt[v]:cb.xsAt[v+1]]
 		cubes[v] = cubeNode{mulNode: &p.state[v], cb: cb, buf: cubes[v].buf}
 		p.nodes[v] = &cubes[v]
 	}
@@ -1647,115 +1654,71 @@ func (p *Pass) asCube(cb *cube, pwf *wireFormat) {
 // Round runs one round of the cube protocol and its vote.
 func (nd *cubeNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message) error {
 	id, cb := int(ctx.ID()), nd.cb
-	cubeNodes := cb.nodes()
+	final := core.Round(cb.wide) // F1
 	if r == 0 {
-		if nd.vote != nil {
-			nd.vote.ran = true
-		}
-		nd.final = core.Round(cb.wide)
-		nd.out = cb.outs[cb.outAt[id]:cb.outAt[id]:cb.outAt[id+1]]
-		if id < cubeNodes {
+		nd.ran = true
+		if id < cb.nodes() {
 			lo, hi := cb.at[id], cb.at[id+1]
 			nd.got, nd.from = cb.got[lo:lo:hi], cb.from[lo:lo:hi]
 		}
+		nd.phase1(core.NodeID(id))
 	}
-	folded := false
-	if r <= nd.final {
-		if r == 0 || r < nd.drained {
-			if err := nd.segments(ctx, r); err != nil {
-				return err
-			}
-		}
+	folded, heard := false, false
+	if r <= final {
 		for _, m := range inbox {
 			nd.got, nd.from = append(nd.got, m.Payload), append(nd.from, m.Src)
 		}
-		if r == nd.final {
-			if id < cubeNodes {
+		if r == final {
+			if id < cb.nodes() {
 				folded = nd.multiply(cb.share(id))
 			}
 			nd.got, nd.from = nil, nil
 		}
 	} else {
 		for _, m := range inbox {
-			switch {
-			case m.Payload != 0:
-				nd.accumulate(nd.sr.One, m.Payload)
-				folded = true
-			case !nd.vote.changed:
-				// A ballot into node 0, or node 0's verdict: only a voting
-				// pass sends the word 0.
-				nd.vote.changed = true
-				if id == 0 {
-					nd.announce(ctx.NumNodes())
-				}
+			if m.Payload == 0 {
+				heard = true // a vote word
+				continue
 			}
+			nd.accumulate(nd.sr.One, m.Payload)
+			folded = true
 		}
 	}
-	if vt := nd.vote; folded && vt != nil && !vt.changed && !slices.Equal(nd.acc, vt.bRow) {
-		vt.changed = true
-		if id == 0 {
-			nd.announce(ctx.NumNodes())
-		} else {
-			nd.queueVote(0)
-		}
-	}
-	return nd.flush(ctx)
+	nd.tally(ctx, r, heard, folded)
+	return nd.out.send(ctx, r)
 }
 
-// segments sends round r's share of phase 1, word r of every link's
-// segments, so phase 1 needs no state beyond the round; in round 0 it
-// also keeps the segments the node sends itself and finds the round its
-// links are drained by.
-func (nd *cubeNode) segments(ctx *engine.Ctx, r core.Round) error {
-	id, cb := ctx.ID(), nd.cb
-	i := int(r)
+// phase1 queues owner id's phase-1 transfers in its sender, each link's
+// Δ segment behind its X-update, and keeps the segments it sends
+// itself.
+func (nd *cubeNode) phase1(id core.NodeID) {
+	cb, out := nd.cb, &nd.out
+	keep := func(seg []uint64) {
+		for _, w := range seg {
+			nd.got, nd.from = append(nd.got, w), append(nd.from, id)
+		}
+	}
 	if cb.s != nil && cb.held {
 		// The owner's Δ segment is all it sends: one word a round to every
 		// cube node that takes it, as row-pull streams a row.
 		d, to := cb.seg(int32(cb.dSeg(int(id), 0))), cb.to[cb.toAt[id]:cb.toAt[id+1]]
-		if r == 0 {
-			nd.drained = core.Round(len(d))
-			if slices.Contains(to, id) {
-				for _, w := range d {
-					nd.got, nd.from = append(nd.got, w), append(nd.from, id)
-				}
-			}
+		if slices.Contains(to, id) {
+			keep(d)
 		}
-		if i < len(d) {
-			return ctx.Multicast(to, d[i])
-		}
-		return nil
+		out.to = to
+		out.add(multicast, d, 0)
+		return
 	}
 	for _, l := range cb.links[cb.first[id]:cb.first[id+1]] {
 		x, d := cb.seg(l.x), cb.seg(l.d)
-		if l.t == int32(id) {
-			if r > 0 {
-				continue
-			}
-			for _, seg := range [2][]uint64{x, d} {
-				for _, w := range seg {
-					nd.got, nd.from = append(nd.got, w), append(nd.from, id)
-				}
-			}
+		if t := core.NodeID(l.t); t != id {
+			out.add(t, x, 0)
+			out.add(t, d, core.Round(len(x)))
 			continue
 		}
-		if r == 0 {
-			nd.drained = max(nd.drained, core.Round(len(x)+len(d)))
-		}
-		var w uint64
-		switch {
-		case i < len(x):
-			w = x[i]
-		case i < len(x)+len(d):
-			w = d[i-len(x)]
-		default:
-			continue
-		}
-		if err := ctx.Send(core.NodeID(l.t), w); err != nil {
-			return err
-		}
+		keep(x)
+		keep(d)
 	}
-	return nil
 }
 
 // multiply is cube node sh's local product in round F1: it decodes the
@@ -1873,8 +1836,10 @@ func (nd *cubeNode) multiplyVals(s *cubeScratch, sh share) bool {
 // the owners lo..lo+cnt-1 — only those whose bit is set in keep, when
 // keep is not nil — as pack(i, dst) appends it packed in the partial
 // rows' format: folded in place when its owner is t itself, appended to
-// the node's buf behind a stream to its owner otherwise. It reports
-// whether it folded into t's own row.
+// the node's buf and queued in its sender from round F1 otherwise. A
+// queued row keeps its words where it was packed, even when a later
+// append moves buf: nothing writes to them again. It reports whether it
+// folded into t's own row.
 func (nd *cubeNode) emit(t, lo, cnt int, keep []uint64, pack func(i int, dst []uint64) []uint64) bool {
 	own := false
 	// A local, not nd's field: appending through a heap pointer pays the
@@ -1894,7 +1859,7 @@ func (nd *cubeNode) emit(t, lo, cnt int, keep []uint64, pack func(i int, dst []u
 			}
 			slab, own = slab[:at], true
 		default:
-			nd.out = append(nd.out, stream{dst: core.NodeID(lo + i), next: at, end: len(slab)})
+			nd.out.add(core.NodeID(lo+i), slab[at:], core.Round(nd.cb.wide))
 		}
 	}
 	nd.buf = slab
@@ -2129,51 +2094,4 @@ func foldRow(sr *core.Semiring, out, row []int64, cols []int32, xv int64) {
 			out[j] = sr.Add(out[j], sr.Mul(xv, row[j]))
 		}
 	}
-}
-
-// queueVote queues the vote word 0 to dst behind whatever data this
-// node still has for it.
-func (nd *cubeNode) queueVote(dst core.NodeID) {
-	for i := range nd.out {
-		if nd.out[i].dst == dst {
-			nd.out[i].vote = true
-			return
-		}
-	}
-	nd.out = append(nd.out, stream{dst: dst, vote: true})
-}
-
-// announce is node 0 telling every other node the product changed.
-func (nd *cubeNode) announce(n int) {
-	queued := make([]bool, n)
-	for i := range nd.out {
-		nd.out[i].vote, queued[nd.out[i].dst] = true, true
-	}
-	for v := 1; v < n; v++ {
-		if !queued[v] {
-			nd.out = append(nd.out, stream{dst: core.NodeID(v), vote: true})
-		}
-	}
-}
-
-// flush sends every destination the next word queued for it — its
-// ballot or verdict once its partial rows are out. A spent stream stays,
-// so a later vote word to its destination goes out behind nothing.
-func (nd *cubeNode) flush(ctx *engine.Ctx) error {
-	for i := range nd.out {
-		s := &nd.out[i]
-		switch {
-		case s.next < s.end:
-			if err := ctx.Send(s.dst, nd.buf[s.next]); err != nil {
-				return err
-			}
-			s.next++
-		case s.vote:
-			if err := ctx.Send(s.dst, 0); err != nil {
-				return err
-			}
-			s.vote = false
-		}
-	}
-	return nil
 }

@@ -20,7 +20,7 @@ func sameBits(a, b *Matrix) bool {
 // squarePass is the semi-naive squaring X ⊗ X = X ⊕ X ⊗ Δ of an X =
 // prev ⊗ prev, as Power builds it.
 func squarePass(x, prev *Matrix) (*Pass, error) {
-	return newPass(nil, dense(x), dense(prev), false, nil, &cubePlan{})
+	return newPass(nil, dense(x), dense(prev), true, nil, &cubePlan{})
 }
 
 // TestSemiNaiveSquaringMatchesRef: over every semiring, on random
@@ -52,7 +52,6 @@ func TestSemiNaiveSquaringMatchesRef(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
-						p.vote()
 						runVotePass(t, p, workers)
 						if got := p.Sparse(); !sameBits(got, want) {
 							t.Fatalf("%s: semi-naive squaring differs from MulRef(X, X)", name)
@@ -147,7 +146,6 @@ func TestSemiNaiveSquaringEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.vote()
 	st := runVotePass(t, p, 1)
 	if want := predictCube(t, x, dense(x), true, false); st.Rounds != want.rounds || st.TotalMsgs != want.words {
 		t.Errorf("empty Δ: %d rounds and %d words, model %d and %d", st.Rounds, st.TotalMsgs, want.rounds, want.words)
@@ -221,7 +219,6 @@ func TestSemiNaiveSquaringDeltaShapes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			sq.vote()
 			runVotePass(t, sq, 1)
 			if got := sq.Sparse(); !sameBits(got, want) {
 				t.Fatalf("%s: semi-naive squaring differs from MulRef(X, X)", name)
@@ -315,11 +312,10 @@ func TestCubeProductMatchesRef(t *testing.T) {
 				want := square(tc.x)
 				for _, held := range []bool{false, true} {
 					name := fmt.Sprintf("%s %v/n%d/%s/held=%v", sr.Name, sr.Kind(), n, tc.name, held)
-					p, err := newPass(nil, dense(tc.x), tc.prev, false, nil, &cubePlan{held: held})
+					p, err := newPass(nil, dense(tc.x), tc.prev, true, nil, &cubePlan{held: held})
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					p.vote()
 					st := runAudited(t, p)
 					if got := p.Sparse(); !sameBits(got, want) {
 						t.Fatalf("%s: the cube pass differs from MulRef(X, X)", name)

@@ -188,7 +188,7 @@ func TestHeldChainResumesExactly(t *testing.T) {
 // TestCubeSquaringAllocs: a held cube squaring of a chain whose plan is
 // sized — building the pass and running it on a warm engine — allocates
 // a number of objects that does not grow with n: no node allocates its
-// inbox store, its partial rows or its streams, and the link table is
+// inbox store, its partial rows or its transfers, and the link table is
 // the chain's.
 func TestCubeSquaringAllocs(t *testing.T) {
 	const most = 32
@@ -213,11 +213,10 @@ func TestCubeSquaringAllocs(t *testing.T) {
 		}
 		var acc []int64
 		allocs := testing.AllocsPerRun(5, func() {
-			p, err := newPass(nil, dx, dp, false, acc, cp)
+			p, err := newPass(nil, dx, dp, true, acc, cp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			p.vote()
 			if _, err := e.RunBounded(context.Background(), p.Nodes(), p.MaxRoundsHint()); err != nil {
 				t.Fatal(err)
 			}
@@ -227,6 +226,65 @@ func TestCubeSquaringAllocs(t *testing.T) {
 		t.Logf("n = %d: %.0f objects", n, allocs)
 		if allocs > most {
 			t.Errorf("n = %d: a held cube squaring allocates %.0f objects, want at most %d at every n", n, allocs, most)
+		}
+	}
+}
+
+// TestRelaxationProductAllocs: a held 2D relaxation product — a warm
+// ccserve query's pass, one source over a dense S — and a voting row-pull
+// relaxation product — a hopset construction's, eight hub columns over a
+// sparse S — each built and run on a warm engine, allocate at most the
+// objects they were measured at (5 and 40 at n = 128; 7 and 41 when
+// node 0's verdict in a cube pass allocated an n-long []bool and every
+// voting pass its own array of voters). Both find a change, so node 0
+// sends its verdict in each.
+func TestRelaxationProductAllocs(t *testing.T) {
+	const n = 128
+	sr := core.MinPlus()
+	s, sources := relaxFixture(t, n, 1, sr)
+	held := relaxPlan(s)
+	held.held = true
+	base, err := FromGraph(graph.RandomGNPWeighted(n, 0.05, 30, 1), sr, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		s       *Matrix
+		sources []core.NodeID
+		cp      *cubePlan
+		most    float64
+	}{
+		{"held-2d", s, sources, held, 5},
+		{"row-pull", base, []core.NodeID{0, 17, 40, 63, 90, 101, 120, 127}, nil, 40},
+	} {
+		prev := Indicator(n, tc.sources, sr)
+		b, err := MulDenseRef(tc.s, prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := engine.New(n, engine.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var acc []int64
+		allocs := testing.AllocsPerRun(5, func() {
+			p, err := newPass(tc.s, b, prev, true, acc, tc.cp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.RunBounded(context.Background(), p.Nodes(), p.MaxRoundsHint()); err != nil {
+				t.Fatal(err)
+			}
+			if (p.cb != nil) != (tc.cp != nil) || !p.changed() {
+				t.Fatalf("%s: cube pass %v, changed %v; the fixture must run its schedule and change", tc.name, p.cb != nil, p.changed())
+			}
+			acc = p.flat
+		})
+		e.Close()
+		t.Logf("%s: %.0f objects", tc.name, allocs)
+		if allocs > tc.most {
+			t.Errorf("%s: one product allocates %.0f objects, want at most %.0f", tc.name, allocs, tc.most)
 		}
 	}
 }

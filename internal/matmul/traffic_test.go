@@ -120,30 +120,33 @@ type passTraffic struct {
 // the pass votes on whether A ⊗ B = B.
 //
 //   - Data: node k sends #receivers(k) × width(k) words, where width(k)
-//     is the packed width of what row k sends.
-//   - Rounds: F = the widest streamed row in words, or F = 0 when no
-//     row has a receiver; the bare pass runs rounds 0..F.
-//   - A vote that finds the product equal to B costs nothing. Otherwise
-//     every changed row but node 0's sends a ballot and node 0 tells the
-//     other n-1 nodes, one round later when its own row did not change.
+//     is the packed width of what row k sends, word i of it in round i.
+//   - The vote (cubeTally): the accumulator starts at B, and node v's row
+//     moves in the first round it folds a term that lowers (⊕-raises) an
+//     entry of B[v]: its own row's in round 0, word i of a received row
+//     in round i + 1.
+//   - Rounds: two past the last round anything is sent, one when nothing
+//     is.
 func predictTraffic(t *testing.T, a *Matrix, b, prev *Dense, vote bool) passTraffic {
 	t.Helper()
+	n, sr := b.N, b.Sr
 	sent := func(i int) bool {
-		return b.Vals[i] != b.Sr.Zero && (prev == nil || b.Vals[i] != prev.Vals[i])
+		return b.Vals[i] != sr.Zero && (prev == nil || b.Vals[i] != prev.Vals[i])
 	}
 	var rg valueRange
 	for i, v := range b.Vals {
-		if sent(i) && v != b.Sr.One {
+		if sent(i) && v != sr.One {
 			rg.add(v)
 		}
 	}
-	wf, err := rg.format(b.K, b.Sr)
+	wf, err := rg.format(b.K, sr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var pt passTraffic
-	widest := -1
-	for k := 0; k < b.N; k++ {
+	rows := make([][]uint64, n)
+	last := -1 // the last round anything is sent in
+	for k := 0; k < n; k++ {
 		aCols, _ := a.Row(core.NodeID(k))
 		receivers := len(aCols)
 		if _, ok := slices.BinarySearch(aCols, core.NodeID(k)); ok {
@@ -156,40 +159,43 @@ func predictTraffic(t *testing.T, a *Matrix, b, prev *Dense, vote bool) passTraf
 				cols, vals = append(cols, core.NodeID(j)), append(vals, b.Vals[i])
 			}
 		}
-		width := len(wf.packRow(nil, cols, vals))
-		pt.words += uint64(receivers * width)
+		rows[k] = wf.packRow(nil, cols, vals)
+		pt.words += uint64(receivers * len(rows[k]))
 		if receivers > 0 {
-			widest = max(widest, width)
+			last = max(last, len(rows[k])-1)
 		}
 	}
-	pt.rounds = max(widest, 0) + 1
-	if !vote {
-		return pt
-	}
-	prod, err := MulDenseRef(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ballots, changed0 := 0, false
-	for v := 0; v < b.N; v++ {
-		if slices.Equal(prod.Row(core.NodeID(v)), b.Row(core.NodeID(v))) {
-			continue
+	tl := newCubeTally(&pt, sr, nil, n, 0, last)
+	got := make([]int64, b.K)
+	for k := 0; vote && k < n; k++ {
+		aCols, _ := a.Row(core.NodeID(k))
+		for _, v := range aCols {
+			avk, bv := a.At(v, core.NodeID(k)), b.Row(v)
+			for i, w := range rows[k] {
+				round := i + 1
+				if int(v) == k {
+					round = 0
+				}
+				for j := range got {
+					got[j] = sr.Zero
+				}
+				wf.decode(w, got, 0)
+				for j, x := range got {
+					if x != sr.Zero && sr.Add(bv[j], sr.Mul(avk, x)) != bv[j] {
+						tl.move(int(v), round)
+					}
+				}
+			}
+			switch {
+			case int(v) == k:
+			case v == 0:
+				tl.to0[k] = len(rows[k])
+			case k == 0:
+				tl.from0[v] = len(rows[0])
+			}
 		}
-		if v == 0 {
-			changed0 = true
-		} else {
-			ballots++
-		}
 	}
-	switch {
-	case changed0:
-		pt.rounds++
-	case ballots > 0:
-		pt.rounds += 2
-	default:
-		return pt
-	}
-	pt.words += uint64(ballots + b.N - 1)
+	tl.finish(vote)
 	return pt
 }
 
@@ -354,22 +360,23 @@ func predictCube(t *testing.T, x *Matrix, prev *Dense, vote, held bool) (m cubeM
 	return m
 }
 
-// cubeTally is the model of a cube pass's phase 2 and vote, as the
-// model delivers each partial row: its words, the last round anything
-// is sent in, and the round each owner's row first moves.
+// cubeTally is the model of a pass's vote, and of a cube pass's phase 2
+// as the model delivers each partial row: its words, the last round
+// anything is sent in, the round each owner's row first moves, and the
+// round each link into and out of node 0 is done with its data.
 type cubeTally struct {
 	pt       *passTraffic
 	sr       core.Semiring
 	pwf      *wireFormat
 	f1, last int
 	moved    []int // -1: never
-	toZero   []int // words cube node t streams owner 0
-	from0    []int // words cube node 0 streams owner u
+	to0      []int // the round after node t's last data word to node 0; 0 with none
+	from0    []int // the round after node 0's last data word to node u; 0 with none
 }
 
 func newCubeTally(pt *passTraffic, sr core.Semiring, pwf *wireFormat, n, f1, last int) *cubeTally {
 	tl := &cubeTally{pt: pt, sr: sr, pwf: pwf, f1: f1, last: last,
-		moved: make([]int, n), toZero: make([]int, n), from0: make([]int, n)}
+		moved: make([]int, n), to0: make([]int, n), from0: make([]int, n)}
 	for u := range tl.moved {
 		tl.moved[u] = -1
 	}
@@ -405,15 +412,16 @@ func (tl *cubeTally) deliver(t, u int, acc, part []int64, lo, hi int) {
 		}
 	}
 	words := tl.pwf.packRow(nil, cols, vals)
-	tl.pt.words += uint64(len(words))
-	if len(words) > 0 {
-		tl.last = max(tl.last, f1+len(words)-1)
+	if len(words) == 0 {
+		return
 	}
+	tl.pt.words += uint64(len(words))
+	tl.last = max(tl.last, f1+len(words)-1)
 	if u == 0 {
-		tl.toZero[t] = len(words)
+		tl.to0[t] = f1 + len(words)
 	}
 	if t == 0 {
-		tl.from0[u] = len(words)
+		tl.from0[u] = f1 + len(words)
 	}
 	for r, w := range words {
 		got := make([]int64, hi-lo)
@@ -431,40 +439,31 @@ func (tl *cubeTally) deliver(t, u int, acc, part []int64, lo, hi int) {
 
 // finish adds the vote, when the pass takes one, and sets the rounds.
 //
-//   - The vote: owner u's row moves in the first round a partial word
-//     that lowers (⊕-raises) an entry of its accumulator reaches it —
-//     round F1 for its own partial. A moved row but node 0's sends node
-//     0 the word 0, unless node 0's verdict has reached it by then; node
-//     0 tells every other node at its own row's move or on the first
-//     ballot's arrival. A vote word queued on a link that still carries
-//     data goes out behind it. No row moves: no vote word.
+//   - The vote: a moved row but node 0's sends node 0 the word 0 in the
+//     round it moves, unless node 0's verdict has reached it by then;
+//     node 0 tells every other node at its own row's move or on the
+//     first ballot's arrival. A vote word queued on a link that still
+//     carries data goes out in the round after its last word. No row
+//     moves: no vote word.
 //   - Rounds: two past the last round anything is sent, one when nothing
 //     is.
 func (tl *cubeTally) finish(vote bool) {
-	n, f1, moved, last := len(tl.moved), tl.f1, tl.moved, tl.last
+	n, moved, last := len(tl.moved), tl.moved, tl.last
 	if vote && slices.ContainsFunc(moved, func(r int) bool { return r >= 0 }) {
-		// behind is the round a vote word queued in round r goes out on a
-		// link whose data, L words, started in round F1.
-		behind := func(r, l int) int {
-			if l > r-f1 {
-				return f1 + l
-			}
-			return r
-		}
 		announce := moved[0]
 		for u := 1; u < n; u++ {
 			if moved[u] >= 0 {
-				if r := behind(moved[u], tl.toZero[u]) + 1; announce < 0 || r < announce {
+				if r := max(moved[u], tl.to0[u]) + 1; announce < 0 || r < announce {
 					announce = r
 				}
 			}
 		}
 		for v := 1; v < n; v++ {
-			sent := behind(announce, tl.from0[v])
+			sent := max(announce, tl.from0[v])
 			last = max(last, sent)
 			if moved[v] >= 0 && moved[v] < sent+1 {
 				tl.pt.words++ // v's ballot
-				last = max(last, behind(moved[v], tl.toZero[v]))
+				last = max(last, moved[v], tl.to0[v])
 			}
 		}
 		tl.pt.words += uint64(n - 1)
@@ -737,7 +736,7 @@ func (m *loopModel) Next(g *graph.CSR) (clique.Pass, error) {
 			}
 			if prev != nil && sym {
 				held := m.held[loop]
-				want := predictCube(m.t, left, loop.prev, loop.pass.voters != nil, held)
+				want := predictCube(m.t, left, loop.prev, loop.pass.voting, held)
 				m.want = append(m.want, want.passTraffic)
 				m.held[loop] = want.cube
 				if held {
@@ -747,7 +746,7 @@ func (m *loopModel) Next(g *graph.CSR) (clique.Pass, error) {
 			}
 			m.held[loop] = false
 		}
-		m.want = append(m.want, predictTraffic(m.t, left, loop.base, prev, loop.pass.voters != nil))
+		m.want = append(m.want, predictTraffic(m.t, left, loop.base, prev, loop.pass.voting))
 	case *Relaxation:
 		reflexive := oneDiagonal(loop.s)
 		prev, seen := m.lastB[loop]
@@ -769,7 +768,7 @@ func (m *loopModel) Next(g *graph.CSR) (clique.Pass, error) {
 		}
 		m.lastB[loop] = loop.b
 		if prev != nil && prices2D(loop.s) {
-			want := predictRelax2D(m.t, loop.s, loop.b, prev, loop.pass.voters != nil, m.relHeld[loop])
+			want := predictRelax2D(m.t, loop.s, loop.b, prev, loop.pass.voting, m.relHeld[loop])
 			m.want = append(m.want, want.passTraffic)
 			m.relHeld[loop] = m.relHeld[loop] || want.cube
 			if want.cube {
@@ -777,7 +776,7 @@ func (m *loopModel) Next(g *graph.CSR) (clique.Pass, error) {
 			}
 			return pass, nil
 		}
-		m.want = append(m.want, predictTraffic(m.t, loop.s, loop.b, prev, loop.pass.voters != nil))
+		m.want = append(m.want, predictTraffic(m.t, loop.s, loop.b, prev, loop.pass.voting))
 	default:
 		return pass, fmt.Errorf("pass %d is neither a Power nor a Relaxation product", len(m.want))
 	}
