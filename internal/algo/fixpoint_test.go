@@ -1,17 +1,13 @@
 package algo
 
 import (
-	"bytes"
 	"math/bits"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
 	"github.com/paper-repo-growth/doryp20/clique"
 	"github.com/paper-repo-growth/doryp20/internal/core"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
-	"github.com/paper-repo-growth/doryp20/internal/hopset"
 	"github.com/paper-repo-growth/doryp20/internal/matmul"
 )
 
@@ -179,79 +175,6 @@ func TestPathSkipsNothingCliqueStopsAtOnce(t *testing.T) {
 		want := BellmanFordRef(g.WithUnitWeights(), src)
 		if !reflect.DeepEqual(apsp.Dist()[src], want) || !reflect.DeepEqual(ks.Dist()[j], want) {
 			t.Errorf("clique: distances from vertex %d differ from BellmanFordRef", src)
-		}
-	}
-}
-
-// TestStateFromBeforeTheStopRuleRestores: the stop rule changed no
-// snapshot field — `remaining` and the exponent merely became upper
-// bounds — so version-2 state written by the fixed-count loops must
-// still restore and finish with the same answer. The blobs under
-// testdata were written by the commit before the rule, mid-run, on
-// G(16, 0.4) with weights 1..4 and seed 42: apsp after its first
-// squaring, approx-ksource (sources 0 and 8, ε = 0.25) after 2 of its 5
-// hop products and again one product into its relaxation.
-func TestStateFromBeforeTheStopRuleRestores(t *testing.T) {
-	g := graph.RandomGNPWeighted(16, 0.4, 4, 42)
-	approx := func() clique.Checkpointable {
-		return NewApproxKSourceKernel([]core.NodeID{0, 8}, hopset.Params{Eps: 0.25})
-	}
-	for blob, tc := range map[string]struct {
-		fresh    func() clique.Checkpointable
-		leftOver int // passes the fixed-count run had left
-	}{
-		"apsp-after-1":           {func() clique.Checkpointable { return NewAPSPKernel() }, 3},
-		"approx-ksource-after-2": {approx, 8},
-		"approx-ksource-after-6": {approx, 4},
-	} {
-		state, err := os.ReadFile(filepath.Join("testdata", blob+".v2state"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		k := tc.fresh()
-		if err := k.RestoreState(bytes.NewReader(state)); err != nil {
-			t.Fatalf("%s: RestoreState: %v", blob, err)
-		}
-		if passes := runPasses(t, g, k); passes < 1 || passes > tc.leftOver {
-			t.Errorf("%s: restored run took %d passes, the fixed-count run had %d left", blob, passes, tc.leftOver)
-		}
-		ref := tc.fresh()
-		runKernel(t, g, ref)
-		if !reflect.DeepEqual(k.Result(), ref.Result()) {
-			t.Errorf("%s: restored run's result differs from a fresh run's", blob)
-		}
-	}
-}
-
-// TestStateFromBeforeSemiNaiveSquaringRestores: version-3 state, written
-// before the power cursor carried the last squaring's operand, must
-// still restore: the next squaring then streams whole rows and the run
-// ends with the same answer as a fresh one. The blobs under testdata
-// were written by the commit before semi-naive squaring, on G(16, 0.4)
-// with weights 1..4 and seed 42: apsp after its first squaring, and
-// ksource (sources 0 and 8, h = 5) after its first squaring and again
-// one product into its relaxation.
-func TestStateFromBeforeSemiNaiveSquaringRestores(t *testing.T) {
-	g := graph.RandomGNPWeighted(16, 0.4, 4, 42)
-	ksource := func() clique.Checkpointable { return NewKSourceKernel([]core.NodeID{0, 8}, 5) }
-	for blob, fresh := range map[string]func() clique.Checkpointable{
-		"apsp-after-1":    func() clique.Checkpointable { return NewAPSPKernel() },
-		"ksource-after-1": ksource,
-		"ksource-after-4": ksource,
-	} {
-		state, err := os.ReadFile(filepath.Join("testdata", blob+".v3state"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		k := fresh()
-		if err := k.RestoreState(bytes.NewReader(state)); err != nil {
-			t.Fatalf("%s: RestoreState: %v", blob, err)
-		}
-		runKernel(t, g, k)
-		ref := fresh()
-		runKernel(t, g, ref)
-		if !reflect.DeepEqual(k.Result(), ref.Result()) {
-			t.Errorf("%s: restored run's result differs from a fresh run's", blob)
 		}
 	}
 }

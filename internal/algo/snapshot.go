@@ -30,10 +30,11 @@ import (
 // columns to the pipelineKernel one; version 4 added the last
 // squaring's operand to the power cursor; version 5 added the held bit
 // to the relaxation cursor. Blobs from oldestStateVersion on still
-// restore.
+// restore: clique.Resume refuses checkpoint files of a format older
+// than 3, and every file of format 3 on carries version 4 or later.
 const (
 	kernelStateVersion uint64 = 5
-	oldestStateVersion uint64 = 2
+	oldestStateVersion uint64 = 4
 )
 
 // readStateVersion reads the leading version word and checks that this
@@ -83,14 +84,14 @@ func (k *powerKernel) RestoreState(r io.Reader) error {
 		return clique.ErrKernelStarted
 	}
 	cr := ckptio.NewReader(r)
-	version, err := readStateHeader(cr, k.Name())
-	if err != nil {
+	if _, err := readStateHeader(cr, k.Name()); err != nil {
 		return err
 	}
 	done := cr.Bool()
 	var pw *matmul.Power
+	var err error
 	if cr.Bool() {
-		if pw, err = matmul.ReadPower(cr, version >= 4); err != nil {
+		if pw, err = matmul.ReadPower(cr); err != nil {
 			return err
 		}
 	}
@@ -155,7 +156,7 @@ func (k *pipelineKernel) RestoreState(r io.Reader) error {
 	}
 	var rx *matmul.Relaxation
 	if cr.Bool() {
-		if rx, err = matmul.ReadRelaxation(cr, version >= 3, version >= 5); err != nil {
+		if rx, err = matmul.ReadRelaxation(cr, version >= 5); err != nil {
 			return err
 		}
 	}

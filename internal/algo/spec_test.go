@@ -111,9 +111,10 @@ func TestGraphKernelsRejectSizeOnlySession(t *testing.T) {
 
 // TestRestoreStateRejectsOtherVersions covers the three
 // clique.Checkpointable implementations: a state blob stamped with a
-// format version older than the oldest this build reads (1) or a future
-// one (5) is refused with the version error and leaves the kernel unstarted, so the same kernel
-// value still completes a fresh run; the unmodified blob restores.
+// format version older than the oldest this build reads (2 and 3, whose
+// readers are gone) or a future one (6) is refused with the version
+// error and leaves the kernel unstarted, so the same kernel value still
+// completes a fresh run; the unmodified blob restores.
 func TestRestoreStateRejectsOtherVersions(t *testing.T) {
 	g := graph.RandomGNPWeighted(12, 0.3, 9, 5)
 	for name, fresh := range map[string]func() clique.Checkpointable{
@@ -137,7 +138,7 @@ func TestRestoreStateRejectsOtherVersions(t *testing.T) {
 		if !reflect.DeepEqual(restored.Result(), ref.Result()) {
 			t.Errorf("%s: restored result differs from the run that wrote the blob", name)
 		}
-		for _, version := range []uint64{oldestStateVersion - 1, kernelStateVersion + 1} {
+		for _, version := range []uint64{2, 3, kernelStateVersion + 1} {
 			stale := bytes.Clone(blob.Bytes())
 			binary.LittleEndian.PutUint64(stale, version)
 			k := fresh()

@@ -3,8 +3,10 @@ package hopset
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/paper-repo-growth/doryp20/clique"
@@ -242,6 +244,38 @@ func TestRestoreRejectsBadHubList(t *testing.T) {
 		}
 		if err == nil {
 			t.Errorf("%s hub list %v restored", name, hubs)
+		}
+	}
+}
+
+// TestRestoreRejectsOtherVersions: a state blob stamped with version 1,
+// whose cursor carries no previous columns and which no accepted
+// checkpoint file holds, or with a future version is refused with the
+// version error; the unmodified blob restores.
+func TestRestoreRejectsOtherVersions(t *testing.T) {
+	g := graph.RandomGNPWeighted(12, 0.4, 9, 3)
+	k := NewConstructKernel(Params{HubRate: 1})
+	s, err := clique.New(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Run(context.Background(), k); err != nil {
+		t.Fatal(err)
+	}
+	var blob bytes.Buffer
+	if err := k.SnapshotState(&blob); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewConstructKernel(Params{HubRate: 1}).RestoreState(bytes.NewReader(blob.Bytes())); err != nil {
+		t.Fatalf("restoring an unmodified blob: %v", err)
+	}
+	for _, version := range []uint64{1, kernelStateVersion + 1} {
+		stale := bytes.Clone(blob.Bytes())
+		binary.LittleEndian.PutUint64(stale, version)
+		err := NewConstructKernel(Params{HubRate: 1}).RestoreState(bytes.NewReader(stale))
+		if err == nil || !strings.Contains(err.Error(), "kernel state version") {
+			t.Errorf("version-%d blob: err = %v, want the version error", version, err)
 		}
 	}
 }

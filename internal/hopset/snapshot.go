@@ -21,7 +21,9 @@ import (
 
 // kernelStateVersion stamps the ConstructKernel state blob. Version 2
 // added the relaxation's previous columns, version 3 its held bit;
-// blobs from version 1 on still restore.
+// blobs from version 2 on still restore: clique.Resume refuses
+// checkpoint files of a format older than 3, and every file of format 3
+// on carries version 2 or later.
 const kernelStateVersion uint64 = 3
 
 // writeParams encodes p to the ckptio writer.
@@ -100,13 +102,13 @@ func (k *ConstructKernel) RestoreState(r io.Reader) error {
 	}
 	cr := ckptio.NewReader(r)
 	v := cr.U64()
-	if cr.Err() == nil && (v < 1 || v > kernelStateVersion) {
-		return fmt.Errorf("hopset: kernel state version %d, this build reads versions 1 to %d", v, kernelStateVersion)
+	if cr.Err() == nil && (v < 2 || v > kernelStateVersion) {
+		return fmt.Errorf("hopset: kernel state version %d, this build reads versions 2 to %d", v, kernelStateVersion)
 	}
 	stage := int(cr.I64())
 	params := readParams(cr)
 	hubs := cr.NodeIDs()
-	rx, err := matmul.ReadRelaxation(cr, v >= 2, v >= 3)
+	rx, err := matmul.ReadRelaxation(cr, v >= 3)
 	if err != nil {
 		return err
 	}

@@ -152,7 +152,8 @@ func TestKeptBlocksAcrossChain(t *testing.T) {
 // squarings fall back to row-pull. At 16 hops every pair goes round the
 // light side and the last squaring runs by the cube again, over blocks
 // its nodes last held at A². It must ship X, bill what the model gives,
-// and return the power.
+// and return the power. The fallen-back squarings are the semi-naive
+// row-pull products, streaming Δ, that a chain still runs.
 func TestKeptBlocksStaleAfterRowPull(t *testing.T) {
 	const heavy = 1<<57 - 2
 	var edges strings.Builder
@@ -251,7 +252,7 @@ func TestPowerCursorWithoutHeldBit(t *testing.T) {
 				phase |= 2
 			}
 			blob := powerCursor(int64(p.e), phase, p.baseRows(), nil, sparse(p.prev))
-			q, err := ReadPower(ckptio.NewReader(bytes.NewReader(blob)), true)
+			q, err := ReadPower(ckptio.NewReader(bytes.NewReader(blob)))
 			if err != nil {
 				t.Fatalf("%s: %v", sr.Name, err)
 			}
@@ -300,7 +301,7 @@ func TestHeldRelaxationResumesExactly(t *testing.T) {
 			if x.cube != nil && x.cube.held {
 				heldStops++
 			}
-			y, err := ReadRelaxation(ckptio.NewReader(&buf), true, true)
+			y, err := ReadRelaxation(ckptio.NewReader(&buf), true)
 			if err != nil {
 				t.Fatalf("%s, stop %d: %v", sr.Name, stop, err)
 			}
@@ -331,7 +332,7 @@ func TestHeldRelaxationResumesExactly(t *testing.T) {
 	w.I64(3)
 	WriteDense(w, ind)
 	w.Bool(true)
-	if _, err := ReadRelaxation(ckptio.NewReader(&buf), true, true); err == nil || !strings.Contains(err.Error(), "hold blocks") {
+	if _, err := ReadRelaxation(ckptio.NewReader(&buf), true); err == nil || !strings.Contains(err.Error(), "hold blocks") {
 		t.Errorf("a held cursor over an S that prices as row-pull restored (err %v)", err)
 	}
 }

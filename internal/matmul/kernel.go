@@ -12,16 +12,20 @@ import (
 // clique session kernel that carries its operands (so it runs on
 // graph-free sessions, clique.NewSize, and ignores the session graph),
 // runs one engine pass per product, and stops at the first product that
-// changes nothing: each product that another one may still follow takes
-// that verdict in-engine (mulNode.tally: at most 2 rounds and 2(n-1)
-// words, none when it confirms the fixpoint), where its accumulator can
-// start at B — a semi-naive product, or a squaring of a base with One on
-// its diagonal — because the vote is exact only then; a product that
-// ends the loop anyway runs bare, and so does every product of a loop
-// over an operand without One on its diagonal, which then runs to its
-// bound. How many products the vote saves depends on the input: the
-// answer is stable once its hop horizon covers the hop-diameter, so
-// graph.Path saves none and a dense random graph most of them.
+// changes nothing. Its operand, A for a Power and S for a Relaxation,
+// equals its transpose and carries One on its diagonal, as every
+// reflexive adjacency of an undirected graph does; the loop checks so
+// at its first engine product (checkLoop) and refuses any other operand
+// through Session.Run before a round runs. With an idempotent Add that
+// gives B ⊆ A ⊗ B, so a product may start its accumulators at B: every
+// squaring after a chain's first and every Relaxation engine product is
+// semi-naive, and each product another may still follow takes the
+// fixpoint verdict in-engine (mulNode.tally: at most 2 rounds and
+// 2(n-1) words, none when it confirms the fixpoint). A product that ends
+// the loop anyway runs bare. How many products the vote saves depends on
+// the input: the answer is stable once its hop horizon covers the
+// hop-diameter, so graph.Path saves none and a dense random graph most
+// of them.
 
 // Power computes the reflexive semiring power A^e by square-and-multiply,
 // one engine product per step. result stays nil until the first set
@@ -33,40 +37,37 @@ import (
 // base ⊗ base = base every higher power of base is base, and
 // result ⊗ P ⊗ P = result ⊗ P, so whatever exponent is left collapses to
 // a single multiply step (or to base itself while result is nil). Each
-// squaring with another one still to follow votes when base has One on
-// its diagonal, its accumulator starting at base: base ⊆ base ⊗ base
-// then, so the product is unchanged. Multiply steps and the last
-// squaring end the loop anyway and run bare.
+// squaring with another one still to follow votes, its accumulator
+// starting at base. Multiply steps and the last squaring end the loop
+// anyway and run bare.
 //
-// Every squaring after the first is semi-naive when the squaring before
-// it squared a matrix with One on its diagonal — every reflexive
-// adjacency, and so every power of one. Let P be that operand,
-// X = P ⊗ P the base now, and Δ the entries where X ≠ P. P's One
-// diagonal gives X ⊇ P, and ⊕ is idempotent, so X = P ⊕ Δ. Then
+// Every squaring after the first is semi-naive. Let P be the operand of
+// the squaring before, X = P ⊗ P the base now, and Δ the entries where
+// X ≠ P. A's One diagonal, which every power of A carries, gives
+// X ⊇ P, and ⊕ is idempotent, so X = P ⊕ Δ. Then
 // X ⊗ P = P ⊗ X = X ⊕ P ⊗ Δ by associativity, and P ⊗ Δ is absorbed by
 // X ⊗ Δ because X ⊇ P, so
 //
 //	X ⊗ X = X ⊕ X ⊗ Δ.
 //
 // The same constructor builds it (newPass) as every other product, and
-// each node's accumulator starts from X[v]. When A is value-symmetric,
-// as the adjacency of an undirected graph is, so is every power of it,
-// and the product X ⊗ Δ runs by the 3D cube partition (cubeNode) rather
-// than row-pull: with q = ⌊n^{1/3}⌋ blocks, each node sends blocks of
-// its rows of X and of Δ to the cube nodes (a, b, c), a ≤ b, that
-// multiply them, and each returns its partial rows and columns to their
-// owners. A dense row-pull squaring moves about n³ entries; the cube
-// moves about q·n² each way. A chain over any other A squares
-// semi-naively by row-pull; multiply steps, the first squaring and a
-// base without One on its diagonal stream whole rows by row-pull.
+// each node's accumulator starts from X[v]. A equals its transpose, so
+// every power of it does, and the product X ⊗ Δ runs by the 3D cube
+// partition (cubeNode): with q = ⌊n^{1/3}⌋ blocks, each node sends
+// blocks of its rows of X and of Δ to the cube nodes (a, b, c), a ≤ b,
+// that multiply them, and each returns its partial rows and columns to
+// their owners. A dense row-pull squaring moves about n³ entries; the
+// cube moves about q·n² each way. Multiply steps and the first squaring
+// stream whole rows by row-pull, and so does a cube squaring whose
+// partial rows fit no wire word (newPass).
 //
 // Between products Power holds base, prev and result as dense slabs:
 // the accumulator slabs the products that made them left behind
 // (dense(A) before the first). A cube squaring reads base and prev and
 // writes into a third, the slab of the operand from two squarings back,
 // so a chain of squarings allocates no n x n matrix after its first
-// two. A CSR is built only where something reads one: the base of a
-// row-pull squaring, the left operand of a multiply step, Result and
+// two. A CSR is built only where something reads one: the base of the
+// first squaring, the left operand of a multiply step, Result and
 // WritePower; Dense hands the final slab over as it is.
 //
 // The chain's cube nodes keep their blocks of the operand they squared
@@ -85,12 +86,11 @@ type Power struct {
 	// before the first. It may be base's or prev's very slab, which no
 	// product then takes as its accumulator.
 	result *Dense
-	// prev is the operand of the last squaring, so base = prev ⊗ prev,
-	// kept only when it has One on its diagonal; nil before the first
-	// squaring.
+	// prev is the operand of the last squaring, so base = prev ⊗ prev;
+	// nil before the first squaring.
 	prev *Dense
-	// cube is the plan the chain's cube squarings share; nil when A is
-	// not value-symmetric, and once the chain is done.
+	// cube is the plan the chain's cube squarings share; nil once the
+	// chain is done.
 	cube *cubePlan
 	// spare is a slab no operand holds any more, which the next product
 	// takes as its accumulator; nil when there is none.
@@ -103,8 +103,8 @@ type Power struct {
 }
 
 // NewPower prepares A^e as a session kernel. Operand validation happens
-// at the first product, surfacing through Session.Run.
-func NewPower(a *Matrix, e int) *Power { return &Power{e: e, rows: a} }
+// at the first product (checkLoop), surfacing through Session.Run.
+func NewPower(a *Matrix, e int) *Power { return &Power{e: e, rows: a, cube: &cubePlan{}} }
 
 // Name identifies the kernel.
 func (p *Power) Name() string { return "matmul-power" }
@@ -117,35 +117,17 @@ func (p *Power) baseRows() *Matrix {
 	return p.rows
 }
 
-// baseDense returns base as a dense slab, building it from the CSR
-// before the first product, when it also decides whether the chain
-// squares by the cube: whether that base (A, or the one a checkpoint
-// restored) is value-symmetric.
-func (p *Power) baseDense() *Dense {
+// baseDense returns base as a dense slab. Before the first product it
+// checks the loop's operand, that base (A, or the one a checkpoint
+// restored), and builds the slab from its CSR.
+func (p *Power) baseDense() (*Dense, error) {
 	if p.base == nil {
+		if err := checkLoop(p.rows); err != nil {
+			return nil, err
+		}
 		p.base = dense(p.rows)
-		switch {
-		case !valueSymmetric(p.base):
-			p.cube = nil
-		case p.cube == nil:
-			p.cube = &cubePlan{}
-		}
 	}
-	return p.base
-}
-
-// valueSymmetric reports whether the n x n Dense d equals its
-// transpose.
-func valueSymmetric(d *Dense) bool {
-	for v := 0; v < d.N; v++ {
-		row := d.Row(core.NodeID(v))
-		for j, x := range row[:v] {
-			if x != d.Vals[j*d.K+v] {
-				return false
-			}
-		}
-	}
-	return true
+	return p.base, nil
 }
 
 // held says the cube nodes hold their blocks of prev: the last squaring
@@ -161,25 +143,16 @@ func (p *Power) harvest() {
 		return
 	}
 	if p.passIsSquare {
-		// The operand squared becomes prev or, like the prev it replaces,
-		// a spare slab.
-		freed := p.prev
-		p.prev = nil
-		if denseOneDiagonal(p.base) {
-			p.prev = p.base
-		} else {
-			freed = p.base
+		// The operand squared becomes prev, and the prev it replaces a
+		// spare slab.
+		if p.prev != nil && p.prev != p.result {
+			p.spare = p.prev.Vals
 		}
-		if freed != nil && freed != p.result {
-			p.spare = freed.Vals
-		}
-		p.base, p.rows = p.pass.Dense(), nil
+		p.prev, p.base, p.rows = p.base, p.pass.Dense(), nil
 		if !p.pass.changed() {
 			p.e = 1
 		}
-		if p.cube != nil {
-			p.cube.held = p.pass.cb != nil
-		}
+		p.cube.held = p.pass.cb != nil
 	} else {
 		// The old result may be base's or prev's slab: it is not spare.
 		p.result = p.pass.Dense()
@@ -196,7 +169,11 @@ func (p *Power) Next(*graph.CSR) (clique.Pass, error) {
 			p.phase = 1
 			if p.e&1 == 1 {
 				if p.result == nil {
-					p.result = p.baseDense()
+					b, err := p.baseDense()
+					if err != nil {
+						return clique.Pass{}, err
+					}
+					p.result = b
 				} else {
 					return p.product(false)
 				}
@@ -215,26 +192,26 @@ func (p *Power) Next(*graph.CSR) (clique.Pass, error) {
 
 // product starts the engine pass left ⊗ base: the squaring step, left
 // being base itself (p.e already holds the exponent left after it),
-// semi-naive once prev is known — by the cube when the chain's A is
-// value-symmetric — or the multiply step, left being result. A cube
-// squaring reads no CSR of base; it times its own ballots.
+// semi-naive and by the cube once prev is known, or the multiply step,
+// left being result. A cube squaring reads no CSR of base.
 func (p *Power) product(square bool) (clique.Pass, error) {
-	b := p.baseDense()
+	b, err := p.baseDense()
+	if err != nil {
+		return clique.Pass{}, err
+	}
 	var left *Matrix
 	var prev *Dense
 	var cp *cubePlan
 	switch {
 	case !square:
 		left = sparse(p.result)
-	case p.prev != nil && p.cube != nil:
+	case p.prev != nil:
 		prev, cp = p.prev, p.cube
 	default:
-		left, prev = p.baseRows(), p.prev
+		left = p.baseRows()
 	}
-	// A squaring with another to follow votes, where its accumulator may
-	// start at base: semi-naive, or over a base with One on its diagonal.
-	vote := square && p.e > 1 && (prev != nil || denseOneDiagonal(b))
-	pass, err := newPass(left, b, prev, vote, p.spare, cp)
+	// A squaring with another to follow votes.
+	pass, err := newPass(left, b, prev, square && p.e > 1, p.spare, cp)
 	if err != nil {
 		return clique.Pass{}, err
 	}
@@ -286,41 +263,36 @@ func (p *Power) Dense() *Dense {
 // B[v][j] = S[v][sources[j]] — Mul(x, One) = x in every semiring — which
 // node v reads off its own row of S. It costs no round, no word and no
 // engine pass; NewRelaxation runs it. Every later product is one dense
-// engine pass, and over a reflexive S each but the last allowed votes.
-// A local product that changes nothing (every source isolated) is
-// confirmed by the next, which then streams nothing. Over any other S
-// no product votes, and the Relaxation runs all of them.
+// engine pass, and each but the last allowed votes. A local product that
+// changes nothing (every source isolated) is confirmed by the next,
+// which then streams nothing.
 //
-// When every row of S carries One on its diagonal — the rounded
-// adjacency, an augmented S and A^h of a reflexive adjacency all do —
-// each engine product streams only the entries of B that the product
-// before changed, and each node's accumulator starts from its own row
-// of B (newPass says why that is exact); the first one streams only
-// what the local product added to the indicator. The traffic then
-// follows what is still unsettled rather than the width of the columns.
-// Any other S streams whole rows every product.
+// S's One diagonal (the loops' precondition) makes every engine product
+// semi-naive: it streams only the entries of B that the product before
+// changed, and each node's accumulator starts from its own row of B
+// (newPass says why that is exact); the first one streams only what the
+// local product added to the indicator. The traffic then follows what is
+// still unsettled rather than the width of the columns.
 //
-// Over a reflexive S that prices as 2D (relaxPlan, decided once, at the
-// first engine product, from S alone), an engine product B ⊕ S ⊗ Δ runs
-// by a 2D block partition instead of row-pull (cubeNode, cubePlan). Its
-// plan records whether the cube nodes hold S's blocks: the first 2D
-// product ships them, and every later one, in this Relaxation or in one
-// that starts from its plan (Hold), ships only Δ and partial rows.
+// When S prices as 2D (relaxPlan, decided once, at the first engine
+// product, from S alone), an engine product B ⊕ S ⊗ Δ runs by a 2D block
+// partition instead of row-pull (cubeNode, cubePlan). Its plan records
+// whether the cube nodes hold S's blocks: the first 2D product ships
+// them, and every later one, in this Relaxation or in one that starts
+// from its plan (Hold), ships only Δ and partial rows.
 //
-// Between products Relaxation holds B, and prev over a reflexive S, as
-// the accumulator slabs of the products that made them, and hands the
-// next product the slab of the B from two products back (from the last
-// product, over any other S) as its accumulator.
+// Between products Relaxation holds B and prev as the accumulator slabs
+// of the products that made them, and hands the next product the slab
+// of the B from two products back as its accumulator.
 type Relaxation struct {
 	s    *Matrix
 	b    *Dense
 	pass *Pass
-	// prev is the B the last product started from, kept only when S is
-	// reflexive; nil while no product has run.
-	prev      *Dense
-	reflexive bool
+	// prev is the B the last product started from; nil only while no
+	// product, the local one included, has run.
+	prev *Dense
 	// cube is the plan of the 2D products, nil when S prices as
-	// row-pull; priced says the choice is made.
+	// row-pull; priced says S is checked and the choice made.
 	cube   *cubePlan
 	priced bool
 	// spare is a slab no operand holds any more, which the next product
@@ -334,10 +306,9 @@ type Relaxation struct {
 // NewRelaxation prepares at most `products` relaxation products of s
 // from the indicator columns of sources, each in [0, n), as a session
 // kernel, and runs the first, local one. Validation of S happens at the
-// first engine product, surfacing through Session.Run.
+// first engine product (checkLoop), surfacing through Session.Run.
 func NewRelaxation(s *Matrix, sources []core.NodeID, products int) *Relaxation {
-	r := &Relaxation{s: s, remaining: products, reflexive: oneDiagonal(s)}
-	r.b = Indicator(s.N, sources, s.Sr)
+	r := &Relaxation{s: s, remaining: products, b: Indicator(s.N, sources, s.Sr)}
 	if r.remaining <= 0 {
 		return r
 	}
@@ -351,33 +322,9 @@ func NewRelaxation(s *Matrix, sources []core.NodeID, products int) *Relaxation {
 			}
 		}
 	}
-	if r.reflexive {
-		r.prev = r.b
-	}
-	r.b = b
+	r.prev, r.b = r.b, b
 	r.remaining--
 	return r
-}
-
-// oneDiagonal reports whether every row of s carries One on its
-// diagonal.
-func oneDiagonal(s *Matrix) bool {
-	for v := 0; v < s.N; v++ {
-		if s.At(core.NodeID(v), core.NodeID(v)) != s.Sr.One {
-			return false
-		}
-	}
-	return true
-}
-
-// denseOneDiagonal is oneDiagonal for an n x n Dense.
-func denseOneDiagonal(d *Dense) bool {
-	for v := 0; v < d.N; v++ {
-		if d.At(core.NodeID(v), v) != d.Sr.One {
-			return false
-		}
-	}
-	return true
 }
 
 // Indicator returns the n x k columns a relaxation starts from, one per
@@ -402,14 +349,8 @@ func (r *Relaxation) harvest() {
 	if r.pass == nil {
 		return
 	}
-	freed := r.b
-	if r.reflexive {
-		freed, r.prev = r.prev, r.b
-	}
-	if freed != nil {
-		r.spare = freed.Vals
-	}
-	r.b = r.pass.Dense()
+	r.spare = r.prev.Vals // a pass in flight started from prev
+	r.prev, r.b = r.b, r.pass.Dense()
 	if r.pass.cb != nil {
 		r.cube.held = true // S never changes: its blocks stay held
 	}
@@ -427,15 +368,13 @@ func (r *Relaxation) Next(*graph.CSR) (clique.Pass, error) {
 	if r.remaining <= 0 {
 		return clique.Pass{}, nil
 	}
-	if !r.priced && r.reflexive {
-		r.cube = relaxPlan(r.s)
+	if !r.priced {
+		if err := checkLoop(r.s); err != nil {
+			return clique.Pass{}, err
+		}
+		r.cube, r.priced = relaxPlan(r.s), true
 	}
-	r.priced = true
-	var cp *cubePlan
-	if r.prev != nil {
-		cp = r.cube
-	}
-	pass, err := newPass(r.s, r.b, r.prev, r.remaining > 1 && r.reflexive, r.spare, cp)
+	pass, err := newPass(r.s, r.b, r.prev, r.remaining > 1, r.spare, r.cube)
 	if err != nil {
 		return clique.Pass{}, err
 	}
@@ -473,10 +412,11 @@ func (r *Relaxation) Plan() *Plan {
 
 // Hold makes the Relaxation, before its first engine product, run from
 // p, a plan an earlier Relaxation over the same S left: its products
-// then skip the choice and, once S's blocks are held, ship only Δ and
-// partial rows. A nil p, or one over another S, changes nothing.
+// then skip the check of S and the choice, which that Relaxation made,
+// and, once S's blocks are held, ship only Δ and partial rows. A nil p,
+// or one over another S, changes nothing.
 func (r *Relaxation) Hold(p *Plan) {
-	if p != nil && p.cp.s == r.s && r.reflexive && !r.priced {
+	if p != nil && p.cp.s == r.s && !r.priced {
 		r.cube, r.priced = p.cp, true
 	}
 }

@@ -12,12 +12,20 @@
 //   - MulRef / MulDenseRef: sequential references, used for
 //     verification.
 //   - Pass (NewPass / NewDensePass): distributed execution on the round
-//     engine. Node v owns row v of both operands; A's pattern is
-//     symmetric — every operand here is a function of an undirected
-//     graph — so node k streams its row of B, in budget-paced rounds
-//     through the engine's sharded router, to the columns of its own
-//     row of A, and nobody asks (see mul.go). The engine's stats expose
-//     exactly how many rounds and messages the model charged.
+//     engine. Node v owns row v of both operands, and node k streams
+//     its row of B, in budget-paced rounds through the engine's sharded
+//     router, to the columns of its own row of A, and nobody asks (see
+//     mul.go). The engine's stats expose exactly how many rounds and
+//     messages the model charged.
+//
+// Every operand here is a function of an undirected graph — its
+// adjacency, or a power or a hopset augmentation of one — and two
+// preconditions say so, each checked once before any round runs and
+// refused with an error naming the offending entry: every product needs
+// an A that equals its transpose, in values too (NewPass and
+// NewDensePass check it), and every Power and Relaxation loop an operand
+// that also carries One on its diagonal (checked at the loop's first
+// engine product, or by the Relaxation that left a held Plan).
 //
 // Every multiplying kernel drives one of two product loops, both clique
 // session kernels (kernel.go): Power computes A^e by square-and-multiply,
@@ -58,11 +66,6 @@ type Matrix struct {
 	Cols []core.NodeID
 	// Vals parallels Cols.
 	Vals []int64
-	// symmetric records that the pattern is symmetric — A[i][j] is stored
-	// exactly when A[j][i] is — as decided where the CSR was built
-	// (decide), so no product over the matrix scans for it again. False
-	// when undecided, as in a struct literal, which newPass checks.
-	symmetric bool
 }
 
 // NNZ returns the number of stored (non-Zero) entries.
@@ -119,17 +122,18 @@ func (m *Matrix) Validate() error {
 	return nil
 }
 
-// asymmetry returns an entry (i, j) that m stores while it does not
-// store (j, i), or ok false when m's pattern is symmetric. It walks the
-// rows in order with one cursor per row: row v's entry (v, u) must be
-// the next entry of row u not yet matched, since the rows before v have
-// matched theirs, so the walk is O(nnz + n). Each entry it accepts
-// matches a distinct entry, so once all are accepted none is left over.
-func (m *Matrix) asymmetry() (i, j core.NodeID, ok bool) {
+// mirror returns an entry (i, j) whose mirror (j, i) m does not store
+// or stores with another value, or ok false when m equals its
+// transpose. It walks the rows in order with one cursor per row: row
+// v's entry (v, u) must be the next entry of row u not yet matched,
+// since the rows before v have matched theirs, so the walk is
+// O(nnz + n). Each entry it accepts matches a distinct entry, so once
+// all are accepted none is left over.
+func (m *Matrix) mirror() (i, j core.NodeID, ok bool) {
 	n, rows, cols := m.N, m.Rows, m.Cols
 	next := slices.Clone(rows[:n]) // next[u]: row u's first unmatched entry
 	for v := 0; v < n; v++ {
-		for _, u := range cols[rows[v]:rows[v+1]] {
+		for e, u := range cols[rows[v]:rows[v+1]] {
 			if uint(u) >= uint(n) {
 				return core.NodeID(v), u, true
 			}
@@ -141,42 +145,38 @@ func (m *Matrix) asymmetry() (i, j core.NodeID, ok bool) {
 				}
 				return core.NodeID(v), u, true
 			}
+			if m.Vals[p] != m.Vals[int(rows[v])+e] {
+				return core.NodeID(v), u, true
+			}
 			next[u] = p + 1
 		}
 	}
 	return 0, 0, false
 }
 
-// decide records whether m's pattern is symmetric. Every constructor
-// that builds a CSR from another CSR calls it once (sparse decides off
-// its dense operand), so a product over the matrix reads the answer
-// instead of scanning.
-func (m *Matrix) decide() *Matrix {
-	_, _, asym := m.asymmetry()
-	m.symmetric = !asym
-	return m
-}
-
-// checkSymmetric returns an error naming an entry without its mirror
-// when a's pattern is not symmetric, scanning only a matrix no
-// constructor decided.
+// checkSymmetric returns an error naming an entry of a whose mirror is
+// missing or holds another value, nil when a equals its transpose: the
+// precondition of every product (newPass says why).
 func checkSymmetric(a *Matrix) error {
-	if a.symmetric {
-		return nil
-	}
-	if i, j, asym := a.asymmetry(); asym {
-		return fmt.Errorf("matmul: A stores (%d, %d) but not (%d, %d); a row-pull product needs a pattern-symmetric A, whose row k names the nodes that multiply by row k of B", i, j, j, i)
+	if i, j, asym := a.mirror(); asym {
+		return fmt.Errorf("matmul: A stores (%d, %d) but not (%d, %d) with its value; every product needs an A that equals its transpose", i, j, j, i)
 	}
 	return nil
 }
 
-// validated returns m with its pattern decided, or m and the error
-// Validate finds.
-func validated(m *Matrix) (*Matrix, error) {
-	if err := m.Validate(); err != nil {
-		return m, err
+// checkLoop returns an error naming the offending entry when a breaks
+// the precondition of a Power or Relaxation loop: a equals its transpose
+// and carries One on its diagonal (kernel.go says why).
+func checkLoop(a *Matrix) error {
+	if err := checkSymmetric(a); err != nil {
+		return err
 	}
-	return m.decide(), nil
+	for v := 0; v < a.N; v++ {
+		if a.At(core.NodeID(v), core.NodeID(v)) != a.Sr.One {
+			return fmt.Errorf("matmul: A lacks One at (%d, %d); a Power or Relaxation loop needs One on A's diagonal", v, v)
+		}
+	}
+	return nil
 }
 
 // rowBuilder assembles a Matrix row by row in index order.
@@ -216,7 +216,6 @@ func Identity(n int, sr core.Semiring) *Matrix {
 		m.Cols[v] = core.NodeID(v)
 		m.Vals[v] = sr.One
 	}
-	m.symmetric = true
 	return m
 }
 
@@ -244,7 +243,8 @@ func FromGraph(g *graph.CSR, sr core.Semiring, reflexive bool) (*Matrix, error) 
 		for i := range vals {
 			vals[i] = arcVal(g.Weights, i)
 		}
-		return validated(&Matrix{N: g.N, Sr: sr, Rows: g.Offsets, Cols: g.Targets, Vals: vals})
+		m := &Matrix{N: g.N, Sr: sr, Rows: g.Offsets, Cols: g.Targets, Vals: vals}
+		return m, m.Validate()
 	}
 	n := g.N
 	m := &Matrix{
@@ -279,7 +279,7 @@ func FromGraph(g *graph.CSR, sr core.Semiring, reflexive bool) (*Matrix, error) 
 		}
 		m.Rows[v+1] = int32(len(m.Cols))
 	}
-	return validated(m)
+	return m, m.Validate()
 }
 
 // Dense is an n x k dense matrix over a semiring, row-major: entry
@@ -316,9 +316,7 @@ func dense(m *Matrix) *Dense {
 }
 
 // sparse returns the n x n Dense d as a Matrix, storing only its
-// non-Zero entries. It decides the pattern off d as it goes, one pair
-// of mirrored entries at a time: a strided read of d is cheaper than
-// the CSR walk decide makes.
+// non-Zero entries.
 func sparse(d *Dense) *Matrix {
 	zero := d.Sr.Zero
 	nnz := 0
@@ -330,15 +328,9 @@ func sparse(d *Dense) *Matrix {
 	bld := newBuilder(d.N, d.Sr)
 	bld.m.Cols = make([]core.NodeID, 0, nnz)
 	bld.m.Vals = make([]int64, 0, nnz)
-	symmetric := true
 	for v := 0; v < d.N; v++ {
-		row := d.Row(core.NodeID(v))
-		bld.appendRow(row)
-		for j := 0; symmetric && j < v; j++ {
-			symmetric = (row[j] != zero) == (d.Vals[j*d.K+v] != zero)
-		}
+		bld.appendRow(d.Row(core.NodeID(v)))
 	}
-	bld.m.symmetric = symmetric
 	return bld.m
 }
 

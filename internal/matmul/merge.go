@@ -12,8 +12,7 @@ import (
 // of two same-shape, same-semiring sparse matrices. Over (min,+) this
 // is the union of two weighted edge sets keeping the cheaper parallel
 // edge — exactly the "merge shortcut edges into the adjacency matrix"
-// step of hopset augmentation. The sum's pattern is decided here, so a
-// cached augmented matrix is never scanned for symmetry again.
+// step of hopset augmentation.
 func Add(a, b *Matrix) (*Matrix, error) {
 	if err := checkPair(a.N, b.N, a.Sr, b.Sr); err != nil {
 		return nil, err
@@ -57,5 +56,5 @@ func Add(a, b *Matrix) (*Matrix, error) {
 		}
 		c.Rows = append(c.Rows, int32(len(c.Cols)))
 	}
-	return c.decide(), nil
+	return c, nil
 }

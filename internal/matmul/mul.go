@@ -463,15 +463,17 @@ func (wf *wireFormat) decodeBits(w uint64, row []uint64, off int) {
 
 // mulNode executes one node's share of a distributed product C = A ⊗ B
 // by row-pull. Node v owns row v of A, row v of B (pre-packed into wire
-// words), and accumulates row v of C. A's pattern is symmetric (newPass
-// refuses any other A), so the nodes that multiply by row k of B — every
+// words), and accumulates row v of C. A is symmetric (every product's
+// precondition), so the nodes that multiply by row k of B — every
 // v != k with A[v][k] != Zero — are exactly the off-diagonal columns of
 // node k's own row of A, and nobody has to ask for a row:
 //
-//	round 0:    v folds in the local k = v contribution, and its sender
-//	            starts the one transfer it holds: its packed B-row,
-//	            multicast to every k != v in supp(A[v]), one word a
-//	            round.
+//	round 0:    where the accumulator starts at Zero, v folds in the
+//	            local k = v contribution (where it starts at B, that is
+//	            B[v] again: a loop's A has One on its diagonal and Add
+//	            is idempotent), and its sender starts the one transfer
+//	            it holds: its packed B-row, multicast to every k != v in
+//	            supp(A[v]), one word a round.
 //	rounds >=1: inboxes hold data words, and on a voting pass the vote's;
 //	            v accumulates C[v][j] = Add(C[v][j], Mul(A[v][k], B[k][j]))
 //	            for each word received from k.
@@ -494,10 +496,11 @@ type mulNode struct {
 	acc    []int64  // this node's row of C, dense
 	out    sender
 	// bRow is this node's row of B on a voting pass, nil on any other;
-	// ran says this process executes the node, changed that the node
-	// knows the product differs from B.
-	bRow         []int64
-	ran, changed bool
+	// fromZero says the accumulator starts at Zero, ran that this process
+	// executes the node, changed that the node knows the product differs
+	// from B.
+	bRow                   []int64
+	fromZero, ran, changed bool
 }
 
 // accumulate folds one packed word of B[k] into this node's row of C:
@@ -670,7 +673,7 @@ func (nd *mulNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message) 
 	folded, heard := false, false
 	if r == 0 {
 		nd.ran = true
-		if i, ok := slices.BinarySearch(cols, ctx.ID()); ok && len(nd.packed) > 0 {
+		if i, ok := slices.BinarySearch(cols, ctx.ID()); ok && nd.fromZero && len(nd.packed) > 0 {
 			for _, w := range nd.packed {
 				nd.accumulate(nd.aVals[i], w)
 			}
@@ -843,9 +846,8 @@ func (s *sender) send(ctx *engine.Ctx, r core.Round) error {
 // of C into its accumulator slab, each sending through its own sender.
 // A voting pass also decides in-engine whether C equals B (tally), and
 // its accumulators start at B; it is exact only when that cannot change
-// the product, B ⊆ A ⊗ B, which A's One diagonal and an idempotent Add
-// make so: a semi-naive product, or the first squaring of a reflexive
-// base.
+// the product, B ⊆ A ⊗ B, which a loop's One diagonal and an idempotent
+// Add make so: only the loops build one.
 // Power and Relaxation hand a Pass to a clique session — its nodes, its
 // MaxRoundsHint and the slab as the rows to gather — and harvest the
 // result with Sparse or Dense after the pass quiesces, chaining one Pass
@@ -868,8 +870,8 @@ type Pass struct {
 // session, which receives it as the clique.Pass Rows.
 func (p *Pass) Gather() error { return nil }
 
-// NewPass validates and packs the sparse product A ⊗ B; A's pattern
-// must be symmetric (see mulNode). unpaced selects a budget-violating
+// NewPass validates and packs the sparse product A ⊗ B; A must equal
+// its transpose (newPass). unpaced selects a budget-violating
 // mode in which each node pushes its entire row to every receiver
 // within a single round, so any row wider than one word fails the pass
 // with a *engine.BandwidthError. It exists to show why the paced
@@ -881,9 +883,13 @@ func NewPass(a, b *Matrix, unpaced bool) (*Pass, error) {
 }
 
 // NewDensePass validates and packs the sparse-dense product A ⊗ B with
-// B (and C) n x k dense and A's pattern symmetric. Zero entries of B
-// are not transmitted.
+// B (and C) n x k dense and A equal to its transpose; any other A is
+// refused with an error naming an entry whose mirror is missing or
+// holds another value. Zero entries of B are not transmitted.
 func NewDensePass(a *Matrix, b *Dense, unpaced bool) (*Pass, error) {
+	if err := checkSymmetric(a); err != nil {
+		return nil, err
+	}
 	p, err := newPass(a, b, nil, false, nil, nil)
 	for v := 0; err == nil && v < p.n; v++ {
 		p.state[v].out.unpace = unpaced
@@ -893,13 +899,16 @@ func NewDensePass(a *Matrix, b *Dense, unpaced bool) (*Pass, error) {
 
 // newPass builds every distributed product A ⊗ B: n nodes over one flat
 // result slab, node v holding row v of A and accumulating row v of C in
-// a K-wide accumulator. It refuses an A whose pattern is not symmetric
-// before any round runs, scanning only an A no constructor decided
-// (Matrix.symmetric). One sweep of B selects what each row sends and
-// finds the range of those values; every row is packed from its
-// selection bitset (packSet), in the wire format of exactly the values
-// it packs. The slab is acc when that is large enough — a slab the
-// caller no longer needs, whose contents are overwritten — and a new one
+// a K-wide accumulator. A must equal its transpose: row-pull's node k
+// sends its row of B to the columns of its own row of A, and a cube
+// pass returns columns of its products as rows (cubeNode). Its callers
+// check it once, before their first product: NewPass and NewDensePass,
+// and each loop (checkLoop), whose later operands are its own products
+// of a checked one. One sweep of B selects what each row sends and finds
+// the range of those values; every row is packed from its selection
+// bitset (packSet), in the wire format of exactly the values it packs.
+// The slab is acc when that is large enough — a slab the caller no
+// longer needs, whose contents are overwritten — and a new one
 // otherwise.
 //
 // With prev set, it packs only Δ, the entries of B that differ from
@@ -907,33 +916,31 @@ func NewDensePass(a *Matrix, b *Dense, unpaced bool) (*Pass, error) {
 // instead of Zero: the pass computes B ⊕ A ⊗ Δ. That is A ⊗ B in both
 // loops that set prev:
 //
-//   - a Relaxation's engine product over a reflexive A, prev the B the
-//     product before started from (the indicator columns, before the
-//     first engine product, which follows the local one). A's One
-//     diagonal and an idempotent Add make B = A ⊗ prev ⊇ prev, so
+//   - a Relaxation's engine product, prev the B the product before
+//     started from (the indicator columns, before the first engine
+//     product, which follows the local one). A's One diagonal and an
+//     idempotent Add make B = A ⊗ prev ⊇ prev, so
 //     B = prev ⊕ Δ and
 //     A ⊗ B = A ⊗ prev ⊕ A ⊗ Δ = B ⊕ A ⊗ Δ;
 //   - a semi-naive squaring, A = B = X = P ⊗ P and prev = P (Power says
 //     why).
 //
 // vote makes the pass a voting one (Pass), whose accumulators start at
-// B also without prev; the caller asks for it only where A has One on
-// its diagonal, so B ⊆ A ⊗ B and the product is unchanged.
+// B also without prev; only a loop asks for it, whose A has One on its
+// diagonal, so B ⊆ A ⊗ B and the product is unchanged.
 //
 // With cp set the pass runs by the cube (cubeNode): either the
-// semi-naive squaring of a value-symmetric X, cp being its chain's plan,
-// whose owners send segments of X as well as of Δ and whose nodes hold
-// no row of A, so a may be nil; or a Relaxation's 2D product
-// B ⊕ S ⊗ Δ, cp being the Relaxation's plan and a = S. Its partial rows
-// need a second format (cubePlan.formats); where no wire word fits one
-// (a (min,+) operand whose largest values summed near InfWeight), the
-// product runs row-pull instead, over a = B for a squaring.
+// semi-naive squaring of X, cp being its chain's plan, whose owners send
+// segments of X as well as of Δ and whose nodes hold no row of A, so a
+// may be nil; or a Relaxation's 2D product B ⊕ S ⊗ Δ, cp being the
+// Relaxation's plan and a = S. Its partial rows need a second format
+// (cubePlan.formats); where no wire word fits one (a (min,+) operand
+// whose largest values summed near InfWeight, which uploaded weights can
+// reach), the product runs semi-naively by row-pull instead, over a = B
+// for a squaring.
 func newPass(a *Matrix, b, prev *Dense, vote bool, acc []int64, cp *cubePlan) (*Pass, error) {
 	if a != nil {
 		if err := checkPair(a.N, b.N, a.Sr, b.Sr); err != nil {
-			return nil, err
-		}
-		if err := checkSymmetric(a); err != nil {
 			return nil, err
 		}
 	}
@@ -968,10 +975,11 @@ func newPass(a *Matrix, b, prev *Dense, vote bool, acc []int64, cp *cubePlan) (*
 		return nil, err
 	}
 	p := &Pass{n: n, cols: k, sr: b.Sr, b: b, voting: vote}
-	if prev != nil || vote {
-		p.flat = append(acc[:0], b.Vals...)
-	} else {
+	fromZero := prev == nil && !vote
+	if fromZero {
 		p.flat = fill(&acc, n*k, b.Sr.Zero)
+	} else {
+		p.flat = append(acc[:0], b.Vals...)
 	}
 	if pwf != nil {
 		// A loop's cube passes run one at a time, so they share one set.
@@ -988,7 +996,7 @@ func newPass(a *Matrix, b, prev *Dense, vote bool, acc []int64, cp *cubePlan) (*
 		if vote {
 			bRow = b.Row(core.NodeID(v))
 		}
-		p.state[v] = mulNode{sr: b.Sr, wf: wf, aCols: aCols, aVals: aVals, acc: p.flat[v*k : (v+1)*k], bRow: bRow}
+		p.state[v] = mulNode{sr: b.Sr, wf: wf, aCols: aCols, aVals: aVals, acc: p.flat[v*k : (v+1)*k], bRow: bRow, fromZero: fromZero}
 		p.nodes[v] = &p.state[v]
 	}
 	if pwf != nil {
@@ -1075,12 +1083,11 @@ func (p *Pass) Dense() *Dense {
 // shape (q, 1, q), with S in X's place, no a ≤ b rule and no column
 // emission (cubePlan).
 //
-// X is value-symmetric — Power squares by the cube only when its
-// chain's A is, and then every power of A is — and so are Δ and X ⊗ X.
-// So the product cube node (b, a, c) would compute,
-// X[B_b, B_c] ⊗ Δ[B_c, B_a], is the transpose of what (a, b, c) does
-// compute, and only the nodes with a ≤ b multiply; the others take no
-// part in phase 1. Cube node t keeps K_t = X[B_a, B_c] of the last
+// X is symmetric — A is (the loops' precondition), and so is every
+// power of it — and so are Δ and X ⊗ X. So the product cube node
+// (b, a, c) would compute, X[B_b, B_c] ⊗ Δ[B_c, B_a], is the transpose
+// of what (a, b, c) does compute, and only the nodes with a ≤ b
+// multiply; the others take no part in phase 1. Cube node t keeps K_t = X[B_a, B_c] of the last
 // operand it squared from one squaring of a Power chain to the next; let
 // K be what the cube nodes hold. The protocol:
 //
@@ -1102,12 +1109,13 @@ func (p *Pass) Dense() *Dense {
 //	rounds > F1:    owners fold the partial rows into acc, which starts
 //	                at X[u]; senders stream the next words.
 //
-// The transposed delivery is exact. Owner w in B_b gets, over every c,
-// column w of (X ⊗ Δ)[B_a, B_b], which is row w of (Δ ⊗ X)[B_b, B_a]
-// since X and Δ are symmetric and ⊗ commutes. Its accumulator starts at
-// X[w] = X[·, w]ᵀ, and X ⊕ Δ ⊗ X is the transpose of X ⊕ X ⊗ Δ = X ⊗ X,
-// which is symmetric: so the row it folds to is row w of X ⊗ X, bit for
-// bit what the rows of (b, a, c) would have given.
+// Delivering the columns as rows is exact. Owner w in B_b gets, over
+// every c, column w of (X ⊗ Δ)[B_a, B_b], which is row w of
+// (Δ ⊗ X)[B_b, B_a] since X and Δ are symmetric and ⊗ commutes. Its
+// accumulator starts at X[w] = X[·, w]ᵀ, and X ⊕ Δ ⊗ X is the transpose
+// of X ⊕ X ⊗ Δ = X ⊗ X, which is symmetric: so the row it folds to is
+// row w of X ⊗ X, bit for bit what the rows of (b, a, c) would have
+// given.
 //
 // On a chain's first cube squaring (or the first after a row-pull one)
 // K is empty and the X-updates are all of X[v, B_c]. After it K holds
@@ -1320,14 +1328,13 @@ func (cp *cubePlan) share(t int) share {
 // engine products run: it prices one full column of Δ under each
 // schedule, in entries moved, and returns a 2D plan when that moves
 // fewer, nil for row-pull. Row-pull sends Δ[k] to every off-diagonal
-// neighbour of k: Σ_k deg(k) − 1 over a reflexive S. The 2D product
-// sends Δ[k] to every cube node (a, 0, block(k)) with S[B_a, k] ≠ Zero,
-// and each cube node (a, 0, c) returns one partial row per row of
-// S[B_a, B_c] with an entry. S's pattern is symmetric (newPass refuses
-// any other), so both 2D terms are Σ_u #{c : S[u, B_c] ≠ Zero}. An S
-// that is not value-symmetric relaxes by row-pull too: a cube node reads
-// the columns of its block off S's rows. Like the One diagonal, the
-// choice is a static property of the operand.
+// neighbour of k: Σ_k deg(k) − 1, S's diagonal being One. The 2D
+// product sends Δ[k] to every cube node (a, 0, block(k)) with
+// S[B_a, k] ≠ Zero, and each cube node (a, 0, c) returns one partial
+// row per row of S[B_a, B_c] with an entry. S is symmetric (the loops'
+// precondition, checked before it is priced), so both 2D terms are
+// Σ_u #{c : S[u, B_c] ≠ Zero}, and a cube node reads the columns of its
+// block off S's rows. The choice is a static property of the operand.
 func relaxPlan(s *Matrix) *cubePlan {
 	q := 1
 	for (q+1)*(q+1) <= s.N {
@@ -1345,7 +1352,7 @@ func relaxPlan(s *Matrix) *cubePlan {
 			}
 		}
 	}
-	if 2*blocks >= s.NNZ()-s.N || !transposed(s) {
+	if 2*blocks >= s.NNZ()-s.N {
 		return nil
 	}
 	for _, v := range s.Vals {
@@ -1354,22 +1361,6 @@ func relaxPlan(s *Matrix) *cubePlan {
 		}
 	}
 	return cp
-}
-
-// transposed reports whether s equals its transpose, in one pass: row
-// u's entry (u, j) must be the next entry of row j not yet matched.
-func transposed(s *Matrix) bool {
-	next := slices.Clone(s.Rows[:s.N])
-	for u := 0; u < s.N; u++ {
-		cols, vals := s.Row(core.NodeID(u))
-		for e, j := range cols {
-			if i := next[j]; i == s.Rows[j+1] || int(s.Cols[i]) != u || s.Vals[i] != vals[e] {
-				return false
-			}
-			next[j]++
-		}
-	}
-	return true
 }
 
 // sBlock returns S's entries in row u and block c.
@@ -1555,8 +1546,8 @@ func (nd *cubeNode) heldVals(s *cubeScratch, sh share) []int64 {
 // S[B_a, B_c] ⊗ Δ[B_c], with its block of S read off S: what it
 // received in the product that shipped the blocks, and has held since.
 // It folds S[u, k] ⊗ Δ[k] into row u of prod for each live row k of its
-// Δ block, reading the column S[B_a, k] off S's row k (S is
-// value-symmetric, relaxPlan), so its work follows the live rows alone.
+// Δ block, reading the column S[B_a, k] off S's row k (S is symmetric,
+// relaxPlan), so its work follows the live rows alone.
 func (nd *cubeNode) relaxProduct(s *cubeScratch, sh share, prod []int64, hit []uint64) {
 	cb, rb, la := nd.cb, sh.rb, sh.la
 	zero, kind, a := cb.sr.Zero, cb.sr.Kind(), cb.block(la)

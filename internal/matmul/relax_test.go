@@ -31,44 +31,40 @@ func relaxRef(t *testing.T, s *Matrix, b *Dense, products int) *Dense {
 // 0..β returns exactly the columns β products of MulDenseRef do from the
 // sources' indicator columns, over every semiring, with distinct and
 // with repeated sources. The first product is local, so a Relaxation
-// runs at most β-1 engine passes and none for β <= 1. A reflexive S
-// streams only the entries the product before changed from its first
-// engine product on; a non-reflexive S, where that would be wrong
-// (B ← S ⊗ B is not monotone without the One diagonal), keeps
-// streaming whole rows.
+// runs at most β-1 engine passes and none for β <= 1, and streams only
+// the entries the product before changed from its first engine product
+// on.
 func TestRelaxationMatchesIteratedRef(t *testing.T) {
 	const n, beta = 40, 8
 	for _, sr := range core.AllSemirings() {
 		g := graph.RandomGNP(n, 0.08, 3).WithUniformRandomWeights(2, 20)
-		for _, reflexive := range []bool{true, false} {
-			s, err := FromGraph(g, sr, reflexive)
-			if err != nil {
-				t.Fatalf("FromGraph(%s): %v", sr.Name, err)
-			}
-			for _, sources := range [][]core.NodeID{{0, 7, 19, 33}, {19, 7, 19, 0, 7}} {
-				for products := 0; products <= beta; products++ {
-					name := fmt.Sprintf("%s reflexive=%v sources=%v products=%d", sr.Name, reflexive, sources, products)
-					rx := NewRelaxation(s, sources, products)
-					st, err := clique.NewSize(n)
-					if err != nil {
-						t.Fatal(err)
-					}
-					err = st.Run(context.Background(), rx)
-					stats := st.Stats()
-					st.Close()
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					got, want := rx.Result().(*Dense), relaxRef(t, s, Indicator(n, sources, sr), products)
-					if !slices.Equal(got.Vals, want.Vals) {
-						t.Fatalf("%s: columns differ from iterated MulDenseRef", name)
-					}
-					if stats.Runs > max(products-1, 0) {
-						t.Errorf("%s: %d engine passes; the first product is local", name, stats.Runs)
-					}
-					if tookDelta := rx.prev != nil; tookDelta != (reflexive && products > 0) {
-						t.Errorf("%s: kept the previous columns = %v", name, tookDelta)
-					}
+		s, err := FromGraph(g, sr, true)
+		if err != nil {
+			t.Fatalf("FromGraph(%s): %v", sr.Name, err)
+		}
+		for _, sources := range [][]core.NodeID{{0, 7, 19, 33}, {19, 7, 19, 0, 7}} {
+			for products := 0; products <= beta; products++ {
+				name := fmt.Sprintf("%s sources=%v products=%d", sr.Name, sources, products)
+				rx := NewRelaxation(s, sources, products)
+				st, err := clique.NewSize(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = st.Run(context.Background(), rx)
+				stats := st.Stats()
+				st.Close()
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				got, want := rx.Result().(*Dense), relaxRef(t, s, Indicator(n, sources, sr), products)
+				if !slices.Equal(got.Vals, want.Vals) {
+					t.Fatalf("%s: columns differ from iterated MulDenseRef", name)
+				}
+				if stats.Runs > max(products-1, 0) {
+					t.Errorf("%s: %d engine passes; the first product is local", name, stats.Runs)
+				}
+				if tookDelta := rx.prev != nil; tookDelta != (products > 0) {
+					t.Errorf("%s: kept the previous columns = %v", name, tookDelta)
 				}
 			}
 		}
@@ -76,10 +72,8 @@ func TestRelaxationMatchesIteratedRef(t *testing.T) {
 }
 
 // TestRelaxationFromIsolatedSources: when every source is isolated the
-// local first product changes nothing. Over a reflexive S the next
-// product, one engine pass, confirms the fixpoint without a word; over
-// any other S no product votes, so the Relaxation runs to its bound,
-// every engine pass without a word. Over every semiring.
+// local first product changes nothing, and the next product, one engine
+// pass, confirms the fixpoint without a word. Over every semiring.
 func TestRelaxationFromIsolatedSources(t *testing.T) {
 	g, err := graph.LoadEdgeList(strings.NewReader("p 8\n0 1 4\n1 2 3\n2 3 5\n"))
 	if err != nil {
@@ -87,34 +81,28 @@ func TestRelaxationFromIsolatedSources(t *testing.T) {
 	}
 	sources := []core.NodeID{5, 7, 5}
 	for _, sr := range core.AllSemirings() {
-		for _, reflexive := range []bool{true, false} {
-			s, err := FromGraph(g, sr, reflexive)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rx := NewRelaxation(s, sources, 6)
-			sess, err := clique.NewSize(g.N)
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = sess.Run(context.Background(), rx)
-			st := sess.Stats()
-			sess.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := relaxRef(t, s, Indicator(g.N, sources, sr), 6)
-			if got := rx.Result().(*Dense); !slices.Equal(got.Vals, want.Vals) {
-				t.Errorf("%s reflexive=%v: columns differ from iterated MulDenseRef", sr.Name, reflexive)
-			}
-			passes := 5 // the bound: 6 products, the first local
-			if reflexive {
-				passes = 1 // the one that confirms the fixpoint
-			}
-			if st.Runs != passes || st.Engine.TotalMsgs != 0 {
-				t.Errorf("%s reflexive=%v: %d passes and %d words, want %d silent passes",
-					sr.Name, reflexive, st.Runs, st.Engine.TotalMsgs, passes)
-			}
+		s, err := FromGraph(g, sr, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rx := NewRelaxation(s, sources, 6)
+		sess, err := clique.NewSize(g.N)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = sess.Run(context.Background(), rx)
+		st := sess.Stats()
+		sess.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := relaxRef(t, s, Indicator(g.N, sources, sr), 6)
+		if got := rx.Result().(*Dense); !slices.Equal(got.Vals, want.Vals) {
+			t.Errorf("%s: columns differ from iterated MulDenseRef", sr.Name)
+		}
+		if st.Runs != 1 || st.Engine.TotalMsgs != 0 {
+			t.Errorf("%s: %d passes and %d words, want the one silent pass that confirms the fixpoint",
+				sr.Name, st.Runs, st.Engine.TotalMsgs)
 		}
 	}
 }
@@ -161,39 +149,36 @@ func (z *zeroCounter) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Messag
 
 // TestRelaxationNeverAsks: no product of a Relaxation carries a request
 // word — every node streams its row to the columns of its own row of S
-// — over every semiring and over reflexive and non-reflexive S, with
-// the columns still those of iterated MulDenseRef: the only words 0 are
-// a voting product's, at most 2(n-1).
+// — over every semiring, with the columns still those of iterated
+// MulDenseRef: the only words 0 are a voting product's, at most 2(n-1).
 func TestRelaxationNeverAsks(t *testing.T) {
 	const n, products = 40, 6
 	sources := []core.NodeID{0, 7, 19, 33}
 	for _, sr := range core.AllSemirings() {
 		g := graph.RandomGNP(n, 0.06, 4).WithUniformRandomWeights(2, 20)
-		for _, reflexive := range []bool{true, false} {
-			s, err := FromGraph(g, sr, reflexive)
-			if err != nil {
-				t.Fatalf("FromGraph(%s): %v", sr.Name, err)
+		s, err := FromGraph(g, sr, true)
+		if err != nil {
+			t.Fatalf("FromGraph(%s): %v", sr.Name, err)
+		}
+		rc := &requestCounter{Relaxation: NewRelaxation(s, sources, products)}
+		if _, err := runProduct(n, rc); err != nil {
+			t.Fatalf("%s: %v", sr.Name, err)
+		}
+		if len(rc.requests) < 3 {
+			t.Fatalf("%s: %d products ran; the fixture needs a few", sr.Name, len(rc.requests))
+		}
+		for i, c := range rc.requests {
+			most := int64(0)
+			if rc.votes[i] {
+				most = 2 * (n - 1)
 			}
-			rc := &requestCounter{Relaxation: NewRelaxation(s, sources, products)}
-			if _, err := runProduct(n, rc); err != nil {
-				t.Fatalf("%s reflexive=%v: %v", sr.Name, reflexive, err)
+			if got := c.Load(); got > most {
+				t.Errorf("%s engine product %d: %d words 0, more than its vote's %d", sr.Name, i+1, got, most)
 			}
-			if len(rc.requests) < 3 {
-				t.Fatalf("%s reflexive=%v: %d products ran; the fixture needs a few", sr.Name, reflexive, len(rc.requests))
-			}
-			for i, c := range rc.requests {
-				most := int64(0)
-				if rc.votes[i] {
-					most = 2 * (n - 1)
-				}
-				if got := c.Load(); got > most {
-					t.Errorf("%s reflexive=%v engine product %d: %d words 0, more than its vote's %d", sr.Name, reflexive, i+1, got, most)
-				}
-			}
-			got, want := rc.Result().(*Dense), relaxRef(t, s, Indicator(n, sources, sr), products)
-			if !slices.Equal(got.Vals, want.Vals) {
-				t.Errorf("%s reflexive=%v: columns differ from iterated MulDenseRef", sr.Name, reflexive)
-			}
+		}
+		got, want := rc.Result().(*Dense), relaxRef(t, s, Indicator(n, sources, sr), products)
+		if !slices.Equal(got.Vals, want.Vals) {
+			t.Errorf("%s: columns differ from iterated MulDenseRef", sr.Name)
 		}
 	}
 }

@@ -64,7 +64,7 @@ func ReadMatrix(r *ckptio.Reader) (*Matrix, error) {
 		// its one-element offset slice.
 		m.Rows = make([]int32, m.N+1)
 	}
-	if _, err := validated(m); err != nil {
+	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("matmul: corrupt serialized matrix: %w", err)
 	}
 	return m, nil
@@ -136,20 +136,17 @@ func WritePower(w *ckptio.Writer, p *Power) {
 }
 
 // ReadPower decodes a cursor written by WritePower into a Power that
-// continues from it. withPrev says whether the cursor carries the
-// operand of the last squaring; one written before it did restores
-// without it, so the next squaring streams whole rows and returns the
-// same matrix. A cursor whose bit 1 says the cube nodes held that
-// operand's blocks restores with them marked held, and each cube node
-// rebuilds its block from the operand when it next squares, so the
-// restored chain bills what an uninterrupted one does; a cursor written
-// before the bit existed has it clear, and its next cube squaring ships
-// all of X and returns the same matrix. A cursor no Power can reach — a
-// negative exponent, a phase other than 0 or 1, held blocks without a
-// previous operand, a result or previous operand of another dimension
-// or semiring than the base, a previous operand without One on its
-// diagonal — is refused.
-func ReadPower(r *ckptio.Reader, withPrev bool) (*Power, error) {
+// continues from it. A cursor whose bit 1 says the cube nodes held the
+// blocks of the last squaring's operand restores with them marked held,
+// and each cube node rebuilds its block from the operand when it next
+// squares, so the restored chain bills what an uninterrupted one does.
+// A cursor no Power can reach — a negative exponent, a phase other than
+// 0 or 1, held blocks without a previous operand, a result or previous
+// operand of another dimension or semiring than the base, a previous
+// operand that is not symmetric or lacks One on its diagonal — is
+// refused. The base is checked where a fresh chain's A is, at the
+// restored chain's first product (checkLoop).
+func ReadPower(r *ckptio.Reader) (*Power, error) {
 	p := &Power{}
 	p.e = int(r.I64())
 	step := r.I64()
@@ -162,10 +159,8 @@ func ReadPower(r *ckptio.Reader, withPrev bool) (*Power, error) {
 	if result, err = ReadMatrix(r); err != nil {
 		return nil, err
 	}
-	if withPrev {
-		if prev, err = ReadMatrix(r); err != nil {
-			return nil, err
-		}
+	if prev, err = ReadMatrix(r); err != nil {
+		return nil, err
 	}
 	if err := r.Err(); err != nil {
 		return nil, err
@@ -176,11 +171,9 @@ func ReadPower(r *ckptio.Reader, withPrev bool) (*Power, error) {
 	if p.e < 0 || step < 0 || step > 3 {
 		return nil, fmt.Errorf("matmul: power state has exponent %d and phase word %d", p.e, step)
 	}
-	if step&2 != 0 {
-		if prev == nil {
-			return nil, fmt.Errorf("matmul: power state says its cube nodes hold blocks of a previous operand it does not carry")
-		}
-		p.cube = &cubePlan{held: true}
+	p.cube = &cubePlan{held: step&2 != 0}
+	if p.cube.held && prev == nil {
+		return nil, fmt.Errorf("matmul: power state says its cube nodes hold blocks of a previous operand it does not carry")
 	}
 	for _, m := range []*Matrix{result, prev} {
 		if m != nil && checkPair(p.rows.N, m.N, p.rows.Sr, m.Sr) != nil {
@@ -189,8 +182,8 @@ func ReadPower(r *ckptio.Reader, withPrev bool) (*Power, error) {
 		}
 	}
 	if prev != nil {
-		if !oneDiagonal(prev) {
-			return nil, fmt.Errorf("matmul: power state carries a previous operand without One on its diagonal")
+		if err := checkLoop(prev); err != nil {
+			return nil, fmt.Errorf("matmul: power state carries a previous operand no chain squares: %w", err)
 		}
 		p.prev = dense(prev)
 	}
@@ -215,18 +208,18 @@ func WriteRelaxation(w *ckptio.Writer, x *Relaxation) {
 }
 
 // ReadRelaxation decodes a cursor written by WriteRelaxation into a
-// Relaxation that continues from it. withPrev says whether the cursor
-// carries the B before the last product; one written before it did
-// restores without it, so the next product streams whole rows and
-// returns the same columns. withHeld says whether it carries the held
-// bit; one whose bit is set restores with S's blocks held, so its next
-// product ships only Δ as an uninterrupted run's does, and one without
-// the bit ships them again. Every cursor has run the local first
+// Relaxation that continues from it. withHeld says whether it carries
+// the held bit; one whose bit is set restores with S's blocks held, so
+// its next product ships only Δ as an uninterrupted run's does, and one
+// without the bit ships them again. Every cursor has run the local first
 // product (NewRelaxation runs it), so the next product is an engine one
-// and bills what an uninterrupted run bills. A cursor that holds blocks
-// of an S that prices as row-pull, or without the previous columns, is
-// refused.
-func ReadRelaxation(r *ckptio.Reader, withPrev, withHeld bool) (*Relaxation, error) {
+// and bills what an uninterrupted run bills. A cursor with products left
+// but no previous columns, or previous columns of another shape, is
+// refused, and so is one that holds blocks of an S that prices as
+// row-pull or breaks the loops' precondition (checkLoop). S is checked
+// where a fresh Relaxation's is, at its first engine product, unless
+// the cursor's blocks are held.
+func ReadRelaxation(r *ckptio.Reader, withHeld bool) (*Relaxation, error) {
 	x := &Relaxation{}
 	var err error
 	if x.s, err = ReadMatrix(r); err != nil {
@@ -236,10 +229,8 @@ func ReadRelaxation(r *ckptio.Reader, withPrev, withHeld bool) (*Relaxation, err
 		return nil, err
 	}
 	x.remaining = int(r.I64())
-	if withPrev {
-		if x.prev, err = ReadDense(r); err != nil {
-			return nil, err
-		}
+	if x.prev, err = ReadDense(r); err != nil {
+		return nil, err
 	}
 	held := withHeld && r.Bool()
 	if err := r.Err(); err != nil {
@@ -248,11 +239,13 @@ func ReadRelaxation(r *ckptio.Reader, withPrev, withHeld bool) (*Relaxation, err
 	if x.s == nil || x.b == nil {
 		return nil, fmt.Errorf("matmul: relaxation state has no operand")
 	}
-	x.reflexive = oneDiagonal(x.s)
-	if x.prev != nil && (!x.reflexive || x.prev.N != x.b.N || x.prev.K != x.b.K || x.prev.Sr.Name != x.b.Sr.Name) {
-		return nil, fmt.Errorf("matmul: relaxation state carries a previous operand it cannot have")
+	if x.prev == nil && x.remaining > 0 || x.prev != nil && (x.prev.N != x.b.N || x.prev.K != x.b.K || x.prev.Sr.Name != x.b.Sr.Name) {
+		return nil, fmt.Errorf("matmul: relaxation state carries previous columns it cannot have")
 	}
 	if held {
+		if err := checkLoop(x.s); err != nil {
+			return nil, err
+		}
 		if x.cube = relaxPlan(x.s); x.cube == nil || x.prev == nil {
 			return nil, fmt.Errorf("matmul: relaxation state says its cube nodes hold blocks of an S it does not relax by blocks")
 		}

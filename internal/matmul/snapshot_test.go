@@ -167,7 +167,7 @@ func powerCursor(e, phase int64, base, result, prev *Matrix) []byte {
 }
 
 // TestPowerCursorRoundTrip: a cursor with a previous operand restores
-// it, and one written before cursors carried it restores without it.
+// it.
 func TestPowerCursorRoundTrip(t *testing.T) {
 	base := testMatrix(t)
 	x, err := MulRef(base, base)
@@ -177,21 +177,12 @@ func TestPowerCursorRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := ckptio.NewWriter(&buf)
 	WritePower(w, &Power{e: 4, phase: 1, base: dense(x), result: dense(base), prev: dense(base)})
-	p, err := ReadPower(ckptio.NewReader(bytes.NewReader(buf.Bytes())), true)
+	p, err := ReadPower(ckptio.NewReader(bytes.NewReader(buf.Bytes())))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.e != 4 || p.phase != 1 || !sameBits(p.baseRows(), x) || !sameBits(sparse(p.result), base) || p.prev == nil || !sameBits(sparse(p.prev), base) {
 		t.Fatalf("cursor did not round-trip: %+v", p)
-	}
-	buf.Reset()
-	w = ckptio.NewWriter(&buf) // a cursor from before the previous operand: it ends after result
-	w.I64(4)
-	w.I64(0)
-	WriteMatrix(w, x)
-	WriteMatrix(w, nil)
-	if p, err = ReadPower(ckptio.NewReader(bytes.NewReader(buf.Bytes())), false); err != nil || p.prev != nil {
-		t.Fatalf("cursor without a previous operand: %v, prev %v", err, p.prev)
 	}
 }
 
@@ -205,6 +196,8 @@ func TestReadPowerRejectsImpossibleCursors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	skew := dense(base)
+	skew.Row(1)[0]++ // the edge (1, 0) no longer weighs what (0, 1) does
 	for name, blob := range map[string][]byte{
 		"negative exponent":                    powerCursor(-1, 0, base, nil, nil),
 		"phase 2":                              powerCursor(4, 2, base, nil, nil),
@@ -215,10 +208,11 @@ func TestReadPowerRejectsImpossibleCursors(t *testing.T) {
 		"previous of another dimension":        powerCursor(4, 0, base, nil, bigger),
 		"previous over another semiring":       powerCursor(4, 0, base, nil, boolean),
 		"previous without One on its diagonal": powerCursor(4, 0, base, nil, noDiag),
+		"previous unequal to its transpose":    powerCursor(4, 0, base, nil, sparse(skew)),
 		"held blocks without a previous":       powerCursor(4, 3, base, nil, nil),
 		"no base":                              powerCursor(4, 0, nil, nil, nil),
 	} {
-		if _, err := ReadPower(ckptio.NewReader(bytes.NewReader(blob)), true); err == nil || !strings.Contains(err.Error(), "power state") {
+		if _, err := ReadPower(ckptio.NewReader(bytes.NewReader(blob))); err == nil || !strings.Contains(err.Error(), "power state") {
 			t.Errorf("%s: err = %v, want the power state error", name, err)
 		}
 	}
@@ -278,7 +272,7 @@ func TestPowerCursorFromPassSlabs(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		WritePower(ckptio.NewWriter(&buf), p)
-		q, err := ReadPower(ckptio.NewReader(bytes.NewReader(buf.Bytes())), true)
+		q, err := ReadPower(ckptio.NewReader(bytes.NewReader(buf.Bytes())))
 		if err != nil {
 			t.Fatalf("%s: %v", sr.Name, err)
 		}
@@ -300,16 +294,15 @@ func TestPowerCursorFromPassSlabs(t *testing.T) {
 }
 
 // relaxCursor encodes a Relaxation cursor field by field, as
-// WriteRelaxation lays it out: S, B, remaining, and prev when withPrev.
-func relaxCursor(s *Matrix, b *Dense, remaining int64, prev *Dense, withPrev bool) []byte {
+// WriteRelaxation lays it out without the held bit: S, B, remaining and
+// prev.
+func relaxCursor(s *Matrix, b *Dense, remaining int64, prev *Dense) []byte {
 	var buf bytes.Buffer
 	w := ckptio.NewWriter(&buf)
 	WriteMatrix(w, s)
 	WriteDense(w, b)
 	w.I64(remaining)
-	if withPrev {
-		WriteDense(w, prev)
-	}
+	WriteDense(w, prev)
 	return buf.Bytes()
 }
 
@@ -320,9 +313,8 @@ func relaxCursor(s *Matrix, b *Dense, remaining int64, prev *Dense, withPrev boo
 // with the uninterrupted columns. The layout is unchanged and so is
 // what it means: a run whose first product is local holds exactly that
 // cursor after its (t-1)th engine pass, so the restored run bills pass
-// for pass what the rest of an uninterrupted run bills. A cursor from
-// before it carried prev streams whole rows and still returns the
-// same columns.
+// for pass what the rest of an uninterrupted run bills. A cursor with
+// products left but no prev is refused.
 func TestRelaxationCursorFromEngineFirstProduct(t *testing.T) {
 	const products = 8
 	sources := []core.NodeID{0, 17}
@@ -344,23 +336,25 @@ func TestRelaxationCursorFromEngineFirstProduct(t *testing.T) {
 		for _, done := range []int{1, 2, 5} {
 			prev := relaxRef(t, s, Indicator(n, sources, sr), done-1)
 			b := relaxRef(t, s, prev, 1)
-			for _, withPrev := range []bool{true, false} {
-				name := fmt.Sprintf("%s after %d engine products, prev %v", sr.Name, done, withPrev)
-				blob := relaxCursor(s, b, int64(products-done), prev, withPrev)
-				rx, err := ReadRelaxation(ckptio.NewReader(bytes.NewReader(blob)), withPrev, false)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				var resumed []passTraffic
-				if _, err := runProduct(n, rx, trafficHook(&resumed)); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if got := rx.Result().(*Dense); !slices.Equal(got.Vals, want.Vals) {
-					t.Errorf("%s: the resumed columns differ from the uninterrupted ones", name)
-				}
-				if tail := full[done-1:]; withPrev && !slices.Equal(resumed, tail) {
-					t.Errorf("%s: resumed passes bill %v, the rest of an uninterrupted run %v", name, resumed, tail)
-				}
+			name := fmt.Sprintf("%s after %d engine products", sr.Name, done)
+			blob := relaxCursor(s, b, int64(products-done), prev)
+			rx, err := ReadRelaxation(ckptio.NewReader(bytes.NewReader(blob)), false)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			var resumed []passTraffic
+			if _, err := runProduct(n, rx, trafficHook(&resumed)); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got := rx.Result().(*Dense); !slices.Equal(got.Vals, want.Vals) {
+				t.Errorf("%s: the resumed columns differ from the uninterrupted ones", name)
+			}
+			if tail := full[done-1:]; !slices.Equal(resumed, tail) {
+				t.Errorf("%s: resumed passes bill %v, the rest of an uninterrupted run %v", name, resumed, tail)
+			}
+			blob = relaxCursor(s, b, int64(products-done), nil)
+			if _, err := ReadRelaxation(ckptio.NewReader(bytes.NewReader(blob)), false); err == nil || !strings.Contains(err.Error(), "previous columns") {
+				t.Errorf("%s without prev: err = %v, want the previous columns error", name, err)
 			}
 		}
 	}

@@ -67,51 +67,6 @@ func TestSemiNaiveSquaringMatchesRef(t *testing.T) {
 	}
 }
 
-// TestPowerWithoutOneDiagonalStreamsWholeRows: a base without One on
-// its diagonal is not monotone under squaring. Over a graph with an
-// isolated vertex no power of it gains One at that vertex's diagonal
-// entry, so a Power over it never squares semi-naively, bills every
-// pass what the traffic model predicts for whole rows, and still
-// returns the reference power.
-func TestPowerWithoutOneDiagonalStreamsWholeRows(t *testing.T) {
-	g := graph.RandomGNP(30, 0.1, 5).WithUniformRandomWeights(2, 20)
-	isolated := false
-	for v := 0; v < g.N; v++ {
-		cols, _ := g.Row(core.NodeID(v))
-		isolated = isolated || len(cols) == 0
-	}
-	if !isolated {
-		t.Fatal("the fixture needs an isolated vertex")
-	}
-	for _, sr := range core.AllSemirings() {
-		a, err := FromGraph(g, sr, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range []int{8, 7} {
-			pw := NewPower(a, e)
-			var got []passTraffic
-			m := newLoopModel(t, pw)
-			if _, err := runProduct(a.N, m, trafficHook(&got)); err != nil {
-				t.Fatalf("%s A^%d: %v", sr.Name, e, err)
-			}
-			if m.semi != 0 || pw.prev != nil {
-				t.Errorf("%s A^%d: %d semi-naive squarings over a base without One on its diagonal", sr.Name, e, m.semi)
-			}
-			if !slices.Equal(got, m.want) {
-				t.Errorf("%s A^%d: per-pass rounds/words %v, model %v", sr.Name, e, got, m.want)
-			}
-			want := a
-			for i := 1; i < e; i++ {
-				if want, err = MulRef(want, a); err != nil {
-					t.Fatal(err)
-				}
-			}
-			matricesEqual(t, m.Result().(*Matrix), want, fmt.Sprintf("%s A^%d", sr.Name, e))
-		}
-	}
-}
-
 // TestSemiNaiveSquaringEdges: a single-node clique squares and powers
 // without error, and a squaring whose Δ is empty — X = P — returns X,
 // votes that nothing changed at no cost in vote words, and bills what

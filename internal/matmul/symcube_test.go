@@ -80,60 +80,6 @@ func runAudited(t *testing.T, p *Pass) *engine.Stats {
 	return st
 }
 
-// TestAsymmetricPowerSquaresByRowPull: a base whose pattern is symmetric
-// but whose values are not has asymmetric powers, whose squarings the
-// cube's transposed delivery would get wrong. A Power over one squares
-// by row-pull alone — semi-naively, streaming Δ, after its first
-// squaring — bills what the traffic model gives, and returns the
-// reference power.
-func TestAsymmetricPowerSquaresByRowPull(t *testing.T) {
-	g := graph.RandomGNP(40, 0.08, 4).WithUniformRandomWeights(2, 20)
-	for _, sr := range []core.Semiring{core.MinPlus(), core.MaxMin(), generic(core.MinPlus())} {
-		sym, err := FromGraph(g, sr, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Raise each entry below the diagonal by 1: the pattern stays.
-		d := dense(sym)
-		for v := 0; v < d.N; v++ {
-			row := d.Row(core.NodeID(v))
-			for j := range row[:v] {
-				if row[j] != sr.Zero {
-					row[j]++
-				}
-			}
-		}
-		a := sparse(d)
-		if transposeEqual(a) || !a.symmetric {
-			t.Fatalf("%s: the fixture is value-symmetric %v, pattern-symmetric %v", sr.Name, transposeEqual(a), a.symmetric)
-		}
-		w := &chainWatch{Power: NewPower(a, 64), t: t}
-		m := newLoopModel(t, w)
-		var got []passTraffic
-		if _, err := runProduct(a.N, m, trafficHook(&got)); err != nil {
-			t.Fatalf("%s: %v", sr.Name, err)
-		}
-		if !slices.Equal(got, m.want) {
-			t.Errorf("%s: per-pass rounds/words %v, model %v", sr.Name, got, m.want)
-		}
-		for i, sq := range w.sqs {
-			if sq.cube {
-				t.Errorf("%s: squaring %d ran by the cube", sr.Name, i+1)
-			}
-		}
-		if m.semi == 0 || len(w.sqs) < 3 {
-			t.Errorf("%s: %d squarings, %d semi-naive; the fixture must square semi-naively", sr.Name, len(w.sqs), m.semi)
-		}
-		want := a
-		for range 6 {
-			if want, err = MulRef(want, want); err != nil {
-				t.Fatal(err)
-			}
-		}
-		matricesEqual(t, w.Result().(*Matrix), want, sr.Name+" A^64")
-	}
-}
-
 // TestHeldChainResumesExactly: a Power chain checkpointed (WritePower,
 // ReadPower) at any pass boundary, its cube nodes holding their blocks,
 // resumes to bill every remaining pass exactly the rounds and words the
@@ -161,7 +107,7 @@ func TestHeldChainResumesExactly(t *testing.T) {
 			if p.held() {
 				heldStops++
 			}
-			q, err := ReadPower(ckptio.NewReader(&buf), true)
+			q, err := ReadPower(ckptio.NewReader(&buf))
 			if err != nil {
 				t.Fatalf("%s, stop %d: %v", sr.Name, stop, err)
 			}

@@ -200,7 +200,7 @@ func predictTraffic(t *testing.T, a *Matrix, b, prev *Dense, vote bool) passTraf
 }
 
 // predictCube is the traffic model of the cube pass of a semi-naive
-// squaring X ⊗ X = X ⊕ X ⊗ Δ of a value-symmetric X, derived from X and
+// squaring X ⊗ X = X ⊕ X ⊗ Δ of a symmetric X, derived from X and
 // the P with X = P ⊗ P alone, written from the protocol cubeNode
 // documents rather than from its code. Let q = ⌊n^{1/3}⌋,
 // B_i = [i·n/q, (i+1)·n/q) and cube node (a, b, c) = (a·q + b)·q + c;
@@ -515,11 +515,11 @@ func prices2D(s *Matrix) bool {
 }
 
 // predictRelax2D is the traffic model of a Relaxation's 2D product
-// B ⊕ S ⊗ Δ over a reflexive S, Δ the entries of b that are non-Zero
-// and differ from prev, written from the protocol the Relaxation
-// documents. Let q = ⌊√n⌋, B_i = [i·n/q, (i+1)·n/q) and cube node
-// (a, 0, c) = a·q + c; nodes from q² on take no part. held says the cube
-// nodes hold S's blocks, shipped by an earlier 2D product over S.
+// B ⊕ S ⊗ Δ, Δ the entries of b that are non-Zero and differ from prev,
+// written from the protocol the Relaxation documents. Let q = ⌊√n⌋,
+// B_i = [i·n/q, (i+1)·n/q) and cube node (a, 0, c) = a·q + c; nodes
+// from q² on take no part. held says the cube nodes hold S's blocks,
+// shipped by an earlier 2D product over S.
 //
 //   - Formats: phase 1 packs Δ's values over its k columns, and, while
 //     S ships, S's values too, each entry S[v][j] at column k + j; the
@@ -601,7 +601,7 @@ func predictRelax2D(t *testing.T, s *Matrix, b, prev *Dense, vote, held bool) (m
 			if !held {
 				link[c*q+a] += len(wf.packRow(nil, sc, sv))
 			}
-			if meets { // S is pattern-symmetric: S[B_a, v] ≠ Zero
+			if meets { // S is symmetric: S[B_a, v] ≠ Zero
 				link[a*q+c] += len(wf.packRow(nil, dc, dv))
 			}
 		}
@@ -640,18 +640,6 @@ func predictRelax2D(t *testing.T, s *Matrix, b, prev *Dense, vote, held bool) (m
 	return m
 }
 
-// transposeEqual reports whether x equals its transpose, entry by entry.
-func transposeEqual(x *Matrix) bool {
-	for i := 0; i < x.N; i++ {
-		for j := 0; j < i; j++ {
-			if x.At(core.NodeID(i), core.NodeID(j)) != x.At(core.NodeID(j), core.NodeID(i)) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // cubeModel is predictCube's verdict on one squaring.
 type cubeModel struct {
 	passTraffic
@@ -676,12 +664,11 @@ func trafficHook(got *[]passTraffic) clique.Option {
 // products and, as each pass starts, records what predictTraffic says
 // it will cost, from the operands of the loop whose product is in
 // flight. A Power squaring with prev set is semi-naive: a cube pass
-// over X and P when the Power's A is value-symmetric, a row-pull one
-// streaming Δ otherwise. The model tracks each Relaxation itself: its first
+// over X and P. The model tracks each Relaxation itself: its first
 // product is local and no pass, so the first engine product multiplies
-// S ⊗ (indicator columns), and over a reflexive S every engine product
-// streams only what changed since the B the product before multiplied
-// — the indicator columns, before the first.
+// S ⊗ (indicator columns), and every engine product streams only what
+// changed since the B the product before multiplied — the indicator
+// columns, before the first.
 type loopModel struct {
 	clique.Kernel
 	t       *testing.T
@@ -690,7 +677,6 @@ type loopModel struct {
 	relHeld map[*Relaxation]bool   // the Relaxation's cube nodes hold S's blocks
 	flat    int                    // 2D relaxation products
 	squares map[*Power]int         // squarings each Power has started
-	sym     map[*Power]bool        // the Power's A is value-symmetric: it squares by the cube
 	held    map[*Power]bool        // the Power's last squaring ran by the cube
 	resq    bool                   // some Power squared more than once
 	semi    int                    // semi-naive squarings
@@ -699,7 +685,7 @@ type loopModel struct {
 
 func newLoopModel(t *testing.T, k clique.Kernel) *loopModel {
 	return &loopModel{Kernel: k, t: t, lastB: map[*Relaxation]*Dense{}, relHeld: map[*Relaxation]bool{},
-		squares: map[*Power]int{}, sym: map[*Power]bool{}, held: map[*Power]bool{}}
+		squares: map[*Power]int{}, held: map[*Power]bool{}}
 }
 
 func (m *loopModel) Next(g *graph.CSR) (clique.Pass, error) {
@@ -712,15 +698,7 @@ func (m *loopModel) Next(g *graph.CSR) (clique.Pass, error) {
 	}
 	switch loop := inFlight(reflect.ValueOf(m.Kernel), map[uintptr]bool{}).(type) {
 	case *Power:
-		sym, seen := m.sym[loop]
-		if !seen {
-			// The chain's first pass multiplies A (or the base a checkpoint
-			// restored), which decides how every squaring of it runs.
-			sym = transposeEqual(sparse(loop.base))
-			m.sym[loop] = sym
-		}
 		var left *Matrix
-		var prev *Dense
 		if !loop.passIsSquare {
 			left = sparse(loop.result)
 		} else {
@@ -729,12 +707,6 @@ func (m *loopModel) Next(g *graph.CSR) (clique.Pass, error) {
 			m.resq = m.resq || m.squares[loop] > 1
 			if loop.prev != nil {
 				m.semi++
-				if !denseOneDiagonal(loop.prev) {
-					m.t.Errorf("pass %d: a semi-naive squaring over a previous operand without One on its diagonal", len(m.want))
-				}
-				prev = loop.prev
-			}
-			if prev != nil && sym {
 				held := m.held[loop]
 				want := predictCube(m.t, left, loop.prev, loop.pass.voting, held)
 				m.want = append(m.want, want.passTraffic)
@@ -746,21 +718,17 @@ func (m *loopModel) Next(g *graph.CSR) (clique.Pass, error) {
 			}
 			m.held[loop] = false
 		}
-		m.want = append(m.want, predictTraffic(m.t, left, loop.base, prev, loop.pass.voting))
+		m.want = append(m.want, predictTraffic(m.t, left, loop.base, nil, loop.pass.voting))
 	case *Relaxation:
-		reflexive := oneDiagonal(loop.s)
 		prev, seen := m.lastB[loop]
-		if !seen && reflexive {
-			// The local product started from the indicator columns, which a
-			// reflexive S's Relaxation holds as prev: check that they are
-			// one One a column and that B is S over them.
+		if !seen {
+			// The local product started from the indicator columns, which
+			// the Relaxation holds as prev: check that they are one One a
+			// column and that B is S over them.
 			prev = loop.prev
 			if err := checkLocalProduct(loop.s, prev, loop.b); err != nil {
 				m.t.Errorf("pass %d: %v", len(m.want), err)
 			}
-		}
-		if !reflexive {
-			prev = nil
 		}
 		if !seen {
 			// A Relaxation may start from a plan whose cube nodes hold S.
@@ -787,7 +755,7 @@ func (m *loopModel) Next(g *graph.CSR) (clique.Pass, error) {
 // columns — one One a column, Zero elsewhere — and b = s ⊗ ind.
 func checkLocalProduct(s *Matrix, ind, b *Dense) error {
 	if ind == nil {
-		return fmt.Errorf("a Relaxation over a reflexive S kept no indicator columns")
+		return fmt.Errorf("a Relaxation kept no indicator columns")
 	}
 	for j := 0; j < ind.K; j++ {
 		ones := 0

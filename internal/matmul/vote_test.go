@@ -442,3 +442,38 @@ func TestVotesAreBilledToTheSession(t *testing.T) {
 			votes, voted.Runs, fixed.Runs, dr, dw, 2*votes, votes*(n-1), 2*votes*(n-1))
 	}
 }
+
+// TestVotingFirstSquaringStartsAtItsBase: a voting first squaring starts
+// every accumulator at its row of A and folds no node's own row, which
+// under A's One diagonal would add nothing. Its product is A ⊗ A over
+// every semiring, the isolated vertex 7's row included: no node sends
+// row 7 of A, so that row of the product is what the accumulator starts
+// at. A pass that starts at Zero without the own-row fold gets that row,
+// and every other, wrong.
+func TestVotingFirstSquaringStartsAtItsBase(t *testing.T) {
+	g, err := graph.LoadEdgeList(strings.NewReader("p 8\n0 1 3\n1 2 5\n2 3 2\n3 0 7\n4 5 4\n5 6 6\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sr := range append(core.AllSemirings(), generic(core.MinPlus())) {
+		a, err := FromGraph(g, sr, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := MulRef(a, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := newPass(a, dense(a), nil, true, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := runPass(p); err != nil {
+			t.Fatal(err)
+		}
+		matricesEqual(t, p.Sparse(), want, sr.Name+" voting A ⊗ A")
+		if !p.changed() {
+			t.Errorf("%s: the vote says A ⊗ A = A, though the 4-cycle gains its diagonals", sr.Name)
+		}
+	}
+}
