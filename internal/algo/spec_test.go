@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/bits"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -150,6 +152,64 @@ func TestRestoreStateRejectsOtherVersions(t *testing.T) {
 			if !reflect.DeepEqual(k.Result(), ref.Result()) {
 				t.Errorf("%s: fresh run after a rejected version-%d restore differs from the reference", name, version)
 			}
+		}
+	}
+}
+
+// TestStateFromBeforeTheHeldBitRestores: version 4, the oldest state
+// this build reads, has no held bit in its relaxation cursor, and its
+// blobs must still restore, finish in the passes the run that wrote
+// them had left, and end with a fresh run's answer. The blobs under
+// testdata were written mid-run by the commit before version 5, on
+// G(24, 0.12) with weights 1..9 and seed 7: apsp after 2 of its 4
+// squarings; ksource (sources 0 and 8, h = 2) after 3 of its 5 passes,
+// in its relaxation; approx-ksource (sources 0 and 8, ε = 0.25) after 3
+// of its 7 passes, in the hop products of its hopset's version-2 blob,
+// and after 6, in its relaxation.
+func TestStateFromBeforeTheHeldBitRestores(t *testing.T) {
+	g := graph.RandomGNPWeighted(24, 0.12, 9, 7)
+	ksource := func() clique.Checkpointable { return NewKSourceKernel([]core.NodeID{0, 8}, 2) }
+	approx := func() clique.Checkpointable {
+		return NewApproxKSourceKernel([]core.NodeID{0, 8}, hopset.Params{Eps: 0.25})
+	}
+	for blob, tc := range map[string]struct {
+		fresh    func() clique.Checkpointable
+		leftOver int // passes the writing run had left
+		stage    int // the pipeline stage the blob stops in; 0 for apsp
+	}{
+		"apsp-after-2":           {func() clique.Checkpointable { return NewAPSPKernel() }, 2, 0},
+		"ksource-after-3":        {ksource, 2, 2},
+		"approx-ksource-after-3": {approx, 4, 1},
+		"approx-ksource-after-6": {approx, 1, 2},
+	} {
+		state, err := os.ReadFile(filepath.Join("testdata", blob+".v4state"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := binary.LittleEndian.Uint64(state); v != 4 {
+			t.Fatalf("%s: blob leads with version %d, want 4", blob, v)
+		}
+		k := tc.fresh()
+		if err := k.RestoreState(bytes.NewReader(state)); err != nil {
+			t.Fatalf("%s: RestoreState: %v", blob, err)
+		}
+		stage := 0
+		switch p := k.(type) {
+		case *KSourceKernel:
+			stage = p.stage
+		case *ApproxKSourceKernel:
+			stage = p.stage
+		}
+		if stage != tc.stage {
+			t.Errorf("%s: restored into stage %d, want %d", blob, stage, tc.stage)
+		}
+		if passes := runPasses(t, g, k); passes != tc.leftOver {
+			t.Errorf("%s: restored run took %d passes, the writing run had %d left", blob, passes, tc.leftOver)
+		}
+		ref := tc.fresh()
+		runKernel(t, g, ref)
+		if !reflect.DeepEqual(k.Result(), ref.Result()) {
+			t.Errorf("%s: restored run's result differs from a fresh run's", blob)
 		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/binary"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -277,6 +279,52 @@ func TestRestoreRejectsOtherVersions(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "kernel state version") {
 			t.Errorf("version-%d blob: err = %v, want the version error", version, err)
 		}
+	}
+}
+
+// TestStateFromBeforeTheHeldBitRestores: version 2, the oldest state
+// this build reads, has no held bit in its relaxation cursor, and its
+// blobs must still restore, finish in the passes the run that wrote
+// them had left, and build a fresh run's hopset. The blob under
+// testdata was written by the commit before version 3 on G(24, 0.12)
+// with weights 1..9 and seed 7, ε = 0.25, after 2 of the run's 5 hop
+// products.
+func TestStateFromBeforeTheHeldBitRestores(t *testing.T) {
+	g := graph.RandomGNPWeighted(24, 0.12, 9, 7)
+	state, err := os.ReadFile(filepath.Join("testdata", "construct-after-2.v2state"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint64(state); v != 2 {
+		t.Fatalf("blob leads with version %d, want 2", v)
+	}
+	k := NewConstructKernel(Params{Eps: 0.25})
+	if err := k.RestoreState(bytes.NewReader(state)); err != nil {
+		t.Fatalf("RestoreState: %v", err)
+	}
+	if k.stage != 1 || k.rx == nil {
+		t.Fatalf("restored into stage %d with relaxation %v; the blob stops mid hop products", k.stage, k.rx)
+	}
+	ref := NewConstructKernel(Params{Eps: 0.25})
+	for _, run := range []*ConstructKernel{k, ref} {
+		s, err := clique.New(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = s.Run(context.Background(), run)
+		passes := s.Stats().Runs
+		s.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == k && passes != 3 {
+			t.Errorf("restored run took %d passes, the writing run had 3 left", passes)
+		}
+	}
+	got, want := k.Hopset(), ref.Hopset()
+	if got.Beta != want.Beta || got.Eps != want.Eps || !reflect.DeepEqual(got.Hubs, want.Hubs) ||
+		!matEqual(got.Shortcuts, want.Shortcuts) || !matEqual(got.Base, want.Base) {
+		t.Error("restored run's hopset differs from a fresh run's")
 	}
 }
 

@@ -57,6 +57,63 @@ func TestMirrorNamesAnUnmirroredEntry(t *testing.T) {
 	}
 }
 
+// patternMatrix is the struct literal whose row v stores the columns
+// rows[v], each with value 1: a matrix no constructor built.
+func patternMatrix(rows [][]core.NodeID) *Matrix {
+	m := &Matrix{N: len(rows), Sr: core.MinPlus(), Rows: make([]int32, 1, len(rows)+1)}
+	for _, cols := range rows {
+		for _, j := range cols {
+			m.Cols, m.Vals = append(m.Cols, j), append(m.Vals, 1)
+		}
+		m.Rows = append(m.Rows, int32(len(m.Cols)))
+	}
+	return m
+}
+
+// TestPassRejectsAsymmetricA: a row-pull product over an A whose pattern
+// is not symmetric, built as a struct literal that no constructor
+// checked, is refused before any round runs — by NewPass and
+// NewDensePass, and by a Relaxation through Session.Run, whose loop
+// checks symmetry before its diagonal — with an error naming an entry
+// whose mirror is absent. Node k streams its row of B
+// to the columns of its own row of A, so such an A would leave some
+// node without a row it multiplies by.
+func TestPassRejectsAsymmetricA(t *testing.T) {
+	for _, tc := range []struct {
+		rows     [][]core.NodeID
+		entry    string // the entry the error names, and its mirror
+		unmirror string
+	}{
+		{[][]core.NodeID{{0, 1}, {0, 1, 2}, {1, 2}, {1, 3}}, "(3, 1)", "(1, 3)"},
+		{[][]core.NodeID{{0}, {1, 2}, {0, 1, 2}}, "(2, 0)", "(0, 2)"},
+		{[][]core.NodeID{{1}, {}}, "(0, 1)", "(1, 0)"},
+	} {
+		a := patternMatrix(tc.rows)
+		n := a.N
+		b := NewDense(n, 2, a.Sr)
+		for v := 0; v < n; v++ {
+			b.Row(core.NodeID(v))[v%2] = int64(v + 1)
+		}
+		_, errSparse := NewPass(a, a, false)
+		_, errDense := NewDensePass(a, b, false)
+		s, err := clique.NewSize(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		errRelax := s.Run(context.Background(), NewRelaxation(a, []core.NodeID{0}, 3))
+		st := s.Stats()
+		s.Close()
+		for name, err := range map[string]error{"NewPass": errSparse, "NewDensePass": errDense, "Relaxation": errRelax} {
+			if err == nil || !strings.Contains(err.Error(), "stores "+tc.entry+" but not "+tc.unmirror) {
+				t.Errorf("%v %s: err = %v, want one naming %s without %s", tc.rows, name, err, tc.entry, tc.unmirror)
+			}
+		}
+		if st.Runs != 0 || st.Engine.Rounds != 0 {
+			t.Errorf("%v: the refused relaxation ran %d passes and %d rounds", tc.rows, st.Runs, st.Engine.Rounds)
+		}
+	}
+}
+
 // TestOperandContractRefusals: every product needs an A equal to its
 // transpose, and every Power and Relaxation loop one with One on its
 // diagonal too. Over every semiring (the generic loop included), an A
