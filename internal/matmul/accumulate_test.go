@@ -167,7 +167,7 @@ func TestProductWalk(t *testing.T) {
 		var err error
 		node := roundFunc(func(ctx *engine.Ctx, r core.Round, _ []engine.Message) error {
 			if r == 0 {
-				err = nd.Round(ctx, 1, inbox)
+				_, _, err = nd.fold(ctx.ID(), inbox, true)
 			}
 			return nil
 		})

@@ -53,9 +53,9 @@ func (w *chainWatch) Next(g *graph.CSR) (clique.Pass, error) {
 		return pass, err
 	}
 	if w.passIsSquare {
-		sq := squaring{x: sparse(w.base), cube: w.pass.cb != nil, pass: w.seen}
+		sq := squaring{x: sparse(w.base), cube: !w.pass.rows(), pass: w.seen}
 		if sq.cube {
-			sq.update = w.pass.cb.held
+			sq.update = w.pass.held
 			sq.prev = sparse(w.prev)
 			sq.model = predictCube(w.t, sq.x, w.prev, w.pass.voting, sq.update)
 		}

@@ -1,8 +1,6 @@
 package matmul
 
 import (
-	"slices"
-
 	"github.com/paper-repo-growth/doryp20/clique"
 	"github.com/paper-repo-growth/doryp20/internal/core"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
@@ -20,7 +18,7 @@ import (
 // gives B ⊆ A ⊗ B, so a product may start its accumulators at B: every
 // squaring after a chain's first and every Relaxation engine product is
 // semi-naive, and each product another may still follow takes the
-// fixpoint verdict in-engine (mulNode.tally: at most 2 rounds and
+// fixpoint verdict in-engine (tally: at most 2 rounds and
 // 2(n-1) words, none when it confirms the fixpoint). A product that ends
 // the loop anyway runs bare. How many products the vote saves depends on
 // the input: the answer is stable once its hop horizon covers the
@@ -52,14 +50,14 @@ import (
 //
 // The same constructor builds it (newPass) as every other product, and
 // each node's accumulator starts from X[v]. A equals its transpose, so
-// every power of it does, and the product X ⊗ Δ runs by the 3D cube
-// partition (cubeNode): with q = ⌊n^{1/3}⌋ blocks, each node sends
-// blocks of its rows of X and of Δ to the cube nodes (a, b, c), a ≤ b,
-// that multiply them, and each returns its partial rows and columns to
-// their owners. A dense row-pull squaring moves about n³ entries; the
-// cube moves about q·n² each way. Multiply steps and the first squaring
-// stream whole rows by row-pull, and so does a cube squaring whose
-// partial rows fit no wire word (newPass).
+// every power of it does, and the product X ⊗ Δ runs at the cube shape
+// (q, q, q), q = ⌊n^{1/3}⌋ (cubeNode): each node sends blocks of its
+// rows of X and of Δ to the cube nodes (a, b, c), a ≤ b, that multiply
+// them, and each returns its partial rows and columns to their owners.
+// A dense squaring at the row-pull shape (n, 1, 1) moves about n³
+// entries; the cube moves about q·n² each way. Multiply steps and the
+// first squaring stream whole rows at (n, 1, 1) (rowPlan), and so does a
+// cube squaring whose partial rows fit no wire word (newPass).
 //
 // Between products Power holds base, prev and result as dense slabs:
 // the accumulator slabs the products that made them left behind
@@ -72,8 +70,9 @@ import (
 //
 // The chain's cube nodes keep their blocks of the operand they squared
 // (cubePlan.held), so every cube squaring after the first in a row
-// ships and decodes Δ where it would ship X. A row-pull squaring makes
-// them stale, and the chain drops them, with its plan, when it is done.
+// ships and decodes Δ where it would ship X. A squaring at (n, 1, 1)
+// makes them stale, and the chain drops them, with its plan, when it is
+// done.
 type Power struct {
 	e int
 	// base is what the next squaring squares; nil before the first
@@ -152,7 +151,7 @@ func (p *Power) harvest() {
 		if !p.pass.changed() {
 			p.e = 1
 		}
-		p.cube.held = p.pass.cb != nil
+		p.cube.held = !p.pass.rows()
 	} else {
 		// The old result may be base's or prev's slab: it is not spare.
 		p.result = p.pass.Dense()
@@ -199,19 +198,15 @@ func (p *Power) product(square bool) (clique.Pass, error) {
 	if err != nil {
 		return clique.Pass{}, err
 	}
-	var left *Matrix
-	var prev *Dense
-	var cp *cubePlan
+	cp, prev := p.cube, p.prev
 	switch {
 	case !square:
-		left = sparse(p.result)
-	case p.prev != nil:
-		prev, cp = p.prev, p.cube
-	default:
-		left = p.baseRows()
+		cp, prev = rowPlan(sparse(p.result)), nil
+	case prev == nil:
+		cp = rowPlan(p.baseRows())
 	}
 	// A squaring with another to follow votes.
-	pass, err := newPass(left, b, prev, square && p.e > 1, p.spare, cp)
+	pass, err := newPass(b, prev, square && p.e > 1, p.spare, cp)
 	if err != nil {
 		return clique.Pass{}, err
 	}
@@ -222,7 +217,7 @@ func (p *Power) product(square bool) (clique.Pass, error) {
 // session is the pass as a clique session runs it: its nodes, its
 // round bound, and its accumulator slab as the rows to all-gather.
 func (p *Pass) session() clique.Pass {
-	return clique.Pass{Nodes: p.nodes, MaxRounds: p.MaxRoundsHint(), Rows: p.flat, RowLen: p.cols}
+	return clique.Pass{Nodes: p.Nodes(), MaxRounds: p.MaxRoundsHint(), Rows: p.flat, RowLen: p.b.K}
 }
 
 // Result returns A^e (*Matrix), nil before completion. e = 0 yields the
@@ -262,10 +257,13 @@ func (p *Power) Dense() *Dense {
 // The first product is local: S ⊗ (indicator columns) is
 // B[v][j] = S[v][sources[j]] — Mul(x, One) = x in every semiring — which
 // node v reads off its own row of S. It costs no round, no word and no
-// engine pass; NewRelaxation runs it. Every later product is one dense
-// engine pass, and each but the last allowed votes. A local product that
-// changes nothing (every source isolated) is confirmed by the next,
-// which then streams nothing.
+// engine pass. NewRelaxation runs it, reading column j of B off source
+// j's own row of S, which is its column under the loops' precondition;
+// a Relaxation of one product runs no engine product, so nothing checks
+// that precondition, and over an S that breaks it B holds S's rows.
+// Every later product is one dense engine pass, and each but the last
+// allowed votes. A local product that changes nothing (every source
+// isolated) is confirmed by the next, which then streams nothing.
 //
 // S's One diagonal (the loops' precondition) makes every engine product
 // semi-naive: it streams only the entries of B that the product before
@@ -274,12 +272,14 @@ func (p *Power) Dense() *Dense {
 // local product added to the indicator. The traffic then follows what is
 // still unsettled rather than the width of the columns.
 //
-// When S prices as 2D (relaxPlan, decided once, at the first engine
-// product, from S alone), an engine product B ⊕ S ⊗ Δ runs by a 2D block
-// partition instead of row-pull (cubeNode, cubePlan). Its plan records
-// whether the cube nodes hold S's blocks: the first 2D product ships
-// them, and every later one, in this Relaxation or in one that starts
-// from its plan (Hold), ships only Δ and partial rows.
+// Its engine products B ⊕ S ⊗ Δ run at the shape S prices at (relaxPlan,
+// decided once, at the first engine product, from S alone): the
+// row-pull shape (n, 1, 1), or the 2D block partition (⌊√n⌋, 1, ⌊√n⌋)
+// (cubeNode, cubePlan). A 2D plan records whether the cube nodes hold
+// S's blocks: the first 2D product ships them, and every later one, in
+// this Relaxation or in one that starts from its plan (Hold), ships
+// only Δ and partial rows. A product whose partial rows no wire word
+// fits runs at (n, 1, 1) instead and ships none of them.
 //
 // Between products Relaxation holds B and prev as the accumulator slabs
 // of the products that made them, and hands the next product the slab
@@ -291,10 +291,9 @@ type Relaxation struct {
 	// prev is the B the last product started from; nil only while no
 	// product, the local one included, has run.
 	prev *Dense
-	// cube is the plan of the 2D products, nil when S prices as
-	// row-pull; priced says S is checked and the choice made.
-	cube   *cubePlan
-	priced bool
+	// cube is the plan of the engine products, at the shape S prices
+	// at; nil until S is checked and priced.
+	cube *cubePlan
 	// spare is a slab no operand holds any more, which the next product
 	// takes as its accumulator; nil when there is none.
 	spare []int64
@@ -313,13 +312,10 @@ func NewRelaxation(s *Matrix, sources []core.NodeID, products int) *Relaxation {
 		return r
 	}
 	b := NewDense(s.N, len(sources), s.Sr)
-	for v := 0; v < s.N; v++ {
-		cols, vals := s.Row(core.NodeID(v))
-		row := b.Row(core.NodeID(v))
-		for j, src := range sources {
-			if i, ok := slices.BinarySearch(cols, src); ok {
-				row[j] = vals[i]
-			}
+	for j, src := range sources {
+		cols, vals := s.Row(src) // S's column src, S being symmetric
+		for i, u := range cols {
+			b.Vals[int(u)*b.K+j] = vals[i]
 		}
 	}
 	r.prev, r.b = r.b, b
@@ -351,9 +347,10 @@ func (r *Relaxation) harvest() {
 	}
 	r.spare = r.prev.Vals // a pass in flight started from prev
 	r.prev, r.b = r.b, r.pass.Dense()
-	if r.pass.cb != nil {
-		r.cube.held = true // S never changes: its blocks stay held
-	}
+	// S never changes: the nodes of the plan the product ran hold its
+	// blocks from now on (a product that ran at (n, 1, 1) in place of
+	// the 2D plan left that plan's blocks unshipped).
+	r.pass.held = true
 	r.remaining--
 	if !r.pass.changed() {
 		r.remaining = 0
@@ -368,13 +365,13 @@ func (r *Relaxation) Next(*graph.CSR) (clique.Pass, error) {
 	if r.remaining <= 0 {
 		return clique.Pass{}, nil
 	}
-	if !r.priced {
+	if r.cube == nil {
 		if err := checkLoop(r.s); err != nil {
 			return clique.Pass{}, err
 		}
-		r.cube, r.priced = relaxPlan(r.s), true
+		r.cube = relaxPlan(r.s)
 	}
-	pass, err := newPass(r.s, r.b, r.prev, r.remaining > 1, r.spare, r.cube)
+	pass, err := newPass(r.b, r.prev, r.remaining > 1, r.spare, r.cube)
 	if err != nil {
 		return clique.Pass{}, err
 	}
@@ -401,10 +398,10 @@ func (r *Relaxation) Over() *Matrix { return r.s }
 // time, on the session that ran the one it came from.
 type Plan struct{ cp *cubePlan }
 
-// Plan returns the Relaxation's 2D plan, nil when its S prices as
-// row-pull or no engine product has priced it yet.
+// Plan returns the Relaxation's 2D plan, nil when its S prices at the
+// row-pull shape (n, 1, 1) or no engine product has priced it yet.
 func (r *Relaxation) Plan() *Plan {
-	if r.cube == nil {
+	if r.cube == nil || r.cube.rows() {
 		return nil
 	}
 	return &Plan{r.cube}
@@ -416,8 +413,8 @@ func (r *Relaxation) Plan() *Plan {
 // and, once S's blocks are held, ship only Δ and partial rows. A nil p,
 // or one over another S, changes nothing.
 func (r *Relaxation) Hold(p *Plan) {
-	if p != nil && p.cp.s == r.s && !r.priced {
-		r.cube, r.priced = p.cp, true
+	if p != nil && p.cp.s == r.s && r.cube == nil {
+		r.cube = p.cp
 	}
 }
 

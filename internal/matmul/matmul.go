@@ -12,11 +12,14 @@
 //   - MulRef / MulDenseRef: sequential references, used for
 //     verification.
 //   - Pass (NewPass / NewDensePass): distributed execution on the round
-//     engine. Node v owns row v of both operands, and node k streams
-//     its row of B, in budget-paced rounds through the engine's sharded
-//     router, to the columns of its own row of A, and nobody asks (see
-//     mul.go). The engine's stats expose exactly how many rounds and
-//     messages the model charged.
+//     engine. Every product is one node program, the 3D product of
+//     Censor-Hillel et al. at a shape (q_a, q_b, q_c) its plan fixes
+//     (see mul.go). A bare product runs at the row-pull shape (n, 1, 1):
+//     node v owns row v of both operands, and node k streams its row of
+//     B, in budget-paced rounds through the engine's sharded router, to
+//     the columns of its own row of A, and nobody asks. The engine's
+//     stats expose exactly how many rounds and messages the model
+//     charged.
 //
 // Every operand here is a function of an undirected graph — its
 // adjacency, or a power or a hopset augmentation of one — and two
@@ -31,9 +34,12 @@
 // session kernels (kernel.go): Power computes A^e by square-and-multiply,
 // and Relaxation iterates B ← S ⊗ B from the sources' indicator
 // columns, its first product read off each node's own row of S. One
-// constructor builds every engine product of both: every Relaxation
-// product after the first and every squaring after the first stream
-// only Δ, the entries the product before changed, onto
+// constructor builds every engine product of both, by the shape of its
+// plan: a Power's first squaring and multiply steps at (n, 1, 1), its
+// later squarings at the cube (q, q, q), and a Relaxation's products at
+// (n, 1, 1) or, over an S dense enough, the 2D (q, 1, q). Every
+// Relaxation product after the first and every squaring after the first
+// stream only Δ, the entries the product before changed, onto
 // accumulators that start from the node's own row. Each loop stops at
 // the first product that changes nothing, and only the loops decide
 // which products vote on that. On top of them, internal/algo builds APSP by

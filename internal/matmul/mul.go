@@ -32,14 +32,15 @@ import (
 // A sparse word carries 63/(idxBits+width) (col, field) entries; a
 // positional word carries (63-idxBits)/width fields for the consecutive
 // columns start, start+1, ... Unused high slots are 0, and no packed
-// word is 0, which leaves payload 0 free for a cube pass's vote.
+// word is 0, which leaves payload 0 free for a pass's vote.
 // Columns are global, so a segment of a row packs exactly like a row.
 // wireFormat holds the split for one product; it is derived from the
 // values the product sends alone, so every rank and every crash-resume
-// rebuilds identical words. A cube pass (cubeNode) has two: its
-// segments of X and Δ travel in the format of the values they carry,
-// and its partial rows of C in one whose range covers every product of
-// an X value and a Δ value (cubePlan.formats).
+// rebuilds identical words. A pass at any shape but the row-pull
+// (n, 1, 1) has two (cubeNode): its segments of X and Δ travel in the
+// format of the values they carry, and its partial rows of C in one
+// whose range covers every product of an X value and a Δ value
+// (cubePlan.formats).
 type wireFormat struct {
 	idxBits, width uint
 	idxMask, fMask uint64
@@ -461,40 +462,26 @@ func (wf *wireFormat) decodeBits(w uint64, row []uint64, off int) {
 	}
 }
 
-// mulNode executes one node's share of a distributed product C = A ⊗ B
-// by row-pull. Node v owns row v of A, row v of B (pre-packed into wire
-// words), and accumulates row v of C. A is symmetric (every product's
-// precondition), so the nodes that multiply by row k of B — every
-// v != k with A[v][k] != Zero — are exactly the off-diagonal columns of
-// node k's own row of A, and nobody has to ask for a row:
+// mulNode is the owner's half of a node of any product C = A ⊗ B (the
+// node program is cubeNode's): node v owns row v of B and accumulates
+// row v of C into acc, folding each packed word it is owed in the format
+// wf, and sends through its sender. On a voting pass the accumulator
+// starts at the node's row of B, and the node takes part in the vote
+// (tally).
 //
-//	round 0:    where the accumulator starts at Zero, v folds in the
-//	            local k = v contribution (where it starts at B, that is
-//	            B[v] again: a loop's A has One on its diagonal and Add
-//	            is idempotent), and its sender starts the one transfer
-//	            it holds: its packed B-row, multicast to every k != v in
-//	            supp(A[v]), one word a round.
-//	rounds >=1: inboxes hold data words, and on a voting pass the vote's;
-//	            v accumulates C[v][j] = Add(C[v][j], Mul(A[v][k], B[k][j]))
-//	            for each word received from k.
-//
-// A receiver finds A[v][k] by walking its source-ascending inbox against
-// aCols (Round). The engine's quiescence detection ends the run once
-// every row is out: the round after the last data word is delivered, no
-// node sends anything.
-//
-// On a voting pass the accumulator starts at the node's row of B, and
-// the node takes part in the vote (tally). A cube pass runs cubeNode's
-// program instead, whose owner half is a mulNode too: its acc, its vote,
-// its sender, and a wf that decodes the partial rows it folds.
+// At the shape (n, 1, 1) (cubePlan.rows) the node also holds row v of A,
+// aCols and aVals, and folds a row of B as it arrives: A is symmetric
+// (every product's precondition), so the nodes that multiply by row k
+// of B — every v != k with A[v][k] != Zero — are exactly the
+// off-diagonal columns of node k's own row of A, to which node k
+// multicasts it, and nobody has to ask for a row.
 type mulNode struct {
-	sr     core.Semiring
-	wf     *wireFormat
-	aCols  []core.NodeID // also who this node streams its row of B to, itself aside
-	aVals  []int64
-	packed []uint64 // this node's row of B, in wire format
-	acc    []int64  // this node's row of C, dense
-	out    sender
+	sr    core.Semiring
+	wf    *wireFormat
+	aCols []core.NodeID // at (n, 1, 1): also who this node streams its row of B to, itself aside
+	aVals []int64
+	acc   []int64 // this node's row of C, dense
+	out   sender
 	// bRow is this node's row of B on a voting pass, nil on any other;
 	// fromZero says the accumulator starts at Zero, ran that this process
 	// executes the node, changed that the node knows the product differs
@@ -662,44 +649,38 @@ func (nd *mulNode) accumulateBool(aik int64, w uint64) {
 	}
 }
 
-// Round runs one round of the node's share of the product and, on a
-// voting pass, of the vote. A data word from src is folded with
-// A[v][src], which exists whenever A is symmetric: src streams to the
-// columns of its own row. The inbox is source-ascending, as aCols is, so
-// one index walks both; a source behind the index (any other delivery
-// order) finds its column by a binary search instead.
-func (nd *mulNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message) error {
-	cols := nd.aCols
-	folded, heard := false, false
-	if r == 0 {
-		nd.ran = true
-		if i, ok := slices.BinarySearch(cols, ctx.ID()); ok && nd.fromZero && len(nd.packed) > 0 {
-			for _, w := range nd.packed {
-				nd.accumulate(nd.aVals[i], w)
-			}
-			folded = true
-		}
-	}
-	i := 0
+// fold folds one round's inbox of node id into its row of C: at
+// (n, 1, 1), rows set, each data word from src with A[v][src], which
+// exists whenever A is symmetric: src streams to the columns of its own
+// row; at any other shape each as a partial row, with One. The inbox is
+// source-ascending, as aCols is, so one index walks both; a source
+// behind the index (any other delivery order) finds its column by a
+// binary search instead. heard says a vote word arrived, folded that
+// data did.
+func (nd *mulNode) fold(id core.NodeID, inbox []engine.Message, rows bool) (folded, heard bool, err error) {
+	cols, i := nd.aCols, 0
 	for _, m := range inbox {
 		if m.Payload == 0 {
 			heard = true // a vote word
 			continue
 		}
-		if i == len(cols) || cols[i] > m.Src {
-			i, _ = slices.BinarySearch(cols, m.Src)
+		aik := nd.sr.One
+		if rows {
+			if i == len(cols) || cols[i] > m.Src {
+				i, _ = slices.BinarySearch(cols, m.Src)
+			}
+			for i < len(cols) && cols[i] < m.Src {
+				i++
+			}
+			if i == len(cols) || cols[i] != m.Src {
+				return folded, heard, fmt.Errorf("matmul: node %d got unsolicited data from %d", id, m.Src)
+			}
+			aik = nd.aVals[i]
 		}
-		for i < len(cols) && cols[i] < m.Src {
-			i++
-		}
-		if i == len(cols) || cols[i] != m.Src {
-			return fmt.Errorf("matmul: node %d got unsolicited data from %d", ctx.ID(), m.Src)
-		}
-		nd.accumulate(nd.aVals[i], m.Payload)
+		nd.accumulate(aik, m.Payload)
 		folded = true
 	}
-	nd.tally(ctx, r, heard, folded)
-	return nd.out.send(ctx, r)
+	return folded, heard, nil
 }
 
 // tally is a voting node's part in round r of the vote a pass takes on
@@ -726,11 +707,11 @@ func (nd *mulNode) tally(ctx *engine.Ctx, r core.Round, heard, folded bool) {
 	}
 }
 
-// sender is what one node sends in a pass, the one place every node
+// sender is what one node sends in a pass, the one place the node
 // program sends from: the transfers it holds, each a run of words to one
 // destination or, one Multicast a word, to the nodes of to, word i in
-// round at+i. The node programs time their transfers so that a link
-// carries at most one word a round (mulNode, cubeNode), and the vote
+// round at+i. The node program times its transfers so that a link
+// carries at most one word a round (cubeNode), and the vote
 // word goes behind every word its link still carries (vote). unpace
 // sends every transfer whole in its first round instead, which breaks
 // the link budget on purpose (NewPass).
@@ -841,27 +822,27 @@ func (s *sender) send(ctx *engine.Ctx, r core.Round) error {
 }
 
 // Pass is one validated, packed distributed product C = A ⊗ B prepared
-// as a single engine pass: n nodes (mulNodes, or cubeNodes on a cube
-// pass), node v holding row v of both operands and accumulating row v
-// of C into its accumulator slab, each sending through its own sender.
-// A voting pass also decides in-engine whether C equals B (tally), and
-// its accumulators start at B; it is exact only when that cannot change
-// the product, B ⊆ A ⊗ B, which a loop's One diagonal and an idempotent
-// Add make so: only the loops build one.
+// as a single engine pass: the plan it runs, what its owners packed, and
+// n nodes (cubeNode) running the plan's shape, node v owning row v of B
+// and accumulating row v of C into its accumulator slab, each sending
+// through its own sender. A voting pass also decides in-engine whether C
+// equals B (tally), and its accumulators start at B; it is exact only
+// when that cannot change the product, B ⊆ A ⊗ B, which a loop's One
+// diagonal and an idempotent Add make so: only the loops build one.
 // Power and Relaxation hand a Pass to a clique session — its nodes, its
 // MaxRoundsHint and the slab as the rows to gather — and harvest the
 // result with Sparse or Dense after the pass quiesces, chaining one Pass
 // per product on one warm session.
 type Pass struct {
-	n, cols int
-	sr      core.Semiring
-	maxRow  int
-	nodes   []engine.Node
-	state   []mulNode
-	flat    []int64
-	b       *Dense // the B operand, which the vote compares C with
-	voting  bool
-	cb      *cube // a cube pass's shared state; nil on a row-pull pass
+	*cubePlan
+	sr     core.Semiring
+	wf     *wireFormat // the format of the X-updates and Δ segments
+	prev   *Dense      // P, the operand of the squaring before
+	wide   int         // the widest phase-1 link, in words
+	maxRow int
+	flat   []int64
+	b      *Dense // the B operand, which the vote compares C with
+	voting bool
 }
 
 // Gather does nothing and returns nil. A pass run on a bare engine
@@ -885,31 +866,32 @@ func NewPass(a, b *Matrix, unpaced bool) (*Pass, error) {
 // NewDensePass validates and packs the sparse-dense product A ⊗ B with
 // B (and C) n x k dense and A equal to its transpose; any other A is
 // refused with an error naming an entry whose mirror is missing or
-// holds another value. Zero entries of B are not transmitted.
+// holds another value. Zero entries of B are not transmitted. It runs
+// at the shape (n, 1, 1) (rowPlan).
 func NewDensePass(a *Matrix, b *Dense, unpaced bool) (*Pass, error) {
 	if err := checkSymmetric(a); err != nil {
 		return nil, err
 	}
-	p, err := newPass(a, b, nil, false, nil, nil)
+	p, err := newPass(b, nil, false, nil, rowPlan(a))
 	for v := 0; err == nil && v < p.n; v++ {
-		p.state[v].out.unpace = unpaced
+		p.nds[v].out.unpace = unpaced
 	}
 	return p, err
 }
 
-// newPass builds every distributed product A ⊗ B: n nodes over one flat
-// result slab, node v holding row v of A and accumulating row v of C in
-// a K-wide accumulator. A must equal its transpose: row-pull's node k
-// sends its row of B to the columns of its own row of A, and a cube
-// pass returns columns of its products as rows (cubeNode). Its callers
-// check it once, before their first product: NewPass and NewDensePass,
-// and each loop (checkLoop), whose later operands are its own products
-// of a checked one. One sweep of B selects what each row sends and finds
-// the range of those values; every row is packed from its selection
-// bitset (packSet), in the wire format of exactly the values it packs.
-// The slab is acc when that is large enough — a slab the caller no
-// longer needs, whose contents are overwritten — and a new one
-// otherwise.
+// newPass builds every distributed product A ⊗ B, by the plan cp: n
+// nodes over one flat result slab, node v accumulating row v of C in a
+// K-wide accumulator. A must equal its transpose: at (n, 1, 1) node k
+// sends its row of B to the columns of its own row of A, and at any
+// other shape a cube node returns columns of its products as rows
+// (cubeNode). Its callers check it once, before their first product:
+// NewPass and NewDensePass, and each loop (checkLoop), whose later
+// operands are its own products of a checked one. One sweep of B selects
+// what each row sends and finds the range of those values
+// (cubePlan.formats); every row is packed from its selection bitset
+// (packSet), in the wire format of exactly the values it packs. The
+// slab is acc when that is large enough — a slab the caller no longer
+// needs, whose contents are overwritten — and a new one otherwise.
 //
 // With prev set, it packs only Δ, the entries of B that differ from
 // prev, and starts each node's accumulator from its own row of B
@@ -929,106 +911,68 @@ func NewDensePass(a *Matrix, b *Dense, unpaced bool) (*Pass, error) {
 // B also without prev; only a loop asks for it, whose A has One on its
 // diagonal, so B ⊆ A ⊗ B and the product is unchanged.
 //
-// With cp set the pass runs by the cube (cubeNode): either the
-// semi-naive squaring of X, cp being its chain's plan, whose owners send
-// segments of X as well as of Δ and whose nodes hold no row of A, so a
-// may be nil; or a Relaxation's 2D product B ⊕ S ⊗ Δ, cp being the
-// Relaxation's plan and a = S. Its partial rows need a second format
+// A is the plan's left operand (cubePlan.s) — the bare product's A, a
+// Power's first squaring's or multiply step's left operand, or a
+// Relaxation's S — except on a semi-naive squaring's plan, which has
+// none: there A is B = X itself, whose blocks the cube nodes are
+// shipped. A cube pass's partial rows need a second format
 // (cubePlan.formats); where no wire word fits one (a (min,+) operand
 // whose largest values summed near InfWeight, which uploaded weights can
-// reach), the product runs semi-naively by row-pull instead, over a = B
-// for a squaring.
-func newPass(a *Matrix, b, prev *Dense, vote bool, acc []int64, cp *cubePlan) (*Pass, error) {
-	if a != nil {
-		if err := checkPair(a.N, b.N, a.Sr, b.Sr); err != nil {
+// reach), the product runs at (n, 1, 1) instead, over A = B for a
+// squaring, and the loop's plan stays as it was.
+func newPass(b, prev *Dense, vote bool, acc []int64, cp *cubePlan) (*Pass, error) {
+	if cp.s != nil {
+		if err := checkPair(cp.s.N, b.N, cp.s.Sr, b.Sr); err != nil {
 			return nil, err
 		}
 	}
-	n, k, rw := b.N, b.K, (b.K+63)/64
-	var sel, dsel []uint64
-	switch {
-	case cp == nil:
-		sel = make([]uint64, n*rw)
-	case cp.s != nil:
-		cp.init(n, k)
-		sel = cp.dsel // a relaxation sends no segment of B but Δ's
-	default:
-		cp.init(n, k)
-		sel, dsel = cp.sel, cp.dsel
-	}
-	rg := sweep(b, prev, sel, dsel)
-	var wf, pwf *wireFormat
-	if cp != nil {
-		if wf, pwf = cp.formats(rg, k, b.Sr); pwf == nil {
-			// Row-pull from here: pack only Δ, in the format of its values.
-			if a == nil {
-				a = sparse(b)
-			}
-			return newPass(a, b, prev, vote, acc, nil)
+	wf, pwf, err := cp.formats(b, prev)
+	if pwf == nil && err == nil {
+		left := cp.s
+		if left == nil {
+			left = sparse(b)
 		}
-	}
-	var err error
-	if wf == nil {
-		wf, err = rg.format(k, b.Sr)
+		cp = rowPlan(left)
+		wf, pwf, err = cp.formats(b, prev)
 	}
 	if err != nil {
 		return nil, err
 	}
-	p := &Pass{n: n, cols: k, sr: b.Sr, b: b, voting: vote}
+	n, k := b.N, b.K
+	p := &Pass{cubePlan: cp, sr: b.Sr, wf: wf, prev: prev, b: b, voting: vote}
 	fromZero := prev == nil && !vote
 	if fromZero {
 		p.flat = fill(&acc, n*k, b.Sr.Zero)
 	} else {
 		p.flat = append(acc[:0], b.Vals...)
 	}
-	if pwf != nil {
-		// A loop's cube passes run one at a time, so they share one set.
-		p.nodes, p.state = resize(&cp.nodeSet, n), resize(&cp.state, n)
-	} else {
-		p.nodes, p.state = make([]engine.Node, n), make([]mulNode, n)
-	}
-	for v := range p.state {
+	p.pack()
+	for v := range cp.nds {
 		var aCols []core.NodeID
 		var aVals, bRow []int64
-		if a != nil {
-			aCols, aVals = a.Row(core.NodeID(v))
+		if cp.rows() {
+			aCols, aVals = cp.s.Row(core.NodeID(v))
 		}
 		if vote {
 			bRow = b.Row(core.NodeID(v))
 		}
-		p.state[v] = mulNode{sr: b.Sr, wf: wf, aCols: aCols, aVals: aVals, acc: p.flat[v*k : (v+1)*k], bRow: bRow, fromZero: fromZero}
-		p.nodes[v] = &p.state[v]
+		room := cp.xs[cp.xsAt[v]:cp.xsAt[v]:cp.xsAt[v+1]]
+		cp.nds[v] = cubeNode{mulNode: mulNode{sr: b.Sr, wf: pwf, aCols: aCols, aVals: aVals,
+			acc: p.flat[v*k : (v+1)*k], out: sender{xs: room}, bRow: bRow, fromZero: fromZero},
+			cb: p, buf: cp.nds[v].buf}
 	}
-	if pwf != nil {
-		p.asCube(newCube(b, prev, wf, cp), pwf)
-		return p, nil
-	}
-	// Pack each row's selected entries into one shared slab; ends[v] is
-	// where row v's words end.
-	var slab []uint64
-	ends := make([]int, n)
-	for v := range ends {
-		slab = wf.packSet(slab, sel[v*rw:(v+1)*rw], b.Row(core.NodeID(v)), 0, k, 0)
-		ends[v] = len(slab)
-	}
-	// The senders share one array of transfers: room for each node's row
-	// and, on a voting pass, its vote words.
-	xs := make([]transfer, n+int(flag(vote))*max(2*n-2, 0))
-	lo, at := 0, 0
-	for v, hi := range ends {
-		nd := &p.state[v]
-		room := 1 + int(flag(vote))*votes(v, n)
-		nd.out.xs, at = xs[at:at:at+room], at+room
-		nd.packed, nd.out.to = slab[lo:hi:hi], nd.aCols
-		nd.out.add(multicast, nd.packed, 0)
-		p.maxRow = max(p.maxRow, hi-lo)
-		lo = hi
+	// Phase 1 drains in p.wide rounds. At any shape but (n, 1, 1) the
+	// partial rows add at most one word per entry of a block row or
+	// column, and the vote one word a link; 4n+64 covers the rest.
+	p.maxRow = p.wide
+	if !cp.rows() {
+		p.maxRow += max(cp.lo(1), cp.loB(1)) + 1
 	}
 	return p, nil
 }
 
 // Nodes returns the pass's node set for one engine run.
-func (p *Pass) Nodes() []engine.Node { return p.nodes }
+func (p *Pass) Nodes() []engine.Node { return p.set }
 
 // changed reports whether the product differs from its B operand, as
 // the nodes this process executed heard it in the pass's vote (tally). A
@@ -1039,11 +983,11 @@ func (p *Pass) changed() bool {
 		return true
 	}
 	ran := false
-	for i := range p.state {
-		if p.state[i].changed {
+	for i := range p.nds {
+		if p.nds[i].changed {
 			return true
 		}
-		ran = ran || p.state[i].ran
+		ran = ran || p.nds[i].ran
 	}
 	if ran {
 		return false
@@ -1054,8 +998,8 @@ func (p *Pass) changed() bool {
 	return !slices.Equal(p.flat, p.b.Vals)
 }
 
-// MaxRoundsHint sizes the round bound from the widest packed row: the
-// paced drain of that row takes ~len rounds at one word per link per
+// MaxRoundsHint sizes the round bound from the widest phase-1 link: the
+// paced drain of that link takes ~len rounds at one word per link per
 // round, which for dense operands (K columns) can exceed the engine's
 // n-scaled 4n+64 default. Sizing from the actual data means legal
 // products never hit engine.ErrMaxRounds; the 4n+64 also covers a vote's
@@ -1070,18 +1014,36 @@ func (p *Pass) Sparse() *Matrix { return sparse(p.Dense()) }
 // accumulator slab already is the row-major result, so this is
 // copy-free. Call it only after the pass's engine run has quiesced.
 func (p *Pass) Dense() *Dense {
-	return &Dense{N: p.n, K: p.cols, Sr: p.sr, Vals: p.flat}
+	return &Dense{N: p.b.N, K: p.b.K, Sr: p.sr, Vals: p.flat}
 }
 
-// cubeNode executes one node's share of a semi-naive squaring
-// X ⊗ X = X ⊕ X ⊗ Δ (Power says why it is exact) by the 3D cube
-// partition of Censor-Hillel, Kaski, Korhonen, Lenzen, Paz & Suomela
-// (PODC 2015), instead of row-pull. Let q = ⌊n^{1/3}⌋ and split [0, n)
-// into the blocks B_i = [i·n/q, (i+1)·n/q). Node t = (a·q + b)·q + c < q³
-// is cube node (a, b, c); every node still owns its row of X, Δ and C.
-// A Relaxation's 2D product B ⊕ S ⊗ Δ runs the same program at the
-// shape (q, 1, q), with S in X's place, no a ≤ b rule and no column
-// emission (cubePlan).
+// cubeNode executes one node's share of every distributed product, by
+// the 3D partition of Censor-Hillel, Kaski, Korhonen, Lenzen, Paz &
+// Suomela (PODC 2015) at the shape (q_a, q_b, q_c) of its plan, the
+// parameter by which Censor-Hillel, Leitersdorf & Turner (PODC 2019)
+// size it (cubePlan). Split [0, n) into q_a blocks B_a along a and q_c
+// blocks B_c along c, B's columns into q_b blocks B_b along b; node
+// t = (a·q_b + b)·q_c + c < q_a·q_b·q_c is cube node (a, b, c), which
+// multiplies its block of the left operand, [B_a, B_c], by the Δ block
+// [B_c, B_b]. Every node still owns its row of B, Δ and C. Three shapes
+// run:
+//
+//   - (n, 1, 1), row-pull (cubePlan.rows): cube node a's block is its own
+//     row of A, held from round 0, and B_c is all of [0, n), so owner k
+//     multicasts Δ[k] (all of B[k], on a pass without prev) to the
+//     nodes a with A[a][k] ≠ Zero — the off-diagonal support of its own
+//     row, A being symmetric — one word a round from round 0. Node a
+//     folds each word on arrival with A[a][k] (mulNode.fold): its
+//     product is its own row of C, so no partial row touches a wire.
+//     Where its accumulator starts at Zero it folds its own row in round
+//     0; where it starts at B that is B[a] again, a loop's A having One
+//     on its diagonal and Add being idempotent. The engine's quiescence
+//     ends the pass the round after the last word is delivered.
+//   - (q, q, q), q = ⌊n^{1/3}⌋: the semi-naive squaring
+//     X ⊗ X = X ⊕ X ⊗ Δ (Power says why it is exact), below.
+//   - (q, 1, q), q = ⌊√n⌋: a Relaxation's 2D product B ⊕ S ⊗ Δ, the
+//     squaring's program with S in X's place, no a ≤ b rule and no
+//     column emission.
 //
 // X is symmetric — A is (the loops' precondition), and so is every
 // power of it — and so are Δ and X ⊗ X. So the product cube node
@@ -1117,13 +1079,13 @@ func (p *Pass) Dense() *Dense {
 // row w of X ⊗ X, bit for bit what the rows of (b, a, c) would have
 // given.
 //
-// On a chain's first cube squaring (or the first after a row-pull one)
-// K is empty and the X-updates are all of X[v, B_c]. After it K holds
-// the blocks of prev, the operand of that squaring, so X − K is exactly
-// Δ: each owner packs its q segments of Δ and sends them in both roles.
-// Decoding is exact either way: an update overwrites an entry (ORs a
-// bit over (or,and)), X ⊇ prev under an idempotent ⊕, and every Δ entry
-// carries X's value.
+// On a chain's first cube squaring (or the first after one at
+// (n, 1, 1)) K is empty and the X-updates are all of X[v, B_c]. After it
+// K holds the blocks of prev, the operand of that squaring, so X − K is
+// exactly Δ: each owner packs its q segments of Δ and sends them in both
+// roles. Decoding is exact either way: an update overwrites an entry
+// (ORs a bit over (or,and)), X ⊇ prev under an idempotent ⊕, and every Δ
+// entry carries X's value.
 //
 // K_t is exactly prev[B_a, B_c], what node t decoded in the squaring
 // before, so the simulation keeps no copy of it: node t reads its block
@@ -1148,13 +1110,13 @@ func (p *Pass) Dense() *Dense {
 // (docs/paper-map.md lists these). The engine's quiescence ends the pass
 // once the partial rows are out.
 //
-// A voting pass takes the same self-timed vote as a row-pull one
-// (tally): acc starts at the owner's row of X, so a row has changed from
-// the fold that moves it on, and a squaring that confirms the fixpoint
-// sends no vote word at all.
+// A voting pass takes the same self-timed vote at every shape (tally):
+// acc starts at the owner's row of B, so a row has changed from the fold
+// that moves it on, and a product that confirms the fixpoint sends no
+// vote word at all.
 type cubeNode struct {
-	*mulNode // the owner's half: acc, vote, sender, and wf, the partial rows' format
-	cb       *cube
+	mulNode // the owner's half: acc, vote, sender, and wf, the format of what it folds
+	cb      *Pass
 	// got holds the phase-1 words received, still packed, from[i] the
 	// sender of got[i] (two slices: a Message would pad to 16 bytes).
 	got  []uint64
@@ -1162,35 +1124,41 @@ type cubeNode struct {
 	buf  []uint64 // the partial rows the sender sends, kept across passes
 }
 
-// cubePlan is what the cube passes of one loop share: the shape; the
-// phase-1 link table, which the shape fixes (and, for a Relaxation, S's
-// pattern); whether the cube nodes hold their blocks of the loop's left
-// operand; and the buffers every pass refills.
+// cubePlan is what the passes of one loop, or one bare product, share:
+// the shape; the phase-1 link table, which the shape fixes (and, for a
+// Relaxation, S's pattern); whether the cube nodes hold their blocks of
+// the loop's left operand; and the buffers every pass refills, its nodes
+// among them.
 //
-// The shape is (q, qb, q): q blocks of the n rows along a and c, qb of
-// B's cols columns along b. A Power chain squares at (q, q, q),
-// q = ⌊n^{1/3}⌋, on the cube nodes with a ≤ b. A Relaxation relaxes at
-// (q, 1, q), q = ⌊√n⌋ (relaxPlan): cube node (a, 0, c) holds
-// S[B_a, B_c], receives the rows Δ[B_c] its block meets, and streams
-// its partial rows to their owners in B_a.
+// The shape is (qa, qb, qc): qa blocks of the n rows along a, qb of B's
+// cols columns along b, qc of the rows along c. A Power chain squares at
+// (q, q, q), q = ⌊n^{1/3}⌋, on the cube nodes with a ≤ b. A Relaxation
+// relaxes at (q, 1, q), q = ⌊√n⌋, or at (n, 1, 1) (relaxPlan): cube node
+// (a, 0, c) holds S[B_a, B_c], receives the rows Δ[B_c] its block meets,
+// and streams its partial rows to their owners in B_a. Every other
+// product runs at (n, 1, 1) (rowPlan).
 //
-// Both ship and bill their left operand's blocks in the loop's first
-// cube pass, and read them off the operand, what each node decoded,
-// afterwards. S never changes, so a Relaxation's blocks stay held, also
-// for a later Relaxation that starts from its plan (Plan).
+// The squaring and the 2D relaxation ship and bill their left operand's
+// blocks in the loop's first cube pass, and read them off the operand,
+// what each node decoded, afterwards. S never changes, so a Relaxation's
+// blocks stay held, also for a later Relaxation that starts from its
+// plan (Plan). At (n, 1, 1) each node's block is its own row of A, held
+// from round 0: the plan's multicast lists are A's rows, and it has no
+// link table and no sAt.
 type cubePlan struct {
-	n, cols int // the rows of the left operand, and B's columns
-	q, qb   int // blocks along a and c, and along b
-	// s is a Relaxation's S (nil on a squaring chain), sRange the range
-	// of its non-One values and sAt[u*(q+1)+c] where its row u enters
-	// block c in S.Cols.
+	n, cols    int // the rows of the left operand, and B's columns
+	qa, qb, qc int // blocks along a, b and c
+	// s is the left operand the plan fixes: a Relaxation's S, or any A at
+	// (n, 1, 1); nil on a squaring chain, whose left operand is each
+	// squaring's X. On a 2D plan, sRange is the range of S's non-One
+	// values and sAt[u*(qc+1)+c] where its row u enters block c in S.Cols.
 	s      *Matrix
 	sRange valueRange
 	sAt    []int32
 	// held says the cube nodes hold the blocks of the left operand: of
 	// prev on a squaring chain, so the X-updates are Δ; of S on a
-	// Relaxation, so no S ships. Each node knows it: it took part in the
-	// pass that shipped them.
+	// Relaxation, so no S ships; of A, their own rows, at (n, 1, 1). Each
+	// node knows it: it took part in the pass that shipped them.
 	held bool
 	// links[first[v]:first[v+1]] is what owner v sends in phase 1, and
 	// to[toAt[v]:toAt[v+1]] the cube nodes of the links that carry its Δ.
@@ -1199,12 +1167,13 @@ type cubePlan struct {
 	to          []core.NodeID
 	// xs[xsAt[v]:xsAt[v+1]] is node v's sender's room: two transfers a
 	// phase-1 link or, from F1, one for each row and column of its
-	// product and its vote words.
+	// product and its vote words; at (n, 1, 1) its multicast and its vote
+	// words.
 	xsAt []int
 	xs   []transfer
 	// sel and dsel are sweep's selection bitsets of X and Δ, from which
-	// heldBits also reads P's blocks over (or,and); a Relaxation keeps Δ
-	// in dsel alone.
+	// heldBits also reads P's blocks over (or,and); a plan with an s keeps
+	// Δ in dsel alone.
 	sel, dsel []uint64
 	// slab holds every owner's segments, segment i in
 	// slab[starts[i]:ends[i]]: X[v, B_c] − K at xSeg(v, c) and Δ[v, B_b]
@@ -1220,31 +1189,10 @@ type cubePlan struct {
 	// kept for the whole loop.
 	mu   sync.Mutex
 	free []*cubeScratch
-	// The per-node arrays of the pass in flight, which the next reuses,
-	// the nodes with their senders' transfers and the cube nodes with
-	// their bufs.
-	nodeSet []engine.Node
-	state   []mulNode
-	cubes   []cubeNode
-}
-
-// resize returns *s resized to n, in its array when that is large
-// enough, and never nil; the caller overwrites every element it reads.
-func resize[T any](s *[]T, n int) []T {
-	if *s == nil || cap(*s) < n {
-		*s = make([]T, n)
-	}
-	*s = (*s)[:n]
-	return *s
-}
-
-// cube is one cube pass: its plan, and what its owners packed.
-type cube struct {
-	*cubePlan
-	sr   core.Semiring
-	wf   *wireFormat // the format of the X-updates and Δ segments
-	prev *Dense      // P, the operand of the squaring before
-	wide int         // the widest phase-1 link, in words
+	// nds are the nodes of the pass in flight, which the next reuses, and
+	// set the same nodes as the engine runs them.
+	nds []cubeNode
+	set []engine.Node
 }
 
 // link is one phase-1 link of an owner: to cube node t, the segments
@@ -1283,17 +1231,29 @@ func cubeRoot(n int) int {
 	return q
 }
 
-// lo returns the first row of block i along a or c (lo(q) = n).
-func (cp *cubePlan) lo(i int) int { return i * cp.n / cp.q }
+// rowPlan returns the plan of a product at (n, 1, 1) over the left
+// operand a, whose rows are the nodes' blocks and the owners' multicast
+// lists.
+func rowPlan(a *Matrix) *cubePlan {
+	return &cubePlan{n: a.N, qa: a.N, qb: 1, qc: 1, s: a, held: true}
+}
+
+// rows reports whether the plan runs at (n, 1, 1), row-pull: each node's
+// block of the left operand is its own row.
+func (cp *cubePlan) rows() bool { return cp.s != nil && cp.qa == cp.n && cp.qc == 1 }
+
+// lo returns the first row of block i along c (lo(qc) = n), and along
+// a, which every shape but (n, 1, 1) splits alike.
+func (cp *cubePlan) lo(i int) int { return i * cp.n / cp.qc }
 
 // loB returns the first column of block i along b (loB(qb) = cols).
 func (cp *cubePlan) loB(i int) int { return i * cp.cols / cp.qb }
 
-// block returns the block along a or c that v lies in.
-func (cp *cubePlan) block(v int) int { return ((v+1)*cp.q - 1) / cp.n }
+// block returns the block along c, and a, that v lies in.
+func (cp *cubePlan) block(v int) int { return ((v+1)*cp.qc - 1) / cp.n }
 
 // nodes returns how many cube nodes the shape has; nodes past them idle.
-func (cp *cubePlan) nodes() int { return cp.q * cp.qb * cp.q }
+func (cp *cubePlan) nodes() int { return cp.qa * cp.qb * cp.qc }
 
 // multiplies reports whether node t computes a product: it is a cube
 // node, and on a squaring one with a ≤ b.
@@ -1303,8 +1263,8 @@ func (cp *cubePlan) multiplies(t int) bool {
 }
 
 // xSeg and dSeg index X[v, B_c] − K and Δ[v, B_b] in segs.
-func (cp *cubePlan) xSeg(v, c int) int { return v*(cp.q+cp.qb) + c }
-func (cp *cubePlan) dSeg(v, b int) int { return v*(cp.q+cp.qb) + cp.q + b }
+func (cp *cubePlan) xSeg(v, c int) int { return v*(cp.qc+cp.qb) + c }
+func (cp *cubePlan) dSeg(v, b int) int { return v*(cp.qc+cp.qb) + cp.qc + b }
 
 // xOff is the column offset the X-updates travel at: a Relaxation's
 // segments of S are columns cols.. of a space whose first cols columns
@@ -1318,16 +1278,16 @@ func (cp *cubePlan) xOff() int {
 
 // share returns cube node t's share.
 func (cp *cubePlan) share(t int) share {
-	a, b, c := t/(cp.qb*cp.q), t/cp.q%cp.qb, t%cp.q
+	a, b, c := t/(cp.qb*cp.qc), t/cp.qc%cp.qb, t%cp.qc
 	la, lb, lc := cp.lo(a), cp.loB(b), cp.lo(c)
 	return share{t: t, a: a, b: b, la: la, lb: lb, lc: lc,
 		ra: cp.lo(a+1) - la, rb: cp.loB(b+1) - lb, rc: cp.lo(c+1) - lc, diag: cp.s == nil && a == b && b == c}
 }
 
 // relaxPlan decides, once per Relaxation and from S alone, how its
-// engine products run: it prices one full column of Δ under each
-// schedule, in entries moved, and returns a 2D plan when that moves
-// fewer, nil for row-pull. Row-pull sends Δ[k] to every off-diagonal
+// engine products run: it prices one full column of Δ at (n, 1, 1) and
+// at (q, 1, q), q = ⌊√n⌋, in entries moved, and returns the plan of the
+// shape that moves fewer. Row-pull sends Δ[k] to every off-diagonal
 // neighbour of k: Σ_k deg(k) − 1, S's diagonal being One. The 2D
 // product sends Δ[k] to every cube node (a, 0, block(k)) with
 // S[B_a, k] ≠ Zero, and each cube node (a, 0, c) returns one partial
@@ -1340,7 +1300,7 @@ func relaxPlan(s *Matrix) *cubePlan {
 	for (q+1)*(q+1) <= s.N {
 		q++
 	}
-	cp := &cubePlan{n: s.N, q: q, qb: 1, s: s, sAt: make([]int32, s.N*(q+1))}
+	cp := &cubePlan{n: s.N, qa: q, qb: 1, qc: q, s: s, sAt: make([]int32, s.N*(q+1))}
 	blocks := 0
 	for u := 0; u < s.N; u++ {
 		at, e := cp.sAt[u*(q+1):(u+1)*(q+1)], s.Rows[u]
@@ -1353,7 +1313,7 @@ func relaxPlan(s *Matrix) *cubePlan {
 		}
 	}
 	if 2*blocks >= s.NNZ()-s.N {
-		return nil
+		return rowPlan(s)
 	}
 	for _, v := range s.Vals {
 		if v != s.Sr.One {
@@ -1365,28 +1325,45 @@ func relaxPlan(s *Matrix) *cubePlan {
 
 // sBlock returns S's entries in row u and block c.
 func (cp *cubePlan) sBlock(u, c int) ([]core.NodeID, []int64) {
-	lo, hi := cp.sAt[u*(cp.q+1)+c], cp.sAt[u*(cp.q+1)+c+1]
+	lo, hi := cp.sAt[u*(cp.qc+1)+c], cp.sAt[u*(cp.qc+1)+c+1]
 	return cp.s.Cols[lo:hi], cp.s.Vals[lo:hi]
 }
 
 // init sizes the plan for n nodes and B's cols columns: once per loop
-// the link table, every sender's room and the buffers whose size n alone
-// fixes, and the selection bitsets whenever cols changes.
+// the link table, every sender's room, the nodes and the buffers whose
+// size n alone fixes, and the selection bitsets whenever cols changes.
 func (cp *cubePlan) init(n, cols int) {
 	cp.cols = cols
 	if cp.s == nil {
-		cp.q, cp.qb = cubeRoot(n), cubeRoot(n)
+		q := cubeRoot(n)
+		cp.qa, cp.qb, cp.qc = q, q, q
 	}
-	if rw := (cols + 63) / 64; len(cp.sel) != n*rw {
-		cp.sel, cp.dsel = make([]uint64, n*rw), make([]uint64, n*rw)
+	if rw := (cols + 63) / 64; len(cp.dsel) != n*rw {
+		cp.dsel = make([]uint64, n*rw)
+		if cp.s == nil {
+			cp.sel = make([]uint64, n*rw)
+		}
 	}
-	if cp.links != nil && cp.n == n {
+	if cp.set != nil && cp.n == n {
 		return
 	}
 	cp.n = n
-	q, qb := cp.q, cp.qb
-	cp.links, cp.first, cp.toAt = make([]link, 0, 2*n*q*qb), make([]int, n+1), make([]int, n+1)
-	cp.to = make([]core.NodeID, 0, n*q*qb)
+	cp.nds, cp.set = make([]cubeNode, n), make([]engine.Node, n)
+	for v := range cp.set {
+		cp.set[v] = &cp.nds[v]
+	}
+	qa, qb, qc := cp.qa, cp.qb, cp.qc
+	cp.starts, cp.ends = make([]int, n*(qc+qb)+1), make([]int, n*(qc+qb))
+	cp.xsAt = make([]int, n+1)
+	if cp.rows() {
+		for v := 0; v < n; v++ {
+			cp.xsAt[v+1] = cp.xsAt[v] + 1 + votes(v, n)
+		}
+		cp.xs = make([]transfer, cp.xsAt[n])
+		return
+	}
+	cp.links, cp.first, cp.toAt = make([]link, 0, 2*n*qa*qb), make([]int, n+1), make([]int, n+1)
+	cp.to = make([]core.NodeID, 0, n*qa*qb)
 	add := func(t, x, d int) {
 		cp.links = append(cp.links, link{int32(t), int32(x), int32(d)})
 		if d >= 0 {
@@ -1397,32 +1374,31 @@ func (cp *cubePlan) init(n, cols int) {
 	// Δ[v, B_b]: on a squaring every one with a2 ≤ b does; on a
 	// Relaxation the ones whose S[B_a2, v] holds an entry, which owner v
 	// reads off its own row of S.
-	meets := make([]bool, q)
+	meets := make([]bool, qa)
 	needs := func(a2, b int) bool { return cp.s == nil && a2 <= b || cp.s != nil && meets[a2] }
 	for v := 0; v < n; v++ {
 		a := cp.block(v)
-		for a2 := 0; cp.s != nil && a2 < q; a2++ {
-			meets[a2] = cp.sAt[v*(q+1)+a2+1] > cp.sAt[v*(q+1)+a2]
+		for a2 := 0; cp.s != nil && a2 < qa; a2++ {
+			meets[a2] = cp.sAt[v*(qc+1)+a2+1] > cp.sAt[v*(qc+1)+a2]
 		}
 		for b := 0; b < qb; b++ {
-			for c := 0; c < q && (cp.s != nil || b >= a); c++ {
+			for c := 0; c < qc && (cp.s != nil || b >= a); c++ {
 				d := -1
 				if c == a && needs(a, b) && (cp.s != nil || b != a) {
 					d = cp.dSeg(v, b)
 				}
-				add((a*qb+b)*q+c, cp.xSeg(v, c), d)
+				add((a*qb+b)*qc+c, cp.xSeg(v, c), d)
 			}
 		}
 		for b := 0; b < qb; b++ {
-			for a2 := 0; a2 < q; a2++ {
+			for a2 := 0; a2 < qa; a2++ {
 				if a2 != a && needs(a2, b) {
-					add((a2*qb+b)*q+a, -1, cp.dSeg(v, b))
+					add((a2*qb+b)*qc+a, -1, cp.dSeg(v, b))
 				}
 			}
 		}
 		cp.first[v+1], cp.toAt[v+1] = len(cp.links), len(cp.to)
 	}
-	cp.xsAt = make([]int, n+1)
 	for v := 0; v < n; v++ {
 		rows := 0
 		if sh := cp.share(v); cp.multiplies(v) {
@@ -1432,16 +1408,32 @@ func (cp *cubePlan) init(n, cols int) {
 		cp.xsAt[v+1] = cp.xsAt[v] + max(2*(cp.first[v+1]-cp.first[v]), rows+votes(v, n))
 	}
 	cp.xs = make([]transfer, cp.xsAt[n])
-	cp.starts, cp.ends = make([]int, n*(q+qb)), make([]int, n*(q+qb))
 	cp.in, cp.at = make([]int, cp.nodes()), make([]int, cp.nodes()+1)
 }
 
-// formats returns a cube pass's phase-1 format and its partial rows',
-// given the range rg of the values of B it sends: the left operand's
-// values (X's, which rg spans, or S's, which ship at xOff only while
-// not held) and Δ's, and every product of one of each. Both are nil
-// when no wire word fits one, and the product runs by row-pull.
-func (cp *cubePlan) formats(rg valueRange, k int, sr core.Semiring) (wf, pwf *wireFormat) {
+// formats sweeps B, sizing the plan for it (init), and returns a pass's
+// two wire formats: wf, of the segments of B and of the left operand
+// that owners send in phase 1, and pwf, of the words each node folds —
+// at (n, 1, 1) the rows of B it receives, so wf itself; at any other
+// shape the partial rows, whose range covers every product of one of
+// the left operand's values (X's, which the sweep spans, or S's, which
+// ship at xOff only while not held) and one of Δ's. At (n, 1, 1) an
+// error says no wire word fits B's values; at any other shape both are
+// nil, and err too, when no wire word fits one, and the product runs at
+// (n, 1, 1) (newPass).
+func (cp *cubePlan) formats(b, prev *Dense) (wf, pwf *wireFormat, err error) {
+	k, sr := b.K, b.Sr
+	cp.init(b.N, k)
+	var rg valueRange
+	if cp.s != nil {
+		rg = sweep(b, prev, cp.dsel, nil) // it sends no segment of B but Δ's
+	} else {
+		rg = sweep(b, prev, cp.sel, cp.dsel)
+	}
+	if cp.rows() {
+		wf, err = rg.format(k, sr)
+		return wf, wf, err
+	}
 	left, ship, cols := rg, rg, k
 	if cp.s != nil {
 		left = cp.sRange
@@ -1450,23 +1442,23 @@ func (cp *cubePlan) formats(rg valueRange, k int, sr core.Semiring) (wf, pwf *wi
 		}
 	}
 	prg, ok := left.times(rg, sr)
-	wf, err := ship.format(cols, sr)
-	if !ok || err != nil {
-		return nil, nil
+	wf, err1 := ship.format(cols, sr)
+	pwf, err2 := prg.format(k, sr)
+	if !ok || err1 != nil || err2 != nil {
+		return nil, nil, nil
 	}
-	if pwf, err = prg.format(k, sr); err != nil {
-		return nil, nil
-	}
-	return wf, pwf
+	return wf, pwf, nil
 }
 
-// newCube packs every owner's segments in the format wf — X from the
+// pack packs every owner's segments in the format p.wf — X from the
 // sweep's bitset sel, S off S unless held, Δ from dsel — and sizes phase
 // 1 off the plan's links. While a squaring chain's blocks are held the
-// X-updates are the Δ segments and each owner packs q segments, not 2q.
-func newCube(b, prev *Dense, wf *wireFormat, cp *cubePlan) *cube {
-	cb := &cube{cubePlan: cp, sr: b.Sr, wf: wf, prev: prev}
-	n, q, rw := cp.n, cp.q, (b.K+63)/64
+// X-updates are the Δ segments and each owner packs q segments, not 2q;
+// at (n, 1, 1) each owner packs one, its row of Δ, and phase 1 is as
+// wide as the widest.
+func (p *Pass) pack() {
+	cp, b, wf := p.cubePlan, p.b, p.wf
+	n, qc, rw := cp.n, cp.qc, (b.K+63)/64
 	var srow []int64  // S's row, at its entries, while its blocks ship
 	var sset []uint64 // and its entries
 	if cp.s != nil && !cp.held {
@@ -1483,7 +1475,7 @@ func newCube(b, prev *Dense, wf *wireFormat, cp *cubePlan) *cube {
 				srow[j], sset[j/64] = vals[i], sset[j/64]|1<<(j%64)
 			}
 		}
-		for c := 0; c < q; c++ {
+		for c := 0; c < qc; c++ {
 			switch {
 			case cp.held:
 			case srow != nil:
@@ -1501,8 +1493,14 @@ func newCube(b, prev *Dense, wf *wireFormat, cp *cubePlan) *cube {
 	cp.slab = slab
 	cp.starts[0] = 0
 	copy(cp.starts[1:], cp.ends)
+	if cp.rows() {
+		for v := 0; v < n; v++ {
+			p.wide = max(p.wide, len(p.seg(int32(cp.dSeg(v, 0)))))
+		}
+		return
+	}
 	for v := 0; cp.held && cp.s == nil && v < n; v++ {
-		for c := 0; c < q; c++ {
+		for c := 0; c < qc; c++ {
 			x, d := cp.xSeg(v, c), cp.dSeg(v, c)
 			cp.starts[x], cp.ends[x] = cp.starts[d], cp.ends[d]
 		}
@@ -1510,10 +1508,10 @@ func newCube(b, prev *Dense, wf *wireFormat, cp *cubePlan) *cube {
 	clear(cp.in)
 	for v := 0; v < n; v++ {
 		for _, l := range cp.links[cp.first[v]:cp.first[v+1]] {
-			words := len(cb.seg(l.x)) + len(cb.seg(l.d))
+			words := len(p.seg(l.x)) + len(p.seg(l.d))
 			cp.in[l.t] += words
 			if int(l.t) != v {
-				cb.wide = max(cb.wide, words)
+				p.wide = max(p.wide, words)
 			}
 		}
 	}
@@ -1523,7 +1521,6 @@ func newCube(b, prev *Dense, wf *wireFormat, cp *cubePlan) *cube {
 	total := cp.at[len(cp.in)]
 	cp.got = slices.Grow(cp.got[:0], total)[:total]
 	cp.from = slices.Grow(cp.from[:0], total)[:total]
-	return cb
 }
 
 // heldVals returns, in s.x, the columns of K_t, the cube node sh's
@@ -1588,21 +1585,21 @@ func (nd *cubeNode) relaxProduct(s *cubeScratch, sh share, prod []int64, hit []u
 // words in x; a Relaxation's block, as relaxProduct reads it, off S. On
 // a squaring prev's non-Zero entries are X's less Δ's (X ⊇ prev), so it
 // reads them off the selection bitsets, a word at a time.
-func (cb *cube) heldBits(x []uint64, sh share, xw int) {
+func (p *Pass) heldBits(x []uint64, sh share, xw int) {
 	clear(x)
-	for i := 0; cb.s != nil && i < sh.ra; i++ {
-		cols, _ := cb.sBlock(sh.la+i, cb.block(sh.lc))
+	for i := 0; p.s != nil && i < sh.ra; i++ {
+		cols, _ := p.sBlock(sh.la+i, p.block(sh.lc))
 		for _, j := range cols {
 			k := int(j) - sh.lc
 			x[i*xw+k/64] |= 1 << (k % 64)
 		}
 	}
-	if !cb.held || cb.s != nil {
+	if !p.held || p.s != nil {
 		return
 	}
-	rw := (cb.n + 63) / 64
+	rw := (p.n + 63) / 64
 	for i := range len(x) / xw {
-		xs, ds := cb.sel[(sh.la+i)*rw:][:rw], cb.dsel[(sh.la+i)*rw:][:rw]
+		xs, ds := p.sel[(sh.la+i)*rw:][:rw], p.dsel[(sh.la+i)*rw:][:rw]
 		for w := range xw {
 			j, k := sh.lc+64*w, min(64, sh.rc-64*w)
 			x[i*xw+w] = bitsAt(xs, j, k) &^ bitsAt(ds, j, k)
@@ -1613,49 +1610,32 @@ func (cb *cube) heldBits(x []uint64, sh share, xw int) {
 // isUpdate reports whether the phase-1 word w from src, received by the
 // cube node sh, is one of its X-updates: its sender lies in B_a and its
 // first column, less xOff, in B_c. Any other word is a Δ segment.
-func (cb *cube) isUpdate(w uint64, src int, sh *share) bool {
-	j := cb.wf.firstCol(w) - cb.xOff()
+func (p *Pass) isUpdate(w uint64, src int, sh *share) bool {
+	j := p.wf.firstCol(w) - p.xOff()
 	return src >= sh.la && src < sh.la+sh.ra && j >= sh.lc && j < sh.lc+sh.rc
 }
 
 // seg returns segment i, or nothing for i = -1.
-func (cb *cube) seg(i int32) []uint64 {
+func (p *Pass) seg(i int32) []uint64 {
 	if i < 0 {
 		return nil
 	}
-	return cb.slab[cb.starts[i]:cb.ends[i]:cb.ends[i]]
+	return p.slab[p.starts[i]:p.ends[i]:p.ends[i]]
 }
 
-// asCube makes p a cube pass: its nodes run cubeNode over cb, and fold
-// partial rows in the format pwf.
-func (p *Pass) asCube(cb *cube, pwf *wireFormat) {
-	p.cb = cb
-	cubes := resize(&cb.cubes, p.n)
-	for v := range cubes {
-		p.state[v].wf = pwf
-		p.state[v].out.xs = cb.xs[cb.xsAt[v]:cb.xsAt[v]:cb.xsAt[v+1]]
-		cubes[v] = cubeNode{mulNode: &p.state[v], cb: cb, buf: cubes[v].buf}
-		p.nodes[v] = &cubes[v]
-	}
-	// Phase 2 adds at most one word per entry of a block row or column,
-	// and the vote one word a link; 4n+64 covers the rest.
-	p.maxRow = cb.wide + max(cb.lo(1), cb.loB(1)) + 1
-}
-
-// Round runs one round of the cube protocol and its vote.
+// Round runs one round of the node's share of the product and of its
+// vote: at (n, 1, 1) it folds the rows that arrive; at any other shape
+// it keeps the phase-1 words until F1, multiplies, and folds the partial
+// rows that arrive after.
 func (nd *cubeNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message) error {
 	id, cb := int(ctx.ID()), nd.cb
 	final := core.Round(cb.wide) // F1
 	if r == 0 {
 		nd.ran = true
-		if id < cb.nodes() {
-			lo, hi := cb.at[id], cb.at[id+1]
-			nd.got, nd.from = cb.got[lo:lo:hi], cb.from[lo:lo:hi]
-		}
 		nd.phase1(core.NodeID(id))
 	}
 	folded, heard := false, false
-	if r <= final {
+	if !cb.rows() && r <= final {
 		for _, m := range inbox {
 			nd.got, nd.from = append(nd.got, m.Payload), append(nd.from, m.Src)
 		}
@@ -1666,13 +1646,9 @@ func (nd *cubeNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message)
 			nd.got, nd.from = nil, nil
 		}
 	} else {
-		for _, m := range inbox {
-			if m.Payload == 0 {
-				heard = true // a vote word
-				continue
-			}
-			nd.accumulate(nd.sr.One, m.Payload)
-			folded = true
+		var err error
+		if folded, heard, err = nd.fold(ctx.ID(), inbox, cb.rows()); err != nil {
+			return err
 		}
 	}
 	nd.tally(ctx, r, heard, folded)
@@ -1681,9 +1657,14 @@ func (nd *cubeNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message)
 
 // phase1 queues owner id's phase-1 transfers in its sender, each link's
 // Δ segment behind its X-update, and keeps the segments it sends
-// itself.
+// itself. At (n, 1, 1) its own row is its own term, which it folds at
+// once where its accumulator starts at Zero.
 func (nd *cubeNode) phase1(id core.NodeID) {
 	cb, out := nd.cb, &nd.out
+	if int(id) < cb.nodes() && !cb.rows() {
+		lo, hi := cb.at[id], cb.at[id+1]
+		nd.got, nd.from = cb.got[lo:lo:hi], cb.from[lo:lo:hi]
+	}
 	keep := func(seg []uint64) {
 		for _, w := range seg {
 			nd.got, nd.from = append(nd.got, w), append(nd.from, id)
@@ -1691,10 +1672,17 @@ func (nd *cubeNode) phase1(id core.NodeID) {
 	}
 	if cb.s != nil && cb.held {
 		// The owner's Δ segment is all it sends: one word a round to every
-		// cube node that takes it, as row-pull streams a row.
-		d, to := cb.seg(int32(cb.dSeg(int(id), 0))), cb.to[cb.toAt[id]:cb.toAt[id+1]]
-		if slices.Contains(to, id) {
-			keep(d)
+		// node that takes it, at (n, 1, 1) the columns of its own row of A.
+		d, to := cb.seg(int32(cb.dSeg(int(id), 0))), nd.aCols
+		if !cb.rows() {
+			to = cb.to[cb.toAt[id]:cb.toAt[id+1]]
+			if slices.Contains(to, id) {
+				keep(d)
+			}
+		} else if i, ok := slices.BinarySearch(to, id); ok && nd.fromZero {
+			for _, w := range d {
+				nd.accumulate(nd.aVals[i], w)
+			}
 		}
 		out.to = to
 		out.add(multicast, d, 0)

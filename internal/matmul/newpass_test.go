@@ -61,13 +61,13 @@ func BenchmarkNewPass(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			var acc []int64
-			var cp *cubePlan
-			if bc.cube {
-				cp = &cubePlan{}
+			cp := &cubePlan{}
+			if !bc.cube {
+				cp = rowPlan(bc.a)
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				pass, err := newPass(bc.a, bc.b, bc.p, false, acc, cp)
+				pass, err := newPass(bc.b, bc.p, false, acc, cp)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -30,10 +30,11 @@ func relaxRef(t *testing.T, s *Matrix, b *Dense, products int) *Dense {
 // TestRelaxationMatchesIteratedRef: a Relaxation of every product count
 // 0..β returns exactly the columns β products of MulDenseRef do from the
 // sources' indicator columns, over every semiring, with distinct and
-// with repeated sources. The first product is local, so a Relaxation
-// runs at most β-1 engine passes and none for β <= 1, and streams only
-// the entries the product before changed from its first engine product
-// on.
+// with repeated sources, isolated ones among them. The first product is
+// local, so a Relaxation runs at most β-1 engine passes and none for
+// β <= 1, and streams only the entries the product before changed from
+// its first engine product on. The local product is
+// MulDenseRef(S, Indicator) before any pass runs.
 func TestRelaxationMatchesIteratedRef(t *testing.T) {
 	const n, beta = 40, 8
 	for _, sr := range core.AllSemirings() {
@@ -42,10 +43,22 @@ func TestRelaxationMatchesIteratedRef(t *testing.T) {
 		if err != nil {
 			t.Fatalf("FromGraph(%s): %v", sr.Name, err)
 		}
-		for _, sources := range [][]core.NodeID{{0, 7, 19, 33}, {19, 7, 19, 0, 7}} {
+		for _, v := range []core.NodeID{7, 13, 35} {
+			if cols, _ := s.Row(v); len(cols) != 1 {
+				t.Fatalf("vertex %d has %d entries in S; the fixture needs it isolated", v, len(cols))
+			}
+		}
+		for _, sources := range [][]core.NodeID{{0, 7, 19, 33}, {19, 7, 19, 0, 7}, {13, 35, 2, 13, 35}} {
+			local, err := MulDenseRef(s, Indicator(n, sources, sr))
+			if err != nil {
+				t.Fatal(err)
+			}
 			for products := 0; products <= beta; products++ {
 				name := fmt.Sprintf("%s sources=%v products=%d", sr.Name, sources, products)
 				rx := NewRelaxation(s, sources, products)
+				if products > 0 && !slices.Equal(rx.b.Vals, local.Vals) {
+					t.Fatalf("%s: the local product differs from MulDenseRef(S, Indicator)", name)
+				}
 				st, err := clique.NewSize(n)
 				if err != nil {
 					t.Fatal(err)
@@ -73,7 +86,10 @@ func TestRelaxationMatchesIteratedRef(t *testing.T) {
 
 // TestRelaxationFromIsolatedSources: when every source is isolated the
 // local first product changes nothing, and the next product, one engine
-// pass, confirms the fixpoint without a word. Over every semiring.
+// pass, confirms the fixpoint without a word. Over every semiring. A
+// Relaxation of one product is its local product alone, complete before
+// any pass, and equals MulDenseRef(S, Indicator) also for sources that
+// repeat and mix isolated with connected ones.
 func TestRelaxationFromIsolatedSources(t *testing.T) {
 	g, err := graph.LoadEdgeList(strings.NewReader("p 8\n0 1 4\n1 2 3\n2 3 5\n"))
 	if err != nil {
@@ -103,6 +119,15 @@ func TestRelaxationFromIsolatedSources(t *testing.T) {
 		if st.Runs != 1 || st.Engine.TotalMsgs != 0 {
 			t.Errorf("%s: %d passes and %d words, want the one silent pass that confirms the fixpoint",
 				sr.Name, st.Runs, st.Engine.TotalMsgs)
+		}
+		for _, srcs := range [][]core.NodeID{sources, {2, 6, 2, 0, 7}} {
+			want, err := MulDenseRef(s, Indicator(g.N, srcs, sr))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := NewRelaxation(s, srcs, 1).Result().(*Dense); got == nil || !slices.Equal(got.Vals, want.Vals) {
+				t.Errorf("%s sources=%v: one product is not MulDenseRef(S, Indicator)", sr.Name, srcs)
+			}
 		}
 	}
 }
@@ -269,9 +294,9 @@ func (w *relaxWatch) Next(g *graph.CSR) (clique.Pass, error) {
 	if err != nil || pass.Nodes == nil {
 		return pass, err
 	}
-	cb := w.pass.cb
-	w.cube, w.held = append(w.cube, cb != nil), append(w.held, cb != nil && cb.held)
-	if cb != nil {
+	cb := w.pass
+	w.cube, w.held = append(w.cube, !cb.rows()), append(w.held, !cb.rows() && cb.held)
+	if !cb.rows() {
 		nodes := make([]engine.Node, len(pass.Nodes))
 		for v, nd := range pass.Nodes {
 			nodes[v] = &cubeAudit{Node: &linkCheck{Node: nd, perSrc: make([]int, len(pass.Nodes))}, cb: cb}
@@ -295,7 +320,7 @@ func relaxFixture(t *testing.T, n, k int, sr core.Semiring) (*Matrix, []core.Nod
 	if err != nil {
 		t.Fatal(err)
 	}
-	if relaxPlan(s) == nil {
+	if relaxPlan(s).rows() {
 		t.Fatalf("n = %d: the fixture prices as row-pull", n)
 	}
 	sources := make([]core.NodeID, k)
@@ -355,4 +380,49 @@ func TestRelaxation2DMatchesRef(t *testing.T) {
 		t.Error("no product ran while the cube nodes held S's blocks")
 	}
 	t.Logf("%d relaxations, %d held products", shipped, held)
+}
+
+// TestRelaxation2DFallsBackToRowPull: a Relaxation whose S prices as 2D
+// runs a product whose partial rows no wire word fits at (n, 1, 1)
+// instead, and leaves S's blocks unshipped, so its next 2D product ships
+// them. S is relaxFixture's at n = 9 over (min,+) with 100 source
+// columns, but for one edge of weight 2^55 + 64: the first engine
+// product's Δ carries that weight, and the products of an S value and a
+// Δ value span more than 2^56, a 57-bit field beside the 7 index bits of
+// 100 columns, so no format fits its partial rows; phase 1 still fits
+// (S and Δ span 56 bits beside the 7 bits of 109 columns). Once the light paths undercut the edge, Δ is
+// small and the products run by the 2D partition again. Every pass
+// bills what the traffic model gives — predictRelax2D with held false
+// for the product that falls back and for the one that ships S — and
+// the columns are iterated MulDenseRef's.
+func TestRelaxation2DFallsBackToRowPull(t *testing.T) {
+	const n, k = 9, 100
+	sr := core.MinPlus()
+	light, sources := relaxFixture(t, n, k, sr)
+	d := dense(light)
+	d.Row(0)[1], d.Row(1)[0] = 1<<55+64, 1<<55+64
+	s := sparse(d)
+	if relaxPlan(s).rows() {
+		t.Fatal("the heavy-edge S prices as row-pull")
+	}
+	w := &relaxWatch{Relaxation: NewRelaxation(s, sources, n), t: t}
+	m := newLoopModel(t, w)
+	var got []passTraffic
+	if _, err := runProduct(n, m, trafficHook(&got)); err != nil {
+		t.Fatal(err)
+	}
+	if want := relaxRef(t, s, Indicator(n, sources, sr), n); !slices.Equal(w.Result().(*Dense).Vals, want.Vals) {
+		t.Fatal("columns differ from iterated MulDenseRef")
+	}
+	if !slices.Equal(got, m.want) {
+		t.Errorf("per-pass rounds/words %v, model %v", got, m.want)
+	}
+	if len(w.cube) < 3 || w.cube[0] || !w.cube[1] || w.held[1] {
+		t.Fatalf("passes by the cube %v, holding S %v; want the first at (n, 1, 1) and the second shipping S", w.cube, w.held)
+	}
+	for i := 2; i < len(w.held); i++ {
+		if !w.cube[i] || !w.held[i] {
+			t.Errorf("product %d: by the cube %v, holding S %v", i+1, w.cube[i], w.held[i])
+		}
+	}
 }

@@ -195,16 +195,17 @@ func ReadPower(r *ckptio.Reader) (*Power, error) {
 
 // WriteRelaxation harvests x's in-flight product, if any, and encodes
 // its cursor: S, B, remaining, the B before the last product (nil
-// allowed), and whether the cube nodes hold S's blocks. The blocks
-// themselves are node state a restore reads off S, so the cursor
-// carries only the bit.
+// allowed), and whether the cube nodes of a 2D plan hold S's blocks (at
+// (n, 1, 1) each node's block is its own row, and the bit is false).
+// The blocks themselves are node state a restore reads off S, so the
+// cursor carries only the bit.
 func WriteRelaxation(w *ckptio.Writer, x *Relaxation) {
 	x.harvest()
 	WriteMatrix(w, x.s)
 	WriteDense(w, x.b)
 	w.I64(int64(x.remaining))
 	WriteDense(w, x.prev)
-	w.Bool(x.cube != nil && x.cube.held)
+	w.Bool(x.cube != nil && x.cube.held && !x.cube.rows())
 }
 
 // ReadRelaxation decodes a cursor written by WriteRelaxation into a
@@ -215,8 +216,9 @@ func WriteRelaxation(w *ckptio.Writer, x *Relaxation) {
 // product (NewRelaxation runs it), so the next product is an engine one
 // and bills what an uninterrupted run bills. A cursor with products left
 // but no previous columns, or previous columns of another shape, is
-// refused, and so is one that holds blocks of an S that prices as
-// row-pull or breaks the loops' precondition (checkLoop). S is checked
+// refused, and so is one that holds blocks of an S that prices at the
+// row-pull shape (n, 1, 1), whose cursor never sets the bit, or breaks
+// the loops' precondition (checkLoop). S is checked
 // where a fresh Relaxation's is, at its first engine product, unless
 // the cursor's blocks are held.
 func ReadRelaxation(r *ckptio.Reader, withHeld bool) (*Relaxation, error) {
@@ -246,10 +248,10 @@ func ReadRelaxation(r *ckptio.Reader, withHeld bool) (*Relaxation, error) {
 		if err := checkLoop(x.s); err != nil {
 			return nil, err
 		}
-		if x.cube = relaxPlan(x.s); x.cube == nil || x.prev == nil {
+		if x.cube = relaxPlan(x.s); x.cube.rows() || x.prev == nil {
 			return nil, fmt.Errorf("matmul: relaxation state says its cube nodes hold blocks of an S it does not relax by blocks")
 		}
-		x.cube.held, x.priced = true, true
+		x.cube.held = true
 	}
 	return x, nil
 }

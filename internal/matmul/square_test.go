@@ -20,7 +20,7 @@ func sameBits(a, b *Matrix) bool {
 // squarePass is the semi-naive squaring X ⊗ X = X ⊕ X ⊗ Δ of an X =
 // prev ⊗ prev, as Power builds it.
 func squarePass(x, prev *Matrix) (*Pass, error) {
-	return newPass(nil, dense(x), dense(prev), true, nil, &cubePlan{})
+	return newPass(dense(x), dense(prev), true, nil, &cubePlan{})
 }
 
 // TestSemiNaiveSquaringMatchesRef: over every semiring, on random
@@ -217,7 +217,7 @@ func TestCubeProductMatchesRef(t *testing.T) {
 				t.Fatal(err)
 			}
 			// blockLocal is a's edges inside the blocks B_i alone.
-			cb := &cubePlan{n: n, q: cubeRoot(n)}
+			cb := &cubePlan{n: n, qa: cubeRoot(n), qc: cubeRoot(n)}
 			bld := newBuilder(n, sr)
 			for v := 0; v < n; v++ {
 				row := slices.Clone(dense(a).Row(core.NodeID(v)))
@@ -267,7 +267,7 @@ func TestCubeProductMatchesRef(t *testing.T) {
 				want := square(tc.x)
 				for _, held := range []bool{false, true} {
 					name := fmt.Sprintf("%s %v/n%d/%s/held=%v", sr.Name, sr.Kind(), n, tc.name, held)
-					p, err := newPass(nil, dense(tc.x), tc.prev, true, nil, &cubePlan{held: held})
+					p, err := newPass(dense(tc.x), tc.prev, true, nil, &cubePlan{held: held})
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
@@ -289,7 +289,8 @@ func TestCubeProductMatchesRef(t *testing.T) {
 
 // TestCubeFallsBackToRowPull: a (min,+) squaring whose largest value
 // doubled saturates has no wire format for its partial rows, so it
-// runs row-pull instead — and still returns X ⊗ X.
+// runs at the shape (n, 1, 1), row-pull, instead — and still returns
+// X ⊗ X.
 func TestCubeFallsBackToRowPull(t *testing.T) {
 	sr := core.MinPlus()
 	huge := core.InfWeight/2 + 1
@@ -297,12 +298,12 @@ func TestCubeFallsBackToRowPull(t *testing.T) {
 	bld.appendRow([]int64{sr.One, huge})
 	bld.appendRow([]int64{huge, sr.One})
 	x := bld.m
-	p, err := newPass(nil, dense(x), dense(x), false, nil, &cubePlan{})
+	p, err := newPass(dense(x), dense(x), false, nil, &cubePlan{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := p.Nodes()[0].(*mulNode); !ok {
-		t.Fatalf("node 0 runs %T, want the row-pull *mulNode", p.Nodes()[0])
+	if !p.rows() || p.qa != 2 || p.qb != 1 || p.qc != 1 {
+		t.Fatalf("the pass runs at (%d, %d, %d), want the row-pull shape (2, 1, 1)", p.qa, p.qb, p.qc)
 	}
 	runVotePass(t, p, 1)
 	want, err := MulRef(x, x)

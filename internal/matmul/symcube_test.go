@@ -33,7 +33,7 @@ func generic(sr core.Semiring) core.Semiring {
 // blocks, any word of S. The vote's word 0 may go anywhere.
 type cubeAudit struct {
 	engine.Node
-	cb *cube
+	cb *Pass
 }
 
 func (c *cubeAudit) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message) error {
@@ -66,7 +66,7 @@ func runAudited(t *testing.T, p *Pass) *engine.Stats {
 	t.Helper()
 	nodes := make([]engine.Node, p.n)
 	for v, nd := range p.Nodes() {
-		nodes[v] = &cubeAudit{Node: &linkCheck{Node: nd, perSrc: make([]int, p.n)}, cb: p.cb}
+		nodes[v] = &cubeAudit{Node: &linkCheck{Node: nd, perSrc: make([]int, p.n)}, cb: p}
 	}
 	e, err := engine.New(p.n, engine.Options{Workers: 2})
 	if err != nil {
@@ -159,7 +159,7 @@ func TestCubeSquaringAllocs(t *testing.T) {
 		}
 		var acc []int64
 		allocs := testing.AllocsPerRun(5, func() {
-			p, err := newPass(nil, dx, dp, true, acc, cp)
+			p, err := newPass(dx, dp, true, acc, cp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,11 +179,13 @@ func TestCubeSquaringAllocs(t *testing.T) {
 // TestRelaxationProductAllocs: a held 2D relaxation product — a warm
 // ccserve query's pass, one source over a dense S — and a voting row-pull
 // relaxation product — a hopset construction's, eight hub columns over a
-// sparse S — each built and run on a warm engine, allocate at most the
-// objects they were measured at (5 and 40 at n = 128; 7 and 41 when
-// node 0's verdict in a cube pass allocated an n-long []bool and every
-// voting pass its own array of voters). Both find a change, so node 0
-// sends its verdict in each.
+// sparse S, at (n, 1, 1) by the plan its Relaxation keeps — each built
+// and run on a warm engine, allocate at most the objects they were
+// measured at (5 and 40 at n = 128; 7 and 41 when node 0's verdict in a
+// cube pass allocated an n-long []bool and every voting pass its own
+// array of voters; about 29 for the row-pull product since its plan
+// keeps its nodes and senders' room across products). Both find a
+// change, so node 0 sends its verdict in each.
 func TestRelaxationProductAllocs(t *testing.T) {
 	const n = 128
 	sr := core.MinPlus()
@@ -202,7 +204,7 @@ func TestRelaxationProductAllocs(t *testing.T) {
 		most    float64
 	}{
 		{"held-2d", s, sources, held, 5},
-		{"row-pull", base, []core.NodeID{0, 17, 40, 63, 90, 101, 120, 127}, nil, 40},
+		{"row-pull", base, []core.NodeID{0, 17, 40, 63, 90, 101, 120, 127}, relaxPlan(base), 40},
 	} {
 		prev := Indicator(n, tc.sources, sr)
 		b, err := MulDenseRef(tc.s, prev)
@@ -215,15 +217,16 @@ func TestRelaxationProductAllocs(t *testing.T) {
 		}
 		var acc []int64
 		allocs := testing.AllocsPerRun(5, func() {
-			p, err := newPass(tc.s, b, prev, true, acc, tc.cp)
+			p, err := newPass(b, prev, true, acc, tc.cp)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if _, err := e.RunBounded(context.Background(), p.Nodes(), p.MaxRoundsHint()); err != nil {
 				t.Fatal(err)
 			}
-			if (p.cb != nil) != (tc.cp != nil) || !p.changed() {
-				t.Fatalf("%s: cube pass %v, changed %v; the fixture must run its schedule and change", tc.name, p.cb != nil, p.changed())
+			if p.cubePlan != tc.cp || p.rows() != (tc.name == "row-pull") || !p.changed() {
+				t.Fatalf("%s: its own plan %v, row-pull %v, changed %v; the fixture must run its schedule and change",
+					tc.name, p.cubePlan == tc.cp, p.rows(), p.changed())
 			}
 			acc = p.flat
 		})

@@ -154,7 +154,7 @@ func TestVoteAccounting(t *testing.T) {
 	for _, tc := range cases {
 		for _, workers := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/w%d", tc.name, workers), func(t *testing.T) {
-				build := func(vote bool) (*Pass, error) { return newPass(tc.a, tc.b, tc.prev, vote, nil, nil) }
+				build := func(vote bool) (*Pass, error) { return newPass(tc.b, tc.prev, vote, nil, rowPlan(tc.a)) }
 				model := func(vote bool) passTraffic { return predictTraffic(t, tc.a, tc.b, tc.prev, vote) }
 				if changed := checkVote(t, build, model, workers); changed != tc.changed {
 					t.Errorf("changed() = %v, want %v", changed, tc.changed)
@@ -283,13 +283,13 @@ func TestVoteOnRandomReflexiveInputs(t *testing.T) {
 				model func(vote bool) passTraffic
 			}{
 				{"first-squaring",
-					func(vote bool) (*Pass, error) { return newPass(a, da, nil, vote, nil, nil) },
+					func(vote bool) (*Pass, error) { return newPass(da, nil, vote, nil, rowPlan(a)) },
 					func(vote bool) passTraffic { return predictTraffic(t, a, da, nil, vote) }},
 				{"semi-naive",
-					func(vote bool) (*Pass, error) { return newPass(a, b, prev, vote, nil, nil) },
+					func(vote bool) (*Pass, error) { return newPass(b, prev, vote, nil, rowPlan(a)) },
 					func(vote bool) passTraffic { return predictTraffic(t, a, b, prev, vote) }},
 				{"cube",
-					func(vote bool) (*Pass, error) { return newPass(nil, dx, da, vote, nil, &cubePlan{}) },
+					func(vote bool) (*Pass, error) { return newPass(dx, da, vote, nil, &cubePlan{}) },
 					func(vote bool) passTraffic { return predictCube(t, x, da, vote, false).passTraffic }},
 			}
 			for _, pr := range products {
@@ -331,15 +331,15 @@ func TestVoteIgnoresARowNobodyReceives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare, err := newPass(a, b, prev, false, nil, nil)
+	bare, err := newPass(b, prev, false, nil, rowPlan(a))
 	if err != nil {
 		t.Fatal(err)
 	}
-	voting, err := newPass(a, b, prev, true, nil, nil)
+	voting, err := newPass(b, prev, true, nil, rowPlan(a))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide := len(voting.state[9].packed)
+	wide := len(voting.seg(int32(voting.dSeg(9, 0))))
 	if wide < 3 {
 		t.Fatalf("row 9 packs into %d words; the fixture needs it several rounds wide", wide)
 	}
@@ -369,7 +369,7 @@ func TestVoteWithoutAnyStream(t *testing.T) {
 			for v := 0; v < n; v++ {
 				b.Row(core.NodeID(v))[v%2] = int64(v)
 			}
-			p, err := newPass(a, b, NewDense(n, 2, sr), true, nil, nil)
+			p, err := newPass(b, NewDense(n, 2, sr), true, nil, rowPlan(a))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -392,8 +392,8 @@ func (u unvoted) Next(g *graph.CSR) (clique.Pass, error) {
 	pass, err := u.Power.Next(g)
 	if u.pass != nil {
 		u.pass.voting = false
-		for v := range u.pass.state {
-			u.pass.state[v].bRow = nil
+		for v := range u.pass.nds {
+			u.pass.nds[v].bRow = nil
 		}
 	}
 	return pass, err
@@ -464,7 +464,7 @@ func TestVotingFirstSquaringStartsAtItsBase(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := newPass(a, dense(a), nil, true, nil, nil)
+		p, err := newPass(dense(a), nil, true, nil, rowPlan(a))
 		if err != nil {
 			t.Fatal(err)
 		}
